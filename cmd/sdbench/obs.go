@@ -23,6 +23,10 @@ import (
 // membership view (peer, state, epoch) — the operator's way to ask "who
 // does each host think is alive" after a drill.
 //
+// The flow table is followed by one connection-lifecycle row (connections
+// reclaimed, socket rings reused / freshly allocated, SHM segments live):
+// the one-command answer to "is this host leaking connections".
+//
 // Every workload's output ends with the backpressure counter block —
 // the shed/refusal/timeout totals an operator reads to tell "overloaded
 // and shedding cleanly" from "wedged" (see README "Operating under
@@ -107,6 +111,18 @@ func sdstatCmd(args []string) {
 	}
 	tw.Flush()
 	fmt.Printf("%d flows\n", len(flows))
+
+	// Connection lifecycle: is anything leaking? Every closed connection
+	// is reclaimed once per host it touched; SEGMENTS-LIVE counts what is
+	// still registered (open sockets, plus half-closed ones).
+	fmt.Println()
+	snap := telemetry.Capture()
+	tw = tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
+	fmt.Fprintln(tw, "CONNS-RECLAIMED\tRING-POOL-HITS\tRING-POOL-MISSES\tSEGMENTS-LIVE")
+	fmt.Fprintf(tw, "%d\t%d\t%d\t%d\n", snap.Get(telemetry.CoreConnReclaims),
+		snap.Get(telemetry.ShmRingPoolHits), snap.Get(telemetry.ShmRingPoolMisses),
+		snap.Get(telemetry.ShmSegmentsLive))
+	tw.Flush()
 
 	fmt.Println()
 	tw = tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)

@@ -57,30 +57,45 @@ type rdmaLocal struct {
 // newRdmaLocal builds rings, MRs, a QP and the pinned zero-copy pool for
 // one inter-host socket endpoint, and registers the shared state as a SHM
 // segment (socket buffers live in SHM so fork keeps working, §4.1.2).
+// Rings come from the host's recycle list and the pool from the process's
+// (lifecycle.go); MRs and the QP are per connection, so an old peer's keys
+// die with its connection.
 func (l *Libsd) newRdmaLocal(ctx exec.Context, qid uint64) (*rdmaLocal, error) {
 	side := &SideState{
-		QID:      qid,
-		TX:       shm.NewRing(ringCap),
-		RX:       shm.NewRing(ringCap),
-		CreditIn: make([]byte, 8),
-		TailIn:   make([]byte, 8),
+		QID: qid,
+		TX:  l.H.SHM.GetRing(ringCap),
+		RX:  l.H.SHM.GetRing(ringCap),
 	}
+	side.CreditIn, side.TailIn = side.words[0][:], side.words[1][:]
 	side.Refs.Store(1)
 	rl := &rdmaLocal{side: side}
 	rl.rxMR = l.pd.RegisterBytes(side.RX.Data())
 	rl.creditMR = l.pd.RegisterBytes(side.CreditIn)
 	rl.tailMR = l.pd.RegisterBytes(side.TailIn)
+	side.mrs = []*rdma.MR{rl.rxMR, rl.creditMR, rl.tailMR}
 	rl.qp = l.pd.CreateQP(l.sendCQ, l.recvCQ)
 	if ctx != nil {
 		ctx.Charge(l.H.Costs.RDMAQPCreate)
 	}
-	pool, err := newZCPool(ctx, l.P, l.pd)
+	pool, err := l.getZCPool(ctx)
 	if err != nil {
+		l.abandonRdmaLocal(rl)
 		return nil, err
 	}
 	side.LocalPool = pool
-	l.H.SHM.Create(fmt.Sprintf("sock-%d", qid), side)
+	side.segTok = l.H.SHM.Create(fmt.Sprintf("sock-%d", qid), side).Token
 	return rl, nil
+}
+
+// abandonRdmaLocal releases an endpoint no peer was ever spliced to (a
+// refused, timed-out or unroutable dial): the same routine as a graceful
+// close, and since nothing touched the rings they are recycled.
+func (l *Libsd) abandonRdmaLocal(rl *rdmaLocal) {
+	rl.qp.Close() // not registered with the side unless buildEP ran
+	rl.side.resMu.Lock()
+	clean := len(rl.side.eps) == 0
+	rl.side.resMu.Unlock()
+	l.releaseInter(rl.side, clean)
 }
 
 // desc fills the control-message fields describing this endpoint for the
@@ -424,8 +439,10 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 		delete(l.pending, connID)
 		l.mu.Unlock()
 		if pc.rl != nil {
-			// Abandon the optimistic endpoint; its QP never connected.
-			pc.rl.qp.Close()
+			// Give back the optimistic endpoint and the monitor's records
+			// of the dial; its QP never connected.
+			l.abandonRdmaLocal(pc.rl)
+			l.noteClosed(connID)
 		}
 	}
 	for pc.status.Load() == 0 {
@@ -443,9 +460,7 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 		}
 	}
 	if pc.status.Load() != 1 {
-		l.mu.Lock()
-		delete(l.pending, connID)
-		l.mu.Unlock()
+		abandon()
 		switch pc.errCode {
 		case ctlmsg.StatusDenied:
 			return nil, nil, ErrDenied
@@ -478,7 +493,16 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 
 	// Fig. 6 Wait-Server: the FD becomes usable when the server's ACK
 	// lands on the new queue. A steal on the server side may replace the
-	// socket meanwhile (a fresh KConnectRes rebuilds it).
+	// socket meanwhile (a fresh KConnectRes rebuilds it). Giving up here
+	// closes the half-open socket like a last reference would, so the
+	// server's eventual close still completes the release handshake.
+	giveUp := func(s *Socket) {
+		l.mu.Lock()
+		delete(l.pending, connID)
+		l.mu.Unlock()
+		s.side.Refs.Store(0)
+		s.closeLast(ctx, t)
+	}
 	for {
 		l.mu.Lock()
 		s := pc.sock
@@ -501,13 +525,13 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 			return nil, nil, ErrProcessKilled
 		}
 		if s.peerGone() {
-			return nil, nil, s.resetErr(ctx, DirRecv)
+			err := s.resetErr(ctx, DirRecv)
+			giveUp(s)
+			return nil, nil, err
 		}
 		if deadline != 0 && ctx.Now() >= deadline {
 			mDeadlineTimeouts.Inc()
-			l.mu.Lock()
-			delete(l.pending, connID)
-			l.mu.Unlock()
+			giveUp(s)
 			return nil, nil, ETIMEDOUT
 		}
 		l.pollCtl(ctx)
@@ -539,7 +563,15 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 	case ctlmsg.KConnectRes:
 		l.mu.Lock()
 		pc := l.pending[m.ConnID]
+		orphan := pc == nil && len(l.socks[m.ConnID]) == 0
 		l.mu.Unlock()
+		if orphan && (m.Status != ctlmsg.StatusOK || m.Transport != ctlmsg.TransportSHM) {
+			// The answer to a remote dial that already gave up (its deadline
+			// beat the round trip): the monitor made its records after our
+			// ConnClosed note, so note again. (An intra-host connection that
+			// was set up regardless stays on record: its listener holds it.)
+			l.noteClosed(m.ConnID)
+		}
 		if pc == nil {
 			return
 		}
@@ -599,6 +631,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			}
 			ep, err := l.buildEP(rl, m.HostStr(), m)
 			if err != nil {
+				l.abandonRdmaLocal(rl)
 				return
 			}
 			pa.sock = &Socket{lib: l, side: rl.side, ep: ep}
@@ -793,7 +826,14 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 				socks = append(socks, pc.sock)
 			}
 		}
+		closing := l.closing[m.QID]
 		l.mu.Unlock()
+		if closing != nil {
+			// Closed here, waiting for a peer that will never finish: the
+			// handshake is over, release what is left.
+			closing.PeerReset.Store(true)
+			l.tryReleaseInter(closing)
+		}
 		for _, s := range socks {
 			s.side.PeerReset.Store(true)
 			if ep, ok := s.ep.(*rdmaEP); ok {
@@ -845,9 +885,10 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 }
 
 // teardownRdma destroys a server-side endpoint built for a stolen
-// connection.
+// connection. The client may already have written to it, so nothing is
+// recycled; the monitor's record moves to the thief and is not reclaimed.
 func (s *Socket) teardownRdma() {
-	if ep, ok := s.ep.(*rdmaEP); ok {
-		ep.qp.Close()
+	if _, ok := s.ep.(*rdmaEP); ok {
+		s.lib.releaseInter(s.side, false)
 	}
 }

@@ -274,10 +274,13 @@ func (e *rdmaEP) peerAlive() bool { return !e.peerDeadFlg.Load() }
 func (e *rdmaEP) onRecvCQE(cqe rdma.CQE) {
 	if cqe.Status != rdma.WCSuccess {
 		e.markFailed()
-		return
-	}
-	if cqe.Op == rdma.OpWriteImm {
+	} else if cqe.Op == rdma.OpWriteImm {
 		e.side.RX.SetTailLow32(cqe.Imm)
+	}
+	if e.side.Closed.Load() {
+		// Nobody reads this side any more: the completion may have carried
+		// the peer's MShut, the last thing the release waits for.
+		e.lib.tryReleaseInter(e.side)
 	}
 }
 
@@ -285,16 +288,16 @@ func (e *rdmaEP) onRecvCQE(cqe rdma.CQE) {
 func (e *rdmaEP) onSendCQE(ctx exec.Context, cqe rdma.CQE) {
 	if cqe.Status != rdma.WCSuccess {
 		e.markFailed()
-		return
+	} else if cqe.WRID == wrData {
+		if e.inflight.Add(-1) < 0 {
+			e.inflight.Store(0)
+		}
+		if e.batching {
+			e.flush(ctx) // ctx may be nil in completion context
+		}
 	}
-	if cqe.WRID != wrData {
-		return
-	}
-	if e.inflight.Add(-1) < 0 {
-		e.inflight.Store(0)
-	}
-	if e.batching {
-		e.flush(ctx) // ctx may be nil in completion context
+	if e.side.Closed.Load() {
+		e.lib.tryReleaseInter(e.side) // the send queue may just have drained
 	}
 }
 

@@ -1,0 +1,29 @@
+package core
+
+import "socksdirect/internal/shm"
+
+// Test-only windows into connection-lifecycle state.
+
+// Rings returns the socket's TX and RX rings (nil once recycled).
+func (s *Socket) Rings() (tx, rx *shm.Ring) { return s.side.TX, s.side.RX }
+
+// Endpoints reports registered RDMA endpoints (the CQ dispatch table).
+func (l *Libsd) Endpoints() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.eps)
+}
+
+// Closing reports inter-host sides closed here and awaiting their peer.
+func (l *Libsd) Closing() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.closing)
+}
+
+// IdleZCPools reports the zero-copy pool recycle list's length.
+func (l *Libsd) IdleZCPools() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.zcIdle)
+}

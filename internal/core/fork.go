@@ -161,6 +161,9 @@ func (f *forkedRdmaEP) materialize(ctx exec.Context) *rdmaEP {
 	rxMR := f.lib.pd.RegisterBytes(side.RX.Data())
 	creditMR := f.lib.pd.RegisterBytes(side.CreditIn)
 	tailMR := f.lib.pd.RegisterBytes(side.TailIn)
+	side.resMu.Lock()
+	side.mrs = append(side.mrs, rxMR, creditMR, tailMR)
+	side.resMu.Unlock()
 	qp := f.lib.pd.CreateQP(f.lib.sendCQ, f.lib.recvCQ)
 	ctx.Charge(f.lib.H.Costs.RDMAQPCreate)
 	mForkReQP.Inc()

@@ -98,6 +98,13 @@ type Libsd struct {
 	eps    map[uint32]*rdmaEP // QPN -> endpoint, for CQ dispatch
 	cqPump sync.Mutex
 
+	// closing holds inter-host sides whose last FD closed here but whose
+	// peer has not finished closing (by QID, so a death notice can still
+	// find them); zcIdle is the recycle list of pinned zero-copy pools.
+	// Both under mu; see lifecycle.go.
+	closing map[uint64]*SideState
+	zcIdle  []*zcPool
+
 	inLibsd atomic.Int32 // signal handler guard (§4.4 challenge 2)
 
 	// pendingRevokes are token-return requests deferred because a thread
@@ -180,6 +187,7 @@ func initWith(p *host.Process, link *ProcLink) (*Libsd, error) {
 		backlogs:   make(map[backlogKey]*backlog),
 		socks:      make(map[uint64]map[*Socket]struct{}),
 		eps:        make(map[uint32]*rdmaEP),
+		closing:    make(map[uint64]*SideState),
 		sendCQ:     rdma.NewCQ(),
 		recvCQ:     rdma.NewCQ(),
 		epolls:     make(map[*Epoll]struct{}),
@@ -463,9 +471,20 @@ func (l *Libsd) untrackSock(s *Socket) {
 // process (§4.2 "each thread uses a shared completion queue for all RDMA
 // QPs, so it only needs to poll one queue"). ---
 
+// registerEP makes ep the target of its QP's completions and records it
+// with the side, which closes every QP it was ever given on release.
 func (l *Libsd) registerEP(ep *rdmaEP) {
 	l.mu.Lock()
 	l.eps[ep.qp.QPN()] = ep
+	l.mu.Unlock()
+	ep.side.resMu.Lock()
+	ep.side.eps = append(ep.side.eps, ep)
+	ep.side.resMu.Unlock()
+}
+
+func (l *Libsd) unregisterEP(ep *rdmaEP) {
+	l.mu.Lock()
+	delete(l.eps, ep.qp.QPN())
 	l.mu.Unlock()
 }
 

@@ -412,6 +412,7 @@ func (s *Socket) dispatchMsg(ctx exec.Context, msg shm.Msg, buf []byte) (bool, i
 		s.queueZC(msg.Payload)
 	case MShut:
 		s.side.RxShut.Store(true)
+		s.side.PeerShut.Store(true)
 		return true, 0, io.EOF
 	case MAck:
 		s.established = true
@@ -579,19 +580,30 @@ func (s *Socket) Shutdown(ctx exec.Context, t *host.Thread, dir int) error {
 
 // Close drops this FD's reference; the last reference shuts both
 // directions ("close is equivalent to shutdown on both send and receive
-// directions", with the refcount incremented on fork).
+// directions", with the refcount incremented on fork) and, once the peer
+// has done the same, releases what the connection owns (lifecycle.go).
 func (s *Socket) Close(ctx exec.Context, t *host.Thread) error {
+	if _, closed := s.ep.(closedEP); closed {
+		return ErrBadFD // this descriptor was closed before
+	}
 	s.lib.enter()
 	s.lib.releaseFD(s.fd)
 	s.lib.untrackSock(s)
 	s.lib.leave()
 	if s.side.Refs.Add(-1) > 0 {
+		s.ep = closedEP{} // this FD is gone; the side lives on through the others
 		return nil
 	}
+	s.closeLast(ctx, t)
+	return nil
+}
+
+// closeLast is the last reference's half of the close handshake.
+func (s *Socket) closeLast(ctx exec.Context, t *host.Thread) {
 	s.flow.SetState(obs.FlowClosed)
 	s.Shutdown(ctx, t, DirSend)
 	s.Shutdown(ctx, t, DirRecv)
-	return nil
+	s.lib.sideClosed(s)
 }
 
 // Readable reports whether Recv would make progress (epoll hook).

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"socksdirect/internal/rdma"
 	"socksdirect/internal/shm"
 )
 
@@ -101,9 +102,15 @@ type SideState struct {
 	// close decrements; the side dies at zero).
 	Refs atomic.Int32
 
-	// Close handshake state.
-	TxShut atomic.Bool // we sent MShut
-	RxShut atomic.Bool // peer sent MShut
+	// Close handshake state. TxShut/RxShut gate the data path per direction
+	// (RxShut is also set by a local shutdown); Closed and PeerShut drive
+	// the release of the connection's resources (lifecycle.go): Closed
+	// latches once the last FD reference on this side is gone and its
+	// MShut went out, PeerShut only when the peer's MShut really arrived.
+	TxShut   atomic.Bool // we sent MShut
+	RxShut   atomic.Bool // peer sent MShut, or we shut our receive direction
+	Closed   atomic.Bool
+	PeerShut atomic.Bool
 
 	// Crash state (§4.5.4). PeerReset latches when the monitor reports the
 	// peer process dead (KPeerDead) or the local host observes its corpse
@@ -157,6 +164,19 @@ type SideState struct {
 	// PeerHost names the remote host of an inter-host socket (forked
 	// children route QP re-establishment through it).
 	PeerHost string
+
+	// What an inter-host side owns besides its rings and pool, so the
+	// release path can give all of it back: every endpoint (QP) ever
+	// registered for the side, in any process — fork and recovery add
+	// some — every MR over its memory, and its SHM segment. released
+	// latches when that happened; resMu also serializes the release
+	// decision, which drains the RX ring.
+	resMu    sync.Mutex
+	eps      []*rdmaEP
+	mrs      []*rdma.MR
+	segTok   shm.Token
+	released atomic.Bool
+	words    [2][8]byte // backing store of CreditIn and TailIn
 }
 
 // IntraSock is the SHM segment payload for an intra-host socket: one
@@ -166,11 +186,16 @@ type IntraSock struct {
 	QID  uint64
 	D    *shm.Duplex
 	A, B *SideState // A = connecting side, B = accepting side
+
+	// released latches when the segment and rings were given back, by the
+	// last closer or by the monitor's crash cleanup, whichever gets there.
+	released atomic.Bool
 }
 
-// NewIntraSock wires the duplex into two SideStates.
-func NewIntraSock(qid uint64, ringCap int) *IntraSock {
-	d := shm.NewDuplex(ringCap)
+// NewIntraSock wires a duplex of two rings from the host's recycle list
+// (fresh ones when it is empty) into two SideStates.
+func NewIntraSock(reg *shm.Registry, qid uint64, ringCap int) *IntraSock {
+	d := &shm.Duplex{AtoB: reg.GetRing(ringCap), BtoA: reg.GetRing(ringCap)}
 	a := &SideState{QID: qid, TX: d.AtoB, RX: d.BtoA}
 	b := &SideState{QID: qid, TX: d.BtoA, RX: d.AtoB}
 	a.Refs.Store(1)

@@ -191,6 +191,7 @@ func benchCluster(short bool) []BenchEntry {
 				t.Pr.Go("conn", func(ct *sd.T) {
 					cc := conn.WithT(ct)
 					buf := make([]byte, 64)
+					defer cc.Close() // both ends closed: the connection is reclaimed
 					for {
 						n, err := cc.Recv(buf)
 						if err != nil {

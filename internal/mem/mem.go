@@ -183,6 +183,31 @@ func (pm *PhysMem) Pin(ctx exec.Context, ids []PageID) error {
 	return nil
 }
 
+// Unpin clears the DMA pin on frames leaving a registered pool for good
+// (a dropped zero-copy pool). Unknown ids are ignored.
+func (pm *PhysMem) Unpin(ids []PageID) {
+	pm.mu.Lock()
+	for _, id := range ids {
+		if f, ok := pm.frames[id]; ok {
+			f.pinned = false
+		}
+	}
+	pm.mu.Unlock()
+}
+
+// PinnedCount reports live pinned frames (leak checks).
+func (pm *PhysMem) PinnedCount() int {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	n := 0
+	for _, f := range pm.frames {
+		if f.pinned {
+			n++
+		}
+	}
+	return n
+}
+
 // FrameData exposes a frame's backing bytes to trusted subsystems (the
 // simulated NIC DMA engine). Untrusted code never sees PageIDs unobfuscated.
 func (pm *PhysMem) FrameData(id PageID) ([]byte, error) {

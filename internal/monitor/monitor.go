@@ -670,6 +670,11 @@ func (m *Monitor) cleanupProcess(ctx exec.Context, pid int) {
 			if other := c.pids[0] + c.pids[1] - pid; other != pid && other != 0 && !m.pidDead(other) {
 				n.local = other
 			}
+			if n.local != 0 && c.peerHost == "" && m.survivorClosed(c, n.local) {
+				// The survivor closed its end before the peer died: it will
+				// never look at the connection again (lifecycle.go).
+				n.local = 0
+			}
 			if n.local == 0 && c.peerHost == "" {
 				// No endpoint left alive on this host and none remote: the
 				// socket's SHM segment is unreachable garbage now.
@@ -677,12 +682,14 @@ func (m *Monitor) cleanupProcess(ctx exec.Context, pid int) {
 					m.H.SHM.Remove(c.shmTok)
 				}
 				delete(sh.conns, qid)
+				delete(sh.connOwner, qid)
 				continue
 			}
 			if c.peerHost != "" {
 				// The record covered the (single) local endpoint; the remote
 				// monitor owns the rest of the teardown.
 				delete(sh.conns, qid)
+				delete(sh.remotePend, qid)
 			}
 			notes = append(notes, n)
 		}
@@ -707,6 +714,55 @@ func (m *Monitor) cleanupProcess(ctx exec.Context, pid int) {
 		m.sendTo(ctx, n.local, &pd, true)
 		m.wakeSleepers(n.local)
 	}
+}
+
+// survivorClosed reports whether the surviving endpoint (pid) of an
+// intra-host connection whose other process just died had already closed
+// its end, claiming the connection's release for crash cleanup if so: the
+// close path and this one race for IntraSock.released, so the segment is
+// released once and the rings — a corpse was attached — never re-issued.
+func (m *Monitor) survivorClosed(c *connRec, pid int) bool {
+	seg, err := m.H.SHM.Attach(c.shmTok)
+	if err != nil {
+		return false
+	}
+	is, ok := seg.Obj.(*core.IntraSock)
+	if !ok {
+		return false
+	}
+	idx := 0
+	if c.pids[1] == pid {
+		idx = 1
+	}
+	return is.ReclaimIfClosed(idx)
+}
+
+// ConnClosed is libsd's note that the last endpoint of connection qid on
+// this host released it (core/lifecycle.go). It stands for a closed-QID
+// list in state shared with the monitor: the call only queues the ID, and
+// the owning shard applies it the next time its loop comes round, outside
+// any dispatch and without charging simulated time — a close must never
+// delay the SYN queued behind it.
+func (m *Monitor) ConnClosed(qid uint64) {
+	sh := m.shardOf(qid)
+	m.mu.Lock()
+	sh.closed = append(sh.closed, qid)
+	m.mu.Unlock()
+}
+
+// LiveConnRecords reports how many per-connection records the monitor
+// holds (connection, owner, setup-routing, QP-routing and token entries
+// over all shards) after applying every queued ConnClosed note: the figure
+// that must return to its baseline when connections are closed.
+func (m *Monitor) LiveConnRecords() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for _, sh := range m.shards {
+		sh.reclaimClosedLocked()
+		n += len(sh.conns) + len(sh.connOwner) + len(sh.remotePend) + len(sh.reqpRoute) + len(sh.tokens)
+	}
+	return n
 }
 
 // DetachProcess forgets pid's connection records without the crash
@@ -1283,7 +1339,7 @@ func (m *Monitor) dispatchIntra(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) 
 		m.fail(ctx, pc.p.PID, cm, st)
 		return
 	}
-	is := core.NewIntraSock(cm.ConnID, SockRingCap())
+	is := core.NewIntraSock(m.H.SHM, cm.ConnID, SockRingCap())
 	seg := m.H.SHM.Create(fmt.Sprintf("intra-%d", cm.ConnID), is)
 	sh := m.shardOf(cm.ConnID)
 	m.mu.Lock()
@@ -1313,10 +1369,12 @@ func (m *Monitor) dispatchIntra(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) 
 
 // sockRingCap is the per-direction ring size of dispatched intra-host
 // sockets, matching core's default. It is a variable, not a constant,
-// because ring memory is the footprint limiter at connection scale: 100k
-// sockets x two 128 KiB rings is ~25 GB, while a connection-scale drill
-// that only churns setup/teardown needs a few KiB per ring. Atomic so a
-// drill can shrink it while monitors from an earlier scenario still run.
+// because ring memory is the footprint limiter for drills that HOLD
+// sockets open: 100k live sockets x two 128 KiB rings is ~25 GB. Churn
+// does not need it — a closed connection's rings go back to the host's
+// recycle list, so setup/teardown at the default size costs one pair of
+// rings per connection in flight. Atomic so a drill can shrink it while
+// monitors from an earlier scenario still run.
 var sockRingCap = func() *atomic.Int64 {
 	v := new(atomic.Int64)
 	v.Store(128 * 1024)

@@ -3,6 +3,7 @@ package monitor
 import (
 	"sort"
 
+	"socksdirect/internal/core"
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/monitor/shard"
@@ -57,6 +58,10 @@ type mshard struct {
 	// pickListener skips listeners at the cap and refuses the SYN with
 	// StatusBacklogFull once every listener for the port is full.
 	blUsed map[blKey]int
+
+	// closed lists connections libsd released (Monitor.ConnClosed) whose
+	// records this shard has yet to drop.
+	closed []uint64
 
 	// inbox carries router-routed work: mchan arrivals owned by this
 	// shard, and host-death sweep events (one per shard per confirmed
@@ -159,6 +164,7 @@ func (sh *mshard) run(ctx exec.Context) {
 		chans = append(chans[:0], m.procList...)
 		events = append(events[:0], sh.inbox...)
 		sh.inbox = sh.inbox[:0]
+		sh.reclaimClosedLocked()
 		m.mu.Unlock()
 
 		progress := false
@@ -221,6 +227,28 @@ func (sh *mshard) run(ctx exec.Context) {
 		ctx.Park() // woken by libsd's per-shard doorbell or the router
 		idle = 255
 	}
+}
+
+// reclaimClosedLocked drops every record of the connections queued by
+// ConnClosed. A connection still counted against a listener's backlog (it
+// was closed before its KAcceptDone was handled) gives the slot back here;
+// the late KAcceptDone then finds no record and does nothing. Caller holds
+// m.mu.
+func (sh *mshard) reclaimClosedLocked() {
+	for _, qid := range sh.closed {
+		if c := sh.conns[qid]; c != nil && c.queued {
+			sh.m.releaseBacklogSlotLocked(c.lport, c.lref)
+		}
+		delete(sh.conns, qid)
+		delete(sh.connOwner, qid)
+		delete(sh.remotePend, qid)
+		delete(sh.reqpRoute, qid)
+		for _, dir := range [2]uint8{core.DirSend, core.DirRecv} {
+			delete(sh.tokens, tokKey{qid: qid, dir: dir, side: 0})
+			delete(sh.tokens, tokKey{qid: qid, dir: dir, side: 1})
+		}
+	}
+	sh.closed = sh.closed[:0]
 }
 
 // sweepHostDead resets this shard's connections toward a confirmed-dead

@@ -76,8 +76,13 @@ type Flow struct {
 
 	// probe fills snapshot fields only the owning socket can read
 	// (ring occupancy high-water, current monitor epoch). Set once at
-	// registration, called under the registry lock at snapshot time.
-	probe func(*FlowSnapshot)
+	// registration, called under the registry lock at snapshot time;
+	// Freeze replaces it with its last reading.
+	probe  func(*FlowSnapshot)
+	frozen struct {
+		ringHW int64
+		epoch  uint32
+	}
 }
 
 // AddTx accounts one sent message of n bytes.
@@ -165,6 +170,19 @@ func (f *Flow) SetProbe(fn func(*FlowSnapshot)) {
 	flows.mu.Unlock()
 }
 
+// Freeze replaces the probe with its owner's last reading: the row of a
+// closed connection stays in the table, but must not keep reading (or keep
+// alive) rings that go on to serve another connection.
+func (f *Flow) Freeze(ringHW int64, epoch uint32) {
+	if f == nil {
+		return
+	}
+	flows.mu.Lock()
+	f.frozen.ringHW, f.frozen.epoch = ringHW, epoch
+	f.probe = nil
+	flows.mu.Unlock()
+}
+
 // FlowSnapshot is one row of the sdstat table.
 type FlowSnapshot struct {
 	Host      string `json:"host"`
@@ -225,6 +243,8 @@ func Flows() []FlowSnapshot {
 			Takeovers: f.takeovers.Load(),
 			Recovs:    f.recoveries.Load(),
 			Resets:    f.resets.Load(),
+			RingHW:    f.frozen.ringHW,
+			Epoch:     f.frozen.epoch,
 			Shard:     shard.Of(f.key.QID, shard.DefaultCount),
 		}
 		if f.probe != nil {

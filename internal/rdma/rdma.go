@@ -345,6 +345,17 @@ func (n *NIC) Deregister(m *MR) {
 	n.mu.Unlock()
 }
 
+// Deregister removes the MR from the adapter it was registered on (which,
+// after a migration, is not the adapter of the host releasing it).
+func (m *MR) Deregister() { m.pd.nic.Deregister(m) }
+
+// MRCount reports registered memory regions (leak checks).
+func (n *NIC) MRCount() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.mrs)
+}
+
 // QPCount reports live QPs (tests).
 func (n *NIC) QPCount() int {
 	n.mu.Lock()

@@ -30,12 +30,19 @@ type Registry struct {
 	next uint64
 	segs map[Token]*Segment
 	seed uint64
+
+	// idle holds recycled rings by capacity (see GetRing/PutRing).
+	idle map[int][]*Ring
 }
 
 // NewRegistry creates an empty registry. Seed makes token generation
 // deterministic for reproducible simulations.
 func NewRegistry(seed uint64) *Registry {
-	return &Registry{segs: make(map[Token]*Segment), seed: seed ^ 0x9e3779b97f4a7c15}
+	return &Registry{
+		segs: make(map[Token]*Segment),
+		seed: seed ^ 0x9e3779b97f4a7c15,
+		idle: make(map[int][]*Ring),
+	}
 }
 
 // Create registers obj and returns its segment (with a fresh secret token).
@@ -51,6 +58,7 @@ func (g *Registry) Create(name string, obj any) *Segment {
 	tok := Token(z ^ (z >> 31))
 	s := &Segment{Token: tok, Name: name, Obj: obj}
 	g.segs[tok] = s
+	mSegmentsLive.Add(1)
 	return s
 }
 
@@ -68,7 +76,10 @@ func (g *Registry) Attach(tok Token) (*Segment, error) {
 // Remove destroys a segment (e.g. when the last socket reference closes).
 func (g *Registry) Remove(tok Token) {
 	g.mu.Lock()
-	delete(g.segs, tok)
+	if _, ok := g.segs[tok]; ok {
+		delete(g.segs, tok)
+		mSegmentsLive.Add(-1)
+	}
 	g.mu.Unlock()
 }
 
@@ -77,6 +88,43 @@ func (g *Registry) Len() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.segs)
+}
+
+// maxIdleRings bounds the recycle list per capacity; a ring released beyond
+// it is left to the garbage collector.
+const maxIdleRings = 64
+
+// GetRing returns a pristine ring of the given capacity: the most recently
+// recycled one if any (LIFO, so the hottest memory is reused and the order
+// is a function of the release order alone), else a fresh allocation. Socket
+// rings are host SHM objects, so the monitor (intra-host sockets) and every
+// libsd on the host (inter-host ring copies) draw from the same list.
+func (g *Registry) GetRing(capacity int) *Ring {
+	g.mu.Lock()
+	l := g.idle[capacity]
+	if n := len(l); n > 0 {
+		r := l[n-1]
+		l[n-1] = nil
+		g.idle[capacity] = l[:n-1]
+		g.mu.Unlock()
+		mRingPoolHits.Inc()
+		return r
+	}
+	g.mu.Unlock()
+	mRingPoolMiss.Inc()
+	return NewRing(capacity)
+}
+
+// PutRing scrubs a ring no connection uses any more (Ring.Reset) and keeps
+// it for GetRing. The caller must own the ring exclusively and must not
+// touch it again.
+func (g *Registry) PutRing(r *Ring) {
+	r.Reset()
+	g.mu.Lock()
+	if l := g.idle[r.Cap()]; len(l) < maxIdleRings {
+		g.idle[r.Cap()] = append(l, r)
+	}
+	g.mu.Unlock()
 }
 
 // Duplex is a bidirectional channel made of two SPSC rings. Side A sends

@@ -32,6 +32,9 @@ var (
 	mSendFull      = telemetry.C(telemetry.ShmSendFull)
 	mOccupancy     = telemetry.G(telemetry.ShmOccupancy)
 	mMsgSize       = telemetry.D(telemetry.ShmMsgSize)
+	mRingPoolHits  = telemetry.C(telemetry.ShmRingPoolHits)
+	mRingPoolMiss  = telemetry.C(telemetry.ShmRingPoolMisses)
+	mSegmentsLive  = telemetry.G(telemetry.ShmSegmentsLive)
 )
 
 // cpad pads fields apart so producer- and consumer-owned state do not
@@ -101,6 +104,26 @@ func NewRing(capacity int) *Ring {
 		words:        words,
 		creditThresh: uint64(capacity) / 2,
 	}
+}
+
+// Reset returns the ring to its just-allocated state so it can serve a new
+// connection: every cursor, credit word, burst field and the credit hook
+// cleared, and the dirtied prefix of the data zeroed so the next peer can
+// never read a previous connection's payload (§3: peers are untrusted).
+// Bytes are laid down front to back and both cursors count every byte ever
+// enqueued (locally, or by the remote NIC behind SetTail*), so the dirtied
+// extent is min(max(written, tail), capacity) — the scrub costs what the
+// connection sent, not what the ring could hold. Neither side may be using
+// the ring.
+func (r *Ring) Reset() {
+	dirty := max(r.written, r.tail.Load())
+	clear(r.data[:min(dirty, r.capacity)])
+	r.tail.Store(0)
+	r.credit.Store(0)
+	r.written, r.creditSeen, r.occHW = 0, 0, 0
+	r.read, r.tailSeen, r.creditFlush = 0, 0, 0
+	r.creditHook = nil
+	r.burst, r.burstMsgs, r.burstBytes = false, 0, 0
 }
 
 // Cap returns the ring capacity in bytes.

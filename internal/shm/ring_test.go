@@ -377,3 +377,140 @@ func TestPeekTypeAcrossWrap(t *testing.T) {
 		}
 	}
 }
+
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for _, x := range b {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRingResetScrubsWhatWasWritten: Reset zeroes exactly the dirtied
+// prefix — the whole ring once a wrap happened, and also bytes a remote
+// writer laid down behind SetTailLow32 — clears every cursor, the burst
+// state and the credit hook, and leaves a ring that works like a new one.
+func TestRingResetScrubsWhatWasWritten(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xEE}, 100)
+
+	// Sender-side dirt, short of a wrap, with an open burst and a hook.
+	r := NewRing(4096)
+	r.SetCreditHook(func(uint64) { t.Error("credit hook survived Reset") })
+	r.TrySend(1, 0, payload)
+	r.BeginBurst()
+	r.TrySend(1, 0, payload) // staged: written runs ahead of tail
+	dirty := int(r.WriteCursor())
+	r.Reset()
+	if !allZero(r.Data()) {
+		t.Fatal("payload survived Reset")
+	}
+	if r.WriteCursor() != 0 || r.Tail() != 0 || r.Credit() != 0 || r.InBurst() || r.OccHW() != 0 || r.CanRecv() {
+		t.Fatal("cursor or burst state survived Reset")
+	}
+	// Bytes past the dirtied prefix are not Reset's to pay for.
+	r.TrySend(1, 0, payload)
+	r.Data()[dirty+512] = 0x77
+	r.Reset()
+	if r.Data()[dirty+512] != 0x77 {
+		t.Fatal("Reset scrubbed beyond the dirtied prefix: its cost must follow the bytes sent")
+	}
+	r.Data()[dirty+512] = 0
+
+	// A wrap dirties everything.
+	for i := 0; i < 100; i++ {
+		for !r.TrySend(1, 0, payload) {
+			r.TryRecv()
+		}
+	}
+	for {
+		if _, ok := r.TryRecv(); !ok {
+			break
+		}
+	}
+	r.Reset()
+	if !allZero(r.Data()) {
+		t.Fatal("wrapped payload survived Reset")
+	}
+
+	// Receiver-side copy: data lands by DMA, only the tail moves.
+	copy(r.Data(), payload)
+	r.SetTailLow32(uint32(len(payload)))
+	r.Reset()
+	if !allZero(r.Data()) || r.Tail() != 0 {
+		t.Fatal("DMA-written bytes survived Reset")
+	}
+
+	// And the ring still works.
+	if !r.TrySend(9, 0, []byte("again")) {
+		t.Fatal("send after Reset failed")
+	}
+	if m, ok := r.TryRecv(); !ok || m.Type != 9 || string(m.Payload) != "again" {
+		t.Fatalf("after Reset got %+v ok=%v", m, ok)
+	}
+}
+
+// TestRegistryRingFreeList: LIFO per capacity, bounded, scrubbed on the
+// way in, fresh allocation on a miss.
+func TestRegistryRingFreeList(t *testing.T) {
+	g := NewRegistry(1)
+	a, b := g.GetRing(4096), g.GetRing(4096)
+	if a == b {
+		t.Fatal("two live rings are one object")
+	}
+	a.TrySend(1, 0, []byte("secret"))
+	g.PutRing(a)
+	g.PutRing(b)
+	if got := g.GetRing(8192); got == a || got == b || got.Cap() != 8192 {
+		t.Fatal("free list crossed capacities")
+	}
+	if got := g.GetRing(4096); got != b {
+		t.Fatal("free list is not LIFO")
+	}
+	got := g.GetRing(4096)
+	if got != a || !allZero(got.Data()) || got.WriteCursor() != 0 {
+		t.Fatal("recycled ring not scrubbed")
+	}
+	if g.GetRing(4096) == a {
+		t.Fatal("one ring issued twice")
+	}
+	// Beyond the bound, rings are dropped rather than kept.
+	for i := 0; i < maxIdleRings+10; i++ {
+		g.PutRing(NewRing(256))
+	}
+	if n := len(g.idle[256]); n != maxIdleRings {
+		t.Fatalf("free list holds %d rings, bound is %d", n, maxIdleRings)
+	}
+}
+
+// TestRegistryRingFreeListConcurrent: rings cycle through the free list
+// from many goroutines; none is ever in two hands at once.
+func TestRegistryRingFreeListConcurrent(t *testing.T) {
+	g := NewRegistry(1)
+	done := make(chan error, 8)
+	for id := byte(1); id <= 8; id++ {
+		go func(id byte) {
+			for i := 0; i < 2000; i++ {
+				r := g.GetRing(1024)
+				if r.WriteCursor() != 0 || !allZero(r.Data()[:64]) {
+					done <- fmt.Errorf("goroutine %d got a used ring", id)
+					return
+				}
+				r.TrySend(id, 0, []byte{id, id, id})
+				runtime.Gosched()
+				if m, ok := r.TryRecv(); !ok || m.Type != id || m.Payload[0] != id {
+					done <- fmt.Errorf("goroutine %d shares its ring", id)
+					return
+				}
+				g.PutRing(r)
+			}
+			done <- nil
+		}(id)
+	}
+	for i := 0; i < 8; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -27,6 +27,11 @@ const (
 	ShmMsgSize       = "sd/shm/ring/msg_size"   // distribution
 	ShmBatchSize     = "sd/shm/ring/batch_size" // distribution: bytes mirrored per RDMA flush
 
+	// shm segment registry and socket-ring recycling (connection lifecycle).
+	ShmRingPoolHits   = "sd/shm/ring_pool_hits"   // socket rings re-issued from the host free list
+	ShmRingPoolMisses = "sd/shm/ring_pool_misses" // socket rings freshly allocated (free list empty)
+	ShmSegmentsLive   = "sd/shm/segments_live"    // gauge: SHM segments currently registered, all hosts
+
 	// rdma.
 	RdmaWQEsPosted  = "sd/rdma/qp/wqes_posted"
 	RdmaCompletions = "sd/rdma/cq/completions"
@@ -61,7 +66,8 @@ const (
 	CoreEpollWaits    = "sd/core/epoll/waits"
 	CoreEpollSweeps   = "sd/core/epoll/kernel_sweeps"
 	CoreTCPFallbacks  = "sd/core/tcp_fallbacks"
-	CoreResets        = "sd/core/resets" // connection resets surfaced (ECONNRESET/EPIPE)
+	CoreResets        = "sd/core/resets"        // connection resets surfaced (ECONNRESET/EPIPE)
+	CoreConnReclaims  = "sd/core/conn_reclaims" // closed connection endpoints whose resources were released
 
 	// overload robustness: deadline/nonblock shedding on the data plane.
 	CoreEWouldBlock      = "sd/core/ewouldblock"       // O_NONBLOCK ops that would have waited
