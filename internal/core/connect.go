@@ -111,27 +111,22 @@ func (rl *rdmaLocal) desc(m *ctlmsg.Msg) {
 }
 
 // buildEP wires an rdmaEP from local resources plus the peer's descriptor
-// and connects the QP.
-func (l *Libsd) buildEP(rl *rdmaLocal, peerHost string, m *ctlmsg.Msg) (*rdmaEP, error) {
+// and opens the QP toward the peer's (open: passive for the side that
+// learns the peer's QPN first).
+func (l *Libsd) buildEP(rl *rdmaLocal, peerHost string, m *ctlmsg.Msg, passive bool) (*rdmaEP, error) {
 	ep := &rdmaEP{
-		lib:        l,
-		side:       rl.side,
-		qp:         rl.qp,
-		ringRKey:   m.RingRKey,
-		creditRKey: m.CreditRKey,
-		tailRKey:   m.Secret,
-		batching:   l.batching,
+		lib:      l,
+		side:     rl.side,
+		qp:       rl.qp,
+		batching: l.batching,
 	}
-	rl.side.PoolRKey = m.SeqA
-	if rl.side.PoolRemote == 0 {
-		rl.side.PoolRemote = int(m.SeqB)
-		free := make([]int32, m.SeqB)
-		for i := range free {
-			free[i] = int32(i)
-		}
-		rl.side.PoolFree = free
+	ep.setPeer(peerHost, m)
+	rl.side.PoolRemote = int(m.SeqB)
+	free := make([]int32, m.SeqB)
+	for i := range free {
+		free[i] = int32(i)
 	}
-	rl.side.PeerHost = peerHost
+	rl.side.PoolFree = free
 	// Keep our own rkeys in the shared state: failure recovery hands the
 	// unchanged keys to the peer's replacement QP (the MRs survive).
 	rl.side.SelfRingRKey = rl.rxMR.RKey()
@@ -148,10 +143,49 @@ func (l *Libsd) buildEP(rl *rdmaLocal, peerHost string, m *ctlmsg.Msg) (*rdmaEP,
 	// completion with no registered endpoint would be dropped, losing a
 	// tail publication permanently.
 	l.registerEP(ep)
-	if err := rl.qp.Connect(peerHost, m.QPN); err != nil {
+	if err := ep.open(peerHost, m.QPN, passive); err != nil {
 		return nil, err
 	}
 	return ep, nil
+}
+
+// setPeer records where the peer's endpoint takes our writes: its RX ring,
+// credit word, tail word and zero-copy pool.
+func (e *rdmaEP) setPeer(peerHost string, m *ctlmsg.Msg) {
+	e.ringRKey, e.creditRKey, e.tailRKey = m.RingRKey, m.CreditRKey, m.Secret
+	e.side.PoolRKey = m.SeqA
+	e.side.PeerHost = peerHost
+}
+
+// open connects e's QP to the peer's in the order InfiniBand's REQ/REP/RTU
+// gives an RC connection (ARCHITECTURE.md "Connection lifecycle"). The side
+// that learns its peer's QPN first opens passive: it receives at once, but
+// its own writes (the Fig. 6 MAck, a resync) wait in the QP, because the
+// peer's NIC drops what reaches a QP that is not connected and the sender
+// would sit out an RTO. The side that connects second opens active and at
+// once writes its receive credit to the peer: the RTU, a sequenced write
+// whose arrival releases the passive side. It is sent here, not with the
+// caller's first Send: a pure receiver never sends on its own.
+func (e *rdmaEP) open(peerHost string, peerQPN uint32, passive bool) error {
+	if passive {
+		return e.qp.ConnectPassive(peerHost, peerQPN)
+	}
+	if err := e.qp.Connect(peerHost, peerQPN); err != nil {
+		return err
+	}
+	e.creditHook(e.side.LastCreditOut.Load())
+	return nil
+}
+
+// retarget points a dialing endpoint at another accepting endpoint: work
+// stealing moved the connection to a different listener, which built its
+// own endpoint and waits, passive, for our RTU. The victim's endpoint is
+// gone and never accepted, so nothing sent to it matters: the QP restarts
+// from Reset toward the thief's.
+func (e *rdmaEP) retarget(peerHost string, m *ctlmsg.Msg) error {
+	e.setPeer(peerHost, m)
+	e.qp.Reset()
+	return e.open(peerHost, m.QPN, false)
 }
 
 // --- listen / accept ---
@@ -492,10 +526,10 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 	}
 
 	// Fig. 6 Wait-Server: the FD becomes usable when the server's ACK
-	// lands on the new queue. A steal on the server side may replace the
-	// socket meanwhile (a fresh KConnectRes rebuilds it). Giving up here
-	// closes the half-open socket like a last reference would, so the
-	// server's eventual close still completes the release handshake.
+	// lands on the new queue. A steal on the server side may point the
+	// socket at another listener meanwhile (a second KConnectRes). Giving
+	// up here closes the half-open socket like a last reference would, so
+	// the server's eventual close still completes the release handshake.
 	giveUp := func(s *Socket) {
 		l.mu.Lock()
 		delete(l.pending, connID)
@@ -599,13 +633,25 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			pc.kernelFD = -1
 			pc.status.Store(1)
 		case ctlmsg.TransportRDMA:
-			ep, err := l.buildEP(pc.rl, m.HostStr(), m)
+			// We connect second, so we are the active side. A second answer
+			// for the same dial means a steal re-dispatched it (KStealReq).
+			l.mu.Lock()
+			s := pc.sock
+			l.mu.Unlock()
+			var err error
+			if s == nil {
+				var ep *rdmaEP
+				if ep, err = l.buildEP(pc.rl, m.HostStr(), m, false); err == nil {
+					s = &Socket{lib: l, side: pc.rl.side, ep: ep}
+				}
+			} else {
+				err = s.ep.(*rdmaEP).retarget(m.HostStr(), m)
+			}
 			if err != nil {
 				pc.errCode = ctlmsg.StatusNoRoute
 				pc.status.Store(2)
 				return
 			}
-			s := &Socket{lib: l, side: pc.rl.side, ep: ep}
 			l.mu.Lock()
 			pc.sock = s
 			l.mu.Unlock()
@@ -629,7 +675,9 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			if err != nil {
 				return
 			}
-			ep, err := l.buildEP(rl, m.HostStr(), m)
+			// Passive: the dialer connects only when our descriptor has
+			// made it back to it; accept's MAck waits in the QP for its RTU.
+			ep, err := l.buildEP(rl, m.HostStr(), m, true)
 			if err != nil {
 				l.abandonRdmaLocal(rl)
 				return
@@ -751,8 +799,9 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			tailRKey: m.Secret,
 			batching: l.batching,
 		}
-		l.registerEP(ep) // before Connect: see buildEP
-		if err := qp.Connect(m.HostStr(), m.QPN); err != nil {
+		l.registerEP(ep) // before the QP can receive: see buildEP
+		// Passive: the requester connects its QP when our answer reaches it.
+		if err := ep.open(m.HostStr(), m.QPN, true); err != nil {
 			res.Status = ctlmsg.StatusNoRoute
 			l.sendCtl(ctx, &res)
 			return
@@ -782,8 +831,10 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 				}
 			}
 			// Re-mirror our unacked region and credit through the new QP:
-			// writes posted to the dead QP may never have landed.
+			// writes posted to the dead QP may never have landed. They go
+			// out behind the requester's RTU.
 			ep.resync(ctx)
+			ep.creditHook(any.side.LastCreditOut.Load())
 		}
 		// Our own rkeys are unchanged (rings were already registered).
 		res.RingRKey = 0 // peer keeps the rkeys it already holds

@@ -27,3 +27,15 @@ func (l *Libsd) IdleZCPools() int {
 	defer l.mu.Unlock()
 	return len(l.zcIdle)
 }
+
+// ZCPoolPages is the size of one pinned zero-copy pool.
+const ZCPoolPages = zcPoolPages
+
+// FailQP kills the socket's QP as a fatal NIC event would and tells the
+// endpoint, as the NIC's asynchronous error event does: an idle QP has no
+// work request to complete in error.
+func (s *Socket) FailQP() {
+	ep := s.ep.(*rdmaEP)
+	ep.qp.ForceError()
+	ep.markFailed()
+}

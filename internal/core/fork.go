@@ -206,8 +206,11 @@ func (f *forkedRdmaEP) materialize(ctx exec.Context) *rdmaEP {
 				batching: f.lib.batching,
 			}
 			side.creditEP.Store(&creditBox{ep})
-			f.lib.registerEP(ep) // before Connect: see buildEP
-			qp.Connect(pr.peerHost, f.peerQPN)
+			f.lib.registerEP(ep) // before the QP can receive: see buildEP
+			// Active: the peer's new QP holds its writes until this RTU.
+			if err := ep.open(pr.peerHost, f.peerQPN, false); err != nil {
+				ep.markFailed() // no route for this QP: recovery takes over
+			}
 			break
 		}
 		if err := w.step(ctx); err != nil {

@@ -212,17 +212,8 @@ func (l *Libsd) releaseInter(side *SideState, clean bool) bool {
 }
 
 // getZCPool takes a pinned pool off the process's recycle list, building a
-// fresh one (frames, pin, MR) only when the list is empty.
-//
-// A recycled pool's frames are still pinned, so PhysMem.Pin would charge
-// nothing for them; the hand-out charges the pin cost all the same, which
-// keeps every simulated figure of a cross-host dial where it was. Dropping
-// the charge is legitimate but not free: it lets the server's MAck reach
-// the dialer before KConnectRes has connected the dialer's QP on nearly
-// every dial, the NIC drops it, and the dialer busy-polls through a 500 µs
-// RTO in 20 ns steps — sim_p50 falls 29 % and host time per dial more
-// than doubles (EXPERIMENTS.md, "Connection lifecycle"). The charge goes
-// when that race does.
+// fresh one (frames, pin, MR) only when the list is empty. A recycled
+// pool's frames never stopped being pinned, so handing it out costs nothing.
 func (l *Libsd) getZCPool(ctx exec.Context) (*zcPool, error) {
 	l.mu.Lock()
 	if n := len(l.zcIdle); n > 0 {
@@ -230,9 +221,6 @@ func (l *Libsd) getZCPool(ctx exec.Context) (*zcPool, error) {
 		l.zcIdle[n-1] = nil
 		l.zcIdle = l.zcIdle[:n-1]
 		l.mu.Unlock()
-		if ctx != nil {
-			ctx.Charge(zcPoolPages * l.H.Costs.PageMap4K)
-		}
 		return p, nil
 	}
 	l.mu.Unlock()

@@ -216,7 +216,11 @@ func (e *rdmaEP) finishRecovery(ctx exec.Context, r *recoverState, pr pendingReQ
 		batching: e.batching,
 	}
 	l.registerEP(ep2)
-	if err := qp.Connect(pr.peerHost, pr.peerQPN); err != nil {
+	// Active: the peer's replacement QP holds its resync until our RTU,
+	// which re-publishes our receive credit (the last credit write may have
+	// died with the old QP, and a lost credit shrinks the peer's window
+	// forever).
+	if err := ep2.open(pr.peerHost, pr.peerQPN, false); err != nil {
 		qp.Close()
 		r.op.End(ctx.Now(), false)
 		e.backoff(r, ctx.Now())
@@ -261,10 +265,6 @@ func (e *rdmaEP) resync(ctx exec.Context) {
 		e.side.TxFlushed.Store(cr)
 	}
 	e.flush(ctx)
-	// Re-publish our receive-side credit: the last credit write may have
-	// died with the old QP, and a lost credit shrinks the peer's window
-	// forever.
-	e.creditHook(e.side.LastCreditOut.Load())
 }
 
 func (e *rdmaEP) startDegrade(ctx exec.Context, r *recoverState) {

@@ -222,7 +222,7 @@ func (m *Monitor) hostDead(ctx exec.Context, peer string, epoch uint32, report b
 		m.hbDeadEpoch[peer] = epoch
 	}
 	delete(m.hbPeers, peer)
-	delete(m.mchans, peer)
+	m.setMchanLocked(peer, nil)
 	for _, sh := range m.shards {
 		sh.inbox = append(sh.inbox, shardEvent{deadHost: peer})
 	}

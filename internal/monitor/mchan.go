@@ -159,11 +159,11 @@ func Peer(a, b *Monitor) {
 		panic(err)
 	}
 	a.mu.Lock()
-	a.mchans[b.H.Name] = mca
+	a.setMchanLocked(b.H.Name, mca)
 	a.hbPeers[b.H.Name] = struct{}{}
 	a.mu.Unlock()
 	b.mu.Lock()
-	b.mchans[a.H.Name] = mcb
+	b.setMchanLocked(a.H.Name, mcb)
 	b.hbPeers[a.H.Name] = struct{}{}
 	b.mu.Unlock()
 	a.wake()

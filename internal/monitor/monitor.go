@@ -53,10 +53,11 @@ type Monitor struct {
 	procs     map[int]*procChan
 	procList  []*procChan // procs sorted by PID; shard loops poll in this order
 	shards    []*mshard   // fixed at shard.DefaultCount for the incarnation's life
-	kernLs    map[uint16]*ksocket.Listener
+	kernLs    []kernL     // dual kernel listeners sorted by port; the router polls in this order
 	policy    Policy
 	secrets   map[uint64]int           // fork secret -> parent pid
 	mchans    map[string]*mchan        // remote host -> channel
+	mchanList []*mchan                 // mchans sorted by peer; the router polls in this order
 	probes    map[string][]*ctlmsg.Msg // host -> queued connects awaiting mchan
 	probing   map[string]bool          // host -> probe in flight (dedup)
 	mqueue    map[string][]*ctlmsg.Msg // host -> ctl msgs awaiting a healed mchan
@@ -99,6 +100,12 @@ type Monitor struct {
 type procChan struct {
 	p  *host.Process
 	ds []*shm.Duplex
+}
+
+// kernL is one dual kernel listener with the port it serves.
+type kernL struct {
+	port uint16
+	kl   *ksocket.Listener
 }
 
 type listenerRef struct {
@@ -162,7 +169,6 @@ func startEpoch(h *host.Host, ks *ksocket.Stack, epoch uint32) *Monitor {
 		KS:          ks,
 		epoch:       epoch,
 		procs:       make(map[int]*procChan),
-		kernLs:      make(map[uint16]*ksocket.Listener),
 		policy:      func(int, string, uint16) bool { return true },
 		secrets:     make(map[uint64]int),
 		mchans:      make(map[string]*mchan),
@@ -250,10 +256,10 @@ func (m *Monitor) Stop() {
 	}
 	m.stopped = true
 	kls := make([]*ksocket.Listener, 0, len(m.kernLs)+1)
-	for _, kl := range m.kernLs {
-		kls = append(kls, kl)
+	for _, k := range m.kernLs {
+		kls = append(kls, k.kl)
 	}
-	m.kernLs = make(map[uint16]*ksocket.Listener)
+	m.kernLs = nil
 	if m.rescueL != nil {
 		kls = append(kls, m.rescueL)
 		m.rescueL = nil
@@ -318,6 +324,23 @@ func (m *Monitor) rebuildProcList() {
 	sort.Slice(m.procList, func(i, j int) bool { return m.procList[i].p.PID < m.procList[j].p.PID })
 }
 
+// setMchanLocked installs the channel toward peer (nil removes it) and
+// refreshes the peer-sorted snapshot the router polls from: the order the
+// channels are drained in shifts every virtual timestamp downstream, so,
+// as with procList, it must not be Go's map order. Caller holds m.mu.
+func (m *Monitor) setMchanLocked(peer string, mc *mchan) {
+	if mc == nil {
+		delete(m.mchans, peer)
+	} else {
+		m.mchans[peer] = mc
+	}
+	m.mchanList = m.mchanList[:0]
+	for _, c := range m.mchans {
+		m.mchanList = append(m.mchanList, c)
+	}
+	sort.Slice(m.mchanList, func(i, j int) bool { return m.mchanList[i].peer < m.mchanList[j].peer })
+}
+
 // RegisterProcess gives a process its exclusive control queues (§3: "all
 // the applications loading libsd must establish a SHM queue with the
 // host's monitor daemon") — one duplex per shard, so each shard loop has
@@ -369,8 +392,7 @@ func (m *Monitor) run(ctx exec.Context) {
 	// between parks, and per-iteration slice churn would dominate the
 	// process's allocation profile.
 	var mchs []*mchan
-	var kls []*ksocket.Listener
-	var klPorts []uint16
+	var kls []kernL
 	// One wake closure for the whole run: taking m.wake as a method value
 	// at every park would allocate per park cycle.
 	wakeFn := m.wake
@@ -380,15 +402,8 @@ func (m *Monitor) run(ctx exec.Context) {
 			m.mu.Unlock()
 			return
 		}
-		mchs = mchs[:0]
-		for _, mc := range m.mchans {
-			mchs = append(mchs, mc)
-		}
-		kls, klPorts = kls[:0], klPorts[:0]
-		for port, kl := range m.kernLs {
-			kls = append(kls, kl)
-			klPorts = append(klPorts, port)
-		}
+		mchs = append(mchs[:0], m.mchanList...)
+		kls = append(kls[:0], m.kernLs...)
 		m.mu.Unlock()
 
 		// progress: anything consumed this iteration (keep spinning).
@@ -439,9 +454,9 @@ func (m *Monitor) run(ctx exec.Context) {
 				m.routeRemote(ctx, mc, cm)
 			}
 		}
-		for i, kl := range kls {
-			if kl.PendingHint() > 0 {
-				m.acceptFallback(ctx, klPorts[i], kl)
+		for _, k := range kls {
+			if k.kl.PendingHint() > 0 {
+				m.acceptFallback(ctx, k.port, k.kl)
 				progress, real = true, true
 			}
 		}
@@ -977,7 +992,7 @@ func (m *Monitor) mchanSend(ctx exec.Context, dst string, cm *ctlmsg.Msg, queue 
 	m.mu.Lock()
 	mc := m.mchans[dst]
 	if mc != nil && mc.qp.State() == rdma.QPErr {
-		delete(m.mchans, dst)
+		m.setMchanLocked(dst, nil)
 		mMchanHeals.Inc()
 		mc = nil
 	}
@@ -1109,7 +1124,12 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 		sh := m.shardOf(cm.QID)
 		m.mu.Lock()
 		owner := sh.connOwner[cm.QID]
-		sh.reqpRoute[cm.QID] = mc.peer
+		if owner != 0 {
+			// Only for a connection still on record here: a splice request
+			// for one this host gave up (an abandoned dial) finds nobody to
+			// answer it and must leave no route behind.
+			sh.reqpRoute[cm.QID] = mc.peer
+		}
 		m.mu.Unlock()
 		if owner != 0 {
 			m.sendTo(ctx, owner, cm, true)
@@ -1194,13 +1214,19 @@ func (m *Monitor) addListener(port uint16, pid, tid int) {
 		}
 	}
 	sh.listeners[port] = append(sh.listeners[port], ref)
-	needKern := m.KS != nil && m.kernLs[port] == nil
+	needKern := m.KS != nil
+	for _, k := range m.kernLs {
+		if k.port == port {
+			needKern = false
+		}
+	}
 	m.mu.Unlock()
 	if needKern {
 		if kl, err := m.KS.Listen(port); err == nil {
 			kl.SetNotify(m.wake)
 			m.mu.Lock()
-			m.kernLs[port] = kl
+			m.kernLs = append(m.kernLs, kernL{port, kl})
+			sort.Slice(m.kernLs, func(i, j int) bool { return m.kernLs[i].port < m.kernLs[j].port })
 			m.mu.Unlock()
 		}
 	}
@@ -1297,7 +1323,7 @@ func (m *Monitor) connectRemote(ctx exec.Context, cm *ctlmsg.Msg) {
 	if mc != nil && mc.qp.State() == rdma.QPErr {
 		// The channel's QP died (partition, injected fault): drop it and
 		// fall through to the probe path, which re-establishes it.
-		delete(m.mchans, dst)
+		m.setMchanLocked(dst, nil)
 		mMchanHeals.Inc()
 		mc = nil
 	}

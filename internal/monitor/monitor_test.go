@@ -171,3 +171,66 @@ func TestStopTerminatesDaemon(t *testing.T) {
 		t.Fatal("impossible")
 	}
 }
+
+// TestRouterPollOrderFollowsNames: the router drains its monitor channels
+// and kernel listeners from snapshots sorted by peer name and by port, kept
+// in step with the maps on every insert and delete — the order must be a
+// function of state, not of Go's map hash, or virtual timestamps downstream
+// differ from run to run.
+func TestRouterPollOrderFollowsNames(t *testing.T) {
+	s := exec.NewSim(exec.SimConfig{})
+	costs := costmodel.Default
+	net := host.NewNet(s.Clock(), &costs, 1)
+	start := func(name string) *Monitor {
+		h := host.New(name, s, &costs, 1)
+		net.Join(h)
+		return Start(h, ksocket.New(h))
+	}
+	hub := start("hub")
+	order := func() string {
+		hub.mu.Lock()
+		defer hub.mu.Unlock()
+		if len(hub.mchanList) != len(hub.mchans) {
+			t.Fatalf("%d channels listed, %d on record", len(hub.mchanList), len(hub.mchans))
+		}
+		out := ""
+		for _, mc := range hub.mchanList {
+			if hub.mchans[mc.peer] != mc {
+				t.Fatalf("listed channel toward %s is not the one on record", mc.peer)
+			}
+			out += mc.peer + " "
+		}
+		return out
+	}
+	for _, name := range []string{"delta", "alpha", "echo", "charlie", "bravo"} {
+		Peer(hub, start(name))
+	}
+	if got := order(); got != "alpha bravo charlie delta echo " {
+		t.Fatalf("poll order after inserts: %s", got)
+	}
+	hub.mu.Lock()
+	hub.setMchanLocked("charlie", nil)
+	hub.mu.Unlock()
+	if got := order(); got != "alpha bravo delta echo " {
+		t.Fatalf("poll order after a delete: %s", got)
+	}
+	for _, port := range []uint16{9003, 9001, 9002} {
+		hub.addListener(port, 1, 1)
+	}
+	hub.mu.Lock()
+	var ports []uint16
+	for _, k := range hub.kernLs {
+		ports = append(ports, k.port)
+	}
+	hub.mu.Unlock()
+	if len(ports) != 3 || ports[0] != 9001 || ports[1] != 9002 || ports[2] != 9003 {
+		t.Fatalf("kernel listener poll order %v", ports)
+	}
+	hub.Stop()
+	hub.mu.Lock()
+	left := len(hub.kernLs)
+	hub.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d kernel listeners still polled after Stop", left)
+	}
+}

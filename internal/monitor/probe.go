@@ -138,7 +138,7 @@ func (m *Monitor) finishProbes(ctx exec.Context, dst string, pr probeResult) {
 	switch pr.kind {
 	case probeSD:
 		m.mu.Lock()
-		m.mchans[dst] = pr.mc
+		m.setMchanLocked(dst, pr.mc)
 		m.mu.Unlock()
 		// Flush control messages parked while the channel was dead.
 		for _, qm := range parked {
@@ -260,7 +260,7 @@ func (m *Monitor) synFilter(seg *tcpstack.Segment) bool {
 		return true
 	}
 	m.mu.Lock()
-	m.mchans[seg.SrcHost] = mc
+	m.setMchanLocked(seg.SrcHost, mc)
 	m.mu.Unlock()
 	m.notePeerEpoch(seg.SrcHost, rm.Epoch)
 	var opt ctlmsg.Msg

@@ -18,6 +18,7 @@ var (
 	mPacketsTx   = telemetry.C(telemetry.RdmaPacketsTx)
 	mRNR         = telemetry.C(telemetry.RdmaRNR)
 	mOutOfOrder  = telemetry.C(telemetry.RdmaOutOfOrder)
+	mNotReady    = telemetry.C(telemetry.RdmaNotReadyDrops)
 	mQPsCreated  = telemetry.C(telemetry.RdmaQPsCreated)
 )
 
@@ -26,7 +27,12 @@ type QPState uint8
 
 const (
 	QPReset QPState = iota
-	QPRTS           // connected, ready to send
+	// QPRTR is connected and ready to receive: inbound packets are placed
+	// and acked, but the QP's own posts wait in the send queue until the
+	// first in-order packet from the peer proves the peer's QP is connected
+	// too (InfiniBand's REP-sent state; the peer's packet is the RTU).
+	QPRTR
+	QPRTS // connected, ready to send
 	QPErr
 )
 
@@ -47,8 +53,8 @@ const MaxRetry = 16
 //
 //   - post() creates the packet holding ONE reference — the send queue's
 //     (inflight/pending). That reference is released by the cumulative
-//     ack that covers the packet (onAck) or by the error flush
-//     (toErrorLocked).
+//     ack that covers the packet (onAck), by the error flush
+//     (toErrorLocked) or by Reset.
 //   - every fabric transmit — first send and each go-back-N retransmit —
 //     takes an ADDITIONAL reference that is transferred to the fabric.
 //     The fabric releases it when the frame is dropped (loss/partition)
@@ -154,7 +160,7 @@ type QP struct {
 	rtoGenArm uint64 // rtoGen when the (single) outstanding timer was armed
 	rtoArmed  bool
 	rtoCb     func() // pre-bound onTimeout trampoline: arming allocates nothing
-	unaAtArm  uint64 // progress detection: sndUna when the timer was armed
+	progress  bool   // since arming: an ack advanced sndUna or the send queue (re)started
 	retries   int
 
 	// receive side
@@ -200,8 +206,26 @@ func (qp *QP) State() QPState {
 }
 
 // Connect transitions to RTS toward (remoteHost, remoteQPN). The fabric
-// port to remoteHost must exist.
+// port to remoteHost must exist. It is for the side that connects second,
+// or for two sides an out-of-band exchange connects before either posts:
+// whatever is posted next is transmitted at once, and a peer QP that is
+// not connected yet drops it.
 func (qp *QP) Connect(remoteHost string, remoteQPN uint32) error {
+	return qp.connect(remoteHost, remoteQPN, QPRTS)
+}
+
+// ConnectPassive transitions to RTR toward (remoteHost, remoteQPN): for the
+// side that learns its peer's QPN first, when the peer connects only after
+// a further exchange. Posts are accepted and held in order; the first
+// in-order packet from the peer moves the QP to RTS and releases them into
+// the window. A peer that never shows up ends the QP as an unacknowledged
+// transmission would: the retry clock runs over the held posts and the QP
+// errors with WCRetryExceeded after MaxRetry timeouts.
+func (qp *QP) ConnectPassive(remoteHost string, remoteQPN uint32) error {
+	return qp.connect(remoteHost, remoteQPN, QPRTR)
+}
+
+func (qp *QP) connect(remoteHost string, remoteQPN uint32, to QPState) error {
 	n := qp.nic
 	n.mu.Lock()
 	port, ok := n.ports[remoteHost]
@@ -223,8 +247,42 @@ func (qp *QP) Connect(remoteHost string, remoteQPN uint32) error {
 	}
 	qp.remoteHost, qp.remoteQPN = remoteHost, remoteQPN
 	qp.port = sender
-	qp.state = QPRTS
+	qp.state = to
 	return nil
+}
+
+// Reset returns a connected QP to Reset so it can be connected to another
+// peer, as ibv_modify_qp(IBV_QPS_RESET) does: queued and unacknowledged
+// work and posted receives are discarded without completions, and both
+// sequence spaces restart at zero. An errored QP stays errored.
+func (qp *QP) Reset() {
+	qp.mu.Lock()
+	defer qp.mu.Unlock()
+	if !qp.connectedLocked() {
+		return
+	}
+	qp.state = QPReset
+	qp.dropSendQueueLocked()
+	qp.comps, qp.recvQ = nil, nil
+	qp.sndSeq, qp.sndUna, qp.rcvNext, qp.rxWriteAccum = 0, 0, 0, 0
+	// An armed timer stays armed (a second one could not be told from it);
+	// it finds a restarted queue and keeps watching instead of counting.
+	qp.retries, qp.progress = 0, true
+}
+
+// dropSendQueueLocked drops the send queue's packet references. Copies
+// still traveling the fabric hold their own references, so late deliveries
+// read valid bytes; the staging returns to the pool when the last copy
+// lands or is dropped.
+func (qp *QP) dropSendQueueLocked() {
+	for _, p := range qp.inflight {
+		p.release()
+	}
+	qp.inflight = nil
+	for _, p := range qp.pending {
+		p.release()
+	}
+	qp.pending = nil
 }
 
 // Close flushes outstanding work and removes the QP from the NIC.
@@ -279,18 +337,7 @@ func (qp *QP) toErrorLocked(compStatus uint8) []pendCQE {
 		pend = append(pend, pendCQE{qp.sendCQ, CQE{WRID: c.wrid, QPN: qp.qpn, Op: c.op, Status: compStatus}})
 	}
 	qp.comps = nil
-	// Drop the send queue's packet references. Copies still traveling the
-	// fabric hold their own references, so late deliveries into the (now
-	// errored) peer read valid bytes; the staging returns to the pool when
-	// the last copy lands or is dropped.
-	for _, p := range qp.inflight {
-		p.release()
-	}
-	qp.inflight = nil
-	for _, p := range qp.pending {
-		p.release()
-	}
-	qp.pending = nil
+	qp.dropSendQueueLocked()
 	for _, w := range qp.recvQ {
 		pend = append(pend, pendCQE{qp.recvCQ, CQE{WRID: w.wrid, QPN: qp.qpn, Op: OpSend, Status: WCFlushErr}})
 	}
@@ -331,12 +378,12 @@ type WriteWR struct {
 
 // PostWriteBatch posts a list of one-sided writes with a single doorbell:
 // one lock acquisition, one RTO arm, one state check for the whole chain.
-// Ordering matches posting them individually; on a non-RTS QP nothing is
-// posted and ErrQPState returns.
+// Ordering matches posting them individually; on a QP that is not
+// connected nothing is posted and ErrQPState returns.
 func (qp *QP) PostWriteBatch(wrs []WriteWR) error {
 	qp.mu.Lock()
 	defer qp.mu.Unlock()
-	if qp.state != QPRTS {
+	if !qp.connectedLocked() {
 		return ErrQPState
 	}
 	for i := range wrs {
@@ -366,10 +413,14 @@ func (qp *QP) PostRecv(wrid uint64, buf []byte) error {
 	return nil
 }
 
+// connectedLocked reports a QP that takes posts and inbound packets: RTS,
+// or RTR, where the posts are held.
+func (qp *QP) connectedLocked() bool { return qp.state == QPRTR || qp.state == QPRTS }
+
 func (qp *QP) post(wrid uint64, op uint8, data []byte, rkey uint64, raddr int64, imm uint32) error {
 	qp.mu.Lock()
 	defer qp.mu.Unlock()
-	if qp.state != QPRTS {
+	if !qp.connectedLocked() {
 		return ErrQPState
 	}
 	qp.postLocked(wrid, op, data, rkey, raddr, imm)
@@ -423,10 +474,27 @@ func (qp *QP) postLocked(wrid uint64, op uint8, data []byte, rkey uint64, raddr 
 }
 
 func (qp *QP) enqueueLocked(p *packet) {
-	if len(qp.inflight) < qp.window {
+	if qp.state == QPRTS && len(qp.inflight) < qp.window {
 		qp.transmitLocked(p)
-	} else {
-		qp.pending = append(qp.pending, p)
+		return
+	}
+	qp.pending = append(qp.pending, p)
+	if qp.state == QPRTR {
+		// Held, not transmitted: the timer only runs the retry clock that
+		// bounds the wait for the peer (onTimeout).
+		qp.armRTOLocked()
+	}
+}
+
+// fillWindowLocked transmits pending packets, in order, while the window
+// has room.
+func (qp *QP) fillWindowLocked() {
+	for len(qp.pending) > 0 && len(qp.inflight) < qp.window {
+		p := qp.pending[0]
+		k := copy(qp.pending, qp.pending[1:])
+		qp.pending[k] = nil
+		qp.pending = qp.pending[:k]
+		qp.transmitLocked(p)
 	}
 }
 
@@ -443,7 +511,7 @@ func (qp *QP) armRTOLocked() {
 		return
 	}
 	qp.rtoArmed = true
-	qp.unaAtArm = qp.sndUna
+	qp.progress = false
 	// At most one timer is outstanding (the rtoArmed gate), so recording
 	// the generation in a field instead of a closure capture is
 	// equivalent — and lets arming reuse the pre-bound callback.
@@ -458,11 +526,14 @@ func (qp *QP) onTimeout() {
 		return
 	}
 	qp.rtoArmed = false
-	if qp.state != QPRTS || len(qp.inflight) == 0 {
+	// Something is owed an ack (RTS), or is held for a peer that has not
+	// shown up (RTR: nothing to retransmit, the clock alone runs).
+	waiting := (qp.state == QPRTS && len(qp.inflight) > 0) || (qp.state == QPRTR && len(qp.pending) > 0)
+	if !waiting {
 		qp.mu.Unlock()
 		return
 	}
-	if qp.sndUna > qp.unaAtArm {
+	if qp.progress {
 		// Progress since arming: not a stall, just keep watching.
 		qp.armRTOLocked()
 		qp.mu.Unlock()
@@ -479,7 +550,7 @@ func (qp *QP) onTimeout() {
 		return
 	}
 	// go-back-N: retransmit everything unacked.
-	if telemetry.Trace.Enabled() {
+	if len(qp.inflight) > 0 && telemetry.Trace.Enabled() {
 		telemetry.Trace.Emit(qp.nic.clk.Now(), "rdma", "retransmit",
 			telemetry.A("qpn", int64(qp.qpn)), telemetry.A("inflight", int64(len(qp.inflight))))
 	}
@@ -505,7 +576,7 @@ func (qp *QP) onAck(ack uint64) {
 		return
 	}
 	qp.sndUna = ack
-	qp.retries = 0
+	qp.retries, qp.progress = 0, true
 	// Drop acked packets from the window, releasing the queue's reference
 	// on each (an ack means the receiver is past the sequence number, so
 	// even a late duplicate still in the fabric is discarded unread; its
@@ -526,14 +597,7 @@ func (qp *QP) onAck(ack uint64) {
 		j++
 	}
 	qp.comps = qp.comps[:copy(qp.comps, qp.comps[j:])]
-	// Open the window for pending work.
-	for len(qp.pending) > 0 && len(qp.inflight) < qp.window {
-		p := qp.pending[0]
-		k := copy(qp.pending, qp.pending[1:])
-		qp.pending[k] = nil
-		qp.pending = qp.pending[:k]
-		qp.transmitLocked(p)
-	}
+	qp.fillWindowLocked() // the ack opened the window
 	qp.mu.Unlock()
 	emit(pend)
 }
@@ -548,7 +612,12 @@ func (n *NIC) onFrame(frame any, _ int) {
 	qp, ok := n.qps[p.toQPN]
 	n.mu.Unlock()
 	if !ok {
-		return // stale packet for a destroyed QP
+		// Stale packet for a destroyed QP. A late ack is routine; data means
+		// a sender whose peer went away under it, and it will retransmit.
+		if p.op != opAck {
+			mNotReady.Inc()
+		}
+		return
 	}
 	if p.op == opAck {
 		qp.onAck(p.ackSeq)
@@ -572,11 +641,13 @@ func (qp *QP) onData(p *packet) {
 	var pendArr [2]pendCQE
 	pend := pendArr[:0]
 	qp.mu.Lock()
-	if qp.state != QPRTS {
+	if !qp.connectedLocked() {
 		// A queue pair that is not ready does not receive (hardware
 		// would RNR/ignore); dropping without acking makes the sender
 		// retransmit until Connect completes, so no delivery — and no
-		// completion — can predate the receiver being wired up.
+		// completion — can predate the receiver being wired up. The sender
+		// pays an RTO for it: whoever connects first must connect passive.
+		mNotReady.Inc()
 		qp.mu.Unlock()
 		return
 	}
@@ -591,6 +662,13 @@ func (qp *QP) onData(p *packet) {
 			sendAck(port, qp.qpn, p.fromQPN, ack)
 		}
 		return
+	}
+	if qp.state == QPRTR {
+		// The peer's first in-order packet (its RTU): its QP is connected,
+		// so what was held may go, on a retry clock that starts over.
+		qp.state = QPRTS
+		qp.retries, qp.progress = 0, true
+		qp.fillWindowLocked()
 	}
 
 	accepted := true

@@ -24,6 +24,19 @@ type testPair struct {
 
 func newPair(t *testing.T, linkCfg fabric.Config, bufSize int) *testPair {
 	t.Helper()
+	p := newUnconnectedPair(t, linkCfg, bufSize)
+	if err := p.qa.Connect("B", p.qb.QPN()); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.qb.Connect("A", p.qa.QPN()); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// newUnconnectedPair is newPair with both QPs still in Reset.
+func newUnconnectedPair(t *testing.T, linkCfg fabric.Config, bufSize int) *testPair {
+	t.Helper()
 	s := exec.NewSim(exec.SimConfig{})
 	clk := s.Clock()
 	epA, epB := fabric.NewLink(clk, "A", "B", linkCfg)
@@ -41,12 +54,6 @@ func newPair(t *testing.T, linkCfg fabric.Config, bufSize int) *testPair {
 	p.mrb = pdb.RegisterBytes(p.bufB)
 	p.qa = pda.CreateQP(p.cqaS, p.cqaR)
 	p.qb = pdb.CreateQP(p.cqbS, p.cqbR)
-	if err := p.qa.Connect("B", p.qb.QPN()); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.qb.Connect("A", p.qa.QPN()); err != nil {
-		t.Fatal(err)
-	}
 	return p
 }
 

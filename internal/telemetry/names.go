@@ -40,7 +40,10 @@ const (
 	RdmaPacketsTx   = "sd/rdma/qp/packets_tx"
 	RdmaRNR         = "sd/rdma/qp/rnr"
 	RdmaOutOfOrder  = "sd/rdma/qp/out_of_order_drops"
-	RdmaQPsCreated  = "sd/rdma/qps_created"
+	// Data packets dropped unacked because the destination QP was not
+	// connected yet or already destroyed; each costs its sender an RTO.
+	RdmaNotReadyDrops = "sd/rdma/qp/not_ready_drops"
+	RdmaQPsCreated    = "sd/rdma/qps_created"
 
 	// fabric.
 	FabricTxFrames = "sd/fabric/tx_frames"
