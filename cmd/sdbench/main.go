@@ -337,67 +337,43 @@ func ablate() {
 		zcOn*8/1e9, zcOff*8/1e9)
 }
 
-func chaos() {
-	before := telemetry.Capture()
-	r := experiments.Chaos(240, 1024)
-	fmt.Println(r)
-	fmt.Println()
-	printDeltas("chaos counter deltas (whole workload)", telemetry.Capture().Diff(before))
-	if !r.Passed() {
-		failureDump("chaos")
-		os.Exit(1)
-	}
+// drillResult is what every drill in internal/experiments returns: a
+// PASS/FAIL verdict and the summary that explains it (EXPERIMENTS.md
+// "Scenario kit").
+type drillResult interface {
+	Passed() bool
+	String() string
 }
 
-func crash() {
-	before := telemetry.Capture()
-	r := experiments.Crash(4, 4, 1024)
-	fmt.Println(r)
-	fmt.Println()
-	printDeltas("crash counter deltas (whole workload)", telemetry.Capture().Diff(before))
-	if !r.Passed() {
-		failureDump("crash")
-		os.Exit(1)
-	}
-}
-
-func mrestart() {
-	before := telemetry.Capture()
-	r := experiments.MRestart(4, 4, 4096, 150)
-	fmt.Println(r)
-	fmt.Println()
-	printDeltas("mrestart counter deltas (whole workload)", telemetry.Capture().Diff(before))
-	if !r.Passed() {
-		failureDump("mrestart")
-		os.Exit(1)
-	}
-}
-
-func overload() {
-	before := telemetry.Capture()
+var (
+	chaos    = drill("chaos", func() drillResult { return experiments.Chaos(240, 1024) })
+	crash    = drill("crash", func() drillResult { return experiments.Crash(4, 4, 1024) })
+	mrestart = drill("mrestart", func() drillResult { return experiments.MRestart(4, 4, 4096, 150) })
+	cluster  = drill("cluster", func() drillResult { return experiments.ClusterSoak(experiments.ClusterConfig{}) })
 	// The full soak: 10k dials through the capped backlog (the unit-test
 	// default keeps a faster flood; the CLI runs the paper-scale storm).
-	r := experiments.Overload(experiments.OverloadConfig{Dials: 10_000})
-	fmt.Println(r)
-	fmt.Println()
-	printDeltas("overload counter deltas (whole workload)", telemetry.Capture().Diff(before))
-	if !r.Passed() {
-		failureDump("overload")
-		os.Exit(1)
-	}
-}
+	overload = drill("overload", func() drillResult {
+		return experiments.Overload(experiments.OverloadConfig{Dials: 10_000})
+	})
+)
 
-func cluster() {
-	before := telemetry.Capture()
-	r := experiments.ClusterSoak(experiments.ClusterConfig{})
-	fmt.Println(r)
-	fmt.Println()
-	printMembership(r)
-	fmt.Println()
-	printDeltas("cluster counter deltas (whole workload)", telemetry.Capture().Diff(before))
-	if !r.Passed() {
-		failureDump("cluster")
-		os.Exit(1)
+// drill makes the command for one drill: run it, print its summary and the
+// counters it moved, and on FAIL leave a flight-recorder dump and exit 1.
+func drill(name string, run func() drillResult) func() {
+	return func() {
+		before := telemetry.Capture()
+		r := run()
+		fmt.Println(r)
+		fmt.Println()
+		if c, ok := r.(experiments.ClusterResult); ok {
+			printMembership(c)
+			fmt.Println()
+		}
+		printDeltas(name+" counter deltas (whole workload)", telemetry.Capture().Diff(before))
+		if !r.Passed() {
+			failureDump(name)
+			os.Exit(1)
+		}
 	}
 }
 

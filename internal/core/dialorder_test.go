@@ -449,6 +449,72 @@ func TestRecoveryOpensOrdered(t *testing.T) {
 	}
 }
 
+// TestSilentQPErrorRecovers: a QP that errors while idle has no work
+// request to complete in error, so no CQE reports it; the endpoint learns
+// of it when its next post is refused. That refusal must fail the endpoint
+// into recovery with the bytes still unflushed — never mark them flushed
+// and go quiet. The stream after the error stays byte-exact.
+func TestSilentQPErrorRecovers(t *testing.T) {
+	w := newWorld(t)
+	monitor.Peer(w.ma, w.mb)
+	sp, sl := proc(t, w.b, "server", 0)
+	cp, cl := proc(t, w.a, "client", 1000)
+	const before, after = 20, 40
+	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+		lst, _ := sl.ListenOn(ctx, th, 7506)
+		s, _, err := lst.Accept(ctx)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		if recvExact(t, ctx, th, s, 0, before) {
+			s.Send(ctx, th, []byte{1})
+		}
+		if recvExact(t, ctx, th, s, before, after) {
+			s.Send(ctx, th, []byte{2})
+		}
+	})
+	var d wire
+	var last byte
+	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		s, _, err := cl.Connect(ctx, th, "hostB", 7506)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		buf, ack := make([]byte, 1024), make([]byte, 1)
+		for i := 0; i < before; i++ {
+			s.Send(ctx, th, streamMsg(buf, i))
+		}
+		if _, err := s.Recv(ctx, th, ack); err != nil || ack[0] != 1 {
+			t.Errorf("first phase ack %v, %v", ack, err)
+			return
+		}
+		w0 := readWire()
+		s.ErrorQPSilently() // the wire is quiet: nothing completes in error
+		for i := before; i < before+after; i++ {
+			if _, err := s.Send(ctx, th, streamMsg(buf, i)); err != nil {
+				t.Errorf("send %d after the silent error: %v", i, err)
+				return
+			}
+		}
+		if _, err := s.Recv(ctx, th, ack); err != nil {
+			t.Errorf("second phase ack: %v", err)
+			return
+		}
+		last = ack[0]
+		d = readWire().since(w0)
+	})
+	w.sim.Run()
+	if last != 2 {
+		t.Fatal("sends after a silent QP error reported success and were never delivered")
+	}
+	if d.recoveries != 1 {
+		t.Errorf("%d recoveries, want 1", d.recoveries)
+	}
+}
+
 // TestAbandonedDialServerSideEnds: a dialer whose deadline beats the
 // control round trip gives up before KConnectRes; its SYN is dispatched and
 // accepted regardless. The accepted socket's MAck waits in a passive QP

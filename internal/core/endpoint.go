@@ -234,8 +234,9 @@ func (e *rdmaEP) flush(ctx exec.Context) {
 	// bits): in-order delivery makes the completion the exact moment the
 	// bytes become observable, so the CQE is both publication and wakeup.
 	imm := uint32(written)
+	var err error
 	if start+delta <= capacity {
-		e.qp.PostWrite(wrData, ring.Data()[start:start+delta], e.ringRKey, int64(start), imm, true)
+		err = e.qp.PostWrite(wrData, ring.Data()[start:start+delta], e.ringRKey, int64(start), imm, true)
 	} else {
 		// Wrapped region: both writes chain behind one doorbell so the
 		// NIC sees a single posting (and arms one RTO) for the flush.
@@ -244,7 +245,15 @@ func (e *rdmaEP) flush(ctx exec.Context) {
 			{WRID: wrData, Data: ring.Data()[start:], RKey: e.ringRKey, RAddr: int64(start)},
 			{WRID: wrData, Data: ring.Data()[:delta-first], RKey: e.ringRKey, RAddr: 0, Imm: imm, WithImm: true},
 		}
-		e.qp.PostWriteBatch(wrs[:])
+		err = e.qp.PostWriteBatch(wrs[:])
+	}
+	if err != nil {
+		// ErrQPState: nothing was posted. A QP that errored with no work
+		// request outstanding completes nothing in error, so this refusal
+		// is the only report there will be: fail the endpoint and leave
+		// the bytes unflushed for recovery's resync.
+		e.markFailed()
+		return
 	}
 	e.side.TxFlushed.Store(written)
 	e.inflight.Add(1)

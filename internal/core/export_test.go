@@ -35,7 +35,12 @@ const ZCPoolPages = zcPoolPages
 // endpoint, as the NIC's asynchronous error event does: an idle QP has no
 // work request to complete in error.
 func (s *Socket) FailQP() {
-	ep := s.ep.(*rdmaEP)
-	ep.qp.ForceError()
-	ep.markFailed()
+	s.ErrorQPSilently()
+	s.ep.(*rdmaEP).markFailed()
 }
+
+// ErrorQPSilently moves the socket's QP to the error state and tells
+// nobody. The QP is idle, so no work request completes in error and no CQE
+// will ever report it: the endpoint can only learn of it from its next
+// post.
+func (s *Socket) ErrorQPSilently() { s.ep.(*rdmaEP).qp.ForceError() }

@@ -178,18 +178,9 @@ func benchCluster(short bool) []BenchEntry {
 	for _, s := range srvs {
 		sp := s.NewProcess("esrv", 0)
 		sp.Go("main", func(t *sd.T) {
-			ln, err := t.Listen(port)
-			if err != nil {
-				return
-			}
-			for {
-				c, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				conn := c
+			acceptLoop(t, port, 0, func(c *sd.Conn) {
 				t.Pr.Go("conn", func(ct *sd.T) {
-					cc := conn.WithT(ct)
+					cc := c.WithT(ct)
 					buf := make([]byte, 64)
 					defer cc.Close() // both ends closed: the connection is reclaimed
 					for {
@@ -202,7 +193,7 @@ func benchCluster(short bool) []BenchEntry {
 						}
 					}
 				})
-			}
+			})
 		})
 	}
 
@@ -220,15 +211,15 @@ func benchCluster(short bool) []BenchEntry {
 			msg := make([]byte, 8)
 			buf := make([]byte, 64)
 			var dl, el []int64
+			var st dialStats
 			for s := 0; s < servers; s++ {
 				for r := 0; r < rounds; r++ {
-					t0 := t.Now()
-					c, err := t.Dial(fmt.Sprintf("bsrv%d", s), port)
+					c, err := st.dial(t, fmt.Sprintf("bsrv%d", s), port)
 					if err != nil {
 						return
 					}
-					dl = append(dl, t.Now()-t0)
-					t0 = t.Now()
+					dl = append(dl, st.lastNs)
+					t0 := t.Now()
 					if _, err := c.Send(msg); err != nil {
 						return
 					}
@@ -361,11 +352,7 @@ func benchOverload(short bool) []BenchEntry {
 		sp := w.ha.NewProcess("srv", 0)
 		cp := w.ha.NewProcess("cli", 0)
 		sp.Go("srv", func(st *sd.T) {
-			ln, err := st.Listen(7900)
-			if err != nil {
-				return
-			}
-			if _, err := ln.Accept(); err != nil {
+			if _, err := accept1(st, 7900); err != nil {
 				return
 			}
 			// Never recv: the ring fills and stays full for the whole
@@ -858,11 +845,7 @@ func BurstPingPong(name string, batch, size int, intra bool, rounds int) BenchEn
 	sp := serverHost.NewProcess("srv", 0)
 	cp := clientHost.NewProcess("cli", 0)
 	sp.Go("srv", func(t *sd.T) {
-		ln, err := t.Listen(port)
-		if err != nil {
-			return
-		}
-		c, err := ln.Accept()
+		c, err := accept1(t, port)
 		if err != nil {
 			return
 		}

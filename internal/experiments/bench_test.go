@@ -47,12 +47,20 @@ func TestBenchSuiteShape(t *testing.T) {
 		t.Errorf("ring AllocsPerOp = %v, want 0 (ISSUE-3 acceptance)", ring.AllocsPerOp)
 	}
 	// ISSUE-7 acceptance: the full-stack ping-pongs are steady-state
-	// zero-alloc (the memWindow minimum filters runtime background noise,
-	// so a nonzero here is a real per-op allocation).
+	// zero-alloc. Judged by the CI gate's own rule (`compare -allocs-only
+	// -alloc-slack 0.05` against a zero budget): over this 100-round window
+	// a bufpool sync.Pool miss after a GC reads 0.01-0.02, a real per-op
+	// allocation reads >= 1.
+	budget := BenchReport{Schema: rep.Schema, Short: rep.Short}
 	for _, e := range rep.Entries[2:4] {
-		if e.AllocsPerOp != 0 {
-			t.Errorf("%s: AllocsPerOp = %v, want 0", e.Name, e.AllocsPerOp)
-		}
+		budget.Entries = append(budget.Entries, BenchEntry{Name: e.Name})
+	}
+	regs, err := CompareBenchAllocs(budget, rep, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range regs {
+		t.Errorf("zero-alloc budget: %s", r)
 	}
 }
 

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 
-	sd "socksdirect"
 	"socksdirect/internal/fault"
 	"socksdirect/internal/telemetry"
 )
@@ -49,30 +47,27 @@ type ChaosResult struct {
 	MchanHeals   int64 // monitor channels re-probed after QP death
 }
 
-// Passed reports whether the run met the acceptance bar: all traffic
-// delivered exactly, at least one recovery and one degradation observed.
-func (r ChaosResult) Passed() bool {
-	return r.CompletedA && r.CompletedB &&
-		r.MismatchA == 0 && r.MismatchB == 0 &&
-		r.Recoveries >= 1 && r.Degradations >= 1
+// verdict is the acceptance bar: all traffic delivered exactly, at least
+// one recovery and one degradation observed.
+func (r ChaosResult) verdict() verdict {
+	return verdict{
+		fmt.Sprintf("chaos: %d rounds x %dB x 2 pairs in %.2fs virtual", r.Rounds, r.Chunk, float64(r.RunNs)/1e9),
+		[]check{
+			expect("both streams complete", r.CompletedA && r.CompletedB,
+				"pairA complete=%v, pairB complete=%v", r.CompletedA, r.CompletedB),
+			byteExact(r.MismatchA == 0 && r.MismatchB == 0,
+				"pairA mismatches=%d, pairB mismatches=%d", r.MismatchA, r.MismatchB),
+			expect("a QP re-established", r.Recoveries >= 1,
+				"faults injected=%d, recovery attempts=%d, recoveries=%d", r.Injected, r.Attempts, r.Recoveries),
+			expect("a socket degraded to kernel TCP", r.Degradations >= 1,
+				"degradations=%d, rescue conns=%d, mchan heals=%d", r.Degradations, r.Rescues, r.MchanHeals),
+		},
+	}
 }
 
-func (r ChaosResult) String() string {
-	verdict := "PASS"
-	if !r.Passed() {
-		verdict = "FAIL"
-	}
-	return fmt.Sprintf(
-		"chaos: %d rounds x %dB x 2 pairs in %.2fs virtual\n"+
-			"  delivery: pairA complete=%v mismatches=%d, pairB complete=%v mismatches=%d\n"+
-			"  faults injected=%d, recovery attempts=%d, recoveries=%d\n"+
-			"  degradations=%d, rescue conns=%d, mchan heals=%d\n"+
-			"  %s",
-		r.Rounds, r.Chunk, float64(r.RunNs)/1e9,
-		r.CompletedA, r.MismatchA, r.CompletedB, r.MismatchB,
-		r.Injected, r.Attempts, r.Recoveries,
-		r.Degradations, r.Rescues, r.MchanHeals, verdict)
-}
+// Passed reports whether the run met the acceptance bar.
+func (r ChaosResult) Passed() bool   { return r.verdict().Passed() }
+func (r ChaosResult) String() string { return r.verdict().String() }
 
 // chaosPace spaces client rounds so the streams span the fault window
 // instead of completing before the first fault fires.
@@ -99,12 +94,14 @@ func Chaos(rounds, chunk int) ChaosResult {
 		panic("chaos: " + err.Error())
 	}
 
-	before := telemetry.Capture()
-	chaosPair(w, 7300, rounds, chunk, 0, &res.CompletedA, &res.MismatchA)
-	chaosPair(w, 7301, rounds, chunk, 4, &res.CompletedB, &res.MismatchB)
+	tl := startTally()
+	a := chaosPair(w, 7300, rounds, chunk, 0)
+	b := chaosPair(w, 7301, rounds, chunk, 4)
 	res.RunNs = w.sim.Run()
 
-	d := telemetry.Capture().Diff(before)
+	res.CompletedA, res.MismatchA = a.completed, a.mismatches
+	res.CompletedB, res.MismatchB = b.completed, b.mismatches
+	d, _, _ := tl.end()
 	res.Injected = d[telemetry.FaultInjected]
 	res.Recoveries = d[telemetry.FaultRecoveries]
 	res.Attempts = d[telemetry.FaultRecoveryAttempts]
@@ -114,83 +111,13 @@ func Chaos(rounds, chunk int) ChaosResult {
 	return res
 }
 
-// chaosPair wires one echo client/server pair: server on hostB, client on
-// hostA. budget > 0 overrides the recovery budget on both processes.
-func chaosPair(w *world, port uint16, rounds, chunk, budget int,
-	completed *bool, mismatches *int) {
-
-	sp := w.hb.NewProcess(fmt.Sprintf("srv%d", port), 0)
-	cp := w.ha.NewProcess(fmt.Sprintf("cli%d", port), 0)
+// chaosPair wires one paced echo pair: server on hostB, client on hostA.
+// budget > 0 overrides the recovery budget on both processes.
+func chaosPair(w *world, port uint16, rounds, chunk, budget int) *flowOutcome {
+	pr := newPair(w.hb, w.ha, "", port)
 	if budget > 0 {
-		sp.Lib.SetRecoveryBudget(budget)
-		cp.Lib.SetRecoveryBudget(budget)
+		pr.srv.Lib.SetRecoveryBudget(budget)
+		pr.cli.Lib.SetRecoveryBudget(budget)
 	}
-	total := rounds * chunk
-	seed := uint64(port)*0x9E3779B97F4A7C15 + 1
-
-	sp.Go("srv", func(t *sd.T) {
-		ln, err := t.Listen(port)
-		if err != nil {
-			return
-		}
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		// Echo exactly total bytes, then exit so the simulation quiesces.
-		buf := make([]byte, chunk)
-		for echoed := 0; echoed < total; {
-			n, err := c.Recv(buf)
-			if err != nil {
-				return
-			}
-			if _, err := c.Send(buf[:n]); err != nil {
-				return
-			}
-			echoed += n
-		}
-	})
-	cp.Go("cli", func(t *sd.T) {
-		t.Sleep(10_000)
-		c, err := t.Dial("hostB", port)
-		if err != nil {
-			return
-		}
-		txRand, wantRand := seed, seed
-		out := make([]byte, chunk)
-		got := make([]byte, chunk)
-		want := make([]byte, chunk)
-		for i := 0; i < rounds; i++ {
-			xorshiftFill(out, &txRand)
-			if _, err := c.Send(out); err != nil {
-				return
-			}
-			rd := 0
-			for rd < chunk {
-				n, err := c.Recv(got[rd:])
-				if err != nil {
-					return
-				}
-				rd += n
-			}
-			xorshiftFill(want, &wantRand)
-			if !bytes.Equal(got, want) {
-				*mismatches++
-			}
-			t.Sleep(chaosPace)
-		}
-		*completed = true
-	})
-}
-
-// xorshiftFill writes deterministic pseudo-random bytes (xorshift64*).
-func xorshiftFill(b []byte, state *uint64) {
-	s := *state
-	for i := range b {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		b[i] = byte((s * 0x2545F4914F6CDD1D) >> 56)
-	}
-	*state = s
+	return pr.echo(seedFor(port, 1), rounds, chunk, chaosPace)
 }

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
 	sd "socksdirect"
-	"socksdirect/internal/bufpool"
 	"socksdirect/internal/core"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/fault"
@@ -93,40 +91,31 @@ type ClusterResult struct {
 // permanently dead host.
 func (r ClusterResult) severed() int { return r.Flows - r.Completed }
 
-// Passed reports whether the soak met the acceptance bar.
-func (r ClusterResult) Passed() bool {
-	return r.PrefixErrors == 0 && r.BadErrnos == 0 && r.Hung == 0 &&
-		r.GoodResets == r.severed() && r.MigrOK &&
-		r.SurvivorsConverged == r.Survivors &&
-		r.Fanouts == int64(r.Survivors) &&
-		r.WorstDialNs <= clusterDialBound &&
-		r.PoolLeak == 0 && r.Converge == ""
+// verdict is the soak's acceptance bar.
+func (r ClusterResult) verdict() verdict {
+	return verdict{
+		fmt.Sprintf("cluster: %d hosts, %d flows in %.2fs virtual", r.Hosts, r.Flows, float64(r.RunNs)/1e9),
+		[]check{
+			byteExact(r.PrefixErrors == 0, "%d flows complete, %d bytes delivered, %d prefix errors",
+				r.Completed, r.Delivered, r.PrefixErrors),
+			expect("the migrated flow completes byte-exact", r.MigrOK, "migration ok=%v", r.MigrOK),
+			oneReset(r.GoodResets, r.severed(), r.BadErrnos, r.Hung),
+			expect("membership convergence, one death fan-out per survivor",
+				r.SurvivorsConverged == r.Survivors && r.Fanouts == int64(r.Survivors),
+				"%d/%d survivors converged, fanouts=%d (want %d), gossip_tx=%d, cleanups=%d",
+				r.SurvivorsConverged, r.Survivors, r.Fanouts, r.Survivors, r.GossipTx, r.Cleanups),
+			boundedWait(r.WorstDialNs <= clusterDialBound,
+				"churn: %d dials, %d bounded errors, worst dial %.2fms (bound %.0fms)",
+				r.ChurnDials, r.ChurnErrs, float64(r.WorstDialNs)/1e6, float64(clusterDialBound)/1e6),
+			noDrift("bufpool", r.PoolLeak),
+			converged(r.Converge),
+		},
+	}
 }
 
-func (r ClusterResult) String() string {
-	verdict := "PASS"
-	if !r.Passed() {
-		verdict = "FAIL"
-	}
-	conv := r.Converge
-	if conv == "" {
-		conv = "converged"
-	}
-	return fmt.Sprintf(
-		"cluster: %d hosts, %d flows in %.2fs virtual\n"+
-			"  streams: %d complete, %d bytes exact, %d prefix errors; migration ok=%v\n"+
-			"  severed: %d good resets / %d expected, %d bad errnos, %d hung\n"+
-			"  membership: %d/%d survivors converged, fanouts=%d (want %d), gossip_tx=%d\n"+
-			"  churn: %d dials, %d bounded errors, worst dial %.2fms (bound %.0fms)\n"+
-			"  cleanups=%d pool leak=%d, monitors: %s\n"+
-			"  %s",
-		r.Hosts, r.Flows, float64(r.RunNs)/1e9,
-		r.Completed, r.Delivered, r.PrefixErrors, r.MigrOK,
-		r.GoodResets, r.severed(), r.BadErrnos, r.Hung,
-		r.SurvivorsConverged, r.Survivors, r.Fanouts, r.Survivors, r.GossipTx,
-		r.ChurnDials, r.ChurnErrs, float64(r.WorstDialNs)/1e6, float64(clusterDialBound)/1e6,
-		r.Cleanups, r.PoolLeak, conv, verdict)
-}
+// Passed reports whether the soak met the acceptance bar.
+func (r ClusterResult) Passed() bool   { return r.verdict().Passed() }
+func (r ClusterResult) String() string { return r.verdict().String() }
 
 // The fault schedule (virtual ns). The permanent kill comes first so its
 // 3 s confirm horizon overlaps every other fault; everything is over by
@@ -165,8 +154,7 @@ func ClusterSoak(cfg ClusterConfig) ClusterResult {
 		cfg.Chunks = 1900 // * clusterPace = 3.8 s of traffic
 	}
 	res := ClusterResult{Hosts: cfg.Servers + cfg.Clients, Flows: cfg.Flows}
-	poolBefore := bufpool.Outstanding()
-	before := telemetry.Capture()
+	tl := startTally()
 
 	cl := sd.NewCluster(sd.Defaults())
 	srvs := make([]*sd.Host, cfg.Servers)
@@ -196,7 +184,7 @@ func ClusterSoak(cfg ClusterConfig) ClusterResult {
 	// (N*(N-1) channels at 2 ms) from dominating the event count.
 	horizon := int64(clusterDeadAt + 3_300_000_000)
 	quietAt := int64(clusterPartAt) // past the restart window probes
-	churns := make([]*churn, 0, len(all)-1)
+	churns := make([]*dialStats, 0, len(all)-1)
 	for i, h := range all {
 		if h == deadHost {
 			continue
@@ -208,9 +196,10 @@ func ClusterSoak(cfg ClusterConfig) ClusterResult {
 		churns = append(churns, keepAlive(h, 7900+uint16(i), hz))
 	}
 
-	// The flows. Flow f: client host (f/Servers)%Clients -> server host
-	// f%Servers, so every client host reaches every server host. Flow
-	// roles in the schedule:
+	// The flows: paced one-way streams, echo-free so the blocked-sender and
+	// blocked-receiver wake paths stay distinguishable. Flow f: client host
+	// (f/Servers)%Clients -> server host f%Servers, so every client host
+	// reaches every server host. Flow roles in the schedule:
 	//   - every flow whose server is deadHost: stranded by the permanent
 	//     host death (exactly-one-ECONNRESET via the confirm sweep);
 	//     these flows pace past the confirm horizon (cfg.Chunks);
@@ -221,30 +210,34 @@ func ClusterSoak(cfg ClusterConfig) ClusterResult {
 	// Everything else must complete byte-exact through the restart, the
 	// transient duplex partition and the asymmetric cut; completion flows
 	// carry a shorter payload (they only need to span the last heal).
-	flows := make([]*clusterFlow, cfg.Flows)
+	flows := make([]*flowOutcome, cfg.Flows)
 	reaper := clis[0].NewProcess("reaper", 0)
-	for f := 0; f < cfg.Flows; f++ {
+	var stranded []*sd.Process // deadHost's servers: SIGKILLed when it dies
+	for f := range flows {
 		srv := srvs[f%cfg.Servers]
-		cli := clis[(f/cfg.Servers)%cfg.Clients]
-		fl := &clusterFlow{
-			port: 8000 + uint16(f), severed: srv == deadHost,
-			chunk: cfg.Chunk, chunks: cfg.Chunks,
+		port := 8000 + uint16(f)
+		pr := newPair(srv, clis[(f/cfg.Servers)%cfg.Clients], "cs-", port)
+		sf := streamFlow{seed: seedFor(port, 13), chunk: cfg.Chunk, chunks: cfg.Chunks, pace: clusterPace}
+		if srv != deadHost && cfg.Chunks > 1400 {
+			sf.chunks = 1400 // 2.8 s of pacing: spans every transient fault
 		}
-		if !fl.severed && cfg.Chunks > 1400 {
-			fl.chunks = 1400 // 2.8 s of pacing: spans every transient fault
-		}
+		killedAt := int64(0)
 		switch f {
 		case 0:
-			fl.killServer = true
-			fl.severed = true
+			sf.victim, killedAt = pr.srv, clusterKillSrv
 		case 1:
-			fl.killClient = true
-			fl.severed = true
+			sf.victim, killedAt = pr.cli, clusterKillCli
 		case 2:
-			fl.migrateTo = clis[cfg.Clients-1]
+			sf.handoff = clusterMigrate(clis[cfg.Clients-1], sf)
 		}
-		flows[f] = fl
-		clusterWire(fl, cli, srv, reaper)
+		if srv == deadHost && sf.victim == nil {
+			stranded = append(stranded, pr.srv)
+		}
+		flows[f] = pr.stream(sf)
+		flows[f].severed = srv == deadHost || sf.victim != nil
+		if sf.victim != nil {
+			killAt(reaper, port, killedAt, sf.victim)
+		}
 	}
 
 	// Fault schedule. Directed edges come straight off the routed fabric;
@@ -283,41 +276,22 @@ func ClusterSoak(cfg ClusterConfig) ClusterResult {
 	// cut is in place, so the death is only observable as silence).
 	restartSrv := srvs[1%cfg.Servers]
 	var restarted *monitor.Monitor
-	sim.Spawn("cluster-ctl", func(ctx exec.Context) {
-		ctx.Sleep(clusterDeadAt + 1_000_000)
-		deadHost.Mon.Stop()
-		for _, p := range clusterVictims[deadHost] {
-			p.P.Signal(nil, host.SIGKILL)
-		}
-		ctx.Sleep(clusterMonStop - (clusterDeadAt + 1_000_000))
-		restartSrv.Mon.Stop()
-		ctx.Sleep(clusterMonBack - clusterMonStop)
-		restarted = monitor.Restart(restartSrv.H)
-	})
+	timeline(sim, "cluster-ctl",
+		action{clusterDeadAt + 1_000_000, func() {
+			deadHost.Mon.Stop()
+			for _, p := range stranded {
+				p.P.Signal(nil, host.SIGKILL)
+			}
+		}},
+		action{clusterMonStop, func() { restartSrv.Mon.Stop() }},
+		action{clusterMonBack, func() { restarted = monitor.Restart(restartSrv.H) }})
 
 	res.RunNs = cl.Run()
-	delete(clusterVictims, deadHost)
 
-	for _, fl := range flows {
-		res.Delivered += fl.delivered
-		if fl.prefixBad {
-			res.PrefixErrors++
-		}
-		if fl.completed {
-			res.Completed++
-		}
-		if fl.severed {
-			switch {
-			case !fl.done:
-				res.Hung++
-			case fl.goodReset:
-				res.GoodResets++
-			default:
-				res.BadErrnos++
-			}
-		}
-	}
-	res.MigrOK = flows[2].completed && !flows[2].prefixBad
+	s := sumFlows(flows)
+	res.Delivered, res.PrefixErrors, res.Completed = s.delivered, s.mismatched, s.completed
+	res.GoodResets, res.BadErrnos, res.Hung = s.goodResets, s.badErrnos, s.hung
+	res.MigrOK = flows[2].completed && flows[2].mismatches == 0
 
 	// Membership: every surviving monitor must hold the dead verdict.
 	survivors := make([]*monitor.Monitor, 0, len(all)-1)
@@ -336,11 +310,6 @@ func ClusterSoak(cfg ClusterConfig) ClusterResult {
 		for _, mem := range m.Membership() {
 			res.Membership = append(res.Membership, ClusterMember{Viewer: m.H.Name, Member: mem})
 		}
-		if res.Converge == "" {
-			if err := m.CrashConverged(); err != nil {
-				res.Converge = err.Error()
-			}
-		}
 	}
 	res.Survivors = len(survivors)
 	sort.Slice(res.Membership, func(i, j int) bool {
@@ -351,164 +320,49 @@ func ClusterSoak(cfg ClusterConfig) ClusterResult {
 	})
 
 	for _, ch := range churns {
-		res.ChurnDials += ch.dials
-		res.ChurnErrs += ch.errs
-		if ch.worstNs > res.WorstDialNs {
-			res.WorstDialNs = ch.worstNs
-		}
+		res.ChurnDials += ch.connected
+		res.ChurnErrs += ch.failed
+		res.WorstDialNs = max(res.WorstDialNs, ch.worstNs)
 	}
-	d := telemetry.Capture().Diff(before)
+	var d telemetry.Snapshot
+	d, res.PoolLeak, res.Converge = tl.end(survivors...)
 	res.Fanouts = d[telemetry.MonHostDeadFanouts]
 	res.GossipTx = d[telemetry.MonGossipTx]
 	res.Cleanups = d[telemetry.MonCrashCleanups]
-	res.PoolLeak = bufpool.Outstanding() - poolBefore
 	return res
 }
 
-// clusterVictims maps a host to the processes the controller SIGKILLs when
-// that host dies permanently. Keyed per run; cleared by ClusterSoak.
-var clusterVictims = map[*sd.Host][]*sd.Process{}
-
-// clusterFlow is one streaming pair's observed outcome.
-type clusterFlow struct {
-	port          uint16
-	chunk, chunks int
-	severed       bool // expected to end in ECONNRESET instead of completing
-	killServer    bool // reaper kills the server process at clusterKillSrv
-	killClient    bool // reaper kills the client process at clusterKillCli
-	migrateTo     *sd.Host
-
-	delivered int64
-	prefixBad bool
-	completed bool // full payload delivered byte-exact
-	done      bool // severed flow reached an errno
-	goodReset bool // exactly one ECONNRESET then EOF/EPIPE
-}
-
-// clusterWire builds one flow: a paced xorshift stream client -> server,
-// verified in lockstep by the server, echo-free (one direction keeps the
-// blocked-sender/blocked-receiver wake paths distinguishable).
-func clusterWire(fl *clusterFlow, cli, srv *sd.Host, reaper *sd.Process) {
-	sp := srv.NewProcess(fmt.Sprintf("cs-srv%d", fl.port), 0)
-	cp := cli.NewProcess(fmt.Sprintf("cs-cli%d", fl.port), 0)
-	if srvDead := fl.severed && !fl.killServer && !fl.killClient; srvDead {
-		clusterVictims[srv] = append(clusterVictims[srv], sp)
-	}
-	seed := uint64(fl.port)*0x9E3779B97F4A7C15 + 13
-	total := int64(fl.chunk) * int64(fl.chunks)
-
-	sp.Go("srv", func(t *sd.T) {
-		ln, err := t.Listen(fl.port)
-		if err != nil {
-			return
+// clusterMigrate returns the stream handoff that live-migrates the flow's
+// client container to the host `to` (§4.1.3) once clusterMigrAt has passed,
+// and finishes the stream from there: same socket FD, same xorshift state,
+// so the server's lockstep verification proves no byte was lost or
+// duplicated across the move.
+func clusterMigrate(to *sd.Host, sf streamFlow) func(*sd.T, *sd.Conn, int, *uint64) bool {
+	return func(t *sd.T, c *sd.Conn, next int, state *uint64) bool {
+		if t.Now() < clusterMigrAt {
+			return false
 		}
-		c, err := ln.Accept()
+		fd := c.FD()
+		np, nl, err := core.Migrate(t.Pr.Lib, to.H, "cs-migrated")
 		if err != nil {
-			return
+			return true
 		}
-		want := make([]byte, fl.chunk)
-		buf := make([]byte, fl.chunk)
-		wantRand := seed
-		rem := 0
-		for fl.delivered < total {
-			n, err := c.Recv(buf)
+		np.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+			sock, err := nl.SocketByFD(fd)
 			if err != nil {
-				if fl.killServer {
-					return // we are the victim; the kill unwound us
-				}
-				fl.done = true
-				if errors.Is(err, sd.ECONNRESET) {
-					_, err2 := c.Recv(buf)
-					fl.goodReset = err2 == sd.EOF
-				}
 				return
 			}
-			for i := 0; i < n; i++ {
-				if rem == 0 {
-					xorshiftFill(want, &wantRand)
-					rem = fl.chunk
+			out := make([]byte, sf.chunk)
+			for i := next; i < sf.chunks; i++ {
+				xorshiftFill(out, state)
+				if _, err := sock.Send(ctx, th, out); err != nil {
+					return
 				}
-				if buf[i] != want[fl.chunk-rem] {
-					fl.prefixBad = true
-				}
-				rem--
-				fl.delivered++
+				ctx.Sleep(sf.pace)
 			}
-		}
-		fl.completed = true
-	})
-	cp.Go("cli", func(t *sd.T) {
-		t.Sleep(10_000)
-		c, err := t.Dial(srv.H.Name, fl.port)
-		if err != nil {
-			return
-		}
-		out := make([]byte, fl.chunk)
-		txRand := seed
-		for i := 0; i < fl.chunks; i++ {
-			if fl.migrateTo != nil && t.Now() >= clusterMigrAt {
-				clusterMigrate(t, c, fl, i, &txRand)
-				return
-			}
-			xorshiftFill(out, &txRand)
-			if _, err := c.Send(out); err != nil {
-				if fl.killClient {
-					return // we are the victim
-				}
-				fl.done = true
-				if errors.Is(err, sd.ECONNRESET) {
-					_, err2 := c.Send(out)
-					fl.goodReset = errors.Is(err2, sd.EPIPE)
-				}
-				return
-			}
-			t.Sleep(clusterPace)
-		}
-	})
-	if fl.killServer || fl.killClient {
-		victim, at := cp, int64(clusterKillCli)
-		if fl.killServer {
-			victim, at = sp, clusterKillSrv
-		}
-		reaper.Go(fmt.Sprintf("kill%d", fl.port), func(t *sd.T) {
-			t.Sleep(at)
-			t.Kill(victim)
 		})
+		return true
 	}
-}
-
-// clusterMigrate live-migrates the flow's client container to fl.migrateTo
-// (§4.1.3) and finishes the stream from there: same socket FD, same
-// xorshift state, so the server's lockstep verification proves no byte was
-// lost or duplicated across the move.
-func clusterMigrate(t *sd.T, c *sd.Conn, fl *clusterFlow, next int, txRand *uint64) {
-	fd := c.FD()
-	state := *txRand
-	np, nl, err := core.Migrate(t.Pr.Lib, fl.migrateTo.H, "cs-migrated")
-	if err != nil {
-		return
-	}
-	np.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
-		sock, err := nl.SocketByFD(fd)
-		if err != nil {
-			return
-		}
-		out := make([]byte, fl.chunk)
-		for i := next; i < fl.chunks; i++ {
-			xorshiftFill(out, &state)
-			if _, err := sock.Send(ctx, th, out); err != nil {
-				return
-			}
-			ctx.Sleep(clusterPace)
-		}
-	})
-}
-
-// churn is what one host's keep-alive churner observed.
-type churn struct {
-	dials   int
-	errs    int
-	worstNs int64
 }
 
 // keepAlive spawns an intra-host echo service plus a dial loop on h that
@@ -517,46 +371,25 @@ type churn struct {
 // doubles as a bounded-wait probe: each dial's latency is recorded, and
 // errors (the monitor-restart downtime window) must be the bounded
 // ErrMonitorDown kind, never a hang.
-func keepAlive(h *sd.Host, port uint16, horizon int64) *churn {
-	ch := &churn{}
-	srv := h.NewProcess(fmt.Sprintf("churn-srv%d", port), 0)
-	cli := h.NewProcess(fmt.Sprintf("churn-cli%d", port), 0)
-	srv.Go("echo", func(t *sd.T) {
-		ln, err := t.Listen(port)
-		if err != nil {
-			return
-		}
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			b := make([]byte, 1)
-			if n, err := c.Recv(b); err == nil {
-				c.Send(b[:n])
-			}
+func keepAlive(h *sd.Host, port uint16, horizon int64) *dialStats {
+	ch := &dialStats{}
+	pr := newPair(h, h, "churn-", port)
+	pr.srv.Go("echo", func(t *sd.T) {
+		acceptLoop(t, port, 0, func(c *sd.Conn) {
+			echoOnce(c)
 			c.Close()
-		}
+		})
 	})
-	cli.Go("churn", func(t *sd.T) {
+	pr.cli.Go("churn", func(t *sd.T) {
 		t.Sleep(5_000)
 		for t.Now() < horizon {
-			began := t.Now()
-			c, err := t.Dial(h.H.Name, port)
-			if took := t.Now() - began; took > ch.worstNs {
-				ch.worstNs = took
-			}
+			c, err := ch.dial(t, pr.dst, port)
 			if err != nil {
-				ch.errs++
 				t.Sleep(2_000_000)
 				continue
 			}
-			b := []byte{0x5a}
-			if _, err := c.Send(b); err == nil {
-				c.Recv(b)
-			}
+			ch.probe(c)
 			c.Close()
-			ch.dials++
 			t.Sleep(20_000_000)
 		}
 	})

@@ -125,6 +125,7 @@ func ConnScaleDrill(cfg ConnScaleConfig) ConnScaleResult {
 		Population: popPer * cfg.Dialers,
 		Churn:      churnPer * cfg.Dialers,
 	}
+	var st dialStats // every dialer's attempts
 	var open int
 	track := func(d int) {
 		// Sim threads interleave cooperatively, so plain counters are
@@ -171,23 +172,16 @@ func ConnScaleDrill(cfg ConnScaleConfig) ConnScaleResult {
 			if t.Now() < dialStart {
 				dialStart = t.Now()
 			}
+			// A dial retries while its listener is not up yet (at most 100
+			// times, 20 us apart); nil means it never came up: abandon.
 			dial := func(k int) *sd.Conn {
-				port := basePort + uint16((d+k)%cfg.Servers)
-				for tries := 0; ; tries++ {
-					s0 := t.Now()
-					c, err := t.Dial("hostA", port)
-					if err == nil {
-						dialDist.Observe(t.Now() - s0)
-						res.Connects++
-						track(+1)
-						return c
-					}
-					if tries >= 100 {
-						return nil // listener never came up; abandon
-					}
-					res.DialRetries++
-					t.Sleep(20_000)
+				c, err := st.connect(t, "hostA", basePort+uint16((d+k)%cfg.Servers), 100, 20_000)
+				if err != nil {
+					return nil
 				}
+				dialDist.Observe(st.lastNs)
+				track(+1)
+				return c
 			}
 			// Ramp: dial and hold the population share.
 			held := make([]*sd.Conn, 0, popPer)
@@ -226,6 +220,7 @@ func ConnScaleDrill(cfg ConnScaleConfig) ConnScaleResult {
 	}
 	w.sim.Run()
 
+	res.Connects, res.DialRetries = st.connected, st.failed
 	res.ElapsedNs = dialEnd - dialStart
 	if res.ElapsedNs > 0 {
 		res.ConnectsPerSec = float64(res.Connects) / (float64(res.ElapsedNs) / 1e9)

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"io"
 
 	sd "socksdirect"
-	"socksdirect/internal/bufpool"
 	"socksdirect/internal/telemetry"
 )
 
@@ -49,36 +46,26 @@ type CrashResult struct {
 	Converge   string // monitor.CrashConverged error, "" when converged
 }
 
-// Passed reports whether the drill met the acceptance bar.
-func (r CrashResult) Passed() bool {
+// verdict is the drill's acceptance bar.
+func (r CrashResult) verdict() verdict {
 	pairs := r.IntraPairs + r.InterPairs
-	return r.PrefixErrors == 0 && r.BadErrnos == 0 && r.Hung == 0 &&
-		r.GoodResets == pairs &&
-		r.Cleanups >= int64(r.Victims) &&
-		r.CoreResets >= int64(pairs) &&
-		r.PoolLeak == 0 && r.Converge == ""
+	return verdict{
+		fmt.Sprintf("crash: %d intra + %d inter pairs, %d victims killed in %.2fs virtual",
+			r.IntraPairs, r.InterPairs, r.Victims, float64(r.RunNs)/1e9),
+		[]check{
+			byteExact(r.PrefixErrors == 0, "%d bytes delivered, %d prefix errors", r.Delivered, r.PrefixErrors),
+			oneReset(r.GoodResets, pairs, r.BadErrnos, r.Hung),
+			atLeast(telemetry.MonCrashCleanups, r.Cleanups, int64(r.Victims)),
+			atLeast(telemetry.CoreResets, r.CoreResets, int64(pairs)),
+			noDrift("bufpool", r.PoolLeak),
+			converged(r.Converge),
+		},
+	}
 }
 
-func (r CrashResult) String() string {
-	verdict := "PASS"
-	if !r.Passed() {
-		verdict = "FAIL"
-	}
-	conv := r.Converge
-	if conv == "" {
-		conv = "converged"
-	}
-	return fmt.Sprintf(
-		"crash: %d intra + %d inter pairs, %d victims killed in %.2fs virtual\n"+
-			"  survivors: %d byte-exact resets, %d prefix errors, %d bad errnos, %d hung\n"+
-			"  delivered %d bytes exact; monitor cleanups=%d, core resets=%d\n"+
-			"  pool leak=%d, monitors: %s\n"+
-			"  %s",
-		r.IntraPairs, r.InterPairs, r.Victims, float64(r.RunNs)/1e9,
-		r.GoodResets, r.PrefixErrors, r.BadErrnos, r.Hung,
-		r.Delivered, r.Cleanups, r.CoreResets,
-		r.PoolLeak, conv, verdict)
-}
+// Passed reports whether the drill met the acceptance bar.
+func (r CrashResult) Passed() bool   { return r.verdict().Passed() }
+func (r CrashResult) String() string { return r.verdict().String() }
 
 // crashPace spaces stream rounds so the scheduled kills land mid-transfer.
 const crashPace = 100_000 // 100 us between chunks
@@ -90,148 +77,44 @@ const crashPace = 100_000 // 100 us between chunks
 func Crash(intraPairs, interPairs, chunk int) CrashResult {
 	w := newWorld()
 	res := CrashResult{IntraPairs: intraPairs, InterPairs: interPairs}
-	poolBefore := bufpool.Outstanding()
-	before := telemetry.Capture()
+	tl := startTally()
 
 	reaper := w.ha.NewProcess("reaper", 0)
-	outcomes := make([]*crashOutcome, 0, intraPairs+interPairs)
+	flows := make([]*flowOutcome, 0, intraPairs+interPairs)
 	for i := 0; i < intraPairs; i++ {
-		outcomes = append(outcomes,
-			crashPair(w, reaper, 7400+uint16(i), true, i%2 == 1, i, chunk))
+		flows = append(flows, crashPair(w, reaper, 7400+uint16(i), w.ha, i%2 == 1, i, chunk))
 	}
 	for i := 0; i < interPairs; i++ {
-		outcomes = append(outcomes,
-			crashPair(w, reaper, 7500+uint16(i), false, i%2 == 1, intraPairs+i, chunk))
+		flows = append(flows, crashPair(w, reaper, 7500+uint16(i), w.hb, i%2 == 1, intraPairs+i, chunk))
 	}
-	res.Victims = len(outcomes)
+	res.Victims = len(flows)
 
 	res.RunNs = w.sim.Run()
 
-	for _, o := range outcomes {
-		res.Delivered += o.delivered
-		if o.prefixBad {
-			res.PrefixErrors++
-		}
-		switch {
-		case !o.done:
-			res.Hung++
-		case o.goodReset:
-			res.GoodResets++
-		default:
-			res.BadErrnos++
-		}
-	}
-	d := telemetry.Capture().Diff(before)
+	s := sumFlows(flows)
+	res.Delivered, res.PrefixErrors = s.delivered, s.mismatched
+	res.GoodResets, res.BadErrnos, res.Hung = s.goodResets, s.badErrnos, s.hung
+	var d telemetry.Snapshot
+	d, res.PoolLeak, res.Converge = tl.end(w.ma, w.mb)
 	res.Cleanups = d[telemetry.MonCrashCleanups]
 	res.CoreResets = d[telemetry.CoreResets]
-	res.PoolLeak = bufpool.Outstanding() - poolBefore
-	if err := w.ma.CrashConverged(); err != nil {
-		res.Converge = err.Error()
-	} else if err := w.mb.CrashConverged(); err != nil {
-		res.Converge = err.Error()
-	}
 	return res
 }
 
-// crashOutcome is what one pair's survivor observed.
-type crashOutcome struct {
-	delivered int64 // bytes the surviving receiver verified
-	prefixBad bool
-	done      bool // survivor reached an errno and returned
-	goodReset bool // exactly one ECONNRESET, then io.EOF (recv) / EPIPE (send)
-}
+// crashPair wires one endless streaming pair, client on hostA and server
+// on srvHost, and schedules its kill at 20 ms + 10 ms * seq. When
+// killServer is set the client survives (blocked-sender path); otherwise
+// the server survives (blocked-receiver path).
+func crashPair(w *world, reaper *sd.Process, port uint16, srvHost *sd.Host, killServer bool,
+	seq, chunk int) *flowOutcome {
 
-// crashPair wires one streaming pair. intra places both ends on hostA;
-// otherwise the server lives on hostB. When killServer is set the client
-// survives (blocked-sender path); otherwise the server survives
-// (blocked-receiver path). The kill fires at 20 ms + 10 ms * seq.
-func crashPair(w *world, reaper *sd.Process, port uint16, intra, killServer bool,
-	seq, chunk int) *crashOutcome {
-
-	srvHost := w.hb
-	srvName := "hostB"
-	if intra {
-		srvHost = w.ha
-		srvName = "hostA"
-	}
-	sp := srvHost.NewProcess(fmt.Sprintf("crash-srv%d", port), 0)
-	cp := w.ha.NewProcess(fmt.Sprintf("crash-cli%d", port), 0)
-	killAt := int64(20_000_000 + 10_000_000*seq)
-	seed := uint64(port)*0x9E3779B97F4A7C15 + 7
-	o := &crashOutcome{}
-
-	sp.Go("srv", func(t *sd.T) {
-		ln, err := t.Listen(port)
-		if err != nil {
-			return
-		}
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		// Receive and verify the stream in lockstep until an errno (the
-		// victim side is simply unwound by the kill instead).
-		want := make([]byte, chunk)
-		buf := make([]byte, chunk)
-		wantRand := seed
-		rem := 0 // unverified bytes of the current chunk
-		for {
-			n, err := c.Recv(buf)
-			if err != nil {
-				if killServer {
-					return // we are the victim; the kill unwound us
-				}
-				o.done = true
-				if errors.Is(err, sd.ECONNRESET) {
-					_, err2 := c.Recv(buf)
-					o.goodReset = err2 == io.EOF
-				}
-				return
-			}
-			for i := 0; i < n; i++ {
-				if rem == 0 {
-					xorshiftFill(want, &wantRand)
-					rem = chunk
-				}
-				if buf[i] != want[chunk-rem] {
-					o.prefixBad = true
-				}
-				rem--
-				o.delivered++
-			}
-		}
-	})
-	cp.Go("cli", func(t *sd.T) {
-		t.Sleep(10_000)
-		c, err := t.Dial(srvName, port)
-		if err != nil {
-			return
-		}
-		out := make([]byte, chunk)
-		txRand := seed
-		for {
-			xorshiftFill(out, &txRand)
-			if _, err := c.Send(out); err != nil {
-				if !killServer {
-					return // we are the victim
-				}
-				o.done = true
-				if errors.Is(err, sd.ECONNRESET) {
-					_, err2 := c.Send(out)
-					o.goodReset = errors.Is(err2, sd.EPIPE)
-				}
-				return
-			}
-			t.Sleep(crashPace)
-		}
-	})
-	victim := cp
+	pr := newPair(srvHost, w.ha, "crash-", port)
+	victim := pr.cli
 	if killServer {
-		victim = sp
+		victim = pr.srv
 	}
-	reaper.Go(fmt.Sprintf("kill%d", port), func(t *sd.T) {
-		t.Sleep(killAt)
-		t.Kill(victim)
-	})
+	o := pr.stream(streamFlow{seed: seedFor(port, 7), chunk: chunk, pace: crashPace, victim: victim})
+	o.severed = true
+	killAt(reaper, port, int64(20_000_000+10_000_000*seq), victim)
 	return o
 }

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	sd "socksdirect"
-	"socksdirect/internal/bufpool"
-	"socksdirect/internal/exec"
 	"socksdirect/internal/monitor"
 	"socksdirect/internal/telemetry"
 )
@@ -61,35 +58,31 @@ type MRestartResult struct {
 	Converge     string // CrashConverged error from either successor, "" if ok
 }
 
-// Passed reports whether the drill met the acceptance bar.
-func (r MRestartResult) Passed() bool {
-	return r.PrefixErrors == 0 && r.StreamErrors == 0 && r.Unfinished == 0 &&
-		r.ProbeTimeouts >= 1 && r.ProbeHangs == 0 && r.ProbeOK == 2 &&
-		r.RestartsSeen >= int64(r.Restarts) &&
-		r.StaleDropped > 0 && r.ReRegs > 0 &&
-		r.PoolLeak == 0 && r.Converge == ""
+// verdict is the drill's acceptance bar.
+func (r MRestartResult) verdict() verdict {
+	return verdict{
+		fmt.Sprintf("mrestart: %d intra + %d inter pairs across %d monitor restarts, %.2fs virtual",
+			r.IntraPairs, r.InterPairs, r.Restarts, float64(r.RunNs)/1e9),
+		[]check{
+			byteExact(r.PrefixErrors == 0, "%d bytes delivered, %d prefix errors", r.Delivered, r.PrefixErrors),
+			expect("established streams are monitor-independent", r.StreamErrors == 0 && r.Unfinished == 0,
+				"%d stream errors, %d unfinished", r.StreamErrors, r.Unfinished),
+			expect("downtime dials time out, then recover", r.ProbeTimeouts >= 1 && r.ProbeOK == 2,
+				"%d timed out bounded, %d/2 probers recovered", r.ProbeTimeouts, r.ProbeOK),
+			boundedWait(r.ProbeHangs == 0, "%d downtime dials hung, worst %.2fms (bound %.0fms)",
+				r.ProbeHangs, float64(r.WorstDialNs)/1e6, float64(mrDialBound)/1e6),
+			atLeast(telemetry.MonRestarts, r.RestartsSeen, int64(r.Restarts)),
+			atLeast(telemetry.MonStaleDropped, r.StaleDropped, 1),
+			atLeast(telemetry.MonReregistrations, r.ReRegs, 1),
+			noDrift("bufpool", r.PoolLeak),
+			converged(r.Converge),
+		},
+	}
 }
 
-func (r MRestartResult) String() string {
-	verdict := "PASS"
-	if !r.Passed() {
-		verdict = "FAIL"
-	}
-	conv := r.Converge
-	if conv == "" {
-		conv = "converged"
-	}
-	return fmt.Sprintf(
-		"mrestart: %d intra + %d inter pairs across %d monitor restarts, %.2fs virtual\n"+
-			"  streams: %d bytes exact, %d prefix errors, %d stream errors, %d unfinished\n"+
-			"  downtime dials: %d timed out bounded, %d hung, %d/2 probers recovered (worst %.2fms)\n"+
-			"  restarts=%d stale_dropped=%d reregistrations=%d pool leak=%d, monitors: %s\n"+
-			"  %s",
-		r.IntraPairs, r.InterPairs, r.Restarts, float64(r.RunNs)/1e9,
-		r.Delivered, r.PrefixErrors, r.StreamErrors, r.Unfinished,
-		r.ProbeTimeouts, r.ProbeHangs, r.ProbeOK, float64(r.WorstDialNs)/1e6,
-		r.RestartsSeen, r.StaleDropped, r.ReRegs, r.PoolLeak, conv, verdict)
-}
+// Passed reports whether the drill met the acceptance bar.
+func (r MRestartResult) Passed() bool   { return r.verdict().Passed() }
+func (r MRestartResult) String() string { return r.verdict().String() }
 
 const (
 	mrPace     = 1_000_000 // 1 ms between stream chunks: spans both outages
@@ -108,227 +101,84 @@ const (
 func MRestart(intraPairs, interPairs, chunk, chunks int) MRestartResult {
 	w := newWorld()
 	res := MRestartResult{IntraPairs: intraPairs, InterPairs: interPairs, Restarts: 2}
-	poolBefore := bufpool.Outstanding()
-	before := telemetry.Capture()
+	tl := startTally()
 
-	streams := make([]*mrStream, 0, intraPairs+interPairs)
+	// Paced streams that span the whole drill. Both ends connect before the
+	// first restart; from then on only the data plane is exercised — any
+	// error (a reset above all) is a drill failure.
+	flows := make([]*flowOutcome, 0, intraPairs+interPairs)
+	pairOn := func(srvHost *sd.Host, port uint16) {
+		f := streamFlow{seed: seedFor(port, 7), chunk: chunk, chunks: chunks, pace: mrPace}
+		flows = append(flows, newPair(srvHost, w.ha, "mr-", port).stream(f))
+	}
 	for i := 0; i < intraPairs; i++ {
-		streams = append(streams, mrPair(w, 7600+uint16(i), true, chunk, chunks))
+		pairOn(w.ha, 7600+uint16(i))
 	}
 	for i := 0; i < interPairs; i++ {
-		streams = append(streams, mrPair(w, 7700+uint16(i), false, chunk, chunks))
+		pairOn(w.hb, 7700+uint16(i))
 	}
 
 	// Echo services the downtime probers dial into (one per host, so each
 	// prober's connect crosses its own — dead — monitor first).
-	mrEchoServer(w, w.ha, 7610)
-	mrEchoServer(w, w.hb, 7710)
-	proberA := mrProber(w, w.ha, "hostB", 7710, mrStopA+5_000_000)
-	proberB := mrProber(w, w.hb, "hostA", 7610, mrStopB+5_000_000)
+	echoOn := func(h *sd.Host, port uint16) {
+		h.NewProcess(fmt.Sprintf("mr-echo%d", port), 0).Go("echo", func(t *sd.T) {
+			acceptLoop(t, port, 0, echoOnce)
+		})
+	}
+	echoOn(w.ha, 7610)
+	echoOn(w.hb, 7710)
+	var probes mrProbes
+	probes.from(w.ha, "hostB", 7710, mrStopA+5_000_000)
+	probes.from(w.hb, "hostA", 7610, mrStopB+5_000_000)
 
 	// The restart schedule. Stop and Restart are split so there is a real
 	// downtime window: requests issued in between land in SHM control rings
 	// nobody drains, stamped with the dead incarnation's epoch.
 	var monA2, monB2 *monitor.Monitor
-	w.sim.Spawn("restart-ctl", func(ctx exec.Context) {
-		ctx.Sleep(mrStopA)
-		w.ma.Stop()
-		ctx.Sleep(mrRestartA - mrStopA)
-		monA2 = monitor.Restart(w.a)
-		ctx.Sleep(mrStopB - mrRestartA)
-		w.mb.Stop()
-		ctx.Sleep(mrRestartB - mrStopB)
-		monB2 = monitor.Restart(w.b)
-	})
+	timeline(w.sim, "restart-ctl",
+		action{mrStopA, w.ma.Stop},
+		action{mrRestartA, func() { monA2 = monitor.Restart(w.a) }},
+		action{mrStopB, w.mb.Stop},
+		action{mrRestartB, func() { monB2 = monitor.Restart(w.b) }})
 
 	res.RunNs = w.sim.Run()
 
-	for _, s := range streams {
-		res.Delivered += s.delivered
-		if s.prefixBad {
-			res.PrefixErrors++
-		}
-		if s.opErrors > 0 {
-			res.StreamErrors += s.opErrors
-		}
-		if !s.done {
-			res.Unfinished++
-		}
-	}
-	for _, p := range []*mrProbe{proberA, proberB} {
-		res.ProbeTimeouts += p.timeouts
-		res.ProbeHangs += p.hangs
-		if p.echoed {
-			res.ProbeOK++
-		}
-		if p.worstNs > res.WorstDialNs {
-			res.WorstDialNs = p.worstNs
-		}
-	}
-	d := telemetry.Capture().Diff(before)
+	s := sumFlows(flows)
+	res.Delivered, res.PrefixErrors = s.delivered, s.mismatched
+	res.StreamErrors, res.Unfinished = s.opErrors, len(flows)-s.completed
+	res.ProbeTimeouts, res.ProbeHangs, res.ProbeOK = probes.down, probes.hangs, probes.echoed
+	res.WorstDialNs = probes.worstNs
+	var d telemetry.Snapshot
+	d, res.PoolLeak, res.Converge = tl.end(monA2, monB2)
 	res.RestartsSeen = d[telemetry.MonRestarts]
 	res.StaleDropped = d[telemetry.MonStaleDropped]
 	res.ReRegs = d[telemetry.MonReregistrations]
-	res.PoolLeak = bufpool.Outstanding() - poolBefore
-	switch {
-	case monA2 == nil || monB2 == nil:
-		res.Converge = "restart controller never ran"
-	default:
-		if err := monA2.CrashConverged(); err != nil {
-			res.Converge = err.Error()
-		} else if err := monB2.CrashConverged(); err != nil {
-			res.Converge = err.Error()
-		}
-	}
 	return res
 }
 
-// mrStream is what one streaming pair's receiver observed.
-type mrStream struct {
-	delivered int64
-	prefixBad bool
-	opErrors  int
-	done      bool // full payload delivered and verified
+// mrProbes is what the downtime probers observed.
+type mrProbes struct {
+	dialStats
+	hangs int // failed attempts that blocked longer than mrDialBound
 }
 
-// mrPair wires one paced streaming pair that spans the whole drill. Both
-// connect before the first restart; from then on only the data plane is
-// exercised — any error (a reset above all) is a drill failure.
-func mrPair(w *world, port uint16, intra bool, chunk, chunks int) *mrStream {
-	srvHost := w.hb
-	srvName := "hostB"
-	if intra {
-		srvHost = w.ha
-		srvName = "hostA"
-	}
-	sp := srvHost.NewProcess(fmt.Sprintf("mr-srv%d", port), 0)
-	cp := w.ha.NewProcess(fmt.Sprintf("mr-cli%d", port), 0)
-	seed := uint64(port)*0x9E3779B97F4A7C15 + 7
-	s := &mrStream{}
-	total := int64(chunk) * int64(chunks)
-
-	sp.Go("srv", func(t *sd.T) {
-		ln, err := t.Listen(port)
-		if err != nil {
-			s.opErrors++
-			return
-		}
-		c, err := ln.Accept()
-		if err != nil {
-			s.opErrors++
-			return
-		}
-		want := make([]byte, chunk)
-		buf := make([]byte, chunk)
-		wantRand := seed
-		rem := 0
-		for s.delivered < total {
-			n, err := c.Recv(buf)
-			if err != nil {
-				s.opErrors++
-				return
-			}
-			for i := 0; i < n; i++ {
-				if rem == 0 {
-					xorshiftFill(want, &wantRand)
-					rem = chunk
-				}
-				if buf[i] != want[chunk-rem] {
-					s.prefixBad = true
-				}
-				rem--
-				s.delivered++
-			}
-		}
-		s.done = true
-	})
-	cp.Go("cli", func(t *sd.T) {
-		t.Sleep(10_000)
-		c, err := t.Dial(srvName, port)
-		if err != nil {
-			s.opErrors++
-			return
-		}
-		out := make([]byte, chunk)
-		txRand := seed
-		for i := 0; i < chunks; i++ {
-			xorshiftFill(out, &txRand)
-			if _, err := c.Send(out); err != nil {
-				s.opErrors++
-				return
-			}
-			t.Sleep(mrPace)
-		}
-	})
-	return s
-}
-
-// mrEchoServer accepts connections on h:port forever and echoes one byte
-// per connection — the far end of the downtime probers.
-func mrEchoServer(w *world, h *sd.Host, port uint16) {
-	p := h.NewProcess(fmt.Sprintf("mr-echo%d", port), 0)
-	p.Go("echo", func(t *sd.T) {
-		ln, err := t.Listen(port)
-		if err != nil {
-			return
-		}
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			b := make([]byte, 1)
-			if n, err := c.Recv(b); err == nil {
-				c.Send(b[:n])
-			}
-		}
-	})
-}
-
-// mrProbe is what one downtime prober observed.
-type mrProbe struct {
-	timeouts int   // attempts that returned ETIMEDOUT/EAGAIN
-	hangs    int   // attempts that blocked longer than mrDialBound
-	badErrs  int   // attempts that failed with the wrong error
-	echoed   bool  // a retry eventually connected and completed an echo
-	worstNs  int64 // slowest single attempt
-}
-
-// mrProber dials dst:port from a process on h, starting at startAt — inside
-// h's monitor downtime window — and retries until a dial succeeds. Each
-// failed attempt must be the bounded kind: ErrMonitorDown (ETIMEDOUT or
-// EAGAIN) within mrDialBound.
-func mrProber(w *world, h *sd.Host, dst string, port uint16, startAt int64) *mrProbe {
-	pr := &mrProbe{}
-	p := h.NewProcess(fmt.Sprintf("mr-probe%d", port), 0)
-	p.Go("probe", func(t *sd.T) {
+// from dials dst:port from a process on h, starting at startAt — inside
+// h's monitor downtime window — and retries until a dial succeeds and its
+// probe byte is echoed. Each failed attempt must be the bounded kind:
+// ErrMonitorDown (ETIMEDOUT or EAGAIN) within mrDialBound.
+func (pr *mrProbes) from(h *sd.Host, dst string, port uint16, startAt int64) {
+	h.NewProcess(fmt.Sprintf("mr-probe%d", port), 0).Go("probe", func(t *sd.T) {
 		t.Sleep(startAt)
 		for attempt := 0; attempt < 100; attempt++ {
-			began := t.Now()
-			c, err := t.Dial(dst, port)
-			took := t.Now() - began
-			if took > pr.worstNs {
-				pr.worstNs = took
-			}
+			c, err := pr.dial(t, dst, port)
 			if err == nil {
-				b := []byte{0x5a}
-				if _, err := c.Send(b); err == nil {
-					if n, err := c.Recv(b); err == nil && n == 1 && b[0] == 0x5a {
-						pr.echoed = true
-					}
-				}
+				pr.probe(c)
 				return
 			}
-			if took > mrDialBound {
+			if pr.lastNs > mrDialBound {
 				pr.hangs++
-			}
-			if errors.Is(err, sd.ErrMonitorDown) {
-				pr.timeouts++
-			} else {
-				pr.badErrs++
 			}
 			t.Sleep(2_000_000)
 		}
 	})
-	return pr
 }

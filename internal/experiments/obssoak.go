@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
-	sd "socksdirect"
 	"socksdirect/internal/fault"
 	"socksdirect/internal/obs"
 	"socksdirect/internal/telemetry"
@@ -36,36 +36,31 @@ type ObsSmokeResult struct {
 	Trace obs.TraceView
 }
 
-// Passed reports whether the run met the acceptance bar: a complete
-// cross-host connect trace of at least 5 causally ordered hops whose
-// breakdown sums to within 5% of the end-to-end latency, plus a live
-// flow row per endpoint.
-func (r ObsSmokeResult) Passed() bool {
-	if !r.Echoed || r.ConnectHops < 5 || r.ConnectNs <= 0 || !r.CrossHost {
-		return false
-	}
+// verdict is the acceptance bar: a complete cross-host connect trace of at
+// least 5 causally ordered hops whose breakdown sums to within 5% of the
+// end-to-end latency, plus a live flow row per endpoint.
+func (r ObsSmokeResult) verdict() verdict {
 	diff := r.ConnectNs - r.HopSumNs
 	if diff < 0 {
 		diff = -diff
 	}
-	return diff*20 <= r.ConnectNs && r.FlowRows >= 2
+	return verdict{
+		fmt.Sprintf("obssmoke: %d rounds x %dB echo in %.2fms virtual\n%s",
+			r.Rounds, r.Chunk, float64(r.RunNs)/1e6, strings.TrimRight(r.TraceText, "\n")),
+		[]check{
+			byteExact(r.Echoed, "echo complete and exact=%v", r.Echoed),
+			expect("one complete cross-host connect trace", r.ConnectHops >= 5 && r.CrossHost,
+				"traces merged=%d; connect spine hops=%d cross-host=%v", r.Traces, r.ConnectHops, r.CrossHost),
+			expect("hop breakdown sums to the end-to-end latency", r.ConnectNs > 0 && diff*20 <= r.ConnectNs,
+				"end-to-end=%dns, hop sum=%dns", r.ConnectNs, r.HopSumNs),
+			expect("a flow row per endpoint", r.FlowRows >= 2, "flow rows=%d", r.FlowRows),
+		},
+	}
 }
 
-func (r ObsSmokeResult) String() string {
-	verdict := "PASS"
-	if !r.Passed() {
-		verdict = "FAIL"
-	}
-	return fmt.Sprintf(
-		"obssmoke: %d rounds x %dB echo in %.2fms virtual\n"+
-			"  traces merged=%d; connect spine hops=%d cross-host=%v\n"+
-			"  end-to-end=%dns, hop sum=%dns\n"+
-			"  flow rows=%d\n%s  %s",
-		r.Rounds, r.Chunk, float64(r.RunNs)/1e6,
-		r.Traces, r.ConnectHops, r.CrossHost,
-		r.ConnectNs, r.HopSumNs,
-		r.FlowRows, r.TraceText, verdict)
-}
+// Passed reports whether the run met the acceptance bar.
+func (r ObsSmokeResult) Passed() bool   { return r.verdict().Passed() }
+func (r ObsSmokeResult) String() string { return r.verdict().String() }
 
 // ObsSmoke runs the tracing smoke: one inter-host echo pair, tracing on,
 // then merges the rings and inspects the connect timeline.
@@ -75,13 +70,13 @@ func ObsSmoke(rounds, chunk int) ObsSmokeResult {
 	obs.SetArmed(false) // a clean run must not dump
 	res := ObsSmokeResult{Rounds: rounds, Chunk: chunk}
 
+	// One echo pair (client hostA, server hostB) with no fault schedule and
+	// no pacing — the smoke wants a fast clean run.
 	w := newWorld()
-	var mismatches int
-	obsEchoPair(w, 7600, rounds, chunk, &res.Echoed, &mismatches)
+	const port = 7600
+	o := newPair(w.hb, w.ha, "obs-", port).echo(port+1, rounds, chunk, 0)
 	res.RunNs = w.sim.Run()
-	if mismatches > 0 {
-		res.Echoed = false
-	}
+	res.Echoed = o.completed && o.mismatches == 0
 
 	for _, tv := range obs.MergeAll() {
 		if tv.Root.OK {
@@ -111,72 +106,6 @@ func ObsSmoke(rounds, chunk int) ObsSmokeResult {
 	return res
 }
 
-// obsEchoPair wires one echo pair (client hostA, server hostB) without
-// any fault schedule or pacing — the smoke wants a fast clean run.
-func obsEchoPair(w *world, port uint16, rounds, chunk int,
-	completed *bool, mismatches *int) {
-
-	sp := w.hb.NewProcess(fmt.Sprintf("obs-srv%d", port), 0)
-	cp := w.ha.NewProcess(fmt.Sprintf("obs-cli%d", port), 0)
-	total := rounds * chunk
-
-	sp.Go("srv", func(t *sd.T) {
-		ln, err := t.Listen(port)
-		if err != nil {
-			return
-		}
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		buf := make([]byte, chunk)
-		for echoed := 0; echoed < total; {
-			n, err := c.Recv(buf)
-			if err != nil {
-				return
-			}
-			if _, err := c.Send(buf[:n]); err != nil {
-				return
-			}
-			echoed += n
-		}
-	})
-	cp.Go("cli", func(t *sd.T) {
-		t.Sleep(10_000)
-		c, err := t.Dial("hostB", port)
-		if err != nil {
-			return
-		}
-		out := make([]byte, chunk)
-		got := make([]byte, chunk)
-		seed := uint64(port) + 1
-		txRand, wantRand := seed, seed
-		want := make([]byte, chunk)
-		for i := 0; i < rounds; i++ {
-			xorshiftFill(out, &txRand)
-			if _, err := c.Send(out); err != nil {
-				return
-			}
-			rd := 0
-			for rd < chunk {
-				n, err := c.Recv(got[rd:])
-				if err != nil {
-					return
-				}
-				rd += n
-			}
-			xorshiftFill(want, &wantRand)
-			for j := range want {
-				if got[j] != want[j] {
-					*mismatches++
-					break
-				}
-			}
-		}
-		*completed = true
-	})
-}
-
 // ObsDrillResult is the outcome of one retry-exhaustion recorder drill.
 type ObsDrillResult struct {
 	Rounds, Chunk int
@@ -193,27 +122,26 @@ type ObsDrillResult struct {
 	Dump obs.Dump
 }
 
-// Passed: the induced retry exhaustion must produce exactly one dump,
+// verdict: the induced retry exhaustion must produce exactly one dump,
 // carrying the failed recovery attempts, while traffic still completes
 // over the rescue path.
-func (r ObsDrillResult) Passed() bool {
-	return r.Echoed && r.Dumps == 1 && r.FirstReason == "retry_exhaustion" &&
-		r.RecoverySpans >= 1 && r.Degradations >= 1
+func (r ObsDrillResult) verdict() verdict {
+	return verdict{
+		fmt.Sprintf("obsdrill: %d rounds x %dB through a partition in %.2fs virtual",
+			r.Rounds, r.Chunk, float64(r.RunNs)/1e9),
+		[]check{
+			expect("exactly one flight-recorder dump, with the failed recoveries",
+				r.Dumps == 1 && r.FirstReason == "retry_exhaustion" && r.RecoverySpans >= 1,
+				"dumps=%d first=%q recovery spans in dump=%d", r.Dumps, r.FirstReason, r.RecoverySpans),
+			expect("traffic survives over the rescue path", r.Echoed && r.Degradations >= 1,
+				"degradations=%d echo complete=%v", r.Degradations, r.Echoed),
+		},
+	}
 }
 
-func (r ObsDrillResult) String() string {
-	verdict := "PASS"
-	if !r.Passed() {
-		verdict = "FAIL"
-	}
-	return fmt.Sprintf(
-		"obsdrill: %d rounds x %dB through a partition in %.2fs virtual\n"+
-			"  dumps=%d first=%q recovery spans in dump=%d\n"+
-			"  degradations=%d echo complete=%v\n  %s",
-		r.Rounds, r.Chunk, float64(r.RunNs)/1e9,
-		r.Dumps, r.FirstReason, r.RecoverySpans,
-		r.Degradations, r.Echoed, verdict)
-}
+// Passed reports whether the drill met the acceptance bar.
+func (r ObsDrillResult) Passed() bool   { return r.verdict().Passed() }
+func (r ObsDrillResult) String() string { return r.verdict().String() }
 
 // ObsRetryDrill partitions the RDMA link with a 4-attempt recovery
 // budget: the socket exhausts its retries, the recorder dumps once (the
@@ -237,13 +165,10 @@ func ObsRetryDrill(rounds, chunk int) ObsDrillResult {
 		panic("obsdrill: " + err.Error())
 	}
 
-	before := telemetry.Capture()
-	var mismatches int
-	chaosPair(w, 7650, rounds, chunk, 4, &res.Echoed, &mismatches)
+	tl := startTally()
+	o := chaosPair(w, 7650, rounds, chunk, 4)
 	res.RunNs = w.sim.Run()
-	if mismatches > 0 {
-		res.Echoed = false
-	}
+	res.Echoed = o.completed && o.mismatches == 0
 
 	res.Dumps = len(dumps)
 	if len(dumps) > 0 {
@@ -255,7 +180,8 @@ func ObsRetryDrill(rounds, chunk int) ObsDrillResult {
 			}
 		}
 	}
-	res.Degradations = telemetry.Capture().Diff(before)[telemetry.FaultDegradations]
+	d, _, _ := tl.end()
+	res.Degradations = d[telemetry.FaultDegradations]
 	obs.Reset() // restore cooldown and drop the sink
 	return res
 }

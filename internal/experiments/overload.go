@@ -143,53 +143,50 @@ type OverloadResult struct {
 	CtrInboxShed    int64 // sum of sd/monitor/shard/<i>/inbox_shed
 }
 
-// Passed reports whether the drill met the acceptance bar.
-func (r OverloadResult) Passed() bool {
-	return r.Hung == 0 &&
-		// Deadlines: exactly one ETIMEDOUT per stalled sender, and the
-		// stream still completes byte-exact afterwards.
-		r.Timeouts == r.SlowPairs && r.ExtraTimeouts == 0 &&
-		r.WouldBlocks > 0 && r.EpollRetries > 0 && r.SlowPrefixBad == 0 &&
-		// Healthy flows: untouched and fast.
-		r.HealthyDone == r.HealthyPairs && r.HealthyBad == 0 &&
-		// Shedding: refusals happened and every refused dial retried to
-		// success.
-		r.FloodSuccess == r.Dials && r.FloodRefused > 0 &&
-		r.RemoteSuccess == r.RemoteDials &&
-		// Memory admission: ENOBUFS observed, stream still delivered,
-		// no admitted-byte drift, no pooled-buffer leak.
-		r.QuotaRejected >= 1 && r.QuotaBad == 0 &&
-		r.QuotaDrift == 0 && r.PoolLeak == 0 &&
-		// Telemetry agrees with what the workers observed.
-		r.CtrTimeouts >= int64(r.Timeouts) &&
-		r.CtrEWouldBlock >= int64(r.WouldBlocks) &&
-		r.CtrConnRefused >= int64(r.FloodRefused) &&
-		r.CtrQuotaRejects >= int64(r.QuotaRejected)
+// verdict is the drill's acceptance bar.
+func (r OverloadResult) verdict() verdict {
+	return verdict{
+		fmt.Sprintf("overload: %d healthy + %d slow pairs, %d flood dials, %d remote dials in %.2fs virtual",
+			r.HealthyPairs, r.SlowPairs, r.Dials, r.RemoteDials, float64(r.RunNs)/1e9),
+		[]check{
+			expect("every worker reached its end state", r.Hung == 0, "hung=%d", r.Hung),
+			// Deadlines: exactly one ETIMEDOUT per stalled sender, and the
+			// stream still completes byte-exact afterwards.
+			oneTimeout(r.Timeouts, r.SlowPairs, r.ExtraTimeouts),
+			expect("O_NONBLOCK + EPOLLOUT finishes a stalled stream", r.WouldBlocks > 0 && r.EpollRetries > 0,
+				"%d EWOULDBLOCK, %d epoll retries", r.WouldBlocks, r.EpollRetries),
+			byteExact(r.SlowPrefixBad == 0, "slow streams: %d bytes exact, %d mismatched",
+				r.SlowDelivered, r.SlowPrefixBad),
+			// Healthy flows: untouched and fast.
+			expect("healthy flows untouched", r.HealthyDone == r.HealthyPairs && r.HealthyBad == 0,
+				"%d/%d done, %d bad, p99=%.1fus",
+				r.HealthyDone, r.HealthyPairs, r.HealthyBad, float64(r.HealthyP99Ns)/1e3),
+			// Shedding: refusals happened and every refused dial retried
+			// to success.
+			expect("flood: the backlog cap refuses, every dial retries to success",
+				r.FloodSuccess == r.Dials && r.FloodRefused > 0,
+				"%d/%d connected after %d refusals", r.FloodSuccess, r.Dials, r.FloodRefused),
+			expect("remote race: every dial retries to success", r.RemoteSuccess == r.RemoteDials,
+				"%d/%d after %d refusals (inbox shed=%d)",
+				r.RemoteSuccess, r.RemoteDials, r.RemoteRefused, r.CtrInboxShed),
+			// Memory admission: ENOBUFS observed, stream still delivered,
+			// no admitted-byte drift, no pooled-buffer leak.
+			expect("quota: ENOBUFS, then byte-exact after resubmission", r.QuotaRejected >= 1 && r.QuotaBad == 0,
+				"%d ENOBUFS, %d bytes exact, %d bad", r.QuotaRejected, r.QuotaDelivered, r.QuotaBad),
+			noDrift("quota", r.QuotaDrift),
+			noDrift("bufpool", r.PoolLeak),
+			// Telemetry agrees with what the workers observed.
+			atLeast(telemetry.CoreDeadlineTimeouts, r.CtrTimeouts, int64(r.Timeouts)),
+			atLeast(telemetry.CoreEWouldBlock, r.CtrEWouldBlock, int64(r.WouldBlocks)),
+			atLeast(telemetry.CoreConnRefused, r.CtrConnRefused, int64(r.FloodRefused)),
+			atLeast(telemetry.MemPoolQuotaRejects, r.CtrQuotaRejects, int64(r.QuotaRejected)),
+		},
+	}
 }
 
-func (r OverloadResult) String() string {
-	verdict := "PASS"
-	if !r.Passed() {
-		verdict = "FAIL"
-	}
-	return fmt.Sprintf(
-		"overload: %d healthy + %d slow pairs, %d flood dials, %d remote dials in %.2fs virtual\n"+
-			"  deadlines: %d/%d exactly-one ETIMEDOUT (extra=%d), %d EWOULDBLOCK, %d epoll retries\n"+
-			"  slow streams: %d bytes exact, %d mismatched; healthy: %d/%d done, %d bad, p99=%.1fus\n"+
-			"  flood: %d/%d connected after %d refusals; remote: %d/%d after %d refusals (inbox shed=%d)\n"+
-			"  quota: %d ENOBUFS, %d bytes exact, drift=%d, pool leak=%d, hung=%d\n"+
-			"  counters: timeouts=%d ewouldblock=%d refused=%d quota_rejects=%d\n"+
-			"  %s",
-		r.HealthyPairs, r.SlowPairs, r.Dials, r.RemoteDials, float64(r.RunNs)/1e9,
-		r.Timeouts, r.SlowPairs, r.ExtraTimeouts, r.WouldBlocks, r.EpollRetries,
-		r.SlowDelivered, r.SlowPrefixBad, r.HealthyDone, r.HealthyPairs, r.HealthyBad,
-		float64(r.HealthyP99Ns)/1e3,
-		r.FloodSuccess, r.Dials, r.FloodRefused,
-		r.RemoteSuccess, r.RemoteDials, r.RemoteRefused, r.CtrInboxShed,
-		r.QuotaRejected, r.QuotaDelivered, r.QuotaDrift, r.PoolLeak, r.Hung,
-		r.CtrTimeouts, r.CtrEWouldBlock, r.CtrConnRefused, r.CtrQuotaRejects,
-		verdict)
-}
+// Passed reports whether the drill met the acceptance bar.
+func (r OverloadResult) Passed() bool   { return r.verdict().Passed() }
+func (r OverloadResult) String() string { return r.verdict().String() }
 
 // Drill phase timing (virtual ns).
 const (
@@ -217,34 +214,38 @@ func Overload(cfg OverloadConfig) OverloadResult {
 	defer bufpool.SetQuotaBytes(oldQuota)
 	telemetry.Default.Reset()
 
-	w := newWorld()
-	poolBefore := bufpool.Outstanding()
-	before := telemetry.Capture()
+	o := &overloadRun{w: newWorld(), cfg: cfg, res: &res}
+	tl := startTally()
 	healthyDist := telemetry.D(overloadHealthyNs)
 
-	var hung int // decremented as workers finish
-	finish := func() { hung-- }
-
-	for i := 0; i < cfg.HealthyPairs; i++ {
-		hung += 2
-		overloadHealthyPair(w, 7600+uint16(i), cfg, &res, healthyDist, finish)
+	healthy := make([]*flowOutcome, cfg.HealthyPairs)
+	for i := range healthy {
+		healthy[i] = o.healthyPair(7600+uint16(i), healthyDist)
 	}
 	for i := 0; i < cfg.SlowPairs; i++ {
-		hung += 2
-		overloadSlowPair(w, 7650+uint16(i), cfg, &res, finish)
+		o.slowPair(7650 + uint16(i))
 	}
-	hung += 1 + cfg.Flooders
-	overloadFlood(w, 7700, cfg, &res, finish)
-	hung += 2
-	overloadRemote(w, 7701, cfg, &res, finish)
-	hung += 2
-	overloadQuota(w, 7702, cfg, &res, finish)
+	// Dial flood: the listener's monitor-side backlog is capped. Remote dial
+	// race: inter-host dials against a capped shard inbox as well, so
+	// refusals come from the router-level SYN shed or from pickListener.
+	flood := o.dialStorm("ovl-flood", 7700, o.w.ha, cfg.Dials, cfg.Flooders)
+	remote := o.dialStorm("ovl-rem", 7701, o.w.hb, cfg.RemoteDials, 1)
+	o.quota(7702)
 
-	res.RunNs = w.sim.Run()
+	res.RunNs = o.w.sim.Run()
 
-	res.Hung = hung
+	res.Hung = o.hung
+	for _, h := range healthy {
+		if h.completed && h.mismatches == 0 {
+			res.HealthyDone++
+		}
+		res.HealthyBad += h.opErrors + min(h.mismatches, 1)
+	}
 	res.HealthyP99Ns = healthyDist.Quantile(0.99)
-	d := telemetry.Capture().Diff(before)
+	res.FloodSuccess, res.FloodRefused = flood.connected, flood.refused
+	res.RemoteSuccess, res.RemoteRefused = remote.connected, remote.refused
+	var d telemetry.Snapshot
+	d, res.PoolLeak, _ = tl.end()
 	res.CtrTimeouts = d[telemetry.CoreDeadlineTimeouts]
 	res.CtrEWouldBlock = d[telemetry.CoreEWouldBlock]
 	res.CtrConnRefused = d[telemetry.CoreConnRefused]
@@ -253,114 +254,92 @@ func Overload(cfg OverloadConfig) OverloadResult {
 		res.CtrInboxShed += d[telemetry.MonShardInboxShed(i)]
 	}
 	res.QuotaDrift = bufpool.AdmittedBytes()
-	res.PoolLeak = bufpool.Outstanding() - poolBefore
 	return res
 }
 
-// overloadHealthyPair streams Rounds*Chunk bytes with a receiver that
-// keeps up; each send's latency lands in dist.
-func overloadHealthyPair(w *world, port uint16, cfg OverloadConfig,
-	res *OverloadResult, dist *telemetry.Distribution, finish func()) {
+// overloadRun is the state the drill's storms share.
+type overloadRun struct {
+	w    *world
+	cfg  OverloadConfig
+	res  *OverloadResult
+	hung int // workers started and not yet returned
+}
 
-	total := cfg.Rounds * cfg.Chunk
-	payload := make([]byte, total)
-	seedTx := uint64(port)*0x9E3779B97F4A7C15 + 3
-	xorshiftFill(payload, &seedTx)
-
-	sp := w.ha.NewProcess(fmt.Sprintf("ovl-hsrv%d", port), 0)
-	cp := w.ha.NewProcess(fmt.Sprintf("ovl-hcli%d", port), 0)
-	sp.Go("srv", func(t *sd.T) {
-		defer finish()
-		ln, err := t.Listen(port)
-		if err != nil {
-			return
-		}
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		got := make([]byte, total)
-		rd := 0
-		for rd < total {
-			n, err := c.Recv(got[rd:])
-			rd += n
-			if err != nil {
-				res.HealthyBad++
-				return
-			}
-		}
-		for i := range got {
-			if got[i] != payload[i] {
-				res.HealthyBad++
-				return
-			}
-		}
-		res.HealthyDone++
+// worker runs fn as a thread of p; Hung reports the workers that never
+// return.
+func (o *overloadRun) worker(p *sd.Process, name string, fn func(t *sd.T)) {
+	o.hung++
+	p.Go(name, func(t *sd.T) {
+		defer func() { o.hung-- }()
+		fn(t)
 	})
-	cp.Go("cli", func(t *sd.T) {
-		defer finish()
-		c, err := overloadDial(t, "hostA", port)
+}
+
+// overloadDial dials with refusal-aware retry: under the drill's global
+// backlog cap, even well-behaved pairs can have their one dial land while
+// another storm transiently fills a shard, so everyone retries refusals.
+func overloadDial(t *sd.T, host string, port uint16) (*sd.Conn, error) {
+	var st dialStats
+	return st.connect(t, host, port, 400, overloadBackoff)
+}
+
+// healthyPair streams Rounds*Chunk bytes to a receiver that keeps up; each
+// send's latency lands in dist.
+func (o *overloadRun) healthyPair(port uint16, dist *telemetry.Distribution) *flowOutcome {
+	cfg := o.cfg
+	seed := seedFor(port, 3)
+	out := &flowOutcome{verifier: verifier{state: seed}}
+	pr := newPair(o.w.ha, o.w.ha, "ovl-h", port)
+	o.worker(pr.srv, "srv", func(t *sd.T) {
+		out.recvStream(t, port, cfg.Chunk, int64(cfg.Rounds*cfg.Chunk), false)
+	})
+	o.worker(pr.cli, "cli", func(t *sd.T) {
+		c, err := overloadDial(t, pr.dst, port)
 		if err != nil {
-			res.HealthyBad++
+			out.opErrors++
 			return
 		}
-		for off := 0; off < total; off += cfg.Chunk {
+		buf, state := make([]byte, cfg.Chunk), seed
+		for i := 0; i < cfg.Rounds; i++ {
+			xorshiftFill(buf, &state)
 			s0 := t.Now()
-			if _, err := c.Send(payload[off : off+cfg.Chunk]); err != nil {
-				res.HealthyBad++
+			if _, err := c.Send(buf); err != nil {
+				out.opErrors++
 				return
 			}
 			dist.Observe(t.Now() - s0)
 			t.Sleep(5_000) // pace: the receiver keeps up, the ring stays shallow
 		}
 	})
+	return out
 }
 
-// overloadSlowPair: the receiver stalls after accepting; the sender arms
-// a deadline, absorbs exactly one ETIMEDOUT against the full ring, then
+// slowPair: the receiver stalls after accepting; the sender arms a
+// deadline, absorbs exactly one ETIMEDOUT against the full ring, then
 // finishes the stream in O_NONBLOCK mode via epoll EPOLLOUT.
-func overloadSlowPair(w *world, port uint16, cfg OverloadConfig,
-	res *OverloadResult, finish func()) {
-
+func (o *overloadRun) slowPair(port uint16) {
+	cfg, res := o.cfg, o.res
 	total := cfg.Rounds * cfg.Chunk
-	payload := make([]byte, total)
-	seedTx := uint64(port)*0x9E3779B97F4A7C15 + 5
-	xorshiftFill(payload, &seedTx)
+	seed := seedFor(port, 5)
+	payload, state := make([]byte, total), seed
+	xorshiftFill(payload, &state)
 
-	sp := w.ha.NewProcess(fmt.Sprintf("ovl-ssrv%d", port), 0)
-	cp := w.ha.NewProcess(fmt.Sprintf("ovl-scli%d", port), 0)
-	sp.Go("srv", func(t *sd.T) {
-		defer finish()
-		ln, err := t.Listen(port)
-		if err != nil {
-			return
-		}
-		c, err := ln.Accept()
+	pr := newPair(o.w.ha, o.w.ha, "ovl-s", port)
+	o.worker(pr.srv, "srv", func(t *sd.T) {
+		c, err := accept1(t, port)
 		if err != nil {
 			return
 		}
 		t.Sleep(overloadStall) // the stall that fills the sender's ring
-		got := make([]byte, total)
-		rd := 0
-		for rd < total {
-			n, err := c.Recv(got[rd:])
-			rd += n
-			if err != nil {
-				res.SlowPrefixBad++
-				return
-			}
-		}
-		for i := range got {
-			if got[i] != payload[i] {
-				res.SlowPrefixBad++
-				return
-			}
+		v := verifier{state: seed}
+		if err := v.drain(c, make([]byte, cfg.Chunk), int64(total)); err != nil || v.mismatches > 0 {
+			res.SlowPrefixBad++
+			return
 		}
 		res.SlowDelivered += int64(total)
 	})
-	cp.Go("cli", func(t *sd.T) {
-		defer finish()
-		c, err := overloadDial(t, "hostA", port)
+	o.worker(pr.cli, "cli", func(t *sd.T) {
+		c, err := overloadDial(t, pr.dst, port)
 		if err != nil {
 			res.SlowPrefixBad++
 			return
@@ -424,177 +403,61 @@ func overloadSlowPair(w *world, port uint16, cfg OverloadConfig,
 	})
 }
 
-// overloadDial dials with refusal-aware retry: under the drill's global
-// backlog cap, even well-behaved pairs can have their one dial land while
-// another storm transiently fills a shard, so everyone retries refusals.
-func overloadDial(t *sd.T, host string, port uint16) (*sd.Conn, error) {
-	for tries := 0; ; tries++ {
-		c, err := t.Dial(host, port)
-		if err == nil {
-			return c, nil
-		}
-		retryable := errors.Is(err, sd.ECONNREFUSED) || errors.Is(err, sd.ErrNoListener)
-		if !retryable || tries >= 400 {
-			return nil, err
-		}
-		t.Sleep(overloadBackoff)
-	}
-}
-
-// overloadFlood: cfg.Dials dials from cfg.Flooders processes against one
-// listener whose monitor-side backlog is capped; the accepter drains
-// slowly so the cap genuinely refuses. Every refusal must be retryable
-// to success.
-func overloadFlood(w *world, port uint16, cfg OverloadConfig,
-	res *OverloadResult, finish func()) {
-
-	acc := w.ha.NewProcess("ovl-flood-srv", 0)
-	acc.Go("acceptor", func(t *sd.T) {
-		defer finish()
-		ln, err := t.Listen(port)
-		if err != nil {
-			return
-		}
-		for k := 0; k < cfg.Dials; k++ {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
+// dialStorm: `dials` dials, split over `dialers` processes on host from,
+// against one listener on hostA:port. The acceptor drains slowly so the
+// caps genuinely refuse; every refusal must be retryable to success.
+func (o *overloadRun) dialStorm(tag string, port uint16, from *sd.Host, dials, dialers int) *dialStats {
+	st := &dialStats{}
+	o.worker(o.w.ha.NewProcess(tag+"-srv", 0), "acceptor", func(t *sd.T) {
+		acceptLoop(t, port, dials, func(c *sd.Conn) {
 			c.Close()
 			t.Sleep(overloadFloodPace)
-		}
+		})
 	})
-	per := (cfg.Dials + cfg.Flooders - 1) / cfg.Flooders
-	remaining := cfg.Dials
-	for f := 0; f < cfg.Flooders; f++ {
-		share := per
-		if share > remaining {
-			share = remaining
-		}
-		remaining -= share
-		if share == 0 {
-			finish()
-			continue
-		}
-		fp := w.ha.NewProcess(fmt.Sprintf("ovl-flood-cli%d", f), 0)
-		fp.Go("dialer", func(t *sd.T) {
-			defer finish()
+	per := (dials + dialers - 1) / dialers
+	for f, left := 0, dials; left > 0; f++ {
+		share := min(per, left)
+		left -= share
+		o.worker(from.NewProcess(fmt.Sprintf("%s-cli%d", tag, f), 0), "dialer", func(t *sd.T) {
 			t.Sleep(10_000)
 			for k := 0; k < share; k++ {
-				for tries := 0; ; tries++ {
-					c, err := t.Dial("hostA", port)
-					if err == nil {
-						res.FloodSuccess++
-						c.Close()
-						break
-					}
-					if errors.Is(err, sd.ECONNREFUSED) {
-						res.FloodRefused++
-					} else if !errors.Is(err, sd.ErrNoListener) {
-						return // unexpected errno: leave the dial unsuccessful
-					}
-					if tries >= 2000 {
-						return
-					}
-					t.Sleep(overloadBackoff)
+				c, err := st.connect(t, "hostA", port, 2000, overloadBackoff)
+				if err != nil {
+					return // not a refusal, or out of retries: the dial stays unsuccessful
 				}
+				c.Close()
 			}
 		})
 	}
+	return st
 }
 
-// overloadRemote: inter-host dials against a capped shard inbox and a
-// capped backlog. Refusals come back as retryable ECONNREFUSED either
-// from the router-level SYN shed or from pickListener.
-func overloadRemote(w *world, port uint16, cfg OverloadConfig,
-	res *OverloadResult, finish func()) {
-
-	acc := w.ha.NewProcess("ovl-rem-srv", 0)
-	acc.Go("acceptor", func(t *sd.T) {
-		defer finish()
-		ln, err := t.Listen(port)
-		if err != nil {
-			return
-		}
-		for k := 0; k < cfg.RemoteDials; k++ {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			c.Close()
-			t.Sleep(overloadFloodPace)
-		}
-	})
-	cp := w.hb.NewProcess("ovl-rem-cli", 0)
-	cp.Go("dialer", func(t *sd.T) {
-		defer finish()
-		t.Sleep(10_000)
-		for k := 0; k < cfg.RemoteDials; k++ {
-			for tries := 0; ; tries++ {
-				c, err := t.Dial("hostA", port)
-				if err == nil {
-					res.RemoteSuccess++
-					c.Close()
-					break
-				}
-				if errors.Is(err, sd.ECONNREFUSED) {
-					res.RemoteRefused++
-				} else if !errors.Is(err, sd.ErrNoListener) {
-					return
-				}
-				if tries >= 2000 {
-					return
-				}
-				t.Sleep(overloadBackoff)
-			}
-		}
-	})
-}
-
-// overloadQuota: the sender's first staging attempt exceeds the bufpool
-// byte quota (ENOBUFS), then resubmits in under-quota slices and the
-// receiver verifies the full stream byte-exact.
-func overloadQuota(w *world, port uint16, cfg OverloadConfig,
-	res *OverloadResult, finish func()) {
-
-	slice := int(cfg.QuotaBytes)
+// quota: the sender's first staging attempt exceeds the bufpool byte quota
+// (ENOBUFS), then resubmits in under-quota slices and the receiver
+// verifies the full stream byte-exact.
+func (o *overloadRun) quota(port uint16) {
+	res := o.res
+	slice := int(o.cfg.QuotaBytes)
 	total := 4 * slice
-	payload := make([]byte, total)
-	seedTx := uint64(port)*0x9E3779B97F4A7C15 + 9
-	xorshiftFill(payload, &seedTx)
+	seed := seedFor(port, 9)
+	payload, state := make([]byte, total), seed
+	xorshiftFill(payload, &state)
 
-	sp := w.ha.NewProcess("ovl-quota-srv", 0)
-	cp := w.ha.NewProcess("ovl-quota-cli", 0)
-	sp.Go("srv", func(t *sd.T) {
-		defer finish()
-		ln, err := t.Listen(port)
+	sp := o.w.ha.NewProcess("ovl-quota-srv", 0)
+	cp := o.w.ha.NewProcess("ovl-quota-cli", 0)
+	o.worker(sp, "srv", func(t *sd.T) {
+		c, err := accept1(t, port)
 		if err != nil {
 			return
 		}
-		c, err := ln.Accept()
-		if err != nil {
+		v := verifier{state: seed}
+		if err := v.drain(c, make([]byte, slice), int64(total)); err != nil || v.mismatches > 0 {
+			res.QuotaBad++
 			return
-		}
-		got := make([]byte, total)
-		rd := 0
-		for rd < total {
-			n, err := c.Recv(got[rd:])
-			rd += n
-			if err != nil {
-				res.QuotaBad++
-				return
-			}
-		}
-		for i := range got {
-			if got[i] != payload[i] {
-				res.QuotaBad++
-				return
-			}
 		}
 		res.QuotaDelivered += int64(total)
 	})
-	cp.Go("cli", func(t *sd.T) {
-		defer finish()
+	o.worker(cp, "cli", func(t *sd.T) {
 		c, err := overloadDial(t, "hostA", port)
 		if err != nil {
 			res.QuotaBad++

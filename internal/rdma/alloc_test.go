@@ -46,7 +46,7 @@ func TestQPSteadyStateAllocs(t *testing.T) {
 			break
 		}
 	}
-	if avg != 0 {
+	if avg != 0 && !raceEnabled {
 		t.Fatalf("RDMA 1KiB write path allocates %.2f per op, want 0", avg)
 	}
 }

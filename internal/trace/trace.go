@@ -1,205 +1,14 @@
-// Package trace provides the measurement plumbing for the benchmark
-// harness: log-bucketed latency histograms with percentile extraction,
-// throughput accumulators, and simple fixed-width table/series renderers
-// used by cmd/sdbench to print paper-style output.
+// Package trace renders the evaluation's output (§5): unit formatters
+// and the fixed-width table and figure-series renderers cmd/sdbench uses
+// to print paper-style results. Latency distributions live in
+// internal/telemetry.
 package trace
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"sort"
 	"strings"
 )
-
-// HistSampleCap bounds the exact-sample buffer; samples beyond it land in
-// log-scale buckets (16 sub-buckets per octave, <5.9% relative width), so
-// memory stays O(1) however long a run is.
-const HistSampleCap = 4096
-
-const histBuckets = 960
-
-// Histogram records latency samples in nanoseconds. It keeps exact samples
-// up to a cap and falls back to log-scale buckets beyond it, which is
-// plenty for percentile reporting.
-type Histogram struct {
-	samples []int64
-	sorted  bool
-
-	// Overflow state, populated only past HistSampleCap. Count, sum, min
-	// and max of overflow samples are tracked exactly; only per-sample
-	// values are quantized.
-	buckets    []int64
-	bCount     int64
-	bSum       int64
-	bMin, bMax int64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
-
-// Record adds one sample.
-func (h *Histogram) Record(ns int64) {
-	if len(h.samples) < HistSampleCap {
-		h.samples = append(h.samples, ns)
-		h.sorted = false
-		return
-	}
-	if h.buckets == nil {
-		h.buckets = make([]int64, histBuckets)
-	}
-	h.buckets[histBucketOf(ns)]++
-	if h.bCount == 0 || ns < h.bMin {
-		h.bMin = ns
-	}
-	if h.bCount == 0 || ns > h.bMax {
-		h.bMax = ns
-	}
-	h.bCount++
-	h.bSum += ns
-}
-
-// histBucketOf maps a value to its log bucket: exact below 16, then 16
-// sub-buckets per power of two.
-func histBucketOf(v int64) int {
-	if v < 0 {
-		v = 0
-	}
-	if v < 16 {
-		return int(v)
-	}
-	exp := uint(bits.Len64(uint64(v)) - 5)
-	return int(exp)*16 + int(v>>exp)
-}
-
-// histBucketMid returns a representative (midpoint) value for a bucket.
-// Buckets below 32 are exact.
-func histBucketMid(idx int) int64 {
-	if idx < 32 {
-		return int64(idx)
-	}
-	exp := uint(idx/16 - 1)
-	lo := int64(idx%16+16) << exp
-	return lo + (int64(1)<<exp)/2
-}
-
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() int { return len(h.samples) + int(h.bCount) }
-
-func (h *Histogram) sort() {
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
-}
-
-// clampOverflow keeps bucket-midpoint estimates inside the exactly-tracked
-// overflow range, so Percentile never strays outside [Min, Max].
-func (h *Histogram) clampOverflow(v int64) int64 {
-	if v < h.bMin {
-		return h.bMin
-	}
-	if v > h.bMax {
-		return h.bMax
-	}
-	return v
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100) in nanoseconds.
-// Below the cap it is exact; past it, overflow samples contribute bucket
-// midpoints merged in value order with the exact samples.
-func (h *Histogram) Percentile(p float64) int64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	h.sort()
-	idx := int(math.Ceil(p/100*float64(total))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= total {
-		idx = total - 1
-	}
-	remaining := idx + 1 // values still to consume, ascending
-	si, bi := 0, 0
-	for {
-		for bi < len(h.buckets) && h.buckets[bi] == 0 {
-			bi++
-		}
-		hasB := bi < len(h.buckets)
-		var bv int64
-		if hasB {
-			bv = h.clampOverflow(histBucketMid(bi))
-		}
-		if si < len(h.samples) && (!hasB || h.samples[si] <= bv) {
-			if remaining == 1 {
-				return h.samples[si]
-			}
-			remaining--
-			si++
-			continue
-		}
-		if !hasB {
-			return h.Max() // exhausted; only reachable on rounding slack
-		}
-		if int64(remaining) <= h.buckets[bi] {
-			return bv
-		}
-		remaining -= int(h.buckets[bi])
-		bi++
-	}
-}
-
-// Mean returns the arithmetic mean in nanoseconds (exact: overflow sums
-// are tracked outside the buckets).
-func (h *Histogram) Mean() float64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	sum := h.bSum
-	for _, s := range h.samples {
-		sum += s
-	}
-	return float64(sum) / float64(total)
-}
-
-// Min and Max return the exact extremes (overflow min/max are tracked
-// outside the buckets).
-func (h *Histogram) Min() int64 {
-	if h.Count() == 0 {
-		return 0
-	}
-	if len(h.samples) == 0 {
-		return h.bMin
-	}
-	h.sort()
-	if h.bCount > 0 && h.bMin < h.samples[0] {
-		return h.bMin
-	}
-	return h.samples[0]
-}
-
-func (h *Histogram) Max() int64 {
-	if h.Count() == 0 {
-		return 0
-	}
-	if len(h.samples) == 0 {
-		return h.bMax
-	}
-	h.sort()
-	if h.bCount > 0 && h.bMax > h.samples[len(h.samples)-1] {
-		return h.bMax
-	}
-	return h.samples[len(h.samples)-1]
-}
-
-// Summary formats mean with 1%/99% percentiles, the paper's latency style.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("mean=%s p1=%s p99=%s",
-		Nanos(int64(h.Mean())), Nanos(h.Percentile(1)), Nanos(h.Percentile(99)))
-}
 
 // Nanos renders a nanosecond quantity with an adaptive unit.
 func Nanos(ns int64) string {

@@ -1,147 +1,9 @@
 package trace
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestHistogramPercentiles(t *testing.T) {
-	h := NewHistogram()
-	for i := 1; i <= 100; i++ {
-		h.Record(int64(i * 10))
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count %d", h.Count())
-	}
-	if got := h.Percentile(50); got < 490 || got > 510 {
-		t.Errorf("p50 = %d", got)
-	}
-	if got := h.Percentile(99); got != 990 {
-		t.Errorf("p99 = %d", got)
-	}
-	if h.Min() != 10 || h.Max() != 1000 {
-		t.Errorf("min/max = %d/%d", h.Min(), h.Max())
-	}
-	if m := h.Mean(); m < 500 || m > 510 {
-		t.Errorf("mean = %f", m)
-	}
-	if !strings.Contains(h.Summary(), "p99") {
-		t.Error("summary misses p99")
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram()
-	if h.Percentile(99) != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
-		t.Fatal("empty histogram returned nonzero")
-	}
-}
-
-// Percentiles are order-invariant and bounded by min/max.
-func TestHistogramQuick(t *testing.T) {
-	check := func(vals []int64) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		h := NewHistogram()
-		for _, v := range vals {
-			if v < 0 {
-				v = -v
-			}
-			h.Record(v)
-		}
-		p50 := h.Percentile(50)
-		return h.Min() <= p50 && p50 <= h.Max() &&
-			h.Percentile(1) <= h.Percentile(99)
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramSingleSample(t *testing.T) {
-	h := NewHistogram()
-	h.Record(777)
-	if h.Count() != 1 {
-		t.Fatalf("count %d", h.Count())
-	}
-	for _, p := range []float64{1, 50, 99, 100} {
-		if got := h.Percentile(p); got != 777 {
-			t.Errorf("p%.0f = %d, want 777", p, got)
-		}
-	}
-	if h.Min() != 777 || h.Max() != 777 || h.Mean() != 777 {
-		t.Errorf("min/max/mean = %d/%d/%f", h.Min(), h.Max(), h.Mean())
-	}
-}
-
-func TestHistogramExtremePercentiles(t *testing.T) {
-	h := NewHistogram()
-	for i := 1; i <= 1000; i++ {
-		h.Record(int64(i))
-	}
-	if got := h.Percentile(1); got != 10 {
-		t.Errorf("p1 = %d, want 10", got)
-	}
-	if got := h.Percentile(100); got != 1000 {
-		t.Errorf("p100 = %d, want 1000", got)
-	}
-}
-
-// Past the sample cap the histogram switches to log buckets; count, sum,
-// min and max stay exact and percentiles stay within the bucket's relative
-// error (16 sub-buckets per octave: <= ~6.25% of the value, plus one for
-// midpoint rounding).
-func TestHistogramCapOverflow(t *testing.T) {
-	h := NewHistogram()
-	n := 4 * HistSampleCap
-	for i := 1; i <= n; i++ {
-		h.Record(int64(i))
-	}
-	if h.Count() != n {
-		t.Fatalf("count %d, want %d", h.Count(), n)
-	}
-	if h.Min() != 1 || h.Max() != int64(n) {
-		t.Errorf("min/max = %d/%d, want 1/%d", h.Min(), h.Max(), n)
-	}
-	wantMean := float64(n+1) / 2
-	if m := h.Mean(); m != wantMean {
-		t.Errorf("mean = %f, want %f (must be exact)", m, wantMean)
-	}
-	for _, p := range []float64{1, 25, 50, 75, 99, 100} {
-		got := h.Percentile(p)
-		want := float64(p) / 100 * float64(n)
-		tol := want*0.0625 + 1
-		if math.Abs(float64(got)-want) > tol {
-			t.Errorf("p%.0f = %d, want %.0f +- %.0f", p, got, want, tol)
-		}
-		if got < h.Min() || got > h.Max() {
-			t.Errorf("p%.0f = %d outside [min=%d, max=%d]", p, got, h.Min(), h.Max())
-		}
-	}
-}
-
-// Overflow extremes beyond any exact sample must surface through Min/Max
-// and bound Percentile even when buckets would round past them.
-func TestHistogramOverflowExtremes(t *testing.T) {
-	h := NewHistogram()
-	for i := 0; i < HistSampleCap; i++ {
-		h.Record(500)
-	}
-	h.Record(3)           // overflow low
-	h.Record(1_000_000_7) // overflow high, mid-bucket
-	if h.Min() != 3 {
-		t.Errorf("min = %d, want 3", h.Min())
-	}
-	if h.Max() != 1_000_000_7 {
-		t.Errorf("max = %d, want 10000007", h.Max())
-	}
-	if got := h.Percentile(100); got > h.Max() || got < h.Min() {
-		t.Errorf("p100 = %d outside [%d, %d]", got, h.Min(), h.Max())
-	}
-}
 
 func TestUnitRendering(t *testing.T) {
 	cases := map[int64]string{
