@@ -319,31 +319,36 @@ func (l *Libsd) sendCtl(ctx exec.Context, m *ctlmsg.Msg) {
 
 // pollCtl drains every shard's monitor->process queue, dispatching each
 // message. It is safe from any thread (control plane is mutex-protected).
+// Every blocking wait polls it, nearly always finding nothing, so one hold
+// of ctlMu covers all the empty shards up to the next message.
 func (l *Libsd) pollCtl(ctx exec.Context) bool {
 	progress := false
-	for s := range l.ctl {
-		for {
-			l.ctlMu.Lock()
-			msg, ok := l.ctl[s].RX.TryRecv()
-			var m ctlmsg.Msg
-			if ok {
-				m, ok = ctlmsg.Unmarshal(msg.Payload)
-			}
-			l.ctlMu.Unlock()
-			if !ok {
-				break
-			}
-			progress = true
-			now := l.H.Clk.Now()
-			l.lastCtlRecv[s].Store(now)
-			if m.Epoch != 0 && !l.noteMonEpoch(m.Epoch) {
-				continue // a dead incarnation's leftover: drop it
-			}
-			// Queue hop: monitor enqueue (m.TS) to this process's dequeue.
-			m.SpanID = obs.RecordHop(l.H.Name, int64(l.P.PID), obs.HopProcRing,
-				uint8(m.Kind), m.TraceID, m.SpanID, m.TS, now)
-			l.handleCtl(ctx, &m)
+	for s := 0; s < len(l.ctl); {
+		l.ctlMu.Lock()
+		msg, ok := l.ctl[s].RX.TryRecv()
+		for !ok && s+1 < len(l.ctl) {
+			s++
+			msg, ok = l.ctl[s].RX.TryRecv()
 		}
+		var m ctlmsg.Msg
+		if ok {
+			m, ok = ctlmsg.Unmarshal(msg.Payload)
+		}
+		l.ctlMu.Unlock()
+		if !ok {
+			s++ // the last shard is empty, or this one held garbage
+			continue
+		}
+		progress = true
+		now := l.H.Clk.Now()
+		l.lastCtlRecv[s].Store(now)
+		if m.Epoch != 0 && !l.noteMonEpoch(m.Epoch) {
+			continue // a dead incarnation's leftover: drop it
+		}
+		// Queue hop: monitor enqueue (m.TS) to this process's dequeue.
+		m.SpanID = obs.RecordHop(l.H.Name, int64(l.P.PID), obs.HopProcRing,
+			uint8(m.Kind), m.TraceID, m.SpanID, m.TS, now)
+		l.handleCtl(ctx, &m)
 	}
 	return progress
 }

@@ -1,12 +1,10 @@
 package exec
 
-import "time"
-
-// Clock is a runtime-global time/timer facility that is safe to use from
-// any context: simulated threads, timer callbacks, or (in Real mode) plain
-// goroutines. Hardware-ish subsystems (the fabric, NIC retransmission
-// timers) capture a Clock at construction instead of borrowing a thread's
-// Context.
+// Clock is the simulator's time/timer facility, usable from a simulated
+// thread or a timer callback alike. Hardware-ish subsystems (the fabric,
+// NIC retransmission timers, the fault injector) capture a Clock at
+// construction instead of borrowing a thread's Context; it is all of the
+// Sim they can reach, so they cannot spawn or block.
 type Clock interface {
 	// Now returns the current time in ns: the acting thread's local
 	// virtual time when called from a thread, the global clock otherwise.
@@ -28,19 +26,4 @@ func (c simClock) After(d int64, fn func()) {
 		d = 0
 	}
 	c.s.push(event{at: c.s.curTime() + d, fn: fn})
-}
-
-type realClock struct{ r *Real }
-
-// Clock returns the wall-clock timer facility.
-func (r *Real) Clock() Clock { return realClock{r} }
-
-func (c realClock) Now() int64 { return time.Since(c.r.base).Nanoseconds() }
-
-func (c realClock) After(d int64, fn func()) {
-	if d < int64(200*time.Microsecond) {
-		fn() // sub-timer-resolution: run inline (see real.go)
-		return
-	}
-	time.AfterFunc(time.Duration(d), fn)
 }

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"iter"
+	"sync"
 )
 
 // SimConfig tunes the discrete-event scheduler.
@@ -22,6 +24,11 @@ const DefaultYieldCost = 20
 // thread executes at any instant; virtual time advances only through
 // Charge, Sleep, Yield and After. Runs with the same spawn order and
 // charges are bit-for-bit reproducible.
+//
+// A Sim is confined to the goroutine that calls Run: every thread body and
+// timer callback executes inside that call, on a coroutine Run switches to
+// and back from, so nothing in a Sim is locked. Two Sims share nothing but
+// the free list of idle carriers and may run on two goroutines at once.
 type Sim struct {
 	cfg      SimConfig
 	now      int64
@@ -30,9 +37,12 @@ type Sim struct {
 	cores    map[CoreID]*simCore
 	autoCore CoreID
 	running  *simThread
-	stopped  chan struct{}
 	killed   bool
+	// threads holds the unfinished threads in spawn order, which is the
+	// order Run tears down those still parked at the end. spawn drops the
+	// finished ones once they outnumber the rest.
 	threads  []*simThread
+	finished int
 }
 
 type simCore struct{ busyUntil int64 }
@@ -47,12 +57,12 @@ const (
 type simThread struct {
 	sim     *Sim
 	name    string
-	core    CoreID
+	core    *simCore
 	vt      int64
 	state   int
 	permit  bool
-	resume  chan struct{}
-	doneCh  chan struct{}
+	fn      func(Context) // the body, until it starts
+	co      *carrier      // what the body runs on, from its first resume to its end
 	joiners []*simThread
 }
 
@@ -148,7 +158,6 @@ func NewSim(cfg SimConfig) *Sim {
 		cfg:      cfg,
 		cores:    make(map[CoreID]*simCore),
 		autoCore: 1 << 20,
-		stopped:  make(chan struct{}),
 	}
 }
 
@@ -187,53 +196,143 @@ func (s *Sim) SpawnOn(core CoreID, name string, fn func(Context)) Thread {
 
 func (s *Sim) spawn(core CoreID, name string, fn func(Context)) Thread {
 	t := &simThread{
-		sim:    s,
-		name:   name,
-		core:   core,
-		vt:     s.curTime(),
-		state:  stReady,
-		resume: make(chan struct{}),
-		doneCh: make(chan struct{}),
+		sim:   s,
+		name:  name,
+		core:  s.core(core),
+		vt:    s.curTime(),
+		state: stReady,
+		fn:    fn,
 	}
-	s.core(core)
+	if s.finished > len(s.threads)/2 {
+		live := s.threads[:0]
+		for _, u := range s.threads {
+			if u.state != stDone {
+				live = append(live, u)
+			}
+		}
+		clear(s.threads[len(live):])
+		s.threads, s.finished = live, 0
+	}
 	s.threads = append(s.threads, t)
 	s.push(event{at: t.vt, th: t})
-	go t.run(fn)
 	return t
 }
 
-func (t *simThread) run(fn func(Context)) {
+// A carrier is a coroutine that runs thread bodies one after another: Run
+// switches to it with next, and the body switches back with yield whenever
+// the thread stops (iter.Pull's coroswitch: a direct hand-off between the
+// two goroutines that never touches the run queue). Between bodies the
+// carrier sits in yield with nothing on it.
+type carrier struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	t     *simThread // the body to run at the next switch from idle
+}
+
+// idleCarriers is the process-wide free list of carriers between bodies. It
+// is shared across Sims because every repetition, drill and test builds a
+// Sim of its own, and a thread on a fresh iter.Pull costs 15 allocations
+// where one on a reused carrier costs 2. An idle carrier is a parked goroutine with an empty frame: the
+// list holds no simulation state, so two Sims sharing it cannot see each
+// other through it (unlike the registries of ROADMAP item 6(d)).
+var idleCarriers struct {
+	sync.Mutex
+	list []*carrier
+}
+
+// maxIdleCarriers bounds the free list; a carrier that finishes a body
+// while the list is full is ended instead. The largest drill (the 8-host
+// cluster soak) peaks at 89 live threads.
+const maxIdleCarriers = 256
+
+func getCarrier() *carrier {
+	idleCarriers.Lock()
+	if n := len(idleCarriers.list); n > 0 {
+		c := idleCarriers.list[n-1]
+		idleCarriers.list[n-1] = nil
+		idleCarriers.list = idleCarriers.list[:n-1]
+		idleCarriers.Unlock()
+		return c
+	}
+	idleCarriers.Unlock()
+	c := &carrier{}
+	c.next, c.stop = iter.Pull(c.loop)
+	return c
+}
+
+func putCarrier(c *carrier) {
+	idleCarriers.Lock()
+	full := len(idleCarriers.list) >= maxIdleCarriers
+	if !full {
+		idleCarriers.list = append(idleCarriers.list, c)
+	}
+	idleCarriers.Unlock()
+	if full {
+		c.stop() // yield returns false and the carrier's goroutine ends
+	}
+}
+
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.run(c.t)
+		c.t = nil
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes one thread body. The unwind of a thread torn down at the end
+// of Run stops here, so the carrier outlives it. Any other panic, and
+// runtime.Goexit (t.FailNow in a thread body), end the carrier: iter.Pull
+// re-raises them from next, on the goroutine that called Run.
+func (c *carrier) run(t *simThread) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(simKilled); ok {
-				t.state = stDone
-				close(t.doneCh)
-				return
+			if _, ok := r.(simKilled); !ok {
+				panic(r)
 			}
-			panic(r)
+			t.state = stDone
 		}
 	}()
-	<-t.resume
-	if t.sim.killed {
-		panic(simKilled{})
-	}
+	fn := t.fn
+	t.fn = nil
 	fn(simCtx{t})
 	t.state = stDone
-	close(t.doneCh)
 	for _, j := range t.joiners {
 		t.sim.wake(j, t.vt)
 	}
 	t.joiners = nil
-	t.sim.stopped <- struct{}{}
 }
 
-// stop hands control back to the scheduler and blocks until resumed.
+// stop hands control back to Run and blocks until resumed.
 func (t *simThread) stop(state int) {
 	t.state = state
-	t.sim.stopped <- struct{}{}
-	<-t.resume
+	t.co.yield(struct{}{})
 	if t.sim.killed {
 		panic(simKilled{})
+	}
+}
+
+// resume switches to t and returns when it stops or finishes. A thread
+// gets its carrier here, at its first resume, and gives it back when its
+// body has returned.
+func (s *Sim) resume(t *simThread) {
+	c := t.co
+	if c == nil {
+		c = getCarrier()
+		c.t, t.co = t, c
+	}
+	t.state = stRunning
+	s.running = t
+	c.next()
+	s.running = nil
+	if t.state == stDone {
+		t.co = nil
+		s.finished++
+		putCarrier(c)
 	}
 }
 
@@ -251,8 +350,10 @@ func (s *Sim) wake(t *simThread, at int64) {
 }
 
 // Run executes the simulation until no events remain, then tears down any
-// threads that are still parked. It returns the final virtual time.
+// threads that are still parked. It returns the final virtual time. A panic
+// in a thread body or timer callback surfaces here with its original value.
 func (s *Sim) Run() int64 {
+	defer s.teardown()
 	for s.pq.Len() > 0 {
 		e := s.pop()
 		if e.at > s.now {
@@ -269,7 +370,7 @@ func (s *Sim) Run() int64 {
 		if t.state != stReady {
 			continue // stale event
 		}
-		c := s.cores[t.core]
+		c := t.core
 		if c.busyUntil > e.at {
 			// Keep the original sequence number: a thread displaced by a
 			// busy core stays ahead of threads queued after it, which is
@@ -282,11 +383,7 @@ func (s *Sim) Run() int64 {
 		if e.at > t.vt {
 			t.vt = e.at
 		}
-		t.state = stRunning
-		s.running = t
-		t.resume <- struct{}{}
-		<-s.stopped
-		s.running = nil
+		s.resume(t)
 		if c.busyUntil < t.vt {
 			c.busyUntil = t.vt
 		}
@@ -294,16 +391,23 @@ func (s *Sim) Run() int64 {
 			s.now = t.vt
 		}
 	}
-	// Tear down parked stragglers (daemon threads) so goroutines exit.
+	return s.now
+}
+
+// teardown unwinds every thread that started and did not finish (daemons
+// still parked at the end, and everything else when Run is leaving on a
+// panic), so their carriers go back to the free list. A thread that never
+// started holds no carrier and needs nothing.
+func (s *Sim) teardown() {
 	s.killed = true
-	for _, t := range s.threads {
-		if t.state == stParked || t.state == stReady {
-			t.state = stRunning
-			t.resume <- struct{}{}
-			<-t.doneCh
+	s.running = nil
+	threads := s.threads
+	s.threads = nil // an unwinding body may still spawn
+	for _, t := range threads {
+		if t.co != nil && (t.state == stParked || t.state == stReady) {
+			s.resume(t)
 		}
 	}
-	return s.now
 }
 
 // simCtx is the Context handed to each simulated thread.
@@ -387,8 +491,6 @@ func (t *simThread) Unpark() {
 	s := t.sim
 	s.wake(t, s.curTime())
 }
-
-func (t *simThread) done() <-chan struct{} { return t.doneCh }
 
 // AfterAt schedules a timer callback from non-thread context (e.g. a
 // subsystem wiring events before Run starts).

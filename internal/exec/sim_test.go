@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"errors"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -209,20 +212,6 @@ func TestSimRoundRobinOnSharedCore(t *testing.T) {
 	}
 }
 
-func TestRealParkUnparkAndJoin(t *testing.T) {
-	r, _ := NewReal(RealConfig{})
-	var got atomic.Int64
-	th := r.Spawn("x", func(ctx Context) {
-		ctx.Park()
-		got.Store(ctx.Now())
-	})
-	th.Unpark()
-	r.Wait(th)
-	if got.Load() < 0 {
-		t.Fatal("impossible")
-	}
-}
-
 func TestWaitUntil(t *testing.T) {
 	s := NewSim(SimConfig{})
 	flag := false
@@ -238,5 +227,169 @@ func TestWaitUntil(t *testing.T) {
 	s.Run()
 	if at < 3000 {
 		t.Fatalf("waiter finished at %d, before flag set at 3000", at)
+	}
+}
+
+// parkForever is a daemon body: it starts, so it holds a carrier, and is
+// still parked when Run ends.
+func parkForever(ctx Context) {
+	for {
+		ctx.Park()
+	}
+}
+
+func TestSimThreadAllocations(t *testing.T) {
+	const threads = 100
+	body := func(ctx Context) {
+		ctx.Yield()
+		ctx.Park()
+	}
+	perThread := func() {
+		s := NewSim(SimConfig{})
+		for i := 0; i < threads; i++ {
+			s.Spawn("t", body)
+		}
+		s.Run()
+	}
+	perThread() // warm-up: leaves the carriers on the free list
+	// A fresh iter.Pull per thread reads 15 here; the goroutine and two
+	// channels per thread it replaced read 5.
+	if got := testing.AllocsPerRun(20, perThread) / threads; got > 3 {
+		t.Errorf("%.2f allocations per thread (spawn on a fresh core, yield, park, teardown), want <= 3", got)
+	}
+
+	yields := func(n int) func() {
+		return func() {
+			s := NewSim(SimConfig{})
+			for i := 0; i < 2; i++ {
+				s.SpawnOn(0, "y", func(ctx Context) {
+					for k := 0; k < n; k++ {
+						ctx.Yield()
+					}
+				})
+			}
+			s.Run()
+		}
+	}
+	short, long := testing.AllocsPerRun(20, yields(10)), testing.AllocsPerRun(20, yields(5010))
+	if long != short {
+		t.Errorf("10 000 more yields cost %v more allocations, want 0", long-short)
+	}
+}
+
+func TestSimFinishedThreadsAreDropped(t *testing.T) {
+	s := NewSim(SimConfig{})
+	most := 0
+	s.Spawn("daemon", parkForever)
+	s.Spawn("parent", func(ctx Context) {
+		for i := 0; i < 10000; i++ {
+			ctx.Join(ctx.Spawn("child", func(c Context) { c.Charge(10) }))
+			most = max(most, len(s.threads))
+		}
+	})
+	s.Run()
+	// Three threads are live at most: daemon, parent and one child.
+	if most > 2*3+1 {
+		t.Fatalf("Sim.threads reached %d entries with 3 live threads", most)
+	}
+}
+
+func TestSimPanicSurfacesFromRun(t *testing.T) {
+	base := runtime.NumGoroutine() - len(idleCarriers.list)
+	boom := errors.New("boom")
+	s := NewSim(SimConfig{})
+	unwound := false
+	s.Spawn("daemon", parkForever)
+	s.Spawn("bystander", func(ctx Context) {
+		defer func() { unwound = true }()
+		ctx.Sleep(1 << 40)
+	})
+	s.Spawn("p", func(ctx Context) {
+		ctx.Yield()
+		ctx.Spawn("never-started", func(Context) { t.Error("ran after the panic") })
+		panic(boom)
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		s.Run()
+	}()
+	if got != boom {
+		t.Fatalf("Run panicked with %v, want the thread's own value %v", got, boom)
+	}
+	if !unwound {
+		t.Error("a thread stopped mid-body was not unwound when Run left on a panic")
+	}
+	if n := runtime.NumGoroutine() - len(idleCarriers.list); n != base {
+		t.Errorf("%d goroutines besides the idle carriers after the panic, %d before", n, base)
+	}
+	TestSimJoin(t) // the next Sim in this process is unaffected
+}
+
+func TestSimGoexitEndsRun(t *testing.T) {
+	s := NewSim(SimConfig{})
+	s.Spawn("daemon", parkForever)
+	s.Spawn("g", func(ctx Context) {
+		ctx.Yield()
+		runtime.Goexit() // what t.FailNow does in a thread body
+	})
+	returned := make(chan bool)
+	go func() {
+		ok := false
+		defer func() { returned <- ok }()
+		s.Run()
+		ok = true
+	}()
+	if <-returned {
+		t.Fatal("Run returned normally; Goexit in a thread must end the goroutine that called Run")
+	}
+	TestSimJoin(t)
+}
+
+func TestSimCarriersAreBounded(t *testing.T) {
+	base := runtime.NumGoroutine() - len(idleCarriers.list)
+	daemons := func(n int) {
+		s := NewSim(SimConfig{})
+		for i := 0; i < n; i++ {
+			s.Spawn("daemon", parkForever)
+		}
+		s.Run()
+	}
+	for i := 0; i < 300; i++ {
+		daemons(3)
+	}
+	daemons(maxIdleCarriers + 20) // more than the free list keeps
+	if n := runtime.NumGoroutine(); n > base+maxIdleCarriers {
+		t.Fatalf("%d goroutines, want at most %d + the %d idle carriers", n, base, maxIdleCarriers)
+	}
+	if n := len(idleCarriers.list); n != maxIdleCarriers {
+		t.Fatalf("free list holds %d carriers, want it full at %d", n, maxIdleCarriers)
+	}
+}
+
+func TestSimsRunConcurrently(t *testing.T) {
+	// Two Sims on two goroutines share only the carrier free list; run
+	// under -race this is the check that they share nothing else.
+	var wg sync.WaitGroup
+	var logs [2][]string
+	for i := range logs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				logs[i], _ = goldenSchedule()
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range logs {
+		if len(logs[i]) == 0 || len(logs[i]) != len(logs[0]) {
+			t.Fatalf("sim %d logged %d steps, sim 0 %d", i, len(logs[i]), len(logs[0]))
+		}
+		for k := range logs[i] {
+			if logs[i][k] != logs[0][k] {
+				t.Fatalf("sim %d step %d: %q, sim 0 %q", i, k, logs[i][k], logs[0][k])
+			}
+		}
 	}
 }

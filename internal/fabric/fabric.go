@@ -5,9 +5,8 @@
 // stack and the user-space TCP baselines share the same links so every
 // system under comparison sees the same wire.
 //
-// Delivery timing uses exec.Clock.After, so in Sim mode latencies are
-// exact virtual nanoseconds and in Real mode sub-microsecond delays
-// collapse to immediate delivery (documented in internal/exec).
+// Delivery timing uses exec.Clock.After, so latencies are exact virtual
+// nanoseconds.
 package fabric
 
 import (

@@ -29,7 +29,7 @@ type Host struct {
 	// dial the same listener, and the receiving monitor would drop the
 	// second SYN as a bounded-wait re-send of the first.
 	Ordinal uint64
-	RT      exec.Runtime
+	RT      *exec.Sim
 	Clk     exec.Clock
 	Costs   *costmodel.Costs
 	SHM     *shm.Registry
@@ -67,9 +67,9 @@ func (h *Host) OnProcessDeath(fn func(pid int)) {
 // depends only on host-creation order, which the sims fix.
 var hostSeq atomic.Uint64
 
-// New creates a host on the given runtime. costs may be nil for
+// New creates a host on the given simulator. costs may be nil for
 // cost-free functional tests.
-func New(name string, rt exec.Runtime, costs *costmodel.Costs, seed uint64) *Host {
+func New(name string, rt *exec.Sim, costs *costmodel.Costs, seed uint64) *Host {
 	if costs == nil {
 		costs = &costmodel.Costs{}
 	}
@@ -194,7 +194,7 @@ type Process struct {
 	fds      map[int]*FDEntry
 	threads  []*Thread
 	nextTID  int
-	dead     bool
+	dead     atomic.Bool // written under mu, in terminate; every poll loop reads it
 	handlers map[Signal]func(Signal)
 	// Libsd is an opaque slot for the per-process user-space socket
 	// library state (set by internal/core); the host layer never looks
@@ -304,11 +304,11 @@ func (p *Process) Exit(ctx exec.Context) { p.terminate(ctx) }
 //  5. fire the host death hooks (the monitor's per-process lifeline).
 func (p *Process) terminate(ctx exec.Context) {
 	p.mu.Lock()
-	if p.dead {
+	if p.dead.Load() {
 		p.mu.Unlock()
 		return
 	}
-	p.dead = true
+	p.dead.Store(true)
 	fds := p.fds
 	p.fds = make(map[int]*FDEntry)
 	p.freeFDs = nil
@@ -336,11 +336,7 @@ func (p *Process) terminate(ctx exec.Context) {
 }
 
 // Dead reports whether the process was killed.
-func (p *Process) Dead() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dead
-}
+func (p *Process) Dead() bool { return p.dead.Load() }
 
 // Fork creates a child process: kernel FDs are shared (refcounted), the
 // address space is fresh (zero-copy buffers are re-established lazily),

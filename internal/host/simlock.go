@@ -13,9 +13,6 @@ import (
 // busy period ends, then occupies it for holdNs. Under N cores hammering
 // the lock, aggregate throughput caps at 1/holdNs — which is exactly how
 // the kernel's global TCB lock flattens the Linux curve in Figure 9.
-//
-// In Real mode it degrades gracefully to charging holdNs (a no-op unless
-// spin-charging is on) around a plain mutex.
 type SimLock struct {
 	mu        sync.Mutex
 	busyUntil int64

@@ -8,9 +8,9 @@
 // Everything runs inside a simulated cluster: build one with NewCluster,
 // add hosts and processes, spawn threads, then Run the cluster. Threads
 // receive a *T — their execution context — whose methods mirror the socket
-// API (Listen, Dial, Accept, Send, Recv, Epoll, Fork...). Two execution
-// modes exist: the default deterministic virtual-time mode (reproducible,
-// models N cores on one machine) and wall-clock mode.
+// API (Listen, Dial, Accept, Send, Recv, Epoll, Fork...). Execution is
+// deterministic and in virtual time: reproducible run to run, and N cores
+// are modelled on one machine.
 //
 // A minimal session:
 //
@@ -85,11 +85,8 @@ var (
 	ENOBUFS      = core.ENOBUFS
 )
 
-// Config selects the cluster's execution mode and cost calibration.
+// Config selects the cluster's cost calibration and seed.
 type Config struct {
-	// RealTime switches from the deterministic virtual-time scheduler to
-	// wall-clock goroutines.
-	RealTime bool
 	// Costs calibrates the simulated hardware; nil means the paper-derived
 	// default table.
 	Costs *costmodel.Costs
@@ -104,8 +101,6 @@ func Defaults() Config { return Config{Costs: &costmodel.Default, Seed: 1} }
 type Cluster struct {
 	cfg   Config
 	sim   *exec.Sim
-	real  *exec.Real
-	rt    exec.Runtime
 	net   *host.Net
 	hosts map[string]*Host
 	seedN uint64
@@ -116,15 +111,8 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.Costs == nil {
 		cfg.Costs = &costmodel.Default
 	}
-	c := &Cluster{cfg: cfg, hosts: make(map[string]*Host)}
-	if cfg.RealTime {
-		c.real, _ = exec.NewReal(exec.RealConfig{})
-		c.rt = c.real
-	} else {
-		c.sim = exec.NewSim(exec.SimConfig{})
-		c.rt = c.sim
-	}
-	c.net = host.NewNet(c.rt.Clock(), c.cfg.Costs, int64(cfg.Seed))
+	c := &Cluster{cfg: cfg, sim: exec.NewSim(exec.SimConfig{}), hosts: make(map[string]*Host)}
+	c.net = host.NewNet(c.sim.Clock(), c.cfg.Costs, int64(cfg.Seed))
 	return c
 }
 
@@ -156,7 +144,7 @@ func (c *Cluster) AddLegacyHost(name string) *Host {
 
 func (c *Cluster) addBareHost(name string) *Host {
 	c.seedN++
-	hh := host.New(name, c.rt, c.cfg.Costs, c.cfg.Seed*1315423911+c.seedN)
+	hh := host.New(name, c.sim, c.cfg.Costs, c.cfg.Seed*1315423911+c.seedN)
 	h := &Host{cl: c, H: hh, KS: ksocket.New(hh)}
 	// Joining the routed fabric wires edges to every existing host in
 	// sorted order (deterministic, unlike iterating c.hosts), on both the
@@ -171,19 +159,13 @@ func (c *Cluster) addBareHost(name string) *Host {
 // covered by tests).
 func PeerMonitors(a, b *Host) { monitor.Peer(a.Mon, b.Mon) }
 
-// Sim exposes the underlying discrete-event scheduler (nil in real-time
-// mode) for harnesses that need raw thread spawning or the global clock.
+// Sim exposes the underlying discrete-event scheduler for harnesses that
+// need raw thread spawning or the global clock.
 func (c *Cluster) Sim() *exec.Sim { return c.sim }
 
-// Run executes the cluster until quiescent (virtual-time mode) and returns
-// the final virtual time in nanoseconds. In real-time mode it returns
-// immediately; use real goroutine coordination instead.
-func (c *Cluster) Run() int64 {
-	if c.sim != nil {
-		return c.sim.Run()
-	}
-	return 0
-}
+// Run executes the cluster until quiescent and returns the final virtual
+// time in nanoseconds.
+func (c *Cluster) Run() int64 { return c.sim.Run() }
 
 // Process is an application process with libsd loaded.
 type Process struct {
