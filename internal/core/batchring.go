@@ -163,7 +163,7 @@ func (s *Socket) submitSend(ctx exec.Context, t *host.Thread, br *batchRing, n i
 				if err = s.sendMsgT(ctx, t, MData, data[:c], nil); err != nil {
 					break
 				}
-			} else if !s.ep.trySend(ctx, MData, data[:c], nil) {
+			} else if !s.trySend(ctx, MData, data[:c], nil) {
 				full = true
 				break
 			}

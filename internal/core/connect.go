@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"socksdirect/internal/ctlmsg"
@@ -28,6 +29,11 @@ type Listener struct {
 	// none) and O_NONBLOCK (empty backlog → EWOULDBLOCK immediately).
 	deadline atomic.Int64
 	nonblock atomic.Bool
+
+	// For acceptWaiter: the backlog of the Accept in progress and the
+	// monitor incarnation its steal hint went to.
+	bl        *backlog
+	hintEpoch uint32
 }
 
 // SetDeadline arms an absolute virtual-time deadline for Accept; an
@@ -256,7 +262,7 @@ func (lst *Listener) Accept(ctx exec.Context) (*Socket, host.KFile, error) {
 	bl := l.backlogs[key]
 	l.mu.Unlock()
 	hinted := false
-	hintEpoch := l.monEpoch.Load()
+	lst.bl, lst.hintEpoch = bl, l.monEpoch.Load()
 	empty := 0
 	for {
 		if l.P.Dead() {
@@ -283,11 +289,11 @@ func (lst *Listener) Accept(ctx exec.Context) (*Socket, host.KFile, error) {
 			mDeadlineTimeouts.Inc()
 			return nil, nil, ETIMEDOUT
 		}
-		if e := l.monEpoch.Load(); e != hintEpoch {
+		if e := l.monEpoch.Load(); e != lst.hintEpoch {
 			// The monitor restarted while we waited: the steal hint died
 			// with it (accept itself stays blocking — dispatches resume
 			// once the re-registration report rebuilds the bind table).
-			hintEpoch = e
+			lst.hintEpoch = e
 			hinted = false
 		}
 		if !hinted {
@@ -300,7 +306,7 @@ func (lst *Listener) Accept(ctx exec.Context) (*Socket, host.KFile, error) {
 		ctx.Charge(l.H.Costs.RingOp)
 		empty++
 		if empty < emptyPollsBeforeSleep {
-			ctx.Yield()
+			empty += ctx.Spin(l.H.Costs.RingOp, 0, emptyPollsBeforeSleep-1-empty, (*acceptWaiter)(lst))
 			continue
 		}
 		// Long idle: sleep until a dispatch wakes us. Parking happens
@@ -329,6 +335,25 @@ func (lst *Listener) Accept(ctx exec.Context) (*Socket, host.KFile, error) {
 		l.enter()
 		empty = 0
 	}
+}
+
+// acceptWaiter is the Listener as idle predicate of Accept's polling phase:
+// the process lives, no control message waits, the backlog is empty, the
+// listener blocks, its deadline is ahead and its hint is with this monitor.
+type acceptWaiter Listener
+
+func (w *acceptWaiter) Idle(now int64) bool {
+	lst := (*Listener)(w)
+	l := lst.lib
+	if dl := lst.deadline.Load(); dl != 0 && now >= dl {
+		return false
+	}
+	if l.P.Dead() || lst.nonblock.Load() || l.monEpoch.Load() != lst.hintEpoch ||
+		!l.ctlIdle() || !l.mu.TryLock() {
+		return false
+	}
+	defer l.mu.Unlock()
+	return len(lst.bl.conns) == 0
 }
 
 // Pending reports this backlog's queued connections (tests, stealing).
@@ -468,6 +493,7 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 	// must not park this thread forever. A re-send across a restart is
 	// safe — the monitor dedups connects by ConnID.
 	w := l.newCtlWaiter(ctx, l.ctlShard(&m), func(c exec.Context) { l.sendCtl(c, &m) })
+	w.deadline = deadline
 	abandon := func() {
 		l.mu.Lock()
 		delete(l.pending, connID)
@@ -538,6 +564,7 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 		s.closeLast(ctx, t)
 	}
 	for {
+		w.seen = l.ctlSeen.Load() // a message dispatched from here on may re-point pc.sock
 		l.mu.Lock()
 		s := pc.sock
 		l.mu.Unlock()
@@ -569,14 +596,24 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 			return nil, nil, ETIMEDOUT
 		}
 		l.pollCtl(ctx)
-		l.lib_pumpYield(ctx)
+		l.pump(ctx)
+		ctx.Charge(l.H.Costs.RingOp)
+		w.sock = s
+		ctx.Spin(l.H.Costs.RingOp, 0, math.MaxInt, (*ackWaiter)(&w))
 	}
 }
 
-func (l *Libsd) lib_pumpYield(ctx exec.Context) {
-	l.pump(ctx)
-	ctx.Charge(l.H.Costs.RingOp)
-	ctx.Yield()
+// ackWaiter is a dial's ctlWaiter in its second wait, Fig. 6 Wait-Server:
+// idle while the new socket's ring and the CQs are empty (nothing for
+// drainCtl and pump), both processes live, the deadline is ahead, and no
+// control message waits or was dispatched since the loop read pc.sock.
+type ackWaiter ctlWaiter
+
+func (a *ackWaiter) Idle(now int64) bool {
+	w := (*ctlWaiter)(a)
+	l, s := w.l, w.sock
+	return !s.side.RX.CanRecv() && l.ctlSeen.Load() == w.seen && l.cqsEmpty() && !l.P.Dead() &&
+		(w.deadline == 0 || now < w.deadline) && l.ctlIdle() && !s.peerGone()
 }
 
 // --- control-plane dispatch ---

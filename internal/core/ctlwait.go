@@ -34,9 +34,12 @@ type ctlWaiter struct {
 	start    int64
 	lastPing int64
 	epoch    uint32 // incarnation the in-flight request was stamped for
-	shard    int    // monitor shard serving the awaited request
+	shard    int32  // monitor shard serving the awaited request
 	resend   func(exec.Context)
-	spins    int
+	spins    int32   // wraps after 2³¹ polls, some 3 000 s of silence
+	seen     uint32  // l.ctlSeen as of the caller's last look at what it waits for
+	deadline int64   // the caller's own bound (absolute, 0 = none), checked between steps
+	sock     *Socket // what a dial waits on once its answer is in (ackWaiter)
 }
 
 // newCtlWaiter starts the silence clock for one in-flight control-plane
@@ -46,10 +49,18 @@ type ctlWaiter struct {
 // re-issues the request verbatim (sendCtl re-stamps the epoch); it must
 // be idempotent at the monitor — every request kind is, by
 // ConnID/registration dedup.
-func (l *Libsd) newCtlWaiter(ctx exec.Context, shard int, resend func(exec.Context)) *ctlWaiter {
+func (l *Libsd) newCtlWaiter(ctx exec.Context, shard int, resend func(exec.Context)) ctlWaiter {
 	now := l.H.Clk.Now()
-	return &ctlWaiter{l: l, start: now, lastPing: now,
-		epoch: l.monEpoch.Load(), shard: shard, resend: resend}
+	return ctlWaiter{l: l, start: now, lastPing: now,
+		epoch: l.monEpoch.Load(), shard: int32(shard), resend: resend}
+}
+
+// silence is how long the awaited shard has said nothing, as of now.
+func (w *ctlWaiter) silence(now int64) int64 {
+	if last := w.l.lastCtlRecv[w.shard].Load(); last > w.start {
+		return now - last
+	}
+	return now - w.start
 }
 
 // step runs one iteration of a bounded wait: drain the control queue,
@@ -57,8 +68,18 @@ func (l *Libsd) newCtlWaiter(ctx exec.Context, shard int, resend func(exec.Conte
 // throttle so a long outage costs events, not a per-nanosecond spin).
 // It returns ErrMonitorDown-wrapped ETIMEDOUT once the silence deadline
 // passes; the caller maps it to its own errno if needed.
-func (w *ctlWaiter) step(ctx exec.Context) error {
+//
+// The caller's loop is: look at what it waits for, check its own death and
+// deadline, step. Up to the next sleep, the iterations in which none of that
+// can come out differently are played by the scheduler, under Idle.
+func (w *ctlWaiter) step(ctx exec.Context) error { return w.stepAs(ctx, w) }
+
+// stepAs is step for a loop that watches more than a ctlWaiter knows of.
+func (w *ctlWaiter) stepAs(ctx exec.Context, idle exec.Idler) error {
 	l := w.l
+	// Before the poll: a message it dispatches may be the awaited one, and
+	// then the caller has to look again at once.
+	w.seen = l.ctlSeen.Load()
 	l.pollCtl(ctx)
 	now := l.H.Clk.Now()
 	if e := l.monEpoch.Load(); e != w.epoch {
@@ -71,11 +92,7 @@ func (w *ctlWaiter) step(ctx exec.Context) error {
 			w.resend(ctx)
 		}
 	}
-	quiet := now - w.start
-	if last := l.lastCtlRecv[w.shard].Load(); last > w.start {
-		quiet = now - last
-	}
-	if quiet > ctlDeadAfter {
+	if w.silence(now) > ctlDeadAfter {
 		return ETIMEDOUT
 	}
 	if now-w.lastPing >= ctlPingEvery {
@@ -91,7 +108,42 @@ func (w *ctlWaiter) step(ctx exec.Context) error {
 	if w.spins%ctlSpinBurst == 0 {
 		ctx.Sleep(ctlSleepStep)
 	} else {
-		ctx.Yield()
+		w.spins += int32(ctx.Spin(l.H.Costs.RingOp, 0, int(ctlSpinBurst-1-w.spins%ctlSpinBurst), idle))
 	}
 	return nil
+}
+
+// Idle: the process lives, no control message waits and none has been
+// dispatched (by any thread, or the signal handler) since the caller looked
+// at what it waits for — which, a token apart, only a message's handler
+// changes — and the caller's deadline, the next ping and the silence limit
+// are still ahead.
+func (w *ctlWaiter) Idle(now int64) bool {
+	l := w.l
+	return l.ctlSeen.Load() == w.seen && l.monEpoch.Load() == w.epoch &&
+		!l.P.Dead() && l.ctlIdle() &&
+		(w.deadline == 0 || now < w.deadline) &&
+		now-w.lastPing < ctlPingEvery && w.silence(now) <= ctlDeadAfter
+}
+
+// tokenWaiter is acquireToken's wait for the grant. Its loop also watches
+// the token word (a holder may simply let go), the peer, the socket's
+// readiness to block and revocations to run for threads that are not polling.
+type tokenWaiter struct {
+	ctlWaiter
+	s    *Socket
+	dir  int
+	held int64 // the holder the loop last saw: someone else
+}
+
+func (w *tokenWaiter) step(ctx exec.Context, held int64) error {
+	w.held = held
+	return w.stepAs(ctx, w)
+}
+
+func (w *tokenWaiter) Idle(now int64) bool {
+	s := w.s
+	holder, _ := s.tokenVars(w.dir)
+	return holder.Load() == w.held && !s.peerGone() && s.wouldBlock(now, w.dir) == nil &&
+		!s.lib.hasRevokes.Load() && w.ctlWaiter.Idle(now)
 }

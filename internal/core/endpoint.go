@@ -14,7 +14,8 @@ import (
 // through cache coherence; the RDMA flavor keeps local ring copies and
 // mirrors them with one-sided writes (§4.2).
 type endpoint interface {
-	// trySend enqueues one message (gather of a+b); false = ring full.
+	// trySend enqueues one message (gather of a+b); false = ring full. The
+	// ring operation is the caller's to charge (Socket.trySend does).
 	trySend(ctx exec.Context, typ uint8, a, b []byte) bool
 	// tryRecv dequeues one message; the view is valid until the next call.
 	tryRecv(ctx exec.Context) (shm.Msg, bool)
@@ -63,7 +64,6 @@ type shmEP struct {
 }
 
 func (e *shmEP) trySend(ctx exec.Context, typ uint8, a, b []byte) bool {
-	ctx.Charge(e.lib.H.Costs.RingOp)
 	if e.side.TX.TrySendV(typ, 0, a, b) {
 		return true
 	}
@@ -159,7 +159,6 @@ const (
 )
 
 func (e *rdmaEP) trySend(ctx exec.Context, typ uint8, a, b []byte) bool {
-	ctx.Charge(e.lib.H.Costs.RingOp)
 	if !e.side.TX.TrySendV(typ, 0, a, b) {
 		// Stale credits? The peer returns them by writing our CreditIn.
 		e.refreshCredit()
@@ -203,10 +202,14 @@ func (e *rdmaEP) tryRecvN(ctx exec.Context, out []shm.Msg) int {
 	return e.side.RX.TryRecvN(out)
 }
 
-func (e *rdmaEP) refreshCredit() {
-	if len(e.side.CreditIn) >= 8 {
-		e.side.TX.InjectCredit(binary.LittleEndian.Uint64(e.side.CreditIn))
+func (e *rdmaEP) refreshCredit() { e.side.TX.InjectCredit(e.creditIn()) }
+
+// creditIn reads the credit word the peer writes (0 before it exists).
+func (e *rdmaEP) creditIn() uint64 {
+	if len(e.side.CreditIn) < 8 {
+		return 0
 	}
+	return binary.LittleEndian.Uint64(e.side.CreditIn)
 }
 
 // flush posts the unsynchronized region of the TX ring as one or two

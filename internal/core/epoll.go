@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 
 	"socksdirect/internal/exec"
@@ -97,8 +98,27 @@ func (ep *Epoll) Wait(ctx exec.Context, events []Event) (int, error) {
 			return n, nil
 		}
 		ctx.Charge(l.H.Costs.RingOp)
-		ctx.Yield()
+		ctx.Spin(l.H.Costs.RingOp, 0, math.MaxInt, (*epollWaiter)(ep))
 	}
+}
+
+// epollWaiter is the Epoll as idle predicate of Wait: the process lives, no
+// control message or completion waits, and no watched descriptor is ready.
+type epollWaiter Epoll
+
+func (w *epollWaiter) Idle(int64) bool {
+	ep := (*Epoll)(w)
+	l := ep.lib
+	if l.P.Dead() || !l.ctlIdle() || !l.cqsEmpty() || !ep.mu.TryLock() {
+		return false
+	}
+	defer ep.mu.Unlock()
+	for fd, mask := range ep.ifd {
+		if got, _ := ep.readyLocked(fd, mask); got != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // TryWait is the non-blocking variant (epoll_wait with timeout 0).
@@ -115,40 +135,9 @@ func (ep *Epoll) poll(events []Event) int {
 		if n == len(events) {
 			break
 		}
-		e, err := ep.lib.lookupFD(fd)
-		if err != nil {
-			continue
-		}
-		var got uint32
-		switch e.kind {
-		case fdSocket:
-			if mask&EPOLLIN != 0 && e.sock.Readable() {
-				got |= EPOLLIN
-			}
-			if mask&EPOLLOUT != 0 && e.sock.Writable() {
-				got |= EPOLLOUT
-			}
-			if e.sock.peerGone() {
-				got |= EPOLLHUP
-			}
-		case fdListener:
-			if mask&EPOLLIN != 0 && e.lst.Pending() > 0 {
-				got |= EPOLLIN
-			}
-		case fdKernel:
-			if e.kf == nil {
-				continue
-			}
-			// Level-triggered direct check plus whatever the epoll thread
-			// reported (kernel events are multiplexed into user space).
-			if mask&EPOLLIN != 0 && e.kf.Readable() {
-				got |= EPOLLIN
-			}
-			if mask&EPOLLOUT != 0 && e.kf.Writable() {
-				got |= EPOLLOUT
-			}
-			got |= ep.kernelReady[fd] & mask
-			delete(ep.kernelReady, fd)
+		got, kernel := ep.readyLocked(fd, mask)
+		if kernel {
+			delete(ep.kernelReady, fd) // reported: the next sweep starts afresh
 		}
 		if got != 0 {
 			events[n] = Event{FD: fd, Events: got}
@@ -156,6 +145,46 @@ func (ep *Epoll) poll(events []Event) int {
 		}
 	}
 	return n
+}
+
+// readyLocked is one watched descriptor's readiness under its interest mask,
+// and whether it is a kernel file (whose swept readiness poll consumes). It
+// changes nothing while the CQs are empty. Caller holds ep.mu.
+func (ep *Epoll) readyLocked(fd int, mask uint32) (got uint32, kernel bool) {
+	e, err := ep.lib.lookupFD(fd)
+	if err != nil {
+		return 0, false
+	}
+	switch e.kind {
+	case fdSocket:
+		if mask&EPOLLIN != 0 && e.sock.Readable() {
+			got |= EPOLLIN
+		}
+		if mask&EPOLLOUT != 0 && e.sock.Writable() {
+			got |= EPOLLOUT
+		}
+		if e.sock.peerGone() {
+			got |= EPOLLHUP
+		}
+	case fdListener:
+		if mask&EPOLLIN != 0 && e.lst.Pending() > 0 {
+			got |= EPOLLIN
+		}
+	case fdKernel:
+		if e.kf == nil {
+			return 0, false
+		}
+		// Level-triggered direct check plus whatever the epoll thread
+		// reported (kernel events are multiplexed into user space).
+		if mask&EPOLLIN != 0 && e.kf.Readable() {
+			got |= EPOLLIN
+		}
+		if mask&EPOLLOUT != 0 && e.kf.Writable() {
+			got |= EPOLLOUT
+		}
+		return got | ep.kernelReady[fd]&mask, true
+	}
+	return got, false
 }
 
 // startEpollThread launches the per-process kernel-event thread (§4.4:

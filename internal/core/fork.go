@@ -329,5 +329,3 @@ func (l *Libsd) Exec(ctx exec.Context) (*Libsd, error) {
 	l.H.SHM.Remove(seg.Token)
 	return nl, nil
 }
-
-var _ = exec.WaitUntil

@@ -71,6 +71,10 @@ type Libsd struct {
 	// measure the silence of the one shard loop serving their request,
 	// so a live sibling shard cannot mask a wedged one.
 	lastCtlRecv []atomic.Int64
+	// ctlSeen counts the control messages pollCtl has dispatched, on any
+	// thread or from the signal handler: a control wait that finds it
+	// unchanged knows no handler has touched what it waits for.
+	ctlSeen atomic.Uint32
 
 	// sleepNotes tracks threads that published a KSleepNote and parked;
 	// a restarted monitor learns them from the re-registration report.
@@ -340,6 +344,7 @@ func (l *Libsd) pollCtl(ctx exec.Context) bool {
 			continue
 		}
 		progress = true
+		l.ctlSeen.Add(1)
 		now := l.H.Clk.Now()
 		l.lastCtlRecv[s].Store(now)
 		if m.Epoch != 0 && !l.noteMonEpoch(m.Epoch) {
@@ -351,6 +356,21 @@ func (l *Libsd) pollCtl(ctx exec.Context) bool {
 		l.handleCtl(ctx, &m)
 	}
 	return progress
+}
+
+// ctlIdle reports whether pollCtl would find every shard's queue empty and
+// leave it untouched (idle predicates; a held lock reads as "not idle").
+func (l *Libsd) ctlIdle() bool {
+	if !l.ctlMu.TryLock() {
+		return false
+	}
+	defer l.ctlMu.Unlock()
+	for i := range l.ctl {
+		if !l.ctl[i].RX.RecvIdle() {
+			return false
+		}
+	}
+	return true
 }
 
 // noteMonEpoch folds an incoming message's epoch into monEpoch. A higher
@@ -536,6 +556,9 @@ func (l *Libsd) pump(ctx exec.Context) bool {
 	}
 	return progress
 }
+
+// cqsEmpty reports whether pump would find nothing to do.
+func (l *Libsd) cqsEmpty() bool { return l.recvCQ.Len() == 0 && l.sendCQ.Len() == 0 }
 
 // armAutoPump keeps the shared CQs self-draining: a completion that lands
 // while no application thread is polling still flushes coalesced sends and

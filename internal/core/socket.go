@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"math"
 	"sync/atomic"
 
 	"socksdirect/internal/ctlmsg"
@@ -97,15 +98,91 @@ func (s *Socket) opDeadline(dir int) int64 {
 // plane. It returns EWOULDBLOCK in nonblocking mode, ETIMEDOUT once the
 // direction's deadline has passed, and nil when the op may keep waiting.
 func (s *Socket) blockBudget(ctx exec.Context, dir int) error {
-	if s.nonblock.Load() {
+	err := s.wouldBlock(ctx.Now(), dir)
+	switch err {
+	case EWOULDBLOCK:
 		mEWouldBlock.Inc()
+	case ETIMEDOUT:
+		mDeadlineTimeouts.Inc()
+	}
+	return err
+}
+
+// wouldBlock is blockBudget's verdict at time now, uncounted.
+func (s *Socket) wouldBlock(now int64, dir int) error {
+	if s.nonblock.Load() {
 		return EWOULDBLOCK
 	}
-	if dl := s.opDeadline(dir); dl != 0 && ctx.Now() >= dl {
-		mDeadlineTimeouts.Inc()
+	if dl := s.opDeadline(dir); dl != 0 && now >= dl {
 		return ETIMEDOUT
 	}
 	return nil
+}
+
+// quiet is what the data-plane waits' idle predicates share: the endpoint is
+// healthy with no completion to pump, both processes live, and no control
+// message waits.
+func (s *Socket) quiet() bool {
+	l := s.lib
+	switch ep := s.ep.(type) {
+	case *shmEP:
+	case *rdmaEP:
+		if ep.failed.Load() || !l.cqsEmpty() {
+			return false // recovery is driven by the wait; a CQE by the pump
+		}
+	default:
+		return false // degraded, forked or closed: those waits sleep, or end
+	}
+	return !l.P.Dead() && l.ctlIdle() && !s.peerGone()
+}
+
+// holds reports whether direction dir's token is still me's and unasked for.
+func (s *Socket) holds(dir int, me int64) bool {
+	holder, ret := s.tokenVars(dir)
+	return !ret.Load() && holder.Load() == me
+}
+
+// recvWaiter, sendWaiter and zcWaiter are the Socket as exec.Idler of
+// blockOnRecv, sendMsgT's full-ring wait and the zero-copy sender's wait for
+// pool slots. Each restates, free of side effects, what its loop's body
+// looks at; the waits' parameters are in the SideState (RecvPoller,
+// SendPoller, PoolWant).
+type (
+	recvWaiter Socket
+	sendWaiter Socket
+	zcWaiter   Socket
+)
+
+func (w *recvWaiter) Idle(now int64) bool {
+	s := (*Socket)(w)
+	// What usually ends the wait first: a thread woken by data pays one load.
+	return !s.side.RX.CanRecv() && !s.side.RxShut.Load() && s.quiet() &&
+		s.holds(DirRecv, s.side.RecvPoller) && s.wouldBlock(now, DirRecv) == nil
+}
+
+// Idle holds while sendMsgT's next attempt would fail as the last one did:
+// no credit has come back (inter-host: into CreditIn, which trySend reads
+// first) and no burst is open, which a failed attempt would publish.
+func (w *sendWaiter) Idle(now int64) bool {
+	s := (*Socket)(w)
+	tx, me := s.side.TX, s.side.SendPoller
+	if rep, ok := s.ep.(*rdmaEP); ok && rep.creditIn() > tx.Credit() {
+		return false
+	}
+	return tx.SendStalled() && !tx.InBurst() && s.quiet() &&
+		(me == 0 || s.holds(DirSend, me) && s.wouldBlock(now, DirSend) == nil) &&
+		!(s.side.RxShut.Load() && s.side.TxShut.Load())
+}
+
+// Idle holds while the pool is short of the slots wanted and nothing is on
+// the ring for drainCtl (slot returns arrive there, in band).
+func (w *zcWaiter) Idle(now int64) bool {
+	s := (*Socket)(w)
+	if s.side.RX.CanRecv() || !s.quiet() || s.wouldBlock(now, DirSend) != nil || !s.side.PoolMu.TryLock() {
+		return false
+	}
+	defer s.side.PoolMu.Unlock()
+	return len(s.side.PoolFree) < s.side.PoolWant
 }
 
 // initFlow registers the socket in the obs flow table (the `sdstat` view,
@@ -168,16 +245,15 @@ func (s *Socket) acquireToken(ctx exec.Context, t *host.Thread, dir int) error {
 			TraceID: op.Trace, SpanID: op.Span,
 		}
 		s.lib.sendCtl(ctx, &m)
-		polls := 0
 		// Bounded wait: a long FIFO queue behind a healthy monitor waits as
 		// long as it takes (the daemon keeps answering pings); only monitor
 		// silence aborts, with EAGAIN — the takeover is simply retryable.
 		// Across a restart the waiter re-enters the successor's (empty)
 		// FIFO automatically.
-		w := s.lib.newCtlWaiter(ctx, s.lib.ctlShard(&m), func(c exec.Context) {
+		w := tokenWaiter{s: s, dir: dir, ctlWaiter: s.lib.newCtlWaiter(ctx, s.lib.ctlShard(&m), func(c exec.Context) {
 			m.Aux = uint64(holder.Load())
 			s.lib.sendCtl(c, &m)
-		})
+		})}
 		for {
 			cur := holder.Load()
 			if cur == me {
@@ -210,12 +286,11 @@ func (s *Socket) acquireToken(ctx exec.Context, t *host.Thread, dir int) error {
 			// idle holders (threads parked in application code) are
 			// executed on their behalf; the busy counters make it safe.
 			s.lib.processRevokes(ctx)
-			if err := w.step(ctx); err != nil {
+			if err := w.step(ctx, cur); err != nil {
 				op.End(ctx.Now(), false)
 				return EAGAIN
 			}
-			polls++
-			if polls%4096 == 0 {
+			if w.spins%4096 == 0 {
 				// A grant may have been snatched by a faster claimant
 				// (freed-token CAS); re-enter the queue. The monitor
 				// deduplicates, so this is harmless when already queued.
@@ -327,7 +402,7 @@ func (s *Socket) sendMsg(ctx exec.Context, typ uint8, a, b []byte) error {
 }
 
 func (s *Socket) sendMsgT(ctx exec.Context, t *host.Thread, typ uint8, a, b []byte) error {
-	for !s.ep.trySend(ctx, typ, a, b) {
+	for sent := s.trySend(ctx, typ, a, b); !sent; sent = s.ep.trySend(ctx, typ, a, b) {
 		if s.lib.P.Dead() {
 			return ErrProcessKilled
 		}
@@ -356,20 +431,41 @@ func (s *Socket) sendMsgT(ctx exec.Context, t *host.Thread, typ uint8, a, b []by
 		} else if _, ok := s.ep.(*tcpEP); ok {
 			ctx.Sleep(degradedPollInterval)
 		}
+		me := int64(0)
 		if t != nil {
 			// Blocked on a full ring: honor a pending token revocation and
 			// rejoin the FIFO rather than starving the waiter (§4.1.1).
 			s.maybeHandBack(ctx, DirSend)
-			if s.side.SendHolder.Load() != int64(s.lib.GTIDOf(t)) {
+			me = int64(s.lib.GTIDOf(t))
+			if s.side.SendHolder.Load() != me {
 				if err := s.acquireToken(ctx, t, DirSend); err != nil {
 					return err
 				}
 			}
 		}
-		ctx.Yield()
+		// The retries that would find the ring as full are the
+		// scheduler's. It charges each its ring operation, the one it
+		// returns for included: the loop retries with the bare attempt.
+		s.side.SendPoller = me
+		n := ctx.Spin(0, s.lib.H.Costs.RingOp, math.MaxInt, (*sendWaiter)(s))
+		if _, ok := s.ep.(*rdmaEP); ok {
+			n *= 2 // trySend looks again after refreshing the credit
+		}
+		shm.CountSendFull(n)
 	}
 	s.ep.kick(ctx)
 	return nil
+}
+
+// trySend is one send attempt with its ring operation charged (the
+// endpoint's trySend is the attempt alone). A forked endpoint's splice is
+// not part of the operation: it comes first.
+func (s *Socket) trySend(ctx exec.Context, typ uint8, a, b []byte) bool {
+	if f, ok := s.ep.(*forkedRdmaEP); ok && f.materialize(ctx) == nil {
+		return false // death mid-splice; the retry loop surfaces the errno
+	}
+	ctx.Charge(s.lib.H.Costs.RingOp)
+	return s.ep.trySend(ctx, typ, a, b)
 }
 
 // --- receive path ---
@@ -429,6 +525,7 @@ func (s *Socket) dispatchMsg(ctx exec.Context, msg shm.Msg, buf []byte) (bool, i
 // wakes it through the monitor, an RDMA completion wakes it through the
 // armed CQ.
 func (s *Socket) blockOnRecv(ctx exec.Context, t *host.Thread) error {
+	me := int64(s.lib.GTIDOf(t))
 	empty := 0
 	for {
 		if s.ep.canRecv() {
@@ -450,7 +547,7 @@ func (s *Socket) blockOnRecv(ctx exec.Context, t *host.Thread) error {
 		}
 		s.lib.pollCtl(ctx)
 		s.maybeHandBack(ctx, DirRecv)
-		if s.side.RecvHolder.Load() != int64(s.lib.GTIDOf(t)) {
+		if s.side.RecvHolder.Load() != me {
 			if err := s.acquireToken(ctx, t, DirRecv); err != nil {
 				return err
 			}
@@ -473,11 +570,11 @@ func (s *Socket) blockOnRecv(ctx exec.Context, t *host.Thread) error {
 		}
 		empty++
 		if empty < emptyPollsBeforeSleep {
-			ctx.Yield()
+			s.side.RecvPoller = me
+			empty += ctx.Spin(s.lib.H.Costs.RingOp, 0, emptyPollsBeforeSleep-1-empty, (*recvWaiter)(s))
 			continue
 		}
 		// Interrupt mode: publish the sleeper and park.
-		me := int64(s.lib.GTIDOf(t))
 		s.side.RecvSleeper.Store(me)
 		if !s.ep.canRecv() { // re-check after publishing (wake/sleep race)
 			if rep, ok := s.ep.(*rdmaEP); ok {

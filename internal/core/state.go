@@ -94,6 +94,13 @@ type SideState struct {
 	// side's RX (the peer's sender wakes it through the monitor, §4.4).
 	RecvSleeper atomic.Int64
 
+	// Pollers: the token identity of the thread whose blockOnRecv or
+	// full-ring sendMsgT the scheduler is playing (0 for a protocol
+	// message, sent without the token or the socket's deadline), for the
+	// waits' idle predicates. A second thread gets into either wait only
+	// after the first was resumed to hand the token over.
+	RecvPoller, SendPoller int64
+
 	// PeerPID is the peer process for intra-host death detection
 	// (SIGHUP on failure, §4.5.4); zero for inter-host sockets.
 	PeerPID atomic.Int64
@@ -153,6 +160,7 @@ type SideState struct {
 	PoolRKey   uint64
 	PoolFree   []int32
 	PoolRemote int // slot count advertised by the peer
+	PoolWant   int // slots the sender is polling PoolFree for (zcWaiter)
 
 	// LocalPool is this side's pinned receive pool (shared across fork).
 	LocalPool *zcPool

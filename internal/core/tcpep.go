@@ -120,7 +120,6 @@ func (e *tcpEP) progress(ctx exec.Context) {
 }
 
 func (e *tcpEP) trySend(ctx exec.Context, typ uint8, a, b []byte) bool {
-	ctx.Charge(e.lib.H.Costs.RingOp)
 	if !e.side.TX.TrySendV(typ, 0, a, b) {
 		e.progress(ctx) // credits may be sitting in the TCP stream
 		if !e.side.TX.TrySendV(typ, 0, a, b) {

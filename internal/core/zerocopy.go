@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"io"
+	"math"
 
 	"socksdirect/internal/bufpool"
 	"socksdirect/internal/exec"
@@ -261,7 +262,8 @@ func (s *Socket) zcSendInterChunk(ctx exec.Context, ep *rdmaEP, addr mem.VAddr, 
 			return err
 		}
 		ctx.Charge(s.lib.H.Costs.RingOp)
-		ctx.Yield()
+		s.side.PoolWant = need
+		ctx.Spin(s.lib.H.Costs.RingOp, 0, math.MaxInt, (*zcWaiter)(s))
 	}
 
 	ids, err := s.lib.P.AS.PagesForSend(ctx, addr, n) // COW on sender (step 1)

@@ -9,7 +9,8 @@
 // simulated cores whose occupancy is enforced, so N-core scalability and
 // core time-sharing experiments are reproducible on a single physical CPU.
 // The blocking waits of the paper's §4.4 (poll, sched_yield, poll again)
-// are Charge+Yield loops on this scheduler.
+// are Charge+Yield loops on this scheduler, which plays their empty
+// iterations itself (Spin).
 //
 // Time is expressed in integer nanoseconds throughout.
 package exec
@@ -43,6 +44,26 @@ type Context interface {
 	// (those pinned to the same core) may run.
 	Yield()
 
+	// Spin is the Yield that ends an empty iteration of a poll loop plus
+	// the empty iterations after it: at most max (what the loop may take
+	// before its own next transition: a sleep, a park), and only while
+	// idle says the body would find nothing to do. pre is what the loop
+	// charges between its check and its yield, post between the yield and
+	// the check. Spin returns the iterations it stood for, and is
+	// observably — every stop at the same virtual time, in the same order
+	// among all threads — this loop, which the scheduler plays without
+	// switching to the thread:
+	//
+	//	for n = 0; ; n++ {
+	//		ctx.Yield()
+	//		ctx.Charge(post)
+	//		if n == max || !idle.Idle(ctx.Now()) {
+	//			return n
+	//		}
+	//		ctx.Charge(pre)
+	//	}
+	Spin(pre, post int64, max int, idle Idler) int
+
 	// Sleep blocks the calling thread for d nanoseconds without
 	// occupying the core.
 	Sleep(d int64)
@@ -72,9 +93,23 @@ type Context interface {
 	After(d int64, fn func())
 }
 
-// WaitUntil polls pred, charging pollCost and yielding between attempts,
-// until pred returns true. It is the canonical busy-poll loop used by
-// polling-mode queues.
+// Idler is a poll loop's "nothing to do" predicate: would an iteration at
+// virtual time now come out empty — nothing received, no exit condition
+// met, no deadline or periodic duty due? The scheduler calls it between
+// threads, so it takes the time as an argument (a Clock read there is the
+// global clock, not the thread's) and must leave no trace: no Charge,
+// timer, Unpark, counter or lock-protected mutation; refreshing an
+// idempotent cache, as shm.Ring.CanRecv does, is fine. A false "not idle"
+// costs one real iteration. A false "idle" is a lost wake-up: the thread
+// sleeps on until max runs out. Implement it on a pointer type converted
+// from an object the loop already owns, so that Spin allocates nothing.
+type Idler interface {
+	Idle(now int64) bool
+}
+
+// WaitUntil is the poll loop written out: it polls pred, charging pollCost
+// and yielding between attempts, until pred returns true. Tests wait with
+// it; the stack's own loops hand their empty iterations to Spin.
 func WaitUntil(ctx Context, pollCost int64, pred func() bool) {
 	for !pred() {
 		ctx.Charge(pollCost)

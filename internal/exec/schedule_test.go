@@ -7,7 +7,8 @@ import (
 )
 
 // goldenSchedule drives one fixed scenario through every scheduler entry
-// point — four threads time-sharing two cores, two on cores of their own,
+// point — four threads time-sharing two cores, two more a third, three on cores of
+// their own,
 // Charge (preempting and not), Yield, Sleep, Park with and without a
 // pending permit, Unpark from a thread and from a timer, Join on a live
 // and on a finished thread, After, AfterAt, spawn-from-thread, and a
@@ -99,13 +100,39 @@ func goldenSchedule() (log []string, end int64) {
 			step(ctx, "woken")
 		}
 	})
+	// Poll loops, on Spin: one time-sharing core 2 with a thread that
+	// charges and yields, until a timer raises its flag; one on a core of
+	// its own that charges after the yield and runs out of max.
+	var flag, never untilIdler
+	s.SpawnOn(2, "s.mate", func(ctx Context) {
+		ctx.Sleep(260)
+		for i := 0; i < 6; i++ {
+			ctx.Charge(55)
+			ctx.Yield()
+		}
+		step(ctx, "yielded")
+	})
+	s.SpawnOn(2, "s", func(ctx Context) {
+		ctx.Sleep(260)
+		ctx.Charge(35)
+		n := ctx.Spin(35, 0, 1<<30, &flag)
+		step(ctx, fmt.Sprintf("spun-%d", n))
+	})
+	s.Spawn("m", func(ctx Context) {
+		ctx.Sleep(260)
+		n := ctx.Spin(0, 61, 9, &never)
+		step(ctx, fmt.Sprintf("spun-%d", n))
+	})
+	s.AfterAt(900, func() { flag.flag = true })
 	s.AfterAt(250, timer("at250"))
 	end = s.Run()
 	return log, end
 }
 
 // goldenScheduleWant was recorded on the commit before the coroutine
-// scheduler (goroutines handing a baton over two channels). The scheduler
+// scheduler (goroutines handing a baton over two channels); the three lines
+// of s, s.mate and m on the commit before Spin, with the loop of the Spin
+// contract in its place, and they moved none of the others. The scheduler
 // may change how control moves; it may not change one line of this.
 const goldenScheduleWant = `
 c charge 25
@@ -127,6 +154,9 @@ b poll 530
 timer d+400 2205
 a sleep 965
 a unpark-c 965
+s spun-4 965
+s.mate yielded 985
+m spun-9 1070
 a charge 1965
 d charge 2205
 c woken 2238

@@ -41,8 +41,9 @@ type Sim struct {
 	// threads holds the unfinished threads in spawn order, which is the
 	// order Run tears down those still parked at the end. spawn drops the
 	// finished ones once they outnumber the rest.
-	threads  []*simThread
-	finished int
+	threads         []*simThread
+	finished        int
+	resumes, played int64 // see Resumes
 }
 
 type simCore struct{ busyUntil int64 }
@@ -64,7 +65,24 @@ type simThread struct {
 	fn      func(Context) // the body, until it starts
 	co      *carrier      // what the body runs on, from its first resume to its end
 	joiners []*simThread
+	spin    spin
 }
+
+// spin is a Spin call in progress: the poll loop a stopped thread has handed
+// to Run. at is where in the loop of the Spin contract the thread stopped,
+// named for what comes next.
+type spin struct {
+	idle      Idler // nil when the thread is not in Spin
+	pre, post int64
+	max, n    int
+	at        uint8
+}
+
+const (
+	spinPost  = iota // out of Yield: Charge(post)
+	spinCheck        // out of Charge(post): the check, then Charge(pre)
+	spinYield        // out of Charge(pre): count the iteration and Yield
+)
 
 type simKilled struct{}
 
@@ -164,6 +182,12 @@ func NewSim(cfg SimConfig) *Sim {
 // Now returns the current virtual time. Only meaningful while Run is
 // executing (or after it returns, as the final time).
 func (s *Sim) Now() int64 { return s.now }
+
+// Resumes is how many times Run has switched to a thread, Played how many
+// stops of spinning threads it has handled itself (Context.Spin). Their sum
+// is the run's thread events: without Spin, every one of them a resume.
+func (s *Sim) Resumes() int64 { return s.resumes }
+func (s *Sim) Played() int64  { return s.played }
 
 func (s *Sim) core(id CoreID) *simCore {
 	c, ok := s.cores[id]
@@ -356,12 +380,7 @@ func (s *Sim) Run() int64 {
 	defer s.teardown()
 	for s.pq.Len() > 0 {
 		e := s.pop()
-		if e.at > s.now {
-			s.now = e.at
-		}
-		if s.cfg.MaxVirtualTime > 0 && s.now > s.cfg.MaxVirtualTime {
-			panic(fmt.Sprintf("exec: virtual time %d exceeded bound %d", s.now, s.cfg.MaxVirtualTime))
-		}
+		s.advance(e.at)
 		if e.fn != nil {
 			e.fn()
 			continue
@@ -377,13 +396,23 @@ func (s *Sim) Run() int64 {
 			// what makes same-core scheduling round-robin rather than
 			// letting the running thread starve its core-mates.
 			e.at = c.busyUntil
-			s.pushKeepSeq(e)
-			continue
+			if h := s.pq; len(h) > 0 && (h[0].at < e.at || h[0].at == e.at && h[0].seq < e.seq) {
+				s.pushKeepSeq(e)
+				continue
+			}
+			// Still the earliest event: pushing it and popping it again
+			// would be the identity, so carry on with it at its new time.
+			s.advance(e.at)
 		}
 		if e.at > t.vt {
 			t.vt = e.at
 		}
-		s.resume(t)
+		if t.spin.idle != nil && s.playSpin(t) {
+			s.played++
+		} else {
+			s.resumes++
+			s.resume(t)
+		}
 		if c.busyUntil < t.vt {
 			c.busyUntil = t.vt
 		}
@@ -392,6 +421,66 @@ func (s *Sim) Run() int64 {
 		}
 	}
 	return s.now
+}
+
+// advance moves the global clock to the time of the event being handled.
+func (s *Sim) advance(at int64) {
+	s.now = max(s.now, at)
+	if s.cfg.MaxVirtualTime > 0 && s.now > s.cfg.MaxVirtualTime {
+		s.overrun()
+	}
+}
+
+//go:noinline
+func (s *Sim) overrun() {
+	panic(fmt.Sprintf("exec: virtual time %d exceeded bound %d", s.now, s.cfg.MaxVirtualTime))
+}
+
+// charge is Charge (which is written out: it is the hottest call in the
+// repository) up to the stop, reporting whether t has to stop.
+func (s *Sim) charge(t *simThread, d int64) bool {
+	if d <= 0 {
+		return false
+	}
+	t.vt += d
+	if s.pq.Len() > 0 && s.pq.peekTime() < t.vt {
+		s.push(event{at: t.vt, th: t})
+		return true
+	}
+	return false
+}
+
+// yield is Yield up to the stop.
+func (s *Sim) yield(t *simThread) {
+	t.vt += s.cfg.YieldCost
+	s.push(event{at: t.vt, th: t})
+}
+
+// playSpin takes a spinning thread from the stop its event was popped for to
+// its next one: the charges, preemption tests and pushes the loop of the Spin
+// contract would make, made in Run. It reports false when the spin is over
+// and the thread has to be resumed to return from it.
+func (s *Sim) playSpin(t *simThread) bool {
+	sp := &t.spin
+	if sp.at == spinPost {
+		sp.at = spinCheck
+		if s.charge(t, sp.post) {
+			return true
+		}
+	}
+	if sp.at == spinCheck {
+		if sp.n == sp.max || !sp.idle.Idle(t.vt) {
+			return false
+		}
+		sp.at = spinYield
+		if s.charge(t, sp.pre) {
+			return true
+		}
+	}
+	sp.n++
+	sp.at = spinPost
+	s.yield(t)
+	return true
 }
 
 // teardown unwinds every thread that started and did not finish (daemons
@@ -431,10 +520,17 @@ func (c simCtx) Charge(d int64) {
 }
 
 func (c simCtx) Yield() {
+	c.t.sim.yield(c.t)
+	c.t.stop(stReady)
+}
+
+func (c simCtx) Spin(pre, post int64, max int, idle Idler) int {
 	t := c.t
-	t.vt += t.sim.cfg.YieldCost
-	t.sim.push(event{at: t.vt, th: t})
-	t.stop(stReady)
+	t.spin = spin{idle: idle, pre: pre, post: post, max: max}
+	t.sim.yield(t)
+	t.stop(stReady) // back when Run has played the spin to its end
+	t.spin.idle = nil
+	return t.spin.n
 }
 
 func (c simCtx) Sleep(d int64) {

@@ -80,9 +80,7 @@ func (m *Monitor) notePeerEpoch(peer string, epoch uint32) {
 func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 	now := ctx.Now()
 	m.mu.Lock()
-	if m.stopped || len(m.hbPeers) == 0 ||
-		now-m.lastActivity > hbQuietAfter ||
-		(m.hbLastTick != 0 && now-m.hbLastTick < hbInterval) {
+	if !m.hbDueLocked(now) {
 		m.mu.Unlock()
 		return
 	}
@@ -131,6 +129,15 @@ func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 	for _, p := range confirm {
 		m.hostDead(ctx, p, 0, true)
 	}
+}
+
+// hbDueLocked reports whether tickHeartbeats has a tick to run at now: there
+// are peers, real traffic was seen within hbQuietAfter, and hbInterval has
+// passed since the last tick. Caller holds m.mu.
+func (m *Monitor) hbDueLocked(now int64) bool {
+	return !m.stopped && len(m.hbPeers) > 0 &&
+		now-m.lastActivity <= hbQuietAfter &&
+		(m.hbLastTick == 0 || now-m.hbLastTick >= hbInterval)
 }
 
 // hbSend ships one liveness beacon toward peer. It goes through mchanSend

@@ -483,7 +483,7 @@ func (m *Monitor) run(ctx exec.Context) {
 		idle++
 		if idle < 256 {
 			ctx.Charge(m.H.Costs.RingOp)
-			ctx.Yield()
+			idle += ctx.Spin(m.H.Costs.RingOp, 0, 255-idle, (*routerIdler)(m))
 			continue
 		}
 		for _, mc := range mchs {
@@ -497,6 +497,34 @@ func (m *Monitor) run(ctx exec.Context) {
 		// after a single pass instead of 256 idle spins.
 		idle = 255
 	}
+}
+
+// routerIdler is the Monitor as idle predicate of the router loop: the daemon
+// runs, no crash, re-registration or probe result is queued, no monitor
+// channel has a completion, no listener a connection, no heartbeat is due.
+type routerIdler Monitor
+
+func (r *routerIdler) Idle(now int64) bool {
+	m := (*Monitor)(r)
+	if !m.mu.TryLock() {
+		return false
+	}
+	defer m.mu.Unlock()
+	if m.stopped || len(m.deaths)+len(m.needReReg)+len(m.probeDone) > 0 || m.hbDueLocked(now) ||
+		(m.rescueL != nil && m.rescueL.PendingHint() > 0) {
+		return false
+	}
+	for _, mc := range m.mchanList {
+		if mc.recvCQ.Len() > 0 {
+			return false
+		}
+	}
+	for _, k := range m.kernLs {
+		if k.kl.PendingHint() > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // routeRemote hands an mchan arrival to the shard owning its key.

@@ -221,12 +221,35 @@ func (sh *mshard) run(ctx exec.Context) {
 		idle++
 		if idle < 256 {
 			ctx.Charge(m.H.Costs.RingOp)
-			ctx.Yield()
+			idle += ctx.Spin(m.H.Costs.RingOp, 0, 255-idle, (*shardIdler)(sh))
 			continue
 		}
 		ctx.Park() // woken by libsd's per-shard doorbell or the router
 		idle = 255
 	}
+}
+
+// shardIdler is the shard as idle predicate of its loop: the daemon runs,
+// inbox and closed list are empty, and no process has a message (or a
+// credit to take back) on this shard's plane.
+type shardIdler mshard
+
+func (i *shardIdler) Idle(int64) bool {
+	sh := (*mshard)(i)
+	m := sh.m
+	if !m.mu.TryLock() {
+		return false
+	}
+	defer m.mu.Unlock()
+	if m.stopped || len(sh.inbox)+len(sh.closed) > 0 {
+		return false
+	}
+	for _, pc := range m.procList {
+		if !pc.ds[sh.idx].B().RX.RecvIdle() {
+			return false
+		}
+	}
+	return true
 }
 
 // reclaimClosedLocked drops every record of the connections queued by

@@ -19,6 +19,7 @@ package rdma
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"socksdirect/internal/costmodel"
 	"socksdirect/internal/exec"
@@ -68,8 +69,12 @@ type CQE struct {
 // thread one shared CQ so it polls a single queue for all sockets (§4.2
 // "Amortize polling overhead").
 type CQ struct {
+	// n is the number of pending completions, readable without the mutex:
+	// pollers find the queue empty far more often than not.
+	n      atomic.Int32
 	mu     sync.Mutex
-	items  []CQE
+	items  []CQE // items[head:] are pending
+	head   int
 	notify []func() // one-shot arms, ibv_req_notify_cq-style (all fire once)
 	// firing is the spare arm buffer: push swaps it with notify before
 	// firing, so a callback that re-arms (the completion pump does, on
@@ -90,7 +95,13 @@ func NewCQ() *CQ {
 func (cq *CQ) push(e CQE) {
 	mCompletions.Inc()
 	cq.mu.Lock()
+	if cq.head > 0 && len(cq.items) == cap(cq.items) {
+		// Never quite drained: reclaim the consumed prefix before growing.
+		cq.items = cq.items[:copy(cq.items, cq.items[cq.head:])]
+		cq.head = 0
+	}
 	cq.items = append(cq.items, e)
+	cq.n.Add(1)
 	ns := cq.notify
 	cq.notify = cq.firing[:0]
 	cq.firing = ns
@@ -101,32 +112,22 @@ func (cq *CQ) push(e CQE) {
 	}
 }
 
-// Poll dequeues up to max completions (max<=0 means all pending).
-func (cq *CQ) Poll(max int) []CQE {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	n := len(cq.items)
-	if n == 0 {
-		return nil
-	}
-	if max > 0 && max < n {
-		n = max
-	}
-	out := make([]CQE, n)
-	copy(out, cq.items[:n])
-	cq.items = cq.items[:copy(cq.items, cq.items[n:])]
-	return out
-}
-
 // PollOne dequeues a single completion without allocating.
 func (cq *CQ) PollOne() (CQE, bool) {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	if len(cq.items) == 0 {
+	if cq.n.Load() == 0 {
 		return CQE{}, false
 	}
-	e := cq.items[0]
-	cq.items = cq.items[:copy(cq.items, cq.items[1:])]
+	cq.mu.Lock()
+	defer cq.mu.Unlock()
+	if cq.head == len(cq.items) {
+		return CQE{}, false
+	}
+	e := cq.items[cq.head]
+	cq.head++
+	if cq.head == len(cq.items) {
+		cq.items, cq.head = cq.items[:0], 0 // drained: reuse the array from its start
+	}
+	cq.n.Add(-1)
 	return e, true
 }
 
@@ -135,7 +136,7 @@ func (cq *CQ) PollOne() (CQE, bool) {
 // coexist (a sleeping receiver and the library's completion pump).
 func (cq *CQ) Arm(fn func()) {
 	cq.mu.Lock()
-	pending := len(cq.items) > 0
+	pending := cq.head < len(cq.items)
 	if !pending {
 		cq.notify = append(cq.notify, fn)
 	}
@@ -146,11 +147,7 @@ func (cq *CQ) Arm(fn func()) {
 }
 
 // Len reports pending completions.
-func (cq *CQ) Len() int {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	return len(cq.items)
-}
+func (cq *CQ) Len() int { return int(cq.n.Load()) }
 
 // PD is a protection domain: MRs and QPs in different PDs cannot touch.
 type PD struct {

@@ -378,6 +378,19 @@ func (r *Ring) CanRecv() bool {
 	return r.read != r.tailSeen
 }
 
+// RecvIdle reports whether TryRecv (or TryRecvN) would come back empty and
+// leave the ring as it found it: no message, and no credit the empty path
+// still has to return. Like CanRecv it only refreshes the cached tail.
+func (r *Ring) RecvIdle() bool { return r.creditFlush == r.read && !r.CanRecv() }
+
+// SendStalled reports whether a TrySend that has just failed for want of
+// space would fail again: no credit has come back since it looked.
+func (r *Ring) SendStalled() bool { return r.creditSeen == r.credit.Load() }
+
+// CountSendFull books n polls of a full ring that a stalled sender left to
+// the scheduler (sd/shm/send_full counts them made or played).
+func CountSendFull(n int) { mSendFull.Add(int64(n)) }
+
 // Used returns the sender-side estimate of bytes in flight (for tests and
 // adaptive batching decisions).
 func (r *Ring) Used() int { return int(r.written - r.credit.Load()) }

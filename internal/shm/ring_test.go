@@ -514,3 +514,44 @@ func TestRegistryRingFreeListConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestRingIdlePredicates: RecvIdle is "TryRecv would come back empty and
+// change nothing" — so not while a consumed message's credit is still to be
+// returned, which the empty path does once — and SendStalled is "the failed
+// TrySend would fail again", until the receiver returns credit.
+func TestRingIdlePredicates(t *testing.T) {
+	r := NewRing(256)
+	if !r.RecvIdle() {
+		t.Fatal("fresh ring is not idle")
+	}
+	msg := make([]byte, 100)
+	if !r.TrySend(1, 0, msg) || !r.TrySend(1, 0, msg) {
+		t.Fatal("two 100-byte messages do not fit 256 bytes")
+	}
+	if r.TrySend(1, 0, msg) {
+		t.Fatal("a third fits")
+	}
+	if !r.SendStalled() {
+		t.Error("no credit came back, but the sender is not stalled")
+	}
+	if r.RecvIdle() {
+		t.Error("idle with two messages to receive")
+	}
+	r.TryRecv()
+	r.TryRecv() // 112 bytes consumed before it: under the half-ring credit threshold
+	if r.RecvIdle() || !r.SendStalled() {
+		t.Error("idle, or unstalled, with both messages' credit still to return")
+	}
+	if _, ok := r.TryRecv(); ok {
+		t.Fatal("a third message came out")
+	}
+	if !r.RecvIdle() {
+		t.Error("not idle after the empty poll returned the credit")
+	}
+	if r.SendStalled() {
+		t.Error("credit came back, but the sender still counts as stalled")
+	}
+	if !r.TrySend(1, 0, msg) || r.RecvIdle() {
+		t.Error("a new message does not end the idleness")
+	}
+}
