@@ -114,14 +114,15 @@ func sdstatCmd(args []string) {
 
 	// Connection lifecycle: is anything leaking? Every closed connection
 	// is reclaimed once per host it touched; SEGMENTS-LIVE counts what is
-	// still registered (open sockets, plus half-closed ones).
+	// still registered (open sockets, plus half-closed ones), QPS-PARKED
+	// the QPs finished connections left connected for the next dial.
 	fmt.Println()
 	snap := telemetry.Capture()
 	tw = tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(tw, "CONNS-RECLAIMED\tRING-POOL-HITS\tRING-POOL-MISSES\tSEGMENTS-LIVE")
-	fmt.Fprintf(tw, "%d\t%d\t%d\t%d\n", snap.Get(telemetry.CoreConnReclaims),
+	fmt.Fprintln(tw, "CONNS-RECLAIMED\tRING-POOL-HITS\tRING-POOL-MISSES\tSEGMENTS-LIVE\tQPS-PARKED")
+	fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\n", snap.Get(telemetry.CoreConnReclaims),
 		snap.Get(telemetry.ShmRingPoolHits), snap.Get(telemetry.ShmRingPoolMisses),
-		snap.Get(telemetry.ShmSegmentsLive))
+		snap.Get(telemetry.ShmSegmentsLive), snap.Get(telemetry.CoreQPsParked))
 	tw.Flush()
 
 	fmt.Println()

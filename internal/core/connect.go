@@ -64,9 +64,10 @@ type rdmaLocal struct {
 // one inter-host socket endpoint, and registers the shared state as a SHM
 // segment (socket buffers live in SHM so fork keeps working, §4.1.2).
 // Rings come from the host's recycle list and the pool from the process's
-// (lifecycle.go); MRs and the QP are per connection, so an old peer's keys
-// die with its connection.
-func (l *Libsd) newRdmaLocal(ctx exec.Context, qid uint64) (*rdmaLocal, error) {
+// (lifecycle.go); MRs are per connection, so an old peer's keys die with
+// its connection. qp is a parked QP to build the endpoint on, or nil to
+// create one.
+func (l *Libsd) newRdmaLocal(ctx exec.Context, qid uint64, qp *rdma.QP) (*rdmaLocal, error) {
 	side := &SideState{
 		QID: qid,
 		TX:  l.H.SHM.GetRing(ringCap),
@@ -79,9 +80,11 @@ func (l *Libsd) newRdmaLocal(ctx exec.Context, qid uint64) (*rdmaLocal, error) {
 	rl.creditMR = l.pd.RegisterBytes(side.CreditIn)
 	rl.tailMR = l.pd.RegisterBytes(side.TailIn)
 	side.mrs = []*rdma.MR{rl.rxMR, rl.creditMR, rl.tailMR}
-	rl.qp = l.pd.CreateQP(l.sendCQ, l.recvCQ)
-	if ctx != nil {
-		ctx.Charge(l.H.Costs.RDMAQPCreate)
+	if rl.qp = qp; qp == nil {
+		rl.qp = l.pd.CreateQP(l.sendCQ, l.recvCQ)
+		if ctx != nil {
+			ctx.Charge(l.H.Costs.RDMAQPCreate)
+		}
 	}
 	pool, err := l.getZCPool(ctx)
 	if err != nil {
@@ -95,9 +98,11 @@ func (l *Libsd) newRdmaLocal(ctx exec.Context, qid uint64) (*rdmaLocal, error) {
 
 // abandonRdmaLocal releases an endpoint no peer was ever spliced to (a
 // refused, timed-out or unroutable dial): the same routine as a graceful
-// close, and since nothing touched the rings they are recycled.
+// close. If no endpoint was registered nothing touched the rings and they
+// are recycled; a dial that went out on a parked QP had one, and its twin
+// may have been adopted and written to them.
 func (l *Libsd) abandonRdmaLocal(rl *rdmaLocal) {
-	rl.qp.Close() // not registered with the side unless buildEP ran
+	rl.qp.Close() // not registered with the side unless newEP ran
 	rl.side.resMu.Lock()
 	clean := len(rl.side.eps) == 0
 	rl.side.resMu.Unlock()
@@ -116,23 +121,15 @@ func (rl *rdmaLocal) desc(m *ctlmsg.Msg) {
 	m.SeqB = zcPoolPages
 }
 
-// buildEP wires an rdmaEP from local resources plus the peer's descriptor
-// and opens the QP toward the peer's (open: passive for the side that
-// learns the peer's QPN first).
-func (l *Libsd) buildEP(rl *rdmaLocal, peerHost string, m *ctlmsg.Msg, passive bool) (*rdmaEP, error) {
+// newEP wires an rdmaEP over local resources and registers it; where the
+// peer takes its writes comes with setPeer.
+func (l *Libsd) newEP(rl *rdmaLocal) *rdmaEP {
 	ep := &rdmaEP{
 		lib:      l,
 		side:     rl.side,
 		qp:       rl.qp,
 		batching: l.batching,
 	}
-	ep.setPeer(peerHost, m)
-	rl.side.PoolRemote = int(m.SeqB)
-	free := make([]int32, m.SeqB)
-	for i := range free {
-		free[i] = int32(i)
-	}
-	rl.side.PoolFree = free
 	// Keep our own rkeys in the shared state: failure recovery hands the
 	// unchanged keys to the peer's replacement QP (the MRs survive).
 	rl.side.SelfRingRKey = rl.rxMR.RKey()
@@ -149,18 +146,23 @@ func (l *Libsd) buildEP(rl *rdmaLocal, peerHost string, m *ctlmsg.Msg, passive b
 	// completion with no registered endpoint would be dropped, losing a
 	// tail publication permanently.
 	l.registerEP(ep)
-	if err := ep.open(peerHost, m.QPN, passive); err != nil {
-		return nil, err
-	}
-	return ep, nil
+	return ep
 }
 
-// setPeer records where the peer's endpoint takes our writes: its RX ring,
-// credit word, tail word and zero-copy pool.
+// setPeer records the peer's descriptor: where its endpoint takes our
+// writes — RX ring, credit word, tail word, zero-copy pool with every slot
+// free — and which process holds it.
 func (e *rdmaEP) setPeer(peerHost string, m *ctlmsg.Msg) {
 	e.ringRKey, e.creditRKey, e.tailRKey = m.RingRKey, m.CreditRKey, m.Secret
-	e.side.PoolRKey = m.SeqA
-	e.side.PeerHost = peerHost
+	e.peerPID = m.PID
+	side := e.side
+	side.PeerHost = peerHost
+	side.PoolRKey = m.SeqA
+	side.PoolRemote = int(m.SeqB)
+	side.PoolFree = make([]int32, m.SeqB)
+	for i := range side.PoolFree {
+		side.PoolFree[i] = int32(i)
+	}
 }
 
 // open connects e's QP to the peer's in the order InfiniBand's REQ/REP/RTU
@@ -184,10 +186,12 @@ func (e *rdmaEP) open(peerHost string, peerQPN uint32, passive bool) error {
 }
 
 // retarget points a dialing endpoint at another accepting endpoint: work
-// stealing moved the connection to a different listener, which built its
-// own endpoint and waits, passive, for our RTU. The victim's endpoint is
-// gone and never accepted, so nothing sent to it matters: the QP restarts
-// from Reset toward the thief's.
+// stealing moved the connection to a different listener, or the parked QP
+// we offered was not adopted; either way the acceptor built its own
+// endpoint and waits, passive, for our RTU. The victim's endpoint is gone
+// and never accepted, and a twin that was not adopted is parked or gone, so
+// nothing sent there matters: the QP restarts from Reset toward the new
+// one.
 func (e *rdmaEP) retarget(peerHost string, m *ctlmsg.Msg) error {
 	e.setPeer(peerHost, m)
 	e.qp.Reset()
@@ -480,12 +484,26 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 	if dstHost != l.H.Name {
 		// Remote target: prepare our RDMA endpoint optimistically and ship
 		// its descriptor with the SYN (the monitors splice the two ends).
-		rl, err := l.newRdmaLocal(ctx, connID)
+		qp := l.takeParked(dstHost, 0, 0, 0)
+		rl, err := l.newRdmaLocal(ctx, connID, qp)
 		if err != nil {
 			return nil, nil, err
 		}
 		pc.rl = rl
 		rl.desc(&m)
+		if qp != nil {
+			// Offer the pair: the QP is still connected to its twin, which
+			// the accepting process adopts if it has it parked. Then its QP
+			// is in RTS and its MAck can beat the answer here, so the
+			// endpoint is registered before the SYN leaves; the peer's keys
+			// come with the answer.
+			_, m.RemoteQPN = qp.Peer()
+			ep := l.newEP(rl)
+			ep.offered = true
+			l.mu.Lock()
+			pc.sock = &Socket{lib: l, side: rl.side, ep: ep}
+			l.mu.Unlock()
+		}
 	}
 	l.sendCtl(ctx, &m)
 
@@ -670,19 +688,29 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			pc.kernelFD = -1
 			pc.status.Store(1)
 		case ctlmsg.TransportRDMA:
-			// We connect second, so we are the active side. A second answer
-			// for the same dial means a steal re-dispatched it (KStealReq).
+			// We connect second, so we are the active side — unless we offered
+			// a parked QP and the answer names its twin: the acceptor adopted
+			// it and the pair never stopped being connected. Any other answer
+			// to an offer is a fresh endpoint to re-target at, and so is a
+			// second answer for the same dial: a steal re-dispatched it
+			// (KStealReq).
 			l.mu.Lock()
 			s := pc.sock
 			l.mu.Unlock()
 			var err error
 			if s == nil {
-				var ep *rdmaEP
-				if ep, err = l.buildEP(pc.rl, m.HostStr(), m, false); err == nil {
-					s = &Socket{lib: l, side: pc.rl.side, ep: ep}
-				}
+				ep := l.newEP(pc.rl)
+				ep.setPeer(m.HostStr(), m)
+				s = &Socket{lib: l, side: pc.rl.side, ep: ep}
+				err = ep.open(m.HostStr(), m.QPN, false)
 			} else {
-				err = s.ep.(*rdmaEP).retarget(m.HostStr(), m)
+				ep := s.ep.(*rdmaEP)
+				if _, twin := ep.qp.Peer(); ep.offered && twin == m.QPN {
+					ep.setPeer(m.HostStr(), m)
+				} else {
+					err = ep.retarget(m.HostStr(), m)
+				}
+				ep.offered = false
 			}
 			if err != nil {
 				pc.errCode = ctlmsg.StatusNoRoute
@@ -708,16 +736,35 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			// accept() (§4.5.2 "the peer-to-peer queue is established ...
 			// when the SYN command is distributed into a listener's
 			// backlog").
-			rl, err := l.newRdmaLocal(ctx, m.ConnID)
+			// A SYN that offers a QP still connected to one parked here is
+			// answered with that twin, if the offer comes from where the twin
+			// points: the host the monitor channel names, that QPN, the
+			// process the pair was formed with. Peers are untrusted (§3).
+			var qp *rdma.QP
+			if m.RemoteQPN != 0 {
+				if m.PID != 0 {
+					qp = l.takeParked(m.HostStr(), m.PID, m.RemoteQPN, m.QPN)
+				}
+				if qp != nil {
+					mParkHits.Inc()
+				} else {
+					mParkMisses.Inc()
+				}
+			}
+			rl, err := l.newRdmaLocal(ctx, m.ConnID, qp)
 			if err != nil {
 				return
 			}
-			// Passive: the dialer connects only when our descriptor has
-			// made it back to it; accept's MAck waits in the QP for its RTU.
-			ep, err := l.buildEP(rl, m.HostStr(), m, true)
-			if err != nil {
-				l.abandonRdmaLocal(rl)
-				return
+			ep := l.newEP(rl)
+			ep.setPeer(m.HostStr(), m)
+			if qp == nil {
+				// Passive: the dialer connects only when our descriptor has
+				// made it back to it; accept's MAck waits in the QP for its
+				// RTU.
+				if err := ep.open(m.HostStr(), m.QPN, true); err != nil {
+					l.abandonRdmaLocal(rl)
+					return
+				}
 			}
 			pa.sock = &Socket{lib: l, side: rl.side, ep: ep}
 			var res ctlmsg.Msg
@@ -836,7 +883,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			tailRKey: m.Secret,
 			batching: l.batching,
 		}
-		l.registerEP(ep) // before the QP can receive: see buildEP
+		l.registerEP(ep) // before the QP can receive: see newEP
 		// Passive: the requester connects its QP when our answer reaches it.
 		if err := ep.open(m.HostStr(), m.QPN, true); err != nil {
 			res.Status = ctlmsg.StatusNoRoute
@@ -909,13 +956,25 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		for s := range l.socks[m.QID] {
 			socks = append(socks, s)
 		}
-		for _, pc := range l.pending {
-			if pc.sock != nil && pc.sock.side.QID == m.QID {
-				socks = append(socks, pc.sock)
-			}
+		pc := l.pending[m.QID] // a dial's ConnID is its QID
+		if pc != nil && pc.sock != nil {
+			socks = append(socks, pc.sock)
 		}
 		closing := l.closing[m.QID]
 		l.mu.Unlock()
+		if pc != nil && pc.status.Load() == 0 {
+			// Still waiting for KConnectRes: the process the SYN was
+			// dispatched to died before it answered, and no answer will
+			// come. The dial is refused.
+			pc.errCode = ctlmsg.StatusNoListener
+			pc.kernelFD = -1
+			pc.status.Store(2)
+		}
+		if h := m.HostStr(); h != "" {
+			// Twins held by the dead process (PID 0: by any on a dead host)
+			// are gone.
+			l.closeParked(h, m.PID)
+		}
 		if closing != nil {
 			// Closed here, waiting for a peer that will never finish: the
 			// handshake is over, release what is left.

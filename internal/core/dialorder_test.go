@@ -66,8 +66,9 @@ func echoOnce(t *testing.T, ctx exec.Context, th *host.Thread, l *core.Libsd, ds
 
 // TestCrossHostDialLoop: a sequential dial → echo → close loop across two
 // hosts. With the server's MAck ordered behind the dialer's RTU no dial
-// waits out an RTO (761 937 sim-ns each before), and a warm dial — recycled
-// rings and pool — is two QP creations plus a few control hops.
+// waits out an RTO (761 937 sim-ns each before). The first two dials are
+// cold, two QP creations each; every later one goes out on the pair the
+// first left parked and creates nothing (64 154 sim-ns each before).
 func TestCrossHostDialLoop(t *testing.T) {
 	w := newWorld(t)
 	monitor.Peer(w.ma, w.mb)
@@ -76,33 +77,43 @@ func TestCrossHostDialLoop(t *testing.T) {
 	sp.Spawn("srv", echoServer(t, sl, 7500))
 	var lats []int64
 	var d wire
+	var p parkCounts
 	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
 		ctx.Sleep(10_000)
-		w0 := readWire()
+		w0, p0 := readWire(), readPark()
 		for i := 0; i < 20; i++ {
 			dial, _ := echoOnce(t, ctx, th, cl, "hostB", 7500)
 			lats = append(lats, dial)
 		}
-		d = readWire().since(w0)
+		d, p = readWire().since(w0), readPark().since(p0)
 		sp.Signal(ctx, host.SIGKILL)
 	})
 	w.sim.Run()
 	t.Logf("dial latencies %v", lats)
-	// The first dial pins both sides' fresh pools; the second finds the
-	// client's only pool still in the first connection's close handshake
-	// and pins another. From then on everything is recycled, and a dial is
-	// the two QP creations plus control hops, the RTU and the MAck.
+	// The first dial pins both sides' fresh pools. The second follows the
+	// first one's Close at once: the client's only pool is still in the
+	// close handshake, so it pins another, and its QP is parked only when
+	// the server's MShut has arrived, ~4 µs later, so it has none to offer
+	// and creates another. The third is the first hit; it wakes the
+	// listener out of interrupt mode and meets the control throttle once.
 	qps := 2 * costmodel.Default.RDMAQPCreate
 	for i, lat := range lats {
 		switch {
 		case lat >= rdma.DefaultRTO:
 			t.Errorf("dial %d took %d sim-ns: it sat out an RTO", i, lat)
-		case i >= 2 && (lat > 70_000 || lat < qps):
-			t.Errorf("warm dial %d took %d sim-ns, want %d for the QPs and at most 70 000", i, lat, qps)
+		case i < 2 && lat < qps:
+			t.Errorf("cold dial %d took %d sim-ns, less than its two QP creations", i, lat)
+		case i == 2 && lat > 110_000:
+			t.Errorf("first warm dial took %d sim-ns, want at most 110 000", lat)
+		case i > 2 && lat > 8_000:
+			t.Errorf("warm dial %d took %d sim-ns, want at most 8 000", i, lat)
 		}
 	}
 	if d != (wire{}) {
 		t.Errorf("a clean dial loop moved %+v", d)
+	}
+	if want := (parkCounts{hits: 18, created: 4}); p != want {
+		t.Errorf("20 dials: %+v, want %+v: QPs are created by the two cold dials only", p, want)
 	}
 }
 
@@ -206,7 +217,8 @@ func TestClusterDialRepeatable(t *testing.T) {
 }
 
 // netCensus is a census with the idle zero-copy pools taken out: a
-// recycled pool keeps its MR and its pins on purpose.
+// recycled pool keeps its MR and its pins on purpose. (Parked QPs are a
+// column of their own.)
 func netCensus(w *world, libs ...*core.Libsd) census {
 	c := takeCensus(w, libs...)
 	for _, l := range libs {
@@ -240,7 +252,7 @@ func TestStolenAcceptInterHost(t *testing.T) {
 	var d wire
 	var stolen int64
 	var echoes [2]int64
-	done := 0
+	done, drained := 0, 0
 	for i := 0; i < 2; i++ {
 		i := i
 		cp.Spawn(fmt.Sprintf("dialer%d", i), func(ctx exec.Context, th *host.Thread) {
@@ -259,6 +271,10 @@ func TestStolenAcceptInterHost(t *testing.T) {
 		ctx.Sleep(5_000_000)
 		end = netCensus(w, l1, l2, cl)
 		d, stolen = readWire().since(w0), steals.Load()-s0
+		for _, l := range []*core.Libsd{l1, l2, cl} {
+			l.DrainParkedQPs()
+		}
+		drained = w.a.NIC.QPCount() + w.b.NIC.QPCount()
 		p1.Signal(ctx, host.SIGKILL)
 	})
 	w.sim.Run()
@@ -273,8 +289,14 @@ func TestStolenAcceptInterHost(t *testing.T) {
 	if d != (wire{}) {
 		t.Errorf("stolen accept moved %+v", d)
 	}
+	// Both connections ended at the thief: two pairs parked, the victim's
+	// endpoint left nothing.
+	base.parked += 4
 	if end != base {
 		t.Errorf("census after the stolen accept %+v, want %+v", end, base)
+	}
+	if drained != base.qps {
+		t.Errorf("%d QPs on the NICs with the parked ones closed, want the %d from before", drained, base.qps)
 	}
 }
 
@@ -586,6 +608,13 @@ func TestAbandonedDialServerSideEnds(t *testing.T) {
 	if srvEnd-abandonedAt < (rdma.MaxRetry+1)*rdma.DefaultRTO {
 		t.Errorf("ended after %d sim-ns, before the retry bound", srvEnd-abandonedAt)
 	}
+	// The abandoned dial went out on the pair the warm-up had parked: the
+	// dialer closed its half when it gave up, the server adopted the twin
+	// and that died of its retries.
+	if base.parked != 2 {
+		t.Errorf("%d QPs parked after the warm-up, want 2", base.parked)
+	}
+	base.parked = 0
 	if end != base {
 		t.Errorf("census after the abandoned dial %+v, want %+v", end, base)
 	}

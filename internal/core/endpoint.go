@@ -138,6 +138,12 @@ type rdmaEP struct {
 	batching    bool // false disables adaptive batching (SD-unopt ablation)
 	peerDeadFlg atomic.Bool
 
+	// peerPID is the process that holds the peer endpoint: whom the QP is
+	// parked for, later. offered marks a dial that went out on a parked QP
+	// and has no answer yet.
+	peerPID int64
+	offered bool
+
 	// burst suppresses the per-message flush between burstBegin and
 	// burstEnd so a whole SendBatch rides one doorbell. Atomic because the
 	// completion pump (onSendCQE -> flush) may run on another thread.

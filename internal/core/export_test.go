@@ -28,6 +28,20 @@ func (l *Libsd) IdleZCPools() int {
 	return len(l.zcIdle)
 }
 
+// ParkedQPs reports how many QPs of finished connections are parked.
+func (l *Libsd) ParkedQPs() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.parked)
+}
+
+// DrainParkedQPs closes every parked QP, so that what a finished connection
+// left on the NIC can be compared with what was there before it.
+func (l *Libsd) DrainParkedQPs() { l.closeParked("", 0) }
+
+// MaxParkedQPs bounds ParkedQPs.
+const MaxParkedQPs = maxParkedQPs
+
 // ZCPoolPages is the size of one pinned zero-copy pool.
 const ZCPoolPages = zcPoolPages
 
@@ -37,6 +51,16 @@ const ZCPoolPages = zcPoolPages
 func (s *Socket) FailQP() {
 	s.ErrorQPSilently()
 	s.ep.(*rdmaEP).markFailed()
+}
+
+// ErrorParkedQPs moves every parked QP to the error state, as a NIC event
+// between two connections would.
+func (l *Libsd) ErrorParkedQPs() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, p := range l.parked {
+		p.qp.ForceError()
+	}
 }
 
 // ErrorQPSilently moves the socket's QP to the error state and tells

@@ -206,7 +206,7 @@ func (f *forkedRdmaEP) materialize(ctx exec.Context) *rdmaEP {
 				batching: f.lib.batching,
 			}
 			side.creditEP.Store(&creditBox{ep})
-			f.lib.registerEP(ep) // before the QP can receive: see buildEP
+			f.lib.registerEP(ep) // before the QP can receive: see newEP
 			// Active: the peer's new QP holds its writes until this RTU.
 			if err := ep.open(pr.peerHost, f.peerQPN, false); err != nil {
 				ep.markFailed() // no route for this QP: recovery takes over
@@ -288,7 +288,9 @@ func (l *Libsd) Exec(ctx exec.Context) (*Libsd, error) {
 	seg := l.H.SHM.Create("exec-fdtable", saved)
 	l.leave()
 
-	// "After exec, the entire RDMA context is wiped out": a fresh Libsd.
+	// "After exec, the entire RDMA context is wiped out": a fresh Libsd,
+	// and the old one's parked QPs go.
+	l.closeParked("", 0)
 	reg, _ := l.H.Mon.(registrar)
 	nl, err := initWith(l.P, reg.RegisterProcess(l.P))
 	if err != nil {

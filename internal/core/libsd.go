@@ -104,10 +104,12 @@ type Libsd struct {
 
 	// closing holds inter-host sides whose last FD closed here but whose
 	// peer has not finished closing (by QID, so a death notice can still
-	// find them); zcIdle is the recycle list of pinned zero-copy pools.
-	// Both under mu; see lifecycle.go.
+	// find them); zcIdle is the recycle list of pinned zero-copy pools and
+	// parked the QPs of finished connections, oldest first. All under mu;
+	// see lifecycle.go.
 	closing map[uint64]*SideState
 	zcIdle  []*zcPool
+	parked  []parkedQP
 
 	inLibsd atomic.Int32 // signal handler guard (§4.4 challenge 2)
 
@@ -612,4 +614,5 @@ func (l *Libsd) OnProcessDeath() {
 			ep.qp.Close()
 		}
 	}
+	l.closeParked("", 0)
 }

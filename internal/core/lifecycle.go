@@ -2,6 +2,7 @@ package core
 
 import (
 	"socksdirect/internal/exec"
+	"socksdirect/internal/rdma"
 	"socksdirect/internal/shm"
 	"socksdirect/internal/telemetry"
 )
@@ -35,11 +36,96 @@ import (
 // peer, a failed or recovering QP, a TCP-degraded stream, a second process
 // (fork, migration) or a rebuilt accept is dropped to the garbage
 // collector instead — some actor may still hold a stale view of it.
+//
+// The QP of a clean inter-host side is not closed but parked, still
+// connected to its twin, which the peer process parks when its side is
+// released. The next dial between the two processes takes it instead of
+// creating one (parkQP, takeParked; ARCHITECTURE.md "Connection lifecycle"
+// has the offer in the SYN and why nothing stale can arrive on the pair).
 
-var mConnReclaims = telemetry.C(telemetry.CoreConnReclaims)
+var (
+	mConnReclaims = telemetry.C(telemetry.CoreConnReclaims)
+	mParkHits     = telemetry.C(telemetry.CoreQPParkHits)
+	mParkMisses   = telemetry.C(telemetry.CoreQPParkMisses)
+	mQPsParked    = telemetry.G(telemetry.CoreQPsParked)
+)
 
-// maxIdleZCPools bounds the per-process list of recycled zero-copy pools.
-const maxIdleZCPools = 8
+// maxIdleZCPools bounds the per-process list of recycled zero-copy pools,
+// maxParkedQPs that of parked QPs.
+const (
+	maxIdleZCPools = 8
+	maxParkedQPs   = 8
+)
+
+// parkedQP is a QP in RTS with nothing unacknowledged, and the process that
+// holds the QP it is connected to, as the monitors named it when the pair
+// was formed.
+type parkedQP struct {
+	qp      *rdma.QP
+	peerPID int64
+}
+
+// parkQP keeps the QP of a clean side for a later connection to the same
+// process. Everything it posted has been acknowledged, which on a reliable
+// connection means placed, so once both twins are parked the pair is silent.
+// A full list closes its oldest QP: its twin may have gone to another peer
+// long ago. It reports false for a QP that has to be closed instead.
+func (l *Libsd) parkQP(ep *rdmaEP) bool {
+	if l.P.Dead() || ep.qp.State() != rdma.QPRTS || ep.qp.SendPending() != 0 {
+		return false
+	}
+	var oldest *rdma.QP
+	l.mu.Lock()
+	if len(l.parked) == maxParkedQPs {
+		oldest = l.parked[0].qp
+		l.parked = l.parked[:copy(l.parked, l.parked[1:])]
+	}
+	l.parked = append(l.parked, parkedQP{ep.qp, ep.peerPID})
+	l.mu.Unlock()
+	if oldest != nil {
+		oldest.Close()
+	} else {
+		mQPsParked.Add(1)
+	}
+	return true
+}
+
+// takeParked hands out the newest parked QP connected to host — and, where
+// given, to that process there, or with that QPN to exactly that QPN there.
+// A parked QP may have been errored since (fault injection, a NIC event): it
+// is closed, never handed out.
+func (l *Libsd) takeParked(host string, pid int64, qpn, peerQPN uint32) (got *rdma.QP) {
+	var errored []*rdma.QP
+	l.mu.Lock()
+	for i := len(l.parked) - 1; i >= 0 && got == nil; i-- {
+		p := l.parked[i]
+		h, q := p.qp.Peer()
+		if host != "" && h != host || pid != 0 && p.peerPID != pid ||
+			qpn != 0 && (p.qp.QPN() != qpn || q != peerQPN) {
+			continue
+		}
+		l.parked = append(l.parked[:i], l.parked[i+1:]...)
+		mQPsParked.Add(-1)
+		if p.qp.State() == rdma.QPRTS {
+			got = p.qp
+		} else {
+			errored = append(errored, p.qp)
+		}
+	}
+	l.mu.Unlock()
+	for _, qp := range errored {
+		qp.Close() // outside mu: a flush completion would pump the CQs
+	}
+	return got
+}
+
+// closeParked closes the parked QPs whose twin is on host ("": any) and, if
+// pid is given, in that process: it died, and the twins with it.
+func (l *Libsd) closeParked(host string, pid int64) {
+	for qp := l.takeParked(host, pid, 0, 0); qp != nil; qp = l.takeParked(host, pid, 0, 0) {
+		qp.Close()
+	}
+}
 
 // closedEP is what a closed Socket points at: every operation finds nothing
 // to do, so a use-after-close can never reach rings that were re-issued to
@@ -181,6 +267,9 @@ func (l *Libsd) releaseInter(side *SideState, clean bool) bool {
 	delete(l.closing, side.QID)
 	l.mu.Unlock()
 	for _, ep := range eps {
+		if clean && l.parkQP(ep) {
+			continue // clean: the side's only endpoint, healthy, built here
+		}
 		ep.qp.Close()
 		ep.rec.mu.Lock()
 		if ep.rec.qp != nil { // a recovery attempt's replacement, not yet spliced

@@ -11,6 +11,7 @@ import (
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
 	"socksdirect/internal/monitor"
+	"socksdirect/internal/obs"
 	"socksdirect/internal/shm"
 	"socksdirect/internal/telemetry"
 )
@@ -18,9 +19,11 @@ import (
 const sockRing = 128 * 1024
 
 // census is everything a closed connection must give back, counted over
-// the two hosts and two processes of a churn world.
+// the two hosts and two processes of a churn world — and the one thing it
+// keeps on purpose: parked is the QPs of finished connections the processes
+// hold for their next dial, qps every other QP on the two NICs.
 type census struct {
-	segs, qps, mrs, pinned, eps, closing, records int
+	segs, qps, parked, mrs, pinned, eps, closing, records int
 }
 
 func takeCensus(w *world, libs ...*core.Libsd) census {
@@ -34,7 +37,9 @@ func takeCensus(w *world, libs ...*core.Libsd) census {
 	for _, l := range libs {
 		c.eps += l.Endpoints()
 		c.closing += l.Closing()
+		c.parked += l.ParkedQPs()
 	}
+	c.qps -= c.parked
 	return c
 }
 
@@ -381,6 +386,9 @@ func TestForkKeepsConnectionUntilChildCloses(t *testing.T) {
 		if n := w.ma.LiveConnRecords(); n != 0 {
 			t.Errorf("%d monitor records left", n)
 		}
+		// The parent's sdstat row outlived rings it no longer has: reading
+		// the table (a flight-recorder capture does) must not follow it there.
+		obs.Flows()
 	})
 	w.sim.Run()
 }
@@ -578,10 +586,12 @@ func TestHalfCloseReleasesNothing(t *testing.T) {
 				t.Errorf("half-closed census %+v, want the open connection's %+v", half, open)
 			}
 			// The first connection of a process leaves one pinned pool (and
-			// its MR) on the recycle list; everything else is back.
+			// its MR) on the recycle list and its QP parked; everything else
+			// is back.
 			if inter {
 				base.pinned += 2 * 128
 				base.mrs += 2
+				base.parked += 2
 			}
 			if end != base {
 				t.Errorf("after both closed: census %+v, want %+v", end, base)
@@ -591,14 +601,16 @@ func TestHalfCloseReleasesNothing(t *testing.T) {
 }
 
 // TestZCPoolFreeListBounded: ten connections open at once need ten pinned
-// pools per process; closing them all keeps eight for reuse and retires the
-// other two — MR deregistered, frames unpinned.
+// pools and ten QPs per process; closing them all keeps eight of each for
+// reuse and retires the other two — MR deregistered, frames unpinned, QP
+// closed, the oldest first.
 func TestZCPoolFreeListBounded(t *testing.T) {
 	w := newWorld(t)
 	monitor.Peer(w.ma, w.mb)
 	sp, sl := proc(t, w.b, "server", 0)
 	cp, cl := proc(t, w.a, "client", 1000)
 	const conns = 10
+	parked := telemetry.G(telemetry.CoreQPsParked).Load() // of earlier worlds
 	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
 		lst, _ := sl.ListenOn(ctx, th, 7407)
 		var held []*core.Socket
@@ -628,6 +640,7 @@ func TestZCPoolFreeListBounded(t *testing.T) {
 			}
 			held = append(held, s)
 		}
+		qps := w.a.NIC.QPCount() + w.b.NIC.QPCount() - 2*conns
 		for _, s := range held {
 			s.Close(ctx, th)
 		}
@@ -636,6 +649,15 @@ func TestZCPoolFreeListBounded(t *testing.T) {
 			if n := l.IdleZCPools(); n != 8 {
 				t.Errorf("%s keeps %d idle pools, want 8", l.P.Name, n)
 			}
+			if n := l.ParkedQPs(); n != core.MaxParkedQPs {
+				t.Errorf("%s keeps %d parked QPs, want %d", l.P.Name, n, core.MaxParkedQPs)
+			}
+		}
+		if n := w.a.NIC.QPCount() + w.b.NIC.QPCount(); n != qps+2*core.MaxParkedQPs {
+			t.Errorf("%d QPs on the NICs, want %d and the parked ones", n, qps)
+		}
+		if n := telemetry.G(telemetry.CoreQPsParked).Load() - parked; n != 2*core.MaxParkedQPs {
+			t.Errorf("sd/core/qps_parked reads %d, want %d", n, 2*core.MaxParkedQPs)
 		}
 		for _, h := range []*host.Host{w.a, w.b} {
 			// Only pool frames are ever pinned in this world.

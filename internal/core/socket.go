@@ -688,7 +688,10 @@ func (s *Socket) Close(ctx exec.Context, t *host.Thread) error {
 	s.lib.untrackSock(s)
 	s.lib.leave()
 	if s.side.Refs.Add(-1) > 0 {
-		s.ep = closedEP{} // this FD is gone; the side lives on through the others
+		// This FD is gone; the side lives on through the others, and its
+		// rings are theirs to release: the sdstat row stops reading them.
+		s.flow.Freeze(int64(s.side.TX.OccHW()), s.lib.monEpoch.Load())
+		s.ep = closedEP{}
 		return nil
 	}
 	s.closeLast(ctx, t)

@@ -44,9 +44,56 @@ type Sim struct {
 	threads         []*simThread
 	finished        int
 	resumes, played int64 // see Resumes
+
+	// What the heap no longer shows Charge's preemption test, now that most
+	// threads waiting for a busy core are not in it (simCore). Were they, a
+	// waiter would sit there at the time its core's latest slot began, due,
+	// until the heap got to it and pushed it back to the slot's end. After a
+	// slot begun at lagAt, that is every waiter with a seq up to lagSeq; it
+	// matters to the events the heap orders before (lagAt, lagSeq) — the
+	// stand-in's own among them, when the slot before its was empty — and
+	// hidden says whether the thread event being handled is one of those.
+	hidden bool
+	lagAt  int64
+	lagSeq uint64
 }
 
-type simCore struct{ busyUntil int64 }
+// simCore is one simulated core. A thread whose event comes due while the
+// core is busy waits for busyUntil. Of a core's waiters only the one that
+// runs next, the one with the lowest seq, has its event in the heap: the
+// stand-in. The others wait here in seq order, and the head is promoted
+// when the stand-in has run. (All of them in the heap is the same schedule,
+// with every waiter popped and pushed back once per slot.)
+type simCore struct {
+	busyUntil  int64
+	standin    bool // a waiter's event is in the heap, with standinSeq
+	standinSeq uint64
+	waiters    []event // the others, by seq, all above standinSeq
+}
+
+// wait queues e, displaced by a busy core, behind the stand-in.
+func (c *simCore) wait(e event) {
+	i := len(c.waiters)
+	c.waiters = append(c.waiters, e)
+	for ; i > 0 && c.waiters[i-1].seq > e.seq; i-- {
+		c.waiters[i] = c.waiters[i-1]
+	}
+	c.waiters[i] = e
+}
+
+// promote makes the first waiter of a core without a stand-in its stand-in.
+func (s *Sim) promote(c *simCore) {
+	if c.standin || len(c.waiters) == 0 {
+		return
+	}
+	e := c.waiters[0]
+	n := copy(c.waiters, c.waiters[1:])
+	c.waiters[n] = event{}
+	c.waiters = c.waiters[:n]
+	e.at = c.busyUntil // where it waited for, or later: busyUntil only grows
+	c.standin, c.standinSeq = true, e.seq
+	s.pushKeepSeq(e)
+}
 
 const (
 	stReady = iota
@@ -386,17 +433,30 @@ func (s *Sim) Run() int64 {
 			continue
 		}
 		t := e.th
-		if t.state != stReady {
-			continue // stale event
-		}
 		c := t.core
+		if c.standin && e.seq == c.standinSeq {
+			c.standin = false
+		}
+		if t.state != stReady {
+			s.promote(c) // a stale stand-in hands over
+			continue
+		}
 		if c.busyUntil > e.at {
 			// Keep the original sequence number: a thread displaced by a
 			// busy core stays ahead of threads queued after it, which is
 			// what makes same-core scheduling round-robin rather than
 			// letting the running thread starve its core-mates.
 			e.at = c.busyUntil
+			if c.standin && c.standinSeq < e.seq {
+				c.wait(e)
+				continue
+			}
+			// The core's first waiter, or one that runs before the stand-in
+			// (a sleeper kept an old seq): the heap orders the two.
 			if h := s.pq; len(h) > 0 && (h[0].at < e.at || h[0].at == e.at && h[0].seq < e.seq) {
+				if !c.standin {
+					c.standin, c.standinSeq = true, e.seq
+				}
 				s.pushKeepSeq(e)
 				continue
 			}
@@ -407,6 +467,7 @@ func (s *Sim) Run() int64 {
 		if e.at > t.vt {
 			t.vt = e.at
 		}
+		s.hidden = e.at == s.lagAt && e.seq < s.lagSeq
 		if t.spin.idle != nil && s.playSpin(t) {
 			s.played++
 		} else {
@@ -418,6 +479,15 @@ func (s *Sim) Run() int64 {
 		}
 		if t.vt > s.now {
 			s.now = t.vt
+		}
+		if n := len(c.waiters); n > 0 {
+			// With every waiter in the heap, these would stay at the time
+			// this slot began until the heap got to them, one by one.
+			if e.at > s.lagAt {
+				s.lagAt, s.lagSeq = e.at, 0
+			}
+			s.lagSeq = max(s.lagSeq, c.waiters[n-1].seq)
+			s.promote(c)
 		}
 	}
 	return s.now
@@ -443,7 +513,7 @@ func (s *Sim) charge(t *simThread, d int64) bool {
 		return false
 	}
 	t.vt += d
-	if s.pq.Len() > 0 && s.pq.peekTime() < t.vt {
+	if s.hidden || s.pq.Len() > 0 && s.pq.peekTime() < t.vt {
 		s.push(event{at: t.vt, th: t})
 		return true
 	}
@@ -513,7 +583,7 @@ func (c simCtx) Charge(d int64) {
 	s := t.sim
 	// Preempt if some other event is due before our local clock: requeue
 	// ourselves so global time order stays causal.
-	if s.pq.Len() > 0 && s.pq.peekTime() < t.vt {
+	if s.hidden || s.pq.Len() > 0 && s.pq.peekTime() < t.vt {
 		s.push(event{at: t.vt, th: t})
 		t.stop(stReady)
 	}

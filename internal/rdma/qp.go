@@ -205,6 +205,13 @@ func (qp *QP) State() QPState {
 	return qp.state
 }
 
+// Peer returns the host and QPN the QP was last connected to.
+func (qp *QP) Peer() (host string, qpn uint32) {
+	qp.mu.Lock()
+	defer qp.mu.Unlock()
+	return qp.remoteHost, qp.remoteQPN
+}
+
 // Connect transitions to RTS toward (remoteHost, remoteQPN). The fabric
 // port to remoteHost must exist. It is for the side that connects second,
 // or for two sides an out-of-band exchange connects before either posts:

@@ -69,8 +69,11 @@ const (
 	CoreEpollWaits    = "sd/core/epoll/waits"
 	CoreEpollSweeps   = "sd/core/epoll/kernel_sweeps"
 	CoreTCPFallbacks  = "sd/core/tcp_fallbacks"
-	CoreResets        = "sd/core/resets"        // connection resets surfaced (ECONNRESET/EPIPE)
-	CoreConnReclaims  = "sd/core/conn_reclaims" // closed connection endpoints whose resources were released
+	CoreResets        = "sd/core/resets"         // connection resets surfaced (ECONNRESET/EPIPE)
+	CoreConnReclaims  = "sd/core/conn_reclaims"  // closed connection endpoints whose resources were released
+	CoreQPParkHits    = "sd/core/qp_park_hits"   // accepts that adopted the parked twin of the QP the SYN offered
+	CoreQPParkMisses  = "sd/core/qp_park_misses" // QPs offered in a SYN and not adopted (the accept built a fresh one)
+	CoreQPsParked     = "sd/core/qps_parked"     // gauge: connected QPs of finished connections kept for the next dial
 
 	// overload robustness: deadline/nonblock shedding on the data plane.
 	CoreEWouldBlock      = "sd/core/ewouldblock"       // O_NONBLOCK ops that would have waited
