@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -18,13 +19,11 @@ import (
 
 // Boundary goldens: the exact virtual times at which the stack's blocking
 // waits leave their polling phase — by deadline, by the 4 096-poll switch
-// to interrupt mode, by the control wait's 64-spin throttle, ping interval
-// and silence limit, by the daemons' 256-poll park, by a token revocation,
-// a SIGKILL or a credit return arriving mid-wait. Every line was recorded
-// on the commit before the scheduler started playing empty poll iterations
-// itself (exec.Context.Spin); a poll loop whose idle predicate misses one of
-// its body's conditions, or counts its iterations differently, moves a
-// line here.
+// to interrupt mode, by the control wait's ping interval and silence limit,
+// by the daemons' 256-poll park, by a token revocation, a SIGKILL or a
+// credit return arriving mid-wait. A poll loop whose idle predicate misses
+// one of its body's conditions, or counts its iterations differently, moves
+// a line here.
 //
 // The goldens live in testdata/boundary.golden; -update-boundary rewrites
 // it, which is only ever right on a commit whose virtual times are the
@@ -40,7 +39,9 @@ import (
 // carry them, and the ID picks the monitor shard, so the times below must
 // not depend on how many hosts earlier tests of this process created.
 func boundaryWorld(t *testing.T) *world {
-	w := newWorld(t)
+	// No scenario runs for a virtual second: one that does is a wait that
+	// does not end.
+	w := newWorldCfg(t, exec.SimConfig{MaxVirtualTime: 1_000_000_000})
 	w.a.Ordinal, w.b.Ordinal, w.c.Ordinal = 1, 2, 3
 	return w
 }
@@ -62,6 +63,16 @@ func errName(err error) string {
 		return "ECONNRESET"
 	case errors.Is(err, core.ErrProcessKilled):
 		return "killed"
+	case errors.Is(err, core.EWOULDBLOCK):
+		return "EWOULDBLOCK"
+	case errors.Is(err, core.EAGAIN):
+		return "EAGAIN"
+	case errors.Is(err, core.EPIPE):
+		return "EPIPE"
+	case err == io.EOF:
+		return "EOF"
+	case errors.Is(err, mem.ErrUnmapped):
+		return "unmapped"
 	}
 	return err.Error()
 }
@@ -108,10 +119,12 @@ func connected(t *testing.T, w *world, inter bool, port uint16,
 	return sp, cp
 }
 
-var boundaryScenarios = []struct {
+type boundaryScenario struct {
 	name string
 	run  func(t *testing.T, w *world, b *blog)
-}{
+}
+
+var boundaryScenarios = []boundaryScenario{
 	// Recv deadlines: one inside the polling phase, one past the 4 096
 	// empty polls (the KSleepNote in the trace is the switch to interrupt
 	// mode; the deadline's timer ends the park).
@@ -133,11 +146,10 @@ var boundaryScenarios = []struct {
 		})
 	}},
 
-	// Control waits. An intra-host dial is answered inside the first spin
-	// burst; a cross-host one crosses the 64-spin throttle into 100 µs
-	// sleeps.
+	// Control waits: a dial polls for its answer, 2.3 µs away on one host,
+	// a QP creation or more across two.
 	{"connect-intra", func(t *testing.T, w *world, b *blog) { dials(t, w, b, false) }},
-	{"connect-inter-throttled", func(t *testing.T, w *world, b *blog) { dials(t, w, b, true) }},
+	{"connect-inter", func(t *testing.T, w *world, b *blog) { dials(t, w, b, true) }},
 	// The awaited answer dispatched by another thread's poll: a sibling
 	// blocked in Recv polls the process's control queues too, and two
 	// dials in flight drain each other's. Either way the waiter's own
@@ -355,20 +367,34 @@ func ringFull(t *testing.T, w *world, b *blog, inter bool) {
 		})
 }
 
-func runBoundary(t *testing.T, run func(*testing.T, *world, *blog)) string {
+// runBoundary runs one scenario and returns its log; counted adds the line
+// of exit counters (boundary_exits_test.go).
+func runBoundary(t *testing.T, run func(*testing.T, *world, *blog), counted bool) string {
 	telemetry.Trace.Reset()
 	telemetry.Trace.SetEnabled(true)
 	defer telemetry.Trace.SetEnabled(false)
 	w := boundaryWorld(t)
 	var b blog
+	c0 := readExits()
 	run(t, w, &b)
-	end := w.sim.Run()
+	end := func() int64 {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("a wait that does not end: %v", r)
+			}
+		}()
+		return w.sim.Run()
+	}()
 	for _, e := range telemetry.Trace.Events() {
 		if e.Component == "monitor" || e.Component == "core" {
 			b.lines = append(b.lines, fmt.Sprintf("  %s %s @%d", e.Component, e.Name, e.TS))
 		}
 	}
 	b.lines = append(b.lines, fmt.Sprintf("end @%d", end))
+	if c := readExits(); counted {
+		b.lines = append(b.lines, fmt.Sprintf("ewouldblock +%d deadline_timeouts +%d resets +%d",
+			c.wouldblock-c0.wouldblock, c.timeouts-c0.timeouts, c.resets-c0.resets))
+	}
 	return strings.Join(b.lines, "\n")
 }
 
@@ -387,9 +413,9 @@ func TestBoundaryGoldens(t *testing.T) {
 		t.Fatal(err)
 	}
 	var all strings.Builder
-	for _, sc := range boundaryScenarios {
+	for i, sc := range append(boundaryScenarios, exitScenarios...) {
 		t.Run(sc.name, func(t *testing.T) {
-			got := runBoundary(t, sc.run)
+			got := runBoundary(t, sc.run, i >= len(boundaryScenarios))
 			fmt.Fprintf(&all, "== %s\n%s\n", sc.name, got)
 			if !*updateBoundary && got != want[sc.name] {
 				t.Errorf("virtual time moved at a wait boundary; got:\n%s\nwant:\n%s", got, want[sc.name])

@@ -24,9 +24,11 @@ type world struct {
 	ka, kb, kc *ksocket.Stack
 }
 
-func newWorld(t *testing.T) *world {
+func newWorld(t *testing.T) *world { return newWorldCfg(t, exec.SimConfig{}) }
+
+func newWorldCfg(t *testing.T, cfg exec.SimConfig) *world {
 	t.Helper()
-	s := exec.NewSim(exec.SimConfig{})
+	s := exec.NewSim(cfg)
 	costs := costmodel.Default
 	w := &world{sim: s}
 	w.a = host.New("hostA", s, &costs, 1)

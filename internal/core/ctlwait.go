@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
 )
@@ -25,8 +27,6 @@ import (
 const (
 	ctlPingEvery = 2_000_000  // 2 ms of silence -> probe the daemon
 	ctlDeadAfter = 10_000_000 // 10 ms of silence -> the daemon is gone
-	ctlSpinBurst = 64         // yields between sleep throttles
-	ctlSleepStep = 100_000    // 100 µs park per throttle round
 )
 
 type ctlWaiter struct {
@@ -36,10 +36,9 @@ type ctlWaiter struct {
 	epoch    uint32 // incarnation the in-flight request was stamped for
 	shard    int32  // monitor shard serving the awaited request
 	resend   func(exec.Context)
-	spins    int32   // wraps after 2³¹ polls, some 3 000 s of silence
 	seen     uint32  // l.ctlSeen as of the caller's last look at what it waits for
 	deadline int64   // the caller's own bound (absolute, 0 = none), checked between steps
-	sock     *Socket // what a dial waits on once its answer is in (ackWaiter)
+	sock     *Socket // whose peer's death ends the wait: a dial's once its answer is in (ackWaiter), a splice's
 }
 
 // newCtlWaiter starts the silence clock for one in-flight control-plane
@@ -64,14 +63,13 @@ func (w *ctlWaiter) silence(now int64) int64 {
 }
 
 // step runs one iteration of a bounded wait: drain the control queue,
-// re-issue across a restart, ping on silence, and yield (with a sleep
-// throttle so a long outage costs events, not a per-nanosecond spin).
+// re-issue across a restart, ping on silence, and yield.
 // It returns ErrMonitorDown-wrapped ETIMEDOUT once the silence deadline
 // passes; the caller maps it to its own errno if needed.
 //
 // The caller's loop is: look at what it waits for, check its own death and
-// deadline, step. Up to the next sleep, the iterations in which none of that
-// can come out differently are played by the scheduler, under Idle.
+// deadline, step. The iterations in which none of that can come out
+// differently are played by the scheduler, under Idle.
 func (w *ctlWaiter) step(ctx exec.Context) error { return w.stepAs(ctx, w) }
 
 // stepAs is step for a loop that watches more than a ctlWaiter knows of.
@@ -104,12 +102,7 @@ func (w *ctlWaiter) stepAs(ctx exec.Context, idle exec.Idler) error {
 		l.sendCtl(ctx, &ping)
 	}
 	ctx.Charge(l.H.Costs.RingOp)
-	w.spins++
-	if w.spins%ctlSpinBurst == 0 {
-		ctx.Sleep(ctlSleepStep)
-	} else {
-		w.spins += int32(ctx.Spin(l.H.Costs.RingOp, 0, int(ctlSpinBurst-1-w.spins%ctlSpinBurst), idle))
-	}
+	ctx.Spin(l.H.Costs.RingOp, 0, math.MaxInt, idle)
 	return nil
 }
 
@@ -121,7 +114,7 @@ func (w *ctlWaiter) stepAs(ctx exec.Context, idle exec.Idler) error {
 func (w *ctlWaiter) Idle(now int64) bool {
 	l := w.l
 	return l.ctlSeen.Load() == w.seen && l.monEpoch.Load() == w.epoch &&
-		!l.P.Dead() && l.ctlIdle() &&
+		!l.P.Dead() && l.ctlIdle() && (w.sock == nil || !w.sock.peerGone()) &&
 		(w.deadline == 0 || now < w.deadline) &&
 		now-w.lastPing < ctlPingEvery && w.silence(now) <= ctlDeadAfter
 }
@@ -131,10 +124,18 @@ func (w *ctlWaiter) Idle(now int64) bool {
 // readiness to block and revocations to run for threads that are not polling.
 type tokenWaiter struct {
 	ctlWaiter
-	s    *Socket
-	dir  int
-	held int64 // the holder the loop last saw: someone else
+	s     *Socket
+	dir   int
+	held  int64 // the holder the loop last saw: someone else
+	asked int64 // when the takeover request last went out
 }
+
+// tokenAskAgain is how long a takeover waits on one request before it sends
+// the request again (the monitor deduplicates): a grant can be lost to a
+// faster claimant of the freed token, and nothing else re-enters the FIFO.
+// A thousand healthy round trips, and well inside ctlDeadAfter, so a lost
+// grant never looks like a dead monitor.
+const tokenAskAgain = 2_000_000
 
 func (w *tokenWaiter) step(ctx exec.Context, held int64) error {
 	w.held = held
@@ -145,5 +146,5 @@ func (w *tokenWaiter) Idle(now int64) bool {
 	s := w.s
 	holder, _ := s.tokenVars(w.dir)
 	return holder.Load() == w.held && !s.peerGone() && s.wouldBlock(now, w.dir) == nil &&
-		!s.lib.hasRevokes.Load() && w.ctlWaiter.Idle(now)
+		!s.lib.hasRevokes.Load() && now-w.asked < tokenAskAgain && w.ctlWaiter.Idle(now)
 }

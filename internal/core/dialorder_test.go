@@ -94,8 +94,9 @@ func TestCrossHostDialLoop(t *testing.T) {
 	// first one's Close at once: the client's only pool is still in the
 	// close handshake, so it pins another, and its QP is parked only when
 	// the server's MShut has arrived, ~4 µs later, so it has none to offer
-	// and creates another. The third is the first hit; it wakes the
-	// listener out of interrupt mode and meets the control throttle once.
+	// and creates another. The third is the first hit; the server, its
+	// first pools still in their close handshakes, pins one more for it: 128
+	// page operations, ~100 µs.
 	qps := 2 * costmodel.Default.RDMAQPCreate
 	for i, lat := range lats {
 		switch {

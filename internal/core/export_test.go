@@ -1,6 +1,11 @@
 package core
 
-import "socksdirect/internal/shm"
+import (
+	"socksdirect/internal/exec"
+	"socksdirect/internal/host"
+	"socksdirect/internal/mem"
+	"socksdirect/internal/shm"
+)
 
 // Test-only windows into connection-lifecycle state.
 
@@ -68,3 +73,24 @@ func (l *Libsd) ErrorParkedQPs() {
 // will ever report it: the endpoint can only learn of it from its next
 // post.
 func (s *Socket) ErrorQPSilently() { s.ep.(*rdmaEP).qp.ForceError() }
+
+// SendZCHead sends, intra-host, the zero-copy descriptor of the whole pages
+// at addr, announcing tail bytes more than they hold, and sends none of
+// them: what a sender that stops mid-message leaves its receiver waiting
+// for. (SendVA sends a remainder as a message of its own.)
+func (s *Socket) SendZCHead(ctx exec.Context, t *host.Thread, addr mem.VAddr, whole, tail int) error {
+	s.lib.enter()
+	defer s.lib.leave()
+	if err := s.acquireToken(ctx, t, DirSend); err != nil {
+		return err
+	}
+	ids, err := s.lib.P.AS.PagesForSend(ctx, addr, whole)
+	if err != nil {
+		return err
+	}
+	obf := make([]mem.ObfPageID, len(ids))
+	for i, id := range ids {
+		obf[i] = s.lib.H.Mem.Obfuscate(id)
+	}
+	return s.sendMsg(ctx, MZC, encodeZCIntra(whole+tail, obf), nil)
+}

@@ -184,6 +184,7 @@ func (f *forkedRdmaEP) materialize(ctx exec.Context) *rdmaEP {
 	// re-issues the splice request instead of failing — the wait survives
 	// any number of monitor restarts and completes when one answers.
 	w := f.lib.newCtlWaiter(ctx, f.lib.ctlShard(&req), func(c exec.Context) { f.lib.sendCtl(c, &req) })
+	w.sock = f.sock // the death notice may reach another process of the socket's: no message here
 	for {
 		if f.lib.P.Dead() || f.sock.side.PeerReset.Load() {
 			// Own death or a peer crash mid-splice: abandon the QP; the
@@ -217,6 +218,7 @@ func (f *forkedRdmaEP) materialize(ctx exec.Context) *rdmaEP {
 			// Monitor silence: re-send the splice request and keep
 			// waiting (the peer regenerates its KReQPRes on re-request).
 			w = f.lib.newCtlWaiter(ctx, f.lib.ctlShard(&req), func(c exec.Context) { f.lib.sendCtl(c, &req) })
+			w.sock = f.sock
 			f.lib.sendCtl(ctx, &req)
 		}
 	}

@@ -250,7 +250,7 @@ func (s *Socket) acquireToken(ctx exec.Context, t *host.Thread, dir int) error {
 		// silence aborts, with EAGAIN — the takeover is simply retryable.
 		// Across a restart the waiter re-enters the successor's (empty)
 		// FIFO automatically.
-		w := tokenWaiter{s: s, dir: dir, ctlWaiter: s.lib.newCtlWaiter(ctx, s.lib.ctlShard(&m), func(c exec.Context) {
+		w := tokenWaiter{s: s, dir: dir, asked: ctx.Now(), ctlWaiter: s.lib.newCtlWaiter(ctx, s.lib.ctlShard(&m), func(c exec.Context) {
 			m.Aux = uint64(holder.Load())
 			s.lib.sendCtl(c, &m)
 		})}
@@ -290,10 +290,11 @@ func (s *Socket) acquireToken(ctx exec.Context, t *host.Thread, dir int) error {
 				op.End(ctx.Now(), false)
 				return EAGAIN
 			}
-			if w.spins%4096 == 0 {
+			if now := ctx.Now(); now-w.asked >= tokenAskAgain {
 				// A grant may have been snatched by a faster claimant
 				// (freed-token CAS); re-enter the queue. The monitor
 				// deduplicates, so this is harmless when already queued.
+				w.asked = now
 				m.Aux = uint64(holder.Load())
 				s.lib.sendCtl(ctx, &m)
 			}
@@ -598,7 +599,12 @@ func (s *Socket) blockOnRecv(ctx exec.Context, t *host.Thread) error {
 			s.lib.sleepMu.Lock()
 			s.lib.sleepNotes[t.TID] = struct{}{}
 			s.lib.sleepMu.Unlock()
+			// Asleep is outside the library, as in Accept: the signal
+			// handler may drain the control queue for a sibling that is
+			// parked too (§4.4 challenge 2).
+			s.lib.leave()
 			ctx.Park()
+			s.lib.enter()
 			s.lib.sleepMu.Lock()
 			delete(s.lib.sleepNotes, t.TID)
 			s.lib.sleepMu.Unlock()

@@ -87,21 +87,21 @@ func TestDialCycleResumes(t *testing.T) {
 // TestDialReturnsWhenAnswered is the lost wake-up a careless idle predicate
 // produces: the control wait's own poll dispatches the awaited KConnectRes,
 // the queues are empty again, and a predicate that looks only at the queues
-// calls the wait idle until its count runs out at the 64-spin throttle. The
-// wait must come back for the iteration after the dispatch, as the loop
-// did: 2 300 sim-ns for a warm dial, inside the first spin burst.
+// calls the wait idle until its next ping is due, 2 ms later. The wait must
+// come back for the iteration after the dispatch, as the loop did: 2 300
+// sim-ns for a warm dial, fewer than 64 polls.
 func TestDialReturnsWhenAnswered(t *testing.T) {
 	w := boundaryWorld(t)
 	sp, sl := proc(t, w.a, "server", 0)
 	cp, cl := proc(t, w.a, "client", 1000)
 	sp.Spawn("srv", echoServer(t, sl, 7622))
 	costs := costmodel.Default
-	burst := 63 * (costs.RingOp + exec.DefaultYieldCost) // the spins before the throttle
+	burst := 63 * (costs.RingOp + exec.DefaultYieldCost)
 	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
 		ctx.Sleep(10_000)
 		for i := 0; i < 5; i++ {
 			if dial, _ := echoOnce(t, ctx, th, cl, "hostA", 7622); dial >= burst {
-				t.Errorf("dial %d took %d sim-ns: it waited out its spin burst (%d) instead of returning when answered", i, dial, burst)
+				t.Errorf("dial %d took %d sim-ns, more than 63 polls (%d): it did not return when answered", i, dial, burst)
 			}
 		}
 		sp.Signal(ctx, host.SIGKILL)

@@ -261,6 +261,7 @@ func (s *Socket) zcSendInterChunk(ctx exec.Context, ep *rdmaEP, addr mem.VAddr, 
 		if err := s.blockBudget(ctx, DirSend); err != nil {
 			return err
 		}
+		s.lib.pollCtl(ctx) // the peer's death is a control message
 		ctx.Charge(s.lib.H.Costs.RingOp)
 		s.side.PoolWant = need
 		ctx.Spin(s.lib.H.Costs.RingOp, 0, math.MaxInt, (*zcWaiter)(s))
@@ -540,8 +541,9 @@ func (s *Socket) recvExactly(ctx exec.Context, buf []byte) (int, error) {
 			got += n
 			continue
 		}
-		msg, ok := s.ep.tryRecv(ctx)
-		if !ok {
+		if !s.ep.canRecv() {
+			// One poll is one ring operation, as in blockOnRecv: the look is
+			// free.
 			if s.lib.P.Dead() {
 				return got, ErrProcessKilled
 			}
@@ -557,8 +559,13 @@ func (s *Socket) recvExactly(ctx exec.Context, buf []byte) (int, error) {
 				mDeadlineTimeouts.Inc()
 				return got, ETIMEDOUT
 			}
+			s.lib.pollCtl(ctx) // the peer's death is a control message
 			ctx.Charge(s.lib.H.Costs.RingOp)
 			ctx.Yield()
+			continue
+		}
+		msg, ok := s.ep.tryRecv(ctx)
+		if !ok {
 			continue
 		}
 		if msg.Type == MData {
