@@ -273,7 +273,8 @@ func (s *Socket) recvBatchOne(ctx exec.Context, t *host.Thread, br *batchRing, b
 				if !block {
 					return -1, nil
 				}
-				if err := s.blockOnRecv(ctx, t); err != nil {
+				w := s.recvWait(t)
+				if err := s.awaitRecv(ctx, &w); err != nil {
 					return 0, err
 				}
 				continue

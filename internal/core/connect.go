@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"socksdirect/internal/ctlmsg"
@@ -30,10 +29,11 @@ type Listener struct {
 	deadline atomic.Int64
 	nonblock atomic.Bool
 
-	// For acceptWaiter: the backlog of the Accept in progress and the
-	// monitor incarnation its steal hint went to.
-	bl        *backlog
-	hintEpoch uint32
+	// Of the Accept in progress: its backlog, and its steal hint as a
+	// request with the monitor.
+	bl      *backlog
+	hintMsg ctlmsg.Msg
+	hint    ctlWait
 }
 
 // SetDeadline arms an absolute virtual-time deadline for Accept; an
@@ -220,12 +220,8 @@ func (l *Libsd) ListenOn(ctx exec.Context, t *host.Thread, port uint16) (*Listen
 	}
 	bl := l.backlogs[key]
 	l.mu.Unlock()
-	w := l.newCtlWaiter(ctx, l.ctlShard(&m), func(c exec.Context) { l.sendCtl(c, &m) })
-	for bl.bindStatus.Load() == 0 {
-		if l.P.Dead() {
-			return nil, ErrProcessKilled
-		}
-		if err := w.step(ctx); err != nil {
+	for w := l.awaitCtl(&m, ETIMEDOUT).wait(); bl.bindStatus.Load() == 0; {
+		if err := w.block(ctx); err != nil {
 			return nil, err // ETIMEDOUT: no monitor answered the bind
 		}
 	}
@@ -265,13 +261,12 @@ func (lst *Listener) Accept(ctx exec.Context) (*Socket, host.KFile, error) {
 	l.mu.Lock()
 	bl := l.backlogs[key]
 	l.mu.Unlock()
-	hinted := false
-	lst.bl, lst.hintEpoch = bl, l.monEpoch.Load()
-	empty := 0
+	// An empty backlog asks the monitor to steal from a sibling's (§4.5.2).
+	lst.bl = bl
+	lst.hintMsg = ctlmsg.Msg{Kind: ctlmsg.KAcceptHint, Port: lst.port, PID: int64(l.P.PID), TID: int64(lst.t.TID),
+		TraceID: op.Trace, SpanID: op.Span}
+	w := lst.acceptWait()
 	for {
-		if l.P.Dead() {
-			return nil, nil, ErrProcessKilled
-		}
 		l.pollCtl(ctx)
 		l.mu.Lock()
 		if len(bl.conns) > 0 {
@@ -283,81 +278,10 @@ func (lst *Listener) Accept(ctx exec.Context) (*Socket, host.KFile, error) {
 			return s, kf, err
 		}
 		l.mu.Unlock()
-		// Empty backlog is the genuine would-block point (§4.5.2 steal
-		// hints notwithstanding): honor O_NONBLOCK and the accept deadline.
-		if lst.nonblock.Load() {
-			mEWouldBlock.Inc()
-			return nil, nil, EWOULDBLOCK
+		if err := w.block(ctx); err != nil {
+			return nil, nil, err
 		}
-		if dl := lst.deadline.Load(); dl != 0 && ctx.Now() >= dl {
-			mDeadlineTimeouts.Inc()
-			return nil, nil, ETIMEDOUT
-		}
-		if e := l.monEpoch.Load(); e != lst.hintEpoch {
-			// The monitor restarted while we waited: the steal hint died
-			// with it (accept itself stays blocking — dispatches resume
-			// once the re-registration report rebuilds the bind table).
-			lst.hintEpoch = e
-			hinted = false
-		}
-		if !hinted {
-			// Ask the monitor to steal from a sibling's backlog.
-			m := ctlmsg.Msg{Kind: ctlmsg.KAcceptHint, Port: lst.port, PID: int64(l.P.PID), TID: int64(lst.t.TID),
-				TraceID: op.Trace, SpanID: op.Span}
-			l.sendCtl(ctx, &m)
-			hinted = true
-		}
-		ctx.Charge(l.H.Costs.RingOp)
-		empty++
-		if empty < emptyPollsBeforeSleep {
-			empty += ctx.Spin(l.H.Costs.RingOp, 0, emptyPollsBeforeSleep-1-empty, (*acceptWaiter)(lst))
-			continue
-		}
-		// Long idle: sleep until a dispatch wakes us. Parking happens
-		// outside the library boundary so the monitor's signal handler
-		// can drain the control queue (and thereby push the backlog +
-		// wake this queue) while we sleep.
-		l.leave()
-		if dl := lst.deadline.Load(); dl != 0 {
-			// Timer wake so the park cannot outlive the deadline; the loop
-			// head returns ETIMEDOUT. Spurious wakes are absorbed by the
-			// predicate re-check.
-			l.H.Clk.After(dl-ctx.Now(), func() { bl.wq.Wake(l.H.Clk, 0) })
-		}
-		bl.wq.Wait(ctx, func() bool {
-			if l.P.Dead() {
-				return true // escape the park; the loop head unwinds
-			}
-			if dl := lst.deadline.Load(); dl != 0 && ctx.Now() >= dl {
-				return true // deadline escape; the loop head surfaces it
-			}
-			l.pollCtl(ctx)
-			l.mu.Lock()
-			defer l.mu.Unlock()
-			return len(bl.conns) > 0
-		})
-		l.enter()
-		empty = 0
 	}
-}
-
-// acceptWaiter is the Listener as idle predicate of Accept's polling phase:
-// the process lives, no control message waits, the backlog is empty, the
-// listener blocks, its deadline is ahead and its hint is with this monitor.
-type acceptWaiter Listener
-
-func (w *acceptWaiter) Idle(now int64) bool {
-	lst := (*Listener)(w)
-	l := lst.lib
-	if dl := lst.deadline.Load(); dl != 0 && now >= dl {
-		return false
-	}
-	if l.P.Dead() || lst.nonblock.Load() || l.monEpoch.Load() != lst.hintEpoch ||
-		!l.ctlIdle() || !l.mu.TryLock() {
-		return false
-	}
-	defer l.mu.Unlock()
-	return len(lst.bl.conns) == 0
 }
 
 // Pending reports this backlog's queued connections (tests, stealing).
@@ -507,34 +431,25 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 	}
 	l.sendCtl(ctx, &m)
 
-	// Bounded wait for the KConnectRes: a monitor that dies mid-dispatch
-	// must not park this thread forever. A re-send across a restart is
-	// safe — the monitor dedups connects by ConnID.
-	w := l.newCtlWaiter(ctx, l.ctlShard(&m), func(c exec.Context) { l.sendCtl(c, &m) })
-	w.deadline = deadline
+	// A re-send across a restart is safe: the monitor dedups connects by ConnID.
+	c := l.awaitCtl(&m, ETIMEDOUT)
+	c.deadline.Store(deadline)
 	abandon := func() {
 		l.mu.Lock()
 		delete(l.pending, connID)
 		l.mu.Unlock()
-		if pc.rl != nil {
+		if pc.rl != nil && !l.P.Dead() {
 			// Give back the optimistic endpoint and the monitor's records
-			// of the dial; its QP never connected.
+			// of the dial; its QP never connected. (A killed process's are
+			// reclaimed with it.)
 			l.abandonRdmaLocal(pc.rl)
 			l.noteClosed(connID)
 		}
 	}
-	for pc.status.Load() == 0 {
-		if l.P.Dead() {
-			return nil, nil, ErrProcessKilled
-		}
-		if deadline != 0 && ctx.Now() >= deadline {
-			mDeadlineTimeouts.Inc()
+	for w := c.wait(); pc.status.Load() == 0; {
+		if err := w.block(ctx); err != nil {
 			abandon()
-			return nil, nil, ETIMEDOUT
-		}
-		if err := w.step(ctx); err != nil {
-			abandon()
-			return nil, nil, err // ETIMEDOUT
+			return nil, nil, err
 		}
 	}
 	if pc.status.Load() != 1 {
@@ -578,11 +493,16 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 		l.mu.Lock()
 		delete(l.pending, connID)
 		l.mu.Unlock()
-		s.side.Refs.Store(0)
-		s.closeLast(ctx, t)
+		if !l.P.Dead() {
+			s.side.Refs.Store(0)
+			s.closeLast(ctx, t)
+		}
 	}
+	// No request is with the monitor any more: its silence ends nothing.
+	w := wait{l: l, idle: (*ackWaiter)(c), deadline: &c.deadline, dir: DirSend,
+		polls: pollCtl | pollCQ, pre: l.H.Costs.RingOp}
 	for {
-		w.seen = l.ctlSeen.Load() // a message dispatched from here on may re-point pc.sock
+		c.seen = l.ctlSeen.Load() // a message dispatched from here on may re-point pc.sock
 		l.mu.Lock()
 		s := pc.sock
 		l.mu.Unlock()
@@ -600,38 +520,12 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 			opOK = true
 			return s, nil, nil
 		}
-		if l.P.Dead() {
-			return nil, nil, ErrProcessKilled
-		}
-		if s.peerGone() {
-			err := s.resetErr(ctx, DirRecv)
+		w.sock, c.sock = s, s
+		if err := w.block(ctx); err != nil {
 			giveUp(s)
 			return nil, nil, err
 		}
-		if deadline != 0 && ctx.Now() >= deadline {
-			mDeadlineTimeouts.Inc()
-			giveUp(s)
-			return nil, nil, ETIMEDOUT
-		}
-		l.pollCtl(ctx)
-		l.pump(ctx)
-		ctx.Charge(l.H.Costs.RingOp)
-		w.sock = s
-		ctx.Spin(l.H.Costs.RingOp, 0, math.MaxInt, (*ackWaiter)(&w))
 	}
-}
-
-// ackWaiter is a dial's ctlWaiter in its second wait, Fig. 6 Wait-Server:
-// idle while the new socket's ring and the CQs are empty (nothing for
-// drainCtl and pump), both processes live, the deadline is ahead, and no
-// control message waits or was dispatched since the loop read pc.sock.
-type ackWaiter ctlWaiter
-
-func (a *ackWaiter) Idle(now int64) bool {
-	w := (*ctlWaiter)(a)
-	l, s := w.l, w.sock
-	return !s.side.RX.CanRecv() && l.ctlSeen.Load() == w.seen && l.cqsEmpty() && !l.P.Dead() &&
-		(w.deadline == 0 || now < w.deadline) && l.ctlIdle() && !s.peerGone()
 }
 
 // --- control-plane dispatch ---
@@ -787,7 +681,9 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		}
 		bl.conns = append(bl.conns, pa)
 		l.mu.Unlock()
-		bl.wq.Wake(l.H.Clk, 0)
+		if bl.asleep != nil {
+			bl.asleep.Unpark()
+		}
 
 	case ctlmsg.KTokenReturn:
 		// The monitor wants a token back for a waiter.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 
 	"socksdirect/internal/exec"
@@ -84,41 +83,17 @@ func (ep *Epoll) Wait(ctx exec.Context, events []Event) (int, error) {
 	if l.epollThread != nil && l.epollThread.H != nil {
 		l.epollThread.H.Unpark()
 	}
+	w := wait{l: l, idle: (*epollWaiter)(ep), pre: l.H.Costs.RingOp} // Wait polls as part of looking
 	for {
-		if l.P.Dead() {
-			// Death is routed through the wake path: terminate() unparks
-			// every thread, and this re-check unwinds the waiter instead
-			// of spinning on a corpse's FD table forever.
-			return 0, ErrProcessKilled
-		}
 		l.pollCtl(ctx)
 		l.pump(ctx)
-		n := ep.poll(events)
-		if n > 0 {
+		if n := ep.poll(events); n > 0 {
 			return n, nil
 		}
-		ctx.Charge(l.H.Costs.RingOp)
-		ctx.Spin(l.H.Costs.RingOp, 0, math.MaxInt, (*epollWaiter)(ep))
-	}
-}
-
-// epollWaiter is the Epoll as idle predicate of Wait: the process lives, no
-// control message or completion waits, and no watched descriptor is ready.
-type epollWaiter Epoll
-
-func (w *epollWaiter) Idle(int64) bool {
-	ep := (*Epoll)(w)
-	l := ep.lib
-	if l.P.Dead() || !l.ctlIdle() || !l.cqsEmpty() || !ep.mu.TryLock() {
-		return false
-	}
-	defer ep.mu.Unlock()
-	for fd, mask := range ep.ifd {
-		if got, _ := ep.readyLocked(fd, mask); got != 0 {
-			return false
+		if err := w.block(ctx); err != nil {
+			return 0, err
 		}
 	}
-	return true
 }
 
 // TryWait is the non-blocking variant (epoll_wait with timeout 0).

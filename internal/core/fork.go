@@ -36,11 +36,8 @@ func (l *Libsd) Fork(ctx exec.Context, t *host.Thread, name string) (*host.Proce
 	m := ctlmsg.Msg{Kind: ctlmsg.KForkSecret, Secret: secret, PID: int64(l.P.PID),
 		TraceID: op.Trace, SpanID: op.Span}
 	l.sendCtl(ctx, &m)
-	w := l.newCtlWaiter(ctx, l.ctlShard(&m), func(c exec.Context) { l.sendCtl(c, &m) })
-	for {
-		if l.P.Dead() {
-			return nil, nil, ErrProcessKilled
-		}
+	// No monitor to pair the child: fork is simply retryable (EAGAIN).
+	for w := l.awaitCtl(&m, EAGAIN).wait(); ; {
 		l.mu.Lock()
 		acked := l.forkAcks[secret]
 		if acked {
@@ -50,9 +47,8 @@ func (l *Libsd) Fork(ctx exec.Context, t *host.Thread, name string) (*host.Proce
 		if acked {
 			break
 		}
-		if err := w.step(ctx); err != nil {
-			// No monitor to pair the child: fork is simply retryable.
-			return nil, nil, EAGAIN
+		if err := w.block(ctx); err != nil {
+			return nil, nil, err
 		}
 	}
 
@@ -179,19 +175,12 @@ func (f *forkedRdmaEP) materialize(ctx exec.Context) *rdmaEP {
 	f.lib.mu.Unlock()
 	f.lib.sendCtl(ctx, &req)
 	var ep *rdmaEP
-	// Bounded only against monitor death, not against time: the data-path
-	// contract (trySend/tryRecv) has no errno channel, so a timeout here
-	// re-issues the splice request instead of failing — the wait survives
-	// any number of monitor restarts and completes when one answers.
-	w := f.lib.newCtlWaiter(ctx, f.lib.ctlShard(&req), func(c exec.Context) { f.lib.sendCtl(c, &req) })
-	w.sock = f.sock // the death notice may reach another process of the socket's: no message here
-	for {
-		if f.lib.P.Dead() || f.sock.side.PeerReset.Load() {
-			// Own death or a peer crash mid-splice: abandon the QP; the
-			// caller's peerGone/Dead checks surface the right errno.
-			qp.Close()
-			return nil
-		}
+	// The data-path contract (trySend/tryRecv) has no errno channel, so
+	// monitor silence re-issues the request instead of failing: the wait
+	// completes when a monitor answers (the peer regenerates its KReQPRes).
+	c := f.lib.awaitCtl(&req, errAskAgain)
+	c.sock = f.sock // the death notice may reach another process of the socket's: no message here
+	for w := c.wait(); ; {
 		// Fork-flow entries carry nonce 0 (recovery attempts in recover.go
 		// use unique nonces, so the flows cannot cross-match).
 		if pr, done := f.lib.takeReQP(side.QID, 0); done {
@@ -214,12 +203,12 @@ func (f *forkedRdmaEP) materialize(ctx exec.Context) *rdmaEP {
 			}
 			break
 		}
-		if err := w.step(ctx); err != nil {
-			// Monitor silence: re-send the splice request and keep
-			// waiting (the peer regenerates its KReQPRes on re-request).
-			w = f.lib.newCtlWaiter(ctx, f.lib.ctlShard(&req), func(c exec.Context) { f.lib.sendCtl(c, &req) })
-			w.sock = f.sock
-			f.lib.sendCtl(ctx, &req)
+		// The peer's crash mid-splice, or our own death: abandon the QP; the
+		// wait of the operation around the splice surfaces the errno (the
+		// reset is consumed once, there).
+		if side.PeerReset.Load() || w.block(ctx) != nil {
+			qp.Close()
+			return nil
 		}
 	}
 	f.real = ep

@@ -153,7 +153,7 @@ type backlogKey struct {
 type backlog struct {
 	conns      []*pendingAccept
 	bindStatus atomic.Int32 // 0 unknown, 1 ok, else ctlmsg status+1
-	wq         host.WaitQ
+	asleep     exec.Thread  // the listener thread parked in Accept, for the KNewConn handler to wake
 }
 
 type pendingConn struct {

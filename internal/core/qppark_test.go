@@ -287,8 +287,6 @@ func TestParkMisses(t *testing.T) {
 // holdingEchoServer is echoServer, except that the connections it accepts
 // as numbers first to last (from 0) are kept open, unread, while it goes on
 // accepting, and — if closing — closed together when the last of them is in.
-// (One thread: a listener thread parked in Accept is not woken for a SYN
-// while a sibling thread sits in Recv.)
 func holdingEchoServer(t *testing.T, l *core.Libsd, port uint16, first, last int, closing bool) func(exec.Context, *host.Thread) {
 	return func(ctx exec.Context, th *host.Thread) {
 		lst, err := l.ListenOn(ctx, th, port)

@@ -87,8 +87,8 @@ func (l *Libsd) SetRecoveryBudget(n int) { l.recoveryBudget = n }
 // every application thread is parked in interrupt mode, and a dead QP
 // delivers no further doorbells — without this nudge nothing would run the
 // wait loops that drive recovery. A thread that has not parked yet sees
-// failed on its next loop iteration instead (the never-park branches in
-// sendMsgT/blockOnRecv), so the two orders are both safe.
+// failed on its next loop iteration instead (wait.pollEvery), so the two
+// orders are both safe.
 func (e *rdmaEP) markFailed() {
 	if e.failed.Swap(true) {
 		return

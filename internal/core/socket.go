@@ -2,7 +2,6 @@ package core
 
 import (
 	"io"
-	"math"
 	"sync/atomic"
 
 	"socksdirect/internal/ctlmsg"
@@ -20,10 +19,6 @@ const maxInline = 8192
 // ZCThreshold is the minimum payload for page remapping (§4.3: "we only
 // use zero copy for send or recv with at least 16 KiB payload size").
 const ZCThreshold = 16 * 1024
-
-// emptyPollsBeforeSleep is the consecutive-empty-poll budget before a
-// receiver switches its queue to interrupt mode (§4.2, §4.4).
-const emptyPollsBeforeSleep = 4096
 
 // Socket is a connected libsd socket endpoint.
 type Socket struct {
@@ -58,13 +53,11 @@ type Socket struct {
 	sendBR *batchRing
 	recvBR *batchRing
 
-	// Overload controls (ISSUE-10). Deadlines are absolute virtual-clock
-	// nanoseconds (0 = none); nonblock turns every would-wait point into
-	// an immediate EWOULDBLOCK. All are racing-thread-safe atomics so one
-	// thread can arm a deadline while another is mid-op.
-	sendDeadline atomic.Int64
-	recvDeadline atomic.Int64
-	nonblock     atomic.Bool
+	// Overload controls. Deadlines are absolute virtual-clock nanoseconds
+	// (0 = none); nonblock turns every would-wait point into an immediate
+	// EWOULDBLOCK. Atomics: one thread may arm one while another is mid-op.
+	deadline [2]atomic.Int64 // by direction
+	nonblock atomic.Bool
 
 	established bool // saw the MAck (Fig. 6 Wait-Server -> Established)
 }
@@ -72,11 +65,11 @@ type Socket struct {
 // SetSendDeadline arms an absolute virtual-time deadline (ns) for send-side
 // waits: ring-full sends, send-token takeovers, zero-copy pool-slot waits.
 // A send that cannot complete by the deadline returns ETIMEDOUT. 0 clears.
-func (s *Socket) SetSendDeadline(at int64) { s.sendDeadline.Store(at) }
+func (s *Socket) SetSendDeadline(at int64) { s.deadline[DirSend].Store(at) }
 
 // SetRecvDeadline arms an absolute virtual-time deadline (ns) for recv-side
 // waits (empty-ring blocking, recv-token takeovers). 0 clears.
-func (s *Socket) SetRecvDeadline(at int64) { s.recvDeadline.Store(at) }
+func (s *Socket) SetRecvDeadline(at int64) { s.deadline[DirRecv].Store(at) }
 
 // SetNonblock switches the socket into (or out of) O_NONBLOCK mode: any
 // operation that would wait returns EWOULDBLOCK instead, and epoll's
@@ -85,105 +78,6 @@ func (s *Socket) SetNonblock(on bool) { s.nonblock.Store(on) }
 
 // Nonblock reports whether the socket is in O_NONBLOCK mode.
 func (s *Socket) Nonblock() bool { return s.nonblock.Load() }
-
-// opDeadline returns the armed absolute deadline for a direction (0 = none).
-func (s *Socket) opDeadline(dir int) int64 {
-	if dir == DirSend {
-		return s.sendDeadline.Load()
-	}
-	return s.recvDeadline.Load()
-}
-
-// blockBudget is consulted at every genuine would-block point on the data
-// plane. It returns EWOULDBLOCK in nonblocking mode, ETIMEDOUT once the
-// direction's deadline has passed, and nil when the op may keep waiting.
-func (s *Socket) blockBudget(ctx exec.Context, dir int) error {
-	err := s.wouldBlock(ctx.Now(), dir)
-	switch err {
-	case EWOULDBLOCK:
-		mEWouldBlock.Inc()
-	case ETIMEDOUT:
-		mDeadlineTimeouts.Inc()
-	}
-	return err
-}
-
-// wouldBlock is blockBudget's verdict at time now, uncounted.
-func (s *Socket) wouldBlock(now int64, dir int) error {
-	if s.nonblock.Load() {
-		return EWOULDBLOCK
-	}
-	if dl := s.opDeadline(dir); dl != 0 && now >= dl {
-		return ETIMEDOUT
-	}
-	return nil
-}
-
-// quiet is what the data-plane waits' idle predicates share: the endpoint is
-// healthy with no completion to pump, both processes live, and no control
-// message waits.
-func (s *Socket) quiet() bool {
-	l := s.lib
-	switch ep := s.ep.(type) {
-	case *shmEP:
-	case *rdmaEP:
-		if ep.failed.Load() || !l.cqsEmpty() {
-			return false // recovery is driven by the wait; a CQE by the pump
-		}
-	default:
-		return false // degraded, forked or closed: those waits sleep, or end
-	}
-	return !l.P.Dead() && l.ctlIdle() && !s.peerGone()
-}
-
-// holds reports whether direction dir's token is still me's and unasked for.
-func (s *Socket) holds(dir int, me int64) bool {
-	holder, ret := s.tokenVars(dir)
-	return !ret.Load() && holder.Load() == me
-}
-
-// recvWaiter, sendWaiter and zcWaiter are the Socket as exec.Idler of
-// blockOnRecv, sendMsgT's full-ring wait and the zero-copy sender's wait for
-// pool slots. Each restates, free of side effects, what its loop's body
-// looks at; the waits' parameters are in the SideState (RecvPoller,
-// SendPoller, PoolWant).
-type (
-	recvWaiter Socket
-	sendWaiter Socket
-	zcWaiter   Socket
-)
-
-func (w *recvWaiter) Idle(now int64) bool {
-	s := (*Socket)(w)
-	// What usually ends the wait first: a thread woken by data pays one load.
-	return !s.side.RX.CanRecv() && !s.side.RxShut.Load() && s.quiet() &&
-		s.holds(DirRecv, s.side.RecvPoller) && s.wouldBlock(now, DirRecv) == nil
-}
-
-// Idle holds while sendMsgT's next attempt would fail as the last one did:
-// no credit has come back (inter-host: into CreditIn, which trySend reads
-// first) and no burst is open, which a failed attempt would publish.
-func (w *sendWaiter) Idle(now int64) bool {
-	s := (*Socket)(w)
-	tx, me := s.side.TX, s.side.SendPoller
-	if rep, ok := s.ep.(*rdmaEP); ok && rep.creditIn() > tx.Credit() {
-		return false
-	}
-	return tx.SendStalled() && !tx.InBurst() && s.quiet() &&
-		(me == 0 || s.holds(DirSend, me) && s.wouldBlock(now, DirSend) == nil) &&
-		!(s.side.RxShut.Load() && s.side.TxShut.Load())
-}
-
-// Idle holds while the pool is short of the slots wanted and nothing is on
-// the ring for drainCtl (slot returns arrive there, in band).
-func (w *zcWaiter) Idle(now int64) bool {
-	s := (*Socket)(w)
-	if s.side.RX.CanRecv() || !s.quiet() || s.wouldBlock(now, DirSend) != nil || !s.side.PoolMu.TryLock() {
-		return false
-	}
-	defer s.side.PoolMu.Unlock()
-	return len(s.side.PoolFree) < s.side.PoolWant
-}
 
 // initFlow registers the socket in the obs flow table (the `sdstat` view,
 // §4.5 introspection). Called once the endpoint is established; the probe
@@ -218,86 +112,52 @@ func (s *Socket) QID() uint64 { return s.side.QID }
 func (s *Socket) acquireToken(ctx exec.Context, t *host.Thread, dir int) error {
 	me := int64(s.lib.GTIDOf(t))
 	holder, _ := s.tokenVars(dir)
+	h := holder.Load()
+	if h == me {
+		// Fast path: one atomic load is the whole synchronization.
+		mTokenFast.Inc()
+		return nil
+	}
+	if h == 0 && holder.CompareAndSwap(0, me) {
+		return nil // unowned (returned or never claimed): grab it
+	}
+	mTokenTakeover.Inc()
+	s.flow.Takeover()
+	op := obs.BeginOp(s.lib.H.Name, int64(s.lib.P.PID), obs.OpTakeover, ctx.Now())
+	if telemetry.Trace.Enabled() {
+		telemetry.Trace.Emit(ctx.Now(), "core", "token_takeover",
+			telemetry.A("qid", int64(s.side.QID)), telemetry.A("dir", int64(dir)))
+	}
+	// Slow path: ask the monitor to arbitrate (§4.1.1). FIFO and
+	// starvation-free: the monitor keeps the (deduplicated) waiting list;
+	// Aux tells it whom to revoke from. A long FIFO behind a healthy monitor
+	// waits as long as it takes, and across a restart re-enters the
+	// successor's (empty) FIFO. A deadline or O_NONBLOCK shed mid-takeover
+	// leaves us in the FIFO: a later grant parks in the holder var and the
+	// next op's fast path claims it.
+	m := ctlmsg.Msg{
+		Kind: ctlmsg.KTakeover, QID: s.side.QID, Dir: uint8(dir),
+		SrcPort: s.sideIdx, Aux: uint64(h),
+		PID: int64(s.lib.P.PID), TID: int64(t.TID),
+		TraceID: op.Trace, SpanID: op.Span,
+	}
+	s.lib.sendCtl(ctx, &m)
+	c, w := s.tokenWait(&m, dir)
 	for {
-		h := holder.Load()
-		if h == me {
-			// Fast path: one atomic load is the whole synchronization.
-			mTokenFast.Inc()
-			return nil
+		cur := holder.Load()
+		if cur == me || cur == 0 && holder.CompareAndSwap(0, me) {
+			op.End(ctx.Now(), true)
+			return nil // granted, or freed while we waited
 		}
-		if h == 0 && holder.CompareAndSwap(0, me) {
-			return nil // unowned (returned or never claimed): grab it
-		}
-		mTokenTakeover.Inc()
-		s.flow.Takeover()
-		op := obs.BeginOp(s.lib.H.Name, int64(s.lib.P.PID), obs.OpTakeover, ctx.Now())
-		if telemetry.Trace.Enabled() {
-			telemetry.Trace.Emit(ctx.Now(), "core", "token_takeover",
-				telemetry.A("qid", int64(s.side.QID)), telemetry.A("dir", int64(dir)))
-		}
-		// Slow path: ask the monitor to arbitrate (§4.1.1). FIFO and
-		// starvation-free: the monitor keeps the (deduplicated) waiting
-		// list; Aux tells it whom to revoke from.
-		m := ctlmsg.Msg{
-			Kind: ctlmsg.KTakeover, QID: s.side.QID, Dir: uint8(dir),
-			SrcPort: s.sideIdx, Aux: uint64(h),
-			PID: int64(s.lib.P.PID), TID: int64(t.TID),
-			TraceID: op.Trace, SpanID: op.Span,
-		}
-		s.lib.sendCtl(ctx, &m)
-		// Bounded wait: a long FIFO queue behind a healthy monitor waits as
-		// long as it takes (the daemon keeps answering pings); only monitor
-		// silence aborts, with EAGAIN — the takeover is simply retryable.
-		// Across a restart the waiter re-enters the successor's (empty)
-		// FIFO automatically.
-		w := tokenWaiter{s: s, dir: dir, asked: ctx.Now(), ctlWaiter: s.lib.newCtlWaiter(ctx, s.lib.ctlShard(&m), func(c exec.Context) {
-			m.Aux = uint64(holder.Load())
-			s.lib.sendCtl(c, &m)
-		})}
-		for {
-			cur := holder.Load()
-			if cur == me {
-				op.End(ctx.Now(), true)
-				return nil
-			}
-			if cur == 0 && holder.CompareAndSwap(0, me) {
-				op.End(ctx.Now(), true)
-				return nil // freed while we waited
-			}
-			if s.lib.P.Dead() {
-				op.End(ctx.Now(), false)
-				return ErrProcessKilled
-			}
-			if s.peerGone() && (dir == DirSend || !s.hasDrainable()) {
-				// Peer crashed and (for receivers) nothing is left to
-				// drain; no point waiting for a token on a dead queue.
-				op.End(ctx.Now(), false)
-				return s.resetErr(ctx, dir)
-			}
-			if err := s.blockBudget(ctx, dir); err != nil {
-				// Deadline/nonblock shed mid-takeover. We stay in the
-				// monitor's FIFO: a later grant parks in the holder var and
-				// the next op's fast path claims it.
-				op.End(ctx.Now(), false)
-				return err
-			}
-			// Note: no hand-back of OUR pending grant here — that would
-			// drop us from the monitor's FIFO. But revocations against
-			// idle holders (threads parked in application code) are
-			// executed on their behalf; the busy counters make it safe.
-			s.lib.processRevokes(ctx)
-			if err := w.step(ctx, cur); err != nil {
-				op.End(ctx.Now(), false)
-				return EAGAIN
-			}
-			if now := ctx.Now(); now-w.asked >= tokenAskAgain {
-				// A grant may have been snatched by a faster claimant
-				// (freed-token CAS); re-enter the queue. The monitor
-				// deduplicates, so this is harmless when already queued.
-				w.asked = now
-				m.Aux = uint64(holder.Load())
-				s.lib.sendCtl(ctx, &m)
-			}
+		c.held = cur
+		// No hand-back of OUR pending grant here — that would drop us from
+		// the monitor's FIFO. But revocations against idle holders (threads
+		// parked in application code) are executed on their behalf; the
+		// busy counters make it safe.
+		s.lib.processRevokes(ctx)
+		if err := w.block(ctx); err != nil {
+			op.End(ctx.Now(), false)
+			return err
 		}
 	}
 }
@@ -403,56 +263,23 @@ func (s *Socket) sendMsg(ctx exec.Context, typ uint8, a, b []byte) error {
 }
 
 func (s *Socket) sendMsgT(ctx exec.Context, t *host.Thread, typ uint8, a, b []byte) error {
-	for sent := s.trySend(ctx, typ, a, b); !sent; sent = s.ep.trySend(ctx, typ, a, b) {
-		if s.lib.P.Dead() {
-			return ErrProcessKilled
-		}
-		if s.peerGone() {
-			return s.resetErr(ctx, DirSend)
-		}
-		if t != nil {
-			// Application-driven send blocked on a full ring: honor the
-			// socket's deadline / O_NONBLOCK. Internal protocol messages
-			// (t == nil: MShut, zero-copy returns) keep blocking — shedding
-			// those would corrupt the close/ZC handshakes.
-			if err := s.blockBudget(ctx, DirSend); err != nil {
+	if !s.trySend(ctx, typ, a, b) {
+		// The retries that would find the ring as full are the scheduler's,
+		// which charges each its ring operation: the loop retries with the
+		// bare attempt.
+		for w := s.sendWait(t); ; {
+			if err := w.block(ctx); err != nil {
 				return err
 			}
-		}
-		if s.side.RxShut.Load() && s.side.TxShut.Load() {
-			return ErrShutdown
-		}
-		s.ep.progress(ctx) // pump + failure recovery / degraded-path I/O
-		s.lib.pollCtl(ctx)
-		// A transport failure leaves the ring full until recovery or
-		// degradation succeeds; throttle the retry loop so virtual time
-		// advances (deadlines and backoff timers live on the clock).
-		if rep, ok := s.ep.(*rdmaEP); ok && rep.failed.Load() {
-			ctx.Sleep(recoveryPollInterval)
-		} else if _, ok := s.ep.(*tcpEP); ok {
-			ctx.Sleep(degradedPollInterval)
-		}
-		me := int64(0)
-		if t != nil {
-			// Blocked on a full ring: honor a pending token revocation and
-			// rejoin the FIFO rather than starving the waiter (§4.1.1).
-			s.maybeHandBack(ctx, DirSend)
-			me = int64(s.lib.GTIDOf(t))
-			if s.side.SendHolder.Load() != me {
-				if err := s.acquireToken(ctx, t, DirSend); err != nil {
-					return err
-				}
+			n := w.spun
+			if _, ok := s.ep.(*rdmaEP); ok {
+				n *= 2 // trySend looks again after refreshing the credit
+			}
+			shm.CountSendFull(n)
+			if s.ep.trySend(ctx, typ, a, b) {
+				break
 			}
 		}
-		// The retries that would find the ring as full are the
-		// scheduler's. It charges each its ring operation, the one it
-		// returns for included: the loop retries with the bare attempt.
-		s.side.SendPoller = me
-		n := ctx.Spin(0, s.lib.H.Costs.RingOp, math.MaxInt, (*sendWaiter)(s))
-		if _, ok := s.ep.(*rdmaEP); ok {
-			n *= 2 // trySend looks again after refreshing the credit
-		}
-		shm.CountSendFull(n)
 	}
 	s.ep.kick(ctx)
 	return nil
@@ -515,109 +342,19 @@ func (s *Socket) dispatchMsg(ctx exec.Context, msg shm.Msg, buf []byte) (bool, i
 		s.established = true
 	case MZCRet:
 		s.handleZCReturn(msg.Payload)
-	case MPoolInit:
-		s.handlePoolInit(msg.Payload)
 	}
 	return false, 0, nil
 }
 
-// blockOnRecv waits for traffic, switching the queue into interrupt mode
-// after enough empty polls (§4.4): the thread parks; an intra-host sender
-// wakes it through the monitor, an RDMA completion wakes it through the
-// armed CQ.
-func (s *Socket) blockOnRecv(ctx exec.Context, t *host.Thread) error {
-	me := int64(s.lib.GTIDOf(t))
-	empty := 0
-	for {
-		if s.ep.canRecv() {
-			return nil
-		}
-		if s.lib.P.Dead() {
-			return ErrProcessKilled
-		}
-		if s.peerGone() {
-			// canRecv was checked first, so in-flight bytes always drain
-			// before the crash surfaces (reset-after-drain).
-			return s.resetErr(ctx, DirRecv)
-		}
-		if s.side.RxShut.Load() {
-			return nil // EOF surfaces in caller
-		}
-		if err := s.blockBudget(ctx, DirRecv); err != nil {
+// awaitRecv waits, as w says, until the receive ring has a message. In-flight
+// bytes always drain before a peer's crash surfaces (reset-after-drain).
+func (s *Socket) awaitRecv(ctx exec.Context, w *wait) error {
+	for !s.ep.canRecv() {
+		if err := w.block(ctx); err != nil {
 			return err
 		}
-		s.lib.pollCtl(ctx)
-		s.maybeHandBack(ctx, DirRecv)
-		if s.side.RecvHolder.Load() != me {
-			if err := s.acquireToken(ctx, t, DirRecv); err != nil {
-				return err
-			}
-		}
-		ctx.Charge(s.lib.H.Costs.RingOp)
-		// Failure paths never park: a failed endpoint needs this loop to
-		// drive its own recovery, and the degraded TCP path has no
-		// doorbell into libsd. Throttled polling instead of interrupt mode.
-		if rep, ok := s.ep.(*rdmaEP); ok && rep.failed.Load() {
-			s.ep.progress(ctx)
-			ctx.Sleep(recoveryPollInterval)
-			empty = 0
-			continue
-		}
-		if _, ok := s.ep.(*tcpEP); ok {
-			s.ep.progress(ctx)
-			ctx.Sleep(degradedPollInterval)
-			empty = 0
-			continue
-		}
-		empty++
-		if empty < emptyPollsBeforeSleep {
-			s.side.RecvPoller = me
-			empty += ctx.Spin(s.lib.H.Costs.RingOp, 0, emptyPollsBeforeSleep-1-empty, (*recvWaiter)(s))
-			continue
-		}
-		// Interrupt mode: publish the sleeper and park.
-		s.side.RecvSleeper.Store(me)
-		if !s.ep.canRecv() { // re-check after publishing (wake/sleep race)
-			if rep, ok := s.ep.(*rdmaEP); ok {
-				th := t.H
-				s.lib.recvCQArm(rep, th)
-			}
-			mRecvSleeps.Inc()
-			if dl := s.opDeadline(DirRecv); dl != 0 {
-				// Armed deadline: schedule a timer unpark so the park can
-				// never outlive the deadline (the loop re-checks and
-				// returns ETIMEDOUT). A spurious unpark after data arrived
-				// is absorbed by the permit/loop.
-				th := ctx.Self()
-				ctx.After(dl-ctx.Now(), th.Unpark)
-			}
-			m := ctlmsg.Msg{Kind: ctlmsg.KSleepNote, QID: s.side.QID, PID: int64(s.lib.P.PID), TID: int64(t.TID)}
-			s.lib.sendCtl(ctx, &m)
-			// Track the park so a restarted monitor — whose predecessor's
-			// sleeper table died with it — relearns this thread from the
-			// re-registration report and can still ring its doorbell.
-			s.lib.sleepMu.Lock()
-			s.lib.sleepNotes[t.TID] = struct{}{}
-			s.lib.sleepMu.Unlock()
-			// Asleep is outside the library, as in Accept: the signal
-			// handler may drain the control queue for a sibling that is
-			// parked too (§4.4 challenge 2).
-			s.lib.leave()
-			ctx.Park()
-			s.lib.enter()
-			s.lib.sleepMu.Lock()
-			delete(s.lib.sleepNotes, t.TID)
-			s.lib.sleepMu.Unlock()
-			mRecvWakeups.Inc()
-		}
-		s.side.RecvSleeper.Store(0)
-		empty = 0
 	}
-}
-
-// recvCQArm arms the process CQ to unpark a sleeping receiver thread.
-func (l *Libsd) recvCQArm(ep *rdmaEP, th exec.Thread) {
-	l.recvCQ.Arm(func() { th.Unpark() })
+	return nil
 }
 
 // raiseHUP delivers SIGHUP to the local process when the peer died

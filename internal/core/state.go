@@ -36,12 +36,13 @@ func (g GTID) TID() int { return int(g & ((1 << 20) - 1)) }
 // Ring message types on the data plane (in-band control shares the ring
 // with payload, so the common case needs no side channel).
 const (
-	MData     uint8 = 1 // payload bytes
-	MAck      uint8 = 2 // connection-establishment ACK (Fig. 6)
-	MShut     uint8 = 3 // sender shut its TX direction (close handshake §4.5.4)
-	MZC       uint8 = 4 // zero-copy descriptor: pages instead of bytes (§4.3)
-	MZCRet    uint8 = 5 // zero-copy page return (intra: obf ids; inter: slots)
-	MPoolInit uint8 = 6 // inter-host ZC: receiver publishes its pinned pool
+	MData  uint8 = 1 // payload bytes
+	MAck   uint8 = 2 // connection-establishment ACK (Fig. 6)
+	MShut  uint8 = 3 // sender shut its TX direction (close handshake §4.5.4)
+	MZC    uint8 = 4 // zero-copy descriptor: pages instead of bytes (§4.3)
+	MZCRet uint8 = 5 // zero-copy page return (intra: obf ids; inter: slots)
+	// 6 is reserved: it was MPoolInit, which nothing ever sent (the pinned
+	// pool's key travels in the connection's control messages).
 )
 
 // Direction indices for token arrays.
@@ -94,12 +95,10 @@ type SideState struct {
 	// side's RX (the peer's sender wakes it through the monitor, §4.4).
 	RecvSleeper atomic.Int64
 
-	// Pollers: the token identity of the thread whose blockOnRecv or
-	// full-ring sendMsgT the scheduler is playing (0 for a protocol
-	// message, sent without the token or the socket's deadline), for the
-	// waits' idle predicates. A second thread gets into either wait only
-	// after the first was resumed to hand the token over.
-	RecvPoller, SendPoller int64
+	// Poller, for the waits' idle predicates: whose token the wait on each
+	// direction watches (0: none). A second thread gets into such a wait
+	// only after the first was resumed to hand the token over.
+	Poller [2]int64
 
 	// PeerPID is the peer process for intra-host death detection
 	// (SIGHUP on failure, §4.5.4); zero for inter-host sockets.

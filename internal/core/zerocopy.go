@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"io"
-	"math"
 
 	"socksdirect/internal/bufpool"
 	"socksdirect/internal/exec"
@@ -144,8 +143,6 @@ func encodeZCReturn(slots []int32) []byte {
 	return out
 }
 
-func (s *Socket) handlePoolInit(payload []byte) {} // reserved
-
 // --- VA-based send/recv: the paths where §4.3's remapping pays off ---
 
 // SendVA transmits n bytes from a page-aligned buffer in the process
@@ -237,8 +234,11 @@ func (s *Socket) zcSendInterChunk(ctx exec.Context, ep *rdmaEP, addr mem.VAddr, 
 	need := n / mem.PageSize
 	// Allocate pool slots (sender-managed free list, Fig. 5b step 2);
 	// returns arrive as in-band MZCRet drained here.
+	// Slot exhaustion is the zero-copy would-block point: a receiver that
+	// stopped returning slots is waited for under O_NONBLOCK and the deadline.
 	var slots []int32
-	for {
+	s.side.PoolWant = need
+	for w := s.poolWait(); ; {
 		s.side.PoolMu.Lock()
 		if len(s.side.PoolFree) >= need {
 			slots = append([]int32(nil), s.side.PoolFree[len(s.side.PoolFree)-need:]...)
@@ -249,22 +249,9 @@ func (s *Socket) zcSendInterChunk(ctx exec.Context, ep *rdmaEP, addr mem.VAddr, 
 		s.side.PoolMu.Unlock()
 		s.drainCtl(ctx)
 		s.lib.pump(ctx)
-		if s.lib.P.Dead() {
-			return ErrProcessKilled
-		}
-		if s.peerGone() {
-			return s.resetErr(ctx, DirSend)
-		}
-		// Slot exhaustion is the zero-copy would-block point: honor the
-		// send deadline and O_NONBLOCK instead of spinning forever behind
-		// a receiver that stopped returning slots.
-		if err := s.blockBudget(ctx, DirSend); err != nil {
+		if err := w.block(ctx); err != nil {
 			return err
 		}
-		s.lib.pollCtl(ctx) // the peer's death is a control message
-		ctx.Charge(s.lib.H.Costs.RingOp)
-		s.side.PoolWant = need
-		ctx.Spin(s.lib.H.Costs.RingOp, 0, math.MaxInt, (*zcWaiter)(s))
 	}
 
 	ids, err := s.lib.P.AS.PagesForSend(ctx, addr, n) // COW on sender (step 1)
@@ -520,7 +507,8 @@ func (s *Socket) recvBytes(ctx exec.Context, t *host.Thread, buf []byte, materia
 			if s.side.RxShut.Load() {
 				return 0, io.EOF
 			}
-			if err := s.blockOnRecv(ctx, t); err != nil {
+			w := s.recvWait(t)
+			if err := s.awaitRecv(ctx, &w); err != nil {
 				return 0, err
 			}
 			continue
@@ -531,7 +519,8 @@ func (s *Socket) recvBytes(ctx exec.Context, t *host.Thread, buf []byte, materia
 	}
 }
 
-// recvExactly fills buf completely from the stream (ZC tail bytes).
+// recvExactly fills buf completely from the stream (ZC tail bytes, which ride
+// the ring right behind their descriptor); an error comes with the partial count.
 func (s *Socket) recvExactly(ctx exec.Context, buf []byte) (int, error) {
 	got := 0
 	for got < len(buf) {
@@ -541,28 +530,9 @@ func (s *Socket) recvExactly(ctx exec.Context, buf []byte) (int, error) {
 			got += n
 			continue
 		}
-		if !s.ep.canRecv() {
-			// One poll is one ring operation, as in blockOnRecv: the look is
-			// free.
-			if s.lib.P.Dead() {
-				return got, ErrProcessKilled
-			}
-			if s.peerGone() {
-				return got, s.resetErr(ctx, DirRecv)
-			}
-			// Deadline only (no O_NONBLOCK bail here): the ZC tail rides
-			// the ring right behind its descriptor, and shedding mid-tail
-			// would tear a remapped message in half. A deadline miss still
-			// bounds the wait — the partial count is returned with the
-			// error.
-			if dl := s.opDeadline(DirRecv); dl != 0 && ctx.Now() >= dl {
-				mDeadlineTimeouts.Inc()
-				return got, ETIMEDOUT
-			}
-			s.lib.pollCtl(ctx) // the peer's death is a control message
-			ctx.Charge(s.lib.H.Costs.RingOp)
-			ctx.Yield()
-			continue
+		w := s.tailWait()
+		if err := s.awaitRecv(ctx, &w); err != nil {
+			return got, err
 		}
 		msg, ok := s.ep.tryRecv(ctx)
 		if !ok {

@@ -106,13 +106,3 @@ type Context interface {
 type Idler interface {
 	Idle(now int64) bool
 }
-
-// WaitUntil is the poll loop written out: it polls pred, charging pollCost
-// and yielding between attempts, until pred returns true. Tests wait with
-// it; the stack's own loops hand their empty iterations to Spin.
-func WaitUntil(ctx Context, pollCost int64, pred func() bool) {
-	for !pred() {
-		ctx.Charge(pollCost)
-		ctx.Yield()
-	}
-}

@@ -212,24 +212,6 @@ func TestSimRoundRobinOnSharedCore(t *testing.T) {
 	}
 }
 
-func TestWaitUntil(t *testing.T) {
-	s := NewSim(SimConfig{})
-	flag := false
-	var at int64
-	s.Spawn("setter", func(ctx Context) {
-		ctx.Charge(3000)
-		flag = true
-	})
-	s.Spawn("waiter", func(ctx Context) {
-		WaitUntil(ctx, 10, func() bool { return flag })
-		at = ctx.Now()
-	})
-	s.Run()
-	if at < 3000 {
-		t.Fatalf("waiter finished at %d, before flag set at 3000", at)
-	}
-}
-
 // parkForever is a daemon body: it starts, so it holds a carrier, and is
 // still parked when Run ends.
 func parkForever(ctx Context) {

@@ -95,7 +95,7 @@ func TestRecvBufferOverrunCompletesWithLocalLenErr(t *testing.T) {
 		ctx.Sleep(2 * DefaultRTO * (MaxRetry + 2))
 	})
 	p.sim.Spawn("receiver", func(ctx exec.Context) {
-		exec.WaitUntil(ctx, 10, func() bool { return p.cqbR.Len() > 0 })
+		waitUntil(ctx, 10, func() bool { return p.cqbR.Len() > 0 })
 		wc, haveWC = p.cqbR.PollOne()
 	})
 	p.sim.Run()

@@ -67,7 +67,7 @@ func TestWriteImmDeliversDataThenCompletion(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		exec.WaitUntil(ctx, 10, func() bool { return p.cqaS.Len() > 0 })
+		waitUntil(ctx, 10, func() bool { return p.cqaS.Len() > 0 })
 		e, _ := p.cqaS.PollOne()
 		if e.WRID != 42 || e.Status != WCSuccess {
 			t.Errorf("bad send completion %+v", e)
@@ -75,7 +75,7 @@ func TestWriteImmDeliversDataThenCompletion(t *testing.T) {
 		sendDone = true
 	})
 	p.sim.Spawn("receiver", func(ctx exec.Context) {
-		exec.WaitUntil(ctx, 10, func() bool { return p.cqbR.Len() > 0 })
+		waitUntil(ctx, 10, func() bool { return p.cqbR.Len() > 0 })
 		e, _ := p.cqbR.PollOne()
 		rxImm = e.Imm
 		rxData = make([]byte, e.Len)
@@ -94,7 +94,7 @@ func TestOneSidedWriteIsSilentOnReceiver(t *testing.T) {
 	p := newPair(t, fabric.Config{}, 4096)
 	p.sim.Spawn("sender", func(ctx exec.Context) {
 		p.qa.PostWrite(1, []byte("quiet"), p.mrb.RKey(), 0, 0, false)
-		exec.WaitUntil(ctx, 10, func() bool { return p.cqaS.Len() > 0 })
+		waitUntil(ctx, 10, func() bool { return p.cqaS.Len() > 0 })
 	})
 	p.sim.Run()
 	if p.cqbR.Len() != 0 {
@@ -114,11 +114,11 @@ func TestLargeWriteSegmentsAndReassembles(t *testing.T) {
 	}
 	p.sim.Spawn("sender", func(ctx exec.Context) {
 		p.qa.PostWrite(9, data, p.mrb.RKey(), 0, 1, true)
-		exec.WaitUntil(ctx, 10, func() bool { return p.cqaS.Len() > 0 })
+		waitUntil(ctx, 10, func() bool { return p.cqaS.Len() > 0 })
 	})
 	var gotLen int
 	p.sim.Spawn("receiver", func(ctx exec.Context) {
-		exec.WaitUntil(ctx, 10, func() bool { return p.cqbR.Len() > 0 })
+		waitUntil(ctx, 10, func() bool { return p.cqbR.Len() > 0 })
 		e, _ := p.cqbR.PollOne()
 		gotLen = e.Len
 	})
@@ -138,10 +138,10 @@ func TestSendRecvTwoSided(t *testing.T) {
 	var wc CQE
 	p.sim.Spawn("sender", func(ctx exec.Context) {
 		p.qa.PostSend(5, []byte("two-sided"))
-		exec.WaitUntil(ctx, 10, func() bool { return p.cqaS.Len() > 0 })
+		waitUntil(ctx, 10, func() bool { return p.cqaS.Len() > 0 })
 	})
 	p.sim.Spawn("receiver", func(ctx exec.Context) {
-		exec.WaitUntil(ctx, 10, func() bool { return p.cqbR.Len() > 0 })
+		waitUntil(ctx, 10, func() bool { return p.cqbR.Len() > 0 })
 		wc, _ = p.cqbR.PollOne()
 	})
 	p.sim.Run()
@@ -162,7 +162,7 @@ func TestSendWithoutRecvWQERecoversAfterPost(t *testing.T) {
 	p.sim.Spawn("receiver", func(ctx exec.Context) {
 		ctx.Sleep(600_000) // after first RTO
 		p.qb.PostRecv(88, rbuf)
-		exec.WaitUntil(ctx, 100, func() bool { return p.cqbR.Len() > 0 })
+		waitUntil(ctx, 100, func() bool { return p.cqbR.Len() > 0 })
 		wc, _ = p.cqbR.PollOne()
 	})
 	p.sim.Run()
@@ -186,7 +186,7 @@ func TestGoBackNRecoversFromLoss(t *testing.T) {
 				return
 			}
 		}
-		exec.WaitUntil(ctx, 1000, func() bool { return completions == msgs })
+		waitUntil(ctx, 1000, func() bool { return completions == msgs })
 	})
 	var rx int
 	p.sim.Spawn("receiver", func(ctx exec.Context) {
@@ -286,7 +286,7 @@ func TestFrameBackedMR(t *testing.T) {
 	}
 	s.Spawn("tx", func(ctx exec.Context) {
 		qa.PostWrite(1, payload, mrb.RKey(), mem.PageSize/2, 0, true)
-		exec.WaitUntil(ctx, 10, func() bool { return cqR.Len() > 0 })
+		waitUntil(ctx, 10, func() bool { return cqR.Len() > 0 })
 	})
 	s.Run()
 
@@ -389,7 +389,7 @@ func BenchmarkRDMAWriteImm8B_Sim(b *testing.B) {
 	s.Spawn("bench", func(ctx exec.Context) {
 		for i := 0; i < b.N; i++ {
 			qa.PostWrite(uint64(i), payload, mrb.RKey(), 0, 0, true)
-			exec.WaitUntil(ctx, 10, func() bool { return cqR.Len() > 0 })
+			waitUntil(ctx, 10, func() bool { return cqR.Len() > 0 })
 			cqR.PollOne()
 			cqS.PollOne()
 		}
@@ -398,3 +398,31 @@ func BenchmarkRDMAWriteImm8B_Sim(b *testing.B) {
 }
 
 var _ = fmt.Sprintf
+
+// waitUntil is the poll loop written out: it polls pred, charging pollCost
+// and yielding between attempts, until pred returns true. (The stack's own
+// loops hand their empty iterations to exec.Context.Spin.)
+func waitUntil(ctx exec.Context, pollCost int64, pred func() bool) {
+	for !pred() {
+		ctx.Charge(pollCost)
+		ctx.Yield()
+	}
+}
+
+func TestWaitUntil(t *testing.T) {
+	s := exec.NewSim(exec.SimConfig{})
+	flag := false
+	var at int64
+	s.Spawn("setter", func(ctx exec.Context) {
+		ctx.Charge(3000)
+		flag = true
+	})
+	s.Spawn("waiter", func(ctx exec.Context) {
+		waitUntil(ctx, 10, func() bool { return flag })
+		at = ctx.Now()
+	})
+	s.Run()
+	if at < 3000 {
+		t.Fatalf("waiter finished at %d, before flag set at 3000", at)
+	}
+}

@@ -1,6 +1,7 @@
 package socksdirect_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -66,6 +67,63 @@ func TestEveryInternalPackageIsDocumented(t *testing.T) {
 		}
 		if citeRequired[dir] && !strings.Contains(doc, "§") {
 			t.Errorf("package %s is a control-plane package but its doc comment cites no paper section (§)", dir)
+		}
+	}
+}
+
+// TestCoreBlocksOnlyInWait keeps libsd at one way to block (ARCHITECTURE.md
+// "Blocking"): in non-test internal/core, what gives up the core or arms a
+// timer — Park, Sleep, Spin, Yield, a WaitQ's Wait, After — is called from
+// wait.go, or from a function listed here with the reason it is not a wait.
+// A new blocking loop uses wait.block or argues its way onto the list.
+func TestCoreBlocksOnlyInWait(t *testing.T) {
+	allowed := map[string]string{
+		"epoll.go startEpollThread Park":  "libsd's own kernel-event thread idles while nobody is in Epoll.Wait",
+		"epoll.go startEpollThread Sleep": "the same thread's 50 µs epoll_wait sweep period",
+		"libsd.go sendCtl Yield":          "a full control ring, which the monitor drains; not a wait for a peer",
+		"tcpep.go sendHello Yield":        "the rescue connection's handshake write into a kernel socket buffer",
+		"libsd.go armAutoPump After":      "re-arms the CQ pump from timer context; no thread waits",
+		"recover.go markFailed After":     "the wake-up of a parked receiver, process-wakeup latency later",
+	}
+	blocking := map[string]bool{"Park": true, "Sleep": true, "Spin": true, "Yield": true, "Wait": true, "After": true}
+	paths, err := filepath.Glob(filepath.Join("internal", "core", "*.go"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no files in internal/core: %v", err)
+	}
+	used := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		name := filepath.Base(path)
+		if name == "wait.go" || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && blocking[sel.Sel.Name] {
+					key := name + " " + fn.Name.Name + " " + sel.Sel.Name
+					if used[key] = true; allowed[key] == "" {
+						t.Errorf("%s: %s calls %s outside wait.go: use wait.block, or list it here with its reason", name, fn.Name.Name, sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for key := range allowed {
+		if !used[key] {
+			t.Errorf("allowlist entry %q matches nothing any more: delete it", key)
 		}
 	}
 }
