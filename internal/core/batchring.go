@@ -252,7 +252,7 @@ func (s *Socket) recvBatchOne(ctx exec.Context, t *host.Thread, br *batchRing, b
 			ctx.Charge(s.lib.H.Costs.CopyCost(n))
 			return n, nil
 		}
-		if len(s.rxZC) > 0 {
+		if s.zcQueued() {
 			return s.materializeZC(ctx, buf)
 		}
 		if br.mlen == 0 {

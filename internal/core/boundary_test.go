@@ -81,7 +81,7 @@ func errName(err error) string {
 // (both on hostA) or inter-host (server on hostB); the client dials at
 // 10 µs. Either may be nil. It returns the two processes for scenarios that
 // kill one.
-func connected(t *testing.T, w *world, inter bool, port uint16,
+func connected(t testing.TB, w *world, inter bool, port uint16,
 	srv, cli func(ctx exec.Context, th *host.Thread, s *core.Socket)) (sp, cp *host.Process) {
 	sh, dst := w.a, "hostA"
 	if inter {

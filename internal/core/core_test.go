@@ -24,9 +24,9 @@ type world struct {
 	ka, kb, kc *ksocket.Stack
 }
 
-func newWorld(t *testing.T) *world { return newWorldCfg(t, exec.SimConfig{}) }
+func newWorld(t testing.TB) *world { return newWorldCfg(t, exec.SimConfig{}) }
 
-func newWorldCfg(t *testing.T, cfg exec.SimConfig) *world {
+func newWorldCfg(t testing.TB, cfg exec.SimConfig) *world {
 	t.Helper()
 	s := exec.NewSim(cfg)
 	costs := costmodel.Default
@@ -44,7 +44,7 @@ func newWorldCfg(t *testing.T, cfg exec.SimConfig) *world {
 }
 
 // proc makes a process with libsd loaded.
-func proc(t *testing.T, h *host.Host, name string, uid int) (*host.Process, *core.Libsd) {
+func proc(t testing.TB, h *host.Host, name string, uid int) (*host.Process, *core.Libsd) {
 	t.Helper()
 	p := h.NewProcess(name, uid)
 	l, err := core.Init(p)

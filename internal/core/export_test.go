@@ -88,9 +88,54 @@ func (s *Socket) SendZCHead(ctx exec.Context, t *host.Thread, addr mem.VAddr, wh
 	if err != nil {
 		return err
 	}
-	obf := make([]mem.ObfPageID, len(ids))
-	for i, id := range ids {
-		obf[i] = s.lib.H.Mem.Obfuscate(id)
+	desc := s.lib.H.Mem.AppendObfuscated(appendZCHeader(nil, zcIntra, whole+tail, len(ids)), ids)
+	return s.sendMsg(ctx, MZC, desc, nil)
+}
+
+// The zero-copy descriptor codec, for tests that forge descriptors.
+var (
+	AppendZCHeader = appendZCHeader
+	AppendZCSlots  = appendSlots
+	AppendZCReturn = appendZCReturn
+)
+
+// The two kinds of MZC descriptor.
+const (
+	ZCIntra = zcIntra
+	ZCInter = zcInter
+)
+
+// SendZCRaw sends payload as an MZC descriptor, as a peer that writes its
+// ring by hand would.
+func (s *Socket) SendZCRaw(ctx exec.Context, t *host.Thread, payload []byte) error {
+	s.lib.enter()
+	defer s.lib.leave()
+	if err := s.acquireToken(ctx, t, DirSend); err != nil {
+		return err
 	}
-	return s.sendMsg(ctx, MZC, encodeZCIntra(whole+tail, obf), nil)
+	return s.sendMsg(ctx, MZC, payload, nil)
+}
+
+// ZCArrival is one queued zero-copy arrival: the bytes it announces and the
+// pages a RecvVA of it would map.
+type ZCArrival struct{ Total, Pages int }
+
+// FeedZC hands the socket payload as a received MZC (ret false) or MZCRet
+// (ret true) message, returns the arrivals that queued, and puts the
+// receive queue and the sender's slot list back as they were.
+func (s *Socket) FeedZC(ret bool, payload []byte) []ZCArrival {
+	if ret {
+		n := len(s.side.PoolFree)
+		s.handleZCReturn(payload)
+		s.side.PoolFree = s.side.PoolFree[:n]
+		return nil
+	}
+	s.queueZC(payload)
+	var out []ZCArrival
+	for s.zcQueued() {
+		r := s.zc.pop()
+		out = append(out, ZCArrival{r.total, len(r.ids)})
+		s.zc.spent(r)
+	}
+	return out
 }

@@ -44,8 +44,9 @@ type Socket struct {
 	// stream reassembly: bytes of a partially consumed ring message.
 	rxPending []byte
 
-	// zero-copy receive state (deferred page mappings).
-	rxZC []zcRecv
+	// zero-copy state (queued arrivals, descriptor scratch); nil until the
+	// socket's first zero-copy message.
+	zc *zcState
 
 	// per-direction submission/completion rings for the vectored op path
 	// (SendBatch/RecvBatch). Lazily allocated; each is owned by whichever
@@ -374,7 +375,7 @@ func (s *Socket) peerGone() bool {
 // hasDrainable reports in-flight bytes not yet delivered to the
 // application; kernel TCP delivers these before surfacing a reset.
 func (s *Socket) hasDrainable() bool {
-	return len(s.rxPending) > 0 || len(s.rxZC) > 0 || s.ep.canRecv()
+	return len(s.rxPending) > 0 || s.zcQueued() || s.ep.canRecv()
 }
 
 // resetErr surfaces a peer-process crash with kernel TCP errno
@@ -451,7 +452,7 @@ func (s *Socket) closeLast(ctx exec.Context, t *host.Thread) {
 
 // Readable reports whether Recv would make progress (epoll hook).
 func (s *Socket) Readable() bool {
-	return len(s.rxPending) > 0 || len(s.rxZC) > 0 || s.ep.canRecv() ||
+	return len(s.rxPending) > 0 || s.zcQueued() || s.ep.canRecv() ||
 		s.side.RxShut.Load() || s.peerGone()
 }
 

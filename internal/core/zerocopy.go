@@ -30,7 +30,7 @@ const zcPoolPages = 128
 // mapping — they belong to the NIC until received) registered as one MR.
 // It tolerates a nil ctx (control-path invocations charge nothing).
 func newZCPool(ctx exec.Context, p *host.Process, pd *rdma.PD) (*zcPool, error) {
-	ids := p.AS.FreshFrames(zcPoolPages)
+	ids := p.AS.FreshFrames(nil, zcPoolPages)
 	if err := p.Host.Mem.Pin(ctx, ids); err != nil {
 		return nil, err
 	}
@@ -50,97 +50,176 @@ type zcRecv struct {
 	intra bool
 }
 
-// --- descriptor encoding (MZC payload) ---
+// zcState is all a socket keeps for zero copy. It hangs off one pointer that
+// the first zero-copy message fills in: most sockets never see one, and every
+// dial builds two Sockets. Nothing in it is allocated per message.
+type zcState struct {
+	// Receive side, owned by the receive token's holder.
+	rx   []zcRecv // arrivals awaiting RecvVA, oldest first
+	free []zcRecv // spent arrivals, emptied: queueZC refills their buffers
 
-// intra: [0x01][total u32][count u32][obf u64 × count]
-// inter: [0x02][total u32][count u32][slot u32 × count]
+	// Send side, owned by the send token's holder, and dead once the MZC is
+	// in the ring: the descriptor, the frames it names and (inter-host)
+	// their slots in the peer's pool.
+	desc  []byte
+	ids   []mem.PageID
+	slots []int32
 
-func encodeZCIntra(total int, obf []mem.ObfPageID) []byte {
-	out := make([]byte, 9+8*len(obf))
-	out[0] = 1
-	binary.LittleEndian.PutUint32(out[1:], uint32(total))
-	binary.LittleEndian.PutUint32(out[5:], uint32(len(obf)))
-	for i, o := range obf {
-		binary.LittleEndian.PutUint64(out[9+8*i:], uint64(o))
-	}
-	return out
+	// ret is the MZCRet buffer, under side.PoolMu. Either token's holder may
+	// flush slot returns, so it is taken out (nil) while its message waits
+	// for the ring; a flush that finds it gone builds its own.
+	ret []byte
 }
 
-func encodeZCInter(total int, slots []int32) []byte {
-	out := make([]byte, 9+4*len(slots))
-	out[0] = 2
-	binary.LittleEndian.PutUint32(out[1:], uint32(total))
-	binary.LittleEndian.PutUint32(out[5:], uint32(len(slots)))
-	for i, s := range slots {
-		binary.LittleEndian.PutUint32(out[9+4*i:], uint32(s))
+// zcFreeMax bounds zcState.free: arrivals are consumed about as fast as they
+// queue, so a few spent ones cover the refills.
+const zcFreeMax = 4
+
+func (s *Socket) zcs() *zcState {
+	if s.zc == nil {
+		s.zc = new(zcState)
 	}
-	return out
+	return s.zc
+}
+
+// zcQueued reports a zero-copy arrival awaiting its receive.
+func (s *Socket) zcQueued() bool { return s.zc != nil && len(s.zc.rx) > 0 }
+
+// pop removes the oldest arrival, moving the rest down so that rx keeps its
+// backing array.
+func (z *zcState) pop() zcRecv {
+	r := z.rx[0]
+	n := copy(z.rx, z.rx[1:])
+	z.rx[n] = zcRecv{}
+	z.rx = z.rx[:n]
+	return r
+}
+
+// spent takes back the buffers of an arrival nobody reads any more.
+func (z *zcState) spent(r zcRecv) {
+	if len(z.free) < zcFreeMax {
+		z.free = append(z.free, zcRecv{ids: r.ids[:0], slots: r.slots[:0]})
+	}
+}
+
+// --- the descriptor codec ---
+//
+// MZC:    [kind u8][total u32][count u32], then count items:
+//         zcIntra  obfuscated frame ids, as mem writes them
+//         zcInter  slots of the receiver's pinned pool, u32 each
+// MZCRet: [count u32], then count pool slots, u32 each
+
+const (
+	zcIntra     = 1
+	zcInter     = 2
+	zcHeaderLen = 9
+	zcSlotLen   = 4
+)
+
+func appendZCHeader(dst []byte, kind byte, total, count int) []byte {
+	dst = append(dst, kind)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(total))
+	return binary.LittleEndian.AppendUint32(dst, uint32(count))
+}
+
+func appendSlots(dst []byte, slots []int32) []byte {
+	for _, slot := range slots {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(slot))
+	}
+	return dst
+}
+
+func appendZCReturn(dst []byte, slots []int32) []byte {
+	return appendSlots(binary.LittleEndian.AppendUint32(dst, uint32(len(slots))), slots)
+}
+
+// parseZC checks an MZC payload's framing and returns its items. The peer
+// is untrusted: a descriptor must name at least one page and exactly the
+// whole pages of the bytes it announces, or a receive sized by total would
+// map count pages over whatever lies behind its buffer.
+func parseZC(payload []byte) (kind byte, total int, items []byte, ok bool) {
+	if len(payload) < zcHeaderLen {
+		return 0, 0, nil, false
+	}
+	kind = payload[0]
+	total = int(binary.LittleEndian.Uint32(payload[1:]))
+	count := int(binary.LittleEndian.Uint32(payload[5:]))
+	size := zcSlotLen
+	if kind == zcIntra {
+		size = mem.ObfWireSize
+	} else if kind != zcInter {
+		return 0, 0, nil, false
+	}
+	items = payload[zcHeaderLen:]
+	if count == 0 || count != total>>mem.PageShift || len(items) < count*size {
+		return 0, 0, nil, false
+	}
+	return kind, total, items[:count*size], true
+}
+
+// appendReturnedSlots appends the slots of an MZCRet payload: as many as it
+// both announces and holds.
+func appendReturnedSlots(dst []int32, payload []byte) []int32 {
+	if len(payload) < 4 {
+		return dst
+	}
+	count := binary.LittleEndian.Uint32(payload)
+	for p := payload[4:]; count > 0 && len(p) >= zcSlotLen; count, p = count-1, p[zcSlotLen:] {
+		dst = append(dst, int32(binary.LittleEndian.Uint32(p)))
+	}
+	return dst
 }
 
 // queueZC decodes an MZC descriptor into pending receive state. Bad
 // descriptors (forged page ids) poison the socket rather than the host.
 func (s *Socket) queueZC(payload []byte) {
-	if len(payload) < 9 {
+	kind, total, items, ok := parseZC(payload)
+	if !ok {
 		return
 	}
-	total := int(binary.LittleEndian.Uint32(payload[1:]))
-	count := int(binary.LittleEndian.Uint32(payload[5:]))
-	switch payload[0] {
-	case 1:
-		if len(payload) < 9+8*count {
-			return
+	z := s.zcs()
+	var r zcRecv
+	if n := len(z.free); n > 0 {
+		r, z.free = z.free[n-1], z.free[:n-1]
+	}
+	r.total = total
+	switch kind {
+	case zcIntra:
+		ids, err := s.lib.H.Mem.AppendDeobfuscated(r.ids, items)
+		if err != nil {
+			z.spent(r)
+			return // forged descriptor: drop (isolation holds)
 		}
-		ids := make([]mem.PageID, 0, count)
-		for i := 0; i < count; i++ {
-			o := mem.ObfPageID(binary.LittleEndian.Uint64(payload[9+8*i:]))
-			id, err := s.lib.H.Mem.Deobfuscate(o)
-			if err != nil {
-				return // forged descriptor: drop (isolation holds)
-			}
-			ids = append(ids, id)
-		}
-		s.rxZC = append(s.rxZC, zcRecv{ids: ids, total: total, intra: true})
-	case 2:
+		r.ids, r.intra = ids, true
+	case zcInter:
 		pool := s.side.LocalPool
-		if pool == nil || len(payload) < 9+4*count {
+		if pool == nil {
+			z.spent(r)
 			return
 		}
-		ids := make([]mem.PageID, 0, count)
-		slots := make([]int32, 0, count)
-		for i := 0; i < count; i++ {
-			slot := int32(binary.LittleEndian.Uint32(payload[9+4*i:]))
+		for ; len(items) > 0; items = items[zcSlotLen:] {
+			slot := int32(binary.LittleEndian.Uint32(items))
 			if slot < 0 || int(slot) >= len(pool.ids) {
+				z.spent(r)
 				return
 			}
-			ids = append(ids, pool.ids[slot])
-			slots = append(slots, slot)
+			r.ids = append(r.ids, pool.ids[slot])
+			r.slots = append(r.slots, slot)
 		}
-		s.rxZC = append(s.rxZC, zcRecv{ids: ids, slots: slots, total: total})
 	}
+	z.rx = append(z.rx, r)
 }
 
 // handleZCReturn gives returned pool slots back to the sender-side
 // allocator (inter-host; intra-host pages return through the kernel's
 // frame refcounting).
 func (s *Socket) handleZCReturn(payload []byte) {
-	if _, ok := s.ep.(*rdmaEP); !ok || len(payload) < 4 {
+	if _, ok := s.ep.(*rdmaEP); !ok {
 		return
 	}
-	count := int(binary.LittleEndian.Uint32(payload))
 	s.side.PoolMu.Lock()
-	for i := 0; i < count && 4+4*i+4 <= len(payload); i++ {
-		s.side.PoolFree = append(s.side.PoolFree, int32(binary.LittleEndian.Uint32(payload[4+4*i:])))
-	}
+	s.side.PoolFree = appendReturnedSlots(s.side.PoolFree, payload)
 	s.side.PoolMu.Unlock()
-}
-
-func encodeZCReturn(slots []int32) []byte {
-	out := make([]byte, 4+4*len(slots))
-	binary.LittleEndian.PutUint32(out, uint32(len(slots)))
-	for i, s := range slots {
-		binary.LittleEndian.PutUint32(out[4+4*i:], uint32(s))
-	}
-	return out
 }
 
 // --- VA-based send/recv: the paths where §4.3's remapping pays off ---
@@ -201,15 +280,15 @@ func (s *Socket) SendVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int)
 }
 
 func (s *Socket) zcSendIntra(ctx exec.Context, addr mem.VAddr, n int) error {
-	ids, err := s.lib.P.AS.PagesForSend(ctx, addr, n) // COW + transfer refs (Fig. 5a step 1)
+	z := s.zcs()
+	ids, err := s.lib.P.AS.AppendPagesForSend(z.ids[:0], ctx, addr, n) // COW + transfer refs (Fig. 5a step 1)
 	if err != nil {
 		return err
 	}
-	obf := make([]mem.ObfPageID, len(ids))
-	for i, id := range ids {
-		obf[i] = s.lib.H.Mem.Obfuscate(id) // step 2: obfuscated addresses
-	}
-	return s.sendMsg(ctx, MZC, encodeZCIntra(n, obf), nil)
+	z.ids = ids
+	// Step 2: obfuscated addresses.
+	z.desc = s.lib.H.Mem.AppendObfuscated(appendZCHeader(z.desc[:0], zcIntra, n, len(ids)), ids)
+	return s.sendMsg(ctx, MZC, z.desc, nil)
 }
 
 // zcMaxChunkPages bounds one inter-host ZC descriptor to half the remote
@@ -236,13 +315,13 @@ func (s *Socket) zcSendInterChunk(ctx exec.Context, ep *rdmaEP, addr mem.VAddr, 
 	// returns arrive as in-band MZCRet drained here.
 	// Slot exhaustion is the zero-copy would-block point: a receiver that
 	// stopped returning slots is waited for under O_NONBLOCK and the deadline.
-	var slots []int32
+	z := s.zcs()
 	s.side.PoolWant = need
 	for w := s.poolWait(); ; {
 		s.side.PoolMu.Lock()
-		if len(s.side.PoolFree) >= need {
-			slots = append([]int32(nil), s.side.PoolFree[len(s.side.PoolFree)-need:]...)
-			s.side.PoolFree = s.side.PoolFree[:len(s.side.PoolFree)-need]
+		if cut := len(s.side.PoolFree) - need; cut >= 0 {
+			z.slots = append(z.slots[:0], s.side.PoolFree[cut:]...)
+			s.side.PoolFree = s.side.PoolFree[:cut]
 			s.side.PoolMu.Unlock()
 			break
 		}
@@ -254,10 +333,11 @@ func (s *Socket) zcSendInterChunk(ctx exec.Context, ep *rdmaEP, addr mem.VAddr, 
 		}
 	}
 
-	ids, err := s.lib.P.AS.PagesForSend(ctx, addr, n) // COW on sender (step 1)
+	ids, err := s.lib.P.AS.AppendPagesForSend(z.ids[:0], ctx, addr, n) // COW on sender (step 1)
 	if err != nil {
 		return err
 	}
+	z.ids = ids
 	// Step 3: the NIC DMA-reads the pinned pages and writes them into the
 	// peer's pool frames. No CPU copy: only the verb-post cost is charged.
 	for i, id := range ids {
@@ -266,7 +346,7 @@ func (s *Socket) zcSendInterChunk(ctx exec.Context, ep *rdmaEP, addr mem.VAddr, 
 			return err
 		}
 		ctx.Charge(s.lib.H.Costs.RDMAPost)
-		if err := ep.qp.PostWrite(wrZC, fd, s.side.PoolRKey, int64(slots[i])*mem.PageSize, 0, false); err != nil {
+		if err := ep.qp.PostWrite(wrZC, fd, s.side.PoolRKey, int64(z.slots[i])*mem.PageSize, 0, false); err != nil {
 			return err
 		}
 	}
@@ -274,7 +354,8 @@ func (s *Socket) zcSendInterChunk(ctx exec.Context, ep *rdmaEP, addr mem.VAddr, 
 	s.lib.H.Mem.Unref(ids)
 	// Step 4: page (slot) descriptors go in-band, ordered after the data
 	// on the same QP.
-	return s.sendMsg(ctx, MZC, encodeZCInter(n, slots), nil)
+	z.desc = appendSlots(appendZCHeader(z.desc[:0], zcInter, n, need), z.slots)
+	return s.sendMsg(ctx, MZC, z.desc, nil)
 }
 
 // sendVACopy is the sub-threshold path: read out of the address space and
@@ -342,22 +423,26 @@ func (s *Socket) RecvVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int)
 	s.side.BusyRecv.Add(1)
 	defer s.side.BusyRecv.Add(-1)
 	for {
-		if len(s.rxZC) > 0 {
-			z := s.rxZC[0]
-			if uint64(addr)%mem.PageSize != 0 || n < z.total {
+		if s.zcQueued() {
+			// A receive too small or unaligned for the arrival gets it by
+			// copy. One that is big enough for total has room for every
+			// page queueZC let through; the last test says so again here.
+			if z := &s.zc.rx[0]; uint64(addr)%mem.PageSize != 0 || n < z.total || n/mem.PageSize < len(z.ids) {
 				pb := bufpool.Get(n)
 				m, err := s.recvLockedBytes(ctx, t, pb.B)
+				if err == nil {
+					err = s.lib.P.AS.Write(ctx, addr, pb.B[:m])
+				}
+				pb.Release()
 				if err != nil {
-					pb.Release()
 					return 0, err
 				}
-				s.lib.P.AS.Write(ctx, addr, pb.B[:m])
-				pb.Release()
-				return m, err
+				return m, nil
 			}
-			s.rxZC = s.rxZC[1:]
-			whole := z.total &^ (mem.PageSize - 1)
+			z := s.zc.pop()
+			total, whole := z.total, z.total&^(mem.PageSize-1)
 			if err := s.lib.P.AS.MapPages(ctx, addr, z.ids); err != nil {
+				s.zc.spent(z)
 				return 0, err
 			}
 			mZCRemaps.Inc()
@@ -369,19 +454,22 @@ func (s *Socket) RecvVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int)
 				// The received frames now belong to the application; put
 				// fresh pinned pages into their slots and hand the slots
 				// straight back to the sender (per-recv page allocation,
-				// §4.3 — one batched remap worth of cost).
+				// §4.3 — one batched remap worth of cost). The mapping has
+				// taken the old frames over, so z.ids is free to list the
+				// fresh ones.
 				pool := s.side.LocalPool
-				fresh := pool.as.FreshFrames(len(z.slots))
-				s.lib.H.Mem.Pin(nil, fresh)
+				z.ids = pool.as.FreshFrames(z.ids[:0], len(z.slots))
+				s.lib.H.Mem.Pin(nil, z.ids)
 				for i, slot := range z.slots {
-					pool.ids[slot] = fresh[i]
-					pool.mr.SwapFrame(int(slot), fresh[i])
+					pool.ids[slot] = z.ids[i]
+					pool.mr.SwapFrame(int(slot), z.ids[i])
 				}
 				ctx.Charge(s.lib.H.Costs.MapCost(len(z.slots)))
 				s.queueSlotReturns(ctx, z.slots)
 			}
+			s.zc.spent(z)
 			// The sub-page tail was sent as MData right behind the MZC.
-			if rem := z.total - whole; rem > 0 {
+			if rem := total - whole; rem > 0 {
 				pb := bufpool.Get(rem)
 				m, err := s.recvExactly(ctx, pb.B)
 				if err != nil {
@@ -394,7 +482,7 @@ func (s *Socket) RecvVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int)
 					return whole, err
 				}
 			}
-			return z.total, nil
+			return total, nil
 		}
 		// No ZC queued yet: take ordinary bytes, but bounce back here the
 		// moment a zero-copy descriptor surfaces.
@@ -429,24 +517,29 @@ func (s *Socket) queueSlotReturns(ctx exec.Context, slots []int32) {
 // connection teardown when no one else can send).
 func (s *Socket) flushSlotReturns(ctx exec.Context) {
 	s.side.PoolMu.Lock()
-	pend := s.side.PendingReturns
-	s.side.PendingReturns = nil
-	s.side.PoolMu.Unlock()
-	if len(pend) == 0 {
+	if len(s.side.PendingReturns) == 0 {
+		s.side.PoolMu.Unlock()
 		return
 	}
-	if err := s.sendMsg(ctx, MZCRet, encodeZCReturn(pend), nil); err != nil {
-		s.side.PoolMu.Lock()
-		s.side.PendingReturns = append(pend, s.side.PendingReturns...)
-		s.side.PoolMu.Unlock()
+	z := s.zcs()
+	msg := appendZCReturn(z.ret[:0], s.side.PendingReturns)
+	z.ret = nil
+	s.side.PendingReturns = s.side.PendingReturns[:0]
+	s.side.PoolMu.Unlock()
+	err := s.sendMsg(ctx, MZCRet, msg, nil)
+	s.side.PoolMu.Lock()
+	if err != nil {
+		s.side.PendingReturns = appendReturnedSlots(s.side.PendingReturns, msg)
 	}
+	z.ret = msg
+	s.side.PoolMu.Unlock()
 }
 
 // materializeZC copies a queued zero-copy arrival into a plain byte
 // buffer (the byte API cannot remap, §4.3's "smaller messages are copied"
 // degenerate case).
 func (s *Socket) materializeZC(ctx exec.Context, buf []byte) (int, error) {
-	z := s.rxZC[0]
+	z := &s.zc.rx[0]
 	// Pool scratch sized to the page roundup so the frame-append loop
 	// never outgrows the pooled capacity; any spill into rxPending is
 	// copied out before the release.
@@ -464,12 +557,13 @@ func (s *Socket) materializeZC(ctx exec.Context, buf []byte) (int, error) {
 	mZCCopies.Inc()
 	host.CountCopy(len(out))
 	ctx.Charge(s.lib.H.Costs.CopyCost(len(out)))
-	s.rxZC = s.rxZC[1:]
-	if z.intra {
-		s.lib.H.Mem.Unref(z.ids) // transfer refs die here
+	r := s.zc.pop()
+	if r.intra {
+		s.lib.H.Mem.Unref(r.ids) // transfer refs die here
 	} else if _, ok := s.ep.(*rdmaEP); ok {
-		s.queueSlotReturns(ctx, z.slots)
+		s.queueSlotReturns(ctx, r.slots)
 	}
+	s.zc.spent(r)
 	n := copy(buf, out)
 	if n < len(out) {
 		s.rxPending = append(s.rxPending[:0], out[n:]...)
@@ -496,7 +590,7 @@ func (s *Socket) recvBytes(ctx exec.Context, t *host.Thread, buf []byte, materia
 			ctx.Charge(s.lib.H.Costs.CopyCost(n))
 			return n, nil
 		}
-		if len(s.rxZC) > 0 {
+		if s.zcQueued() {
 			if !materialize {
 				return 0, nil
 			}

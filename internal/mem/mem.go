@@ -13,8 +13,10 @@
 package mem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"socksdirect/internal/costmodel"
@@ -58,11 +60,27 @@ type frame struct {
 	home   *AddressSpace // pool that reclaims this frame at refs==0
 }
 
+// The frame table is indexed by id in chunks of frameChunkLen. Ids are
+// handed out in order and never reused, so a dead frame's slot stays nil for
+// good (a stale or forged id finds nothing), and a chunk whose frames have
+// all died is dropped: what stays allocated follows the live frames. The
+// directory keeps one nil pointer per dropped chunk.
+const (
+	frameChunkShift = 8
+	frameChunkLen   = 1 << frameChunkShift
+)
+
+type frameChunk struct {
+	live int
+	f    [frameChunkLen]*frame
+}
+
 // PhysMem is the host's physical memory: the frame allocator plus the
 // kernel-held obfuscation secret.
 type PhysMem struct {
 	mu     sync.Mutex
-	frames map[PageID]*frame
+	chunks []*frameChunk // chunks[id>>frameChunkShift]; nil once wholly dead
+	live   int
 	next   PageID
 	secret uint64
 	costs  *costmodel.Costs
@@ -74,11 +92,7 @@ func NewPhysMem(secret uint64, costs *costmodel.Costs) *PhysMem {
 	if costs == nil {
 		costs = &costmodel.Costs{}
 	}
-	return &PhysMem{
-		frames: make(map[PageID]*frame),
-		secret: secret | 1,
-		costs:  costs,
-	}
+	return &PhysMem{secret: secret | 1, costs: costs}
 }
 
 func (pm *PhysMem) charge(ctx exec.Context, d int64) {
@@ -90,8 +104,42 @@ func (pm *PhysMem) charge(ctx exec.Context, d int64) {
 func (pm *PhysMem) allocFrame(home *AddressSpace) *frame {
 	pm.next++
 	f := &frame{id: pm.next, data: make([]byte, PageSize), refs: 1, home: home}
-	pm.frames[f.id] = f
+	c := int(f.id >> frameChunkShift)
+	if c == len(pm.chunks) {
+		// The chunk being left takes no more ids: if nothing in it is
+		// alive, nothing will drop it later.
+		if c > 0 && pm.chunks[c-1] != nil && pm.chunks[c-1].live == 0 {
+			pm.chunks[c-1] = nil
+		}
+		pm.chunks = append(pm.chunks, new(frameChunk))
+	}
+	pm.chunks[c].f[f.id&(frameChunkLen-1)] = f
+	pm.chunks[c].live++
+	pm.live++
 	return f
+}
+
+// frame looks a frame up by id; nil for a dead, future or forged one. The
+// lock must be held.
+func (pm *PhysMem) frame(id PageID) *frame {
+	c := uint64(id) >> frameChunkShift
+	if c >= uint64(len(pm.chunks)) || pm.chunks[c] == nil {
+		return nil
+	}
+	return pm.chunks[c].f[id&(frameChunkLen-1)]
+}
+
+// dropFrame takes a dead frame out of the table, and its chunk with it if
+// that was the last one alive there. The chunk still handing out ids stays.
+func (pm *PhysMem) dropFrame(f *frame) {
+	c := int(f.id >> frameChunkShift)
+	ch := pm.chunks[c]
+	ch.f[f.id&(frameChunkLen-1)] = nil
+	ch.live--
+	pm.live--
+	if ch.live == 0 && c != len(pm.chunks)-1 {
+		pm.chunks[c] = nil
+	}
 }
 
 // Obfuscate hides a frame id for transit through user-space queues.
@@ -99,16 +147,50 @@ func (pm *PhysMem) Obfuscate(id PageID) ObfPageID {
 	return ObfPageID(uint64(id)*0x9e3779b97f4a7c15 ^ pm.secret)
 }
 
-// Deobfuscate recovers and validates a frame id; forged values fail.
-func (pm *PhysMem) Deobfuscate(o ObfPageID) (PageID, error) {
-	v := (uint64(o) ^ pm.secret) * 0xf1de83e19937733d // modular inverse of the multiplier
-	id := PageID(v)
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	if _, ok := pm.frames[id]; !ok {
+// deobfuscate recovers and validates a frame id; forged values fail. The
+// lock must be held.
+func (pm *PhysMem) deobfuscate(o ObfPageID) (PageID, error) {
+	id := PageID((uint64(o) ^ pm.secret) * 0xf1de83e19937733d) // modular inverse of the multiplier
+	if pm.frame(id) == nil {
 		return 0, fmt.Errorf("%w: %#x", ErrBadPage, uint64(o))
 	}
 	return id, nil
+}
+
+// Deobfuscate recovers and validates a frame id; forged values fail.
+func (pm *PhysMem) Deobfuscate(o ObfPageID) (PageID, error) {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	return pm.deobfuscate(o)
+}
+
+// ObfWireSize is the size of one obfuscated id in a queue message: a
+// little-endian uint64.
+const ObfWireSize = 8
+
+// AppendObfuscated appends the ids to dst as they travel in a queue
+// message.
+func (pm *PhysMem) AppendObfuscated(dst []byte, ids []PageID) []byte {
+	for _, id := range ids {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(pm.Obfuscate(id)))
+	}
+	return dst
+}
+
+// AppendDeobfuscated is Deobfuscate over every id of a queue message, under
+// one lock; one forged id fails them all and leaves dst as it was.
+func (pm *PhysMem) AppendDeobfuscated(dst []PageID, wire []byte) ([]PageID, error) {
+	out := dst
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	for ; len(wire) >= ObfWireSize; wire = wire[ObfWireSize:] {
+		id, err := pm.deobfuscate(ObfPageID(binary.LittleEndian.Uint64(wire)))
+		if err != nil {
+			return dst, err
+		}
+		out = append(out, id)
+	}
+	return out, nil
 }
 
 // Ref adds one reference to each frame (installing an additional mapping
@@ -117,8 +199,8 @@ func (pm *PhysMem) Ref(ids []PageID) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	for _, id := range ids {
-		f, ok := pm.frames[id]
-		if !ok {
+		f := pm.frame(id)
+		if f == nil {
 			return ErrBadPage
 		}
 		f.refs++
@@ -130,8 +212,8 @@ func (pm *PhysMem) Ref(ids []PageID) error {
 func (pm *PhysMem) FrameRefs(id PageID) int {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	f, ok := pm.frames[id]
-	if !ok {
+	f := pm.frame(id)
+	if f == nil {
 		return 0
 	}
 	return f.refs
@@ -143,7 +225,7 @@ func (pm *PhysMem) Unref(ids []PageID) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	for _, id := range ids {
-		if f, ok := pm.frames[id]; ok {
+		if f := pm.frame(id); f != nil {
 			pm.unref(f)
 		}
 	}
@@ -153,7 +235,7 @@ func (pm *PhysMem) Unref(ids []PageID) {
 func (pm *PhysMem) FrameCount() int {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	return len(pm.frames)
+	return pm.live
 }
 
 // Pin marks frames as pinned for DMA; already-pinned frames are no-ops,
@@ -168,8 +250,8 @@ func (pm *PhysMem) Pin(ctx exec.Context, ids []PageID) error {
 	var charge int64
 	pm.mu.Lock()
 	for _, id := range ids {
-		f, ok := pm.frames[id]
-		if !ok {
+		f := pm.frame(id)
+		if f == nil {
 			pm.mu.Unlock()
 			return ErrBadPage
 		}
@@ -188,7 +270,7 @@ func (pm *PhysMem) Pin(ctx exec.Context, ids []PageID) error {
 func (pm *PhysMem) Unpin(ids []PageID) {
 	pm.mu.Lock()
 	for _, id := range ids {
-		if f, ok := pm.frames[id]; ok {
+		if f := pm.frame(id); f != nil {
 			f.pinned = false
 		}
 	}
@@ -200,9 +282,14 @@ func (pm *PhysMem) PinnedCount() int {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	n := 0
-	for _, f := range pm.frames {
-		if f.pinned {
-			n++
+	for _, ch := range pm.chunks {
+		if ch == nil {
+			continue
+		}
+		for _, f := range ch.f {
+			if f != nil && f.pinned {
+				n++
+			}
 		}
 	}
 	return n
@@ -213,8 +300,8 @@ func (pm *PhysMem) PinnedCount() int {
 func (pm *PhysMem) FrameData(id PageID) ([]byte, error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	f, ok := pm.frames[id]
-	if !ok {
+	f := pm.frame(id)
+	if f == nil {
 		return nil, ErrBadPage
 	}
 	return f.data, nil
@@ -230,37 +317,60 @@ func (pm *PhysMem) unref(f *frame) {
 		f.home.pool = append(f.home.pool, f)
 		return
 	}
-	delete(pm.frames, f.id)
+	pm.dropFrame(f)
 }
 
+// pte is one page-table entry; f is nil while the page is reserved but
+// unmapped (freed, or unmapped and awaiting a remap).
 type pte struct {
 	f   *frame
 	cow bool
 }
 
+// heapBase is where every address space's heap starts (arbitrary, non-zero).
+const heapBase VAddr = 1 << 30
+
 // AddressSpace is one process's view of memory: a page table plus a local
 // free-page pool ("libsd manages a pool of free pages in each process").
+//
+// The page table is flat: pages[i] is the entry of virtual page
+// vpn(heapBase)+i. Alloc is the only way to reserve addresses and it hands
+// them out in order, so the table covers exactly the reserved heap; an
+// address outside it is unmapped and, as with mremap, cannot be mapped.
 type AddressSpace struct {
-	pm       *PhysMem
-	mu       sync.Mutex
-	pages    map[uint64]*pte // vpn -> pte
-	heapNext VAddr
-	pool     []*frame
-	poolCap  int
+	pm      *PhysMem
+	mu      sync.Mutex
+	pages   []pte
+	pool    []*frame
+	poolCap int
 }
 
 // NewAddressSpace creates a process address space on the given physical
 // memory.
 func NewAddressSpace(pm *PhysMem) *AddressSpace {
-	return &AddressSpace{
-		pm:       pm,
-		pages:    make(map[uint64]*pte),
-		heapNext: 1 << 30, // arbitrary non-zero heap base
-		poolCap:  256,
-	}
+	return &AddressSpace{pm: pm, poolCap: 256}
 }
 
 func vpn(a VAddr) uint64 { return uint64(a) >> PageShift }
+
+// span returns the entries of the n pages at addr, or nil unless all of
+// them are reserved. as.mu must be held, and the result dropped with it.
+func (as *AddressSpace) span(addr VAddr, n int) []pte {
+	i := vpn(addr) - vpn(heapBase) // an address below the heap wraps past len
+	if n < 0 || i > uint64(len(as.pages)) || uint64(n) > uint64(len(as.pages))-i {
+		return nil
+	}
+	return as.pages[i : i+uint64(n)]
+}
+
+// mapped returns the entry of the page holding addr, or nil if nothing is
+// mapped there.
+func (as *AddressSpace) mapped(addr VAddr) *pte {
+	if s := as.span(addr, 1); s != nil && s[0].f != nil {
+		return &s[0]
+	}
+	return nil
+}
 
 // Alloc reserves n bytes of fresh zeroed memory. Multiple-of-page sizes are
 // page aligned (the paper's malloc interception, §4.3 "Page alignment").
@@ -269,50 +379,51 @@ func (as *AddressSpace) Alloc(n int) VAddr {
 	defer as.mu.Unlock()
 	as.pm.mu.Lock()
 	defer as.pm.mu.Unlock()
-	base := as.heapNext
+	base := heapBase + VAddr(len(as.pages))<<PageShift
 	npages := (n + PageSize - 1) / PageSize
 	if npages == 0 {
 		npages = 1
 	}
 	for i := 0; i < npages; i++ {
-		f := as.takeFrameLocked()
-		as.pages[vpn(base)+uint64(i)] = &pte{f: f}
+		as.pages = append(as.pages, pte{f: as.takeFrameLocked(true)})
 	}
-	as.heapNext += VAddr(npages * PageSize)
 	return base
 }
 
-// takeFrameLocked pops a pooled frame or allocates a fresh one. Both locks
-// must be held.
-func (as *AddressSpace) takeFrameLocked() *frame {
+// takeFrameLocked pops a pooled frame or allocates a fresh one. A pooled
+// frame still holds its last owner's bytes: zero says the caller needs them
+// gone, which the fault handler, about to overwrite the whole frame, does
+// not. Both locks must be held.
+func (as *AddressSpace) takeFrameLocked(zero bool) *frame {
 	if n := len(as.pool); n > 0 {
 		f := as.pool[n-1]
 		as.pool = as.pool[:n-1]
-		for i := range f.data {
-			f.data[i] = 0
+		if zero {
+			clear(f.data)
 		}
 		return f
 	}
 	return as.pm.allocFrame(as)
 }
 
-// FreshFrames allocates n unmapped frames (zeroed, refcount 1, owned by
-// the caller) drawing from this space's free pool — the per-recv page
+// FreshFrames appends to dst n unmapped frames (zeroed, refcount 1, owned
+// by the caller) drawing from this space's free pool — the per-recv page
 // allocation of §4.3 ("libsd manages a pool of free pages in each
 // process locally").
-func (as *AddressSpace) FreshFrames(n int) []PageID {
+func (as *AddressSpace) FreshFrames(dst []PageID, n int) []PageID {
+	dst = slices.Grow(dst, n)
 	as.mu.Lock()
 	as.pm.mu.Lock()
-	out := make([]PageID, n)
-	for i := range out {
-		out[i] = as.takeFrameLocked().id
+	for i := 0; i < n; i++ {
+		dst = append(dst, as.takeFrameLocked(true).id)
 	}
 	as.pm.mu.Unlock()
 	as.mu.Unlock()
-	return out
+	return dst
 }
 
-// Free unmaps [addr, addr+n), dropping frame references.
+// Free unmaps [addr, addr+n), dropping frame references. The addresses
+// stay reserved.
 func (as *AddressSpace) Free(addr VAddr, n int) error {
 	if uint64(addr)%PageSize != 0 {
 		return ErrNotAligned
@@ -321,34 +432,34 @@ func (as *AddressSpace) Free(addr VAddr, n int) error {
 	defer as.mu.Unlock()
 	as.pm.mu.Lock()
 	defer as.pm.mu.Unlock()
-	npages := (n + PageSize - 1) / PageSize
-	for i := 0; i < npages; i++ {
-		p := vpn(addr) + uint64(i)
-		e, ok := as.pages[p]
-		if !ok {
+	pages := as.span(addr, (n+PageSize-1)/PageSize)
+	if pages == nil {
+		return ErrUnmapped
+	}
+	for i := range pages {
+		e := &pages[i]
+		if e.f == nil {
 			return ErrUnmapped
 		}
 		as.pm.unref(e.f)
-		delete(as.pages, p)
+		*e = pte{}
 	}
 	return nil
 }
 
-// Read copies n bytes at addr into out (which it returns, reallocating if
-// needed).
+// Read copies len(out) bytes at addr into out.
 func (as *AddressSpace) Read(addr VAddr, out []byte) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	n := len(out)
 	off := 0
 	for off < n {
-		p := vpn(addr + VAddr(off))
-		e, ok := as.pages[p]
-		if !ok {
-			return fmt.Errorf("%w: %#x", ErrUnmapped, uint64(addr)+uint64(off))
+		a := addr + VAddr(off)
+		e := as.mapped(a)
+		if e == nil {
+			return fmt.Errorf("%w: %#x", ErrUnmapped, uint64(a))
 		}
-		po := int(uint64(addr)+uint64(off)) & (PageSize - 1)
-		off += copy(out[off:], e.f.data[po:])
+		off += copy(out[off:], e.f.data[int(a)&(PageSize-1):])
 	}
 	return nil
 }
@@ -362,22 +473,22 @@ func (as *AddressSpace) Write(ctx exec.Context, addr VAddr, data []byte) error {
 	n := len(data)
 	off := 0
 	for off < n {
-		a := uint64(addr) + uint64(off)
-		p := a >> PageShift
+		a := addr + VAddr(off)
 		po := int(a) & (PageSize - 1)
 		chunk := PageSize - po
 		if chunk > n-off {
 			chunk = n - off
 		}
-		e, ok := as.pages[p]
-		if !ok {
+		e := as.mapped(a)
+		if e == nil {
 			as.mu.Unlock()
-			return fmt.Errorf("%w: %#x", ErrUnmapped, a)
+			return fmt.Errorf("%w: %#x", ErrUnmapped, uint64(a))
 		}
 		if e.cow || e.f.refs > 1 {
 			mCOWFaults.Inc()
 			as.pm.mu.Lock()
-			f := as.takeFrameLocked()
+			// Not zeroed: one of the two copies below covers the frame.
+			f := as.takeFrameLocked(false)
 			if chunk < PageSize {
 				copy(f.data, e.f.data) // partial overwrite: real COW copy
 				charge += as.pm.costs.PageCopy4K
@@ -396,53 +507,70 @@ func (as *AddressSpace) Write(ctx exec.Context, addr VAddr, data []byte) error {
 	return nil
 }
 
-// PagesForSend returns the frames backing [addr, addr+n) marked
-// copy-on-write in this address space, with one extra reference each for
-// the in-flight transfer (step 1 of Fig. 5). addr must be page aligned and
-// n a multiple of the page size.
+// PagesForSend is AppendPagesForSend into a new slice.
 func (as *AddressSpace) PagesForSend(ctx exec.Context, addr VAddr, n int) ([]PageID, error) {
+	return as.AppendPagesForSend(nil, ctx, addr, n)
+}
+
+// AppendPagesForSend appends to dst the frames backing [addr, addr+n),
+// marked copy-on-write in this address space, with one extra reference each
+// for the in-flight transfer (step 1 of Fig. 5). addr must be page aligned
+// and n a multiple of the page size. On error nothing is marked and dst
+// comes back as it was.
+func (as *AddressSpace) AppendPagesForSend(dst []PageID, ctx exec.Context, addr VAddr, n int) ([]PageID, error) {
 	if uint64(addr)%PageSize != 0 || n%PageSize != 0 {
-		return nil, ErrNotAligned
+		return dst, ErrNotAligned
 	}
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	as.pm.mu.Lock()
 	defer as.pm.mu.Unlock()
-	ids := make([]PageID, 0, n/PageSize)
-	for i := 0; i < n/PageSize; i++ {
-		e, ok := as.pages[vpn(addr)+uint64(i)]
-		if !ok {
-			return nil, ErrUnmapped
+	pages := as.span(addr, n/PageSize)
+	if pages == nil {
+		return dst, ErrUnmapped
+	}
+	for i := range pages {
+		if pages[i].f == nil {
+			return dst, ErrUnmapped
 		}
+	}
+	dst = slices.Grow(dst, len(pages))
+	for i := range pages {
+		e := &pages[i]
 		e.cow = true
 		e.f.refs++
-		ids = append(ids, e.f.id)
+		dst = append(dst, e.f.id)
 	}
-	return ids, nil
+	return dst, nil
 }
 
 // MapPages installs the given frames at addr (step 3/5 of Fig. 5),
-// replacing (and unreferencing) whatever was mapped there. The frames'
-// in-flight references are transferred to the mapping; they stay COW while
-// shared. Charges one page-map cost per page.
+// replacing (and unreferencing) whatever was mapped there; the addresses
+// must be reserved. The frames' in-flight references are transferred to the
+// mapping; they stay COW while shared. Charges one page-map cost per page.
 func (as *AddressSpace) MapPages(ctx exec.Context, addr VAddr, ids []PageID) error {
 	if uint64(addr)%PageSize != 0 {
 		return ErrNotAligned
 	}
 	as.mu.Lock()
 	as.pm.mu.Lock()
+	pages := as.span(addr, len(ids))
+	if pages == nil {
+		as.pm.mu.Unlock()
+		as.mu.Unlock()
+		return ErrUnmapped
+	}
 	for i, id := range ids {
-		f, ok := as.pm.frames[id]
-		if !ok {
+		f := as.pm.frame(id)
+		if f == nil {
 			as.pm.mu.Unlock()
 			as.mu.Unlock()
 			return ErrBadPage
 		}
-		p := vpn(addr) + uint64(i)
-		if old, ok := as.pages[p]; ok {
-			as.pm.unref(old.f)
+		if old := pages[i].f; old != nil {
+			as.pm.unref(old)
 		}
-		as.pages[p] = &pte{f: f, cow: true}
+		pages[i] = pte{f: f, cow: true}
 	}
 	as.pm.mu.Unlock()
 	as.mu.Unlock()
@@ -464,11 +592,14 @@ func (as *AddressSpace) Unmap(ctx exec.Context, addr VAddr, npages int) ([]PageI
 	defer as.mu.Unlock()
 	as.pm.mu.Lock()
 	defer as.pm.mu.Unlock()
+	pages := as.span(addr, npages)
+	if pages == nil {
+		return nil, ErrUnmapped
+	}
 	var foreign []PageID
-	for i := 0; i < npages; i++ {
-		p := vpn(addr) + uint64(i)
-		e, ok := as.pages[p]
-		if !ok {
+	for i := range pages {
+		e := &pages[i]
+		if e.f == nil {
 			return nil, ErrUnmapped
 		}
 		if e.f.home != nil && e.f.home != as && e.f.refs == 1 {
@@ -477,7 +608,7 @@ func (as *AddressSpace) Unmap(ctx exec.Context, addr VAddr, npages int) ([]PageI
 			e.f.refs++ // keep alive for the return trip
 		}
 		as.pm.unref(e.f)
-		delete(as.pages, p)
+		*e = pte{}
 	}
 	return foreign, nil
 }
@@ -490,7 +621,7 @@ func (as *AddressSpace) AcceptReturned(ids []PageID) {
 	as.pm.mu.Lock()
 	defer as.pm.mu.Unlock()
 	for _, id := range ids {
-		if f, ok := as.pm.frames[id]; ok {
+		if f := as.pm.frame(id); f != nil {
 			as.pm.unref(f)
 		}
 	}
@@ -500,8 +631,7 @@ func (as *AddressSpace) AcceptReturned(ids []PageID) {
 func (as *AddressSpace) Mapped(addr VAddr) bool {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	_, ok := as.pages[vpn(addr)]
-	return ok
+	return as.mapped(addr) != nil
 }
 
 // PoolSize reports pooled free frames (tests).

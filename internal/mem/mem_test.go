@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -213,7 +214,9 @@ func TestErrorsOnMisuse(t *testing.T) {
 
 // TestCOWPropertyQuick checks, over random transfer/overwrite interleavings,
 // the fundamental COW invariant: a receiver's view never changes due to
-// sender writes after the transfer, and vice versa.
+// sender writes after the transfer, and vice versa. Both free pools hold
+// dirty frames, which the fault handler takes unzeroed: a fault that does not
+// cover the whole frame itself leaks 0xFF into one of the views.
 func TestCOWPropertyQuick(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -222,9 +225,9 @@ func TestCOWPropertyQuick(t *testing.T) {
 		npages := 1 + rng.Intn(4)
 		n := npages * PageSize
 		src := snd.Alloc(n)
-		payload := make([]byte, n)
-		rng.Read(payload)
-		snd.Write(nil, src, payload)
+		sview := make([]byte, n)
+		rng.Read(sview)
+		snd.Write(nil, src, sview)
 		ids, err := snd.PagesForSend(nil, src, n)
 		if err != nil {
 			return false
@@ -233,23 +236,40 @@ func TestCOWPropertyQuick(t *testing.T) {
 		if rcv.MapPages(nil, dst, ids) != nil {
 			return false
 		}
-		// Random writes on both sides.
-		for i := 0; i < 20; i++ {
-			side := rng.Intn(2)
-			off := rng.Intn(n - 1)
-			ln := 1 + rng.Intn(n-off)
+		rview := append([]byte(nil), sview...)
+		for _, as := range []*AddressSpace{snd, rcv} {
+			dirty := as.Alloc(2 * n)
+			as.Write(nil, dirty, bytes.Repeat([]byte{0xFF}, 2*n))
+			as.Free(dirty, 2*n)
+		}
+		write := func(side, off, ln int) {
 			junk := make([]byte, ln)
 			rng.Read(junk)
 			if side == 0 {
 				snd.Write(nil, src+VAddr(off), junk)
+				copy(sview[off:], junk)
 			} else {
 				rcv.Write(nil, dst+VAddr(off), junk)
-				copy(payload[off:], junk) // receiver's own view evolves
+				copy(rview[off:], junk)
 			}
+		}
+		// First fault of each side: strictly inside one page, so the bytes
+		// before and after it are the fault handler's to get right.
+		for side := 0; side < 2; side++ {
+			off := 1 + rng.Intn(PageSize-2)
+			write(side, rng.Intn(npages)*PageSize+off, 1+rng.Intn(PageSize-off-1))
+		}
+		for i := 0; i < 20; i++ {
+			off := rng.Intn(n - 1)
+			write(rng.Intn(2), off, 1+rng.Intn(n-off))
 		}
 		got := make([]byte, n)
 		rcv.Read(dst, got)
-		return bytes.Equal(got, payload)
+		if !bytes.Equal(got, rview) {
+			return false
+		}
+		snd.Read(src, got)
+		return bytes.Equal(got, sview)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -272,5 +292,127 @@ func TestNoFrameLeaks(t *testing.T) {
 	if live > base+snd.PoolSize()+rcv.PoolSize() {
 		t.Fatalf("leak: %d live frames, pools hold %d+%d",
 			live, snd.PoolSize(), rcv.PoolSize())
+	}
+}
+
+// TestOutsideHeapIsUnmapped: the page table covers the heap Alloc has
+// reserved and nothing else. Below it, behind it and far from it, nothing
+// reads, writes, frees or unmaps — and nothing maps: a remap needs a
+// reservation.
+func TestOutsideHeapIsUnmapped(t *testing.T) {
+	_, as, _ := newAS(t)
+	a := as.Alloc(2 * PageSize)
+	ids, err := as.PagesForSend(nil, a, PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []VAddr{0, PageSize, a - PageSize, a + 2*PageSize, a + PageSize /* runs off the end */, 1 << 62} {
+		if err := as.MapPages(nil, addr, append(ids, ids...)); !errors.Is(err, ErrUnmapped) {
+			t.Errorf("MapPages(%#x) = %v", addr, err)
+		}
+		if _, err := as.Unmap(nil, addr, 2); !errors.Is(err, ErrUnmapped) {
+			t.Errorf("Unmap(%#x) = %v", addr, err)
+		}
+		if err := as.Free(addr, 2*PageSize); !errors.Is(err, ErrUnmapped) {
+			t.Errorf("Free(%#x) = %v", addr, err)
+		}
+		if err := as.Read(addr, make([]byte, 2*PageSize)); !errors.Is(err, ErrUnmapped) {
+			t.Errorf("Read(%#x) = %v", addr, err)
+		}
+		if err := as.Write(nil, addr, make([]byte, 2*PageSize)); !errors.Is(err, ErrUnmapped) {
+			t.Errorf("Write(%#x) = %v", addr, err)
+		}
+		if _, err := as.PagesForSend(nil, addr, 2*PageSize); !errors.Is(err, ErrUnmapped) {
+			t.Errorf("PagesForSend(%#x) = %v", addr, err)
+		}
+	}
+	if !as.Mapped(a) || !as.Mapped(a+2*PageSize-1) || as.Mapped(a-1) || as.Mapped(a+2*PageSize) {
+		t.Error("Mapped disagrees with the heap's bounds")
+	}
+	// A freed page stays reserved: unmapped for access, mappable again.
+	if err := as.Free(a, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Read(a, make([]byte, 1)); !errors.Is(err, ErrUnmapped) {
+		t.Errorf("read of a freed page = %v", err)
+	}
+	if err := as.MapPages(nil, a, ids); err != nil {
+		t.Errorf("MapPages over a freed page = %v", err)
+	}
+}
+
+// TestDeadAndForgedFrameIDs: ids are never reused, so the id of a frame that
+// died, one not handed out yet and one past the table all name nothing.
+func TestDeadAndForgedFrameIDs(t *testing.T) {
+	pm, as, _ := newAS(t)
+	as.poolCap = 0 // freed frames die
+	a := as.Alloc(PageSize)
+	dead, err := as.PagesForSend(nil, a, PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm.Unref(dead)
+	if err := as.Free(a, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	dst := as.Alloc(PageSize)
+	for _, id := range []PageID{dead[0], 0, pm.next + 1, 1 << 40, ^PageID(0)} {
+		ids := []PageID{id}
+		if _, err := pm.Deobfuscate(pm.Obfuscate(id)); !errors.Is(err, ErrBadPage) {
+			t.Errorf("Deobfuscate(%#x) = %v", id, err)
+		}
+		if got, err := pm.AppendDeobfuscated(nil, pm.AppendObfuscated(nil, ids)); !errors.Is(err, ErrBadPage) || len(got) != 0 {
+			t.Errorf("AppendDeobfuscated(%#x) = %v, %v", id, got, err)
+		}
+		if err := pm.Ref(ids); !errors.Is(err, ErrBadPage) {
+			t.Errorf("Ref(%#x) = %v", id, err)
+		}
+		if err := pm.Pin(nil, ids); !errors.Is(err, ErrBadPage) {
+			t.Errorf("Pin(%#x) = %v", id, err)
+		}
+		if _, err := pm.FrameData(id); !errors.Is(err, ErrBadPage) {
+			t.Errorf("FrameData(%#x) = %v", id, err)
+		}
+		if err := as.MapPages(nil, dst, ids); !errors.Is(err, ErrBadPage) {
+			t.Errorf("MapPages(%#x) = %v", id, err)
+		}
+		if pm.FrameRefs(id) != 0 {
+			t.Errorf("FrameRefs(%#x) != 0", id)
+		}
+	}
+}
+
+// TestFrameTableFollowsLiveFrames: frames that come and go leave no chunk of
+// the table behind, whatever long-lived frames sit among them.
+func TestFrameTableFollowsLiveFrames(t *testing.T) {
+	pm, as, _ := newAS(t)
+	as.poolCap = 0
+	keep := as.Alloc(PageSize)
+	base := pm.FrameCount()
+	for i := 0; i < 10000; i++ {
+		a := as.Alloc(16 * PageSize)
+		if i == 5000 {
+			keep = as.Alloc(PageSize)
+			base++
+		}
+		if err := as.Free(a, 16*PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := pm.FrameCount(); got != base {
+		t.Fatalf("%d live frames, want %d", got, base)
+	}
+	chunks := 0
+	for _, ch := range pm.chunks {
+		if ch != nil {
+			chunks++
+		}
+	}
+	// The two kept frames' chunks and the one handing out ids.
+	if chunks > 3 {
+		t.Fatalf("%d chunks for %d live frames after %d allocated", chunks, base, pm.next)
+	}
+	if !as.Mapped(keep) || pm.PinnedCount() != 0 {
+		t.Fatal("kept frame lost")
 	}
 }
