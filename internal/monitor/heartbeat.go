@@ -1,7 +1,7 @@
 package monitor
 
 import (
-	"sort"
+	"slices"
 
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
@@ -29,46 +29,26 @@ const (
 	hbQuietAfter  = 60_000_000 // stop beaconing 60 ms after the last real traffic
 )
 
-// noteRemote books any receipt on a monitor channel into the liveness and
-// epoch state. It returns false when the message was stamped by an older
-// incarnation of the peer's monitor than one we have already heard —
-// stale control traffic that may describe state the restart invalidated,
-// so the caller drops it.
-func (m *Monitor) noteRemote(mc *mchan, cm *ctlmsg.Msg) bool {
+// heard books proof of life from peer, stamped with its monitor's
+// incarnation (0 = unstamped): a receipt on the monitor channel, or a probe
+// handshake, whose SYN / SYN-ACK options carry the sender's epoch. The peer
+// is under watch from now on, its clock refreshed, this episode's silence
+// forgotten; hearing from a confirmed-dead host means its monitor is back, so
+// a future confirm episode is allowed again. It returns false for a stamp
+// older than one already heard — stale control traffic that may describe
+// state the restart invalidated, so the caller drops it.
+func (m *Monitor) heard(peer string, epoch uint32) bool {
 	now := m.H.Clk.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.hbPeers[mc.peer] = struct{}{}
-	m.hbLastHeard[mc.peer] = now
-	m.hbMissed[mc.peer] = 0
-	m.hbSuspected[mc.peer] = false
-	// Hearing from a confirmed-dead host means its monitor is back (a
-	// restarted incarnation); allow a future confirm episode again.
-	delete(m.hbDead, mc.peer)
-	if cm.Epoch != 0 {
-		if cm.Epoch < m.peerEpochs[mc.peer] {
-			return false
-		}
-		m.peerEpochs[mc.peer] = cm.Epoch
+	p := m.peerLocked(peer)
+	p.tracked, p.lastHeard = true, now
+	p.missed, p.suspected, p.dead = 0, false, false
+	if epoch != 0 && epoch < p.epoch {
+		return false
 	}
+	p.epoch = max(p.epoch, epoch)
 	return true
-}
-
-// notePeerEpoch records the epoch a probe handshake advertised (SYN /
-// SYN-ACK options carry the sender's incarnation) and refreshes the peer's
-// liveness clock — a completed handshake is proof of life.
-func (m *Monitor) notePeerEpoch(peer string, epoch uint32) {
-	now := m.H.Clk.Now()
-	m.mu.Lock()
-	m.hbPeers[peer] = struct{}{}
-	m.hbLastHeard[peer] = now
-	m.hbMissed[peer] = 0
-	m.hbSuspected[peer] = false
-	delete(m.hbDead, peer)
-	if epoch > m.peerEpochs[peer] {
-		m.peerEpochs[peer] = epoch
-	}
-	m.mu.Unlock()
 }
 
 // tickHeartbeats runs once per daemon-loop iteration: at most every
@@ -88,46 +68,41 @@ func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 	prevTick := m.hbLastTick
 	m.hbLastTick = now
 	// Tracked peers, not live channels: a dead host eventually errors the
-	// channel's QP (RNR retry exhaustion) and the heal path removes it from
-	// mchans — liveness accounting must keep counting silence past that, or
-	// the peers that most need confirming would be the ones that escape it.
-	peers := make([]string, 0, len(m.hbPeers))
-	for p := range m.hbPeers {
-		peers = append(peers, p)
-	}
-	sort.Strings(peers) // deterministic event order across map iterations
-	var confirm []string
-	beacon := peers[:0:0]
-	for _, p := range peers {
-		if m.hbDead[p] {
+	// channel's QP (RNR retry exhaustion) and the heal path drops it —
+	// liveness accounting must keep counting silence past that, or the peers
+	// that most need confirming would be the ones that escape it. peerList is
+	// sorted by name, so the event order is the same every run.
+	var confirm, beacon []string
+	for _, p := range m.peerList {
+		if !p.tracked || p.dead {
 			continue
 		}
 		if paused {
-			m.hbMissed[p] = 0
-		} else if m.hbLastHeard[p] < prevTick {
-			m.hbMissed[p]++
+			p.missed = 0
+		} else if p.lastHeard < prevTick {
+			p.missed++
 			mHBMissed.Inc()
-			if m.hbMissed[p] == hbSuspectMiss && !m.hbSuspected[p] {
-				m.hbSuspected[p] = true
+			if p.missed == hbSuspectMiss && !p.suspected {
+				p.suspected = true
 				mHBSuspects.Inc()
 				if telemetry.Trace.Enabled() {
 					telemetry.Trace.Emit(now, "monitor", "hb_suspect",
-						telemetry.A("missed", int64(m.hbMissed[p])))
+						telemetry.A("missed", int64(p.missed)))
 				}
 			}
-			if m.hbMissed[p] >= hbConfirmMiss {
-				confirm = append(confirm, p)
+			if p.missed >= hbConfirmMiss {
+				confirm = append(confirm, p.name)
 				continue
 			}
 		}
-		beacon = append(beacon, p)
+		beacon = append(beacon, p.name)
 	}
 	m.mu.Unlock()
-	for _, p := range beacon {
-		m.hbSend(ctx, p)
+	for _, name := range beacon {
+		m.hbSend(ctx, name, false)
 	}
-	for _, p := range confirm {
-		m.hostDead(ctx, p, 0, true)
+	for _, name := range confirm {
+		m.hostDead(ctx, name, 0, true)
 	}
 }
 
@@ -135,39 +110,40 @@ func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 // are peers, real traffic was seen within hbQuietAfter, and hbInterval has
 // passed since the last tick. Caller holds m.mu.
 func (m *Monitor) hbDueLocked(now int64) bool {
-	return !m.stopped && len(m.hbPeers) > 0 &&
-		now-m.lastActivity <= hbQuietAfter &&
-		(m.hbLastTick == 0 || now-m.hbLastTick >= hbInterval)
+	return !m.stopped && now-m.lastActivity <= hbQuietAfter &&
+		(m.hbLastTick == 0 || now-m.hbLastTick >= hbInterval) && m.watchingLocked()
+}
+
+// watchingLocked reports whether any peer is under liveness watch. Caller
+// holds m.mu.
+func (m *Monitor) watchingLocked() bool {
+	return slices.ContainsFunc(m.peerList, func(p *peer) bool { return p.tracked })
 }
 
 // hbSend ships one liveness beacon toward peer. It goes through mchanSend
 // un-queued: if the channel's QP died, the beacon is dropped but the heal
 // probe it launches is itself the liveness check — a live peer answers the
 // probe, a dead one times out and the silence keeps counting.
-func (m *Monitor) hbSend(ctx exec.Context, peer string) {
+//
+// With echo set it answers an incoming beacon, so a quiet monitor (one that
+// initiates no beacons of its own) still proves liveness to an active peer —
+// but only if we have not beaconed this peer within hbInterval: two monitors
+// must not ping-pong echoes forever, so echo traffic is bounded by the
+// initiator's own tick rate and stops the moment the initiator goes quiet.
+func (m *Monitor) hbSend(ctx exec.Context, peer string, echo bool) {
+	now := ctx.Now()
 	m.mu.Lock()
-	m.hbLastSent[peer] = ctx.Now()
+	p := m.peerLocked(peer)
+	if echo && p.lastSent != 0 && now-p.lastSent < hbInterval {
+		m.mu.Unlock()
+		return
+	}
+	p.lastSent = now
 	m.mu.Unlock()
 	hb := ctlmsg.Msg{Kind: ctlmsg.KMHeartbeat}
 	hb.SetHost(m.H.Name)
 	mHBSent.Inc()
 	m.mchanSend(ctx, peer, &hb, false)
-}
-
-// hbEcho answers an incoming beacon so a quiet monitor (one that initiates
-// no beacons of its own) still proves liveness to an active peer. The
-// per-peer rate limit keeps two monitors from ping-ponging echoes forever:
-// an echo is only sent if we have not beaconed this peer within hbInterval,
-// so echo traffic is bounded by the initiator's own tick rate and stops
-// the moment the initiator goes quiet.
-func (m *Monitor) hbEcho(ctx exec.Context, peer string) {
-	now := ctx.Now()
-	m.mu.Lock()
-	due := now-m.hbLastSent[peer] >= hbInterval || m.hbLastSent[peer] == 0
-	m.mu.Unlock()
-	if due {
-		m.hbSend(ctx, peer)
-	}
 }
 
 // armHeartbeat schedules a clock wake so a parked daemon keeps ticking
@@ -177,8 +153,8 @@ func (m *Monitor) hbEcho(ctx exec.Context, peer string) {
 func (m *Monitor) armHeartbeat(ctx exec.Context) {
 	now := ctx.Now()
 	m.mu.Lock()
-	need := !m.stopped && !m.hbArmed && len(m.hbPeers) > 0 &&
-		now-m.lastActivity <= hbQuietAfter
+	need := !m.stopped && !m.hbArmed && now-m.lastActivity <= hbQuietAfter &&
+		m.watchingLocked()
 	if need {
 		m.hbArmed = true
 	}
@@ -198,12 +174,12 @@ func (m *Monitor) armHeartbeat(ctx exec.Context) {
 // shard's inbox; each shard resets exactly the connections it owns
 // (shards.go, sweepHostDead).
 //
-// The fan-out is exactly-once per (host, epoch): the hbDead latch covers
-// one confirm episode, and hbDeadEpoch survives the latch being cleared —
+// The fan-out is exactly-once per (host, epoch): the dead latch covers
+// one confirm episode, and deadEpoch survives the latch being cleared —
 // a stale in-flight frame of the dead incarnation reopens the latch via
 // noteRemote, but a second confirmation of the same incarnation (our own
 // horizon racing a peer's KMHostDead gossip, or vice versa) still finds
-// hbDeadEpoch >= epoch and stops. Only a genuinely newer incarnation of
+// deadEpoch >= epoch and stops. Only a genuinely newer incarnation of
 // the host (a restart we heard from) can be confirmed dead again.
 //
 // epoch names the incarnation the verdict covers; zero means "whatever we
@@ -215,32 +191,26 @@ func (m *Monitor) armHeartbeat(ctx exec.Context) {
 // cannot reach confirms on its own horizon.
 func (m *Monitor) hostDead(ctx exec.Context, peer string, epoch uint32, report bool) {
 	m.mu.Lock()
+	p := m.peerLocked(peer)
 	if epoch == 0 {
-		epoch = m.peerEpochs[peer]
+		epoch = p.epoch
 	}
-	if m.hbDead[peer] ||
-		(epoch != 0 && m.hbDeadEpoch[peer] >= epoch) ||
-		(epoch != 0 && m.peerEpochs[peer] > epoch) {
+	if p.dead || (epoch != 0 && (p.deadEpoch >= epoch || p.epoch > epoch)) {
 		m.mu.Unlock()
 		return
 	}
-	m.hbDead[peer] = true
-	if epoch > m.hbDeadEpoch[peer] {
-		m.hbDeadEpoch[peer] = epoch
-	}
-	delete(m.hbPeers, peer)
-	m.setMchanLocked(peer, nil)
+	p.dead, p.tracked, p.mc = true, false, nil
+	p.deadEpoch = max(p.deadEpoch, epoch)
 	for _, sh := range m.shards {
 		sh.inbox = append(sh.inbox, shardEvent{deadHost: peer})
 	}
 	var tell []string
 	if report {
-		for p := range m.hbPeers {
-			if !m.hbDead[p] {
-				tell = append(tell, p)
+		for _, q := range m.peerList { // by name: deterministic gossip order
+			if q.tracked && !q.dead {
+				tell = append(tell, q.name)
 			}
 		}
-		sort.Strings(tell) // deterministic gossip order
 	}
 	m.mu.Unlock()
 	mHostDeadFanouts.Inc()
@@ -251,13 +221,13 @@ func (m *Monitor) hostDead(ctx exec.Context, peer string, epoch uint32, report b
 	for _, sh := range m.shards {
 		sh.wake()
 	}
-	for _, p := range tell {
+	for _, name := range tell {
 		gm := ctlmsg.Msg{Kind: ctlmsg.KMHostDead, Aux: uint64(epoch)}
 		gm.SetHost(peer)
 		mGossipTx.Inc()
 		// Un-queued: a peer whose channel needs healing misses the rumor
 		// and converges on its own horizon instead.
-		m.mchanSend(ctx, p, &gm, false)
+		m.mchanSend(ctx, name, &gm, false)
 	}
 }
 
@@ -273,8 +243,11 @@ func (m *Monitor) onHostDeadGossip(ctx exec.Context, cm *ctlmsg.Msg) {
 	deadEpoch := uint32(cm.Aux)
 	now := ctx.Now()
 	m.mu.Lock()
-	fresh := m.hbLastHeard[dead] != 0 && now-m.hbLastHeard[dead] < hbSuspectMiss*hbInterval
-	stale := deadEpoch != 0 && m.peerEpochs[dead] > deadEpoch
+	var fresh, stale bool
+	if p := m.peers[dead]; p != nil {
+		fresh = p.lastHeard != 0 && now-p.lastHeard < hbSuspectMiss*hbInterval
+		stale = deadEpoch != 0 && p.epoch > deadEpoch
+	}
 	m.mu.Unlock()
 	if dead == "" || dead == m.H.Name || fresh || stale {
 		mGossipIgnored.Inc()

@@ -158,14 +158,15 @@ func Peer(a, b *Monitor) {
 	if err := mcb.connect(a.H.Name, mca.qp.QPN()); err != nil {
 		panic(err)
 	}
-	a.mu.Lock()
-	a.setMchanLocked(b.H.Name, mca)
-	a.hbPeers[b.H.Name] = struct{}{}
-	a.mu.Unlock()
-	b.mu.Lock()
-	b.setMchanLocked(a.H.Name, mcb)
-	b.hbPeers[a.H.Name] = struct{}{}
-	b.mu.Unlock()
-	a.wake()
-	b.wake()
+	a.adopt(mca)
+	b.adopt(mcb)
+}
+
+// adopt installs a connected channel and puts its peer under liveness watch.
+func (m *Monitor) adopt(mc *mchan) {
+	m.mu.Lock()
+	p := m.peerLocked(mc.peer)
+	p.mc, p.tracked = mc, true
+	m.mu.Unlock()
+	m.wake()
 }

@@ -1,7 +1,5 @@
 package monitor
 
-import "sort"
-
 // Cluster membership view: the monitor's per-peer liveness state machine,
 // queryable for operators (sdstat) and drills. A peer walks
 // alive -> suspect -> dead: alive while receipts keep its miss counter
@@ -47,36 +45,20 @@ type Member struct {
 func (m *Monitor) Membership() []Member {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Member, 0, len(m.hbPeers)+len(m.hbDead))
-	for p := range m.hbPeers {
-		st := MemberAlive
-		if m.hbSuspected[p] {
-			st = MemberSuspect
+	out := make([]Member, 0, len(m.peerList))
+	for _, p := range m.peerList { // sorted by name
+		row := Member{Host: p.name, Epoch: p.epoch, LastHeard: p.lastHeard, Missed: p.missed}
+		switch {
+		case p.tracked && p.suspected:
+			row.State = MemberSuspect
+		case p.tracked:
+		case p.dead:
+			row.State, row.Epoch = MemberDead, p.deadEpoch
+		default:
+			continue // mentioned, never heard from
 		}
-		out = append(out, Member{
-			Host:      p,
-			State:     st,
-			Epoch:     m.peerEpochs[p],
-			LastHeard: m.hbLastHeard[p],
-			Missed:    m.hbMissed[p],
-		})
+		out = append(out, row)
 	}
-	for p := range m.hbDead {
-		if !m.hbDead[p] {
-			continue
-		}
-		if _, tracked := m.hbPeers[p]; tracked {
-			continue // hostDead removes dead peers from hbPeers; belt and braces
-		}
-		out = append(out, Member{
-			Host:      p,
-			State:     MemberDead,
-			Epoch:     m.hbDeadEpoch[p],
-			LastHeard: m.hbLastHeard[p],
-			Missed:    m.hbMissed[p],
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
 	return out
 }
 
@@ -85,11 +67,13 @@ func (m *Monitor) Membership() []Member {
 func (m *Monitor) MemberState(peer string) MemberState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	switch {
-	case m.hbDead[peer]:
-		return MemberDead
-	case m.hbSuspected[peer]:
-		return MemberSuspect
+	if p := m.peers[peer]; p != nil {
+		switch {
+		case p.dead:
+			return MemberDead
+		case p.suspected:
+			return MemberSuspect
+		}
 	}
 	return MemberAlive
 }

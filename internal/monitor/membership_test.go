@@ -16,7 +16,7 @@ import (
 // peer's KMHostDead gossip race to the same verdict — including across a
 // stale in-flight frame that clears the hbDead latch between them — each
 // shard sweeps exactly once. Before hbDeadEpoch, the latch alone guarded
-// the fan-out, and the clear-on-receipt path (noteRemote) let the same
+// the fan-out, and the clear-on-receipt path (heard) let the same
 // incarnation's death fan twice: once per confirm path.
 func TestHostDeadExactlyOncePerEpoch(t *testing.T) {
 	s, ma, mb, a, _ := newHostPair()
@@ -26,12 +26,11 @@ func TestHostDeadExactlyOncePerEpoch(t *testing.T) {
 
 	qids := make([]uint64, shard.DefaultCount)
 	ma.mu.Lock()
-	ma.peerEpochs["b"] = 1
+	ma.peers["b"].epoch = 1
 	for i := range qids {
 		q := qidOnShard(i, uint64(100*i+1))
 		qids[i] = q
-		ma.shardOf(q).conns[q] = &connRec{pids: [2]int{p.PID, 0}, peerHost: "b"}
-		ma.shardOf(q).connOwner[q] = p.PID
+		ma.shardOf(q).conns[q] = &connRec{pids: [2]int{p.PID, 0}, owner: p.PID, peerHost: "b"}
 	}
 	ma.mu.Unlock()
 	mb.Stop()
@@ -40,12 +39,12 @@ func TestHostDeadExactlyOncePerEpoch(t *testing.T) {
 		// Path 1: the local horizon confirms incarnation 1 dead.
 		ma.hostDead(ctx, "b", 0, false)
 
-		// A stale frame of the dead incarnation straggles in: noteRemote
+		// A stale frame of the dead incarnation straggles in: heard
 		// books the receipt and clears the hbDead latch (hearing from a
 		// dead host normally means it is back).
-		ma.noteRemote(&mchan{peer: "b"}, &ctlmsg.Msg{Kind: ctlmsg.KPeerDead, Epoch: 1})
+		ma.heard("b", 1)
 		ma.mu.Lock()
-		if ma.hbDead["b"] {
+		if ma.peers["b"].dead {
 			t.Error("stale receipt did not clear the hbDead latch (test setup broken)")
 		}
 		ma.mu.Unlock()
@@ -64,8 +63,8 @@ func TestHostDeadExactlyOncePerEpoch(t *testing.T) {
 
 	ma.mu.Lock()
 	defer ma.mu.Unlock()
-	if ma.hbDeadEpoch["b"] != 1 {
-		t.Fatalf("hbDeadEpoch[b] = %d, want 1", ma.hbDeadEpoch["b"])
+	if got := ma.peers["b"].deadEpoch; got != 1 {
+		t.Fatalf("deadEpoch of b = %d, want 1", got)
 	}
 	for i, sh := range ma.shards {
 		if sh.hostDeadSweeps != 1 {
@@ -84,19 +83,19 @@ func TestHostDeadNewEpochConfirmsAgain(t *testing.T) {
 	mb.Stop()
 	s.Spawn("drive", func(ctx exec.Context) {
 		ma.mu.Lock()
-		ma.peerEpochs["b"] = 1
+		ma.peers["b"].epoch = 1
 		ma.mu.Unlock()
 		ma.hostDead(ctx, "b", 0, false)
 		// The host restarts: its new incarnation is heard from.
-		ma.noteRemote(&mchan{peer: "b"}, &ctlmsg.Msg{Kind: ctlmsg.KMHeartbeat, Epoch: 2})
+		ma.heard("b", 2)
 		// ... and dies again.
 		ma.hostDead(ctx, "b", 0, false)
 	})
 	s.Run()
 	ma.mu.Lock()
 	defer ma.mu.Unlock()
-	if ma.hbDeadEpoch["b"] != 2 {
-		t.Fatalf("hbDeadEpoch[b] = %d, want 2", ma.hbDeadEpoch["b"])
+	if got := ma.peers["b"].deadEpoch; got != 2 {
+		t.Fatalf("deadEpoch of b = %d, want 2", got)
 	}
 	for i, sh := range ma.shards {
 		if sh.hostDeadSweeps != 2 {
@@ -127,7 +126,7 @@ func TestGossipConvergesQuietSurvivor(t *testing.T) {
 	Peer(ma, mc)
 	Peer(mb, mc)
 	ma.mu.Lock()
-	ma.peerEpochs["c"] = 1
+	ma.peers["c"].epoch = 1
 	ma.mu.Unlock()
 
 	mc.Stop()

@@ -17,11 +17,20 @@
 // When everything is idle every loop parks, and control-plane senders
 // nudge the one shard they wrote to (observably identical to busy
 // polling, see core.ProcLink).
+//
+// What it knows is one record per connection (connRec) and one per port
+// (portRec) on the owning shard, and one per remote host (peer) on the
+// router; ARCHITECTURE.md "Monitor state" has who makes and who removes
+// each. A connection's record is removed in one place, mshard.dropConn.
 package monitor
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -49,18 +58,20 @@ type Monitor struct {
 	H  *host.Host
 	KS *ksocket.Stack // kernel sockets for the fallback path (may be nil)
 
-	mu        sync.Mutex
-	procs     map[int]*procChan
-	procList  []*procChan // procs sorted by PID; shard loops poll in this order
-	shards    []*mshard   // fixed at shard.DefaultCount for the incarnation's life
-	kernLs    []kernL     // dual kernel listeners sorted by port; the router polls in this order
-	policy    Policy
-	secrets   map[uint64]int           // fork secret -> parent pid
-	mchans    map[string]*mchan        // remote host -> channel
-	mchanList []*mchan                 // mchans sorted by peer; the router polls in this order
-	probes    map[string][]*ctlmsg.Msg // host -> queued connects awaiting mchan
-	probing   map[string]bool          // host -> probe in flight (dedup)
-	mqueue    map[string][]*ctlmsg.Msg // host -> ctl msgs awaiting a healed mchan
+	mu       sync.Mutex
+	procs    map[int]*procChan
+	procList []*procChan // procs sorted by PID; shard loops poll in this order
+	shards   []*mshard   // fixed at shard.DefaultCount for the incarnation's life
+	kernLs   []kernL     // dual kernel listeners sorted by port; the router polls in this order
+	policy   Policy
+	secrets  map[uint64]int // fork secret -> parent pid
+
+	// peers holds one record per remote host; peerList is the same records
+	// sorted by name: the order the router polls the channels and ticks the
+	// heartbeats in.
+	peers    map[string]*peer
+	peerList []*peer
+
 	probeSeq  uint16
 	probeDone []probeResult
 	rescueL   *ksocket.Listener // TCP listener for mid-stream degradation (§4.5.3)
@@ -70,18 +81,10 @@ type Monitor struct {
 	// Restart survivability: each incarnation carries a monotonically
 	// increasing epoch; messages stamped by a previous incarnation are
 	// stale and dropped (they may describe state the restart invalidated).
-	epoch      uint32
-	needReReg  []int             // pids owed a KReRegister after a restart
-	peerEpochs map[string]uint32 // remote host -> highest epoch seen
+	epoch     uint32
+	needReReg []int // pids owed a KReRegister after a restart
 
-	// Inter-host liveness: heartbeat bookkeeping per monitor channel.
-	hbPeers      map[string]struct{} // hosts under liveness watch (outlives the channel)
-	hbLastHeard  map[string]int64    // remote host -> virtual time of last receipt
-	hbMissed     map[string]int      // consecutive ticks without a receipt
-	hbSuspected  map[string]bool     // crossed the suspect threshold this episode
-	hbDead       map[string]bool     // confirmed dead; no re-fan until heard again
-	hbDeadEpoch  map[string]uint32   // host -> highest incarnation already fanned dead
-	hbLastSent   map[string]int64    // remote host -> virtual time of last beacon/echo
+	// Inter-host liveness (heartbeat.go): the tick clock and the traffic gate.
 	hbLastTick   int64
 	hbArmed      bool   // a clock-driven tick wake is pending
 	hbTimerCb    func() // cached timer callback (one allocation per monitor)
@@ -108,16 +111,47 @@ type kernL struct {
 	kl   *ksocket.Listener
 }
 
+// peer is everything the router knows about one remote host. The record is
+// made at the first mention of the host and outlives its channel: the dead
+// latch and deadEpoch must survive the channel they condemned. Guarded by
+// Monitor.mu.
+type peer struct {
+	name string
+	mc   *mchan // monitor channel; nil = none, probe before sending
+
+	// Liveness (heartbeat.go).
+	tracked   bool   // under liveness watch
+	lastHeard int64  // virtual time of the last receipt (0 = never)
+	missed    int    // consecutive ticks without a receipt
+	suspected bool   // crossed the suspect threshold this episode
+	dead      bool   // confirmed dead; no re-fan until heard again
+	deadEpoch uint32 // highest incarnation already fanned dead
+	epoch     uint32 // highest incarnation heard
+	lastSent  int64  // virtual time of our last beacon/echo
+
+	// Probe (probe.go).
+	probing bool          // a probe is in flight (dedup)
+	probes  []*ctlmsg.Msg // connects awaiting it
+	mqueue  []*ctlmsg.Msg // ctl msgs awaiting a healed channel
+}
+
 type listenerRef struct {
 	pid int
 	tid int
 }
 
+// tokKey names one token: a connection's send or receive side of one end.
 type tokKey struct {
 	qid  uint64
 	dir  uint8
 	side uint16
 }
+
+// valid reports whether a key read off a process's control ring can index
+// a record's queues: a connection has two directions and two ends.
+func (k tokKey) valid() bool { return k.dir <= 1 && k.side <= 1 }
+
+func (k tokKey) idx() int { return int(k.dir)*2 + int(k.side) }
 
 type tokState struct {
 	waiters    []waiterRef
@@ -125,35 +159,11 @@ type tokState struct {
 	revokeTo   int // pid the outstanding KTokenReturn was sent to
 }
 
-// connRec remembers a connection's endpoints so a process's death can be
-// routed to its peers: both pids for an intra-host socket, one local pid
-// plus the remote host for an inter-host one.
-type connRec struct {
-	pids     [2]int // [client, listener]; 0 = not local
-	peerHost string // "" = intra-host
-	shmTok   shm.Token
-
-	// Backlog accounting (overload admission): which listener the
-	// dispatch landed on, and whether it is still queued there (occupying
-	// a blUsed slot). queued flips false on KAcceptDone; a steal moves
-	// lref to the thief.
-	lport  uint16
-	lref   listenerRef
-	queued bool
-}
-
 type waiterRef struct{ pid, tid int }
 
-type remotePendEntry struct {
-	clientHost string // server side: where to send the SYN-ACK
-	clientPID  int    // client side: whom to deliver KConnectRes
-}
-
-type stealReq struct {
-	thiefPID, thiefTID   int
-	victimPID, victimTID int // backlog slot transfer on a successful steal
-	port                 uint16
-}
+// stealReq is a work steal in flight: on success the connection and its
+// backlog slot move from the victim listener to the thief.
+type stealReq struct{ thief, victim listenerRef }
 
 // Start creates the monitor, attaches it to the host, and spawns the
 // daemon thread. ks enables the TCP fallback and dual kernel listeners.
@@ -165,26 +175,15 @@ func Start(h *host.Host, ks *ksocket.Stack) *Monitor {
 // to bring up incarnation N+1 over the previous one's process links.
 func startEpoch(h *host.Host, ks *ksocket.Stack, epoch uint32) *Monitor {
 	m := &Monitor{
-		H:           h,
-		KS:          ks,
-		epoch:       epoch,
-		procs:       make(map[int]*procChan),
-		policy:      func(int, string, uint16) bool { return true },
-		secrets:     make(map[uint64]int),
-		mchans:      make(map[string]*mchan),
-		probes:      make(map[string][]*ctlmsg.Msg),
-		probing:     make(map[string]bool),
-		mqueue:      make(map[string][]*ctlmsg.Msg),
-		deadPIDs:    make(map[int]struct{}),
-		peerEpochs:  make(map[string]uint32),
-		hbPeers:     make(map[string]struct{}),
-		hbLastHeard: make(map[string]int64),
-		hbMissed:    make(map[string]int),
-		hbSuspected: make(map[string]bool),
-		hbDead:      make(map[string]bool),
-		hbDeadEpoch: make(map[string]uint32),
-		hbLastSent:  make(map[string]int64),
-		probeSeq:    9000,
+		H:        h,
+		KS:       ks,
+		epoch:    epoch,
+		procs:    make(map[int]*procChan),
+		policy:   func(int, string, uint16) bool { return true },
+		secrets:  make(map[uint64]int),
+		peers:    make(map[string]*peer),
+		deadPIDs: make(map[int]struct{}),
+		probeSeq: 9000,
 	}
 	m.shards = make([]*mshard, shard.DefaultCount)
 	for i := range m.shards {
@@ -264,21 +263,17 @@ func (m *Monitor) Stop() {
 		kls = append(kls, m.rescueL)
 		m.rescueL = nil
 	}
-	var asleep []waiterRef
+	var asleep []int
 	for _, sh := range m.shards {
-		for pid, tids := range sh.sleepers {
-			for tid := range tids {
-				asleep = append(asleep, waiterRef{pid: pid, tid: tid})
-			}
-		}
-		sh.sleepers = make(map[int]map[int]struct{})
+		asleep = slices.AppendSeq(asleep, maps.Keys(sh.sleepers))
 	}
+	slices.Sort(asleep)
 	m.mu.Unlock()
 	for _, kl := range kls {
 		kl.Close()
 	}
-	for _, w := range asleep {
-		m.wakeThread(w.pid, w.tid)
+	for _, pid := range asleep {
+		m.wakeSleepers(pid)
 	}
 	m.wakeAll()
 }
@@ -324,21 +319,30 @@ func (m *Monitor) rebuildProcList() {
 	sort.Slice(m.procList, func(i, j int) bool { return m.procList[i].p.PID < m.procList[j].p.PID })
 }
 
-// setMchanLocked installs the channel toward peer (nil removes it) and
-// refreshes the peer-sorted snapshot the router polls from: the order the
-// channels are drained in shifts every virtual timestamp downstream, so,
-// as with procList, it must not be Go's map order. Caller holds m.mu.
-func (m *Monitor) setMchanLocked(peer string, mc *mchan) {
-	if mc == nil {
-		delete(m.mchans, peer)
-	} else {
-		m.mchans[peer] = mc
+// peerLocked returns the record of remote host name, making it at this
+// first mention and filing it in peerList by name: the order the channels
+// are drained in shifts every virtual timestamp downstream, so, as with
+// procList, it must not be Go's map order. Caller holds m.mu.
+func (m *Monitor) peerLocked(name string) *peer {
+	p := m.peers[name]
+	if p == nil {
+		p = &peer{name: name}
+		m.peers[name] = p
+		m.peerList = append(m.peerList, p)
+		slices.SortFunc(m.peerList, func(a, b *peer) int { return strings.Compare(a.name, b.name) })
 	}
-	m.mchanList = m.mchanList[:0]
-	for _, c := range m.mchans {
-		m.mchanList = append(m.mchanList, c)
+	return p
+}
+
+// chanLocked returns the usable channel toward p, nil if it has none. One
+// whose QP died (partition, injected fault) is dropped here, so the caller
+// falls through to the probe that re-establishes it. Caller holds m.mu.
+func (m *Monitor) chanLocked(p *peer) *mchan {
+	if p.mc != nil && p.mc.qp.State() == rdma.QPErr {
+		p.mc = nil
+		mMchanHeals.Inc()
 	}
-	sort.Slice(m.mchanList, func(i, j int) bool { return m.mchanList[i].peer < m.mchanList[j].peer })
+	return p.mc
 }
 
 // RegisterProcess gives a process its exclusive control queues (§3: "all
@@ -402,7 +406,12 @@ func (m *Monitor) run(ctx exec.Context) {
 			m.mu.Unlock()
 			return
 		}
-		mchs = append(mchs[:0], m.mchanList...)
+		mchs = mchs[:0]
+		for _, p := range m.peerList {
+			if p.mc != nil {
+				mchs = append(mchs, p.mc)
+			}
+		}
 		kls = append(kls[:0], m.kernLs...)
 		m.mu.Unlock()
 
@@ -444,7 +453,7 @@ func (m *Monitor) run(ctx exec.Context) {
 				if cm.Kind != ctlmsg.KMHeartbeat {
 					real = true
 				}
-				if !m.noteRemote(mc, cm) {
+				if !m.heard(mc.peer, cm.Epoch) {
 					mStaleDropped.Inc()
 					continue
 				}
@@ -514,8 +523,8 @@ func (r *routerIdler) Idle(now int64) bool {
 		(m.rescueL != nil && m.rescueL.PendingHint() > 0) {
 		return false
 	}
-	for _, mc := range m.mchanList {
-		if mc.recvCQ.Len() > 0 {
+	for _, p := range m.peerList {
+		if p.mc != nil && p.mc.recvCQ.Len() > 0 {
 			return false
 		}
 	}
@@ -529,18 +538,18 @@ func (r *routerIdler) Idle(now int64) bool {
 
 // routeRemote hands an mchan arrival to the shard owning its key.
 // Heartbeats never leave the router: they carry no state key and their
-// handler (the rate-limited echo) touches only router-owned liveness
-// maps.
+// handler (the rate-limited echo) touches only the router-owned peer
+// record.
 func (m *Monitor) routeRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 	if cm.Kind == ctlmsg.KMHeartbeat {
-		// Liveness beacon; noteRemote already refreshed the peer's clock.
-		// Echo so a quiet monitor still proves liveness (rate-limited).
-		m.hbEcho(ctx, mc.peer)
+		// Liveness beacon; heard already refreshed the peer's clock. Echo so
+		// a quiet monitor still proves liveness (rate-limited).
+		m.hbSend(ctx, mc.peer, true)
 		return
 	}
 	if cm.Kind == ctlmsg.KMHostDead {
 		// Membership gossip: like heartbeats, it carries no state key and
-		// touches only router-owned liveness maps (plus the shard inboxes
+		// touches only router-owned peer records (plus the shard inboxes
 		// the fan-out always goes through), so it never leaves the router.
 		countCtl(cm.Kind)
 		m.onHostDeadGossip(ctx, cm)
@@ -636,11 +645,7 @@ func (m *Monitor) cleanupProcess(ctx exec.Context, pid int) {
 	m.deadPIDs[pid] = struct{}{}
 	delete(m.procs, pid)
 	m.rebuildProcList()
-	for sec, owner := range m.secrets {
-		if owner == pid {
-			delete(m.secrets, sec)
-		}
-	}
+	maps.DeleteFunc(m.secrets, func(_ uint64, owner int) bool { return owner == pid })
 	// Token arbitration: drop the corpse from waiting lists, and if an
 	// outstanding revoke was addressed to it, answer on its behalf.
 	var regrant []tokKey
@@ -653,61 +658,24 @@ func (m *Monitor) cleanupProcess(ctx exec.Context, pid int) {
 	var notes []peerNote
 	for _, sh := range m.shards {
 		delete(sh.sleepers, pid)
-		for port, refs := range sh.listeners {
-			out := refs[:0]
-			for _, r := range refs {
-				if r.pid != pid {
-					out = append(out, r)
-				}
-			}
-			if len(out) == 0 {
-				delete(sh.listeners, port)
-			} else {
-				sh.listeners[port] = out
-			}
+		// Listener registrations go, and the backlog occupancy charged to
+		// them: a record still queued there finds no slot to release later.
+		for _, pr := range sh.ports {
+			pr.refs = slices.DeleteFunc(pr.refs, func(r listenerSlot) bool { return r.pid == pid })
 		}
-		for id, sr := range sh.steals {
-			if sr.thiefPID == pid {
-				delete(sh.steals, id)
-			}
-		}
-		// Backlog occupancy charged to the corpse's listeners dies with it;
-		// records still queued toward it must not release those rows later.
-		for key := range sh.blUsed {
-			if key.pid == pid {
-				delete(sh.blUsed, key)
-			}
-		}
-		for connID, e := range sh.remotePend {
-			if e.clientPID == pid {
-				delete(sh.remotePend, connID)
-			}
-		}
-		for key, ts := range sh.tokens {
-			out := ts.waiters[:0]
-			for _, w := range ts.waiters {
-				if w.pid != pid {
-					out = append(out, w)
-				}
-			}
-			ts.waiters = out
-			if ts.revokeSent && ts.revokeTo == pid {
-				ts.revokeSent = false
-				ts.revokeTo = 0
-				if len(ts.waiters) > 0 {
-					regrant = append(regrant, key)
-				}
-			}
-		}
+		maps.DeleteFunc(sh.steals, func(_ uint64, sr stealReq) bool { return sr.thief.pid == pid })
 		for qid, c := range sh.conns {
-			if c.pids[0] != pid && c.pids[1] != pid {
+			regrant = c.forget(pid, qid, regrant)
+			if !c.dispatched() {
+				// A reported pending dial or a takeover's queues: with nobody
+				// left waiting on them there is no local party.
+				if len(c.awaited()) == 0 {
+					sh.dropConn(qid)
+				}
 				continue
 			}
-			if c.queued && c.lref.pid == pid {
-				c.queued = false // the slot row was just purged above
-			}
-			if sh.connOwner[qid] == pid {
-				delete(sh.connOwner, qid)
+			if c.pids[0] != pid && c.pids[1] != pid {
+				continue
 			}
 			n := peerNote{qid: qid, remote: c.peerHost}
 			if other := c.pids[0] + c.pids[1] - pid; other != pid && other != 0 && !m.pidDead(other) {
@@ -724,20 +692,24 @@ func (m *Monitor) cleanupProcess(ctx exec.Context, pid int) {
 				if c.shmTok != 0 {
 					m.H.SHM.Remove(c.shmTok)
 				}
-				delete(sh.conns, qid)
-				delete(sh.connOwner, qid)
+				sh.dropConn(qid)
 				continue
 			}
 			if c.peerHost != "" {
 				// The record covered the (single) local endpoint; the remote
 				// monitor owns the rest of the teardown.
-				delete(sh.conns, qid)
-				delete(sh.remotePend, qid)
+				sh.dropConn(qid)
 			}
 			notes = append(notes, n)
 		}
 	}
 	m.mu.Unlock()
+	// Ascending IDs, not map order: the re-grants and resets go out 2 000
+	// sim-ns apart, and a schedule that differs run to run cannot be shrunk.
+	slices.SortFunc(regrant, func(a, b tokKey) int {
+		return cmp.Or(cmp.Compare(a.qid, b.qid), cmp.Compare(a.dir, b.dir), cmp.Compare(a.side, b.side))
+	})
+	slices.SortFunc(notes, func(a, b peerNote) int { return cmp.Compare(a.qid, b.qid) })
 
 	mCrashCleanups.Inc()
 	if telemetry.Trace.Enabled() {
@@ -793,37 +765,44 @@ func (m *Monitor) ConnClosed(qid uint64) {
 	m.mu.Unlock()
 }
 
-// LiveConnRecords reports how many per-connection records the monitor
-// holds (connection, owner, setup-routing, QP-routing and token entries
-// over all shards) after applying every queued ConnClosed note: the figure
-// that must return to its baseline when connections are closed.
+// LiveConnRecords reports how many connection records the monitor holds
+// over all shards after applying every queued ConnClosed note: the figure
+// that must return to its baseline when connections are closed, and when
+// the processes that held them die.
 func (m *Monitor) LiveConnRecords() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
 	for _, sh := range m.shards {
 		sh.reclaimClosedLocked()
-		n += len(sh.conns) + len(sh.connOwner) + len(sh.remotePend) + len(sh.reqpRoute) + len(sh.tokens)
+		n += len(sh.conns)
 	}
 	return n
 }
 
-// DetachProcess forgets pid's connection records without the crash
+// DetachProcess takes pid off its connection records without the crash
 // fan-out. Container live migration (§4.1.3) moves the sockets — ring
 // memory, QIDs and all — to another host and then kills the husk left
 // at the source; treating that kill as a crash would reset perfectly
 // healthy connections (and drop the peer monitor's routing entry the
-// migrated process needs for its QP re-splice). The lifeline still runs
+// migrated process needs for its QP re-splice). A record whose other
+// endpoint lives here stays with that endpoint. The lifeline still runs
 // afterwards and reclaims everything else the pid held.
 func (m *Monitor) DetachProcess(pid int) {
 	m.mu.Lock()
 	for _, sh := range m.shards {
 		for qid, c := range sh.conns {
-			if c.pids[0] == pid || c.pids[1] == pid {
-				delete(sh.conns, qid)
-				if sh.connOwner[qid] == pid {
-					delete(sh.connOwner, qid)
-				}
+			i := slices.Index(c.pids[:], pid)
+			if i < 0 {
+				continue
+			}
+			if other := c.pids[1-i]; other == 0 || other == pid || m.pidDead(other) {
+				sh.dropConn(qid)
+				continue
+			}
+			c.pids[i] = 0
+			if c.owner == pid {
+				c.owner = 0
 			}
 		}
 	}
@@ -840,22 +819,13 @@ func (m *Monitor) CrashConverged() error {
 			return fmt.Errorf("monitor: dead pid %d still registered", pid)
 		}
 	}
+	gone := func(pid int) bool { return pid == 0 || m.pidDead(pid) }
 	for _, sh := range m.shards {
-		for port, refs := range sh.listeners {
-			for _, r := range refs {
+		for port, pr := range sh.ports {
+			for _, r := range pr.refs {
 				if m.pidDead(r.pid) {
 					return fmt.Errorf("monitor: dead pid %d still listed on port %d", r.pid, port)
 				}
-			}
-		}
-		for key, ts := range sh.tokens {
-			for _, w := range ts.waiters {
-				if m.pidDead(w.pid) {
-					return fmt.Errorf("monitor: dead pid %d still waiting on token %v", w.pid, key)
-				}
-			}
-			if ts.revokeSent && ts.revokeTo != 0 && m.pidDead(ts.revokeTo) {
-				return fmt.Errorf("monitor: revoke outstanding to dead pid %d on token %v", ts.revokeTo, key)
 			}
 		}
 		for pid := range sh.sleepers {
@@ -864,27 +834,32 @@ func (m *Monitor) CrashConverged() error {
 			}
 		}
 		for qid, c := range sh.conns {
-			if c.peerHost != "" {
-				continue
-			}
-			a, b := c.pids[0], c.pids[1]
-			if (a == 0 || m.pidDead(a)) && (b == 0 || m.pidDead(b)) {
+			// Intra- and inter-host alike: a record is its local endpoints'.
+			if c.dispatched() && gone(c.pids[0]) && gone(c.pids[1]) {
 				return fmt.Errorf("monitor: conn %d has no live endpoint but was not reclaimed", qid)
+			}
+			for _, pid := range append(c.awaited(), c.owner) {
+				if pid != 0 && m.pidDead(pid) {
+					return fmt.Errorf("monitor: conn %d still owned or awaited (dial answer, token) by dead pid %d", qid, pid)
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// handle processes one message off a process control ring. sh is the
-// shard whose loop dequeued it (always the shard the message's key routes
-// to — libsd picked the plane with the same function).
-func (m *Monitor) handle(ctx exec.Context, sh *mshard, pc *procChan, cm *ctlmsg.Msg) {
+// handle processes one message on shard sh, the shard its key routes to:
+// off a process control ring (pc; libsd picked the plane with the same
+// function), or off the monitor channel mc, routed here by the router.
+func (m *Monitor) handle(ctx exec.Context, sh *mshard, pc *procChan, mc *mchan, cm *ctlmsg.Msg) {
 	countCtl(cm.Kind)
 	sh.cEvents.Inc()
+	name, arg, hop, hist := "ctl/", telemetry.A("pid", cm.PID), obs.HopMonDispatch, mDispatchIntra
+	if mc != nil {
+		name, arg, hop, hist = "remote/", telemetry.A("port", int64(cm.Port)), obs.HopPeerDispatch, mDispatchInter
+	}
 	if telemetry.Trace.Enabled() {
-		telemetry.Trace.Emit(ctx.Now(), "monitor", "ctl/"+cm.Kind.String(),
-			telemetry.A("pid", cm.PID))
+		telemetry.Trace.Emit(ctx.Now(), "monitor", name+cm.Kind.String(), arg)
 	}
 	start := ctx.Now()
 	trace, parent := cm.TraceID, cm.SpanID
@@ -900,14 +875,18 @@ func (m *Monitor) handle(ctx exec.Context, sh *mshard, pc *procChan, cm *ctlmsg.
 	// 5.3 M conns/s); handlers that only mutate Go maps would otherwise
 	// take zero virtual time and make the shard latency numbers vacuous.
 	ctx.Charge(m.H.Costs.MonDispatch)
-	m.dispatch(ctx, pc, cm)
+	if mc != nil {
+		m.dispatchRemote(ctx, mc, cm)
+	} else {
+		m.dispatch(ctx, pc, cm)
+	}
 	end := ctx.Now()
-	mDispatchIntra.Observe(end - start)
+	hist.Observe(end - start)
 	sh.dDispatch.Observe(end - start)
 	if sid != 0 {
 		obs.Record(obs.Span{
 			Trace: trace, Span: sid, Parent: parent, Start: start, End: end,
-			Host: m.H.Name, Hop: obs.HopMonDispatch, Kind: kind,
+			Host: m.H.Name, Hop: hop, Kind: kind,
 		})
 	}
 	if slo := obs.SLO(); slo > 0 && end-start > slo {
@@ -945,15 +924,7 @@ func (m *Monitor) dispatch(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 		// Record the parked thread so recovery-path control messages
 		// (KReQPPeer/KReQPRes/KDegraded) can nudge it: a process whose only
 		// RDMA path is dead has no CQE or ring doorbell left to wake it.
-		m.mu.Lock()
-		sl := m.shardOfPID(int(cm.PID)).sleepers
-		ts := sl[int(cm.PID)]
-		if ts == nil {
-			ts = make(map[int]struct{})
-			sl[int(cm.PID)] = ts
-		}
-		ts[int(cm.TID)] = struct{}{}
-		m.mu.Unlock()
+		m.noteSleeper(int(cm.PID), int(cm.TID))
 	case ctlmsg.KPing:
 		// Liveness probe from a bounded control-plane wait: any answer —
 		// stamped with the current epoch — proves this shard's loop is
@@ -973,7 +944,7 @@ func (m *Monitor) dispatch(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 		// A listener drained the dispatched connection from its backlog:
 		// free the admission slot pickListener claimed for it. Unknown or
 		// already-released ConnIDs no-op (a restarted monitor's resurrected
-		// records carry queued=false — its blUsed died with the incarnation).
+		// records carry queued=false — the occupancy died with the incarnation).
 		sh := m.shardOf(cm.ConnID)
 		m.mu.Lock()
 		if c := sh.conns[cm.ConnID]; c != nil && c.queued {
@@ -984,19 +955,25 @@ func (m *Monitor) dispatch(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	case ctlmsg.KMSynAck:
 		// Server libsd finished building its endpoint: relay to the
 		// client's monitor.
+		var to string
 		m.mu.Lock()
-		entry, ok := m.shardOf(cm.ConnID).remotePend[cm.ConnID]
+		if x := m.shardOf(cm.ConnID).ext(cm.ConnID); x != nil {
+			to = x.synAckTo
+		}
 		m.mu.Unlock()
-		if ok && entry.clientHost != m.H.Name {
-			m.mchanSend(ctx, entry.clientHost, cm, true)
+		if to != "" && to != m.H.Name {
+			m.mchanSend(ctx, to, cm, true)
 		}
 	case ctlmsg.KReQP:
 		m.onReQP(ctx, pc, cm)
 	case ctlmsg.KReQPRes:
 		// Peer libsd built the extra QP; route back to the forked child's
 		// host monitor.
+		var dst string
 		m.mu.Lock()
-		dst := m.shardOf(cm.QID).reqpRoute[cm.QID]
+		if x := m.shardOf(cm.QID).ext(cm.QID); x != nil {
+			dst = x.reqpFrom
+		}
 		m.mu.Unlock()
 		if dst != "" {
 			// Not queued on a dead channel: the requester re-sends KReQP on
@@ -1008,8 +985,8 @@ func (m *Monitor) dispatch(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 
 // mchanSend delivers cm to dst's monitor over the monitor channel, healing
 // the channel first if its QP died (e.g. after a network partition killed
-// it mid-stream). With queue set, the message parks in mqueue and is
-// flushed once a fresh channel is probed; otherwise it is dropped — used
+// it mid-stream). With queue set, the message parks on the peer record and
+// is flushed once a fresh channel is probed; otherwise it is dropped — used
 // for messages the far end regenerates on retry — but a heal probe is
 // still launched so the retry finds a working channel.
 func (m *Monitor) mchanSend(ctx exec.Context, dst string, cm *ctlmsg.Msg, queue bool) {
@@ -1018,29 +995,33 @@ func (m *Monitor) mchanSend(ctx exec.Context, dst string, cm *ctlmsg.Msg, queue 
 		cm.TS = ctx.Now() // flight-hop start for the peer monitor's span
 	}
 	m.mu.Lock()
-	mc := m.mchans[dst]
-	if mc != nil && mc.qp.State() == rdma.QPErr {
-		m.setMchanLocked(dst, nil)
-		mMchanHeals.Inc()
-		mc = nil
-	}
-	if mc != nil {
+	p := m.peerLocked(dst)
+	if mc := m.chanLocked(p); mc != nil {
 		m.mu.Unlock()
 		mc.send(cm)
 		return
 	}
 	if queue {
 		cp := *cm
-		m.mqueue[dst] = append(m.mqueue[dst], &cp)
+		p.mqueue = append(p.mqueue, &cp)
 	}
-	launch := !m.probing[dst]
-	if launch {
-		m.probing[dst] = true
-	}
+	launch := !p.probing
+	p.probing = true
 	m.mu.Unlock()
 	if launch {
 		m.probe(ctx, dst)
 	}
+}
+
+// noteSleeper records that thread tid of pid parked in interrupt mode.
+func (m *Monitor) noteSleeper(pid, tid int) {
+	m.mu.Lock()
+	sl := m.shardOfPID(pid).sleepers
+	if sl[pid] == nil {
+		sl[pid] = make(map[int]struct{})
+	}
+	sl[pid][tid] = struct{}{}
+	m.mu.Unlock()
 }
 
 // wakeSleepers unparks every thread of pid that reported itself asleep via
@@ -1052,51 +1033,21 @@ func (m *Monitor) wakeSleepers(pid int) {
 	tids := sl[pid]
 	delete(sl, pid)
 	m.mu.Unlock()
-	for tid := range tids {
+	// By thread ID: threads woken for the same instant run in the order
+	// their wake-ups were scheduled.
+	for _, tid := range slices.Sorted(maps.Keys(tids)) {
 		m.wakeThread(pid, tid)
 	}
 }
 
-// handleRemote processes a message routed to shard sh off a monitor
-// channel.
-func (m *Monitor) handleRemote(ctx exec.Context, sh *mshard, mc *mchan, cm *ctlmsg.Msg) {
-	countCtl(cm.Kind)
-	sh.cEvents.Inc()
-	if telemetry.Trace.Enabled() {
-		telemetry.Trace.Emit(ctx.Now(), "monitor", "remote/"+cm.Kind.String(),
-			telemetry.A("port", int64(cm.Port)))
-	}
-	start := ctx.Now()
-	trace, parent := cm.TraceID, cm.SpanID
-	var sid uint64
-	if trace != 0 && obs.Enabled() {
-		sid = obs.NextSpan()
-		cm.SpanID = sid
-	}
-	kind := uint8(cm.Kind)
-	ctx.Charge(m.H.Costs.MonDispatch)
-	m.dispatchRemote(ctx, mc, cm)
-	end := ctx.Now()
-	mDispatchInter.Observe(end - start)
-	sh.dDispatch.Observe(end - start)
-	if sid != 0 {
-		obs.Record(obs.Span{
-			Trace: trace, Span: sid, Parent: parent, Start: start, End: end,
-			Host: m.H.Name, Hop: obs.HopPeerDispatch, Kind: kind,
-		})
-	}
-	if slo := obs.SLO(); slo > 0 && end-start > slo {
-		obs.Trigger(obs.TrigSLOBreach, end, "monitor dispatch over SLO: "+ctlmsg.Kind(kind).String())
-	}
-}
-
-// dispatchRemote is handleRemote's routing switch.
+// dispatchRemote is handle's routing switch for monitor-channel arrivals.
 func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 	switch cm.Kind {
 	case ctlmsg.KMSyn:
 		sh := m.shardOf(cm.ConnID)
 		m.mu.Lock()
-		_, dup := sh.conns[cm.ConnID]
+		c := sh.conns[cm.ConnID]
+		dup := c != nil && c.dispatched()
 		m.mu.Unlock()
 		if dup {
 			// A re-sent SYN (the client's monitor restarted and replayed
@@ -1111,10 +1062,10 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 			return
 		}
 		m.mu.Lock()
-		sh.remotePend[cm.ConnID] = remotePendEntry{clientHost: mc.peer}
-		sh.connOwner[cm.ConnID] = ref.pid
-		sh.conns[cm.ConnID] = &connRec{pids: [2]int{0, ref.pid}, peerHost: mc.peer,
-			lport: cm.Port, lref: ref, queued: true}
+		c = sh.conn(cm.ConnID)
+		c.pids, c.owner, c.peerHost = [2]int{0, ref.pid}, ref.pid, mc.peer
+		c.lport, c.lref, c.queued = cm.Port, ref, true
+		c.ext().synAckTo = mc.peer
 		m.ConnsDispatched++
 		m.mu.Unlock()
 		mDispatches.Inc()
@@ -1126,20 +1077,26 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 		nc.SetHost(mc.peer) // client host, for qp.Connect on the server
 		m.sendTo(ctx, ref.pid, &nc, true)
 	case ctlmsg.KMSynAck:
+		client := 0
 		m.mu.Lock()
-		entry := m.shardOf(cm.ConnID).remotePend[cm.ConnID]
+		if x := m.shardOf(cm.ConnID).ext(cm.ConnID); x != nil {
+			client = x.resTo
+		}
 		m.mu.Unlock()
 		res := *cm
 		res.Kind = ctlmsg.KConnectRes
 		res.Status = ctlmsg.StatusOK
 		res.Transport = ctlmsg.TransportRDMA
 		res.SetHost(mc.peer) // server host
-		m.sendTo(ctx, entry.clientPID, &res, false)
+		m.sendTo(ctx, client, &res, false)
 	case ctlmsg.KMRefused:
-		sh := m.shardOf(cm.ConnID)
+		// The dial is over; its record stays until the dialer gives the
+		// connection up (ConnClosed) or dies.
+		client := 0
 		m.mu.Lock()
-		entry := sh.remotePend[cm.ConnID]
-		delete(sh.remotePend, cm.ConnID)
+		if x := m.shardOf(cm.ConnID).ext(cm.ConnID); x != nil {
+			client, x.resTo = x.resTo, 0
+		}
 		m.mu.Unlock()
 		st := cm.Status
 		if st == ctlmsg.StatusOK {
@@ -1147,16 +1104,16 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 			// thing they could have meant.
 			st = ctlmsg.StatusNoListener
 		}
-		m.fail(ctx, entry.clientPID, cm, st)
+		m.fail(ctx, client, cm, st)
 	case ctlmsg.KReQPPeer:
 		sh := m.shardOf(cm.QID)
 		m.mu.Lock()
-		owner := sh.connOwner[cm.QID]
+		owner := sh.owner(cm.QID)
 		if owner != 0 {
 			// Only for a connection still on record here: a splice request
 			// for one this host gave up (an abandoned dial) finds nobody to
 			// answer it and must leave no route behind.
-			sh.reqpRoute[cm.QID] = mc.peer
+			sh.conns[cm.QID].ext().reqpFrom = mc.peer
 		}
 		m.mu.Unlock()
 		if owner != 0 {
@@ -1170,12 +1127,15 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 	case ctlmsg.KPeerDead:
 		// The remote monitor reclaimed a crashed process; tell the local
 		// endpoint of the socket (and wake it — it may be parked with no
-		// doorbell left to ring).
+		// doorbell left to ring). The record loses its remote end and its
+		// routing — nothing more can arrive for it, nor is the owner's death
+		// the remote monitor's business now — and stays for the owner to end.
 		sh := m.shardOf(cm.QID)
 		m.mu.Lock()
-		owner := sh.connOwner[cm.QID]
-		delete(sh.conns, cm.QID)
-		delete(sh.connOwner, cm.QID)
+		owner := sh.owner(cm.QID)
+		if c := sh.conns[cm.QID]; c != nil {
+			c.owner, c.peerHost = 0, ""
+		}
 		m.mu.Unlock()
 		if owner != 0 {
 			m.sendTo(ctx, owner, cm, true)
@@ -1202,15 +1162,11 @@ func (m *Monitor) wakeThread(pid, tid int) {
 // --- listen / bind ---
 
 func (m *Monitor) onListen(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
-	sh := m.shardOfPort(cm.Port)
 	if cm.Status == 1 { // remove
+		gone := listenerRef{pid: int(cm.PID), tid: int(cm.TID)}
 		m.mu.Lock()
-		refs := sh.listeners[cm.Port]
-		for i, r := range refs {
-			if r.pid == int(cm.PID) && r.tid == int(cm.TID) {
-				sh.listeners[cm.Port] = append(refs[:i], refs[i+1:]...)
-				break
-			}
+		if pr := m.shardOfPort(cm.Port).ports[cm.Port]; pr != nil {
+			pr.refs = slices.DeleteFunc(pr.refs, func(r listenerSlot) bool { return r.listenerRef == gone })
 		}
 		m.mu.Unlock()
 		return
@@ -1235,19 +1191,17 @@ func (m *Monitor) addListener(port uint16, pid, tid int) {
 	sh := m.shardOfPort(port)
 	ref := listenerRef{pid: pid, tid: tid}
 	m.mu.Lock()
-	for _, r := range sh.listeners[port] {
-		if r == ref {
-			m.mu.Unlock()
-			return
-		}
+	pr := sh.ports[port]
+	if pr == nil {
+		pr = &portRec{}
+		sh.ports[port] = pr
 	}
-	sh.listeners[port] = append(sh.listeners[port], ref)
-	needKern := m.KS != nil
-	for _, k := range m.kernLs {
-		if k.port == port {
-			needKern = false
-		}
+	if pr.slot(ref) != nil {
+		m.mu.Unlock()
+		return
 	}
+	pr.refs = append(pr.refs, listenerSlot{listenerRef: ref})
+	needKern := m.KS != nil && !slices.ContainsFunc(m.kernLs, func(k kernL) bool { return k.port == port })
 	m.mu.Unlock()
 	if needKern {
 		if kl, err := m.KS.Listen(port); err == nil {
@@ -1271,39 +1225,33 @@ func (m *Monitor) addListener(port uint16, pid, tid int) {
 // not the port's shard, and this cross-shard read under the shared mutex
 // is the deliberate thin path between partitions.
 func (m *Monitor) pickListener(port uint16) (listenerRef, uint8) {
-	sh := m.shardOfPort(port)
 	capN := ListenerBacklogCap()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	refs := sh.listeners[port]
-	if len(refs) == 0 {
+	pr := m.shardOfPort(port).ports[port]
+	if pr == nil || len(pr.refs) == 0 {
 		return listenerRef{}, ctlmsg.StatusNoListener
 	}
-	start := sh.rrIdx[port]
-	for k := 0; k < len(refs); k++ {
-		i := (start + k) % len(refs)
-		r := refs[i]
-		bk := blKey{port: port, pid: r.pid, tid: r.tid}
-		if capN > 0 && sh.blUsed[bk] >= capN {
+	for k := range pr.refs {
+		i := (pr.rr + k) % len(pr.refs)
+		r := &pr.refs[i]
+		if capN > 0 && r.used >= capN {
 			continue
 		}
-		sh.rrIdx[port] = i + 1
-		sh.blUsed[bk]++
-		return r, ctlmsg.StatusOK
+		pr.rr = i + 1
+		r.used++
+		return r.listenerRef, ctlmsg.StatusOK
 	}
 	return listenerRef{}, ctlmsg.StatusBacklogFull
 }
 
-// releaseBacklogSlot returns one claimed backlog slot (accept drained the
-// connection, the dispatch was abandoned, or the listener died). Caller
-// holds m.mu.
+// releaseBacklogSlotLocked returns one claimed backlog slot (accept drained
+// the connection, the dispatch was abandoned, or a steal moved it). A
+// listener that has unregistered or died since took its count with it.
+// Caller holds m.mu.
 func (m *Monitor) releaseBacklogSlotLocked(port uint16, ref listenerRef) {
-	sh := m.shardOfPort(port)
-	bk := blKey{port: port, pid: ref.pid, tid: ref.tid}
-	if n := sh.blUsed[bk]; n > 1 {
-		sh.blUsed[bk] = n - 1
-	} else {
-		delete(sh.blUsed, bk)
+	if r := m.shardOfPort(port).ports[port].slot(ref); r != nil && r.used > 0 {
+		r.used--
 	}
 }
 
@@ -1313,10 +1261,8 @@ func (m *Monitor) onConnect(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	dst := cm.HostStr()
 	m.mu.Lock()
 	allowed := m.policy(pc.p.UID, dst, cm.Port)
-	dup := false
-	if _, ok := m.shardOf(cm.ConnID).conns[cm.ConnID]; ok {
-		dup = true
-	}
+	c := m.shardOf(cm.ConnID).conns[cm.ConnID]
+	dup := c != nil && c.dispatched()
 	m.mu.Unlock()
 	if !allowed {
 		m.fail(ctx, pc.p.PID, cm, ctlmsg.StatusDenied)
@@ -1344,16 +1290,21 @@ func (m *Monitor) connectRemote(ctx exec.Context, cm *ctlmsg.Msg) {
 	dst := cm.HostStr()
 	sh := m.shardOf(cm.ConnID)
 	m.mu.Lock()
-	sh.connOwner[cm.ConnID] = int(cm.PID)
-	sh.conns[cm.ConnID] = &connRec{pids: [2]int{int(cm.PID), 0}, peerHost: dst}
-	sh.remotePend[cm.ConnID] = remotePendEntry{clientPID: int(cm.PID)}
-	mc := m.mchans[dst]
-	if mc != nil && mc.qp.State() == rdma.QPErr {
-		// The channel's QP died (partition, injected fault): drop it and
-		// fall through to the probe path, which re-establishes it.
-		m.setMchanLocked(dst, nil)
-		mMchanHeals.Inc()
-		mc = nil
+	c := sh.conn(cm.ConnID)
+	c.pids, c.owner, c.peerHost = [2]int{int(cm.PID), 0}, int(cm.PID), dst
+	c.ext().resTo = int(cm.PID)
+	p := m.peerLocked(dst)
+	mc := m.chanLocked(p)
+	if mc == nil {
+		// No (usable) channel: probe the peer (special-option SYN) and queue
+		// the connect — a copy, cm stays on its dispatch loop's stack — until
+		// the probe resolves.
+		cp := *cm
+		p.probes = append(p.probes, &cp)
+	}
+	launch := mc == nil && !p.probing
+	if launch {
+		p.probing = true
 	}
 	m.mu.Unlock()
 	if mc != nil {
@@ -1367,15 +1318,6 @@ func (m *Monitor) connectRemote(ctx exec.Context, cm *ctlmsg.Msg) {
 		mc.send(&fwd)
 		return
 	}
-	// No (usable) channel: probe the peer (special-option SYN) and queue
-	// the connect until the probe resolves.
-	m.mu.Lock()
-	m.probes[dst] = append(m.probes[dst], cm)
-	launch := !m.probing[dst]
-	if launch {
-		m.probing[dst] = true
-	}
-	m.mu.Unlock()
 	if launch {
 		m.probe(ctx, dst)
 	}
@@ -1397,9 +1339,9 @@ func (m *Monitor) dispatchIntra(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) 
 	seg := m.H.SHM.Create(fmt.Sprintf("intra-%d", cm.ConnID), is)
 	sh := m.shardOf(cm.ConnID)
 	m.mu.Lock()
-	sh.connOwner[cm.ConnID] = ref.pid
-	sh.conns[cm.ConnID] = &connRec{pids: [2]int{pc.p.PID, ref.pid}, shmTok: seg.Token,
-		lport: cm.Port, lref: ref, queued: true}
+	c := sh.conn(cm.ConnID)
+	c.pids, c.owner, c.shmTok = [2]int{pc.p.PID, ref.pid}, ref.pid, seg.Token
+	c.lport, c.lref, c.queued = cm.Port, ref, true
 	m.ConnsDispatched++
 	m.mu.Unlock()
 	mDispatches.Inc()
@@ -1476,25 +1418,18 @@ func SetMonInboxCap(n int) int { return int(monInboxCap.Swap(int64(n))) }
 
 func (m *Monitor) onTakeover(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	key := tokKey{qid: cm.QID, dir: cm.Dir, side: cm.SrcPort}
-	sh := m.shardOf(key.qid)
+	if !key.valid() {
+		mBadCtlmsg.Inc()
+		return
+	}
 	m.mu.Lock()
-	ts := sh.tokens[key]
-	if ts == nil {
-		ts = &tokState{}
-		sh.tokens[key] = ts
-	}
+	ts := &m.shardOf(key.qid).conn(key.qid).ext().tok[key.idx()]
 	me := waiterRef{pid: int(cm.PID), tid: int(cm.TID)}
-	dup := false
-	for _, w := range ts.waiters {
-		if w == me {
-			dup = true
-			break
-		}
-	}
+	dup := slices.Contains(ts.waiters, me)
 	if !dup {
 		ts.waiters = append(ts.waiters, me)
 	}
-	first := len(ts.waiters) == 1 && !dup
+	first, revoking := len(ts.waiters) == 1 && !dup, ts.revokeSent
 	holder := core.GTID(cm.Aux)
 	if holder != 0 && m.pidDead(holder.PID()) {
 		// The recorded holder is a corpse: nothing will ever return the
@@ -1503,50 +1438,41 @@ func (m *Monitor) onTakeover(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 		holder = 0
 	}
 	m.mu.Unlock()
-	if !first {
-		if dup && !tsRevoking(m, key) && holder != 0 {
+	switch {
+	case !first:
+		if dup && !revoking && holder != 0 {
 			// Re-request after a snatched grant: restart the revoke chain.
-			rev := ctlmsg.Msg{Kind: ctlmsg.KTokenReturn, QID: cm.QID, Dir: cm.Dir, SrcPort: cm.SrcPort}
-			m.setRevoke(key, holder.PID())
-			m.sendTo(ctx, holder.PID(), &rev, true)
+			m.revoke(ctx, key, holder.PID())
 		}
-		return // already revoking; FIFO queue holds this waiter
-	}
-	if holder == 0 {
+		// Otherwise already revoking; the FIFO queue holds this waiter.
+	case holder == 0:
 		m.grantNext(ctx, key)
-		return
+	default:
+		m.revoke(ctx, key, holder.PID())
 	}
-	m.setRevoke(key, holder.PID())
-	// Ask the holder to give it back; the signal interrupts a busy process.
-	rev := ctlmsg.Msg{Kind: ctlmsg.KTokenReturn, QID: cm.QID, Dir: cm.Dir, SrcPort: cm.SrcPort}
-	m.sendTo(ctx, holder.PID(), &rev, true)
 }
 
-// setRevoke marks an outstanding token revoke addressed to pid; crash
+// revoke asks pid, the token's holder, to give it back — the signal
+// interrupts a busy process — and marks the revoke outstanding; crash
 // cleanup answers it if pid dies before returning the token.
-func (m *Monitor) setRevoke(key tokKey, pid int) {
-	sh := m.shardOf(key.qid)
+func (m *Monitor) revoke(ctx exec.Context, key tokKey, pid int) {
 	m.mu.Lock()
-	if ts := sh.tokens[key]; ts != nil {
-		ts.revokeSent = true
-		ts.revokeTo = pid
+	if ts := m.shardOf(key.qid).tok(key); ts != nil {
+		ts.revokeSent, ts.revokeTo = true, pid
 	}
 	m.mu.Unlock()
-}
-
-func tsRevoking(m *Monitor, key tokKey) bool {
-	sh := m.shardOf(key.qid)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ts := sh.tokens[key]
-	return ts != nil && ts.revokeSent
+	rev := ctlmsg.Msg{Kind: ctlmsg.KTokenReturn, QID: key.qid, Dir: key.dir, SrcPort: key.side}
+	m.sendTo(ctx, pid, &rev, true)
 }
 
 func (m *Monitor) onTokenReturned(ctx exec.Context, cm *ctlmsg.Msg) {
 	key := tokKey{qid: cm.QID, dir: cm.Dir, side: cm.SrcPort}
-	sh := m.shardOf(key.qid)
+	if !key.valid() {
+		mBadCtlmsg.Inc()
+		return
+	}
 	m.mu.Lock()
-	ts := sh.tokens[key]
+	ts := m.shardOf(key.qid).tok(key)
 	if ts != nil {
 		ts.revokeSent = false
 		ts.revokeTo = 0
@@ -1559,9 +1485,8 @@ func (m *Monitor) onTokenReturned(ctx exec.Context, cm *ctlmsg.Msg) {
 }
 
 func (m *Monitor) grantNext(ctx exec.Context, key tokKey) {
-	sh := m.shardOf(key.qid)
 	m.mu.Lock()
-	ts := sh.tokens[key]
+	ts := m.shardOf(key.qid).tok(key)
 	if ts == nil || len(ts.waiters) == 0 {
 		m.mu.Unlock()
 		return
@@ -1580,9 +1505,7 @@ func (m *Monitor) grantNext(ctx exec.Context, key tokKey) {
 	m.sendTo(ctx, w.pid, &grant, false)
 	if more {
 		// The new holder immediately owes the token to the next waiter.
-		m.setRevoke(key, w.pid)
-		rev := ctlmsg.Msg{Kind: ctlmsg.KTokenReturn, QID: key.qid, Dir: key.dir, SrcPort: key.side}
-		m.sendTo(ctx, w.pid, &rev, true)
+		m.revoke(ctx, key, w.pid)
 	}
 }
 
@@ -1592,22 +1515,23 @@ func (m *Monitor) onAcceptHint(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	sh := m.shardOfPort(cm.Port)
 	// Pick a victim: any other listener on the port.
 	m.mu.Lock()
-	refs := sh.listeners[cm.Port]
-	var victim *listenerRef
-	for i := range refs {
-		if refs[i].pid != int(cm.PID) || refs[i].tid != int(cm.TID) {
-			victim = &refs[i]
-			break
+	thief := listenerRef{pid: int(cm.PID), tid: int(cm.TID)}
+	var victim listenerRef
+	if pr := sh.ports[cm.Port]; pr != nil {
+		for _, r := range pr.refs {
+			if r.listenerRef != thief {
+				victim = r.listenerRef
+				break
+			}
 		}
 	}
-	if victim == nil {
+	if victim == (listenerRef{}) {
 		m.mu.Unlock()
 		return
 	}
 	sh.stealSeq++
 	id := sh.stealSeq
-	sh.steals[id] = stealReq{thiefPID: int(cm.PID), thiefTID: int(cm.TID), port: cm.Port,
-		victimPID: victim.pid, victimTID: victim.tid}
+	sh.steals[id] = stealReq{thief: thief, victim: victim}
 	m.mu.Unlock()
 	req := ctlmsg.Msg{Kind: ctlmsg.KStealReq, Port: cm.Port, TID: int64(victim.tid), Aux: id}
 	m.sendTo(ctx, victim.pid, &req, true)
@@ -1627,31 +1551,25 @@ func (m *Monitor) onStealRes(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	nc := *cm
 	nc.Kind = ctlmsg.KNewConn
 	nc.Status = 0
-	nc.TID = int64(sr.thiefTID)
-	// The stolen connection's records live on the connection's shard,
+	nc.TID = int64(sr.thief.tid)
+	// The stolen connection's record lives on the connection's shard,
 	// which is generally not this (port-keyed) one.
-	csh := m.shardOf(cm.ConnID)
 	m.mu.Lock()
-	csh.connOwner[cm.ConnID] = sr.thiefPID
-	if c := csh.conns[cm.ConnID]; c != nil {
-		c.pids[1] = sr.thiefPID // the stolen conn now terminates at the thief
+	if c := m.shardOf(cm.ConnID).conns[cm.ConnID]; c != nil {
+		c.pids[1], c.owner = sr.thief.pid, sr.thief.pid // the stolen conn now terminates at the thief
 		if c.queued {
 			// The admission slot moves with the descriptor: the victim's
 			// backlog shrank, the thief's grew. Its KAcceptDone (sent when
-			// the thief finishes the accept) must release the thief's row.
-			psh := m.shardOfPort(cm.Port)
-			bk := blKey{port: cm.Port, pid: sr.victimPID, tid: sr.victimTID}
-			if n := psh.blUsed[bk]; n > 1 {
-				psh.blUsed[bk] = n - 1
-			} else {
-				delete(psh.blUsed, bk)
+			// the thief finishes the accept) must release the thief's slot.
+			m.releaseBacklogSlotLocked(cm.Port, sr.victim)
+			c.lref = sr.thief
+			if r := sh.ports[cm.Port].slot(c.lref); r != nil {
+				r.used++
 			}
-			psh.blUsed[blKey{port: cm.Port, pid: sr.thiefPID, tid: sr.thiefTID}]++
-			c.lref = listenerRef{pid: sr.thiefPID, tid: sr.thiefTID}
 		}
 	}
 	m.mu.Unlock()
-	m.sendTo(ctx, sr.thiefPID, &nc, true)
+	m.sendTo(ctx, sr.thief.pid, &nc, true)
 }
 
 // --- post-fork QP re-establishment (§4.1.2) ---

@@ -62,7 +62,8 @@ func TestRegisterChildRejectsWrongParent(t *testing.T) {
 func TestListenerRoundRobinOrder(t *testing.T) {
 	_, ma, _, _, _ := newHostPair()
 	ma.mu.Lock()
-	ma.shardOfPort(80).listeners[80] = []listenerRef{{pid: 1, tid: 1}, {pid: 2, tid: 1}, {pid: 3, tid: 1}}
+	ma.shardOfPort(80).ports[80] = &portRec{refs: []listenerSlot{
+		{listenerRef: listenerRef{pid: 1, tid: 1}}, {listenerRef: listenerRef{pid: 2, tid: 1}}, {listenerRef: listenerRef{pid: 3, tid: 1}}}}
 	ma.mu.Unlock()
 	var order []int
 	for i := 0; i < 6; i++ {
@@ -85,7 +86,7 @@ func TestMchanCarriesControlMessages(t *testing.T) {
 	Peer(ma, mb)
 	s.Spawn("t", func(ctx exec.Context) {
 		ma.mu.Lock()
-		mc := ma.mchans["b"]
+		mc := ma.peers["b"].mc
 		ma.mu.Unlock()
 		if mc == nil {
 			t.Error("peer channel missing")
@@ -100,7 +101,7 @@ func TestMchanCarriesControlMessages(t *testing.T) {
 		// client — the observable effect here is simply that both
 		// daemons stayed live and the channel round-tripped.
 		mb.mu.Lock()
-		_, pending := mb.shardOf(99).remotePend[99]
+		_, pending := mb.shardOf(99).conns[99]
 		mb.mu.Unlock()
 		if pending {
 			t.Error("refused connection left pending state")
@@ -122,7 +123,7 @@ func TestShardInboxShedsSYNsAtCap(t *testing.T) {
 	defer SetMonInboxCap(SetMonInboxCap(1))
 	s.Spawn("t", func(ctx exec.Context) {
 		ma.mu.Lock()
-		mc := ma.mchans["b"]
+		mc := ma.peers["b"].mc
 		ma.mu.Unlock()
 		if mc == nil {
 			t.Error("peer channel missing")
@@ -190,15 +191,21 @@ func TestRouterPollOrderFollowsNames(t *testing.T) {
 	order := func() string {
 		hub.mu.Lock()
 		defer hub.mu.Unlock()
-		if len(hub.mchanList) != len(hub.mchans) {
-			t.Fatalf("%d channels listed, %d on record", len(hub.mchanList), len(hub.mchans))
+		if len(hub.peerList) != len(hub.peers) {
+			t.Fatalf("%d peers listed, %d on record", len(hub.peerList), len(hub.peers))
 		}
 		out := ""
-		for _, mc := range hub.mchanList {
-			if hub.mchans[mc.peer] != mc {
-				t.Fatalf("listed channel toward %s is not the one on record", mc.peer)
+		for _, p := range hub.peerList {
+			if hub.peers[p.name] != p {
+				t.Fatalf("listed peer %s is not the one on record", p.name)
 			}
-			out += mc.peer + " "
+			if p.mc == nil {
+				continue // a record outlives its channel; the router polls channels
+			}
+			if p.mc.peer != p.name {
+				t.Fatalf("peer %s holds the channel toward %s", p.name, p.mc.peer)
+			}
+			out += p.name + " "
 		}
 		return out
 	}
@@ -209,7 +216,7 @@ func TestRouterPollOrderFollowsNames(t *testing.T) {
 		t.Fatalf("poll order after inserts: %s", got)
 	}
 	hub.mu.Lock()
-	hub.setMchanLocked("charlie", nil)
+	hub.peers["charlie"].mc = nil
 	hub.mu.Unlock()
 	if got := order(); got != "alpha bravo delta echo " {
 		t.Fatalf("poll order after a delete: %s", got)

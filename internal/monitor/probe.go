@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"slices"
 
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
@@ -40,7 +41,7 @@ type probeResult struct {
 // port, and a non-SD answer just resolves the probe as failed.
 func (m *Monitor) probe(ctx exec.Context, dst string) {
 	m.mu.Lock()
-	queued := m.probes[dst]
+	queued := m.peerLocked(dst).probes
 	m.mu.Unlock()
 	if m.KS == nil {
 		m.finishProbes(ctx, dst, probeResult{dst: dst, kind: probeTimeoutKind})
@@ -77,7 +78,7 @@ func (m *Monitor) probe(ctx exec.Context, dst string) {
 			if rm, ok := ctlmsg.Unmarshal(seg.Options[len(sdMagic):]); ok {
 				mc.connect(dst, rm.QPN)
 				pr.kind = probeSD
-				m.notePeerEpoch(dst, rm.Epoch)
+				m.heard(dst, rm.Epoch)
 			} else {
 				pr.kind = probeRST
 			}
@@ -118,11 +119,17 @@ func (m *Monitor) queueProbeResult(pr probeResult) {
 // probe outcome.
 func (m *Monitor) finishProbes(ctx exec.Context, dst string, pr probeResult) {
 	m.mu.Lock()
-	queued := m.probes[dst]
-	delete(m.probes, dst)
-	parked := m.mqueue[dst]
-	delete(m.mqueue, dst)
-	delete(m.probing, dst)
+	p := m.peerLocked(dst)
+	queued, parked := p.probes, p.mqueue
+	p.probes, p.mqueue, p.probing = nil, nil, false
+	if pr.kind == probeSD {
+		p.mc = pr.mc
+	} else if !p.tracked && !p.dead {
+		// Never heard from, never condemned: a name some process dialed.
+		// Nothing is known that a later mention could not start from.
+		delete(m.peers, dst)
+		m.peerList = slices.DeleteFunc(m.peerList, func(q *peer) bool { return q == p })
+	}
 	m.mu.Unlock()
 	if m.KS != nil && pr.sport != 0 {
 		// Release the raw port: a repaired connection reuses it as an
@@ -137,9 +144,6 @@ func (m *Monitor) finishProbes(ctx exec.Context, dst string, pr probeResult) {
 	}
 	switch pr.kind {
 	case probeSD:
-		m.mu.Lock()
-		m.setMchanLocked(dst, pr.mc)
-		m.mu.Unlock()
 		// Flush control messages parked while the channel was dead.
 		for _, qm := range parked {
 			pr.mc.send(qm)
@@ -157,7 +161,7 @@ func (m *Monitor) finishProbes(ctx exec.Context, dst string, pr probeResult) {
 		}
 	case probeNoSD:
 		for i, cm := range queued {
-			if i == 0 && cm.Port == queuedPort(queued) {
+			if i == 0 {
 				// The probe's half-open connection IS this connect:
 				// repair it into the client's kernel FD table (§4.5.3).
 				m.repairInto(ctx, cm, dst, pr.sport, pr.seq)
@@ -179,13 +183,6 @@ func (m *Monitor) finishProbes(ctx exec.Context, dst string, pr probeResult) {
 	}
 }
 
-func queuedPort(queued []*ctlmsg.Msg) uint16 {
-	if len(queued) == 0 {
-		return 0
-	}
-	return queued[0].Port
-}
-
 // repairInto turns the completed probe handshake into a live kernel
 // connection owned by the client process (TCP connection repair: "the
 // monitor sends the kernel FD to the application", §4.5.3).
@@ -195,17 +192,22 @@ func (m *Monitor) repairInto(ctx exec.Context, cm *ctlmsg.Msg, dst string, sport
 		m.fail(ctx, int(cm.PID), cm, ctlmsg.StatusNoRoute)
 		return
 	}
-	p := m.H.Process(int(cm.PID))
+	m.handKernelSocket(ctx, int(cm.PID), cm.ConnID, ksocket.Wrap(m.H, conn))
+}
+
+// handKernelSocket answers a connect with a kernel TCP connection: the FD
+// goes into the client's table and its number into the KConnectRes.
+func (m *Monitor) handKernelSocket(ctx exec.Context, pid int, connID uint64, sk *ksocket.Socket) {
+	p := m.H.Process(pid)
 	if p == nil {
 		return
 	}
-	sk := ksocket.Wrap(m.H, conn)
 	fd := p.InstallFD(sk.KFile())
 	res := ctlmsg.Msg{
-		Kind: ctlmsg.KConnectRes, ConnID: cm.ConnID, Status: ctlmsg.StatusOK,
+		Kind: ctlmsg.KConnectRes, ConnID: connID, Status: ctlmsg.StatusOK,
 		Transport: ctlmsg.TransportTCP, Aux: uint64(fd),
 	}
-	m.sendTo(ctx, int(cm.PID), &res, false)
+	m.sendTo(ctx, pid, &res, false)
 }
 
 // dialFallback opens an ordinary kernel TCP connection on a helper thread
@@ -219,16 +221,7 @@ func (m *Monitor) dialFallback(cm *ctlmsg.Msg, dst string) {
 			m.fail(ctx, pid, &fcm, ctlmsg.StatusNoListener)
 			return
 		}
-		p := m.H.Process(pid)
-		if p == nil {
-			return
-		}
-		fd := p.InstallFD(sk.KFile())
-		res := ctlmsg.Msg{
-			Kind: ctlmsg.KConnectRes, ConnID: connID, Status: ctlmsg.StatusOK,
-			Transport: ctlmsg.TransportTCP, Aux: uint64(fd),
-		}
-		m.sendTo(ctx, pid, &res, false)
+		m.handKernelSocket(ctx, pid, connID, sk)
 	})
 }
 
@@ -260,9 +253,9 @@ func (m *Monitor) synFilter(seg *tcpstack.Segment) bool {
 		return true
 	}
 	m.mu.Lock()
-	m.setMchanLocked(seg.SrcHost, mc)
+	m.peerLocked(seg.SrcHost).mc = mc
 	m.mu.Unlock()
-	m.notePeerEpoch(seg.SrcHost, rm.Epoch)
+	m.heard(seg.SrcHost, rm.Epoch)
 	var opt ctlmsg.Msg
 	opt.Kind = ctlmsg.KMSynAck
 	opt.QPN = mc.qp.QPN()

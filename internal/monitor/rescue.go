@@ -92,7 +92,7 @@ func (m *Monitor) acceptRescue(ctx exec.Context) {
 		}
 		qid := binary.LittleEndian.Uint64(hdr[4:])
 		m.mu.Lock()
-		owner := m.shardOf(qid).connOwner[qid]
+		owner := m.shardOf(qid).owner(qid)
 		m.mu.Unlock()
 		p := m.H.Process(owner)
 		if owner == 0 || p == nil {

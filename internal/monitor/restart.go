@@ -100,11 +100,7 @@ func (m *Monitor) onReRegistered(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg)
 		}
 		sh := m.shardOf(cm.QID)
 		m.mu.Lock()
-		c := sh.conns[cm.QID]
-		if c == nil {
-			c = &connRec{}
-			sh.conns[cm.QID] = c
-		}
+		c := sh.conn(cm.QID)
 		if peer != "" {
 			c.peerHost = peer
 		}
@@ -118,17 +114,17 @@ func (m *Monitor) onReRegistered(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg)
 			// reclaim the socket's segment once no endpoint survives.
 			c.shmTok = shm.Token(cm.ShmToken)
 		}
-		if sh.connOwner[cm.QID] == 0 {
-			sh.connOwner[cm.QID] = pid
+		if c.owner == 0 {
+			c.owner = pid
 		}
-		needChan := peer != "" && m.mchans[peer] == nil
+		needChan := peer != "" && m.peerLocked(peer).mc == nil
 		m.mu.Unlock()
 		if needChan {
 			// Inter-host socket but no channel to its host yet: re-probe
 			// the remote monitor. The beacon itself is droppable — the
 			// heal probe it launches rebuilds the channel, and its answer
 			// refreshes the peer's liveness clock and epoch.
-			m.hbSend(ctx, peer)
+			m.hbSend(ctx, peer, false)
 		}
 	case ctlmsg.ReRegToken:
 		// Nothing to rebuild: token ownership is authoritative in the SHM
@@ -138,23 +134,14 @@ func (m *Monitor) onReRegistered(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg)
 	case ctlmsg.ReRegSleeper:
 		// A thread parked in interrupt mode: restore its sleep note so
 		// recovery-path messages can ring its doorbell again.
-		m.mu.Lock()
-		sl := m.shardOfPID(pid).sleepers
-		ts := sl[pid]
-		if ts == nil {
-			ts = make(map[int]struct{})
-			sl[pid] = ts
-		}
-		ts[int(cm.TID)] = struct{}{}
-		m.mu.Unlock()
+		m.noteSleeper(pid, int(cm.TID))
 	case ctlmsg.ReRegPend:
 		// An in-flight connect that was awaiting KConnectRes: restore the
 		// reply routing so the server side's KMSynAck (or the client's
 		// own re-sent KConnect) can complete it.
-		sh := m.shardOf(cm.ConnID)
 		m.mu.Lock()
-		if _, ok := sh.remotePend[cm.ConnID]; !ok {
-			sh.remotePend[cm.ConnID] = remotePendEntry{clientPID: pid}
+		if x := m.shardOf(cm.ConnID).conn(cm.ConnID).ext(); x.resTo == 0 && x.synAckTo == "" {
+			x.resTo = pid
 		}
 		m.mu.Unlock()
 	case ctlmsg.ReRegDone:

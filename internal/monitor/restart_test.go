@@ -53,8 +53,7 @@ func TestHeartbeatConfirmsDeadHost(t *testing.T) {
 	// fan-out must reset exactly this record.
 	const qid = 501
 	ma.mu.Lock()
-	ma.shardOf(qid).conns[qid] = &connRec{pids: [2]int{p.PID, 0}, peerHost: "b"}
-	ma.shardOf(qid).connOwner[qid] = p.PID
+	ma.shardOf(qid).conns[qid] = &connRec{pids: [2]int{p.PID, 0}, owner: p.PID, peerHost: "b"}
 	ma.mu.Unlock()
 
 	before := telemetry.Capture()
@@ -86,9 +85,9 @@ func TestHeartbeatConfirmsDeadHost(t *testing.T) {
 			d[telemetry.MonHostDeadFanouts])
 	}
 	ma.mu.Lock()
-	dead := ma.hbDead["b"]
+	dead := ma.peers["b"].dead
 	_, stillConn := ma.shardOf(qid).conns[qid]
-	_, stillChan := ma.mchans["b"]
+	stillChan := ma.peers["b"].mc != nil
 	ma.mu.Unlock()
 	if !dead {
 		t.Error("peer b not latched dead after silence past the confirm horizon")

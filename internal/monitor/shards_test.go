@@ -44,8 +44,7 @@ func TestHostDeadFanoutSweepsEveryShardOnce(t *testing.T) {
 	for i := range qids {
 		q := qidOnShard(i, uint64(100*i+1))
 		qids[i] = q
-		ma.shardOf(q).conns[q] = &connRec{pids: [2]int{p.PID, 0}, peerHost: "b"}
-		ma.shardOf(q).connOwner[q] = p.PID
+		ma.shardOf(q).conns[q] = &connRec{pids: [2]int{p.PID, 0}, owner: p.PID, peerHost: "b"}
 	}
 	ma.mu.Unlock()
 
@@ -66,7 +65,7 @@ func TestHostDeadFanoutSweepsEveryShardOnce(t *testing.T) {
 
 	ma.mu.Lock()
 	defer ma.mu.Unlock()
-	if !ma.hbDead["b"] {
+	if !ma.peers["b"].dead {
 		t.Fatal("peer b not latched dead")
 	}
 	for i, sh := range ma.shards {
