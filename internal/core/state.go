@@ -221,10 +221,12 @@ func (s *IntraSock) Peer(side *SideState) *SideState {
 // ProcLink is what the monitor hands a process at registration: one
 // exclusive control duplex per monitor shard (app side A, monitor side B;
 // index = shard number, see internal/monitor/shard) plus a wake hook.
-// The wake hook stands in for the real monitor's busy polling — the
-// simulated monitor parks when idle, and a control-plane sender nudges
-// the shard it wrote to, which is observably identical to an
-// always-polling monitor with zero extra latency.
+// The wake hook stands in for the real monitor's busy polling — a shard
+// loop parks as soon as a pass finds nothing, and a control-plane sender
+// nudges the shard it wrote to, which runs at the nudge: an always-polling
+// monitor with zero extra latency. (An Unpark is never earlier than the
+// Sim's global clock, so a sender whose own clock lags it is served at the
+// global clock; EXPERIMENTS.md "One loop or four".)
 type ProcLink struct {
 	Ds          []*shm.Duplex
 	WakeMonitor func(shard int)

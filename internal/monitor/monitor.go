@@ -754,15 +754,17 @@ func (m *Monitor) survivorClosed(c *connRec, pid int) bool {
 
 // ConnClosed is libsd's note that the last endpoint of connection qid on
 // this host released it (core/lifecycle.go). It stands for a closed-QID
-// list in state shared with the monitor: the call only queues the ID, and
-// the owning shard applies it the next time its loop comes round, outside
+// list in state shared with the monitor: the call queues the ID and rings
+// the owning shard, which applies it at the top of its next pass, outside
 // any dispatch and without charging simulated time — a close must never
-// delay the SYN queued behind it.
+// delay the SYN queued behind it. Without the ring a parked shard would
+// keep the record, and any backlog slot it holds, until unrelated traffic.
 func (m *Monitor) ConnClosed(qid uint64) {
 	sh := m.shardOf(qid)
 	m.mu.Lock()
 	sh.closed = append(sh.closed, qid)
 	m.mu.Unlock()
+	sh.wake()
 }
 
 // LiveConnRecords reports how many connection records the monitor holds

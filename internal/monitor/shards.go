@@ -38,7 +38,11 @@ import (
 // events of ~780 sim-ns per connection) and cluster_dial's sim_p50_ns /
 // sim_tail_ns rise 1.8 % / 2.7 %, while the host cost of a dial halves. They
 // earn their keep on virtual time and stay; the mutex is synchronisation and
-// stays. Open: why four mostly idle loops double a dial's host cost.
+// stays. Why four mostly idle loops doubled a dial's host cost: each spun
+// 255 polls after every message, so on connect_churn they never parked and
+// their played polls were most of a dial's scheduler events. A loop now
+// parks after its first empty pass (run), and four loops cost a dial no
+// more host time than one did.
 
 // mshard is one shard of the monitor's control plane: a partition of the
 // records plus the dispatch loop that serves it. All state fields are
@@ -297,14 +301,16 @@ func (sh *mshard) wake() {
 	}
 }
 
-// run is one shard's dispatch loop: drain the inbox the router feeds,
-// then drain this shard's plane of every process's control duplex. The
-// spin/park protocol mirrors the router's — hot-spin briefly after real
-// traffic, then park until a control-plane sender (libsd's per-shard
-// doorbell) or the router nudges this shard awake.
+// run is one shard's dispatch loop: drain the inbox the router feeds, the
+// closed list, and this shard's plane of every process's control duplex,
+// and park as soon as one full pass finds nothing (its empty TryRecvs have
+// already taken back the rings' credit). Every producer of shard work rings
+// the doorbell after queueing it — libsd's sendCtl, the router's inbox and
+// host-death fan-out, ConnClosed, wakeAll — and an Unpark that lands while
+// the loop runs leaves a permit, so no work waits for the next doorbell.
+// (The router keeps its spin; ROADMAP 1(a) says why.)
 func (sh *mshard) run(ctx exec.Context) {
 	m := sh.m
-	idle := 0
 	// Snapshot scratch, reused across iterations (see Monitor.run).
 	var chans []*procChan
 	var events []shardEvent
@@ -370,41 +376,10 @@ func (sh *mshard) run(ctx exec.Context) {
 			m.mu.Lock()
 			m.lastActivity = ctx.Now()
 			m.mu.Unlock()
-			idle = 0
 			continue
 		}
-		idle++
-		if idle < 256 {
-			ctx.Charge(m.H.Costs.RingOp)
-			idle += ctx.Spin(m.H.Costs.RingOp, 0, 255-idle, (*shardIdler)(sh))
-			continue
-		}
-		ctx.Park() // woken by libsd's per-shard doorbell or the router
-		idle = 255
+		ctx.Park()
 	}
-}
-
-// shardIdler is the shard as idle predicate of its loop: the daemon runs,
-// inbox and closed list are empty, and no process has a message (or a
-// credit to take back) on this shard's plane.
-type shardIdler mshard
-
-func (i *shardIdler) Idle(int64) bool {
-	sh := (*mshard)(i)
-	m := sh.m
-	if !m.mu.TryLock() {
-		return false
-	}
-	defer m.mu.Unlock()
-	if m.stopped || len(sh.inbox)+len(sh.closed) > 0 {
-		return false
-	}
-	for _, pc := range m.procList {
-		if !pc.ds[sh.idx].B().RX.RecvIdle() {
-			return false
-		}
-	}
-	return true
 }
 
 // reclaimClosedLocked drops the records of the connections queued by

@@ -3,6 +3,7 @@ package monitor
 import (
 	"testing"
 
+	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/monitor/shard"
 )
@@ -22,6 +23,55 @@ func TestQidOnShardHelper(t *testing.T) {
 		if got := shard.Of(q, shard.DefaultCount); got != i {
 			t.Fatalf("qidOnShard(%d) = %d which hashes to shard %d", i, q, got)
 		}
+	}
+}
+
+// TestConnClosedRingsParkedShard: a shard parks as soon as a pass finds
+// nothing, so a ConnClosed note that only queued the ID would sit on the
+// closed list, holding the record and the backlog slot it claimed, until
+// unrelated traffic woke the shard. One dispatched-but-unaccepted
+// connection per shard is closed long after every loop has parked; when the
+// simulation goes quiet, with no other traffic, every note must have been
+// applied.
+func TestConnClosedRingsParkedShard(t *testing.T) {
+	s, ma, _, _, _ := newHostPair()
+	const port = 80
+	lref := listenerRef{pid: 1, tid: 1}
+	ma.addListener(port, lref.pid, lref.tid)
+	used := func() int {
+		ma.mu.Lock()
+		defer ma.mu.Unlock()
+		return ma.shardOfPort(port).ports[port].slot(lref).used
+	}
+	before := used()
+	qids := make([]uint64, shard.DefaultCount)
+	for i := range qids {
+		qids[i] = qidOnShard(i, uint64(100*i+1))
+		if _, st := ma.pickListener(port); st != ctlmsg.StatusOK {
+			t.Fatalf("dial %d not dispatched: status %d", i, st)
+		}
+		ma.mu.Lock()
+		*ma.shardOf(qids[i]).conn(qids[i]) = connRec{pids: [2]int{2, lref.pid},
+			owner: 2, lref: lref, lport: port, queued: true}
+		ma.mu.Unlock()
+	}
+	s.Spawn("closer", func(ctx exec.Context) {
+		ctx.Sleep(100_000) // far past any loop's first pass
+		for _, q := range qids {
+			ma.ConnClosed(q)
+		}
+	})
+	s.Run()
+
+	ma.mu.Lock()
+	for i, sh := range ma.shards {
+		if len(sh.closed) != 0 || len(sh.conns) != 0 {
+			t.Errorf("shard %d: %d close notes unapplied, %d records left", i, len(sh.closed), len(sh.conns))
+		}
+	}
+	ma.mu.Unlock()
+	if got := used(); got != before {
+		t.Errorf("backlog occupancy %d after the closes, want %d as before the dials", got, before)
 	}
 }
 
