@@ -103,9 +103,7 @@ func (l *Libsd) newRdmaLocal(ctx exec.Context, qid uint64, qp *rdma.QP) (*rdmaLo
 // may have been adopted and written to them.
 func (l *Libsd) abandonRdmaLocal(rl *rdmaLocal) {
 	rl.qp.Close() // not registered with the side unless newEP ran
-	rl.side.resMu.Lock()
 	clean := len(rl.side.eps) == 0
-	rl.side.resMu.Unlock()
 	l.releaseInter(rl.side, clean)
 }
 
@@ -214,12 +212,10 @@ func (l *Libsd) ListenOn(ctx exec.Context, t *host.Thread, port uint16) (*Listen
 	// Wait for the bind result (the paper hides this latency when failure
 	// is impossible; we keep the round trip for clear error reporting).
 	key := backlogKey{port: port, tid: t.TID}
-	l.mu.Lock()
 	if _, ok := l.backlogs[key]; !ok {
 		l.backlogs[key] = &backlog{}
 	}
 	bl := l.backlogs[key]
-	l.mu.Unlock()
 	for w := l.awaitCtl(&m, ETIMEDOUT).wait(); bl.bindStatus.Load() == 0; {
 		if err := w.block(ctx); err != nil {
 			return nil, err // ETIMEDOUT: no monitor answered the bind
@@ -258,9 +254,7 @@ func (lst *Listener) Accept(ctx exec.Context) (*Socket, host.KFile, error) {
 	opOK := false
 	defer func() { op.End(l.H.Clk.Now(), opOK) }()
 	key := backlogKey{port: lst.port, tid: lst.t.TID}
-	l.mu.Lock()
 	bl := l.backlogs[key]
-	l.mu.Unlock()
 	// An empty backlog asks the monitor to steal from a sibling's (§4.5.2).
 	lst.bl = bl
 	lst.hintMsg = ctlmsg.Msg{Kind: ctlmsg.KAcceptHint, Port: lst.port, PID: int64(l.P.PID), TID: int64(lst.t.TID),
@@ -268,16 +262,13 @@ func (lst *Listener) Accept(ctx exec.Context) (*Socket, host.KFile, error) {
 	w := lst.acceptWait()
 	for {
 		l.pollCtl(ctx)
-		l.mu.Lock()
 		if len(bl.conns) > 0 {
 			pa := bl.conns[0]
 			bl.conns = bl.conns[:copy(bl.conns, bl.conns[1:])]
-			l.mu.Unlock()
 			s, kf, err := l.finishAccept(ctx, lst.t, pa)
 			opOK = err == nil
 			return s, kf, err
 		}
-		l.mu.Unlock()
 		if err := w.block(ctx); err != nil {
 			return nil, nil, err
 		}
@@ -287,8 +278,6 @@ func (lst *Listener) Accept(ctx exec.Context) (*Socket, host.KFile, error) {
 // Pending reports this backlog's queued connections (tests, stealing).
 func (lst *Listener) Pending() int {
 	key := backlogKey{port: lst.port, tid: lst.t.TID}
-	lst.lib.mu.Lock()
-	defer lst.lib.mu.Unlock()
 	bl := lst.lib.backlogs[key]
 	if bl == nil {
 		return 0
@@ -380,7 +369,6 @@ func (l *Libsd) Connect(ctx exec.Context, t *host.Thread, dstHost string, dstPor
 func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string, dstPort uint16, deadline int64) (*Socket, host.KFile, error) {
 	l.enter()
 	defer l.leave()
-	l.mu.Lock()
 	l.nextConnID++
 	// The ID must be unique cluster-wide, not just host-wide: the server's
 	// monitor dedups SYNs by ConnID (guarding against bounded-wait
@@ -391,7 +379,6 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 	connID := (l.H.Ordinal&0xffff)<<48 | uint64(l.P.PID&0xffff)<<32 | l.nextConnID&0xffff_ffff
 	pc := &pendingConn{}
 	l.pending[connID] = pc
-	l.mu.Unlock()
 
 	// Root span: the whole blocking connect, every control hop it causes
 	// parents back to this trace through the message envelope.
@@ -424,9 +411,7 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 			_, m.RemoteQPN = qp.Peer()
 			ep := l.newEP(rl)
 			ep.offered = true
-			l.mu.Lock()
 			pc.sock = &Socket{lib: l, side: rl.side, ep: ep}
-			l.mu.Unlock()
 		}
 	}
 	l.sendCtl(ctx, &m)
@@ -435,9 +420,7 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 	c := l.awaitCtl(&m, ETIMEDOUT)
 	c.deadline.Store(deadline)
 	abandon := func() {
-		l.mu.Lock()
 		delete(l.pending, connID)
-		l.mu.Unlock()
 		if pc.rl != nil && !l.P.Dead() {
 			// Give back the optimistic endpoint and the monitor's records
 			// of the dial; its QP never connected. (A killed process's are
@@ -473,9 +456,7 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 		// TCP fallback: the monitor repaired a kernel connection into our
 		// FD table.
 		kf, ok := l.P.LookupFD(pc.kernelFD)
-		l.mu.Lock()
 		delete(l.pending, connID)
-		l.mu.Unlock()
 		if !ok {
 			return nil, nil, ErrBadFD
 		}
@@ -490,9 +471,7 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 	// up here closes the half-open socket like a last reference would, so
 	// the server's eventual close still completes the release handshake.
 	giveUp := func(s *Socket) {
-		l.mu.Lock()
 		delete(l.pending, connID)
-		l.mu.Unlock()
 		if !l.P.Dead() {
 			s.side.Refs.Store(0)
 			s.closeLast(ctx, t)
@@ -503,9 +482,7 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 		polls: pollCtl | pollCQ, pre: l.H.Costs.RingOp}
 	for {
 		c.seen = l.ctlSeen.Load() // a message dispatched from here on may re-point pc.sock
-		l.mu.Lock()
 		s := pc.sock
-		l.mu.Unlock()
 		s.drainCtl(ctx)
 		if s.established {
 			me := int64(MakeGTID(l.P.PID, t.TID))
@@ -514,9 +491,7 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 			s.fd = l.installFD(&fdEntry{kind: fdSocket, sock: s})
 			l.trackSock(s)
 			l.initFlow(s)
-			l.mu.Lock()
 			delete(l.pending, connID)
-			l.mu.Unlock()
 			opOK = true
 			return s, nil, nil
 		}
@@ -534,20 +509,16 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 	switch m.Kind {
 	case ctlmsg.KBindRes:
 		key := backlogKey{port: m.Port, tid: int(m.TID)}
-		l.mu.Lock()
 		bl, ok := l.backlogs[key]
 		if !ok {
 			bl = &backlog{}
 			l.backlogs[key] = bl
 		}
-		l.mu.Unlock()
 		bl.bindStatus.Store(int32(m.Status) + 1)
 
 	case ctlmsg.KConnectRes:
-		l.mu.Lock()
 		pc := l.pending[m.ConnID]
 		orphan := pc == nil && len(l.socks[m.ConnID]) == 0
-		l.mu.Unlock()
 		if orphan && (m.Status != ctlmsg.StatusOK || m.Transport != ctlmsg.TransportSHM) {
 			// The answer to a remote dial that already gave up (its deadline
 			// beat the round trip): the monitor made its records after our
@@ -576,9 +547,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			is.A.PeerPID.Store(m.PID) // server pid
 			s := &Socket{lib: l, side: is.A, intra: is, sideIdx: 0, shmTok: m.ShmToken}
 			s.ep = &shmEP{lib: l, side: is.A, peerSide: is.B}
-			l.mu.Lock()
 			pc.sock = s
-			l.mu.Unlock()
 			pc.kernelFD = -1
 			pc.status.Store(1)
 		case ctlmsg.TransportRDMA:
@@ -588,9 +557,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			// to an offer is a fresh endpoint to re-target at, and so is a
 			// second answer for the same dial: a steal re-dispatched it
 			// (KStealReq).
-			l.mu.Lock()
 			s := pc.sock
-			l.mu.Unlock()
 			var err error
 			if s == nil {
 				ep := l.newEP(pc.rl)
@@ -611,9 +578,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 				pc.status.Store(2)
 				return
 			}
-			l.mu.Lock()
 			pc.sock = s
-			l.mu.Unlock()
 			pc.kernelFD = -1
 			pc.status.Store(1)
 		case ctlmsg.TransportTCP:
@@ -673,28 +638,24 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			l.sendCtl(ctx, &res)
 		}
 		key := backlogKey{port: m.Port, tid: int(m.TID)}
-		l.mu.Lock()
 		bl, ok := l.backlogs[key]
 		if !ok {
 			bl = &backlog{}
 			l.backlogs[key] = bl
 		}
 		bl.conns = append(bl.conns, pa)
-		l.mu.Unlock()
 		if bl.asleep != nil {
 			bl.asleep.Unpark()
 		}
 
 	case ctlmsg.KTokenReturn:
 		// The monitor wants a token back for a waiter.
-		l.mu.Lock()
 		set := l.socks[m.QID]
 		var any *Socket
 		for s := range set {
 			any = s
 			break
 		}
-		l.mu.Unlock()
 		if any == nil {
 			// Socket gone; tell the monitor the token is free.
 			r := ctlmsg.Msg{Kind: ctlmsg.KTokenReturn, QID: m.QID, Dir: m.Dir,
@@ -704,10 +665,8 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		}
 		_, ret := any.tokenVars(int(m.Dir))
 		ret.Store(true)
-		l.revMu.Lock()
 		l.pendingRevokes = append(l.pendingRevokes, revokeReq{qid: m.QID, dir: m.Dir, side: m.SrcPort})
 		l.hasRevokes.Store(true)
-		l.revMu.Unlock()
 		if l.inLibsd.Load() == 0 {
 			// Signal-handler path: no thread is inside libsd, so the
 			// holder cannot be mid-operation — return immediately.
@@ -715,14 +674,12 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		}
 
 	case ctlmsg.KTokenGrant:
-		l.mu.Lock()
 		set := l.socks[m.QID]
 		var any *Socket
 		for s := range set {
 			any = s
 			break
 		}
-		l.mu.Unlock()
 		if any == nil {
 			return
 		}
@@ -730,9 +687,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		holder.Store(int64(MakeGTID(int(m.PID), int(m.TID))))
 
 	case ctlmsg.KForkSecret:
-		l.mu.Lock()
 		l.forkAcks[m.Secret] = true
-		l.mu.Unlock()
 
 	case ctlmsg.KPong:
 		// Liveness answer to a bounded wait's KPing; the receipt timestamp
@@ -749,14 +704,12 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		// or more QPs for one socket, but they link to the unique copy of
 		// socket metadata and buffer", §4.1.2), or failure recovery
 		// replacing a dead QP (Dir=ReQPRecovery; recover.go).
-		l.mu.Lock()
 		set := l.socks[m.QID]
 		var any *Socket
 		for s := range set {
 			any = s
 			break
 		}
-		l.mu.Unlock()
 		res := ctlmsg.Msg{Kind: ctlmsg.KReQPRes, QID: m.QID, Aux: m.Aux,
 			PID: int64(l.P.PID), ConnID: m.ConnID, Dir: m.Dir,
 			TraceID: m.TraceID, SpanID: m.SpanID}
@@ -789,7 +742,6 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		// Switch every local socket on this queue to the newest QP: "using
 		// any of the QPs is equivalent" for one-sided writes, and the new
 		// one is spliced to the process that will actually be reading.
-		l.mu.Lock()
 		var olds []*rdmaEP
 		for s := range l.socks[m.QID] {
 			if oe, ok := s.ep.(*rdmaEP); ok && oe != ep {
@@ -797,7 +749,6 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			}
 			s.ep = ep
 		}
-		l.mu.Unlock()
 		any.side.creditEP.Store(&creditBox{ep})
 		if recovery {
 			// Unlike the fork flow (where the parent keeps using the old
@@ -822,7 +773,6 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		l.sendCtl(ctx, &res)
 
 	case ctlmsg.KReQPRes:
-		l.mu.Lock()
 		for i := range l.reqp {
 			if l.reqp[i].qid == m.QID && l.reqp[i].nonce == m.ConnID && !l.reqp[i].done {
 				l.reqp[i].done = true
@@ -834,7 +784,6 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 				break
 			}
 		}
-		l.mu.Unlock()
 
 	case ctlmsg.KDegraded:
 		l.onDegraded(ctx, m)
@@ -847,7 +796,6 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		// wake path) observe the corpse deterministically. The ring memory
 		// itself survives; receivers drain in-flight bytes before the
 		// reset surfaces.
-		l.mu.Lock()
 		var socks []*Socket
 		for s := range l.socks[m.QID] {
 			socks = append(socks, s)
@@ -857,7 +805,6 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			socks = append(socks, pc.sock)
 		}
 		closing := l.closing[m.QID]
-		l.mu.Unlock()
 		if pc != nil && pc.status.Load() == 0 {
 			// Still waiting for KConnectRes: the process the SYN was
 			// dispatched to died before it answered, and no answer will
@@ -889,14 +836,12 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 	case ctlmsg.KStealReq:
 		// Surrender one not-yet-accepted connection for re-dispatch.
 		key := backlogKey{port: m.Port, tid: int(m.TID)}
-		l.mu.Lock()
 		bl := l.backlogs[key]
 		var pa *pendingAccept
 		if bl != nil && len(bl.conns) > 0 {
 			pa = bl.conns[len(bl.conns)-1] // steal from the tail (freshest)
 			bl.conns = bl.conns[:len(bl.conns)-1]
 		}
-		l.mu.Unlock()
 		res := ctlmsg.Msg{Kind: ctlmsg.KStealRes, Port: m.Port, PID: int64(l.P.PID), Aux: m.Aux}
 		if pa == nil {
 			res.Status = ctlmsg.StatusNoListener

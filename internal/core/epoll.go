@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
 )
@@ -26,7 +24,6 @@ type Event struct {
 // the hot path never crosses the kernel.
 type Epoll struct {
 	lib *Libsd
-	mu  sync.Mutex
 	ifd map[int]uint32 // fd -> interest mask
 
 	kernelReady map[int]uint32 // readiness reported by the epoll thread
@@ -41,9 +38,7 @@ func (l *Libsd) NewEpoll() *Epoll {
 		kernelReady: make(map[int]uint32),
 	}
 	ep.fd = l.installFD(&fdEntry{kind: fdKernel}) // placeholder entry holds the number
-	l.mu.Lock()
 	l.epolls[ep] = struct{}{}
-	l.mu.Unlock()
 	l.startEpollThread()
 	return ep
 }
@@ -56,18 +51,14 @@ func (ep *Epoll) Add(fd int, events uint32) error {
 	if _, err := ep.lib.lookupFD(fd); err != nil {
 		return err
 	}
-	ep.mu.Lock()
 	ep.ifd[fd] = events
-	ep.mu.Unlock()
 	return nil
 }
 
 // Del removes interest (epoll_ctl DEL).
 func (ep *Epoll) Del(fd int) {
-	ep.mu.Lock()
 	delete(ep.ifd, fd)
 	delete(ep.kernelReady, fd)
-	ep.mu.Unlock()
 }
 
 // Wait polls until at least one event is ready (level-triggered), yielding
@@ -103,14 +94,12 @@ func (ep *Epoll) TryWait(events []Event) int {
 }
 
 func (ep *Epoll) poll(events []Event) int {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
 	n := 0
 	for fd, mask := range ep.ifd {
 		if n == len(events) {
 			break
 		}
-		got, kernel := ep.readyLocked(fd, mask)
+		got, kernel := ep.ready(fd, mask)
 		if kernel {
 			delete(ep.kernelReady, fd) // reported: the next sweep starts afresh
 		}
@@ -122,10 +111,10 @@ func (ep *Epoll) poll(events []Event) int {
 	return n
 }
 
-// readyLocked is one watched descriptor's readiness under its interest mask,
-// and whether it is a kernel file (whose swept readiness poll consumes). It
-// changes nothing while the CQs are empty. Caller holds ep.mu.
-func (ep *Epoll) readyLocked(fd int, mask uint32) (got uint32, kernel bool) {
+// ready is one watched descriptor's readiness under its interest mask, and
+// whether it is a kernel file (whose swept readiness poll consumes). It
+// changes nothing while the CQs are empty.
+func (ep *Epoll) ready(fd int, mask uint32) (got uint32, kernel bool) {
 	e, err := ep.lib.lookupFD(fd)
 	if err != nil {
 		return 0, false
@@ -167,36 +156,33 @@ func (ep *Epoll) readyLocked(fd int, mask uint32) (got uint32, kernel bool) {
 // syscall to poll kernel events"). It wakes periodically, pays the
 // syscall, and posts readiness into every epoll instance.
 func (l *Libsd) startEpollThread() {
-	l.epollThreadOnce.Do(func() {
-		l.epollThread = l.P.Spawn("libsd-epoll", func(ctx exec.Context, t *host.Thread) {
-			for !l.P.Dead() {
-				if l.epollWaiters.Load() == 0 {
-					// Nobody is waiting: park until the next Wait call
-					// (keeps the simulation's event queue finite, and a
-					// real epoll thread would block in epoll_wait too).
-					ctx.Park()
-					continue
-				}
-				mEpollSweeps.Inc()
-				l.H.Kern.Syscall(ctx) // the epoll_wait crossing, once per sweep
-				l.mu.Lock()
-				eps := make([]*Epoll, 0, len(l.epolls))
-				for ep := range l.epolls {
-					eps = append(eps, ep)
-				}
-				l.mu.Unlock()
-				for _, ep := range eps {
-					ep.sweepKernel()
-				}
-				ctx.Sleep(50_000) // 50 us sweep period
+	if l.epollThread != nil {
+		return
+	}
+	l.epollThread = l.P.Spawn("libsd-epoll", func(ctx exec.Context, t *host.Thread) {
+		for !l.P.Dead() {
+			if l.epollWaiters.Load() == 0 {
+				// Nobody is waiting: park until the next Wait call
+				// (keeps the simulation's event queue finite, and a
+				// real epoll thread would block in epoll_wait too).
+				ctx.Park()
+				continue
 			}
-		})
+			mEpollSweeps.Inc()
+			l.H.Kern.Syscall(ctx) // the epoll_wait crossing, once per sweep
+			eps := make([]*Epoll, 0, len(l.epolls))
+			for ep := range l.epolls {
+				eps = append(eps, ep)
+			}
+			for _, ep := range eps {
+				ep.sweepKernel()
+			}
+			ctx.Sleep(50_000) // 50 us sweep period
+		}
 	})
 }
 
 func (ep *Epoll) sweepKernel() {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
 	for fd, mask := range ep.ifd {
 		e, err := ep.lib.lookupFD(fd)
 		if err != nil || e.kind != fdKernel || e.kf == nil {

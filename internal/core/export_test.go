@@ -14,29 +14,21 @@ func (s *Socket) Rings() (tx, rx *shm.Ring) { return s.side.TX, s.side.RX }
 
 // Endpoints reports registered RDMA endpoints (the CQ dispatch table).
 func (l *Libsd) Endpoints() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return len(l.eps)
 }
 
 // Closing reports inter-host sides closed here and awaiting their peer.
 func (l *Libsd) Closing() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return len(l.closing)
 }
 
 // IdleZCPools reports the zero-copy pool recycle list's length.
 func (l *Libsd) IdleZCPools() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return len(l.zcIdle)
 }
 
 // ParkedQPs reports how many QPs of finished connections are parked.
 func (l *Libsd) ParkedQPs() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return len(l.parked)
 }
 
@@ -61,8 +53,6 @@ func (s *Socket) FailQP() {
 // ErrorParkedQPs moves every parked QP to the error state, as a NIC event
 // between two connections would.
 func (l *Libsd) ErrorParkedQPs() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for _, p := range l.parked {
 		p.qp.ForceError()
 	}

@@ -38,12 +38,10 @@ func (l *Libsd) Fork(ctx exec.Context, t *host.Thread, name string) (*host.Proce
 	l.sendCtl(ctx, &m)
 	// No monitor to pair the child: fork is simply retryable (EAGAIN).
 	for w := l.awaitCtl(&m, EAGAIN).wait(); ; {
-		l.mu.Lock()
 		acked := l.forkAcks[secret]
 		if acked {
 			delete(l.forkAcks, secret)
 		}
-		l.mu.Unlock()
 		if acked {
 			break
 		}
@@ -75,19 +73,15 @@ func (l *Libsd) Fork(ctx exec.Context, t *host.Thread, name string) (*host.Proce
 	// child's socket objects share the SHM-resident SideState but build
 	// their own endpoints (fresh QPs for RDMA sockets, created lazily via
 	// the monitor).
-	l.mu.Lock()
 	entries := make(map[int]*fdEntry, len(l.fds))
 	for fd, e := range l.fds {
 		entries[fd] = e
 	}
 	nextFD := l.nextFD
 	freeFDs := append([]int(nil), l.freeFDs...)
-	l.mu.Unlock()
 
-	cl.mu.Lock()
 	cl.nextFD = nextFD
 	cl.freeFDs = freeFDs
-	cl.mu.Unlock()
 
 	mForkInherits.Add(int64(len(entries)))
 	for fd, e := range entries {
@@ -108,21 +102,15 @@ func (l *Libsd) Fork(ctx exec.Context, t *host.Thread, name string) (*host.Proce
 				}
 			}
 			cs.established = true
-			cl.mu.Lock()
 			cl.fds[fd] = &fdEntry{kind: fdSocket, sock: cs}
-			cl.mu.Unlock()
 			cl.trackSock(cs)
 		case fdKernel:
-			cl.mu.Lock()
 			cl.fds[fd] = &fdEntry{kind: fdKernel, kf: e.kf}
-			cl.mu.Unlock()
 		case fdListener:
 			// The child may accept on the same port: register its own
 			// backlog with the monitor under the child's identity.
 			clst := &Listener{lib: cl, port: e.lst.port}
-			cl.mu.Lock()
 			cl.fds[fd] = &fdEntry{kind: fdListener, lst: clst}
-			cl.mu.Unlock()
 		}
 	}
 	opOK = true
@@ -157,9 +145,7 @@ func (f *forkedRdmaEP) materialize(ctx exec.Context) *rdmaEP {
 	rxMR := f.lib.pd.RegisterBytes(side.RX.Data())
 	creditMR := f.lib.pd.RegisterBytes(side.CreditIn)
 	tailMR := f.lib.pd.RegisterBytes(side.TailIn)
-	side.resMu.Lock()
 	side.mrs = append(side.mrs, rxMR, creditMR, tailMR)
-	side.resMu.Unlock()
 	qp := f.lib.pd.CreateQP(f.lib.sendCQ, f.lib.recvCQ)
 	ctx.Charge(f.lib.H.Costs.RDMAQPCreate)
 	mForkReQP.Inc()
@@ -170,9 +156,7 @@ func (f *forkedRdmaEP) materialize(ctx exec.Context) *rdmaEP {
 		Secret: tailMR.RKey(),
 	}
 	req.SetHost(side.PeerHost)
-	f.lib.mu.Lock()
 	f.lib.reqp = append(f.lib.reqp, pendingReQP{qid: side.QID, done: false})
-	f.lib.mu.Unlock()
 	f.lib.sendCtl(ctx, &req)
 	var ep *rdmaEP
 	// The data-path contract (trySend/tryRecv) has no errno channel, so
@@ -269,13 +253,11 @@ type pendingReQP struct {
 // the fresh libsd init (§4.1.2 "it is copied to a SHM before exec").
 func (l *Libsd) Exec(ctx exec.Context) (*Libsd, error) {
 	l.enter()
-	l.mu.Lock()
 	saved := struct {
 		fds     map[int]*fdEntry
 		nextFD  int
 		freeFDs []int
 	}{l.fds, l.nextFD, append([]int(nil), l.freeFDs...)}
-	l.mu.Unlock()
 	seg := l.H.SHM.Create("exec-fdtable", saved)
 	l.leave()
 
@@ -297,7 +279,6 @@ func (l *Libsd) Exec(ctx exec.Context) (*Libsd, error) {
 		nextFD  int
 		freeFDs []int
 	})
-	nl.mu.Lock()
 	nl.nextFD = got.nextFD
 	nl.freeFDs = got.freeFDs
 	for fd, e := range got.fds {
@@ -318,7 +299,6 @@ func (l *Libsd) Exec(ctx exec.Context) (*Libsd, error) {
 			nl.fds[fd] = e
 		}
 	}
-	nl.mu.Unlock()
 	l.H.SHM.Remove(seg.Token)
 	return nl, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"socksdirect/internal/ctlmsg"
@@ -58,7 +57,6 @@ type Libsd struct {
 	P *host.Process
 	H *host.Host
 
-	ctlMu   sync.Mutex // guards ctl rings (control plane only)
 	ctl     []shm.Side // app side of the monitor duplexes, one per shard
 	wakeMon func(shard int)
 
@@ -78,10 +76,8 @@ type Libsd struct {
 
 	// sleepNotes tracks threads that published a KSleepNote and parked;
 	// a restarted monitor learns them from the re-registration report.
-	sleepMu    sync.Mutex
 	sleepNotes map[int]struct{}
 
-	mu      sync.Mutex
 	fds     map[int]*fdEntry
 	nextFD  int
 	freeFDs []int
@@ -96,17 +92,17 @@ type Libsd struct {
 
 	// RDMA plumbing: one shared CQ pair per process (the paper shares one
 	// CQ per thread; a per-process CQ preserves the single-poll property).
-	pd     *rdma.PD
-	sendCQ *rdma.CQ
-	recvCQ *rdma.CQ
-	eps    map[uint32]*rdmaEP // QPN -> endpoint, for CQ dispatch
-	cqPump sync.Mutex
+	pd      *rdma.PD
+	sendCQ  *rdma.CQ
+	recvCQ  *rdma.CQ
+	eps     map[uint32]*rdmaEP // QPN -> endpoint, for CQ dispatch
+	pumping bool               // pump is draining the CQs (a handler can re-enter it)
 
 	// closing holds inter-host sides whose last FD closed here but whose
 	// peer has not finished closing (by QID, so a death notice can still
 	// find them); zcIdle is the recycle list of pinned zero-copy pools and
-	// parked the QPs of finished connections, oldest first. All under mu;
-	// see lifecycle.go.
+	// parked the QPs of finished connections, oldest first; see
+	// lifecycle.go.
 	closing map[uint64]*SideState
 	zcIdle  []*zcPool
 	parked  []parkedQP
@@ -116,7 +112,6 @@ type Libsd struct {
 	// pendingRevokes are token-return requests deferred because a thread
 	// was inside the library; processed on library exit ("libsd will
 	// process the event before returning control to the application").
-	revMu          sync.Mutex
 	pendingRevokes []revokeReq
 	hasRevokes     atomic.Bool
 
@@ -127,7 +122,7 @@ type Libsd struct {
 	// reqp tracks in-flight QP re-establishments (post-fork, nonce 0, and
 	// failure recovery, matched by nonce).
 	reqp      []pendingReQP
-	reqpNonce uint64 // last recovery-attempt nonce issued (under mu)
+	reqpNonce uint64 // last recovery-attempt nonce issued
 
 	// recoveryBudget is how many failed QP re-establishment attempts a
 	// socket spends before degrading to kernel TCP (§4.5.3).
@@ -136,10 +131,9 @@ type Libsd struct {
 	// forkAcks records monitor-acknowledged fork secrets.
 	forkAcks map[uint64]bool
 
-	epollThreadOnce sync.Once
-	epolls          map[*Epoll]struct{}
-	epollWaiters    atomic.Int32
-	epollThread     *host.Thread
+	epolls       map[*Epoll]struct{}
+	epollWaiters atomic.Int32
+	epollThread  *host.Thread
 }
 
 // SetBatching toggles adaptive batching for endpoints created afterwards.
@@ -239,21 +233,17 @@ func (l *Libsd) leave() {
 // processRevokes hands back every token the monitor asked for whose socket
 // is not mid-operation.
 func (l *Libsd) processRevokes(ctx exec.Context) {
-	l.revMu.Lock()
 	pend := l.pendingRevokes
 	l.pendingRevokes = nil
 	l.hasRevokes.Store(false)
-	l.revMu.Unlock()
 	var requeue []revokeReq
 	for _, rv := range pend {
-		l.mu.Lock()
 		set := l.socks[rv.qid]
 		var any *Socket
 		for s := range set {
 			any = s
 			break
 		}
-		l.mu.Unlock()
 		if any == nil {
 			r := ctlmsg.Msg{Kind: ctlmsg.KTokenReturn, QID: rv.qid, Dir: rv.dir,
 				SrcPort: rv.side, PID: int64(l.P.PID)}
@@ -276,10 +266,8 @@ func (l *Libsd) processRevokes(ctx exec.Context) {
 		}
 	}
 	if len(requeue) > 0 {
-		l.revMu.Lock()
 		l.pendingRevokes = append(l.pendingRevokes, requeue...)
 		l.hasRevokes.Store(true)
-		l.revMu.Unlock()
 	}
 }
 
@@ -306,31 +294,25 @@ func (l *Libsd) sendCtl(ctx exec.Context, m *ctlmsg.Msg) {
 	}
 	var buf [ctlmsg.Size]byte
 	b := m.Marshal(buf[:])
-	l.ctlMu.Lock()
 	for !l.ctl[s].TX.TrySend(0, 0, b) {
-		l.ctlMu.Unlock()
 		if l.P.Dead() {
 			return // corpse control traffic is droppable; don't spin
 		}
 		if ctx != nil {
 			ctx.Yield()
 		}
-		l.ctlMu.Lock()
 	}
-	l.ctlMu.Unlock()
 	if l.wakeMon != nil {
 		l.wakeMon(s)
 	}
 }
 
 // pollCtl drains every shard's monitor->process queue, dispatching each
-// message. It is safe from any thread (control plane is mutex-protected).
-// Every blocking wait polls it, nearly always finding nothing, so one hold
-// of ctlMu covers all the empty shards up to the next message.
+// message. It is safe from any thread of the process and from the signal
+// handler. Every blocking wait polls it, nearly always finding nothing.
 func (l *Libsd) pollCtl(ctx exec.Context) bool {
 	progress := false
 	for s := 0; s < len(l.ctl); {
-		l.ctlMu.Lock()
 		msg, ok := l.ctl[s].RX.TryRecv()
 		for !ok && s+1 < len(l.ctl) {
 			s++
@@ -340,7 +322,6 @@ func (l *Libsd) pollCtl(ctx exec.Context) bool {
 		if ok {
 			m, ok = ctlmsg.Unmarshal(msg.Payload)
 		}
-		l.ctlMu.Unlock()
 		if !ok {
 			s++ // the last shard is empty, or this one held garbage
 			continue
@@ -361,12 +342,8 @@ func (l *Libsd) pollCtl(ctx exec.Context) bool {
 }
 
 // ctlIdle reports whether pollCtl would find every shard's queue empty and
-// leave it untouched (idle predicates; a held lock reads as "not idle").
+// leave it untouched (idle predicates).
 func (l *Libsd) ctlIdle() bool {
-	if !l.ctlMu.TryLock() {
-		return false
-	}
-	defer l.ctlMu.Unlock()
 	for i := range l.ctl {
 		if !l.ctl[i].RX.RecvIdle() {
 			return false
@@ -401,8 +378,6 @@ func (l *Libsd) noteMonEpoch(e uint32) bool {
 // --- FD remapping table (§4.5.1): lowest available FD, recycle pool ---
 
 func (l *Libsd) installFD(e *fdEntry) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var fd int
 	if n := len(l.freeFDs); n > 0 {
 		fd = l.freeFDs[n-1]
@@ -416,8 +391,6 @@ func (l *Libsd) installFD(e *fdEntry) int {
 }
 
 func (l *Libsd) lookupFD(fd int) (*fdEntry, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	e, ok := l.fds[fd]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrBadFD, fd)
@@ -426,8 +399,6 @@ func (l *Libsd) lookupFD(fd int) (*fdEntry, error) {
 }
 
 func (l *Libsd) releaseFD(fd int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if _, ok := l.fds[fd]; !ok {
 		return
 	}
@@ -473,25 +444,21 @@ func (l *Libsd) SocketByFD(fd int) (*Socket, error) {
 }
 
 func (l *Libsd) trackSock(s *Socket) {
-	l.mu.Lock()
 	set, ok := l.socks[s.side.QID]
 	if !ok {
 		set = make(map[*Socket]struct{})
 		l.socks[s.side.QID] = set
 	}
 	set[s] = struct{}{}
-	l.mu.Unlock()
 }
 
 func (l *Libsd) untrackSock(s *Socket) {
-	l.mu.Lock()
 	if set, ok := l.socks[s.side.QID]; ok {
 		delete(set, s)
 		if len(set) == 0 {
 			delete(l.socks, s.side.QID)
 		}
 	}
-	l.mu.Unlock()
 }
 
 // --- RDMA completion pump: one shared CQ pair serves every socket in the
@@ -501,28 +468,26 @@ func (l *Libsd) untrackSock(s *Socket) {
 // registerEP makes ep the target of its QP's completions and records it
 // with the side, which closes every QP it was ever given on release.
 func (l *Libsd) registerEP(ep *rdmaEP) {
-	l.mu.Lock()
 	l.eps[ep.qp.QPN()] = ep
-	l.mu.Unlock()
-	ep.side.resMu.Lock()
 	ep.side.eps = append(ep.side.eps, ep)
-	ep.side.resMu.Unlock()
 }
 
 func (l *Libsd) unregisterEP(ep *rdmaEP) {
-	l.mu.Lock()
 	delete(l.eps, ep.qp.QPN())
-	l.mu.Unlock()
 }
 
 // pump drains both CQs, advancing receive rings and releasing batched
-// sends. Returns true if anything happened. No virtual time is charged
-// while the pump lock is held (a suspended lock holder would wedge the
-// discrete-event scheduler); the accumulated cost is applied afterwards.
+// sends. Returns true if anything happened. A call from inside a handler
+// (a closed side's release closes its QP, and the flush completions it
+// pushes fire the CQ arms) finds pumping set and returns: the drain already
+// running takes those completions in order. No virtual time is charged
+// while pumping is set, so no other thread can find it set; the accumulated
+// cost is applied afterwards.
 func (l *Libsd) pump(ctx exec.Context) bool {
-	if !l.cqPump.TryLock() {
-		return false // another thread is pumping; their progress is ours
+	if l.pumping {
+		return false
 	}
+	l.pumping = true
 	progress := false
 	var charge int64
 	for {
@@ -532,9 +497,7 @@ func (l *Libsd) pump(ctx exec.Context) bool {
 		}
 		progress = true
 		charge += l.H.Costs.RDMAPost
-		l.mu.Lock()
 		ep := l.eps[e.QPN]
-		l.mu.Unlock()
 		if ep != nil {
 			ep.onRecvCQE(e)
 		}
@@ -545,14 +508,12 @@ func (l *Libsd) pump(ctx exec.Context) bool {
 			break
 		}
 		progress = true
-		l.mu.Lock()
 		ep := l.eps[e.QPN]
-		l.mu.Unlock()
 		if ep != nil {
 			ep.onSendCQE(nil, e)
 		}
 	}
-	l.cqPump.Unlock()
+	l.pumping = false
 	if ctx != nil && charge > 0 {
 		ctx.Charge(charge)
 	}
@@ -566,8 +527,8 @@ func (l *Libsd) cqsEmpty() bool { return l.recvCQ.Len() == 0 && l.sendCQ.Len() =
 // while no application thread is polling still flushes coalesced sends and
 // publishes receive tails. Without it, a sender whose threads all block
 // (or exit) after a burst would strand its batched tail forever. The
-// re-arm path never recurses synchronously: if the pump lock is held by an
-// application thread, the retry goes through a short timer.
+// re-arm path never recurses synchronously: if a drain is already running
+// (the arm fired from inside one), the retry goes through a short timer.
 func (l *Libsd) armAutoPump() {
 	var rearmS, rearmR func()
 	rearmS = func() {
@@ -600,13 +561,11 @@ func (l *Libsd) GTIDOf(t *host.Thread) GTID { return MakeGTID(l.P.PID, t.TID) }
 // monitor is about to reclaim. Ring memory itself stays mapped — the
 // surviving peer still drains in-flight bytes before seeing the reset.
 func (l *Libsd) OnProcessDeath() {
-	l.mu.Lock()
 	eps := make([]*rdmaEP, 0, len(l.eps))
 	for _, ep := range l.eps {
 		eps = append(eps, ep)
 	}
 	l.eps = make(map[uint32]*rdmaEP)
-	l.mu.Unlock()
 	closed := make(map[*rdma.QP]bool)
 	for _, ep := range eps {
 		if !closed[ep.qp] {

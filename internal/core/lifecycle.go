@@ -75,13 +75,11 @@ func (l *Libsd) parkQP(ep *rdmaEP) bool {
 		return false
 	}
 	var oldest *rdma.QP
-	l.mu.Lock()
 	if len(l.parked) == maxParkedQPs {
 		oldest = l.parked[0].qp
 		l.parked = l.parked[:copy(l.parked, l.parked[1:])]
 	}
 	l.parked = append(l.parked, parkedQP{ep.qp, ep.peerPID})
-	l.mu.Unlock()
 	if oldest != nil {
 		oldest.Close()
 	} else {
@@ -96,7 +94,6 @@ func (l *Libsd) parkQP(ep *rdmaEP) bool {
 // is closed, never handed out.
 func (l *Libsd) takeParked(host string, pid int64, qpn, peerQPN uint32) (got *rdma.QP) {
 	var errored []*rdma.QP
-	l.mu.Lock()
 	for i := len(l.parked) - 1; i >= 0 && got == nil; i-- {
 		p := l.parked[i]
 		h, q := p.qp.Peer()
@@ -112,9 +109,8 @@ func (l *Libsd) takeParked(host string, pid int64, qpn, peerQPN uint32) (got *rd
 			errored = append(errored, p.qp)
 		}
 	}
-	l.mu.Unlock()
 	for _, qp := range errored {
-		qp.Close() // outside mu: a flush completion would pump the CQs
+		qp.Close()
 	}
 	return got
 }
@@ -165,9 +161,7 @@ func (l *Libsd) sideClosed(s *Socket) {
 		}
 		return
 	}
-	l.mu.Lock()
 	l.closing[side.QID] = side
-	l.mu.Unlock()
 	l.tryReleaseInter(side)
 }
 
@@ -206,7 +200,7 @@ func (is *IntraSock) ReclaimIfClosed(idx int) bool {
 // peer still pushing data at a closed socket drains into the void and
 // reaches its own close instead of blocking on a full ring; the empty-ring
 // credit flush is never reached (CanRecv first), so a close adds no packet
-// to the wire. Caller holds resMu.
+// to the wire.
 func reap(side *SideState) {
 	for !side.PeerShut.Load() && side.RX.CanRecv() {
 		if msg, ok := side.RX.TryRecv(); ok && msg.Type == MShut {
@@ -220,9 +214,7 @@ func reap(side *SideState) {
 // close itself, every completion on the side's QPs, and the monitor's death
 // notice for its peer.
 func (l *Libsd) tryReleaseInter(side *SideState) {
-	side.resMu.Lock()
 	if side.released.Load() {
-		side.resMu.Unlock()
 		return
 	}
 	var cur *rdmaEP
@@ -239,7 +231,6 @@ func (l *Libsd) tryReleaseInter(side *SideState) {
 			side.TxFlushed.Load() == side.TX.WriteCursor() && cur.qp.SendPending() == 0
 	}
 	clean := done && len(side.eps) == 1 && cur.lib == l
-	side.resMu.Unlock()
 	if broken || done {
 		if l.releaseInter(side, clean) {
 			l.noteClosed(side.QID)
@@ -254,29 +245,23 @@ func (l *Libsd) releaseInter(side *SideState, clean bool) bool {
 	if !side.released.CompareAndSwap(false, true) {
 		return false
 	}
-	side.resMu.Lock()
 	eps, mrs := side.eps, side.mrs
 	side.eps, side.mrs = nil, nil
-	side.resMu.Unlock()
 	// Out of the dispatch tables first: closing a QP flushes its work
 	// requests, and those completions must find no endpoint.
 	for _, ep := range eps {
 		ep.lib.unregisterEP(ep)
 	}
-	l.mu.Lock()
 	delete(l.closing, side.QID)
-	l.mu.Unlock()
 	for _, ep := range eps {
 		if clean && l.parkQP(ep) {
 			continue // clean: the side's only endpoint, healthy, built here
 		}
 		ep.qp.Close()
-		ep.rec.mu.Lock()
 		if ep.rec.qp != nil { // a recovery attempt's replacement, not yet spliced
 			ep.rec.qp.Close()
 			ep.rec.qp = nil
 		}
-		ep.rec.mu.Unlock()
 	}
 	for _, mr := range mrs {
 		mr.Deregister()
@@ -304,25 +289,20 @@ func (l *Libsd) releaseInter(side *SideState, clean bool) bool {
 // fresh one (frames, pin, MR) only when the list is empty. A recycled
 // pool's frames never stopped being pinned, so handing it out costs nothing.
 func (l *Libsd) getZCPool(ctx exec.Context) (*zcPool, error) {
-	l.mu.Lock()
 	if n := len(l.zcIdle); n > 0 {
 		p := l.zcIdle[n-1]
 		l.zcIdle[n-1] = nil
 		l.zcIdle = l.zcIdle[:n-1]
-		l.mu.Unlock()
 		return p, nil
 	}
-	l.mu.Unlock()
 	return newZCPool(ctx, l.P, l.pd)
 }
 
 func (l *Libsd) putZCPool(p *zcPool) {
-	l.mu.Lock()
 	keep := len(l.zcIdle) < maxIdleZCPools
 	if keep {
 		l.zcIdle = append(l.zcIdle, p)
 	}
-	l.mu.Unlock()
 	if !keep {
 		p.drop(l)
 	}

@@ -41,17 +41,13 @@ func Migrate(l *Libsd, dst *host.Host, name string) (*host.Process, *Libsd, erro
 	// unconsumed ring bytes are preserved. Each socket gets a lazy
 	// endpoint that splices a fresh QP from the new host on first use,
 	// exactly like a forked child's (§4.1.2 machinery reused).
-	l.mu.Lock()
 	entries := make(map[int]*fdEntry, len(l.fds))
 	for fd, e := range l.fds {
 		entries[fd] = e
 	}
 	nextFD, freeFDs := l.nextFD, append([]int(nil), l.freeFDs...)
-	l.mu.Unlock()
 
-	nl.mu.Lock()
 	nl.nextFD, nl.freeFDs = nextFD, freeFDs
-	nl.mu.Unlock()
 
 	for fd, e := range entries {
 		if e.kind != fdSocket {
@@ -79,9 +75,7 @@ func Migrate(l *Libsd, dst *host.Host, name string) (*host.Process, *Libsd, erro
 		// migrated process claims them afresh.
 		s.side.SendHolder.Store(0)
 		s.side.RecvHolder.Store(0)
-		nl.mu.Lock()
 		nl.fds[fd] = &fdEntry{kind: fdSocket, sock: cs}
-		nl.mu.Unlock()
 		nl.trackSock(cs)
 	}
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/obs"
@@ -66,7 +64,6 @@ const (
 
 // recoverState is the per-endpoint recovery state machine.
 type recoverState struct {
-	mu          sync.Mutex
 	qp          *rdma.QP // in-flight attempt's replacement QP (nil = none)
 	nonce       uint64   // attempt id echoed through KReQPRes (stale replies can't match)
 	deadline    int64    // virtual time at which the in-flight attempt is abandoned
@@ -118,8 +115,6 @@ func (e *rdmaEP) maybeRecover(ctx exec.Context) {
 		return
 	}
 	r := &e.rec
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	now := ctx.Now()
 	if r.qp != nil {
 		if pr, done := e.lib.takeReQP(e.side.QID, r.nonce); done {
@@ -174,11 +169,9 @@ func (e *rdmaEP) startAttempt(ctx exec.Context, r *recoverState, now int64) {
 	l := e.lib
 	qp := l.pd.CreateQP(l.sendCQ, l.recvCQ)
 	ctx.Charge(l.H.Costs.RDMAQPCreate)
-	l.mu.Lock()
 	l.reqpNonce++
 	nonce := uint64(l.P.PID)<<40 | l.reqpNonce
 	l.reqp = append(l.reqp, pendingReQP{qid: e.side.QID, nonce: nonce})
-	l.mu.Unlock()
 	r.qp, r.nonce = qp, nonce
 	r.deadline = now + recoveryAttemptTimeout
 	mRecoveryAttempts.Inc()
@@ -226,7 +219,6 @@ func (e *rdmaEP) finishRecovery(ctx exec.Context, r *recoverState, pr pendingReQ
 		e.backoff(r, ctx.Now())
 		return
 	}
-	l.mu.Lock()
 	var flow *obs.Flow
 	for s := range l.socks[e.side.QID] {
 		s.ep = ep2
@@ -234,7 +226,6 @@ func (e *rdmaEP) finishRecovery(ctx exec.Context, r *recoverState, pr pendingReQ
 			flow = s.flow
 		}
 	}
-	l.mu.Unlock()
 	e.side.creditEP.Store(&creditBox{ep2})
 	// Retire the dead QP on our side too: its QPN must never match a stale
 	// in-flight packet against recycled ring offsets.
@@ -285,8 +276,6 @@ func (e *rdmaEP) startDegrade(ctx exec.Context, r *recoverState) {
 // takeReQP removes and returns the (qid, nonce) entry if its response has
 // arrived. Fork-flow entries use nonce 0 and their own matcher.
 func (l *Libsd) takeReQP(qid, nonce uint64) (pendingReQP, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for i := range l.reqp {
 		if l.reqp[i].qid == qid && l.reqp[i].nonce == nonce {
 			if !l.reqp[i].done {
@@ -303,8 +292,6 @@ func (l *Libsd) takeReQP(qid, nonce uint64) (pendingReQP, bool) {
 // dropReQP discards an abandoned attempt's entry whether or not a late
 // response landed.
 func (l *Libsd) dropReQP(qid, nonce uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for i := range l.reqp {
 		if l.reqp[i].qid == qid && l.reqp[i].nonce == nonce {
 			l.reqp = append(l.reqp[:i], l.reqp[i+1:]...)

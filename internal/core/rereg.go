@@ -30,7 +30,6 @@ func (l *Libsd) reRegisterReport(ctx exec.Context) {
 		recvTok bool
 	}
 	myPID := l.P.PID
-	l.mu.Lock()
 	listens := make([]listenRec, 0, len(l.backlogs))
 	for key, bl := range l.backlogs {
 		if bl.bindStatus.Load() == 1 {
@@ -54,13 +53,10 @@ func (l *Libsd) reRegisterReport(ctx exec.Context) {
 			pends = append(pends, connID)
 		}
 	}
-	l.mu.Unlock()
-	l.sleepMu.Lock()
 	tids := make([]int, 0, len(l.sleepNotes))
 	for tid := range l.sleepNotes {
 		tids = append(tids, tid)
 	}
-	l.sleepMu.Unlock()
 	// Deterministic replay order (maps iterate randomly).
 	sort.Slice(listens, func(i, j int) bool {
 		if listens[i].port != listens[j].port {

@@ -13,7 +13,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"socksdirect/internal/rdma"
@@ -154,8 +153,7 @@ type SideState struct {
 	Degraded atomic.Bool
 
 	// Remote zero-copy pool (sender-managed free slots, Fig. 5b). Access
-	// is serialized by the send token; the mutex guards fork hand-off.
-	PoolMu     sync.Mutex
+	// is serialized by the send token.
 	PoolRKey   uint64
 	PoolFree   []int32
 	PoolRemote int // slot count advertised by the peer
@@ -176,9 +174,7 @@ type SideState struct {
 	// release path can give all of it back: every endpoint (QP) ever
 	// registered for the side, in any process — fork and recovery add
 	// some — every MR over its memory, and its SHM segment. released
-	// latches when that happened; resMu also serializes the release
-	// decision, which drains the RX ring.
-	resMu    sync.Mutex
+	// latches when that happened.
 	eps      []*rdmaEP
 	mrs      []*rdma.MR
 	segTok   shm.Token

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sync"
 	"sync/atomic"
 
 	"socksdirect/internal/ctlmsg"
@@ -36,18 +35,19 @@ type tcpEP struct {
 	kf     host.KFile
 	dialer string // host that dialed the rescue conn (crossed-dial tie-break)
 
-	// wmu serializes frame writers (sender flushing data, receiver
-	// returning credit). Always acquired with TryLock+Yield: kf.Write may
-	// park the holder mid-frame, and a Go-blocking Lock on a parked
-	// holder would wedge the simulation scheduler.
-	wmu     sync.Mutex
+	// writing is set while a frame is being written (sender flushing data,
+	// receiver returning credit): kf.Write may park the writer mid-frame,
+	// and another thread of the process must not interleave a frame.
+	writing bool
 	wbuf    []byte
 	started atomic.Bool // hello sent (deferred until a ctx is available)
 
-	// rmu serializes the reader/parser; parseLocked never parks.
-	rmu     sync.Mutex
-	rxBuf   []byte
-	scratch [4096]byte
+	// draining is set while drain reads and parses: kf.Read charges the
+	// syscall and the copy, a charge may hand the core to another thread,
+	// and that thread's drain must not read the stream out from under it.
+	draining bool
+	rxBuf    []byte
+	scratch  [4096]byte
 
 	helloSeen  atomic.Bool   // peer hello parsed; data may flow
 	rewindTo   atomic.Uint64 // requested TxFlushed rewind (+1 encoding)
@@ -60,8 +60,8 @@ const (
 	tcpData   = 2
 	tcpCredit = 3
 
-	// tcpChunk bounds one data frame so a writer never parks for long with
-	// the frame lock held.
+	// tcpChunk bounds one data frame so a writer never parks for long
+	// mid-frame.
 	tcpChunk = 4096
 
 	// degradedPollInterval throttles wait loops on a degraded socket:
@@ -93,11 +93,12 @@ func (e *tcpEP) sendHello(ctx exec.Context) {
 	var f [9]byte
 	f[0] = tcpHello
 	binary.LittleEndian.PutUint64(f[1:], e.side.RX.Tail())
-	for !e.wmu.TryLock() {
+	for e.writing {
 		ctx.Yield()
 	}
+	e.writing = true
 	e.write(ctx, f[:])
-	e.wmu.Unlock()
+	e.writing = false
 	e.pendCredit.Store(e.side.LastCreditOut.Load() + 1)
 	e.flushCredit(ctx)
 }
@@ -148,9 +149,10 @@ func (e *tcpEP) peerAlive() bool { return !e.closed.Load() }
 // drain reads everything the kernel socket has buffered and applies
 // complete frames. Readable() gating keeps kf.Read from parking.
 func (e *tcpEP) drain(ctx exec.Context) {
-	if !e.rmu.TryLock() {
+	if e.draining {
 		return // someone else is draining; their progress is ours
 	}
+	e.draining = true
 	for !e.closed.Load() && e.kf.Readable() {
 		n, err := e.kf.Read(ctx, e.scratch[:])
 		if err != nil {
@@ -159,11 +161,11 @@ func (e *tcpEP) drain(ctx exec.Context) {
 		}
 		e.rxBuf = append(e.rxBuf, e.scratch[:n]...)
 	}
-	e.parseLocked()
-	e.rmu.Unlock()
+	e.parse()
+	e.draining = false
 }
 
-func (e *tcpEP) parseLocked() {
+func (e *tcpEP) parse() {
 	le := binary.LittleEndian
 	buf := e.rxBuf
 	for len(buf) > 0 {
@@ -172,8 +174,8 @@ func (e *tcpEP) parseLocked() {
 			if len(buf) < 9 {
 				goto out
 			}
-			// Rewind is applied under wmu (flushData) so it cannot
-			// interleave with a concurrent cursor advance.
+			// Rewind is applied by flushData while it writes, so it
+			// cannot interleave with a concurrent cursor advance.
 			e.rewindTo.Store(le.Uint64(buf[1:]) + 1)
 			e.helloSeen.Store(true)
 			buf = buf[9:]
@@ -228,10 +230,11 @@ func (e *tcpEP) flushData(ctx exec.Context) {
 	if !e.helloSeen.Load() || e.closed.Load() {
 		return
 	}
-	if !e.wmu.TryLock() {
+	if e.writing {
 		return // another thread is flushing
 	}
-	defer e.wmu.Unlock()
+	e.writing = true
+	defer func() { e.writing = false }()
 	if r := e.rewindTo.Swap(0); r != 0 {
 		if v := r - 1; v < e.side.TxFlushed.Load() {
 			e.side.TxFlushed.Store(v)
@@ -283,15 +286,16 @@ func (e *tcpEP) flushCredit(ctx exec.Context) {
 	if v == 0 || e.closed.Load() {
 		return
 	}
-	if !e.wmu.TryLock() {
+	if e.writing {
 		e.pendCredit.CompareAndSwap(0, v) // keep unless a newer value landed
 		return
 	}
 	var f [9]byte
 	f[0] = tcpCredit
 	binary.LittleEndian.PutUint64(f[1:], v-1)
+	e.writing = true
 	e.write(ctx, f[:])
-	e.wmu.Unlock()
+	e.writing = false
 }
 
 // onDegraded installs a rescue TCP connection the monitor spliced for a
@@ -301,14 +305,12 @@ func (e *tcpEP) flushCredit(ctx exec.Context) {
 // closing it, since the peer may still be mid-switch on it, and the
 // idempotent framing heals any bytes that went to the abandoned conn.
 func (l *Libsd) onDegraded(ctx exec.Context, m *ctlmsg.Msg) {
-	l.mu.Lock()
 	set := l.socks[m.QID]
 	var any *Socket
 	for s := range set {
 		any = s
 		break
 	}
-	l.mu.Unlock()
 	if any == nil {
 		return
 	}
@@ -316,13 +318,11 @@ func (l *Libsd) onDegraded(ctx exec.Context, m *ctlmsg.Msg) {
 	if m.Status != ctlmsg.StatusOK {
 		// No TCP route either: the peer is genuinely unreachable. Now — and
 		// only now — the failure surfaces to the application as a dead peer.
-		l.mu.Lock()
 		for s := range set {
 			if oe, ok := s.ep.(*rdmaEP); ok {
 				oe.peerDeadFlg.Store(true)
 			}
 		}
-		l.mu.Unlock()
 		return
 	}
 	kf, ok := l.P.LookupFD(int(m.Aux))
@@ -337,9 +337,7 @@ func (l *Libsd) onDegraded(ctx exec.Context, m *ctlmsg.Msg) {
 	if side.PeerHost != "" && side.PeerHost < pref {
 		pref = side.PeerHost
 	}
-	l.mu.Lock()
 	cur, _ := any.ep.(*tcpEP)
-	l.mu.Unlock()
 	if cur != nil && (cur.dialer == pref || dialer != pref) {
 		return // current conn already wins the tie-break (or neither does)
 	}
@@ -355,7 +353,6 @@ func (l *Libsd) onDegraded(ctx exec.Context, m *ctlmsg.Msg) {
 				telemetry.A("qid", int64(m.QID)))
 		}
 	}
-	l.mu.Lock()
 	var olds []*rdmaEP
 	for s := range l.socks[m.QID] {
 		if oe, ok := s.ep.(*rdmaEP); ok {
@@ -363,7 +360,6 @@ func (l *Libsd) onDegraded(ctx exec.Context, m *ctlmsg.Msg) {
 		}
 		s.ep = ep
 	}
-	l.mu.Unlock()
 	side.creditEP.Store(&creditBox{ep})
 	// Retire any still-registered QPs for this socket: from here on the
 	// stream lives on TCP, and a resurrected RDMA path would fork it.

@@ -486,16 +486,12 @@ func (w *recvWaiter) doze(ctx exec.Context, t *host.Thread) {
 	s.lib.sendCtl(ctx, &m)
 	// Tracked, so that a restarted monitor relearns the sleeper from the
 	// re-registration report and can still ring its doorbell.
-	s.lib.sleepMu.Lock()
 	s.lib.sleepNotes[t.TID] = struct{}{}
-	s.lib.sleepMu.Unlock()
 }
 
 func (w *recvWaiter) woke(t *host.Thread) {
 	s := (*Socket)(w)
-	s.lib.sleepMu.Lock()
 	delete(s.lib.sleepNotes, t.TID)
-	s.lib.sleepMu.Unlock()
 	mRecvWakeups.Inc()
 	s.side.RecvSleeper.Store(0)
 }
@@ -518,10 +514,9 @@ func (w *sendWaiter) Idle(now int64) bool {
 func (w *zcWaiter) Idle(now int64) bool {
 	s := (*Socket)(w)
 	if s.side.RX.CanRecv() || !s.quiet() || !s.mayWait(now, DirSend) ||
-		s.side.RxShut.Load() && s.side.TxShut.Load() || !s.side.PoolMu.TryLock() {
+		s.side.RxShut.Load() && s.side.TxShut.Load() {
 		return false
 	}
-	defer s.side.PoolMu.Unlock()
 	return len(s.side.PoolFree) < s.side.PoolWant
 }
 
@@ -533,12 +528,8 @@ type acceptWaiter Listener
 func (w *acceptWaiter) Idle(now int64) bool {
 	lst := (*Listener)(w)
 	l := lst.lib
-	if past(&lst.deadline, now) || l.P.Dead() || lst.nonblock.Load() ||
-		l.monEpoch.Load() != lst.hint.epoch || !l.ctlIdle() || !l.mu.TryLock() {
-		return false
-	}
-	defer l.mu.Unlock()
-	return len(lst.bl.conns) == 0
+	return !past(&lst.deadline, now) && !l.P.Dead() && !lst.nonblock.Load() &&
+		l.monEpoch.Load() == lst.hint.epoch && l.ctlIdle() && len(lst.bl.conns) == 0
 }
 
 // doze leaves the thread where the KNewConn handler finds it.
@@ -552,12 +543,11 @@ type epollWaiter Epoll
 func (w *epollWaiter) Idle(int64) bool {
 	ep := (*Epoll)(w)
 	l := ep.lib
-	if l.P.Dead() || !l.ctlIdle() || !l.cqsEmpty() || !ep.mu.TryLock() {
+	if l.P.Dead() || !l.ctlIdle() || !l.cqsEmpty() {
 		return false
 	}
-	defer ep.mu.Unlock()
 	for fd, mask := range ep.ifd {
-		if got, _ := ep.readyLocked(fd, mask); got != 0 {
+		if got, _ := ep.ready(fd, mask); got != 0 {
 			return false
 		}
 	}

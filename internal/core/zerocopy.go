@@ -65,7 +65,7 @@ type zcState struct {
 	ids   []mem.PageID
 	slots []int32
 
-	// ret is the MZCRet buffer, under side.PoolMu. Either token's holder may
+	// ret is the MZCRet buffer. Either token's holder may
 	// flush slot returns, so it is taken out (nil) while its message waits
 	// for the ring; a flush that finds it gone builds its own.
 	ret []byte
@@ -217,9 +217,7 @@ func (s *Socket) handleZCReturn(payload []byte) {
 	if _, ok := s.ep.(*rdmaEP); !ok {
 		return
 	}
-	s.side.PoolMu.Lock()
 	s.side.PoolFree = appendReturnedSlots(s.side.PoolFree, payload)
-	s.side.PoolMu.Unlock()
 }
 
 // --- VA-based send/recv: the paths where §4.3's remapping pays off ---
@@ -318,14 +316,11 @@ func (s *Socket) zcSendInterChunk(ctx exec.Context, ep *rdmaEP, addr mem.VAddr, 
 	z := s.zcs()
 	s.side.PoolWant = need
 	for w := s.poolWait(); ; {
-		s.side.PoolMu.Lock()
 		if cut := len(s.side.PoolFree) - need; cut >= 0 {
 			z.slots = append(z.slots[:0], s.side.PoolFree[cut:]...)
 			s.side.PoolFree = s.side.PoolFree[:cut]
-			s.side.PoolMu.Unlock()
 			break
 		}
-		s.side.PoolMu.Unlock()
 		s.drainCtl(ctx)
 		s.lib.pump(ctx)
 		if err := w.block(ctx); err != nil {
@@ -507,32 +502,25 @@ func (s *Socket) RecvVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int)
 // queueSlotReturns ships freed slots back to the sender if this thread
 // holds the send token, deferring otherwise (single-sender discipline).
 func (s *Socket) queueSlotReturns(ctx exec.Context, slots []int32) {
-	s.side.PoolMu.Lock()
 	s.side.PendingReturns = append(s.side.PendingReturns, slots...)
-	s.side.PoolMu.Unlock()
 	s.flushSlotReturns(ctx)
 }
 
 // flushSlotReturns must only run with the send token held (or during
 // connection teardown when no one else can send).
 func (s *Socket) flushSlotReturns(ctx exec.Context) {
-	s.side.PoolMu.Lock()
 	if len(s.side.PendingReturns) == 0 {
-		s.side.PoolMu.Unlock()
 		return
 	}
 	z := s.zcs()
 	msg := appendZCReturn(z.ret[:0], s.side.PendingReturns)
 	z.ret = nil
 	s.side.PendingReturns = s.side.PendingReturns[:0]
-	s.side.PoolMu.Unlock()
 	err := s.sendMsg(ctx, MZCRet, msg, nil)
-	s.side.PoolMu.Lock()
 	if err != nil {
 		s.side.PendingReturns = appendReturnedSlots(s.side.PendingReturns, msg)
 	}
 	z.ret = msg
-	s.side.PoolMu.Unlock()
 }
 
 // materializeZC copies a queued zero-copy arrival into a plain byte

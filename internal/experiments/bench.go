@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	sd "socksdirect"
@@ -197,7 +196,6 @@ func benchCluster(short bool) []BenchEntry {
 		})
 	}
 
-	var mu sync.Mutex
 	var dialLat, echoLat []int64
 	var elapsed int64
 	runtime.GC()
@@ -231,13 +229,11 @@ func benchCluster(short bool) []BenchEntry {
 				}
 			}
 			span := t.Now() - start
-			mu.Lock()
 			dialLat = append(dialLat, dl...)
 			echoLat = append(echoLat, el...)
 			if span > elapsed {
 				elapsed = span
 			}
-			mu.Unlock()
 		})
 	}
 	cl.Run()

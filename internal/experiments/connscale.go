@@ -113,12 +113,19 @@ func ConnScaleDrill(cfg ConnScaleConfig) ConnScaleResult {
 
 	old := monitor.SetSockRingCap(cfg.RingCap)
 	defer monitor.SetSockRingCap(old)
-	telemetry.Default.Reset()
+	// The process registry is shared: read counters as deltas from here,
+	// and reset only the distributions whose quantiles this run reports.
+	before := telemetry.Capture()
+	dialDist := telemetry.D(connScaleDialNs)
+	acceptDist := telemetry.D(connScaleAcceptNs)
+	dialDist.Reset()
+	acceptDist.Reset()
+	for i := 0; i < shard.DefaultCount; i++ {
+		telemetry.D(telemetry.MonShardDispatch(i)).Reset()
+	}
 
 	w := newWorld()
 	w.a.SetCores(cfg.Cores)
-	dialDist := telemetry.D(connScaleDialNs)
-	acceptDist := telemetry.D(connScaleAcceptNs)
 
 	const basePort = 7500
 	res := ConnScaleResult{
@@ -234,7 +241,7 @@ func ConnScaleDrill(cfg ConnScaleConfig) ConnScaleResult {
 	res.AcceptP99Ns = acceptDist.Quantile(0.99)
 	res.Dispatched = w.ma.ConnsDispatched
 
-	snap := telemetry.Capture()
+	snap := telemetry.Capture().Diff(before)
 	for i := 0; i < shard.DefaultCount; i++ {
 		dd := telemetry.D(telemetry.MonShardDispatch(i))
 		res.Shards = append(res.Shards, ConnScaleShard{

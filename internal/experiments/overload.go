@@ -212,11 +212,11 @@ func Overload(cfg OverloadConfig) OverloadResult {
 	defer monitor.SetMonInboxCap(oldInbox)
 	oldQuota := bufpool.SetQuotaBytes(cfg.QuotaBytes)
 	defer bufpool.SetQuotaBytes(oldQuota)
-	telemetry.Default.Reset()
 
 	o := &overloadRun{w: newWorld(), cfg: cfg, res: &res}
 	tl := startTally()
 	healthyDist := telemetry.D(overloadHealthyNs)
+	healthyDist.Reset() // p99 of this run's healthy sends only
 
 	healthy := make([]*flowOutcome, cfg.HealthyPairs)
 	for i := range healthy {

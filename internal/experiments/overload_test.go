@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	sd "socksdirect"
 	"socksdirect/internal/fault"
+	"socksdirect/internal/telemetry"
 )
 
 // TestOverloadSoak runs the overload-survival drill: a slow-receiver
@@ -22,6 +24,35 @@ func TestOverloadSoak(t *testing.T) {
 	t.Logf("\n%s", r)
 	if !r.Passed() {
 		t.Fatalf("overload drill failed:\n%s", r)
+	}
+}
+
+// TestOverloadLeavesTheRegistryAlone: the drill reads its counters as
+// deltas from its own start and resets only the distribution it reports,
+// so a Capture/Diff around it — sdbench's drill wrapper — sees no counter
+// run backwards, even after the process has counted other traffic.
+func TestOverloadLeavesTheRegistryAlone(t *testing.T) {
+	PingPong(SysSD, 8, true, 2000) // traffic the process counted before the drill
+	before := telemetry.Capture()
+	if before[telemetry.CoreSendOps] == 0 {
+		t.Fatal("the warm-up moved no counter")
+	}
+	Overload(OverloadConfig{Dials: 50, RemoteDials: 8, Rounds: 8})
+	d := telemetry.Capture().Diff(before)
+	for _, k := range d.Keys() {
+		// A counter has no derived keys: a gauge has <name>/hw, a
+		// distribution <name>/sum, and those keys carry the suffix.
+		_, gauge := d[k+"/hw"]
+		_, dist := d[k+"/sum"]
+		derived := false
+		for _, suf := range []string{"/hw", "/sum", "/p50", "/p99"} {
+			if _, ok := d[strings.TrimSuffix(k, suf)]; ok && strings.HasSuffix(k, suf) {
+				derived = true
+			}
+		}
+		if !gauge && !dist && !derived && d[k] < 0 {
+			t.Errorf("counter %s moved %d across the drill", k, d[k])
+		}
 	}
 }
 

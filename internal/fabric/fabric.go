@@ -85,7 +85,6 @@ type Endpoint struct {
 	cfg     Config
 	handler func(frame any, wireBytes int)
 
-	mu       sync.Mutex
 	nextFree int64 // when the TX wire is next idle
 	rng      *rand.Rand
 	stats    counters
@@ -121,32 +120,24 @@ func NewLoopback(clk exec.Clock, name string, cfg Config) *Endpoint {
 
 // SetLossRate changes the drop probability at runtime (fault injection).
 func (e *Endpoint) SetLossRate(p float64) {
-	e.mu.Lock()
 	e.lossRate = p
-	e.mu.Unlock()
 }
 
 // SetJitter changes the uniform extra-delay bound at runtime.
 func (e *Endpoint) SetJitter(ns int64) {
-	e.mu.Lock()
 	e.jitterNs = ns
-	e.mu.Unlock()
 }
 
 // SetExtraDelay adds a fixed one-way delay on top of PropDelay (delay
 // spikes). Zero restores the configured latency.
 func (e *Endpoint) SetExtraDelay(ns int64) {
-	e.mu.Lock()
 	e.extraDelayNs = ns
-	e.mu.Unlock()
 }
 
 // SetPartitioned blackholes the TX direction entirely while true. Frames
 // sent during a partition count as drops.
 func (e *Endpoint) SetPartitioned(on bool) {
-	e.mu.Lock()
 	e.partitioned = on
-	e.mu.Unlock()
 }
 
 // SetHandler installs the receive pipeline. Must be set before traffic.
@@ -179,11 +170,9 @@ func (e *Endpoint) Send(frame any, payloadBytes int) {
 	mTxFrames.Inc()
 	mTxBytes.Add(int64(payloadBytes))
 
-	e.mu.Lock()
 	if e.partitioned || (e.lossRate > 0 && e.rng.Float64() < e.lossRate) {
 		e.stats.drops.Add(1)
 		mDrops.Inc()
-		e.mu.Unlock()
 		releaseFrame(frame) // the wire ate this copy; return its staging
 		return
 	}
@@ -201,7 +190,6 @@ func (e *Endpoint) Send(frame any, payloadBytes int) {
 		deliverAt += e.rng.Int63n(e.jitterNs)
 	}
 	peer := e.peer
-	e.mu.Unlock()
 
 	// Delivery events are pooled with a pre-bound trampoline: scheduling a
 	// frame allocates neither a closure nor a timer box, which is what
@@ -243,9 +231,7 @@ func (d *delivery) run() {
 	peer.stats.rxBytes.Add(uint64(payloadBytes))
 	mRxFrames.Inc()
 	mRxBytes.Add(int64(payloadBytes))
-	peer.mu.Lock()
 	h := peer.handler
-	peer.mu.Unlock()
 	if h != nil {
 		h(frame, wire)
 	}

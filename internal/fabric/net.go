@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
 
 	"socksdirect/internal/exec"
 )
@@ -27,7 +26,6 @@ type Net struct {
 	name string // plane name, e.g. "rdma" or "net"; used in endpoint names
 	base Config
 
-	mu    sync.Mutex
 	ports map[string]*Port
 	edges map[edgeKey]*Endpoint
 	hosts []string // sorted; AddHost wiring order, for determinism
@@ -39,10 +37,8 @@ type edgeKey struct{ src, dst string }
 // Port is one host's attachment to a Net. A Port owns no timing state of
 // its own — it is a router over the host's directed edges.
 type Port struct {
-	net  *Net
-	host string
-
-	mu      sync.Mutex
+	net     *Net
+	host    string
 	handler func(src string, frame any, wireBytes int)
 }
 
@@ -82,8 +78,6 @@ func (n *Net) pairSeed(a, b string) int64 {
 // does not depend on map iteration). Returns the host's Port. Adding the
 // same host twice returns the existing Port.
 func (n *Net) AddHost(host string) *Port {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if p := n.ports[host]; p != nil {
 		return p
 	}
@@ -121,15 +115,11 @@ func (n *Net) AddHost(host string) *Port {
 
 // Hosts lists attached hosts in sorted order.
 func (n *Net) Hosts() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return append([]string(nil), n.hosts...)
 }
 
 // Port returns the named host's attachment, or nil.
 func (n *Net) Port(host string) *Port {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.ports[host]
 }
 
@@ -138,8 +128,6 @@ func (n *Net) Port(host string) *Port {
 // cutting Edge(a,b) blackholes a's frames toward b while b's frames toward
 // a still flow.
 func (n *Net) Edge(src, dst string) *Endpoint {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.edges[edgeKey{src, dst}]
 }
 
@@ -149,15 +137,11 @@ func (p *Port) Host() string { return p.host }
 // SetHandler installs the receive pipeline: h runs at delivery time in
 // timer context (like Endpoint handlers) with the sending host's name.
 func (p *Port) SetHandler(h func(src string, frame any, wireBytes int)) {
-	p.mu.Lock()
 	p.handler = h
-	p.mu.Unlock()
 }
 
 func (p *Port) deliver(src string, frame any, wireBytes int) {
-	p.mu.Lock()
 	h := p.handler
-	p.mu.Unlock()
 	if h != nil {
 		h(src, frame, wireBytes)
 	}

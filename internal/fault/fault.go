@@ -15,7 +15,6 @@ package fault
 
 import (
 	"fmt"
-	"sync"
 
 	"socksdirect/internal/exec"
 	"socksdirect/internal/fabric"
@@ -91,9 +90,7 @@ func (l *link) sel(d Dir) []*fabric.Endpoint {
 
 // Injector binds a schedule to concrete links and hooks.
 type Injector struct {
-	clk exec.Clock
-
-	mu    sync.Mutex
+	clk   exec.Clock
 	links map[string]*link
 	hooks map[string]func()
 }
@@ -113,8 +110,6 @@ func New(clk exec.Clock) *Injector {
 // selects the first endpoint registered, Reverse the second — so register
 // the A->B transmitter first and the B->A transmitter second.
 func (in *Injector) AddLink(name string, eps ...*fabric.Endpoint) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	l := in.links[name]
 	if l == nil {
 		l = &link{}
@@ -126,8 +121,6 @@ func (in *Injector) AddLink(name string, eps ...*fabric.Endpoint) {
 // AddHook registers a named side-effect (e.g. NIC.FailAllQPs, a monitor
 // pause) that QPError/MonitorPause events invoke.
 func (in *Injector) AddHook(name string, fn func()) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.hooks[name] = fn
 }
 
@@ -140,17 +133,13 @@ func (in *Injector) Run(sched []Event) error {
 		ev := sched[i] // copy: the closure outlives the caller's slice
 		switch ev.Kind {
 		case LossBurst, DelaySpike, Partition, Flap:
-			in.mu.Lock()
 			l := in.links[ev.Link]
-			in.mu.Unlock()
 			if l == nil {
 				return fmt.Errorf("fault: event %d (%s) names unregistered link %q", i, ev.Kind, ev.Link)
 			}
 			in.clk.After(ev.At, func() { in.applyLink(l, ev) })
 		case QPError, MonitorPause:
-			in.mu.Lock()
 			fn := in.hooks[ev.Hook]
-			in.mu.Unlock()
 			if fn == nil {
 				return fmt.Errorf("fault: event %d (%s) names unregistered hook %q", i, ev.Kind, ev.Hook)
 			}

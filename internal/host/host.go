@@ -9,7 +9,6 @@ package host
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"socksdirect/internal/costmodel"
@@ -37,7 +36,6 @@ type Host struct {
 	NIC     *rdma.NIC
 	Kern    *Kernel
 
-	mu       sync.Mutex
 	procs    map[int]*Process
 	nextPID  int
 	nextCore exec.CoreID
@@ -58,9 +56,7 @@ type Host struct {
 // process's threads have been woken, so a hook observes the corpse in
 // its final state.
 func (h *Host) OnProcessDeath(fn func(pid int)) {
-	h.mu.Lock()
 	h.deathHooks = append(h.deathHooks, fn)
-	h.mu.Unlock()
 }
 
 // hostSeq hands out Host.Ordinal values. Deterministic: the sequence
@@ -121,8 +117,6 @@ func Connect(a, b *Host, cfg fabric.Config) {
 // NewProcess creates a process with the given user id (for access control
 // policies).
 func (h *Host) NewProcess(name string, uid int) *Process {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.nextPID++
 	p := &Process{
 		Host:     h,
@@ -139,8 +133,6 @@ func (h *Host) NewProcess(name string, uid int) *Process {
 
 // Process returns the process with the given pid, or nil.
 func (h *Host) Process(pid int) *Process {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.procs[pid]
 }
 
@@ -150,8 +142,6 @@ func (h *Host) Process(pid int) *Process {
 // the default models an unconstrained machine; a bounded host models core
 // contention (threads sharing a core interleave instead of overlapping).
 func (h *Host) NextCore() exec.CoreID {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.nextCore++
 	if h.maxCores > 0 {
 		return exec.CoreID((int(h.nextCore)-1)%h.maxCores + 1)
@@ -165,8 +155,6 @@ func (h *Host) NextCore() exec.CoreID {
 // monitor's shard loops and the app threads onto a fixed core set, the
 // way a real host would share its cores between them.
 func (h *Host) SetCores(n int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.maxCores = n
 }
 
@@ -188,13 +176,12 @@ type Process struct {
 	AS     *mem.AddressSpace
 	Parent *Process
 
-	mu       sync.Mutex
 	nextFD   int
 	freeFDs  []int
 	fds      map[int]*FDEntry
 	threads  []*Thread
 	nextTID  int
-	dead     atomic.Bool // written under mu, in terminate; every poll loop reads it
+	dead     atomic.Bool // written in terminate; every poll loop reads it
 	handlers map[Signal]func(Signal)
 	// Libsd is an opaque slot for the per-process user-space socket
 	// library state (set by internal/core); the host layer never looks
@@ -218,11 +205,9 @@ func (p *Process) Spawn(name string, fn func(exec.Context, *Thread)) *Thread {
 // SpawnOn starts a thread pinned to the given core (threads sharing a core
 // time-share it cooperatively — Figure 10's setting).
 func (p *Process) SpawnOn(core exec.CoreID, name string, fn func(exec.Context, *Thread)) *Thread {
-	p.mu.Lock()
 	p.nextTID++
 	t := &Thread{Proc: p, TID: p.nextTID, Core: core}
 	p.threads = append(p.threads, t)
-	p.mu.Unlock()
 	full := fmt.Sprintf("%s/%s.%d/%s", p.Host.Name, p.Name, p.PID, name)
 	t.H = p.Host.RT.SpawnOn(core, full, func(ctx exec.Context) { fn(ctx, t) })
 	return t
@@ -231,8 +216,6 @@ func (p *Process) SpawnOn(core exec.CoreID, name string, fn func(exec.Context, *
 // ThreadByTID resolves a thread id (the monitor uses this to wake
 // sleeping threads and deliver token-return interrupts).
 func (p *Process) ThreadByTID(tid int) *Thread {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, t := range p.threads {
 		if t.TID == tid {
 			return t
@@ -247,9 +230,7 @@ func (p *Process) ThreadByTID(tid int) *Thread {
 // across a monitor outage may have missed the doorbell that died with
 // the old incarnation.
 func (p *Process) EachThread(fn func(*Thread)) {
-	p.mu.Lock()
 	threads := append([]*Thread(nil), p.threads...)
-	p.mu.Unlock()
 	for _, t := range threads {
 		fn(t)
 	}
@@ -258,9 +239,7 @@ func (p *Process) EachThread(fn func(*Thread)) {
 // RegisterHandler installs a signal handler (libsd registers one at init,
 // §4.4 challenge 2).
 func (p *Process) RegisterHandler(s Signal, fn func(Signal)) {
-	p.mu.Lock()
 	p.handlers[s] = fn
-	p.mu.Unlock()
 }
 
 // Signal delivers a signal: SIGKILL runs the full kernel teardown (FD
@@ -276,9 +255,7 @@ func (p *Process) Signal(ctx exec.Context, s Signal) {
 		p.terminate(ctx)
 		return
 	}
-	p.mu.Lock()
 	fn := p.handlers[s]
-	p.mu.Unlock()
 	if fn != nil {
 		fn(s)
 	}
@@ -303,9 +280,7 @@ func (p *Process) Exit(ctx exec.Context) { p.terminate(ctx) }
 //     corpse, and exits;
 //  5. fire the host death hooks (the monitor's per-process lifeline).
 func (p *Process) terminate(ctx exec.Context) {
-	p.mu.Lock()
 	if p.dead.Load() {
-		p.mu.Unlock()
 		return
 	}
 	p.dead.Store(true)
@@ -315,7 +290,6 @@ func (p *Process) terminate(ctx exec.Context) {
 	p.nextFD = 0
 	threads := append([]*Thread(nil), p.threads...)
 	lib := p.Libsd
-	p.mu.Unlock()
 
 	if td, ok := lib.(interface{ OnProcessDeath() }); ok {
 		td.OnProcessDeath()
@@ -327,9 +301,7 @@ func (p *Process) terminate(ctx exec.Context) {
 		th := t.H
 		p.Host.Clk.After(p.Host.Costs.ProcessWakeup, th.Unpark)
 	}
-	p.Host.mu.Lock()
 	hooks := append([]func(pid int){}, p.Host.deathHooks...)
-	p.Host.mu.Unlock()
 	for _, fn := range hooks {
 		fn(p.PID)
 	}
@@ -345,14 +317,12 @@ func (p *Process) Dead() bool { return p.dead.Load() }
 func (p *Process) Fork(name string) *Process {
 	c := p.Host.NewProcess(name, p.UID)
 	c.Parent = p
-	p.mu.Lock()
 	c.nextFD = p.nextFD
 	c.freeFDs = append([]int(nil), p.freeFDs...)
 	for fd, e := range p.fds {
 		e.file.Dup()
 		c.fds[fd] = &FDEntry{file: e.file}
 	}
-	p.mu.Unlock()
 	return c
 }
 
@@ -376,12 +346,6 @@ func (e *FDEntry) File() KFile { return e.file }
 
 // InstallFD assigns the lowest available descriptor to file.
 func (p *Process) InstallFD(file KFile) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.installFDLocked(file)
-}
-
-func (p *Process) installFDLocked(file KFile) int {
 	var fd int
 	if n := len(p.freeFDs); n > 0 {
 		// Lowest-available: freeFDs is kept sorted descending.
@@ -397,8 +361,6 @@ func (p *Process) installFDLocked(file KFile) int {
 
 // LookupFD resolves a descriptor.
 func (p *Process) LookupFD(fd int) (KFile, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	e, ok := p.fds[fd]
 	if !ok {
 		return nil, false
@@ -408,10 +370,8 @@ func (p *Process) LookupFD(fd int) (KFile, bool) {
 
 // CloseFD removes a descriptor, closing the file, and recycles the number.
 func (p *Process) CloseFD(ctx exec.Context, fd int) error {
-	p.mu.Lock()
 	e, ok := p.fds[fd]
 	if !ok {
-		p.mu.Unlock()
 		return fmt.Errorf("host: bad fd %d", fd)
 	}
 	delete(p.fds, fd)
@@ -421,6 +381,5 @@ func (p *Process) CloseFD(ctx exec.Context, fd int) error {
 	for i := len(p.freeFDs) - 1; i > 0 && p.freeFDs[i] > p.freeFDs[i-1]; i-- {
 		p.freeFDs[i], p.freeFDs[i-1] = p.freeFDs[i-1], p.freeFDs[i]
 	}
-	p.mu.Unlock()
 	return e.file.Close(ctx)
 }

@@ -2,7 +2,6 @@ package host
 
 import (
 	"fmt"
-	"sync"
 
 	"socksdirect/internal/exec"
 	"socksdirect/internal/fabric"
@@ -13,19 +12,11 @@ import (
 // the classic kernel IPC objects (pipes, Unix-domain sockets). Its costs
 // are the Linux baseline's handicap — exactly the overheads Table 1 lists.
 type Kernel struct {
-	h *Host
-
-	mu       sync.Mutex
+	h        *Host
 	netPorts map[string]*fabric.Endpoint
 	fab      *fabric.Port // routed fabric attachment (N-host topologies)
 	protos   map[string]func(src string, frame any)
 	loop     *fabric.Endpoint
-
-	// TCBLock is the global lock Linux-era kernels take for connection
-	// table management (§2.1.4); the kernel TCP stack acquires it per
-	// packet dispatch and per connection setup, which is what limits
-	// multi-core scaling in Figure 9's Linux series.
-	TCBLock sync.Mutex
 }
 
 func newKernel(h *Host) *Kernel {
@@ -54,9 +45,7 @@ func (k *Kernel) Syscall(ctx exec.Context) {
 }
 
 func (k *Kernel) addNetPort(remote string, ep *fabric.Endpoint) {
-	k.mu.Lock()
 	k.netPorts[remote] = ep
-	k.mu.Unlock()
 	ep.SetHandler(func(f any, _ int) { k.deliver(remote, f) })
 }
 
@@ -65,9 +54,7 @@ func (k *Kernel) addNetPort(remote string, ep *fabric.Endpoint) {
 // dedicated point-to-point port, and inbound fabric frames dispatch by
 // their source host exactly like point-to-point arrivals.
 func (k *Kernel) AttachFabric(p *fabric.Port) {
-	k.mu.Lock()
 	k.fab = p
-	k.mu.Unlock()
 	p.SetHandler(func(src string, f any, _ int) { k.deliver(src, f) })
 }
 
@@ -76,9 +63,7 @@ func (k *Kernel) deliver(src string, frame any) {
 	if !ok {
 		return
 	}
-	k.mu.Lock()
 	rx := k.protos[nf.proto]
-	k.mu.Unlock()
 	if rx != nil {
 		rx(src, nf.payload)
 	}
@@ -88,9 +73,7 @@ func (k *Kernel) deliver(src string, frame any) {
 // protocol family ("tcp" for the kernel stack, "vma" for the user-space
 // stack, ...).
 func (k *Kernel) RegisterProto(proto string, fn func(src string, frame any)) {
-	k.mu.Lock()
 	k.protos[proto] = fn
-	k.mu.Unlock()
 }
 
 // NetSend transmits a frame toward remote ("" or the host's own name means
@@ -101,10 +84,8 @@ func (k *Kernel) NetSend(proto, remote string, frame any, size int) error {
 		k.loop.Send(f, size)
 		return nil
 	}
-	k.mu.Lock()
 	ep, ok := k.netPorts[remote]
 	fab := k.fab
-	k.mu.Unlock()
 	if !ok {
 		if fab != nil && fab.Reaches(remote) {
 			return fab.SendTo(remote, f, size)
@@ -117,8 +98,6 @@ func (k *Kernel) NetSend(proto, remote string, frame any, size int) error {
 
 // Routes lists reachable remote hosts (tests).
 func (k *Kernel) Routes() []string {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	seen := make(map[string]bool, len(k.netPorts))
 	out := make([]string, 0, len(k.netPorts))
 	for r := range k.netPorts {

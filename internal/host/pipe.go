@@ -3,7 +3,6 @@ package host
 import (
 	"errors"
 	"io"
-	"sync"
 
 	"socksdirect/internal/exec"
 )
@@ -19,8 +18,7 @@ const pipeCap = 64 * 1024
 // process-wakeup latency — which is why Table 2's pipe RTT is ~8 us while
 // a user-space queue is 0.25 us.
 type pipeBuf struct {
-	k  *Kernel
-	mu sync.Mutex
+	k *Kernel
 
 	buf     []byte
 	r, w    int // ring cursors
@@ -37,17 +35,9 @@ func newPipeBuf(k *Kernel) *pipeBuf {
 	return &pipeBuf{k: k, buf: make([]byte, pipeCap)}
 }
 
-func (pb *pipeBuf) readable() bool {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	return pb.used > 0 || pb.closedW
-}
+func (pb *pipeBuf) readable() bool { return pb.used > 0 || pb.closedW }
 
-func (pb *pipeBuf) writable() bool {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	return pb.used < len(pb.buf) || pb.closedR
-}
+func (pb *pipeBuf) writable() bool { return pb.used < len(pb.buf) || pb.closedR }
 
 // read blocks until at least one byte (or EOF) is available. Bytes whose
 // virtual publish time lies in the reader's future are not visible yet —
@@ -58,16 +48,13 @@ func (pb *pipeBuf) read(ctx exec.Context, out []byte) (int, error) {
 	entry := ctx.Now() // before the kernel crossing
 	pb.k.Syscall(ctx)
 	for {
-		pb.mu.Lock()
 		if pb.used > 0 && pb.readyAt > entry {
 			// The bytes were published after this reader entered the
 			// kernel: a real process would have gone to sleep and be
 			// woken by the writer, paying the scheduler's wakeup latency.
 			target := pb.readyAt + pb.k.h.Costs.ProcessWakeup
 			if now := ctx.Now(); now < target {
-				pb.mu.Unlock()
 				ctx.Sleep(target - now)
-				pb.mu.Lock()
 			}
 		}
 		if pb.used > 0 {
@@ -80,22 +67,15 @@ func (pb *pipeBuf) read(ctx exec.Context, out []byte) (int, error) {
 				pb.r = (pb.r + 1) % len(pb.buf)
 			}
 			pb.used -= n
-			pb.mu.Unlock()
 			CountCopy(n)
 			ctx.Charge(pb.k.h.Costs.CopyCost(n))
 			pb.writers.Wake(pb.k.h.Clk, pb.k.h.Costs.ProcessWakeup)
 			return n, nil
 		}
 		if pb.closedW {
-			pb.mu.Unlock()
 			return 0, io.EOF
 		}
-		pb.mu.Unlock()
-		pb.readers.Wait(ctx, func() bool {
-			pb.mu.Lock()
-			defer pb.mu.Unlock()
-			return pb.used > 0 || pb.closedW
-		})
+		pb.readers.Wait(ctx, pb.readable)
 	}
 }
 
@@ -104,9 +84,7 @@ func (pb *pipeBuf) write(ctx exec.Context, data []byte) (int, error) {
 	pb.k.Syscall(ctx)
 	total := 0
 	for len(data) > 0 {
-		pb.mu.Lock()
 		if pb.closedR {
-			pb.mu.Unlock()
 			return total, ErrClosedPipe
 		}
 		space := len(pb.buf) - pb.used
@@ -115,14 +93,11 @@ func (pb *pipeBuf) write(ctx exec.Context, data []byte) (int, error) {
 			if n > len(data) {
 				n = len(data)
 			}
-			pb.mu.Unlock()
 			// Pay the copy before publishing so the visibility stamp
 			// reflects when the bytes actually exist.
 			CountCopy(n)
 			ctx.Charge(pb.k.h.Costs.CopyCost(n))
-			pb.mu.Lock()
 			if pb.closedR {
-				pb.mu.Unlock()
 				return total, ErrClosedPipe
 			}
 			if avail := len(pb.buf) - pb.used; n > avail {
@@ -136,46 +111,31 @@ func (pb *pipeBuf) write(ctx exec.Context, data []byte) (int, error) {
 			if now := ctx.Now(); now > pb.readyAt {
 				pb.readyAt = now
 			}
-			pb.mu.Unlock()
 			pb.readers.Wake(pb.k.h.Clk, pb.k.h.Costs.ProcessWakeup)
 			data = data[n:]
 			total += n
 			continue
 		}
-		pb.mu.Unlock()
-		pb.writers.Wait(ctx, func() bool {
-			pb.mu.Lock()
-			defer pb.mu.Unlock()
-			return pb.used < len(pb.buf) || pb.closedR
-		})
+		pb.writers.Wait(ctx, pb.writable)
 	}
 	return total, nil
 }
 
 func (pb *pipeBuf) closeWrite() {
-	pb.mu.Lock()
 	pb.closedW = true
-	pb.mu.Unlock()
 	pb.readers.Wake(pb.k.h.Clk, 0)
 }
 
 func (pb *pipeBuf) closeRead() {
-	pb.mu.Lock()
 	pb.closedR = true
-	pb.mu.Unlock()
 	pb.writers.Wake(pb.k.h.Clk, 0)
 }
 
 // refCount implements shared close semantics for forked FDs.
-type refCount struct {
-	mu sync.Mutex
-	n  int
-}
+type refCount struct{ n int }
 
-func (r *refCount) inc() { r.mu.Lock(); r.n++; r.mu.Unlock() }
+func (r *refCount) inc() { r.n++ }
 func (r *refCount) dec() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.n--
 	return r.n == 0
 }

@@ -1,10 +1,6 @@
 package host
 
-import (
-	"sync"
-
-	"socksdirect/internal/exec"
-)
+import "socksdirect/internal/exec"
 
 // SimLock models a contended spinlock in virtual time. Go mutexes cannot
 // express contention under the discrete-event scheduler (threads run one
@@ -14,7 +10,6 @@ import (
 // the lock, aggregate throughput caps at 1/holdNs — which is exactly how
 // the kernel's global TCB lock flattens the Linux curve in Figure 9.
 type SimLock struct {
-	mu        sync.Mutex
 	busyUntil int64
 	// ContentionPenalty is extra time charged whenever an Acquire finds
 	// the lock busy, modelling the cache-line ping-pong of a contended
@@ -28,7 +23,6 @@ type SimLock struct {
 // Acquire blocks (in virtual time) until the lock is free, then holds it
 // for holdNs. It returns immediately in real time.
 func (l *SimLock) Acquire(ctx exec.Context, holdNs int64) {
-	l.mu.Lock()
 	now := ctx.Now()
 	wait := l.busyUntil - now
 	if wait < 0 {
@@ -37,6 +31,5 @@ func (l *SimLock) Acquire(ctx exec.Context, holdNs int64) {
 		wait += l.ContentionPenalty
 	}
 	l.busyUntil = now + wait + holdNs
-	l.mu.Unlock()
 	ctx.Charge(wait + holdNs)
 }

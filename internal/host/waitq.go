@@ -1,10 +1,6 @@
 package host
 
-import (
-	"sync"
-
-	"socksdirect/internal/exec"
-)
+import "socksdirect/internal/exec"
 
 // WaitQ is the kernel wait-queue primitive. Simulated threads must never
 // block on Go channels or condition variables directly — the DES scheduler
@@ -14,7 +10,6 @@ import (
 // The protocol is the classic prepare/check/park loop: spurious wakeups
 // are possible and callers must re-check their condition.
 type WaitQ struct {
-	mu      sync.Mutex
 	waiters []exec.Thread
 }
 
@@ -27,9 +22,7 @@ func (w *WaitQ) Wait(ctx exec.Context, cond func() bool) {
 			return
 		}
 		self := ctx.Self()
-		w.mu.Lock()
 		w.waiters = append(w.waiters, self)
-		w.mu.Unlock()
 		if cond() {
 			// Lost race: a wake may already have granted us a permit; by
 			// parking once we either consume it or return instantly on
@@ -42,24 +35,20 @@ func (w *WaitQ) Wait(ctx exec.Context, cond func() bool) {
 }
 
 func (w *WaitQ) remove(t exec.Thread) {
-	w.mu.Lock()
 	for i, x := range w.waiters {
 		if x == t {
 			w.waiters = append(w.waiters[:i], w.waiters[i+1:]...)
 			break
 		}
 	}
-	w.mu.Unlock()
 }
 
 // Wake unparks all waiters after delay nanoseconds (0 = immediately).
 // Passing the kernel's ProcessWakeup cost as delay reproduces the wakeup
 // latency every kernel-mediated round trip pays (§2.1.2).
 func (w *WaitQ) Wake(clk exec.Clock, delay int64) {
-	w.mu.Lock()
 	ws := w.waiters
 	w.waiters = nil
-	w.mu.Unlock()
 	if len(ws) == 0 {
 		return
 	}
@@ -81,7 +70,5 @@ func (w *WaitQ) Wake(clk exec.Clock, delay int64) {
 
 // Empty reports whether anyone is waiting (tests).
 func (w *WaitQ) Empty() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return len(w.waiters) == 0
 }

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"socksdirect/internal/costmodel"
 	"socksdirect/internal/exec"
@@ -78,7 +77,6 @@ type frameChunk struct {
 // PhysMem is the host's physical memory: the frame allocator plus the
 // kernel-held obfuscation secret.
 type PhysMem struct {
-	mu     sync.Mutex
 	chunks []*frameChunk // chunks[id>>frameChunkShift]; nil once wholly dead
 	live   int
 	next   PageID
@@ -119,8 +117,7 @@ func (pm *PhysMem) allocFrame(home *AddressSpace) *frame {
 	return f
 }
 
-// frame looks a frame up by id; nil for a dead, future or forged one. The
-// lock must be held.
+// frame looks a frame up by id; nil for a dead, future or forged one.
 func (pm *PhysMem) frame(id PageID) *frame {
 	c := uint64(id) >> frameChunkShift
 	if c >= uint64(len(pm.chunks)) || pm.chunks[c] == nil {
@@ -147,21 +144,13 @@ func (pm *PhysMem) Obfuscate(id PageID) ObfPageID {
 	return ObfPageID(uint64(id)*0x9e3779b97f4a7c15 ^ pm.secret)
 }
 
-// deobfuscate recovers and validates a frame id; forged values fail. The
-// lock must be held.
-func (pm *PhysMem) deobfuscate(o ObfPageID) (PageID, error) {
+// Deobfuscate recovers and validates a frame id; forged values fail.
+func (pm *PhysMem) Deobfuscate(o ObfPageID) (PageID, error) {
 	id := PageID((uint64(o) ^ pm.secret) * 0xf1de83e19937733d) // modular inverse of the multiplier
 	if pm.frame(id) == nil {
 		return 0, fmt.Errorf("%w: %#x", ErrBadPage, uint64(o))
 	}
 	return id, nil
-}
-
-// Deobfuscate recovers and validates a frame id; forged values fail.
-func (pm *PhysMem) Deobfuscate(o ObfPageID) (PageID, error) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	return pm.deobfuscate(o)
 }
 
 // ObfWireSize is the size of one obfuscated id in a queue message: a
@@ -177,14 +166,12 @@ func (pm *PhysMem) AppendObfuscated(dst []byte, ids []PageID) []byte {
 	return dst
 }
 
-// AppendDeobfuscated is Deobfuscate over every id of a queue message, under
-// one lock; one forged id fails them all and leaves dst as it was.
+// AppendDeobfuscated is Deobfuscate over every id of a queue message; one
+// forged id fails them all and leaves dst as it was.
 func (pm *PhysMem) AppendDeobfuscated(dst []PageID, wire []byte) ([]PageID, error) {
 	out := dst
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	for ; len(wire) >= ObfWireSize; wire = wire[ObfWireSize:] {
-		id, err := pm.deobfuscate(ObfPageID(binary.LittleEndian.Uint64(wire)))
+		id, err := pm.Deobfuscate(ObfPageID(binary.LittleEndian.Uint64(wire)))
 		if err != nil {
 			return dst, err
 		}
@@ -196,8 +183,6 @@ func (pm *PhysMem) AppendDeobfuscated(dst []PageID, wire []byte) ([]PageID, erro
 // Ref adds one reference to each frame (installing an additional mapping
 // of pinned pool pages, §4.3).
 func (pm *PhysMem) Ref(ids []PageID) error {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	for _, id := range ids {
 		f := pm.frame(id)
 		if f == nil {
@@ -210,8 +195,6 @@ func (pm *PhysMem) Ref(ids []PageID) error {
 
 // FrameRefs reports a frame's reference count (pool-slot reclaim checks).
 func (pm *PhysMem) FrameRefs(id PageID) int {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	f := pm.frame(id)
 	if f == nil {
 		return 0
@@ -222,8 +205,6 @@ func (pm *PhysMem) FrameRefs(id PageID) int {
 // Unref drops one reference from each frame (releasing a transfer that
 // was never mapped, e.g. after the NIC finished reading the pages).
 func (pm *PhysMem) Unref(ids []PageID) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	for _, id := range ids {
 		if f := pm.frame(id); f != nil {
 			pm.unref(f)
@@ -233,8 +214,6 @@ func (pm *PhysMem) Unref(ids []PageID) {
 
 // FrameCount reports live frames (leak checks).
 func (pm *PhysMem) FrameCount() int {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	return pm.live
 }
 
@@ -243,16 +222,13 @@ func (pm *PhysMem) FrameCount() int {
 // become pinned").
 //
 // Like every charging path in this package, the virtual-time charge is
-// applied after all locks are released: charging may suspend the simulated
-// thread, and suspending while holding a mutex would deadlock the
-// discrete-event scheduler.
+// applied once the frames are updated: charging may suspend the simulated
+// thread, and nothing it hands over may be half changed while it is away.
 func (pm *PhysMem) Pin(ctx exec.Context, ids []PageID) error {
 	var charge int64
-	pm.mu.Lock()
 	for _, id := range ids {
 		f := pm.frame(id)
 		if f == nil {
-			pm.mu.Unlock()
 			return ErrBadPage
 		}
 		if !f.pinned {
@@ -260,7 +236,6 @@ func (pm *PhysMem) Pin(ctx exec.Context, ids []PageID) error {
 			charge += pm.costs.PageMap4K // pin cost ~ one kernel page op
 		}
 	}
-	pm.mu.Unlock()
 	pm.charge(ctx, charge)
 	return nil
 }
@@ -268,19 +243,15 @@ func (pm *PhysMem) Pin(ctx exec.Context, ids []PageID) error {
 // Unpin clears the DMA pin on frames leaving a registered pool for good
 // (a dropped zero-copy pool). Unknown ids are ignored.
 func (pm *PhysMem) Unpin(ids []PageID) {
-	pm.mu.Lock()
 	for _, id := range ids {
 		if f := pm.frame(id); f != nil {
 			f.pinned = false
 		}
 	}
-	pm.mu.Unlock()
 }
 
 // PinnedCount reports live pinned frames (leak checks).
 func (pm *PhysMem) PinnedCount() int {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	n := 0
 	for _, ch := range pm.chunks {
 		if ch == nil {
@@ -298,8 +269,6 @@ func (pm *PhysMem) PinnedCount() int {
 // FrameData exposes a frame's backing bytes to trusted subsystems (the
 // simulated NIC DMA engine). Untrusted code never sees PageIDs unobfuscated.
 func (pm *PhysMem) FrameData(id PageID) ([]byte, error) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	f := pm.frame(id)
 	if f == nil {
 		return nil, ErrBadPage
@@ -339,7 +308,6 @@ const heapBase VAddr = 1 << 30
 // address outside it is unmapped and, as with mremap, cannot be mapped.
 type AddressSpace struct {
 	pm      *PhysMem
-	mu      sync.Mutex
 	pages   []pte
 	pool    []*frame
 	poolCap int
@@ -354,7 +322,7 @@ func NewAddressSpace(pm *PhysMem) *AddressSpace {
 func vpn(a VAddr) uint64 { return uint64(a) >> PageShift }
 
 // span returns the entries of the n pages at addr, or nil unless all of
-// them are reserved. as.mu must be held, and the result dropped with it.
+// them are reserved.
 func (as *AddressSpace) span(addr VAddr, n int) []pte {
 	i := vpn(addr) - vpn(heapBase) // an address below the heap wraps past len
 	if n < 0 || i > uint64(len(as.pages)) || uint64(n) > uint64(len(as.pages))-i {
@@ -375,26 +343,22 @@ func (as *AddressSpace) mapped(addr VAddr) *pte {
 // Alloc reserves n bytes of fresh zeroed memory. Multiple-of-page sizes are
 // page aligned (the paper's malloc interception, §4.3 "Page alignment").
 func (as *AddressSpace) Alloc(n int) VAddr {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	as.pm.mu.Lock()
-	defer as.pm.mu.Unlock()
 	base := heapBase + VAddr(len(as.pages))<<PageShift
 	npages := (n + PageSize - 1) / PageSize
 	if npages == 0 {
 		npages = 1
 	}
 	for i := 0; i < npages; i++ {
-		as.pages = append(as.pages, pte{f: as.takeFrameLocked(true)})
+		as.pages = append(as.pages, pte{f: as.takeFrame(true)})
 	}
 	return base
 }
 
-// takeFrameLocked pops a pooled frame or allocates a fresh one. A pooled
+// takeFrame pops a pooled frame or allocates a fresh one. A pooled
 // frame still holds its last owner's bytes: zero says the caller needs them
 // gone, which the fault handler, about to overwrite the whole frame, does
-// not. Both locks must be held.
-func (as *AddressSpace) takeFrameLocked(zero bool) *frame {
+// not.
+func (as *AddressSpace) takeFrame(zero bool) *frame {
 	if n := len(as.pool); n > 0 {
 		f := as.pool[n-1]
 		as.pool = as.pool[:n-1]
@@ -412,13 +376,9 @@ func (as *AddressSpace) takeFrameLocked(zero bool) *frame {
 // process locally").
 func (as *AddressSpace) FreshFrames(dst []PageID, n int) []PageID {
 	dst = slices.Grow(dst, n)
-	as.mu.Lock()
-	as.pm.mu.Lock()
 	for i := 0; i < n; i++ {
-		dst = append(dst, as.takeFrameLocked(true).id)
+		dst = append(dst, as.takeFrame(true).id)
 	}
-	as.pm.mu.Unlock()
-	as.mu.Unlock()
 	return dst
 }
 
@@ -428,10 +388,6 @@ func (as *AddressSpace) Free(addr VAddr, n int) error {
 	if uint64(addr)%PageSize != 0 {
 		return ErrNotAligned
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	as.pm.mu.Lock()
-	defer as.pm.mu.Unlock()
 	pages := as.span(addr, (n+PageSize-1)/PageSize)
 	if pages == nil {
 		return ErrUnmapped
@@ -449,8 +405,6 @@ func (as *AddressSpace) Free(addr VAddr, n int) error {
 
 // Read copies len(out) bytes at addr into out.
 func (as *AddressSpace) Read(addr VAddr, out []byte) error {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	n := len(out)
 	off := 0
 	for off < n {
@@ -469,7 +423,6 @@ func (as *AddressSpace) Read(addr VAddr, out []byte) error {
 // copy-on-write": "it is unnecessary to copy original data of the page").
 func (as *AddressSpace) Write(ctx exec.Context, addr VAddr, data []byte) error {
 	var charge int64
-	as.mu.Lock()
 	n := len(data)
 	off := 0
 	for off < n {
@@ -481,28 +434,24 @@ func (as *AddressSpace) Write(ctx exec.Context, addr VAddr, data []byte) error {
 		}
 		e := as.mapped(a)
 		if e == nil {
-			as.mu.Unlock()
 			return fmt.Errorf("%w: %#x", ErrUnmapped, uint64(a))
 		}
 		if e.cow || e.f.refs > 1 {
 			mCOWFaults.Inc()
-			as.pm.mu.Lock()
 			// Not zeroed: one of the two copies below covers the frame.
-			f := as.takeFrameLocked(false)
+			f := as.takeFrame(false)
 			if chunk < PageSize {
 				copy(f.data, e.f.data) // partial overwrite: real COW copy
 				charge += as.pm.costs.PageCopy4K
 			}
 			charge += as.pm.costs.PageFault
 			as.pm.unref(e.f)
-			as.pm.mu.Unlock()
 			e.f = f
 			e.cow = false
 		}
 		copy(e.f.data[po:], data[off:off+chunk])
 		off += chunk
 	}
-	as.mu.Unlock()
 	as.pm.charge(ctx, charge)
 	return nil
 }
@@ -521,10 +470,6 @@ func (as *AddressSpace) AppendPagesForSend(dst []PageID, ctx exec.Context, addr 
 	if uint64(addr)%PageSize != 0 || n%PageSize != 0 {
 		return dst, ErrNotAligned
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	as.pm.mu.Lock()
-	defer as.pm.mu.Unlock()
 	pages := as.span(addr, n/PageSize)
 	if pages == nil {
 		return dst, ErrUnmapped
@@ -552,19 +497,13 @@ func (as *AddressSpace) MapPages(ctx exec.Context, addr VAddr, ids []PageID) err
 	if uint64(addr)%PageSize != 0 {
 		return ErrNotAligned
 	}
-	as.mu.Lock()
-	as.pm.mu.Lock()
 	pages := as.span(addr, len(ids))
 	if pages == nil {
-		as.pm.mu.Unlock()
-		as.mu.Unlock()
 		return ErrUnmapped
 	}
 	for i, id := range ids {
 		f := as.pm.frame(id)
 		if f == nil {
-			as.pm.mu.Unlock()
-			as.mu.Unlock()
 			return ErrBadPage
 		}
 		if old := pages[i].f; old != nil {
@@ -572,8 +511,6 @@ func (as *AddressSpace) MapPages(ctx exec.Context, addr VAddr, ids []PageID) err
 		}
 		pages[i] = pte{f: f, cow: true}
 	}
-	as.pm.mu.Unlock()
-	as.mu.Unlock()
 	// One batched remap call for the whole range (§4.3's amortization).
 	mPageRemaps.Add(int64(len(ids)))
 	as.pm.charge(ctx, as.pm.costs.MapCost(len(ids)))
@@ -588,10 +525,6 @@ func (as *AddressSpace) Unmap(ctx exec.Context, addr VAddr, npages int) ([]PageI
 	if uint64(addr)%PageSize != 0 {
 		return nil, ErrNotAligned
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	as.pm.mu.Lock()
-	defer as.pm.mu.Unlock()
 	pages := as.span(addr, npages)
 	if pages == nil {
 		return nil, ErrUnmapped
@@ -616,10 +549,6 @@ func (as *AddressSpace) Unmap(ctx exec.Context, addr VAddr, npages int) ([]PageI
 // AcceptReturned places frames returned by a peer back into this pool
 // (completing the §4.3 page-return protocol).
 func (as *AddressSpace) AcceptReturned(ids []PageID) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	as.pm.mu.Lock()
-	defer as.pm.mu.Unlock()
 	for _, id := range ids {
 		if f := as.pm.frame(id); f != nil {
 			as.pm.unref(f)
@@ -629,14 +558,10 @@ func (as *AddressSpace) AcceptReturned(ids []PageID) {
 
 // Mapped reports whether addr is mapped (tests).
 func (as *AddressSpace) Mapped(addr VAddr) bool {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	return as.mapped(addr) != nil
 }
 
 // PoolSize reports pooled free frames (tests).
 func (as *AddressSpace) PoolSize() int {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	return len(as.pool)
 }

@@ -39,9 +39,7 @@ const (
 // state the restart invalidated, so the caller drops it.
 func (m *Monitor) heard(peer string, epoch uint32) bool {
 	now := m.H.Clk.Now()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p := m.peerLocked(peer)
+	p := m.peerOf(peer)
 	p.tracked, p.lastHeard = true, now
 	p.missed, p.suspected, p.dead = 0, false, false
 	if epoch != 0 && epoch < p.epoch {
@@ -59,9 +57,7 @@ func (m *Monitor) heard(peer string, epoch uint32) bool {
 // about the peer, so miss counters restart from zero.
 func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 	now := ctx.Now()
-	m.mu.Lock()
-	if !m.hbDueLocked(now) {
-		m.mu.Unlock()
+	if !m.hbDue(now) {
 		return
 	}
 	paused := m.hbLastTick == 0 || now-m.hbLastTick > 4*hbInterval
@@ -97,7 +93,6 @@ func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 		}
 		beacon = append(beacon, p.name)
 	}
-	m.mu.Unlock()
 	for _, name := range beacon {
 		m.hbSend(ctx, name, false)
 	}
@@ -106,17 +101,16 @@ func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 	}
 }
 
-// hbDueLocked reports whether tickHeartbeats has a tick to run at now: there
+// hbDue reports whether tickHeartbeats has a tick to run at now: there
 // are peers, real traffic was seen within hbQuietAfter, and hbInterval has
-// passed since the last tick. Caller holds m.mu.
-func (m *Monitor) hbDueLocked(now int64) bool {
+// passed since the last tick.
+func (m *Monitor) hbDue(now int64) bool {
 	return !m.stopped && now-m.lastActivity <= hbQuietAfter &&
-		(m.hbLastTick == 0 || now-m.hbLastTick >= hbInterval) && m.watchingLocked()
+		(m.hbLastTick == 0 || now-m.hbLastTick >= hbInterval) && m.watching()
 }
 
-// watchingLocked reports whether any peer is under liveness watch. Caller
-// holds m.mu.
-func (m *Monitor) watchingLocked() bool {
+// watching reports whether any peer is under liveness watch.
+func (m *Monitor) watching() bool {
 	return slices.ContainsFunc(m.peerList, func(p *peer) bool { return p.tracked })
 }
 
@@ -132,14 +126,11 @@ func (m *Monitor) watchingLocked() bool {
 // initiator's own tick rate and stops the moment the initiator goes quiet.
 func (m *Monitor) hbSend(ctx exec.Context, peer string, echo bool) {
 	now := ctx.Now()
-	m.mu.Lock()
-	p := m.peerLocked(peer)
+	p := m.peerOf(peer)
 	if echo && p.lastSent != 0 && now-p.lastSent < hbInterval {
-		m.mu.Unlock()
 		return
 	}
 	p.lastSent = now
-	m.mu.Unlock()
 	hb := ctlmsg.Msg{Kind: ctlmsg.KMHeartbeat}
 	hb.SetHost(m.H.Name)
 	mHBSent.Inc()
@@ -152,14 +143,12 @@ func (m *Monitor) hbSend(ctx exec.Context, peer string, echo bool) {
 // exist to detect).
 func (m *Monitor) armHeartbeat(ctx exec.Context) {
 	now := ctx.Now()
-	m.mu.Lock()
 	need := !m.stopped && !m.hbArmed && now-m.lastActivity <= hbQuietAfter &&
-		m.watchingLocked()
+		m.watching()
 	if need {
 		m.hbArmed = true
 	}
 	cb := m.hbTimerCb
-	m.mu.Unlock()
 	if !need {
 		return
 	}
@@ -190,13 +179,11 @@ func (m *Monitor) armHeartbeat(ctx exec.Context) {
 // in a full mesh the confirmer reaches everyone it can, and anyone it
 // cannot reach confirms on its own horizon.
 func (m *Monitor) hostDead(ctx exec.Context, peer string, epoch uint32, report bool) {
-	m.mu.Lock()
-	p := m.peerLocked(peer)
+	p := m.peerOf(peer)
 	if epoch == 0 {
 		epoch = p.epoch
 	}
 	if p.dead || (epoch != 0 && (p.deadEpoch >= epoch || p.epoch > epoch)) {
-		m.mu.Unlock()
 		return
 	}
 	p.dead, p.tracked, p.mc = true, false, nil
@@ -212,7 +199,6 @@ func (m *Monitor) hostDead(ctx exec.Context, peer string, epoch uint32, report b
 			}
 		}
 	}
-	m.mu.Unlock()
 	mHostDeadFanouts.Inc()
 	if telemetry.Trace.Enabled() {
 		telemetry.Trace.Emit(ctx.Now(), "monitor", "host_dead",
@@ -242,13 +228,11 @@ func (m *Monitor) onHostDeadGossip(ctx exec.Context, cm *ctlmsg.Msg) {
 	dead := cm.HostStr()
 	deadEpoch := uint32(cm.Aux)
 	now := ctx.Now()
-	m.mu.Lock()
 	var fresh, stale bool
 	if p := m.peers[dead]; p != nil {
 		fresh = p.lastHeard != 0 && now-p.lastHeard < hbSuspectMiss*hbInterval
 		stale = deadEpoch != 0 && p.epoch > deadEpoch
 	}
-	m.mu.Unlock()
 	if dead == "" || dead == m.H.Name || fresh || stale {
 		mGossipIgnored.Inc()
 		return

@@ -1,8 +1,6 @@
 package monitor
 
 import (
-	"sync"
-
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/host"
 	"socksdirect/internal/rdma"
@@ -19,7 +17,6 @@ type mchan struct {
 	sendCQ *rdma.CQ
 	recvCQ *rdma.CQ
 
-	mu       sync.Mutex
 	nextWRID uint64
 	bufs     map[uint64][]byte
 	inflight int
@@ -47,10 +44,8 @@ func newMchan(h *host.Host, peer string) *mchan {
 		bufs:   make(map[uint64][]byte),
 	}
 	mc.wakeCb = func() {
-		mc.mu.Lock()
 		mc.wakeArmed = false
 		f := mc.wakeFn
-		mc.mu.Unlock()
 		if f != nil {
 			f()
 		}
@@ -66,21 +61,17 @@ func (mc *mchan) connect(peerHost string, peerQPN uint32) error {
 	if err := mc.qp.Connect(peerHost, peerQPN); err != nil {
 		return err
 	}
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
 	for i := 0; i < mchanBufs; i++ {
-		mc.postRecvLocked()
+		mc.repost(nil)
 	}
 	return nil
 }
 
-func (mc *mchan) postRecvLocked() { mc.repostLocked(nil) }
-
-// repostLocked turns a drained landing buffer back into a receive WQE
+// repost turns a drained landing buffer back into a receive WQE
 // (nil allocates a fresh one — only at channel bring-up). The buffer set
 // is therefore fixed at mchanBufs for the channel's lifetime instead of
 // allocating one per received control message.
-func (mc *mchan) repostLocked(buf []byte) {
+func (mc *mchan) repost(buf []byte) {
 	if buf == nil {
 		buf = make([]byte, ctlmsg.Size)
 	}
@@ -91,8 +82,6 @@ func (mc *mchan) repostLocked(buf []byte) {
 
 // send ships one control message (non-blocking; the QP queues).
 func (mc *mchan) send(cm *ctlmsg.Msg) {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
 	mc.nextWRID++
 	// The QP copies into pooled staging inside PostSend, so the one
 	// persistent staging buffer is free for reuse as soon as it returns.
@@ -111,12 +100,10 @@ func (mc *mchan) send(cm *ctlmsg.Msg) {
 // parked monitor resumes when peer traffic arrives. Arming while a prior
 // arm is still pending only updates the target function.
 func (mc *mchan) armWake(fn func()) {
-	mc.mu.Lock()
 	mc.wakeFn = fn
 	armed := mc.wakeArmed
 	mc.wakeArmed = true
 	cb := mc.wakeCb
-	mc.mu.Unlock()
 	if !armed {
 		mc.recvCQ.Arm(cb)
 	}
@@ -130,7 +117,6 @@ func (mc *mchan) recv() (*ctlmsg.Msg, bool) {
 	if !ok {
 		return nil, false
 	}
-	mc.mu.Lock()
 	buf := mc.bufs[e.WRID]
 	delete(mc.bufs, e.WRID)
 	var cm ctlmsg.Msg
@@ -138,8 +124,7 @@ func (mc *mchan) recv() (*ctlmsg.Msg, bool) {
 	if ok {
 		cm, ok = ctlmsg.Unmarshal(buf[:e.Len])
 	}
-	mc.repostLocked(buf)
-	mc.mu.Unlock()
+	mc.repost(buf)
 	if !ok {
 		return nil, false
 	}
@@ -164,9 +149,7 @@ func Peer(a, b *Monitor) {
 
 // adopt installs a connected channel and puts its peer under liveness watch.
 func (m *Monitor) adopt(mc *mchan) {
-	m.mu.Lock()
-	p := m.peerLocked(mc.peer)
+	p := m.peerOf(mc.peer)
 	p.mc, p.tracked = mc, true
-	m.mu.Unlock()
 	m.wake()
 }

@@ -43,8 +43,6 @@ type Member struct {
 // confirmed dead), sorted by host name. The local host is not listed —
 // a monitor holds no verdict about itself.
 func (m *Monitor) Membership() []Member {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]Member, 0, len(m.peerList))
 	for _, p := range m.peerList { // sorted by name
 		row := Member{Host: p.name, Epoch: p.epoch, LastHeard: p.lastHeard, Missed: p.missed}
@@ -65,8 +63,6 @@ func (m *Monitor) Membership() []Member {
 // MemberState returns the tracked state of one peer (MemberAlive for a
 // peer that has never been tracked: absence of evidence is not a verdict).
 func (m *Monitor) MemberState(peer string) MemberState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if p := m.peers[peer]; p != nil {
 		switch {
 		case p.dead:

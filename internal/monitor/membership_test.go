@@ -25,14 +25,12 @@ func TestHostDeadExactlyOncePerEpoch(t *testing.T) {
 	ma.RegisterProcess(p)
 
 	qids := make([]uint64, shard.DefaultCount)
-	ma.mu.Lock()
 	ma.peers["b"].epoch = 1
 	for i := range qids {
 		q := qidOnShard(i, uint64(100*i+1))
 		qids[i] = q
 		ma.shardOf(q).conns[q] = &connRec{pids: [2]int{p.PID, 0}, owner: p.PID, peerHost: "b"}
 	}
-	ma.mu.Unlock()
 	mb.Stop()
 
 	s.Spawn("drive", func(ctx exec.Context) {
@@ -43,11 +41,9 @@ func TestHostDeadExactlyOncePerEpoch(t *testing.T) {
 		// books the receipt and clears the hbDead latch (hearing from a
 		// dead host normally means it is back).
 		ma.heard("b", 1)
-		ma.mu.Lock()
 		if ma.peers["b"].dead {
 			t.Error("stale receipt did not clear the hbDead latch (test setup broken)")
 		}
-		ma.mu.Unlock()
 
 		// Let the receipt age past the suspect window so the gossip below
 		// is not dropped as fresh-evidence-of-life; the epoch guard is the
@@ -61,8 +57,6 @@ func TestHostDeadExactlyOncePerEpoch(t *testing.T) {
 	})
 	s.Run()
 
-	ma.mu.Lock()
-	defer ma.mu.Unlock()
 	if got := ma.peers["b"].deadEpoch; got != 1 {
 		t.Fatalf("deadEpoch of b = %d, want 1", got)
 	}
@@ -82,9 +76,7 @@ func TestHostDeadNewEpochConfirmsAgain(t *testing.T) {
 	Peer(ma, mb)
 	mb.Stop()
 	s.Spawn("drive", func(ctx exec.Context) {
-		ma.mu.Lock()
 		ma.peers["b"].epoch = 1
-		ma.mu.Unlock()
 		ma.hostDead(ctx, "b", 0, false)
 		// The host restarts: its new incarnation is heard from.
 		ma.heard("b", 2)
@@ -92,8 +84,6 @@ func TestHostDeadNewEpochConfirmsAgain(t *testing.T) {
 		ma.hostDead(ctx, "b", 0, false)
 	})
 	s.Run()
-	ma.mu.Lock()
-	defer ma.mu.Unlock()
 	if got := ma.peers["b"].deadEpoch; got != 2 {
 		t.Fatalf("deadEpoch of b = %d, want 2", got)
 	}
@@ -125,18 +115,14 @@ func TestGossipConvergesQuietSurvivor(t *testing.T) {
 	Peer(ma, mb)
 	Peer(ma, mc)
 	Peer(mb, mc)
-	ma.mu.Lock()
 	ma.peers["c"].epoch = 1
-	ma.mu.Unlock()
 
 	mc.Stop()
 	// Traffic keeper on a only: a ticks, b stays quiet.
 	s.Spawn("traffic", func(ctx exec.Context) {
 		horizon := int64(hbConfirmMiss+50) * hbInterval
 		for ctx.Now() < horizon {
-			ma.mu.Lock()
 			ma.lastActivity = ctx.Now()
-			ma.mu.Unlock()
 			ma.wake()
 			ctx.Sleep(hbQuietAfter / 2)
 		}

@@ -31,7 +31,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"socksdirect/internal/core"
@@ -58,7 +57,6 @@ type Monitor struct {
 	H  *host.Host
 	KS *ksocket.Stack // kernel sockets for the fallback path (may be nil)
 
-	mu       sync.Mutex
 	procs    map[int]*procChan
 	procList []*procChan // procs sorted by PID; shard loops poll in this order
 	shards   []*mshard   // fixed at shard.DefaultCount for the incarnation's life
@@ -113,8 +111,7 @@ type kernL struct {
 
 // peer is everything the router knows about one remote host. The record is
 // made at the first mention of the host and outlives its channel: the dead
-// latch and deadEpoch must survive the channel they condemned. Guarded by
-// Monitor.mu.
+// latch and deadEpoch must survive the channel they condemned.
 type peer struct {
 	name string
 	mc   *mchan // monitor channel; nil = none, probe before sending
@@ -193,10 +190,8 @@ func startEpoch(h *host.Host, ks *ksocket.Stack, epoch uint32) *Monitor {
 	// park cycle and a fresh closure per arm would show up in steady-state
 	// allocation profiles.
 	m.hbTimerCb = func() {
-		m.mu.Lock()
 		m.hbArmed = false
 		stopped := m.stopped
-		m.mu.Unlock()
 		if !stopped {
 			m.wake()
 		}
@@ -208,13 +203,10 @@ func startEpoch(h *host.Host, ks *ksocket.Stack, epoch uint32) *Monitor {
 	// guard keeps a dead incarnation's hook (they accumulate across
 	// restarts) from double-queueing deaths the live one already owns.
 	h.OnProcessDeath(func(pid int) {
-		m.mu.Lock()
 		if m.stopped {
-			m.mu.Unlock()
 			return
 		}
 		m.deaths = append(m.deaths, pid)
-		m.mu.Unlock()
 		m.wake()
 	})
 	if ks != nil {
@@ -236,9 +228,7 @@ func startEpoch(h *host.Host, ks *ksocket.Stack, epoch uint32) *Monitor {
 
 // SetPolicy installs the access-control policy.
 func (m *Monitor) SetPolicy(p Policy) {
-	m.mu.Lock()
 	m.policy = p
-	m.mu.Unlock()
 }
 
 // Stop terminates the router and every shard loop. It is idempotent (a
@@ -248,9 +238,7 @@ func (m *Monitor) SetPolicy(p Policy) {
 // is woken once — a parked sleeper whose only doorbell was this daemon
 // must not leak.
 func (m *Monitor) Stop() {
-	m.mu.Lock()
 	if m.stopped {
-		m.mu.Unlock()
 		return
 	}
 	m.stopped = true
@@ -268,7 +256,6 @@ func (m *Monitor) Stop() {
 		asleep = slices.AppendSeq(asleep, maps.Keys(sh.sleepers))
 	}
 	slices.Sort(asleep)
-	m.mu.Unlock()
 	for _, kl := range kls {
 		kl.Close()
 	}
@@ -310,7 +297,7 @@ func (m *Monitor) wakeAll() {
 // from. Map iteration order would serve the duplexes in a different order
 // every run, and with it shift every virtual timestamp downstream — the
 // bench suite diffs those numbers run against run, so polling order must
-// be a function of state, not of Go's map hash. Caller holds m.mu.
+// be a function of state, not of Go's map hash.
 func (m *Monitor) rebuildProcList() {
 	m.procList = m.procList[:0]
 	for _, pc := range m.procs {
@@ -319,11 +306,11 @@ func (m *Monitor) rebuildProcList() {
 	sort.Slice(m.procList, func(i, j int) bool { return m.procList[i].p.PID < m.procList[j].p.PID })
 }
 
-// peerLocked returns the record of remote host name, making it at this
-// first mention and filing it in peerList by name: the order the channels
-// are drained in shifts every virtual timestamp downstream, so, as with
-// procList, it must not be Go's map order. Caller holds m.mu.
-func (m *Monitor) peerLocked(name string) *peer {
+// peerOf returns the record of remote host name, making it at this first
+// mention and filing it in peerList by name: the order the channels are
+// drained in shifts every virtual timestamp downstream, so, as with
+// procList, it must not be Go's map order.
+func (m *Monitor) peerOf(name string) *peer {
 	p := m.peers[name]
 	if p == nil {
 		p = &peer{name: name}
@@ -334,10 +321,10 @@ func (m *Monitor) peerLocked(name string) *peer {
 	return p
 }
 
-// chanLocked returns the usable channel toward p, nil if it has none. One
-// whose QP died (partition, injected fault) is dropped here, so the caller
-// falls through to the probe that re-establishes it. Caller holds m.mu.
-func (m *Monitor) chanLocked(p *peer) *mchan {
+// chanTo returns the usable channel toward p, nil if it has none. One whose
+// QP died (partition, injected fault) is dropped here, so the caller falls
+// through to the probe that re-establishes it.
+func (m *Monitor) chanTo(p *peer) *mchan {
 	if p.mc != nil && p.mc.qp.State() == rdma.QPErr {
 		p.mc = nil
 		mMchanHeals.Inc()
@@ -354,10 +341,8 @@ func (m *Monitor) RegisterProcess(p *host.Process) *core.ProcLink {
 	for i := range ds {
 		ds[i] = shm.NewDuplex(ctlRingCap)
 	}
-	m.mu.Lock()
 	m.procs[p.PID] = &procChan{p: p, ds: ds}
 	m.rebuildProcList()
-	m.mu.Unlock()
 	m.wakeAll()
 	// The doorbell resolves through h.Mon at ring time, not through this
 	// incarnation: after a restart the successor adopts the duplexes, and
@@ -373,12 +358,10 @@ func (m *Monitor) RegisterProcess(p *host.Process) *core.ProcLink {
 // RegisterChild pairs a forked child using the secret its parent deposited
 // before forking (§4.1.2 "Security"). An unknown secret is rejected.
 func (m *Monitor) RegisterChild(p *host.Process, secret uint64) *core.ProcLink {
-	m.mu.Lock()
 	parent, ok := m.secrets[secret]
 	if ok {
 		delete(m.secrets, secret)
 	}
-	m.mu.Unlock()
 	if !ok || p.Parent == nil || p.Parent.PID != parent {
 		return nil
 	}
@@ -401,9 +384,7 @@ func (m *Monitor) run(ctx exec.Context) {
 	// at every park would allocate per park cycle.
 	wakeFn := m.wake
 	for {
-		m.mu.Lock()
 		if m.stopped {
-			m.mu.Unlock()
 			return
 		}
 		mchs = mchs[:0]
@@ -413,19 +394,16 @@ func (m *Monitor) run(ctx exec.Context) {
 			}
 		}
 		kls = append(kls[:0], m.kernLs...)
-		m.mu.Unlock()
 
 		// progress: anything consumed this iteration (keep spinning).
 		// real: non-heartbeat traffic — heartbeat receipts alone must not
 		// count as activity, or two idle peered monitors would keep each
 		// other's beacons alive forever and the run would never quiesce.
 		progress, real := false, false
-		m.mu.Lock()
 		deaths := m.deaths
 		m.deaths = nil
 		rereg := m.needReReg
 		m.needReReg = nil
-		m.mu.Unlock()
 		for _, pid := range deaths {
 			m.cleanupProcess(ctx, pid)
 			progress, real = true, true
@@ -434,10 +412,8 @@ func (m *Monitor) run(ctx exec.Context) {
 			m.reRegister(ctx, pid)
 			progress, real = true, true
 		}
-		m.mu.Lock()
 		probes := m.probeDone
 		m.probeDone = nil
-		m.mu.Unlock()
 		for _, pr := range probes {
 			m.finishProbes(ctx, pr.dst, pr)
 			progress, real = true, true
@@ -474,9 +450,7 @@ func (m *Monitor) run(ctx exec.Context) {
 			progress, real = true, true
 		}
 		if real {
-			m.mu.Lock()
 			m.lastActivity = ctx.Now()
-			m.mu.Unlock()
 		}
 		m.tickHeartbeats(ctx)
 
@@ -515,11 +489,7 @@ type routerIdler Monitor
 
 func (r *routerIdler) Idle(now int64) bool {
 	m := (*Monitor)(r)
-	if !m.mu.TryLock() {
-		return false
-	}
-	defer m.mu.Unlock()
-	if m.stopped || len(m.deaths)+len(m.needReReg)+len(m.probeDone) > 0 || m.hbDueLocked(now) ||
+	if m.stopped || len(m.deaths)+len(m.needReReg)+len(m.probeDone) > 0 || m.hbDue(now) ||
 		(m.rescueL != nil && m.rescueL.PendingHint() > 0) {
 		return false
 	}
@@ -560,7 +530,6 @@ func (m *Monitor) routeRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 	if ev.cm.TraceID != 0 {
 		ev.cm.TS = ctx.Now() // routing-hop start for the shard's span
 	}
-	m.mu.Lock()
 	if capN := MonInboxCap(); capN > 0 && len(sh.inbox) >= capN &&
 		cm.Kind == ctlmsg.KMSyn {
 		// Shard saturated: shed the one kind that is safely refusable. A
@@ -569,7 +538,6 @@ func (m *Monitor) routeRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 		// notices, QP recovery) whose loss would wedge it, so those always
 		// append — the cap bounds admission, not correctness.
 		sh.cInboxShed.Inc()
-		m.mu.Unlock()
 		obs.Trigger(obs.TrigOverloadShed, ctx.Now(),
 			"monitor shard inbox full: SYN shed with backlog-full refusal")
 		r := ctlmsg.Msg{Kind: ctlmsg.KMRefused, ConnID: cm.ConnID,
@@ -579,7 +547,6 @@ func (m *Monitor) routeRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 		return
 	}
 	sh.inbox = append(sh.inbox, ev)
-	m.mu.Unlock()
 	sh.wake()
 }
 
@@ -589,9 +556,7 @@ func (m *Monitor) routeRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 // message travels on the plane its key routes to, so a request and its
 // reply share a shard and per-key ordering holds end to end.
 func (m *Monitor) sendTo(ctx exec.Context, pid int, cm *ctlmsg.Msg, signal bool) {
-	m.mu.Lock()
 	pc := m.procs[pid]
-	m.mu.Unlock()
 	if pc == nil {
 		return
 	}
@@ -625,8 +590,8 @@ func (m *Monitor) pidDead(pid int) bool {
 
 // cleanupProcess is the monitor half of the crash path (§3.1: the monitor
 // is the trusted party that must reclaim whatever an untrusted process
-// held). It runs on the router thread under the shared mutex, sweeping
-// every shard's partition of the corpse's state — so one pass is
+// held). It runs on the router thread, sweeping every shard's partition
+// of the corpse's state; no shard loop runs while it does, so one pass is
 // serialized against all shard dispatch, exactly as the single-loop
 // design was. In order: forget the corpse's control queues, listener
 // registrations, sleep notes, fork secrets and pending routing state;
@@ -637,9 +602,7 @@ func (m *Monitor) pidDead(pid int) bool {
 // sockets — and remove SHM segments of sockets with no surviving
 // endpoint.
 func (m *Monitor) cleanupProcess(ctx exec.Context, pid int) {
-	m.mu.Lock()
 	if _, done := m.deadPIDs[pid]; done {
-		m.mu.Unlock()
 		return
 	}
 	m.deadPIDs[pid] = struct{}{}
@@ -703,7 +666,6 @@ func (m *Monitor) cleanupProcess(ctx exec.Context, pid int) {
 			notes = append(notes, n)
 		}
 	}
-	m.mu.Unlock()
 	// Ascending IDs, not map order: the re-grants and resets go out 2 000
 	// sim-ns apart, and a schedule that differs run to run cannot be shrunk.
 	slices.SortFunc(regrant, func(a, b tokKey) int {
@@ -761,9 +723,7 @@ func (m *Monitor) survivorClosed(c *connRec, pid int) bool {
 // keep the record, and any backlog slot it holds, until unrelated traffic.
 func (m *Monitor) ConnClosed(qid uint64) {
 	sh := m.shardOf(qid)
-	m.mu.Lock()
 	sh.closed = append(sh.closed, qid)
-	m.mu.Unlock()
 	sh.wake()
 }
 
@@ -772,11 +732,9 @@ func (m *Monitor) ConnClosed(qid uint64) {
 // that must return to its baseline when connections are closed, and when
 // the processes that held them die.
 func (m *Monitor) LiveConnRecords() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	n := 0
 	for _, sh := range m.shards {
-		sh.reclaimClosedLocked()
+		sh.reclaimClosed()
 		n += len(sh.conns)
 	}
 	return n
@@ -791,7 +749,6 @@ func (m *Monitor) LiveConnRecords() int {
 // endpoint lives here stays with that endpoint. The lifeline still runs
 // afterwards and reclaims everything else the pid held.
 func (m *Monitor) DetachProcess(pid int) {
-	m.mu.Lock()
 	for _, sh := range m.shards {
 		for qid, c := range sh.conns {
 			i := slices.Index(c.pids[:], pid)
@@ -808,14 +765,11 @@ func (m *Monitor) DetachProcess(pid int) {
 			}
 		}
 	}
-	m.mu.Unlock()
 }
 
 // CrashConverged verifies that no monitor state still refers to a dead
 // process — the post-drill invariant the crash experiment asserts.
 func (m *Monitor) CrashConverged() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for pid := range m.procs {
 		if m.pidDead(pid) {
 			return fmt.Errorf("monitor: dead pid %d still registered", pid)
@@ -912,9 +866,7 @@ func (m *Monitor) dispatch(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	case ctlmsg.KTokenReturn:
 		m.onTokenReturned(ctx, cm)
 	case ctlmsg.KForkSecret:
-		m.mu.Lock()
 		m.secrets[cm.Secret] = int(cm.PID)
-		m.mu.Unlock()
 		// Ack so the parent knows the deposit landed before it forks. The
 		// PID keeps the reply on the request's shard plane.
 		ack := ctlmsg.Msg{Kind: ctlmsg.KForkSecret, Secret: cm.Secret,
@@ -948,21 +900,17 @@ func (m *Monitor) dispatch(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 		// already-released ConnIDs no-op (a restarted monitor's resurrected
 		// records carry queued=false — the occupancy died with the incarnation).
 		sh := m.shardOf(cm.ConnID)
-		m.mu.Lock()
 		if c := sh.conns[cm.ConnID]; c != nil && c.queued {
 			c.queued = false
-			m.releaseBacklogSlotLocked(c.lport, c.lref)
+			m.releaseBacklogSlot(c.lport, c.lref)
 		}
-		m.mu.Unlock()
 	case ctlmsg.KMSynAck:
 		// Server libsd finished building its endpoint: relay to the
 		// client's monitor.
 		var to string
-		m.mu.Lock()
 		if x := m.shardOf(cm.ConnID).ext(cm.ConnID); x != nil {
 			to = x.synAckTo
 		}
-		m.mu.Unlock()
 		if to != "" && to != m.H.Name {
 			m.mchanSend(ctx, to, cm, true)
 		}
@@ -972,11 +920,9 @@ func (m *Monitor) dispatch(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 		// Peer libsd built the extra QP; route back to the forked child's
 		// host monitor.
 		var dst string
-		m.mu.Lock()
 		if x := m.shardOf(cm.QID).ext(cm.QID); x != nil {
 			dst = x.reqpFrom
 		}
-		m.mu.Unlock()
 		if dst != "" {
 			// Not queued on a dead channel: the requester re-sends KReQP on
 			// its recovery deadline, regenerating this response.
@@ -996,10 +942,8 @@ func (m *Monitor) mchanSend(ctx exec.Context, dst string, cm *ctlmsg.Msg, queue 
 	if cm.TraceID != 0 {
 		cm.TS = ctx.Now() // flight-hop start for the peer monitor's span
 	}
-	m.mu.Lock()
-	p := m.peerLocked(dst)
-	if mc := m.chanLocked(p); mc != nil {
-		m.mu.Unlock()
+	p := m.peerOf(dst)
+	if mc := m.chanTo(p); mc != nil {
 		mc.send(cm)
 		return
 	}
@@ -1009,7 +953,6 @@ func (m *Monitor) mchanSend(ctx exec.Context, dst string, cm *ctlmsg.Msg, queue 
 	}
 	launch := !p.probing
 	p.probing = true
-	m.mu.Unlock()
 	if launch {
 		m.probe(ctx, dst)
 	}
@@ -1017,24 +960,20 @@ func (m *Monitor) mchanSend(ctx exec.Context, dst string, cm *ctlmsg.Msg, queue 
 
 // noteSleeper records that thread tid of pid parked in interrupt mode.
 func (m *Monitor) noteSleeper(pid, tid int) {
-	m.mu.Lock()
 	sl := m.shardOfPID(pid).sleepers
 	if sl[pid] == nil {
 		sl[pid] = make(map[int]struct{})
 	}
 	sl[pid][tid] = struct{}{}
-	m.mu.Unlock()
 }
 
 // wakeSleepers unparks every thread of pid that reported itself asleep via
 // KSleepNote. Spurious wakes are fine (blockOnRecv re-checks and re-parks);
 // missing a wake is not, since a process with a dead QP gets no doorbell.
 func (m *Monitor) wakeSleepers(pid int) {
-	m.mu.Lock()
 	sl := m.shardOfPID(pid).sleepers
 	tids := sl[pid]
 	delete(sl, pid)
-	m.mu.Unlock()
 	// By thread ID: threads woken for the same instant run in the order
 	// their wake-ups were scheduled.
 	for _, tid := range slices.Sorted(maps.Keys(tids)) {
@@ -1047,10 +986,8 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 	switch cm.Kind {
 	case ctlmsg.KMSyn:
 		sh := m.shardOf(cm.ConnID)
-		m.mu.Lock()
 		c := sh.conns[cm.ConnID]
 		dup := c != nil && c.dispatched()
-		m.mu.Unlock()
 		if dup {
 			// A re-sent SYN (the client's monitor restarted and replayed
 			// it); the original dispatch stands.
@@ -1063,13 +1000,11 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 			mc.send(&r)
 			return
 		}
-		m.mu.Lock()
 		c = sh.conn(cm.ConnID)
 		c.pids, c.owner, c.peerHost = [2]int{0, ref.pid}, ref.pid, mc.peer
 		c.lport, c.lref, c.queued = cm.Port, ref, true
 		c.ext().synAckTo = mc.peer
 		m.ConnsDispatched++
-		m.mu.Unlock()
 		mDispatches.Inc()
 		nc := *cm
 		nc.Kind = ctlmsg.KNewConn
@@ -1080,11 +1015,9 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 		m.sendTo(ctx, ref.pid, &nc, true)
 	case ctlmsg.KMSynAck:
 		client := 0
-		m.mu.Lock()
 		if x := m.shardOf(cm.ConnID).ext(cm.ConnID); x != nil {
 			client = x.resTo
 		}
-		m.mu.Unlock()
 		res := *cm
 		res.Kind = ctlmsg.KConnectRes
 		res.Status = ctlmsg.StatusOK
@@ -1095,11 +1028,9 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 		// The dial is over; its record stays until the dialer gives the
 		// connection up (ConnClosed) or dies.
 		client := 0
-		m.mu.Lock()
 		if x := m.shardOf(cm.ConnID).ext(cm.ConnID); x != nil {
 			client, x.resTo = x.resTo, 0
 		}
-		m.mu.Unlock()
 		st := cm.Status
 		if st == ctlmsg.StatusOK {
 			// Older refusals carried no status; no-listener is the only
@@ -1109,7 +1040,6 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 		m.fail(ctx, client, cm, st)
 	case ctlmsg.KReQPPeer:
 		sh := m.shardOf(cm.QID)
-		m.mu.Lock()
 		owner := sh.owner(cm.QID)
 		if owner != 0 {
 			// Only for a connection still on record here: a splice request
@@ -1117,7 +1047,6 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 			// answer it and must leave no route behind.
 			sh.conns[cm.QID].ext().reqpFrom = mc.peer
 		}
-		m.mu.Unlock()
 		if owner != 0 {
 			m.sendTo(ctx, owner, cm, true)
 			m.wakeSleepers(owner)
@@ -1133,12 +1062,10 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 		// routing — nothing more can arrive for it, nor is the owner's death
 		// the remote monitor's business now — and stays for the owner to end.
 		sh := m.shardOf(cm.QID)
-		m.mu.Lock()
 		owner := sh.owner(cm.QID)
 		if c := sh.conns[cm.QID]; c != nil {
 			c.owner, c.peerHost = 0, ""
 		}
-		m.mu.Unlock()
 		if owner != 0 {
 			m.sendTo(ctx, owner, cm, true)
 			m.wakeSleepers(owner)
@@ -1166,11 +1093,9 @@ func (m *Monitor) wakeThread(pid, tid int) {
 func (m *Monitor) onListen(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	if cm.Status == 1 { // remove
 		gone := listenerRef{pid: int(cm.PID), tid: int(cm.TID)}
-		m.mu.Lock()
 		if pr := m.shardOfPort(cm.Port).ports[cm.Port]; pr != nil {
 			pr.refs = slices.DeleteFunc(pr.refs, func(r listenerSlot) bool { return r.listenerRef == gone })
 		}
-		m.mu.Unlock()
 		return
 	}
 	res := ctlmsg.Msg{Kind: ctlmsg.KBindRes, Port: cm.Port, TID: cm.TID}
@@ -1192,26 +1117,21 @@ func (m *Monitor) onListen(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 func (m *Monitor) addListener(port uint16, pid, tid int) {
 	sh := m.shardOfPort(port)
 	ref := listenerRef{pid: pid, tid: tid}
-	m.mu.Lock()
 	pr := sh.ports[port]
 	if pr == nil {
 		pr = &portRec{}
 		sh.ports[port] = pr
 	}
 	if pr.slot(ref) != nil {
-		m.mu.Unlock()
 		return
 	}
 	pr.refs = append(pr.refs, listenerSlot{listenerRef: ref})
 	needKern := m.KS != nil && !slices.ContainsFunc(m.kernLs, func(k kernL) bool { return k.port == port })
-	m.mu.Unlock()
 	if needKern {
 		if kl, err := m.KS.Listen(port); err == nil {
 			kl.SetNotify(m.wake)
-			m.mu.Lock()
 			m.kernLs = append(m.kernLs, kernL{port, kl})
 			sort.Slice(m.kernLs, func(i, j int) bool { return m.kernLs[i].port < m.kernLs[j].port })
-			m.mu.Unlock()
 		}
 	}
 }
@@ -1224,12 +1144,10 @@ func (m *Monitor) addListener(port uint16, pid, tid int) {
 // (StatusNoListener) from a port where every backlog is full
 // (StatusBacklogFull → ECONNREFUSED at the dialer, retryable). Callable
 // from any loop: a connect's shard (keyed by connection ID) is usually
-// not the port's shard, and this cross-shard read under the shared mutex
-// is the deliberate thin path between partitions.
+// not the port's shard, and this cross-shard read is the deliberate thin
+// path between partitions (one Sim runs one loop at a time).
 func (m *Monitor) pickListener(port uint16) (listenerRef, uint8) {
 	capN := ListenerBacklogCap()
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	pr := m.shardOfPort(port).ports[port]
 	if pr == nil || len(pr.refs) == 0 {
 		return listenerRef{}, ctlmsg.StatusNoListener
@@ -1247,11 +1165,10 @@ func (m *Monitor) pickListener(port uint16) (listenerRef, uint8) {
 	return listenerRef{}, ctlmsg.StatusBacklogFull
 }
 
-// releaseBacklogSlotLocked returns one claimed backlog slot (accept drained
+// releaseBacklogSlot returns one claimed backlog slot (accept drained
 // the connection, the dispatch was abandoned, or a steal moved it). A
 // listener that has unregistered or died since took its count with it.
-// Caller holds m.mu.
-func (m *Monitor) releaseBacklogSlotLocked(port uint16, ref listenerRef) {
+func (m *Monitor) releaseBacklogSlot(port uint16, ref listenerRef) {
 	if r := m.shardOfPort(port).ports[port].slot(ref); r != nil && r.used > 0 {
 		r.used--
 	}
@@ -1261,11 +1178,9 @@ func (m *Monitor) releaseBacklogSlotLocked(port uint16, ref listenerRef) {
 
 func (m *Monitor) onConnect(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	dst := cm.HostStr()
-	m.mu.Lock()
 	allowed := m.policy(pc.p.UID, dst, cm.Port)
 	c := m.shardOf(cm.ConnID).conns[cm.ConnID]
 	dup := c != nil && c.dispatched()
-	m.mu.Unlock()
 	if !allowed {
 		m.fail(ctx, pc.p.PID, cm, ctlmsg.StatusDenied)
 		return
@@ -1291,12 +1206,11 @@ func (m *Monitor) onConnect(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 func (m *Monitor) connectRemote(ctx exec.Context, cm *ctlmsg.Msg) {
 	dst := cm.HostStr()
 	sh := m.shardOf(cm.ConnID)
-	m.mu.Lock()
 	c := sh.conn(cm.ConnID)
 	c.pids, c.owner, c.peerHost = [2]int{int(cm.PID), 0}, int(cm.PID), dst
 	c.ext().resTo = int(cm.PID)
-	p := m.peerLocked(dst)
-	mc := m.chanLocked(p)
+	p := m.peerOf(dst)
+	mc := m.chanTo(p)
 	if mc == nil {
 		// No (usable) channel: probe the peer (special-option SYN) and queue
 		// the connect — a copy, cm stays on its dispatch loop's stack — until
@@ -1308,7 +1222,6 @@ func (m *Monitor) connectRemote(ctx exec.Context, cm *ctlmsg.Msg) {
 	if launch {
 		p.probing = true
 	}
-	m.mu.Unlock()
 	if mc != nil {
 		fwd := *cm
 		fwd.Kind = ctlmsg.KMSyn
@@ -1340,12 +1253,10 @@ func (m *Monitor) dispatchIntra(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) 
 	is := core.NewIntraSock(m.H.SHM, cm.ConnID, SockRingCap())
 	seg := m.H.SHM.Create(fmt.Sprintf("intra-%d", cm.ConnID), is)
 	sh := m.shardOf(cm.ConnID)
-	m.mu.Lock()
 	c := sh.conn(cm.ConnID)
 	c.pids, c.owner, c.shmTok = [2]int{pc.p.PID, ref.pid}, ref.pid, seg.Token
 	c.lport, c.lref, c.queued = cm.Port, ref, true
 	m.ConnsDispatched++
-	m.mu.Unlock()
 	mDispatches.Inc()
 
 	nc := ctlmsg.Msg{
@@ -1424,7 +1335,6 @@ func (m *Monitor) onTakeover(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 		mBadCtlmsg.Inc()
 		return
 	}
-	m.mu.Lock()
 	ts := &m.shardOf(key.qid).conn(key.qid).ext().tok[key.idx()]
 	me := waiterRef{pid: int(cm.PID), tid: int(cm.TID)}
 	dup := slices.Contains(ts.waiters, me)
@@ -1439,7 +1349,6 @@ func (m *Monitor) onTakeover(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 		// waiter's grant handler overwrites the holder word in SHM).
 		holder = 0
 	}
-	m.mu.Unlock()
 	switch {
 	case !first:
 		if dup && !revoking && holder != 0 {
@@ -1458,11 +1367,9 @@ func (m *Monitor) onTakeover(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 // interrupts a busy process — and marks the revoke outstanding; crash
 // cleanup answers it if pid dies before returning the token.
 func (m *Monitor) revoke(ctx exec.Context, key tokKey, pid int) {
-	m.mu.Lock()
 	if ts := m.shardOf(key.qid).tok(key); ts != nil {
 		ts.revokeSent, ts.revokeTo = true, pid
 	}
-	m.mu.Unlock()
 	rev := ctlmsg.Msg{Kind: ctlmsg.KTokenReturn, QID: key.qid, Dir: key.dir, SrcPort: key.side}
 	m.sendTo(ctx, pid, &rev, true)
 }
@@ -1473,31 +1380,26 @@ func (m *Monitor) onTokenReturned(ctx exec.Context, cm *ctlmsg.Msg) {
 		mBadCtlmsg.Inc()
 		return
 	}
-	m.mu.Lock()
 	ts := m.shardOf(key.qid).tok(key)
 	if ts != nil {
 		ts.revokeSent = false
 		ts.revokeTo = 0
 	}
 	pending := ts != nil && len(ts.waiters) > 0
-	m.mu.Unlock()
 	if pending {
 		m.grantNext(ctx, key)
 	}
 }
 
 func (m *Monitor) grantNext(ctx exec.Context, key tokKey) {
-	m.mu.Lock()
 	ts := m.shardOf(key.qid).tok(key)
 	if ts == nil || len(ts.waiters) == 0 {
-		m.mu.Unlock()
 		return
 	}
 	w := ts.waiters[0]
 	ts.waiters = ts.waiters[1:]
 	more := len(ts.waiters) > 0
 	m.TokensGranted++
-	m.mu.Unlock()
 	mTokensGranted.Inc()
 
 	grant := ctlmsg.Msg{
@@ -1516,7 +1418,6 @@ func (m *Monitor) grantNext(ctx exec.Context, key tokKey) {
 func (m *Monitor) onAcceptHint(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	sh := m.shardOfPort(cm.Port)
 	// Pick a victim: any other listener on the port.
-	m.mu.Lock()
 	thief := listenerRef{pid: int(cm.PID), tid: int(cm.TID)}
 	var victim listenerRef
 	if pr := sh.ports[cm.Port]; pr != nil {
@@ -1528,23 +1429,19 @@ func (m *Monitor) onAcceptHint(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 		}
 	}
 	if victim == (listenerRef{}) {
-		m.mu.Unlock()
 		return
 	}
 	sh.stealSeq++
 	id := sh.stealSeq
 	sh.steals[id] = stealReq{thief: thief, victim: victim}
-	m.mu.Unlock()
 	req := ctlmsg.Msg{Kind: ctlmsg.KStealReq, Port: cm.Port, TID: int64(victim.tid), Aux: id}
 	m.sendTo(ctx, victim.pid, &req, true)
 }
 
 func (m *Monitor) onStealRes(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	sh := m.shardOfPort(cm.Port)
-	m.mu.Lock()
 	sr, ok := sh.steals[cm.Aux]
 	delete(sh.steals, cm.Aux)
-	m.mu.Unlock()
 	if !ok || cm.Status != ctlmsg.StatusOK {
 		return
 	}
@@ -1556,21 +1453,19 @@ func (m *Monitor) onStealRes(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	nc.TID = int64(sr.thief.tid)
 	// The stolen connection's record lives on the connection's shard,
 	// which is generally not this (port-keyed) one.
-	m.mu.Lock()
 	if c := m.shardOf(cm.ConnID).conns[cm.ConnID]; c != nil {
 		c.pids[1], c.owner = sr.thief.pid, sr.thief.pid // the stolen conn now terminates at the thief
 		if c.queued {
 			// The admission slot moves with the descriptor: the victim's
 			// backlog shrank, the thief's grew. Its KAcceptDone (sent when
 			// the thief finishes the accept) must release the thief's slot.
-			m.releaseBacklogSlotLocked(cm.Port, sr.victim)
+			m.releaseBacklogSlot(cm.Port, sr.victim)
 			c.lref = sr.thief
 			if r := sh.ports[cm.Port].slot(c.lref); r != nil {
 				r.used++
 			}
 		}
 	}
-	m.mu.Unlock()
 	m.sendTo(ctx, sr.thief.pid, &nc, true)
 }
 

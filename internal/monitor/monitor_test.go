@@ -33,9 +33,7 @@ func TestRegisterChildRejectsForgedSecret(t *testing.T) {
 	}
 	// Deposit through the control path, then pairing works.
 	s.Spawn("t", func(ctx exec.Context) {
-		ma.mu.Lock()
 		ma.secrets[42] = parent.PID
-		ma.mu.Unlock()
 		if link := ma.RegisterChild(child, 42); link == nil {
 			t.Error("legitimate fork secret rejected")
 		}
@@ -51,9 +49,7 @@ func TestRegisterChildRejectsWrongParent(t *testing.T) {
 	ma.RegisterProcess(other)
 	// Secret deposited by parent; an unrelated process (not a child of
 	// parent) presents it.
-	ma.mu.Lock()
 	ma.secrets[7] = parent.PID
-	ma.mu.Unlock()
 	if link := ma.RegisterChild(other, 7); link != nil {
 		t.Fatal("secret accepted from a process that is not the parent's child")
 	}
@@ -61,10 +57,8 @@ func TestRegisterChildRejectsWrongParent(t *testing.T) {
 
 func TestListenerRoundRobinOrder(t *testing.T) {
 	_, ma, _, _, _ := newHostPair()
-	ma.mu.Lock()
 	ma.shardOfPort(80).ports[80] = &portRec{refs: []listenerSlot{
 		{listenerRef: listenerRef{pid: 1, tid: 1}}, {listenerRef: listenerRef{pid: 2, tid: 1}}, {listenerRef: listenerRef{pid: 3, tid: 1}}}}
-	ma.mu.Unlock()
 	var order []int
 	for i := 0; i < 6; i++ {
 		ref, st := ma.pickListener(80)
@@ -85,9 +79,7 @@ func TestMchanCarriesControlMessages(t *testing.T) {
 	s, ma, mb, _, _ := newHostPair()
 	Peer(ma, mb)
 	s.Spawn("t", func(ctx exec.Context) {
-		ma.mu.Lock()
 		mc := ma.peers["b"].mc
-		ma.mu.Unlock()
 		if mc == nil {
 			t.Error("peer channel missing")
 			return
@@ -100,9 +92,7 @@ func TestMchanCarriesControlMessages(t *testing.T) {
 		// must bounce a KMRefused back, which ma routes to the (absent)
 		// client — the observable effect here is simply that both
 		// daemons stayed live and the channel round-tripped.
-		mb.mu.Lock()
 		_, pending := mb.shardOf(99).conns[99]
-		mb.mu.Unlock()
 		if pending {
 			t.Error("refused connection left pending state")
 		}
@@ -122,9 +112,7 @@ func TestShardInboxShedsSYNsAtCap(t *testing.T) {
 	Peer(ma, mb)
 	defer SetMonInboxCap(SetMonInboxCap(1))
 	s.Spawn("t", func(ctx exec.Context) {
-		ma.mu.Lock()
 		mc := ma.peers["b"].mc
-		ma.mu.Unlock()
 		if mc == nil {
 			t.Error("peer channel missing")
 			return
@@ -133,15 +121,11 @@ func TestShardInboxShedsSYNsAtCap(t *testing.T) {
 		sh := ma.shardFor(syn)
 		// Pre-fill the shard's inbox to the cap with inert work (a
 		// heartbeat drains as a no-op if the shard loop gets to it).
-		ma.mu.Lock()
 		sh.inbox = append(sh.inbox, shardEvent{cm: ctlmsg.Msg{Kind: ctlmsg.KMHeartbeat}, mc: mc})
-		ma.mu.Unlock()
 		shed0 := sh.cInboxShed.Load()
 
 		ma.routeRemote(ctx, mc, syn)
-		ma.mu.Lock()
 		n := len(sh.inbox)
-		ma.mu.Unlock()
 		if got := sh.cInboxShed.Load() - shed0; got != 1 {
 			t.Errorf("inbox shed counter: got %d, want 1", got)
 		}
@@ -153,9 +137,7 @@ func TestShardInboxShedsSYNsAtCap(t *testing.T) {
 		// in-flight handshake instead of refusing a retryable dial.
 		ack := &ctlmsg.Msg{Kind: ctlmsg.KMSynAck, ConnID: 4242, Port: 80}
 		ma.routeRemote(ctx, mc, ack)
-		ma.mu.Lock()
 		n = len(sh.inbox)
-		ma.mu.Unlock()
 		if n != 2 {
 			t.Errorf("non-SYN kind was shed at the cap: inbox len %d, want 2", n)
 		}
@@ -189,8 +171,6 @@ func TestRouterPollOrderFollowsNames(t *testing.T) {
 	}
 	hub := start("hub")
 	order := func() string {
-		hub.mu.Lock()
-		defer hub.mu.Unlock()
 		if len(hub.peerList) != len(hub.peers) {
 			t.Fatalf("%d peers listed, %d on record", len(hub.peerList), len(hub.peers))
 		}
@@ -215,28 +195,22 @@ func TestRouterPollOrderFollowsNames(t *testing.T) {
 	if got := order(); got != "alpha bravo charlie delta echo " {
 		t.Fatalf("poll order after inserts: %s", got)
 	}
-	hub.mu.Lock()
 	hub.peers["charlie"].mc = nil
-	hub.mu.Unlock()
 	if got := order(); got != "alpha bravo delta echo " {
 		t.Fatalf("poll order after a delete: %s", got)
 	}
 	for _, port := range []uint16{9003, 9001, 9002} {
 		hub.addListener(port, 1, 1)
 	}
-	hub.mu.Lock()
 	var ports []uint16
 	for _, k := range hub.kernLs {
 		ports = append(ports, k.port)
 	}
-	hub.mu.Unlock()
 	if len(ports) != 3 || ports[0] != 9001 || ports[1] != 9002 || ports[2] != 9003 {
 		t.Fatalf("kernel listener poll order %v", ports)
 	}
 	hub.Stop()
-	hub.mu.Lock()
 	left := len(hub.kernLs)
-	hub.mu.Unlock()
 	if left != 0 {
 		t.Fatalf("%d kernel listeners still polled after Stop", left)
 	}

@@ -40,9 +40,7 @@ type probeResult struct {
 // targets the discard port instead: an SD peer's synFilter answers any
 // port, and a non-SD answer just resolves the probe as failed.
 func (m *Monitor) probe(ctx exec.Context, dst string) {
-	m.mu.Lock()
-	queued := m.peerLocked(dst).probes
-	m.mu.Unlock()
+	queued := m.peerOf(dst).probes
 	if m.KS == nil {
 		m.finishProbes(ctx, dst, probeResult{dst: dst, kind: probeTimeoutKind})
 		return
@@ -52,10 +50,8 @@ func (m *Monitor) probe(ctx exec.Context, dst string) {
 		dport = queued[0].Port
 	}
 	st := m.KS.TCP()
-	m.mu.Lock()
 	m.probeSeq++
 	sport := m.probeSeq
-	m.mu.Unlock()
 
 	mc := newMchan(m.H, dst)
 	var opt ctlmsg.Msg
@@ -109,17 +105,14 @@ func (m *Monitor) probe(ctx exec.Context, dst string) {
 // queueProbeResult defers processing to the daemon thread (raw-port
 // handlers run in timer context and must not block).
 func (m *Monitor) queueProbeResult(pr probeResult) {
-	m.mu.Lock()
 	m.probeDone = append(m.probeDone, pr)
-	m.mu.Unlock()
 	m.wake()
 }
 
 // finishProbes resolves every queued connect for dst according to the
 // probe outcome.
 func (m *Monitor) finishProbes(ctx exec.Context, dst string, pr probeResult) {
-	m.mu.Lock()
-	p := m.peerLocked(dst)
+	p := m.peerOf(dst)
 	queued, parked := p.probes, p.mqueue
 	p.probes, p.mqueue, p.probing = nil, nil, false
 	if pr.kind == probeSD {
@@ -130,7 +123,6 @@ func (m *Monitor) finishProbes(ctx exec.Context, dst string, pr probeResult) {
 		delete(m.peers, dst)
 		m.peerList = slices.DeleteFunc(m.peerList, func(q *peer) bool { return q == p })
 	}
-	m.mu.Unlock()
 	if m.KS != nil && pr.sport != 0 {
 		// Release the raw port: a repaired connection reuses it as an
 		// ordinary local port.
@@ -152,9 +144,7 @@ func (m *Monitor) finishProbes(ctx exec.Context, dst string, pr probeResult) {
 		// onConnect: its duplicate check (against bounded-wait re-sends)
 		// would drop these, since the first pass already recorded them.
 		for _, cm := range queued {
-			m.mu.Lock()
 			pc := m.procs[int(cm.PID)]
-			m.mu.Unlock()
 			if pc != nil {
 				m.connectRemote(ctx, cm)
 			}
@@ -233,9 +223,7 @@ func (m *Monitor) synFilter(seg *tcpstack.Segment) bool {
 	if !bytes.HasPrefix(seg.Options, sdMagic) {
 		return false
 	}
-	m.mu.Lock()
 	stopped := m.stopped
-	m.mu.Unlock()
 	if stopped {
 		// A stopped daemon must not answer capability probes: it would
 		// hand out credentials for a channel nobody drains. Let the SYN
@@ -252,9 +240,7 @@ func (m *Monitor) synFilter(seg *tcpstack.Segment) bool {
 	if err := mc.connect(seg.SrcHost, rm.QPN); err != nil {
 		return true
 	}
-	m.mu.Lock()
-	m.peerLocked(seg.SrcHost).mc = mc
-	m.mu.Unlock()
+	m.peerOf(seg.SrcHost).mc = mc
 	m.heard(seg.SrcHost, rm.Epoch)
 	var opt ctlmsg.Msg
 	opt.Kind = ctlmsg.KMSynAck
@@ -288,9 +274,7 @@ func (m *Monitor) acceptFallback(ctx exec.Context, port uint16, kl *ksocket.List
 	// Kernel-fallback connections carry no ConnID, so no KAcceptDone will
 	// ever release the admission slot; give it back immediately. The cap
 	// still gated this dispatch, it just doesn't track the fd's lifetime.
-	m.mu.Lock()
-	m.releaseBacklogSlotLocked(port, ref)
-	m.mu.Unlock()
+	m.releaseBacklogSlot(port, ref)
 	p := m.H.Process(ref.pid)
 	if p == nil {
 		return

@@ -91,9 +91,7 @@ func (m *Monitor) acceptRescue(ctx exec.Context) {
 			return
 		}
 		qid := binary.LittleEndian.Uint64(hdr[4:])
-		m.mu.Lock()
 		owner := m.shardOf(qid).owner(qid)
-		m.mu.Unlock()
 		p := m.H.Process(owner)
 		if owner == 0 || p == nil {
 			sk.Close(ctx)

@@ -31,7 +31,6 @@ func Restart(h *host.Host) *Monitor {
 		return nil
 	}
 	old.Stop()
-	old.mu.Lock()
 	epoch := old.epoch + 1
 	adopted := make([]*procChan, 0, len(old.procs))
 	for _, pc := range old.procs {
@@ -39,17 +38,14 @@ func Restart(h *host.Host) *Monitor {
 			adopted = append(adopted, pc)
 		}
 	}
-	old.mu.Unlock()
 	sort.Slice(adopted, func(i, j int) bool { return adopted[i].p.PID < adopted[j].p.PID })
 
 	m := startEpoch(h, old.KS, epoch)
-	m.mu.Lock()
 	for _, pc := range adopted {
 		m.procs[pc.p.PID] = pc
 		m.needReReg = append(m.needReReg, pc.p.PID)
 	}
 	m.rebuildProcList()
-	m.mu.Unlock()
 	mRestarts.Inc()
 	obs.Trigger(obs.TrigMonitorRestart, h.Clk.Now(), "monitor restart: "+h.Name)
 	m.wakeAll()
@@ -99,7 +95,6 @@ func (m *Monitor) onReRegistered(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg)
 			peer = ""
 		}
 		sh := m.shardOf(cm.QID)
-		m.mu.Lock()
 		c := sh.conn(cm.QID)
 		if peer != "" {
 			c.peerHost = peer
@@ -117,8 +112,7 @@ func (m *Monitor) onReRegistered(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg)
 		if c.owner == 0 {
 			c.owner = pid
 		}
-		needChan := peer != "" && m.peerLocked(peer).mc == nil
-		m.mu.Unlock()
+		needChan := peer != "" && m.peerOf(peer).mc == nil
 		if needChan {
 			// Inter-host socket but no channel to its host yet: re-probe
 			// the remote monitor. The beacon itself is droppable — the
@@ -139,11 +133,9 @@ func (m *Monitor) onReRegistered(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg)
 		// An in-flight connect that was awaiting KConnectRes: restore the
 		// reply routing so the server side's KMSynAck (or the client's
 		// own re-sent KConnect) can complete it.
-		m.mu.Lock()
 		if x := m.shardOf(cm.ConnID).conn(cm.ConnID).ext(); x.resTo == 0 && x.synAckTo == "" {
 			x.resTo = pid
 		}
-		m.mu.Unlock()
 	case ctlmsg.ReRegDone:
 		mRereg.Inc()
 	}

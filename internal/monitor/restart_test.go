@@ -17,9 +17,7 @@ func TestStopIdempotentAndDraining(t *testing.T) {
 	p.Spawn("sleeper", func(ctx exec.Context, th *host.Thread) {
 		// A thread parked in interrupt mode whose only doorbell is the
 		// monitor (the state a KSleepNote records).
-		ma.mu.Lock()
 		ma.shardOfPID(p.PID).sleepers[p.PID] = map[int]struct{}{th.TID: {}}
-		ma.mu.Unlock()
 		ctx.Park()
 		woke = true
 	})
@@ -52,9 +50,7 @@ func TestHeartbeatConfirmsDeadHost(t *testing.T) {
 	// One established connection toward host b, owned by p: the confirm
 	// fan-out must reset exactly this record.
 	const qid = 501
-	ma.mu.Lock()
 	ma.shardOf(qid).conns[qid] = &connRec{pids: [2]int{p.PID, 0}, owner: p.PID, peerHost: "b"}
-	ma.mu.Unlock()
 
 	before := telemetry.Capture()
 	// Kill b's monitor, then keep a's control plane active past the confirm
@@ -64,9 +60,7 @@ func TestHeartbeatConfirmsDeadHost(t *testing.T) {
 	s.Spawn("traffic", func(ctx exec.Context) {
 		horizon := int64(hbConfirmMiss+50) * hbInterval
 		for ctx.Now() < horizon {
-			ma.mu.Lock()
 			ma.lastActivity = ctx.Now()
-			ma.mu.Unlock()
 			ma.wake()
 			ctx.Sleep(hbQuietAfter / 2)
 		}
@@ -84,11 +78,9 @@ func TestHeartbeatConfirmsDeadHost(t *testing.T) {
 		t.Errorf("host death fanned out %d times, want exactly 1 (latched)",
 			d[telemetry.MonHostDeadFanouts])
 	}
-	ma.mu.Lock()
 	dead := ma.peers["b"].dead
 	_, stillConn := ma.shardOf(qid).conns[qid]
 	stillChan := ma.peers["b"].mc != nil
-	ma.mu.Unlock()
 	if !dead {
 		t.Error("peer b not latched dead after silence past the confirm horizon")
 	}

@@ -23,30 +23,26 @@ import (
 // listeners, probe resolution, crash cleanup, restart re-registration, and
 // heartbeats.
 //
-// All shards share the one monitor mutex. That is deliberate: the
-// original single-threaded daemon held m.mu only for map access and never
-// yielded under it, so the lock was never the bottleneck — the serial
-// dispatch loop was. Sharding parallelizes the loops (ring drain, message
-// decode, handler execution, reply enqueue all overlap across shards)
-// while the shared mutex keeps the rare cross-shard reads — a connect on
-// one shard picking a listener whose port lives on another — as cheap and
-// race-free as they were in the single-loop design.
+// The shards take no lock: every loop runs inside its host's Sim, which
+// runs one thread at a time. Sharding parallelizes the loops in virtual
+// time (ring drain, message decode, handler execution, reply enqueue all
+// overlap across the shards' cores), while the rare cross-shard reads — a
+// connect on one shard picking a listener whose port lives on another —
+// stay as cheap as they were in the single-loop design.
 //
 // The verdict on the shards (ROADMAP 1(d), EXPERIMENTS.md "One loop or
 // four"): with shard.DefaultCount = 1 and nothing else changed, `sdbench
 // connscale` falls 1 554 164 -> 429 184 conn/s (one loop saturates at three
 // events of ~780 sim-ns per connection) and cluster_dial's sim_p50_ns /
 // sim_tail_ns rise 1.8 % / 2.7 %, while the host cost of a dial halves. They
-// earn their keep on virtual time and stay; the mutex is synchronisation and
-// stays. Why four mostly idle loops doubled a dial's host cost: each spun
+// earn their keep on virtual time and stay. Why four mostly idle loops doubled a dial's host cost: each spun
 // 255 polls after every message, so on connect_churn they never parked and
 // their played polls were most of a dial's scheduler events. A loop now
 // parks after its first empty pass (run), and four loops cost a dial no
 // more host time than one did.
 
 // mshard is one shard of the monitor's control plane: a partition of the
-// records plus the dispatch loop that serves it. All state fields are
-// guarded by the owning Monitor's mu.
+// records plus the dispatch loop that serves it.
 type mshard struct {
 	m   *Monitor
 	idx int
@@ -203,7 +199,6 @@ func (c *connRec) forget(pid int, qid uint64, regrant []tokKey) []tokKey {
 }
 
 // ext returns the lazily made part of qid's record, nil if there is none.
-// Caller holds m.mu.
 func (sh *mshard) ext(qid uint64) *connExt {
 	if c := sh.conns[qid]; c != nil {
 		return c.x
@@ -212,7 +207,7 @@ func (sh *mshard) ext(qid uint64) *connExt {
 }
 
 // tok returns one token's arbitration queue, nil if the shard holds none
-// for it. Caller holds m.mu.
+// for it.
 func (sh *mshard) tok(key tokKey) *tokState {
 	if x := sh.ext(key.qid); x != nil {
 		return &x.tok[key.idx()]
@@ -244,7 +239,7 @@ func newShard(m *Monitor, idx int) *mshard {
 }
 
 // conn returns the record of connection qid, making it at this first
-// mention. Caller holds m.mu.
+// mention.
 func (sh *mshard) conn(qid uint64) *connRec {
 	c := sh.conns[qid]
 	if c == nil {
@@ -258,16 +253,15 @@ func (sh *mshard) conn(qid uint64) *connRec {
 // path that ends the connection's last local endpoint comes here. A
 // connection still counted against a listener's backlog (it ended before its
 // KAcceptDone was handled) gives the slot back; the late KAcceptDone then
-// finds no record. Caller holds m.mu.
+// finds no record.
 func (sh *mshard) dropConn(qid uint64) {
 	if c := sh.conns[qid]; c != nil && c.queued {
-		sh.m.releaseBacklogSlotLocked(c.lport, c.lref)
+		sh.m.releaseBacklogSlot(c.lport, c.lref)
 	}
 	delete(sh.conns, qid)
 }
 
 // owner returns the local pid that answers for connection qid, 0 if none.
-// Caller holds m.mu.
 func (sh *mshard) owner(qid uint64) int {
 	if c := sh.conns[qid]; c != nil {
 		return c.owner
@@ -315,9 +309,7 @@ func (sh *mshard) run(ctx exec.Context) {
 	var chans []*procChan
 	var events []shardEvent
 	for {
-		m.mu.Lock()
 		if m.stopped {
-			m.mu.Unlock()
 			return
 		}
 		// procList, not the procs map: PID order keeps the duplex service
@@ -325,8 +317,7 @@ func (sh *mshard) run(ctx exec.Context) {
 		chans = append(chans[:0], m.procList...)
 		events = append(events[:0], sh.inbox...)
 		sh.inbox = sh.inbox[:0]
-		sh.reclaimClosedLocked()
-		m.mu.Unlock()
+		sh.reclaimClosed()
 
 		progress := false
 		for i := range events {
@@ -373,18 +364,16 @@ func (sh *mshard) run(ctx exec.Context) {
 			// Everything a shard handles is real control traffic
 			// (heartbeats never leave the router), so it re-opens the
 			// traffic-gated heartbeat window.
-			m.mu.Lock()
 			m.lastActivity = ctx.Now()
-			m.mu.Unlock()
 			continue
 		}
 		ctx.Park()
 	}
 }
 
-// reclaimClosedLocked drops the records of the connections queued by
-// ConnClosed. Caller holds m.mu.
-func (sh *mshard) reclaimClosedLocked() {
+// reclaimClosed drops the records of the connections queued by
+// ConnClosed.
+func (sh *mshard) reclaimClosed() {
 	for _, qid := range sh.closed {
 		sh.dropConn(qid)
 	}
@@ -401,7 +390,6 @@ func (sh *mshard) sweepHostDead(ctx exec.Context, peer string) {
 		owner int
 	}
 	m := sh.m
-	m.mu.Lock()
 	sh.hostDeadSweeps++
 	var notes []note
 	for qid, c := range sh.conns {
@@ -413,7 +401,6 @@ func (sh *mshard) sweepHostDead(ctx exec.Context, peer string) {
 		}
 		sh.dropConn(qid)
 	}
-	m.mu.Unlock()
 	sort.Slice(notes, func(i, j int) bool { return notes[i].qid < notes[j].qid })
 	sh.cEvents.Inc()
 	if telemetry.Trace.Enabled() {

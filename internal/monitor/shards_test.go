@@ -39,8 +39,6 @@ func TestConnClosedRingsParkedShard(t *testing.T) {
 	lref := listenerRef{pid: 1, tid: 1}
 	ma.addListener(port, lref.pid, lref.tid)
 	used := func() int {
-		ma.mu.Lock()
-		defer ma.mu.Unlock()
 		return ma.shardOfPort(port).ports[port].slot(lref).used
 	}
 	before := used()
@@ -50,10 +48,8 @@ func TestConnClosedRingsParkedShard(t *testing.T) {
 		if _, st := ma.pickListener(port); st != ctlmsg.StatusOK {
 			t.Fatalf("dial %d not dispatched: status %d", i, st)
 		}
-		ma.mu.Lock()
 		*ma.shardOf(qids[i]).conn(qids[i]) = connRec{pids: [2]int{2, lref.pid},
 			owner: 2, lref: lref, lport: port, queued: true}
-		ma.mu.Unlock()
 	}
 	s.Spawn("closer", func(ctx exec.Context) {
 		ctx.Sleep(100_000) // far past any loop's first pass
@@ -63,13 +59,11 @@ func TestConnClosedRingsParkedShard(t *testing.T) {
 	})
 	s.Run()
 
-	ma.mu.Lock()
 	for i, sh := range ma.shards {
 		if len(sh.closed) != 0 || len(sh.conns) != 0 {
 			t.Errorf("shard %d: %d close notes unapplied, %d records left", i, len(sh.closed), len(sh.conns))
 		}
 	}
-	ma.mu.Unlock()
 	if got := used(); got != before {
 		t.Errorf("backlog occupancy %d after the closes, want %d as before the dials", got, before)
 	}
@@ -90,13 +84,11 @@ func TestHostDeadFanoutSweepsEveryShardOnce(t *testing.T) {
 	ma.RegisterProcess(p)
 
 	qids := make([]uint64, shard.DefaultCount)
-	ma.mu.Lock()
 	for i := range qids {
 		q := qidOnShard(i, uint64(100*i+1))
 		qids[i] = q
 		ma.shardOf(q).conns[q] = &connRec{pids: [2]int{p.PID, 0}, owner: p.PID, peerHost: "b"}
 	}
-	ma.mu.Unlock()
 
 	// Kill b's monitor, then keep a's control plane awake past the
 	// confirm horizon so the heartbeat machinery can latch the death.
@@ -104,17 +96,13 @@ func TestHostDeadFanoutSweepsEveryShardOnce(t *testing.T) {
 	s.Spawn("traffic", func(ctx exec.Context) {
 		horizon := int64(hbConfirmMiss+50) * hbInterval
 		for ctx.Now() < horizon {
-			ma.mu.Lock()
 			ma.lastActivity = ctx.Now()
-			ma.mu.Unlock()
 			ma.wake()
 			ctx.Sleep(hbQuietAfter / 2)
 		}
 	})
 	s.Run()
 
-	ma.mu.Lock()
-	defer ma.mu.Unlock()
 	if !ma.peers["b"].dead {
 		t.Fatal("peer b not latched dead")
 	}

@@ -8,16 +8,15 @@ import (
 	"socksdirect/internal/fabric"
 )
 
-// TestRetryExhaustionReentrantNotifyNoDeadlock is the regression test for
-// the retry-exhaustion self-deadlock: QP.onTimeout used to push the
-// WCRetryExceeded completions while still holding qp.mu, so a CQ notify
-// callback that re-enters the QP — exactly what libsd's completion pump
-// does when it posts follow-up writes from the poll loop — would block on
-// qp.mu forever inside the timer context. The fixed path collects the
-// completions as pendCQEs and emits them after unlock.
+// TestRetryExhaustionReentrantNotifyNoDeadlock pins the order of the
+// retry-exhaustion transition: QP.onTimeout collects the WCRetryExceeded
+// completions as pendCQEs and emits them only once the QP is in QPErr, so a
+// CQ notify callback that re-enters the QP — exactly what libsd's
+// completion pump does when it posts follow-up writes from the poll loop —
+// finds the transition finished and gets ErrQPState.
 //
-// Pre-fix this test hangs (caught by the wall-clock watchdog); post-fix it
-// finishes in milliseconds of virtual time.
+// A hang is caught by the wall-clock watchdog; the run finishes in
+// milliseconds of virtual time.
 func TestRetryExhaustionReentrantNotifyNoDeadlock(t *testing.T) {
 	// 100% loss: nothing is ever delivered or acked, so the sender's RTO
 	// fires MaxRetry+1 times and the QP transitions to error.
@@ -40,8 +39,7 @@ func TestRetryExhaustionReentrantNotifyNoDeadlock(t *testing.T) {
 			p.qa.PostRecv(99, make([]byte, 64))
 			p.cqaS.Arm(func() {
 				// Completion-pump behavior: re-enter the QP from inside the
-				// notify callback by posting a follow-up write. Pre-fix this
-				// deadlocks on qp.mu.
+				// notify callback by posting a follow-up write.
 				reentered = true
 				reenterErr = p.qa.PostWrite(2, []byte("follow-up"), p.mrb.RKey(), 64, 0, true)
 				self.Unpark()
@@ -57,7 +55,7 @@ func TestRetryExhaustionReentrantNotifyNoDeadlock(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("deadlock: retry exhaustion pushed CQEs while holding qp.mu")
+		t.Fatal("hang: retry exhaustion never finished")
 	}
 
 	if !reentered {

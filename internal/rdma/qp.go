@@ -54,7 +54,7 @@ const MaxRetry = 16
 //   - post() creates the packet holding ONE reference — the send queue's
 //     (inflight/pending). That reference is released by the cumulative
 //     ack that covers the packet (onAck), by the error flush
-//     (toErrorLocked) or by Reset.
+//     (toError) or by Reset.
 //   - every fabric transmit — first send and each go-back-N retransmit —
 //     takes an ADDITIONAL reference that is transferred to the fabric.
 //     The fabric releases it when the frame is dropped (loss/partition)
@@ -143,7 +143,6 @@ type QP struct {
 	sendCQ *CQ
 	recvCQ *CQ
 
-	mu         sync.Mutex
 	state      QPState
 	remoteHost string
 	remoteQPN  uint32
@@ -178,8 +177,6 @@ type portSender interface {
 // with other QPs (libsd shares one CQ per thread).
 func (pd *PD) CreateQP(sendCQ, recvCQ *CQ) *QP {
 	n := pd.nic
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.nextQPN++
 	qp := &QP{
 		nic:    n,
@@ -200,15 +197,11 @@ func (qp *QP) QPN() uint32 { return qp.qpn }
 
 // State returns the current state.
 func (qp *QP) State() QPState {
-	qp.mu.Lock()
-	defer qp.mu.Unlock()
 	return qp.state
 }
 
 // Peer returns the host and QPN the QP was last connected to.
 func (qp *QP) Peer() (host string, qpn uint32) {
-	qp.mu.Lock()
-	defer qp.mu.Unlock()
 	return qp.remoteHost, qp.remoteQPN
 }
 
@@ -234,10 +227,8 @@ func (qp *QP) ConnectPassive(remoteHost string, remoteQPN uint32) error {
 
 func (qp *QP) connect(remoteHost string, remoteQPN uint32, to QPState) error {
 	n := qp.nic
-	n.mu.Lock()
 	port, ok := n.ports[remoteHost]
 	fab := n.fab
-	n.mu.Unlock()
 	var sender portSender
 	switch {
 	case ok:
@@ -247,8 +238,6 @@ func (qp *QP) connect(remoteHost string, remoteQPN uint32, to QPState) error {
 	default:
 		return fmt.Errorf("rdma: no port toward host %q", remoteHost)
 	}
-	qp.mu.Lock()
-	defer qp.mu.Unlock()
 	if qp.state != QPReset {
 		return ErrQPState
 	}
@@ -263,13 +252,11 @@ func (qp *QP) connect(remoteHost string, remoteQPN uint32, to QPState) error {
 // work and posted receives are discarded without completions, and both
 // sequence spaces restart at zero. An errored QP stays errored.
 func (qp *QP) Reset() {
-	qp.mu.Lock()
-	defer qp.mu.Unlock()
-	if !qp.connectedLocked() {
+	if !qp.connected() {
 		return
 	}
 	qp.state = QPReset
-	qp.dropSendQueueLocked()
+	qp.dropSendQueue()
 	qp.comps, qp.recvQ = nil, nil
 	qp.sndSeq, qp.sndUna, qp.rcvNext, qp.rxWriteAccum = 0, 0, 0, 0
 	// An armed timer stays armed (a second one could not be told from it);
@@ -277,11 +264,11 @@ func (qp *QP) Reset() {
 	qp.retries, qp.progress = 0, true
 }
 
-// dropSendQueueLocked drops the send queue's packet references. Copies
+// dropSendQueue drops the send queue's packet references. Copies
 // still traveling the fabric hold their own references, so late deliveries
 // read valid bytes; the staging returns to the pool when the last copy
 // lands or is dropped.
-func (qp *QP) dropSendQueueLocked() {
+func (qp *QP) dropSendQueue() {
 	for _, p := range qp.inflight {
 		p.release()
 	}
@@ -294,13 +281,9 @@ func (qp *QP) dropSendQueueLocked() {
 
 // Close flushes outstanding work and removes the QP from the NIC.
 func (qp *QP) Close() {
-	qp.mu.Lock()
-	pend := qp.toErrorLocked(WCFlushErr)
-	qp.mu.Unlock()
+	pend := qp.toError(WCFlushErr)
 	emit(pend)
-	qp.nic.mu.Lock()
 	delete(qp.nic.qps, qp.qpn)
-	qp.nic.mu.Unlock()
 }
 
 // ForceError moves the QP to error state as if the hardware had detected a
@@ -308,15 +291,13 @@ func (qp *QP) Close() {
 // send WRs flush with WCFlushErr; the QP stays registered on the NIC so
 // late frames are still recognized (and ignored, state != RTS).
 func (qp *QP) ForceError() {
-	qp.mu.Lock()
-	pend := qp.toErrorLocked(WCFlushErr)
-	qp.mu.Unlock()
+	pend := qp.toError(WCFlushErr)
 	emit(pend)
 }
 
-// pendCQE is a completion waiting to be pushed once qp.mu is released —
-// CQ notify callbacks may re-enter the QP (the library's completion pump
-// posts follow-up writes), so pushing under the lock would self-deadlock.
+// pendCQE is a completion waiting to be pushed once the QP's transition is
+// complete — CQ notify callbacks may re-enter the QP (the library's
+// completion pump posts follow-up writes), so they must find it finished.
 type pendCQE struct {
 	cq *CQ
 	e  CQE
@@ -328,13 +309,13 @@ func emit(pend []pendCQE) {
 	}
 }
 
-// toErrorLocked performs the full transition to QPErr: outstanding send
+// toError performs the full transition to QPErr: outstanding send
 // WRs complete with compStatus (WCFlushErr for an administrative flush,
 // WCRetryExceeded when the transport gave up), posted receive WQEs flush
 // with WCFlushErr, the transmit window is discarded, and rtoGen advances
 // so stale timers become no-ops. Caller must emit() the returned CQEs
-// after releasing qp.mu.
-func (qp *QP) toErrorLocked(compStatus uint8) []pendCQE {
+// once the QP's own update is done.
+func (qp *QP) toError(compStatus uint8) []pendCQE {
 	if qp.state == QPErr {
 		return nil
 	}
@@ -344,7 +325,7 @@ func (qp *QP) toErrorLocked(compStatus uint8) []pendCQE {
 		pend = append(pend, pendCQE{qp.sendCQ, CQE{WRID: c.wrid, QPN: qp.qpn, Op: c.op, Status: compStatus}})
 	}
 	qp.comps = nil
-	qp.dropSendQueueLocked()
+	qp.dropSendQueue()
 	for _, w := range qp.recvQ {
 		pend = append(pend, pendCQE{qp.recvCQ, CQE{WRID: w.wrid, QPN: qp.qpn, Op: OpSend, Status: WCFlushErr}})
 	}
@@ -355,8 +336,6 @@ func (qp *QP) toErrorLocked(compStatus uint8) []pendCQE {
 
 // SendPending reports unfinished send work (adaptive batching input).
 func (qp *QP) SendPending() int {
-	qp.mu.Lock()
-	defer qp.mu.Unlock()
 	return len(qp.inflight) + len(qp.pending)
 }
 
@@ -384,13 +363,11 @@ type WriteWR struct {
 }
 
 // PostWriteBatch posts a list of one-sided writes with a single doorbell:
-// one lock acquisition, one RTO arm, one state check for the whole chain.
+// one RTO arm, one state check for the whole chain.
 // Ordering matches posting them individually; on a QP that is not
 // connected nothing is posted and ErrQPState returns.
 func (qp *QP) PostWriteBatch(wrs []WriteWR) error {
-	qp.mu.Lock()
-	defer qp.mu.Unlock()
-	if !qp.connectedLocked() {
+	if !qp.connected() {
 		return ErrQPState
 	}
 	for i := range wrs {
@@ -399,7 +376,7 @@ func (qp *QP) PostWriteBatch(wrs []WriteWR) error {
 		if w.WithImm {
 			op = OpWriteImm
 		}
-		qp.postLocked(w.WRID, op, w.Data, w.RKey, w.RAddr, w.Imm)
+		qp.postWR(w.WRID, op, w.Data, w.RKey, w.RAddr, w.Imm)
 	}
 	return nil
 }
@@ -411,8 +388,6 @@ func (qp *QP) PostSend(wrid uint64, data []byte) error {
 
 // PostRecv posts a receive buffer for incoming SENDs.
 func (qp *QP) PostRecv(wrid uint64, buf []byte) error {
-	qp.mu.Lock()
-	defer qp.mu.Unlock()
 	if qp.state == QPErr {
 		return ErrQPState
 	}
@@ -420,21 +395,19 @@ func (qp *QP) PostRecv(wrid uint64, buf []byte) error {
 	return nil
 }
 
-// connectedLocked reports a QP that takes posts and inbound packets: RTS,
+// connected reports a QP that takes posts and inbound packets: RTS,
 // or RTR, where the posts are held.
-func (qp *QP) connectedLocked() bool { return qp.state == QPRTR || qp.state == QPRTS }
+func (qp *QP) connected() bool { return qp.state == QPRTR || qp.state == QPRTS }
 
 func (qp *QP) post(wrid uint64, op uint8, data []byte, rkey uint64, raddr int64, imm uint32) error {
-	qp.mu.Lock()
-	defer qp.mu.Unlock()
-	if !qp.connectedLocked() {
+	if !qp.connected() {
 		return ErrQPState
 	}
-	qp.postLocked(wrid, op, data, rkey, raddr, imm)
+	qp.postWR(wrid, op, data, rkey, raddr, imm)
 	return nil
 }
 
-func (qp *QP) postLocked(wrid uint64, op uint8, data []byte, rkey uint64, raddr int64, imm uint32) {
+func (qp *QP) postWR(wrid uint64, op uint8, data []byte, rkey uint64, raddr int64, imm uint32) {
 	mWQEsPosted.Inc()
 	if op == OpWriteImm {
 		mImmWrites.Inc()
@@ -471,7 +444,7 @@ func (qp *QP) postLocked(wrid uint64, op uint8, data []byte, rkey uint64, raddr 
 		if last {
 			qp.comps = append(qp.comps, wrComp{lastSeq: p.seq, wrid: wrid, op: op, length: len(data)})
 		}
-		qp.enqueueLocked(p)
+		qp.enqueue(p)
 		if last {
 			break
 		}
@@ -480,40 +453,40 @@ func (qp *QP) postLocked(wrid uint64, op uint8, data []byte, rkey uint64, raddr 
 	}
 }
 
-func (qp *QP) enqueueLocked(p *packet) {
+func (qp *QP) enqueue(p *packet) {
 	if qp.state == QPRTS && len(qp.inflight) < qp.window {
-		qp.transmitLocked(p)
+		qp.transmit(p)
 		return
 	}
 	qp.pending = append(qp.pending, p)
 	if qp.state == QPRTR {
 		// Held, not transmitted: the timer only runs the retry clock that
 		// bounds the wait for the peer (onTimeout).
-		qp.armRTOLocked()
+		qp.armRTO()
 	}
 }
 
-// fillWindowLocked transmits pending packets, in order, while the window
+// fillWindow transmits pending packets, in order, while the window
 // has room.
-func (qp *QP) fillWindowLocked() {
+func (qp *QP) fillWindow() {
 	for len(qp.pending) > 0 && len(qp.inflight) < qp.window {
 		p := qp.pending[0]
 		k := copy(qp.pending, qp.pending[1:])
 		qp.pending[k] = nil
 		qp.pending = qp.pending[:k]
-		qp.transmitLocked(p)
+		qp.transmit(p)
 	}
 }
 
-func (qp *QP) transmitLocked(p *packet) {
+func (qp *QP) transmit(p *packet) {
 	qp.inflight = append(qp.inflight, p)
 	p.ref() // transferred to the fabric: released on drop or post-delivery
 	qp.port.Send(p, len(p.payload))
 	mPacketsTx.Inc()
-	qp.armRTOLocked()
+	qp.armRTO()
 }
 
-func (qp *QP) armRTOLocked() {
+func (qp *QP) armRTO() {
 	if qp.rtoArmed {
 		return
 	}
@@ -527,9 +500,7 @@ func (qp *QP) armRTOLocked() {
 }
 
 func (qp *QP) onTimeout() {
-	qp.mu.Lock()
 	if qp.rtoGenArm != qp.rtoGen {
-		qp.mu.Unlock()
 		return
 	}
 	qp.rtoArmed = false
@@ -537,22 +508,19 @@ func (qp *QP) onTimeout() {
 	// shown up (RTR: nothing to retransmit, the clock alone runs).
 	waiting := (qp.state == QPRTS && len(qp.inflight) > 0) || (qp.state == QPRTR && len(qp.pending) > 0)
 	if !waiting {
-		qp.mu.Unlock()
 		return
 	}
 	if qp.progress {
 		// Progress since arming: not a stall, just keep watching.
-		qp.armRTOLocked()
-		qp.mu.Unlock()
+		qp.armRTO()
 		return
 	}
 	qp.retries++
 	if qp.retries > MaxRetry {
 		// Retry budget exhausted: full error transition. The timed-out
 		// send WRs keep WCRetryExceeded; CQ notify callbacks may re-enter
-		// the QP, so the CQEs go out only after qp.mu is released.
-		pend := qp.toErrorLocked(WCRetryExceeded)
-		qp.mu.Unlock()
+		// the QP, so the CQEs go out only once it is in QPErr.
+		pend := qp.toError(WCRetryExceeded)
 		emit(pend)
 		return
 	}
@@ -567,8 +535,7 @@ func (qp *QP) onTimeout() {
 		mRetransmits.Inc()
 		mPacketsTx.Inc()
 	}
-	qp.armRTOLocked()
-	qp.mu.Unlock()
+	qp.armRTO()
 }
 
 // onAck processes a cumulative acknowledgment. The pending-CQE scratch
@@ -577,9 +544,7 @@ func (qp *QP) onTimeout() {
 func (qp *QP) onAck(ack uint64) {
 	var pendArr [4]pendCQE
 	pend := pendArr[:0]
-	qp.mu.Lock()
 	if ack <= qp.sndUna {
-		qp.mu.Unlock()
 		return
 	}
 	qp.sndUna = ack
@@ -596,7 +561,7 @@ func (qp *QP) onAck(ack uint64) {
 	n := copy(qp.inflight, qp.inflight[i:])
 	clear(qp.inflight[n:]) // drop stale pointers so pooled packets aren't pinned
 	qp.inflight = qp.inflight[:n]
-	// Complete covered WRs, in order (pushed after unlock).
+	// Complete covered WRs, in order (pushed once the window is refilled).
 	j := 0
 	for j < len(qp.comps) && qp.comps[j].lastSeq < ack {
 		c := qp.comps[j]
@@ -604,8 +569,7 @@ func (qp *QP) onAck(ack uint64) {
 		j++
 	}
 	qp.comps = qp.comps[:copy(qp.comps, qp.comps[j:])]
-	qp.fillWindowLocked() // the ack opened the window
-	qp.mu.Unlock()
+	qp.fillWindow() // the ack opened the window
 	emit(pend)
 }
 
@@ -615,9 +579,7 @@ func (n *NIC) onFrame(frame any, _ int) {
 	if !ok {
 		return
 	}
-	n.mu.Lock()
 	qp, ok := n.qps[p.toQPN]
-	n.mu.Unlock()
 	if !ok {
 		// Stale packet for a destroyed QP. A late ack is routine; data means
 		// a sender whose peer went away under it, and it will retransmit.
@@ -647,15 +609,13 @@ func sendAck(port portSender, fromQPN, toQPN uint32, ack uint64) {
 func (qp *QP) onData(p *packet) {
 	var pendArr [2]pendCQE
 	pend := pendArr[:0]
-	qp.mu.Lock()
-	if !qp.connectedLocked() {
+	if !qp.connected() {
 		// A queue pair that is not ready does not receive (hardware
 		// would RNR/ignore); dropping without acking makes the sender
 		// retransmit until Connect completes, so no delivery — and no
 		// completion — can predate the receiver being wired up. The sender
 		// pays an RTO for it: whoever connects first must connect passive.
 		mNotReady.Inc()
-		qp.mu.Unlock()
 		return
 	}
 	if p.seq != qp.rcvNext {
@@ -664,7 +624,6 @@ func (qp *QP) onData(p *packet) {
 		mOutOfOrder.Inc()
 		ack := qp.rcvNext
 		port := qp.portForReply(p)
-		qp.mu.Unlock()
 		if port != nil {
 			sendAck(port, qp.qpn, p.fromQPN, ack)
 		}
@@ -675,7 +634,7 @@ func (qp *QP) onData(p *packet) {
 		// so what was held may go, on a retry clock that starts over.
 		qp.state = QPRTS
 		qp.retries, qp.progress = 0, true
-		qp.fillWindowLocked()
+		qp.fillWindow()
 	}
 
 	accepted := true
@@ -685,14 +644,12 @@ func (qp *QP) onData(p *packet) {
 		if mr == nil {
 			// Remote access violation: hardware would move the QP to
 			// error; we mirror that.
-			pend = qp.toErrorLocked(WCFlushErr)
-			qp.mu.Unlock()
+			pend = qp.toError(WCFlushErr)
 			emit(pend)
 			return
 		}
 		if err := mr.writeAt(p.raddr, p.payload); err != nil {
-			pend = qp.toErrorLocked(WCFlushErr)
-			qp.mu.Unlock()
+			pend = qp.toError(WCFlushErr)
 			emit(pend)
 			return
 		}
@@ -717,8 +674,7 @@ func (qp *QP) onData(p *packet) {
 				cqe := CQE{WRID: w.wrid, QPN: qp.qpn, Op: OpSend, Status: WCLocalLenErr}
 				qp.recvQ = qp.recvQ[:copy(qp.recvQ, qp.recvQ[1:])]
 				pend = append(pend, pendCQE{qp.recvCQ, cqe})
-				pend = append(pend, qp.toErrorLocked(WCFlushErr)...)
-				qp.mu.Unlock()
+				pend = append(pend, qp.toError(WCFlushErr)...)
 				emit(pend)
 				return // no ack: the sender's WR must not complete successfully
 			}
@@ -735,7 +691,6 @@ func (qp *QP) onData(p *packet) {
 	}
 	ack := qp.rcvNext
 	port := qp.portForReply(p)
-	qp.mu.Unlock()
 	emit(pend)
 	if port != nil {
 		sendAck(port, qp.qpn, p.fromQPN, ack)
@@ -748,8 +703,6 @@ func (qp *QP) portForReply(p *packet) portSender { return qp.port }
 
 func (qp *QP) lookupMR(rkey uint64) *MR {
 	n := qp.nic
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	mr, ok := n.mrs[rkey]
 	if !ok || mr.pd.id != qp.pd.id {
 		return nil

@@ -18,7 +18,6 @@ package rdma
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 
 	"socksdirect/internal/costmodel"
@@ -69,10 +68,9 @@ type CQE struct {
 // thread one shared CQ so it polls a single queue for all sockets (§4.2
 // "Amortize polling overhead").
 type CQ struct {
-	// n is the number of pending completions, readable without the mutex:
-	// pollers find the queue empty far more often than not.
+	// n is the number of pending completions: pollers find the queue
+	// empty far more often than not.
 	n      atomic.Int32
-	mu     sync.Mutex
 	items  []CQE // items[head:] are pending
 	head   int
 	notify []func() // one-shot arms, ibv_req_notify_cq-style (all fire once)
@@ -94,7 +92,6 @@ func NewCQ() *CQ {
 
 func (cq *CQ) push(e CQE) {
 	mCompletions.Inc()
-	cq.mu.Lock()
 	if cq.head > 0 && len(cq.items) == cap(cq.items) {
 		// Never quite drained: reclaim the consumed prefix before growing.
 		cq.items = cq.items[:copy(cq.items, cq.items[cq.head:])]
@@ -105,7 +102,6 @@ func (cq *CQ) push(e CQE) {
 	ns := cq.notify
 	cq.notify = cq.firing[:0]
 	cq.firing = ns
-	cq.mu.Unlock()
 	for i, n := range ns {
 		ns[i] = nil // the buffer is recycled; don't pin the closure
 		n()
@@ -117,8 +113,6 @@ func (cq *CQ) PollOne() (CQE, bool) {
 	if cq.n.Load() == 0 {
 		return CQE{}, false
 	}
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
 	if cq.head == len(cq.items) {
 		return CQE{}, false
 	}
@@ -135,12 +129,10 @@ func (cq *CQ) PollOne() (CQE, bool) {
 // switch a polling thread into interrupt mode (§4.4). Multiple arms
 // coexist (a sleeping receiver and the library's completion pump).
 func (cq *CQ) Arm(fn func()) {
-	cq.mu.Lock()
 	pending := cq.head < len(cq.items)
 	if !pending {
 		cq.notify = append(cq.notify, fn)
 	}
-	cq.mu.Unlock()
 	if pending {
 		fn() // completion already waiting; fire immediately
 	}
@@ -222,7 +214,6 @@ type NIC struct {
 	costs *costmodel.Costs
 	host  string
 
-	mu      sync.Mutex
 	ports   map[string]*fabric.Endpoint // remote host -> link endpoint
 	fab     *fabric.Port                // routed fabric attachment (N-host)
 	qps     map[uint32]*QP
@@ -252,9 +243,7 @@ func NewNIC(clk exec.Clock, host string, costs *costmodel.Costs, seed uint64) *N
 // AddPort wires a fabric endpoint leading to remoteHost into this NIC and
 // installs the receive pipeline on it.
 func (n *NIC) AddPort(remoteHost string, ep *fabric.Endpoint) {
-	n.mu.Lock()
 	n.ports[remoteHost] = ep
-	n.mu.Unlock()
 	ep.SetHandler(n.onFrame)
 }
 
@@ -265,9 +254,7 @@ func (n *NIC) AddPort(remoteHost string, ep *fabric.Endpoint) {
 // so the source host adds nothing). Dedicated ports — notably the
 // intra-host loopback — keep priority over the fabric route.
 func (n *NIC) AttachFabric(p *fabric.Port) {
-	n.mu.Lock()
 	n.fab = p
-	n.mu.Unlock()
 	p.SetHandler(func(_ string, frame any, wireBytes int) { n.onFrame(frame, wireBytes) })
 }
 
@@ -286,8 +273,6 @@ func (f fabricSender) Send(frame any, payloadBytes int) {
 
 // AllocPD creates a protection domain.
 func (n *NIC) AllocPD() *PD {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.nextPD++
 	return &PD{nic: n, id: n.nextPD}
 }
@@ -302,8 +287,6 @@ func (n *NIC) newRKey() uint64 {
 // RegisterBytes registers a flat buffer (e.g. a socket ring copy).
 func (pd *PD) RegisterBytes(buf []byte) *MR {
 	n := pd.nic
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	m := &MR{pd: pd, rkey: n.newRKey(), size: int64(len(buf)), buf: buf}
 	n.mrs[m.rkey] = m
 	return m
@@ -313,8 +296,6 @@ func (pd *PD) RegisterBytes(buf []byte) *MR {
 // The frames must already be pinned by the caller.
 func (pd *PD) RegisterFrames(pm *mem.PhysMem, pages []mem.PageID) *MR {
 	n := pd.nic
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	m := &MR{
 		pd:    pd,
 		rkey:  n.newRKey(),
@@ -337,9 +318,7 @@ func (m *MR) SwapFrame(idx int, id mem.PageID) {
 
 // Deregister removes an MR.
 func (n *NIC) Deregister(m *MR) {
-	n.mu.Lock()
 	delete(n.mrs, m.rkey)
-	n.mu.Unlock()
 }
 
 // Deregister removes the MR from the adapter it was registered on (which,
@@ -348,15 +327,11 @@ func (m *MR) Deregister() { m.pd.nic.Deregister(m) }
 
 // MRCount reports registered memory regions (leak checks).
 func (n *NIC) MRCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return len(n.mrs)
 }
 
 // QPCount reports live QPs (tests).
 func (n *NIC) QPCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return len(n.qps)
 }
 
@@ -366,8 +341,6 @@ func (n *NIC) QPCount() int {
 // knobs; either way the endpoint returned governs only the local-to-remote
 // direction of the path.
 func (n *NIC) Port(remoteHost string) *fabric.Endpoint {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if ep := n.ports[remoteHost]; ep != nil {
 		return ep
 	}
@@ -381,12 +354,10 @@ func (n *NIC) Port(remoteHost string) *fabric.Endpoint {
 // modelling a catastrophic NIC event (firmware reset, cable pull at the
 // adapter). Returns the number of QPs transitioned.
 func (n *NIC) FailAllQPs() int {
-	n.mu.Lock()
 	qps := make([]*QP, 0, len(n.qps))
 	for _, qp := range n.qps {
 		qps = append(qps, qp)
 	}
-	n.mu.Unlock()
 	failed := 0
 	for _, qp := range qps {
 		if qp.State() != QPErr {

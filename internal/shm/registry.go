@@ -3,7 +3,6 @@ package shm
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Token is the secret capability guarding a segment. A process that does
@@ -26,7 +25,6 @@ type Segment struct {
 // Registry is the per-host shared memory broker. The monitor creates
 // segments and hands tokens to the two communicating processes.
 type Registry struct {
-	mu   sync.Mutex
 	next uint64
 	segs map[Token]*Segment
 	seed uint64
@@ -47,8 +45,6 @@ func NewRegistry(seed uint64) *Registry {
 
 // Create registers obj and returns its segment (with a fresh secret token).
 func (g *Registry) Create(name string, obj any) *Segment {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	g.next++
 	// splitmix64 over a counter: unguessable enough for a simulation,
 	// deterministic for a given seed.
@@ -64,8 +60,6 @@ func (g *Registry) Create(name string, obj any) *Segment {
 
 // Attach returns the segment for a token, or ErrBadToken.
 func (g *Registry) Attach(tok Token) (*Segment, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	s, ok := g.segs[tok]
 	if !ok {
 		return nil, fmt.Errorf("%w: %#x", ErrBadToken, uint64(tok))
@@ -75,18 +69,14 @@ func (g *Registry) Attach(tok Token) (*Segment, error) {
 
 // Remove destroys a segment (e.g. when the last socket reference closes).
 func (g *Registry) Remove(tok Token) {
-	g.mu.Lock()
 	if _, ok := g.segs[tok]; ok {
 		delete(g.segs, tok)
 		mSegmentsLive.Add(-1)
 	}
-	g.mu.Unlock()
 }
 
 // Len reports how many segments are live (leak checks in tests).
 func (g *Registry) Len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return len(g.segs)
 }
 
@@ -100,17 +90,14 @@ const maxIdleRings = 64
 // rings are host SHM objects, so the monitor (intra-host sockets) and every
 // libsd on the host (inter-host ring copies) draw from the same list.
 func (g *Registry) GetRing(capacity int) *Ring {
-	g.mu.Lock()
 	l := g.idle[capacity]
 	if n := len(l); n > 0 {
 		r := l[n-1]
 		l[n-1] = nil
 		g.idle[capacity] = l[:n-1]
-		g.mu.Unlock()
 		mRingPoolHits.Inc()
 		return r
 	}
-	g.mu.Unlock()
 	mRingPoolMiss.Inc()
 	return NewRing(capacity)
 }
@@ -120,11 +107,9 @@ func (g *Registry) GetRing(capacity int) *Ring {
 // touch it again.
 func (g *Registry) PutRing(r *Ring) {
 	r.Reset()
-	g.mu.Lock()
 	if l := g.idle[r.Cap()]; len(l) < maxIdleRings {
 		g.idle[r.Cap()] = append(l, r)
 	}
-	g.mu.Unlock()
 }
 
 // Duplex is a bidirectional channel made of two SPSC rings. Side A sends

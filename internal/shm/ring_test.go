@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"socksdirect/internal/exec"
 )
 
 func TestRingBasicRoundTrip(t *testing.T) {
@@ -485,34 +487,31 @@ func TestRegistryRingFreeList(t *testing.T) {
 }
 
 // TestRegistryRingFreeListConcurrent: rings cycle through the free list
-// from many goroutines; none is ever in two hands at once.
+// from eight simulated threads of one Sim, each yielding the core while it
+// holds its ring — the only concurrency a host's registry sees (a Sim runs
+// one thread at a time); none is ever in two hands at once.
 func TestRegistryRingFreeListConcurrent(t *testing.T) {
 	g := NewRegistry(1)
-	done := make(chan error, 8)
+	sim := exec.NewSim(exec.SimConfig{})
 	for id := byte(1); id <= 8; id++ {
-		go func(id byte) {
+		sim.Spawn(fmt.Sprintf("cycler%d", id), func(ctx exec.Context) {
 			for i := 0; i < 2000; i++ {
 				r := g.GetRing(1024)
 				if r.WriteCursor() != 0 || !allZero(r.Data()[:64]) {
-					done <- fmt.Errorf("goroutine %d got a used ring", id)
+					t.Errorf("thread %d got a used ring", id)
 					return
 				}
 				r.TrySend(id, 0, []byte{id, id, id})
-				runtime.Gosched()
+				ctx.Yield()
 				if m, ok := r.TryRecv(); !ok || m.Type != id || m.Payload[0] != id {
-					done <- fmt.Errorf("goroutine %d shares its ring", id)
+					t.Errorf("thread %d shares its ring", id)
 					return
 				}
 				g.PutRing(r)
 			}
-			done <- nil
-		}(id)
+		})
 	}
-	for i := 0; i < 8; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
+	sim.Run()
 }
 
 // TestRingIdlePredicates: RecvIdle is "TryRecv would come back empty and

@@ -2,7 +2,6 @@ package tcpstack
 
 import (
 	"io"
-	"sync"
 
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
@@ -22,7 +21,6 @@ type Conn struct {
 	key      connKey
 	listener *Listener
 
-	mu    sync.Mutex
 	state int
 	err   error
 
@@ -63,14 +61,12 @@ func (c *Conn) RemotePort() uint16 { return c.key.remotePort }
 
 // SeqState exposes (sndNxt, rcvNxt) for connection repair handoff.
 func (c *Conn) SeqState() (uint64, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.sndNxt, c.rcvNxt
 }
 
-// sendSegLocked stamps, tracks and transmits a segment that consumes
+// sendSeg stamps, tracks and transmits a segment that consumes
 // seqLen sequence numbers (payload length, +1 for SYN/FIN).
-func (c *Conn) sendSegLocked(seg *Segment, seqLen int) {
+func (c *Conn) sendSeg(seg *Segment, seqLen int) {
 	seg.SrcHost = c.st.h.Name
 	seg.DstHost = c.key.remoteHost
 	seg.SrcPort = c.key.localPort
@@ -81,7 +77,7 @@ func (c *Conn) sendSegLocked(seg *Segment, seqLen int) {
 		if len(c.inflight) < windowSegs {
 			c.inflight = append(c.inflight, seg)
 			c.st.send(seg)
-			c.armRTOLocked()
+			c.armRTO()
 		} else {
 			c.pendingTx = append(c.pendingTx, seg)
 		}
@@ -90,7 +86,7 @@ func (c *Conn) sendSegLocked(seg *Segment, seqLen int) {
 	c.st.send(seg)
 }
 
-func (c *Conn) armRTOLocked() {
+func (c *Conn) armRTO() {
 	if c.rtoArmed {
 		return
 	}
@@ -101,36 +97,30 @@ func (c *Conn) armRTOLocked() {
 }
 
 func (c *Conn) onTimeout(gen uint64) {
-	c.mu.Lock()
 	if gen != c.gen {
-		c.mu.Unlock()
 		return
 	}
 	c.rtoArmed = false
 	if c.state == stClosed || len(c.inflight) == 0 {
-		c.mu.Unlock()
 		return
 	}
 	if c.sndUna > c.unaAtArm {
-		c.armRTOLocked()
-		c.mu.Unlock()
+		c.armRTO()
 		return
 	}
 	c.retries++
 	if c.retries > maxRetries {
-		c.failLocked(ErrTimeout)
-		c.mu.Unlock()
+		c.fail(ErrTimeout)
 		return
 	}
 	for _, seg := range c.inflight {
 		c.st.send(seg)
 	}
-	c.armRTOLocked()
-	c.mu.Unlock()
+	c.armRTO()
 }
 
-// failLocked tears the connection down with an error.
-func (c *Conn) failLocked(err error) {
+// fail tears the connection down with an error.
+func (c *Conn) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
@@ -147,15 +137,13 @@ func (c *Conn) failLocked(err error) {
 
 // onSegment is the per-connection receive path (timer context).
 func (c *Conn) onSegment(seg *Segment) {
-	c.mu.Lock()
 
 	if seg.Flags&FRST != 0 {
 		if c.state == stSynSent {
-			c.failLocked(ErrRefused)
+			c.fail(ErrRefused)
 		} else {
-			c.failLocked(ErrReset)
+			c.fail(ErrReset)
 		}
-		c.mu.Unlock()
 		return
 	}
 
@@ -163,28 +151,24 @@ func (c *Conn) onSegment(seg *Segment) {
 	if seg.Flags&(FSYN|FACK) == FSYN|FACK && c.state == stSynSent {
 		c.rcvNxt = seg.Seq + 1
 		c.synOpts = seg.Options
-		c.ackAdvanceLocked(seg.Ack)
+		c.ackAdvance(seg.Ack)
 		c.state = stEstablished
-		c.sendSegLocked(&Segment{Flags: FACK, Ack: c.rcvNxt}, 0)
+		c.sendSeg(&Segment{Flags: FACK, Ack: c.rcvNxt}, 0)
 		c.hq.Wake(c.st.h.Clk, 0)
-		c.mu.Unlock()
 		return
 	}
 
 	if seg.Flags&FACK != 0 {
-		c.ackAdvanceLocked(seg.Ack)
+		c.ackAdvance(seg.Ack)
 		if c.state == stSynRcvd && c.sndUna >= 1 {
 			c.state = stEstablished
 			l := c.listener
-			c.mu.Unlock()
 			if l != nil {
-				l.mu.Lock()
 				closed := l.closed
 				if !closed {
 					l.backlog = append(l.backlog, c)
 				}
 				notify := l.Notify
-				l.mu.Unlock()
 				wake := c.st.h.Costs.ProcessWakeup
 				if c.st.mode == ModeUser {
 					wake = 0
@@ -194,14 +178,12 @@ func (c *Conn) onSegment(seg *Segment) {
 					notify()
 				}
 			}
-			c.mu.Lock()
 		}
 	}
 
 	if seg.Flags&FSYN != 0 && c.state == stEstablished {
 		// Duplicate SYN-ACK: our handshake ACK was lost; repeat it.
-		c.sendSegLocked(&Segment{Flags: FACK, Ack: c.rcvNxt}, 0)
-		c.mu.Unlock()
+		c.sendSeg(&Segment{Flags: FACK, Ack: c.rcvNxt}, 0)
 		return
 	}
 
@@ -221,11 +203,10 @@ func (c *Conn) onSegment(seg *Segment) {
 		advanced = true
 	}
 	if len(seg.Payload) > 0 || seg.Flags&FFIN != 0 {
-		c.sendSegLocked(&Segment{Flags: FACK, Ack: c.rcvNxt}, 0)
+		c.sendSeg(&Segment{Flags: FACK, Ack: c.rcvNxt}, 0)
 	}
 	clk := c.st.h.Clk
 	mode := c.st.mode
-	c.mu.Unlock()
 	if advanced {
 		wake := int64(0)
 		if mode == ModeKernel {
@@ -235,7 +216,7 @@ func (c *Conn) onSegment(seg *Segment) {
 	}
 }
 
-func (c *Conn) ackAdvanceLocked(ack uint64) {
+func (c *Conn) ackAdvance(ack uint64) {
 	if ack <= c.sndUna {
 		return
 	}
@@ -261,7 +242,7 @@ func (c *Conn) ackAdvanceLocked(ack uint64) {
 		c.pendingTx = c.pendingTx[:copy(c.pendingTx, c.pendingTx[1:])]
 		c.inflight = append(c.inflight, seg)
 		c.st.send(seg)
-		c.armRTOLocked()
+		c.armRTO()
 		moved = true
 	}
 	if moved || len(c.inflight) < windowSegs {
@@ -297,24 +278,17 @@ func (c *Conn) Write(ctx exec.Context, data []byte) (int, error) {
 		payload := make([]byte, n)
 		copy(payload, data[:n])
 		for {
-			c.mu.Lock()
 			if c.err != nil {
-				defer c.mu.Unlock()
 				return total, c.err
 			}
 			if c.state != stEstablished || c.wClosed {
-				defer c.mu.Unlock()
 				return total, ErrClosed
 			}
 			if len(c.inflight) < windowSegs || len(c.pendingTx) < windowSegs {
-				c.sendSegLocked(&Segment{Flags: FACK, Ack: c.rcvNxt, Payload: payload}, n)
-				c.mu.Unlock()
+				c.sendSeg(&Segment{Flags: FACK, Ack: c.rcvNxt, Payload: payload}, n)
 				break
 			}
-			c.mu.Unlock()
 			c.wq.Wait(ctx, func() bool {
-				c.mu.Lock()
-				defer c.mu.Unlock()
 				return c.err != nil || c.state != stEstablished ||
 					len(c.inflight) < windowSegs || len(c.pendingTx) < windowSegs
 			})
@@ -331,31 +305,23 @@ func (c *Conn) Read(ctx exec.Context, out []byte) (int, error) {
 		c.st.h.Kern.Syscall(ctx)
 	}
 	for {
-		c.mu.Lock()
 		if len(c.recvBuf) > 0 {
 			n := copy(out, c.recvBuf)
 			c.recvBuf = c.recvBuf[:copy(c.recvBuf, c.recvBuf[n:])]
-			c.mu.Unlock()
 			host.CountCopy(n)
 			ctx.Charge(c.st.h.Costs.CopyCost(n))
 			return n, nil
 		}
 		if c.peerClosed {
-			c.mu.Unlock()
 			return 0, io.EOF
 		}
 		if c.err != nil {
-			defer c.mu.Unlock()
 			return 0, c.err
 		}
 		if c.state == stClosed {
-			c.mu.Unlock()
 			return 0, ErrClosed
 		}
-		c.mu.Unlock()
 		c.rq.Wait(ctx, func() bool {
-			c.mu.Lock()
-			defer c.mu.Unlock()
 			return len(c.recvBuf) > 0 || c.peerClosed || c.err != nil || c.state == stClosed
 		})
 	}
@@ -363,14 +329,10 @@ func (c *Conn) Read(ctx exec.Context, out []byte) (int, error) {
 
 // Readable / Writable are the poll hooks.
 func (c *Conn) Readable() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return len(c.recvBuf) > 0 || c.peerClosed || c.err != nil
 }
 
 func (c *Conn) Writable() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.err != nil || (c.state == stEstablished && !c.wClosed &&
 		(len(c.inflight) < windowSegs || len(c.pendingTx) < windowSegs))
 }
@@ -382,17 +344,14 @@ func (c *Conn) Close(ctx exec.Context) error {
 	if c.st.mode == ModeKernel && ctx != nil {
 		c.st.h.Kern.Syscall(ctx)
 	}
-	c.mu.Lock()
 	if c.wClosed || c.state == stClosed {
-		c.mu.Unlock()
 		return nil
 	}
 	c.wClosed = true
 	if c.state == stEstablished {
-		c.sendSegLocked(&Segment{Flags: FFIN | FACK, Ack: c.rcvNxt}, 1)
+		c.sendSeg(&Segment{Flags: FFIN | FACK, Ack: c.rcvNxt}, 1)
 	} else {
-		c.failLocked(ErrClosed)
+		c.fail(ErrClosed)
 	}
-	c.mu.Unlock()
 	return nil
 }

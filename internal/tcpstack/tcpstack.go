@@ -14,7 +14,6 @@ package tcpstack
 
 import (
 	"errors"
-	"sync"
 
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
@@ -85,13 +84,16 @@ type Stack struct {
 	mode  Mode
 	proto string
 
-	mu        sync.Mutex
 	listeners map[uint16]*Listener
 	conns     map[connKey]*Conn
 	nextPort  uint16
 	synFilter func(*Segment) bool
 	rawPorts  map[uint16]func(*Segment)
-	tcbLock   *host.SimLock
+	// tcbLock is the global lock Linux-era kernels take for connection
+	// table management (§2.1.4). The kernel-mode stack holds it in virtual
+	// time once per segment written, which is what limits multi-core
+	// scaling in Figure 9's Linux series.
+	tcbLock *host.SimLock
 }
 
 // New creates a stack and registers it with the host kernel under the
@@ -116,26 +118,20 @@ func New(h *host.Host, mode Mode, proto string) *Stack {
 // special-option handshake — and because the stack never sees a swallowed
 // SYN, no RST is generated, which models the paper's iptables rule).
 func (st *Stack) SetSynFilter(fn func(*Segment) bool) {
-	st.mu.Lock()
 	st.synFilter = fn
-	st.mu.Unlock()
 }
 
 // RegisterRawPort claims a local port: every segment addressed to it is
 // handed to fn instead of the normal state machine (the monitor's raw
 // socket listening for special-option handshakes, §4.5.3).
 func (st *Stack) RegisterRawPort(port uint16, fn func(*Segment)) {
-	st.mu.Lock()
 	st.rawPorts[port] = fn
-	st.mu.Unlock()
 }
 
 // UnregisterRawPort releases a raw port claim (after a probe resolves,
 // so an ensuing repaired connection can use the port normally).
 func (st *Stack) UnregisterRawPort(port uint16) {
-	st.mu.Lock()
 	delete(st.rawPorts, port)
-	st.mu.Unlock()
 }
 
 // Inject transmits an arbitrary segment (the monitor's raw socket).
@@ -167,17 +163,13 @@ func (st *Stack) rx(src string, frame any) {
 }
 
 func (st *Stack) process(seg *Segment) {
-	st.mu.Lock()
 	raw := st.rawPorts[seg.DstPort]
-	st.mu.Unlock()
 	if raw != nil {
 		raw(seg)
 		return
 	}
 	if seg.Flags&FSYN != 0 && seg.Flags&FACK == 0 {
-		st.mu.Lock()
 		filter := st.synFilter
-		st.mu.Unlock()
 		if filter != nil && filter(seg) {
 			return
 		}
@@ -185,9 +177,7 @@ func (st *Stack) process(seg *Segment) {
 		return
 	}
 	key := connKey{seg.DstPort, seg.SrcHost, seg.SrcPort}
-	st.mu.Lock()
 	c := st.conns[key]
-	st.mu.Unlock()
 	if c == nil {
 		if seg.Flags&FRST == 0 {
 			st.send(&Segment{
@@ -204,7 +194,6 @@ func (st *Stack) process(seg *Segment) {
 type Listener struct {
 	st      *Stack
 	port    uint16
-	mu      sync.Mutex
 	backlog []*Conn
 	wq      host.WaitQ
 	closed  bool
@@ -218,10 +207,8 @@ type Listener struct {
 
 // Listen binds a port. Port 0 picks an ephemeral one.
 func (st *Stack) Listen(port uint16) (*Listener, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if port == 0 {
-		port = st.allocPortLocked()
+		port = st.allocPort()
 	}
 	if _, ok := st.listeners[port]; ok {
 		return nil, ErrPortInUse
@@ -231,7 +218,7 @@ func (st *Stack) Listen(port uint16) (*Listener, error) {
 	return l, nil
 }
 
-func (st *Stack) allocPortLocked() uint16 {
+func (st *Stack) allocPort() uint16 {
 	for {
 		st.nextPort++
 		if st.nextPort == 0 {
@@ -252,48 +239,33 @@ func (l *Listener) Accept(ctx exec.Context) (*Conn, error) {
 		l.st.h.Kern.Syscall(ctx)
 	}
 	for {
-		l.mu.Lock()
 		if len(l.backlog) > 0 {
 			c := l.backlog[0]
 			l.backlog = l.backlog[:copy(l.backlog, l.backlog[1:])]
-			l.mu.Unlock()
 			return c, nil
 		}
 		closed := l.closed
-		l.mu.Unlock()
 		if closed {
 			return nil, ErrClosed
 		}
-		l.wq.Wait(ctx, func() bool {
-			l.mu.Lock()
-			defer l.mu.Unlock()
-			return len(l.backlog) > 0 || l.closed
-		})
+		l.wq.Wait(ctx, func() bool { return len(l.backlog) > 0 || l.closed })
 	}
 }
 
 // Pending reports queued connections (work-stealing checks).
 func (l *Listener) Pending() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return len(l.backlog)
 }
 
 // Close stops the listener.
 func (l *Listener) Close() {
-	l.mu.Lock()
 	l.closed = true
-	l.mu.Unlock()
 	l.wq.Wake(l.st.h.Clk, 0)
-	l.st.mu.Lock()
 	delete(l.st.listeners, l.port)
-	l.st.mu.Unlock()
 }
 
 func (st *Stack) onSyn(seg *Segment) {
-	st.mu.Lock()
 	l := st.listeners[seg.DstPort]
-	st.mu.Unlock()
 	if l == nil {
 		st.send(&Segment{
 			DstHost: seg.SrcHost, SrcPort: seg.DstPort, DstPort: seg.SrcPort,
@@ -302,9 +274,7 @@ func (st *Stack) onSyn(seg *Segment) {
 		return
 	}
 	key := connKey{seg.DstPort, seg.SrcHost, seg.SrcPort}
-	st.mu.Lock()
 	if _, dup := st.conns[key]; dup {
-		st.mu.Unlock()
 		return // retransmitted SYN
 	}
 	c := newConn(st, key, stSynRcvd)
@@ -312,14 +282,11 @@ func (st *Stack) onSyn(seg *Segment) {
 	c.synOpts = seg.Options
 	c.listener = l
 	st.conns[key] = c
-	st.mu.Unlock()
 	var opts []byte
 	if l.OptsFn != nil {
 		opts = l.OptsFn(seg.Options)
 	}
-	c.mu.Lock()
-	c.sendSegLocked(&Segment{Flags: FSYN | FACK, Options: opts}, 1)
-	c.mu.Unlock()
+	c.sendSeg(&Segment{Flags: FSYN | FACK, Options: opts}, 1)
 }
 
 // Connect opens a connection carrying opts in the SYN.
@@ -328,29 +295,21 @@ func (st *Stack) Connect(ctx exec.Context, remoteHost string, remotePort uint16,
 		st.h.Kern.Syscall(ctx)
 		ctx.Charge(st.h.Costs.KernelFDAlloc)
 	}
-	st.mu.Lock()
-	key := connKey{st.allocEphemeralLocked(remoteHost, remotePort), remoteHost, remotePort}
+	key := connKey{st.allocEphemeral(remoteHost, remotePort), remoteHost, remotePort}
 	c := newConn(st, key, stSynSent)
 	st.conns[key] = c
-	st.mu.Unlock()
-	c.mu.Lock()
-	c.sendSegLocked(&Segment{Flags: FSYN, Options: opts}, 1)
-	c.mu.Unlock()
+	c.sendSeg(&Segment{Flags: FSYN, Options: opts}, 1)
 	// Wait for the handshake to finish.
 	c.hq.Wait(ctx, func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
 		return c.state == stEstablished || c.err != nil
 	})
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.err != nil {
 		return nil, c.err
 	}
 	return c, nil
 }
 
-func (st *Stack) allocEphemeralLocked(rhost string, rport uint16) uint16 {
+func (st *Stack) allocEphemeral(rhost string, rport uint16) uint16 {
 	for {
 		st.nextPort++
 		if st.nextPort == 0 {
@@ -368,8 +327,6 @@ func (st *Stack) allocEphemeralLocked(rhost string, rport uint16) uint16 {
 // call it with mirrored arguments.
 func (st *Stack) Repair(localPort uint16, remoteHost string, remotePort uint16, sndNxt, rcvNxt uint64) (*Conn, error) {
 	key := connKey{localPort, remoteHost, remotePort}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if _, dup := st.conns[key]; dup {
 		return nil, ErrPortInUse
 	}
@@ -380,7 +337,5 @@ func (st *Stack) Repair(localPort uint16, remoteHost string, remotePort uint16, 
 }
 
 func (st *Stack) dropConn(key connKey) {
-	st.mu.Lock()
 	delete(st.conns, key)
-	st.mu.Unlock()
 }

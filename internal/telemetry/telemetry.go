@@ -223,7 +223,9 @@ func (d *Distribution) Quantile(q float64) int64 {
 	return d.Max()
 }
 
-func (d *Distribution) reset() {
+// Reset forgets every observation, for a measurement that reads one
+// distribution's quantiles over its own window (handles stay valid).
+func (d *Distribution) Reset() {
 	d.count.Store(0)
 	d.sum.Store(0)
 	d.min.Store(0)
@@ -330,7 +332,7 @@ func (r *Registry) Reset() {
 		g.reset()
 	}
 	for _, d := range r.dists {
-		d.reset()
+		d.Reset()
 	}
 }
 

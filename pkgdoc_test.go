@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -124,6 +125,168 @@ func TestCoreBlocksOnlyInWait(t *testing.T) {
 	for key := range allowed {
 		if !used[key] {
 			t.Errorf("allowlist entry %q matches nothing any more: delete it", key)
+		}
+	}
+}
+
+// TestSimStateTakesNoLocks keeps a Sim's state lock-free (ARCHITECTURE.md
+// "A Sim owns its state"): the packages a simulated world is made of are
+// touched only from inside Sim.Run, one thread at a time, so their non-test
+// code declares no sync.Mutex, RWMutex, Once or Cond and calls no Lock or
+// TryLock. What is shared across Sims lives elsewhere; a file here that
+// must synchronise argues its way onto the list with its reason.
+func TestSimStateTakesNoLocks(t *testing.T) {
+	allowed := map[string]string{
+		"shm/locked.go": "LockedRing is the mutex-guarded queue of Table 2, the baseline the lockless ring is measured against",
+	}
+	pkgs := []string{"core", "monitor", "host", "tcpstack", "rdma", "mem", "fabric", "shm", "fault"}
+	syncTypes := map[string]bool{"Mutex": true, "RWMutex": true, "Once": true, "OnceFunc": true,
+		"OnceValue": true, "OnceValues": true, "Cond": true}
+	locking := map[string]bool{"Lock": true, "RLock": true, "TryLock": true, "TryRLock": true}
+	used := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, pkg := range pkgs {
+		paths, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no files in internal/%s: %v", pkg, err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			key := pkg + "/" + filepath.Base(path)
+			file, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				var what string
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && x.Name == "sync" && syncTypes[n.Sel.Name] {
+						what = "sync." + n.Sel.Name
+					}
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && locking[sel.Sel.Name] && len(n.Args) == 0 {
+						what = "a " + sel.Sel.Name + " call"
+					}
+				}
+				if what == "" {
+					return true
+				}
+				if used[key] = true; allowed[key] == "" {
+					t.Errorf("%s: %s uses %s: a Sim's state is touched only from inside Run and takes no lock", key, fset.Position(n.Pos()), what)
+				}
+				return true
+			})
+		}
+	}
+	for key := range allowed {
+		if !used[key] {
+			t.Errorf("allowlist entry %q matches nothing any more: delete it", key)
+		}
+	}
+}
+
+// currentDocs are the documents that describe the repository as it is.
+// ROADMAP.md and CHANGES.md are plans and history, and may name what no
+// longer exists.
+var currentDocs = []string{"README.md", "DESIGN.md", "ARCHITECTURE.md", "EXPERIMENTS.md",
+	filepath.Join("benchmark", "README.md")}
+
+// TestDocLinksResolve fails on a relative Markdown link in a current
+// document whose target file does not exist.
+func TestDocLinksResolve(t *testing.T) {
+	link := regexp.MustCompile(`\]\(([^)\s]+)\)`)
+	for _, doc := range currentDocs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range link.FindAllStringSubmatch(string(src), -1) {
+			target := m[1]
+			if strings.HasPrefix(target, "#") || strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
+				continue
+			}
+			path := filepath.Join(filepath.Dir(doc), strings.SplitN(target, "#", 2)[0])
+			if _, err := os.Stat(path); err != nil {
+				t.Errorf("%s links %q, which does not exist", doc, target)
+			}
+		}
+	}
+}
+
+// TestDocsNameOnlySdbenchCommands fails on a `sdbench <cmd>` in a current
+// document's code (inline spans and fenced blocks) that cmd/sdbench does
+// not dispatch, through its command map or its switch. Flags before the
+// command are skipped; -trace takes a value.
+func TestDocsNameOnlySdbenchCommands(t *testing.T) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, filepath.Join("cmd", "sdbench", "main.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmds := map[string]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.KeyValueExpr:
+			if lit, ok := n.Key.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if _, isFunc := n.Value.(*ast.Ident); isFunc {
+					cmds[strings.Trim(lit.Value, `"`)] = true
+				}
+			}
+		case *ast.CaseClause:
+			for _, e := range n.List {
+				if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					cmds[strings.Trim(lit.Value, `"`)] = true
+				}
+			}
+		}
+		return true
+	})
+	if !cmds["all"] || !cmds["table2"] {
+		t.Fatalf("found no sdbench dispatch in cmd/sdbench/main.go (got %v)", cmds)
+	}
+	span := regexp.MustCompile("`[^`\n]+`")
+	invocation := regexp.MustCompile(`(?:^|\s)(?:go run \./cmd/)?sdbench((?:\s+\S+)+)`)
+	for _, doc := range currentDocs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var code []string
+		fenced := false
+		for _, line := range strings.Split(string(src), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if fenced {
+				code = append(code, line)
+				continue
+			}
+			for _, s := range span.FindAllString(line, -1) {
+				code = append(code, strings.Trim(s, "`"))
+			}
+		}
+		for _, c := range code {
+			for _, m := range invocation.FindAllStringSubmatch(c, -1) {
+				words := strings.Fields(m[1])
+				for len(words) > 0 && strings.HasPrefix(words[0], "-") {
+					if words[0] == "-trace" && len(words) > 1 {
+						words = words[1:]
+					}
+					words = words[1:]
+				}
+				if len(words) == 0 || words[0][0] < 'a' || words[0][0] > 'z' {
+					continue // `sdbench <cmd>`, `sdbench [-json]`: a placeholder
+				}
+				for _, cmd := range strings.Split(strings.TrimRight(words[0], ".,;:)"), "|") {
+					if !cmds[cmd] {
+						t.Errorf("%s names `sdbench %s`, which cmd/sdbench does not dispatch", doc, cmd)
+					}
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,8 @@ package socksdirect_test
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
 	sd "socksdirect"
@@ -168,5 +170,138 @@ func TestPublicAPIForkAndLegacyPeer(t *testing.T) {
 	}
 	if !forkOK {
 		t.Fatal("fork bookkeeping broken")
+	}
+}
+
+// worldCensus is what closed connections must give back on a world's
+// hosts: SHM segments, QPs, MRs, pinned frames and monitor records.
+type worldCensus struct{ segs, qps, mrs, pinned, records int }
+
+func censusOf(hosts ...*sd.Host) (c worldCensus) {
+	for _, h := range hosts {
+		c.segs += h.H.SHM.Len()
+		c.qps += h.H.NIC.QPCount()
+		c.mrs += h.H.NIC.MRCount()
+		c.pinned += h.H.Mem.PinnedCount()
+		c.records += h.Mon.LiveConnRecords()
+	}
+	return c
+}
+
+// echoServe accepts n connections one after another on port and echoes
+// each until its client closes.
+func echoServe(t *testing.T, p *sd.Process, port uint16, n int) {
+	p.Go("srv", func(t2 *sd.T) {
+		ln, err := t2.Listen(port)
+		if err != nil {
+			t.Errorf("listen: %v", err)
+			return
+		}
+		defer ln.Close()
+		buf := make([]byte, 2048)
+		for i := 0; i < n; i++ {
+			c, err := ln.Accept()
+			if err != nil {
+				t.Errorf("accept %d: %v", i, err)
+				return
+			}
+			for {
+				m, err := c.Recv(buf)
+				if err != nil {
+					break
+				}
+				if _, err := c.Send(buf[:m]); err != nil {
+					break
+				}
+			}
+			c.Close()
+		}
+	})
+}
+
+// runWorld builds one two-host cluster and runs, from one client thread:
+// an intra-host ping-pong, a cross-host dial and echo, then 200 intra-host
+// dial/echo/close cycles and a second cross-host echo. Every byte is
+// checked, and the census after the cycles must equal the census before
+// them. It reports whether the client got to the end.
+func runWorld(t *testing.T, w int) bool {
+	const (
+		port      = 80
+		pingPongs = 100
+		cycles    = 200
+	)
+	cl := sd.NewCluster(sd.Defaults())
+	a := cl.AddHost(fmt.Sprintf("w%d-alpha", w))
+	b := cl.AddHost(fmt.Sprintf("w%d-beta", w))
+	sd.PeerMonitors(a, b)
+	echoServe(t, a.NewProcess("server", 0), port, 1+cycles)
+	echoServe(t, b.NewProcess("server", 0), port, 2)
+	done := false
+	a.NewProcess("client", 0).Go("cli", func(t2 *sd.T) {
+		t2.Sleep(10 * sd.Microsecond)
+		echo := func(dst string, msg []byte, rounds int) bool {
+			c, err := t2.Dial(dst, port)
+			if err != nil {
+				t.Errorf("world %d: dial %s: %v", w, dst, err)
+				return false
+			}
+			defer c.Close()
+			got := make([]byte, len(msg))
+			for r := 0; r < rounds; r++ {
+				msg[0] = byte(r)
+				if _, err := c.Send(msg); err != nil {
+					t.Errorf("world %d: send to %s: %v", w, dst, err)
+					return false
+				}
+				if n, err := c.RecvFull(got); err != nil || !bytes.Equal(got[:n], msg) {
+					t.Errorf("world %d: echo from %s: %q, %v", w, dst, got[:n], err)
+					return false
+				}
+			}
+			return true
+		}
+		small, big := []byte("8 bytes!"), bytes.Repeat([]byte("0123456789abcdef"), 64)
+		if !echo(a.H.Name, small, pingPongs) || !echo(b.H.Name, big, 1) {
+			return
+		}
+		t2.Sleep(5 * sd.Millisecond) // both closes have settled
+		base := censusOf(a, b)
+		for i := 0; i < cycles; i++ {
+			if !echo(a.H.Name, small, 1) {
+				return
+			}
+		}
+		if !echo(b.H.Name, big, 1) {
+			return
+		}
+		t2.Sleep(5 * sd.Millisecond)
+		if end := censusOf(a, b); end != base {
+			t.Errorf("world %d: census %+v after the cycles, %+v before", w, end, base)
+		}
+		done = true
+	})
+	cl.Run()
+	return done
+}
+
+// TestClustersRunConcurrently runs two clusters on two goroutines at once
+// (ARCHITECTURE.md "A Sim owns its state"): under -race, any state two
+// worlds reach without synchronisation fails it. The worlds need not match
+// solo runs: host ordinals are numbered process-wide (ROADMAP 1(a)).
+func TestClustersRunConcurrently(t *testing.T) {
+	var wg sync.WaitGroup
+	var finished [2]bool
+	for w := range finished {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			finished[w] = runWorld(t, w)
+		}()
+	}
+	wg.Wait()
+	for w, ok := range finished {
+		if !ok {
+			t.Errorf("world %d did not finish", w)
+		}
 	}
 }
