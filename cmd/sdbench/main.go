@@ -67,9 +67,10 @@
 //
 // Flags (before the subcommand):
 //
-//	-trace out.json     record structured trace events during the run and
-//	                    write them as Chrome trace_event JSON (open in
-//	                    chrome://tracing or Perfetto)
+//	-trace out.json     at exit, write the obs rings (spans and events,
+//	                    one track per host and process) as Chrome
+//	                    trace_event JSON (open in chrome://tracing or
+//	                    Perfetto)
 package main
 
 import (
@@ -81,20 +82,22 @@ import (
 	"text/tabwriter"
 
 	"socksdirect/internal/experiments"
+	"socksdirect/internal/obs"
 	"socksdirect/internal/telemetry"
-	"socksdirect/internal/trace"
 )
 
 func main() {
-	traceOut := flag.String("trace", "", "write Chrome trace_event JSON of the run to this file")
+	traceOut := flag.String("trace", "", "write the run's spans and events as Chrome trace_event JSON to this file")
 	flag.Parse()
-	args := flag.Args()
+	run(*traceOut, flag.Args())
+}
+
+// run dispatches one command; with traceOut set it then writes the obs
+// rings there.
+func run(traceOut string, args []string) {
 	cmd := "all"
 	if len(args) > 0 {
 		cmd = args[0]
-	}
-	if *traceOut != "" {
-		telemetry.EnableTracing()
 	}
 	cmds := map[string]func(){
 		"table2":    table2,
@@ -141,8 +144,8 @@ func main() {
 		}
 		fn()
 	}
-	if *traceOut != "" {
-		writeTrace(*traceOut)
+	if traceOut != "" {
+		writeDump(traceOut, obs.Capture(obs.TrigManual, 0, "sdbench "+cmd))
 	}
 }
 
@@ -202,21 +205,6 @@ func printDeltas(title string, d telemetry.Snapshot) {
 	fmt.Print(filtered.Format(true))
 }
 
-func writeTrace(path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := telemetry.Trace.WriteChrome(f); err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d trace events to %s (%d dropped)\n",
-		telemetry.Trace.Len(), path, telemetry.Trace.Dropped())
-}
-
 func table2() {
 	before := telemetry.Capture()
 	fmt.Print(experiments.RenderTable2(experiments.Table2()))
@@ -242,19 +230,19 @@ func mops(v float64) string { return fmt.Sprintf("%.2f M/s", v) }
 
 func fig7() {
 	tput, lat := experiments.Fig7()
-	fmt.Print(trace.RenderFigure("Figure 7a: intra-host single-core throughput", "size(B)", sizesAxis(), tput, gbps))
+	fmt.Print(experiments.RenderFigure("Figure 7a: intra-host single-core throughput", "size(B)", sizesAxis(), tput, gbps))
 	fmt.Println("paper: SD 8B ~1.5 Gbps (23 M msg/s), 1MiB saturates memory; Linux 8B ~0.07 Gbps")
 	fmt.Println()
-	fmt.Print(trace.RenderFigure("Figure 7b: intra-host latency", "size(B)", sizesAxis(), lat, us))
+	fmt.Print(experiments.RenderFigure("Figure 7b: intra-host latency", "size(B)", sizesAxis(), lat, us))
 	fmt.Println("paper: SD 0.3 us @8B vs Linux 11 us (35x); RSocket ~1.8 us (hairpin)")
 }
 
 func fig8() {
 	tput, lat := experiments.Fig8()
-	fmt.Print(trace.RenderFigure("Figure 8a: inter-host single-core throughput", "size(B)", sizesAxis(), tput, gbps))
+	fmt.Print(experiments.RenderFigure("Figure 8a: inter-host single-core throughput", "size(B)", sizesAxis(), tput, gbps))
 	fmt.Println("paper: SD saturates 100G at >=16KiB (zero copy); 3.5x compared systems")
 	fmt.Println()
-	fmt.Print(trace.RenderFigure("Figure 8b: inter-host latency", "size(B)", sizesAxis(), lat, us))
+	fmt.Print(experiments.RenderFigure("Figure 8b: inter-host latency", "size(B)", sizesAxis(), lat, us))
 	fmt.Println("paper: SD 1.7 us @8B ~= raw RDMA 1.6 us; Linux 30 us (17x)")
 }
 
@@ -262,18 +250,18 @@ func fig9() {
 	cores := []float64{1, 2, 4, 8, 16}
 	coreList := []int{1, 2, 4, 8, 16}
 	intra := experiments.Fig9(true, coreList)
-	fmt.Print(trace.RenderFigure("Figure 9a: intra-host 8B throughput vs cores", "cores", cores, intra, mops))
+	fmt.Print(experiments.RenderFigure("Figure 9a: intra-host 8B throughput vs cores", "cores", cores, intra, mops))
 	fmt.Println("paper: SD scales linearly to 306 M msg/s @16 cores (40x Linux); LibVMA collapses >1 core")
 	fmt.Println()
 	inter := experiments.Fig9(false, coreList)
-	fmt.Print(trace.RenderFigure("Figure 9b: inter-host 8B throughput vs cores", "cores", cores, inter, mops))
+	fmt.Print(experiments.RenderFigure("Figure 9b: inter-host 8B throughput vs cores", "cores", cores, inter, mops))
 	fmt.Println("paper: SD 276 M msg/s @16 cores with batching; without batching 62 M (60% of RDMA)")
 }
 
 func fig10() {
 	procs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	s := experiments.Fig10([]int{1, 2, 3, 4, 5, 6, 7, 8})
-	fmt.Print(trace.RenderFigure("Figure 10: 8B RTT vs processes sharing one core", "procs", procs, []*trace.Series{s}, us))
+	fmt.Print(experiments.RenderFigure("Figure 10: 8B RTT vs processes sharing one core", "procs", procs, []*experiments.Series{s}, us))
 	fmt.Println("paper: latency grows ~linearly with sharers but stays 1/20-1/30 of Linux")
 }
 
@@ -283,14 +271,14 @@ func fig11() {
 		xs[i] = float64(s)
 	}
 	series := experiments.Fig11()
-	fmt.Print(trace.RenderFigure("Figure 11: HTTP request latency vs response size", "resp(B)", xs, series, us))
+	fmt.Print(experiments.RenderFigure("Figure 11: HTTP request latency vs response size", "resp(B)", xs, series, us))
 	fmt.Println("paper: SocksDirect cuts Nginx latency 5.5x (small responses) to 20x (large, zero copy)")
 }
 
 func fig12() {
 	stages := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	series := experiments.Fig12([]int{1, 2, 3, 4, 5, 6, 7, 8})
-	fmt.Print(trace.RenderFigure("Figure 12: NF pipeline throughput vs stages", "stages", stages, series, mops))
+	fmt.Print(experiments.RenderFigure("Figure 12: NF pipeline throughput vs stages", "stages", stages, series, mops))
 	fmt.Println("paper: SD 15-20x Linux pipe/TCP, close to NetBricks")
 }
 
@@ -371,7 +359,9 @@ func drill(name string, run func() drillResult) func() {
 		}
 		printDeltas(name+" counter deltas (whole workload)", telemetry.Capture().Diff(before))
 		if !r.Passed() {
-			failureDump(name)
+			// The failing run ships its own evidence.
+			writeDump(fmt.Sprintf("sd-flight-%s-failure.trace.json", name),
+				obs.ForceDump(obs.TrigManual, 0, name+" soak failed its acceptance bar"))
 			os.Exit(1)
 		}
 	}

@@ -186,31 +186,20 @@ func obssmokeCmd(args []string) {
 	}
 }
 
+// writeDump writes d to path as Chrome trace_event JSON: the one file
+// writer of -trace, obssmoke's artifacts and a failed drill's evidence. A
+// write that fails is reported and exits 1.
 func writeDump(path string, d obs.Dump) {
 	f, err := os.Create(path)
+	if err == nil {
+		err = d.WriteChrome(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "obssmoke: %v\n", err)
+		fmt.Fprintf(os.Stderr, "sdbench: %v\n", err)
 		os.Exit(1)
 	}
-	defer f.Close()
-	if err := d.WriteChrome(f); err != nil {
-		fmt.Fprintf(os.Stderr, "obssmoke: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d spans, %d flows)\n", path, len(d.Spans), len(d.Flows))
-}
-
-// failureDump ships a flight-recorder artifact when a soak command fails
-// its acceptance bar, so the failing run carries its own evidence.
-func failureDump(name string) {
-	path := fmt.Sprintf("sd-flight-%s-failure.trace.json", name)
-	d := obs.ForceDump(obs.TrigManual, 0, name+" soak failed its acceptance bar")
-	f, err := os.Create(path)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	if d.WriteChrome(f) == nil {
-		fmt.Fprintf(os.Stderr, "wrote failure evidence to %s\n", path)
-	}
+	fmt.Fprintf(os.Stderr, "wrote %s (%d spans and events, %d flows)\n", path, len(d.Spans), len(d.Flows))
 }

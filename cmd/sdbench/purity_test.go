@@ -82,3 +82,30 @@ func TestBenchCompareStdoutPurity(t *testing.T) {
 		t.Errorf("compare wrote to stdout without -json: %q", stdout)
 	}
 }
+
+// TestTraceFileCarriesSpansAndEvents runs `sdbench -trace <file> table2`:
+// the file must parse as Chrome trace_event JSON and hold both the
+// control-plane spans ("X") and the events ("i") the run recorded.
+func TestTraceFileCarriesSpansAndEvents(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	captureStdout(t, func() { run(path, []string{"table2"}) })
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Phase string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("-trace file is not Chrome trace JSON: %v", err)
+	}
+	phases := map[string]int{}
+	for _, e := range doc.TraceEvents {
+		phases[e.Phase]++
+	}
+	if phases["X"] == 0 || phases["i"] == 0 {
+		t.Fatalf("-trace file holds %d spans and %d events, want both", phases["X"], phases["i"])
+	}
+}

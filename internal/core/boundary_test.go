@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +16,7 @@ import (
 	"socksdirect/internal/host"
 	"socksdirect/internal/mem"
 	"socksdirect/internal/monitor"
-	"socksdirect/internal/telemetry"
+	"socksdirect/internal/obs"
 )
 
 // Boundary goldens: the exact virtual times at which the stack's blocking
@@ -370,9 +372,7 @@ func ringFull(t *testing.T, w *world, b *blog, inter bool) {
 // runBoundary runs one scenario and returns its log; counted adds the line
 // of exit counters (boundary_exits_test.go).
 func runBoundary(t *testing.T, run func(*testing.T, *world, *blog), counted bool) string {
-	telemetry.Trace.Reset()
-	telemetry.Trace.SetEnabled(true)
-	defer telemetry.Trace.SetEnabled(false)
+	obs.Reset()
 	w := boundaryWorld(t)
 	var b blog
 	c0 := readExits()
@@ -385,9 +385,12 @@ func runBoundary(t *testing.T, run func(*testing.T, *world, *blog), counted bool
 		}()
 		return w.sim.Run()
 	}()
-	for _, e := range telemetry.Trace.Events() {
-		if e.Component == "monitor" || e.Component == "core" {
-			b.lines = append(b.lines, fmt.Sprintf("  %s %s @%d", e.Component, e.Name, e.TS))
+	// Events in emission order: each drew its Span from one counter.
+	evs := obs.AllSpans()
+	slices.SortFunc(evs, func(a, b obs.Span) int { return cmp.Compare(a.Span, b.Span) })
+	for _, e := range evs {
+		if c := e.Ev.Component(); e.Hop == obs.HopEvent && (c == "monitor" || c == "core") {
+			b.lines = append(b.lines, fmt.Sprintf("  %s %s @%d", c, e.Name(), e.Start))
 		}
 	}
 	b.lines = append(b.lines, fmt.Sprintf("end @%d", end))

@@ -175,10 +175,7 @@ func (e *rdmaEP) startAttempt(ctx exec.Context, r *recoverState, now int64) {
 	r.qp, r.nonce = qp, nonce
 	r.deadline = now + recoveryAttemptTimeout
 	mRecoveryAttempts.Inc()
-	if telemetry.Trace.Enabled() {
-		telemetry.Trace.Emit(now, "core", "recovery_attempt",
-			telemetry.A("qid", int64(e.side.QID)), telemetry.A("attempt", int64(r.attempts+1)))
-	}
+	obs.Emit(l.H.Name, int64(l.P.PID), obs.EvRecoveryAttempt, 0, now, int64(e.side.QID), int64(r.attempts+1))
 	r.op = obs.BeginOp(l.H.Name, int64(l.P.PID), obs.OpRecovery, now)
 	req := ctlmsg.Msg{
 		Kind: ctlmsg.KReQP, QID: e.side.QID, PID: int64(l.P.PID),
@@ -235,11 +232,8 @@ func (e *rdmaEP) finishRecovery(ctx exec.Context, r *recoverState, pr pendingReQ
 	mRecoveries.Inc()
 	flow.Recovery()
 	r.op.End(ctx.Now(), true)
+	obs.Emit(l.H.Name, int64(l.P.PID), obs.EvRecoveryDone, 0, ctx.Now(), int64(e.side.QID), 0)
 	obs.Trigger(obs.TrigQPRecovery, ctx.Now(), "QP recovered on "+l.H.Name)
-	if telemetry.Trace.Enabled() {
-		telemetry.Trace.Emit(ctx.Now(), "core", "recovery_done",
-			telemetry.A("qid", int64(e.side.QID)))
-	}
 }
 
 // resync re-mirrors the unacknowledged region of the TX ring through a
@@ -260,10 +254,7 @@ func (e *rdmaEP) resync(ctx exec.Context) {
 
 func (e *rdmaEP) startDegrade(ctx exec.Context, r *recoverState) {
 	r.degradeSent = true
-	if telemetry.Trace.Enabled() {
-		telemetry.Trace.Emit(ctx.Now(), "core", "degrade_request",
-			telemetry.A("qid", int64(e.side.QID)))
-	}
+	obs.Emit(e.lib.H.Name, int64(e.lib.P.PID), obs.EvDegradeRequest, 0, ctx.Now(), int64(e.side.QID), 0)
 	obs.Trigger(obs.TrigRetryExhaustion, ctx.Now(), "QP recovery budget exhausted on "+e.lib.H.Name)
 	op := obs.BeginOp(e.lib.H.Name, int64(e.lib.P.PID), obs.OpDegrade, ctx.Now())
 	req := ctlmsg.Msg{Kind: ctlmsg.KDegrade, QID: e.side.QID, PID: int64(e.lib.P.PID),

@@ -9,7 +9,6 @@ import (
 	"socksdirect/internal/host"
 	"socksdirect/internal/obs"
 	"socksdirect/internal/shm"
-	"socksdirect/internal/telemetry"
 )
 
 // maxInline is the largest chunk sent through the ring as bytes; larger
@@ -125,10 +124,7 @@ func (s *Socket) acquireToken(ctx exec.Context, t *host.Thread, dir int) error {
 	mTokenTakeover.Inc()
 	s.flow.Takeover()
 	op := obs.BeginOp(s.lib.H.Name, int64(s.lib.P.PID), obs.OpTakeover, ctx.Now())
-	if telemetry.Trace.Enabled() {
-		telemetry.Trace.Emit(ctx.Now(), "core", "token_takeover",
-			telemetry.A("qid", int64(s.side.QID)), telemetry.A("dir", int64(dir)))
-	}
+	obs.Emit(s.lib.H.Name, int64(s.lib.P.PID), obs.EvTokenTakeover, 0, ctx.Now(), int64(s.side.QID), int64(dir))
 	// Slow path: ask the monitor to arbitrate (§4.1.1). FIFO and
 	// starvation-free: the monitor keeps the (deduplicated) waiting list;
 	// Aux tells it whom to revoke from. A long FIFO behind a healthy monitor
@@ -387,11 +383,8 @@ func (s *Socket) resetErr(ctx exec.Context, dir int) error {
 	if s.side.ResetSeen.CompareAndSwap(false, true) {
 		mResets.Inc()
 		s.flow.NoteReset()
+		obs.Emit(s.lib.H.Name, int64(s.lib.P.PID), obs.EvReset, 0, ctx.Now(), int64(s.side.QID), int64(dir))
 		obs.Trigger(obs.TrigReset, s.lib.H.Clk.Now(), "ECONNRESET on "+s.lib.H.Name)
-		if telemetry.Trace.Enabled() {
-			telemetry.Trace.Emit(ctx.Now(), "core", "reset",
-				telemetry.A("qid", int64(s.side.QID)), telemetry.A("dir", int64(dir)))
-		}
 		s.raiseHUP(ctx)
 		return ECONNRESET
 	}

@@ -10,7 +10,6 @@ import (
 	"socksdirect/internal/obs"
 	"socksdirect/internal/rdma"
 	"socksdirect/internal/shm"
-	"socksdirect/internal/telemetry"
 )
 
 // tcpEP is the mid-stream kernel-TCP fallback endpoint (§4.5.3). When a
@@ -347,11 +346,8 @@ func (l *Libsd) onDegraded(ctx exec.Context, m *ctlmsg.Msg) {
 		mTCPFallbacks.Inc()
 		any.flow.SetTransport(ctlmsg.TransportTCP)
 		any.flow.SetState(obs.FlowDegraded)
+		obs.Emit(l.H.Name, int64(l.P.PID), obs.EvDegraded, 0, l.H.Clk.Now(), int64(m.QID), 0)
 		obs.Trigger(obs.TrigDegraded, l.H.Clk.Now(), "rescue TCP installed on "+l.H.Name)
-		if telemetry.Trace.Enabled() {
-			telemetry.Trace.Emit(l.H.Clk.Now(), "core", "degraded",
-				telemetry.A("qid", int64(m.QID)))
-		}
 	}
 	var olds []*rdmaEP
 	for s := range l.socks[m.QID] {

@@ -8,8 +8,8 @@ import (
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
 	"socksdirect/internal/mem"
+	"socksdirect/internal/obs"
 	"socksdirect/internal/rdma"
-	"socksdirect/internal/telemetry"
 )
 
 // zcPool is the receiver-side pinned page pool for inter-host zero copy
@@ -441,10 +441,7 @@ func (s *Socket) RecvVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int)
 				return 0, err
 			}
 			mZCRemaps.Inc()
-			if telemetry.Trace.Enabled() {
-				telemetry.Trace.Emit(ctx.Now(), "core", "zc_remap",
-					telemetry.A("pages", int64(len(z.ids))))
-			}
+			obs.Emit(s.lib.H.Name, int64(s.lib.P.PID), obs.EvZCRemap, 0, ctx.Now(), int64(len(z.ids)), 0)
 			if !z.intra && s.side.LocalPool != nil {
 				// The received frames now belong to the application; put
 				// fresh pinned pages into their slots and hand the slots

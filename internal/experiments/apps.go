@@ -8,7 +8,6 @@ import (
 	sd "socksdirect"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
-	"socksdirect/internal/trace"
 )
 
 // Fig11Sizes is the response-size axis of Figure 11.
@@ -18,14 +17,14 @@ var Fig11Sizes = []int{64, 512, 4096, 32768, 262144, 1 << 20}
 // reverse proxy (host B) -> response generator (also host B), measuring
 // end-to-end request latency for each response size, over SocksDirect and
 // over Linux kernel sockets.
-func Fig11() []*trace.Series {
-	sdSeries := &trace.Series{Name: "SocksDirect"}
-	lxSeries := &trace.Series{Name: "Linux"}
+func Fig11() []*Series {
+	sdSeries := &Series{Name: "SocksDirect"}
+	lxSeries := &Series{Name: "Linux"}
 	for _, size := range Fig11Sizes {
 		sdSeries.Add(float64(size), httpLatency(true, size)/1000)
 		lxSeries.Add(float64(size), httpLatency(false, size)/1000)
 	}
-	return []*trace.Series{sdSeries, lxSeries}
+	return []*Series{sdSeries, lxSeries}
 }
 
 // The HTTP-shaped protocol: request = 16-byte line; response = 8-byte
@@ -196,18 +195,18 @@ func Fig12Point(kind string, stages int) float64 { return nfPipeline(kind, stage
 // Fig12 regenerates the NF pipeline: throughput of 64-byte packets through
 // an n-stage chain for SocksDirect sockets, Linux pipes, Linux TCP
 // sockets, and a NetBricks-style function-call pipeline upper bound.
-func Fig12(stages []int) []*trace.Series {
-	sdS := &trace.Series{Name: "SocksDirect"}
-	pipeS := &trace.Series{Name: "Linux pipe"}
-	tcpS := &trace.Series{Name: "Linux socket"}
-	nbS := &trace.Series{Name: "NetBricks"}
+func Fig12(stages []int) []*Series {
+	sdS := &Series{Name: "SocksDirect"}
+	pipeS := &Series{Name: "Linux pipe"}
+	tcpS := &Series{Name: "Linux socket"}
+	nbS := &Series{Name: "NetBricks"}
 	for _, n := range stages {
 		sdS.Add(float64(n), nfPipeline("sd", n)/1e6)
 		pipeS.Add(float64(n), nfPipeline("pipe", n)/1e6)
 		tcpS.Add(float64(n), nfPipeline("tcp", n)/1e6)
 		nbS.Add(float64(n), netbricksBound(n)/1e6)
 	}
-	return []*trace.Series{sdS, pipeS, tcpS, nbS}
+	return []*Series{sdS, pipeS, tcpS, nbS}
 }
 
 // netbricksBound models a run-to-completion NF framework: every stage is a

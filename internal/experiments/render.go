@@ -1,8 +1,4 @@
-// Package trace renders the evaluation's output (§5): unit formatters
-// and the fixed-width table and figure-series renderers cmd/sdbench uses
-// to print paper-style results. Latency distributions live in
-// internal/telemetry.
-package trace
+package experiments
 
 import (
 	"fmt"
@@ -10,8 +6,12 @@ import (
 	"strings"
 )
 
-// Nanos renders a nanosecond quantity with an adaptive unit.
-func Nanos(ns int64) string {
+// Rendering of the evaluation's output (§5): unit formatters and the
+// fixed-width table and figure-series renderers behind the paper-style
+// tables here and cmd/sdbench's figures.
+
+// nanos renders a nanosecond quantity with an adaptive unit.
+func nanos(ns int64) string {
 	switch {
 	case ns >= 1e9:
 		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
@@ -24,9 +24,9 @@ func Nanos(ns int64) string {
 	}
 }
 
-// Rate renders an operations-per-second quantity the way the paper does
+// opRate renders an operations-per-second quantity the way the paper does
 // (M op/s, K op/s).
-func Rate(opsPerSec float64) string {
+func opRate(opsPerSec float64) string {
 	switch {
 	case opsPerSec >= 1e6:
 		return fmt.Sprintf("%.1f M op/s", opsPerSec/1e6)
@@ -37,23 +37,18 @@ func Rate(opsPerSec float64) string {
 	}
 }
 
-// Gbps renders a throughput in gigabits per second.
-func Gbps(bytesPerSec float64) string {
-	return fmt.Sprintf("%.2f Gbps", bytesPerSec*8/1e9)
-}
-
-// Table is a fixed-width text table builder.
-type Table struct {
+// table is a fixed-width text table: a title, a header row and rows.
+type table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
 }
 
 // Add appends a row.
-func (t *Table) Add(cells ...string) { t.Rows = append(t.Rows, cells) }
+func (t *table) Add(cells ...string) { t.Rows = append(t.Rows, cells) }
 
 // String renders the table.
-func (t *Table) String() string {
+func (t *table) String() string {
 	cols := len(t.Header)
 	width := make([]int, cols)
 	for i, hc := range t.Header {
@@ -94,11 +89,9 @@ func (t *Table) String() string {
 
 // Series is a labelled (x, y) sequence for figure-style output.
 type Series struct {
-	Name   string
-	X      []float64
-	Y      []float64
-	XLabel string
-	YLabel string
+	Name string
+	X    []float64
+	Y    []float64
 }
 
 // Add appends a point.
@@ -110,7 +103,10 @@ func (s *Series) Add(x, y float64) {
 // RenderFigure prints multiple series as an aligned data block (one row
 // per x value, one column per series), easy to eyeball and to plot.
 func RenderFigure(title, xLabel string, xs []float64, series []*Series, yFmt func(float64) string) string {
-	t := &Table{Title: title, Header: append([]string{xLabel}, names(series)...)}
+	t := &table{Title: title, Header: []string{xLabel}}
+	for _, s := range series {
+		t.Header = append(t.Header, s.Name)
+	}
 	for i, x := range xs {
 		row := []string{trimFloat(x)}
 		for _, s := range series {
@@ -125,29 +121,9 @@ func RenderFigure(title, xLabel string, xs []float64, series []*Series, yFmt fun
 	return t.String()
 }
 
-func names(series []*Series) []string {
-	out := make([]string, len(series))
-	for i, s := range series {
-		out[i] = s.Name
-	}
-	return out
-}
-
 func trimFloat(x float64) string {
 	if x == math.Trunc(x) && math.Abs(x) < 1e15 {
 		return fmt.Sprintf("%d", int64(x))
 	}
 	return fmt.Sprintf("%g", x)
-}
-
-// SizeLabel renders a byte count like the paper's x axes (8B, 64B, 4K, 1M).
-func SizeLabel(n int) string {
-	switch {
-	case n >= 1<<20 && n%(1<<20) == 0:
-		return fmt.Sprintf("%dM", n>>20)
-	case n >= 1<<10 && n%(1<<10) == 0:
-		return fmt.Sprintf("%dK", n>>10)
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
 }

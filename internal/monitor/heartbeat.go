@@ -5,7 +5,7 @@ import (
 
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
-	"socksdirect/internal/telemetry"
+	"socksdirect/internal/obs"
 )
 
 // Inter-host monitor liveness (§4.5.4's failure matrix, host row). Each
@@ -81,10 +81,7 @@ func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 			if p.missed == hbSuspectMiss && !p.suspected {
 				p.suspected = true
 				mHBSuspects.Inc()
-				if telemetry.Trace.Enabled() {
-					telemetry.Trace.Emit(now, "monitor", "hb_suspect",
-						telemetry.A("missed", int64(p.missed)))
-				}
+				obs.Emit(m.H.Name, 0, obs.EvHBSuspect, 0, now, int64(p.missed), 0)
 			}
 			if p.missed >= hbConfirmMiss {
 				confirm = append(confirm, p.name)
@@ -200,10 +197,7 @@ func (m *Monitor) hostDead(ctx exec.Context, peer string, epoch uint32, report b
 		}
 	}
 	mHostDeadFanouts.Inc()
-	if telemetry.Trace.Enabled() {
-		telemetry.Trace.Emit(ctx.Now(), "monitor", "host_dead",
-			telemetry.A("shards", int64(len(m.shards))))
-	}
+	obs.Emit(m.H.Name, 0, obs.EvHostDead, 0, ctx.Now(), int64(len(m.shards)), 0)
 	for _, sh := range m.shards {
 		sh.wake()
 	}

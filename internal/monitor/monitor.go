@@ -42,7 +42,6 @@ import (
 	"socksdirect/internal/obs"
 	"socksdirect/internal/rdma"
 	"socksdirect/internal/shm"
-	"socksdirect/internal/telemetry"
 )
 
 // ctlRingCap sizes each process's per-shard control duplex.
@@ -674,10 +673,7 @@ func (m *Monitor) cleanupProcess(ctx exec.Context, pid int) {
 	slices.SortFunc(notes, func(a, b peerNote) int { return cmp.Compare(a.qid, b.qid) })
 
 	mCrashCleanups.Inc()
-	if telemetry.Trace.Enabled() {
-		telemetry.Trace.Emit(ctx.Now(), "monitor", "crash_cleanup",
-			telemetry.A("pid", int64(pid)))
-	}
+	obs.Emit(m.H.Name, 0, obs.EvCrashCleanup, 0, ctx.Now(), int64(pid), 0)
 	for _, key := range regrant {
 		m.grantNext(ctx, key)
 	}
@@ -810,14 +806,12 @@ func (m *Monitor) CrashConverged() error {
 func (m *Monitor) handle(ctx exec.Context, sh *mshard, pc *procChan, mc *mchan, cm *ctlmsg.Msg) {
 	countCtl(cm.Kind)
 	sh.cEvents.Inc()
-	name, arg, hop, hist := "ctl/", telemetry.A("pid", cm.PID), obs.HopMonDispatch, mDispatchIntra
+	ev, arg, hop, hist := obs.EvCtl, cm.PID, obs.HopMonDispatch, mDispatchIntra
 	if mc != nil {
-		name, arg, hop, hist = "remote/", telemetry.A("port", int64(cm.Port)), obs.HopPeerDispatch, mDispatchInter
-	}
-	if telemetry.Trace.Enabled() {
-		telemetry.Trace.Emit(ctx.Now(), "monitor", name+cm.Kind.String(), arg)
+		ev, arg, hop, hist = obs.EvRemote, int64(cm.Port), obs.HopPeerDispatch, mDispatchInter
 	}
 	start := ctx.Now()
+	obs.Emit(m.H.Name, 0, ev, uint8(cm.Kind), start, arg, 0)
 	trace, parent := cm.TraceID, cm.SpanID
 	var sid uint64
 	if trace != 0 && obs.Enabled() {
@@ -844,9 +838,6 @@ func (m *Monitor) handle(ctx exec.Context, sh *mshard, pc *procChan, mc *mchan, 
 			Trace: trace, Span: sid, Parent: parent, Start: start, End: end,
 			Host: m.H.Name, Hop: hop, Kind: kind,
 		})
-	}
-	if slo := obs.SLO(); slo > 0 && end-start > slo {
-		obs.Trigger(obs.TrigSLOBreach, end, "monitor dispatch over SLO: "+ctlmsg.Kind(kind).String())
 	}
 }
 

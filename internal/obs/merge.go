@@ -40,25 +40,14 @@ func (tv *TraceView) Complete(minHops int) bool {
 	return tv.Root.OK && tv.Root.End > tv.Root.Start && tv.HopCount() >= minHops
 }
 
-// MergeTrace gathers every retained span with the given trace ID and
-// reconstructs the timeline. ok is false when no root span was found
-// (the ring may have overwritten it, or the operation never completed).
-func MergeTrace(trace uint64) (TraceView, bool) {
-	var spans []Span
-	for _, sp := range AllSpans() {
-		if sp.Trace == trace {
-			spans = append(spans, sp)
-		}
-	}
-	return mergeSpans(trace, spans)
-}
-
 // MergeAll merges every trace that has a closed root span, most recent
-// first.
+// first. Events belong to no trace and are left out.
 func MergeAll() []TraceView {
 	byTrace := map[uint64][]Span{}
 	for _, sp := range AllSpans() {
-		byTrace[sp.Trace] = append(byTrace[sp.Trace], sp)
+		if sp.Trace != 0 {
+			byTrace[sp.Trace] = append(byTrace[sp.Trace], sp)
+		}
 	}
 	var out []TraceView
 	for id, spans := range byTrace {

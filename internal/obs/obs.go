@@ -1,6 +1,6 @@
 // Package obs is the causal observability layer over the control plane:
-// per-operation span tracing, a per-connection flow table, and an
-// anomaly-triggered flight recorder. SocksDirect routes every bind,
+// per-operation span tracing, instant events, a per-connection flow table,
+// and an anomaly-triggered flight recorder. SocksDirect routes every bind,
 // connect, accept, token takeover, fork handshake and failure-recovery
 // exchange through the per-host monitor (§3, §4.1), so a single slow or
 // failed operation hops app → libsd → monitor → mchan → peer monitor →
@@ -9,7 +9,7 @@
 // timestamps, zero allocation), and reconstructs end-to-end timelines
 // with a per-hop latency breakdown — the evidence base the sharded
 // monitor work (ROADMAP item 1) needs, in place of aggregate histograms.
-// The flow table is the `ss`-style view of every connection's transport
+// The same rings hold instant events (Emit). The flow table is the `ss`-style view of every connection's transport
 // (SHM ring / RDMA QP / rescue TCP of §4.5.3), byte counts and failure
 // history; the flight recorder turns resets, retry exhaustion and
 // monitor restarts into self-explaining Chrome-trace dumps.
@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/telemetry"
 )
 
@@ -28,14 +29,15 @@ var (
 	mDropped = telemetry.C(telemetry.ObsDropped)
 )
 
-// enabled gates span recording. Tracing is on by default — recording is
-// allocation-free and control-plane operations are rare next to data-path
-// ops — and can be switched off to measure the instrumentation itself.
+// enabled gates span and event recording. Tracing is on by default —
+// recording is allocation-free and control-plane operations are rare next
+// to data-path ops — and can be switched off to measure the
+// instrumentation itself.
 var enabled atomic.Bool
 
 func init() { enabled.Store(true) }
 
-// SetEnabled turns span recording on or off. The flow table is not
+// SetEnabled turns span and event recording on or off. The flow table is not
 // gated: it is plain atomic accounting and sdstat must work regardless.
 func SetEnabled(v bool) { enabled.Store(v) }
 
@@ -94,6 +96,7 @@ const (
 	HopMchanFlight              // monitor-to-monitor RDMA channel
 	HopPeerDispatch             // remote monitor handler
 	HopShardDispatch            // router -> shard inbox (sharded monitor routing)
+	HopEvent                    // not a hop: an instant event (see Event)
 )
 
 var hopNames = [...]string{
@@ -103,6 +106,7 @@ var hopNames = [...]string{
 	HopMchanFlight:   "mchan_flight",
 	HopPeerDispatch:  "peer_dispatch",
 	HopShardDispatch: "shard_dispatch",
+	HopEvent:         "event",
 }
 
 // String returns the hop's stable lower-case name.
@@ -113,10 +117,13 @@ func (h Hop) String() string {
 	return "unknown"
 }
 
-// Span is one recorded interval. Root spans (Hop == HopApp) carry the Op
-// and an OK flag set when the operation completed successfully; hop
-// spans carry the ctlmsg kind that travelled the hop. All timestamps are
-// virtual-time nanoseconds.
+// Span is one recorded interval or instant. Root spans (Hop == HopApp)
+// carry the Op and an OK flag set when the operation completed
+// successfully; hop spans carry the ctlmsg kind that travelled the hop.
+// An event (Hop == HopEvent) belongs to no trace (Trace 0): Start is its
+// time, Ev what happened, and its two arguments ride in Parent and End,
+// which an instant has no use for. All timestamps are virtual-time
+// nanoseconds. Ev sits in padding: a Span stays 72 bytes.
 type Span struct {
 	Trace  uint64
 	Span   uint64
@@ -127,8 +134,83 @@ type Span struct {
 	PID    int64
 	Op     Op
 	Hop    Hop
-	Kind   uint8 // ctlmsg kind for hop spans
+	Kind   uint8 // ctlmsg kind for hop spans, EvCtl and EvRemote
 	OK     bool  // root spans: operation completed successfully
+	Ev     Event // events only
+}
+
+// Event says what an instant record reports.
+type Event uint8
+
+// Events, each with its component and argument names in the catalog below.
+const (
+	EvTokenTakeover   Event = iota + 1 // core: a thread takes a socket's token over
+	EvReset                            // core: ECONNRESET surfaces on a socket
+	EvZCRemap                          // core: RecvVA remaps a zero-copy message's pages
+	EvDegraded                         // core: rescue TCP installed (§4.5.3)
+	EvRecoveryAttempt                  // core: a QP recovery attempt starts
+	EvRecoveryDone                     // core: a QP recovery completes
+	EvDegradeRequest                   // core: recovery budget spent; ask for rescue TCP
+	EvRetransmit                       // rdma: go-back-N retransmission on an RTO
+	EvCtl                              // monitor: handled a message off a process ring
+	EvRemote                           // monitor: handled a message off the mchan
+	EvCrashCleanup                     // monitor: reclaimed a dead process
+	EvHostDeadSweep                    // monitor: a shard reset a dead host's connections
+	EvHBSuspect                        // monitor: a peer missed enough heartbeats
+	EvHostDead                         // monitor: a peer host confirmed dead
+	numEvents
+)
+
+// events is the catalog: name (EvCtl's and EvRemote's are a prefix to
+// the ctlmsg kind), component, and what the two arguments mean.
+var events = [numEvents]struct {
+	name, comp string
+	args       [2]string
+}{
+	EvTokenTakeover:   {"token_takeover", "core", [2]string{"qid", "dir"}},
+	EvReset:           {"reset", "core", [2]string{"qid", "dir"}},
+	EvZCRemap:         {"zc_remap", "core", [2]string{"pages"}},
+	EvDegraded:        {"degraded", "core", [2]string{"qid"}},
+	EvRecoveryAttempt: {"recovery_attempt", "core", [2]string{"qid", "attempt"}},
+	EvRecoveryDone:    {"recovery_done", "core", [2]string{"qid"}},
+	EvDegradeRequest:  {"degrade_request", "core", [2]string{"qid"}},
+	EvRetransmit:      {"retransmit", "rdma", [2]string{"qpn", "inflight"}},
+	EvCtl:             {"ctl/", "monitor", [2]string{"pid"}},
+	EvRemote:          {"remote/", "monitor", [2]string{"port"}},
+	EvCrashCleanup:    {"crash_cleanup", "monitor", [2]string{"pid"}},
+	EvHostDeadSweep:   {"host_dead_sweep", "monitor", [2]string{"conns_reset"}},
+	EvHBSuspect:       {"hb_suspect", "monitor", [2]string{"missed"}},
+	EvHostDead:        {"host_dead", "monitor", [2]string{"shards"}},
+}
+
+// Component names the layer that emits the event: "core", "rdma" or
+// "monitor".
+func (e Event) Component() string { return events[e].comp }
+
+// Name is what a reader calls the record: "op:<op>" for a root span, the
+// hop for a hop span, and for an event its name, built here and not when
+// it was recorded ("ctl/" or "remote/" and the ctlmsg kind for a handled
+// message).
+func (sp *Span) Name() string {
+	switch {
+	case sp.Hop == HopApp:
+		return "op:" + sp.Op.String()
+	case sp.Hop != HopEvent:
+		return sp.Hop.String()
+	case sp.Ev == EvCtl || sp.Ev == EvRemote:
+		return events[sp.Ev].name + ctlmsg.Kind(sp.Kind).String()
+	}
+	return events[sp.Ev].name
+}
+
+// Args returns an event's arguments by name.
+func (sp *Span) Args() map[string]int64 {
+	e := events[sp.Ev]
+	out := map[string]int64{e.args[0]: int64(sp.Parent)}
+	if e.args[1] != "" {
+		out[e.args[1]] = sp.End
+	}
+	return out
 }
 
 // ID generation: one global counter each for traces and spans, so IDs
@@ -235,7 +317,24 @@ func RecordHop(host string, pid int64, hop Hop, kind uint8, trace, parent uint64
 	return sid
 }
 
-// AllSpans returns every retained span across all rings, unsorted.
+// Emit records one event at virtual time now into the (host, pid) ring:
+// a, b are its arguments and kind the ctlmsg kind of EvCtl and EvRemote.
+// It draws its Span from the span-ID counter, so ordering events by Span
+// gives their emission order across every ring. It allocates nothing and
+// is a no-op when recording is disabled.
+func Emit(host string, pid int64, ev Event, kind uint8, now, a, b int64) {
+	if !enabled.Load() {
+		return
+	}
+	ringFor(host, pid).record(Span{
+		Span: spanIDs.Add(1), Parent: uint64(a), Start: now, End: b,
+		Host: host, PID: pid, Hop: HopEvent, Kind: kind, Ev: ev,
+	})
+	mSpans.Inc()
+}
+
+// AllSpans returns every retained span and event across all rings,
+// unsorted.
 func AllSpans() []Span {
 	rings.mu.Lock()
 	rs := make([]*ring, 0, len(rings.m))
@@ -274,9 +373,6 @@ func BeginOp(host string, pid int64, op Op, now int64) OpSpan {
 		host:  host, pid: pid, op: op, start: now,
 	}
 }
-
-// Traced reports whether the op span is live (recording was enabled).
-func (o OpSpan) Traced() bool { return o.Trace != 0 }
 
 // End records the root span. ok marks the operation as having completed
 // successfully (trace-completeness audits only consider ok roots:

@@ -3,12 +3,14 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"socksdirect/internal/ctlmsg"
-	"socksdirect/internal/telemetry"
 )
 
 // TestRingOverflowDropsOldest: the span ring must retain exactly the last
@@ -34,6 +36,44 @@ func TestRingOverflowDropsOldest(t *testing.T) {
 	}
 	if d := mDropped.Load() - base; d != extra {
 		t.Fatalf("dropped counter advanced by %d, want %d", d, extra)
+	}
+}
+
+// TestEventRingOverflowDropsOldest: events share the span ring and its
+// drop-oldest bound, and Reset empties it.
+func TestEventRingOverflowDropsOldest(t *testing.T) {
+	Reset()
+	defer Reset()
+	const extra = 100
+	base := mDropped.Load()
+	for i := 0; i < DefaultRingCap; i++ {
+		Record(Span{Trace: 1, Span: uint64(i + 1), Start: int64(i), End: int64(i + 1), Host: "h", PID: 7})
+	}
+	for i := 0; i < extra; i++ {
+		Emit("h", 7, EvZCRemap, 0, int64(i), int64(i), 0)
+	}
+	got := AllSpans()
+	if len(got) != DefaultRingCap {
+		t.Fatalf("ring retained %d records after events, want %d", len(got), DefaultRingCap)
+	}
+	if got[0].Span != extra+1 {
+		t.Fatalf("oldest retained span id = %d, want %d (events drop the oldest)", got[0].Span, extra+1)
+	}
+	for i, sp := range got[DefaultRingCap-extra:] {
+		if sp.Hop != HopEvent || sp.Parent != uint64(i) {
+			t.Fatalf("record %d from the end = %+v, want event %d", extra-i, sp, i)
+		}
+	}
+	if d := mDropped.Load() - base; d != extra {
+		t.Fatalf("dropped counter advanced by %d, want %d", d, extra)
+	}
+	Reset()
+	if n := len(AllSpans()); n != 0 {
+		t.Fatalf("Reset left %d records behind", n)
+	}
+	Emit("h", 7, EvZCRemap, 0, 99, 1, 0)
+	if got := AllSpans(); len(got) != 1 || got[0].Start != 99 {
+		t.Fatalf("after Reset read back %+v, want the one new event", got)
 	}
 }
 
@@ -64,8 +104,46 @@ func TestConcurrentWriters(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if n := len(AllSpans()); n == 0 {
-		t.Fatal("no spans retained after concurrent writes")
+	// PIDs 0 and 1 take three writers each and fill their rings; PID 2
+	// takes two, 4000 spans, which fit.
+	if n := len(AllSpans()); n != 2*DefaultRingCap+2*perWriter {
+		t.Fatalf("%d spans retained after concurrent writes, want %d", n, 2*DefaultRingCap+2*perWriter)
+	}
+}
+
+// TestConcurrentEventWriters: events emitted into one ring from many
+// goroutines, while a reader snapshots it, fill the ring exactly and
+// count every overwritten event; run with -race to verify the locking.
+func TestConcurrentEventWriters(t *testing.T) {
+	Reset()
+	defer Reset()
+	const writers = 4
+	const perWriter = 2000
+	base := mDropped.Load()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				Emit("h", 1, EvReset, 0, int64(i), int64(w), 0)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			_ = AllSpans()
+		}
+	}()
+	wg.Wait()
+	<-done
+	if n := len(AllSpans()); n != DefaultRingCap {
+		t.Fatalf("%d events retained after concurrent emits, want %d", n, DefaultRingCap)
+	}
+	if d := mDropped.Load() - base; d != writers*perWriter-DefaultRingCap {
+		t.Fatalf("dropped counter advanced by %d, want %d", d, writers*perWriter-DefaultRingCap)
 	}
 }
 
@@ -80,6 +158,7 @@ func TestDisabledRecordingAllocFree(t *testing.T) {
 		op := BeginOp("h", 1, OpConnect, 10)
 		RecordHop("h", 1, HopProcRing, 1, op.Trace, op.Span, 10, 20)
 		op.End(30, true)
+		Emit("h", 1, EvTokenTakeover, 0, 30, 9, 1)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracing allocates %.1f per op, want 0", allocs)
@@ -107,6 +186,153 @@ func TestEnabledRecordingAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("enabled hop recording allocates %.1f per op, want 0", allocs)
 	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		Emit("h", 1, EvCtl, uint8(ctlmsg.KConnect), 10, 42, 0)
+	})
+	if allocs != 0 {
+		t.Fatalf("enabled event recording allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestSpanIs72Bytes: events ride in the span record's padding; every
+// workload allocates its rings inside a measured repetition, so a bigger
+// Span would show in the ledger's rep_bytes_per_op.
+func TestSpanIs72Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Span{}); n != 72 {
+		t.Fatalf("Span is %d bytes, want 72", n)
+	}
+}
+
+// TestEventCatalogCoversEveryEvent pins the event catalog to the enum, in
+// the style of ctlmsg's TestCatalogCoversEveryKind: every event has a
+// distinct name, a component and named arguments, and ARCHITECTURE.md's
+// event table has one row per event, naming it in backticks (a handled
+// message's as `ctl/<kind>`).
+func TestEventCatalogCoversEveryEvent(t *testing.T) {
+	raw, err := os.ReadFile("../../ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const heading = "#### Event catalog"
+	_, section, ok := strings.Cut(string(raw), heading)
+	if !ok {
+		t.Fatalf("ARCHITECTURE.md lost its %q section", heading)
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	rows := strings.Count(section, "\n| `")
+	seen := map[string]bool{}
+	for ev := Event(1); ev < numEvents; ev++ {
+		e := events[ev]
+		if e.name == "" || ev.Component() == "" || e.args[0] == "" {
+			t.Errorf("event %d lacks a name, component or argument name: %+v", ev, e)
+			continue
+		}
+		if seen[e.name] {
+			t.Errorf("event name %q used twice", e.name)
+		}
+		seen[e.name] = true
+		name := e.name
+		if strings.HasSuffix(name, "/") {
+			name += "<kind>"
+		}
+		if !strings.Contains(section, "| `"+name+"` | "+ev.Component()+" |") {
+			t.Errorf("the event catalog has no row `%s` | %s", name, ev.Component())
+		}
+	}
+	if rows != int(numEvents)-1 {
+		t.Errorf("the event catalog has %d rows, the enum %d events", rows, numEvents-1)
+	}
+}
+
+// TestEventsFollowTheOneSwitch: events are recorded by default, and
+// SetEnabled, the switch spans obey, turns them off.
+func TestEventsFollowTheOneSwitch(t *testing.T) {
+	Reset()
+	defer Reset()
+	Emit("h", 1, EvReset, 0, 10, 1, 0)
+	SetEnabled(false)
+	Emit("h", 1, EvReset, 0, 20, 2, 0)
+	SetEnabled(true)
+	if got := AllSpans(); len(got) != 1 || got[0].Start != 10 {
+		t.Fatalf("recorded %+v, want only the event emitted while enabled", got)
+	}
+}
+
+// TestEventOrderAndArgs: events emitted into different rings read back in
+// emission order by Span, with their names (a handled message's built
+// from its ctlmsg kind) and arguments.
+func TestEventOrderAndArgs(t *testing.T) {
+	Reset()
+	defer Reset()
+	Emit("hostB", 0, EvCtl, uint8(ctlmsg.KConnect), 50, 7, 0)
+	Emit("hostA", 3, EvTokenTakeover, 0, 40, 11, 1)
+	Emit("hostA", 0, EvRemote, uint8(ctlmsg.KMSyn), 60, 7600, 0)
+	Emit("hostB", 0, EvRetransmit, 0, 70, 5, 2)
+	got := AllSpans()
+	slices.SortFunc(got, func(a, b Span) int { return int(a.Span) - int(b.Span) })
+	want := []struct {
+		comp, name string
+		args       map[string]int64
+	}{
+		{"monitor", "ctl/connect", map[string]int64{"pid": 7}},
+		{"core", "token_takeover", map[string]int64{"qid": 11, "dir": 1}},
+		{"monitor", "remote/msyn", map[string]int64{"port": 7600}},
+		{"rdma", "retransmit", map[string]int64{"qpn": 5, "inflight": 2}},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read %d events, want %d", len(got), len(want))
+	}
+	for i, sp := range got {
+		w := want[i]
+		if sp.Trace != 0 || sp.Ev.Component() != w.comp || sp.Name() != w.name || !mapsEqual(sp.Args(), w.args) {
+			t.Errorf("event %d = %s %s %v, want %s %s %v", i, sp.Ev.Component(), sp.Name(), sp.Args(), w.comp, w.name, w.args)
+		}
+	}
+}
+
+func mapsEqual(a, b map[string]int64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if bv, ok := b[k]; !ok || bv != v {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEventsStayOutOfTraces: MergeAll builds timelines from spans alone,
+// while a flight-recorder dump carries the spans and the events.
+func TestEventsStayOutOfTraces(t *testing.T) {
+	Reset()
+	defer Reset()
+	op := BeginOp("hostA", 3, OpConnect, 100)
+	Emit("hostA", 0, EvCtl, uint8(ctlmsg.KConnect), 110, 3, 0)
+	RecordHop("hostA", 0, HopMonDispatch, uint8(ctlmsg.KConnect), op.Trace, op.Span, 110, 150)
+	Emit("hostA", 3, EvReset, 0, 160, 9, 0)
+	op.End(200, true)
+	tvs := MergeAll()
+	if len(tvs) != 1 || len(tvs[0].Spans) != 2 {
+		t.Fatalf("MergeAll = %+v, want one trace of two spans", tvs)
+	}
+	for _, sp := range tvs[0].Spans {
+		if sp.Hop == HopEvent {
+			t.Fatalf("an event joined trace %d", tvs[0].Trace)
+		}
+	}
+	d := ForceDump(TrigManual, 300, "both")
+	var spans, evs int
+	for _, sp := range d.Spans {
+		if sp.Hop == HopEvent {
+			evs++
+		} else {
+			spans++
+		}
+	}
+	if spans != 2 || evs != 2 {
+		t.Fatalf("dump carries %d spans and %d events, want 2 and 2", spans, evs)
+	}
 }
 
 // TestMergeTelescoping builds a synthetic cross-host connect trace and
@@ -124,10 +350,11 @@ func TestMergeTelescoping(t *testing.T) {
 	RecordHop("hostB", 20, HopProcRing, 3, op.Trace, s4, 240, 300)
 	op.End(400, true)
 
-	tv, ok := MergeTrace(op.Trace)
-	if !ok {
-		t.Fatal("MergeTrace found no root")
+	tvs := MergeAll()
+	if len(tvs) != 1 {
+		t.Fatalf("MergeAll found %d traces, want 1", len(tvs))
 	}
+	tv := tvs[0]
 	if !tv.Complete(5) {
 		t.Fatalf("trace incomplete: hops=%d ok=%v", tv.HopCount(), tv.Root.OK)
 	}
@@ -270,31 +497,62 @@ func TestDumpChromeFormat(t *testing.T) {
 	if x != 2 || m != 2 {
 		t.Fatalf("chrome trace has %d X events and %d M events, want 2 and 2", x, m)
 	}
-	buf.Reset()
-	if err := d.WriteJSON(&buf); err != nil {
+}
+
+// chromeDoc writes d as Chrome trace_event JSON and parses it back.
+func chromeDoc(t *testing.T, d Dump) []map[string]any {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"reason": "reset"`)) {
-		t.Fatalf("plain JSON dump missing reason:\n%s", buf.String())
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("chrome trace is not valid JSON: %v\n%s", err, buf.String())
+	}
+	if doc.TraceEvents == nil {
+		t.Fatalf("chrome trace has no traceEvents array:\n%s", buf.String())
+	}
+	return doc.TraceEvents
+}
+
+// TestDumpChromeEvents: every event becomes one "i" entry on its
+// (host, pid) track, named and with its arguments.
+func TestDumpChromeEvents(t *testing.T) {
+	Reset()
+	defer Reset()
+	Record(Span{Trace: 1, Span: 100, Start: 100, End: 400, Host: "hostA", PID: 3, Hop: HopApp, Op: OpConnect, OK: true})
+	Emit("hostA", 3, EvRecoveryAttempt, 0, 1500, 12, 2)
+	Emit("hostA", 0, EvCtl, uint8(ctlmsg.KListen), 2500, 3, 0)
+	var inst []map[string]any
+	for _, ev := range chromeDoc(t, ForceDump(TrigManual, 3000, "events")) {
+		if ev["ph"] == "i" {
+			inst = append(inst, ev)
+		}
+	}
+	if len(inst) != 2 {
+		t.Fatalf("%d instant entries, want one per event: %v", len(inst), inst)
+	}
+	a, b := inst[0], inst[1]
+	if a["name"] != "recovery_attempt" || a["cat"] != "core" || a["ts"] != 1.5 || a["s"] != "t" {
+		t.Errorf("first instant = %v", a)
+	}
+	if args, _ := a["args"].(map[string]any); args["qid"] != 12.0 || args["attempt"] != 2.0 {
+		t.Errorf("first instant args = %v, want qid 12 attempt 2", a["args"])
+	}
+	if b["name"] != "ctl/listen" || b["cat"] != "monitor" || b["tid"] == a["tid"] {
+		t.Errorf("second instant = %v, want ctl/listen on the monitor's track", b)
 	}
 }
 
-// TestSLOConfig: the SLO is stored and cleared through the accessors
-// (the monitor reads it on every dispatch).
-func TestSLOConfig(t *testing.T) {
+// TestDumpChromeEmpty: an empty dump still writes a valid document with
+// an empty event array.
+func TestDumpChromeEmpty(t *testing.T) {
 	Reset()
 	defer Reset()
-	if SLO() != 0 {
-		t.Fatal("SLO not zero after Reset")
-	}
-	SetSLO(250_000)
-	if SLO() != 250_000 {
-		t.Fatalf("SLO = %d", SLO())
-	}
-	base := telemetry.C(telemetry.ObsSLOBreach).Load()
-	SetCooldown(0)
-	Trigger(TrigSLOBreach, 1, "probe")
-	if telemetry.C(telemetry.ObsSLOBreach).Load() != base+1 {
-		t.Fatal("SLO breach counter did not advance")
+	if evs := chromeDoc(t, Capture(TrigManual, 0, "empty")); len(evs) != 0 {
+		t.Fatalf("empty dump wrote %d entries", len(evs))
 	}
 }

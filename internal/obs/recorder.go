@@ -1,12 +1,12 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -14,9 +14,8 @@ import (
 )
 
 var (
-	mDumps     = telemetry.C(telemetry.ObsDumps)
-	mTriggers  = telemetry.C(telemetry.ObsTriggers)
-	mSLOBreach = telemetry.C(telemetry.ObsSLOBreach)
+	mDumps    = telemetry.C(telemetry.ObsDumps)
+	mTriggers = telemetry.C(telemetry.ObsTriggers)
 )
 
 // TrigReason says why the flight recorder dumped.
@@ -29,7 +28,6 @@ const (
 	TrigQPRecovery                            // a QP recovery completed
 	TrigDegraded                              // rescue TCP installed
 	TrigMonitorRestart                        // monitor came back in a new epoch
-	TrigSLOBreach                             // monitor dispatch exceeded the SLO
 	TrigManual                                // ForceDump from a soak driver or CLI
 	TrigOverloadShed                          // bounded queue shed work under overload
 )
@@ -40,7 +38,6 @@ var trigNames = [...]string{
 	TrigQPRecovery:      "qp_recovery",
 	TrigDegraded:        "degraded",
 	TrigMonitorRestart:  "monitor_restart",
-	TrigSLOBreach:       "slo_breach",
 	TrigManual:          "manual",
 	TrigOverloadShed:    "overload_shed",
 }
@@ -53,15 +50,15 @@ func (t TrigReason) String() string {
 	return "unknown"
 }
 
-// Dump is one flight-recorder artifact: everything the rings and the
-// flow table held at trigger time.
+// Dump is one flight-recorder artifact: every span and event the rings
+// and every row the flow table held at trigger time.
 type Dump struct {
-	Reason TrigReason     `json:"-"`
-	Name   string         `json:"reason"`
-	At     int64          `json:"at_ns"` // virtual time of the trigger
-	Note   string         `json:"note"`
-	Spans  []Span         `json:"spans"`
-	Flows  []FlowSnapshot `json:"flows"`
+	Reason TrigReason
+	Name   string
+	At     int64 // virtual time of the trigger
+	Note   string
+	Spans  []Span // spans and events, by time
+	Flows  []FlowSnapshot
 }
 
 // DefaultCooldown spaces dumps apart: cascading anomalies (retry
@@ -72,11 +69,9 @@ const DefaultCooldown = 50_000_000 // 50 ms virtual
 var recorder struct {
 	mu       sync.Mutex
 	sink     func(Dump)
-	dumpDir  string
 	lastDump int64 // virtual time of the last dump; -1 = never
 	armed    atomic.Bool
 	cooldown atomic.Int64
-	sloNs    atomic.Int64
 }
 
 func init() {
@@ -84,13 +79,6 @@ func init() {
 	recorder.armed.Store(true)
 	recorder.cooldown.Store(DefaultCooldown)
 }
-
-// SetSLO sets the monitor-dispatch latency SLO in virtual nanoseconds;
-// zero disables the SLO trigger.
-func SetSLO(ns int64) { recorder.sloNs.Store(ns) }
-
-// SLO returns the configured dispatch SLO (0 = disabled).
-func SLO() int64 { return recorder.sloNs.Load() }
 
 // SetCooldown sets the minimum virtual-time gap between dumps.
 func SetCooldown(ns int64) { recorder.cooldown.Store(ns) }
@@ -100,20 +88,11 @@ func SetCooldown(ns int64) { recorder.cooldown.Store(ns) }
 // their warm-up, then re-arm.
 func SetArmed(v bool) { recorder.armed.Store(v) }
 
-// SetSink routes dumps to fn instead of (or in addition to) the dump
-// directory. Tests use it to observe dumps in-process.
+// SetSink routes every dump to fn. Tests and drills use it to observe
+// dumps in-process; cmd/sdbench writes the ones it keeps to files.
 func SetSink(fn func(Dump)) {
 	recorder.mu.Lock()
 	recorder.sink = fn
-	recorder.mu.Unlock()
-}
-
-// SetDumpDir makes the recorder write each dump to
-// <dir>/sd-flight-<reason>-<at>.trace.json (Chrome trace format).
-// Empty disables file output.
-func SetDumpDir(dir string) {
-	recorder.mu.Lock()
-	recorder.dumpDir = dir
 	recorder.mu.Unlock()
 }
 
@@ -122,9 +101,6 @@ func SetDumpDir(dir string) {
 // the return value says whether a dump was produced.
 func Trigger(reason TrigReason, now int64, note string) bool {
 	mTriggers.Inc()
-	if reason == TrigSLOBreach {
-		mSLOBreach.Inc()
-	}
 	if !recorder.armed.Load() {
 		return false
 	}
@@ -136,7 +112,7 @@ func Trigger(reason TrigReason, now int64, note string) bool {
 	}
 	recorder.lastDump = now
 	recorder.mu.Unlock()
-	deliver(capture(reason, now, note))
+	deliver(Capture(reason, now, note))
 	return true
 }
 
@@ -144,18 +120,17 @@ func Trigger(reason TrigReason, now int64, note string) bool {
 // call it when an assertion fails, so the failure ships its own
 // evidence). The dump is also returned for in-process inspection.
 func ForceDump(reason TrigReason, now int64, note string) Dump {
-	d := capture(reason, now, note)
+	d := Capture(reason, now, note)
 	deliver(d)
 	return d
 }
 
-func capture(reason TrigReason, now int64, note string) Dump {
+// Capture snapshots the rings and the flow table without delivering or
+// counting a dump (sdbench -trace writes one at exit).
+func Capture(reason TrigReason, now int64, note string) Dump {
 	spans := AllSpans()
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
-		}
-		return spans[i].Span < spans[j].Span
+	slices.SortFunc(spans, func(a, b Span) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Span, b.Span))
 	})
 	return Dump{
 		Reason: reason, Name: reason.String(), At: now, Note: note,
@@ -167,17 +142,9 @@ func deliver(d Dump) {
 	mDumps.Inc()
 	recorder.mu.Lock()
 	sink := recorder.sink
-	dir := recorder.dumpDir
 	recorder.mu.Unlock()
 	if sink != nil {
 		sink(d)
-	}
-	if dir != "" {
-		name := fmt.Sprintf("sd-flight-%s-%d.trace.json", d.Name, d.At)
-		if f, err := os.Create(filepath.Join(dir, name)); err == nil {
-			_ = d.WriteChrome(f)
-			_ = f.Close()
-		}
 	}
 }
 
@@ -185,22 +152,10 @@ func deliver(d Dump) {
 func resetRecorder() {
 	recorder.mu.Lock()
 	recorder.sink = nil
-	recorder.dumpDir = ""
 	recorder.lastDump = -1
 	recorder.mu.Unlock()
 	recorder.armed.Store(true)
 	recorder.cooldown.Store(DefaultCooldown)
-	recorder.sloNs.Store(0)
-}
-
-// WriteJSON serializes the dump as plain JSON (sdstat -json, CI diffs).
-func (d *Dump) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(d); err != nil {
-		return fmt.Errorf("obs: write dump: %w", err)
-	}
-	return nil
 }
 
 // chromeSpan is one "X" (complete) event of the Chrome trace_event
@@ -216,39 +171,38 @@ type chromeSpan struct {
 	Args  map[string]uint64 `json:"args,omitempty"`
 }
 
-type chromeMeta struct {
-	Name  string            `json:"name"`
-	Phase string            `json:"ph"`
-	PID   int               `json:"pid"`
-	TID   int               `json:"tid"`
-	Args  map[string]string `json:"args"`
+// chromeMark is an "i" (instant) event — an obs Event with its arguments
+// by name, scoped to its track — or the "M" metadata entry naming a track.
+type chromeMark struct {
+	Name  string  `json:"name"`
+	Cat   string  `json:"cat,omitempty"`
+	Phase string  `json:"ph"`
+	Scope string  `json:"s,omitempty"`
+	TS    float64 `json:"ts"` // microseconds
+	PID   int     `json:"pid"`
+	TID   int     `json:"tid"`
+	Args  any     `json:"args"`
 }
 
-// WriteChrome serializes the dump's spans as Chrome trace_event JSON
-// (open in chrome://tracing or Perfetto): one track per (host, process),
-// spans as complete events with trace/span IDs in args. The flow table
-// rides along as instant events at the dump timestamp.
+// WriteChrome serializes the dump as Chrome trace_event JSON (open in
+// chrome://tracing or Perfetto): one track per (host, process), spans as
+// complete events with trace/span IDs in args, events as instant events
+// with their arguments.
 func (d *Dump) WriteChrome(w io.Writer) error {
 	type track struct {
 		host string
 		pid  int64
 	}
 	tids := map[track]int{}
+	var keys []track
 	for _, sp := range d.Spans {
-		k := track{sp.Host, sp.PID}
-		if _, ok := tids[k]; !ok {
-			tids[k] = 0
+		if k := (track{sp.Host, sp.PID}); tids[k] == 0 {
+			tids[k] = -1
+			keys = append(keys, k)
 		}
 	}
-	keys := make([]track, 0, len(tids))
-	for k := range tids {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].host != keys[j].host {
-			return keys[i].host < keys[j].host
-		}
-		return keys[i].pid < keys[j].pid
+	slices.SortFunc(keys, func(a, b track) int {
+		return cmp.Or(strings.Compare(a.host, b.host), cmp.Compare(a.pid, b.pid))
 	})
 	out := make([]any, 0, len(d.Spans)+len(keys))
 	for i, k := range keys {
@@ -257,21 +211,25 @@ func (d *Dump) WriteChrome(w io.Writer) error {
 		if k.pid == 0 {
 			name = k.host + "/monitor"
 		}
-		out = append(out, chromeMeta{
+		out = append(out, chromeMark{
 			Name: "thread_name", Phase: "M", PID: 1, TID: i + 1,
 			Args: map[string]string{"name": name},
 		})
 	}
 	for _, sp := range d.Spans {
-		name := sp.Hop.String()
-		if sp.Hop == HopApp {
-			name = "op:" + sp.Op.String()
+		tid := tids[track{sp.Host, sp.PID}]
+		if sp.Hop == HopEvent {
+			out = append(out, chromeMark{
+				Name: sp.Name(), Cat: sp.Ev.Component(), Phase: "i", Scope: "t",
+				TS: float64(sp.Start) / 1e3, PID: 1, TID: tid, Args: sp.Args(),
+			})
+			continue
 		}
 		out = append(out, chromeSpan{
-			Name: name, Cat: "obs", Phase: "X",
+			Name: sp.Name(), Cat: "obs", Phase: "X",
 			TS:  float64(sp.Start) / 1e3,
 			Dur: float64(sp.End-sp.Start) / 1e3,
-			PID: 1, TID: tids[track{sp.Host, sp.PID}],
+			PID: 1, TID: tid,
 			Args: map[string]uint64{
 				"trace": sp.Trace, "span": sp.Span, "parent": sp.Parent,
 				"kind": uint64(sp.Kind),

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"socksdirect/internal/bufpool"
+	"socksdirect/internal/obs"
 	"socksdirect/internal/telemetry"
 )
 
@@ -525,9 +526,8 @@ func (qp *QP) onTimeout() {
 		return
 	}
 	// go-back-N: retransmit everything unacked.
-	if len(qp.inflight) > 0 && telemetry.Trace.Enabled() {
-		telemetry.Trace.Emit(qp.nic.clk.Now(), "rdma", "retransmit",
-			telemetry.A("qpn", int64(qp.qpn)), telemetry.A("inflight", int64(len(qp.inflight))))
+	if len(qp.inflight) > 0 {
+		obs.Emit(qp.nic.host, 0, obs.EvRetransmit, 0, qp.nic.clk.Now(), int64(qp.qpn), int64(len(qp.inflight)))
 	}
 	for _, p := range qp.inflight {
 		p.ref() // each retransmitted copy carries its own fabric reference

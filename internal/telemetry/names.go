@@ -104,11 +104,10 @@ const (
 	MonShardPrefix = "sd/monitor/shard"
 
 	// causal op-tracing + flight recorder (internal/obs).
-	ObsSpans     = "sd/obs/spans"      // spans recorded across all rings
-	ObsDropped   = "sd/obs/dropped"    // spans overwritten after a ring filled
-	ObsDumps     = "sd/obs/dumps"      // flight-recorder dumps written
-	ObsTriggers  = "sd/obs/triggers"   // anomaly triggers observed (incl. suppressed)
-	ObsSLOBreach = "sd/obs/slo_breach" // monitor dispatch SLO breaches
+	ObsSpans    = "sd/obs/spans"    // spans and events recorded across all rings
+	ObsDropped  = "sd/obs/dropped"  // records overwritten after a ring filled
+	ObsDumps    = "sd/obs/dumps"    // flight-recorder dumps delivered
+	ObsTriggers = "sd/obs/triggers" // anomaly triggers observed (incl. suppressed)
 
 	// monitor restart survivability (epochs, resurrection, liveness).
 	MonEpoch           = "sd/monitor/epoch" // gauge: current incarnation number

@@ -1,6 +1,6 @@
 // Package telemetry is the stack-wide observability core: atomic counters,
 // gauges and log-bucketed distributions behind a hierarchical named
-// registry, plus a bounded structured event tracer (tracer.go). Every layer
+// registry (events and spans are internal/obs's). Every layer
 // of the reproduction — shm rings, RDMA QPs, token arbitration, the
 // monitor control plane, the simulated kernel — increments metrics here, so
 // sdbench can *measure* the paper's overhead attributions (Tables 3–4)

@@ -273,13 +273,6 @@ func BenchmarkDistributionObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkTracerEmitDisabled(b *testing.B) {
-	tr := NewTracer(16)
-	for i := 0; i < b.N; i++ {
-		tr.Emit(int64(i), "c", "e")
-	}
-}
-
 func TestBucketRoundTrip(t *testing.T) {
 	// Every bucket midpoint must map back to its own bucket, and bucket
 	// indices must be monotonic in the value.

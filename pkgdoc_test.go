@@ -218,7 +218,8 @@ func TestDocLinksResolve(t *testing.T) {
 
 // TestDocsNameOnlySdbenchCommands fails on a `sdbench <cmd>` in a current
 // document's code (inline spans and fenced blocks) that cmd/sdbench does
-// not dispatch, through its command map or its switch. Flags before the
+// not dispatch, through its command map or its switch, and on a command it
+// dispatches that no current document names that way. Flags before the
 // command are skipped; -trace takes a value.
 func TestDocsNameOnlySdbenchCommands(t *testing.T) {
 	fset := token.NewFileSet()
@@ -247,6 +248,7 @@ func TestDocsNameOnlySdbenchCommands(t *testing.T) {
 	if !cmds["all"] || !cmds["table2"] {
 		t.Fatalf("found no sdbench dispatch in cmd/sdbench/main.go (got %v)", cmds)
 	}
+	documented := map[string]bool{}
 	span := regexp.MustCompile("`[^`\n]+`")
 	invocation := regexp.MustCompile(`(?:^|\s)(?:go run \./cmd/)?sdbench((?:\s+\S+)+)`)
 	for _, doc := range currentDocs {
@@ -282,11 +284,17 @@ func TestDocsNameOnlySdbenchCommands(t *testing.T) {
 					continue // `sdbench <cmd>`, `sdbench [-json]`: a placeholder
 				}
 				for _, cmd := range strings.Split(strings.TrimRight(words[0], ".,;:)"), "|") {
+					documented[cmd] = true
 					if !cmds[cmd] {
 						t.Errorf("%s names `sdbench %s`, which cmd/sdbench does not dispatch", doc, cmd)
 					}
 				}
 			}
+		}
+	}
+	for cmd := range cmds {
+		if !documented[cmd] {
+			t.Errorf("cmd/sdbench dispatches %q, but no current document names `sdbench %s`", cmd, cmd)
 		}
 	}
 }
