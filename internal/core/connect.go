@@ -92,7 +92,7 @@ func (l *Libsd) newRdmaLocal(ctx exec.Context, qid uint64, qp *rdma.QP) (*rdmaLo
 		return nil, err
 	}
 	side.LocalPool = pool
-	side.segTok = l.H.SHM.Create(fmt.Sprintf("sock-%d", qid), side).Token
+	side.segTok = l.H.SHM.Create(side).Token
 	return rl, nil
 }
 
@@ -232,7 +232,7 @@ func (l *Libsd) ListenOn(ctx exec.Context, t *host.Thread, port uint16) (*Listen
 		}
 	}
 	lst := &Listener{lib: l, port: port, t: t}
-	lst.fd = l.installFD(&fdEntry{kind: fdListener, lst: lst})
+	lst.fd = l.installFD(fdEntry{kind: fdListener, lst: lst})
 	opOK = true
 	return lst, nil
 }
@@ -299,6 +299,7 @@ func (lst *Listener) Close(ctx exec.Context) {
 func (l *Libsd) acceptDrained(ctx exec.Context, t *host.Thread, pa *pendingAccept) {
 	m := ctlmsg.Msg{Kind: ctlmsg.KAcceptDone, ConnID: pa.m.ConnID, Port: pa.m.Port,
 		PID: int64(l.P.PID), TID: int64(t.TID)}
+	l.acceptFree.put(pa)
 	l.sendCtl(ctx, &m)
 }
 
@@ -309,7 +310,11 @@ func (l *Libsd) finishAccept(ctx exec.Context, t *host.Thread, pa *pendingAccept
 	case ctlmsg.TransportSHM:
 		if p := l.H.Process(int(pa.m.PID)); p == nil || p.Dead() {
 			// The client crashed between dispatch and accept; kernel TCP
-			// surfaces this as a reset on the new connection.
+			// surfaces this as a reset on the new connection. Nobody else
+			// will release it: crash cleanup leaves it to this live end.
+			if seg, err := l.H.SHM.Attach(shm.Token(pa.m.ShmToken)); err == nil {
+				l.releaseIntra(seg.Obj.(*IntraSock), pa.m.ShmToken, false)
+			}
 			return nil, nil, ECONNRESET
 		}
 		seg, err := l.H.SHM.Attach(shm.Token(pa.m.ShmToken))
@@ -318,11 +323,11 @@ func (l *Libsd) finishAccept(ctx exec.Context, t *host.Thread, pa *pendingAccept
 		}
 		is := seg.Obj.(*IntraSock)
 		is.B.PeerPID.Store(int64(pa.m.PID)) // client pid
-		s := &Socket{lib: l, side: is.B, intra: is, sideIdx: 1, shmTok: pa.m.ShmToken}
-		s.ep = &shmEP{lib: l, side: is.B, peerSide: is.A}
+		s := &Socket{lib: l, side: &is.B, intra: is, sideIdx: 1, shmTok: pa.m.ShmToken}
+		s.useSHM(&is.B, &is.A)
 		s.side.SendHolder.Store(me)
 		s.side.RecvHolder.Store(me)
-		s.fd = l.installFD(&fdEntry{kind: fdSocket, sock: s})
+		s.fd = l.installFD(fdEntry{kind: fdSocket, sock: s})
 		l.trackSock(s)
 		l.initFlow(s)
 		s.sendMsg(ctx, MAck, nil, nil) // Fig. 6: server ACK finalizes setup
@@ -333,7 +338,7 @@ func (l *Libsd) finishAccept(ctx exec.Context, t *host.Thread, pa *pendingAccept
 		s.sideIdx = 1
 		s.side.SendHolder.Store(me)
 		s.side.RecvHolder.Store(me)
-		s.fd = l.installFD(&fdEntry{kind: fdSocket, sock: s})
+		s.fd = l.installFD(fdEntry{kind: fdSocket, sock: s})
 		l.trackSock(s)
 		l.initFlow(s)
 		s.sendMsg(ctx, MAck, nil, nil)
@@ -345,7 +350,7 @@ func (l *Libsd) finishAccept(ctx exec.Context, t *host.Thread, pa *pendingAccept
 			return nil, nil, ErrBadFD
 		}
 		mTCPFallbacks.Inc()
-		l.installFD(&fdEntry{kind: fdKernel, kf: kf})
+		l.installFD(fdEntry{kind: fdKernel, kf: kf})
 		return nil, kf, nil
 	}
 	return nil, nil, fmt.Errorf("libsd: unknown transport %d", pa.m.Transport)
@@ -377,8 +382,14 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 	// dialer, whose waiter keeps seeing ping answers from its own live
 	// monitor, would spin forever. The host ordinal disambiguates.
 	connID := (l.H.Ordinal&0xffff)<<48 | uint64(l.P.PID&0xffff)<<32 | l.nextConnID&0xffff_ffff
-	pc := &pendingConn{}
+	pc := l.dialFree.get()
 	l.pending[connID] = pc
+	defer func() {
+		// Every way out: with its l.pending entry goes the record's last
+		// holder besides this call.
+		delete(l.pending, connID)
+		l.dialFree.put(pc)
+	}()
 
 	// Root span: the whole blocking connect, every control hop it causes
 	// parents back to this trace through the message envelope.
@@ -386,7 +397,8 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 	opOK := false
 	defer func() { op.End(l.H.Clk.Now(), opOK) }()
 
-	m := ctlmsg.Msg{
+	m := &pc.syn
+	*m = ctlmsg.Msg{
 		Kind: ctlmsg.KConnect, ConnID: connID, Port: dstPort,
 		PID: int64(l.P.PID), TID: int64(t.TID),
 		TraceID: op.Trace, SpanID: op.Span,
@@ -401,7 +413,7 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 			return nil, nil, err
 		}
 		pc.rl = rl
-		rl.desc(&m)
+		rl.desc(m)
 		if qp != nil {
 			// Offer the pair: the QP is still connected to its twin, which
 			// the accepting process adopts if it has it parked. Then its QP
@@ -414,10 +426,10 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 			pc.sock = &Socket{lib: l, side: rl.side, ep: ep}
 		}
 	}
-	l.sendCtl(ctx, &m)
+	l.sendCtl(ctx, m)
 
 	// A re-send across a restart is safe: the monitor dedups connects by ConnID.
-	c := l.awaitCtl(&m, ETIMEDOUT)
+	c := l.awaitCtlIn(&pc.ctl, m, ETIMEDOUT)
 	c.deadline.Store(deadline)
 	abandon := func() {
 		delete(l.pending, connID)
@@ -456,11 +468,10 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 		// TCP fallback: the monitor repaired a kernel connection into our
 		// FD table.
 		kf, ok := l.P.LookupFD(pc.kernelFD)
-		delete(l.pending, connID)
 		if !ok {
 			return nil, nil, ErrBadFD
 		}
-		l.installFD(&fdEntry{kind: fdKernel, kf: kf})
+		l.installFD(fdEntry{kind: fdKernel, kf: kf})
 		opOK = true
 		return nil, kf, nil
 	}
@@ -488,10 +499,9 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 			me := int64(MakeGTID(l.P.PID, t.TID))
 			s.side.SendHolder.Store(me)
 			s.side.RecvHolder.Store(me)
-			s.fd = l.installFD(&fdEntry{kind: fdSocket, sock: s})
+			s.fd = l.installFD(fdEntry{kind: fdSocket, sock: s})
 			l.trackSock(s)
 			l.initFlow(s)
-			delete(l.pending, connID)
 			opOK = true
 			return s, nil, nil
 		}
@@ -518,7 +528,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 
 	case ctlmsg.KConnectRes:
 		pc := l.pending[m.ConnID]
-		orphan := pc == nil && len(l.socks[m.ConnID]) == 0
+		orphan := pc == nil && l.socks[m.ConnID] == nil
 		if orphan && (m.Status != ctlmsg.StatusOK || m.Transport != ctlmsg.TransportSHM) {
 			// The answer to a remote dial that already gave up (its deadline
 			// beat the round trip): the monitor made its records after our
@@ -545,8 +555,8 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			}
 			is := seg.Obj.(*IntraSock)
 			is.A.PeerPID.Store(m.PID) // server pid
-			s := &Socket{lib: l, side: is.A, intra: is, sideIdx: 0, shmTok: m.ShmToken}
-			s.ep = &shmEP{lib: l, side: is.A, peerSide: is.B}
+			s := &Socket{lib: l, side: &is.A, intra: is, sideIdx: 0, shmTok: m.ShmToken}
+			s.useSHM(&is.A, &is.B)
 			pc.sock = s
 			pc.kernelFD = -1
 			pc.status.Store(1)
@@ -588,7 +598,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		}
 
 	case ctlmsg.KNewConn:
-		pa := &pendingAccept{m: *m}
+		var sock *Socket
 		if m.Transport == ctlmsg.TransportRDMA {
 			// Build the server endpoint eagerly so the monitors can relay
 			// our descriptor back to the client without waiting for
@@ -625,7 +635,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 					return
 				}
 			}
-			pa.sock = &Socket{lib: l, side: rl.side, ep: ep}
+			sock = &Socket{lib: l, side: rl.side, ep: ep}
 			var res ctlmsg.Msg
 			res.Kind = ctlmsg.KMSynAck
 			res.ConnID = m.ConnID
@@ -643,6 +653,8 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			bl = &backlog{}
 			l.backlogs[key] = bl
 		}
+		pa := l.acceptFree.get()
+		pa.m, pa.sock = *m, sock
 		bl.conns = append(bl.conns, pa)
 		if bl.asleep != nil {
 			bl.asleep.Unpark()
@@ -650,12 +662,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 
 	case ctlmsg.KTokenReturn:
 		// The monitor wants a token back for a waiter.
-		set := l.socks[m.QID]
-		var any *Socket
-		for s := range set {
-			any = s
-			break
-		}
+		any := l.socks[m.QID]
 		if any == nil {
 			// Socket gone; tell the monitor the token is free.
 			r := ctlmsg.Msg{Kind: ctlmsg.KTokenReturn, QID: m.QID, Dir: m.Dir,
@@ -674,12 +681,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		}
 
 	case ctlmsg.KTokenGrant:
-		set := l.socks[m.QID]
-		var any *Socket
-		for s := range set {
-			any = s
-			break
-		}
+		any := l.socks[m.QID]
 		if any == nil {
 			return
 		}
@@ -704,12 +706,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		// or more QPs for one socket, but they link to the unique copy of
 		// socket metadata and buffer", §4.1.2), or failure recovery
 		// replacing a dead QP (Dir=ReQPRecovery; recover.go).
-		set := l.socks[m.QID]
-		var any *Socket
-		for s := range set {
-			any = s
-			break
-		}
+		any := l.socks[m.QID]
 		res := ctlmsg.Msg{Kind: ctlmsg.KReQPRes, QID: m.QID, Aux: m.Aux,
 			PID: int64(l.P.PID), ConnID: m.ConnID, Dir: m.Dir,
 			TraceID: m.TraceID, SpanID: m.SpanID}
@@ -743,7 +740,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		// any of the QPs is equivalent" for one-sided writes, and the new
 		// one is spliced to the process that will actually be reading.
 		var olds []*rdmaEP
-		for s := range l.socks[m.QID] {
+		for s := l.socks[m.QID]; s != nil; s = s.sib {
 			if oe, ok := s.ep.(*rdmaEP); ok && oe != ep {
 				olds = append(olds, oe)
 			}
@@ -797,7 +794,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		// itself survives; receivers drain in-flight bytes before the
 		// reset surfaces.
 		var socks []*Socket
-		for s := range l.socks[m.QID] {
+		for s := l.socks[m.QID]; s != nil; s = s.sib {
 			socks = append(socks, s)
 		}
 		pc := l.pending[m.QID] // a dial's ConnID is its QID
@@ -867,6 +864,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			// res.Aux stays the echoed steal id from the request — the
 			// monitor matches the response to its in-flight steal record
 			// by it; a KNewConn descriptor's own Aux carries nothing.
+			l.acceptFree.put(pa)
 		}
 		l.sendCtl(ctx, &res)
 	}

@@ -37,7 +37,7 @@ func (l *Libsd) NewEpoll() *Epoll {
 		ifd:         make(map[int]uint32),
 		kernelReady: make(map[int]uint32),
 	}
-	ep.fd = l.installFD(&fdEntry{kind: fdKernel}) // placeholder entry holds the number
+	ep.fd = l.installFD(fdEntry{kind: fdKernel}) // placeholder entry holds the number
 	l.epolls[ep] = struct{}{}
 	l.startEpollThread()
 	return ep

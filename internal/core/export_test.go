@@ -22,6 +22,16 @@ func (l *Libsd) Closing() int {
 	return len(l.closing)
 }
 
+// PendingDials reports dials on record for their KConnectRes.
+func (l *Libsd) PendingDials() int {
+	return len(l.pending)
+}
+
+// FreeDials and FreeAccepts report the free lists of dial records and
+// backlog entries.
+func (l *Libsd) FreeDials() int   { return len(l.dialFree) }
+func (l *Libsd) FreeAccepts() int { return len(l.acceptFree) }
+
 // IdleZCPools reports the zero-copy pool recycle list's length.
 func (l *Libsd) IdleZCPools() int {
 	return len(l.zcIdle)

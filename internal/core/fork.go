@@ -73,7 +73,7 @@ func (l *Libsd) Fork(ctx exec.Context, t *host.Thread, name string) (*host.Proce
 	// child's socket objects share the SHM-resident SideState but build
 	// their own endpoints (fresh QPs for RDMA sockets, created lazily via
 	// the monitor).
-	entries := make(map[int]*fdEntry, len(l.fds))
+	entries := make(map[int]fdEntry, len(l.fds))
 	for fd, e := range l.fds {
 		entries[fd] = e
 	}
@@ -92,7 +92,7 @@ func (l *Libsd) Fork(ctx exec.Context, t *host.Thread, name string) (*host.Proce
 			cs := &Socket{lib: cl, side: s.side, intra: s.intra, fd: fd}
 			switch sep := s.ep.(type) {
 			case *shmEP:
-				cs.ep = &shmEP{lib: cl, side: sep.side, peerSide: sep.peerSide}
+				cs.useSHM(sep.side, sep.peerSide)
 			case *rdmaEP:
 				cs.ep = &forkedRdmaEP{
 					lib: cl, sock: cs,
@@ -102,15 +102,15 @@ func (l *Libsd) Fork(ctx exec.Context, t *host.Thread, name string) (*host.Proce
 				}
 			}
 			cs.established = true
-			cl.fds[fd] = &fdEntry{kind: fdSocket, sock: cs}
+			cl.fds[fd] = fdEntry{kind: fdSocket, sock: cs}
 			cl.trackSock(cs)
 		case fdKernel:
-			cl.fds[fd] = &fdEntry{kind: fdKernel, kf: e.kf}
+			cl.fds[fd] = fdEntry{kind: fdKernel, kf: e.kf}
 		case fdListener:
 			// The child may accept on the same port: register its own
 			// backlog with the monitor under the child's identity.
 			clst := &Listener{lib: cl, port: e.lst.port}
-			cl.fds[fd] = &fdEntry{kind: fdListener, lst: clst}
+			cl.fds[fd] = fdEntry{kind: fdListener, lst: clst}
 		}
 	}
 	opOK = true
@@ -254,11 +254,11 @@ type pendingReQP struct {
 func (l *Libsd) Exec(ctx exec.Context) (*Libsd, error) {
 	l.enter()
 	saved := struct {
-		fds     map[int]*fdEntry
+		fds     map[int]fdEntry
 		nextFD  int
 		freeFDs []int
 	}{l.fds, l.nextFD, append([]int(nil), l.freeFDs...)}
-	seg := l.H.SHM.Create("exec-fdtable", saved)
+	seg := l.H.SHM.Create(saved)
 	l.leave()
 
 	// "After exec, the entire RDMA context is wiped out": a fresh Libsd,
@@ -275,7 +275,7 @@ func (l *Libsd) Exec(ctx exec.Context) (*Libsd, error) {
 		return nil, err
 	}
 	got := att.Obj.(struct {
-		fds     map[int]*fdEntry
+		fds     map[int]fdEntry
 		nextFD  int
 		freeFDs []int
 	})
@@ -288,13 +288,13 @@ func (l *Libsd) Exec(ctx exec.Context) (*Libsd, error) {
 			cs := &Socket{lib: nl, side: s.side, intra: s.intra, fd: fd, established: true}
 			switch sep := s.ep.(type) {
 			case *shmEP:
-				cs.ep = &shmEP{lib: nl, side: sep.side, peerSide: sep.peerSide}
+				cs.useSHM(sep.side, sep.peerSide)
 			case *rdmaEP:
 				cs.ep = &forkedRdmaEP{lib: nl, sock: cs, ringRKey: sep.ringRKey, creditRKey: sep.creditRKey}
 			case *forkedRdmaEP:
 				cs.ep = &forkedRdmaEP{lib: nl, sock: cs, ringRKey: sep.ringRKey, creditRKey: sep.creditRKey}
 			}
-			nl.fds[fd] = &fdEntry{kind: fdSocket, sock: cs}
+			nl.fds[fd] = fdEntry{kind: fdSocket, sock: cs}
 		default:
 			nl.fds[fd] = e
 		}

@@ -78,17 +78,22 @@ type Libsd struct {
 	// a restarted monitor learns them from the re-registration report.
 	sleepNotes map[int]struct{}
 
-	fds     map[int]*fdEntry
+	fds     map[int]fdEntry // by value: an entry is no allocation of its own
 	nextFD  int
 	freeFDs []int
 
-	// connection setup state
+	// connection setup state, and the free lists of its per-dial records
+	// (grown on demand, never pre-filled)
 	nextConnID uint64
 	pending    map[uint64]*pendingConn
 	backlogs   map[backlogKey]*backlog
+	dialFree   freeList[pendingConn]
+	acceptFree freeList[pendingAccept]
 
-	// sockets by QID for control routing (token messages)
-	socks map[uint64]map[*Socket]struct{}
+	// sockets by QID for control routing (token messages): the first one
+	// tracked, the rest (both ends of an intra-host connection in one
+	// process, fork siblings) chained through Socket.sib
+	socks map[uint64]*Socket
 
 	// RDMA plumbing: one shared CQ pair per process (the paper shares one
 	// CQ per thread; a per-process CQ preserves the single-poll property).
@@ -150,12 +155,39 @@ type backlog struct {
 	asleep     exec.Thread  // the listener thread parked in Accept, for the KNewConn handler to wake
 }
 
+// pendingConn is one dial in flight: what the KConnectRes handler fills
+// in, the SYN and the wait for its answer. ConnectDeadline takes it from
+// dialFree and gives it back once it has deleted the l.pending entry, the
+// record's only other holder, so a dial allocates none.
 type pendingConn struct {
 	status   atomic.Int32 // 0 pending, 1 ok, 2 failed
 	errCode  uint8
 	sock     *Socket
 	rl       *rdmaLocal
 	kernelFD int
+
+	syn ctlmsg.Msg // the request, which ctl re-sends
+	ctl ctlWait
+}
+
+// freeList keeps blank records of one kind for reuse, last in first out.
+type freeList[T any] []*T
+
+// get returns a blank record, a kept one if there is one.
+func (f *freeList[T]) get() *T {
+	n := len(*f)
+	if n == 0 {
+		return new(T)
+	}
+	r := (*f)[n-1]
+	*f = (*f)[:n-1]
+	return r
+}
+
+// put blanks r, which nothing else may hold any more, and keeps it.
+func (f *freeList[T]) put(r *T) {
+	*r = *new(T)
+	*f = append(*f, r)
 }
 
 // Init loads libsd into a process: it registers with the host's monitor
@@ -182,10 +214,10 @@ func initWith(p *host.Process, link *ProcLink) (*Libsd, error) {
 		H:          p.Host,
 		ctl:        ctl,
 		wakeMon:    link.WakeMonitor,
-		fds:        make(map[int]*fdEntry),
+		fds:        make(map[int]fdEntry),
 		pending:    make(map[uint64]*pendingConn),
 		backlogs:   make(map[backlogKey]*backlog),
-		socks:      make(map[uint64]map[*Socket]struct{}),
+		socks:      make(map[uint64]*Socket),
 		eps:        make(map[uint32]*rdmaEP),
 		closing:    make(map[uint64]*SideState),
 		sendCQ:     rdma.NewCQ(),
@@ -238,12 +270,7 @@ func (l *Libsd) processRevokes(ctx exec.Context) {
 	l.hasRevokes.Store(false)
 	var requeue []revokeReq
 	for _, rv := range pend {
-		set := l.socks[rv.qid]
-		var any *Socket
-		for s := range set {
-			any = s
-			break
-		}
+		any := l.socks[rv.qid]
 		if any == nil {
 			r := ctlmsg.Msg{Kind: ctlmsg.KTokenReturn, QID: rv.qid, Dir: rv.dir,
 				SrcPort: rv.side, PID: int64(l.P.PID)}
@@ -377,7 +404,7 @@ func (l *Libsd) noteMonEpoch(e uint32) bool {
 
 // --- FD remapping table (§4.5.1): lowest available FD, recycle pool ---
 
-func (l *Libsd) installFD(e *fdEntry) int {
+func (l *Libsd) installFD(e fdEntry) int {
 	var fd int
 	if n := len(l.freeFDs); n > 0 {
 		fd = l.freeFDs[n-1]
@@ -390,10 +417,10 @@ func (l *Libsd) installFD(e *fdEntry) int {
 	return fd
 }
 
-func (l *Libsd) lookupFD(fd int) (*fdEntry, error) {
+func (l *Libsd) lookupFD(fd int) (fdEntry, error) {
 	e, ok := l.fds[fd]
 	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrBadFD, fd)
+		return fdEntry{}, fmt.Errorf("%w: %d", ErrBadFD, fd)
 	}
 	return e, nil
 }
@@ -414,7 +441,7 @@ func (l *Libsd) releaseFD(fd int) {
 func (l *Libsd) InstallKernelFD(kf host.KFile) int {
 	l.enter()
 	defer l.leave()
-	return l.installFD(&fdEntry{kind: fdKernel, kf: kf})
+	return l.installFD(fdEntry{kind: fdKernel, kf: kf})
 }
 
 // KernelFile returns the kernel object behind a remapped FD.
@@ -443,22 +470,36 @@ func (l *Libsd) SocketByFD(fd int) (*Socket, error) {
 	}
 }
 
+// trackSock appends s to its queue's sockets (Libsd.socks), chained
+// through Socket.sib, so tracking allocates nothing.
 func (l *Libsd) trackSock(s *Socket) {
-	set, ok := l.socks[s.side.QID]
-	if !ok {
-		set = make(map[*Socket]struct{})
-		l.socks[s.side.QID] = set
+	last := l.socks[s.side.QID]
+	if last == nil {
+		l.socks[s.side.QID] = s
+		return
 	}
-	set[s] = struct{}{}
+	for last.sib != nil {
+		last = last.sib
+	}
+	last.sib = s
 }
 
 func (l *Libsd) untrackSock(s *Socket) {
-	if set, ok := l.socks[s.side.QID]; ok {
-		delete(set, s)
-		if len(set) == 0 {
+	if first := l.socks[s.side.QID]; first == s {
+		if s.sib == nil {
 			delete(l.socks, s.side.QID)
+		} else {
+			l.socks[s.side.QID] = s.sib
+		}
+	} else {
+		for p := first; p != nil; p = p.sib {
+			if p.sib == s {
+				p.sib = s.sib
+				break
+			}
 		}
 	}
+	s.sib = nil
 }
 
 // --- RDMA completion pump: one shared CQ pair serves every socket in the

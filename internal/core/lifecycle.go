@@ -173,10 +173,9 @@ func (l *Libsd) releaseIntra(is *IntraSock, tok uint64, clean bool) {
 	}
 	l.H.SHM.Remove(shm.Token(tok))
 	if clean {
-		l.H.SHM.PutRing(is.D.AtoB)
-		l.H.SHM.PutRing(is.D.BtoA)
+		l.H.SHM.PutRing(is.A.TX)
+		l.H.SHM.PutRing(is.A.RX)
 		// A stray user faults instead of sharing a ring.
-		is.D.AtoB, is.D.BtoA = nil, nil
 		is.A.TX, is.A.RX, is.B.TX, is.B.RX = nil, nil, nil, nil
 	}
 	l.noteClosed(is.QID)
@@ -188,9 +187,9 @@ func (l *Libsd) releaseIntra(is *IntraSock, tok uint64, clean bool) {
 // closed, its process will never look at the connection again, so the
 // monitor must reclaim the segment; true hands it that job, exactly once.
 func (is *IntraSock) ReclaimIfClosed(idx int) bool {
-	side := is.A
+	side := &is.A
 	if idx != 0 {
-		side = is.B
+		side = &is.B
 	}
 	return side.Closed.Load() && is.released.CompareAndSwap(false, true)
 }

@@ -201,6 +201,255 @@ func TestRefusedDialLeavesNothing(t *testing.T) {
 	}
 }
 
+// recycleCensus is census plus the dials a process still has on record.
+type recycleCensus struct {
+	census
+	pending int
+}
+
+func takeRecycleCensus(w *world, libs ...*core.Libsd) recycleCensus {
+	c := recycleCensus{census: netCensus(w, libs...)}
+	for _, l := range libs {
+		c.pending += l.PendingDials()
+	}
+	return c
+}
+
+// echoExact sends want and reads it back, failing the test unless every
+// byte returns in order.
+func echoExact(t *testing.T, ctx exec.Context, th *host.Thread, s *core.Socket, want []byte) {
+	t.Helper()
+	if _, err := s.Send(ctx, th, want); err != nil {
+		t.Errorf("send: %v", err)
+		return
+	}
+	got := make([]byte, 0, len(want))
+	buf := make([]byte, len(want))
+	for len(got) < len(want) {
+		n, err := s.Recv(ctx, th, buf)
+		if err != nil {
+			t.Errorf("recv after %d of %d bytes: %v", len(got), len(want), err)
+			return
+		}
+		got = append(got, buf[:n]...)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("echo differs from what was sent (%d bytes)", len(want))
+	}
+}
+
+// echoBack returns what it receives until the peer closes, then closes.
+func echoBack(ctx exec.Context, th *host.Thread, s *core.Socket) {
+	buf := make([]byte, 4096)
+	for {
+		n, err := s.Recv(ctx, th, buf)
+		if err != nil {
+			break
+		}
+		if _, err := s.Send(ctx, th, buf[:n]); err != nil {
+			break
+		}
+	}
+	s.Close(ctx, th)
+}
+
+// TestLateAnswerAfterRecycle: a dial's record and a backlog entry are
+// reused once their call is over, so whatever still arrives for the old
+// call must not reach the new one.
+//
+// dial: a remote dial's deadline beats the round trip, and its record goes
+// back to the free list; the next dial takes it and is waiting in it when
+// the first one's KConnectRes arrives. The answer finds no dial on record,
+// the next dial's bytes come back exact, and dials, segments, rings, QPs and
+// monitor records end where they started.
+//
+// accept: a client dies after its connection was dispatched and before the
+// listener accepts it. Accept reports the reset and its backlog entry goes
+// back to the free list; the next client's connection arrives in it, byte
+// exact, and nothing of the dead client's connection stays behind.
+func TestLateAnswerAfterRecycle(t *testing.T) {
+	pattern := make([]byte, 3000)
+	for i := range pattern {
+		pattern[i] = byte(i*7 + i>>8)
+	}
+	t.Run("dial", func(t *testing.T) {
+		w := newWorld(t)
+		monitor.Peer(w.ma, w.mb)
+		sp, sl := proc(t, w.b, "server", 0)
+		cp, cl := proc(t, w.a, "client", 1000)
+		sl.SetRecoveryBudget(2)
+		sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+			lst, err := sl.ListenOn(ctx, th, 7410)
+			if err != nil {
+				t.Errorf("listen: %v", err)
+				return
+			}
+			for {
+				s, _, err := lst.Accept(ctx)
+				if err != nil {
+					return
+				}
+				echoBack(ctx, th, s) // the abandoned dial's ends on its QP's retries
+			}
+		})
+		var base, end recycleCensus
+		cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+			ctx.Sleep(10_000)
+			echoOnce(t, ctx, th, cl, "hostB", 7410) // warm: pools, rings, a free dial record
+			ctx.Sleep(5_000_000)
+			base = takeRecycleCensus(w, sl, cl)
+			if _, _, err := cl.ConnectDeadline(ctx, th, "hostB", 7410, ctx.Now()+1); !errors.Is(err, core.ETIMEDOUT) {
+				t.Errorf("deadline dial: want ETIMEDOUT, got %v", err)
+			}
+			if n, f := cl.PendingDials(), cl.FreeDials(); n != 0 || f != 1 {
+				t.Errorf("after the abandoned dial: %d dials on record, %d free records; want 0 and 1", n, f)
+			}
+			t0 := ctx.Now()
+			s, _, err := cl.Connect(ctx, th, "hostB", 7410)
+			if err != nil {
+				t.Errorf("dial after the abandoned one: %v", err)
+				return
+			}
+			// The server accepts it once the abandoned dial's socket ended,
+			// milliseconds after that dial's answer came in.
+			if d := ctx.Now() - t0; d < 1_000_000 {
+				t.Errorf("the dial took %d sim-ns: it did not wait behind the abandoned one", d)
+			}
+			echoExact(t, ctx, th, s, pattern)
+			s.Close(ctx, th)
+			ctx.Sleep(5_000_000)
+			end = takeRecycleCensus(w, sl, cl)
+			sp.Signal(ctx, host.SIGKILL)
+		})
+		w.sim.Run()
+		if end != base {
+			t.Errorf("census %+v, want the %+v from before the abandoned dial", end, base)
+		}
+	})
+	t.Run("accept", func(t *testing.T) {
+		w := newWorld(t)
+		sp, sl := proc(t, w.a, "server", 0)
+		dp, dl := proc(t, w.a, "doomed", 1000)
+		cp, cl := proc(t, w.a, "client", 1000)
+		var lst *core.Listener
+		sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+			var err error
+			if lst, err = sl.ListenOn(ctx, th, 7411); err != nil {
+				t.Errorf("listen: %v", err)
+			}
+		})
+		dp.Spawn("dial", func(ctx exec.Context, th *host.Thread) {
+			ctx.Sleep(10_000)
+			dl.Connect(ctx, th, "hostA", 7411) // waits for the server's ACK until it dies
+		})
+		var base, end recycleCensus
+		cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+			ctx.Sleep(5_000)
+			base = takeRecycleCensus(w, sl, cl)
+			ctx.Sleep(100_000) // the doomed dial is in the listener's backlog
+			if n := lst.Pending(); n != 1 {
+				t.Errorf("%d connections in the backlog, want the doomed one", n)
+			}
+			dp.Signal(ctx, host.SIGKILL)
+			ctx.Sleep(1_000_000)
+			sp.Spawn("acc", func(ctx exec.Context, th *host.Thread) {
+				if _, _, err := lst.Accept(ctx); !errors.Is(err, core.ECONNRESET) {
+					t.Errorf("accept of the dead client's connection: want ECONNRESET, got %v", err)
+				}
+				if f := sl.FreeAccepts(); f != 1 {
+					t.Errorf("%d free backlog entries after the failed accept, want 1", f)
+				}
+				s, _, err := lst.Accept(ctx)
+				if err != nil {
+					t.Errorf("accept: %v", err)
+					return
+				}
+				echoBack(ctx, th, s)
+			})
+			s, _, err := cl.Connect(ctx, th, "hostA", 7411)
+			if err != nil {
+				t.Errorf("dial: %v", err)
+				return
+			}
+			echoExact(t, ctx, th, s, pattern)
+			s.Close(ctx, th)
+			ctx.Sleep(1_000_000)
+			end = takeRecycleCensus(w, sl, cl)
+			sp.Signal(ctx, host.SIGKILL)
+		})
+		w.sim.Run()
+		if end != base {
+			t.Errorf("census %+v, want the %+v from before the doomed dial", end, base)
+		}
+	})
+}
+
+// flowRow returns the sdstat row of one endpoint; a zero row if it has none.
+func flowRow(host string, pid int, qid uint64) obs.FlowSnapshot {
+	for _, f := range obs.Flows() {
+		if f.Host == host && f.PID == int64(pid) && f.QID == qid {
+			return f
+		}
+	}
+	return obs.FlowSnapshot{}
+}
+
+// TestFlowRowProbe: a live socket's sdstat row reads its send ring's
+// occupancy high-water and the monitor epoch from the socket itself (the
+// socket is the flow's obs.Prober); a closed one's row keeps the values it
+// had at the close, though its rings have since been recycled and scrubbed.
+func TestFlowRowProbe(t *testing.T) {
+	for _, inter := range []bool{false, true} {
+		name := "intra"
+		if inter {
+			name = "inter"
+		}
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(t)
+			release := false
+			buf := make([]byte, 3000)
+			var cp *host.Process
+			_, cp = connected(t, w, inter, 7412,
+				func(ctx exec.Context, th *host.Thread, s *core.Socket) {
+					for !release {
+						ctx.Sleep(10_000)
+					}
+					echoBack(ctx, th, s)
+				},
+				func(ctx exec.Context, th *host.Thread, s *core.Socket) {
+					if _, err := s.Send(ctx, th, buf); err != nil {
+						t.Errorf("send: %v", err)
+						return
+					}
+					ctx.Sleep(100_000) // unread by the server: the ring holds it
+					tx, _ := s.Rings()
+					hw := tx.OccHW()
+					if hw < uint64(len(buf)) {
+						t.Errorf("send ring high-water %d after %d unread bytes", hw, len(buf))
+					}
+					live := flowRow("hostA", cp.PID, s.QID())
+					if live.RingHW != int64(hw) || live.Epoch != w.ma.Epoch() || live.State != "established" {
+						t.Errorf("live row: ring_hw %d epoch %d %s, want %d, %d, established",
+							live.RingHW, live.Epoch, live.State, hw, w.ma.Epoch())
+					}
+					release = true
+					s.Close(ctx, th)
+					hw = tx.OccHW()      // with the close's MShut; the server has yet to close
+					ctx.Sleep(1_000_000) // both sides closed: the rings are back on the free list
+					if tx.OccHW() != 0 {
+						t.Errorf("the closed connection's send ring was not scrubbed (high-water %d)", tx.OccHW())
+					}
+					closed := flowRow("hostA", cp.PID, s.QID())
+					if closed.RingHW != int64(hw) || closed.Epoch != w.ma.Epoch() || closed.State != "closed" {
+						t.Errorf("closed row: ring_hw %d epoch %d %s, want the frozen %d, %d, closed",
+							closed.RingHW, closed.Epoch, closed.State, hw, w.ma.Epoch())
+					}
+				})
+			w.sim.Run()
+		})
+	}
+}
+
 // pristine fails the test unless r looks freshly allocated.
 func pristine(t *testing.T, what string, r *shm.Ring) {
 	t.Helper()

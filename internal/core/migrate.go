@@ -41,7 +41,7 @@ func Migrate(l *Libsd, dst *host.Host, name string) (*host.Process, *Libsd, erro
 	// unconsumed ring bytes are preserved. Each socket gets a lazy
 	// endpoint that splices a fresh QP from the new host on first use,
 	// exactly like a forked child's (§4.1.2 machinery reused).
-	entries := make(map[int]*fdEntry, len(l.fds))
+	entries := make(map[int]fdEntry, len(l.fds))
 	for fd, e := range l.fds {
 		entries[fd] = e
 	}
@@ -75,7 +75,7 @@ func Migrate(l *Libsd, dst *host.Host, name string) (*host.Process, *Libsd, erro
 		// migrated process claims them afresh.
 		s.side.SendHolder.Store(0)
 		s.side.RecvHolder.Store(0)
-		nl.fds[fd] = &fdEntry{kind: fdSocket, sock: cs}
+		nl.fds[fd] = fdEntry{kind: fdSocket, sock: cs}
 		nl.trackSock(cs)
 	}
 

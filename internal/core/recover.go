@@ -217,7 +217,7 @@ func (e *rdmaEP) finishRecovery(ctx exec.Context, r *recoverState, pr pendingReQ
 		return
 	}
 	var flow *obs.Flow
-	for s := range l.socks[e.side.QID] {
+	for s := l.socks[e.side.QID]; s != nil; s = s.sib {
 		s.ep = ep2
 		if flow == nil {
 			flow = s.flow

@@ -37,15 +37,12 @@ func (l *Libsd) reRegisterReport(ctx exec.Context) {
 		}
 	}
 	conns := make([]connRec, 0, len(l.socks))
-	for qid, set := range l.socks {
-		for s := range set {
-			cr := connRec{qid: qid, sideIdx: s.sideIdx,
-				peer: s.side.PeerHost, shmTok: s.shmTok}
-			cr.sendTok = GTID(s.side.SendHolder.Load()).PID() == myPID
-			cr.recvTok = GTID(s.side.RecvHolder.Load()).PID() == myPID
-			conns = append(conns, cr)
-			break // one socket per queue describes the whole registration
-		}
+	for qid, s := range l.socks { // one socket per queue describes the whole registration
+		cr := connRec{qid: qid, sideIdx: s.sideIdx,
+			peer: s.side.PeerHost, shmTok: s.shmTok}
+		cr.sendTok = GTID(s.side.SendHolder.Load()).PID() == myPID
+		cr.recvTok = GTID(s.side.RecvHolder.Load()).PID() == myPID
+		conns = append(conns, cr)
 	}
 	pends := make([]uint64, 0, len(l.pending))
 	for connID, pc := range l.pending {

@@ -29,7 +29,9 @@ type Socket struct {
 	// monitor (0 = connecting side, 1 = accepting side).
 	sideIdx uint16
 
-	intra *IntraSock // non-nil for intra-host sockets
+	intra   *IntraSock // non-nil for intra-host sockets
+	intraEP shmEP      // ep of an intra-host socket (useSHM): part of the Socket, not an allocation of its own
+	sib     *Socket    // next socket of this process on the same queue (Libsd.socks)
 
 	// shmTok is the SHM segment token of an intra-host socket (0 for
 	// RDMA sockets); replayed to a restarted monitor so segment
@@ -80,8 +82,8 @@ func (s *Socket) SetNonblock(on bool) { s.nonblock.Store(on) }
 func (s *Socket) Nonblock() bool { return s.nonblock.Load() }
 
 // initFlow registers the socket in the obs flow table (the `sdstat` view,
-// §4.5 introspection). Called once the endpoint is established; the probe
-// closure captures fields only this endpoint can read.
+// §4.5 introspection). Called once the endpoint is established; the socket
+// is the flow's prober.
 func (l *Libsd) initFlow(s *Socket) {
 	peer := s.side.PeerHost
 	if peer == "" {
@@ -92,12 +94,23 @@ func (l *Libsd) initFlow(s *Socket) {
 		tr = uint8(ctlmsg.TransportSHM)
 	}
 	f := obs.RegisterFlow(obs.FlowKey{Host: l.H.Name, PID: int64(l.P.PID), QID: s.side.QID}, peer, tr)
-	side := s.side
-	f.SetProbe(func(fs *obs.FlowSnapshot) {
-		fs.RingHW = int64(side.TX.OccHW())
-		fs.Epoch = l.monEpoch.Load()
-	})
+	f.SetProbe(s)
 	s.flow = f
+}
+
+// Probe fills the flow-table fields only this endpoint can read: its send
+// ring's occupancy high-water and the monitor epoch its library last saw
+// (obs.Prober).
+func (s *Socket) Probe(fs *obs.FlowSnapshot) {
+	fs.RingHW = int64(s.side.TX.OccHW())
+	fs.Epoch = s.lib.monEpoch.Load()
+}
+
+// useSHM makes the socket an intra-host endpoint on side, whose peer is
+// peerSide.
+func (s *Socket) useSHM(side, peerSide *SideState) {
+	s.intraEP = shmEP{lib: s.lib, side: side, peerSide: peerSide}
+	s.ep = &s.intraEP
 }
 
 // FD returns the descriptor this socket is installed at.

@@ -1,12 +1,15 @@
 package core_test
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"socksdirect/internal/core"
 	"socksdirect/internal/costmodel"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
+	"socksdirect/internal/monitor"
 )
 
 // What a blocked wait costs the host: the scheduler plays the empty polls
@@ -89,6 +92,95 @@ func TestDialCycleResumes(t *testing.T) {
 		t.Errorf("%d scheduler events for %d cycles, want at most 200 each", events, cycles)
 	}
 }
+
+// heapAllocs is the process's heap allocation count so far.
+func heapAllocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+// TestDialCycleAllocs: an intra-host dial, 8-byte echo and close allocates
+// only what outlives it — the two Sockets and their sdstat flow rows (users
+// and the flow table keep them after Close), the IntraSock and its segment —
+// plus the test's request buffer and the amortised growth of the flow table:
+// 8.06 a cycle when the test runs alone (6.34 after the package's other
+// tests, whose flow rows it meets again under the same keys). The per-dial
+// records (the pending dial with its SYN and control wait, the dispatched
+// connection, the monitor's connection record) come from free lists on their
+// owners, the FD table holds entries by value and a socket's SHM endpoint is
+// part of the Socket. A refused dial allocates nothing.
+func TestDialCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const warm, cycles = 20, 100
+	t.Run("echo", func(t *testing.T) {
+		w := boundaryWorld(t)
+		sp, sl := proc(t, w.a, "server", 0)
+		cp, cl := proc(t, w.a, "client", 1000)
+		sp.Spawn("srv", echoServer(t, sl, 7623))
+		var allocs uint64
+		cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+			ctx.Sleep(10_000)
+			for i := 0; i < warm+cycles; i++ {
+				if i == warm {
+					allocs = heapAllocs()
+				}
+				echoOnce(t, ctx, th, cl, "hostA", 7623)
+			}
+			allocs = heapAllocs() - allocs
+			sp.Signal(ctx, host.SIGKILL)
+		})
+		w.sim.Run()
+		per := float64(allocs) / cycles
+		t.Logf("%.2f allocations per dial-echo-close cycle", per)
+		if per > dialCycleAllocs {
+			t.Errorf("%.2f allocations per cycle, want at most %v", per, dialCycleAllocs)
+		}
+	})
+	t.Run("refused", func(t *testing.T) {
+		defer monitor.SetListenerBacklogCap(monitor.SetListenerBacklogCap(1))
+		w := boundaryWorld(t)
+		sp, sl := proc(t, w.a, "server", 0)
+		cp, cl := proc(t, w.a, "client", 1000)
+		sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+			if _, err := sl.ListenOn(ctx, th, 7624); err != nil {
+				t.Errorf("listen: %v", err)
+			}
+			ctx.Sleep(100_000_000) // never accepts: the first dial holds the one backlog slot
+		})
+		var allocs uint64
+		cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+			ctx.Sleep(10_000)
+			if _, _, err := cl.ConnectDeadline(ctx, th, "hostA", 7624, ctx.Now()+1_000_000); !errors.Is(err, core.ETIMEDOUT) {
+				t.Errorf("pinning dial: want ETIMEDOUT, got %v", err)
+			}
+			for i := 0; i < warm+cycles; i++ {
+				if i == warm {
+					allocs = heapAllocs()
+				}
+				if _, _, err := cl.Connect(ctx, th, "hostA", 7624); !errors.Is(err, core.ECONNREFUSED) {
+					t.Errorf("dial %d: want ECONNREFUSED, got %v", i, err)
+				}
+			}
+			allocs = heapAllocs() - allocs
+			sp.Signal(ctx, host.SIGKILL)
+		})
+		w.sim.Run()
+		per := float64(allocs) / cycles
+		t.Logf("%.2f allocations per refused dial", per)
+		if per > refusedDialAllocs {
+			t.Errorf("%.2f allocations per refused dial, want at most %v", per, refusedDialAllocs)
+		}
+	})
+}
+
+// The budgets of TestDialCycleAllocs.
+const (
+	dialCycleAllocs   = 9
+	refusedDialAllocs = 0.1
+)
 
 // TestDialReturnsWhenAnswered is the lost wake-up a careless idle predicate
 // produces: the control wait's own poll dispatches the awaited KConnectRes,

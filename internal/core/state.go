@@ -58,9 +58,9 @@ const (
 type SideState struct {
 	QID uint64
 	// TX and RX are the rings this side sends on and receives from. For
-	// an intra-host socket they are the two directions of one shared
-	// Duplex; for an inter-host socket they are this host's local copies,
-	// synchronized by RDMA.
+	// an intra-host socket they are the peer side's RX and TX; for an
+	// inter-host socket they are this host's local copies, synchronized
+	// by RDMA.
 	TX, RX *shm.Ring
 	// CreditIn is the 8-byte credit word the remote receiver writes with
 	// one-sided RDMA (inter-host only; MR-registered).
@@ -183,35 +183,36 @@ type SideState struct {
 }
 
 // IntraSock is the SHM segment payload for an intra-host socket: one
-// duplex ring pair plus both endpoints' state, so either process (and all
-// their forked children) can reach everything through one capability.
+// duplex ring pair (A's TX is B's RX and the reverse) plus both endpoints'
+// state, so either process (and all their forked children) can reach
+// everything through one capability.
 type IntraSock struct {
 	QID  uint64
-	D    *shm.Duplex
-	A, B *SideState // A = connecting side, B = accepting side
+	A, B SideState // A = connecting side, B = accepting side
 
 	// released latches when the segment and rings were given back, by the
 	// last closer or by the monitor's crash cleanup, whichever gets there.
 	released atomic.Bool
 }
 
-// NewIntraSock wires a duplex of two rings from the host's recycle list
-// (fresh ones when it is empty) into two SideStates.
+// NewIntraSock wires two rings from the host's recycle list (fresh ones
+// when it is empty) into two SideStates.
 func NewIntraSock(reg *shm.Registry, qid uint64, ringCap int) *IntraSock {
-	d := &shm.Duplex{AtoB: reg.GetRing(ringCap), BtoA: reg.GetRing(ringCap)}
-	a := &SideState{QID: qid, TX: d.AtoB, RX: d.BtoA}
-	b := &SideState{QID: qid, TX: d.BtoA, RX: d.AtoB}
+	is := &IntraSock{QID: qid}
+	a, b := &is.A, &is.B
+	a.QID, a.TX, a.RX = qid, reg.GetRing(ringCap), reg.GetRing(ringCap)
+	b.QID, b.TX, b.RX = qid, a.RX, a.TX
 	a.Refs.Store(1)
 	b.Refs.Store(1)
-	return &IntraSock{QID: qid, D: d, A: a, B: b}
+	return is
 }
 
 // Peer returns the other endpoint's state (sleep/wake checks).
 func (s *IntraSock) Peer(side *SideState) *SideState {
-	if side == s.A {
-		return s.B
+	if side == &s.A {
+		return &s.B
 	}
-	return s.A
+	return &s.A
 }
 
 // ProcLink is what the monitor hands a process at registration: one

@@ -304,12 +304,7 @@ func (e *tcpEP) flushCredit(ctx exec.Context) {
 // closing it, since the peer may still be mid-switch on it, and the
 // idempotent framing heals any bytes that went to the abandoned conn.
 func (l *Libsd) onDegraded(ctx exec.Context, m *ctlmsg.Msg) {
-	set := l.socks[m.QID]
-	var any *Socket
-	for s := range set {
-		any = s
-		break
-	}
+	any := l.socks[m.QID]
 	if any == nil {
 		return
 	}
@@ -317,7 +312,7 @@ func (l *Libsd) onDegraded(ctx exec.Context, m *ctlmsg.Msg) {
 	if m.Status != ctlmsg.StatusOK {
 		// No TCP route either: the peer is genuinely unreachable. Now — and
 		// only now — the failure surfaces to the application as a dead peer.
-		for s := range set {
+		for s := any; s != nil; s = s.sib {
 			if oe, ok := s.ep.(*rdmaEP); ok {
 				oe.peerDeadFlg.Store(true)
 			}
@@ -350,7 +345,7 @@ func (l *Libsd) onDegraded(ctx exec.Context, m *ctlmsg.Msg) {
 		obs.Trigger(obs.TrigDegraded, l.H.Clk.Now(), "rescue TCP installed on "+l.H.Name)
 	}
 	var olds []*rdmaEP
-	for s := range l.socks[m.QID] {
+	for s := l.socks[m.QID]; s != nil; s = s.sib {
 		if oe, ok := s.ep.(*rdmaEP); ok {
 			olds = append(olds, oe)
 		}

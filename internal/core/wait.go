@@ -324,9 +324,15 @@ var errAskAgain = errors.New("libsd: no answer, asking again")
 // awaitCtl starts the silence clock for the request m, just sent: that of the
 // dispatch loop m routed to, so a wedged shard times out while siblings chat.
 func (l *Libsd) awaitCtl(m *ctlmsg.Msg, silent error) *ctlWait {
+	return l.awaitCtlIn(new(ctlWait), m, silent)
+}
+
+// awaitCtlIn is awaitCtl in c, a wait its caller keeps (a dial's record).
+func (l *Libsd) awaitCtlIn(c *ctlWait, m *ctlmsg.Msg, silent error) *ctlWait {
 	now := l.H.Clk.Now()
-	return &ctlWait{l: l, m: m, start: now, lastPing: now, asked: now,
+	*c = ctlWait{l: l, m: m, start: now, lastPing: now, asked: now,
 		epoch: l.monEpoch.Load(), shard: int32(l.ctlShard(m)), silent: silent}
+	return c
 }
 
 // wait is the wait for c's answer.

@@ -188,6 +188,13 @@ func (m *Msg) SetHost(h string) {
 	m.Host = z
 }
 
+// HostIs reports whether the stored host name is h, without building a
+// string from the stored bytes.
+func (m *Msg) HostIs(h string) bool {
+	n := len(h)
+	return n <= len(m.Host) && string(m.Host[:n]) == h && (n == len(m.Host) || m.Host[n] == 0)
+}
+
 // HostStr returns the stored host name.
 func (m *Msg) HostStr() string {
 	for i, b := range m.Host {

@@ -1168,7 +1168,10 @@ func (m *Monitor) releaseBacklogSlot(port uint16, ref listenerRef) {
 // --- connect dispatch ---
 
 func (m *Monitor) onConnect(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
-	dst := cm.HostStr()
+	dst := m.H.Name // an intra-host dial builds no string
+	if !cm.HostIs(dst) {
+		dst = cm.HostStr()
+	}
 	allowed := m.policy(pc.p.UID, dst, cm.Port)
 	c := m.shardOf(cm.ConnID).conns[cm.ConnID]
 	dup := c != nil && c.dispatched()
@@ -1242,7 +1245,7 @@ func (m *Monitor) dispatchIntra(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) 
 		return
 	}
 	is := core.NewIntraSock(m.H.SHM, cm.ConnID, SockRingCap())
-	seg := m.H.SHM.Create(fmt.Sprintf("intra-%d", cm.ConnID), is)
+	seg := m.H.SHM.Create(is)
 	sh := m.shardOf(cm.ConnID)
 	c := sh.conn(cm.ConnID)
 	c.pids, c.owner, c.shmTok = [2]int{pc.p.PID, ref.pid}, ref.pid, seg.Token

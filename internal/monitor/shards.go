@@ -52,6 +52,7 @@ type mshard struct {
 	// served by one loop (per-key FIFO, as §4.1.1's token queue needs).
 	ports    map[uint16]*portRec      // port -> listeners, their backlogs, the cursor
 	conns    map[uint64]*connRec      // qid -> everything known about the connection
+	freeRecs []*connRec               // dropped records, blank, for conn to reuse
 	sleepers map[int]map[int]struct{} // pid -> tids parked in interrupt mode
 	steals   map[uint64]stealReq      // in-flight work-steal requests
 	stealSeq uint64
@@ -239,26 +240,44 @@ func newShard(m *Monitor, idx int) *mshard {
 }
 
 // conn returns the record of connection qid, making it at this first
-// mention.
+// mention: a record dropConn kept if there is one.
 func (sh *mshard) conn(qid uint64) *connRec {
 	c := sh.conns[qid]
 	if c == nil {
-		c = &connRec{}
+		if n := len(sh.freeRecs); n > 0 {
+			c = sh.freeRecs[n-1]
+			sh.freeRecs = sh.freeRecs[:n-1]
+		} else {
+			c = &connRec{}
+		}
 		sh.conns[qid] = c
 	}
 	return c
 }
 
+// maxFreeRecs bounds a shard's list of dropped records: a crash cleanup
+// that drops thousands keeps only this many for the dials after it.
+const maxFreeRecs = 64
+
 // dropConn removes everything the shard knows about connection qid; every
 // path that ends the connection's last local endpoint comes here. A
 // connection still counted against a listener's backlog (it ended before its
 // KAcceptDone was handled) gives the slot back; the late KAcceptDone then
-// finds no record.
+// finds no record. The record itself is blanked and kept for the next
+// connection; no handler holds one across a drop.
 func (sh *mshard) dropConn(qid uint64) {
-	if c := sh.conns[qid]; c != nil && c.queued {
+	c := sh.conns[qid]
+	if c == nil {
+		return
+	}
+	if c.queued {
 		sh.m.releaseBacklogSlot(c.lport, c.lref)
 	}
 	delete(sh.conns, qid)
+	if len(sh.freeRecs) < maxFreeRecs {
+		*c = connRec{}
+		sh.freeRecs = append(sh.freeRecs, c)
+	}
 }
 
 // owner returns the local pid that answers for connection qid, 0 if none.

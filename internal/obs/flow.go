@@ -78,7 +78,7 @@ type Flow struct {
 	// (ring occupancy high-water, current monitor epoch). Set once at
 	// registration, called under the registry lock at snapshot time;
 	// Freeze replaces it with its last reading.
-	probe  func(*FlowSnapshot)
+	probe  Prober
 	frozen struct {
 		ringHW int64
 		epoch  uint32
@@ -160,13 +160,20 @@ func (f *Flow) SetState(s FlowState) {
 	}
 }
 
-// SetProbe installs the snapshot callback (see Flow.probe).
-func (f *Flow) SetProbe(fn func(*FlowSnapshot)) {
+// Prober is a flow's owning endpoint, asked at snapshot time for what only
+// it can read (see Flow.probe). An interface, not a closure: the endpoint is
+// its own prober, and a pointer in an interface costs no allocation.
+type Prober interface {
+	Probe(*FlowSnapshot)
+}
+
+// SetProbe installs the flow's prober (see Flow.probe).
+func (f *Flow) SetProbe(p Prober) {
 	if f == nil {
 		return
 	}
 	flows.mu.Lock()
-	f.probe = fn
+	f.probe = p
 	flows.mu.Unlock()
 }
 
@@ -248,7 +255,7 @@ func Flows() []FlowSnapshot {
 			Shard:     shard.Of(f.key.QID, shard.DefaultCount),
 		}
 		if f.probe != nil {
-			f.probe(&s)
+			f.probe.Probe(&s)
 		}
 		out = append(out, s)
 	}

@@ -395,6 +395,11 @@ func TestRecordHopUntraced(t *testing.T) {
 	}
 }
 
+// probeFunc is a function as a Prober.
+type probeFunc func(*FlowSnapshot)
+
+func (fn probeFunc) Probe(fs *FlowSnapshot) { fn(fs) }
+
 // TestFlowTable exercises registration, accounting and snapshots.
 func TestFlowTable(t *testing.T) {
 	Reset()
@@ -405,7 +410,7 @@ func TestFlowTable(t *testing.T) {
 	f.AddRx(30)
 	f.Takeover()
 	f.NoteReset()
-	f.SetProbe(func(fs *FlowSnapshot) { fs.RingHW = 4096; fs.Epoch = 2 })
+	f.SetProbe(probeFunc(func(fs *FlowSnapshot) { fs.RingHW = 4096; fs.Epoch = 2 }))
 	var nilFlow *Flow
 	nilFlow.AddTx(1) // all methods must be nil-safe
 	nilFlow.NoteReset()

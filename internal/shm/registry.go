@@ -14,11 +14,10 @@ type Token uint64
 // ErrBadToken is returned when attaching with a wrong or revoked token.
 var ErrBadToken = errors.New("shm: bad segment token")
 
-// Segment is one named shared-memory object: typically a *Ring, a *Duplex,
-// or a higher-level structure (socket metadata after fork, §4.1.2).
+// Segment is one shared-memory object: typically a *Ring, a *Duplex, or a
+// higher-level structure (socket metadata after fork, §4.1.2).
 type Segment struct {
 	Token Token
-	Name  string
 	Obj   any
 }
 
@@ -44,7 +43,7 @@ func NewRegistry(seed uint64) *Registry {
 }
 
 // Create registers obj and returns its segment (with a fresh secret token).
-func (g *Registry) Create(name string, obj any) *Segment {
+func (g *Registry) Create(obj any) *Segment {
 	g.next++
 	// splitmix64 over a counter: unguessable enough for a simulation,
 	// deterministic for a given seed.
@@ -52,7 +51,7 @@ func (g *Registry) Create(name string, obj any) *Segment {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	tok := Token(z ^ (z >> 31))
-	s := &Segment{Token: tok, Name: name, Obj: obj}
+	s := &Segment{Token: tok, Obj: obj}
 	g.segs[tok] = s
 	mSegmentsLive.Add(1)
 	return s

@@ -276,7 +276,7 @@ func TestLockedRing(t *testing.T) {
 
 func TestRegistryAccessControl(t *testing.T) {
 	g := NewRegistry(42)
-	seg := g.Create("queue", NewDuplex(1024))
+	seg := g.Create(NewDuplex(1024))
 	if _, err := g.Attach(seg.Token); err != nil {
 		t.Fatalf("legitimate attach failed: %v", err)
 	}
@@ -292,7 +292,7 @@ func TestRegistryAccessControl(t *testing.T) {
 func TestRegistryDeterministicTokens(t *testing.T) {
 	a, b := NewRegistry(7), NewRegistry(7)
 	for i := 0; i < 5; i++ {
-		if a.Create("x", nil).Token != b.Create("x", nil).Token {
+		if a.Create(nil).Token != b.Create(nil).Token {
 			t.Fatal("same seed produced different tokens")
 		}
 	}
