@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"socksdirect/internal/ctlmsg"
@@ -50,96 +51,94 @@ type pendingAccept struct {
 	sock *Socket // RDMA connections are built eagerly at dispatch
 }
 
-// rdmaLocal is the bundle of per-host RDMA resources backing one socket
-// endpoint.
-type rdmaLocal struct {
-	side     *SideState
-	qp       *rdma.QP
-	rxMR     *rdma.MR
-	creditMR *rdma.MR
-	tailMR   *rdma.MR
+// interSide is one inter-host side on its host, allocated as one object: the
+// shared socket state, the RDMA resources behind it and the storage its lists
+// start in. Nothing in it is recycled (a closed Socket still points at its
+// side), so a dial makes one per end.
+type interSide struct {
+	side SideState
+	qp   *rdma.QP
+	mr   [3]rdma.MR // over the RX ring, CreditIn and TailIn
+	ep   rdmaEP     // the side's endpoint, made by newEP
+
+	// First backing of side.mrs, side.eps and side.PoolFree. Fork and
+	// recovery add MRs and endpoints, and a peer may advertise a bigger pool:
+	// append moves those out.
+	mrs      [3]*rdma.MR
+	eps      [1]*rdmaEP
+	poolFree [zcPoolPages]int32
 }
 
-// newRdmaLocal builds rings, MRs, a QP and the pinned zero-copy pool for
+// newInterSide builds rings, MRs, a QP and the pinned zero-copy pool for
 // one inter-host socket endpoint, and registers the shared state as a SHM
 // segment (socket buffers live in SHM so fork keeps working, §4.1.2).
 // Rings come from the host's recycle list and the pool from the process's
 // (lifecycle.go); MRs are per connection, so an old peer's keys die with
 // its connection. qp is a parked QP to build the endpoint on, or nil to
 // create one.
-func (l *Libsd) newRdmaLocal(ctx exec.Context, qid uint64, qp *rdma.QP) (*rdmaLocal, error) {
-	side := &SideState{
-		QID: qid,
-		TX:  l.H.SHM.GetRing(ringCap),
-		RX:  l.H.SHM.GetRing(ringCap),
-	}
+func (l *Libsd) newInterSide(ctx exec.Context, qid uint64, qp *rdma.QP) (*interSide, error) {
+	is := &interSide{}
+	side := &is.side
+	side.QID = qid
+	side.TX, side.RX = l.H.SHM.GetRing(ringCap), l.H.SHM.GetRing(ringCap)
 	side.CreditIn, side.TailIn = side.words[0][:], side.words[1][:]
 	side.Refs.Store(1)
-	rl := &rdmaLocal{side: side}
-	rl.rxMR = l.pd.RegisterBytes(side.RX.Data())
-	rl.creditMR = l.pd.RegisterBytes(side.CreditIn)
-	rl.tailMR = l.pd.RegisterBytes(side.TailIn)
-	side.mrs = []*rdma.MR{rl.rxMR, rl.creditMR, rl.tailMR}
-	if rl.qp = qp; qp == nil {
-		rl.qp = l.pd.CreateQP(l.sendCQ, l.recvCQ)
+	for i, b := range [3][]byte{side.RX.Data(), side.CreditIn, side.TailIn} {
+		is.mrs[i] = l.pd.RegisterBytesAt(&is.mr[i], b)
+	}
+	side.mrs, side.eps, side.PoolFree = is.mrs[:], is.eps[:0], is.poolFree[:0]
+	if is.qp = qp; qp == nil {
+		is.qp = l.pd.CreateQP(l.sendCQ, l.recvCQ)
 		if ctx != nil {
 			ctx.Charge(l.H.Costs.RDMAQPCreate)
 		}
 	}
 	pool, err := l.getZCPool(ctx)
 	if err != nil {
-		l.abandonRdmaLocal(rl)
+		l.abandonInter(is)
 		return nil, err
 	}
 	side.LocalPool = pool
 	side.segTok = l.H.SHM.Create(side).Token
-	return rl, nil
+	return is, nil
 }
 
-// abandonRdmaLocal releases an endpoint no peer was ever spliced to (a
+// abandonInter releases an endpoint no peer was ever spliced to (a
 // refused, timed-out or unroutable dial): the same routine as a graceful
 // close. If no endpoint was registered nothing touched the rings and they
 // are recycled; a dial that went out on a parked QP had one, and its twin
 // may have been adopted and written to them.
-func (l *Libsd) abandonRdmaLocal(rl *rdmaLocal) {
-	rl.qp.Close() // not registered with the side unless newEP ran
-	clean := len(rl.side.eps) == 0
-	l.releaseInter(rl.side, clean)
+func (l *Libsd) abandonInter(is *interSide) {
+	is.qp.Close() // not registered with the side unless newEP ran
+	clean := len(is.side.eps) == 0
+	l.releaseInter(&is.side, clean)
 }
 
 // desc fills the control-message fields describing this endpoint for the
 // peer: our QPN, where to write data (RX ring), credits (CreditIn) and
 // zero-copy pages (pool MR).
-func (rl *rdmaLocal) desc(m *ctlmsg.Msg) {
-	m.QPN = rl.qp.QPN()
-	m.RingRKey = rl.rxMR.RKey()
-	m.CreditRKey = rl.creditMR.RKey()
-	m.Secret = rl.tailMR.RKey() // tail word (Secret is unused in data setup)
-	m.SeqA = rl.side.LocalPool.mr.RKey()
+func (is *interSide) desc(m *ctlmsg.Msg) {
+	m.QPN = is.qp.QPN()
+	m.RingRKey = is.mr[0].RKey()
+	m.CreditRKey = is.mr[1].RKey()
+	m.Secret = is.mr[2].RKey() // tail word (Secret is unused in data setup)
+	m.SeqA = is.side.LocalPool.mr.RKey()
 	m.SeqB = zcPoolPages
 }
 
-// newEP wires an rdmaEP over local resources and registers it; where the
-// peer takes its writes comes with setPeer.
-func (l *Libsd) newEP(rl *rdmaLocal) *rdmaEP {
-	ep := &rdmaEP{
-		lib:      l,
-		side:     rl.side,
-		qp:       rl.qp,
-		batching: l.batching,
-	}
+// newEP wires the side's endpoint over its local resources and registers
+// it; where the peer takes its writes comes with setPeer. It runs once per
+// side.
+func (l *Libsd) newEP(is *interSide) *rdmaEP {
+	ep, side := &is.ep, &is.side
+	ep.lib, ep.side, ep.qp, ep.batching = l, side, is.qp, l.batching
 	// Keep our own rkeys in the shared state: failure recovery hands the
 	// unchanged keys to the peer's replacement QP (the MRs survive).
-	rl.side.SelfRingRKey = rl.rxMR.RKey()
-	rl.side.SelfCreditRKey = rl.creditMR.RKey()
-	rl.side.SelfTailRKey = rl.tailMR.RKey()
-	rl.side.creditEP.Store(&creditBox{ep})
-	rl.side.RX.SetCreditHook(func(read uint64) {
-		rl.side.LastCreditOut.Store(read)
-		if cb := rl.side.creditEP.Load(); cb != nil {
-			cb.ep.creditHook(read)
-		}
-	})
+	side.SelfRingRKey = is.mr[0].RKey()
+	side.SelfCreditRKey = is.mr[1].RKey()
+	side.SelfTailRKey = is.mr[2].RKey()
+	side.creditEP.Store(ep.boxed())
+	side.RX.SetCreditHook(side)
 	// Register for completion dispatch BEFORE the QP can receive: a
 	// completion with no registered endpoint would be dropped, losing a
 	// tail publication permanently.
@@ -149,7 +148,8 @@ func (l *Libsd) newEP(rl *rdmaLocal) *rdmaEP {
 
 // setPeer records the peer's descriptor: where its endpoint takes our
 // writes — RX ring, credit word, tail word, zero-copy pool with every slot
-// free — and which process holds it.
+// free — and which process holds it. The free-slot list reuses the side's
+// backing.
 func (e *rdmaEP) setPeer(peerHost string, m *ctlmsg.Msg) {
 	e.ringRKey, e.creditRKey, e.tailRKey = m.RingRKey, m.CreditRKey, m.Secret
 	e.peerPID = m.PID
@@ -157,10 +157,11 @@ func (e *rdmaEP) setPeer(peerHost string, m *ctlmsg.Msg) {
 	side.PeerHost = peerHost
 	side.PoolRKey = m.SeqA
 	side.PoolRemote = int(m.SeqB)
-	side.PoolFree = make([]int32, m.SeqB)
-	for i := range side.PoolFree {
-		side.PoolFree[i] = int32(i)
+	free := slices.Grow(side.PoolFree[:0], int(m.SeqB))[:m.SeqB]
+	for i := range free {
+		free[i] = int32(i)
 	}
+	side.PoolFree = free
 }
 
 // open connects e's QP to the peer's in the order InfiniBand's REQ/REP/RTU
@@ -407,13 +408,13 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 	if dstHost != l.H.Name {
 		// Remote target: prepare our RDMA endpoint optimistically and ship
 		// its descriptor with the SYN (the monitors splice the two ends).
-		qp := l.takeParked(dstHost, 0, 0, 0)
-		rl, err := l.newRdmaLocal(ctx, connID, qp)
+		qp := l.takeParked(func(h string) bool { return h == dstHost }, 0, 0, 0)
+		is, err := l.newInterSide(ctx, connID, qp)
 		if err != nil {
 			return nil, nil, err
 		}
-		pc.rl = rl
-		rl.desc(m)
+		pc.inter, pc.host = is, dstHost
+		is.desc(m)
 		if qp != nil {
 			// Offer the pair: the QP is still connected to its twin, which
 			// the accepting process adopts if it has it parked. Then its QP
@@ -421,9 +422,9 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 			// endpoint is registered before the SYN leaves; the peer's keys
 			// come with the answer.
 			_, m.RemoteQPN = qp.Peer()
-			ep := l.newEP(rl)
+			ep := l.newEP(is)
 			ep.offered = true
-			pc.sock = &Socket{lib: l, side: rl.side, ep: ep}
+			pc.sock = &Socket{lib: l, side: &is.side, ep: ep}
 		}
 	}
 	l.sendCtl(ctx, m)
@@ -433,11 +434,11 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 	c.deadline.Store(deadline)
 	abandon := func() {
 		delete(l.pending, connID)
-		if pc.rl != nil && !l.P.Dead() {
+		if pc.inter != nil && !l.P.Dead() {
 			// Give back the optimistic endpoint and the monitor's records
 			// of the dial; its QP never connected. (A killed process's are
 			// reclaimed with it.)
-			l.abandonRdmaLocal(pc.rl)
+			l.abandonInter(pc.inter)
 			l.noteClosed(connID)
 		}
 	}
@@ -567,19 +568,22 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			// to an offer is a fresh endpoint to re-target at, and so is a
 			// second answer for the same dial: a steal re-dispatched it
 			// (KStealReq).
-			s := pc.sock
+			s, peer := pc.sock, pc.host // the answer names the host dialed: reuse its name
+			if !m.HostIs(peer) {
+				peer = m.HostStr()
+			}
 			var err error
 			if s == nil {
-				ep := l.newEP(pc.rl)
-				ep.setPeer(m.HostStr(), m)
-				s = &Socket{lib: l, side: pc.rl.side, ep: ep}
-				err = ep.open(m.HostStr(), m.QPN, false)
+				ep := l.newEP(pc.inter)
+				ep.setPeer(peer, m)
+				s = &Socket{lib: l, side: &pc.inter.side, ep: ep}
+				err = ep.open(peer, m.QPN, false)
 			} else {
 				ep := s.ep.(*rdmaEP)
 				if _, twin := ep.qp.Peer(); ep.offered && twin == m.QPN {
-					ep.setPeer(m.HostStr(), m)
+					ep.setPeer(peer, m)
 				} else {
-					err = ep.retarget(m.HostStr(), m)
+					err = ep.retarget(peer, m)
 				}
 				ep.offered = false
 			}
@@ -612,7 +616,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			var qp *rdma.QP
 			if m.RemoteQPN != 0 {
 				if m.PID != 0 {
-					qp = l.takeParked(m.HostStr(), m.PID, m.RemoteQPN, m.QPN)
+					qp = l.takeParked(m.HostIs, m.PID, m.RemoteQPN, m.QPN)
 				}
 				if qp != nil {
 					mParkHits.Inc()
@@ -620,22 +624,28 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 					mParkMisses.Inc()
 				}
 			}
-			rl, err := l.newRdmaLocal(ctx, m.ConnID, qp)
+			var peer string // a twin is connected to m's host: reuse its name
+			if qp != nil {
+				peer, _ = qp.Peer()
+			} else {
+				peer = m.HostStr()
+			}
+			is, err := l.newInterSide(ctx, m.ConnID, qp)
 			if err != nil {
 				return
 			}
-			ep := l.newEP(rl)
-			ep.setPeer(m.HostStr(), m)
+			ep := l.newEP(is)
+			ep.setPeer(peer, m)
 			if qp == nil {
 				// Passive: the dialer connects only when our descriptor has
 				// made it back to it; accept's MAck waits in the QP for its
 				// RTU.
-				if err := ep.open(m.HostStr(), m.QPN, true); err != nil {
-					l.abandonRdmaLocal(rl)
+				if err := ep.open(peer, m.QPN, true); err != nil {
+					l.abandonInter(is)
 					return
 				}
 			}
-			sock = &Socket{lib: l, side: rl.side, ep: ep}
+			sock = &Socket{lib: l, side: &is.side, ep: ep}
 			var res ctlmsg.Msg
 			res.Kind = ctlmsg.KMSynAck
 			res.ConnID = m.ConnID
@@ -643,7 +653,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			res.PID = int64(l.P.PID)
 			res.TraceID = m.TraceID // keep the connect's causal chain alive
 			res.SpanID = m.SpanID
-			rl.desc(&res)
+			is.desc(&res)
 			res.SetHost(l.H.Name)
 			l.sendCtl(ctx, &res)
 		}
@@ -746,7 +756,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			}
 			s.ep = ep
 		}
-		any.side.creditEP.Store(&creditBox{ep})
+		any.side.creditEP.Store(ep.boxed())
 		if recovery {
 			// Unlike the fork flow (where the parent keeps using the old
 			// QP), recovery must retire the dead QP on both sides so a stale

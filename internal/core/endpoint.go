@@ -54,6 +54,16 @@ type creditBox struct {
 	ep creditPoster
 }
 
+// CreditReturned is an inter-host side's RX credit hook (shm.CreditHook):
+// it keeps the credit for recovery to re-post and mirrors it to the peer
+// through the side's current credit poster.
+func (s *SideState) CreditReturned(read uint64) {
+	s.LastCreditOut.Store(read)
+	if cb := s.creditEP.Load(); cb != nil {
+		cb.ep.creditHook(read)
+	}
+}
+
 // --- intra-host: shared memory, cache-coherent, zero software between the
 // two rings ---
 
@@ -155,6 +165,15 @@ type rdmaEP struct {
 	// recover.go re-establishes a QP or degrades to kernel TCP.
 	failed atomic.Bool
 	rec    recoverState
+
+	box creditBox // e as SideState.creditEP holds it (boxed)
+}
+
+// boxed returns e in its own creditBox, so installing it as the side's
+// credit poster allocates nothing.
+func (e *rdmaEP) boxed() *creditBox {
+	e.box.ep = e
+	return &e.box
 }
 
 const (

@@ -179,7 +179,7 @@ func (f *forkedRdmaEP) materialize(ctx exec.Context) *rdmaEP {
 				tailRKey: f.tailRKey,
 				batching: f.lib.batching,
 			}
-			side.creditEP.Store(&creditBox{ep})
+			side.creditEP.Store(ep.boxed())
 			f.lib.registerEP(ep) // before the QP can receive: see newEP
 			// Active: the peer's new QP holds its writes until this RTU.
 			if err := ep.open(pr.peerHost, f.peerQPN, false); err != nil {

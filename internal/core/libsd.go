@@ -163,7 +163,8 @@ type pendingConn struct {
 	status   atomic.Int32 // 0 pending, 1 ok, 2 failed
 	errCode  uint8
 	sock     *Socket
-	rl       *rdmaLocal
+	inter    *interSide // a remote dial's side, built before the SYN goes out
+	host     string     // the dialed host
 	kernelFD int
 
 	syn ctlmsg.Msg // the request, which ctl re-sends

@@ -88,16 +88,16 @@ func (l *Libsd) parkQP(ep *rdmaEP) bool {
 	return true
 }
 
-// takeParked hands out the newest parked QP connected to host — and, where
-// given, to that process there, or with that QPN to exactly that QPN there.
-// A parked QP may have been errored since (fault injection, a NIC event): it
-// is closed, never handed out.
-func (l *Libsd) takeParked(host string, pid int64, qpn, peerQPN uint32) (got *rdma.QP) {
+// takeParked hands out the newest parked QP connected to a host that isHost
+// accepts — and, where given, to that process there, or with that QPN to
+// exactly that QPN there. A parked QP may have been errored since (fault
+// injection, a NIC event): it is closed, never handed out.
+func (l *Libsd) takeParked(isHost func(string) bool, pid int64, qpn, peerQPN uint32) (got *rdma.QP) {
 	var errored []*rdma.QP
 	for i := len(l.parked) - 1; i >= 0 && got == nil; i-- {
 		p := l.parked[i]
 		h, q := p.qp.Peer()
-		if host != "" && h != host || pid != 0 && p.peerPID != pid ||
+		if !isHost(h) || pid != 0 && p.peerPID != pid ||
 			qpn != 0 && (p.qp.QPN() != qpn || q != peerQPN) {
 			continue
 		}
@@ -118,7 +118,8 @@ func (l *Libsd) takeParked(host string, pid int64, qpn, peerQPN uint32) (got *rd
 // closeParked closes the parked QPs whose twin is on host ("": any) and, if
 // pid is given, in that process: it died, and the twins with it.
 func (l *Libsd) closeParked(host string, pid int64) {
-	for qp := l.takeParked(host, pid, 0, 0); qp != nil; qp = l.takeParked(host, pid, 0, 0) {
+	on := func(h string) bool { return host == "" || h == host }
+	for qp := l.takeParked(on, pid, 0, 0); qp != nil; qp = l.takeParked(on, pid, 0, 0) {
 		qp.Close()
 	}
 }

@@ -223,7 +223,7 @@ func (e *rdmaEP) finishRecovery(ctx exec.Context, r *recoverState, pr pendingReQ
 			flow = s.flow
 		}
 	}
-	e.side.creditEP.Store(&creditBox{ep2})
+	e.side.creditEP.Store(ep2.boxed())
 	// Retire the dead QP on our side too: its QPN must never match a stale
 	// in-flight packet against recycled ring offsets.
 	e.qp.Close()

@@ -102,14 +102,15 @@ func heapAllocs() uint64 {
 
 // TestDialCycleAllocs: an intra-host dial, 8-byte echo and close allocates
 // only what outlives it — the two Sockets and their sdstat flow rows (users
-// and the flow table keep them after Close), the IntraSock and its segment —
-// plus the test's request buffer and the amortised growth of the flow table:
-// 8.06 a cycle when the test runs alone (6.34 after the package's other
-// tests, whose flow rows it meets again under the same keys). The per-dial
-// records (the pending dial with its SYN and control wait, the dispatched
-// connection, the monitor's connection record) come from free lists on their
-// owners, the FD table holds entries by value and a socket's SHM endpoint is
-// part of the Socket. A refused dial allocates nothing.
+// and the flow table keep them after Close) and the IntraSock, whose segment
+// is an entry of the registry's map — plus the test's request buffer and the
+// amortised growth of the flow table: 7.06 a cycle when the test runs alone
+// (5.30 after the package's other tests, whose flow rows it meets again under
+// the same keys). The per-dial records (the pending dial with its SYN and
+// control wait, the dispatched connection, the monitor's connection record)
+// come from free lists on their owners, the FD table holds entries by value
+// and a socket's SHM endpoint is part of the Socket. A refused dial allocates
+// nothing.
 func TestDialCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -176,10 +177,47 @@ func TestDialCycleAllocs(t *testing.T) {
 	})
 }
 
-// The budgets of TestDialCycleAllocs.
+// TestInterDialCycleAllocs is TestDialCycleAllocs across two hosts: every
+// warm cycle goes out on the QP pair the last one parked and allocates what
+// outlives it — the two Sockets, their flow rows and each end's interSide —
+// plus the test's request buffer: 8.1 a cycle (39.0 when the monitor channel
+// made a landing buffer per message and decoded into a fresh one, and an
+// inter-host side was twelve objects).
+func TestInterDialCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const warm, cycles = 20, 100
+	w := boundaryWorld(t)
+	monitor.Peer(w.ma, w.mb)
+	sp, sl := proc(t, w.b, "server", 0)
+	cp, cl := proc(t, w.a, "client", 1000)
+	sp.Spawn("srv", echoServer(t, sl, 7625))
+	var allocs uint64
+	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		for i := 0; i < warm+cycles; i++ {
+			if i == warm {
+				allocs = heapAllocs()
+			}
+			echoOnce(t, ctx, th, cl, "hostB", 7625)
+		}
+		allocs = heapAllocs() - allocs
+		sp.Signal(ctx, host.SIGKILL)
+	})
+	w.sim.Run()
+	per := float64(allocs) / cycles
+	t.Logf("%.2f allocations per two-host dial-echo-close cycle", per)
+	if per > interDialCycleAllocs {
+		t.Errorf("%.2f allocations per cycle, want at most %v", per, interDialCycleAllocs)
+	}
+}
+
+// The budgets of TestDialCycleAllocs and TestInterDialCycleAllocs.
 const (
-	dialCycleAllocs   = 9
-	refusedDialAllocs = 0.1
+	dialCycleAllocs      = 9
+	refusedDialAllocs    = 0.1
+	interDialCycleAllocs = 9
 )
 
 // TestDialReturnsWhenAnswered is the lost wake-up a careless idle predicate

@@ -6,7 +6,10 @@
 // paper's design states in §3).
 package ctlmsg
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // Kind enumerates control message types.
 type Kind uint8
@@ -188,22 +191,20 @@ func (m *Msg) SetHost(h string) {
 	m.Host = z
 }
 
-// HostIs reports whether the stored host name is h, without building a
-// string from the stored bytes.
-func (m *Msg) HostIs(h string) bool {
-	n := len(h)
-	return n <= len(m.Host) && string(m.Host[:n]) == h && (n == len(m.Host) || m.Host[n] == 0)
+// HostBytes returns the stored host name as a view of m.Host.
+func (m *Msg) HostBytes() []byte {
+	if i := bytes.IndexByte(m.Host[:], 0); i >= 0 {
+		return m.Host[:i]
+	}
+	return m.Host[:]
 }
 
+// HostIs reports whether the stored host name is h, without building a
+// string from the stored bytes.
+func (m *Msg) HostIs(h string) bool { return string(m.HostBytes()) == h }
+
 // HostStr returns the stored host name.
-func (m *Msg) HostStr() string {
-	for i, b := range m.Host {
-		if b == 0 {
-			return string(m.Host[:i])
-		}
-	}
-	return string(m.Host[:])
-}
+func (m *Msg) HostStr() string { return string(m.HostBytes()) }
 
 // Marshal encodes into a fixed Size-byte buffer.
 func (m *Msg) Marshal(out []byte) []byte {

@@ -52,18 +52,28 @@ var (
 )
 
 type frame struct {
-	id     PageID
-	data   []byte
-	refs   int
-	pinned bool
+	id     PageID        // 0: the entry is dead
+	data   []byte        // nil until first touched (bytes): the frame reads as zeros
 	home   *AddressSpace // pool that reclaims this frame at refs==0
+	refs   int32
+	pinned bool
 }
 
-// The frame table is indexed by id in chunks of frameChunkLen. Ids are
-// handed out in order and never reused, so a dead frame's slot stays nil for
-// good (a stale or forged id finds nothing), and a chunk whose frames have
-// all died is dropped: what stays allocated follows the live frames. The
-// directory keeps one nil pointer per dropped chunk.
+// bytes returns the frame's backing bytes, making them, zeroed, at the first
+// touch: a pinned pool is 128 frames, and most of them are never written.
+func (f *frame) bytes() []byte {
+	if f.data == nil {
+		f.data = make([]byte, PageSize)
+	}
+	return f.data
+}
+
+// The frame table is indexed by id in chunks of frameChunkLen that hold the
+// frames by value. Ids are handed out in order and never reused, so a dead
+// frame's entry stays blank (id 0) for good and a stale or forged id finds
+// nothing; a chunk whose frames have all died is dropped: what stays
+// allocated follows the live frames. The directory keeps one nil pointer per
+// dropped chunk.
 const (
 	frameChunkShift = 8
 	frameChunkLen   = 1 << frameChunkShift
@@ -71,7 +81,7 @@ const (
 
 type frameChunk struct {
 	live int
-	f    [frameChunkLen]*frame
+	f    [frameChunkLen]frame
 }
 
 // PhysMem is the host's physical memory: the frame allocator plus the
@@ -99,10 +109,11 @@ func (pm *PhysMem) charge(ctx exec.Context, d int64) {
 	}
 }
 
+// allocFrame makes a frame without bytes (the first touch makes them).
 func (pm *PhysMem) allocFrame(home *AddressSpace) *frame {
 	pm.next++
-	f := &frame{id: pm.next, data: make([]byte, PageSize), refs: 1, home: home}
-	c := int(f.id >> frameChunkShift)
+	id := pm.next
+	c := int(id >> frameChunkShift)
 	if c == len(pm.chunks) {
 		// The chunk being left takes no more ids: if nothing in it is
 		// alive, nothing will drop it later.
@@ -111,8 +122,10 @@ func (pm *PhysMem) allocFrame(home *AddressSpace) *frame {
 		}
 		pm.chunks = append(pm.chunks, new(frameChunk))
 	}
-	pm.chunks[c].f[f.id&(frameChunkLen-1)] = f
-	pm.chunks[c].live++
+	ch := pm.chunks[c]
+	f := &ch.f[id&(frameChunkLen-1)]
+	*f = frame{id: id, refs: 1, home: home}
+	ch.live++
 	pm.live++
 	return f
 }
@@ -123,7 +136,10 @@ func (pm *PhysMem) frame(id PageID) *frame {
 	if c >= uint64(len(pm.chunks)) || pm.chunks[c] == nil {
 		return nil
 	}
-	return pm.chunks[c].f[id&(frameChunkLen-1)]
+	if f := &pm.chunks[c].f[id&(frameChunkLen-1)]; f.id != 0 {
+		return f
+	}
+	return nil
 }
 
 // dropFrame takes a dead frame out of the table, and its chunk with it if
@@ -131,7 +147,7 @@ func (pm *PhysMem) frame(id PageID) *frame {
 func (pm *PhysMem) dropFrame(f *frame) {
 	c := int(f.id >> frameChunkShift)
 	ch := pm.chunks[c]
-	ch.f[f.id&(frameChunkLen-1)] = nil
+	*f = frame{}
 	ch.live--
 	pm.live--
 	if ch.live == 0 && c != len(pm.chunks)-1 {
@@ -199,7 +215,7 @@ func (pm *PhysMem) FrameRefs(id PageID) int {
 	if f == nil {
 		return 0
 	}
-	return f.refs
+	return int(f.refs)
 }
 
 // Unref drops one reference from each frame (releasing a transfer that
@@ -257,8 +273,8 @@ func (pm *PhysMem) PinnedCount() int {
 		if ch == nil {
 			continue
 		}
-		for _, f := range ch.f {
-			if f != nil && f.pinned {
+		for i := range ch.f {
+			if ch.f[i].pinned { // a dead entry is blank
 				n++
 			}
 		}
@@ -267,13 +283,14 @@ func (pm *PhysMem) PinnedCount() int {
 }
 
 // FrameData exposes a frame's backing bytes to trusted subsystems (the
-// simulated NIC DMA engine). Untrusted code never sees PageIDs unobfuscated.
+// simulated NIC DMA engine), making them if the frame was never touched.
+// Untrusted code never sees PageIDs unobfuscated.
 func (pm *PhysMem) FrameData(id PageID) ([]byte, error) {
 	f := pm.frame(id)
 	if f == nil {
 		return nil, ErrBadPage
 	}
-	return f.data, nil
+	return f.bytes(), nil
 }
 
 func (pm *PhysMem) unref(f *frame) {
@@ -355,9 +372,9 @@ func (as *AddressSpace) Alloc(n int) VAddr {
 }
 
 // takeFrame pops a pooled frame or allocates a fresh one. A pooled
-// frame still holds its last owner's bytes: zero says the caller needs them
-// gone, which the fault handler, about to overwrite the whole frame, does
-// not.
+// frame still holds its last owner's bytes, if it was ever touched: zero
+// says the caller needs them gone, which the fault handler, about to
+// overwrite the whole frame, does not.
 func (as *AddressSpace) takeFrame(zero bool) *frame {
 	if n := len(as.pool); n > 0 {
 		f := as.pool[n-1]
@@ -413,7 +430,14 @@ func (as *AddressSpace) Read(addr VAddr, out []byte) error {
 		if e == nil {
 			return fmt.Errorf("%w: %#x", ErrUnmapped, uint64(a))
 		}
-		off += copy(out[off:], e.f.data[int(a)&(PageSize-1):])
+		po := int(a) & (PageSize - 1)
+		if e.f.data == nil { // never touched: zeros
+			z := out[off:min(n, off+PageSize-po)]
+			clear(z)
+			off += len(z)
+			continue
+		}
+		off += copy(out[off:], e.f.data[po:])
 	}
 	return nil
 }
@@ -441,7 +465,11 @@ func (as *AddressSpace) Write(ctx exec.Context, addr VAddr, data []byte) error {
 			// Not zeroed: one of the two copies below covers the frame.
 			f := as.takeFrame(false)
 			if chunk < PageSize {
-				copy(f.data, e.f.data) // partial overwrite: real COW copy
+				// Partial overwrite: real COW copy, of zeros if the page
+				// was never touched.
+				if copy(f.bytes(), e.f.data) == 0 {
+					clear(f.data)
+				}
 				charge += as.pm.costs.PageCopy4K
 			}
 			charge += as.pm.costs.PageFault
@@ -449,7 +477,7 @@ func (as *AddressSpace) Write(ctx exec.Context, addr VAddr, data []byte) error {
 			e.f = f
 			e.cow = false
 		}
-		copy(e.f.data[po:], data[off:off+chunk])
+		copy(e.f.bytes()[po:], data[off:off+chunk])
 		off += chunk
 	}
 	as.pm.charge(ctx, charge)

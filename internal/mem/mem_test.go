@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"socksdirect/internal/costmodel"
+	"socksdirect/internal/exec"
 )
 
 func newAS(t *testing.T) (*PhysMem, *AddressSpace, *AddressSpace) {
@@ -415,4 +419,158 @@ func TestFrameTableFollowsLiveFrames(t *testing.T) {
 	if !as.Mapped(keep) || pm.PinnedCount() != 0 {
 		t.Fatal("kept frame lost")
 	}
+}
+
+// backed counts the frames among ids whose bytes have been made.
+func backed(pm *PhysMem, ids []PageID) int {
+	n := 0
+	for _, id := range ids {
+		if pm.frame(id).data != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPinnedPoolIsBackedOnFirstTouch: a 128-frame pinned pool (libsd's
+// zero-copy receive pool, §4.3) costs a few objects and no page bytes to
+// build, pinning still charges one page op per frame, and a DMA write into
+// one frame, the way the NIC makes it (FrameData, then a copy), backs
+// exactly that frame.
+func TestPinnedPoolIsBackedOnFirstTouch(t *testing.T) {
+	costs := costmodel.Default
+	pm := NewPhysMem(0xdeadbeef, &costs)
+	as := NewAddressSpace(pm)
+	ctx := &chargeCounter{}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ids := as.FreshFrames(nil, 128)
+	err := pm.Pin(ctx, ids)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The id slice, the table's directory and one chunk of frames.
+	if n := after.Mallocs - before.Mallocs; n > 4 {
+		t.Errorf("building the pool made %d objects, want at most 4", n)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 32<<10 {
+		t.Errorf("building the pool took %d bytes: page bytes were made", b)
+	}
+	if n := backed(pm, ids); n != 0 {
+		t.Errorf("%d of 128 frames backed before any touch", n)
+	}
+	if want := 128 * costs.PageMap4K; ctx.charged != want {
+		t.Errorf("pinning charged %d, want %d", ctx.charged, want)
+	}
+	if pm.PinnedCount() != 128 || pm.FrameCount() != 128 {
+		t.Errorf("%d pinned of %d live frames, want 128 of 128", pm.PinnedCount(), pm.FrameCount())
+	}
+
+	fd, err := pm.FrameData(ids[5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(fd[100:], "payload")
+	if n := backed(pm, ids); n != 1 || pm.frame(ids[5]).data == nil {
+		t.Errorf("a write into frame 5 backed %d frames", n)
+	}
+	again, _ := pm.FrameData(ids[5])
+	if string(again[100:107]) != "payload" {
+		t.Error("the frame lost the bytes written into it")
+	}
+}
+
+// TestUntouchedFrameReadsZeros: a frame nobody wrote reads as zeros through
+// an address space and through FrameData, and so does a recycled frame taken
+// zeroed, whose bytes are kept and scrubbed, not made again.
+func TestUntouchedFrameReadsZeros(t *testing.T) {
+	pm, as, _ := newAS(t)
+	a := as.Alloc(2 * PageSize)
+	out := bytes.Repeat([]byte{0xEE}, 2*PageSize)
+	if err := as.Read(a+10, out[:2*PageSize-10]); err != nil {
+		t.Fatal(err)
+	}
+	if !allZero(out[:2*PageSize-10]) {
+		t.Error("an untouched page read non-zero bytes")
+	}
+	ids, err := as.PagesForSend(nil, a, 2*PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if backed(pm, ids) != 0 {
+		t.Error("a read backed an untouched frame")
+	}
+	if fd, err := pm.FrameData(ids[1]); err != nil || len(fd) != PageSize || !allZero(fd) {
+		t.Errorf("FrameData of an untouched frame: %d bytes, %v", len(fd), err)
+	}
+	pm.Unref(ids)
+
+	// Dirty a frame, free it to the pool, take it back zeroed.
+	b := as.Alloc(PageSize)
+	if err := as.Write(nil, b, bytes.Repeat([]byte{0xFF}, PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	dirty, _ := as.PagesForSend(nil, b, PageSize)
+	pm.Unref(dirty)
+	if err := as.Free(b, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	fresh := as.FreshFrames(nil, 1)
+	if fresh[0] != dirty[0] {
+		t.Fatalf("FreshFrames made frame %d, not the recycled %d", fresh[0], dirty[0])
+	}
+	if fd, _ := pm.FrameData(fresh[0]); !allZero(fd) {
+		t.Error("a recycled frame taken zeroed kept its old bytes")
+	}
+}
+
+// TestDroppedChunkIDsAreBad: once every frame of a chunk died the chunk is
+// gone, and an id that named a frame in it names nothing.
+func TestDroppedChunkIDsAreBad(t *testing.T) {
+	pm, as, _ := newAS(t)
+	as.poolCap = 0 // freed frames die
+	a := as.Alloc(frameChunkLen * PageSize)
+	old, err := as.PagesForSend(nil, a, PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm.Unref(old)
+	as.Alloc(PageSize) // the next chunk hands out ids now
+	if err := as.Free(a, frameChunkLen*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if pm.chunks[0] != nil {
+		t.Fatal("a chunk with no live frame was kept")
+	}
+	id := old[0]
+	if _, err := pm.Deobfuscate(pm.Obfuscate(id)); !errors.Is(err, ErrBadPage) {
+		t.Errorf("Deobfuscate = %v", err)
+	}
+	if _, err := pm.FrameData(id); !errors.Is(err, ErrBadPage) {
+		t.Errorf("FrameData = %v", err)
+	}
+	if err := pm.Ref([]PageID{id}); !errors.Is(err, ErrBadPage) {
+		t.Errorf("Ref = %v", err)
+	}
+	if pm.FrameRefs(id) != 0 || pm.FrameCount() != 1 {
+		t.Errorf("FrameRefs %d, FrameCount %d", pm.FrameRefs(id), pm.FrameCount())
+	}
+}
+
+// chargeCounter is a context that only adds up what is charged to it.
+type chargeCounter struct {
+	exec.Context
+	charged int64
+}
+
+func (c *chargeCounter) Charge(d int64) { c.charged += d }
+
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }

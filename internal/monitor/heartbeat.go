@@ -68,7 +68,8 @@ func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 	// liveness accounting must keep counting silence past that, or the peers
 	// that most need confirming would be the ones that escape it. peerList is
 	// sorted by name, so the event order is the same every run.
-	var confirm, beacon []string
+	var confirm []string
+	beacon := m.beacon[:0]
 	for _, p := range m.peerList {
 		if !p.tracked || p.dead {
 			continue
@@ -90,6 +91,7 @@ func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 		}
 		beacon = append(beacon, p.name)
 	}
+	m.beacon = beacon
 	for _, name := range beacon {
 		m.hbSend(ctx, name, false)
 	}

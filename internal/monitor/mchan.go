@@ -17,10 +17,15 @@ type mchan struct {
 	sendCQ *rdma.CQ
 	recvCQ *rdma.CQ
 
-	nextWRID uint64
-	bufs     map[uint64][]byte
 	inflight int
 	sbuf     [ctlmsg.Size]byte // send staging: PostSend copies at post time
+
+	// The landing buffers, one slab for the channel's life. Slot i is posted
+	// under WRID recvWRID|i and re-posted as soon as recv has decoded it into
+	// msg, the one message the channel hands out: it is valid until the next
+	// recv, and a caller that keeps anything of it copies.
+	bufs [mchanBufs][ctlmsg.Size]byte
+	msg  ctlmsg.Msg
 
 	// Wake-arm dedup: a parked monitor re-arms every mchan each time it
 	// parks, but quiet channels never fire the arm, so naive re-arming
@@ -33,7 +38,10 @@ type mchan struct {
 	wakeCb    func()
 }
 
-const mchanBufs = 128
+const (
+	mchanBufs = 128     // landing slots per channel
+	recvWRID  = 1 << 32 // tags a receive WRID; the low bits are the slot
+)
 
 // newMchan creates the local half (QP in Reset until connected).
 func newMchan(h *host.Host, peer string) *mchan {
@@ -41,7 +49,6 @@ func newMchan(h *host.Host, peer string) *mchan {
 		peer:   peer,
 		sendCQ: rdma.NewCQ(),
 		recvCQ: rdma.NewCQ(),
-		bufs:   make(map[uint64][]byte),
 	}
 	mc.wakeCb = func() {
 		mc.wakeArmed = false
@@ -56,36 +63,22 @@ func newMchan(h *host.Host, peer string) *mchan {
 }
 
 // connect brings the channel up toward the peer monitor's QPN and posts
-// receive buffers.
+// every landing slot.
 func (mc *mchan) connect(peerHost string, peerQPN uint32) error {
 	if err := mc.qp.Connect(peerHost, peerQPN); err != nil {
 		return err
 	}
-	for i := 0; i < mchanBufs; i++ {
-		mc.repost(nil)
+	for i := range mc.bufs {
+		mc.qp.PostRecv(recvWRID|uint64(i), mc.bufs[i][:])
 	}
 	return nil
 }
 
-// repost turns a drained landing buffer back into a receive WQE
-// (nil allocates a fresh one — only at channel bring-up). The buffer set
-// is therefore fixed at mchanBufs for the channel's lifetime instead of
-// allocating one per received control message.
-func (mc *mchan) repost(buf []byte) {
-	if buf == nil {
-		buf = make([]byte, ctlmsg.Size)
-	}
-	mc.nextWRID++
-	mc.bufs[mc.nextWRID] = buf
-	mc.qp.PostRecv(mc.nextWRID, buf)
-}
-
 // send ships one control message (non-blocking; the QP queues).
 func (mc *mchan) send(cm *ctlmsg.Msg) {
-	mc.nextWRID++
 	// The QP copies into pooled staging inside PostSend, so the one
 	// persistent staging buffer is free for reuse as soon as it returns.
-	mc.qp.PostSend(mc.nextWRID, cm.Marshal(mc.sbuf[:]))
+	mc.qp.PostSend(0, cm.Marshal(mc.sbuf[:]))
 	mc.inflight++
 	for mc.inflight > mchanBufs/2 {
 		if _, ok := mc.sendCQ.PollOne(); ok {
@@ -109,26 +102,29 @@ func (mc *mchan) armWake(fn func()) {
 	}
 }
 
-// recv polls one incoming control message, recycling the landing buffer
-// into a fresh receive WQE (Unmarshal copies every field, so the bytes
-// are dead the moment it returns).
+// recv polls one incoming control message into mc.msg and re-posts its
+// slot (decoding copies every field, so the bytes are dead by then). A
+// completion that carries no message — a slot flushed by a dead QP, which
+// refuses the re-post, or a garbled one — reports false.
 func (mc *mchan) recv() (*ctlmsg.Msg, bool) {
 	e, ok := mc.recvCQ.PollOne()
 	if !ok {
 		return nil, false
 	}
-	buf := mc.bufs[e.WRID]
-	delete(mc.bufs, e.WRID)
-	var cm ctlmsg.Msg
-	ok = e.Status == rdma.WCSuccess && buf != nil
-	if ok {
-		cm, ok = ctlmsg.Unmarshal(buf[:e.Len])
+	i := e.WRID &^ recvWRID
+	if e.WRID&recvWRID == 0 || i >= mchanBufs {
+		return nil, false
 	}
-	mc.repost(buf)
+	buf := mc.bufs[i][:]
+	ok = e.Status == rdma.WCSuccess
+	if ok {
+		mc.msg, ok = ctlmsg.Unmarshal(buf[:e.Len])
+	}
+	mc.qp.PostRecv(e.WRID, buf)
 	if !ok {
 		return nil, false
 	}
-	return &cm, true
+	return &mc.msg, true
 }
 
 // Peer directly splices two monitors' channels, bypassing the TCP probe —

@@ -83,9 +83,10 @@ type Monitor struct {
 
 	// Inter-host liveness (heartbeat.go): the tick clock and the traffic gate.
 	hbLastTick   int64
-	hbArmed      bool   // a clock-driven tick wake is pending
-	hbTimerCb    func() // cached timer callback (one allocation per monitor)
-	lastActivity int64  // last real (non-heartbeat) control-plane traffic
+	hbArmed      bool     // a clock-driven tick wake is pending
+	hbTimerCb    func()   // cached timer callback (one allocation per monitor)
+	lastActivity int64    // last real (non-heartbeat) control-plane traffic
+	beacon       []string // tickHeartbeats' scratch: the peers a tick beacons
 
 	thread  exec.Thread // the router loop; shard loops live on their mshard
 	stopped bool
@@ -418,25 +419,8 @@ func (m *Monitor) run(ctx exec.Context) {
 			progress, real = true, true
 		}
 		for _, mc := range mchs {
-			for {
-				cm, ok := mc.recv()
-				if !ok {
-					break
-				}
-				ctx.Charge(m.H.Costs.RDMAPost)
-				progress = true
-				if cm.Kind != ctlmsg.KMHeartbeat {
-					real = true
-				}
-				if !m.heard(mc.peer, cm.Epoch) {
-					mStaleDropped.Inc()
-					continue
-				}
-				// Flight hop: peer monitor's mchan post (cm.TS) to here.
-				cm.SpanID = obs.RecordHop(m.H.Name, 0, obs.HopMchanFlight,
-					uint8(cm.Kind), cm.TraceID, cm.SpanID, cm.TS, ctx.Now())
-				m.routeRemote(ctx, mc, cm)
-			}
+			p, r := m.drain(ctx, mc)
+			progress, real = progress || p, real || r
 		}
 		for _, k := range kls {
 			if k.kl.PendingHint() > 0 {
@@ -481,6 +465,31 @@ func (m *Monitor) run(ctx exec.Context) {
 	}
 }
 
+// drain routes the messages waiting on mc, up to the first completion that
+// carries none. It reports whether it routed any, and whether any of them was
+// more than a heartbeat.
+func (m *Monitor) drain(ctx exec.Context, mc *mchan) (progress, real bool) {
+	for {
+		cm, ok := mc.recv()
+		if !ok {
+			return progress, real
+		}
+		ctx.Charge(m.H.Costs.RDMAPost)
+		progress = true
+		if cm.Kind != ctlmsg.KMHeartbeat {
+			real = true
+		}
+		if !m.heard(mc.peer, cm.Epoch) {
+			mStaleDropped.Inc()
+			continue
+		}
+		// Flight hop: peer monitor's mchan post (cm.TS) to here.
+		cm.SpanID = obs.RecordHop(m.H.Name, 0, obs.HopMchanFlight,
+			uint8(cm.Kind), cm.TraceID, cm.SpanID, cm.TS, ctx.Now())
+		m.routeRemote(ctx, mc, cm)
+	}
+}
+
 // routerIdler is the Monitor as idle predicate of the router loop: the daemon
 // runs, no crash, re-registration or probe result is queued, no monitor
 // channel has a completion, no listener a connection, no heartbeat is due.
@@ -508,7 +517,8 @@ func (r *routerIdler) Idle(now int64) bool {
 // routeRemote hands an mchan arrival to the shard owning its key.
 // Heartbeats never leave the router: they carry no state key and their
 // handler (the rate-limited echo) touches only the router-owned peer
-// record.
+// record. cm is the channel's own message (mchan.recv): whatever outlives
+// this call is copied out of it.
 func (m *Monitor) routeRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 	if cm.Kind == ctlmsg.KMHeartbeat {
 		// Liveness beacon; heard already refreshed the peer's clock. Echo so
@@ -1168,10 +1178,7 @@ func (m *Monitor) releaseBacklogSlot(port uint16, ref listenerRef) {
 // --- connect dispatch ---
 
 func (m *Monitor) onConnect(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
-	dst := m.H.Name // an intra-host dial builds no string
-	if !cm.HostIs(dst) {
-		dst = cm.HostStr()
-	}
+	dst := m.hostName(cm)
 	allowed := m.policy(pc.p.UID, dst, cm.Port)
 	c := m.shardOf(cm.ConnID).conns[cm.ConnID]
 	dup := c != nil && c.dispatched()
@@ -1192,13 +1199,25 @@ func (m *Monitor) onConnect(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	m.connectRemote(ctx, cm)
 }
 
+// hostName returns the host cm names, without building a string when that
+// is this host or a peer on record.
+func (m *Monitor) hostName(cm *ctlmsg.Msg) string {
+	if cm.HostIs(m.H.Name) {
+		return m.H.Name
+	}
+	if p := m.peers[string(cm.HostBytes())]; p != nil {
+		return p.name
+	}
+	return cm.HostStr()
+}
+
 // connectRemote forwards a connect toward a remote host, probing first when
 // no usable monitor channel exists. finishProbes re-drives queued connects
 // through here directly: by then the conn record already exists (created
 // below on the first pass), and onConnect's duplicate check — which guards
 // against bounded-wait re-sends, not probe re-drives — would drop them.
 func (m *Monitor) connectRemote(ctx exec.Context, cm *ctlmsg.Msg) {
-	dst := cm.HostStr()
+	dst := m.hostName(cm)
 	sh := m.shardOf(cm.ConnID)
 	c := sh.conn(cm.ConnID)
 	c.pids, c.owner, c.peerHost = [2]int{int(cm.PID), 0}, int(cm.PID), dst

@@ -129,8 +129,8 @@ type connRec struct {
 	queued bool
 
 	// x is what only an inter-host or a contested connection needs, made on
-	// first use: a record is allocated per dial, and with these fields in it
-	// would be 272 B, not 80.
+	// first use and kept, blank, when the record is: with these fields in it
+	// every record would be 272 B, not 80.
 	x *connExt
 }
 
@@ -275,7 +275,11 @@ func (sh *mshard) dropConn(qid uint64) {
 	}
 	delete(sh.conns, qid)
 	if len(sh.freeRecs) < maxFreeRecs {
-		*c = connRec{}
+		x := c.x
+		if x != nil {
+			*x = connExt{}
+		}
+		*c = connRec{x: x}
 		sh.freeRecs = append(sh.freeRecs, c)
 	}
 }

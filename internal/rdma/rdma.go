@@ -147,7 +147,8 @@ type PD struct {
 	id  uint32
 }
 
-// MR is a registered memory region addressable by remote WRITE.
+// MR is a registered memory region addressable by remote WRITE. Its zero
+// value is storage for RegisterBytesAt.
 type MR struct {
 	pd    *PD
 	lkey  uint32
@@ -285,9 +286,14 @@ func (n *NIC) newRKey() uint64 {
 }
 
 // RegisterBytes registers a flat buffer (e.g. a socket ring copy).
-func (pd *PD) RegisterBytes(buf []byte) *MR {
+func (pd *PD) RegisterBytes(buf []byte) *MR { return pd.RegisterBytesAt(new(MR), buf) }
+
+// RegisterBytesAt is RegisterBytes into the caller's storage: m is
+// overwritten and registered in place, so an owner that keeps its MRs inside
+// a larger object allocates none. m must stay put until it is deregistered.
+func (pd *PD) RegisterBytesAt(m *MR, buf []byte) *MR {
 	n := pd.nic
-	m := &MR{pd: pd, rkey: n.newRKey(), size: int64(len(buf)), buf: buf}
+	*m = MR{pd: pd, rkey: n.newRKey(), size: int64(len(buf)), buf: buf}
 	n.mrs[m.rkey] = m
 	return m
 }

@@ -25,7 +25,7 @@ type Segment struct {
 // segments and hands tokens to the two communicating processes.
 type Registry struct {
 	next uint64
-	segs map[Token]*Segment
+	segs map[Token]Segment // by value: a segment is no allocation of its own
 	seed uint64
 
 	// idle holds recycled rings by capacity (see GetRing/PutRing).
@@ -36,14 +36,14 @@ type Registry struct {
 // deterministic for reproducible simulations.
 func NewRegistry(seed uint64) *Registry {
 	return &Registry{
-		segs: make(map[Token]*Segment),
+		segs: make(map[Token]Segment),
 		seed: seed ^ 0x9e3779b97f4a7c15,
 		idle: make(map[int][]*Ring),
 	}
 }
 
 // Create registers obj and returns its segment (with a fresh secret token).
-func (g *Registry) Create(obj any) *Segment {
+func (g *Registry) Create(obj any) Segment {
 	g.next++
 	// splitmix64 over a counter: unguessable enough for a simulation,
 	// deterministic for a given seed.
@@ -51,17 +51,17 @@ func (g *Registry) Create(obj any) *Segment {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	tok := Token(z ^ (z >> 31))
-	s := &Segment{Token: tok, Obj: obj}
+	s := Segment{Token: tok, Obj: obj}
 	g.segs[tok] = s
 	mSegmentsLive.Add(1)
 	return s
 }
 
 // Attach returns the segment for a token, or ErrBadToken.
-func (g *Registry) Attach(tok Token) (*Segment, error) {
+func (g *Registry) Attach(tok Token) (Segment, error) {
 	s, ok := g.segs[tok]
 	if !ok {
-		return nil, fmt.Errorf("%w: %#x", ErrBadToken, uint64(tok))
+		return Segment{}, fmt.Errorf("%w: %#x", ErrBadToken, uint64(tok))
 	}
 	return s, nil
 }

@@ -75,7 +75,7 @@ type Ring struct {
 	tailSeen     uint64
 	creditFlush  uint64
 	creditThresh uint64
-	creditHook   func(read uint64)
+	creditHook   CreditHook
 
 	// sender-local burst state (BeginBurst/EndBurst): while a burst is
 	// open, TrySend* stages messages without publishing the tail, and the
@@ -336,7 +336,7 @@ func (r *Ring) TryRecvN(out []Msg) int {
 
 func (r *Ring) flushCredit() {
 	if r.creditHook != nil {
-		r.creditHook(r.read)
+		r.creditHook.CreditReturned(r.read)
 	} else {
 		r.credit.Store(r.read)
 	}
@@ -466,7 +466,11 @@ func (r *Ring) InjectCredit(v uint64) {
 	}
 }
 
-// SetCreditHook diverts the receiver's credit returns to fn (which mirrors
+// CreditHook takes a receiver's credit returns in place of the ring's local
+// credit word.
+type CreditHook interface{ CreditReturned(read uint64) }
+
+// SetCreditHook diverts the receiver's credit returns to h (which mirrors
 // them to the sender's memory with a remote write) instead of the local
 // credit word. Call before any traffic.
-func (r *Ring) SetCreditHook(fn func(read uint64)) { r.creditHook = fn }
+func (r *Ring) SetCreditHook(h CreditHook) { r.creditHook = h }

@@ -390,6 +390,11 @@ func allZero(b []byte) bool {
 	return true
 }
 
+// creditFunc is a CreditHook made of a function.
+type creditFunc func(read uint64)
+
+func (f creditFunc) CreditReturned(read uint64) { f(read) }
+
 // TestRingResetScrubsWhatWasWritten: Reset zeroes exactly the dirtied
 // prefix — the whole ring once a wrap happened, and also bytes a remote
 // writer laid down behind SetTailLow32 — clears every cursor, the burst
@@ -399,7 +404,7 @@ func TestRingResetScrubsWhatWasWritten(t *testing.T) {
 
 	// Sender-side dirt, short of a wrap, with an open burst and a hook.
 	r := NewRing(4096)
-	r.SetCreditHook(func(uint64) { t.Error("credit hook survived Reset") })
+	r.SetCreditHook(creditFunc(func(uint64) { t.Error("credit hook survived Reset") }))
 	r.TrySend(1, 0, payload)
 	r.BeginBurst()
 	r.TrySend(1, 0, payload) // staged: written runs ahead of tail
