@@ -323,6 +323,66 @@ func TestSendBatchTokenTakeover(t *testing.T) {
 	}
 }
 
+// TestBatchTakesTokenFromIdleHolder: a contender takes the send token from
+// the middle of a batch, sends once and goes idle outside the library while
+// still holding it; the batch asks for it back at its next entry, and the
+// revocation reaches the contender's process only after the contender's last
+// boundary. The batching thread, inside the library, receives it and must
+// return the token on the idle holder's behalf — which a busy mark of its
+// own, held across the wait, would forbid forever: the batch would end at
+// its deadline.
+func TestBatchTakesTokenFromIdleHolder(t *testing.T) {
+	w := boundaryWorld(t)
+	sp, sl := proc(t, w.a, "server", 0)
+	cp, cl := proc(t, w.a, "client", 0)
+	const batchN, size = 32, 2048 // 220 sim-ns an entry
+	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+		lst, _ := sl.ListenOn(ctx, th, 7404)
+		lst.Accept(ctx) // holds the connection; the ring has room for it all
+	})
+	var sock *core.Socket
+	var start int64
+	done := false
+	cp.Spawn("batcher", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		s, _, err := cl.Connect(ctx, th, "hostA", 7404)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		bufs := make([][]byte, batchN)
+		for i := range bufs {
+			bufs[i] = make([]byte, size)
+		}
+		sock, start = s, ctx.Now()
+		s.SetSendDeadline(start + 1_000_000)
+		for sent := 0; sent < batchN; {
+			n, err := s.SendBatch(ctx, th, bufs[sent:])
+			if err != nil {
+				t.Errorf("SendBatch after %d entries: %v", sent, err)
+				return
+			}
+			sent += n
+		}
+		done = true
+		sp.Signal(ctx, host.SIGKILL)
+	})
+	cp.Spawn("contender", func(ctx exec.Context, th *host.Thread) {
+		for sock == nil {
+			ctx.Sleep(100)
+		}
+		ctx.Sleep(start + 2_000 - ctx.Now()) // a few entries into the batch
+		if _, err := sock.Send(ctx, th, make([]byte, 512)); err != nil {
+			t.Errorf("contending send: %v", err)
+		}
+		ctx.Sleep(100_000_000) // idle, holding the token
+	})
+	w.sim.Run()
+	if !done {
+		t.Fatal("the batch did not finish")
+	}
+}
+
 // TestBatchAcrossMonitorRestart keeps batched traffic flowing while the
 // host's monitor is stopped and a successor started: the data path (shm
 // ring + doorbells) needs no daemon, so the stream must stay byte-exact,

@@ -144,7 +144,7 @@ func (s *Socket) submitSend(ctx exec.Context, t *host.Thread, br *batchRing, n i
 			}
 			s.ep.kick(ctx)
 			s.maybeHandBack(ctx, DirSend)
-			if err = s.acquireToken(ctx, t, DirSend); err != nil {
+			if err = s.reacquireToken(ctx, t, DirSend); err != nil {
 				break
 			}
 			if b != nil {

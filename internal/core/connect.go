@@ -684,7 +684,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		ret.Store(true)
 		l.pendingRevokes = append(l.pendingRevokes, revokeReq{qid: m.QID, dir: m.Dir, side: m.SrcPort})
 		l.hasRevokes.Store(true)
-		if l.inLibsd.Load() == 0 {
+		if !l.inside() {
 			// Signal-handler path: no thread is inside libsd, so the
 			// holder cannot be mid-operation — return immediately.
 			l.processRevokes(ctx)

@@ -57,8 +57,8 @@ type Libsd struct {
 	P *host.Process
 	H *host.Host
 
-	ctl     []shm.Side // app side of the monitor duplexes, one per shard
-	wakeMon func(shard int)
+	link *ProcLink  // the monitor's: control duplexes, doorbell, in-library count and pending mark
+	ctl  []shm.Side // app side of link's duplexes, one per shard
 
 	// monEpoch is the monitor incarnation this process believes it is
 	// talking to: stamped on every outgoing control message, bumped when a
@@ -111,8 +111,6 @@ type Libsd struct {
 	closing map[uint64]*SideState
 	zcIdle  []*zcPool
 	parked  []parkedQP
-
-	inLibsd atomic.Int32 // signal handler guard (§4.4 challenge 2)
 
 	// pendingRevokes are token-return requests deferred because a thread
 	// was inside the library; processed on library exit ("libsd will
@@ -213,8 +211,8 @@ func initWith(p *host.Process, link *ProcLink) (*Libsd, error) {
 	l := &Libsd{
 		P:          p,
 		H:          p.Host,
+		link:       link,
 		ctl:        ctl,
-		wakeMon:    link.WakeMonitor,
 		fds:        make(map[int]fdEntry),
 		pending:    make(map[uint64]*pendingConn),
 		backlogs:   make(map[backlogKey]*backlog),
@@ -236,11 +234,11 @@ func initWith(p *host.Process, link *ProcLink) (*Libsd, error) {
 	l.armAutoPump()
 	p.Libsd = l
 	// The signal handler processes control messages when the monitor needs
-	// a busy process's attention (token revocation, wake requests). If the
-	// process is executing inside libsd, the flag defers work to the
-	// library exit path — here, simply to the next control poll.
+	// the attention of a process that is outside libsd (a SYN, a token
+	// revocation, a wake request). The monitor signals only such a process;
+	// one that entered since leaves the work to its library exit (leave).
 	p.RegisterHandler(host.SIGUSR1, func(host.Signal) {
-		if l.inLibsd.Load() > 0 {
+		if l.inside() {
 			return
 		}
 		l.pollCtl(nil)
@@ -254,14 +252,29 @@ type revokeReq struct {
 	side uint16
 }
 
-// enter/leave bracket every libsd entry point for the signal-handler flag.
-func (l *Libsd) enter() { l.inLibsd.Add(1) }
+// enter/leave bracket every libsd entry point for the monitor's interrupt
+// (§4.4 challenge 2): a process with a thread inside is not signalled.
+func (l *Libsd) enter() { l.link.InLibsd.Add(1) }
 
+// leave is the library exit: the last thread out runs what the signal
+// handler would have ("libsd will process the event before returning
+// control to the application") — the control messages the monitor marked
+// pending instead of signalling, and deferred revocations. Without it a
+// sibling that leaves without polling strands a SYN for a parked listener.
 func (l *Libsd) leave() {
-	if l.inLibsd.Add(-1) == 0 && l.hasRevokes.Load() {
+	if l.link.InLibsd.Add(-1) != 0 {
+		return
+	}
+	if l.link.Pending.Load() {
+		l.pollCtl(nil)
+	}
+	if l.hasRevokes.Load() {
 		l.processRevokes(nil)
 	}
 }
+
+// inside reports whether a thread of the process is inside libsd.
+func (l *Libsd) inside() bool { return l.link.InLibsd.Load() > 0 }
 
 // processRevokes hands back every token the monitor asked for whose socket
 // is not mid-operation.
@@ -330,15 +343,17 @@ func (l *Libsd) sendCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			ctx.Yield()
 		}
 	}
-	if l.wakeMon != nil {
-		l.wakeMon(s)
+	if l.link.WakeMonitor != nil {
+		l.link.WakeMonitor(s)
 	}
 }
 
 // pollCtl drains every shard's monitor->process queue, dispatching each
 // message. It is safe from any thread of the process and from the signal
-// handler. Every blocking wait polls it, nearly always finding nothing.
+// handler. Every blocking wait polls it, nearly always finding nothing. It
+// clears the monitor's pending mark first: what was marked is drained here.
 func (l *Libsd) pollCtl(ctx exec.Context) bool {
+	l.link.Pending.Store(false)
 	progress := false
 	for s := 0; s < len(l.ctl); {
 		msg, ok := l.ctl[s].RX.TryRecv()

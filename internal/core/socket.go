@@ -172,6 +172,19 @@ func (s *Socket) acquireToken(ctx exec.Context, t *host.Thread, dir int) error {
 	}
 }
 
+// reacquireToken is acquireToken in the middle of an operation, whose busy
+// mark the calling thread holds. The mark is dropped while it waits: a
+// waiter is not mid-operation with the token, and its own mark would keep
+// processRevokes from returning the token of a holder that has gone idle
+// (one whose revocation arrived after its last boundary) — the waiter would
+// poll for it forever.
+func (s *Socket) reacquireToken(ctx exec.Context, t *host.Thread, dir int) error {
+	busy := s.busyVar(dir)
+	busy.Add(-1)
+	defer busy.Add(1)
+	return s.acquireToken(ctx, t, dir)
+}
+
 func (s *Socket) tokenVars(dir int) (holderVar, retVar) {
 	if dir == DirSend {
 		return &s.side.SendHolder, &s.side.SendReturnReq

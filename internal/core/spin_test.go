@@ -58,12 +58,14 @@ func TestBlockedRecvResumes(t *testing.T) {
 	}
 }
 
-// TestDialCycleResumes: an intra-host dial, 8-byte echo and close is 2.2 µs
+// TestDialCycleResumes: an intra-host dial, 8-byte echo and close is 0.3 µs
 // during which two application threads wait and the monitor's router and
 // four shard loops serve the control messages. It may cost 30 resumes and
-// 200 scheduler events (resumes plus played polls) in all; with each shard
-// spinning 255 polls after every message, instead of parking when a pass
-// finds nothing, it cost 33.5 + 512.
+// 60 scheduler events (resumes plus played polls) in all: 26.2 + 11.2. It
+// cost 26.8 + 154.5 while the listener's process was signalled for every
+// SYN, the client polling through the signal's 2 µs, and 33.5 + 512 with
+// each shard spinning 255 polls after every message instead of parking when
+// a pass finds nothing.
 func TestDialCycleResumes(t *testing.T) {
 	w := boundaryWorld(t)
 	sp, sl := proc(t, w.a, "server", 0)
@@ -88,8 +90,8 @@ func TestDialCycleResumes(t *testing.T) {
 	if resumes > 30*cycles {
 		t.Errorf("%d resumes for %d cycles, want at most 30 each", resumes, cycles)
 	}
-	if events := resumes + played; events > 200*cycles {
-		t.Errorf("%d scheduler events for %d cycles, want at most 200 each", events, cycles)
+	if events := resumes + played; events > 60*cycles {
+		t.Errorf("%d scheduler events for %d cycles, want at most 60 each", events, cycles)
 	}
 }
 
@@ -224,7 +226,7 @@ const (
 // produces: the control wait's own poll dispatches the awaited KConnectRes,
 // the queues are empty again, and a predicate that looks only at the queues
 // calls the wait idle until its next ping is due, 2 ms later. The wait must
-// come back for the iteration after the dispatch, as the loop did: 2 300
+// come back for the iteration after the dispatch, as the loop did: 180
 // sim-ns for a warm dial, fewer than 64 polls.
 func TestDialReturnsWhenAnswered(t *testing.T) {
 	w := boundaryWorld(t)

@@ -233,4 +233,13 @@ type ProcLink struct {
 	// drops messages carrying an older stamp, and libsd learns the new
 	// epoch from the successor's KReRegister.
 	Epoch uint32
+
+	// The two words of §4.4's interrupt, in memory both sides map: InLibsd
+	// counts the process's threads inside libsd, and Pending marks a
+	// message the monitor wants noticed (Monitor.sendTo sets it, pollCtl
+	// clears it, Libsd.leave honours it). Both are the process's to write:
+	// a process that lies about them only delays its own notifications,
+	// and the monitor never waits on them.
+	InLibsd atomic.Int32
+	Pending atomic.Bool
 }

@@ -45,10 +45,13 @@ import (
 // took with it goes out again, once.
 //
 // Asleep is outside the library (§4.4 challenge 2): a thread leaves the
-// library boundary before it parks, so that while every thread of a process
-// sleeps the signal handler drains the control queue — a SYN for a parked
-// listener, a revocation — instead of deferring to a thread "inside" that
-// does not poll. A timer ends a park at the deadline; woken, it polls again.
+// library boundary before it parks. The monitor signals a process only when
+// no thread of it is inside, and the handler drains the control queue — a SYN
+// for a parked listener, a revocation. While a thread is inside, the message
+// is marked pending instead: a spinning wait finds it at its next poll, and
+// the last thread out of the library (a parking one too) drains it on its way
+// out (Libsd.leave). A timer ends a park at the deadline; woken, it polls
+// again.
 
 const (
 	// emptyPollsBeforeSleep is the consecutive-empty-poll budget before a
@@ -89,7 +92,7 @@ type wait struct {
 	ctl      *ctlWait      // a request with the monitor: its silence, its restart
 
 	// One empty iteration.
-	t       *host.Thread // holds dir's token of sock, and hands it over when asked (§4.1.1)
+	t       *host.Thread // holds dir's token of sock and its busy mark, and hands the token over when asked (§4.1.1)
 	drives  bool         // holds dir of sock and drives its endpoint: shutdown ends the wait, a failed endpoint is polled slowly
 	polls   polls
 	pre     int64   // charged per poll before the yield (the look is free),
@@ -141,7 +144,7 @@ func (w *wait) block(ctx exec.Context) error {
 			me = int64(l.GTIDOf(w.t))
 			s.maybeHandBack(ctx, w.dir)
 			if holder, _ := s.tokenVars(w.dir); holder.Load() != me {
-				if err := s.acquireToken(ctx, w.t, w.dir); err != nil {
+				if err := s.reacquireToken(ctx, w.t, w.dir); err != nil {
 					return err
 				}
 			}

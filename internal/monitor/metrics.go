@@ -18,6 +18,8 @@ var (
 	mRescues       = telemetry.C(telemetry.MonRescues)
 	mCrashCleanups = telemetry.C(telemetry.MonCrashCleanups)
 
+	mSignalsDeferred = telemetry.C(telemetry.MonSignalsDeferred) // sendTo: a thread was inside libsd
+
 	// Dispatch latency, split by origin: intra = local process control
 	// rings (handle), inter = monitor-to-monitor mchan (handleRemote).
 	mDispatchIntra = telemetry.D(telemetry.MonDispatchIntra)

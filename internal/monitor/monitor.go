@@ -96,11 +96,13 @@ type Monitor struct {
 	TokensGranted   int
 }
 
-// procChan is the monitor's half of one process's registration: one
-// control duplex per shard (monitor holds side B; index = shard number).
+// procChan is the monitor's half of one process's registration: the link
+// it handed out, whose control duplexes it holds side B of (index = shard
+// number) and whose in-library count decides whether a message is worth a
+// signal (sendTo).
 type procChan struct {
-	p  *host.Process
-	ds []*shm.Duplex
+	p    *host.Process
+	link *core.ProcLink
 }
 
 // kernL is one dual kernel listener with the port it serves.
@@ -341,18 +343,19 @@ func (m *Monitor) RegisterProcess(p *host.Process) *core.ProcLink {
 	for i := range ds {
 		ds[i] = shm.NewDuplex(ctlRingCap)
 	}
-	m.procs[p.PID] = &procChan{p: p, ds: ds}
-	m.rebuildProcList()
-	m.wakeAll()
 	// The doorbell resolves through h.Mon at ring time, not through this
 	// incarnation: after a restart the successor adopts the duplexes, and
 	// the process's nudges must reach the live daemon, not the dead one.
 	h := m.H
-	return &core.ProcLink{Ds: ds, WakeMonitor: func(s int) {
+	link := &core.ProcLink{Ds: ds, WakeMonitor: func(s int) {
 		if cur, ok := h.Mon.(*Monitor); ok {
 			cur.wakeShard(s)
 		}
 	}, MonitorHost: m.H.Name, Epoch: m.epoch}
+	m.procs[p.PID] = &procChan{p: p, link: link}
+	m.rebuildProcList()
+	m.wakeAll()
+	return link
 }
 
 // RegisterChild pairs a forked child using the secret its parent deposited
@@ -559,11 +562,14 @@ func (m *Monitor) routeRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 	sh.wake()
 }
 
-// sendTo queues a control message to a local process and pokes it with a
-// signal if needed (the §4.4 interrupt path is the signal itself; the
-// handler drains the queue when the process is busy outside libsd). The
-// message travels on the plane its key routes to, so a request and its
-// reply share a shard and per-key ordering holds end to end.
+// sendTo queues a control message to a local process, and when signal is
+// set makes sure the process looks at it (§4.4): it marks the message
+// pending, then signals the process only if no thread of it is inside
+// libsd — the handler drains the queue. A thread inside polls the queue
+// before it returns to the application (core.Libsd.leave), so the 2 µs
+// signal would buy nothing; it is counted as deferred. The message travels
+// on the plane its key routes to, so a request and its reply share a shard
+// and per-key ordering holds end to end.
 func (m *Monitor) sendTo(ctx exec.Context, pid int, cm *ctlmsg.Msg, signal bool) {
 	pc := m.procs[pid]
 	if pc == nil {
@@ -577,7 +583,7 @@ func (m *Monitor) sendTo(ctx exec.Context, pid int, cm *ctlmsg.Msg, signal bool)
 	cm.Shard = uint8(s)
 	var buf [ctlmsg.Size]byte
 	b := cm.Marshal(buf[:])
-	for !pc.ds[s].B().TX.TrySend(0, 0, b) {
+	for !pc.link.Ds[s].B().TX.TrySend(0, 0, b) {
 		if pc.p.Dead() {
 			// A corpse never drains its ring; spinning here would wedge
 			// the whole control plane behind one dead process.
@@ -585,9 +591,17 @@ func (m *Monitor) sendTo(ctx exec.Context, pid int, cm *ctlmsg.Msg, signal bool)
 		}
 		ctx.Yield()
 	}
-	if signal && !pc.p.Dead() {
-		pc.p.Signal(ctx, host.SIGUSR1)
+	if !signal || pc.p.Dead() {
+		return
 	}
+	// Mark, then read the count; libsd drops the count, then reads the mark:
+	// one of the two sees the other.
+	pc.link.Pending.Store(true)
+	if pc.link.InLibsd.Load() > 0 {
+		mSignalsDeferred.Inc()
+		return
+	}
+	pc.p.Signal(ctx, host.SIGUSR1)
 }
 
 // pidDead reports whether a local pid no longer has a live process behind
@@ -1376,9 +1390,10 @@ func (m *Monitor) onTakeover(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	}
 }
 
-// revoke asks pid, the token's holder, to give it back — the signal
-// interrupts a busy process — and marks the revoke outstanding; crash
-// cleanup answers it if pid dies before returning the token.
+// revoke asks pid, the token's holder, to give it back — a signal
+// interrupts a process that is outside libsd — and marks the revoke
+// outstanding; crash cleanup answers it if pid dies before returning the
+// token.
 func (m *Monitor) revoke(ctx exec.Context, key tokKey, pid int) {
 	if ts := m.shardOf(key.qid).tok(key); ts != nil {
 		ts.revokeSent, ts.revokeTo = true, pid

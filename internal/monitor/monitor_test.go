@@ -8,6 +8,7 @@ import (
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
 	"socksdirect/internal/ksocket"
+	"socksdirect/internal/telemetry"
 )
 
 func newHostPair() (*exec.Sim, *Monitor, *Monitor, *host.Host, *host.Host) {
@@ -143,6 +144,55 @@ func TestShardInboxShedsSYNsAtCap(t *testing.T) {
 		}
 	})
 	s.Run()
+}
+
+// TestSendToSignalsOnlyOutsideLibsd: a message that asks for the process's
+// attention is marked pending either way; the process is signalled — the
+// handler run, SignalDeliver charged to the monitor — only while its
+// in-library count is zero. A count that claims a thread inside, true or not,
+// costs the monitor nothing and never holds it up.
+func TestSendToSignalsOnlyOutsideLibsd(t *testing.T) {
+	s, ma, _, a, _ := newHostPair()
+	p := a.NewProcess("app", 0)
+	link := ma.RegisterProcess(p)
+	handled := 0
+	p.RegisterHandler(host.SIGUSR1, func(host.Signal) { handled++ })
+	sent, deferred := telemetry.C(telemetry.HostSignals), telemetry.C(telemetry.MonSignalsDeferred)
+	s.Spawn("t", func(ctx exec.Context) {
+		for _, c := range []struct {
+			inLibsd int32
+			signal  bool
+			want    int // signals
+		}{
+			{1, true, 0},
+			{1 << 20, true, 0}, // a lie: the process only delays itself
+			{0, true, 1},
+			{-3, true, 1},
+			{0, false, 0},
+		} {
+			link.InLibsd.Store(c.inLibsd)
+			link.Pending.Store(false)
+			handled = 0
+			s0, d0, t0 := sent.Load(), deferred.Load(), ctx.Now()
+			nc := ctlmsg.Msg{Kind: ctlmsg.KNewConn, ConnID: 1, Port: 80}
+			ma.sendTo(ctx, p.PID, &nc, c.signal)
+			got := signalsSeen{int(sent.Load() - s0), handled, int(deferred.Load() - d0), ctx.Now() - t0, link.Pending.Load()}
+			want := signalsSeen{c.want, c.want, 0, int64(c.want) * a.Costs.SignalDeliver, c.signal}
+			if c.signal && c.want == 0 {
+				want.deferred = 1
+			}
+			if got != want {
+				t.Errorf("in libsd %d, signal %v: %+v, want %+v", c.inLibsd, c.signal, got, want)
+			}
+		}
+	})
+	s.Run()
+}
+
+type signalsSeen struct {
+	sent, handled, deferred int
+	charged                 int64
+	pending                 bool
 }
 
 func TestStopTerminatesDaemon(t *testing.T) {

@@ -357,7 +357,7 @@ func (sh *mshard) run(ctx exec.Context) {
 			m.handle(ctx, sh, nil, ev.mc, &cm)
 		}
 		for _, pc := range chans {
-			rx := pc.ds[sh.idx].B().RX
+			rx := pc.link.Ds[sh.idx].B().RX
 			for i := 0; i < 64; i++ {
 				msg, ok := rx.TryRecv()
 				if !ok {

@@ -92,6 +92,10 @@ const (
 	MonRescues       = "sd/monitor/rescues"
 	MonCrashCleanups = "sd/monitor/crash_cleanups"
 
+	// Signals not sent because a thread of the process was inside libsd:
+	// the message was marked pending for the library exit instead (§4.4).
+	MonSignalsDeferred = "sd/monitor/signals_deferred"
+
 	// monitor dispatch latency, split by message origin: intra = messages
 	// dequeued from a local process control ring (handle), inter = messages
 	// arriving over the monitor-to-monitor mchan (handleRemote). ROADMAP
