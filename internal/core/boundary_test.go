@@ -22,10 +22,9 @@ import (
 // Boundary goldens: the exact virtual times at which the stack's blocking
 // waits leave their polling phase — by deadline, by the 4 096-poll switch
 // to interrupt mode, by the control wait's ping interval and silence limit,
-// by the daemons' 256-poll park, by a token revocation, a SIGKILL or a
-// credit return arriving mid-wait. A poll loop whose idle predicate misses
-// one of its body's conditions, or counts its iterations differently, moves
-// a line here.
+// by a token revocation, a SIGKILL or a credit return arriving mid-wait. A
+// poll loop whose idle predicate misses one of its body's conditions, or
+// counts its iterations differently, moves a line here.
 //
 // The goldens live in testdata/boundary.golden; -update-boundary rewrites
 // it, which is only ever right on a commit whose virtual times are the
@@ -203,7 +202,7 @@ var boundaryScenarios = []boundaryScenario{
 	}},
 
 	// The daemons alone: one Listen, then the router and the four shard
-	// loops run out their 256 idle polls and park; the run ends there.
+	// loops park after their first empty pass; the run ends there.
 	{"daemon-park", func(t *testing.T, w *world, b *blog) {
 		p, l := proc(t, w.a, "server", 0)
 		p.Spawn("srv", func(ctx exec.Context, th *host.Thread) {

@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"socksdirect/internal/bufpool"
+	"socksdirect/internal/costmodel"
+	"socksdirect/internal/exec"
+	"socksdirect/internal/host"
 )
 
 // TestChaosSoak runs the scripted fault schedule (1% loss burst + 2 s
@@ -37,6 +40,25 @@ func TestChaosSoak(t *testing.T) {
 	}
 	if r.Injected < 2 {
 		t.Errorf("fault schedule did not apply: injected=%d", r.Injected)
+	}
+}
+
+// TestChaosRecoversAtEveryOrdinal: hosts are numbered per process, and the
+// number is folded into connection IDs, which pick the monitor shards and
+// the recovery jitter, so Chaos meets a different schedule after each host
+// the process built before it. With the router parked and no tie-break,
+// one of those schedules healed the monitor channel from both ends at once,
+// each end kept its own pair, and no QP recovery completed. Chaos runs
+// after 0, 1, 2 and 3 throwaway hosts and must recover every time.
+func TestChaosRecoversAtEveryOrdinal(t *testing.T) {
+	costs := costmodel.Default
+	for extra := 0; extra < 4; extra++ {
+		for i := 0; i < extra; i++ {
+			host.New("throwaway", exec.NewSim(exec.SimConfig{}), &costs, 1)
+		}
+		if r := Chaos(200, 1024); !r.Passed() {
+			t.Errorf("after %d throwaway hosts:\n%s", extra, r)
+		}
 	}
 }
 

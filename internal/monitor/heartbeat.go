@@ -57,10 +57,10 @@ func (m *Monitor) heard(peer string, epoch uint32) bool {
 // about the peer, so miss counters restart from zero.
 func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 	now := ctx.Now()
-	if !m.hbDue(now) {
+	if m.stopped || now-m.lastActivity > hbQuietAfter || now-m.hbLastTick < hbInterval || !m.watching() {
 		return
 	}
-	paused := m.hbLastTick == 0 || now-m.hbLastTick > 4*hbInterval
+	paused := now-m.hbLastTick > 4*hbInterval
 	prevTick := m.hbLastTick
 	m.hbLastTick = now
 	// Tracked peers, not live channels: a dead host eventually errors the
@@ -98,14 +98,6 @@ func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 	for _, name := range confirm {
 		m.hostDead(ctx, name, 0, true)
 	}
-}
-
-// hbDue reports whether tickHeartbeats has a tick to run at now: there
-// are peers, real traffic was seen within hbQuietAfter, and hbInterval has
-// passed since the last tick.
-func (m *Monitor) hbDue(now int64) bool {
-	return !m.stopped && now-m.lastActivity <= hbQuietAfter &&
-		(m.hbLastTick == 0 || now-m.hbLastTick >= hbInterval) && m.watching()
 }
 
 // watching reports whether any peer is under liveness watch.
@@ -185,7 +177,8 @@ func (m *Monitor) hostDead(ctx exec.Context, peer string, epoch uint32, report b
 	if p.dead || (epoch != 0 && (p.deadEpoch >= epoch || p.epoch > epoch)) {
 		return
 	}
-	p.dead, p.tracked, p.mc = true, false, nil
+	p.dead, p.tracked = true, false
+	p.setChan(nil)
 	p.deadEpoch = max(p.deadEpoch, epoch)
 	for _, sh := range m.shards {
 		sh.inbox = append(sh.inbox, shardEvent{deadHost: peer})

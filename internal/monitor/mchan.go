@@ -143,9 +143,11 @@ func Peer(a, b *Monitor) {
 	b.adopt(mcb)
 }
 
-// adopt installs a connected channel and puts its peer under liveness watch.
+// adopt installs a connected channel, which no probe of ours built, and
+// puts its peer under liveness watch.
 func (m *Monitor) adopt(mc *mchan) {
 	p := m.peerOf(mc.peer)
-	p.mc, p.tracked = mc, true
+	p.setChan(mc)
+	p.own, p.tracked = 0, true
 	m.wake()
 }

@@ -69,7 +69,7 @@ type Monitor struct {
 	peers    map[string]*peer
 	peerList []*peer
 
-	probeSeq  uint16
+	probeSeq  uint32 // low bits of the next probe's ID (probe.go), and its raw port
 	probeDone []probeResult
 	rescueL   *ksocket.Listener // TCP listener for mid-stream degradation (§4.5.3)
 	deaths    []int             // pids awaiting crash cleanup (lifeline queue)
@@ -130,8 +130,19 @@ type peer struct {
 
 	// Probe (probe.go).
 	probing bool          // a probe is in flight (dedup)
-	probes  []*ctlmsg.Msg // connects awaiting it
+	own     uint64        // ID of our latest probe, 0 once a pair of the peer's replaced it
+	seen    uint64        // the newest of the peer's probe IDs we answered
+	probes  []*ctlmsg.Msg // connects awaiting a channel
 	mqueue  []*ctlmsg.Msg // ctl msgs awaiting a healed channel
+}
+
+// setChan makes mc (nil: none) the channel toward p and closes the QP of
+// the one it replaces: an end holds one channel's QP.
+func (p *peer) setChan(mc *mchan) {
+	if p.mc != nil && p.mc != mc {
+		p.mc.qp.Close()
+	}
+	p.mc = mc
 }
 
 type listenerRef struct {
@@ -183,6 +194,8 @@ func startEpoch(h *host.Host, ks *ksocket.Stack, epoch uint32) *Monitor {
 		peers:    make(map[string]*peer),
 		deadPIDs: make(map[int]struct{}),
 		probeSeq: 9000,
+		// Never ticked: the first tick is due at once, and a pause.
+		hbLastTick: -hbQuietAfter,
 	}
 	m.shards = make([]*mshard, shard.DefaultCount)
 	for i := range m.shards {
@@ -328,7 +341,7 @@ func (m *Monitor) peerOf(name string) *peer {
 // through to the probe that re-establishes it.
 func (m *Monitor) chanTo(p *peer) *mchan {
 	if p.mc != nil && p.mc.qp.State() == rdma.QPErr {
-		p.mc = nil
+		p.setChan(nil)
 		mMchanHeals.Inc()
 	}
 	return p.mc
@@ -375,21 +388,21 @@ func (m *Monitor) RegisterChild(p *host.Process, secret uint64) *core.ProcLink {
 // It drains monitor channels (forwarding keyed messages to the owning
 // shard's inbox), kernel and rescue listeners, probe results, crash
 // cleanup and restart re-registration, and ticks heartbeats. Everything
-// keyed by port/connection/PID runs on the shard loops (shards.go).
+// keyed by port/connection/PID runs on the shard loops (shards.go). Like a
+// shard loop it parks after a pass that found no real work: every input
+// rings m.wake as it arrives — a death, a restart's re-registrations, a
+// probe result, a kernel or rescue connection, a channel's armed receive
+// CQ, the heartbeat timer — and an Unpark that lands mid-pass leaves a
+// permit.
 func (m *Monitor) run(ctx exec.Context) {
-	idle := 0
-	// Snapshot scratch, reused across iterations: the daemon spins hot
-	// between parks, and per-iteration slice churn would dominate the
-	// process's allocation profile.
+	// Snapshot scratch, reused across passes: per-pass slice churn would
+	// show in the process's allocation profile.
 	var mchs []*mchan
 	var kls []kernL
 	// One wake closure for the whole run: taking m.wake as a method value
 	// at every park would allocate per park cycle.
 	wakeFn := m.wake
-	for {
-		if m.stopped {
-			return
-		}
+	for !m.stopped {
 		mchs = mchs[:0]
 		for _, p := range m.peerList {
 			if p.mc != nil {
@@ -398,87 +411,63 @@ func (m *Monitor) run(ctx exec.Context) {
 		}
 		kls = append(kls[:0], m.kernLs...)
 
-		// progress: anything consumed this iteration (keep spinning).
-		// real: non-heartbeat traffic — heartbeat receipts alone must not
-		// count as activity, or two idle peered monitors would keep each
-		// other's beacons alive forever and the run would never quiesce.
-		progress, real := false, false
+		// real: non-heartbeat work. Heartbeat receipts alone must not count
+		// as activity, or two idle peered monitors would keep each other's
+		// beacons alive forever and the run would never quiesce; a pass
+		// that only booked liveness parks like an empty one.
+		real := len(m.deaths)+len(m.needReReg)+len(m.probeDone) > 0
 		deaths := m.deaths
 		m.deaths = nil
 		rereg := m.needReReg
 		m.needReReg = nil
 		for _, pid := range deaths {
 			m.cleanupProcess(ctx, pid)
-			progress, real = true, true
 		}
 		for _, pid := range rereg {
 			m.reRegister(ctx, pid)
-			progress, real = true, true
 		}
 		probes := m.probeDone
 		m.probeDone = nil
 		for _, pr := range probes {
-			m.finishProbes(ctx, pr.dst, pr)
-			progress, real = true, true
+			m.finishProbes(ctx, pr)
 		}
 		for _, mc := range mchs {
-			p, r := m.drain(ctx, mc)
-			progress, real = progress || p, real || r
+			real = m.drain(ctx, mc) || real
 		}
 		for _, k := range kls {
 			if k.kl.PendingHint() > 0 {
 				m.acceptFallback(ctx, k.port, k.kl)
-				progress, real = true, true
+				real = true
 			}
 		}
 		if m.rescueL != nil && m.rescueL.PendingHint() > 0 {
 			m.acceptRescue(ctx)
-			progress, real = true, true
+			real = true
 		}
 		if real {
 			m.lastActivity = ctx.Now()
 		}
 		m.tickHeartbeats(ctx)
-
-		if progress && real {
-			idle = 0
-			continue
-		}
-		// Heartbeat-only progress lands here too: liveness is booked and
-		// the mchan drain loop already emptied the channel, so a beacon
-		// does not earn the hot-spin window real traffic gets — otherwise
-		// every 2 ms tick would burn a full spin budget on both monitors
-		// for the whole quiet window.
-		idle++
-		if idle < 256 {
-			ctx.Charge(m.H.Costs.RingOp)
-			idle += ctx.Spin(m.H.Costs.RingOp, 0, 255-idle, (*routerIdler)(m))
+		if real {
 			continue
 		}
 		for _, mc := range mchs {
-			mc.armWake(wakeFn) // fire immediately if traffic raced in
+			mc.armWake(wakeFn) // fires at once if traffic raced in
 		}
 		m.armHeartbeat(ctx)
-		ctx.Park() // woken by mchan arrivals / notifications / hb timer
-		// Resume one step short of re-parking: the wake's cargo is drained
-		// in the next iteration, and only *real* traffic (idle = 0 above)
-		// buys back the hot-spin window. A timer or beacon wake re-parks
-		// after a single pass instead of 256 idle spins.
-		idle = 255
+		ctx.Park()
 	}
 }
 
 // drain routes the messages waiting on mc, up to the first completion that
-// carries none. It reports whether it routed any, and whether any of them was
-// more than a heartbeat.
-func (m *Monitor) drain(ctx exec.Context, mc *mchan) (progress, real bool) {
+// carries none. It reports whether any of them was more than a heartbeat.
+func (m *Monitor) drain(ctx exec.Context, mc *mchan) (real bool) {
 	for {
 		cm, ok := mc.recv()
 		if !ok {
-			return progress, real
+			return real
 		}
 		ctx.Charge(m.H.Costs.RDMAPost)
-		progress = true
 		if cm.Kind != ctlmsg.KMHeartbeat {
 			real = true
 		}
@@ -491,30 +480,6 @@ func (m *Monitor) drain(ctx exec.Context, mc *mchan) (progress, real bool) {
 			uint8(cm.Kind), cm.TraceID, cm.SpanID, cm.TS, ctx.Now())
 		m.routeRemote(ctx, mc, cm)
 	}
-}
-
-// routerIdler is the Monitor as idle predicate of the router loop: the daemon
-// runs, no crash, re-registration or probe result is queued, no monitor
-// channel has a completion, no listener a connection, no heartbeat is due.
-type routerIdler Monitor
-
-func (r *routerIdler) Idle(now int64) bool {
-	m := (*Monitor)(r)
-	if m.stopped || len(m.deaths)+len(m.needReReg)+len(m.probeDone) > 0 || m.hbDue(now) ||
-		(m.rescueL != nil && m.rescueL.PendingHint() > 0) {
-		return false
-	}
-	for _, p := range m.peerList {
-		if p.mc != nil && p.mc.recvCQ.Len() > 0 {
-			return false
-		}
-	}
-	for _, k := range m.kernLs {
-		if k.kl.PendingHint() > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // routeRemote hands an mchan arrival to the shard owning its key.

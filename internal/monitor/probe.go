@@ -18,19 +18,22 @@ const probeTimeout = 5_000_000 // 5 ms
 
 type probeKind int
 
+// The kinds up to probeLost are answers from a SocksDirect peer.
 const (
-	probeSD probeKind = iota
+	probeSD   probeKind = iota
+	probeLost           // the peer keeps the pair its own crossing probe built
 	probeNoSD
 	probeRST
 	probeTimeoutKind
+	probePeer // not a probe of ours: synFilter accepted the peer's pair
 )
 
 type probeResult struct {
-	dst   string
-	sport uint16
-	mc    *mchan
-	kind  probeKind
-	seq   uint64 // non-SD SYNACK's sequence for connection repair
+	dst  string
+	id   uint64 // our probe's ID, its raw port in the low 16 bits; 0 for probePeer
+	mc   *mchan
+	kind probeKind
+	seq  uint64 // non-SD SYNACK's sequence for connection repair
 }
 
 // probe sends a special-option SYN toward dst through the raw socket. The
@@ -38,26 +41,28 @@ type probeResult struct {
 // half-open connection can be completed and repaired into the client. A
 // heal probe (re-establishing a dead monitor channel, no queued connects)
 // targets the discard port instead: an SD peer's synFilter answers any
-// port, and a non-SD answer just resolves the probe as failed.
+// port, and a non-SD answer just resolves the probe as failed. The SYN
+// carries the probe's ID, which grows across incarnations, and the newest
+// of the peer's probe IDs this monitor has answered: synFilter's tie-break.
 func (m *Monitor) probe(ctx exec.Context, dst string) {
-	queued := m.peerOf(dst).probes
+	p := m.peerOf(dst)
+	m.probeSeq++
+	id := uint64(m.epoch)<<32 | uint64(m.probeSeq)
+	p.own = id
 	if m.KS == nil {
-		m.finishProbes(ctx, dst, probeResult{dst: dst, kind: probeTimeoutKind})
+		m.finishProbes(ctx, probeResult{dst: dst, id: id, kind: probeTimeoutKind})
 		return
 	}
 	dport := uint16(9) // discard, for heal probes
-	if len(queued) > 0 {
-		dport = queued[0].Port
+	if len(p.probes) > 0 {
+		dport = p.probes[0].Port
 	}
 	st := m.KS.TCP()
-	m.probeSeq++
-	sport := m.probeSeq
+	sport := uint16(id)
 
 	mc := newMchan(m.H, dst)
-	var opt ctlmsg.Msg
-	opt.Kind = ctlmsg.KMSyn
-	opt.QPN = mc.qp.QPN()
-	opt.Epoch = m.epoch // hello carries our incarnation
+	opt := ctlmsg.Msg{Kind: ctlmsg.KMSyn, QPN: mc.qp.QPN(), ConnID: id, Aux: p.seen,
+		Epoch: m.epoch} // hello carries our incarnation
 	opts := append(append([]byte{}, sdMagic...), opt.Marshal(nil)...)
 
 	answered := false
@@ -66,17 +71,20 @@ func (m *Monitor) probe(ctx exec.Context, dst string) {
 			return
 		}
 		answered = true
-		pr := probeResult{dst: dst, sport: sport, mc: mc}
+		pr := probeResult{dst: dst, id: id, mc: mc}
 		switch {
 		case seg.Flags&tcpstack.FRST != 0:
 			pr.kind = probeRST
 		case bytes.HasPrefix(seg.Options, sdMagic):
-			if rm, ok := ctlmsg.Unmarshal(seg.Options[len(sdMagic):]); ok {
+			rm, ok := ctlmsg.Unmarshal(seg.Options[len(sdMagic):])
+			pr.kind = probeRST
+			if ok {
+				m.heard(dst, rm.Epoch)
+				pr.kind = probeLost
+			}
+			if ok && rm.Kind != ctlmsg.KMRefused {
 				mc.connect(dst, rm.QPN)
 				pr.kind = probeSD
-				m.heard(dst, rm.Epoch)
-			} else {
-				pr.kind = probeRST
 			}
 		default:
 			// Plain SYN-ACK: a regular TCP/IP peer. Complete the
@@ -97,7 +105,7 @@ func (m *Monitor) probe(ctx exec.Context, dst string) {
 	m.H.Clk.After(probeTimeout, func() {
 		if !answered {
 			answered = true
-			m.queueProbeResult(probeResult{dst: dst, sport: sport, kind: probeTimeoutKind})
+			m.queueProbeResult(probeResult{dst: dst, id: id, mc: mc, kind: probeTimeoutKind})
 		}
 	})
 }
@@ -109,61 +117,78 @@ func (m *Monitor) queueProbeResult(pr probeResult) {
 	m.wake()
 }
 
-// finishProbes resolves every queued connect for dst according to the
-// probe outcome.
-func (m *Monitor) finishProbes(ctx exec.Context, dst string, pr probeResult) {
-	p := m.peerOf(dst)
+// finishProbes applies one outcome toward dst: the answer to our probe (or
+// its failure), or a pair of the peer's that synFilter accepted. It is the
+// one place a probed channel is installed: the peer's accepted pair, or our
+// own unless synFilter accepted one of the peer's since our probe went out
+// (it zeroes p.own). A pair that is not installed is closed. Parked connects
+// and control messages go out as soon as a channel is usable; while only the
+// peer's crossing probe can still bring one (probeLost, or our pair
+// replaced) they stay parked, and a failed probe resolves them.
+func (m *Monitor) finishProbes(ctx exec.Context, pr probeResult) {
+	p := m.peerOf(pr.dst)
+	switch {
+	case pr.kind == probePeer || pr.kind == probeSD && p.own == pr.id:
+		p.setChan(pr.mc)
+	case pr.mc != nil:
+		pr.mc.qp.Close()
+	}
+	if pr.id != 0 {
+		p.probing = false
+		if m.KS != nil {
+			// Release the raw port: a repaired connection reuses it as an
+			// ordinary local port.
+			m.KS.TCP().UnregisterRawPort(uint16(pr.id))
+		}
+		if pr.kind <= probeLost {
+			mProbesOK.Inc()
+		} else {
+			mProbesFailed.Inc()
+		}
+	}
 	queued, parked := p.probes, p.mqueue
-	p.probes, p.mqueue, p.probing = nil, nil, false
-	if pr.kind == probeSD {
-		p.mc = pr.mc
-	} else if !p.tracked && !p.dead {
-		// Never heard from, never condemned: a name some process dialed.
-		// Nothing is known that a later mention could not start from.
-		delete(m.peers, dst)
-		m.peerList = slices.DeleteFunc(m.peerList, func(q *peer) bool { return q == p })
-	}
-	if m.KS != nil && pr.sport != 0 {
-		// Release the raw port: a repaired connection reuses it as an
-		// ordinary local port.
-		m.KS.TCP().UnregisterRawPort(pr.sport)
-	}
-
-	if pr.kind == probeSD {
-		mProbesOK.Inc()
-	} else {
-		mProbesFailed.Inc()
-	}
-	switch pr.kind {
-	case probeSD:
+	if mc := m.chanTo(p); mc != nil {
+		p.probes, p.mqueue = nil, nil
 		// Flush control messages parked while the channel was dead.
 		for _, qm := range parked {
-			pr.mc.send(qm)
+			mc.send(qm)
 		}
 		// Re-drive every queued connect through the RDMA path. Not via
 		// onConnect: its duplicate check (against bounded-wait re-sends)
 		// would drop these, since the first pass already recorded them.
 		for _, cm := range queued {
-			pc := m.procs[int(cm.PID)]
-			if pc != nil {
+			if m.procs[int(cm.PID)] != nil {
 				m.connectRemote(ctx, cm)
 			}
 		}
+		return
+	}
+	if pr.kind <= probeLost || pr.kind == probePeer {
+		return
+	}
+	p.probes, p.mqueue = nil, nil
+	if !p.tracked && !p.dead {
+		// Never heard from, never condemned: a name some process dialed.
+		// Nothing is known that a later mention could not start from.
+		delete(m.peers, pr.dst)
+		m.peerList = slices.DeleteFunc(m.peerList, func(q *peer) bool { return q == p })
+	}
+	switch pr.kind {
 	case probeNoSD:
 		for i, cm := range queued {
 			if i == 0 {
 				// The probe's half-open connection IS this connect:
 				// repair it into the client's kernel FD table (§4.5.3).
-				m.repairInto(ctx, cm, dst, pr.sport, pr.seq)
+				m.repairInto(ctx, cm, pr.dst, uint16(pr.id), pr.seq)
 				continue
 			}
-			m.dialFallback(cm, dst)
+			m.dialFallback(cm, pr.dst)
 		}
 	case probeRST:
 		if len(queued) > 0 {
 			m.fail(ctx, int(queued[0].PID), queued[0], ctlmsg.StatusNoListener)
 			for _, cm := range queued[1:] {
-				m.dialFallback(cm, dst)
+				m.dialFallback(cm, pr.dst)
 			}
 		}
 	default: // timeout / unreachable
@@ -219,6 +244,16 @@ func (m *Monitor) dialFallback(cm *ctlmsg.Msg, dst string) {
 // with credentials for the monitor channel and never reach the kernel
 // stack (hence no RST — the iptables rule of §4.5.3); everything else
 // passes through to the dual kernel listener.
+//
+// It also holds the tie-break that gives a host pair one channel. When both
+// monitors probe at once, the pair the lower-named host's probe built wins
+// on both ends. The peer's SYN crossed our probe if the peer sent it before
+// answering that probe (rm.Aux, the newest of our probe IDs it had answered,
+// is older than p.own) while the probe is in flight or built the channel we
+// hold toward the same incarnation. The lower host answers a crossing SYN
+// with KMRefused and builds nothing: the prober drops its own pair and takes
+// ours, which the higher host accepts as it accepts every SYN, replacing
+// its own probe. Any other SYN builds the channel.
 func (m *Monitor) synFilter(seg *tcpstack.Segment) bool {
 	if !bytes.HasPrefix(seg.Options, sdMagic) {
 		return false
@@ -236,23 +271,27 @@ func (m *Monitor) synFilter(seg *tcpstack.Segment) bool {
 		mBadCtlmsg.Inc()
 		return true // malformed special SYN: swallow
 	}
-	mc := newMchan(m.H, seg.SrcHost)
-	if err := mc.connect(seg.SrcHost, rm.QPN); err != nil {
-		return true
+	src := seg.SrcHost
+	p := m.peerOf(src)
+	crossed := m.H.Name < src && rm.Aux < p.own && (p.probing || p.mc != nil && rm.Epoch <= p.epoch)
+	p.seen = max(p.seen, rm.ConnID)
+	opt := ctlmsg.Msg{Kind: ctlmsg.KMRefused, Epoch: m.epoch}
+	if !crossed {
+		mc := newMchan(m.H, src)
+		if err := mc.connect(src, rm.QPN); err != nil {
+			return true
+		}
+		p.own = 0
+		m.queueProbeResult(probeResult{dst: src, mc: mc, kind: probePeer})
+		opt.Kind, opt.QPN = ctlmsg.KMSynAck, mc.qp.QPN()
 	}
-	m.peerOf(seg.SrcHost).mc = mc
-	m.heard(seg.SrcHost, rm.Epoch)
-	var opt ctlmsg.Msg
-	opt.Kind = ctlmsg.KMSynAck
-	opt.QPN = mc.qp.QPN()
-	opt.Epoch = m.epoch
+	m.heard(src, rm.Epoch)
 	opts := append(append([]byte{}, sdMagic...), opt.Marshal(nil)...)
 	m.KS.TCP().Inject(&tcpstack.Segment{
-		DstHost: seg.SrcHost, SrcPort: seg.DstPort, DstPort: seg.SrcPort,
+		DstHost: src, SrcPort: seg.DstPort, DstPort: seg.SrcPort,
 		Seq: 0, Ack: seg.Seq + 1, Flags: tcpstack.FSYN | tcpstack.FACK,
 		Options: opts,
 	})
-	m.wake()
 	return true
 }
 

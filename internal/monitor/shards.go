@@ -325,7 +325,7 @@ func (sh *mshard) wake() {
 // the doorbell after queueing it — libsd's sendCtl, the router's inbox and
 // host-death fan-out, ConnClosed, wakeAll — and an Unpark that lands while
 // the loop runs leaves a permit, so no work waits for the next doorbell.
-// (The router keeps its spin; ROADMAP 1(a) says why.)
+// The router loop (Monitor.run) parks the same way.
 func (sh *mshard) run(ctx exec.Context) {
 	m := sh.m
 	// Snapshot scratch, reused across iterations (see Monitor.run).

@@ -129,6 +129,35 @@ func TestCoreBlocksOnlyInWait(t *testing.T) {
 	}
 }
 
+// TestMonitorNeverSpins keeps the monitor's loops parked (ARCHITECTURE.md
+// "Sharded control plane"): the router and the shard loops park after a
+// pass that found no work, and whatever queues work for them rings their
+// doorbell. Non-test internal/monitor calls no Spin.
+func TestMonitorNeverSpins(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(filepath.Join("internal", "monitor"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Spin" {
+					t.Errorf("%s: a monitor loop spins: park it, and ring it where its work is queued", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSimStateTakesNoLocks keeps a Sim's state lock-free (ARCHITECTURE.md
 // "A Sim owns its state"): the packages a simulated world is made of are
 // touched only from inside Sim.Run, one thread at a time, so their non-test
