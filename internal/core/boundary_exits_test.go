@@ -351,7 +351,7 @@ var exitScenarios = []boundaryScenario{
 		var child *host.Process
 		forked(t, w, b, &child)
 		at(w, 320_000, func(exec.Context) { w.ma.Stop() }) // the child has the token and is creating its QP
-		at(w, 25_000_000, func(exec.Context) { monitor.Peer(monitor.Restart(w.a), w.mb) })
+		at(w, 25_000_000, func(exec.Context) { monitor.Restart(w.a) })
 	}},
 	{"splice-self-dies", func(t *testing.T, w *world, b *blog) {
 		var child *host.Process
@@ -393,7 +393,7 @@ var exitScenarios = []boundaryScenario{
 			_, _, err := l.ConnectDeadline(ctx, th, "hostB", 7653, 3_000_000)
 			b.at(ctx, "connect %s", errName(err))
 		})
-		at(w, 1_000_000, func(exec.Context) { monitor.Peer(monitor.Restart(w.a), w.mb) })
+		at(w, 1_000_000, func(exec.Context) { monitor.Restart(w.a) })
 	}},
 
 	// A listener parked in Accept is woken for a SYN while a sibling thread

@@ -538,16 +538,11 @@ func TestParkedQPsAcrossMonitorRestart(t *testing.T) {
 					return
 				}
 				ctx.Sleep(settle)
-				var m *monitor.Monitor
+				restarted := w.a
 				if restartServer {
-					// The old channel toward hostB ends at a monitor that is
-					// gone, and nothing heals it for a SYN (ROADMAP 1(c), on
-					// the parent too): peer the successor by hand.
-					m = monitor.Restart(w.b)
-					monitor.Peer(w.ma, m)
-				} else {
-					m = monitor.Restart(w.a)
+					restarted = w.b
 				}
+				m := monitor.Restart(restarted)
 				ctx.Sleep(5_000_000) // re-registration reports are in
 				records = m.LiveConnRecords()
 				w0, p0 := readWire(), readPark()

@@ -306,7 +306,7 @@ type carrier struct {
 // Sim of its own, and a thread on a fresh iter.Pull costs 15 allocations
 // where one on a reused carrier costs 2. An idle carrier is a parked goroutine with an empty frame: the
 // list holds no simulation state, so two Sims sharing it cannot see each
-// other through it (unlike the registries of ROADMAP item 6(d)).
+// other through it (ARCHITECTURE.md "A Sim owns its state").
 var idleCarriers struct {
 	sync.Mutex
 	list []*carrier

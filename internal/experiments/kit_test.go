@@ -116,14 +116,16 @@ func TestVerdictPrintsWhatItJudges(t *testing.T) {
 
 // TestDrillsRepeat: a drill run twice in one process gives the same
 // Result, field for field — virtual run time, byte counts and counter
-// deltas included. The explorer (ROADMAP item 5) compares runs across
-// seeds and schedules, which means nothing unless an unchanged run repeats.
+// deltas included. Comparing runs across seeds and schedules
+// (EXPERIMENTS.md "Scenario kit") means nothing unless an unchanged run
+// repeats.
 //
 // Chaos is not here because it does not have the property yet, on the
 // parent commit either: host.hostSeq numbers hosts per process, the
 // ordinal is folded into connection IDs, and those pick the monitor shard
 // and the recovery jitter — so a second Chaos in one process runs
-// ~12 ms of virtual time differently from the first (ROADMAP item 5).
+// ~12 ms of virtual time differently from the first (EXPERIMENTS.md
+// "Scenario kit").
 func TestDrillsRepeat(t *testing.T) {
 	if a, b := Crash(1, 1, 1024), Crash(1, 1, 1024); a != b || !a.Passed() {
 		t.Errorf("crash runs differ or fail:\n%#v\n%#v", a, b)

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -439,23 +440,34 @@ func backed(pm *PhysMem, ids []PageID) int {
 // exactly that frame.
 func TestPinnedPoolIsBackedOnFirstTouch(t *testing.T) {
 	costs := costmodel.Default
-	pm := NewPhysMem(0xdeadbeef, &costs)
-	as := NewAddressSpace(pm)
-	ctx := &chargeCounter{}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	ids := as.FreshFrames(nil, 128)
-	err := pm.Pin(ctx, ids)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	var pm *PhysMem
+	var ids []PageID
+	var ctx *chargeCounter
+	// The counters are process-wide, so an allocation of the runtime's own
+	// (a timer, a new M) can land in the window: take the least over a few
+	// fresh builds, as experiments' memWindow does. One of ours lands in all.
+	objs, nbytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 5 {
+		pm = NewPhysMem(0xdeadbeef, &costs)
+		as := NewAddressSpace(pm)
+		ctx = &chargeCounter{}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ids = as.FreshFrames(nil, 128)
+		err := pm.Pin(ctx, ids)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = min(objs, after.Mallocs-before.Mallocs)
+		nbytes = min(nbytes, after.TotalAlloc-before.TotalAlloc)
 	}
 	// The id slice, the table's directory and one chunk of frames.
-	if n := after.Mallocs - before.Mallocs; n > 4 {
-		t.Errorf("building the pool made %d objects, want at most 4", n)
+	if objs > 4 {
+		t.Errorf("building the pool made %d objects, want at most 4", objs)
 	}
-	if b := after.TotalAlloc - before.TotalAlloc; b >= 32<<10 {
-		t.Errorf("building the pool took %d bytes: page bytes were made", b)
+	if nbytes >= 32<<10 {
+		t.Errorf("building the pool took %d bytes: page bytes were made", nbytes)
 	}
 	if n := backed(pm, ids); n != 0 {
 		t.Errorf("%d of 128 frames backed before any touch", n)

@@ -40,8 +40,7 @@ const (
 func (m *Monitor) heard(peer string, epoch uint32) bool {
 	now := m.H.Clk.Now()
 	p := m.peerOf(peer)
-	p.tracked, p.lastHeard = true, now
-	p.missed, p.suspected, p.dead = 0, false, false
+	p.live, p.lastHeard, p.missed = MemberAlive, now, 0
 	if epoch != 0 && epoch < p.epoch {
 		return false
 	}
@@ -63,7 +62,7 @@ func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 	paused := now-m.hbLastTick > 4*hbInterval
 	prevTick := m.hbLastTick
 	m.hbLastTick = now
-	// Tracked peers, not live channels: a dead host eventually errors the
+	// Watched peers, not live channels: a dead host eventually errors the
 	// channel's QP (RNR retry exhaustion) and the heal path drops it —
 	// liveness accounting must keep counting silence past that, or the peers
 	// that most need confirming would be the ones that escape it. peerList is
@@ -71,7 +70,7 @@ func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 	var confirm []string
 	beacon := m.beacon[:0]
 	for _, p := range m.peerList {
-		if !p.tracked || p.dead {
+		if !p.live.watched() {
 			continue
 		}
 		if paused {
@@ -79,8 +78,8 @@ func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 		} else if p.lastHeard < prevTick {
 			p.missed++
 			mHBMissed.Inc()
-			if p.missed == hbSuspectMiss && !p.suspected {
-				p.suspected = true
+			if p.missed == hbSuspectMiss && p.live == MemberAlive {
+				p.live = MemberSuspect
 				mHBSuspects.Inc()
 				obs.Emit(m.H.Name, 0, obs.EvHBSuspect, 0, now, int64(p.missed), 0)
 			}
@@ -102,7 +101,7 @@ func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 
 // watching reports whether any peer is under liveness watch.
 func (m *Monitor) watching() bool {
-	return slices.ContainsFunc(m.peerList, func(p *peer) bool { return p.tracked })
+	return slices.ContainsFunc(m.peerList, func(p *peer) bool { return p.live.watched() })
 }
 
 // hbSend ships one liveness beacon toward peer. It goes through mchanSend
@@ -174,10 +173,10 @@ func (m *Monitor) hostDead(ctx exec.Context, peer string, epoch uint32, report b
 	if epoch == 0 {
 		epoch = p.epoch
 	}
-	if p.dead || (epoch != 0 && (p.deadEpoch >= epoch || p.epoch > epoch)) {
+	if p.live == MemberDead || (epoch != 0 && (p.deadEpoch >= epoch || p.epoch > epoch)) {
 		return
 	}
-	p.dead, p.tracked = true, false
+	p.live = MemberDead
 	p.setChan(nil)
 	p.deadEpoch = max(p.deadEpoch, epoch)
 	for _, sh := range m.shards {
@@ -186,7 +185,7 @@ func (m *Monitor) hostDead(ctx exec.Context, peer string, epoch uint32, report b
 	var tell []string
 	if report {
 		for _, q := range m.peerList { // by name: deterministic gossip order
-			if q.tracked && !q.dead {
+			if q.live.watched() {
 				tell = append(tell, q.name)
 			}
 		}

@@ -148,6 +148,6 @@ func Peer(a, b *Monitor) {
 func (m *Monitor) adopt(mc *mchan) {
 	p := m.peerOf(mc.peer)
 	p.setChan(mc)
-	p.own, p.tracked = 0, true
+	p.own, p.live = 0, max(p.live, MemberAlive) // a verdict stands
 	m.wake()
 }

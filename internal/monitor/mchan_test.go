@@ -105,7 +105,7 @@ func TestMchanMessagesKeepTheirFields(t *testing.T) {
 		}
 		ctx.Sleep(100_000) // the shards dispatch the SYNs
 		for host, epoch := range map[string]uint32{"c": 7, "d": 9} {
-			if p := ma.peers[host]; p == nil || !p.dead || p.deadEpoch != epoch {
+			if p := ma.peers[host]; p == nil || p.live != MemberDead || p.deadEpoch != epoch {
 				t.Errorf("gossip about %s: peer record %+v", host, p)
 			}
 		}

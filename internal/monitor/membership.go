@@ -12,10 +12,14 @@ package monitor
 type MemberState int
 
 const (
-	MemberAlive   MemberState = iota // heard from recently
-	MemberSuspect                    // silent past the suspect threshold
-	MemberDead                       // confirmed dead (horizon or gossip)
+	memberUnwatched MemberState = iota // never heard from: no verdict
+	MemberAlive                        // heard from recently
+	MemberSuspect                      // silent past the suspect threshold
+	MemberDead                         // confirmed dead (horizon or gossip)
 )
+
+// watched reports whether heartbeats count the peer's silence.
+func (s MemberState) watched() bool { return s == MemberAlive || s == MemberSuspect }
 
 // String returns the state's lower-case name.
 func (s MemberState) String() string {
@@ -45,15 +49,12 @@ type Member struct {
 func (m *Monitor) Membership() []Member {
 	out := make([]Member, 0, len(m.peerList))
 	for _, p := range m.peerList { // sorted by name
-		row := Member{Host: p.name, Epoch: p.epoch, LastHeard: p.lastHeard, Missed: p.missed}
-		switch {
-		case p.tracked && p.suspected:
-			row.State = MemberSuspect
-		case p.tracked:
-		case p.dead:
-			row.State, row.Epoch = MemberDead, p.deadEpoch
-		default:
+		if p.live == memberUnwatched {
 			continue // mentioned, never heard from
+		}
+		row := Member{Host: p.name, State: p.live, Epoch: p.epoch, LastHeard: p.lastHeard, Missed: p.missed}
+		if p.live == MemberDead {
+			row.Epoch = p.deadEpoch
 		}
 		out = append(out, row)
 	}
@@ -63,13 +64,8 @@ func (m *Monitor) Membership() []Member {
 // MemberState returns the tracked state of one peer (MemberAlive for a
 // peer that has never been tracked: absence of evidence is not a verdict).
 func (m *Monitor) MemberState(peer string) MemberState {
-	if p := m.peers[peer]; p != nil {
-		switch {
-		case p.dead:
-			return MemberDead
-		case p.suspected:
-			return MemberSuspect
-		}
+	if p := m.peers[peer]; p != nil && p.live != memberUnwatched {
+		return p.live
 	}
 	return MemberAlive
 }

@@ -41,7 +41,7 @@ func TestHostDeadExactlyOncePerEpoch(t *testing.T) {
 		// books the receipt and clears the hbDead latch (hearing from a
 		// dead host normally means it is back).
 		ma.heard("b", 1)
-		if ma.peers["b"].dead {
+		if ma.peers["b"].live == MemberDead {
 			t.Error("stale receipt did not clear the hbDead latch (test setup broken)")
 		}
 

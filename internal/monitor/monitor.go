@@ -111,38 +111,54 @@ type kernL struct {
 	kl   *ksocket.Listener
 }
 
-// peer is everything the router knows about one remote host. The record is
-// made at the first mention of the host and outlives its channel: the dead
-// latch and deadEpoch must survive the channel they condemned.
+// peer is everything the router knows about one remote host: two states and
+// one queue. The record is made at the first mention of the host and
+// outlives its channel: the dead verdict and deadEpoch must survive the
+// channel they condemned.
 type peer struct {
 	name string
-	mc   *mchan // monitor channel; nil = none, probe before sending
+
+	// The channel (probe.go). mc is set while ch is chanUp; queue holds what
+	// waits for one, in arrival order: connects (KConnect) and control
+	// messages.
+	ch    chanState
+	mc    *mchan
+	queue []ctlmsg.Msg
+	own   uint64 // ID of our latest probe, 0 once a pair of the peer's replaced it
+	seen  uint64 // the newest of the peer's probe IDs we answered
 
 	// Liveness (heartbeat.go).
-	tracked   bool   // under liveness watch
-	lastHeard int64  // virtual time of the last receipt (0 = never)
-	missed    int    // consecutive ticks without a receipt
-	suspected bool   // crossed the suspect threshold this episode
-	dead      bool   // confirmed dead; no re-fan until heard again
-	deadEpoch uint32 // highest incarnation already fanned dead
-	epoch     uint32 // highest incarnation heard
-	lastSent  int64  // virtual time of our last beacon/echo
-
-	// Probe (probe.go).
-	probing bool          // a probe is in flight (dedup)
-	own     uint64        // ID of our latest probe, 0 once a pair of the peer's replaced it
-	seen    uint64        // the newest of the peer's probe IDs we answered
-	probes  []*ctlmsg.Msg // connects awaiting a channel
-	mqueue  []*ctlmsg.Msg // ctl msgs awaiting a healed channel
+	live      MemberState // memberUnwatched until first heard from
+	lastHeard int64       // virtual time of the last receipt (0 = never)
+	missed    int         // consecutive ticks without a receipt
+	deadEpoch uint32      // highest incarnation already fanned dead
+	epoch     uint32      // highest incarnation heard
+	lastSent  int64       // virtual time of our last beacon/echo
 }
 
-// setChan makes mc (nil: none) the channel toward p and closes the QP of
-// the one it replaces: an end holds one channel's QP.
+// chanState is where a peer's monitor channel stands: absent → probing →
+// up, and back to absent when its QP dies.
+type chanState uint8
+
+const (
+	chanAbsent  chanState = iota // none: the next send probes
+	chanProbing                  // our probe is in flight
+	chanUp                       // mc is installed
+)
+
+// setChan makes mc the channel toward p, or with nil drops p's channel (a
+// probe in flight stays in flight), and closes the QP of the one it
+// replaces: an end holds one channel's QP.
 func (p *peer) setChan(mc *mchan) {
 	if p.mc != nil && p.mc != mc {
 		p.mc.qp.Close()
 	}
 	p.mc = mc
+	if mc != nil {
+		p.ch = chanUp
+	} else if p.ch == chanUp {
+		p.ch = chanAbsent
+	}
 }
 
 type listenerRef struct {
@@ -336,9 +352,10 @@ func (m *Monitor) peerOf(name string) *peer {
 	return p
 }
 
-// chanTo returns the usable channel toward p, nil if it has none. One whose
-// QP died (partition, injected fault) is dropped here, so the caller falls
-// through to the probe that re-establishes it.
+// chanTo returns the usable channel toward p, nil if it has none. It is the
+// one place a channel whose QP died (partition, injected fault) is noticed,
+// by the send path and by the router's drain, and dropped, so the next send
+// probes for a new one.
 func (m *Monitor) chanTo(p *peer) *mchan {
 	if p.mc != nil && p.mc.qp.State() == rdma.QPErr {
 		p.setChan(nil)
@@ -460,11 +477,15 @@ func (m *Monitor) run(ctx exec.Context) {
 }
 
 // drain routes the messages waiting on mc, up to the first completion that
-// carries none. It reports whether any of them was more than a heartbeat.
+// carries none: if that one was flushed by a dead QP, the channel is dropped
+// in this pass. It reports whether any of them was more than a heartbeat.
 func (m *Monitor) drain(ctx exec.Context, mc *mchan) (real bool) {
 	for {
 		cm, ok := mc.recv()
 		if !ok {
+			if p := m.peers[mc.peer]; p != nil {
+				m.chanTo(p)
+			}
 			return real
 		}
 		ctx.Charge(m.H.Costs.RDMAPost)
@@ -911,30 +932,37 @@ func (m *Monitor) dispatch(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	}
 }
 
-// mchanSend delivers cm to dst's monitor over the monitor channel, healing
-// the channel first if its QP died (e.g. after a network partition killed
-// it mid-stream). With queue set, the message parks on the peer record and
-// is flushed once a fresh channel is probed; otherwise it is dropped — used
-// for messages the far end regenerates on retry — but a heal probe is
-// still launched so the retry finds a working channel.
+// mchanSend delivers cm to dst's monitor over the monitor channel. With
+// queue set, a message that finds no usable channel parks until a probe
+// brings one up; otherwise it is dropped — used for messages the far end
+// regenerates on retry — but the probe is still launched so the retry
+// finds a working channel.
 func (m *Monitor) mchanSend(ctx exec.Context, dst string, cm *ctlmsg.Msg, queue bool) {
+	keep := cm
+	if !queue {
+		keep = nil
+	}
+	m.sendOrPark(ctx, m.peerOf(dst), cm, keep)
+}
+
+// sendOrPark is the one way out to a peer monitor: cm goes over p's channel,
+// or, without a usable one, keep (nil: nothing) joins p's queue and a probe
+// is launched unless one is in flight. finishProbes flushes or resolves the
+// queue.
+func (m *Monitor) sendOrPark(ctx exec.Context, p *peer, cm, keep *ctlmsg.Msg) {
 	cm.Epoch = m.epoch
 	if cm.TraceID != 0 {
 		cm.TS = ctx.Now() // flight-hop start for the peer monitor's span
 	}
-	p := m.peerOf(dst)
 	if mc := m.chanTo(p); mc != nil {
 		mc.send(cm)
 		return
 	}
-	if queue {
-		cp := *cm
-		p.mqueue = append(p.mqueue, &cp)
+	if keep != nil {
+		p.queue = append(p.queue, *keep)
 	}
-	launch := !p.probing
-	p.probing = true
-	if launch {
-		m.probe(ctx, dst)
+	if p.ch == chanAbsent {
+		m.probe(p)
 	}
 }
 
@@ -1190,44 +1218,20 @@ func (m *Monitor) hostName(cm *ctlmsg.Msg) string {
 	return cm.HostStr()
 }
 
-// connectRemote forwards a connect toward a remote host, probing first when
-// no usable monitor channel exists. finishProbes re-drives queued connects
-// through here directly: by then the conn record already exists (created
-// below on the first pass), and onConnect's duplicate check — which guards
-// against bounded-wait re-sends, not probe re-drives — would drop them.
+// connectRemote forwards a connect toward a remote host as a KMSyn, or parks
+// the connect itself until a probe resolves. finishProbes re-drives parked
+// connects through here directly: by then the conn record already exists
+// (created below on the first pass), and onConnect's duplicate check — which
+// guards against bounded-wait re-sends, not probe re-drives — would drop them.
 func (m *Monitor) connectRemote(ctx exec.Context, cm *ctlmsg.Msg) {
 	dst := m.hostName(cm)
-	sh := m.shardOf(cm.ConnID)
-	c := sh.conn(cm.ConnID)
+	c := m.shardOf(cm.ConnID).conn(cm.ConnID)
 	c.pids, c.owner, c.peerHost = [2]int{int(cm.PID), 0}, int(cm.PID), dst
 	c.ext().resTo = int(cm.PID)
-	p := m.peerOf(dst)
-	mc := m.chanTo(p)
-	if mc == nil {
-		// No (usable) channel: probe the peer (special-option SYN) and queue
-		// the connect — a copy, cm stays on its dispatch loop's stack — until
-		// the probe resolves.
-		cp := *cm
-		p.probes = append(p.probes, &cp)
-	}
-	launch := mc == nil && !p.probing
-	if launch {
-		p.probing = true
-	}
-	if mc != nil {
-		fwd := *cm
-		fwd.Kind = ctlmsg.KMSyn
-		fwd.Epoch = m.epoch
-		if fwd.TraceID != 0 {
-			fwd.TS = ctx.Now()
-		}
-		fwd.SetHost(m.H.Name) // origin (unused by the peer; it trusts the channel)
-		mc.send(&fwd)
-		return
-	}
-	if launch {
-		m.probe(ctx, dst)
-	}
+	fwd := *cm
+	fwd.Kind = ctlmsg.KMSyn
+	fwd.SetHost(m.H.Name) // origin (unused by the peer; it trusts the channel)
+	m.sendOrPark(ctx, m.peerOf(dst), &fwd, cm)
 }
 
 func (m *Monitor) fail(ctx exec.Context, pid int, cm *ctlmsg.Msg, status uint8) {

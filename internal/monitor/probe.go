@@ -36,7 +36,7 @@ type probeResult struct {
 	seq  uint64 // non-SD SYNACK's sequence for connection repair
 }
 
-// probe sends a special-option SYN toward dst through the raw socket. The
+// probe sends a special-option SYN toward p through the raw socket. The
 // destination port is that of the first queued connect, so a non-SD peer's
 // half-open connection can be completed and repaired into the client. A
 // heal probe (re-establishing a dead monitor channel, no queued connects)
@@ -44,18 +44,18 @@ type probeResult struct {
 // port, and a non-SD answer just resolves the probe as failed. The SYN
 // carries the probe's ID, which grows across incarnations, and the newest
 // of the peer's probe IDs this monitor has answered: synFilter's tie-break.
-func (m *Monitor) probe(ctx exec.Context, dst string) {
-	p := m.peerOf(dst)
+func (m *Monitor) probe(p *peer) {
+	dst := p.name
 	m.probeSeq++
 	id := uint64(m.epoch)<<32 | uint64(m.probeSeq)
-	p.own = id
+	p.own, p.ch = id, chanProbing
 	if m.KS == nil {
-		m.finishProbes(ctx, probeResult{dst: dst, id: id, kind: probeTimeoutKind})
+		m.queueProbeResult(probeResult{dst: dst, id: id, kind: probeTimeoutKind})
 		return
 	}
 	dport := uint16(9) // discard, for heal probes
-	if len(p.probes) > 0 {
-		dport = p.probes[0].Port
+	if i := slices.IndexFunc(p.queue, isConnect); i >= 0 {
+		dport = p.queue[i].Port
 	}
 	st := m.KS.TCP()
 	sport := uint16(id)
@@ -117,24 +117,28 @@ func (m *Monitor) queueProbeResult(pr probeResult) {
 	m.wake()
 }
 
+// isConnect reports whether a queued message is a process's connect, which
+// a channel re-drives and a failed probe answers.
+func isConnect(cm ctlmsg.Msg) bool { return cm.Kind == ctlmsg.KConnect }
+
 // finishProbes applies one outcome toward dst: the answer to our probe (or
 // its failure), or a pair of the peer's that synFilter accepted. It is the
 // one place a probed channel is installed: the peer's accepted pair, or our
 // own unless synFilter accepted one of the peer's since our probe went out
-// (it zeroes p.own). A pair that is not installed is closed. Parked connects
-// and control messages go out as soon as a channel is usable; while only the
-// peer's crossing probe can still bring one (probeLost, or our pair
-// replaced) they stay parked, and a failed probe resolves them.
+// (it zeroes p.own). A pair that is not installed is closed. A channel up
+// flushes the queue in arrival order; otherwise only the end of p.own
+// decides: probeLost leaves the queue parked for the peer's crossing probe,
+// and a failure resolves it.
 func (m *Monitor) finishProbes(ctx exec.Context, pr probeResult) {
 	p := m.peerOf(pr.dst)
+	ours := pr.id != 0 && pr.id == p.own
 	switch {
-	case pr.kind == probePeer || pr.kind == probeSD && p.own == pr.id:
+	case pr.kind == probePeer || pr.kind == probeSD && ours:
 		p.setChan(pr.mc)
 	case pr.mc != nil:
 		pr.mc.qp.Close()
 	}
 	if pr.id != 0 {
-		p.probing = false
 		if m.KS != nil {
 			// Release the raw port: a repaired connection reuses it as an
 			// ordinary local port.
@@ -146,53 +150,50 @@ func (m *Monitor) finishProbes(ctx exec.Context, pr probeResult) {
 			mProbesFailed.Inc()
 		}
 	}
-	queued, parked := p.probes, p.mqueue
+	queued := p.queue
 	if mc := m.chanTo(p); mc != nil {
-		p.probes, p.mqueue = nil, nil
-		// Flush control messages parked while the channel was dead.
-		for _, qm := range parked {
-			mc.send(qm)
-		}
-		// Re-drive every queued connect through the RDMA path. Not via
-		// onConnect: its duplicate check (against bounded-wait re-sends)
-		// would drop these, since the first pass already recorded them.
-		for _, cm := range queued {
-			if m.procs[int(cm.PID)] != nil {
+		p.queue = nil
+		for i := range queued {
+			cm := &queued[i]
+			switch {
+			case !isConnect(*cm):
+				mc.send(cm)
+			case m.procs[int(cm.PID)] != nil:
+				// Not via onConnect: its duplicate check (against bounded-wait
+				// re-sends) would drop the connect the first pass recorded.
 				m.connectRemote(ctx, cm)
 			}
 		}
 		return
 	}
-	if pr.kind <= probeLost || pr.kind == probePeer {
+	if !ours {
 		return
 	}
-	p.probes, p.mqueue = nil, nil
-	if !p.tracked && !p.dead {
+	p.ch = chanAbsent
+	if pr.kind <= probeLost {
+		return
+	}
+	p.queue = nil
+	if p.live == memberUnwatched {
 		// Never heard from, never condemned: a name some process dialed.
 		// Nothing is known that a later mention could not start from.
 		delete(m.peers, pr.dst)
 		m.peerList = slices.DeleteFunc(m.peerList, func(q *peer) bool { return q == p })
 	}
-	switch pr.kind {
-	case probeNoSD:
-		for i, cm := range queued {
-			if i == 0 {
-				// The probe's half-open connection IS this connect:
-				// repair it into the client's kernel FD table (§4.5.3).
-				m.repairInto(ctx, cm, pr.dst, uint16(pr.id), pr.seq)
-				continue
-			}
+	first := slices.IndexFunc(queued, isConnect)
+	for i := range queued {
+		cm := &queued[i]
+		switch {
+		case !isConnect(*cm): // a control message drops
+		case pr.kind == probeNoSD && i == first:
+			// The probe's half-open connection IS this connect: repair it
+			// into the client's kernel FD table (§4.5.3).
+			m.repairInto(ctx, cm, pr.dst, uint16(pr.id), pr.seq)
+		case pr.kind == probeRST && i == first:
+			m.fail(ctx, int(cm.PID), cm, ctlmsg.StatusNoListener)
+		case pr.kind == probeNoSD || pr.kind == probeRST:
 			m.dialFallback(cm, pr.dst)
-		}
-	case probeRST:
-		if len(queued) > 0 {
-			m.fail(ctx, int(queued[0].PID), queued[0], ctlmsg.StatusNoListener)
-			for _, cm := range queued[1:] {
-				m.dialFallback(cm, pr.dst)
-			}
-		}
-	default: // timeout / unreachable
-		for _, cm := range queued {
+		default: // timeout / unreachable
 			m.fail(ctx, int(cm.PID), cm, ctlmsg.StatusNoRoute)
 		}
 	}
@@ -273,7 +274,7 @@ func (m *Monitor) synFilter(seg *tcpstack.Segment) bool {
 	}
 	src := seg.SrcHost
 	p := m.peerOf(src)
-	crossed := m.H.Name < src && rm.Aux < p.own && (p.probing || p.mc != nil && rm.Epoch <= p.epoch)
+	crossed := m.H.Name < src && rm.Aux < p.own && (p.ch == chanProbing || p.ch == chanUp && rm.Epoch <= p.epoch)
 	p.seen = max(p.seen, rm.ConnID)
 	opt := ctlmsg.Msg{Kind: ctlmsg.KMRefused, Epoch: m.epoch}
 	if !crossed {

@@ -24,7 +24,10 @@ import (
 // epoch. The successor adopts every live process's existing control
 // duplex — registration survives, no process action needed — and owes
 // each one a KReRegister, which the daemon loop sends before touching any
-// other work. Returns the new incarnation.
+// other work. The predecessor's monitor channels are closed, and the
+// successor probes each host it watched: its SYN, from a newer incarnation,
+// is never a crossing, so it replaces the survivor's half of the old pair.
+// Returns the new incarnation.
 func Restart(h *host.Host) *Monitor {
 	old, _ := h.Mon.(*Monitor)
 	if old == nil {
@@ -44,6 +47,12 @@ func Restart(h *host.Host) *Monitor {
 	for _, pc := range adopted {
 		m.procs[pc.p.PID] = pc
 		m.needReReg = append(m.needReReg, pc.p.PID)
+	}
+	for _, p := range old.peerList {
+		if p.live.watched() { // as is every host a channel leads to
+			p.setChan(nil)
+			m.probe(m.peerOf(p.name))
+		}
 	}
 	m.rebuildProcList()
 	mRestarts.Inc()
@@ -90,13 +99,9 @@ func (m *Monitor) onReRegistered(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg)
 		// listener, which Stop closed to free the port for us).
 		m.addListener(cm.Port, pid, int(cm.TID))
 	case ctlmsg.ReRegConn:
-		peer := cm.HostStr()
-		if peer == m.H.Name {
-			peer = ""
-		}
-		sh := m.shardOf(cm.QID)
-		c := sh.conn(cm.QID)
-		if peer != "" {
+		c := m.shardOf(cm.QID).conn(cm.QID)
+		if peer := cm.HostStr(); peer != "" && peer != m.H.Name {
+			// The channel toward peer is the successor's probe's (Restart).
 			c.peerHost = peer
 		}
 		if cm.Dir == 1 {
@@ -111,14 +116,6 @@ func (m *Monitor) onReRegistered(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg)
 		}
 		if c.owner == 0 {
 			c.owner = pid
-		}
-		needChan := peer != "" && m.peerOf(peer).mc == nil
-		if needChan {
-			// Inter-host socket but no channel to its host yet: re-probe
-			// the remote monitor. The beacon itself is droppable — the
-			// heal probe it launches rebuilds the channel, and its answer
-			// refreshes the peer's liveness clock and epoch.
-			m.hbSend(ctx, peer, false)
 		}
 	case ctlmsg.ReRegToken:
 		// Nothing to rebuild: token ownership is authoritative in the SHM

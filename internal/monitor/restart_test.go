@@ -78,7 +78,7 @@ func TestHeartbeatConfirmsDeadHost(t *testing.T) {
 		t.Errorf("host death fanned out %d times, want exactly 1 (latched)",
 			d[telemetry.MonHostDeadFanouts])
 	}
-	dead := ma.peers["b"].dead
+	dead := ma.peers["b"].live == MemberDead
 	_, stillConn := ma.shardOf(qid).conns[qid]
 	stillChan := ma.peers["b"].mc != nil
 	if !dead {

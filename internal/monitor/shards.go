@@ -30,10 +30,10 @@ import (
 // connect on one shard picking a listener whose port lives on another —
 // stay as cheap as they were in the single-loop design.
 //
-// The verdict on the shards (ROADMAP 1(d), EXPERIMENTS.md "One loop or
-// four"): with shard.DefaultCount = 1 and nothing else changed, `sdbench
-// connscale` falls 1 554 164 -> 429 184 conn/s (one loop saturates at three
-// events of ~780 sim-ns per connection) and cluster_dial's sim_p50_ns /
+// The verdict on the shards (EXPERIMENTS.md "One loop or four"): with
+// shard.DefaultCount = 1 and nothing else changed, `sdbench connscale` falls
+// 1 554 164 -> 429 184 conn/s (one loop saturates at three events of ~780
+// sim-ns per connection) and cluster_dial's sim_p50_ns /
 // sim_tail_ns rise 1.8 % / 2.7 %, while the host cost of a dial halves. They
 // earn their keep on virtual time and stay. Why four mostly idle loops doubled a dial's host cost: each spun
 // 255 polls after every message, so on connect_churn they never parked and

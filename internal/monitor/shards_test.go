@@ -103,7 +103,7 @@ func TestHostDeadFanoutSweepsEveryShardOnce(t *testing.T) {
 	})
 	s.Run()
 
-	if !ma.peers["b"].dead {
+	if ma.peers["b"].live != MemberDead {
 		t.Fatal("peer b not latched dead")
 	}
 	for i, sh := range ma.shards {

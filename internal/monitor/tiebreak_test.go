@@ -22,24 +22,39 @@ import (
 //   - both ends, mid-probe: the second fault lands, and the second end
 //     queues, while the first end's probe is in flight; the second end's SYN
 //     reaches the first before the first end's probe completes,
-//   - or after it: that SYN is held on the wire.
+//   - or after it: that SYN is held on the wire;
+//   - one end or both, mid-drain: the faults land at once, and each faulted
+//     end's router drops its flushed channel in the pass that meets the
+//     first flushed slot, before either end queues;
+//   - one end or both, after a restart: the first end's monitor restarts
+//     (with both, the second's too, 0.5 ms later). 1 ms after the last
+//     restart the second end — the survivor, or the second successor —
+//     queues N toward the first, and the first end's successor N back. No
+//     test peers a successor: its own probes heal its pairs.
 //
 // Afterwards every SYN has been dispatched exactly once on the far end, the
 // two ends hold the two halves of one pair, and each NIC holds that pair's
-// QP and nothing else: the errored QPs and the losing pair's are closed.
+// QP and nothing else: the errored QPs, the losing pair's and a dead
+// incarnation's are closed.
 func TestOneChannelPerHostPair(t *testing.T) {
 	const n = 8
 	for _, c := range []struct {
 		name    string
-		both    bool  // the fault lands on both ends, else on the first
-		second  int64 // when the second end queues, after the first
+		both    bool  // the fault or restart lands on both ends, else on the first
+		second  int64 // when the second end queues (restarts, in a restart row), after the first
 		holdSYN bool  // the second end's SYN reaches the first end after its probe completes
+		drain   bool  // both faults land at once, and the routers drain before anyone queues
+		restart bool  // a monitor restart, not a NIC fault
 	}{
-		{"one end, idle", false, 1_000_000, false},
-		{"one end, mid-probe", false, 6_000, false},
-		{"both ends, idle", true, 0, false},
-		{"both ends, mid-probe, SYN before the probe completes", true, 2_000, false},
-		{"both ends, mid-probe, SYN after the probe completes", true, 2_000, true},
+		{"one end, idle", false, 1_000_000, false, false, false},
+		{"one end, mid-probe", false, 6_000, false, false, false},
+		{"both ends, idle", true, 0, false, false, false},
+		{"both ends, mid-probe, SYN before the probe completes", true, 2_000, false, false, false},
+		{"both ends, mid-probe, SYN after the probe completes", true, 2_000, true, false, false},
+		{"one end, mid-drain", false, 6_000, false, true, false},
+		{"both ends, mid-drain", true, 6_000, false, true, false},
+		{"one end, after a restart", false, 0, false, false, true},
+		{"both ends, after a restart", true, 500_000, false, false, true},
 	} {
 		for _, first := range []string{"a", "b"} {
 			t.Run(fmt.Sprintf("%s, %s first", c.name, first), func(t *testing.T) {
@@ -53,23 +68,50 @@ func TestOneChannelPerHostPair(t *testing.T) {
 						from.mchanSend(ctx, to.H.Name, &cm, true)
 					}
 				}
-				s.Spawn("first", func(ctx exec.Context) {
-					ctx.Sleep(100_000_000) // past the heartbeats' quiet window
-					m1.H.NIC.FailAllQPs()
-					queue(ctx, m1, m2, 1000)
-				})
-				s.Spawn("second", func(ctx exec.Context) {
-					ctx.Sleep(100_000_000 + c.second)
-					if c.both {
-						m2.H.NIC.FailAllQPs()
-					}
-					back := net.Knet.Edge(m2.H.Name, m1.H.Name)
-					if c.holdSYN {
-						back.SetExtraDelay(30_000) // the probe SYN the first send launches
-					}
-					queue(ctx, m2, m1, 2000)
-					back.SetExtraDelay(0)
-				})
+				switch {
+				case c.restart:
+					s.Spawn("restarts", func(ctx exec.Context) {
+						ctx.Sleep(100_000_000)
+						m1 = restartListening(m1)
+						if c.both {
+							ctx.Sleep(c.second)
+							m2 = restartListening(m2)
+						}
+						ctx.Sleep(1_000_000)
+						queue(ctx, m2, m1, 2000)
+						queue(ctx, m1, m2, 1000)
+					})
+				case c.drain:
+					s.Spawn("first", func(ctx exec.Context) {
+						ctx.Sleep(100_000_000)
+						faulted := []*Monitor{m1}
+						if c.both {
+							faulted = append(faulted, m2)
+						}
+						dropsInOnePass(t, ctx, faulted...)
+						queue(ctx, m1, m2, 1000)
+						ctx.Sleep(c.second)
+						queue(ctx, m2, m1, 2000)
+					})
+				default:
+					s.Spawn("first", func(ctx exec.Context) {
+						ctx.Sleep(100_000_000) // past the heartbeats' quiet window
+						m1.H.NIC.FailAllQPs()
+						queue(ctx, m1, m2, 1000)
+					})
+					s.Spawn("second", func(ctx exec.Context) {
+						ctx.Sleep(100_000_000 + c.second)
+						if c.both {
+							m2.H.NIC.FailAllQPs()
+						}
+						back := net.Knet.Edge(m2.H.Name, m1.H.Name)
+						if c.holdSYN {
+							back.SetExtraDelay(30_000) // the probe SYN the first send launches
+						}
+						queue(ctx, m2, m1, 2000)
+						back.SetExtraDelay(0)
+					})
+				}
 				s.Run()
 
 				checkSyns(t, dispatched(link2), 1000, n, m1.H.Name)
@@ -91,6 +133,38 @@ func TestOneChannelPerHostPair(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// restartListening restarts m's monitor and gives the successor m's listener
+// on port 80, which a bare test process cannot re-register.
+func restartListening(m *Monitor) *Monitor {
+	next := Restart(m.H)
+	next.shardOfPort(80).ports[80] = m.shardOfPort(80).ports[80]
+	return next
+}
+
+// dropsInOnePass errors each monitor's NIC at once and checks that its
+// router drops the flushed channel in the pass that meets the first flushed
+// slot: the channel is gone, one heal is counted per end, and the other
+// flushed slots are never drained.
+func dropsInOnePass(t *testing.T, ctx exec.Context, ms ...*Monitor) {
+	t.Helper()
+	h0 := mMchanHeals.Load()
+	var old []*mchan
+	for _, m := range ms {
+		old = append(old, m.peerList[0].mc)
+		m.H.NIC.FailAllQPs()
+	}
+	ctx.Sleep(1_000) // the routers' first pass
+	for i, m := range ms {
+		if p := m.peerList[0]; p.mc != nil || old[i].recvCQ.Len() != mchanBufs-1 {
+			t.Errorf("%s: channel %p held, %d of %d flushed slots left: the flushed channel outlived one pass",
+				m.H.Name, p.mc, old[i].recvCQ.Len(), mchanBufs)
+		}
+	}
+	if got := mMchanHeals.Load() - h0; got != int64(len(ms)) {
+		t.Errorf("%d heals counted, want one per faulted end (%d)", got, len(ms))
 	}
 }
 

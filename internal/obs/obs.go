@@ -8,7 +8,7 @@
 // records one span per hop into bounded per-process rings (virtual-time
 // timestamps, zero allocation), and reconstructs end-to-end timelines
 // with a per-hop latency breakdown — the evidence base the sharded
-// monitor work (ROADMAP item 1) needs, in place of aggregate histograms.
+// monitor is judged on (ARCHITECTURE.md "Sharded control plane").
 // The same rings hold instant events (Emit). The flow table is the `ss`-style view of every connection's transport
 // (SHM ring / RDMA QP / rescue TCP of §4.5.3), byte counts and failure
 // history; the flight recorder turns resets, retry exhaustion and

@@ -98,8 +98,8 @@ const (
 
 	// monitor dispatch latency, split by message origin: intra = messages
 	// dequeued from a local process control ring (handle), inter = messages
-	// arriving over the monitor-to-monitor mchan (handleRemote). ROADMAP
-	// item 1 (sharded monitor) needs the two regimes separated.
+	// arriving over the monitor-to-monitor mchan (handleRemote), two regimes
+	// ARCHITECTURE.md "Sharded control plane" tells apart.
 	MonDispatchIntra = "sd/monitor/dispatch_ns/intra" // distribution, ns
 	MonDispatchInter = "sd/monitor/dispatch_ns/inter" // distribution, ns
 

@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// The exact half of the ledger gate (ROADMAP item 3): every sim_* value of
-// the seven benchmark/ workloads at -short size is a sum of costmodel
-// constants along a deterministic schedule, so a run either reproduces the
+// The exact half of the ledger gate (ARCHITECTURE.md "Continuous
+// benchmarks"): every sim_* value of the seven benchmark/ workloads at
+// -short size is a sum of costmodel constants along a deterministic
+// schedule, so a run either reproduces the
 // committed snapshot to the last digit or something moved virtual time.
 // CI's ledger-smoke step runs
 //

@@ -217,6 +217,61 @@ func TestSimStateTakesNoLocks(t *testing.T) {
 	}
 }
 
+// TestCodeCitesOnlyOpenItems fails on a ROADMAP item that Go code cites —
+// "ROADMAP n", "ROADMAP n(x)", "item n" — and that ROADMAP.md does not list
+// under "Open items": items are renumbered and finished, and a comment that
+// still cites one points nowhere. Cite the ARCHITECTURE.md or EXPERIMENTS.md
+// section instead.
+func TestCodeCitesOnlyOpenItems(t *testing.T) {
+	src, err := os.ReadFile("ROADMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, open, ok := strings.Cut(string(src), "\n## Open items\n")
+	if !ok {
+		t.Fatal(`ROADMAP.md has no "## Open items" section`)
+	}
+	open, _, _ = strings.Cut(open, "\n## ")
+	number := regexp.MustCompile(`^(\d+)\. `)             // "1. **One re-baseline …"
+	letter := regexp.MustCompile(`^\s+- \*\*\(([a-z])\)`) // "   - **(a) Host ordinals …"
+	items := map[string]bool{}                            // "n" and "n(x)"
+	item := ""
+	for _, line := range strings.Split(open, "\n") {
+		if m := number.FindStringSubmatch(line); m != nil {
+			item = m[1]
+			items[item] = true
+		} else if m := letter.FindStringSubmatch(line); m != nil {
+			items[item+"("+m[1]+")"] = true
+		}
+	}
+	cite := regexp.MustCompile(`(?:ROADMAP\s+(?:item\s+)?|\bitem\s+)(\d+(?:\([a-z]\))?)`)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir // .git, .github
+		case !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			for _, m := range cite.FindAllStringSubmatch(line, -1) {
+				if !items[m[1]] {
+					t.Errorf("%s:%d cites ROADMAP %s, which is not an open item", path, i+1, m[1])
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // currentDocs are the documents that describe the repository as it is.
 // ROADMAP.md and CHANGES.md are plans and history, and may name what no
 // longer exists.
