@@ -144,7 +144,7 @@ func unaccepted(t *testing.T, w *world, b *blog, deadline int64) (sp, cp *host.P
 
 // forked connects across hosts, forks the client at 300 µs and has the child
 // send on the inherited socket at 310 µs: its first use, which asks the
-// monitors for a QP of its own (§4.1.2) and waits for the answer.
+// monitors for a QP of its own (§4.1.2) and waits for the splice.
 func forked(t *testing.T, w *world, b *blog, child **host.Process) (sp, cp *host.Process) {
 	return connected(t, w, true, 7634,
 		func(ctx exec.Context, th *host.Thread, s *core.Socket) {
@@ -343,10 +343,10 @@ var exitScenarios = []boundaryScenario{
 		killAt(w, b, 1_000_000, ps...)
 	}},
 
-	// The post-fork splice has no errno to give: monitor silence re-sends
-	// the request, for as long as it takes — here until a successor, 25 ms
-	// later, answers — and the child's death or the peer's ends it for the
-	// send around it to report.
+	// The child's first QP is spliced as a recovery is: a silent request is
+	// abandoned at its attempt deadline and sent again after the backoff —
+	// here until a successor, 25 ms later, answers — and the child's death
+	// or the peer's ends the send around it.
 	{"splice-silence", func(t *testing.T, w *world, b *blog) {
 		var child *host.Process
 		forked(t, w, b, &child)

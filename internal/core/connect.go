@@ -58,13 +58,13 @@ type pendingAccept struct {
 type interSide struct {
 	side SideState
 	qp   *rdma.QP
-	mr   [3]rdma.MR // over the RX ring, CreditIn and TailIn
+	mr   [2]rdma.MR // over the RX ring and CreditIn
 	ep   rdmaEP     // the side's endpoint, made by newEP
 
-	// First backing of side.mrs, side.eps and side.PoolFree. Fork and
-	// recovery add MRs and endpoints, and a peer may advertise a bigger pool:
-	// append moves those out.
-	mrs      [3]*rdma.MR
+	// First backing of side.mrs, side.eps and side.PoolFree. An inherited
+	// socket's splice and recovery add MRs and endpoints, and a peer may
+	// advertise a bigger pool: append moves those out.
+	mrs      [2]*rdma.MR
 	eps      [1]*rdmaEP
 	poolFree [zcPoolPages]int32
 }
@@ -81,9 +81,9 @@ func (l *Libsd) newInterSide(ctx exec.Context, qid uint64, qp *rdma.QP) (*interS
 	side := &is.side
 	side.QID = qid
 	side.TX, side.RX = l.H.SHM.GetRing(ringCap), l.H.SHM.GetRing(ringCap)
-	side.CreditIn, side.TailIn = side.words[0][:], side.words[1][:]
+	side.CreditIn = side.word[:]
 	side.Refs.Store(1)
-	for i, b := range [3][]byte{side.RX.Data(), side.CreditIn, side.TailIn} {
+	for i, b := range [2][]byte{side.RX.Data(), side.CreditIn} {
 		is.mrs[i] = l.pd.RegisterBytesAt(&is.mr[i], b)
 	}
 	side.mrs, side.eps, side.PoolFree = is.mrs[:], is.eps[:0], is.poolFree[:0]
@@ -121,7 +121,6 @@ func (is *interSide) desc(m *ctlmsg.Msg) {
 	m.QPN = is.qp.QPN()
 	m.RingRKey = is.mr[0].RKey()
 	m.CreditRKey = is.mr[1].RKey()
-	m.Secret = is.mr[2].RKey() // tail word (Secret is unused in data setup)
 	m.SeqA = is.side.LocalPool.mr.RKey()
 	m.SeqB = zcPoolPages
 }
@@ -132,11 +131,7 @@ func (is *interSide) desc(m *ctlmsg.Msg) {
 func (l *Libsd) newEP(is *interSide) *rdmaEP {
 	ep, side := &is.ep, &is.side
 	ep.lib, ep.side, ep.qp, ep.batching = l, side, is.qp, l.batching
-	// Keep our own rkeys in the shared state: failure recovery hands the
-	// unchanged keys to the peer's replacement QP (the MRs survive).
-	side.SelfRingRKey = is.mr[0].RKey()
-	side.SelfCreditRKey = is.mr[1].RKey()
-	side.SelfTailRKey = is.mr[2].RKey()
+	ep.selfRingRKey, ep.selfCreditRKey = is.mr[0].RKey(), is.mr[1].RKey()
 	side.creditEP.Store(ep.boxed())
 	side.RX.SetCreditHook(side)
 	// Register for completion dispatch BEFORE the QP can receive: a
@@ -147,11 +142,10 @@ func (l *Libsd) newEP(is *interSide) *rdmaEP {
 }
 
 // setPeer records the peer's descriptor: where its endpoint takes our
-// writes — RX ring, credit word, tail word, zero-copy pool with every slot
-// free — and which process holds it. The free-slot list reuses the side's
-// backing.
+// writes — RX ring, credit word, zero-copy pool with every slot free — and
+// which process holds it. The free-slot list reuses the side's backing.
 func (e *rdmaEP) setPeer(peerHost string, m *ctlmsg.Msg) {
-	e.ringRKey, e.creditRKey, e.tailRKey = m.RingRKey, m.CreditRKey, m.Secret
+	e.ringRKey, e.creditRKey = m.RingRKey, m.CreditRKey
 	e.peerPID = m.PID
 	side := e.side
 	side.PeerHost = peerHost
@@ -711,11 +705,11 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		l.reRegisterReport(ctx)
 
 	case ctlmsg.KReQPPeer:
-		// A peer process needs a fresh QP spliced to this socket: either a
-		// forked child re-establishing after fork ("the remote may see two
+		// A peer process needs a fresh QP spliced to this socket: either one
+		// that inherited it (fork, exec, migration: "the remote may see two
 		// or more QPs for one socket, but they link to the unique copy of
 		// socket metadata and buffer", §4.1.2), or failure recovery
-		// replacing a dead QP (Dir=ReQPRecovery; recover.go).
+		// replacing a dead QP (Dir=ReQPRecovery); recover.go sends both.
 		any := l.socks[m.QID]
 		res := ctlmsg.Msg{Kind: ctlmsg.KReQPRes, QID: m.QID, Aux: m.Aux,
 			PID: int64(l.P.PID), ConnID: m.ConnID, Dir: m.Dir,
@@ -736,8 +730,10 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		ep := &rdmaEP{
 			lib: l, side: any.side, qp: qp,
 			ringRKey: m.RingRKey, creditRKey: m.CreditRKey,
-			tailRKey: m.Secret,
 			batching: l.batching,
+		}
+		if oe, ok := any.ep.(*rdmaEP); ok {
+			ep.selfRingRKey, ep.selfCreditRKey = oe.selfRingRKey, oe.selfCreditRKey
 		}
 		l.registerEP(ep) // before the QP can receive: see newEP
 		// Passive: the requester connects its QP when our answer reaches it.
@@ -749,33 +745,20 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		// Switch every local socket on this queue to the newest QP: "using
 		// any of the QPs is equivalent" for one-sided writes, and the new
 		// one is spliced to the process that will actually be reading.
-		var olds []*rdmaEP
-		for s := l.socks[m.QID]; s != nil; s = s.sib {
-			if oe, ok := s.ep.(*rdmaEP); ok && oe != ep {
-				olds = append(olds, oe)
-			}
-			s.ep = ep
-		}
+		olds := l.switchEP(m.QID, ep)
 		any.side.creditEP.Store(ep.boxed())
 		if recovery {
 			// Unlike the fork flow (where the parent keeps using the old
 			// QP), recovery must retire the dead QP on both sides so a stale
 			// in-flight packet can never land in recycled ring offsets.
-			closed := make(map[*rdma.QP]bool)
-			for _, oe := range olds {
-				if !closed[oe.qp] {
-					closed[oe.qp] = true
-					oe.qp.Close()
-				}
-			}
+			closeQPs(olds)
 			// Re-mirror our unacked region and credit through the new QP:
 			// writes posted to the dead QP may never have landed. They go
 			// out behind the requester's RTU.
 			ep.resync(ctx)
 			ep.creditHook(any.side.LastCreditOut.Load())
 		}
-		// Our own rkeys are unchanged (rings were already registered).
-		res.RingRKey = 0 // peer keeps the rkeys it already holds
+		// Our rkeys are unchanged: the requester keeps the ones it holds.
 		res.QPN = qp.QPN()
 		l.sendCtl(ctx, &res)
 
@@ -785,8 +768,6 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 				l.reqp[i].done = true
 				l.reqp[i].status = m.Status
 				l.reqp[i].peerQPN = m.QPN
-				l.reqp[i].ringRKey = m.RingRKey
-				l.reqp[i].creditRKey = m.CreditRKey
 				l.reqp[i].peerHost = m.HostStr()
 				break
 			}

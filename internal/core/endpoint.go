@@ -139,10 +139,15 @@ type rdmaEP struct {
 	lib  *Libsd
 	side *SideState
 
-	qp         *rdma.QP
-	ringRKey   uint64 // peer's RX ring data
-	creditRKey uint64 // peer's CreditIn word (for our RX credits)
-	tailRKey   uint64 // peer's TailIn word (absolute RX tail)
+	qp         *rdma.QP // nil: inherited, and no QP of this process's yet
+	ringRKey   uint64   // peer's RX ring data
+	creditRKey uint64   // peer's CreditIn word (for our RX credits)
+
+	// selfRingRKey and selfCreditRKey are the rkeys of the side's RX ring
+	// and CreditIn under this process's PD, which a splice gives the peer's
+	// new QP: the NIC takes no rkey of another PD. An inherited endpoint
+	// registers its own with its first splice request (recover.go).
+	selfRingRKey, selfCreditRKey uint64
 
 	inflight    atomic.Int32
 	batching    bool // false disables adaptive batching (SD-unopt ablation)
@@ -159,9 +164,10 @@ type rdmaEP struct {
 	// completion pump (onSendCQE -> flush) may run on another thread.
 	burst atomic.Bool
 
-	// failed latches when the QP dies (retry exhaustion, flush). The data
-	// path keeps accepting sends into the local ring copy (§4.2: the TX
-	// ring IS the retransmit buffer) while the recovery state machine in
+	// failed latches when the QP dies (retry exhaustion, flush); an
+	// inherited endpoint starts out failed, with no QP. Past a dead QP the
+	// data path keeps accepting sends into the local ring copy (§4.2: the
+	// TX ring IS the retransmit buffer) while the recovery state machine in
 	// recover.go re-establishes a QP or degrades to kernel TCP.
 	failed atomic.Bool
 	rec    recoverState
@@ -180,10 +186,15 @@ const (
 	wrData   = 1 // WRID tags for send-CQ dispatch
 	wrCredit = 2
 	wrZC     = 3
-	wrTail   = 4
 )
 
+// trySend of an inherited endpoint sends nothing: its first use starts the
+// splice of a QP of its own, which the send's wait drives (recover.go).
 func (e *rdmaEP) trySend(ctx exec.Context, typ uint8, a, b []byte) bool {
+	if e.qp == nil {
+		e.maybeRecover(ctx)
+		return false
+	}
 	if !e.side.TX.TrySendV(typ, 0, a, b) {
 		// Stale credits? The peer returns them by writing our CreditIn.
 		e.refreshCredit()
@@ -222,6 +233,9 @@ func (e *rdmaEP) burstEnd(ctx exec.Context) {
 }
 
 func (e *rdmaEP) tryRecvN(ctx exec.Context, out []shm.Msg) int {
+	if e.qp == nil {
+		e.maybeRecover(ctx)
+	}
 	e.lib.pump(ctx)
 	ctx.Charge(e.lib.H.Costs.RingOp)
 	return e.side.RX.TryRecvN(out)
@@ -245,8 +259,8 @@ func (e *rdmaEP) flush(ctx exec.Context) {
 	ring := e.side.TX
 	written := ring.WriteCursor()
 	flushed := e.side.TxFlushed.Load()
-	if written == flushed {
-		return
+	if written == flushed || e.qp == nil {
+		return // nothing to mirror, or no QP yet (an inherited endpoint's burst)
 	}
 	delta := written - flushed
 	// Batch size in bytes mirrored per flush: with adaptive batching this
@@ -287,7 +301,12 @@ func (e *rdmaEP) flush(ctx exec.Context) {
 	e.inflight.Add(1)
 }
 
+// tryRecv of an inherited endpoint starts the splice, and reads meanwhile
+// what the shared ring holds: the parent's QP keeps delivering into it.
 func (e *rdmaEP) tryRecv(ctx exec.Context) (shm.Msg, bool) {
+	if e.qp == nil {
+		e.maybeRecover(ctx)
+	}
 	e.lib.pump(ctx)
 	ctx.Charge(e.lib.H.Costs.RingOp)
 	return e.side.RX.TryRecv()

@@ -60,6 +60,9 @@ func (s *Socket) FailQP() {
 	s.ep.(*rdmaEP).markFailed()
 }
 
+// Degraded reports whether the socket fell back to kernel TCP.
+func (s *Socket) Degraded() bool { return s.side.Degraded.Load() }
+
 // ErrorParkedQPs moves every parked QP to the error state, as a NIC event
 // between two connections would.
 func (l *Libsd) ErrorParkedQPs() {

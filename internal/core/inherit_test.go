@@ -1,0 +1,275 @@
+package core_test
+
+import (
+	"errors"
+	"io"
+	"testing"
+
+	"socksdirect/internal/core"
+	"socksdirect/internal/exec"
+	"socksdirect/internal/host"
+	"socksdirect/internal/monitor"
+)
+
+// Tests of an inherited inter-host socket (§4.1.2, §4.1.3): a forked child,
+// its own child and the process after exec each get the socket's shared
+// state and an endpoint of their own without a QP, which splices one on
+// first use through the request QP recovery sends.
+
+// collect runs, on hostB, a server that accepts one connection on port and
+// reads until it holds want bytes, which it leaves in *got.
+func collect(t *testing.T, w *world, port uint16, want int, got *[]byte) *host.Process {
+	sp, sl := proc(t, w.b, "server", 0)
+	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+		lst, _ := sl.ListenOn(ctx, th, port)
+		s, _, err := lst.Accept(ctx)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		buf := make([]byte, want)
+		for len(*got) < want {
+			n, err := s.Recv(ctx, th, buf)
+			if err != nil {
+				t.Errorf("recv after %q: %v", *got, err)
+				return
+			}
+			*got = append(*got, buf[:n]...)
+		}
+	})
+	return sp
+}
+
+// TestForkOfUnsplicedChild: a child forks before it ever used an inherited
+// socket, and the grandchild sends first. The grandchild inherits an
+// endpoint without a QP, as the child did, and splices its own.
+func TestForkOfUnsplicedChild(t *testing.T) {
+	w := newWorld(t)
+	monitor.Peer(w.ma, w.mb)
+	const first, last = "parent", "grandchild"
+	var got []byte
+	collect(t, w, 7520, len(first)+len(last), &got)
+	cp, cl := proc(t, w.a, "client", 0)
+	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		s, _, err := cl.Connect(ctx, th, "hostB", 7520)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		s.Send(ctx, th, []byte(first))
+		child, childLib, err := cl.Fork(ctx, th, "child")
+		if err != nil {
+			t.Errorf("fork: %v", err)
+			return
+		}
+		done := false
+		child.Spawn("cmain", func(ctx exec.Context, th *host.Thread) {
+			grandchild, gl, err := childLib.Fork(ctx, th, "grandchild")
+			if err != nil {
+				t.Errorf("fork of the child: %v", err)
+				done = true
+				return
+			}
+			grandchild.Spawn("gmain", func(ctx exec.Context, th *host.Thread) {
+				defer func() { done = true }()
+				gs, err := gl.SocketByFD(s.FD())
+				if err != nil {
+					t.Errorf("grandchild fd: %v", err)
+					return
+				}
+				if _, err := gs.Send(ctx, th, []byte(last)); err != nil {
+					t.Errorf("grandchild send: %v", err)
+				}
+			})
+		})
+		for !done {
+			ctx.Sleep(10_000)
+		}
+	})
+	w.sim.Run()
+	if string(got) != first+last {
+		t.Fatalf("server read %q, want %q", got, first+last)
+	}
+}
+
+// TestExecKeepsInterHostSocket: after exec the socket is still the process's
+// — its bytes arrive exact — and still known to the process's library, so the
+// peer's death reaches it: one ECONNRESET, then EOF.
+func TestExecKeepsInterHostSocket(t *testing.T) {
+	w := newWorld(t)
+	monitor.Peer(w.ma, w.mb)
+	const before, after = "before exec", "after exec"
+	var got []byte
+	sp := collect(t, w, 7521, len(before)+len(after), &got)
+	cp, cl := proc(t, w.a, "client", 0)
+	var errs []error
+	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		s, _, err := cl.Connect(ctx, th, "hostB", 7521)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		s.Send(ctx, th, []byte(before))
+		nl, err := cl.Exec(ctx)
+		if err != nil {
+			t.Errorf("exec: %v", err)
+			return
+		}
+		ns, err := nl.SocketByFD(s.FD())
+		if err != nil {
+			t.Errorf("fd after exec: %v", err)
+			return
+		}
+		if _, err := ns.Send(ctx, th, []byte(after)); err != nil {
+			t.Errorf("send after exec: %v", err)
+			return
+		}
+		for len(got) < len(before)+len(after) {
+			ctx.Sleep(10_000)
+		}
+		sp.Signal(ctx, host.SIGKILL)
+		ns.SetRecvDeadline(ctx.Now() + 50_000_000)
+		buf := make([]byte, 8)
+		for range 2 {
+			_, err := ns.Recv(ctx, th, buf)
+			errs = append(errs, err)
+		}
+	})
+	w.sim.Run()
+	if string(got) != before+after {
+		t.Fatalf("server read %q, want %q", got, before+after)
+	}
+	if len(errs) != 2 || !errors.Is(errs[0], core.ECONNRESET) || errs[1] != io.EOF {
+		t.Errorf("receives after the peer died: %v, want ECONNRESET then EOF", errs)
+	}
+}
+
+// TestForkedChildRecoversOnce: the child's QP, spliced under the child's
+// PD, fails once. Its recovery advertises the rkeys of the child's own
+// registrations — the NIC takes no rkey of another PD — so one recovery
+// carries the stream to its end.
+func TestForkedChildRecoversOnce(t *testing.T) {
+	w := newWorld(t)
+	monitor.Peer(w.ma, w.mb)
+	sp, sl := proc(t, w.b, "server", 0)
+	cp, cl := proc(t, w.a, "client", 1000)
+	const msgs = 40
+	streamOK := false
+	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+		lst, _ := sl.ListenOn(ctx, th, 7522)
+		s, _, err := lst.Accept(ctx)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		if streamOK = recvExact(t, ctx, th, s, 0, msgs); streamOK {
+			s.Send(ctx, th, []byte{1})
+		}
+	})
+	var d wire
+	var ackErr error
+	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		s, _, err := cl.Connect(ctx, th, "hostB", 7522)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		child, childLib, err := cl.Fork(ctx, th, "child")
+		if err != nil {
+			t.Errorf("fork: %v", err)
+			return
+		}
+		done := false
+		child.Spawn("cmain", func(ctx exec.Context, th *host.Thread) {
+			defer func() { done = true }()
+			cs, err := childLib.SocketByFD(s.FD())
+			if err != nil {
+				t.Errorf("child fd: %v", err)
+				return
+			}
+			buf := make([]byte, 1024)
+			cs.Send(ctx, th, streamMsg(buf, 0)) // the splice
+			w0, t0 := readWire(), ctx.Now()
+			cs.FailQP()
+			for i := 1; i < msgs; i++ {
+				cs.Send(ctx, th, streamMsg(buf, i))
+			}
+			// The wait for the server's ack drives the recovery.
+			cs.SetRecvDeadline(t0 + 500_000_000)
+			_, ackErr = cs.Recv(ctx, th, buf[:1])
+			ctx.Sleep(t0 + 500_000_000 - ctx.Now())
+			d = readWire().since(w0)
+			sp.Signal(ctx, host.SIGKILL)
+		})
+		for !done {
+			ctx.Sleep(1_000_000)
+		}
+	})
+	w.sim.Run()
+	if !streamOK || ackErr != nil {
+		t.Errorf("stream byte-exact %v, ack %v", streamOK, ackErr)
+	}
+	if d.recoveries != 1 {
+		t.Errorf("%d recoveries in 500 ms, want 1", d.recoveries)
+	}
+}
+
+// TestForkOfDegradedSocket: a socket that fell back to kernel TCP (§4.5.3)
+// is inherited as it is. The rescue connection is a kernel socket, which
+// fork shares like any, so the child uses the parent's endpoint over it —
+// one framing of one stream — and parent and child take turns on it.
+func TestForkOfDegradedSocket(t *testing.T) {
+	w := newWorld(t)
+	monitor.Peer(w.ma, w.mb)
+	sp, sl := proc(t, w.b, "server", 0)
+	cp, cl := proc(t, w.a, "client", 1000)
+	cl.SetRecoveryBudget(0) // the first failure degrades
+	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+		lst, _ := sl.ListenOn(ctx, th, 7523)
+		s, _, err := lst.Accept(ctx)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		echoBack(ctx, th, s)
+	})
+	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		s, _, err := cl.Connect(ctx, th, "hostB", 7523)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		s.FailQP()
+		echoExact(t, ctx, th, s, []byte("over kernel TCP")) // the wait for the echo degrades
+		if !s.Degraded() {
+			t.Error("the socket did not degrade")
+			return
+		}
+		child, childLib, err := cl.Fork(ctx, th, "child")
+		if err != nil {
+			t.Errorf("fork: %v", err)
+			return
+		}
+		done := false
+		child.Spawn("cmain", func(ctx exec.Context, th *host.Thread) {
+			defer func() { done = true }()
+			cs, err := childLib.SocketByFD(s.FD())
+			if err != nil {
+				t.Errorf("child fd: %v", err)
+				return
+			}
+			echoExact(t, ctx, th, cs, []byte("from the child"))
+			cs.Close(ctx, th)
+		})
+		for !done {
+			ctx.Sleep(100_000)
+		}
+		echoExact(t, ctx, th, s, []byte("the parent again"))
+		s.Close(ctx, th)
+	})
+	w.sim.Run()
+}

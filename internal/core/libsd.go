@@ -122,10 +122,9 @@ type Libsd struct {
 	// series in Figures 7-9).
 	batching bool
 
-	// reqp tracks in-flight QP re-establishments (post-fork, nonce 0, and
-	// failure recovery, matched by nonce).
+	// reqp tracks in-flight QP splices (recover.go), matched by nonce.
 	reqp      []pendingReQP
-	reqpNonce uint64 // last recovery-attempt nonce issued
+	reqpNonce uint64 // last nonce issued
 
 	// recoveryBudget is how many failed QP re-establishment attempts a
 	// socket spends before degrading to kernel TCP (§4.5.3).
@@ -533,6 +532,29 @@ func (l *Libsd) unregisterEP(ep *rdmaEP) {
 	delete(l.eps, ep.qp.QPN())
 }
 
+// switchEP points every socket of this process on queue qid at ep — a
+// splice's new QP, or the rescue TCP connection — and returns the
+// inter-host endpoints they leave.
+func (l *Libsd) switchEP(qid uint64, ep endpoint) (olds []*rdmaEP) {
+	for s := l.socks[qid]; s != nil; s = s.sib {
+		if oe, ok := s.ep.(*rdmaEP); ok && oe != ep {
+			olds = append(olds, oe)
+		}
+		s.ep = ep
+	}
+	return olds
+}
+
+// closeQPs retires the QPs of eps (closing one twice is harmless); an
+// inherited endpoint that never spliced has none.
+func closeQPs(eps []*rdmaEP) {
+	for _, ep := range eps {
+		if ep.qp != nil {
+			ep.qp.Close()
+		}
+	}
+}
+
 // pump drains both CQs, advancing receive rings and releasing batched
 // sends. Returns true if anything happened. A call from inside a handler
 // (a closed side's release closes its QP, and the flush completions it
@@ -623,12 +645,6 @@ func (l *Libsd) OnProcessDeath() {
 		eps = append(eps, ep)
 	}
 	l.eps = make(map[uint32]*rdmaEP)
-	closed := make(map[*rdma.QP]bool)
-	for _, ep := range eps {
-		if !closed[ep.qp] {
-			closed[ep.qp] = true
-			ep.qp.Close()
-		}
-	}
+	closeQPs(eps)
 	l.closeParked("", 0)
 }

@@ -34,49 +34,21 @@ func Migrate(l *Libsd, dst *host.Host, name string) (*host.Process, *Libsd, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	nl.batching = l.batching
-
 	// Ship the FD remapping table. Socket metadata and buffers are libsd
 	// memory: they travel with the container (the same Go objects), so
-	// unconsumed ring bytes are preserved. Each socket gets a lazy
-	// endpoint that splices a fresh QP from the new host on first use,
-	// exactly like a forked child's (§4.1.2 machinery reused).
-	entries := make(map[int]fdEntry, len(l.fds))
-	for fd, e := range l.fds {
-		entries[fd] = e
-	}
-	nextFD, freeFDs := l.nextFD, append([]int(nil), l.freeFDs...)
-
-	nl.nextFD, nl.freeFDs = nextFD, freeFDs
-
-	for fd, e := range entries {
-		if e.kind != fdSocket {
-			continue // kernel FDs (pipes, fallback TCP) cannot follow the container
-		}
-		s := e.sock
-		cs := &Socket{lib: nl, side: s.side, intra: s.intra, fd: fd, established: true}
-		switch sep := s.ep.(type) {
-		case *rdmaEP:
-			cs.ep = &forkedRdmaEP{
-				lib: nl, sock: cs,
-				ringRKey: sep.ringRKey, creditRKey: sep.creditRKey,
-				tailRKey: sep.tailRKey,
-			}
-		case *forkedRdmaEP:
-			cs.ep = &forkedRdmaEP{
-				lib: nl, sock: cs,
-				ringRKey: sep.ringRKey, creditRKey: sep.creditRKey,
-				tailRKey: sep.tailRKey,
-			}
-		default:
-			continue // see deviation note above
-		}
+	// unconsumed ring bytes are preserved. Each socket splices a fresh QP
+	// from the new host on first use, exactly like a forked child's
+	// (§4.1.2 machinery reused). Kernel FDs (pipes, fallback TCP) cannot
+	// follow the container, nor can intra-host sockets (see the deviation
+	// note above).
+	nl.inherit(l, l.fds, func(e fdEntry) bool {
+		return e.kind == fdSocket && e.sock.intra == nil && !e.sock.side.Degraded.Load()
+	})
+	for _, e := range nl.fds {
 		// Release tokens held by the (now gone) source threads so the
 		// migrated process claims them afresh.
-		s.side.SendHolder.Store(0)
-		s.side.RecvHolder.Store(0)
-		nl.fds[fd] = fdEntry{kind: fdSocket, sock: cs}
-		nl.trackSock(cs)
+		e.sock.side.SendHolder.Store(0)
+		e.sock.side.RecvHolder.Store(0)
 	}
 
 	// The container stops existing at the source. Tell the source monitor

@@ -8,15 +8,22 @@ import (
 	"socksdirect/internal/telemetry"
 )
 
-// QP failure recovery. When an inter-host QP dies (retry exhaustion during
-// a partition, forced error, flush), the socket does NOT fail: the
-// two-copy ring design of §4.2 means the sender-side ring copy doubles as
-// a retransmit buffer, so the data path can be rebuilt underneath a live
-// stream. The state machine here runs three stages:
+// QP splicing: the one way an endpoint gets a QP other than at connection
+// set-up. When an inter-host QP dies (retry exhaustion during a partition,
+// forced error, flush), the socket does NOT fail: the two-copy ring design
+// of §4.2 means the sender-side ring copy doubles as a retransmit buffer,
+// so the data path can be rebuilt underneath a live stream. A process that
+// inherited the socket (fork, exec, migration) has no QP for it at all, and
+// gets one the same way on first use (§4.1.2: "When a child process uses a
+// socket created before fork, it asks the monitor to re-establish an RDMA
+// QP with the remote endpoint"); its endpoint starts out failed, with no
+// QP. The state machine here runs three stages:
 //
 //  1. Re-establishment: create a fresh QP and ask the monitor to splice it
-//     to the peer (the same KReQP flow as post-fork §4.1.2, tagged
-//     Dir=ReQPRecovery so both sides retire the dead QP). The monitor
+//     to the peer (KReQP, answered by the peer's KReQPPeer handler). A
+//     recovery is tagged Dir=ReQPRecovery, so both sides retire the dead
+//     QP; an inherited socket's request is Dir=ReQPFork, and the peer keeps
+//     the QP it has, which another process may still use. The monitor
 //     channel shares the faulty fabric, so every attempt carries a
 //     deadline; a silent timeout is abandoned and retried with capped
 //     exponential backoff plus deterministic jitter.
@@ -30,8 +37,8 @@ import (
 //     listener — see tcpep.go.
 //
 // Everything is driven from progress(), which the send/recv wait loops
-// call; no background thread exists, matching the paper's poll-only data
-// plane.
+// call, and from an inherited endpoint's trySend and tryRecv; no
+// background thread exists, matching the paper's poll-only data plane.
 
 // Package metric handles for the fault/recovery subsystem.
 var (
@@ -165,6 +172,8 @@ func (e *rdmaEP) backoff(r *recoverState, now int64) {
 	mBackoffNs.Add(d)
 }
 
+// startAttempt sends one splice request: KReQP with a fresh QP and a nonce
+// that its answer echoes, so a stale answer matches nothing.
 func (e *rdmaEP) startAttempt(ctx exec.Context, r *recoverState, now int64) {
 	l := e.lib
 	qp := l.pd.CreateQP(l.sendCQ, l.recvCQ)
@@ -174,22 +183,34 @@ func (e *rdmaEP) startAttempt(ctx exec.Context, r *recoverState, now int64) {
 	l.reqp = append(l.reqp, pendingReQP{qid: e.side.QID, nonce: nonce})
 	r.qp, r.nonce = qp, nonce
 	r.deadline = now + recoveryAttemptTimeout
-	mRecoveryAttempts.Inc()
-	obs.Emit(l.H.Name, int64(l.P.PID), obs.EvRecoveryAttempt, 0, now, int64(e.side.QID), int64(r.attempts+1))
-	r.op = obs.BeginOp(l.H.Name, int64(l.P.PID), obs.OpRecovery, now)
+	dir := ctlmsg.ReQPRecovery
+	if e.qp == nil {
+		dir = ctlmsg.ReQPFork
+		mForkReQP.Inc()
+	} else {
+		mRecoveryAttempts.Inc()
+		obs.Emit(l.H.Name, int64(l.P.PID), obs.EvRecoveryAttempt, 0, now, int64(e.side.QID), int64(r.attempts+1))
+		r.op = obs.BeginOp(l.H.Name, int64(l.P.PID), obs.OpRecovery, now)
+	}
+	if e.selfRingRKey == 0 {
+		// The peer's new QP writes to the same rings, through MRs of this
+		// process's PD: an inherited endpoint registers them now.
+		rx, credit := l.pd.RegisterBytes(e.side.RX.Data()), l.pd.RegisterBytes(e.side.CreditIn)
+		e.side.mrs = append(e.side.mrs, rx, credit)
+		e.selfRingRKey, e.selfCreditRKey = rx.RKey(), credit.RKey()
+	}
 	req := ctlmsg.Msg{
 		Kind: ctlmsg.KReQP, QID: e.side.QID, PID: int64(l.P.PID),
-		QPN: qp.QPN(), Dir: ctlmsg.ReQPRecovery, ConnID: nonce,
+		QPN: qp.QPN(), Dir: dir, ConnID: nonce,
 		TraceID: r.op.Trace, SpanID: r.op.Span,
-		// Our MRs survived the QP failure; the peer's replacement QP writes
-		// to the same rings with the same keys.
-		RingRKey: e.side.SelfRingRKey, CreditRKey: e.side.SelfCreditRKey,
-		Secret: e.side.SelfTailRKey,
+		RingRKey: e.selfRingRKey, CreditRKey: e.selfCreditRKey,
 	}
 	req.SetHost(e.side.PeerHost)
 	l.sendCtl(ctx, &req)
 }
 
+// finishRecovery finishes a splice the peer answered: the new QP becomes the
+// endpoint of every socket of this process on the queue.
 func (e *rdmaEP) finishRecovery(ctx exec.Context, r *recoverState, pr pendingReQP) {
 	qp := r.qp
 	r.qp = nil
@@ -202,7 +223,8 @@ func (e *rdmaEP) finishRecovery(ctx exec.Context, r *recoverState, pr pendingReQ
 	l := e.lib
 	ep2 := &rdmaEP{
 		lib: l, side: e.side, qp: qp,
-		ringRKey: e.ringRKey, creditRKey: e.creditRKey, tailRKey: e.tailRKey,
+		ringRKey: e.ringRKey, creditRKey: e.creditRKey,
+		selfRingRKey: e.selfRingRKey, selfCreditRKey: e.selfCreditRKey,
 		batching: e.batching,
 	}
 	l.registerEP(ep2)
@@ -216,20 +238,21 @@ func (e *rdmaEP) finishRecovery(ctx exec.Context, r *recoverState, pr pendingReQ
 		e.backoff(r, ctx.Now())
 		return
 	}
-	var flow *obs.Flow
-	for s := l.socks[e.side.QID]; s != nil; s = s.sib {
-		s.ep = ep2
-		if flow == nil {
-			flow = s.flow
-		}
-	}
+	olds := l.switchEP(e.side.QID, ep2)
 	e.side.creditEP.Store(ep2.boxed())
 	// Retire the dead QP on our side too: its QPN must never match a stale
 	// in-flight packet against recycled ring offsets.
-	e.qp.Close()
+	closeQPs(olds)
 	ep2.resync(ctx)
 	r.attempts = 0
+	if e.qp == nil {
+		return // an inherited socket's first QP: counted in sd/core/fork/reqp
+	}
 	mRecoveries.Inc()
+	var flow *obs.Flow
+	for s := l.socks[e.side.QID]; s != nil && flow == nil; s = s.sib {
+		flow = s.flow
+	}
 	flow.Recovery()
 	r.op.End(ctx.Now(), true)
 	obs.Emit(l.H.Name, int64(l.P.PID), obs.EvRecoveryDone, 0, ctx.Now(), int64(e.side.QID), 0)
@@ -264,8 +287,19 @@ func (e *rdmaEP) startDegrade(ctx exec.Context, r *recoverState) {
 	op.End(ctx.Now(), true)
 }
 
+// pendingReQP is one splice request in flight, and its answer once the
+// KReQPRes handler has filled it in.
+type pendingReQP struct {
+	qid      uint64
+	nonce    uint64 // the request's unique id, echoed by the answer
+	done     bool
+	status   uint8 // ctlmsg status from the KReQPRes
+	peerQPN  uint32
+	peerHost string
+}
+
 // takeReQP removes and returns the (qid, nonce) entry if its response has
-// arrived. Fork-flow entries use nonce 0 and their own matcher.
+// arrived.
 func (l *Libsd) takeReQP(qid, nonce uint64) (pendingReQP, bool) {
 	for i := range l.reqp {
 		if l.reqp[i].qid == qid && l.reqp[i].nonce == nonce {

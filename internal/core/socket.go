@@ -309,12 +309,8 @@ func (s *Socket) sendMsgT(ctx exec.Context, t *host.Thread, typ uint8, a, b []by
 }
 
 // trySend is one send attempt with its ring operation charged (the
-// endpoint's trySend is the attempt alone). A forked endpoint's splice is
-// not part of the operation: it comes first.
+// endpoint's trySend is the attempt alone).
 func (s *Socket) trySend(ctx exec.Context, typ uint8, a, b []byte) bool {
-	if f, ok := s.ep.(*forkedRdmaEP); ok && f.materialize(ctx) == nil {
-		return false // death mid-splice; the retry loop surfaces the errno
-	}
 	ctx.Charge(s.lib.H.Costs.RingOp)
 	return s.ep.trySend(ctx, typ, a, b)
 }

@@ -63,13 +63,11 @@ type SideState struct {
 	// by RDMA.
 	TX, RX *shm.Ring
 	// CreditIn is the 8-byte credit word the remote receiver writes with
-	// one-sided RDMA (inter-host only; MR-registered).
+	// one-sided RDMA (inter-host only; MR-registered). The RX tail has no
+	// word: it arrives as the immediate of the remote sender's last write
+	// (rdmaEP.onRecvCQE), and whichever process's QP took the write
+	// publishes it into the shared ring.
 	CreditIn []byte
-	// TailIn is the 8-byte absolute tail of the RX ring, written by the
-	// remote sender after each data write. Keeping it in the shared
-	// segment lets parent and child both observe arrivals regardless of
-	// which QP carried them (inter-host only; MR-registered).
-	TailIn []byte
 
 	// Token fast path (§4.1): the GTID currently holding each token.
 	// Reading your own GTID here is the entire synchronization cost of
@@ -141,13 +139,6 @@ type SideState struct {
 	// otherwise shrink the peer's send window forever).
 	LastCreditOut atomic.Uint64
 
-	// Self*RKey are this side's own MR rkeys (RX ring, CreditIn, TailIn),
-	// kept so failure recovery can hand the unchanged keys to the peer's
-	// replacement QP without re-registering anything.
-	SelfRingRKey   uint64
-	SelfCreditRKey uint64
-	SelfTailRKey   uint64
-
 	// Degraded latches once the socket has fallen back to kernel TCP
 	// mid-stream (§4.5.3); there is no way back to RDMA for this socket.
 	Degraded atomic.Bool
@@ -166,20 +157,20 @@ type SideState struct {
 	// carry them back in band (the receive path may not write the TX ring).
 	PendingReturns []int32
 
-	// PeerHost names the remote host of an inter-host socket (forked
-	// children route QP re-establishment through it).
+	// PeerHost names the remote host of an inter-host socket (a splice
+	// routes its QP request through it).
 	PeerHost string
 
 	// What an inter-host side owns besides its rings and pool, so the
 	// release path can give all of it back: every endpoint (QP) ever
-	// registered for the side, in any process — fork and recovery add
-	// some — every MR over its memory, and its SHM segment. released
-	// latches when that happened.
+	// registered for the side, in any process — an inherited socket's
+	// splice and recovery add some — every MR over its memory, and its SHM
+	// segment. released latches when that happened.
 	eps      []*rdmaEP
 	mrs      []*rdma.MR
 	segTok   shm.Token
 	released atomic.Bool
-	words    [2][8]byte // backing store of CreditIn and TailIn
+	word     [8]byte // backing store of CreditIn
 }
 
 // IntraSock is the SHM segment payload for an intra-host socket: one

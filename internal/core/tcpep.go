@@ -8,7 +8,6 @@ import (
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
 	"socksdirect/internal/obs"
-	"socksdirect/internal/rdma"
 	"socksdirect/internal/shm"
 )
 
@@ -344,22 +343,10 @@ func (l *Libsd) onDegraded(ctx exec.Context, m *ctlmsg.Msg) {
 		obs.Emit(l.H.Name, int64(l.P.PID), obs.EvDegraded, 0, l.H.Clk.Now(), int64(m.QID), 0)
 		obs.Trigger(obs.TrigDegraded, l.H.Clk.Now(), "rescue TCP installed on "+l.H.Name)
 	}
-	var olds []*rdmaEP
-	for s := l.socks[m.QID]; s != nil; s = s.sib {
-		if oe, ok := s.ep.(*rdmaEP); ok {
-			olds = append(olds, oe)
-		}
-		s.ep = ep
-	}
+	olds := l.switchEP(m.QID, ep)
 	side.creditEP.Store(&creditBox{ep})
 	// Retire any still-registered QPs for this socket: from here on the
 	// stream lives on TCP, and a resurrected RDMA path would fork it.
-	closedQPs := make(map[*rdma.QP]bool)
-	for _, oe := range olds {
-		if !closedQPs[oe.qp] {
-			closedQPs[oe.qp] = true
-			oe.qp.Close()
-		}
-	}
+	closeQPs(olds)
 	ep.progress(ctx) // sends hello when ctx != nil; else deferred
 }

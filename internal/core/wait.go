@@ -39,7 +39,7 @@ import (
 //  5. the deadline passed: ETIMEDOUT, counted in sd/core/deadline_timeouts;
 //  6. the monitor said nothing for ctlDeadAfter, pings included: ETIMEDOUT
 //     for a bind or a dial, EAGAIN for what is simply retryable (a takeover,
-//     a fork's pairing); the post-fork splice asks again instead.
+//     a fork's pairing).
 //
 // A monitor restart mid-wait ends nothing: the request the old incarnation
 // took with it goes out again, once.
@@ -455,7 +455,7 @@ func (s *Socket) quiet() bool {
 			return false // recovery is driven by the wait; a CQE by the pump
 		}
 	default:
-		return false // degraded, forked or closed: those waits sleep, or end
+		return false // degraded or closed: those waits sleep, or end
 	}
 	return !l.P.Dead() && l.ctlIdle() && !s.peerGone()
 }

@@ -251,6 +251,11 @@ func (s *Socket) SendVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int)
 			return 0, err
 		}
 	case *rdmaEP:
+		if ep.failed.Load() {
+			// No QP to post the pages on — a dead one, or none yet: the bytes
+			// take the ring, which recovery re-sends.
+			return s.sendVACopyLocked(ctx, addr, n)
+		}
 		if err := s.zcSendInter(ctx, ep, addr, whole); err != nil {
 			return 0, err
 		}

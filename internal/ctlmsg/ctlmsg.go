@@ -35,7 +35,7 @@ const (
 	KMSyn                         // monitor -> monitor: dispatch inter-host SYN
 	KMSynAck                      // monitor -> monitor: server queue descriptor
 	KMRefused                     // monitor -> monitor: no listener
-	KReQP                         // libsd -> monitor: re-establish a QP after fork
+	KReQP                         // libsd -> monitor: splice a QP to the peer (inherited socket or recovery)
 	KReQPPeer                     // monitor -> peer libsd: attach an extra QP
 	KReQPRes                      // peer libsd -> monitor -> libsd: new remote QPN
 	KDegrade                      // libsd -> monitor: fall back to kernel TCP (§4.5.3)

@@ -918,7 +918,7 @@ func (m *Monitor) dispatch(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	case ctlmsg.KReQP:
 		m.onReQP(ctx, pc, cm)
 	case ctlmsg.KReQPRes:
-		// Peer libsd built the extra QP; route back to the forked child's
+		// Peer libsd built the extra QP; route back to the requester's
 		// host monitor.
 		var dst string
 		if x := m.shardOf(cm.QID).ext(cm.QID); x != nil {
@@ -1466,7 +1466,7 @@ func (m *Monitor) onStealRes(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	m.sendTo(ctx, sr.thief.pid, &nc, true)
 }
 
-// --- post-fork QP re-establishment (§4.1.2) ---
+// --- QP splice: an inherited socket's first QP (§4.1.2) or a recovery ---
 
 func (m *Monitor) onReQP(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	peerHost := cm.HostStr()
@@ -1479,9 +1479,8 @@ func (m *Monitor) onReQP(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 		return
 	}
 	// Queued if the channel is dead or not yet probed (a restarted monitor
-	// starts with no channels at all): the fork/migrate flow's bounded wait
-	// re-sends only on monitor *silence*, and a live daemon that dropped the
-	// forward downstream would answer pings while the splice starves. The
-	// recovery flow's own nonce'd re-sends tolerate the duplicate.
+	// starts with no channels at all), so the request reaches the peer as
+	// soon as a channel does. The requester also re-sends on its attempt
+	// deadline, with a new nonce, and tolerates the duplicate.
 	m.mchanSend(ctx, peerHost, &fwd, true)
 }

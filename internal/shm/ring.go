@@ -68,6 +68,7 @@ type Ring struct {
 	written    uint64
 	creditSeen uint64
 	occHW      uint64 // high-water of (written - creditSeen), for sdstat
+	full       bool   // the last TrySend found no room
 	_          cpad
 
 	// receiver-local
@@ -120,7 +121,7 @@ func (r *Ring) Reset() {
 	clear(r.data[:min(dirty, r.capacity)])
 	r.tail.Store(0)
 	r.credit.Store(0)
-	r.written, r.creditSeen, r.occHW = 0, 0, 0
+	r.written, r.creditSeen, r.occHW, r.full = 0, 0, 0, false
 	r.read, r.tailSeen, r.creditFlush = 0, 0, 0
 	r.creditHook = nil
 	r.burst, r.burstMsgs, r.burstBytes = false, 0, 0
@@ -177,7 +178,7 @@ func (r *Ring) TrySendV(typ, flags uint8, a, b []byte) bool {
 	if sz > rem {
 		total += rem // skip to ring start via wrap marker
 	}
-	if !r.free(total) {
+	if r.full = !r.free(total); r.full {
 		mSendFull.Inc()
 		return false
 	}
@@ -383,9 +384,11 @@ func (r *Ring) CanRecv() bool {
 // still has to return. Like CanRecv it only refreshes the cached tail.
 func (r *Ring) RecvIdle() bool { return r.creditFlush == r.read && !r.CanRecv() }
 
-// SendStalled reports whether a TrySend that has just failed for want of
-// space would fail again: no credit has come back since it looked.
-func (r *Ring) SendStalled() bool { return r.creditSeen == r.credit.Load() }
+// SendStalled reports whether the last TrySend failed for want of space and
+// would fail again: no credit has come back since it looked. (A sender may
+// fail without trying the ring — an inter-host endpoint with no QP yet — and
+// then nothing says the ring is full.)
+func (r *Ring) SendStalled() bool { return r.full && r.creditSeen == r.credit.Load() }
 
 // CountSendFull books n polls of a full ring that a stalled sender left to
 // the scheduler (sd/shm/send_full counts them made or played).

@@ -521,12 +521,16 @@ func TestRegistryRingFreeListConcurrent(t *testing.T) {
 
 // TestRingIdlePredicates: RecvIdle is "TryRecv would come back empty and
 // change nothing" — so not while a consumed message's credit is still to be
-// returned, which the empty path does once — and SendStalled is "the failed
-// TrySend would fail again", until the receiver returns credit.
+// returned, which the empty path does once — and SendStalled is "a TrySend
+// failed and would fail again", until the receiver returns credit; a fresh
+// ring is not stalled.
 func TestRingIdlePredicates(t *testing.T) {
 	r := NewRing(256)
 	if !r.RecvIdle() {
 		t.Fatal("fresh ring is not idle")
+	}
+	if r.SendStalled() {
+		t.Error("stalled before any TrySend found the ring full")
 	}
 	msg := make([]byte, 100)
 	if !r.TrySend(1, 0, msg) || !r.TrySend(1, 0, msg) {
