@@ -17,6 +17,7 @@ import (
 	"socksdirect/internal/mem"
 	"socksdirect/internal/monitor"
 	"socksdirect/internal/obs"
+	"socksdirect/internal/telemetry"
 )
 
 // Boundary goldens: the exact virtual times at which the stack's blocking
@@ -127,8 +128,8 @@ type boundaryScenario struct {
 
 var boundaryScenarios = []boundaryScenario{
 	// Recv deadlines: one inside the polling phase, one past the 4 096
-	// empty polls (the KSleepNote in the trace is the switch to interrupt
-	// mode; the deadline's timer ends the park).
+	// empty polls (the park, counted in sd/core/recv_sleeps, is the switch
+	// to interrupt mode; the deadline's timer ends it).
 	{"recv-deadline-intra", func(t *testing.T, w *world, b *blog) { recvDeadlines(t, w, b, false) }},
 	{"recv-deadline-inter", func(t *testing.T, w *world, b *blog) { recvDeadlines(t, w, b, true) }},
 
@@ -290,10 +291,12 @@ func recvDeadlines(t *testing.T, w *world, b *blog, inter bool) {
 	connected(t, w, inter, 7610, nil,
 		func(ctx exec.Context, th *host.Thread, s *core.Socket) {
 			b.at(ctx, "connected")
+			sleeps := telemetry.C(telemetry.CoreRecvSleeps)
 			for _, d := range []int64{20_000, 400_000} {
 				s.SetRecvDeadline(ctx.Now() + d)
+				parks := sleeps.Load()
 				_, err := s.Recv(ctx, th, make([]byte, 8))
-				b.at(ctx, "recv +%d %s", d, errName(err))
+				b.at(ctx, "recv +%d %s, parked %d", d, errName(err), sleeps.Load()-parks)
 			}
 		})
 }

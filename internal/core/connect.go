@@ -512,6 +512,12 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 
 func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 	switch m.Kind {
+	case ctlmsg.KPeerDead, ctlmsg.KReQPPeer, ctlmsg.KReQPRes, ctlmsg.KDegraded:
+		// Once it is handled, whatever the outcome: a receiver parked on the
+		// socket may have nothing left to wait for, and no data will ring it.
+		defer l.wakeParked()
+	}
+	switch m.Kind {
 	case ctlmsg.KBindRes:
 		key := backlogKey{port: m.Port, tid: int(m.TID)}
 		bl, ok := l.backlogs[key]
@@ -780,8 +786,8 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		// Monitor-brokered crash notification (§4.5.4): the peer process
 		// of this queue died. Latch the reset on every local view of the
 		// queue — including a connect still parked in Wait-Server — so
-		// blocked data-path loops (woken separately through the sleeper /
-		// wake path) observe the corpse deterministically. The ring memory
+		// blocked data-path loops (parked receivers are woken by
+		// wakeParked) observe the corpse deterministically. The ring memory
 		// itself survives; receivers drain in-flight bytes before the
 		// reset surfaces.
 		var socks []*Socket

@@ -273,3 +273,88 @@ func TestForkOfDegradedSocket(t *testing.T) {
 	})
 	w.sim.Run()
 }
+
+// midSpliceQPs forks a client whose inter-host socket has one QP, runs end on
+// the child's socket, whose endpoint has none, and returns hostA's QP count
+// before the fork and 1 ms after end returned.
+func midSpliceQPs(t *testing.T, port uint16, end func(ctx exec.Context, th *host.Thread, child *host.Process, cs *core.Socket)) (before, after int) {
+	w := newWorld(t)
+	monitor.Peer(w.ma, w.mb)
+	sp, sl := proc(t, w.b, "server", 0)
+	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+		lst, _ := sl.ListenOn(ctx, th, port)
+		s, _, err := lst.Accept(ctx)
+		for err == nil {
+			_, err = s.Recv(ctx, th, make([]byte, 8))
+		}
+	})
+	cp, cl := proc(t, w.a, "client", 0)
+	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		s, _, err := cl.Connect(ctx, th, "hostB", port)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		s.Send(ctx, th, []byte("p"))
+		before = w.a.NIC.QPCount()
+		child, childLib, err := cl.Fork(ctx, th, "child")
+		if err != nil {
+			t.Errorf("fork: %v", err)
+			return
+		}
+		done := false
+		child.Spawn("cmain", func(ctx exec.Context, th *host.Thread) {
+			defer func() { done = true }()
+			cs, err := childLib.SocketByFD(s.FD())
+			if err != nil {
+				t.Errorf("child fd: %v", err)
+				return
+			}
+			end(ctx, th, child, cs)
+		})
+		for !done {
+			ctx.Sleep(10_000)
+		}
+		ctx.Sleep(1_000_000)
+		after = w.a.NIC.QPCount()
+		sp.Signal(ctx, host.SIGKILL)
+	})
+	w.sim.Run()
+	return before, after
+}
+
+// TestKilledMidSpliceLeavesNoQP: the child is SIGKILLed 5 µs into its first
+// Send, while the splice that Send started is still creating its QP. The
+// attempt's QP dies with the process.
+func TestKilledMidSpliceLeavesNoQP(t *testing.T) {
+	before, after := midSpliceQPs(t, 7524, func(ctx exec.Context, th *host.Thread, child *host.Process, cs *core.Socket) {
+		kill := ctx.Now() + 5_000
+		child.Host.RT.Spawn("kill", func(ctx exec.Context) {
+			ctx.Sleep(kill - ctx.Now())
+			child.Signal(ctx, host.SIGKILL)
+		})
+		if _, err := cs.Send(ctx, th, []byte("c")); !errors.Is(err, core.ErrProcessKilled) {
+			t.Errorf("child send: %v, want killed", err)
+		}
+	})
+	if after != before {
+		t.Errorf("hostA has %d QPs after the child died mid-splice, want %d as before the fork", after, before)
+	}
+}
+
+// TestClosedMidSpliceLeavesNoQP: the child's first Send times out while its
+// splice is in flight, and the child closes the socket, which its parent
+// still holds. The attempt's QP goes with the child's endpoint.
+func TestClosedMidSpliceLeavesNoQP(t *testing.T) {
+	before, after := midSpliceQPs(t, 7525, func(ctx exec.Context, th *host.Thread, _ *host.Process, cs *core.Socket) {
+		cs.SetSendDeadline(ctx.Now() + 5_000)
+		if _, err := cs.Send(ctx, th, []byte("c")); !errors.Is(err, core.ETIMEDOUT) {
+			t.Errorf("child send: %v, want ETIMEDOUT", err)
+		}
+		cs.Close(ctx, th)
+	})
+	if after != before {
+		t.Errorf("hostA has %d QPs after the child closed mid-splice, want %d as before the fork", after, before)
+	}
+}

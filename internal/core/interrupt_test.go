@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"errors"
 	"testing"
 
+	"socksdirect/internal/core"
 	"socksdirect/internal/costmodel"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
@@ -190,4 +192,72 @@ func TestDialsAroundAcceptPark(t *testing.T) {
 	if deferred == 0 || signalled == 0 {
 		t.Errorf("the offsets do not straddle the park: %d deferred, %d signalled", deferred, signalled)
 	}
+}
+
+// TestSiblingDispatchWakesParkedReceiver: thread A of the client is parked in
+// Recv when its peer is SIGKILLed, and thread B is inside libsd, spinning on
+// a full ring. The monitor marks the KPeerDead pending instead of signalling;
+// B's next poll dispatches it, and the handler must wake A, which no data
+// will: A returns ECONNRESET within microseconds, not at the end of the run.
+func TestSiblingDispatchWakesParkedReceiver(t *testing.T) {
+	const killAt, sendAt, sendFor = 400_000, 300_000, 2_000_000
+	w := boundaryWorld(t)
+	accept := func(l *core.Libsd, port uint16) func(exec.Context, *host.Thread) {
+		return func(ctx exec.Context, th *host.Thread) {
+			lst, _ := l.ListenOn(ctx, th, port)
+			if _, _, err := lst.Accept(ctx); err != nil { // and never read
+				t.Errorf("accept on %d: %v", port, err)
+			}
+		}
+	}
+	xp, xl := proc(t, w.a, "peer", 0)
+	xp.Spawn("srv", accept(xl, 7664))
+	yp, yl := proc(t, w.a, "sink", 0)
+	yp.Spawn("srv", accept(yl, 7665))
+	cp, cl := proc(t, w.a, "client", 0)
+	var aErr error
+	var aAt int64
+	cp.Spawn("A", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		s1, _, err := cl.Connect(ctx, th, "hostA", 7664)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		th.Proc.Spawn("B", func(ctx2 exec.Context, th2 *host.Thread) {
+			ctx2.Sleep(sendAt - ctx2.Now())
+			s2, _, err := cl.Connect(ctx2, th2, "hostA", 7665)
+			if err != nil {
+				t.Errorf("connect: %v", err)
+				return
+			}
+			s2.SetSendDeadline(ctx2.Now() + sendFor)
+			if _, err := s2.Send(ctx2, th2, make([]byte, 1<<20)); !errors.Is(err, core.ETIMEDOUT) {
+				t.Errorf("B's send: %v, want ETIMEDOUT", err)
+			}
+		})
+		_, aErr = s1.Recv(ctx, th, make([]byte, 8))
+		aAt = ctx.Now()
+	})
+	var c, got signals
+	at(w, killAt, func(ctx exec.Context) {
+		if n := telemetry.C(telemetry.CoreRecvSleeps).Load(); n == 0 {
+			t.Error("A is not parked when its peer dies")
+		}
+		xp.Signal(ctx, host.SIGKILL)
+		c.since() // the SIGKILL itself is a signal
+	})
+	at(w, killAt+100_000, func(exec.Context) { got = c.since() })
+	at(w, 2*sendAt+sendFor, func(ctx exec.Context) {
+		cp.Signal(ctx, host.SIGKILL)
+		yp.Signal(ctx, host.SIGKILL)
+	})
+	w.sim.Run()
+	if got != (signals{sent: 1, deferred: 1}) {
+		t.Errorf("%d signals sent, %d deferred; want A's SIGHUP sent and the KPeerDead deferred to B", got.sent, got.deferred)
+	}
+	if !errors.Is(aErr, core.ECONNRESET) || aAt > killAt+100_000 {
+		t.Errorf("A's recv: %v at %d sim-ns, want ECONNRESET within 100 µs of the kill at %d", aErr, aAt, killAt)
+	}
+	t.Logf("A's recv: %s at %d sim-ns", errName(aErr), aAt)
 }

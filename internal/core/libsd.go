@@ -74,8 +74,8 @@ type Libsd struct {
 	// unchanged knows no handler has touched what it waits for.
 	ctlSeen atomic.Uint32
 
-	// sleepNotes tracks threads that published a KSleepNote and parked;
-	// a restarted monitor learns them from the re-registration report.
+	// sleepNotes holds the TIDs of the receivers parked in interrupt mode,
+	// for wakeParked.
 	sleepNotes map[int]struct{}
 
 	fds     map[int]fdEntry // by value: an entry is no allocation of its own
@@ -639,6 +639,9 @@ func (l *Libsd) GTIDOf(t *host.Thread) GTID { return MakeGTID(l.P.PID, t.TID) }
 // QPNs so late fabric frames are dropped instead of landing in rings the
 // monitor is about to reclaim. Ring memory itself stays mapped — the
 // surviving peer still drains in-flight bytes before seeing the reset.
+// A splice attempt's QP is closed too, found through the sockets (an
+// inherited endpoint is registered only once spliced), and stays recorded,
+// so the dying thread starts no new attempt.
 func (l *Libsd) OnProcessDeath() {
 	eps := make([]*rdmaEP, 0, len(l.eps))
 	for _, ep := range l.eps {
@@ -646,5 +649,12 @@ func (l *Libsd) OnProcessDeath() {
 	}
 	l.eps = make(map[uint32]*rdmaEP)
 	closeQPs(eps)
+	for _, s := range l.socks {
+		for ; s != nil; s = s.sib {
+			if ep, ok := s.ep.(*rdmaEP); ok && ep.rec.qp != nil {
+				ep.rec.qp.Close()
+			}
+		}
+	}
 	l.closeParked("", 0)
 }

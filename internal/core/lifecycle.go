@@ -20,8 +20,8 @@ import (
 //     closer sees the first one's latch directly. It removes the
 //     intra-<id> segment and hands both rings back to the host's recycle
 //     list (shm.Registry.PutRing scrubs them).
-//   - inter-host: each host releases its own half — rings, the rx/credit/
-//     tail MRs, every QP spliced to the side, the Libsd.eps entries, the
+//   - inter-host: each host releases its own half — rings, the rx and
+//     credit MRs, every QP spliced to the side, the Libsd.eps entries, the
 //     sock-<id> segment and the pinned zero-copy pool — once its side is
 //     closed, the peer's MShut has arrived (an application Recv saw it, or
 //     reap found it in the RX ring after the application stopped reading)
@@ -136,6 +136,17 @@ func (closedEP) kick(exec.Context)                                {}
 func (closedEP) peerAlive() bool                                  { return true }
 func (closedEP) progress(exec.Context)                            {}
 
+// dropEP points s at closedEP. An inherited endpoint that has no QP yet is
+// on no side's list (registerEP), so releaseInter never sees it: the QP of
+// its splice attempt in flight is closed here.
+func (s *Socket) dropEP() {
+	if ep, ok := s.ep.(*rdmaEP); ok && ep.qp == nil && ep.rec.qp != nil {
+		ep.rec.qp.Close()
+		s.lib.dropReQP(s.side.QID, ep.rec.nonce)
+	}
+	s.ep = closedEP{}
+}
+
 // connNoter is the monitor's intake for released connections (structural,
 // like registrar, to avoid an import cycle).
 type connNoter interface{ ConnClosed(qid uint64) }
@@ -154,7 +165,7 @@ func (l *Libsd) sideClosed(s *Socket) {
 	// The sdstat row outlives the rings its probe reads.
 	s.flow.Freeze(int64(side.TX.OccHW()), l.monEpoch.Load())
 	crashed := s.peerGone()
-	s.ep = closedEP{}
+	s.dropEP()
 	side.Closed.Store(true)
 	if is := s.intra; is != nil {
 		if is.Peer(side).Closed.Load() || crashed {

@@ -177,12 +177,14 @@ func (e *rdmaEP) backoff(r *recoverState, now int64) {
 func (e *rdmaEP) startAttempt(ctx exec.Context, r *recoverState, now int64) {
 	l := e.lib
 	qp := l.pd.CreateQP(l.sendCQ, l.recvCQ)
-	ctx.Charge(l.H.Costs.RDMAQPCreate)
 	l.reqpNonce++
 	nonce := uint64(l.P.PID)<<40 | l.reqpNonce
 	l.reqp = append(l.reqp, pendingReQP{qid: e.side.QID, nonce: nonce})
 	r.qp, r.nonce = qp, nonce
 	r.deadline = now + recoveryAttemptTimeout
+	// On record before the charge: a death or a close that lands during the
+	// creation finds the QP to close (OnProcessDeath, Socket.dropEP).
+	ctx.Charge(l.H.Costs.RDMAQPCreate)
 	dir := ctlmsg.ReQPRecovery
 	if e.qp == nil {
 		dir = ctlmsg.ReQPFork

@@ -11,11 +11,12 @@ import (
 // restarted monitor adopts this process's control queue and sends one
 // KReRegister; the process answers with a replay of everything the dead
 // incarnation knew about it — live listeners, established connections,
-// held tokens, parked threads, in-flight connects — as a stream of
-// KReRegistered records closed by a ReRegDone. The report describes only
-// durable state the process itself owns (SHM-resident rings, FD tables),
-// so it can be regenerated on every restart, and every record is
-// idempotent at the monitor.
+// in-flight connects — as a stream of KReRegistered records closed by a
+// ReRegDone. The report describes only durable state the process itself
+// owns (SHM-resident rings, FD tables), so it can be regenerated on every
+// restart, and every record is idempotent at the monitor. Tokens are not
+// reported: who holds one is in the SHM holder words, and the arbitration
+// queues refill from the waiters' own re-sent requests.
 func (l *Libsd) reRegisterReport(ctx exec.Context) {
 	type listenRec struct {
 		port uint16
@@ -26,10 +27,7 @@ func (l *Libsd) reRegisterReport(ctx exec.Context) {
 		sideIdx uint16
 		peer    string
 		shmTok  uint64
-		sendTok bool
-		recvTok bool
 	}
-	myPID := l.P.PID
 	listens := make([]listenRec, 0, len(l.backlogs))
 	for key, bl := range l.backlogs {
 		if bl.bindStatus.Load() == 1 {
@@ -38,21 +36,14 @@ func (l *Libsd) reRegisterReport(ctx exec.Context) {
 	}
 	conns := make([]connRec, 0, len(l.socks))
 	for qid, s := range l.socks { // one socket per queue describes the whole registration
-		cr := connRec{qid: qid, sideIdx: s.sideIdx,
-			peer: s.side.PeerHost, shmTok: s.shmTok}
-		cr.sendTok = GTID(s.side.SendHolder.Load()).PID() == myPID
-		cr.recvTok = GTID(s.side.RecvHolder.Load()).PID() == myPID
-		conns = append(conns, cr)
+		conns = append(conns, connRec{qid: qid, sideIdx: s.sideIdx,
+			peer: s.side.PeerHost, shmTok: s.shmTok})
 	}
 	pends := make([]uint64, 0, len(l.pending))
 	for connID, pc := range l.pending {
 		if pc.status.Load() == 0 {
 			pends = append(pends, connID)
 		}
-	}
-	tids := make([]int, 0, len(l.sleepNotes))
-	for tid := range l.sleepNotes {
-		tids = append(tids, tid)
 	}
 	// Deterministic replay order (maps iterate randomly).
 	sort.Slice(listens, func(i, j int) bool {
@@ -63,9 +54,8 @@ func (l *Libsd) reRegisterReport(ctx exec.Context) {
 	})
 	sort.Slice(conns, func(i, j int) bool { return conns[i].qid < conns[j].qid })
 	sort.Slice(pends, func(i, j int) bool { return pends[i] < pends[j] })
-	sort.Ints(tids)
 
-	pid := int64(myPID)
+	pid := int64(l.P.PID)
 	for _, lr := range listens {
 		r := ctlmsg.Msg{Kind: ctlmsg.KReRegistered, Aux: ctlmsg.ReRegListen,
 			Port: lr.port, PID: pid, TID: int64(lr.tid)}
@@ -75,21 +65,6 @@ func (l *Libsd) reRegisterReport(ctx exec.Context) {
 		r := ctlmsg.Msg{Kind: ctlmsg.KReRegistered, Aux: ctlmsg.ReRegConn,
 			QID: cr.qid, PID: pid, Dir: uint8(cr.sideIdx), ShmToken: cr.shmTok}
 		r.SetHost(cr.peer) // "" for intra-host
-		l.sendCtl(ctx, &r)
-		if cr.sendTok {
-			t := ctlmsg.Msg{Kind: ctlmsg.KReRegistered, Aux: ctlmsg.ReRegToken,
-				QID: cr.qid, PID: pid, Dir: uint8(DirSend), SrcPort: cr.sideIdx}
-			l.sendCtl(ctx, &t)
-		}
-		if cr.recvTok {
-			t := ctlmsg.Msg{Kind: ctlmsg.KReRegistered, Aux: ctlmsg.ReRegToken,
-				QID: cr.qid, PID: pid, Dir: uint8(DirRecv), SrcPort: cr.sideIdx}
-			l.sendCtl(ctx, &t)
-		}
-	}
-	for _, tid := range tids {
-		r := ctlmsg.Msg{Kind: ctlmsg.KReRegistered, Aux: ctlmsg.ReRegSleeper,
-			PID: pid, TID: int64(tid)}
 		l.sendCtl(ctx, &r)
 	}
 	for _, connID := range pends {

@@ -450,7 +450,7 @@ func (s *Socket) Close(ctx exec.Context, t *host.Thread) error {
 		// This FD is gone; the side lives on through the others, and its
 		// rings are theirs to release: the sdstat row stops reading them.
 		s.flow.Freeze(int64(s.side.TX.OccHW()), s.lib.monEpoch.Load())
-		s.ep = closedEP{}
+		s.dropEP()
 		return nil
 	}
 	s.closeLast(ctx, t)

@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"socksdirect/internal/ctlmsg"
@@ -482,8 +484,10 @@ func (w *recvWaiter) Idle(now int64) bool {
 		(me == 0 || s.holds(DirRecv, me) && !s.nonblock.Load()) && !past(&s.deadline[DirRecv], now)
 }
 
-// doze is the switch of s's receive queue to interrupt mode.
-func (w *recvWaiter) doze(ctx exec.Context, t *host.Thread) {
+// doze is the switch of s's receive queue to interrupt mode: the peer's
+// data rings the thread through RecvSleeper or the CQ, and a control
+// message that ends the wait without data through wakeParked.
+func (w *recvWaiter) doze(_ exec.Context, t *host.Thread) {
 	s := (*Socket)(w)
 	s.side.RecvSleeper.Store(int64(s.lib.GTIDOf(t)))
 	if _, ok := s.ep.(*rdmaEP); ok {
@@ -491,10 +495,6 @@ func (w *recvWaiter) doze(ctx exec.Context, t *host.Thread) {
 		s.lib.recvCQ.Arm(func() { th.Unpark() })
 	}
 	mRecvSleeps.Inc()
-	m := ctlmsg.Msg{Kind: ctlmsg.KSleepNote, QID: s.side.QID, PID: int64(s.lib.P.PID), TID: int64(t.TID)}
-	s.lib.sendCtl(ctx, &m)
-	// Tracked, so that a restarted monitor relearns the sleeper from the
-	// re-registration report and can still ring its doorbell.
 	s.lib.sleepNotes[t.TID] = struct{}{}
 }
 
@@ -503,6 +503,21 @@ func (w *recvWaiter) woke(t *host.Thread) {
 	delete(s.lib.sleepNotes, t.TID)
 	mRecvWakeups.Inc()
 	s.side.RecvSleeper.Store(0)
+}
+
+// wakeParked wakes every receiver parked in interrupt mode, in ascending
+// TID, after the kernel's wakeup latency. handleCtl calls it for the control
+// messages that can end a receive without data — a peer's death, a QP
+// splice, a rescue connection — which come with signal = true, so the
+// signal handler or a sibling thread's poll dispatches them while the
+// receivers sleep. A receiver with nothing to return parks again.
+func (l *Libsd) wakeParked() {
+	for _, tid := range slices.Sorted(maps.Keys(l.sleepNotes)) {
+		delete(l.sleepNotes, tid)
+		if t := l.P.ThreadByTID(tid); t != nil && t.H != nil {
+			l.H.Clk.After(l.H.Costs.ProcessWakeup, t.H.Unpark)
+		}
+	}
 }
 
 // Idle holds while the next send attempt would fail as the last did: no credit

@@ -16,8 +16,7 @@ type Kind uint8
 
 // Control message kinds: libsd -> monitor unless noted.
 const (
-	KBind         Kind = iota + 1 // reserve a port
-	KBindRes                      // monitor -> libsd: bind result
+	KBindRes      Kind = iota + 1 // monitor -> libsd: bind result
 	KListen                       // register (port, thread) as a listener
 	KConnect                      // SYN: open a connection
 	KConnectRes                   // monitor -> libsd: queue descriptor or failure
@@ -29,9 +28,7 @@ const (
 	KTokenReturn                  // monitor -> holder: return the token / holder -> monitor: here it is
 	KTokenGrant                   // monitor -> waiter: you hold the token now
 	KForkSecret                   // parent libsd -> monitor before fork (§4.1.2)
-	KChildHello                   // child libsd -> monitor after fork
 	KWake                         // peer/monitor -> libsd: wake a sleeping thread
-	KSleepNote                    // libsd -> monitor: thread entering interrupt mode
 	KMSyn                         // monitor -> monitor: dispatch inter-host SYN
 	KMSynAck                      // monitor -> monitor: server queue descriptor
 	KMRefused                     // monitor -> monitor: no listener
@@ -53,7 +50,6 @@ const (
 // kindNames maps Kind values to stable lower-case names (telemetry keys,
 // trace events, debug output).
 var kindNames = [...]string{
-	KBind:         "bind",
 	KBindRes:      "bind_res",
 	KListen:       "listen",
 	KConnect:      "connect",
@@ -66,9 +62,7 @@ var kindNames = [...]string{
 	KTokenReturn:  "token_return",
 	KTokenGrant:   "token_grant",
 	KForkSecret:   "fork_secret",
-	KChildHello:   "child_hello",
 	KWake:         "wake",
-	KSleepNote:    "sleep_note",
 	KMSyn:         "msyn",
 	KMSynAck:      "msyn_ack",
 	KMRefused:     "mrefused",
@@ -102,12 +96,10 @@ const (
 // Aux values of KReRegistered: which slice of process state one record of
 // the resurrection report (monitor restart, §3's per-host daemon) carries.
 const (
-	ReRegDone    uint64 = iota // final record: report complete
-	ReRegListen                // a live listener registration (Port, TID)
-	ReRegConn                  // an established connection (QID, peer)
-	ReRegToken                 // a queue token held by this process (QID, Dir)
-	ReRegSleeper               // a thread parked in interrupt mode (TID)
-	ReRegPend                  // an in-flight connect awaiting KConnectRes (ConnID)
+	ReRegDone   uint64 = iota // final record: report complete
+	ReRegListen               // a live listener registration (Port, TID)
+	ReRegConn                 // an established connection (QID, peer)
+	ReRegPend                 // an in-flight connect awaiting KConnectRes (ConnID)
 )
 
 // String returns the kind's stable lower-case name.

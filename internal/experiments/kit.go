@@ -420,7 +420,7 @@ func startTally() tally {
 // counter's movement; the pooled buffers taken and not returned (no frame
 // or timer remains, so a nonzero value is a reference-count leak, not
 // traffic in flight); and the first CrashConverged error among mons — a
-// listener slot, token waiter, sleep note or connection record that still
+// listener slot, token waiter or connection record that still
 // refers to a dead process — or "" when all converged.
 func (t tally) end(mons ...*monitor.Monitor) (delta telemetry.Snapshot, poolLeak int64, unconverged string) {
 	for _, m := range mons {

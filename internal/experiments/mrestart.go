@@ -25,7 +25,7 @@ import (
 //     written to the SHM control rings during the outage carry the old
 //     epoch and are dropped (sd/monitor/stale_dropped > 0);
 //   - state resurrection runs: every adopted process replays its bind
-//     table, sockets, tokens and sleep notes (sd/monitor/reregistrations
+//     table, sockets and pending dials (sd/monitor/reregistrations
 //     counts one completed report per process);
 //   - nothing leaks: pooled buffers return to baseline and both successor
 //     monitors pass CrashConverged.

@@ -264,10 +264,10 @@ func (m *Monitor) SetPolicy(p Policy) {
 
 // Stop terminates the router and every shard loop. It is idempotent (a
 // second Stop is a no-op) and draining: kernel listeners and the rescue
-// listener are closed so the ports are free for a successor incarnation,
-// and every thread that parked itself against this monitor (KSleepNote)
-// is woken once — a parked sleeper whose only doorbell was this daemon
-// must not leak.
+// listener are closed so the ports are free for a successor incarnation.
+// It wakes no libsd thread: a receiver parked in interrupt mode waits for
+// its data, its deadline or a successor's re-registration (Restart), which
+// wakes every thread of every process it adopts.
 func (m *Monitor) Stop() {
 	if m.stopped {
 		return
@@ -282,16 +282,8 @@ func (m *Monitor) Stop() {
 		kls = append(kls, m.rescueL)
 		m.rescueL = nil
 	}
-	var asleep []int
-	for _, sh := range m.shards {
-		asleep = slices.AppendSeq(asleep, maps.Keys(sh.sleepers))
-	}
-	slices.Sort(asleep)
 	for _, kl := range kls {
 		kl.Close()
-	}
-	for _, pid := range asleep {
-		m.wakeSleepers(pid)
 	}
 	m.wakeAll()
 }
@@ -603,11 +595,11 @@ func (m *Monitor) pidDead(pid int) bool {
 // of the corpse's state; no shard loop runs while it does, so one pass is
 // serialized against all shard dispatch, exactly as the single-loop
 // design was. In order: forget the corpse's control queues, listener
-// registrations, sleep notes, fork secrets and pending routing state;
-// unstick token arbitration (a revoke sent to the corpse is answered on
-// its behalf, so fork/thread sharers resume via the normal §4.1 takeover
-// path); then notify every peer — KPeerDead to local survivors (plus a
-// wake, they may be parked) and over the monitor channel for inter-host
+// registrations, fork secrets and pending routing state; unstick token
+// arbitration (a revoke sent to the corpse is answered on its behalf, so
+// fork/thread sharers resume via the normal §4.1 takeover path); then
+// notify every peer — KPeerDead to local survivors, whose library wakes
+// their parked receivers, and over the monitor channel for inter-host
 // sockets — and remove SHM segments of sockets with no surviving
 // endpoint.
 func (m *Monitor) cleanupProcess(ctx exec.Context, pid int) {
@@ -629,7 +621,6 @@ func (m *Monitor) cleanupProcess(ctx exec.Context, pid int) {
 	}
 	var notes []peerNote
 	for _, sh := range m.shards {
-		delete(sh.sleepers, pid)
 		// Listener registrations go, and the backlog occupancy charged to
 		// them: a record still queued there finds no slot to release later.
 		for _, pr := range sh.ports {
@@ -695,7 +686,6 @@ func (m *Monitor) cleanupProcess(ctx exec.Context, pid int) {
 			continue
 		}
 		m.sendTo(ctx, n.local, &pd, true)
-		m.wakeSleepers(n.local)
 	}
 }
 
@@ -790,11 +780,6 @@ func (m *Monitor) CrashConverged() error {
 				}
 			}
 		}
-		for pid := range sh.sleepers {
-			if m.pidDead(pid) {
-				return fmt.Errorf("monitor: dead pid %d still has sleep notes", pid)
-			}
-		}
 		for qid, c := range sh.conns {
 			// Intra- and inter-host alike: a record is its local endpoints'.
 			if c.dispatched() && gone(c.pids[0]) && gone(c.pids[1]) {
@@ -875,11 +860,6 @@ func (m *Monitor) dispatch(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 		m.sendTo(ctx, int(cm.PID), &ack, false)
 	case ctlmsg.KWake:
 		m.wakeThread(int(cm.PID), int(cm.TID))
-	case ctlmsg.KSleepNote:
-		// Record the parked thread so recovery-path control messages
-		// (KReQPPeer/KReQPRes/KDegraded) can nudge it: a process whose only
-		// RDMA path is dead has no CQE or ring doorbell left to wake it.
-		m.noteSleeper(int(cm.PID), int(cm.TID))
 	case ctlmsg.KPing:
 		// Liveness probe from a bounded control-plane wait: any answer —
 		// stamped with the current epoch — proves this shard's loop is
@@ -966,29 +946,6 @@ func (m *Monitor) sendOrPark(ctx exec.Context, p *peer, cm, keep *ctlmsg.Msg) {
 	}
 }
 
-// noteSleeper records that thread tid of pid parked in interrupt mode.
-func (m *Monitor) noteSleeper(pid, tid int) {
-	sl := m.shardOfPID(pid).sleepers
-	if sl[pid] == nil {
-		sl[pid] = make(map[int]struct{})
-	}
-	sl[pid][tid] = struct{}{}
-}
-
-// wakeSleepers unparks every thread of pid that reported itself asleep via
-// KSleepNote. Spurious wakes are fine (blockOnRecv re-checks and re-parks);
-// missing a wake is not, since a process with a dead QP gets no doorbell.
-func (m *Monitor) wakeSleepers(pid int) {
-	sl := m.shardOfPID(pid).sleepers
-	tids := sl[pid]
-	delete(sl, pid)
-	// By thread ID: threads woken for the same instant run in the order
-	// their wake-ups were scheduled.
-	for _, tid := range slices.Sorted(maps.Keys(tids)) {
-		m.wakeThread(pid, tid)
-	}
-}
-
 // dispatchRemote is handle's routing switch for monitor-channel arrivals.
 func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 	switch cm.Kind {
@@ -1057,16 +1014,13 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 		}
 		if owner != 0 {
 			m.sendTo(ctx, owner, cm, true)
-			m.wakeSleepers(owner)
 		}
 	case ctlmsg.KReQPRes:
 		// Back at the requester's host: deliver to the requester.
 		m.sendTo(ctx, int(cm.Aux), cm, true)
-		m.wakeSleepers(int(cm.Aux))
 	case ctlmsg.KPeerDead:
 		// The remote monitor reclaimed a crashed process; tell the local
-		// endpoint of the socket (and wake it — it may be parked with no
-		// doorbell left to ring). The record loses its remote end and its
+		// endpoint of the socket. The record loses its remote end and its
 		// routing — nothing more can arrive for it, nor is the owner's death
 		// the remote monitor's business now — and stays for the owner to end.
 		sh := m.shardOf(cm.QID)
@@ -1076,7 +1030,6 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 		}
 		if owner != 0 {
 			m.sendTo(ctx, owner, cm, true)
-			m.wakeSleepers(owner)
 		}
 	}
 }

@@ -64,7 +64,6 @@ func (m *Monitor) onDegrade(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 			Aux: uint64(fd), Dir: 0, // Dir 0: this side dialed
 		}
 		m.sendTo(ctx, pid, &res, true)
-		m.wakeSleepers(pid)
 	})
 }
 
@@ -104,7 +103,6 @@ func (m *Monitor) acceptRescue(ctx exec.Context) {
 			Aux: uint64(fd), Dir: 1, // Dir 1: the peer dialed, we accepted
 		}
 		m.sendTo(ctx, owner, &res, true)
-		m.wakeSleepers(owner)
 	})
 }
 
@@ -113,5 +111,4 @@ func (m *Monitor) acceptRescue(ctx exec.Context) {
 func (m *Monitor) degradeFail(ctx exec.Context, pid int, qid uint64) {
 	res := ctlmsg.Msg{Kind: ctlmsg.KDegraded, QID: qid, Status: ctlmsg.StatusNoRoute}
 	m.sendTo(ctx, pid, &res, true)
-	m.wakeSleepers(pid)
 }

@@ -14,7 +14,7 @@ import (
 // daemon, but it is still a process: it can crash and be restarted. The
 // data plane must not care — SHM rings and RDMA QPs are peer-to-peer and
 // keep moving bytes — while the control plane's in-memory state (bind
-// tables, connection records, token bookkeeping, sleep notes) dies with
+// tables, connection records, token bookkeeping) dies with
 // the daemon. Restart brings up incarnation N+1 over the old incarnation's
 // per-process control queues (SHM outlives the daemon) and resurrects the
 // lost state by asking every live process to re-register what it holds.
@@ -117,15 +117,6 @@ func (m *Monitor) onReRegistered(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg)
 		if c.owner == 0 {
 			c.owner = pid
 		}
-	case ctlmsg.ReRegToken:
-		// Nothing to rebuild: token ownership is authoritative in the SHM
-		// holder words (the §4.1.1 fast path reads them directly, and
-		// takeover grants overwrite them). Arbitration queues repopulate
-		// from the waiters' own bounded-wait re-sends.
-	case ctlmsg.ReRegSleeper:
-		// A thread parked in interrupt mode: restore its sleep note so
-		// recovery-path messages can ring its doorbell again.
-		m.noteSleeper(pid, int(cm.TID))
 	case ctlmsg.ReRegPend:
 		// An in-flight connect that was awaiting KConnectRes: restore the
 		// reply routing so the server side's KMSynAck (or the client's

@@ -40,10 +40,9 @@ func Of(key uint64, n int) int {
 // round-robin cursor, steal bookkeeping) lives on the port's shard.
 func OfPort(port uint16, n int) int { return Of(uint64(port), n) }
 
-// OfPID maps a process ID to a shard index: per-process state keyed only
-// by PID (fork secrets handshake, sleep notes, wakes, re-registration
-// kick-off) lives on the PID's shard, which also serializes KSleepNote
-// against the KWake that must observe it.
+// OfPID maps a process ID to a shard index: what is keyed only by PID (the
+// fork secrets handshake, wakes, re-registration kick-off) is served by the
+// PID's shard.
 func OfPID(pid int64, n int) int { return Of(uint64(pid), n) }
 
 // ForMsg returns the shard a control message belongs to, by the key that
@@ -64,7 +63,7 @@ func ForMsg(m *ctlmsg.Msg, n int) int {
 		return 0
 	}
 	switch m.Kind {
-	case ctlmsg.KBind, ctlmsg.KBindRes, ctlmsg.KListen, ctlmsg.KAcceptHint,
+	case ctlmsg.KBindRes, ctlmsg.KListen, ctlmsg.KAcceptHint,
 		ctlmsg.KStealReq, ctlmsg.KStealRes:
 		return OfPort(m.Port, n)
 	case ctlmsg.KConnect, ctlmsg.KConnectRes, ctlmsg.KNewConn,
@@ -75,8 +74,7 @@ func ForMsg(m *ctlmsg.Msg, n int) int {
 		ctlmsg.KReQP, ctlmsg.KReQPPeer, ctlmsg.KReQPRes,
 		ctlmsg.KDegrade, ctlmsg.KDegraded, ctlmsg.KPeerDead:
 		return Of(m.QID, n)
-	case ctlmsg.KForkSecret, ctlmsg.KChildHello, ctlmsg.KWake,
-		ctlmsg.KSleepNote, ctlmsg.KReRegister:
+	case ctlmsg.KForkSecret, ctlmsg.KWake, ctlmsg.KReRegister:
 		return OfPID(m.PID, n)
 	case ctlmsg.KPing, ctlmsg.KPong:
 		if s := int(m.Shard); s < n {
@@ -89,11 +87,11 @@ func ForMsg(m *ctlmsg.Msg, n int) int {
 		switch m.Aux {
 		case ctlmsg.ReRegListen:
 			return OfPort(m.Port, n)
-		case ctlmsg.ReRegConn, ctlmsg.ReRegToken:
+		case ctlmsg.ReRegConn:
 			return Of(m.QID, n)
 		case ctlmsg.ReRegPend:
 			return Of(m.ConnID, n)
-		default: // ReRegSleeper, ReRegDone
+		default: // ReRegDone
 			return OfPID(m.PID, n)
 		}
 	}

@@ -50,11 +50,10 @@ type mshard struct {
 	// Partitioned state. Which shard a key lands in is decided by
 	// shard.Of/OfPort/OfPID of that key, so one key's entire history is
 	// served by one loop (per-key FIFO, as §4.1.1's token queue needs).
-	ports    map[uint16]*portRec      // port -> listeners, their backlogs, the cursor
-	conns    map[uint64]*connRec      // qid -> everything known about the connection
-	freeRecs []*connRec               // dropped records, blank, for conn to reuse
-	sleepers map[int]map[int]struct{} // pid -> tids parked in interrupt mode
-	steals   map[uint64]stealReq      // in-flight work-steal requests
+	ports    map[uint16]*portRec // port -> listeners, their backlogs, the cursor
+	conns    map[uint64]*connRec // qid -> everything known about the connection
+	freeRecs []*connRec          // dropped records, blank, for conn to reuse
+	steals   map[uint64]stealReq // in-flight work-steal requests
 	stealSeq uint64
 
 	// closed lists connections libsd released (Monitor.ConnClosed) whose
@@ -231,7 +230,6 @@ func newShard(m *Monitor, idx int) *mshard {
 		idx:        idx,
 		ports:      make(map[uint16]*portRec),
 		conns:      make(map[uint64]*connRec),
-		sleepers:   make(map[int]map[int]struct{}),
 		steals:     make(map[uint64]stealReq),
 		dDispatch:  telemetry.D(telemetry.MonShardDispatch(idx)),
 		cEvents:    telemetry.C(telemetry.MonShardEvents(idx)),
@@ -431,6 +429,5 @@ func (sh *mshard) sweepHostDead(ctx exec.Context, peer string) {
 		pd := ctlmsg.Msg{Kind: ctlmsg.KPeerDead, QID: n.qid}
 		pd.SetHost(peer)
 		m.sendTo(ctx, n.owner, &pd, true)
-		m.wakeSleepers(n.owner)
 	}
 }
