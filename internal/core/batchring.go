@@ -1,68 +1,33 @@
 package core
 
 import (
-	"io"
-
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
 	"socksdirect/internal/shm"
 )
 
-// This file is the vectored op path (sendmmsg/recvmmsg flavor): an
-// io_uring-style submission/completion ring between the application
-// thread and libsd. A batch pays the per-op overhead once — one token
-// check (§4.1), one busy-counter round trip, one obs flow-table update,
-// one ops-counter add, one receiver wakeup, and one ring doorbell (SHM
-// tail store / RDMA write post) — instead of once per message, which is
-// where the paper's amortization argument (§4.2) actually lives.
+// This file is the vectored op path (sendmmsg/recvmmsg flavor). A batch
+// opens and closes like every data operation, through begin and end, and
+// moves its buffers through the same send and receive loops; what it pays
+// once instead of once per message is the token check (§4.1), the busy
+// mark, the obs flow-table update, the ops-counter add, the receiver
+// wakeup and the ring doorbell (SHM tail store / RDMA write post) — where
+// the paper's amortization argument (§4.2) actually lives.
 
-// BatchMax is the submission/completion ring depth: the largest number
-// of messages one submission window moves before completions are reaped.
-// Larger SendBatch/RecvBatch calls run as consecutive windows. The fixed
-// arrays below keep the batch path free of per-op allocation.
+// BatchMax is the most buffers one doorbell publishes on the send side,
+// and the most messages one vectored pop stages on the receive side.
+// Larger SendBatch/RecvBatch calls run in consecutive windows; the fixed
+// staging array keeps the batch path free of per-op allocation.
 const BatchMax = 64
 
-// batchSQE is one staged submission: the buffer to send from or receive
-// into.
-type batchSQE struct {
-	buf []byte
-}
-
-// batchCQE is one completion: bytes moved and the error (if any) for the
-// matching submission.
-type batchCQE struct {
-	n   int
-	err error
-}
-
-// batchRing is a socket's per-direction submission/completion pair. It is
-// owned by whichever thread holds that direction's token (§4.1 serializes
-// them), so no field needs synchronization. The recv side additionally
-// stages multi-pop message views from the transport; Payload views in
-// msgs alias ring storage and are consumed before the next pop.
-type batchRing struct {
-	sq [BatchMax]batchSQE
-	cq [BatchMax]batchCQE
-
-	msgs  [BatchMax]shm.Msg // staged arrivals from one vectored pop
-	mhead int
-	mlen  int
-}
-
-// sendBatchRing lazily allocates the send-side ring. Called with the send
-// token held, so the one-time allocation needs no synchronization.
-func (s *Socket) sendBatchRing() *batchRing {
-	if s.sendBR == nil {
-		s.sendBR = new(batchRing)
-	}
-	return s.sendBR
-}
-
-func (s *Socket) recvBatchRing() *batchRing {
-	if s.recvBR == nil {
-		s.recvBR = new(batchRing)
-	}
-	return s.recvBR
+// recvStage holds the arrivals of one vectored pop that RecvBatch has not
+// delivered yet. It belongs to the receive token's holder. The Payload views
+// alias ring storage: RecvBatch hands what is left to drainStaged before it
+// returns.
+type recvStage struct {
+	msgs [BatchMax]shm.Msg
+	head int
+	n    int
 }
 
 // SendBatch transmits the buffers as consecutive messages, amortizing
@@ -75,60 +40,32 @@ func (s *Socket) recvBatchRing() *batchRing {
 // (their continuation chunks may block so the stream framing is never
 // torn). The returned count is fully sent buffers.
 func (s *Socket) SendBatch(ctx exec.Context, t *host.Thread, bufs [][]byte) (int, error) {
-	s.lib.enter()
-	defer s.lib.leave()
-	if s.lib.P.Dead() {
-		return 0, ErrProcessKilled
-	}
 	if len(bufs) == 0 {
 		return 0, nil
 	}
-	if err := s.acquireToken(ctx, t, DirSend); err != nil {
+	if err := s.begin(ctx, t, DirSend); err != nil {
 		return 0, err
 	}
-	defer s.maybeHandBack(ctx, DirSend)
-	s.side.BusySend.Add(1)
-	defer s.side.BusySend.Add(-1)
-	if s.side.TxShut.Load() {
-		return 0, ErrShutdown
-	}
-	s.flushSlotReturns(ctx)
-
-	br := s.sendBatchRing()
+	defer s.end(ctx, DirSend)
 	sent := 0
-	var bytes int64
-	var err error
 	for sent < len(bufs) {
-		n := len(bufs) - sent
-		if n > BatchMax {
-			n = BatchMax
-		}
-		for i := 0; i < n; i++ {
-			br.sq[i] = batchSQE{buf: bufs[sent+i]}
-		}
-		var done int
-		done, err = s.submitSend(ctx, t, br, n, sent == 0)
-		for i := 0; i < done; i++ {
-			bytes += int64(br.cq[i].n)
-		}
+		window := bufs[sent:min(len(bufs), sent+BatchMax)]
+		done, err := s.submitSend(ctx, t, window, sent == 0)
 		sent += done
-		if err != nil || done < n {
-			break
+		if err != nil || done < len(window) {
+			return sent, err
 		}
 	}
-	mSendOps.Add(int64(sent))
-	mSendBytes.Add(bytes)
-	s.flow.AddTxN(int64(sent), bytes)
-	return sent, err
+	return sent, nil
 }
 
-// submitSend runs one submission window: it opens a transport burst,
-// walks the staged entries in order, and writes a completion per entry.
-// blockFirst makes entry 0 wait for ring space; later entries stop the
-// window on a full ring (partial batch). A pending token revocation is
-// honored at entry boundaries: the staged burst is published first so
-// the contender never waits behind invisible bytes.
-func (s *Socket) submitSend(ctx exec.Context, t *host.Thread, br *batchRing, n int, blockFirst bool) (int, error) {
+// submitSend sends one window of buffers behind one transport burst and
+// returns how many went whole. blockFirst makes buffer 0 wait for ring
+// space; a later buffer that finds the ring full ends the window (partial
+// batch). A pending token revocation is honored at buffer boundaries: the
+// staged burst is published first so the contender never waits behind
+// invisible bytes.
+func (s *Socket) submitSend(ctx exec.Context, t *host.Thread, bufs [][]byte, blockFirst bool) (int, error) {
 	b, _ := s.ep.(burster)
 	if b != nil {
 		b.burstBegin()
@@ -137,7 +74,7 @@ func (s *Socket) submitSend(ctx exec.Context, t *host.Thread, br *batchRing, n i
 	holder, ret := s.tokenVars(DirSend)
 	done := 0
 	var err error
-	for done < n {
+	for ; done < len(bufs); done++ {
 		if done > 0 && (ret.Load() || holder.Load() != me) {
 			if b != nil {
 				b.burstEnd(ctx)
@@ -151,32 +88,10 @@ func (s *Socket) submitSend(ctx exec.Context, t *host.Thread, br *batchRing, n i
 				b.burstBegin()
 			}
 		}
-		data := br.sq[done].buf
-		moved := 0
-		full := false
-		for chunk := 0; len(data) > 0; chunk++ {
-			c := len(data)
-			if c > maxInline {
-				c = maxInline
-			}
-			if (blockFirst && done == 0) || chunk > 0 {
-				if err = s.sendMsgT(ctx, t, MData, data[:c], nil); err != nil {
-					break
-				}
-			} else if !s.trySend(ctx, MData, data[:c], nil) {
-				full = true
-				break
-			}
-			host.CountCopy(c)
-			ctx.Charge(s.lib.H.Costs.CopyCost(c))
-			data = data[c:]
-			moved += c
-		}
-		if err != nil || full {
+		var n int
+		if n, err = s.sendBytes(ctx, t, bufs[done], blockFirst && done == 0); err != nil || n < len(bufs[done]) {
 			break
 		}
-		br.cq[done] = batchCQE{n: moved}
-		done++
 	}
 	if b != nil {
 		b.burstEnd(ctx)
@@ -194,30 +109,20 @@ func (s *Socket) submitSend(ctx exec.Context, t *host.Thread, br *batchRing, n i
 // overhead — token, busy counters, flow-table update, telemetry, ring
 // credit bookkeeping — is paid once per batch via the vectored pop.
 func (s *Socket) RecvBatch(ctx exec.Context, t *host.Thread, bufs [][]byte, lens []int) (int, error) {
-	s.lib.enter()
-	defer s.lib.leave()
-	if s.lib.P.Dead() {
-		return 0, ErrProcessKilled
-	}
 	if len(bufs) == 0 {
 		return 0, nil
 	}
-	if err := s.acquireToken(ctx, t, DirRecv); err != nil {
+	if err := s.begin(ctx, t, DirRecv); err != nil {
 		return 0, err
 	}
-	defer s.maybeHandBack(ctx, DirRecv)
-	s.side.BusyRecv.Add(1)
-	defer s.side.BusyRecv.Add(-1)
-
-	br := s.recvBatchRing()
+	defer s.end(ctx, DirRecv)
 	filled := 0
-	var bytes int64
 	var err error
 	for filled < len(bufs) {
-		n, derr := s.recvBatchOne(ctx, t, br, bufs[filled], filled == 0, len(bufs)-filled)
-		if derr != nil {
+		n, rerr := s.recvBytes(ctx, t, bufs[filled], recvOp{stage: len(bufs) - filled, poll: filled > 0})
+		if rerr != nil {
 			if filled == 0 {
-				err = derr
+				err = rerr
 			}
 			// filled > 0: the condition is latched (RxShut); the next
 			// call re-surfaces it, preserving exactly-once errno order.
@@ -229,92 +134,47 @@ func (s *Socket) RecvBatch(ctx exec.Context, t *host.Thread, bufs [][]byte, lens
 		if lens != nil && filled < len(lens) {
 			lens[filled] = n
 		}
-		bytes += int64(n)
 		filled++
 	}
-	s.drainStaged(ctx, br)
-	mRecvOps.Add(int64(filled))
-	mRecvBytes.Add(bytes)
-	s.flow.AddRxN(int64(filled), bytes)
+	s.drainStaged()
 	return filled, err
 }
 
-// recvBatchOne delivers the next message's bytes into buf. It returns
-// -1 when nothing is available and block is false. remaining caps the
-// vectored pop so a batch never stages more messages than it has buffers
-// left (staged views must not outlive the call; see drainStaged).
-func (s *Socket) recvBatchOne(ctx exec.Context, t *host.Thread, br *batchRing, buf []byte, block bool, remaining int) (int, error) {
-	for {
-		if len(s.rxPending) > 0 {
-			n := copy(buf, s.rxPending)
-			s.rxPending = s.rxPending[n:]
-			host.CountCopy(n)
-			ctx.Charge(s.lib.H.Costs.CopyCost(n))
-			return n, nil
+// pop takes the next message off the receive ring: one per look, or, with
+// stage > 0, out of the staging array, which one vectored pop of up to
+// stage messages refills when it runs dry.
+func (s *Socket) pop(ctx exec.Context, stage int) (shm.Msg, bool) {
+	if stage == 0 {
+		return s.ep.tryRecv(ctx)
+	}
+	if s.stage == nil {
+		s.stage = new(recvStage) // with the receive token held: no race
+	}
+	st := s.stage
+	if st.n == 0 {
+		st.head = 0
+		if b, ok := s.ep.(burster); ok {
+			st.n = b.tryRecvN(ctx, st.msgs[:min(stage, BatchMax)])
+		} else if msg, ok := s.ep.tryRecv(ctx); ok {
+			st.msgs[0], st.n = msg, 1
 		}
-		if s.zcQueued() {
-			return s.materializeZC(ctx, buf)
-		}
-		if br.mlen == 0 {
-			br.mhead = 0
-			cap := remaining
-			if cap > BatchMax {
-				cap = BatchMax
-			}
-			if b, ok := s.ep.(burster); ok {
-				br.mlen = b.tryRecvN(ctx, br.msgs[:cap])
-			} else if msg, ok := s.ep.tryRecv(ctx); ok {
-				br.msgs[0], br.mlen = msg, 1
-			}
-			if br.mlen == 0 {
-				if s.side.RxShut.Load() {
-					return 0, io.EOF
-				}
-				if !block {
-					return -1, nil
-				}
-				w := s.recvWait(t)
-				if err := s.awaitRecv(ctx, &w); err != nil {
-					return 0, err
-				}
-				continue
-			}
-		}
-		msg := br.msgs[br.mhead]
-		br.mhead++
-		br.mlen--
-		if msg.Type == MData {
-			n := copy(buf, msg.Payload)
-			if n < len(msg.Payload) {
-				s.rxPending = append(s.rxPending[:0], msg.Payload[n:]...)
-			}
-			host.CountCopy(n)
-			ctx.Charge(s.lib.H.Costs.CopyCost(n))
-			return n, nil
-		}
-		var scratch [1]byte
-		if done, _, derr := s.dispatchMsg(ctx, msg, scratch[:0]); done {
-			return 0, derr // MShut -> io.EOF (latched in RxShut)
+		if st.n == 0 {
+			return shm.Msg{}, false
 		}
 	}
+	st.head++
+	st.n--
+	return st.msgs[st.head-1], true
 }
 
-// drainStaged empties any staged-but-undelivered arrivals before
-// RecvBatch returns: the views alias ring storage and would be
-// invalidated by the next single-message Recv. Data bytes move to
-// rxPending (stream order preserved); control messages dispatch now.
-// This only runs when an oversized message spilled mid-batch, so the
-// copy is rare.
-func (s *Socket) drainStaged(ctx exec.Context, br *batchRing) {
-	for br.mlen > 0 {
-		msg := br.msgs[br.mhead]
-		br.mhead++
-		br.mlen--
-		if msg.Type == MData {
-			s.rxPending = append(s.rxPending, msg.Payload...)
-			continue
-		}
-		var scratch [1]byte
-		s.dispatchMsg(ctx, msg, scratch[:0])
+// drainStaged empties the staging array before RecvBatch returns: the
+// views alias ring storage and would be invalidated by the next
+// single-message Recv. Data bytes move to rxPending (stream order
+// preserved); control messages dispatch now. This only runs when an
+// oversized message spilled mid-batch, so the copy is rare.
+func (s *Socket) drainStaged() {
+	for st := s.stage; st != nil && st.n > 0; st.n-- {
+		s.dispatchMsg(st.msgs[st.head], nil)
+		st.head++
 	}
 }

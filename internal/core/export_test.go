@@ -82,11 +82,10 @@ func (s *Socket) ErrorQPSilently() { s.ep.(*rdmaEP).qp.ForceError() }
 // them: what a sender that stops mid-message leaves its receiver waiting
 // for. (SendVA sends a remainder as a message of its own.)
 func (s *Socket) SendZCHead(ctx exec.Context, t *host.Thread, addr mem.VAddr, whole, tail int) error {
-	s.lib.enter()
-	defer s.lib.leave()
-	if err := s.acquireToken(ctx, t, DirSend); err != nil {
+	if err := s.begin(ctx, t, DirSend); err != nil {
 		return err
 	}
+	defer s.end(ctx, DirSend)
 	ids, err := s.lib.P.AS.PagesForSend(ctx, addr, whole)
 	if err != nil {
 		return err
@@ -111,11 +110,10 @@ const (
 // SendZCRaw sends payload as an MZC descriptor, as a peer that writes its
 // ring by hand would.
 func (s *Socket) SendZCRaw(ctx exec.Context, t *host.Thread, payload []byte) error {
-	s.lib.enter()
-	defer s.lib.leave()
-	if err := s.acquireToken(ctx, t, DirSend); err != nil {
+	if err := s.begin(ctx, t, DirSend); err != nil {
 		return err
 	}
+	defer s.end(ctx, DirSend)
 	return s.sendMsg(ctx, MZC, payload, nil)
 }
 

@@ -25,9 +25,6 @@ type Socket struct {
 	side *SideState
 	ep   endpoint
 	fd   int
-	// sideIdx disambiguates the two endpoints' token namespaces at the
-	// monitor (0 = connecting side, 1 = accepting side).
-	sideIdx uint16
 
 	intra   *IntraSock // non-nil for intra-host sockets
 	intraEP shmEP      // ep of an intra-host socket (useSHM): part of the Socket, not an allocation of its own
@@ -49,17 +46,27 @@ type Socket struct {
 	// socket's first zero-copy message.
 	zc *zcState
 
-	// per-direction submission/completion rings for the vectored op path
-	// (SendBatch/RecvBatch). Lazily allocated; each is owned by whichever
-	// thread holds that direction's token.
-	sendBR *batchRing
-	recvBR *batchRing
+	// stage holds the messages of RecvBatch's last vectored pop that it has
+	// not delivered yet; nil until the socket's first RecvBatch.
+	stage *recvStage
 
 	// Overload controls. Deadlines are absolute virtual-clock nanoseconds
 	// (0 = none); nonblock turns every would-wait point into an immediate
 	// EWOULDBLOCK. Atomics: one thread may arm one while another is mid-op.
 	deadline [2]atomic.Int64 // by direction
 	nonblock atomic.Bool
+
+	// movedBytes and movedMsgs are what the data operation under way has
+	// moved, by direction: payload bytes, and the messages that carried
+	// them (sent: ring messages; received: deliveries). end books them, once
+	// per operation. Owned by the direction's token holder. movedMsgs,
+	// sideIdx and the bools share one word, which keeps a Socket at 192 B.
+	movedBytes [2]int64
+	movedMsgs  [2]int32
+
+	// sideIdx disambiguates the two endpoints' token namespaces at the
+	// monitor (0 = connecting side, 1 = accepting side).
+	sideIdx uint16
 
 	established bool // saw the MAck (Fig. 6 Wait-Server -> Established)
 }
@@ -227,29 +234,74 @@ func (s *Socket) maybeHandBack(ctx exec.Context, dir int) {
 	s.lib.sendCtl(ctx, &m)
 }
 
+// --- the operation boundary: every data operation opens with begin and
+// closes with end ---
+
+// begin opens a data operation in direction dir: it enters libsd, refuses a
+// killed process, takes the direction's token and marks the operation busy
+// (processRevokes leaves a busy token alone). A send also refuses a
+// shut-down direction and ships the zero-copy slot returns that wait for the
+// send token. A nil error must be paired with end.
+func (s *Socket) begin(ctx exec.Context, t *host.Thread, dir int) error {
+	s.lib.enter()
+	err := ErrProcessKilled
+	if !s.lib.P.Dead() {
+		err = s.acquireToken(ctx, t, dir)
+	}
+	if err != nil {
+		s.lib.leave()
+		return err
+	}
+	s.busyVar(dir).Add(1)
+	if dir == DirSend {
+		if s.side.TxShut.Load() {
+			s.end(ctx, dir)
+			return ErrShutdown
+		}
+		s.flushSlotReturns(ctx)
+	}
+	return nil
+}
+
+// end closes the operation begin opened: it books what the operation moved
+// (sd/core/{send,recv}_{ops,bytes} and the flow row), drops the busy mark,
+// hands the token back if the monitor asked for it — the operation boundary
+// of §4.1 — and leaves libsd.
+func (s *Socket) end(ctx exec.Context, dir int) {
+	if msgs, bytes := int64(s.movedMsgs[dir]), s.movedBytes[dir]; msgs > 0 {
+		s.movedMsgs[dir], s.movedBytes[dir] = 0, 0
+		if dir == DirSend {
+			mSendOps.Inc()
+			mSendBytes.Add(bytes)
+			s.flow.AddTxN(msgs, bytes)
+		} else {
+			mRecvOps.Inc()
+			mRecvBytes.Add(bytes)
+			s.flow.AddRxN(msgs, bytes)
+		}
+	}
+	s.busyVar(dir).Add(-1)
+	s.maybeHandBack(ctx, dir)
+	s.lib.leave()
+}
+
+// tally adds a message of n payload bytes to what the operation under way
+// in direction dir has moved.
+func (s *Socket) tally(dir, n int) {
+	s.movedMsgs[dir]++
+	s.movedBytes[dir] += int64(n)
+}
+
 // --- send path ---
 
 // Send writes the whole byte slice (blocking), preserving stream
 // semantics. The buffer is reusable the moment Send returns, exactly like
 // POSIX send (§2.1.3) — small messages are copied into the ring.
 func (s *Socket) Send(ctx exec.Context, t *host.Thread, data []byte) (int, error) {
-	s.lib.enter()
-	defer s.lib.leave()
-	if s.lib.P.Dead() {
-		return 0, ErrProcessKilled
-	}
-	mSendOps.Inc()
-	mSendBytes.Add(int64(len(data)))
-	if err := s.acquireToken(ctx, t, DirSend); err != nil {
+	if err := s.begin(ctx, t, DirSend); err != nil {
 		return 0, err
 	}
-	defer s.maybeHandBack(ctx, DirSend)
-	s.side.BusySend.Add(1)
-	defer s.side.BusySend.Add(-1)
-	if s.side.TxShut.Load() {
-		return 0, ErrShutdown
-	}
-	s.flushSlotReturns(ctx)
+	defer s.end(ctx, DirSend)
 	if b, ok := s.ep.(burster); ok && len(data) > maxInline {
 		// A multi-chunk send is a batch in disguise: stage all chunks and
 		// ring the doorbell once (burstEnd publishes; the explicit kick
@@ -260,20 +312,30 @@ func (s *Socket) Send(ctx exec.Context, t *host.Thread, data []byte) (int, error
 			s.ep.kick(ctx)
 		}()
 	}
+	return s.sendBytes(ctx, t, data, true)
+}
+
+// sendBytes is the send loop of every data operation: data goes into the
+// ring in maxInline chunks, one message each, and each chunk's copy is
+// charged. With block false a full ring ends it before the first chunk (0
+// bytes moved); a later chunk always waits for room, so a buffer is never
+// torn. t is nil for bytes that the protocol sends on its own (sendWait).
+func (s *Socket) sendBytes(ctx exec.Context, t *host.Thread, data []byte, block bool) (int, error) {
 	total := 0
 	for len(data) > 0 {
-		n := len(data)
-		if n > maxInline {
-			n = maxInline
+		c := min(len(data), maxInline)
+		if block || total > 0 {
+			if err := s.sendMsgT(ctx, t, MData, data[:c], nil); err != nil {
+				return total, err
+			}
+		} else if !s.trySend(ctx, MData, data[:c], nil) {
+			return 0, nil
 		}
-		if err := s.sendMsgT(ctx, t, MData, data[:n], nil); err != nil {
-			return total, err
-		}
-		host.CountCopy(n)
-		ctx.Charge(s.lib.H.Costs.CopyCost(n))
-		s.flow.AddTx(int64(n))
-		data = data[n:]
-		total += n
+		host.CountCopy(c)
+		ctx.Charge(s.lib.H.Costs.CopyCost(c))
+		s.tally(DirSend, c)
+		data = data[c:]
+		total += c
 	}
 	return total, nil
 }
@@ -321,35 +383,83 @@ func (s *Socket) trySend(ctx exec.Context, typ uint8, a, b []byte) bool {
 // arriving on the byte API are materialized by copying (the VA API gets
 // the remap, RecvVA).
 func (s *Socket) Recv(ctx exec.Context, t *host.Thread, buf []byte) (int, error) {
-	s.lib.enter()
-	defer s.lib.leave()
-	if s.lib.P.Dead() {
-		return 0, ErrProcessKilled
-	}
-	mRecvOps.Inc()
-	if err := s.acquireToken(ctx, t, DirRecv); err != nil {
+	if err := s.begin(ctx, t, DirRecv); err != nil {
 		return 0, err
 	}
-	defer s.maybeHandBack(ctx, DirRecv)
-	s.side.BusyRecv.Add(1)
-	defer s.side.BusyRecv.Add(-1)
-	return s.recvLockedBytes(ctx, t, buf)
+	defer s.end(ctx, DirRecv)
+	return s.recvBytes(ctx, t, buf, recvOp{})
 }
 
-// dispatchMsg routes one ring message; done=true means n/err are final.
-func (s *Socket) dispatchMsg(ctx exec.Context, msg shm.Msg, buf []byte) (bool, int, error) {
+// recvOp is how recvBytes takes from the stream.
+type recvOp struct {
+	// stage > 0 pops up to that many messages at once into the staging
+	// array (RecvBatch: one per buffer it has left); 0 pops one per look.
+	stage int
+	// poll returns -1 instead of waiting when nothing is there (RecvBatch
+	// past its first buffer).
+	poll bool
+	// remap stops with 0 at a zero-copy arrival, which RecvVA maps instead
+	// of copying.
+	remap bool
+}
+
+// recvBytes is the receive loop of every data operation: it delivers the
+// stream's next bytes into buf — what a partly read message left, a
+// zero-copy arrival copied out, or the next data message, dispatching the
+// control messages in front of it — and charges the copy.
+func (s *Socket) recvBytes(ctx exec.Context, t *host.Thread, buf []byte, op recvOp) (int, error) {
+	for {
+		if len(s.rxPending) > 0 {
+			n := copy(buf, s.rxPending)
+			s.rxPending = s.rxPending[n:]
+			return s.delivered(ctx, n), nil
+		}
+		if s.zcQueued() {
+			if op.remap {
+				return 0, nil
+			}
+			return s.materializeZC(ctx, buf)
+		}
+		msg, ok := s.pop(ctx, op.stage)
+		if !ok {
+			if s.side.RxShut.Load() {
+				return 0, io.EOF
+			}
+			if op.poll {
+				return -1, nil
+			}
+			w := s.recvWait(t)
+			if err := s.awaitRecv(ctx, &w); err != nil {
+				return 0, err
+			}
+			continue
+		}
+		if done, n, err := s.dispatchMsg(msg, buf); done {
+			if err != nil {
+				return 0, err
+			}
+			return s.delivered(ctx, n), nil
+		}
+	}
+}
+
+// delivered charges the copy of n bytes into the application's buffer and
+// tallies them as one delivery.
+func (s *Socket) delivered(ctx exec.Context, n int) int {
+	host.CountCopy(n)
+	ctx.Charge(s.lib.H.Costs.CopyCost(n))
+	s.tally(DirRecv, n)
+	return n
+}
+
+// dispatchMsg routes one ring message; done=true means n/err are final. A
+// data message's bytes go to buf, and what does not fit to rxPending: the
+// view dies at the next pop.
+func (s *Socket) dispatchMsg(msg shm.Msg, buf []byte) (bool, int, error) {
 	switch msg.Type {
 	case MData:
 		n := copy(buf, msg.Payload)
-		if n < len(msg.Payload) {
-			// Copy the remainder out of the ring: the view dies at the
-			// next tryRecv.
-			s.rxPending = append(s.rxPending[:0], msg.Payload[n:]...)
-		}
-		host.CountCopy(n)
-		ctx.Charge(s.lib.H.Costs.CopyCost(n))
-		mRecvBytes.Add(int64(n))
-		s.flow.AddRx(int64(n))
+		s.rxPending = append(s.rxPending, msg.Payload[n:]...)
 		return true, n, nil
 	case MZC:
 		s.queueZC(msg.Payload)

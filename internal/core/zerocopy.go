@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"io"
 
 	"socksdirect/internal/bufpool"
 	"socksdirect/internal/exec"
@@ -230,54 +229,45 @@ func (s *Socket) handleZCReturn(payload []byte) {
 // chunk of data is copied").
 func (s *Socket) SendVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int) (int, error) {
 	if n < ZCThreshold || uint64(addr)%mem.PageSize != 0 {
-		return s.sendVACopy(ctx, t, addr, n)
+		return s.sendVACopy(ctx, t, addr, n, false)
 	}
-	s.lib.enter()
-	defer s.lib.leave()
-	if err := s.acquireToken(ctx, t, DirSend); err != nil {
+	if err := s.begin(ctx, t, DirSend); err != nil {
 		return 0, err
 	}
-	defer s.maybeHandBack(ctx, DirSend)
-	s.side.BusySend.Add(1)
-	defer s.side.BusySend.Add(-1)
-	if s.side.TxShut.Load() {
-		return 0, ErrShutdown
-	}
-	s.flushSlotReturns(ctx)
+	defer s.end(ctx, DirSend)
 	whole := n &^ (mem.PageSize - 1)
+	var err error
 	switch ep := s.ep.(type) {
 	case *shmEP:
-		if err := s.zcSendIntra(ctx, addr, whole); err != nil {
-			return 0, err
-		}
+		err = s.zcSendIntra(ctx, addr, whole)
 	case *rdmaEP:
 		if ep.failed.Load() {
 			// No QP to post the pages on — a dead one, or none yet: the bytes
 			// take the ring, which recovery re-sends.
-			return s.sendVACopyLocked(ctx, addr, n)
+			return s.sendVACopy(ctx, t, addr, n, true)
 		}
-		if err := s.zcSendInter(ctx, ep, addr, whole); err != nil {
-			return 0, err
-		}
+		err = s.zcSendInter(ctx, ep, addr, whole)
 	default:
-		return s.sendVACopyLocked(ctx, addr, n)
+		return s.sendVACopy(ctx, t, addr, n, true)
 	}
-	// Remainder rides the ring as ordinary bytes. The scratch is pooled:
-	// sendMsg copies into the ring before returning, so the buffer is
-	// dead — and releasable — the moment it does.
+	if err != nil {
+		return 0, err
+	}
+	s.tally(DirSend, whole)
+	// Remainder rides the ring as ordinary bytes, right behind the pages, so
+	// the protocol sends it (t nil: nothing sheds it). The scratch is
+	// pooled: the send copies into the ring before returning, so the buffer
+	// is dead — and releasable — the moment it does.
 	if rem := n - whole; rem > 0 {
 		pb := bufpool.Get(rem)
-		if err := s.lib.P.AS.Read(addr+mem.VAddr(whole), pb.B); err != nil {
-			pb.Release()
-			return whole, err
+		err := s.lib.P.AS.Read(addr+mem.VAddr(whole), pb.B)
+		if err == nil {
+			_, err = s.sendBytes(ctx, nil, pb.B, true)
 		}
-		err := s.sendMsg(ctx, MData, pb.B, nil)
 		pb.Release()
 		if err != nil {
 			return whole, err
 		}
-		host.CountCopy(rem)
-		ctx.Charge(s.lib.H.Costs.CopyCost(rem))
 	}
 	return n, nil
 }
@@ -358,10 +348,12 @@ func (s *Socket) zcSendInterChunk(ctx exec.Context, ep *rdmaEP, addr mem.VAddr, 
 	return s.sendMsg(ctx, MZC, z.desc, nil)
 }
 
-// sendVACopy is the sub-threshold path: read out of the address space and
-// send as ordinary bytes. Scratch comes from the buffer pool; Send copies
-// into the ring, so the pool gets the buffer back before returning.
-func (s *Socket) sendVACopy(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int) (int, error) {
+// sendVACopy is the copy path: read out of the address space and send as
+// ordinary bytes — through Send, or, when the caller already holds the send
+// token (locked), through its send loop. Scratch comes from the buffer
+// pool; the send copies into the ring, so the pool gets the buffer back
+// before returning.
+func (s *Socket) sendVACopy(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int, locked bool) (int, error) {
 	// Memory admission control: send-side staging is charged against the
 	// host's bufpool byte quota. Receive paths are never charged — their
 	// progress is what drains the quota — so admission can shed load but
@@ -371,134 +363,93 @@ func (s *Socket) sendVACopy(ctx exec.Context, t *host.Thread, addr mem.VAddr, n 
 	}
 	defer bufpool.AdmitRelease(n)
 	pb := bufpool.Get(n)
+	defer pb.Release()
 	if err := s.lib.P.AS.Read(addr, pb.B); err != nil {
-		pb.Release()
 		return 0, err
 	}
-	m, err := s.Send(ctx, t, pb.B)
-	pb.Release()
-	return m, err
-}
-
-func (s *Socket) sendVACopyLocked(ctx exec.Context, addr mem.VAddr, n int) (int, error) {
-	if !bufpool.TryAdmit(n) {
-		return 0, ENOBUFS
+	if locked {
+		return s.sendBytes(ctx, t, pb.B, true)
 	}
-	defer bufpool.AdmitRelease(n)
-	pb := bufpool.Get(n)
-	if err := s.lib.P.AS.Read(addr, pb.B); err != nil {
-		pb.Release()
-		return 0, err
-	}
-	buf := pb.B
-	total := 0
-	for len(buf) > 0 {
-		c := len(buf)
-		if c > maxInline {
-			c = maxInline
-		}
-		if err := s.sendMsg(ctx, MData, buf[:c], nil); err != nil {
-			pb.Release()
-			return total, err
-		}
-		host.CountCopy(c)
-		ctx.Charge(s.lib.H.Costs.CopyCost(c))
-		buf = buf[c:]
-		total += c
-	}
-	pb.Release()
-	return total, nil
+	return s.Send(ctx, t, pb.B)
 }
 
 // RecvVA receives into a page-aligned buffer in the process address
 // space. Zero-copy arrivals are remapped (Fig. 5 steps 3–5); byte
 // arrivals are copied in.
 func (s *Socket) RecvVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int) (int, error) {
-	s.lib.enter()
-	defer s.lib.leave()
-	if err := s.acquireToken(ctx, t, DirRecv); err != nil {
+	if err := s.begin(ctx, t, DirRecv); err != nil {
 		return 0, err
 	}
-	defer s.maybeHandBack(ctx, DirRecv)
-	s.side.BusyRecv.Add(1)
-	defer s.side.BusyRecv.Add(-1)
+	defer s.end(ctx, DirRecv)
 	for {
-		if s.zcQueued() {
-			// A receive too small or unaligned for the arrival gets it by
-			// copy. One that is big enough for total has room for every
-			// page queueZC let through; the last test says so again here.
-			if z := &s.zc.rx[0]; uint64(addr)%mem.PageSize != 0 || n < z.total || n/mem.PageSize < len(z.ids) {
-				pb := bufpool.Get(n)
-				m, err := s.recvLockedBytes(ctx, t, pb.B)
-				if err == nil {
-					err = s.lib.P.AS.Write(ctx, addr, pb.B[:m])
-				}
-				pb.Release()
-				if err != nil {
-					return 0, err
-				}
-				return m, nil
+		zc := s.zcQueued()
+		// A receive too small or unaligned for the arrival gets it by copy.
+		// One that is big enough for total has room for every page queueZC
+		// let through; the last test says so again here.
+		if zc {
+			if z := &s.zc.rx[0]; uint64(addr)%mem.PageSize == 0 && n >= z.total && n/mem.PageSize >= len(z.ids) {
+				return s.remapZC(ctx, addr)
 			}
-			z := s.zc.pop()
-			total, whole := z.total, z.total&^(mem.PageSize-1)
-			if err := s.lib.P.AS.MapPages(ctx, addr, z.ids); err != nil {
-				s.zc.spent(z)
-				return 0, err
-			}
-			mZCRemaps.Inc()
-			obs.Emit(s.lib.H.Name, int64(s.lib.P.PID), obs.EvZCRemap, 0, ctx.Now(), int64(len(z.ids)), 0)
-			if !z.intra && s.side.LocalPool != nil {
-				// The received frames now belong to the application; put
-				// fresh pinned pages into their slots and hand the slots
-				// straight back to the sender (per-recv page allocation,
-				// §4.3 — one batched remap worth of cost). The mapping has
-				// taken the old frames over, so z.ids is free to list the
-				// fresh ones.
-				pool := s.side.LocalPool
-				z.ids = pool.as.FreshFrames(z.ids[:0], len(z.slots))
-				s.lib.H.Mem.Pin(nil, z.ids)
-				for i, slot := range z.slots {
-					pool.ids[slot] = z.ids[i]
-					pool.mr.SwapFrame(int(slot), z.ids[i])
-				}
-				ctx.Charge(s.lib.H.Costs.MapCost(len(z.slots)))
-				s.queueSlotReturns(ctx, z.slots)
-			}
-			s.zc.spent(z)
-			// The sub-page tail was sent as MData right behind the MZC.
-			if rem := total - whole; rem > 0 {
-				pb := bufpool.Get(rem)
-				m, err := s.recvExactly(ctx, pb.B)
-				if err != nil {
-					pb.Release()
-					return whole, err
-				}
-				err = s.lib.P.AS.Write(ctx, addr+mem.VAddr(whole), pb.B[:m])
-				pb.Release()
-				if err != nil {
-					return whole, err
-				}
-			}
-			return total, nil
 		}
-		// No ZC queued yet: take ordinary bytes, but bounce back here the
-		// moment a zero-copy descriptor surfaces.
+		// Take bytes (or the arrival, copied), but with no arrival queued yet
+		// bounce back here the moment a zero-copy descriptor surfaces.
 		pb := bufpool.Get(n)
-		m, err := s.recvBytes(ctx, t, pb.B, false)
-		if err != nil {
-			pb.Release()
-			return 0, err
-		}
-		if m > 0 {
-			werr := s.lib.P.AS.Write(ctx, addr, pb.B[:m])
-			pb.Release()
-			if werr != nil {
-				return 0, werr
-			}
-			return m, nil
+		m, err := s.recvBytes(ctx, t, pb.B, recvOp{remap: !zc})
+		if err == nil && m > 0 {
+			err = s.lib.P.AS.Write(ctx, addr, pb.B[:m])
 		}
 		pb.Release()
+		if err != nil {
+			return 0, err
+		}
+		if m > 0 || zc {
+			return m, nil
+		}
 	}
+}
+
+// remapZC maps the oldest zero-copy arrival's pages at addr and reads its
+// sub-page tail in behind them.
+func (s *Socket) remapZC(ctx exec.Context, addr mem.VAddr) (int, error) {
+	z := s.zc.pop()
+	total, whole := z.total, z.total&^(mem.PageSize-1)
+	if err := s.lib.P.AS.MapPages(ctx, addr, z.ids); err != nil {
+		s.zc.spent(z)
+		return 0, err
+	}
+	mZCRemaps.Inc()
+	obs.Emit(s.lib.H.Name, int64(s.lib.P.PID), obs.EvZCRemap, 0, ctx.Now(), int64(len(z.ids)), 0)
+	if !z.intra && s.side.LocalPool != nil {
+		// The received frames now belong to the application; put fresh
+		// pinned pages into their slots and hand the slots straight back to
+		// the sender (per-recv page allocation, §4.3 — one batched remap
+		// worth of cost). The mapping has taken the old frames over, so
+		// z.ids is free to list the fresh ones.
+		pool := s.side.LocalPool
+		z.ids = pool.as.FreshFrames(z.ids[:0], len(z.slots))
+		s.lib.H.Mem.Pin(nil, z.ids)
+		for i, slot := range z.slots {
+			pool.ids[slot] = z.ids[i]
+			pool.mr.SwapFrame(int(slot), z.ids[i])
+		}
+		ctx.Charge(s.lib.H.Costs.MapCost(len(z.slots)))
+		s.queueSlotReturns(ctx, z.slots)
+	}
+	s.zc.spent(z)
+	// The sub-page tail was sent as MData right behind the MZC.
+	var err error
+	if rem := total - whole; rem > 0 {
+		pb := bufpool.Get(rem)
+		if _, err = s.recvExactly(ctx, pb.B); err == nil {
+			err = s.lib.P.AS.Write(ctx, addr+mem.VAddr(whole), pb.B)
+		}
+		pb.Release()
+		if err != nil {
+			total = whole
+		}
+	}
+	s.tally(DirRecv, total)
+	return total, err
 }
 
 // queueSlotReturns ships freed slots back to the sender if this thread
@@ -559,48 +510,8 @@ func (s *Socket) materializeZC(ctx exec.Context, buf []byte) (int, error) {
 		s.rxPending = append(s.rxPending[:0], out[n:]...)
 	}
 	pb.Release()
+	s.tally(DirRecv, n)
 	return n, nil
-}
-
-// recvLockedBytes is Recv's inner loop without token management (already
-// held by the caller). Queued zero-copy arrivals are materialized by
-// copying — the byte API cannot remap.
-func (s *Socket) recvLockedBytes(ctx exec.Context, t *host.Thread, buf []byte) (int, error) {
-	return s.recvBytes(ctx, t, buf, true)
-}
-
-// recvBytes returns (0, nil) on a queued zero-copy arrival when
-// materialize is false, so RecvVA can remap instead of copying.
-func (s *Socket) recvBytes(ctx exec.Context, t *host.Thread, buf []byte, materialize bool) (int, error) {
-	for {
-		if len(s.rxPending) > 0 {
-			n := copy(buf, s.rxPending)
-			s.rxPending = s.rxPending[n:]
-			host.CountCopy(n)
-			ctx.Charge(s.lib.H.Costs.CopyCost(n))
-			return n, nil
-		}
-		if s.zcQueued() {
-			if !materialize {
-				return 0, nil
-			}
-			return s.materializeZC(ctx, buf)
-		}
-		msg, ok := s.ep.tryRecv(ctx)
-		if !ok {
-			if s.side.RxShut.Load() {
-				return 0, io.EOF
-			}
-			w := s.recvWait(t)
-			if err := s.awaitRecv(ctx, &w); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		if done, n, err := s.dispatchMsg(ctx, msg, buf); done {
-			return n, err
-		}
-	}
 }
 
 // recvExactly fills buf completely from the stream (ZC tail bytes, which ride
@@ -618,19 +529,9 @@ func (s *Socket) recvExactly(ctx exec.Context, buf []byte) (int, error) {
 		if err := s.awaitRecv(ctx, &w); err != nil {
 			return got, err
 		}
-		msg, ok := s.ep.tryRecv(ctx)
-		if !ok {
-			continue
-		}
-		if msg.Type == MData {
-			n := copy(buf[got:], msg.Payload)
-			if n < len(msg.Payload) {
-				s.rxPending = append(s.rxPending[:0], msg.Payload[n:]...)
-			}
+		if msg, ok := s.ep.tryRecv(ctx); ok {
+			_, n, _ := s.dispatchMsg(msg, buf[got:])
 			got += n
-		} else {
-			var scratch [1]byte
-			s.dispatchMsg(ctx, msg, scratch[:0])
 		}
 	}
 	return got, nil
@@ -654,15 +555,10 @@ func (s *Socket) drainCtl(ctx exec.Context) {
 		if !ok || (typ != MZCRet && typ != MAck) {
 			return
 		}
-		msg, ok2 := s.ep.tryRecv(ctx)
-		if !ok2 {
+		msg, ok := s.ep.tryRecv(ctx)
+		if !ok {
 			return
 		}
-		switch msg.Type {
-		case MZCRet:
-			s.handleZCReturn(msg.Payload)
-		case MAck:
-			s.established = true
-		}
+		s.dispatchMsg(msg, nil)
 	}
 }

@@ -251,40 +251,28 @@ func (r *Ring) OccHW() uint64 { return r.occHW }
 // TryRecv dequeues one message. The returned payload aliases ring memory
 // and is valid until the next TryRecv call.
 func (r *Ring) TryRecv() (Msg, bool) {
-	if r.read == r.tailSeen {
-		r.tailSeen = r.tail.Load() // acquire
-		if r.read == r.tailSeen {
-			// Idle: return any outstanding credits so the sender sees
-			// the whole ring free (cheap, and only on the empty path).
-			if r.creditFlush != r.read {
-				r.flushCredit()
-			}
-			return Msg{}, false
+	if !r.CanRecv() {
+		// Idle: return any outstanding credits so the sender sees the whole
+		// ring free (cheap, and only on the empty path). Only when this first
+		// look finds nothing: past a wrap marker whose message is not yet
+		// visible, the credit waits for the next look.
+		if r.creditFlush != r.read {
+			r.flushCredit()
 		}
+		return Msg{}, false
 	}
-	off := r.read & r.mask
-	typ, flags, n := unpackHdr(*r.hdrAt(off))
-	if typ == wrapType {
-		r.read += r.capacity - off
-		off = 0
-		if r.read == r.tailSeen {
-			// Sender wrapped but next message not yet visible.
-			r.tailSeen = r.tail.Load()
-			if r.read == r.tailSeen {
-				return Msg{}, false
-			}
-		}
-		typ, flags, n = unpackHdr(*r.hdrAt(off))
+	off, ok := r.next()
+	if !ok {
+		return Msg{}, false
 	}
 	// Return credits for everything consumed before this message so the
 	// returned payload view cannot be overwritten while in use.
 	if r.read-r.creditFlush >= r.creditThresh {
 		r.flushCredit()
 	}
-	payload := r.data[off+hdrSize : off+hdrSize+uint64(n)]
-	r.read += hdrSize + pad8(n)
+	m := r.take(off)
 	mMsgsRecv.Inc()
-	return Msg{Type: typ, Flags: flags, Payload: payload}, true
+	return m, true
 }
 
 // TryRecvN dequeues up to len(out) messages in one call, paying the
@@ -302,29 +290,12 @@ func (r *Ring) TryRecvN(out []Msg) int {
 		r.flushCredit()
 	}
 	got := 0
-	for got < len(out) {
-		if r.read == r.tailSeen {
-			r.tailSeen = r.tail.Load() // acquire
-			if r.read == r.tailSeen {
-				break
-			}
+	for ; got < len(out); got++ {
+		off, ok := r.next()
+		if !ok {
+			break
 		}
-		off := r.read & r.mask
-		typ, flags, n := unpackHdr(*r.hdrAt(off))
-		if typ == wrapType {
-			r.read += r.capacity - off
-			off = 0
-			if r.read == r.tailSeen {
-				r.tailSeen = r.tail.Load()
-				if r.read == r.tailSeen {
-					break
-				}
-			}
-			typ, flags, n = unpackHdr(*r.hdrAt(off))
-		}
-		out[got] = Msg{Type: typ, Flags: flags, Payload: r.data[off+hdrSize : off+hdrSize+uint64(n)]}
-		r.read += hdrSize + pad8(n)
-		got++
+		out[got] = r.take(off)
 	}
 	if got > 0 {
 		mMsgsRecv.Add(int64(got))
@@ -333,6 +304,31 @@ func (r *Ring) TryRecvN(out []Msg) int {
 		r.flushCredit()
 	}
 	return got
+}
+
+// next returns the ring offset of the next message's header, stepping over
+// a wrap marker, or false when no message is visible yet (a wrap marker
+// may be, and then it is consumed).
+func (r *Ring) next() (uint64, bool) {
+	if !r.CanRecv() {
+		return 0, false
+	}
+	off := r.read & r.mask
+	if typ, _, _ := unpackHdr(*r.hdrAt(off)); typ == wrapType {
+		r.read += r.capacity - off
+		if !r.CanRecv() {
+			return 0, false // the sender wrapped; its next message is not visible yet
+		}
+		off = 0
+	}
+	return off, true
+}
+
+// take consumes the message whose header is at off.
+func (r *Ring) take(off uint64) Msg {
+	typ, flags, n := unpackHdr(*r.hdrAt(off))
+	r.read += hdrSize + pad8(n)
+	return Msg{Type: typ, Flags: flags, Payload: r.data[off+hdrSize : off+hdrSize+uint64(n)]}
 }
 
 func (r *Ring) flushCredit() {
@@ -349,24 +345,11 @@ func (r *Ring) flushCredit() {
 // (skipping wrap markers). It lets the socket layer drain in-band control
 // messages opportunistically without touching application data.
 func (r *Ring) PeekType() (uint8, bool) {
-	if r.read == r.tailSeen {
-		r.tailSeen = r.tail.Load()
-		if r.read == r.tailSeen {
-			return 0, false
-		}
+	off, ok := r.next()
+	if !ok {
+		return 0, false
 	}
-	off := r.read & r.mask
 	typ, _, _ := unpackHdr(*r.hdrAt(off))
-	if typ == wrapType {
-		r.read += r.capacity - off
-		if r.read == r.tailSeen {
-			r.tailSeen = r.tail.Load()
-			if r.read == r.tailSeen {
-				return 0, false
-			}
-		}
-		typ, _, _ = unpackHdr(*r.hdrAt(0))
-	}
 	return typ, true
 }
 

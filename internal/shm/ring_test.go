@@ -380,6 +380,76 @@ func TestPeekTypeAcrossWrap(t *testing.T) {
 	}
 }
 
+// TestRingWrapThenEmpty: a mirrored receiver whose tail ends just past a
+// wrap marker (the RDMA mirror, or the degraded TCP path, can publish one)
+// steps over the marker and finds nothing. Only an empty first look returns
+// idle credit: the look that consumed the marker leaves the credit alone,
+// the next one flushes it. PeekType never flushes; TryRecvN flushes on any
+// empty pop.
+func TestRingWrapThenEmpty(t *testing.T) {
+	// wrapped returns a receiver whose tail is published to 256: two 100 B
+	// messages consumed, then the wrap marker the third message left at 224,
+	// but not the message behind it.
+	wrapped := func() *Ring {
+		tx, rx := NewRing(256), NewRing(256)
+		msg := make([]byte, 100)
+		for i := 0; i < 2; i++ {
+			if !tx.TrySend(1, 0, msg) {
+				t.Fatalf("send %d failed", i)
+			}
+		}
+		copy(rx.Data(), tx.Data())
+		rx.SetTail(tx.WriteCursor())
+		for i := 0; i < 2; i++ {
+			if _, ok := rx.TryRecv(); !ok {
+				t.Fatalf("recv %d failed", i)
+			}
+		}
+		tx.InjectCredit(rx.Tail()) // the credit the receiver would return
+		if !tx.TrySend(1, 0, msg) {
+			t.Fatal("wrapping send failed")
+		}
+		if tx.WriteCursor() != 256+112 {
+			t.Fatalf("wrapping send left the cursor at %d, want 368", tx.WriteCursor())
+		}
+		copy(rx.Data(), tx.Data())
+		rx.SetTail(256)
+		if rx.Credit() != 0 {
+			t.Fatalf("credit %d before the wrap, want 0", rx.Credit())
+		}
+		return rx
+	}
+
+	rx := wrapped()
+	if _, ok := rx.TryRecv(); ok {
+		t.Fatal("TryRecv returned the message behind an unpublished tail")
+	}
+	if rx.Credit() != 0 {
+		t.Fatalf("TryRecv past the wrap marker flushed credit to %d, want 0", rx.Credit())
+	}
+	if _, ok := rx.TryRecv(); ok {
+		t.Fatal("second TryRecv returned a message")
+	}
+	if rx.Credit() != 256 {
+		t.Fatalf("empty TryRecv left credit at %d, want 256", rx.Credit())
+	}
+
+	rx = wrapped()
+	if _, ok := rx.PeekType(); ok {
+		t.Fatal("PeekType saw the message behind an unpublished tail")
+	}
+	if rx.Credit() != 0 {
+		t.Fatalf("PeekType flushed credit to %d, want 0", rx.Credit())
+	}
+	var out [4]Msg
+	if n := rx.TryRecvN(out[:]); n != 0 {
+		t.Fatalf("TryRecvN returned %d messages", n)
+	}
+	if rx.Credit() != 256 {
+		t.Fatalf("empty TryRecvN left credit at %d, want 256", rx.Credit())
+	}
+}
+
 // allZero reports whether b holds only zero bytes.
 func allZero(b []byte) bool {
 	for _, x := range b {

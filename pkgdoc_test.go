@@ -272,6 +272,88 @@ func TestCodeCitesOnlyOpenItems(t *testing.T) {
 	}
 }
 
+// TestCIRunPatternsMatchTests fails on an alternative of a `go test -run`
+// pattern in the CI workflow that matches no Test, Fuzz or Benchmark
+// function in the repository: a renamed test would otherwise drop out of
+// its CI step without a word. Only the top level of a pattern (before its
+// first '/') is checked; subtests are not.
+func TestCIRunPatternsMatchTests(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	var names []string
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir // .git, .github, build output
+		case !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			names = append(names, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := regexp.MustCompile(`-run[= ](?:'([^']*)'|"([^"]*)"|([^\s'"]+))`)
+	patterns := 0
+	for i, line := range strings.Split(string(ci), "\n") {
+		if !strings.Contains(line, "go test") {
+			continue
+		}
+		for _, m := range run.FindAllStringSubmatch(line, -1) {
+			patterns++
+			for _, alt := range topLevelAlternatives(m[1] + m[2] + m[3]) {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("ci.yml:%d: -run alternative %q: %v", i+1, alt, err)
+					continue
+				}
+				found := false
+				for _, name := range names {
+					if found = re.MatchString(name); found {
+						break
+					}
+				}
+				if !found {
+					t.Errorf("ci.yml:%d: -run alternative %q matches no Test, Fuzz or Benchmark function", i+1, alt)
+				}
+			}
+		}
+	}
+	if patterns == 0 {
+		t.Fatal("found no go test -run pattern in ci.yml")
+	}
+}
+
+// topLevelAlternatives splits the first level of a go test -run pattern
+// (up to its first '/' outside parentheses) at the '|' outside parentheses.
+func topLevelAlternatives(pattern string) []string {
+	var alts []string
+	depth, start := 0, 0
+	for i, c := range pattern {
+		switch {
+		case c == '(':
+			depth++
+		case c == ')':
+			depth--
+		case depth == 0 && c == '/':
+			return append(alts, pattern[start:i])
+		case depth == 0 && c == '|':
+			alts = append(alts, pattern[start:i])
+			start = i + 1
+		}
+	}
+	return append(alts, pattern[start:])
+}
+
 // currentDocs are the documents that describe the repository as it is.
 // ROADMAP.md and CHANGES.md are plans and history, and may name what no
 // longer exists.
