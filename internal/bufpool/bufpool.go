@@ -30,13 +30,11 @@ import (
 
 // Package-wide metric handles (resolved once; see internal/telemetry).
 var (
-	mGets         = telemetry.C(telemetry.MemPoolGets)
-	mPuts         = telemetry.C(telemetry.MemPoolPuts)
-	mMisses       = telemetry.C(telemetry.MemPoolMisses)
-	mOversize     = telemetry.C(telemetry.MemPoolOversize)
-	mQuotaRejects = telemetry.C(telemetry.MemPoolQuotaRejects)
-	gOutstanding  = telemetry.G(telemetry.MemPoolOutstanding)
-	gQuotaBytes   = telemetry.G(telemetry.MemPoolQuotaBytes)
+	mGets        = telemetry.C(telemetry.MemPoolGets)
+	mPuts        = telemetry.C(telemetry.MemPoolPuts)
+	mMisses      = telemetry.C(telemetry.MemPoolMisses)
+	mOversize    = telemetry.C(telemetry.MemPoolOversize)
+	gOutstanding = telemetry.G(telemetry.MemPoolOutstanding)
 )
 
 // classSizes are the buffer capacities handed out, smallest to largest.
@@ -147,60 +145,3 @@ func MaxPooled() int { return classSizes[numClasses-1] }
 // delta is the leak check the pool tests and the endpoint-close tests
 // assert on.
 func Outstanding() int64 { return gOutstanding.Load() }
-
-// Memory admission control (overload robustness). The pool itself never
-// fails — Get stays infallible because ~every transport hot path already
-// assumes it — but send-side STAGING asks for admission first: TryAdmit
-// charges the requested bytes against a per-process byte quota and
-// returns false (→ ENOBUFS at the socket layer) when the ceiling is hit.
-// Admitted bytes are returned by AdmitRelease when the staged buffer's
-// last reference drops, so in-flight data always drains and the quota
-// can never deadlock: receivers consuming is the only thing needed to
-// readmit senders.
-var (
-	quotaBytes    atomic.Int64 // ceiling; 0 = unlimited
-	admittedBytes atomic.Int64 // bytes currently charged
-)
-
-// QuotaBytes reports the staging byte quota (0 = unlimited).
-func QuotaBytes() int64 { return quotaBytes.Load() }
-
-// SetQuotaBytes installs a staging byte quota and returns the previous
-// value. 0 disables admission control. Lowering the quota below the
-// currently admitted bytes is safe: no new staging is admitted until
-// in-flight buffers drain below the new ceiling.
-func SetQuotaBytes(n int64) int64 { return quotaBytes.Swap(n) }
-
-// TryAdmit charges n bytes against the quota. It returns false — and
-// counts a quota_reject — when the charge would exceed the ceiling; the
-// caller surfaces ENOBUFS and must NOT call AdmitRelease.
-func TryAdmit(n int) bool {
-	q := quotaBytes.Load()
-	if q <= 0 {
-		return true
-	}
-	for {
-		cur := admittedBytes.Load()
-		if cur+int64(n) > q {
-			mQuotaRejects.Inc()
-			return false
-		}
-		if admittedBytes.CompareAndSwap(cur, cur+int64(n)) {
-			gQuotaBytes.Add(int64(n))
-			return true
-		}
-	}
-}
-
-// AdmitRelease returns n bytes to the quota. Pairs with a successful
-// TryAdmit; called when the admitted staging buffer is finally released.
-// Releases always succeed — even if the quota was lowered or disabled in
-// between — so draining can never block.
-func AdmitRelease(n int) {
-	admittedBytes.Add(int64(-n))
-	gQuotaBytes.Add(int64(-n))
-}
-
-// AdmittedBytes reports bytes currently charged against the quota
-// (drill assertions: must return to its baseline after a drain).
-func AdmittedBytes() int64 { return admittedBytes.Load() }

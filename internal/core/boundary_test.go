@@ -37,15 +37,10 @@ import (
 // run ended: with nothing else to do, that is when the last daemon loop
 // parked.
 
-// boundaryWorld is newWorld with the host ordinals pinned: connection IDs
-// carry them, and the ID picks the monitor shard, so the times below must
-// not depend on how many hosts earlier tests of this process created.
+// boundaryWorld is newWorld bounded at one virtual second: no scenario
+// runs that long, and one that does is a wait that does not end.
 func boundaryWorld(t *testing.T) *world {
-	// No scenario runs for a virtual second: one that does is a wait that
-	// does not end.
-	w := newWorldCfg(t, exec.SimConfig{MaxVirtualTime: 1_000_000_000})
-	w.a.Ordinal, w.b.Ordinal, w.c.Ordinal = 1, 2, 3
-	return w
+	return newWorldCfg(t, exec.SimConfig{MaxVirtualTime: 1_000_000_000})
 }
 
 type blog struct{ lines []string }

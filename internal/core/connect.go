@@ -13,8 +13,9 @@ import (
 	"socksdirect/internal/shm"
 )
 
-// ringCap is the per-direction socket ring size.
-const ringCap = 128 * 1024
+// RingCap is the per-direction socket ring size: every inter-host ring,
+// and an intra-host one unless its host's Limits.RingCap says otherwise.
+const RingCap = 128 * 1024
 
 // Listener is a libsd listening socket. Every listening thread has its own
 // backlog (§4.5.2: "we maintain a per-listener backlog for every thread
@@ -80,7 +81,7 @@ func (l *Libsd) newInterSide(ctx exec.Context, qid uint64, qp *rdma.QP) (*interS
 	is := &interSide{}
 	side := &is.side
 	side.QID = qid
-	side.TX, side.RX = l.H.SHM.GetRing(ringCap), l.H.SHM.GetRing(ringCap)
+	side.TX, side.RX = l.H.SHM.GetRing(RingCap), l.H.SHM.GetRing(RingCap)
 	side.CreditIn = side.word[:]
 	side.Refs.Store(1)
 	for i, b := range [2][]byte{side.RX.Data(), side.CreditIn} {
@@ -290,7 +291,7 @@ func (lst *Listener) Close(ctx exec.Context) {
 // acceptDrained tells the monitor one dispatched connection left this
 // listener's backlog, freeing a slot against the backlog cap (overload
 // admission: the monitor refuses SYNs while a listener's outstanding
-// dispatches sit at ListenerBacklogCap).
+// dispatches sit at its host's Limits.Backlog).
 func (l *Libsd) acceptDrained(ctx exec.Context, t *host.Thread, pa *pendingAccept) {
 	m := ctlmsg.Msg{Kind: ctlmsg.KAcceptDone, ConnID: pa.m.ConnID, Port: pa.m.Port,
 		PID: int64(l.P.PID), TID: int64(t.TID)}

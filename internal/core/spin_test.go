@@ -143,8 +143,8 @@ func TestDialCycleAllocs(t *testing.T) {
 		}
 	})
 	t.Run("refused", func(t *testing.T) {
-		defer monitor.SetListenerBacklogCap(monitor.SetListenerBacklogCap(1))
 		w := boundaryWorld(t)
+		w.a.Limits.Backlog = 1
 		sp, sl := proc(t, w.a, "server", 0)
 		cp, cl := proc(t, w.a, "client", 1000)
 		sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {

@@ -355,13 +355,11 @@ func (s *Socket) zcSendInterChunk(ctx exec.Context, ep *rdmaEP, addr mem.VAddr, 
 // before returning.
 func (s *Socket) sendVACopy(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int, locked bool) (int, error) {
 	// Memory admission control: send-side staging is charged against the
-	// host's bufpool byte quota. Receive paths are never charged — their
-	// progress is what drains the quota — so admission can shed load but
-	// never deadlock.
-	if !bufpool.TryAdmit(n) {
+	// host's staging quota (Host.Admit).
+	if !s.lib.H.Admit(n) {
 		return 0, ENOBUFS
 	}
-	defer bufpool.AdmitRelease(n)
+	defer s.lib.H.Unadmit(n)
 	pb := bufpool.Get(n)
 	defer pb.Release()
 	if err := s.lib.P.AS.Read(addr, pb.B); err != nil {

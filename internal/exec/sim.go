@@ -8,16 +8,13 @@ import (
 
 // SimConfig tunes the discrete-event scheduler.
 type SimConfig struct {
-	// YieldCost is the virtual time charged by every Yield, modelling
-	// the cost of a cooperative context switch / re-poll. Zero means
-	// DefaultYieldCost.
-	YieldCost int64
 	// MaxVirtualTime aborts the run (panics) if the virtual clock passes
 	// this bound; a guard against runaway polls. Zero means no bound.
 	MaxVirtualTime int64
 }
 
-// DefaultYieldCost approximates one empty re-poll iteration (~20 ns).
+// DefaultYieldCost is the virtual time charged by every Yield, modelling
+// one empty re-poll iteration (~20 ns).
 const DefaultYieldCost = 20
 
 // Sim is a deterministic discrete-event scheduler. Exactly one simulated
@@ -36,6 +33,7 @@ type Sim struct {
 	pq       eventHeap
 	cores    map[CoreID]*simCore
 	autoCore CoreID
+	hosts    uint64 // see HostOrdinal
 	running  *simThread
 	killed   bool
 	// threads holds the unfinished threads in spawn order, which is the
@@ -216,14 +214,18 @@ func (s *Sim) pop() event {
 
 // NewSim creates a fresh simulator.
 func NewSim(cfg SimConfig) *Sim {
-	if cfg.YieldCost == 0 {
-		cfg.YieldCost = DefaultYieldCost
-	}
 	return &Sim{
 		cfg:      cfg,
 		cores:    make(map[CoreID]*simCore),
 		autoCore: 1 << 20,
 	}
+}
+
+// HostOrdinal numbers the hosts built on this Sim from 1, in the order
+// they are built.
+func (s *Sim) HostOrdinal() uint64 {
+	s.hosts++
+	return s.hosts
 }
 
 // Now returns the current virtual time. Only meaningful while Run is
@@ -522,7 +524,7 @@ func (s *Sim) charge(t *simThread, d int64) bool {
 
 // yield is Yield up to the stop.
 func (s *Sim) yield(t *simThread) {
-	t.vt += s.cfg.YieldCost
+	t.vt += DefaultYieldCost
 	s.push(event{at: t.vt, th: t})
 }
 

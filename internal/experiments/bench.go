@@ -10,10 +10,8 @@ import (
 	sd "socksdirect"
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
-	"socksdirect/internal/monitor"
 	"socksdirect/internal/rdma"
 	"socksdirect/internal/shm"
-	"socksdirect/internal/telemetry"
 )
 
 // BenchSchema versions the BENCH JSON layout. Bump it on any field
@@ -121,11 +119,7 @@ func RunBenchSuite(short bool) BenchReport {
 		GoVersion: runtime.Version(),
 		Short:     short,
 	}
-	add := func(e BenchEntry) {
-		rep.Entries = append(rep.Entries, e)
-		telemetry.Default.Reset()
-	}
-	telemetry.Default.Reset()
+	add := func(e BenchEntry) { rep.Entries = append(rep.Entries, e) }
 	add(benchRing(1024, scale(200_000)))
 	add(benchQP(1024, scale(2000)))
 	add(benchSDPingPong("sd_intra_pingpong_8B", 8, true, scale(1000)))
@@ -338,13 +332,13 @@ func benchOverload(short bool) []BenchEntry {
 	}
 
 	// --- overload_shed: EWOULDBLOCK on a full ring -------------------
-	oldRing := monitor.SetSockRingCap(16 * 1024)
-	shedDist := telemetry.D("sd/bench/shed_ns")
+	shedDist := freshDist("sd/bench/shed_ns")
 	var shedMW memWindow
 	var shedElapsed int64
 	shedBad := 0
 	{
 		w := newWorld()
+		w.a.Limits.RingCap = 16 * 1024
 		sp := w.ha.NewProcess("srv", 0)
 		cp := w.ha.NewProcess("cli", 0)
 		sp.Go("srv", func(st *sd.T) {
@@ -392,17 +386,16 @@ func benchOverload(short bool) []BenchEntry {
 		})
 		w.sim.Run()
 	}
-	monitor.SetSockRingCap(oldRing)
 
 	// --- dial_refused: ECONNREFUSED off a full backlog ---------------
-	oldBacklog := monitor.SetListenerBacklogCap(1)
-	refDist := telemetry.D("sd/bench/refused_ns")
+	refDist := freshDist("sd/bench/refused_ns")
 	var refMW memWindow
 	var refElapsed int64
 	refN := n / 4 // a dial is heavier than a ring probe; keep runs short
 	refBad := 0
 	{
 		w := newWorld()
+		w.a.Limits.Backlog = 1
 		sp := w.ha.NewProcess("srv", 0)
 		cp := w.ha.NewProcess("cli", 0)
 		sp.Go("srv", func(st *sd.T) {
@@ -449,7 +442,6 @@ func benchOverload(short bool) []BenchEntry {
 		})
 		w.sim.Run()
 	}
-	monitor.SetListenerBacklogCap(oldBacklog)
 
 	shedAllocs, shedBytes := shedMW.perOp(n)
 	refAllocs, refBytes := refMW.perOp(refN)
@@ -510,7 +502,7 @@ func benchRing(size, n int) BenchEntry {
 	}
 	mw.mark()
 
-	dist := telemetry.D(BenchRTT)
+	dist := freshDist(BenchRTT)
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		t0 := time.Now()
@@ -570,7 +562,7 @@ func benchQP(size, n int) BenchEntry {
 	_, _ = cqaR, cqbS
 
 	payload := make([]byte, size)
-	dist := telemetry.D(BenchRTT)
+	dist := freshDist(BenchRTT)
 	var mw memWindow
 	var elapsed int64
 	w.sim.Spawn("bench-qp", func(ctx exec.Context) {
@@ -646,7 +638,7 @@ func benchQP(size, n int) BenchEntry {
 // window only (steady state).
 func benchSDPingPong(name string, size int, intra bool, rounds int) BenchEntry {
 	w := newWorld()
-	dist := telemetry.D(BenchRTT)
+	dist := freshDist(BenchRTT)
 	var mw memWindow
 	var elapsed int64
 	serverSide := func(api endpointAPI) {
@@ -719,7 +711,7 @@ func benchSDPingPong(name string, size int, intra bool, rounds int) BenchEntry {
 // benchWarm messages have been sent AND drained.
 func benchSDStream(name string, size int, intra bool, count int) BenchEntry {
 	w := newWorld()
-	dist := telemetry.D(BenchRTT)
+	dist := freshDist(BenchRTT)
 	const pre = benchWarm + benchRefill
 	stamps := make([]int64, pre+2*count)
 	var warmDrained, refillDrained, allDrained, extraDrained bool
@@ -816,7 +808,7 @@ func benchSDStream(name string, size int, intra bool, count int) BenchEntry {
 // reuses the same workload.
 func BurstPingPong(name string, batch, size int, intra bool, rounds int) BenchEntry {
 	w := newWorld()
-	dist := telemetry.D(BenchRTT)
+	dist := freshDist(BenchRTT)
 	var mw memWindow
 	var elapsed int64
 

@@ -77,8 +77,12 @@ const chaosPace = 12_000_000 // 12 ms between rounds
 // per pair. rounds*chaosPace must exceed the last fault's end (~2.2 s
 // virtual) so both streams are live across the whole schedule; the default
 // used by sdbench and the soak test is 240 rounds (~3 s of traffic).
-func Chaos(rounds, chunk int) ChaosResult {
-	w := newWorld()
+func Chaos(rounds, chunk int) ChaosResult { return chaos(rounds, chunk, 0) }
+
+// chaos is Chaos with its hosts numbered after `skip` others
+// (newWorldAfter).
+func chaos(rounds, chunk, skip int) ChaosResult {
+	w := newWorldAfter(skip)
 	res := ChaosResult{Rounds: rounds, Chunk: chunk}
 
 	inj := fault.New(w.a.Clk)

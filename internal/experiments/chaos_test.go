@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"socksdirect/internal/bufpool"
-	"socksdirect/internal/costmodel"
-	"socksdirect/internal/exec"
-	"socksdirect/internal/host"
 )
 
 // TestChaosSoak runs the scripted fault schedule (1% loss burst + 2 s
@@ -43,22 +40,26 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestChaosRecoversAtEveryOrdinal: hosts are numbered per process, and the
-// number is folded into connection IDs, which pick the monitor shards and
-// the recovery jitter, so Chaos meets a different schedule after each host
-// the process built before it. With the router parked and no tie-break,
-// one of those schedules healed the monitor channel from both ends at once,
-// each end kept its own pair, and no QP recovery completed. Chaos runs
-// after 0, 1, 2 and 3 throwaway hosts and must recover every time.
+// TestChaosRecoversAtEveryOrdinal: host ordinals are folded into
+// connection IDs, which pick the monitor shards and the recovery jitter,
+// so Chaos meets a different schedule when its hosts are numbered after
+// others. With the router parked and no tie-break, one of those schedules
+// healed the monitor channel from both ends at once, each end kept its own
+// pair, and no QP recovery completed. Chaos runs after 0, 1, 2 and 3 bare
+// hosts on its own Sim; every run must recover, and no two may be alike.
 func TestChaosRecoversAtEveryOrdinal(t *testing.T) {
-	costs := costmodel.Default
-	for extra := 0; extra < 4; extra++ {
-		for i := 0; i < extra; i++ {
-			host.New("throwaway", exec.NewSim(exec.SimConfig{}), &costs, 1)
+	var runs []ChaosResult
+	for skip := 0; skip < 4; skip++ {
+		r := chaos(200, 1024, skip)
+		if !r.Passed() {
+			t.Errorf("after %d bare hosts:\n%s", skip, r)
 		}
-		if r := Chaos(200, 1024); !r.Passed() {
-			t.Errorf("after %d throwaway hosts:\n%s", extra, r)
+		for i, q := range runs {
+			if q == r {
+				t.Errorf("after %d and %d bare hosts: the same run\n%#v", i, skip, r)
+			}
 		}
+		runs = append(runs, r)
 	}
 }
 

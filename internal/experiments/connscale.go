@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	sd "socksdirect"
-	"socksdirect/internal/monitor"
 	"socksdirect/internal/monitor/shard"
 	"socksdirect/internal/telemetry"
 )
@@ -42,11 +41,10 @@ type ConnScaleConfig struct {
 	// app threads and monitor shard loops contend for CPUs the way a
 	// real machine's would. Default 16.
 	Cores int
-	// RingCap overrides the per-socket SHM ring capacity for the drill's
-	// sockets (monitor.SetSockRingCap). Holding 10^5 sockets at the
-	// default 128 KiB rings would cost ~25 GB of backing store; the drill
-	// moves no data on held connections, so tiny rings are faithful.
-	// Default 256 bytes; restored on return.
+	// RingCap is the per-socket SHM ring capacity of the drill's host
+	// (host.Limits.RingCap). Holding 10^5 sockets at the default 128 KiB
+	// rings would cost ~25 GB of backing store; the drill moves no data on
+	// held connections, so tiny rings are faithful. Default 256 bytes.
 	RingCap int
 }
 
@@ -111,21 +109,18 @@ func ConnScaleDrill(cfg ConnScaleConfig) ConnScaleResult {
 	popPer, churnPer := per(cfg.Population), per(cfg.Churn)
 	quota := (popPer + churnPer) * cfg.Dialers / cfg.Servers
 
-	old := monitor.SetSockRingCap(cfg.RingCap)
-	defer monitor.SetSockRingCap(old)
 	// The process registry is shared: read counters as deltas from here,
 	// and reset only the distributions whose quantiles this run reports.
 	before := telemetry.Capture()
-	dialDist := telemetry.D(connScaleDialNs)
-	acceptDist := telemetry.D(connScaleAcceptNs)
-	dialDist.Reset()
-	acceptDist.Reset()
+	dialDist := freshDist(connScaleDialNs)
+	acceptDist := freshDist(connScaleAcceptNs)
 	for i := 0; i < shard.DefaultCount; i++ {
-		telemetry.D(telemetry.MonShardDispatch(i)).Reset()
+		freshDist(telemetry.MonShardDispatch(i))
 	}
 
 	w := newWorld()
 	w.a.SetCores(cfg.Cores)
+	w.a.Limits.RingCap = cfg.RingCap
 
 	const basePort = 7500
 	res := ConnScaleResult{

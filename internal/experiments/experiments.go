@@ -89,9 +89,17 @@ func (w *world) vmaOn(h *host.Host) *libvma.Stack {
 	return w.vmaB
 }
 
-func newWorld() *world {
+func newWorld() *world { return newWorldAfter(0) }
+
+// newWorldAfter builds the world with `skip` bare hosts on its Sim before
+// its two: host ordinals feed connection IDs, which pick monitor shards
+// and recovery jitter, so a test can run a drill under other schedules.
+func newWorldAfter(skip int) *world {
 	costs := costmodel.Default
 	cl := sd.NewCluster(sd.Config{Costs: &costs, Seed: 11})
+	for range skip {
+		host.New("skipped", cl.Sim(), &costs, 1)
+	}
 	w := &world{costs: &costs, cl: cl}
 	w.ha = cl.AddHost("hostA")
 	w.hb = cl.AddHost("hostB")

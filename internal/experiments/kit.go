@@ -405,6 +405,14 @@ func timeline(sim *exec.Sim, name string, acts ...action) {
 	})
 }
 
+// freshDist is the named distribution, emptied: the process registry is
+// shared, so a run reports the quantiles of its own observations only.
+func freshDist(name string) *telemetry.Distribution {
+	d := telemetry.D(name)
+	d.Reset()
+	return d
+}
+
 // tally brackets a run: the telemetry counters and the pooled-buffer
 // census as they stood before it.
 type tally struct {

@@ -118,17 +118,16 @@ func TestVerdictPrintsWhatItJudges(t *testing.T) {
 // Result, field for field — virtual run time, byte counts and counter
 // deltas included. Comparing runs across seeds and schedules
 // (EXPERIMENTS.md "Scenario kit") means nothing unless an unchanged run
-// repeats.
-//
-// Chaos is not here because it does not have the property yet, on the
-// parent commit either: host.hostSeq numbers hosts per process, the
-// ordinal is folded into connection IDs, and those pick the monitor shard
-// and the recovery jitter — so a second Chaos in one process runs
-// ~12 ms of virtual time differently from the first (EXPERIMENTS.md
-// "Scenario kit").
+// repeats. Chaos is the drill whose schedule follows its host ordinals
+// (they feed connection IDs, which pick monitor shards and recovery
+// jitter): each world numbers its own hosts, so a second run meets the
+// first one's schedule.
 func TestDrillsRepeat(t *testing.T) {
 	if a, b := Crash(1, 1, 1024), Crash(1, 1, 1024); a != b || !a.Passed() {
 		t.Errorf("crash runs differ or fail:\n%#v\n%#v", a, b)
+	}
+	if a, b := Chaos(40, 1024), Chaos(40, 1024); a != b || !a.Passed() {
+		t.Errorf("chaos runs differ or fail:\n%#v\n%#v", a, b)
 	}
 	if raceEnabled {
 		return // two more 210 ms-virtual runs cost the race job ~90 s for no new interleaving

@@ -5,9 +5,8 @@ import (
 	"fmt"
 
 	sd "socksdirect"
-	"socksdirect/internal/bufpool"
+	"socksdirect/internal/host"
 	"socksdirect/internal/mem"
-	"socksdirect/internal/monitor"
 	"socksdirect/internal/monitor/shard"
 	"socksdirect/internal/telemetry"
 )
@@ -45,12 +44,12 @@ type OverloadConfig struct {
 	Dials        int   // dial-flood attempts against the capped listener
 	Flooders     int   // concurrent dialer processes in the flood
 	RemoteDials  int   // inter-host dials racing the capped shard inbox
-	BacklogCap   int   // monitor.SetListenerBacklogCap for the run
-	InboxCap     int   // monitor.SetMonInboxCap for the run
-	QuotaBytes   int64 // bufpool send-staging quota for the squeeze
+	BacklogCap   int   // both hosts' Limits.Backlog
+	InboxCap     int   // both hosts' Limits.Inbox
+	QuotaBytes   int64 // both hosts' Limits.StagingQuota, for the squeeze
 	Chunk        int   // stream chunk size (bytes)
 	Rounds       int   // chunks per streaming pair
-	RingCap      int   // per-socket ring size (small, so rings fill)
+	RingCap      int   // both hosts' Limits.RingCap (small, so rings fill)
 	// HealthyP99Bound caps the healthy pairs' per-send p99 (ns).
 	HealthyP99Bound int64
 }
@@ -130,7 +129,7 @@ type OverloadResult struct {
 	QuotaRejected  int   // ENOBUFS returns observed (want >= 1)
 	QuotaDelivered int64 // bytes delivered byte-exact after resubmission
 	QuotaBad       int
-	QuotaDrift     int64 // bufpool.AdmittedBytes at quiescence (want 0)
+	QuotaDrift     int64 // bytes the hosts still hold staged at quiescence (want 0)
 	PoolLeak       int64 // bufpool.Outstanding delta (want 0)
 
 	Hung int // workers that never reached their end state
@@ -204,19 +203,12 @@ func Overload(cfg OverloadConfig) OverloadResult {
 		Dials: cfg.Dials, RemoteDials: cfg.RemoteDials,
 	}
 
-	oldRing := monitor.SetSockRingCap(cfg.RingCap)
-	defer monitor.SetSockRingCap(oldRing)
-	oldBacklog := monitor.SetListenerBacklogCap(cfg.BacklogCap)
-	defer monitor.SetListenerBacklogCap(oldBacklog)
-	oldInbox := monitor.SetMonInboxCap(cfg.InboxCap)
-	defer monitor.SetMonInboxCap(oldInbox)
-	oldQuota := bufpool.SetQuotaBytes(cfg.QuotaBytes)
-	defer bufpool.SetQuotaBytes(oldQuota)
-
 	o := &overloadRun{w: newWorld(), cfg: cfg, res: &res}
+	lim := host.Limits{RingCap: cfg.RingCap, Backlog: cfg.BacklogCap,
+		Inbox: cfg.InboxCap, StagingQuota: cfg.QuotaBytes}
+	o.w.a.Limits, o.w.b.Limits = lim, lim
 	tl := startTally()
-	healthyDist := telemetry.D(overloadHealthyNs)
-	healthyDist.Reset() // p99 of this run's healthy sends only
+	healthyDist := freshDist(overloadHealthyNs) // p99 of this run's healthy sends only
 
 	healthy := make([]*flowOutcome, cfg.HealthyPairs)
 	for i := range healthy {
@@ -253,7 +245,7 @@ func Overload(cfg OverloadConfig) OverloadResult {
 	for i := 0; i < shard.DefaultCount; i++ {
 		res.CtrInboxShed += d[telemetry.MonShardInboxShed(i)]
 	}
-	res.QuotaDrift = bufpool.AdmittedBytes()
+	res.QuotaDrift = o.w.a.Staged() + o.w.b.Staged()
 	return res
 }
 

@@ -22,11 +22,12 @@ import (
 // Host is one machine.
 type Host struct {
 	Name string
-	// Ordinal is unique across every host in the process (not just one
-	// cluster). Libsd folds it into connection IDs: PIDs restart from 1
-	// on every host, so (PID, seq) alone collides the moment two hosts
-	// dial the same listener, and the receiving monitor would drop the
-	// second SYN as a bounded-wait re-send of the first.
+	// Ordinal numbers the host within its Sim, from 1 (Sim.HostOrdinal).
+	// Libsd folds it into connection IDs: PIDs restart from 1 on every
+	// host, so (PID, seq) alone collides the moment two hosts dial the
+	// same listener, and the receiving monitor would drop the second SYN
+	// as a bounded-wait re-send of the first. IDs meet only inside one
+	// world, so unique per Sim is unique enough.
 	Ordinal uint64
 	RT      *exec.Sim
 	Clk     exec.Clock
@@ -35,6 +36,10 @@ type Host struct {
 	Mem     *mem.PhysMem
 	NIC     *rdma.NIC
 	Kern    *Kernel
+	// Limits caps what this host's monitor and libsd hold; set it before
+	// the traffic it should bound.
+	Limits Limits
+	staged int64 // bytes admitted against Limits.StagingQuota
 
 	procs    map[int]*Process
 	nextPID  int
@@ -59,9 +64,55 @@ func (h *Host) OnProcessDeath(fn func(pid int)) {
 	h.deathHooks = append(h.deathHooks, fn)
 }
 
-// hostSeq hands out Host.Ordinal values. Deterministic: the sequence
-// depends only on host-creation order, which the sims fix.
-var hostSeq atomic.Uint64
+// Limits are a host's overload caps. Zero in a field is the product
+// default: 128 KiB rings, and no cap on the other three.
+type Limits struct {
+	// RingCap is the per-direction ring size of intra-host sockets the
+	// monitor dispatches (inter-host rings keep the default). Ring memory
+	// is what limits a drill that HOLDS sockets open: 10^5 live sockets
+	// at two 128 KiB rings each is ~25 GB.
+	RingCap int
+	// Backlog bounds dispatched-but-not-accepted connections per listener
+	// thread (the monitor-side SOMAXCONN): past it a dial gets a
+	// retryable ECONNREFUSED instead of growing monitor state.
+	Backlog int
+	// Inbox bounds each monitor shard's router-fed inbox. At the cap an
+	// inter-host SYN is handed back as backlog-full (ECONNREFUSED at the
+	// dialer); protocol-critical kinds (acks, death notices) always
+	// append.
+	Inbox int
+	// StagingQuota bounds the bytes copy-path sends stage at once
+	// (Admit); past it a send fails with ENOBUFS.
+	StagingQuota int64
+}
+
+// Admit charges n bytes of send-side staging against the host's quota.
+// It returns false, and counts a quota reject, when the charge would pass
+// Limits.StagingQuota; the caller surfaces ENOBUFS and must not Unadmit.
+// Receive paths are never charged — their progress is what drains the
+// quota — so admission can shed load but never deadlock. Lowering the
+// quota below what is staged is safe: nothing more is admitted until the
+// staged bytes drain below it.
+func (h *Host) Admit(n int) bool {
+	if q := h.Limits.StagingQuota; q > 0 && h.staged+int64(n) > q {
+		mQuotaRejects.Inc()
+		return false
+	}
+	h.staged += int64(n)
+	gQuotaBytes.Add(int64(n))
+	return true
+}
+
+// Unadmit returns n bytes admitted by Admit once their staging buffer is
+// released. It always succeeds, so draining never blocks.
+func (h *Host) Unadmit(n int) {
+	h.staged -= int64(n)
+	gQuotaBytes.Add(int64(-n))
+}
+
+// Staged reports the bytes admitted and not yet returned (a drill's
+// drift check: zero once the host has drained).
+func (h *Host) Staged() int64 { return h.staged }
 
 // New creates a host on the given simulator. costs may be nil for
 // cost-free functional tests.
@@ -72,7 +123,7 @@ func New(name string, rt *exec.Sim, costs *costmodel.Costs, seed uint64) *Host {
 	clk := rt.Clock()
 	h := &Host{
 		Name:    name,
-		Ordinal: hostSeq.Add(1),
+		Ordinal: rt.HostOrdinal(),
 		RT:      rt,
 		Clk:     clk,
 		Costs:   costs,

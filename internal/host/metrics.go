@@ -12,6 +12,10 @@ var (
 	mCopyBytes = telemetry.C(telemetry.HostCopyBytes)
 	mSignals   = telemetry.C(telemetry.HostSignals)
 	mWakeups   = telemetry.C(telemetry.HostWakeups)
+
+	// Send-side staging admission (Host.Admit).
+	mQuotaRejects = telemetry.C(telemetry.MemPoolQuotaRejects)
+	gQuotaBytes   = telemetry.G(telemetry.MemPoolQuotaBytes)
 )
 
 // CountCopy records one memory copy of n bytes into the host-layer copy

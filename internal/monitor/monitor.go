@@ -31,7 +31,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"socksdirect/internal/core"
 	"socksdirect/internal/ctlmsg"
@@ -520,7 +519,7 @@ func (m *Monitor) routeRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 	if ev.cm.TraceID != 0 {
 		ev.cm.TS = ctx.Now() // routing-hop start for the shard's span
 	}
-	if capN := MonInboxCap(); capN > 0 && len(sh.inbox) >= capN &&
+	if capN := m.H.Limits.Inbox; capN > 0 && len(sh.inbox) >= capN &&
 		cm.Kind == ctlmsg.KMSyn {
 		// Shard saturated: shed the one kind that is safely refusable. A
 		// SYN turned away here costs the dialer a retryable ECONNREFUSED;
@@ -1098,7 +1097,7 @@ func (m *Monitor) addListener(port uint16, pid, tid int) {
 }
 
 // pickListener round-robins over a port's listeners (§4.5.2), skipping
-// listeners whose backlog occupancy sits at ListenerBacklogCap. On
+// listeners whose backlog occupancy sits at the host's Limits.Backlog. On
 // success it claims one backlog slot for the chosen listener (the caller
 // must record the dispatch with queued=true so KAcceptDone/steal/cleanup
 // release it). The status return distinguishes a port nobody listens on
@@ -1108,7 +1107,7 @@ func (m *Monitor) addListener(port uint16, pid, tid int) {
 // not the port's shard, and this cross-shard read is the deliberate thin
 // path between partitions (one Sim runs one loop at a time).
 func (m *Monitor) pickListener(port uint16) (listenerRef, uint8) {
-	capN := ListenerBacklogCap()
+	capN := m.H.Limits.Backlog
 	pr := m.shardOfPort(port).ports[port]
 	if pr == nil || len(pr.refs) == 0 {
 		return listenerRef{}, ctlmsg.StatusNoListener
@@ -1199,7 +1198,11 @@ func (m *Monitor) dispatchIntra(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) 
 		m.fail(ctx, pc.p.PID, cm, st)
 		return
 	}
-	is := core.NewIntraSock(m.H.SHM, cm.ConnID, SockRingCap())
+	ringCap := m.H.Limits.RingCap
+	if ringCap == 0 {
+		ringCap = core.RingCap
+	}
+	is := core.NewIntraSock(m.H.SHM, cm.ConnID, ringCap)
 	seg := m.H.SHM.Create(is)
 	sh := m.shardOf(cm.ConnID)
 	c := sh.conn(cm.ConnID)
@@ -1224,57 +1227,6 @@ func (m *Monitor) dispatchIntra(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) 
 	}
 	m.sendTo(ctx, pc.p.PID, &res, false)
 }
-
-// sockRingCap is the per-direction ring size of dispatched intra-host
-// sockets, matching core's default. It is a variable, not a constant,
-// because ring memory is the footprint limiter for drills that HOLD
-// sockets open: 100k live sockets x two 128 KiB rings is ~25 GB. Churn
-// does not need it — a closed connection's rings go back to the host's
-// recycle list, so setup/teardown at the default size costs one pair of
-// rings per connection in flight. Atomic so a drill can shrink it while
-// monitors from an earlier scenario still run.
-var sockRingCap = func() *atomic.Int64 {
-	v := new(atomic.Int64)
-	v.Store(128 * 1024)
-	return v
-}()
-
-// SockRingCap returns the ring size used for newly dispatched intra-host
-// sockets.
-func SockRingCap() int { return int(sockRingCap.Load()) }
-
-// SetSockRingCap overrides the ring size for subsequently dispatched
-// intra-host sockets and returns the previous value. Existing sockets are
-// unaffected.
-func SetSockRingCap(n int) int { return int(sockRingCap.Swap(int64(n))) }
-
-// listenerBacklogCap bounds dispatched-but-not-accepted connections per
-// listener thread (the monitor-side SOMAXCONN). 0 = unbounded, the
-// historical behavior; overload drills and operators set a real cap,
-// turning a dial storm into retryable ECONNREFUSED instead of unbounded
-// monitor state growth.
-var listenerBacklogCap atomic.Int64
-
-// ListenerBacklogCap returns the per-listener backlog cap (0 = unbounded).
-func ListenerBacklogCap() int { return int(listenerBacklogCap.Load()) }
-
-// SetListenerBacklogCap installs a per-listener backlog cap and returns
-// the previous value. Applies to subsequent dispatches only.
-func SetListenerBacklogCap(n int) int { return int(listenerBacklogCap.Swap(int64(n))) }
-
-// monInboxCap bounds each shard's router-fed inbox. 0 = unbounded. At the
-// cap, sheddable arrivals (inter-host SYNs) get an immediate
-// StatusBacklogFull handback — the dialer sees a retryable ECONNREFUSED —
-// instead of queueing without bound behind a saturated shard;
-// protocol-critical kinds (acks, death notices) always append.
-var monInboxCap atomic.Int64
-
-// MonInboxCap returns the per-shard inbox cap (0 = unbounded).
-func MonInboxCap() int { return int(monInboxCap.Load()) }
-
-// SetMonInboxCap installs a per-shard inbox cap and returns the previous
-// value.
-func SetMonInboxCap(n int) int { return int(monInboxCap.Swap(int64(n))) }
 
 // --- token arbitration (§4.1.1) ---
 

@@ -102,7 +102,7 @@ func TestMchanCarriesControlMessages(t *testing.T) {
 }
 
 // TestShardInboxShedsSYNsAtCap pins the routeRemote overload contract:
-// with MonInboxCap set and a shard's inbox already at the cap, an
+// with the host's Limits.Inbox set and a shard's inbox already at the cap, an
 // arriving KMSyn is shed — counter bumped, KMRefused bounced, inbox NOT
 // grown — while every other kind (an in-flight protocol step whose loss
 // would wedge the peer) still appends past the cap. The overload drill
@@ -111,7 +111,7 @@ func TestMchanCarriesControlMessages(t *testing.T) {
 func TestShardInboxShedsSYNsAtCap(t *testing.T) {
 	s, ma, mb, _, _ := newHostPair()
 	Peer(ma, mb)
-	defer SetMonInboxCap(SetMonInboxCap(1))
+	ma.H.Limits.Inbox = 1
 	s.Spawn("t", func(ctx exec.Context) {
 		mc := ma.peers["b"].mc
 		if mc == nil {

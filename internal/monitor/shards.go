@@ -85,10 +85,10 @@ type portRec struct {
 }
 
 // listenerSlot is one registered listener thread and its backlog occupancy:
-// the connections dispatched to it but not yet accepted. When
-// ListenerBacklogCap > 0, pickListener skips listeners at the cap and
-// refuses the SYN with StatusBacklogFull once every listener for the port
-// is full. The count goes with the registration.
+// the connections dispatched to it but not yet accepted. When the host's
+// Limits.Backlog > 0, pickListener skips listeners at the cap and refuses
+// the SYN with StatusBacklogFull once every listener for the port is full.
+// The count goes with the registration.
 type listenerSlot struct {
 	listenerRef
 	used int

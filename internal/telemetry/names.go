@@ -177,7 +177,7 @@ func MonShardEvents(i int) string {
 
 // MonShardInboxShed names shard i's shed counter: routed events the
 // router refused to append because the shard's inbox was at its cap
-// (MonInboxCap). Sheddable kinds get a retry-after handback (KMSyn →
+// (host.Limits.Inbox). Sheddable kinds get a retry-after handback (KMSyn →
 // KMRefused) instead of unbounded queueing; this counter is how an
 // operator sees which shard is saturating.
 func MonShardInboxShed(i int) string {

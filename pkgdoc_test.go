@@ -158,6 +158,9 @@ func TestMonitorNeverSpins(t *testing.T) {
 	}
 }
 
+// simPackages are the packages a simulated world is made of.
+var simPackages = []string{"core", "monitor", "host", "tcpstack", "rdma", "mem", "fabric", "shm", "fault"}
+
 // TestSimStateTakesNoLocks keeps a Sim's state lock-free (ARCHITECTURE.md
 // "A Sim owns its state"): the packages a simulated world is made of are
 // touched only from inside Sim.Run, one thread at a time, so their non-test
@@ -168,13 +171,12 @@ func TestSimStateTakesNoLocks(t *testing.T) {
 	allowed := map[string]string{
 		"shm/locked.go": "LockedRing is the mutex-guarded queue of Table 2, the baseline the lockless ring is measured against",
 	}
-	pkgs := []string{"core", "monitor", "host", "tcpstack", "rdma", "mem", "fabric", "shm", "fault"}
 	syncTypes := map[string]bool{"Mutex": true, "RWMutex": true, "Once": true, "OnceFunc": true,
 		"OnceValue": true, "OnceValues": true, "Cond": true}
 	locking := map[string]bool{"Lock": true, "RLock": true, "TryLock": true, "TryRLock": true}
 	used := map[string]bool{}
 	fset := token.NewFileSet()
-	for _, pkg := range pkgs {
+	for _, pkg := range simPackages {
 		paths, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
 		if err != nil || len(paths) == 0 {
 			t.Fatalf("no files in internal/%s: %v", pkg, err)
@@ -215,6 +217,60 @@ func TestSimStateTakesNoLocks(t *testing.T) {
 			t.Errorf("allowlist entry %q matches nothing any more: delete it", key)
 		}
 	}
+}
+
+// TestSimStateHasNoGlobals keeps a world's numbers and limits in the world
+// (ARCHITECTURE.md "A Sim owns its state"): no package-level variable of
+// the packages a simulated world is made of mentions sync/atomic. Such a
+// variable is state two Sims share: a counter that numbers hosts per
+// process, or a cap one drill sets for every cluster. It belongs on the
+// Sim or the Host; metric handles synchronise inside telemetry.
+func TestSimStateHasNoGlobals(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, pkg := range simPackages {
+		paths, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no files in internal/%s: %v", pkg, err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range file.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					if what := atomicIn(spec); what != "" {
+						var names []string
+						for _, n := range spec.(*ast.ValueSpec).Names {
+							names = append(names, n.Name)
+						}
+						t.Errorf("%s: package-level %s mentions %s: a Sim's state lives on the Sim or the Host",
+							fset.Position(spec.Pos()), strings.Join(names, ", "), what)
+					}
+				}
+			}
+		}
+	}
+}
+
+// atomicIn names the first atomic.X that n mentions, or returns "".
+func atomicIn(n ast.Node) (what string) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && what == "" {
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "atomic" {
+				what = "atomic." + sel.Sel.Name
+			}
+		}
+		return what == ""
+	})
+	return what
 }
 
 // TestCodeCitesOnlyOpenItems fails on a ROADMAP item that Go code cites —

@@ -2,6 +2,7 @@ package socksdirect_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -219,26 +220,60 @@ func echoServe(t *testing.T, p *sd.Process, port uint16, n int) {
 	})
 }
 
+// worldRun is how a runWorld went: whether the client got to the end, and
+// the Sim's final virtual time, Resumes and Played.
+type worldRun struct {
+	done                 bool
+	end, resumes, played int64
+}
+
 // runWorld builds one two-host cluster and runs, from one client thread:
-// an intra-host ping-pong, a cross-host dial and echo, then 200 intra-host
-// dial/echo/close cycles and a second cross-host echo. Every byte is
-// checked, and the census after the cycles must equal the census before
-// them. It reports whether the client got to the end.
-func runWorld(t *testing.T, w int) bool {
+// two dials to a listener that never accepts, an intra-host ping-pong, a
+// cross-host dial and echo, then 200 intra-host dial/echo/close cycles and
+// a second cross-host echo. Every byte is checked, and the census after
+// the cycles must equal the census before them. World 1 caps its hosts'
+// backlogs at one and their rings at 16 KiB, world 0 keeps the defaults:
+// the first dial pins the backlog slot in both, and the second is refused
+// in world 1 only.
+func runWorld(t *testing.T, w int) worldRun {
 	const (
 		port      = 80
+		sinkPort  = 81
 		pingPongs = 100
 		cycles    = 200
 	)
 	cl := sd.NewCluster(sd.Defaults())
 	a := cl.AddHost(fmt.Sprintf("w%d-alpha", w))
 	b := cl.AddHost(fmt.Sprintf("w%d-beta", w))
+	if w == 1 {
+		lim := host.Limits{Backlog: 1, RingCap: 16 << 10}
+		a.H.Limits, b.H.Limits = lim, lim
+	}
 	sd.PeerMonitors(a, b)
 	echoServe(t, a.NewProcess("server", 0), port, 1+cycles)
 	echoServe(t, b.NewProcess("server", 0), port, 2)
+	a.NewProcess("sink", 0).Go("ln", func(t2 *sd.T) {
+		ln, err := t2.Listen(sinkPort)
+		if err != nil {
+			t.Errorf("world %d: listen: %v", w, err)
+			return
+		}
+		t2.Sleep(3 * sd.Millisecond) // past both dials' deadlines
+		ln.Close()
+	})
 	done := false
 	a.NewProcess("client", 0).Go("cli", func(t2 *sd.T) {
 		t2.Sleep(10 * sd.Microsecond)
+		if _, err := t2.DialDeadline(a.H.Name, sinkPort, t2.Now()+sd.Millisecond); !errors.Is(err, sd.ETIMEDOUT) {
+			t.Errorf("world %d: pinning dial: %v, want ETIMEDOUT", w, err)
+		}
+		want := sd.ETIMEDOUT // dispatched, and never accepted
+		if w == 1 {
+			want = sd.ECONNREFUSED
+		}
+		if _, err := t2.DialDeadline(a.H.Name, sinkPort, t2.Now()+sd.Millisecond); !errors.Is(err, want) {
+			t.Errorf("world %d: second dial: %v, want %v", w, err, want)
+		}
 		echo := func(dst string, msg []byte, rounds int) bool {
 			c, err := t2.Dial(dst, port)
 			if err != nil {
@@ -280,28 +315,35 @@ func runWorld(t *testing.T, w int) bool {
 		}
 		done = true
 	})
-	cl.Run()
-	return done
+	end := cl.Run()
+	return worldRun{done, end, cl.Sim().Resumes(), cl.Sim().Played()}
 }
 
 // TestClustersRunConcurrently runs two clusters on two goroutines at once
 // (ARCHITECTURE.md "A Sim owns its state"): under -race, any state two
-// worlds reach without synchronisation fails it. The worlds need not match
-// solo runs: host ordinals are numbered process-wide (ROADMAP 1(a)).
+// worlds reach without synchronisation fails it. A world owns its host
+// numbers and its limits, so each run together must match its run alone,
+// and world 1's backlog cap refuses a dial that world 0 dispatches.
 func TestClustersRunConcurrently(t *testing.T) {
+	var solo, both [2]worldRun
+	for w := range solo {
+		solo[w] = runWorld(t, w)
+	}
 	var wg sync.WaitGroup
-	var finished [2]bool
-	for w := range finished {
+	for w := range both {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			finished[w] = runWorld(t, w)
+			both[w] = runWorld(t, w)
 		}()
 	}
 	wg.Wait()
-	for w, ok := range finished {
-		if !ok {
+	for w, r := range both {
+		if !r.done {
 			t.Errorf("world %d did not finish", w)
+		}
+		if r != solo[w] {
+			t.Errorf("world %d: %+v run together, %+v alone", w, r, solo[w])
 		}
 	}
 }
