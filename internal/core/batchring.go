@@ -124,7 +124,7 @@ func (s *Socket) RecvBatch(ctx exec.Context, t *host.Thread, bufs [][]byte, lens
 			if filled == 0 {
 				err = rerr
 			}
-			// filled > 0: the condition is latched (RxShut); the next
+			// filled > 0: the condition is latched (rxShut); the next
 			// call re-surfaces it, preserving exactly-once errno order.
 			break
 		}

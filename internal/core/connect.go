@@ -207,11 +207,7 @@ func (l *Libsd) ListenOn(ctx exec.Context, t *host.Thread, port uint16) (*Listen
 	l.sendCtl(ctx, &m)
 	// Wait for the bind result (the paper hides this latency when failure
 	// is impossible; we keep the round trip for clear error reporting).
-	key := backlogKey{port: port, tid: t.TID}
-	if _, ok := l.backlogs[key]; !ok {
-		l.backlogs[key] = &backlog{}
-	}
-	bl := l.backlogs[key]
+	bl := l.backlogOf(port, t.TID)
 	for w := l.awaitCtl(&m, ETIMEDOUT).wait(); bl.bindStatus.Load() == 0; {
 		if err := w.block(ctx); err != nil {
 			return nil, err // ETIMEDOUT: no monitor answered the bind
@@ -249,8 +245,7 @@ func (lst *Listener) Accept(ctx exec.Context) (*Socket, host.KFile, error) {
 	op := obs.BeginOp(l.H.Name, int64(l.P.PID), obs.OpAccept, ctx.Now())
 	opOK := false
 	defer func() { op.End(l.H.Clk.Now(), opOK) }()
-	key := backlogKey{port: lst.port, tid: lst.t.TID}
-	bl := l.backlogs[key]
+	bl := l.backlogOf(lst.port, lst.t.TID)
 	// An empty backlog asks the monitor to steal from a sibling's (§4.5.2).
 	lst.bl = bl
 	lst.hintMsg = ctlmsg.Msg{Kind: ctlmsg.KAcceptHint, Port: lst.port, PID: int64(l.P.PID), TID: int64(lst.t.TID),
@@ -299,9 +294,21 @@ func (l *Libsd) acceptDrained(ctx exec.Context, t *host.Thread, pa *pendingAccep
 	l.sendCtl(ctx, &m)
 }
 
+// backlogOf returns the backlog of listener thread tid on port, made at its
+// first mention: the bind, its answer, or a dispatched connection.
+func (l *Libsd) backlogOf(port uint16, tid int) *backlog {
+	key := backlogKey{port: port, tid: tid}
+	bl := l.backlogs[key]
+	if bl == nil {
+		bl = &backlog{}
+		l.backlogs[key] = bl
+	}
+	return bl
+}
+
 func (l *Libsd) finishAccept(ctx exec.Context, t *host.Thread, pa *pendingAccept) (*Socket, host.KFile, error) {
-	me := int64(MakeGTID(l.P.PID, t.TID))
 	defer l.acceptDrained(ctx, t, pa)
+	s := pa.sock
 	switch pa.m.Transport {
 	case ctlmsg.TransportSHM:
 		if p := l.H.Process(int(pa.m.PID)); p == nil || p.Dead() {
@@ -319,27 +326,9 @@ func (l *Libsd) finishAccept(ctx exec.Context, t *host.Thread, pa *pendingAccept
 		}
 		is := seg.Obj.(*IntraSock)
 		is.B.PeerPID.Store(int64(pa.m.PID)) // client pid
-		s := &Socket{lib: l, side: &is.B, intra: is, sideIdx: 1, shmTok: pa.m.ShmToken}
+		s = &Socket{lib: l, side: &is.B, intra: is, shmTok: pa.m.ShmToken}
 		s.useSHM(&is.B, &is.A)
-		s.side.SendHolder.Store(me)
-		s.side.RecvHolder.Store(me)
-		s.fd = l.installFD(fdEntry{kind: fdSocket, sock: s})
-		l.trackSock(s)
-		l.initFlow(s)
-		s.sendMsg(ctx, MAck, nil, nil) // Fig. 6: server ACK finalizes setup
-		s.established = true
-		return s, nil, nil
-	case ctlmsg.TransportRDMA:
-		s := pa.sock
-		s.sideIdx = 1
-		s.side.SendHolder.Store(me)
-		s.side.RecvHolder.Store(me)
-		s.fd = l.installFD(fdEntry{kind: fdSocket, sock: s})
-		l.trackSock(s)
-		l.initFlow(s)
-		s.sendMsg(ctx, MAck, nil, nil)
-		s.established = true
-		return s, nil, nil
+	case ctlmsg.TransportRDMA: // pa.sock, built when KNewConn arrived
 	case ctlmsg.TransportTCP:
 		kf, ok := l.P.LookupFD(int(pa.m.Aux))
 		if !ok {
@@ -348,8 +337,26 @@ func (l *Libsd) finishAccept(ctx exec.Context, t *host.Thread, pa *pendingAccept
 		mTCPFallbacks.Inc()
 		l.installFD(fdEntry{kind: fdKernel, kf: kf})
 		return nil, kf, nil
+	default:
+		return nil, nil, fmt.Errorf("libsd: unknown transport %d", pa.m.Transport)
 	}
-	return nil, nil, fmt.Errorf("libsd: unknown transport %d", pa.m.Transport)
+	s.sideIdx = 1
+	l.establish(s, t)
+	s.sendMsg(ctx, MAck, nil, nil) // Fig. 6: server ACK finalizes setup
+	s.side.reach(established)
+	return s, nil, nil
+}
+
+// establish is Fig. 6's Established for s, on the thread t that set it up:
+// t takes both tokens, and the socket gets its FD, its place among the
+// process's sockets and its sdstat row.
+func (l *Libsd) establish(s *Socket, t *host.Thread) {
+	me := int64(MakeGTID(l.P.PID, t.TID))
+	s.side.SendHolder.Store(me)
+	s.side.RecvHolder.Store(me)
+	s.fd = l.installFD(fdEntry{kind: fdSocket, sock: s})
+	l.trackSock(s)
+	l.initFlow(s)
 }
 
 // --- connect ---
@@ -491,13 +498,8 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 		c.seen = l.ctlSeen.Load() // a message dispatched from here on may re-point pc.sock
 		s := pc.sock
 		s.drainCtl(ctx)
-		if s.established {
-			me := int64(MakeGTID(l.P.PID, t.TID))
-			s.side.SendHolder.Store(me)
-			s.side.RecvHolder.Store(me)
-			s.fd = l.installFD(fdEntry{kind: fdSocket, sock: s})
-			l.trackSock(s)
-			l.initFlow(s)
+		if s.side.is(established) {
+			l.establish(s, t)
 			opOK = true
 			return s, nil, nil
 		}
@@ -520,13 +522,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 	}
 	switch m.Kind {
 	case ctlmsg.KBindRes:
-		key := backlogKey{port: m.Port, tid: int(m.TID)}
-		bl, ok := l.backlogs[key]
-		if !ok {
-			bl = &backlog{}
-			l.backlogs[key] = bl
-		}
-		bl.bindStatus.Store(int32(m.Status) + 1)
+		l.backlogOf(m.Port, int(m.TID)).bindStatus.Store(int32(m.Status) + 1)
 
 	case ctlmsg.KConnectRes:
 		pc := l.pending[m.ConnID]
@@ -658,12 +654,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			res.SetHost(l.H.Name)
 			l.sendCtl(ctx, &res)
 		}
-		key := backlogKey{port: m.Port, tid: int(m.TID)}
-		bl, ok := l.backlogs[key]
-		if !ok {
-			bl = &backlog{}
-			l.backlogs[key] = bl
-		}
+		bl := l.backlogOf(m.Port, int(m.TID))
 		pa := l.acceptFree.get()
 		pa.m, pa.sock = *m, sock
 		bl.conns = append(bl.conns, pa)
@@ -723,7 +714,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			TraceID: m.TraceID, SpanID: m.SpanID}
 		res.SetHost(l.H.Name)
 		recovery := m.Dir == ctlmsg.ReQPRecovery
-		if any == nil || (recovery && any.side.Degraded.Load()) {
+		if any == nil || (recovery && any.side.is(degraded)) {
 			// No such socket here — or it already fell back to kernel TCP,
 			// in which case resurrecting an RDMA path would fork the stream.
 			res.Status = ctlmsg.StatusNoListener
@@ -816,16 +807,11 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		if closing != nil {
 			// Closed here, waiting for a peer that will never finish: the
 			// handshake is over, release what is left.
-			closing.PeerReset.Store(true)
+			closing.reach(peerReset)
 			l.tryReleaseInter(closing)
 		}
 		for _, s := range socks {
-			s.side.PeerReset.Store(true)
-			if ep, ok := s.ep.(*rdmaEP); ok {
-				// Inter-host: the transport cannot observe a remote corpse
-				// directly, so mark the endpoint dead too (peerAlive).
-				ep.peerDeadFlg.Store(true)
-			}
+			s.side.reach(peerReset)
 		}
 
 	case ctlmsg.KStealReq:

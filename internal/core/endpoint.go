@@ -149,9 +149,8 @@ type rdmaEP struct {
 	// registers its own with its first splice request (recover.go).
 	selfRingRKey, selfCreditRKey uint64
 
-	inflight    atomic.Int32
-	batching    bool // false disables adaptive batching (SD-unopt ablation)
-	peerDeadFlg atomic.Bool
+	inflight atomic.Int32
+	batching bool // false disables adaptive batching (SD-unopt ablation)
 
 	// peerPID is the process that holds the peer endpoint: whom the QP is
 	// parked for, later. offered marks a dial that went out on a parked QP
@@ -319,10 +318,10 @@ func (e *rdmaEP) canRecv() bool {
 
 func (e *rdmaEP) kick(ctx exec.Context) {}
 
-// peerAlive stays true through a transport failure: a dead QP means a dead
-// path, not a dead peer. Only a failed degradation (the peer is
-// unreachable even over kernel TCP) or an explicit HUP flips it.
-func (e *rdmaEP) peerAlive() bool { return !e.peerDeadFlg.Load() }
+// peerAlive is true: a dead QP means a dead path, not a dead peer. A remote
+// corpse is known only by word — KPeerDead, or a failed degradation (the
+// peer is unreachable even over kernel TCP) — which latches peerReset.
+func (e *rdmaEP) peerAlive() bool { return true }
 
 // onRecvCQE handles an incoming write-imm completion: the immediate is
 // the absolute ring tail (low 32 bits); publishing it makes the new bytes
@@ -333,7 +332,7 @@ func (e *rdmaEP) onRecvCQE(cqe rdma.CQE) {
 	} else if cqe.Op == rdma.OpWriteImm {
 		e.side.RX.SetTailLow32(cqe.Imm)
 	}
-	if e.side.Closed.Load() {
+	if e.side.is(closed) {
 		// Nobody reads this side any more: the completion may have carried
 		// the peer's MShut, the last thing the release waits for.
 		e.lib.tryReleaseInter(e.side)
@@ -352,7 +351,7 @@ func (e *rdmaEP) onSendCQE(ctx exec.Context, cqe rdma.CQE) {
 			e.flush(ctx) // ctx may be nil in completion context
 		}
 	}
-	if e.side.Closed.Load() {
+	if e.side.is(closed) {
 		e.lib.tryReleaseInter(e.side) // the send queue may just have drained
 	}
 }

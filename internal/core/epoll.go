@@ -87,12 +87,6 @@ func (ep *Epoll) Wait(ctx exec.Context, events []Event) (int, error) {
 	}
 }
 
-// TryWait is the non-blocking variant (epoll_wait with timeout 0).
-func (ep *Epoll) TryWait(events []Event) int {
-	ep.lib.pump(nil)
-	return ep.poll(events)
-}
-
 func (ep *Epoll) poll(events []Event) int {
 	n := 0
 	for fd, mask := range ep.ifd {

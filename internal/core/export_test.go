@@ -61,7 +61,7 @@ func (s *Socket) FailQP() {
 }
 
 // Degraded reports whether the socket fell back to kernel TCP.
-func (s *Socket) Degraded() bool { return s.side.Degraded.Load() }
+func (s *Socket) Degraded() bool { return s.side.is(degraded) }
 
 // ErrorParkedQPs moves every parked QP to the error state, as a NIC event
 // between two connections would.

@@ -125,7 +125,7 @@ func (l *Libsd) inherit(src *Libsd, fds map[int]fdEntry, keep func(fdEntry) bool
 		case fdSocket:
 			s := e.sock
 			e.sock = &Socket{lib: l, side: s.side, fd: fd, sideIdx: s.sideIdx,
-				intra: s.intra, shmTok: s.shmTok, established: true}
+				intra: s.intra, shmTok: s.shmTok}
 			switch ep := s.ep.(type) {
 			case *shmEP:
 				e.sock.useSHM(ep.side, ep.peerSide)

@@ -12,8 +12,8 @@ import (
 // The paper's close is a reference-counted handshake that frees the queue
 // (§4.5.4), and its RDMA zero copy runs on a managed pinned page pool
 // (§4.3). A connection is finished once the last FD reference on BOTH
-// sides has closed: each side latches SideState.Closed after its MShut went
-// out, and whoever observes the second latch releases what the connection
+// sides has closed: each side reaches the closed fact after its MShut went
+// out, and whoever observes the second one releases what the connection
 // owns —
 //
 //   - intra-host: the two processes share one IntraSock, so the second
@@ -158,17 +158,17 @@ func (l *Libsd) noteClosed(qid uint64) {
 }
 
 // sideClosed runs when the last FD reference on s's side has closed and
-// its MShut is out: latch the side and release the connection if this was
-// the second latch, or if the peer can never produce one.
+// its MShut is out: the side reaches closed, and the connection is released
+// if the peer's side is closed too, or if it never can be.
 func (l *Libsd) sideClosed(s *Socket) {
 	side := s.side
-	// The sdstat row outlives the rings its probe reads.
-	s.flow.Freeze(int64(side.TX.OccHW()), l.monEpoch.Load())
 	crashed := s.peerGone()
 	s.dropEP()
-	side.Closed.Store(true)
+	side.reach(closed)
+	// The sdstat row outlives the rings its probe reads.
+	s.flow.Freeze()
 	if is := s.intra; is != nil {
-		if is.Peer(side).Closed.Load() || crashed {
+		if is.Peer(side).is(closed) || crashed {
 			l.releaseIntra(is, s.shmTok, !crashed)
 		}
 		return
@@ -178,9 +178,11 @@ func (l *Libsd) sideClosed(s *Socket) {
 }
 
 // releaseIntra gives back an intra-host connection: the segment always,
-// the rings only when both sides closed in good order.
+// the rings only when both sides closed in good order. The connection is
+// released as one unit, so side A's released fact is its latch, for the
+// last closer and the monitor's crash cleanup alike.
 func (l *Libsd) releaseIntra(is *IntraSock, tok uint64, clean bool) {
-	if !is.released.CompareAndSwap(false, true) {
+	if !is.A.reach(released) {
 		return
 	}
 	l.H.SHM.Remove(shm.Token(tok))
@@ -203,7 +205,7 @@ func (is *IntraSock) ReclaimIfClosed(idx int) bool {
 	if idx != 0 {
 		side = &is.B
 	}
-	return side.Closed.Load() && is.released.CompareAndSwap(false, true)
+	return side.is(closed) && is.A.reach(released)
 }
 
 // reap consumes what the peer sent to a side the application has stopped
@@ -213,9 +215,9 @@ func (is *IntraSock) ReclaimIfClosed(idx int) bool {
 // credit flush is never reached (CanRecv first), so a close adds no packet
 // to the wire.
 func reap(side *SideState) {
-	for !side.PeerShut.Load() && side.RX.CanRecv() {
+	for !side.is(peerShut) && side.RX.CanRecv() {
 		if msg, ok := side.RX.TryRecv(); ok && msg.Type == MShut {
-			side.PeerShut.Store(true)
+			side.reach(peerShut)
 		}
 	}
 }
@@ -225,7 +227,7 @@ func reap(side *SideState) {
 // close itself, every completion on the side's QPs, and the monitor's death
 // notice for its peer.
 func (l *Libsd) tryReleaseInter(side *SideState) {
-	if side.released.Load() {
+	if side.is(released) {
 		return
 	}
 	var cur *rdmaEP
@@ -234,11 +236,11 @@ func (l *Libsd) tryReleaseInter(side *SideState) {
 	}
 	// A side whose transport is gone cannot finish the handshake; neither
 	// can one whose peer died. Both release at once, and drop.
-	broken := cur == nil || cur.failed.Load() || side.Degraded.Load() || side.PeerReset.Load()
+	broken := cur == nil || cur.failed.Load() || side.is(degraded|peerReset)
 	done := false
 	if !broken {
 		reap(side)
-		done = side.PeerShut.Load() &&
+		done = side.is(peerShut) &&
 			side.TxFlushed.Load() == side.TX.WriteCursor() && cur.qp.SendPending() == 0
 	}
 	clean := done && len(side.eps) == 1 && cur.lib == l
@@ -253,7 +255,7 @@ func (l *Libsd) tryReleaseInter(side *SideState) {
 // Clean sides recycle their rings and pinned pool; the rest is dropped. It
 // reports whether this call did the release (false: someone else had).
 func (l *Libsd) releaseInter(side *SideState, clean bool) bool {
-	if !side.released.CompareAndSwap(false, true) {
+	if !side.reach(released) {
 		return false
 	}
 	eps, mrs := side.eps, side.mrs

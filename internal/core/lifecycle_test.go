@@ -395,9 +395,12 @@ func flowRow(host string, pid int, qid uint64) obs.FlowSnapshot {
 }
 
 // TestFlowRowProbe: a live socket's sdstat row reads its send ring's
-// occupancy high-water and the monitor epoch from the socket itself (the
-// socket is the flow's obs.Prober); a closed one's row keeps the values it
-// had at the close, though its rings have since been recycled and scrubbed.
+// occupancy high-water, the monitor epoch, its transport and its state from
+// the socket itself (the socket is the flow's obs.Prober); a closed one's
+// row keeps the values it had at the close, though its rings have since
+// been recycled and scrubbed. A peer's death reads "reset" once ECONNRESET
+// surfaced, and "closed" after the close; a socket that fell back to kernel
+// TCP reads "tcp" and "degraded".
 func TestFlowRowProbe(t *testing.T) {
 	for _, inter := range []bool{false, true} {
 		name := "intra"
@@ -448,6 +451,62 @@ func TestFlowRowProbe(t *testing.T) {
 			w.sim.Run()
 		})
 	}
+	t.Run("reset", func(t *testing.T) {
+		w := newWorld(t)
+		var sp, cp *host.Process
+		sp, cp = connected(t, w, false, 7413,
+			func(ctx exec.Context, th *host.Thread, s *core.Socket) {
+				s.Recv(ctx, th, make([]byte, 8)) // until its process is killed
+			},
+			func(ctx exec.Context, th *host.Thread, s *core.Socket) {
+				ctx.Sleep(100_000)
+				resets := flowRow("hostA", cp.PID, s.QID()).Resets // the table outlives a test's world
+				sp.Signal(ctx, host.SIGKILL)
+				if _, err := s.Recv(ctx, th, make([]byte, 8)); !errors.Is(err, core.ECONNRESET) {
+					t.Errorf("recv after the peer's death: %v, want ECONNRESET", err)
+				}
+				row := flowRow("hostA", cp.PID, s.QID())
+				if row.Transport != "shm" || row.State != "reset" || row.Resets != resets+1 {
+					t.Errorf("row after ECONNRESET: %s %s, %d more resets; want shm reset, 1", row.Transport, row.State, row.Resets-resets)
+				}
+				s.Close(ctx, th)
+				if row = flowRow("hostA", cp.PID, s.QID()); row.State != "closed" {
+					t.Errorf("row after the close: %s, want closed", row.State)
+				}
+			})
+		w.sim.Run()
+	})
+	t.Run("degraded", func(t *testing.T) {
+		w := newWorld(t)
+		monitor.Peer(w.ma, w.mb)
+		sp, sl := proc(t, w.b, "server", 0)
+		cp, cl := proc(t, w.a, "client", 0)
+		cl.SetRecoveryBudget(0) // the first failure degrades
+		sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+			lst, _ := sl.ListenOn(ctx, th, 7414)
+			if s, _, err := lst.Accept(ctx); err == nil {
+				echoBack(ctx, th, s)
+			}
+		})
+		cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+			ctx.Sleep(10_000)
+			s, _, err := cl.Connect(ctx, th, "hostB", 7414)
+			if err != nil {
+				t.Errorf("connect: %v", err)
+				return
+			}
+			if row := flowRow("hostA", cp.PID, s.QID()); row.Transport != "rdma" || row.State != "established" {
+				t.Errorf("row before the failure: %s %s, want rdma established", row.Transport, row.State)
+			}
+			s.FailQP()
+			echoExact(t, ctx, th, s, []byte("over kernel TCP")) // the wait for the echo degrades
+			if row := flowRow("hostA", cp.PID, s.QID()); row.Transport != "tcp" || row.State != "degraded" {
+				t.Errorf("row after the fallback: %s %s, want tcp degraded", row.Transport, row.State)
+			}
+			s.Close(ctx, th)
+		})
+		w.sim.Run()
+	})
 }
 
 // pristine fails the test unless r looks freshly allocated.

@@ -118,7 +118,7 @@ func (e *rdmaEP) progress(ctx exec.Context) {
 }
 
 func (e *rdmaEP) maybeRecover(ctx exec.Context) {
-	if ctx == nil || e.side.Degraded.Load() || e.peerDeadFlg.Load() {
+	if ctx == nil || e.side.is(degraded|peerReset) {
 		return
 	}
 	r := &e.rec

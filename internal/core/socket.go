@@ -67,8 +67,6 @@ type Socket struct {
 	// sideIdx disambiguates the two endpoints' token namespaces at the
 	// monitor (0 = connecting side, 1 = accepting side).
 	sideIdx uint16
-
-	established bool // saw the MAck (Fig. 6 Wait-Server -> Established)
 }
 
 // SetSendDeadline arms an absolute virtual-time deadline (ns) for send-side
@@ -85,9 +83,6 @@ func (s *Socket) SetRecvDeadline(at int64) { s.deadline[DirRecv].Store(at) }
 // EPOLLIN/EPOLLOUT report when a retry can make progress.
 func (s *Socket) SetNonblock(on bool) { s.nonblock.Store(on) }
 
-// Nonblock reports whether the socket is in O_NONBLOCK mode.
-func (s *Socket) Nonblock() bool { return s.nonblock.Load() }
-
 // initFlow registers the socket in the obs flow table (the `sdstat` view,
 // §4.5 introspection). Called once the endpoint is established; the socket
 // is the flow's prober.
@@ -96,21 +91,33 @@ func (l *Libsd) initFlow(s *Socket) {
 	if peer == "" {
 		peer = l.H.Name // intra-host: both ends live here
 	}
-	tr := uint8(ctlmsg.TransportRDMA)
-	if s.intra != nil {
-		tr = uint8(ctlmsg.TransportSHM)
-	}
-	f := obs.RegisterFlow(obs.FlowKey{Host: l.H.Name, PID: int64(l.P.PID), QID: s.side.QID}, peer, tr)
+	f := obs.RegisterFlow(obs.FlowKey{Host: l.H.Name, PID: int64(l.P.PID), QID: s.side.QID}, peer)
 	f.SetProbe(s)
 	s.flow = f
 }
 
-// Probe fills the flow-table fields only this endpoint can read: its send
-// ring's occupancy high-water and the monitor epoch its library last saw
-// (obs.Prober).
-func (s *Socket) Probe(fs *obs.FlowSnapshot) {
-	fs.RingHW = int64(s.side.TX.OccHW())
-	fs.Epoch = s.lib.monEpoch.Load()
+// Probe reads the flow-table fields from the endpoint (obs.Prober): its send
+// ring's occupancy high-water, the monitor epoch its library last saw, and
+// the transport and state its side's facts imply. Closed outranks reset,
+// reset degraded.
+func (s *Socket) Probe() obs.FlowProbe {
+	p := obs.FlowProbe{RingHW: int64(s.side.TX.OccHW()), Epoch: s.lib.monEpoch.Load(),
+		Transport: ctlmsg.TransportRDMA, State: obs.FlowEstablished}
+	switch {
+	case s.intra != nil:
+		p.Transport = ctlmsg.TransportSHM
+	case s.side.is(degraded):
+		p.Transport = ctlmsg.TransportTCP
+	}
+	switch {
+	case s.side.is(closed):
+		p.State = obs.FlowClosed
+	case s.side.is(resetSeen):
+		p.State = obs.FlowReset
+	case s.side.is(degraded):
+		p.State = obs.FlowDegraded
+	}
+	return p
 }
 
 // useSHM makes the socket an intra-host endpoint on side, whose peer is
@@ -254,7 +261,7 @@ func (s *Socket) begin(ctx exec.Context, t *host.Thread, dir int) error {
 	}
 	s.busyVar(dir).Add(1)
 	if dir == DirSend {
-		if s.side.TxShut.Load() {
+		if s.side.is(txShut) {
 			s.end(ctx, dir)
 			return ErrShutdown
 		}
@@ -422,7 +429,7 @@ func (s *Socket) recvBytes(ctx exec.Context, t *host.Thread, buf []byte, op recv
 		}
 		msg, ok := s.pop(ctx, op.stage)
 		if !ok {
-			if s.side.RxShut.Load() {
+			if s.side.is(rxShut) {
 				return 0, io.EOF
 			}
 			if op.poll {
@@ -464,11 +471,11 @@ func (s *Socket) dispatchMsg(msg shm.Msg, buf []byte) (bool, int, error) {
 	case MZC:
 		s.queueZC(msg.Payload)
 	case MShut:
-		s.side.RxShut.Store(true)
-		s.side.PeerShut.Store(true)
+		s.side.reach(rxShut)
+		s.side.reach(peerShut)
 		return true, 0, io.EOF
 	case MAck:
-		s.established = true
+		s.side.reach(established)
 	case MZCRet:
 		s.handleZCReturn(msg.Payload)
 	}
@@ -486,18 +493,11 @@ func (s *Socket) awaitRecv(ctx exec.Context, w *wait) error {
 	return nil
 }
 
-// raiseHUP delivers SIGHUP to the local process when the peer died
-// (§4.5.4: "If an application fails, libsd in the peers will generate
-// SIGHUP").
-func (s *Socket) raiseHUP(ctx exec.Context) {
-	s.lib.P.Signal(ctx, host.SIGHUP)
-}
-
 // peerGone reports that the peer process crashed: observed directly
 // through the transport (a corpse's PID on the SHM segment, an RDMA QP
 // error) or latched from the monitor's KPeerDead broadcast.
 func (s *Socket) peerGone() bool {
-	return s.side.PeerReset.Load() || !s.ep.peerAlive()
+	return s.side.is(peerReset) || !s.ep.peerAlive()
 }
 
 // hasDrainable reports in-flight bytes not yet delivered to the
@@ -508,16 +508,19 @@ func (s *Socket) hasDrainable() bool {
 
 // resetErr surfaces a peer-process crash with kernel TCP errno
 // sequencing: the first operation that observes the corpse consumes the
-// reset — ECONNRESET, one sd/core/resets tick, SIGHUP per §4.5.4 —
-// and afterwards sends fail with EPIPE while receives report orderly
-// io.EOF.
+// reset — ECONNRESET, one sd/core/resets tick, SIGHUP (§4.5.4: "If an
+// application fails, libsd in the peers will generate SIGHUP") — and
+// afterwards sends fail with EPIPE while receives report orderly io.EOF.
+// A corpse seen through the transport (an SHM peer's PID) latches
+// peerReset here.
 func (s *Socket) resetErr(ctx exec.Context, dir int) error {
-	if s.side.ResetSeen.CompareAndSwap(false, true) {
+	s.side.reach(peerReset)
+	if s.side.reach(resetSeen) {
 		mResets.Inc()
 		s.flow.NoteReset()
 		obs.Emit(s.lib.H.Name, int64(s.lib.P.PID), obs.EvReset, 0, ctx.Now(), int64(s.side.QID), int64(dir))
 		obs.Trigger(obs.TrigReset, s.lib.H.Clk.Now(), "ECONNRESET on "+s.lib.H.Name)
-		s.raiseHUP(ctx)
+		s.lib.P.Signal(ctx, host.SIGHUP)
 		return ECONNRESET
 	}
 	if dir == DirSend {
@@ -532,14 +535,14 @@ func (s *Socket) resetErr(ctx exec.Context, dir int) error {
 func (s *Socket) Shutdown(ctx exec.Context, t *host.Thread, dir int) error {
 	s.lib.enter()
 	defer s.lib.leave()
-	if dir == DirSend && !s.side.TxShut.Load() {
+	if dir == DirSend && !s.side.is(txShut) {
 		if err := s.acquireToken(ctx, t, DirSend); err == nil {
 			s.sendMsg(ctx, MShut, nil, nil)
 		}
-		s.side.TxShut.Store(true)
+		s.side.reach(txShut)
 	}
 	if dir == DirRecv {
-		s.side.RxShut.Store(true)
+		s.side.reach(rxShut)
 	}
 	return nil
 }
@@ -559,7 +562,7 @@ func (s *Socket) Close(ctx exec.Context, t *host.Thread) error {
 	if s.side.Refs.Add(-1) > 0 {
 		// This FD is gone; the side lives on through the others, and its
 		// rings are theirs to release: the sdstat row stops reading them.
-		s.flow.Freeze(int64(s.side.TX.OccHW()), s.lib.monEpoch.Load())
+		s.flow.Freeze()
 		s.dropEP()
 		return nil
 	}
@@ -569,7 +572,6 @@ func (s *Socket) Close(ctx exec.Context, t *host.Thread) error {
 
 // closeLast is the last reference's half of the close handshake.
 func (s *Socket) closeLast(ctx exec.Context, t *host.Thread) {
-	s.flow.SetState(obs.FlowClosed)
 	s.Shutdown(ctx, t, DirSend)
 	s.Shutdown(ctx, t, DirRecv)
 	s.lib.sideClosed(s)
@@ -578,7 +580,7 @@ func (s *Socket) closeLast(ctx exec.Context, t *host.Thread) {
 // Readable reports whether Recv would make progress (epoll hook).
 func (s *Socket) Readable() bool {
 	return len(s.rxPending) > 0 || s.zcQueued() || s.ep.canRecv() ||
-		s.side.RxShut.Load() || s.peerGone()
+		s.side.is(rxShut) || s.peerGone()
 }
 
 // writableHeadroom is the TX-ring room required before epoll reports
@@ -591,7 +593,7 @@ const writableHeadroom = maxInline + 128
 // or the op would fail fast (shutdown/peer crash) — failing immediately
 // is "not blocking" too, exactly like kernel EPOLLOUT|EPOLLERR.
 func (s *Socket) Writable() bool {
-	if s.side.TxShut.Load() || s.peerGone() {
+	if s.side.is(txShut) || s.peerGone() {
 		return true // Send returns ErrShutdown/EPIPE without waiting
 	}
 	if _, ok := s.ep.(*tcpEP); ok {

@@ -13,6 +13,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"socksdirect/internal/rdma"
@@ -105,23 +106,9 @@ type SideState struct {
 	// close decrements; the side dies at zero).
 	Refs atomic.Int32
 
-	// Close handshake state. TxShut/RxShut gate the data path per direction
-	// (RxShut is also set by a local shutdown); Closed and PeerShut drive
-	// the release of the connection's resources (lifecycle.go): Closed
-	// latches once the last FD reference on this side is gone and its
-	// MShut went out, PeerShut only when the peer's MShut really arrived.
-	TxShut   atomic.Bool // we sent MShut
-	RxShut   atomic.Bool // peer sent MShut, or we shut our receive direction
-	Closed   atomic.Bool
-	PeerShut atomic.Bool
-
-	// Crash state (§4.5.4). PeerReset latches when the monitor reports the
-	// peer process dead (KPeerDead) or the local host observes its corpse
-	// directly; the ring memory survives, so in-flight bytes drain first.
-	// ResetSeen serializes reset-after-drain to kernel TCP semantics: the
-	// first post-drain receive returns ECONNRESET, later ones io.EOF.
-	PeerReset atomic.Bool
-	ResetSeen atomic.Bool
+	// life is the side's facts: what has happened to it (lifecycle.go).
+	// Facts only accumulate; reach is the one writer.
+	life atomic.Uint32
 
 	// --- RDMA-transport shared state (zero for SHM sockets). Living in
 	// the SHM segment keeps forked processes coherent: the child's fresh
@@ -138,10 +125,6 @@ type SideState struct {
 	// the peer; recovery re-posts it (a credit write lost to the fault would
 	// otherwise shrink the peer's send window forever).
 	LastCreditOut atomic.Uint64
-
-	// Degraded latches once the socket has fallen back to kernel TCP
-	// mid-stream (§4.5.3); there is no way back to RDMA for this socket.
-	Degraded atomic.Bool
 
 	// Remote zero-copy pool (sender-managed free slots, Fig. 5b). Access
 	// is serialized by the send token.
@@ -165,12 +148,59 @@ type SideState struct {
 	// release path can give all of it back: every endpoint (QP) ever
 	// registered for the side, in any process — an inherited socket's
 	// splice and recovery add some — every MR over its memory, and its SHM
-	// segment. released latches when that happened.
-	eps      []*rdmaEP
-	mrs      []*rdma.MR
-	segTok   shm.Token
-	released atomic.Bool
-	word     [8]byte // backing store of CreditIn
+	// segment. The released fact records that it was given back.
+	eps    []*rdmaEP
+	mrs    []*rdma.MR
+	segTok shm.Token
+	word   [8]byte // backing store of CreditIn
+}
+
+// fact is something that has happened to a socket side. A side's facts are
+// one word (SideState.life): the two half-closes and a peer's crash happen
+// independently of each other, so no single state could name them.
+// ARCHITECTURE.md "Connection lifecycle" has the table of who reaches each.
+type fact uint32
+
+const (
+	established fact = 1 << iota // Fig. 6's MAck went out (accept) or arrived (connect)
+	txShut                       // our MShut went out
+	rxShut                       // the peer's MShut arrived, or we shut our receive direction
+	peerShut                     // the peer's MShut really arrived
+	peerReset                    // the peer process died (§4.5.4); in-flight bytes drain first
+	resetSeen                    // ECONNRESET surfaced, once; later receives read EOF
+	degraded                     // fell back to kernel TCP mid-stream (§4.5.3), for good
+	closed                       // the last FD reference closed, its MShut out
+	released                     // what the connection owns here was given back
+)
+
+// needs is the table of legal orders: the facts f may only follow.
+func (f fact) needs() fact {
+	switch f {
+	case peerShut:
+		return rxShut
+	case resetSeen:
+		return peerReset
+	case closed:
+		return txShut | rxShut
+	}
+	return 0
+}
+
+// is reports whether the side has reached any of fs.
+func (s *SideState) is(fs fact) bool { return fact(s.life.Load())&fs != 0 }
+
+// reach records fact f and reports whether this call did. It is the one
+// writer of the word; reaching f before what it needs is a libsd bug.
+func (s *SideState) reach(f fact) bool {
+	for {
+		old := fact(s.life.Load())
+		if need := f.needs(); old&need != need {
+			panic(fmt.Sprintf("libsd: queue %d reached fact %#x without %#x", s.QID, f, need&^old))
+		}
+		if old&f != 0 || s.life.CompareAndSwap(uint32(old), uint32(old|f)) {
+			return old&f == 0
+		}
+	}
 }
 
 // IntraSock is the SHM segment payload for an intra-host socket: one
@@ -180,10 +210,6 @@ type SideState struct {
 type IntraSock struct {
 	QID  uint64
 	A, B SideState // A = connecting side, B = accepting side
-
-	// released latches when the segment and rings were given back, by the
-	// last closer or by the monitor's crash cleanup, whichever gets there.
-	released atomic.Bool
 }
 
 // NewIntraSock wires two rings from the host's recycle list (fresh ones

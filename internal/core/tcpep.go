@@ -311,11 +311,7 @@ func (l *Libsd) onDegraded(ctx exec.Context, m *ctlmsg.Msg) {
 	if m.Status != ctlmsg.StatusOK {
 		// No TCP route either: the peer is genuinely unreachable. Now — and
 		// only now — the failure surfaces to the application as a dead peer.
-		for s := any; s != nil; s = s.sib {
-			if oe, ok := s.ep.(*rdmaEP); ok {
-				oe.peerDeadFlg.Store(true)
-			}
-		}
+		side.reach(peerReset)
 		return
 	}
 	kf, ok := l.P.LookupFD(int(m.Aux))
@@ -335,11 +331,9 @@ func (l *Libsd) onDegraded(ctx exec.Context, m *ctlmsg.Msg) {
 		return // current conn already wins the tie-break (or neither does)
 	}
 	ep := newTCPEP(l, side, kf, dialer)
-	if side.Degraded.CompareAndSwap(false, true) {
+	if side.reach(degraded) {
 		mDegradations.Inc()
 		mTCPFallbacks.Inc()
-		any.flow.SetTransport(ctlmsg.TransportTCP)
-		any.flow.SetState(obs.FlowDegraded)
 		obs.Emit(l.H.Name, int64(l.P.PID), obs.EvDegraded, 0, l.H.Clk.Now(), int64(m.QID), 0)
 		obs.Trigger(obs.TrigDegraded, l.H.Clk.Now(), "rescue TCP installed on "+l.H.Name)
 	}

@@ -185,11 +185,11 @@ func (w *wait) exit(ctx exec.Context) error {
 		if s.peerGone() && (w.dir == DirSend || !s.hasDrainable()) {
 			return s.resetErr(ctx, w.dir)
 		}
-		if w.drives && s.side.RxShut.Load() {
+		if w.drives && s.side.is(rxShut) {
 			if w.dir == DirRecv {
 				return io.EOF
 			}
-			if s.side.TxShut.Load() {
+			if s.side.is(txShut) {
 				return ErrShutdown
 			}
 		}
@@ -480,7 +480,7 @@ func (w *recvWaiter) Idle(now int64) bool {
 	s := (*Socket)(w)
 	me := s.side.Poller[DirRecv]
 	// What usually ends the wait first: a thread woken by data pays one load.
-	return !s.side.RX.CanRecv() && !s.side.RxShut.Load() && s.quiet() &&
+	return !s.side.RX.CanRecv() && !s.side.is(rxShut) && s.quiet() &&
 		(me == 0 || s.holds(DirRecv, me) && !s.nonblock.Load()) && !past(&s.deadline[DirRecv], now)
 }
 
@@ -530,7 +530,7 @@ func (w *sendWaiter) Idle(now int64) bool {
 	}
 	return tx.SendStalled() && !tx.InBurst() && s.quiet() &&
 		(me == 0 || s.holds(DirSend, me) && s.mayWait(now, DirSend)) &&
-		!(s.side.RxShut.Load() && s.side.TxShut.Load())
+		!(s.side.is(rxShut) && s.side.is(txShut))
 }
 
 // Idle holds while the pool is short of the slots wanted and nothing is on
@@ -538,7 +538,7 @@ func (w *sendWaiter) Idle(now int64) bool {
 func (w *zcWaiter) Idle(now int64) bool {
 	s := (*Socket)(w)
 	if s.side.RX.CanRecv() || !s.quiet() || !s.mayWait(now, DirSend) ||
-		s.side.RxShut.Load() && s.side.TxShut.Load() {
+		s.side.is(rxShut) && s.side.is(txShut) {
 		return false
 	}
 	return len(s.side.PoolFree) < s.side.PoolWant

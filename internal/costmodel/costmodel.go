@@ -111,14 +111,6 @@ func (c *Costs) MapCost(n int) int64 {
 	return c.PageMapBatchFixed + int64(n)*c.PageMapPerPage
 }
 
-// SerializationDelay returns the time to clock n bytes onto the wire.
-func (c *Costs) SerializationDelay(n int) int64 {
-	if c.LinkBandwidthGbps <= 0 {
-		return 0
-	}
-	return int64(float64(n*8) / c.LinkBandwidthGbps) // bits / (Gbit/s) = ns
-}
-
 // OneWayWireLatency is the modelled one-direction latency of an RDMA
 // message: doorbell+DMA on the sender, NIC pipeline and wire.
 func (c *Costs) OneWayWireLatency() int64 { return c.NICDoorbellDMA + c.NICProcessWire }

@@ -123,11 +123,6 @@ func (e *Endpoint) SetLossRate(p float64) {
 	e.lossRate = p
 }
 
-// SetJitter changes the uniform extra-delay bound at runtime.
-func (e *Endpoint) SetJitter(ns int64) {
-	e.jitterNs = ns
-}
-
 // SetExtraDelay adds a fixed one-way delay on top of PropDelay (delay
 // spikes). Zero restores the configured latency.
 func (e *Endpoint) SetExtraDelay(ns int64) {

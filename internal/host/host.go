@@ -175,7 +175,7 @@ func (h *Host) NewProcess(name string, uid int) *Process {
 		Name:     name,
 		UID:      uid,
 		AS:       mem.NewAddressSpace(h.Mem),
-		fds:      make(map[int]*FDEntry),
+		fds:      make(map[int]KFile),
 		handlers: make(map[Signal]func(Signal)),
 	}
 	h.procs[p.PID] = p
@@ -229,7 +229,7 @@ type Process struct {
 
 	nextFD   int
 	freeFDs  []int
-	fds      map[int]*FDEntry
+	fds      map[int]KFile
 	threads  []*Thread
 	nextTID  int
 	dead     atomic.Bool // written in terminate; every poll loop reads it
@@ -336,7 +336,7 @@ func (p *Process) terminate(ctx exec.Context) {
 	}
 	p.dead.Store(true)
 	fds := p.fds
-	p.fds = make(map[int]*FDEntry)
+	p.fds = make(map[int]KFile)
 	p.freeFDs = nil
 	p.nextFD = 0
 	threads := append([]*Thread(nil), p.threads...)
@@ -345,8 +345,8 @@ func (p *Process) terminate(ctx exec.Context) {
 	if td, ok := lib.(interface{ OnProcessDeath() }); ok {
 		td.OnProcessDeath()
 	}
-	for _, e := range fds {
-		e.file.Close(ctx)
+	for _, f := range fds {
+		f.Close(ctx)
 	}
 	for _, t := range threads {
 		th := t.H
@@ -370,9 +370,9 @@ func (p *Process) Fork(name string) *Process {
 	c.Parent = p
 	c.nextFD = p.nextFD
 	c.freeFDs = append([]int(nil), p.freeFDs...)
-	for fd, e := range p.fds {
-		e.file.Dup()
-		c.fds[fd] = &FDEntry{file: e.file}
+	for fd, f := range p.fds {
+		f.Dup()
+		c.fds[fd] = f
 	}
 	return c
 }
@@ -389,12 +389,6 @@ type KFile interface {
 	Dup()
 }
 
-// FDEntry wraps a KFile in the process FD table.
-type FDEntry struct{ file KFile }
-
-// File returns the underlying kernel object.
-func (e *FDEntry) File() KFile { return e.file }
-
 // InstallFD assigns the lowest available descriptor to file.
 func (p *Process) InstallFD(file KFile) int {
 	var fd int
@@ -406,22 +400,19 @@ func (p *Process) InstallFD(file KFile) int {
 		fd = p.nextFD
 		p.nextFD++
 	}
-	p.fds[fd] = &FDEntry{file: file}
+	p.fds[fd] = file
 	return fd
 }
 
 // LookupFD resolves a descriptor.
 func (p *Process) LookupFD(fd int) (KFile, bool) {
-	e, ok := p.fds[fd]
-	if !ok {
-		return nil, false
-	}
-	return e.file, true
+	f, ok := p.fds[fd]
+	return f, ok
 }
 
 // CloseFD removes a descriptor, closing the file, and recycles the number.
 func (p *Process) CloseFD(ctx exec.Context, fd int) error {
-	e, ok := p.fds[fd]
+	f, ok := p.fds[fd]
 	if !ok {
 		return fmt.Errorf("host: bad fd %d", fd)
 	}
@@ -432,5 +423,5 @@ func (p *Process) CloseFD(ctx exec.Context, fd int) error {
 	for i := len(p.freeFDs) - 1; i > 0 && p.freeFDs[i] > p.freeFDs[i-1]; i-- {
 		p.freeFDs[i], p.freeFDs[i-1] = p.freeFDs[i-1], p.freeFDs[i]
 	}
-	return e.file.Close(ctx)
+	return f.Close(ctx)
 }

@@ -67,8 +67,3 @@ func (w *WaitQ) Wake(clk exec.Clock, delay int64) {
 		}
 	})
 }
-
-// Empty reports whether anyone is waiting (tests).
-func (w *WaitQ) Empty() bool {
-	return len(w.waiters) == 0
-}

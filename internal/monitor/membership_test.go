@@ -29,7 +29,7 @@ func TestHostDeadExactlyOncePerEpoch(t *testing.T) {
 	for i := range qids {
 		q := qidOnShard(i, uint64(100*i+1))
 		qids[i] = q
-		ma.shardOf(q).conns[q] = &connRec{pids: [2]int{p.PID, 0}, owner: p.PID, peerHost: "b"}
+		ma.shardOf(q).conns[q] = &connRec{pids: [2]int{p.PID, 0}, peerHost: "b"}
 	}
 	mb.Stop()
 

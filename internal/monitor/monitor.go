@@ -691,8 +691,9 @@ func (m *Monitor) cleanupProcess(ctx exec.Context, pid int) {
 // survivorClosed reports whether the surviving endpoint (pid) of an
 // intra-host connection whose other process just died had already closed
 // its end, claiming the connection's release for crash cleanup if so: the
-// close path and this one race for IntraSock.released, so the segment is
-// released once and the rings — a corpse was attached — never re-issued.
+// close path and this one race for the connection's released fact, so the
+// segment is released once and the rings — a corpse was attached — never
+// re-issued.
 func (m *Monitor) survivorClosed(c *connRec, pid int) bool {
 	seg, err := m.H.SHM.Attach(c.shmTok)
 	if err != nil {
@@ -755,9 +756,6 @@ func (m *Monitor) DetachProcess(pid int) {
 				continue
 			}
 			c.pids[i] = 0
-			if c.owner == pid {
-				c.owner = 0
-			}
 		}
 	}
 }
@@ -784,7 +782,7 @@ func (m *Monitor) CrashConverged() error {
 			if c.dispatched() && gone(c.pids[0]) && gone(c.pids[1]) {
 				return fmt.Errorf("monitor: conn %d has no live endpoint but was not reclaimed", qid)
 			}
-			for _, pid := range append(c.awaited(), c.owner) {
+			for _, pid := range append(c.awaited(), c.owner()) {
 				if pid != 0 && m.pidDead(pid) {
 					return fmt.Errorf("monitor: conn %d still owned or awaited (dial answer, token) by dead pid %d", qid, pid)
 				}
@@ -965,7 +963,7 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 			return
 		}
 		c = sh.conn(cm.ConnID)
-		c.pids, c.owner, c.peerHost = [2]int{0, ref.pid}, ref.pid, mc.peer
+		c.pids, c.peerHost = [2]int{0, ref.pid}, mc.peer
 		c.lport, c.lref, c.queued = cm.Port, ref, true
 		c.ext().synAckTo = mc.peer
 		m.ConnsDispatched++
@@ -1010,8 +1008,6 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 			// for one this host gave up (an abandoned dial) finds nobody to
 			// answer it and must leave no route behind.
 			sh.conns[cm.QID].ext().reqpFrom = mc.peer
-		}
-		if owner != 0 {
 			m.sendTo(ctx, owner, cm, true)
 		}
 	case ctlmsg.KReQPRes:
@@ -1025,7 +1021,7 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 		sh := m.shardOf(cm.QID)
 		owner := sh.owner(cm.QID)
 		if c := sh.conns[cm.QID]; c != nil {
-			c.owner, c.peerHost = 0, ""
+			c.peerHost = ""
 		}
 		if owner != 0 {
 			m.sendTo(ctx, owner, cm, true)
@@ -1178,7 +1174,7 @@ func (m *Monitor) hostName(cm *ctlmsg.Msg) string {
 func (m *Monitor) connectRemote(ctx exec.Context, cm *ctlmsg.Msg) {
 	dst := m.hostName(cm)
 	c := m.shardOf(cm.ConnID).conn(cm.ConnID)
-	c.pids, c.owner, c.peerHost = [2]int{int(cm.PID), 0}, int(cm.PID), dst
+	c.pids, c.peerHost = [2]int{int(cm.PID), 0}, dst
 	c.ext().resTo = int(cm.PID)
 	fwd := *cm
 	fwd.Kind = ctlmsg.KMSyn
@@ -1206,7 +1202,7 @@ func (m *Monitor) dispatchIntra(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) 
 	seg := m.H.SHM.Create(is)
 	sh := m.shardOf(cm.ConnID)
 	c := sh.conn(cm.ConnID)
-	c.pids, c.owner, c.shmTok = [2]int{pc.p.PID, ref.pid}, ref.pid, seg.Token
+	c.pids, c.shmTok = [2]int{pc.p.PID, ref.pid}, seg.Token
 	c.lport, c.lref, c.queued = cm.Port, ref, true
 	m.ConnsDispatched++
 	mDispatches.Inc()
@@ -1356,7 +1352,7 @@ func (m *Monitor) onStealRes(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	// The stolen connection's record lives on the connection's shard,
 	// which is generally not this (port-keyed) one.
 	if c := m.shardOf(cm.ConnID).conns[cm.ConnID]; c != nil {
-		c.pids[1], c.owner = sr.thief.pid, sr.thief.pid // the stolen conn now terminates at the thief
+		c.pids[1] = sr.thief.pid // the stolen conn now terminates at the thief
 		if c.queued {
 			// The admission slot moves with the descriptor: the victim's
 			// backlog shrank, the thief's grew. Its KAcceptDone (sent when

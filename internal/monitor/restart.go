@@ -114,9 +114,6 @@ func (m *Monitor) onReRegistered(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg)
 			// reclaim the socket's segment once no endpoint survives.
 			c.shmTok = shm.Token(cm.ShmToken)
 		}
-		if c.owner == 0 {
-			c.owner = pid
-		}
 	case ctlmsg.ReRegPend:
 		// An in-flight connect that was awaiting KConnectRes: restore the
 		// reply routing so the server side's KMSynAck (or the client's

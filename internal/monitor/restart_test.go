@@ -37,7 +37,7 @@ func TestHeartbeatConfirmsDeadHost(t *testing.T) {
 	// One established connection toward host b, owned by p: the confirm
 	// fan-out must reset exactly this record.
 	const qid = 501
-	ma.shardOf(qid).conns[qid] = &connRec{pids: [2]int{p.PID, 0}, owner: p.PID, peerHost: "b"}
+	ma.shardOf(qid).conns[qid] = &connRec{pids: [2]int{p.PID, 0}, peerHost: "b"}
 
 	before := telemetry.Capture()
 	// Kill b's monitor, then keep a's control plane active past the confirm

@@ -116,7 +116,6 @@ type connRec struct {
 	// plus the remote host for an inter-host one. Dispatch and re-registration
 	// put them on record; a takeover or a reported pending dial does not.
 	pids     [2]int // [client, listener]; 0 = not local
-	owner    int    // local pid that peer deaths, QP splices and rescues go to; 0 = none
 	peerHost string // "" = intra-host, or the remote end was reported dead
 	shmTok   shm.Token
 
@@ -144,6 +143,16 @@ type connExt struct {
 // dispatched reports whether an endpoint is on record.
 func (c *connRec) dispatched() bool { return c.pids != [2]int{} }
 
+// owner is the local pid that peer deaths, QP splices and rescues go to:
+// the local endpoint of an inter-host connection whose remote end lives.
+// 0 = none.
+func (c *connRec) owner() int {
+	if c.peerHost == "" {
+		return 0
+	}
+	return max(c.pids[0], c.pids[1])
+}
+
 func (c *connRec) ext() *connExt {
 	if c.x == nil {
 		c.x = &connExt{}
@@ -170,14 +179,11 @@ func (c *connRec) awaited() (pids []int) {
 	return pids
 }
 
-// forget strips a dead pid from what the record routes to it: ownership,
-// the answer to its pending dial, the token waiting lists. A revoke that
-// was outstanding to the corpse is answered on its behalf: the token is
+// forget strips a dead pid from what the record routes to it: the answer
+// to its pending dial, the token waiting lists. A revoke that was
+// outstanding to the corpse is answered on its behalf: the token is
 // appended to regrant if somebody waits for it.
 func (c *connRec) forget(pid int, qid uint64, regrant []tokKey) []tokKey {
-	if c.owner == pid {
-		c.owner = 0
-	}
 	x := c.x
 	if x == nil {
 		return regrant
@@ -285,7 +291,7 @@ func (sh *mshard) dropConn(qid uint64) {
 // owner returns the local pid that answers for connection qid, 0 if none.
 func (sh *mshard) owner(qid uint64) int {
 	if c := sh.conns[qid]; c != nil {
-		return c.owner
+		return c.owner()
 	}
 	return 0
 }
@@ -298,11 +304,6 @@ func (m *Monitor) shardOf(key uint64) *mshard {
 // shardOfPort returns the shard owning a port's listener state.
 func (m *Monitor) shardOfPort(port uint16) *mshard {
 	return m.shards[shard.OfPort(port, len(m.shards))]
-}
-
-// shardOfPID returns the shard owning a process's PID-keyed state.
-func (m *Monitor) shardOfPID(pid int) *mshard {
-	return m.shards[shard.OfPID(int64(pid), len(m.shards))]
 }
 
 // shardFor returns the shard a control message routes to.
@@ -417,8 +418,8 @@ func (sh *mshard) sweepHostDead(ctx exec.Context, peer string) {
 		if c.peerHost != peer {
 			continue
 		}
-		if c.owner != 0 {
-			notes = append(notes, note{qid: qid, owner: c.owner})
+		if owner := c.owner(); owner != 0 {
+			notes = append(notes, note{qid: qid, owner: owner})
 		}
 		sh.dropConn(qid)
 	}

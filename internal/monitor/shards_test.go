@@ -49,7 +49,7 @@ func TestConnClosedRingsParkedShard(t *testing.T) {
 			t.Fatalf("dial %d not dispatched: status %d", i, st)
 		}
 		*ma.shardOf(qids[i]).conn(qids[i]) = connRec{pids: [2]int{2, lref.pid},
-			owner: 2, lref: lref, lport: port, queued: true}
+			lref: lref, lport: port, queued: true}
 	}
 	s.Spawn("closer", func(ctx exec.Context) {
 		ctx.Sleep(100_000) // far past any loop's first pass
@@ -87,7 +87,7 @@ func TestHostDeadFanoutSweepsEveryShardOnce(t *testing.T) {
 	for i := range qids {
 		q := qidOnShard(i, uint64(100*i+1))
 		qids[i] = q
-		ma.shardOf(q).conns[q] = &connRec{pids: [2]int{p.PID, 0}, owner: p.PID, peerHost: "b"}
+		ma.shardOf(q).conns[q] = &connRec{pids: [2]int{p.PID, 0}, peerHost: "b"}
 	}
 
 	// Kill b's monitor, then keep a's control plane awake past the

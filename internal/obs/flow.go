@@ -10,7 +10,7 @@ import (
 )
 
 // FlowState is a connection's lifecycle state as the flow table sees it.
-type FlowState uint32
+type FlowState uint8
 
 // Flow states.
 const (
@@ -59,13 +59,11 @@ type FlowKey struct {
 
 // Flow is the live per-connection record. The data path touches only
 // the atomic counters (two adds per send/recv — no locks, no
-// allocation); everything else is slow-path.
+// allocation); everything else is slow-path. Every dial makes one, so it
+// keeps to the 144 B size class (TestFlowFitsIn144Bytes).
 type Flow struct {
 	key  FlowKey
 	peer string // peer host name
-
-	transport atomic.Uint32
-	state     atomic.Uint32
 
 	bytesTx, bytesRx atomic.Int64
 	msgsTx, msgsRx   atomic.Int64
@@ -74,33 +72,11 @@ type Flow struct {
 	recoveries atomic.Int64
 	resets     atomic.Int64
 
-	// probe fills snapshot fields only the owning socket can read
-	// (ring occupancy high-water, current monitor epoch). Set once at
-	// registration, called under the registry lock at snapshot time;
-	// Freeze replaces it with its last reading.
+	// probe reads what only the owning socket knows (see FlowProbe). Set
+	// once at registration, called under the registry lock at snapshot
+	// time; Freeze replaces it with its last reading.
 	probe  Prober
-	frozen struct {
-		ringHW int64
-		epoch  uint32
-	}
-}
-
-// AddTx accounts one sent message of n bytes.
-func (f *Flow) AddTx(n int64) {
-	if f == nil {
-		return
-	}
-	f.bytesTx.Add(n)
-	f.msgsTx.Add(1)
-}
-
-// AddRx accounts one received message of n bytes.
-func (f *Flow) AddRx(n int64) {
-	if f == nil {
-		return
-	}
-	f.bytesRx.Add(n)
-	f.msgsRx.Add(1)
+	frozen FlowProbe
 }
 
 // AddTxN accounts a batch of msgs sent messages totalling bytes bytes:
@@ -137,34 +113,28 @@ func (f *Flow) Recovery() {
 	}
 }
 
-// NoteReset counts one surfaced reset and moves the flow to FlowReset.
+// NoteReset counts one surfaced reset.
 func (f *Flow) NoteReset() {
-	if f == nil {
-		return
-	}
-	f.resets.Add(1)
-	f.state.Store(uint32(FlowReset))
-}
-
-// SetTransport records a transport change (e.g. RDMA -> rescue TCP).
-func (f *Flow) SetTransport(t uint8) {
 	if f != nil {
-		f.transport.Store(uint32(t))
+		f.resets.Add(1)
 	}
 }
 
-// SetState moves the flow to state s.
-func (f *Flow) SetState(s FlowState) {
-	if f != nil {
-		f.state.Store(uint32(s))
-	}
+// FlowProbe is what a flow's owning endpoint reads for a snapshot: its send
+// ring's occupancy high-water, the monitor epoch it last saw, and the
+// transport and state it derives from its own record of the connection.
+type FlowProbe struct {
+	RingHW    int64
+	Epoch     uint32
+	Transport uint8 // a ctlmsg transport code
+	State     FlowState
 }
 
 // Prober is a flow's owning endpoint, asked at snapshot time for what only
 // it can read (see Flow.probe). An interface, not a closure: the endpoint is
 // its own prober, and a pointer in an interface costs no allocation.
 type Prober interface {
-	Probe(*FlowSnapshot)
+	Probe() FlowProbe
 }
 
 // SetProbe installs the flow's prober (see Flow.probe).
@@ -177,16 +147,17 @@ func (f *Flow) SetProbe(p Prober) {
 	flows.mu.Unlock()
 }
 
-// Freeze replaces the probe with its owner's last reading: the row of a
-// closed connection stays in the table, but must not keep reading (or keep
-// alive) rings that go on to serve another connection.
-func (f *Flow) Freeze(ringHW int64, epoch uint32) {
+// Freeze replaces the probe with its last reading: the row of a closed
+// connection stays in the table, but must not keep reading (or keep alive)
+// rings that go on to serve another connection.
+func (f *Flow) Freeze() {
 	if f == nil {
 		return
 	}
 	flows.mu.Lock()
-	f.frozen.ringHW, f.frozen.epoch = ringHW, epoch
-	f.probe = nil
+	if f.probe != nil {
+		f.frozen, f.probe = f.probe.Probe(), nil
+	}
 	flows.mu.Unlock()
 }
 
@@ -217,8 +188,8 @@ var flows struct {
 
 func init() { flows.m = make(map[FlowKey]*Flow) }
 
-// RegisterFlow adds (or refreshes) the flow for one connection endpoint.
-func RegisterFlow(key FlowKey, peer string, transport uint8) *Flow {
+// RegisterFlow adds (or finds) the flow for one connection endpoint.
+func RegisterFlow(key FlowKey, peer string) *Flow {
 	flows.mu.Lock()
 	f := flows.m[key]
 	if f == nil {
@@ -226,8 +197,6 @@ func RegisterFlow(key FlowKey, peer string, transport uint8) *Flow {
 		flows.m[key] = f
 	}
 	flows.mu.Unlock()
-	f.transport.Store(uint32(transport))
-	f.state.Store(uint32(FlowEstablished))
 	return f
 }
 
@@ -236,13 +205,17 @@ func Flows() []FlowSnapshot {
 	flows.mu.Lock()
 	out := make([]FlowSnapshot, 0, len(flows.m))
 	for _, f := range flows.m {
-		s := FlowSnapshot{
+		p := f.frozen
+		if f.probe != nil {
+			p = f.probe.Probe()
+		}
+		out = append(out, FlowSnapshot{
 			Host:      f.key.Host,
 			PID:       f.key.PID,
 			QID:       f.key.QID,
 			Peer:      f.peer,
-			Transport: TransportName(uint8(f.transport.Load())),
-			State:     FlowState(f.state.Load()).String(),
+			Transport: TransportName(p.Transport),
+			State:     p.State.String(),
 			BytesTx:   f.bytesTx.Load(),
 			BytesRx:   f.bytesRx.Load(),
 			MsgsTx:    f.msgsTx.Load(),
@@ -250,14 +223,10 @@ func Flows() []FlowSnapshot {
 			Takeovers: f.takeovers.Load(),
 			Recovs:    f.recoveries.Load(),
 			Resets:    f.resets.Load(),
-			RingHW:    f.frozen.ringHW,
-			Epoch:     f.frozen.epoch,
+			RingHW:    p.RingHW,
+			Epoch:     p.Epoch,
 			Shard:     shard.Of(f.key.QID, shard.DefaultCount),
-		}
-		if f.probe != nil {
-			f.probe.Probe(&s)
-		}
-		out = append(out, s)
+		})
 	}
 	flows.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {

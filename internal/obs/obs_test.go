@@ -164,10 +164,10 @@ func TestDisabledRecordingAllocFree(t *testing.T) {
 		t.Fatalf("disabled tracing allocates %.1f per op, want 0", allocs)
 	}
 	// Flow accounting is always on and must be alloc-free too.
-	f := RegisterFlow(FlowKey{Host: "h", PID: 1, QID: 9}, "h", 0)
+	f := RegisterFlow(FlowKey{Host: "h", PID: 1, QID: 9}, "h")
 	allocs = testing.AllocsPerRun(1000, func() {
-		f.AddTx(64)
-		f.AddRx(64)
+		f.AddTxN(1, 64)
+		f.AddRxN(1, 64)
 	})
 	if allocs != 0 {
 		t.Fatalf("flow accounting allocates %.1f per op, want 0", allocs)
@@ -200,6 +200,15 @@ func TestEnabledRecordingAllocFree(t *testing.T) {
 func TestSpanIs72Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(Span{}); n != 72 {
 		t.Fatalf("Span is %d bytes, want 72", n)
+	}
+}
+
+// TestFlowFitsIn144Bytes: every dial registers a Flow, so a Flow past the
+// 144 B size class (the next is 160 B) would show in connect_churn's
+// rep_bytes_per_op. Freezing a whole FlowSnapshot made it 280 B.
+func TestFlowFitsIn144Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Flow{}); n > 144 {
+		t.Fatalf("Flow is %d bytes, want at most 144", n)
 	}
 }
 
@@ -396,30 +405,37 @@ func TestRecordHopUntraced(t *testing.T) {
 }
 
 // probeFunc is a function as a Prober.
-type probeFunc func(*FlowSnapshot)
+type probeFunc func() FlowProbe
 
-func (fn probeFunc) Probe(fs *FlowSnapshot) { fn(fs) }
+func (fn probeFunc) Probe() FlowProbe { return fn() }
 
-// TestFlowTable exercises registration, accounting and snapshots.
+// TestFlowTable exercises registration, accounting and snapshots: transport
+// and state come from the prober, and a frozen row keeps its last reading.
 func TestFlowTable(t *testing.T) {
 	Reset()
 	defer Reset()
-	f := RegisterFlow(FlowKey{Host: "hostA", PID: 3, QID: 77}, "hostB", ctlmsg.TransportRDMA)
-	f.AddTx(100)
-	f.AddTx(50)
-	f.AddRx(30)
+	f := RegisterFlow(FlowKey{Host: "hostA", PID: 3, QID: 77}, "hostB")
+	f.AddTxN(1, 100)
+	f.AddTxN(1, 50)
+	f.AddRxN(1, 30)
 	f.Takeover()
 	f.NoteReset()
-	f.SetProbe(probeFunc(func(fs *FlowSnapshot) { fs.RingHW = 4096; fs.Epoch = 2 }))
+	live := FlowProbe{RingHW: 4096, Epoch: 2, Transport: ctlmsg.TransportRDMA, State: FlowReset}
+	f.SetProbe(probeFunc(func() FlowProbe { return live }))
 	var nilFlow *Flow
-	nilFlow.AddTx(1) // all methods must be nil-safe
+	nilFlow.AddTxN(1, 1) // all methods must be nil-safe
 	nilFlow.NoteReset()
+	nilFlow.Freeze()
 
-	flows := Flows()
-	if len(flows) != 1 {
-		t.Fatalf("flow table has %d rows, want 1", len(flows))
+	row := func() FlowSnapshot {
+		t.Helper()
+		flows := Flows()
+		if len(flows) != 1 {
+			t.Fatalf("flow table has %d rows, want 1", len(flows))
+		}
+		return flows[0]
 	}
-	fs := flows[0]
+	fs := row()
 	if fs.BytesTx != 150 || fs.MsgsTx != 2 || fs.BytesRx != 30 || fs.MsgsRx != 1 {
 		t.Fatalf("counters wrong: %+v", fs)
 	}
@@ -431,6 +447,16 @@ func TestFlowTable(t *testing.T) {
 	}
 	if fs.Transport != "rdma" || fs.Peer != "hostB" {
 		t.Fatalf("identity wrong: %+v", fs)
+	}
+
+	live.Transport, live.State = ctlmsg.TransportTCP, FlowDegraded
+	if fs = row(); fs.Transport != "tcp" || fs.State != "degraded" {
+		t.Fatalf("a live row does not read its prober: %+v", fs)
+	}
+	f.Freeze()
+	live = FlowProbe{RingHW: 1, Epoch: 9, Transport: ctlmsg.TransportSHM, State: FlowClosed}
+	if fs = row(); fs.RingHW != 4096 || fs.Epoch != 2 || fs.Transport != "tcp" || fs.State != "degraded" {
+		t.Fatalf("a frozen row did not keep its last reading: %+v", fs)
 	}
 }
 

@@ -187,28 +187,6 @@ func (m *MR) writeAt(off int64, data []byte) error {
 	return nil
 }
 
-func (m *MR) readAt(off int64, out []byte) error {
-	if off < 0 || off+int64(len(out)) > m.size {
-		return ErrRange
-	}
-	if m.buf != nil {
-		copy(out, m.buf[off:])
-		return nil
-	}
-	for len(out) > 0 {
-		pi := off / mem.PageSize
-		po := off % mem.PageSize
-		fd, err := m.pm.FrameData(m.pages[pi])
-		if err != nil {
-			return err
-		}
-		n := copy(out, fd[po:])
-		out = out[n:]
-		off += int64(n)
-	}
-	return nil
-}
-
 // NIC is one host's RDMA adapter.
 type NIC struct {
 	clk   exec.Clock

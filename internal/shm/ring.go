@@ -408,10 +408,6 @@ func (r *Ring) Tail() uint64 { return r.tail.Load() }
 // re-delivery byte-identical and idempotent.
 func (r *Ring) Credit() uint64 { return r.credit.Load() }
 
-// AdvanceTail publishes n more bytes on a receiver-side ring copy whose
-// data arrived by remote write (called on write-imm completion).
-func (r *Ring) AdvanceTail(n int) { r.tail.Add(uint64(n)) }
-
 // SetTail publishes an absolute tail (monotonic): the RDMA configuration
 // mirrors the sender's cursor into the receiver's memory after the data,
 // so any process sharing the ring copy can poll it without owning the

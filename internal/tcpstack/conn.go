@@ -54,16 +54,6 @@ func newConn(st *Stack, key connKey, state int) *Conn {
 // or SYN-ACK (client side) — the capability-negotiation channel of §4.5.3.
 func (c *Conn) SynOptions() []byte { return c.synOpts }
 
-// LocalPort / RemoteHost / RemotePort identify the connection.
-func (c *Conn) LocalPort() uint16  { return c.key.localPort }
-func (c *Conn) RemoteHost() string { return c.key.remoteHost }
-func (c *Conn) RemotePort() uint16 { return c.key.remotePort }
-
-// SeqState exposes (sndNxt, rcvNxt) for connection repair handoff.
-func (c *Conn) SeqState() (uint64, uint64) {
-	return c.sndNxt, c.rcvNxt
-}
-
 // sendSeg stamps, tracks and transmits a segment that consumes
 // seqLen sequence numbers (payload length, +1 for SYN/FIN).
 func (c *Conn) sendSeg(seg *Segment, seqLen int) {

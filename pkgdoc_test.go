@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -517,6 +518,109 @@ func TestDocsNameOnlySdbenchCommands(t *testing.T) {
 	for cmd := range cmds {
 		if !documented[cmd] {
 			t.Errorf("cmd/sdbench dispatches %q, but no current document names `sdbench %s`", cmd, cmd)
+		}
+	}
+}
+
+// TestLifecycleTableMatchesCode keeps ARCHITECTURE.md's table of a socket
+// side's facts ("Connection lifecycle") equal to internal/core/state.go:
+// every `fact` constant has one row, and the row's "needs" column names
+// exactly what fact.needs returns for it.
+func TestLifecycleTableMatchesCode(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("internal", "core", "state.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var facts []string
+	code := map[string][]string{} // fact -> what it needs, sorted
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.GenDecl:
+			if d.Tok != token.CONST || len(d.Specs) == 0 {
+				continue
+			}
+			if typ, ok := d.Specs[0].(*ast.ValueSpec).Type.(*ast.Ident); !ok || typ.Name != "fact" {
+				continue
+			}
+			for _, s := range d.Specs {
+				for _, n := range s.(*ast.ValueSpec).Names {
+					facts = append(facts, n.Name)
+				}
+			}
+		case *ast.FuncDecl:
+			if d.Name.Name != "needs" || d.Recv == nil {
+				continue
+			}
+			ast.Inspect(d.Body, func(n ast.Node) bool {
+				cc, ok := n.(*ast.CaseClause)
+				if !ok || len(cc.Body) != 1 {
+					return true
+				}
+				ret, ok := cc.Body[0].(*ast.ReturnStmt)
+				if !ok || len(ret.Results) != 1 {
+					return true
+				}
+				var needs []string
+				ast.Inspect(ret.Results[0], func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						needs = append(needs, id.Name)
+					}
+					return true
+				})
+				for _, e := range cc.List {
+					if id, ok := e.(*ast.Ident); ok {
+						code[id.Name] = slices.Sorted(slices.Values(needs))
+					}
+				}
+				return false
+			})
+		}
+	}
+	if len(facts) == 0 {
+		t.Fatal("state.go declares no fact constants")
+	}
+
+	raw, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	start := slices.Index(lines, "| fact | reached by | needs |")
+	if start < 0 {
+		t.Fatal(`ARCHITECTURE.md has no "| fact | reached by | needs |" table`)
+	}
+	quoted := regexp.MustCompile("`(\\w+)`")
+	doc := map[string][]string{}
+	for _, line := range lines[start+2:] {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cells) != 3 {
+			t.Fatalf("fact table row %q has %d cells, want 3", line, len(cells))
+		}
+		name := strings.Trim(strings.TrimSpace(cells[0]), "`")
+		if _, dup := doc[name]; dup {
+			t.Errorf("fact table lists %s twice", name)
+		}
+		var needs []string
+		for _, m := range quoted.FindAllStringSubmatch(cells[2], -1) {
+			needs = append(needs, m[1])
+		}
+		doc[name] = slices.Sorted(slices.Values(needs))
+	}
+	for _, name := range facts {
+		got, ok := doc[name]
+		switch {
+		case !ok:
+			t.Errorf("fact %s (state.go) has no row in ARCHITECTURE.md's fact table", name)
+		case !slices.Equal(got, code[name]):
+			t.Errorf("fact %s needs %v in state.go, but ARCHITECTURE.md says %v", name, code[name], got)
+		}
+	}
+	for name := range doc {
+		if !slices.Contains(facts, name) {
+			t.Errorf("ARCHITECTURE.md's fact table lists %s, which state.go does not declare", name)
 		}
 	}
 }
