@@ -342,42 +342,92 @@ func hostDeathRow(r *recWorld) {
 	})
 }
 
-// migrateRow: the client's container moves from hostA to hostC mid-stream,
-// goes on there, and both ends close.
-func migrateRow(r *recWorld) {
-	mc := monitor.Start(r.c, r.kc)
-	monitor.Peer(mc, r.mb)
-	r.mons["hostC"] = mc
-	sp, sl := proc(r.t, r.b, "server", 0)
-	cp, cl := proc(r.t, r.a, "container", 0)
-	sp.Spawn("srv", acceptOne(r, sl, 7908, func(ctx exec.Context, th *host.Thread, s *core.Socket) {
-		serveEcho(r, ctx, th, s, 2)
-		untilEnd(ctx, th, s)
-		s.Close(ctx, th)
-	}))
-	cp.Spawn("main", func(ctx exec.Context, th *host.Thread) {
-		ctx.Sleep(10_000)
-		s := dialEcho(r, ctx, th, cl, "hostB", 7908)
-		if s == nil {
-			return
+// migrateRow: the client's container moves from hostA to hostC mid-stream
+// and echoes once from there, which splices its QP from hostC. Then:
+//   - "detach": both ends close;
+//   - "crash": the container is SIGKILLed at hostC, and the server sees one
+//     reset — hostC's monitor holds the record that fans the death out;
+//   - "source-host-death": hostA's monitor dies and hostB confirms it dead;
+//     the connection, which no longer runs through hostA, keeps echoing and
+//     closes cleanly.
+func migrateRow(then string) func(*recWorld) {
+	return func(r *recWorld) {
+		mc := monitor.Start(r.c, r.kc)
+		monitor.Peer(mc, r.mb)
+		r.mons["hostC"] = mc
+		sp, sl := proc(r.t, r.b, "server", 0)
+		cp, cl := proc(r.t, r.a, "container", 0)
+		sp.Spawn("srv", acceptOne(r, sl, 7908, func(ctx exec.Context, th *host.Thread, s *core.Socket) {
+			switch then {
+			case "crash":
+				serveEcho(r, ctx, th, s, 2)
+				if err := untilEnd(ctx, th, s); !errors.Is(err, core.ECONNRESET) {
+					r.t.Errorf("server after the migrated client's death: %v, want ECONNRESET", err)
+				}
+				if err := untilEnd(ctx, th, s); errors.Is(err, core.ECONNRESET) {
+					r.t.Error("a second ECONNRESET")
+				}
+			case "source-host-death":
+				serveEcho(r, ctx, th, s, 3)
+				if err := untilEnd(ctx, th, s); errors.Is(err, core.ErrPeerDead) {
+					r.t.Errorf("server after the client's clean close: %v, want EOF", err)
+				}
+			default:
+				serveEcho(r, ctx, th, s, 2)
+				untilEnd(ctx, th, s)
+			}
+			s.Close(ctx, th)
+		}))
+		if then == "source-host-death" {
+			// hostB counts silent heartbeats only while it has control
+			// traffic of its own: refused local dials will do.
+			sp.Spawn("refused", func(ctx exec.Context, th *host.Thread) {
+				for i := 0; i < 160 && r.mb.MemberState("hostA") != monitor.MemberDead; i++ {
+					ctx.Sleep(25_000_000)
+					sl.Connect(ctx, th, "hostB", 9)
+				}
+			})
 		}
-		r.sample()
-		np, nl, err := core.Migrate(cl, r.c, "container")
-		if err != nil {
-			r.t.Errorf("migrate: %v", err)
-			return
-		}
-		np.Spawn("main", func(ctx exec.Context, th *host.Thread) {
-			ms, err := nl.SocketByFD(s.FD())
-			if err != nil {
-				r.t.Errorf("fd after migration: %v", err)
+		cp.Spawn("main", func(ctx exec.Context, th *host.Thread) {
+			ctx.Sleep(10_000)
+			s := dialEcho(r, ctx, th, cl, "hostB", 7908)
+			if s == nil {
 				return
 			}
-			echo(r, ctx, th, ms)
 			r.sample()
-			ms.Close(ctx, th)
+			np, nl, err := core.Migrate(cl, r.c, "container")
+			if err != nil {
+				r.t.Errorf("migrate: %v", err)
+				return
+			}
+			np.Spawn("main", func(ctx exec.Context, th *host.Thread) {
+				ms, err := nl.SocketByFD(s.FD())
+				if err != nil {
+					r.t.Errorf("fd after migration: %v", err)
+					return
+				}
+				echo(r, ctx, th, ms)
+				r.sample()
+				switch then {
+				case "crash":
+					ctx.Sleep(200_000)
+					np.Signal(ctx, host.SIGKILL)
+					return
+				case "source-host-death":
+					r.ma.Stop()
+					delete(r.mons, "hostA") // the casualty keeps what it had
+					for i := 0; i < 160 && r.mb.MemberState("hostA") != monitor.MemberDead; i++ {
+						ctx.Sleep(25_000_000)
+					}
+					if r.mb.MemberState("hostA") != monitor.MemberDead {
+						r.t.Error("hostA was never confirmed dead")
+					}
+					echo(r, ctx, th, ms)
+				}
+				ms.Close(ctx, th)
+			})
 		})
-	})
+	}
 }
 
 // restartRow: a monitor restarts under an established connection, the
@@ -465,7 +515,9 @@ func TestMonitorRecordsReturnToBaseline(t *testing.T) {
 		{"both-crash/contested-token", contestedRow},
 		{"both-crash/inter-client-then-server", bothCrashInterRow},
 		{"host-death-sweep-then-owner-crash", hostDeathRow},
-		{"migrate-detach", migrateRow},
+		{"migrate-detach", migrateRow("detach")},
+		{"migrate-then-crash", migrateRow("crash")},
+		{"migrate-then-source-host-death", migrateRow("source-host-death")},
 		{"monitor-restart/intra", restartRow(false, "hostA")},
 		{"monitor-restart/inter-client-side", restartRow(true, "hostA")},
 		{"monitor-restart/inter-server-side", restartRow(true, "hostB")},

@@ -628,9 +628,9 @@ func (m *Monitor) cleanupProcess(ctx exec.Context, pid int) {
 		maps.DeleteFunc(sh.steals, func(_ uint64, sr stealReq) bool { return sr.thief.pid == pid })
 		for qid, c := range sh.conns {
 			regrant = c.forget(pid, qid, regrant)
-			if !c.dispatched() {
-				// A reported pending dial or a takeover's queues: with nobody
-				// left waiting on them there is no local party.
+			if c.phase == bare {
+				// A takeover's queues: with nobody left waiting on them there
+				// is no local party.
 				if len(c.awaited()) == 0 {
 					sh.dropConn(qid)
 				}
@@ -740,10 +740,10 @@ func (m *Monitor) LiveConnRecords() int {
 // fan-out. Container live migration (§4.1.3) moves the sockets — ring
 // memory, QIDs and all — to another host and then kills the husk left
 // at the source; treating that kill as a crash would reset perfectly
-// healthy connections (and drop the peer monitor's routing entry the
-// migrated process needs for its QP re-splice). A record whose other
-// endpoint lives here stays with that endpoint. The lifeline still runs
-// afterwards and reclaims everything else the pid held.
+// healthy connections (the destination's records are made by each socket's
+// first splice, onReQP). A record whose other endpoint lives here stays
+// with that endpoint. The lifeline still runs afterwards and reclaims
+// everything else the pid held.
 func (m *Monitor) DetachProcess(pid int) {
 	for _, sh := range m.shards {
 		for qid, c := range sh.conns {
@@ -779,7 +779,7 @@ func (m *Monitor) CrashConverged() error {
 		}
 		for qid, c := range sh.conns {
 			// Intra- and inter-host alike: a record is its local endpoints'.
-			if c.dispatched() && gone(c.pids[0]) && gone(c.pids[1]) {
+			if c.phase != bare && gone(c.pids[0]) && gone(c.pids[1]) {
 				return fmt.Errorf("monitor: conn %d has no live endpoint but was not reclaimed", qid)
 			}
 			for _, pid := range append(c.awaited(), c.owner()) {
@@ -874,37 +874,29 @@ func (m *Monitor) dispatch(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 		m.onStealRes(ctx, pc, cm)
 	case ctlmsg.KAcceptDone:
 		// A listener drained the dispatched connection from its backlog:
-		// free the admission slot pickListener claimed for it. Unknown or
-		// already-released ConnIDs no-op (a restarted monitor's resurrected
-		// records carry queued=false — the occupancy died with the incarnation).
-		sh := m.shardOf(cm.ConnID)
-		if c := sh.conns[cm.ConnID]; c != nil && c.queued {
-			c.queued = false
+		// free the admission slot pickListener claimed for it. Unknown,
+		// already-accepted or adopted records no-op (a restarted monitor's
+		// occupancy died with the incarnation).
+		if c := m.shardOf(cm.ConnID).conns[cm.ConnID]; c != nil && c.phase == queued {
+			c.advance(accepted)
 			m.releaseBacklogSlot(c.lport, c.lref)
 		}
 	case ctlmsg.KMSynAck:
 		// Server libsd finished building its endpoint: relay to the
-		// client's monitor.
-		var to string
-		if x := m.shardOf(cm.ConnID).ext(cm.ConnID); x != nil {
-			to = x.synAckTo
-		}
-		if to != "" && to != m.H.Name {
-			m.mchanSend(ctx, to, cm, true)
+		// client's monitor, the peer of a record KMSyn made.
+		c := m.shardOf(cm.ConnID).conns[cm.ConnID]
+		if c != nil && (c.phase == queued || c.phase == accepted) && c.peerHost != "" {
+			m.mchanSend(ctx, c.peerHost, cm, true)
 		}
 	case ctlmsg.KReQP:
 		m.onReQP(ctx, pc, cm)
 	case ctlmsg.KReQPRes:
 		// Peer libsd built the extra QP; route back to the requester's
-		// host monitor.
-		var dst string
-		if x := m.shardOf(cm.QID).ext(cm.QID); x != nil {
-			dst = x.reqpFrom
-		}
-		if dst != "" {
+		// host monitor, which KReQPPeer made the record's peer.
+		if c := m.shardOf(cm.QID).conns[cm.QID]; c != nil && c.peerHost != "" {
 			// Not queued on a dead channel: the requester re-sends KReQP on
 			// its recovery deadline, regenerating this response.
-			m.mchanSend(ctx, dst, cm, false)
+			m.mchanSend(ctx, c.peerHost, cm, false)
 		}
 	}
 }
@@ -948,9 +940,7 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 	switch cm.Kind {
 	case ctlmsg.KMSyn:
 		sh := m.shardOf(cm.ConnID)
-		c := sh.conns[cm.ConnID]
-		dup := c != nil && c.dispatched()
-		if dup {
+		if c := sh.conns[cm.ConnID]; c != nil && c.phase >= dialing {
 			// A re-sent SYN (the client's monitor restarted and replayed
 			// it); the original dispatch stands.
 			return
@@ -962,10 +952,10 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 			mc.send(&r)
 			return
 		}
-		c = sh.conn(cm.ConnID)
+		c := sh.conn(cm.ConnID)
+		c.advance(queued)
 		c.pids, c.peerHost = [2]int{0, ref.pid}, mc.peer
-		c.lport, c.lref, c.queued = cm.Port, ref, true
-		c.ext().synAckTo = mc.peer
+		c.lport, c.lref = cm.Port, ref
 		m.ConnsDispatched++
 		mDispatches.Inc()
 		nc := *cm
@@ -976,10 +966,7 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 		nc.SetHost(mc.peer) // client host, for qp.Connect on the server
 		m.sendTo(ctx, ref.pid, &nc, true)
 	case ctlmsg.KMSynAck:
-		client := 0
-		if x := m.shardOf(cm.ConnID).ext(cm.ConnID); x != nil {
-			client = x.resTo
-		}
+		client := m.shardOf(cm.ConnID).conns[cm.ConnID].dialer()
 		res := *cm
 		res.Kind = ctlmsg.KConnectRes
 		res.Status = ctlmsg.StatusOK
@@ -989,9 +976,10 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 	case ctlmsg.KMRefused:
 		// The dial is over; its record stays until the dialer gives the
 		// connection up (ConnClosed) or dies.
-		client := 0
-		if x := m.shardOf(cm.ConnID).ext(cm.ConnID); x != nil {
-			client, x.resTo = x.resTo, 0
+		c := m.shardOf(cm.ConnID).conns[cm.ConnID]
+		client := c.dialer()
+		if client != 0 {
+			c.advance(refused)
 		}
 		st := cm.Status
 		if st == ctlmsg.StatusOK {
@@ -1001,14 +989,14 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 		}
 		m.fail(ctx, client, cm, st)
 	case ctlmsg.KReQPPeer:
-		sh := m.shardOf(cm.QID)
-		owner := sh.owner(cm.QID)
-		if owner != 0 {
+		if c := m.shardOf(cm.QID).conns[cm.QID]; c.owner() != 0 {
 			// Only for a connection still on record here: a splice request
 			// for one this host gave up (an abandoned dial) finds nobody to
-			// answer it and must leave no route behind.
-			sh.conns[cm.QID].ext().reqpFrom = mc.peer
-			m.sendTo(ctx, owner, cm, true)
+			// answer it and must leave no route behind. The remote end now
+			// lives where the splice came from (a migrated container's new
+			// host): its answer, a death and a host-death sweep go there.
+			c.peerHost = mc.peer
+			m.sendTo(ctx, c.owner(), cm, true)
 		}
 	case ctlmsg.KReQPRes:
 		// Back at the requester's host: deliver to the requester.
@@ -1018,12 +1006,9 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 		// endpoint of the socket. The record loses its remote end and its
 		// routing — nothing more can arrive for it, nor is the owner's death
 		// the remote monitor's business now — and stays for the owner to end.
-		sh := m.shardOf(cm.QID)
-		owner := sh.owner(cm.QID)
-		if c := sh.conns[cm.QID]; c != nil {
+		if c := m.shardOf(cm.QID).conns[cm.QID]; c.owner() != 0 {
+			owner := c.owner()
 			c.peerHost = ""
-		}
-		if owner != 0 {
 			m.sendTo(ctx, owner, cm, true)
 		}
 	}
@@ -1095,9 +1080,9 @@ func (m *Monitor) addListener(port uint16, pid, tid int) {
 // pickListener round-robins over a port's listeners (§4.5.2), skipping
 // listeners whose backlog occupancy sits at the host's Limits.Backlog. On
 // success it claims one backlog slot for the chosen listener (the caller
-// must record the dispatch with queued=true so KAcceptDone/steal/cleanup
-// release it). The status return distinguishes a port nobody listens on
-// (StatusNoListener) from a port where every backlog is full
+// must advance the record to queued, so that KAcceptDone, a steal or
+// dropConn gives it back). The status return distinguishes a port nobody
+// listens on (StatusNoListener) from a port where every backlog is full
 // (StatusBacklogFull → ECONNREFUSED at the dialer, retryable). Callable
 // from any loop: a connect's shard (keyed by connection ID) is usually
 // not the port's shard, and this cross-shard read is the deliberate thin
@@ -1134,14 +1119,11 @@ func (m *Monitor) releaseBacklogSlot(port uint16, ref listenerRef) {
 
 func (m *Monitor) onConnect(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	dst := m.hostName(cm)
-	allowed := m.policy(pc.p.UID, dst, cm.Port)
-	c := m.shardOf(cm.ConnID).conns[cm.ConnID]
-	dup := c != nil && c.dispatched()
-	if !allowed {
+	if !m.policy(pc.p.UID, dst, cm.Port) {
 		m.fail(ctx, pc.p.PID, cm, ctlmsg.StatusDenied)
 		return
 	}
-	if dup {
+	if c := m.shardOf(cm.ConnID).conns[cm.ConnID]; c != nil && c.phase >= dialing {
 		// A bounded wait re-sent this connect; the first copy was already
 		// dispatched and its KConnectRes is in (or on its way to) the
 		// client's ring. Dispatching twice would orphan an endpoint.
@@ -1174,8 +1156,8 @@ func (m *Monitor) hostName(cm *ctlmsg.Msg) string {
 func (m *Monitor) connectRemote(ctx exec.Context, cm *ctlmsg.Msg) {
 	dst := m.hostName(cm)
 	c := m.shardOf(cm.ConnID).conn(cm.ConnID)
+	c.advance(dialing)
 	c.pids, c.peerHost = [2]int{int(cm.PID), 0}, dst
-	c.ext().resTo = int(cm.PID)
 	fwd := *cm
 	fwd.Kind = ctlmsg.KMSyn
 	fwd.SetHost(m.H.Name) // origin (unused by the peer; it trusts the channel)
@@ -1202,8 +1184,9 @@ func (m *Monitor) dispatchIntra(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) 
 	seg := m.H.SHM.Create(is)
 	sh := m.shardOf(cm.ConnID)
 	c := sh.conn(cm.ConnID)
+	c.advance(queued)
 	c.pids, c.shmTok = [2]int{pc.p.PID, ref.pid}, seg.Token
-	c.lport, c.lref, c.queued = cm.Port, ref, true
+	c.lport, c.lref = cm.Port, ref
 	m.ConnsDispatched++
 	mDispatches.Inc()
 
@@ -1232,7 +1215,11 @@ func (m *Monitor) onTakeover(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 		mBadCtlmsg.Inc()
 		return
 	}
-	ts := &m.shardOf(key.qid).conn(key.qid).ext().tok[key.idx()]
+	c := m.shardOf(key.qid).conn(key.qid)
+	if c.tok == nil {
+		c.tok = new([4]tokState)
+	}
+	ts := &c.tok[key.idx()]
 	me := waiterRef{pid: int(cm.PID), tid: int(cm.TID)}
 	dup := slices.Contains(ts.waiters, me)
 	if !dup {
@@ -1353,7 +1340,7 @@ func (m *Monitor) onStealRes(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	// which is generally not this (port-keyed) one.
 	if c := m.shardOf(cm.ConnID).conns[cm.ConnID]; c != nil {
 		c.pids[1] = sr.thief.pid // the stolen conn now terminates at the thief
-		if c.queued {
+		if c.phase == queued {
 			// The admission slot moves with the descriptor: the victim's
 			// backlog shrank, the thief's grew. Its KAcceptDone (sent when
 			// the thief finishes the accept) must release the thief's slot.
@@ -1378,6 +1365,16 @@ func (m *Monitor) onReQP(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 	if peerHost == "" || peerHost == m.H.Name {
 		// Intra-host RDMA does not exist; nothing to do.
 		return
+	}
+	if cm.Dir == ctlmsg.ReQPFork {
+		if c := m.shardOf(cm.QID).conn(cm.QID); c.phase == bare {
+			// An inherited socket's first splice, and this host never heard
+			// of the connection: it came with a migrated container (§4.1.3).
+			// The requester is its endpoint here now, so its death reaches
+			// the peer.
+			c.advance(adopted)
+			c.pids[0], c.peerHost = int(cm.PID), peerHost
+		}
 	}
 	// Queued if the channel is dead or not yet probed (a restarted monitor
 	// starts with no channels at all), so the request reaches the peer as

@@ -90,7 +90,7 @@ func (m *Monitor) acceptRescue(ctx exec.Context) {
 			return
 		}
 		qid := binary.LittleEndian.Uint64(hdr[4:])
-		owner := m.shardOf(qid).owner(qid)
+		owner := m.shardOf(qid).conns[qid].owner()
 		p := m.H.Process(owner)
 		if owner == 0 || p == nil {
 			sk.Close(ctx)

@@ -100,6 +100,9 @@ func (m *Monitor) onReRegistered(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg)
 		m.addListener(cm.Port, pid, int(cm.TID))
 	case ctlmsg.ReRegConn:
 		c := m.shardOf(cm.QID).conn(cm.QID)
+		if c.phase == bare {
+			c.advance(adopted)
+		}
 		if peer := cm.HostStr(); peer != "" && peer != m.H.Name {
 			// The channel toward peer is the successor's probe's (Restart).
 			c.peerHost = peer
@@ -118,8 +121,9 @@ func (m *Monitor) onReRegistered(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg)
 		// An in-flight connect that was awaiting KConnectRes: restore the
 		// reply routing so the server side's KMSynAck (or the client's
 		// own re-sent KConnect) can complete it.
-		if x := m.shardOf(cm.ConnID).conn(cm.ConnID).ext(); x.resTo == 0 && x.synAckTo == "" {
-			x.resTo = pid
+		if c := m.shardOf(cm.ConnID).conn(cm.ConnID); c.phase == bare {
+			c.advance(pending)
+			c.pids[0] = pid
 		}
 	case ctlmsg.ReRegDone:
 		mRereg.Inc()

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 
@@ -14,8 +15,8 @@ import (
 
 // The monitor's dispatch plane is sharded (see internal/monitor/shard for
 // the partitioning function and its rationale). Each shard owns a slice of
-// the control-plane state — one record per port, one per connection, sleep
-// notes, steals in flight — keyed so that every message's handler touches
+// the control-plane state — one record per port, one per connection, steals
+// in flight — keyed so that every message's handler touches
 // only records belonging to the shard the message routed to, and runs its
 // own dispatch loop over its own per-process SHM duplex. A thin router
 // thread keeps the work that is global by nature: monitor-to-monitor
@@ -30,16 +31,10 @@ import (
 // connect on one shard picking a listener whose port lives on another —
 // stay as cheap as they were in the single-loop design.
 //
-// The verdict on the shards (EXPERIMENTS.md "One loop or four"): with
-// shard.DefaultCount = 1 and nothing else changed, `sdbench connscale` falls
-// 1 554 164 -> 429 184 conn/s (one loop saturates at three events of ~780
-// sim-ns per connection) and cluster_dial's sim_p50_ns /
-// sim_tail_ns rise 1.8 % / 2.7 %, while the host cost of a dial halves. They
-// earn their keep on virtual time and stay. Why four mostly idle loops doubled a dial's host cost: each spun
-// 255 polls after every message, so on connect_churn they never parked and
-// their played polls were most of a dial's scheduler events. A loop now
-// parks after its first empty pass (run), and four loops cost a dial no
-// more host time than one did.
+// The shards earn their keep on virtual time (EXPERIMENTS.md "One loop or
+// four"): with one loop `sdbench connscale` falls from 1 554 164 to 429 184
+// conn/s. A loop parks after its first empty pass (run), so four cost a dial
+// no more host time than one.
 
 // mshard is one shard of the monitor's control plane: a partition of the
 // records plus the dispatch loop that serves it.
@@ -107,67 +102,92 @@ func (p *portRec) slot(ref listenerRef) *listenerSlot {
 
 // connRec is everything the connection's shard knows about one connection
 // ID. The record is made at the first mention of the ID — a SYN, a connect,
-// a takeover, a re-registration record — and lives until the last local
-// endpoint ends: mshard.dropConn is the one place it is removed. Word of a
-// remote death (KPeerDead, KMRefused) clears the fields that died and leaves
-// the record to its local owner's close or death.
+// a takeover, a re-registration record, a migrated socket's splice — and
+// lives until the last local endpoint ends: mshard.dropConn is the one place
+// it is removed. Word of a remote death (KPeerDead) clears peerHost and
+// leaves the record to its local owner's close or death.
 type connRec struct {
 	// pids are the endpoints: both for an intra-host socket, one local pid
-	// plus the remote host for an inter-host one. Dispatch and re-registration
-	// put them on record; a takeover or a reported pending dial does not.
+	// plus the remote host for an inter-host one. In a dial phase pids[0] is
+	// the dialer; a takeover puts no endpoint on record.
 	pids     [2]int // [client, listener]; 0 = not local
 	peerHost string // "" = intra-host, or the remote end was reported dead
 	shmTok   shm.Token
 
 	// Backlog accounting (overload admission): which listener the dispatch
-	// landed on, and whether it still occupies a slot of its backlog. queued
-	// flips false on KAcceptDone; a steal moves lref to the thief.
-	lref   listenerRef
-	lport  uint16
-	queued bool
+	// landed on; it occupies a slot of that backlog while the record is
+	// queued. A steal moves lref to the thief.
+	lref  listenerRef
+	lport uint16
+	phase phase
 
-	// x is what only an inter-host or a contested connection needs, made on
-	// first use and kept, blank, when the record is: with these fields in it
-	// every record would be 272 B, not 80.
-	x *connExt
+	// tok are the token arbitration queues (§4.1.1), by tokKey.idx: only a
+	// contested connection needs them, so they are made on first use and
+	// kept, blank, with the record. In it, every record would be 232 B, not 72.
+	tok *[4]tokState
 }
 
-// connExt is the lazily made part of a connRec.
-type connExt struct {
-	synAckTo string      // inter-host set-up, server side: the client's host
-	resTo    int         // inter-host set-up, client side: the pid awaiting KConnectRes
-	reqpFrom string      // QP splice: the host whose KReQPPeer awaits our KReQPRes
-	tok      [4]tokState // token arbitration queues (§4.1.1), by tokKey.idx
+// phase is where a record is in its life on this host, written only by
+// advance. From pending on, the record's endpoints are in pids; from
+// dialing on, a re-sent connect or SYN for the ID is a duplicate. A peer's
+// death is not a phase: it can land in any of them, and clears peerHost.
+type phase uint8
+
+const (
+	bare     phase = iota // just made, or a takeover's token queues only
+	pending               // a dial a restarted monitor heard of (ReRegPend): pids[0] awaits KConnectRes
+	dialing               // connectRemote: pids[0] awaits KConnectRes, relayed from peerHost's KMSynAck
+	refused               // KMRefused: the dialer was told, and holds the socket until it gives it up
+	queued                // dispatched (intra, or KMSyn): the connection holds a slot of lref's backlog
+	accepted              // KAcceptDone: out of the backlog, its slot given back
+	adopted               // heard of after its set-up: a re-registration report, a migrated socket's splice
+)
+
+// phaseNext is the table of legal moves: the phases each phase may advance
+// to, as 1<<phase bits.
+var phaseNext = [adopted + 1]uint8{
+	bare:    1<<pending | 1<<dialing | 1<<queued | 1<<adopted,
+	pending: 1<<dialing | 1<<refused | 1<<queued,
+	dialing: 1<<dialing | 1<<refused,
+	queued:  1 << accepted,
 }
 
-// dispatched reports whether an endpoint is on record.
-func (c *connRec) dispatched() bool { return c.pids != [2]int{} }
+// advance moves the record to phase to. It is the phase's one writer; a
+// move phaseNext does not allow is a monitor bug, and the record is left as
+// it was.
+func (c *connRec) advance(to phase) {
+	if phaseNext[c.phase]&(1<<to) == 0 {
+		panic(fmt.Sprintf("monitor: connection record cannot move from phase %d to %d", c.phase, to))
+	}
+	c.phase = to
+}
+
+// dialer is the pid awaiting the answer to the record's dial: 0 if none.
+func (c *connRec) dialer() int {
+	if c != nil && (c.phase == pending || c.phase == dialing) {
+		return c.pids[0]
+	}
+	return 0
+}
 
 // owner is the local pid that peer deaths, QP splices and rescues go to:
 // the local endpoint of an inter-host connection whose remote end lives.
-// 0 = none.
+// 0 = none, or no record.
 func (c *connRec) owner() int {
-	if c.peerHost == "" {
+	if c == nil || c.peerHost == "" {
 		return 0
 	}
 	return max(c.pids[0], c.pids[1])
 }
 
-func (c *connRec) ext() *connExt {
-	if c.x == nil {
-		c.x = &connExt{}
-	}
-	return c.x
-}
-
 // awaited lists the pids that wait for something through the record: the
 // answer to a dial, a token grant, a revoked token's return.
 func (c *connRec) awaited() (pids []int) {
-	if x := c.x; x != nil {
-		if x.resTo != 0 {
-			pids = append(pids, x.resTo)
-		}
-		for _, ts := range x.tok {
+	if d := c.dialer(); d != 0 {
+		pids = append(pids, d)
+	}
+	if c.tok != nil {
+		for _, ts := range c.tok {
 			for _, w := range ts.waiters {
 				pids = append(pids, w.pid)
 			}
@@ -179,20 +199,16 @@ func (c *connRec) awaited() (pids []int) {
 	return pids
 }
 
-// forget strips a dead pid from what the record routes to it: the answer
-// to its pending dial, the token waiting lists. A revoke that was
-// outstanding to the corpse is answered on its behalf: the token is
-// appended to regrant if somebody waits for it.
+// forget strips a dead pid from the token waiting lists (a dead dialer is an
+// endpoint, whose record cleanupProcess drops). A revoke outstanding to the
+// corpse is answered on its behalf: the token is appended to regrant if
+// somebody waits for it.
 func (c *connRec) forget(pid int, qid uint64, regrant []tokKey) []tokKey {
-	x := c.x
-	if x == nil {
+	if c.tok == nil {
 		return regrant
 	}
-	if x.resTo == pid {
-		x.resTo = 0
-	}
-	for i := range x.tok {
-		ts := &x.tok[i]
+	for i := range c.tok {
+		ts := &c.tok[i]
 		ts.waiters = slices.DeleteFunc(ts.waiters, func(w waiterRef) bool { return w.pid == pid })
 		if ts.revokeSent && ts.revokeTo == pid {
 			ts.revokeSent, ts.revokeTo = false, 0
@@ -204,19 +220,11 @@ func (c *connRec) forget(pid int, qid uint64, regrant []tokKey) []tokKey {
 	return regrant
 }
 
-// ext returns the lazily made part of qid's record, nil if there is none.
-func (sh *mshard) ext(qid uint64) *connExt {
-	if c := sh.conns[qid]; c != nil {
-		return c.x
-	}
-	return nil
-}
-
 // tok returns one token's arbitration queue, nil if the shard holds none
 // for it.
 func (sh *mshard) tok(key tokKey) *tokState {
-	if x := sh.ext(key.qid); x != nil {
-		return &x.tok[key.idx()]
+	if c := sh.conns[key.qid]; c != nil && c.tok != nil {
+		return &c.tok[key.idx()]
 	}
 	return nil
 }
@@ -274,26 +282,17 @@ func (sh *mshard) dropConn(qid uint64) {
 	if c == nil {
 		return
 	}
-	if c.queued {
+	if c.phase == queued {
 		sh.m.releaseBacklogSlot(c.lport, c.lref)
 	}
 	delete(sh.conns, qid)
 	if len(sh.freeRecs) < maxFreeRecs {
-		x := c.x
-		if x != nil {
-			*x = connExt{}
+		if c.tok != nil {
+			*c.tok = [4]tokState{}
 		}
-		*c = connRec{x: x}
+		*c = connRec{tok: c.tok}
 		sh.freeRecs = append(sh.freeRecs, c)
 	}
-}
-
-// owner returns the local pid that answers for connection qid, 0 if none.
-func (sh *mshard) owner(qid uint64) int {
-	if c := sh.conns[qid]; c != nil {
-		return c.owner()
-	}
-	return 0
 }
 
 // shardOf returns the shard owning a 64-bit connection/queue ID.

@@ -48,8 +48,9 @@ func TestConnClosedRingsParkedShard(t *testing.T) {
 		if _, st := ma.pickListener(port); st != ctlmsg.StatusOK {
 			t.Fatalf("dial %d not dispatched: status %d", i, st)
 		}
-		*ma.shardOf(qids[i]).conn(qids[i]) = connRec{pids: [2]int{2, lref.pid},
-			lref: lref, lport: port, queued: true}
+		c := ma.shardOf(qids[i]).conn(qids[i])
+		c.advance(queued)
+		c.pids, c.lref, c.lport = [2]int{2, lref.pid}, lref, port
 	}
 	s.Spawn("closer", func(ctx exec.Context) {
 		ctx.Sleep(100_000) // far past any loop's first pass
@@ -114,6 +115,40 @@ func TestHostDeadFanoutSweepsEveryShardOnce(t *testing.T) {
 		if _, alive := sh.conns[qids[i]]; alive {
 			t.Errorf("shard %d: conn %d toward the dead host survived the sweep",
 				i, qids[i])
+		}
+	}
+}
+
+// TestRecordPhasesFollowTheTable moves a record from every phase to every
+// phase. The moves below are the table (ARCHITECTURE.md "Monitor
+// records"): each succeeds; every other one panics and leaves the record
+// exactly as it was.
+func TestRecordPhasesFollowTheTable(t *testing.T) {
+	legal := map[[2]phase]bool{
+		{bare, pending}: true, {bare, dialing}: true, {bare, queued}: true, {bare, adopted}: true,
+		{pending, dialing}: true, {pending, refused}: true, {pending, queued}: true,
+		{dialing, dialing}: true, {dialing, refused}: true,
+		{queued, accepted}: true,
+	}
+	for from := bare; from <= adopted; from++ {
+		for to := bare; to <= adopted; to++ {
+			c := &connRec{phase: from, pids: [2]int{7, 0}, peerHost: "hostB", lport: 80}
+			before := *c
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				c.advance(to)
+				return false
+			}()
+			want := before
+			if legal[[2]phase{from, to}] {
+				want.phase = to
+			}
+			switch {
+			case panicked == legal[[2]phase{from, to}]:
+				t.Errorf("%d -> %d: panicked %v, want %v", from, to, panicked, !panicked)
+			case *c != want:
+				t.Errorf("%d -> %d: record %+v after the move, want %+v", from, to, *c, want)
+			}
 		}
 	}
 }

@@ -527,30 +527,79 @@ func TestDocsNameOnlySdbenchCommands(t *testing.T) {
 // every `fact` constant has one row, and the row's "needs" column names
 // exactly what fact.needs returns for it.
 func TestLifecycleTableMatchesCode(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("internal", "core", "state.go"), nil, 0)
+	tableMatchesCode(t, filepath.Join("internal", "core", "state.go"), "fact", "needs",
+		"| fact | reached by | needs |")
+}
+
+// TestRecordPhaseTableMatchesCode keeps ARCHITECTURE.md's table of a
+// monitor record's phases ("Monitor records") equal to
+// internal/monitor/shards.go: every `phase` constant has one row, and the
+// row's "next" column names exactly the phases phaseNext allows.
+func TestRecordPhaseTableMatchesCode(t *testing.T) {
+	tableMatchesCode(t, filepath.Join("internal", "monitor", "shards.go"), "phase", "phaseNext",
+		"| phase | reached by | next |")
+}
+
+// tableMatchesCode checks the ARCHITECTURE.md table under header against
+// the constants of type typ in file and the table fn over them — a method
+// switching on the constant, or an array keyed by it: one row per
+// constant, whose last column quotes exactly the identifiers in fn's
+// return or element for that constant (none for a constant fn skips).
+func tableMatchesCode(t *testing.T, file, typ, fn, header string) {
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var facts []string
-	code := map[string][]string{} // fact -> what it needs, sorted
+	var names []string
+	code := map[string][]string{} // constant -> the identifiers fn gives for it, sorted
+	found := false
+	entry := func(key, value ast.Expr) {
+		var ids []string
+		ast.Inspect(value, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				ids = append(ids, id.Name)
+			}
+			return true
+		})
+		if id, ok := key.(*ast.Ident); ok {
+			code[id.Name] = slices.Sorted(slices.Values(ids))
+		}
+	}
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				vs, ok := s.(*ast.ValueSpec)
+				if !ok {
+					continue
+				}
+				if d.Tok == token.VAR && len(vs.Names) == 1 && vs.Names[0].Name == fn && len(vs.Values) == 1 {
+					if lit, ok := vs.Values[0].(*ast.CompositeLit); ok {
+						found = true
+						for _, e := range lit.Elts {
+							if kv, ok := e.(*ast.KeyValueExpr); ok {
+								entry(kv.Key, kv.Value)
+							}
+						}
+					}
+				}
+			}
 			if d.Tok != token.CONST || len(d.Specs) == 0 {
 				continue
 			}
-			if typ, ok := d.Specs[0].(*ast.ValueSpec).Type.(*ast.Ident); !ok || typ.Name != "fact" {
+			if id, ok := d.Specs[0].(*ast.ValueSpec).Type.(*ast.Ident); !ok || id.Name != typ {
 				continue
 			}
 			for _, s := range d.Specs {
 				for _, n := range s.(*ast.ValueSpec).Names {
-					facts = append(facts, n.Name)
+					names = append(names, n.Name)
 				}
 			}
 		case *ast.FuncDecl:
-			if d.Name.Name != "needs" || d.Recv == nil {
+			if d.Name.Name != fn || d.Recv == nil {
 				continue
 			}
+			found = true
 			ast.Inspect(d.Body, func(n ast.Node) bool {
 				cc, ok := n.(*ast.CaseClause)
 				if !ok || len(cc.Body) != 1 {
@@ -560,24 +609,15 @@ func TestLifecycleTableMatchesCode(t *testing.T) {
 				if !ok || len(ret.Results) != 1 {
 					return true
 				}
-				var needs []string
-				ast.Inspect(ret.Results[0], func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						needs = append(needs, id.Name)
-					}
-					return true
-				})
 				for _, e := range cc.List {
-					if id, ok := e.(*ast.Ident); ok {
-						code[id.Name] = slices.Sorted(slices.Values(needs))
-					}
+					entry(e, ret.Results[0])
 				}
 				return false
 			})
 		}
 	}
-	if len(facts) == 0 {
-		t.Fatal("state.go declares no fact constants")
+	if len(names) == 0 || !found {
+		t.Fatalf("%s declares no %s constants, or no %s over them", file, typ, fn)
 	}
 
 	raw, err := os.ReadFile("ARCHITECTURE.md")
@@ -585,9 +625,9 @@ func TestLifecycleTableMatchesCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(string(raw), "\n")
-	start := slices.Index(lines, "| fact | reached by | needs |")
+	start := slices.Index(lines, header)
 	if start < 0 {
-		t.Fatal(`ARCHITECTURE.md has no "| fact | reached by | needs |" table`)
+		t.Fatalf("ARCHITECTURE.md has no %q table", header)
 	}
 	quoted := regexp.MustCompile("`(\\w+)`")
 	doc := map[string][]string{}
@@ -597,30 +637,30 @@ func TestLifecycleTableMatchesCode(t *testing.T) {
 		}
 		cells := strings.Split(strings.Trim(line, "|"), "|")
 		if len(cells) != 3 {
-			t.Fatalf("fact table row %q has %d cells, want 3", line, len(cells))
+			t.Fatalf("%s table row %q has %d cells, want 3", typ, line, len(cells))
 		}
 		name := strings.Trim(strings.TrimSpace(cells[0]), "`")
 		if _, dup := doc[name]; dup {
-			t.Errorf("fact table lists %s twice", name)
+			t.Errorf("%s table lists %s twice", typ, name)
 		}
-		var needs []string
+		var ids []string
 		for _, m := range quoted.FindAllStringSubmatch(cells[2], -1) {
-			needs = append(needs, m[1])
+			ids = append(ids, m[1])
 		}
-		doc[name] = slices.Sorted(slices.Values(needs))
+		doc[name] = slices.Sorted(slices.Values(ids))
 	}
-	for _, name := range facts {
+	for _, name := range names {
 		got, ok := doc[name]
 		switch {
 		case !ok:
-			t.Errorf("fact %s (state.go) has no row in ARCHITECTURE.md's fact table", name)
+			t.Errorf("%s %s (%s) has no row in ARCHITECTURE.md's %s table", typ, name, file, typ)
 		case !slices.Equal(got, code[name]):
-			t.Errorf("fact %s needs %v in state.go, but ARCHITECTURE.md says %v", name, code[name], got)
+			t.Errorf("%s %s: %s returns %v in %s, but ARCHITECTURE.md says %v", typ, name, fn, code[name], file, got)
 		}
 	}
 	for name := range doc {
-		if !slices.Contains(facts, name) {
-			t.Errorf("ARCHITECTURE.md's fact table lists %s, which state.go does not declare", name)
+		if !slices.Contains(names, name) {
+			t.Errorf("ARCHITECTURE.md's %s table lists %s, which %s does not declare", typ, name, file)
 		}
 	}
 }
