@@ -242,11 +242,11 @@ func BenchmarkBurstPingPong_Inter32x64B(b *testing.B) {
 func BenchmarkQPWrite1KiB(b *testing.B) {
 	s := exec.NewSim(exec.SimConfig{})
 	clk := s.Clock()
-	epA, epB := fabric.NewLink(clk, "A", "B", fabric.Config{PropDelay: 800})
+	net := fabric.NewNet(clk, "rdma", fabric.Config{PropDelay: 800})
 	na := rdma.NewNIC(clk, "A", nil, 1)
 	nb := rdma.NewNIC(clk, "B", nil, 2)
-	na.AddPort("B", epA)
-	nb.AddPort("A", epB)
+	na.AttachFabric(net.AddHost("A"))
+	nb.AttachFabric(net.AddHost("B"))
 	pda, pdb := na.AllocPD(), nb.AllocPD()
 	bufB := make([]byte, 1<<16)
 	mrb := pdb.RegisterBytes(bufB)

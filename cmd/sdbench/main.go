@@ -337,7 +337,7 @@ var (
 	chaos    = drill("chaos", func() drillResult { return experiments.Chaos(240, 1024) })
 	crash    = drill("crash", func() drillResult { return experiments.Crash(4, 4, 1024) })
 	mrestart = drill("mrestart", func() drillResult { return experiments.MRestart(4, 4, 4096, 150) })
-	cluster  = drill("cluster", func() drillResult { return experiments.ClusterSoak(experiments.ClusterConfig{}) })
+	cluster  = drill("cluster", func() drillResult { return experiments.ClusterSoak() })
 	// The full soak: 10k dials through the capped backlog (the unit-test
 	// default keeps a faster flood; the CLI runs the paper-scale storm).
 	overload = drill("overload", func() drillResult {

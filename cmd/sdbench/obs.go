@@ -56,7 +56,7 @@ func sdstatCmd(args []string) {
 		r := experiments.ObsSmoke(20, 512)
 		fmt.Fprintln(os.Stderr, r)
 	case "cluster":
-		r := experiments.ClusterSoak(experiments.ClusterConfig{})
+		r := experiments.ClusterSoak()
 		fmt.Fprintln(os.Stderr, r)
 		members = r.Membership
 	case "overload":

@@ -19,7 +19,7 @@ func twoHosts() (*exec.Sim, *host.Host, *host.Host) {
 	costs := costmodel.Default
 	a := host.New("a", s, &costs, 1)
 	b := host.New("b", s, &costs, 2)
-	host.Connect(a, b, host.LinkConfig(&costs, 3))
+	host.NewNet(a.Clk, host.LinkConfig(&costs, 3)).Join(a, b)
 	return s, a, b
 }
 

@@ -71,7 +71,7 @@ func (s *Socket) submitSend(ctx exec.Context, t *host.Thread, bufs [][]byte, blo
 		b.burstBegin()
 	}
 	me := int64(s.lib.GTIDOf(t))
-	holder, ret := s.tokenVars(DirSend)
+	holder, ret := &s.side.Holder[DirSend], &s.side.ReturnReq[DirSend]
 	done := 0
 	var err error
 	for ; done < len(bufs); done++ {

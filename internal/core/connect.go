@@ -90,9 +90,7 @@ func (l *Libsd) newInterSide(ctx exec.Context, qid uint64, qp *rdma.QP) (*interS
 	side.mrs, side.eps, side.PoolFree = is.mrs[:], is.eps[:0], is.poolFree[:0]
 	if is.qp = qp; qp == nil {
 		is.qp = l.pd.CreateQP(l.sendCQ, l.recvCQ)
-		if ctx != nil {
-			ctx.Charge(l.H.Costs.RDMAQPCreate)
-		}
+		ctx.Charge(l.H.Costs.RDMAQPCreate)
 	}
 	pool, err := l.getZCPool(ctx)
 	if err != nil {
@@ -352,8 +350,8 @@ func (l *Libsd) finishAccept(ctx exec.Context, t *host.Thread, pa *pendingAccept
 // process's sockets and its sdstat row.
 func (l *Libsd) establish(s *Socket, t *host.Thread) {
 	me := int64(MakeGTID(l.P.PID, t.TID))
-	s.side.SendHolder.Store(me)
-	s.side.RecvHolder.Store(me)
+	s.side.Holder[DirSend].Store(me)
+	s.side.Holder[DirRecv].Store(me)
 	s.fd = l.installFD(fdEntry{kind: fdSocket, sock: s})
 	l.trackSock(s)
 	l.initFlow(s)
@@ -658,7 +656,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		pa := l.acceptFree.get()
 		pa.m, pa.sock = *m, sock
 		bl.conns = append(bl.conns, pa)
-		if bl.asleep != nil {
+		if bl.asleep != (exec.Thread{}) {
 			bl.asleep.Unpark()
 		}
 
@@ -672,8 +670,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			l.sendCtl(ctx, &r)
 			return
 		}
-		_, ret := any.tokenVars(int(m.Dir))
-		ret.Store(true)
+		any.side.ReturnReq[min(m.Dir, DirRecv)].Store(true) // anything but DirSend is the receive side
 		l.pendingRevokes = append(l.pendingRevokes, revokeReq{qid: m.QID, dir: m.Dir, side: m.SrcPort})
 		l.hasRevokes.Store(true)
 		if !l.inside() {
@@ -687,8 +684,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		if any == nil {
 			return
 		}
-		holder, _ := any.tokenVars(int(m.Dir))
-		holder.Store(int64(MakeGTID(int(m.PID), int(m.TID))))
+		any.side.Holder[min(m.Dir, DirRecv)].Store(int64(MakeGTID(int(m.PID), int(m.TID))))
 
 	case ctlmsg.KForkSecret:
 		l.forkAcks[m.Secret] = true
@@ -722,9 +718,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			return
 		}
 		qp := l.pd.CreateQP(l.sendCQ, l.recvCQ)
-		if ctx != nil {
-			ctx.Charge(l.H.Costs.RDMAQPCreate)
-		}
+		ctx.Charge(l.H.Costs.RDMAQPCreate)
 		ep := &rdmaEP{
 			lib: l, side: any.side, qp: qp,
 			ringRKey: m.RingRKey, creditRKey: m.CreditRKey,

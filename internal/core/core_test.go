@@ -9,6 +9,7 @@ import (
 
 	"socksdirect/internal/core"
 	"socksdirect/internal/costmodel"
+	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
 	"socksdirect/internal/ksocket"
@@ -34,9 +35,7 @@ func newWorldCfg(t testing.TB, cfg exec.SimConfig) *world {
 	w.a = host.New("hostA", s, &costs, 1)
 	w.b = host.New("hostB", s, &costs, 2)
 	w.c = host.New("hostC", s, &costs, 3)
-	host.Connect(w.a, w.b, host.LinkConfig(&costs, 7))
-	host.Connect(w.a, w.c, host.LinkConfig(&costs, 8))
-	host.Connect(w.b, w.c, host.LinkConfig(&costs, 9))
+	host.NewNet(w.a.Clk, host.LinkConfig(&costs, 7)).Join(w.a, w.b, w.c)
 	w.ka, w.kb, w.kc = ksocket.New(w.a), ksocket.New(w.b), ksocket.New(w.c)
 	w.ma = monitor.Start(w.a, w.ka)
 	w.mb = monitor.Start(w.b, w.kb)
@@ -394,6 +393,44 @@ func TestTokenTakeoverBetweenThreads(t *testing.T) {
 	}
 }
 
+// TestTokenDirectionOffTheWire: a token message's direction comes off the
+// control wire, and anything but DirSend names the receive token. A grant
+// and a return request with direction 7 land on the receive side, and the
+// send token is left alone.
+func TestTokenDirectionOffTheWire(t *testing.T) {
+	w := newWorld(t)
+	sp, sl := proc(t, w.a, "server", 0)
+	cp, clib := proc(t, w.a, "client", 0)
+	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+		lst, _ := sl.ListenOn(ctx, th, 7005)
+		if _, _, err := lst.Accept(ctx); err != nil {
+			t.Errorf("accept: %v", err)
+		}
+	})
+	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		s, _, err := clib.Connect(ctx, th, "hostA", 7005)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		me := int64(core.MakeGTID(cp.PID, th.TID))
+		other := int64(core.MakeGTID(cp.PID, 99))
+		clib.HandleCtl(ctlmsg.Msg{Kind: ctlmsg.KTokenGrant, QID: s.QID(), Dir: 7, PID: int64(cp.PID), TID: 99})
+		if got := s.Holder(core.DirRecv); got != other {
+			t.Errorf("after a direction-7 grant the receive token is held by %d, want %d", got, other)
+		}
+		clib.HandleCtl(ctlmsg.Msg{Kind: ctlmsg.KTokenReturn, QID: s.QID(), Dir: 7})
+		if got := s.Holder(core.DirRecv); got != 0 {
+			t.Errorf("after a direction-7 return request the receive token is held by %d, want none", got)
+		}
+		if got := s.Holder(core.DirSend); got != me {
+			t.Errorf("the send token moved to %d, want %d", got, me)
+		}
+	})
+	w.sim.Run()
+}
+
 func TestForkChildUsesSHMSocket(t *testing.T) {
 	w := newWorld(t)
 	sp, sl := proc(t, w.a, "server", 0)
@@ -548,13 +585,13 @@ func TestZeroCopyIntraHost(t *testing.T) {
 			return
 		}
 		src := clib.P.AS.Alloc(n)
-		clib.P.AS.Write(ctx, src, payload)
+		clib.P.AS.Write(&ctx, src, payload)
 		if _, err := s.SendVA(ctx, th, src, n); err != nil {
 			t.Errorf("sendVA: %v", err)
 			return
 		}
 		// Overwrite the source immediately: COW must protect the receiver.
-		clib.P.AS.Write(ctx, src, bytes.Repeat([]byte{0xEE}, n))
+		clib.P.AS.Write(&ctx, src, bytes.Repeat([]byte{0xEE}, n))
 	})
 	w.sim.Run()
 	if !bytes.Equal(got, payload) {
@@ -600,7 +637,7 @@ func TestZeroCopyInterHost(t *testing.T) {
 			return
 		}
 		src := clib.P.AS.Alloc(n)
-		clib.P.AS.Write(ctx, src, payload)
+		clib.P.AS.Write(&ctx, src, payload)
 		if _, err := s.SendVA(ctx, th, src, n); err != nil {
 			t.Errorf("sendVA: %v", err)
 		}

@@ -65,7 +65,7 @@ func TestEveryDataOpRefusesAKilledProcess(t *testing.T) {
 				return
 			}
 			addr := clib.P.AS.Alloc(zcBytes)
-			clib.P.AS.Write(ctx, addr, make([]byte, zcBytes))
+			clib.P.AS.Write(&ctx, addr, make([]byte, zcBytes))
 			ctx.Sleep(1_000)
 			prepare(ctx, th, cp, s)
 			ctx.Sleep(10_000)
@@ -129,7 +129,7 @@ func TestZeroCopyPairIsCounted(t *testing.T) {
 			return
 		}
 		src := clib.P.AS.Alloc(n)
-		clib.P.AS.Write(ctx, src, make([]byte, n))
+		clib.P.AS.Write(&ctx, src, make([]byte, n))
 		ctx.Sleep(50_000) // the server has accepted and waits in RecvVA
 		qid = s.QID()
 		cliBefore, srvBefore = flowRow("hostA", cp.PID, qid), flowRow("hostA", sp.PID, qid)

@@ -128,7 +128,7 @@ type mesh struct {
 func newMesh(n int) *mesh {
 	s := exec.NewSim(exec.SimConfig{})
 	costs := costmodel.Default
-	net := host.NewNet(s.Clock(), &costs, 1)
+	net := host.NewNet(s.Clock(), host.LinkConfig(&costs, 1))
 	m := &mesh{sim: s}
 	var mons []*monitor.Monitor
 	for i := 0; i < n; i++ {

@@ -28,7 +28,8 @@ type endpoint interface {
 	// progress drives background work that must advance even when the
 	// data path is stuck: completion pumping, failure detection, QP
 	// re-establishment with backoff, TCP-fallback draining. Called from
-	// every send/recv wait loop; ctx may be nil (capability probes).
+	// every send/recv wait loop; ctx may be the zero Context (capability
+	// probes).
 	progress(ctx exec.Context)
 }
 
@@ -268,9 +269,7 @@ func (e *rdmaEP) flush(ctx exec.Context) {
 	mask := ring.Mask()
 	capacity := uint64(len(ring.Data()))
 	start := flushed & mask
-	if ctx != nil {
-		ctx.Charge(e.lib.H.Costs.RDMAPost)
-	}
+	ctx.Charge(e.lib.H.Costs.RDMAPost)
 	// The immediate of the last write carries the absolute tail (low 32
 	// bits): in-order delivery makes the completion the exact moment the
 	// bytes become observable, so the CQE is both publication and wakeup.
@@ -312,7 +311,7 @@ func (e *rdmaEP) tryRecv(ctx exec.Context) (shm.Msg, bool) {
 }
 
 func (e *rdmaEP) canRecv() bool {
-	e.lib.pump(nil)
+	e.lib.pump(exec.Context{})
 	return e.side.RX.CanRecv()
 }
 
@@ -348,7 +347,7 @@ func (e *rdmaEP) onSendCQE(ctx exec.Context, cqe rdma.CQE) {
 			e.inflight.Store(0)
 		}
 		if e.batching {
-			e.flush(ctx) // ctx may be nil in completion context
+			e.flush(ctx) // ctx is the zero Context in completion context
 		}
 	}
 	if e.side.is(closed) {

@@ -71,7 +71,7 @@ func (ep *Epoll) Wait(ctx exec.Context, events []Event) (int, error) {
 	mEpollWaits.Inc()
 	l.epollWaiters.Add(1)
 	defer l.epollWaiters.Add(-1)
-	if l.epollThread != nil && l.epollThread.H != nil {
+	if l.epollThread != nil {
 		l.epollThread.H.Unpark()
 	}
 	w := wait{l: l, idle: (*epollWaiter)(ep), pre: l.H.Costs.RingOp} // Wait polls as part of looking

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
 	"socksdirect/internal/mem"
@@ -8,6 +9,13 @@ import (
 )
 
 // Test-only windows into connection-lifecycle state.
+
+// HandleCtl runs m through the library's control handler outside any
+// thread, as the SIGUSR1 handler does with what the monitor sent.
+func (l *Libsd) HandleCtl(m ctlmsg.Msg) { l.handleCtl(exec.Context{}, &m) }
+
+// Holder returns the GTID holding the socket's token in direction dir.
+func (s *Socket) Holder(dir int) int64 { return s.side.Holder[dir].Load() }
 
 // Rings returns the socket's TX and RX rings (nil once recycled).
 func (s *Socket) Rings() (tx, rx *shm.Ring) { return s.side.TX, s.side.RX }
@@ -86,7 +94,7 @@ func (s *Socket) SendZCHead(ctx exec.Context, t *host.Thread, addr mem.VAddr, wh
 		return err
 	}
 	defer s.end(ctx, DirSend)
-	ids, err := s.lib.P.AS.PagesForSend(ctx, addr, whole)
+	ids, err := s.lib.P.AS.PagesForSend(&ctx, addr, whole)
 	if err != nil {
 		return err
 	}

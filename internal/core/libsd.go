@@ -240,7 +240,7 @@ func initWith(p *host.Process, link *ProcLink) (*Libsd, error) {
 		if l.inside() {
 			return
 		}
-		l.pollCtl(nil)
+		l.pollCtl(exec.Context{})
 	})
 	return l, nil
 }
@@ -265,10 +265,10 @@ func (l *Libsd) leave() {
 		return
 	}
 	if l.link.Pending.Load() {
-		l.pollCtl(nil)
+		l.pollCtl(exec.Context{})
 	}
 	if l.hasRevokes.Load() {
-		l.processRevokes(nil)
+		l.processRevokes(exec.Context{})
 	}
 }
 
@@ -290,16 +290,16 @@ func (l *Libsd) processRevokes(ctx exec.Context) {
 			l.sendCtl(ctx, &r)
 			continue
 		}
-		if any.busyVar(int(rv.dir)).Load() > 0 {
+		dir := min(rv.dir, DirRecv) // a direction off the wire: anything but DirSend is the receive side
+		if any.side.Busy[dir].Load() > 0 {
 			// A thread is mid-operation with this token; it hands back at
 			// its own boundary (the flag stays set). Keep the request so
 			// a later pass retries if the boundary path lost the race.
 			requeue = append(requeue, rv)
 			continue
 		}
-		holder, ret := any.tokenVars(int(rv.dir))
-		if ret.CompareAndSwap(true, false) {
-			holder.Store(0)
+		if any.side.ReturnReq[dir].CompareAndSwap(true, false) {
+			any.side.Holder[dir].Store(0)
 			r := ctlmsg.Msg{Kind: ctlmsg.KTokenReturn, QID: rv.qid, Dir: rv.dir,
 				SrcPort: any.sideIdx, PID: int64(l.P.PID)}
 			l.sendCtl(ctx, &r)
@@ -329,7 +329,7 @@ func (l *Libsd) sendCtl(ctx exec.Context, m *ctlmsg.Msg) {
 	m.Shard = uint8(s)
 	if m.TraceID != 0 {
 		// Queue-hop start for the monitor's span. Clock, not ctx: the
-		// signal-handler path calls through here with a nil context.
+		// signal-handler path calls through here with the zero Context.
 		m.TS = l.H.Clk.Now()
 	}
 	var buf [ctlmsg.Size]byte
@@ -338,7 +338,7 @@ func (l *Libsd) sendCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		if l.P.Dead() {
 			return // corpse control traffic is droppable; don't spin
 		}
-		if ctx != nil {
+		if ctx != (exec.Context{}) {
 			ctx.Yield()
 		}
 	}
@@ -589,13 +589,11 @@ func (l *Libsd) pump(ctx exec.Context) bool {
 		progress = true
 		ep := l.eps[e.QPN]
 		if ep != nil {
-			ep.onSendCQE(nil, e)
+			ep.onSendCQE(exec.Context{}, e)
 		}
 	}
 	l.pumping = false
-	if ctx != nil && charge > 0 {
-		ctx.Charge(charge)
-	}
+	ctx.Charge(charge)
 	return progress
 }
 
@@ -611,14 +609,14 @@ func (l *Libsd) cqsEmpty() bool { return l.recvCQ.Len() == 0 && l.sendCQ.Len() =
 func (l *Libsd) armAutoPump() {
 	var rearmS, rearmR func()
 	rearmS = func() {
-		if !l.pump(nil) && l.sendCQ.Len() > 0 {
+		if !l.pump(exec.Context{}) && l.sendCQ.Len() > 0 {
 			l.H.Clk.After(l.H.Costs.RDMAPost, rearmS)
 			return
 		}
 		l.sendCQ.Arm(rearmS)
 	}
 	rearmR = func() {
-		if !l.pump(nil) && l.recvCQ.Len() > 0 {
+		if !l.pump(exec.Context{}) && l.recvCQ.Len() > 0 {
 			l.H.Clk.After(l.H.Costs.RDMAPost, rearmR)
 			return
 		}

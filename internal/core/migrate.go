@@ -1,6 +1,7 @@
 package core
 
 import (
+	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
 )
 
@@ -47,8 +48,8 @@ func Migrate(l *Libsd, dst *host.Host, name string) (*host.Process, *Libsd, erro
 	for _, e := range nl.fds {
 		// Release tokens held by the (now gone) source threads so the
 		// migrated process claims them afresh.
-		e.sock.side.SendHolder.Store(0)
-		e.sock.side.RecvHolder.Store(0)
+		e.sock.side.Holder[DirSend].Store(0)
+		e.sock.side.Holder[DirRecv].Store(0)
 	}
 
 	// The container stops existing at the source. Tell the source monitor
@@ -58,6 +59,6 @@ func Migrate(l *Libsd, dst *host.Host, name string) (*host.Process, *Libsd, erro
 	if d, ok := l.H.Mon.(interface{ DetachProcess(pid int) }); ok {
 		d.DetachProcess(l.P.PID)
 	}
-	l.P.Signal(nil, host.SIGKILL)
+	l.P.Signal(exec.Context{}, host.SIGKILL)
 	return np, nl, nil
 }

@@ -26,9 +26,7 @@ func TestMigrateAcrossMonitorRestart(t *testing.T) {
 	a := host.New("hostA", s, &costs, 1)
 	b := host.New("hostB", s, &costs, 2)
 	c := host.New("hostC", s, &costs, 3)
-	host.Connect(a, b, host.LinkConfig(&costs, 7))
-	host.Connect(a, c, host.LinkConfig(&costs, 8))
-	host.Connect(b, c, host.LinkConfig(&costs, 9))
+	host.NewNet(a.Clk, host.LinkConfig(&costs, 7)).Join(a, b, c)
 	ka, kb, kc := ksocket.New(a), ksocket.New(b), ksocket.New(c)
 	ma := monitor.Start(a, ka)
 	mb := monitor.Start(b, kb)

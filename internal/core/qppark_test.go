@@ -132,7 +132,7 @@ func TestParkedPairCarriesManyConnections(t *testing.T) {
 			}
 			if i == zcAt {
 				src := cl.P.AS.Alloc(len(want))
-				cl.P.AS.Write(ctx, src, want)
+				cl.P.AS.Write(&ctx, src, want)
 				_, err = s.SendVA(ctx, th, mem.VAddr(src), len(want))
 			} else {
 				_, err = s.Send(ctx, th, want)

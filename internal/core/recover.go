@@ -100,9 +100,8 @@ func (e *rdmaEP) markFailed() {
 	if sleeper := e.side.RecvSleeper.Load(); sleeper != 0 {
 		g := GTID(sleeper)
 		if p := e.lib.H.Process(g.PID()); p != nil {
-			if t := p.ThreadByTID(g.TID()); t != nil && t.H != nil {
-				th := t.H
-				e.lib.H.Clk.After(e.lib.H.Costs.ProcessWakeup, func() { th.Unpark() })
+			if t := p.ThreadByTID(g.TID()); t != nil {
+				e.lib.H.Clk.After(e.lib.H.Costs.ProcessWakeup, t.H.Unpark)
 			}
 		}
 	}
@@ -118,7 +117,7 @@ func (e *rdmaEP) progress(ctx exec.Context) {
 }
 
 func (e *rdmaEP) maybeRecover(ctx exec.Context) {
-	if ctx == nil || e.side.is(degraded|peerReset) {
+	if ctx == (exec.Context{}) || e.side.is(degraded|peerReset) {
 		return
 	}
 	r := &e.rec

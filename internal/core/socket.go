@@ -138,7 +138,7 @@ func (s *Socket) QID() uint64 { return s.side.QID }
 
 func (s *Socket) acquireToken(ctx exec.Context, t *host.Thread, dir int) error {
 	me := int64(s.lib.GTIDOf(t))
-	holder, _ := s.tokenVars(dir)
+	holder := &s.side.Holder[dir]
 	h := holder.Load()
 	if h == me {
 		// Fast path: one atomic load is the whole synchronization.
@@ -193,41 +193,16 @@ func (s *Socket) acquireToken(ctx exec.Context, t *host.Thread, dir int) error {
 // (one whose revocation arrived after its last boundary) — the waiter would
 // poll for it forever.
 func (s *Socket) reacquireToken(ctx exec.Context, t *host.Thread, dir int) error {
-	busy := s.busyVar(dir)
+	busy := &s.side.Busy[dir]
 	busy.Add(-1)
 	defer busy.Add(1)
 	return s.acquireToken(ctx, t, dir)
 }
 
-func (s *Socket) tokenVars(dir int) (holderVar, retVar) {
-	if dir == DirSend {
-		return &s.side.SendHolder, &s.side.SendReturnReq
-	}
-	return &s.side.RecvHolder, &s.side.RecvReturnReq
-}
-
-func (s *Socket) busyVar(dir int) *atomic.Int32 {
-	if dir == DirSend {
-		return &s.side.BusySend
-	}
-	return &s.side.BusyRecv
-}
-
-type holderVar = interface {
-	Load() int64
-	CompareAndSwap(old, new int64) bool
-	Store(v int64)
-}
-type retVar = interface {
-	Load() bool
-	Store(v bool)
-	CompareAndSwap(old, new bool) bool
-}
-
 // maybeHandBack returns a token at an operation boundary if the monitor
 // asked for it back.
 func (s *Socket) maybeHandBack(ctx exec.Context, dir int) {
-	holder, ret := s.tokenVars(dir)
+	holder, ret := &s.side.Holder[dir], &s.side.ReturnReq[dir]
 	if !ret.Load() {
 		return
 	}
@@ -259,7 +234,7 @@ func (s *Socket) begin(ctx exec.Context, t *host.Thread, dir int) error {
 		s.lib.leave()
 		return err
 	}
-	s.busyVar(dir).Add(1)
+	s.side.Busy[dir].Add(1)
 	if dir == DirSend {
 		if s.side.is(txShut) {
 			s.end(ctx, dir)
@@ -287,7 +262,7 @@ func (s *Socket) end(ctx exec.Context, dir int) {
 			s.flow.AddRxN(msgs, bytes)
 		}
 	}
-	s.busyVar(dir).Add(-1)
+	s.side.Busy[dir].Add(-1)
 	s.maybeHandBack(ctx, dir)
 	s.lib.leave()
 }

@@ -70,24 +70,21 @@ type SideState struct {
 	// publishes it into the shared ring.
 	CreditIn []byte
 
-	// Token fast path (§4.1): the GTID currently holding each token.
-	// Reading your own GTID here is the entire synchronization cost of
-	// the common case.
-	SendHolder atomic.Int64
-	RecvHolder atomic.Int64
+	// Token fast path (§4.1), by direction (DirSend, DirRecv): the GTID
+	// currently holding each token. Reading your own GTID here is the
+	// entire synchronization cost of the common case.
+	Holder [2]atomic.Int64
 
 	// ReturnReq is set by the control plane when the monitor wants the
 	// token back; the holder hands it over at the next operation boundary.
-	SendReturnReq atomic.Bool
-	RecvReturnReq atomic.Bool
+	ReturnReq [2]atomic.Bool
 
 	// Busy counters: nonzero while a thread is inside an operation that
-	// uses the corresponding token. A revocation may be executed by ANY
+	// uses the direction's token. A revocation may be executed by ANY
 	// thread of the process when the counter is zero (the holder is idle
 	// in application code); otherwise the holder honors it at its own
 	// operation boundary.
-	BusySend atomic.Int32
-	BusyRecv atomic.Int32
+	Busy [2]atomic.Int32
 
 	// Sleepers: GTID of a thread that entered interrupt mode on this
 	// side's RX (the peer's sender wakes it through the monitor, §4.4).

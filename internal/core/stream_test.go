@@ -104,13 +104,13 @@ func TestSDInterHostOverLossyFabric(t *testing.T) {
 	costs := costmodel.Default
 	a := host.New("hostA", s, &costs, 1)
 	b := host.New("hostB", s, &costs, 2)
-	host.Connect(a, b, fabric.Config{
+	host.NewNet(a.Clk, fabric.Config{
 		PropDelay:  costs.OneWayWireLatency(),
 		GbitPerSec: costs.LinkBandwidthGbps,
 		LossRate:   0.03,
 		JitterNs:   3000,
 		Seed:       77,
-	})
+	}).Join(a, b)
 	ka, kb := ksocket.New(a), ksocket.New(b)
 	ma, mb := monitor.Start(a, ka), monitor.Start(b, kb)
 	monitor.Peer(ma, mb)

@@ -107,7 +107,7 @@ func (e *tcpEP) sendHello(ctx exec.Context) {
 // in-flight write still publishes tails through them.
 func (e *tcpEP) progress(ctx exec.Context) {
 	e.lib.pump(ctx)
-	if ctx == nil {
+	if ctx == (exec.Context{}) {
 		return // capability probe (signal handler); no I/O without a ctx
 	}
 	if e.started.CompareAndSwap(false, true) {
@@ -342,5 +342,5 @@ func (l *Libsd) onDegraded(ctx exec.Context, m *ctlmsg.Msg) {
 	// Retire any still-registered QPs for this socket: from here on the
 	// stream lives on TCP, and a resurrected RDMA path would fork it.
 	closeQPs(olds)
-	ep.progress(ctx) // sends hello when ctx != nil; else deferred
+	ep.progress(ctx) // sends hello, or defers it on the zero ctx
 }

@@ -145,7 +145,7 @@ func (w *wait) block(ctx exec.Context) error {
 			// than starving the waiter (§4.1.1).
 			me = int64(l.GTIDOf(w.t))
 			s.maybeHandBack(ctx, w.dir)
-			if holder, _ := s.tokenVars(w.dir); holder.Load() != me {
+			if s.side.Holder[w.dir].Load() != me {
 				if err := s.reacquireToken(ctx, w.t, w.dir); err != nil {
 					return err
 				}
@@ -358,8 +358,7 @@ func (s *Socket) tokenWait(m *ctlmsg.Msg, dir int) (*ctlWait, wait) {
 
 func (c *ctlWait) send(ctx exec.Context) {
 	if c.token {
-		holder, _ := c.sock.tokenVars(c.dir)
-		c.m.Aux = uint64(holder.Load()) // whom to revoke from
+		c.m.Aux = uint64(c.sock.side.Holder[c.dir].Load()) // whom to revoke from
 	}
 	c.l.sendCtl(ctx, c.m)
 }
@@ -417,7 +416,7 @@ func (c *ctlWait) duties(ctx exec.Context) error {
 func (c *ctlWait) Idle(now int64) bool {
 	l, s := c.l, c.sock
 	if c.token {
-		if holder, _ := s.tokenVars(c.dir); holder.Load() != c.held || !s.mayWait(now, c.dir) || l.hasRevokes.Load() {
+		if s.side.Holder[c.dir].Load() != c.held || !s.mayWait(now, c.dir) || l.hasRevokes.Load() {
 			return false
 		}
 	}
@@ -464,8 +463,7 @@ func (s *Socket) quiet() bool {
 
 // holds reports whether direction dir's token is still me's and unasked for.
 func (s *Socket) holds(dir int, me int64) bool {
-	holder, ret := s.tokenVars(dir)
-	return !ret.Load() && holder.Load() == me
+	return !s.side.ReturnReq[dir].Load() && s.side.Holder[dir].Load() == me
 }
 
 // recvWaiter, sendWaiter and zcWaiter are the Socket as predicate of the
@@ -514,7 +512,7 @@ func (w *recvWaiter) woke(t *host.Thread) {
 func (l *Libsd) wakeParked() {
 	for _, tid := range slices.Sorted(maps.Keys(l.sleepNotes)) {
 		delete(l.sleepNotes, tid)
-		if t := l.P.ThreadByTID(tid); t != nil && t.H != nil {
+		if t := l.P.ThreadByTID(tid); t != nil {
 			l.H.Clk.After(l.H.Costs.ProcessWakeup, t.H.Unpark)
 		}
 	}
@@ -558,7 +556,7 @@ func (w *acceptWaiter) Idle(now int64) bool {
 
 // doze leaves the thread where the KNewConn handler finds it.
 func (w *acceptWaiter) doze(ctx exec.Context, _ *host.Thread) { w.bl.asleep = ctx.Self() }
-func (w *acceptWaiter) woke(*host.Thread)                     { w.bl.asleep = nil }
+func (w *acceptWaiter) woke(*host.Thread)                     { w.bl.asleep = exec.Thread{} }
 
 // epollWaiter is the Epoll as predicate of Wait: the process lives, no
 // control message or completion waits, and no watched descriptor is ready.

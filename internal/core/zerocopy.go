@@ -27,10 +27,10 @@ const zcPoolPages = 128
 
 // newZCPool builds the receiver's pinned pool: bare frames (no virtual
 // mapping — they belong to the NIC until received) registered as one MR.
-// It tolerates a nil ctx (control-path invocations charge nothing).
+// It takes the zero ctx too (control-path invocations charge nothing).
 func newZCPool(ctx exec.Context, p *host.Process, pd *rdma.PD) (*zcPool, error) {
 	ids := p.AS.FreshFrames(nil, zcPoolPages)
-	if err := p.Host.Mem.Pin(ctx, ids); err != nil {
+	if err := p.Host.Mem.Pin(&ctx, ids); err != nil {
 		return nil, err
 	}
 	return &zcPool{
@@ -274,7 +274,7 @@ func (s *Socket) SendVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int)
 
 func (s *Socket) zcSendIntra(ctx exec.Context, addr mem.VAddr, n int) error {
 	z := s.zcs()
-	ids, err := s.lib.P.AS.AppendPagesForSend(z.ids[:0], ctx, addr, n) // COW + transfer refs (Fig. 5a step 1)
+	ids, err := s.lib.P.AS.AppendPagesForSend(z.ids[:0], &ctx, addr, n) // COW + transfer refs (Fig. 5a step 1)
 	if err != nil {
 		return err
 	}
@@ -323,7 +323,7 @@ func (s *Socket) zcSendInterChunk(ctx exec.Context, ep *rdmaEP, addr mem.VAddr, 
 		}
 	}
 
-	ids, err := s.lib.P.AS.AppendPagesForSend(z.ids[:0], ctx, addr, n) // COW on sender (step 1)
+	ids, err := s.lib.P.AS.AppendPagesForSend(z.ids[:0], &ctx, addr, n) // COW on sender (step 1)
 	if err != nil {
 		return err
 	}
@@ -394,7 +394,7 @@ func (s *Socket) RecvVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int)
 		pb := bufpool.Get(n)
 		m, err := s.recvBytes(ctx, t, pb.B, recvOp{remap: !zc})
 		if err == nil && m > 0 {
-			err = s.lib.P.AS.Write(ctx, addr, pb.B[:m])
+			err = s.lib.P.AS.Write(&ctx, addr, pb.B[:m])
 		}
 		pb.Release()
 		if err != nil {
@@ -411,7 +411,7 @@ func (s *Socket) RecvVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int)
 func (s *Socket) remapZC(ctx exec.Context, addr mem.VAddr) (int, error) {
 	z := s.zc.pop()
 	total, whole := z.total, z.total&^(mem.PageSize-1)
-	if err := s.lib.P.AS.MapPages(ctx, addr, z.ids); err != nil {
+	if err := s.lib.P.AS.MapPages(&ctx, addr, z.ids); err != nil {
 		s.zc.spent(z)
 		return 0, err
 	}
@@ -439,7 +439,7 @@ func (s *Socket) remapZC(ctx exec.Context, addr mem.VAddr) (int, error) {
 	if rem := total - whole; rem > 0 {
 		pb := bufpool.Get(rem)
 		if _, err = s.recvExactly(ctx, pb.B); err == nil {
-			err = s.lib.P.AS.Write(ctx, addr+mem.VAddr(whole), pb.B)
+			err = s.lib.P.AS.Write(&ctx, addr+mem.VAddr(whole), pb.B)
 		}
 		pb.Release()
 		if err != nil {

@@ -74,7 +74,7 @@ func TestZCSteadyStateAllocs(t *testing.T) {
 					for i := 0; i < 2*warm+windows*window; i++ {
 						// The last message still shares the page: one COW fault.
 						binary.LittleEndian.PutUint64(seq[:], uint64(i))
-						if err := th.Proc.AS.Write(ctx, src, seq[:]); err != nil {
+						if err := th.Proc.AS.Write(&ctx, src, seq[:]); err != nil {
 							t.Error(err)
 							return
 						}
@@ -133,7 +133,7 @@ func TestZCForgedCount(t *testing.T) {
 					as := th.Proc.AS
 					dst, next := as.Alloc(span), as.Alloc(span)
 					mine := bytes.Repeat([]byte{0x5a}, span)
-					if err := as.Write(ctx, next, mine); err != nil {
+					if err := as.Write(&ctx, next, mine); err != nil {
 						t.Error(err)
 					}
 					n, err := s.RecvVA(ctx, th, dst, span)

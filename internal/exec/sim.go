@@ -34,12 +34,12 @@ type Sim struct {
 	cores    map[CoreID]*simCore
 	autoCore CoreID
 	hosts    uint64 // see HostOrdinal
-	running  *simThread
+	running  *thread
 	killed   bool
 	// threads holds the unfinished threads in spawn order, which is the
 	// order Run tears down those still parked at the end. spawn drops the
 	// finished ones once they outnumber the rest.
-	threads         []*simThread
+	threads         []*thread
 	finished        int
 	resumes, played int64 // see Resumes
 
@@ -100,7 +100,7 @@ const (
 	stDone
 )
 
-type simThread struct {
+type thread struct {
 	sim     *Sim
 	name    string
 	core    *simCore
@@ -109,7 +109,7 @@ type simThread struct {
 	permit  bool
 	fn      func(Context) // the body, until it starts
 	co      *carrier      // what the body runs on, from its first resume to its end
-	joiners []*simThread
+	joiners []*thread
 	spin    spin
 }
 
@@ -134,7 +134,7 @@ type simKilled struct{}
 type event struct {
 	at  int64
 	seq uint64
-	th  *simThread
+	th  *thread
 	fn  func()
 }
 
@@ -268,7 +268,7 @@ func (s *Sim) SpawnOn(core CoreID, name string, fn func(Context)) Thread {
 }
 
 func (s *Sim) spawn(core CoreID, name string, fn func(Context)) Thread {
-	t := &simThread{
+	t := &thread{
 		sim:   s,
 		name:  name,
 		core:  s.core(core),
@@ -288,7 +288,7 @@ func (s *Sim) spawn(core CoreID, name string, fn func(Context)) Thread {
 	}
 	s.threads = append(s.threads, t)
 	s.push(event{at: t.vt, th: t})
-	return t
+	return Thread{t}
 }
 
 // A carrier is a coroutine that runs thread bodies one after another: Run
@@ -300,7 +300,7 @@ type carrier struct {
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-	t     *simThread // the body to run at the next switch from idle
+	t     *thread // the body to run at the next switch from idle
 }
 
 // idleCarriers is the process-wide free list of carriers between bodies. It
@@ -361,7 +361,7 @@ func (c *carrier) loop(yield func(struct{}) bool) {
 // of Run stops here, so the carrier outlives it. Any other panic, and
 // runtime.Goexit (t.FailNow in a thread body), end the carrier: iter.Pull
 // re-raises them from next, on the goroutine that called Run.
-func (c *carrier) run(t *simThread) {
+func (c *carrier) run(t *thread) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(simKilled); !ok {
@@ -372,7 +372,7 @@ func (c *carrier) run(t *simThread) {
 	}()
 	fn := t.fn
 	t.fn = nil
-	fn(simCtx{t})
+	fn(Context{t})
 	t.state = stDone
 	for _, j := range t.joiners {
 		t.sim.wake(j, t.vt)
@@ -381,7 +381,7 @@ func (c *carrier) run(t *simThread) {
 }
 
 // stop hands control back to Run and blocks until resumed.
-func (t *simThread) stop(state int) {
+func (t *thread) stop(state int) {
 	t.state = state
 	t.co.yield(struct{}{})
 	if t.sim.killed {
@@ -392,7 +392,7 @@ func (t *simThread) stop(state int) {
 // resume switches to t and returns when it stops or finishes. A thread
 // gets its carrier here, at its first resume, and gives it back when its
 // body has returned.
-func (s *Sim) resume(t *simThread) {
+func (s *Sim) resume(t *thread) {
 	c := t.co
 	if c == nil {
 		c = getCarrier()
@@ -410,7 +410,7 @@ func (s *Sim) resume(t *simThread) {
 }
 
 // wake moves a parked thread to ready at the given time.
-func (s *Sim) wake(t *simThread, at int64) {
+func (s *Sim) wake(t *thread, at int64) {
 	if t.state != stParked {
 		t.permit = true
 		return
@@ -510,7 +510,7 @@ func (s *Sim) overrun() {
 
 // charge is Charge (which is written out: it is the hottest call in the
 // repository) up to the stop, reporting whether t has to stop.
-func (s *Sim) charge(t *simThread, d int64) bool {
+func (s *Sim) charge(t *thread, d int64) bool {
 	if d <= 0 {
 		return false
 	}
@@ -523,7 +523,7 @@ func (s *Sim) charge(t *simThread, d int64) bool {
 }
 
 // yield is Yield up to the stop.
-func (s *Sim) yield(t *simThread) {
+func (s *Sim) yield(t *thread) {
 	t.vt += DefaultYieldCost
 	s.push(event{at: t.vt, th: t})
 }
@@ -532,7 +532,7 @@ func (s *Sim) yield(t *simThread) {
 // its next one: the charges, preemption tests and pushes the loop of the Spin
 // contract would make, made in Run. It reports false when the spin is over
 // and the thread has to be resumed to return from it.
-func (s *Sim) playSpin(t *simThread) bool {
+func (s *Sim) playSpin(t *thread) bool {
 	sp := &t.spin
 	if sp.at == spinPost {
 		sp.at = spinCheck
@@ -569,95 +569,6 @@ func (s *Sim) teardown() {
 			s.resume(t)
 		}
 	}
-}
-
-// simCtx is the Context handed to each simulated thread.
-type simCtx struct{ t *simThread }
-
-func (c simCtx) Now() int64 { return c.t.vt }
-
-func (c simCtx) Charge(d int64) {
-	if d <= 0 {
-		return
-	}
-	t := c.t
-	t.vt += d
-	s := t.sim
-	// Preempt if some other event is due before our local clock: requeue
-	// ourselves so global time order stays causal.
-	if s.hidden || s.pq.Len() > 0 && s.pq.peekTime() < t.vt {
-		s.push(event{at: t.vt, th: t})
-		t.stop(stReady)
-	}
-}
-
-func (c simCtx) Yield() {
-	c.t.sim.yield(c.t)
-	c.t.stop(stReady)
-}
-
-func (c simCtx) Spin(pre, post int64, max int, idle Idler) int {
-	t := c.t
-	t.spin = spin{idle: idle, pre: pre, post: post, max: max}
-	t.sim.yield(t)
-	t.stop(stReady) // back when Run has played the spin to its end
-	t.spin.idle = nil
-	return t.spin.n
-}
-
-func (c simCtx) Sleep(d int64) {
-	if d < 0 {
-		d = 0
-	}
-	t := c.t
-	t.sim.push(event{at: t.vt + d, th: t})
-	t.stop(stReady)
-}
-
-func (c simCtx) Park() {
-	t := c.t
-	if t.permit {
-		t.permit = false
-		return
-	}
-	t.stop(stParked)
-}
-
-func (c simCtx) Self() Thread { return c.t }
-
-func (c simCtx) Spawn(name string, fn func(Context)) Thread {
-	s := c.t.sim
-	s.autoCore++
-	return s.spawn(s.autoCore, name, fn)
-}
-
-func (c simCtx) SpawnOn(core CoreID, name string, fn func(Context)) Thread {
-	return c.t.sim.spawn(core, name, fn)
-}
-
-func (c simCtx) Join(t Thread) {
-	st := t.(*simThread)
-	if st.state == stDone {
-		return
-	}
-	st.joiners = append(st.joiners, c.t)
-	c.t.stop(stParked)
-}
-
-func (c simCtx) After(d int64, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	c.t.sim.push(event{at: c.t.vt + d, fn: fn})
-}
-
-func (t *simThread) Name() string { return t.name }
-
-// Unpark may be called from any simulated thread or timer callback within
-// the same Sim. It must not be called from outside the simulation.
-func (t *simThread) Unpark() {
-	s := t.sim
-	s.wake(t, s.curTime())
 }
 
 // AfterAt schedules a timer callback from non-thread context (e.g. a

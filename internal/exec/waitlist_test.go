@@ -168,7 +168,7 @@ func TestWaitListStaleStandIn(t *testing.T) {
 		ctx.SpawnOn(0, "c", w.charges(1, 50))
 	})
 	// By 50 a is the stand-in at 100 and b, c wait behind it.
-	w.s.AfterAt(50, func() { a.(*simThread).state = stParked })
+	w.s.AfterAt(50, func() { a.t.state = stParked })
 	want := "b charge 200\nc charge 200\nend 200"
 	if got := w.run(); got != want {
 		t.Errorf("got:\n%s\nwant:\n%s", got, want)

@@ -44,14 +44,6 @@ import (
 // window. After the run the drill asserts membership convergence on every
 // survivor, zero bufpool drift, and CrashConverged monitors.
 
-// ClusterConfig sizes the drill.
-type ClusterConfig struct {
-	Servers, Clients int // hosts per role (>= 4 servers, >= 2 clients for the full schedule)
-	Flows            int // streaming pairs, round-robined client -> server
-	Chunk            int // bytes per paced send
-	Chunks           int // sends per flow
-}
-
 // ClusterMember is one survivor's view of one peer, for the membership
 // report (sdstat).
 type ClusterMember struct {
@@ -135,30 +127,24 @@ const (
 	clusterDialBound = 25_000_000 // ErrMonitorDown deadline (10 ms) + slack
 )
 
-// ClusterSoak runs the drill. Zero-valued config fields get the defaults
-// the acceptance bar was written against (4 servers, 4 clients, 16 flows).
-func ClusterSoak(cfg ClusterConfig) ClusterResult {
-	if cfg.Servers == 0 {
-		cfg.Servers = 4
-	}
-	if cfg.Clients == 0 {
-		cfg.Clients = 4
-	}
-	if cfg.Flows == 0 {
-		cfg.Flows = 16
-	}
-	if cfg.Chunk == 0 {
-		cfg.Chunk = 512
-	}
-	if cfg.Chunks == 0 {
-		cfg.Chunks = 1900 // * clusterPace = 3.8 s of traffic
-	}
-	res := ClusterResult{Hosts: cfg.Servers + cfg.Clients, Flows: cfg.Flows}
+// The drill's size: server and client hosts, streaming pairs round-robined
+// client -> server, and each flow's paced sends.
+const (
+	clusterServers = 4
+	clusterClients = 4
+	clusterFlows   = 16
+	clusterChunk   = 512  // bytes per paced send
+	clusterChunks  = 1900 // sends per flow: * clusterPace = 3.8 s of traffic
+)
+
+// ClusterSoak runs the drill.
+func ClusterSoak() ClusterResult {
+	res := ClusterResult{Hosts: clusterServers + clusterClients, Flows: clusterFlows}
 	tl := startTally()
 
 	cl := sd.NewCluster(sd.Defaults())
-	srvs := make([]*sd.Host, cfg.Servers)
-	clis := make([]*sd.Host, cfg.Clients)
+	srvs := make([]*sd.Host, clusterServers)
+	clis := make([]*sd.Host, clusterClients)
 	for i := range srvs {
 		srvs[i] = cl.AddHost(fmt.Sprintf("srv%d", i))
 	}
@@ -173,7 +159,7 @@ func ClusterSoak(cfg ClusterConfig) ClusterResult {
 	}
 	sim := cl.Sim()
 	net := cl.Net()
-	deadHost := srvs[cfg.Servers-1] // srv3 by default: dies permanently
+	deadHost := srvs[clusterServers-1] // srv3: dies permanently
 
 	// Churners keep monitors active and double as bounded-wait probes.
 	// Only clis[0] stays active across the whole 3 s confirm horizon: it
@@ -202,7 +188,7 @@ func ClusterSoak(cfg ClusterConfig) ClusterResult {
 	// reaches every server host. Flow roles in the schedule:
 	//   - every flow whose server is deadHost: stranded by the permanent
 	//     host death (exactly-one-ECONNRESET via the confirm sweep);
-	//     these flows pace past the confirm horizon (cfg.Chunks);
+	//     these flows pace past the confirm horizon (clusterChunks);
 	//   - flow 0 (cli0 -> srv0): its server process is SIGKILLed;
 	//   - flow 1 (cli0 -> srv1): its client process is SIGKILLed;
 	//   - flow 2 (cli0 -> srv2): its client container live-migrates
@@ -210,15 +196,15 @@ func ClusterSoak(cfg ClusterConfig) ClusterResult {
 	// Everything else must complete byte-exact through the restart, the
 	// transient duplex partition and the asymmetric cut; completion flows
 	// carry a shorter payload (they only need to span the last heal).
-	flows := make([]*flowOutcome, cfg.Flows)
+	flows := make([]*flowOutcome, clusterFlows)
 	reaper := clis[0].NewProcess("reaper", 0)
 	var stranded []*sd.Process // deadHost's servers: SIGKILLed when it dies
 	for f := range flows {
-		srv := srvs[f%cfg.Servers]
+		srv := srvs[f%clusterServers]
 		port := 8000 + uint16(f)
-		pr := newPair(srv, clis[(f/cfg.Servers)%cfg.Clients], "cs-", port)
-		sf := streamFlow{seed: seedFor(port, 13), chunk: cfg.Chunk, chunks: cfg.Chunks, pace: clusterPace}
-		if srv != deadHost && cfg.Chunks > 1400 {
+		pr := newPair(srv, clis[(f/clusterServers)%clusterClients], "cs-", port)
+		sf := streamFlow{seed: seedFor(port, 13), chunk: clusterChunk, chunks: clusterChunks, pace: clusterPace}
+		if srv != deadHost {
 			sf.chunks = 1400 // 2.8 s of pacing: spans every transient fault
 		}
 		killedAt := int64(0)
@@ -228,7 +214,7 @@ func ClusterSoak(cfg ClusterConfig) ClusterResult {
 		case 1:
 			sf.victim, killedAt = pr.cli, clusterKillCli
 		case 2:
-			sf.handoff = clusterMigrate(clis[cfg.Clients-1], sf)
+			sf.handoff = clusterMigrate(clis[clusterClients-1], sf)
 		}
 		if srv == deadHost && sf.victim == nil {
 			stranded = append(stranded, pr.srv)
@@ -243,10 +229,10 @@ func ClusterSoak(cfg ClusterConfig) ClusterResult {
 	// Fault schedule. Directed edges come straight off the routed fabric;
 	// registration order (forward first) pins fault.Dir semantics.
 	inj := fault.New(sim.Clock())
-	partCli, partSrv := clis[1%cfg.Clients].H.Name, srvs[1%cfg.Servers].H.Name
+	partCli, partSrv := clis[1].H.Name, srvs[1].H.Name
 	inj.AddLink("part-rdma", net.Rdma.Edge(partCli, partSrv), net.Rdma.Edge(partSrv, partCli))
 	// The asymmetric cut hits cli1 -> srv2: flow 6 streams across it.
-	asymCli, asymSrv := clis[1%cfg.Clients].H.Name, srvs[2%cfg.Servers].H.Name
+	asymCli, asymSrv := clis[1].H.Name, srvs[2].H.Name
 	inj.AddLink("asym-rdma", net.Rdma.Edge(asymCli, asymSrv), net.Rdma.Edge(asymSrv, asymCli))
 	sched := []fault.Event{
 		{At: clusterPartAt, Kind: fault.Partition, Link: "part-rdma", Dur: clusterPartDur},
@@ -274,13 +260,13 @@ func ClusterSoak(cfg ClusterConfig) ClusterResult {
 	// Controller: monitor restart on srv1, then the permanent death of
 	// deadHost (stop the monitor and kill its processes once the fabric
 	// cut is in place, so the death is only observable as silence).
-	restartSrv := srvs[1%cfg.Servers]
+	restartSrv := srvs[1]
 	var restarted *monitor.Monitor
 	timeline(sim, "cluster-ctl",
 		action{clusterDeadAt + 1_000_000, func() {
 			deadHost.Mon.Stop()
 			for _, p := range stranded {
-				p.P.Signal(nil, host.SIGKILL)
+				p.P.Signal(exec.Context{}, host.SIGKILL)
 			}
 		}},
 		action{clusterMonStop, func() { restartSrv.Mon.Stop() }},

@@ -15,7 +15,7 @@ import (
 // bounded control-plane waits, and zero bufpool drift. The simulation is
 // deterministic: a failure here is a regression, not a flake.
 func TestClusterSoak(t *testing.T) {
-	r := ClusterSoak(ClusterConfig{})
+	r := ClusterSoak()
 	t.Logf("%s", r)
 
 	if r.Hosts < 6 {

@@ -1,9 +1,10 @@
-// Package fabric simulates the physical network between hosts: full-duplex
-// point-to-point links with propagation delay, wire-rate serialization and
-// optional loss/jitter injection, plus an intra-host NIC loopback ("hairpin")
-// path. The RDMA layer (internal/rdma) runs on top of it; the kernel TCP
-// stack and the user-space TCP baselines share the same links so every
-// system under comparison sees the same wire.
+// Package fabric simulates the physical network between hosts: a routed
+// switch (Net) whose edges are full-duplex links with propagation delay,
+// wire-rate serialization and optional loss/jitter injection, plus an
+// intra-host loopback ("hairpin") path. The RDMA layer (internal/rdma) runs
+// on top of it; the kernel TCP stack and the user-space TCP baselines share
+// the same wire characteristics so every system under comparison sees the
+// same wire.
 //
 // Delivery timing uses exec.Clock.After, so latencies are exact virtual
 // nanoseconds.

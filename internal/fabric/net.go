@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
 
@@ -9,12 +8,13 @@ import (
 )
 
 // Net is an N-host routed topology: a switch connecting one Port per host,
-// built as a full mesh of the package's point-to-point duplex links so
-// every edge keeps the Endpoint timing model (serialization, propagation,
-// loss, jitter) and the per-direction runtime fault knobs. Frames route by
-// destination host name; each directed edge is an independent Endpoint, so
-// fault schedules can cut or degrade any edge — including only one
-// direction of it — without touching the rest of the fabric.
+// built as a full mesh of duplex links (NewLink) so every edge keeps the
+// Endpoint timing model (serialization, propagation, loss, jitter) and the
+// per-direction runtime fault knobs. A sender resolves the directed edge
+// toward its destination host once (Port.EdgeTo) and sends on it; each
+// directed edge is an independent Endpoint, so fault schedules can cut or
+// degrade any edge — including only one direction of it — without
+// touching the rest of the fabric.
 //
 // The mesh is the topology the paper assumes of a datacenter RDMA fabric:
 // any host reaches any other in one switch hop with uniform wire
@@ -35,7 +35,8 @@ type Net struct {
 type edgeKey struct{ src, dst string }
 
 // Port is one host's attachment to a Net. A Port owns no timing state of
-// its own — it is a router over the host's directed edges.
+// its own: it hands out the host's directed edges and receives what
+// arrives on them.
 type Port struct {
 	net     *Net
 	host    string
@@ -113,16 +114,6 @@ func (n *Net) AddHost(host string) *Port {
 	return p
 }
 
-// Hosts lists attached hosts in sorted order.
-func (n *Net) Hosts() []string {
-	return append([]string(nil), n.hosts...)
-}
-
-// Port returns the named host's attachment, or nil.
-func (n *Net) Port(host string) *Port {
-	return n.ports[host]
-}
-
 // Edge returns the directed edge src->dst (src's transmitter toward dst),
 // or nil. Fault schedules use it to reach one direction's runtime knobs;
 // cutting Edge(a,b) blackholes a's frames toward b while b's frames toward
@@ -130,9 +121,6 @@ func (n *Net) Port(host string) *Port {
 func (n *Net) Edge(src, dst string) *Endpoint {
 	return n.edges[edgeKey{src, dst}]
 }
-
-// Host returns the name of the host this port attaches.
-func (p *Port) Host() string { return p.host }
 
 // SetHandler installs the receive pipeline: h runs at delivery time in
 // timer context (like Endpoint handlers) with the sending host's name.
@@ -147,33 +135,6 @@ func (p *Port) deliver(src string, frame any, wireBytes int) {
 	}
 }
 
-// SendTo transmits a frame toward the named host over the directed edge.
-// An unknown destination is an error (and releases the frame's fabric
-// reference, like a drop): routing mistakes must surface, not hang.
-func (p *Port) SendTo(dst string, frame any, payloadBytes int) error {
-	ep := p.net.Edge(p.host, dst)
-	if ep == nil {
-		releaseFrame(frame)
-		return fmt.Errorf("fabric: %s/%s has no edge toward host %q", p.net.name, p.host, dst)
-	}
-	ep.Send(frame, payloadBytes)
-	return nil
-}
-
-// EdgeTo returns this host's transmitter toward dst, or nil (fault knobs).
+// EdgeTo returns this host's transmitter toward dst, or nil when dst has
+// not joined. A sender resolves it once and sends on the Endpoint.
 func (p *Port) EdgeTo(dst string) *Endpoint { return p.net.Edge(p.host, dst) }
-
-// Reaches reports whether the switch has an edge toward dst.
-func (p *Port) Reaches(dst string) bool { return p.net.Edge(p.host, dst) != nil }
-
-// Peers lists the other hosts this port has edges toward, sorted.
-func (p *Port) Peers() []string {
-	all := p.net.Hosts()
-	out := all[:0]
-	for _, h := range all {
-		if h != p.host {
-			out = append(out, h)
-		}
-	}
-	return out
-}

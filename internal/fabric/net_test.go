@@ -30,20 +30,13 @@ func TestNetRoutesByDestination(t *testing.T) {
 	pc := n.AddHost("c")
 	gotB := collect(clk, pb)
 	gotC := collect(clk, pc)
-	_ = pa
 
 	s.Spawn("tx", func(ctx exec.Context) {
-		if err := pa.SendTo("b", 1, 64); err != nil {
-			t.Errorf("SendTo(b): %v", err)
-		}
-		if err := pa.SendTo("c", 2, 64); err != nil {
-			t.Errorf("SendTo(c): %v", err)
-		}
-		if err := pc.SendTo("b", 3, 64); err != nil {
-			t.Errorf("SendTo(b) from c: %v", err)
-		}
-		if err := pa.SendTo("nowhere", 4, 64); err == nil {
-			t.Error("SendTo(nowhere) did not error")
+		pa.EdgeTo("b").Send(1, 64)
+		pa.EdgeTo("c").Send(2, 64)
+		pc.EdgeTo("b").Send(3, 64)
+		if pa.EdgeTo("nowhere") != nil {
+			t.Error("EdgeTo(nowhere) found an edge")
 		}
 		ctx.Sleep(5000)
 	})
@@ -89,9 +82,9 @@ func TestNetEdgeKnobsAreDirectional(t *testing.T) {
 	n.Edge("a", "b").SetPartitioned(true)
 
 	s.Spawn("tx", func(ctx exec.Context) {
-		pa.SendTo("b", 1, 64) // dropped: a->b is cut
-		pb.SendTo("a", 2, 64) // delivered: reverse direction intact
-		pa.SendTo("c", 3, 64) // delivered: other edges untouched
+		pa.EdgeTo("b").Send(1, 64) // dropped: a->b is cut
+		pb.EdgeTo("a").Send(2, 64) // delivered: reverse direction intact
+		pa.EdgeTo("c").Send(3, 64) // delivered: other edges untouched
 		ctx.Sleep(1000)
 	})
 	s.Run()
@@ -120,11 +113,11 @@ func TestNetSeedsIndependentOfJoinOrder(t *testing.T) {
 		for _, h := range order {
 			n.AddHost(h)
 		}
-		pa := n.Port("a")
-		n.Port("b").SetHandler(func(string, any, int) {})
+		pa := n.AddHost("a")
+		n.AddHost("b").SetHandler(func(string, any, int) {})
 		s.Spawn("tx", func(ctx exec.Context) {
 			for i := 0; i < 200; i++ {
-				pa.SendTo("b", i, 64)
+				pa.EdgeTo("b").Send(i, 64)
 			}
 			ctx.Sleep(1000)
 		})
@@ -149,13 +142,10 @@ func TestNetAddHostIdempotentAndPeers(t *testing.T) {
 	if again := n.AddHost("a"); again != pa {
 		t.Fatal("re-adding a host returned a fresh port")
 	}
-	if hosts := n.Hosts(); len(hosts) != 2 || hosts[0] != "a" || hosts[1] != "b" {
-		t.Fatalf("Hosts() = %v, want [a b]", hosts)
+	if pa.EdgeTo("b") == nil || pa.EdgeTo("b") != n.Edge("a", "b") || pa.EdgeTo("zzz") != nil {
+		t.Fatal("EdgeTo is wrong")
 	}
-	if peers := pa.Peers(); len(peers) != 1 || peers[0] != "b" {
-		t.Fatalf("a.Peers() = %v, want [b]", peers)
-	}
-	if !pa.Reaches("b") || pa.Reaches("zzz") {
-		t.Fatal("Reaches is wrong")
+	if pa.EdgeTo("a") != nil {
+		t.Fatal("a host has an edge toward itself")
 	}
 }

@@ -133,12 +133,6 @@ func New(name string, rt *exec.Sim, costs *costmodel.Costs, seed uint64) *Host {
 		procs:   make(map[int]*Process),
 	}
 	h.Kern = newKernel(h)
-	// RDMA loopback port so intra-host QPs (the RSocket/LibVMA hairpin
-	// path) work: CPU -> NIC -> CPU costs one hairpin RTT.
-	lo := fabric.NewLoopback(clk, name+"/rdma-lo", fabric.Config{
-		PropDelay: costs.NICHairpin / 2,
-	})
-	h.NIC.AddPort(name, lo)
 	return h
 }
 
@@ -152,17 +146,6 @@ func LinkConfig(costs *costmodel.Costs, seed int64) fabric.Config {
 		Seed:                  seed,
 		PerFrameOverheadBytes: 64,
 	}
-}
-
-// Connect wires two hosts together: one link for the RDMA NICs and one for
-// the kernel network stacks, with identical wire characteristics.
-func Connect(a, b *Host, cfg fabric.Config) {
-	ra, rb := fabric.NewLink(a.Clk, a.Name+"->"+b.Name+"/rdma", b.Name+"->"+a.Name+"/rdma", cfg)
-	a.NIC.AddPort(b.Name, ra)
-	b.NIC.AddPort(a.Name, rb)
-	na, nb := fabric.NewLink(a.Clk, a.Name+"->"+b.Name+"/net", b.Name+"->"+a.Name+"/net", cfg)
-	a.Kern.addNetPort(b.Name, na)
-	b.Kern.addNetPort(a.Name, nb)
 }
 
 // NewProcess creates a process with the given user id (for access control
@@ -299,9 +282,7 @@ func (p *Process) RegisterHandler(s Signal, fn func(Signal)) {
 // the kernel's delivery cost.
 func (p *Process) Signal(ctx exec.Context, s Signal) {
 	mSignals.Inc()
-	if ctx != nil {
-		ctx.Charge(p.Host.Costs.SignalDeliver)
-	}
+	ctx.Charge(p.Host.Costs.SignalDeliver)
 	if s == SIGKILL {
 		p.terminate(ctx)
 		return

@@ -296,7 +296,7 @@ func TestKernelNetLoopbackAndRoute(t *testing.T) {
 	s := exec.NewSim(exec.SimConfig{})
 	a := New("a", s, nil, 1)
 	b := New("b", s, nil, 2)
-	Connect(a, b, LinkConfig(&costmodel.Default, 3))
+	NewNet(a.Clk, LinkConfig(&costmodel.Default, 3)).Join(a, b)
 	var fromLoop, fromB, wrongProto any
 	a.Kern.RegisterProto("tcp", func(src string, f any) {
 		if src == "a" {

@@ -8,22 +8,21 @@ import (
 )
 
 // Kernel is the host's simulated OS kernel: it charges syscall crossings,
-// owns the network device ports used by the kernel TCP stack, and provides
-// the classic kernel IPC objects (pipes, Unix-domain sockets). Its costs
-// are the Linux baseline's handicap — exactly the overheads Table 1 lists.
+// owns the network device used by the kernel TCP stack (its loopback and
+// its port on the kernel plane), and provides the classic kernel IPC
+// objects (pipes, Unix-domain sockets). Its costs are the Linux baseline's
+// handicap — exactly the overheads Table 1 lists.
 type Kernel struct {
-	h        *Host
-	netPorts map[string]*fabric.Endpoint
-	fab      *fabric.Port // routed fabric attachment (N-host topologies)
-	protos   map[string]func(src string, frame any)
-	loop     *fabric.Endpoint
+	h      *Host
+	fab    *fabric.Port // the kernel plane of the routed network
+	protos map[string]func(src string, frame any)
+	loop   *fabric.Endpoint
 }
 
 func newKernel(h *Host) *Kernel {
 	k := &Kernel{
-		h:        h,
-		netPorts: make(map[string]*fabric.Endpoint),
-		protos:   make(map[string]func(string, any)),
+		h:      h,
+		protos: make(map[string]func(string, any)),
 	}
 	k.loop = fabric.NewLoopback(h.Clk, h.Name+"/lo", fabric.Config{})
 	k.loop.SetHandler(func(f any, _ int) { k.deliver(h.Name, f) })
@@ -44,15 +43,9 @@ func (k *Kernel) Syscall(ctx exec.Context) {
 	ctx.Charge(k.h.Costs.Syscall)
 }
 
-func (k *Kernel) addNetPort(remote string, ep *fabric.Endpoint) {
-	k.netPorts[remote] = ep
-	ep.SetHandler(func(f any, _ int) { k.deliver(remote, f) })
-}
-
-// AttachFabric wires the kernel network stack into a routed fabric.Net:
-// NetSend routes through the fabric's directed edges for hosts without a
-// dedicated point-to-point port, and inbound fabric frames dispatch by
-// their source host exactly like point-to-point arrivals.
+// AttachFabric joins the kernel network stack to the routed network's
+// kernel plane: NetSend routes through the port's directed edges, and
+// inbound frames dispatch by their source host.
 func (k *Kernel) AttachFabric(p *fabric.Port) {
 	k.fab = p
 	p.SetHandler(func(src string, f any, _ int) { k.deliver(src, f) })
@@ -84,12 +77,11 @@ func (k *Kernel) NetSend(proto, remote string, frame any, size int) error {
 		k.loop.Send(f, size)
 		return nil
 	}
-	ep, ok := k.netPorts[remote]
-	fab := k.fab
-	if !ok {
-		if fab != nil && fab.Reaches(remote) {
-			return fab.SendTo(remote, f, size)
-		}
+	var ep *fabric.Endpoint
+	if k.fab != nil {
+		ep = k.fab.EdgeTo(remote)
+	}
+	if ep == nil {
 		return fmt.Errorf("host %s: no route to %q", k.h.Name, remote)
 	}
 	ep.Send(f, size)

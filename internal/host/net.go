@@ -1,7 +1,6 @@
 package host
 
 import (
-	"socksdirect/internal/costmodel"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/fabric"
 )
@@ -18,20 +17,22 @@ type Net struct {
 	Knet *fabric.Net // kernel plane (TCP/probe edges)
 }
 
-// NewNet builds both planes from the cost model's wire parameters.
-func NewNet(clk exec.Clock, costs *costmodel.Costs, seed int64) *Net {
-	cfg := LinkConfig(costs, seed)
+// NewNet builds both planes with the wire characteristics cfg (LinkConfig
+// gives the cost model's).
+func NewNet(clk exec.Clock, cfg fabric.Config) *Net {
 	return &Net{
 		Rdma: fabric.NewNet(clk, "rdma", cfg),
 		Knet: fabric.NewNet(clk, "net", cfg),
 	}
 }
 
-// Join attaches a host to both planes: its NIC routes RDMA frames over
-// the rdma plane and its kernel stack routes TCP frames over the net
-// plane. Call once per host; edges toward every earlier-joined host are
+// Join attaches hosts to both planes: each NIC routes RDMA frames over the
+// rdma plane and each kernel stack routes TCP frames over the net plane.
+// Join a host once; edges toward every host that joined before it are
 // wired by the underlying fabric.Net.
-func (n *Net) Join(h *Host) {
-	h.NIC.AttachFabric(n.Rdma.AddHost(h.Name))
-	h.Kern.AttachFabric(n.Knet.AddHost(h.Name))
+func (n *Net) Join(hs ...*Host) {
+	for _, h := range hs {
+		h.NIC.AttachFabric(n.Rdma.AddHost(h.Name))
+		h.Kern.AttachFabric(n.Knet.AddHost(h.Name))
+	}
 }

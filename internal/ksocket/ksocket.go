@@ -113,11 +113,11 @@ func (k *Socket) Recv(ctx exec.Context, buf []byte) (int, error) {
 	return k.c.Read(ctx, buf)
 }
 
-// Close sends FIN. A nil ctx is the kernel reaping a dead process's FD
+// Close sends FIN. The zero ctx is the kernel reaping a dead process's FD
 // table — no thread exists to charge, and the corpse cannot contend for
 // its own per-FD lock.
 func (k *Socket) Close(ctx exec.Context) error {
-	if ctx != nil {
+	if ctx != (exec.Context{}) {
 		k.fdLock(ctx)
 	}
 	return k.c.Close(ctx)

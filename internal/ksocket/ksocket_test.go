@@ -13,7 +13,7 @@ func twoHosts() (*exec.Sim, *Stack, *Stack) {
 	costs := costmodel.Default
 	a := host.New("a", s, &costs, 1)
 	b := host.New("b", s, &costs, 2)
-	host.Connect(a, b, host.LinkConfig(&costs, 3))
+	host.NewNet(a.Clk, host.LinkConfig(&costs, 3)).Join(a, b)
 	return s, New(a), New(b)
 }
 

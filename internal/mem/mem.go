@@ -103,8 +103,12 @@ func NewPhysMem(secret uint64, costs *costmodel.Costs) *PhysMem {
 	return &PhysMem{secret: secret | 1, costs: costs}
 }
 
-func (pm *PhysMem) charge(ctx exec.Context, d int64) {
-	if ctx != nil && d > 0 {
+// charge bills d to the thread whose Context ctx points at. Every charging
+// method takes the Context by pointer so that a caller that charges the
+// cost elsewhere or not at all (the zero-copy pool's refill, a
+// microbenchmark of the page operations) passes nil and charges no one.
+func (pm *PhysMem) charge(ctx *exec.Context, d int64) {
+	if ctx != nil {
 		ctx.Charge(d)
 	}
 }
@@ -240,7 +244,7 @@ func (pm *PhysMem) FrameCount() int {
 // Like every charging path in this package, the virtual-time charge is
 // applied once the frames are updated: charging may suspend the simulated
 // thread, and nothing it hands over may be half changed while it is away.
-func (pm *PhysMem) Pin(ctx exec.Context, ids []PageID) error {
+func (pm *PhysMem) Pin(ctx *exec.Context, ids []PageID) error {
 	var charge int64
 	for _, id := range ids {
 		f := pm.frame(id)
@@ -445,7 +449,7 @@ func (as *AddressSpace) Read(addr VAddr, out []byte) error {
 // Write copies data to addr, resolving copy-on-write like a fault handler
 // would. Whole-page overwrites skip the copy (§4.3 "Minimize
 // copy-on-write": "it is unnecessary to copy original data of the page").
-func (as *AddressSpace) Write(ctx exec.Context, addr VAddr, data []byte) error {
+func (as *AddressSpace) Write(ctx *exec.Context, addr VAddr, data []byte) error {
 	var charge int64
 	n := len(data)
 	off := 0
@@ -485,7 +489,7 @@ func (as *AddressSpace) Write(ctx exec.Context, addr VAddr, data []byte) error {
 }
 
 // PagesForSend is AppendPagesForSend into a new slice.
-func (as *AddressSpace) PagesForSend(ctx exec.Context, addr VAddr, n int) ([]PageID, error) {
+func (as *AddressSpace) PagesForSend(ctx *exec.Context, addr VAddr, n int) ([]PageID, error) {
 	return as.AppendPagesForSend(nil, ctx, addr, n)
 }
 
@@ -494,7 +498,7 @@ func (as *AddressSpace) PagesForSend(ctx exec.Context, addr VAddr, n int) ([]Pag
 // for the in-flight transfer (step 1 of Fig. 5). addr must be page aligned
 // and n a multiple of the page size. On error nothing is marked and dst
 // comes back as it was.
-func (as *AddressSpace) AppendPagesForSend(dst []PageID, ctx exec.Context, addr VAddr, n int) ([]PageID, error) {
+func (as *AddressSpace) AppendPagesForSend(dst []PageID, ctx *exec.Context, addr VAddr, n int) ([]PageID, error) {
 	if uint64(addr)%PageSize != 0 || n%PageSize != 0 {
 		return dst, ErrNotAligned
 	}
@@ -521,7 +525,7 @@ func (as *AddressSpace) AppendPagesForSend(dst []PageID, ctx exec.Context, addr 
 // replacing (and unreferencing) whatever was mapped there; the addresses
 // must be reserved. The frames' in-flight references are transferred to the
 // mapping; they stay COW while shared. Charges one page-map cost per page.
-func (as *AddressSpace) MapPages(ctx exec.Context, addr VAddr, ids []PageID) error {
+func (as *AddressSpace) MapPages(ctx *exec.Context, addr VAddr, ids []PageID) error {
 	if uint64(addr)%PageSize != 0 {
 		return ErrNotAligned
 	}
@@ -549,7 +553,7 @@ func (as *AddressSpace) MapPages(ctx exec.Context, addr VAddr, ids []PageID) err
 // that reached refcount zero *and* belong to another process's pool — the
 // caller must send those home (§4.3 "libsd returns the pages to the owner
 // through a message").
-func (as *AddressSpace) Unmap(ctx exec.Context, addr VAddr, npages int) ([]PageID, error) {
+func (as *AddressSpace) Unmap(ctx *exec.Context, addr VAddr, npages int) ([]PageID, error) {
 	if uint64(addr)%PageSize != 0 {
 		return nil, ErrNotAligned
 	}

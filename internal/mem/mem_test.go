@@ -442,25 +442,34 @@ func TestPinnedPoolIsBackedOnFirstTouch(t *testing.T) {
 	costs := costmodel.Default
 	var pm *PhysMem
 	var ids []PageID
-	var ctx *chargeCounter
+	var charged int64
+	var err error
 	// The counters are process-wide, so an allocation of the runtime's own
 	// (a timer, a new M) can land in the window: take the least over a few
 	// fresh builds, as experiments' memWindow does. One of ours lands in all.
 	objs, nbytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
-	for range 5 {
-		pm = NewPhysMem(0xdeadbeef, &costs)
-		as := NewAddressSpace(pm)
-		ctx = &chargeCounter{}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		ids = as.FreshFrames(nil, 128)
-		err := pm.Pin(ctx, ids)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+	sim := exec.NewSim(exec.SimConfig{})
+	sim.Spawn("build", func(ctx exec.Context) {
+		for range 5 {
+			pm = NewPhysMem(0xdeadbeef, &costs)
+			as := NewAddressSpace(pm)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := ctx.Now()
+			ids = as.FreshFrames(nil, 128)
+			err = pm.Pin(&ctx, ids)
+			charged = ctx.Now() - start
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				return
+			}
+			objs = min(objs, after.Mallocs-before.Mallocs)
+			nbytes = min(nbytes, after.TotalAlloc-before.TotalAlloc)
 		}
-		objs = min(objs, after.Mallocs-before.Mallocs)
-		nbytes = min(nbytes, after.TotalAlloc-before.TotalAlloc)
+	})
+	sim.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The id slice, the table's directory and one chunk of frames.
 	if objs > 4 {
@@ -472,8 +481,8 @@ func TestPinnedPoolIsBackedOnFirstTouch(t *testing.T) {
 	if n := backed(pm, ids); n != 0 {
 		t.Errorf("%d of 128 frames backed before any touch", n)
 	}
-	if want := 128 * costs.PageMap4K; ctx.charged != want {
-		t.Errorf("pinning charged %d, want %d", ctx.charged, want)
+	if want := 128 * costs.PageMap4K; charged != want {
+		t.Errorf("pinning charged %d, want %d", charged, want)
 	}
 	if pm.PinnedCount() != 128 || pm.FrameCount() != 128 {
 		t.Errorf("%d pinned of %d live frames, want 128 of 128", pm.PinnedCount(), pm.FrameCount())
@@ -569,14 +578,6 @@ func TestDroppedChunkIDsAreBad(t *testing.T) {
 		t.Errorf("FrameRefs %d, FrameCount %d", pm.FrameRefs(id), pm.FrameCount())
 	}
 }
-
-// chargeCounter is a context that only adds up what is charged to it.
-type chargeCounter struct {
-	exec.Context
-	charged int64
-}
-
-func (c *chargeCounter) Charge(d int64) { c.charged += d }
 
 func allZero(b []byte) bool {
 	for _, v := range b {

@@ -106,9 +106,7 @@ func TestGossipConvergesQuietSurvivor(t *testing.T) {
 	a := host.New("a", s, &costs, 1)
 	b := host.New("b", s, &costs, 2)
 	c := host.New("c", s, &costs, 3)
-	host.Connect(a, b, host.LinkConfig(&costs, 11))
-	host.Connect(a, c, host.LinkConfig(&costs, 12))
-	host.Connect(b, c, host.LinkConfig(&costs, 13))
+	host.NewNet(a.Clk, host.LinkConfig(&costs, 11)).Join(a, b, c)
 	ma := Start(a, ksocket.New(a))
 	mb := Start(b, ksocket.New(b))
 	mc := Start(c, ksocket.New(c))

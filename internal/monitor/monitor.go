@@ -294,7 +294,7 @@ func (m *Monitor) Epoch() uint32 { return m.epoch }
 func (m *Monitor) Shards() int { return len(m.shards) }
 
 func (m *Monitor) wake() {
-	if m.thread != nil {
+	if m.thread != (exec.Thread{}) {
 		m.thread.Unpark()
 	}
 }
@@ -1020,13 +1020,12 @@ func (m *Monitor) wakeThread(pid, tid int) {
 		return
 	}
 	t := p.ThreadByTID(tid)
-	if t == nil || t.H == nil {
+	if t == nil {
 		return
 	}
 	// Waking a sleeping process costs the kernel wakeup latency (§2.1.2).
 	mWakes.Inc()
-	th := t.H
-	m.H.Clk.After(m.H.Costs.ProcessWakeup, func() { th.Unpark() })
+	m.H.Clk.After(m.H.Costs.ProcessWakeup, t.H.Unpark)
 }
 
 // --- listen / bind ---

@@ -16,7 +16,7 @@ func newHostPair() (*exec.Sim, *Monitor, *Monitor, *host.Host, *host.Host) {
 	costs := costmodel.Default
 	a := host.New("a", s, &costs, 1)
 	b := host.New("b", s, &costs, 2)
-	host.Connect(a, b, host.LinkConfig(&costs, 3))
+	host.NewNet(a.Clk, host.LinkConfig(&costs, 3)).Join(a, b)
 	ma := Start(a, ksocket.New(a))
 	mb := Start(b, ksocket.New(b))
 	return s, ma, mb, a, b
@@ -213,7 +213,7 @@ func TestStopTerminatesDaemon(t *testing.T) {
 func TestRouterPollOrderFollowsNames(t *testing.T) {
 	s := exec.NewSim(exec.SimConfig{})
 	costs := costmodel.Default
-	net := host.NewNet(s.Clock(), &costs, 1)
+	net := host.NewNet(s.Clock(), host.LinkConfig(&costs, 1))
 	start := func(name string) *Monitor {
 		h := host.New(name, s, &costs, 1)
 		net.Join(h)

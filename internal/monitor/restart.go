@@ -71,11 +71,8 @@ func Restart(h *host.Host) *Monitor {
 func (m *Monitor) reRegister(ctx exec.Context, pid int) {
 	if p := m.H.Process(pid); p != nil && !p.Dead() {
 		p.EachThread(func(t *host.Thread) {
-			if t.H != nil {
-				mWakes.Inc()
-				th := t.H
-				m.H.Clk.After(m.H.Costs.ProcessWakeup, func() { th.Unpark() })
-			}
+			mWakes.Inc()
+			m.H.Clk.After(m.H.Costs.ProcessWakeup, t.H.Unpark)
 		})
 	}
 	op := obs.BeginOp(m.H.Name, 0, obs.OpReRegister, ctx.Now())

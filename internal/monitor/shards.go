@@ -311,7 +311,7 @@ func (m *Monitor) shardFor(cm *ctlmsg.Msg) *mshard {
 }
 
 func (sh *mshard) wake() {
-	if sh.thread != nil {
+	if sh.thread != (exec.Thread{}) {
 		sh.thread.Unpark()
 	}
 }

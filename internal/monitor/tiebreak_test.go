@@ -174,7 +174,7 @@ func dropsInOnePass(t *testing.T, ctx exec.Context, ms ...*Monitor) {
 func netPair() (*exec.Sim, *host.Net, map[string]*Monitor) {
 	s := exec.NewSim(exec.SimConfig{MaxVirtualTime: 1_000_000_000})
 	costs := costmodel.Default
-	net := host.NewNet(s.Clock(), &costs, 3)
+	net := host.NewNet(s.Clock(), host.LinkConfig(&costs, 3))
 	ms := make(map[string]*Monitor)
 	for i, name := range []string{"a", "b"} {
 		h := host.New(name, s, &costs, uint64(i+1))

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"socksdirect/internal/bufpool"
+	"socksdirect/internal/fabric"
 	"socksdirect/internal/obs"
 	"socksdirect/internal/telemetry"
 )
@@ -147,7 +148,7 @@ type QP struct {
 	state      QPState
 	remoteHost string
 	remoteQPN  uint32
-	port       portSender
+	port       *fabric.Endpoint // this host's transmitter toward remoteHost
 
 	// transmit side
 	sndSeq    uint64    // next sequence number to assign
@@ -167,11 +168,6 @@ type QP struct {
 	rcvNext      uint64
 	rxWriteAccum int
 	recvQ        []recvWQE
-}
-
-// portSender abstracts fabric.Endpoint for tests.
-type portSender interface {
-	Send(frame any, payloadBytes int)
 }
 
 // CreateQP makes a queue pair in Reset state. The two CQs may be shared
@@ -206,11 +202,11 @@ func (qp *QP) Peer() (host string, qpn uint32) {
 	return qp.remoteHost, qp.remoteQPN
 }
 
-// Connect transitions to RTS toward (remoteHost, remoteQPN). The fabric
-// port to remoteHost must exist. It is for the side that connects second,
-// or for two sides an out-of-band exchange connects before either posts:
-// whatever is posted next is transmitted at once, and a peer QP that is
-// not connected yet drops it.
+// Connect transitions to RTS toward (remoteHost, remoteQPN). remoteHost
+// must be this host or one the NIC's network reaches (NIC.Port). It is for
+// the side that connects second, or for two sides an out-of-band exchange
+// connects before either posts: whatever is posted next is transmitted at
+// once, and a peer QP that is not connected yet drops it.
 func (qp *QP) Connect(remoteHost string, remoteQPN uint32) error {
 	return qp.connect(remoteHost, remoteQPN, QPRTS)
 }
@@ -227,23 +223,15 @@ func (qp *QP) ConnectPassive(remoteHost string, remoteQPN uint32) error {
 }
 
 func (qp *QP) connect(remoteHost string, remoteQPN uint32, to QPState) error {
-	n := qp.nic
-	port, ok := n.ports[remoteHost]
-	fab := n.fab
-	var sender portSender
-	switch {
-	case ok:
-		sender = port
-	case fab != nil && fab.Reaches(remoteHost):
-		sender = fabricSender{fab: fab, dst: remoteHost}
-	default:
+	port := qp.nic.Port(remoteHost)
+	if port == nil {
 		return fmt.Errorf("rdma: no port toward host %q", remoteHost)
 	}
 	if qp.state != QPReset {
 		return ErrQPState
 	}
 	qp.remoteHost, qp.remoteQPN = remoteHost, remoteQPN
-	qp.port = sender
+	qp.port = port
 	qp.state = to
 	return nil
 }
@@ -597,7 +585,7 @@ func (n *NIC) onFrame(frame any, _ int) {
 
 // sendAck ships a standalone cumulative ack. The pooled packet's single
 // reference is transferred to the fabric with Send.
-func sendAck(port portSender, fromQPN, toQPN uint32, ack uint64) {
+func sendAck(port *fabric.Endpoint, fromQPN, toQPN uint32, ack uint64) {
 	ap := newPacket()
 	ap.fromQPN = fromQPN
 	ap.toQPN = toQPN
@@ -622,11 +610,7 @@ func (qp *QP) onData(p *packet) {
 		// Out of order (loss upstream) or duplicate: go-back-N discards,
 		// re-acking what we actually have.
 		mOutOfOrder.Inc()
-		ack := qp.rcvNext
-		port := qp.portForReply(p)
-		if port != nil {
-			sendAck(port, qp.qpn, p.fromQPN, ack)
-		}
+		sendAck(qp.port, qp.qpn, p.fromQPN, qp.rcvNext)
 		return
 	}
 	if qp.state == QPRTR {
@@ -690,16 +674,10 @@ func (qp *QP) onData(p *packet) {
 		qp.rcvNext++
 	}
 	ack := qp.rcvNext
-	port := qp.portForReply(p)
+	port := qp.port // taken before emit, whose completions may reset or re-connect the QP
 	emit(pend)
-	if port != nil {
-		sendAck(port, qp.qpn, p.fromQPN, ack)
-	}
+	sendAck(port, qp.qpn, p.fromQPN, ack)
 }
-
-// portForReply returns the fabric port to ack on. For a connected QP this
-// is its own port; before Connect (shouldn't happen for data) nil.
-func (qp *QP) portForReply(p *packet) portSender { return qp.port }
 
 func (qp *QP) lookupMR(rkey uint64) *MR {
 	n := qp.nic

@@ -193,8 +193,8 @@ type NIC struct {
 	costs *costmodel.Costs
 	host  string
 
-	ports   map[string]*fabric.Endpoint // remote host -> link endpoint
-	fab     *fabric.Port                // routed fabric attachment (N-host)
+	loop    *fabric.Endpoint // the hairpin toward this host's own QPs
+	fab     *fabric.Port     // the routed network, toward every other host
 	qps     map[uint32]*QP
 	mrs     map[uint64]*MR // rkey -> MR
 	nextQPN uint32
@@ -203,51 +203,33 @@ type NIC struct {
 	seed    uint64
 }
 
-// NewNIC creates an adapter for the named host. costs may be nil.
+// NewNIC creates an adapter for the named host, with its loopback: a QP
+// connected to another QP of the same host (the RSocket/LibVMA hairpin
+// path) pays CPU -> NIC -> CPU, one hairpin RTT. costs may be nil.
 func NewNIC(clk exec.Clock, host string, costs *costmodel.Costs, seed uint64) *NIC {
 	if costs == nil {
 		costs = &costmodel.Costs{}
 	}
-	return &NIC{
+	n := &NIC{
 		clk:   clk,
 		costs: costs,
 		host:  host,
-		ports: make(map[string]*fabric.Endpoint),
+		loop:  fabric.NewLoopback(clk, host+"/rdma-lo", fabric.Config{PropDelay: costs.NICHairpin / 2}),
 		qps:   make(map[uint32]*QP),
 		mrs:   make(map[uint64]*MR),
 		seed:  seed | 1,
 	}
+	n.loop.SetHandler(n.onFrame)
+	return n
 }
 
-// AddPort wires a fabric endpoint leading to remoteHost into this NIC and
-// installs the receive pipeline on it.
-func (n *NIC) AddPort(remoteHost string, ep *fabric.Endpoint) {
-	n.ports[remoteHost] = ep
-	ep.SetHandler(n.onFrame)
-}
-
-// AttachFabric wires the NIC into a routed fabric.Net: QPs toward hosts
-// without a dedicated point-to-point port transmit through the fabric
-// port's directed edges, and every inbound fabric frame enters the same
-// receive pipeline as point-to-point arrivals (RDMA frames carry their QPN,
-// so the source host adds nothing). Dedicated ports — notably the
-// intra-host loopback — keep priority over the fabric route.
+// AttachFabric joins the NIC to the routed network: QPs toward another
+// host transmit on the port's directed edge toward it, and every inbound
+// frame enters the receive pipeline (RDMA frames carry their QPN, so the
+// source host adds nothing).
 func (n *NIC) AttachFabric(p *fabric.Port) {
 	n.fab = p
 	p.SetHandler(func(_ string, frame any, wireBytes int) { n.onFrame(frame, wireBytes) })
-}
-
-// fabricSender adapts one destination host of a fabric.Port to the QP's
-// portSender seam. Reachability was checked at Connect time; a later
-// routing error releases the frame inside SendTo and the loss surfaces as
-// a retransmission timeout, like any other drop.
-type fabricSender struct {
-	fab *fabric.Port
-	dst string
-}
-
-func (f fabricSender) Send(frame any, payloadBytes int) {
-	_ = f.fab.SendTo(f.dst, frame, payloadBytes)
 }
 
 // AllocPD creates a protection domain.
@@ -319,14 +301,14 @@ func (n *NIC) QPCount() int {
 	return len(n.qps)
 }
 
-// Port returns this host's transmitter toward remoteHost — the dedicated
-// point-to-point endpoint if one exists, else the routed fabric's directed
-// edge — or nil. Fault injection uses it to reach the link's runtime
-// knobs; either way the endpoint returned governs only the local-to-remote
+// Port returns this host's transmitter toward remoteHost — the loopback
+// for the host itself, else the routed network's directed edge — or nil.
+// A QP resolves it once, when it connects; fault injection uses it to
+// reach the edge's runtime knobs, which govern only the local-to-remote
 // direction of the path.
 func (n *NIC) Port(remoteHost string) *fabric.Endpoint {
-	if ep := n.ports[remoteHost]; ep != nil {
-		return ep
+	if remoteHost == n.host {
+		return n.loop
 	}
 	if n.fab != nil {
 		return n.fab.EdgeTo(remoteHost)

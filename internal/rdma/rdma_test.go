@@ -34,16 +34,23 @@ func newPair(t *testing.T, linkCfg fabric.Config, bufSize int) *testPair {
 	return p
 }
 
+// joinNet attaches the NICs to one routed network whose edges have the
+// wire characteristics cfg.
+func joinNet(clk exec.Clock, cfg fabric.Config, nics ...*NIC) {
+	net := fabric.NewNet(clk, "rdma", cfg)
+	for _, n := range nics {
+		n.AttachFabric(net.AddHost(n.host))
+	}
+}
+
 // newUnconnectedPair is newPair with both QPs still in Reset.
 func newUnconnectedPair(t *testing.T, linkCfg fabric.Config, bufSize int) *testPair {
 	t.Helper()
 	s := exec.NewSim(exec.SimConfig{})
 	clk := s.Clock()
-	epA, epB := fabric.NewLink(clk, "A", "B", linkCfg)
 	na := NewNIC(clk, "A", nil, 1)
 	nb := NewNIC(clk, "B", nil, 2)
-	na.AddPort("B", epA)
-	nb.AddPort("A", epB)
+	joinNet(clk, linkCfg, na, nb)
 	pda, pdb := na.AllocPD(), nb.AllocPD()
 	p := &testPair{
 		sim: s, na: na, nb: nb,
@@ -257,10 +264,8 @@ func TestWriteOutOfRangeRejected(t *testing.T) {
 func TestFrameBackedMR(t *testing.T) {
 	s := exec.NewSim(exec.SimConfig{})
 	clk := s.Clock()
-	epA, epB := fabric.NewLink(clk, "A", "B", fabric.Config{PropDelay: 10})
 	na, nb := NewNIC(clk, "A", nil, 1), NewNIC(clk, "B", nil, 2)
-	na.AddPort("B", epA)
-	nb.AddPort("A", epB)
+	joinNet(clk, fabric.Config{PropDelay: 10}, na, nb)
 
 	pm := mem.NewPhysMem(5, nil)
 	as := mem.NewAddressSpace(pm)
@@ -371,10 +376,8 @@ func BenchmarkRDMAWriteImm8B_Sim(b *testing.B) {
 	// the real CPU cost of the simulated verb path.
 	s := exec.NewSim(exec.SimConfig{})
 	clk := s.Clock()
-	epA, epB := fabric.NewLink(clk, "A", "B", fabric.Config{})
 	na, nb := NewNIC(clk, "A", nil, 1), NewNIC(clk, "B", nil, 2)
-	na.AddPort("B", epA)
-	nb.AddPort("A", epB)
+	joinNet(clk, fabric.Config{}, na, nb)
 	pda, pdb := na.AllocPD(), nb.AllocPD()
 	buf := make([]byte, 1<<16)
 	mrb := pdb.RegisterBytes(buf)

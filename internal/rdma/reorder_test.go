@@ -86,7 +86,7 @@ func TestRetryExhaustionErrorsQP(t *testing.T) {
 
 // TestJitterReorderOverNetInOrderAndPoolBalanced exercises JitterNs-driven
 // reordering (no loss at all) against the QP's resequencing, over the
-// routed fabric.Net path rather than a point-to-point link: frames leave
+// routed fabric.Net path: frames leave
 // in order, arrive shuffled by up to 6 µs of jitter, and go-back-N must
 // drop the early arrivals and retransmit until every message lands in
 // order, byte-exact — with every pooled staging buffer back home when the

@@ -329,9 +329,9 @@ func (c *Conn) Writable() bool {
 
 // Close sends FIN; reads on the peer drain then return EOF.
 func (c *Conn) Close(ctx exec.Context) error {
-	// nil ctx: the kernel reaping a dead process's FD table; there is no
+	// The zero ctx is the kernel reaping a dead process's FD table; there is no
 	// thread left to charge the syscall to.
-	if c.st.mode == ModeKernel && ctx != nil {
+	if c.st.mode == ModeKernel && ctx != (exec.Context{}) {
 		c.st.h.Kern.Syscall(ctx)
 	}
 	if c.wClosed || c.state == stClosed {

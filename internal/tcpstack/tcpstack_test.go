@@ -24,7 +24,7 @@ func newWorld(mode Mode, linkCfg fabric.Config) *world {
 	costs := costmodel.Default
 	a := host.New("a", s, &costs, 1)
 	b := host.New("b", s, &costs, 2)
-	host.Connect(a, b, linkCfg)
+	host.NewNet(a.Clk, linkCfg).Join(a, b)
 	return &world{sim: s, a: a, b: b,
 		sa: New(a, mode, "tcp"), sb: New(b, mode, "tcp")}
 }

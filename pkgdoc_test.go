@@ -540,6 +540,83 @@ func TestRecordPhaseTableMatchesCode(t *testing.T) {
 		"| phase | reached by | next |")
 }
 
+// TestInterfacesHaveAReason keeps the Go guide's rule for interfaces: each
+// interface type declared in non-test code under internal/ and the root has
+// several implementations, would otherwise make its package import its
+// implementer, or is what a test substitutes a fake for. The list names
+// each one once with its reason; an interface with one implementation and
+// none of these reasons is a seam to delete, and a new interface argues its
+// way onto the list.
+func TestInterfacesHaveAReason(t *testing.T) {
+	const (
+		several = "several implementations"
+		cycle   = "would import its implementer"
+		fake    = "a test substitutes a fake"
+	)
+	reasons := map[string]string{
+		"internal/exec.Idler":        several, // the poll loops' predicates in core and monitor
+		"internal/shm.CreditHook":    cycle,   // core.SideState
+		"internal/fabric.Releasable": cycle,   // rdma's pooled packets
+		"internal/obs.Prober":        cycle,   // core.Socket
+		"internal/host.KFile":        several, // pipe ends, Unix sockets, kernel TCP sockets
+		"internal/core.endpoint":     several, // shmEP, rdmaEP, tcpEP, closedEP
+		"internal/core.burster":      several, // shmEP, rdmaEP
+		"internal/core.creditPoster": several, // rdmaEP, tcpEP
+		"internal/core.sleeper":      several, // recvWaiter, acceptWaiter
+		"internal/core.registrar":    cycle,   // monitor.Monitor
+		"internal/core.connNoter":    cycle,   // monitor.Monitor
+	}
+	for name, why := range reasons {
+		if why != several && why != cycle && why != fake {
+			t.Errorf("%s: %q is not one of the three reasons", name, why)
+		}
+	}
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+			paths = append(paths, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			spec, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			if _, ok := spec.Type.(*ast.InterfaceType); ok {
+				name := filepath.ToSlash(filepath.Dir(path)) + "." + spec.Name.Name
+				declared[name] = true
+				if reasons[name] == "" {
+					t.Errorf("%s: interface %s has no reason listed: give it a second implementation, or make it concrete",
+						fset.Position(spec.Pos()), spec.Name.Name)
+				}
+			}
+			return true
+		})
+	}
+	for name := range reasons {
+		if !declared[name] {
+			t.Errorf("the list names %s, which no non-test code declares any more: delete the entry", name)
+		}
+	}
+}
+
 // tableMatchesCode checks the ARCHITECTURE.md table under header against
 // the constants of type typ in file and the table fn over them — a method
 // switching on the constant, or an array keyed by it: one row per

@@ -112,7 +112,7 @@ func NewCluster(cfg Config) *Cluster {
 		cfg.Costs = &costmodel.Default
 	}
 	c := &Cluster{cfg: cfg, sim: exec.NewSim(exec.SimConfig{}), hosts: make(map[string]*Host)}
-	c.net = host.NewNet(c.sim.Clock(), c.cfg.Costs, int64(cfg.Seed))
+	c.net = host.NewNet(c.sim.Clock(), host.LinkConfig(c.cfg.Costs, int64(cfg.Seed)))
 	return c
 }
 
@@ -236,7 +236,7 @@ func (t *T) Alloc(n int) mem.VAddr { return t.Pr.P.AS.Alloc(n) }
 
 // WriteMem / ReadMem access simulated memory (the app's buffers).
 func (t *T) WriteMem(addr mem.VAddr, data []byte) error {
-	return t.Pr.P.AS.Write(t.Ctx, addr, data)
+	return t.Pr.P.AS.Write(&t.Ctx, addr, data)
 }
 
 func (t *T) ReadMem(addr mem.VAddr, out []byte) error {
