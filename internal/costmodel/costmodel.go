@@ -1,15 +1,19 @@
-// Package costmodel holds the calibrated hardware/kernel cost table that
-// parameterizes the simulation. The entries mirror Table 2 of the
+// Package costmodel holds the calibrated cost table that prices the
+// simulation. Every thread runs on exec's virtual clock, so a step takes
+// virtual time only where its code charges one of these costs; the Go
+// that implements it takes none. The entries mirror Table 2 of the
 // SocksDirect paper ("Round-trip latency and single-core throughput of
-// operations"): they are the per-operation costs of the pieces we cannot
-// execute for real on this host — kernel crossings with/without KPTI, NIC
-// doorbell/DMA/wire time, page-table manipulation, interrupt delivery and
-// process wakeup.
+// operations") and Table 4's per-packet split. They price two kinds of
+// work:
+//   - hardware and kernel work the simulation stands in for: kernel
+//     crossings with/without KPTI, NIC doorbell/DMA/wire time, page-table
+//     manipulation, interrupt delivery and process wakeup;
+//   - the software steps of libsd and the monitor: RingOp per lockless
+//     ring enqueue or dequeue, MonDispatch per control message a monitor
+//     handles, and CopyCost per payload copy.
 //
-// Pure-software costs (ring buffer operations, locks, memory copies) are
-// NOT in this table: the real implementations run and take real time. The
-// table is only consulted where real hardware would act in place of
-// software, or where the simulated kernel must be as slow as a real one.
+// Work that no call site charges, such as creating a SHM segment or
+// backing a ring's storage, costs no virtual time.
 //
 // All values are nanoseconds.
 package costmodel
@@ -39,7 +43,7 @@ type Costs struct {
 	PageMap4K         int64 // map one 4 KiB page (incl. kernel crossing + TLB shootdown share)
 	PageMapBatchFixed int64 // fixed cost of one batched remap call
 	PageMapPerPage    int64 // marginal cost per page within a batch
-	PageCopy4K        int64 // copy one 4 KiB page (charged only in Sim mode; real copies are real)
+	PageCopy4K        int64 // copy one 4 KiB page
 	CacheMiss         int64 // inter-core cache line migration
 	PageFault         int64 // minor fault (COW resolution)
 
@@ -94,8 +98,7 @@ var Default = Costs{
 }
 
 // CopyCost returns the CPU time to copy n bytes, scaled from the 4 KiB
-// page-copy calibration point. Real-mode copies take real time; this is
-// charged so Sim-mode accounts for them too.
+// page-copy calibration point.
 func (c *Costs) CopyCost(n int) int64 {
 	return int64(n) * c.PageCopy4K / 4096
 }

@@ -41,11 +41,6 @@ type ConnScaleConfig struct {
 	// app threads and monitor shard loops contend for CPUs the way a
 	// real machine's would. Default 16.
 	Cores int
-	// RingCap is the per-socket SHM ring capacity of the drill's host
-	// (host.Limits.RingCap). Holding 10^5 sockets at the default 128 KiB
-	// rings would cost ~25 GB of backing store; the drill moves no data on
-	// held connections, so tiny rings are faithful. Default 256 bytes.
-	RingCap int
 }
 
 // ConnScaleShard is one monitor shard's share of the drill: how many
@@ -94,9 +89,6 @@ func ConnScaleDrill(cfg ConnScaleConfig) ConnScaleResult {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 16
 	}
-	if cfg.RingCap <= 0 {
-		cfg.RingCap = 256
-	}
 	// Per-dialer counts, rounded up to a multiple of Servers so each
 	// dialer spreads exactly evenly over the listener ports.
 	per := func(total int) int {
@@ -120,7 +112,6 @@ func ConnScaleDrill(cfg ConnScaleConfig) ConnScaleResult {
 
 	w := newWorld()
 	w.a.SetCores(cfg.Cores)
-	w.a.Limits.RingCap = cfg.RingCap
 
 	const basePort = 7500
 	res := ConnScaleResult{

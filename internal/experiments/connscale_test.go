@@ -1,6 +1,13 @@
 package experiments
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	sd "socksdirect"
+	"socksdirect/internal/core"
+	"socksdirect/internal/obs"
+)
 
 // TestConnScaleDrill is the drill's own tier-1 coverage: a small
 // population must still exercise every monitor shard and every listener
@@ -49,4 +56,59 @@ func TestConnScaleDrill(t *testing.T) {
 				sh.Shard, sh.P50Ns, sh.P99Ns)
 		}
 	}
+}
+
+// TestHeldSocketsCostTheirMetadata: 2 000 idle intra-host connections
+// held at the default 128 KiB rings take no more than 10 % more live heap
+// than at 256 B rings. A ring is backed on its first write, so a held
+// socket costs its metadata and what its set-up wrote, not its capacity
+// (§6 holds 10^5 of them).
+func TestHeldSocketsCostTheirMetadata(t *testing.T) {
+	const n = 2000
+	small := heldHeap(t, n, 256)
+	dflt := heldHeap(t, n, 0)
+	t.Logf("live heap for %d held connections: %d B at 256 B rings, %d B at the default %d B",
+		n, small, dflt, core.RingCap)
+	if float64(dflt) > 1.10*float64(small) {
+		t.Fatalf("held connections at the default rings take %d B of live heap, more than 1.10 x %d B at 256 B rings",
+			dflt, small)
+	}
+}
+
+// heldHeap returns the live heap a world holding n idle intra-host
+// connections adds, with its host's rings at ringCap bytes (0: the
+// default). The obs flow table keeps an earlier world's sockets alive
+// until it is reset, so it is reset first.
+func heldHeap(t *testing.T, n, ringCap int) uint64 {
+	var ms runtime.MemStats
+	obs.Reset()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	w := newWorld()
+	w.a.Limits.RingCap = ringCap
+	const port = 7600
+	held := make([]*sd.Conn, 0, 2*n)
+	w.ha.NewProcess("srv", 0).Go("acceptor", func(t *sd.T) {
+		acceptLoop(t, port, n, func(c *sd.Conn) { held = append(held, c) })
+	})
+	w.ha.NewProcess("cli", 1000).Go("dialer", func(t *sd.T) {
+		var st dialStats
+		for range n {
+			c, err := st.connect(t, "hostA", port, 100, 20_000)
+			if err != nil {
+				return
+			}
+			held = append(held, c)
+		}
+	})
+	w.sim.Run()
+	if len(held) != 2*n {
+		t.Fatalf("%d ends held, want %d", len(held), 2*n)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(w)
+	runtime.KeepAlive(held)
+	return ms.HeapAlloc - before
 }

@@ -224,11 +224,15 @@ func NextSpan() uint64 { return spanIDs.Add(1) }
 // DefaultRingCap is the per-process span ring capacity.
 const DefaultRingCap = 4096
 
+// A ring is backed as it fills: its head, then ringPiece spans at a time.
+const ringHead, ringPiece = 64, 1024
+
 // ring is one bounded per-process span buffer: overwrite-oldest, never
-// block, never allocate after creation.
+// block, at most five allocations in its lifetime (itself and its pieces).
 type ring struct {
 	mu      sync.Mutex
-	buf     []Span
+	head    [ringHead]Span
+	pieces  [DefaultRingCap / ringPiece][]Span
 	next    int
 	wrapped bool
 }
@@ -238,9 +242,14 @@ func (r *ring) record(sp Span) {
 	if r.wrapped {
 		mDropped.Inc()
 	}
-	r.buf[r.next] = sp
-	r.next++
-	if r.next == len(r.buf) {
+	p, i := r.next/ringPiece, r.next%ringPiece
+	if i == len(r.pieces[p]) {
+		grown := make([]Span, ringPiece)
+		copy(grown, r.pieces[p])
+		r.pieces[p] = grown
+	}
+	r.pieces[p][i] = sp
+	if r.next++; r.next == DefaultRingCap {
 		r.next = 0
 		r.wrapped = true
 	}
@@ -251,14 +260,15 @@ func (r *ring) record(sp Span) {
 func (r *ring) spans() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.wrapped {
-		out := make([]Span, r.next)
-		copy(out, r.buf[:r.next])
-		return out
+	n, first := r.next, 0
+	if r.wrapped {
+		n, first = DefaultRingCap, r.next
 	}
-	out := make([]Span, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
+	out := make([]Span, n)
+	for k := range out {
+		i := (first + k) % DefaultRingCap
+		out[k] = r.pieces[i/ringPiece][i%ringPiece]
+	}
 	return out
 }
 
@@ -281,7 +291,8 @@ func ringFor(host string, pid int64) *ring {
 	rings.mu.Lock()
 	r := rings.m[k]
 	if r == nil {
-		r = &ring{buf: make([]Span, DefaultRingCap)}
+		r = &ring{}
+		r.pieces[0] = r.head[:]
 		rings.m[k] = r
 	}
 	rings.mu.Unlock()

@@ -77,6 +77,56 @@ func TestEventRingOverflowDropsOldest(t *testing.T) {
 	}
 }
 
+// TestRingBackedAsItFills: a ring starts as its 64-span head and is
+// backed one 1 024-span piece at a time, five allocations in all; it reads
+// back oldest-first across the head's growth, every piece boundary and the
+// wrap, and counts what the wrap overwrote.
+func TestRingBackedAsItFills(t *testing.T) {
+	defer Reset()
+	for _, n := range []int{1, ringHead, ringHead + 1, ringPiece, ringPiece + 1,
+		2*ringPiece + 5, DefaultRingCap, DefaultRingCap + 1, DefaultRingCap + ringPiece + 7, 3 * DefaultRingCap} {
+		Reset()
+		base := mDropped.Load()
+		r := ringFor("h", 3)
+		for i := 1; i <= n; i++ {
+			Record(Span{Trace: 1, Span: uint64(i), Host: "h", PID: 3})
+		}
+		want := min(n, DefaultRingCap)
+		got := AllSpans()
+		if len(got) != want {
+			t.Fatalf("%d spans recorded, %d retained, want %d", n, len(got), want)
+		}
+		for k, sp := range got {
+			if id := uint64(n - want + k + 1); sp.Span != id {
+				t.Fatalf("%d spans recorded: retained[%d] is span %d, want %d", n, k, sp.Span, id)
+			}
+		}
+		if d := mDropped.Load() - base; d != int64(n-want) {
+			t.Errorf("%d spans recorded: dropped counter advanced by %d, want %d", n, d, n-want)
+		}
+
+		pieces := 0
+		for _, p := range r.pieces {
+			if len(p) == ringPiece {
+				pieces++
+			}
+		}
+		if wantPieces := min((n+ringPiece-1)/ringPiece, len(r.pieces)); n > ringHead && pieces != wantPieces {
+			t.Errorf("%d spans backed %d pieces, want %d", n, pieces, wantPieces)
+		}
+		lifetime := func() {
+			r := &ring{}
+			r.pieces[0] = r.head[:]
+			for range n {
+				r.record(Span{})
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, lifetime); allocs > float64(1+pieces) {
+			t.Errorf("a ring's life with %d spans made %.0f allocations, want at most %d", n, allocs, 1+pieces)
+		}
+	}
+}
+
 // TestConcurrentWriters hammers the rings from many goroutines while a
 // reader snapshots them; run with -race to verify the locking.
 func TestConcurrentWriters(t *testing.T) {
@@ -174,12 +224,15 @@ func TestDisabledRecordingAllocFree(t *testing.T) {
 	}
 }
 
-// TestEnabledRecordingAllocFree: recording itself writes into the
-// preallocated ring — steady-state span recording is alloc-free as well.
+// TestEnabledRecordingAllocFree: recording itself writes into the ring,
+// which is backed by the time it wraps — steady-state span recording is
+// alloc-free as well.
 func TestEnabledRecordingAllocFree(t *testing.T) {
 	Reset()
 	defer Reset()
-	RecordHop("h", 1, HopProcRing, 1, 1, 0, 0, 1) // warm up: create the ring
+	for i := 0; i < DefaultRingCap; i++ { // warm up: create and back the ring
+		RecordHop("h", 1, HopProcRing, 1, 1, 0, 0, 1)
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		RecordHop("h", 1, HopProcRing, 1, 1, 0, 10, 20)
 	})

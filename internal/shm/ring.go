@@ -55,8 +55,11 @@ type Msg struct {
 type Ring struct {
 	capacity uint64
 	mask     uint64
-	data     []byte
-	words    []uint64 // keeps the 8-aligned backing store alive
+	// Storage is backed on first write (back). The producer publishes base,
+	// then ext, then the tail; a consumer loads them in reverse order.
+	base atomic.Pointer[uint64]
+	ext  atomic.Uint64 // bytes backed
+	data []byte        // the producer's view of the backing
 
 	_      cpad
 	tail   atomic.Uint64 // bytes enqueued; written by sender, polled by receiver
@@ -69,42 +72,52 @@ type Ring struct {
 	creditSeen uint64
 	occHW      uint64 // high-water of (written - creditSeen), for sdstat
 	full       bool   // the last TrySend found no room
+	// An open burst (BeginBurst) stages messages without publishing the
+	// tail, and their telemetry accumulates here; EndBurst publishes once.
+	burst      bool
+	burstMsgs  int64
+	burstBytes int64
 	_          cpad
 
 	// receiver-local
+	view         []byte // the backing as of tailSeen
 	read         uint64
 	tailSeen     uint64
 	creditFlush  uint64
 	creditThresh uint64
 	creditHook   CreditHook
-
-	// sender-local burst state (BeginBurst/EndBurst): while a burst is
-	// open, TrySend* stages messages without publishing the tail, and the
-	// per-message telemetry accumulates here; EndBurst publishes once.
-	burst      bool
-	burstMsgs  int64
-	burstBytes int64
 }
 
 const (
-	hdrSize  = 8
-	wrapType = 0xFF
+	hdrSize   = 8
+	wrapType  = 0xFF
+	headBytes = 256 // what a small first write backs: a Fig. 6 MAck and a FIN
 )
 
-// NewRing allocates a ring with the given power-of-two capacity in bytes.
+// NewRing makes a ring with the given power-of-two capacity in bytes.
 func NewRing(capacity int) *Ring {
 	if capacity <= 0 || capacity&(capacity-1) != 0 {
 		panic(fmt.Sprintf("shm: ring capacity %d is not a power of two", capacity))
 	}
-	words := make([]uint64, capacity/8)
-	data := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), capacity)
 	return &Ring{
 		capacity:     uint64(capacity),
 		mask:         uint64(capacity - 1),
-		data:         data,
-		words:        words,
 		creditThresh: uint64(capacity) / 2,
 	}
+}
+
+// back backs the head if n bytes fit it, else the whole ring, with what was written.
+func (r *Ring) back(n uint64) {
+	size := r.capacity
+	if n <= headBytes {
+		size = min(headBytes, r.capacity)
+	}
+	words := make([]uint64, size/8)
+	data := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size)
+	copy(data, r.data)
+	r.data = data
+	r.base.Store(&words[0])
+	r.ext.Store(size)
 }
 
 // Reset returns the ring to its just-allocated state so it can serve a new
@@ -113,12 +126,11 @@ func NewRing(capacity int) *Ring {
 // never read a previous connection's payload (§3: peers are untrusted).
 // Bytes are laid down front to back and both cursors count every byte ever
 // enqueued (locally, or by the remote NIC behind SetTail*), so the dirtied
-// extent is min(max(written, tail), capacity) — the scrub costs what the
-// connection sent, not what the ring could hold. Neither side may be using
-// the ring.
+// extent is min(max(written, tail), backed) — the scrub costs what the
+// connection sent; the backing is kept. Neither side may use the ring.
 func (r *Ring) Reset() {
 	dirty := max(r.written, r.tail.Load())
-	clear(r.data[:min(dirty, r.capacity)])
+	clear(r.data[:min(dirty, uint64(len(r.data)))])
 	r.tail.Store(0)
 	r.credit.Store(0)
 	r.written, r.creditSeen, r.occHW, r.full = 0, 0, 0, false
@@ -144,8 +156,8 @@ func unpackHdr(h uint64) (typ, flags uint8, n int) {
 	return uint8(h >> 32), uint8(h >> 40), int(uint32(h))
 }
 
-func (r *Ring) hdrAt(off uint64) *uint64 {
-	return (*uint64)(unsafe.Pointer(&r.data[off]))
+func hdrAt(b []byte, off uint64) *uint64 {
+	return (*uint64)(unsafe.Pointer(&b[off]))
 }
 
 // free returns the sender's current view of free bytes, refreshing the
@@ -182,15 +194,18 @@ func (r *Ring) TrySendV(typ, flags uint8, a, b []byte) bool {
 		mSendFull.Inc()
 		return false
 	}
+	if end := min(off+total, r.capacity); end > uint64(len(r.data)) {
+		r.back(end)
+	}
 	if sz > rem {
-		*r.hdrAt(off) = packHdr(wrapType, 0, 0)
+		*hdrAt(r.data, off) = packHdr(wrapType, 0, 0)
 		r.written += rem
 		off = 0
 		mWrapMarkers.Inc()
 	}
 	copy(r.data[off+hdrSize:], a)
 	copy(r.data[off+hdrSize+uint64(len(a)):], b)
-	*r.hdrAt(off) = packHdr(typ, flags, n)
+	*hdrAt(r.data, off) = packHdr(typ, flags, n)
 	r.written += sz
 	if r.burst {
 		// Doorbell coalescing: the batch becomes visible — and its
@@ -261,7 +276,7 @@ func (r *Ring) TryRecv() (Msg, bool) {
 		}
 		return Msg{}, false
 	}
-	off, ok := r.next()
+	off, h, ok := r.next()
 	if !ok {
 		return Msg{}, false
 	}
@@ -270,7 +285,7 @@ func (r *Ring) TryRecv() (Msg, bool) {
 	if r.read-r.creditFlush >= r.creditThresh {
 		r.flushCredit()
 	}
-	m := r.take(off)
+	m := r.take(off, h)
 	mMsgsRecv.Inc()
 	return m, true
 }
@@ -291,11 +306,11 @@ func (r *Ring) TryRecvN(out []Msg) int {
 	}
 	got := 0
 	for ; got < len(out); got++ {
-		off, ok := r.next()
+		off, h, ok := r.next()
 		if !ok {
 			break
 		}
-		out[got] = r.take(off)
+		out[got] = r.take(off, h)
 	}
 	if got > 0 {
 		mMsgsRecv.Add(int64(got))
@@ -306,29 +321,34 @@ func (r *Ring) TryRecvN(out []Msg) int {
 	return got
 }
 
-// next returns the ring offset of the next message's header, stepping over
-// a wrap marker, or false when no message is visible yet (a wrap marker
-// may be, and then it is consumed).
-func (r *Ring) next() (uint64, bool) {
+// next returns the ring offset and header of the next message, stepping
+// over a wrap marker, or false when no message is visible yet (a wrap
+// marker may be, and then it is consumed) or it would end past the backing.
+func (r *Ring) next() (off, h uint64, ok bool) {
 	if !r.CanRecv() {
-		return 0, false
+		return 0, 0, false
 	}
-	off := r.read & r.mask
-	if typ, _, _ := unpackHdr(*r.hdrAt(off)); typ == wrapType {
+	off = r.read & r.mask
+	if off+hdrSize > uint64(len(r.view)) {
+		return 0, 0, false // a tail published past the backing: a hostile peer (§3)
+	}
+	h = *hdrAt(r.view, off)
+	if typ, _, _ := unpackHdr(h); typ == wrapType {
 		r.read += r.capacity - off
 		if !r.CanRecv() {
-			return 0, false // the sender wrapped; its next message is not visible yet
+			return 0, 0, false // the sender wrapped; its next message is not visible yet
 		}
-		off = 0
+		off, h = 0, *hdrAt(r.view, 0) // the marker was backed, so offset 0 is
 	}
-	return off, true
+	_, _, n := unpackHdr(h)
+	return off, h, off+hdrSize+uint64(n) <= uint64(len(r.view))
 }
 
-// take consumes the message whose header is at off.
-func (r *Ring) take(off uint64) Msg {
-	typ, flags, n := unpackHdr(*r.hdrAt(off))
+// take consumes the message whose header h is at off.
+func (r *Ring) take(off, h uint64) Msg {
+	typ, flags, n := unpackHdr(h)
 	r.read += hdrSize + pad8(n)
-	return Msg{Type: typ, Flags: flags, Payload: r.data[off+hdrSize : off+hdrSize+uint64(n)]}
+	return Msg{Type: typ, Flags: flags, Payload: r.view[off+hdrSize : off+hdrSize+uint64(n)]}
 }
 
 func (r *Ring) flushCredit() {
@@ -345,11 +365,11 @@ func (r *Ring) flushCredit() {
 // (skipping wrap markers). It lets the socket layer drain in-band control
 // messages opportunistically without touching application data.
 func (r *Ring) PeekType() (uint8, bool) {
-	off, ok := r.next()
+	_, h, ok := r.next()
 	if !ok {
 		return 0, false
 	}
-	typ, _, _ := unpackHdr(*r.hdrAt(off))
+	typ, _, _ := unpackHdr(h)
 	return typ, true
 }
 
@@ -359,6 +379,9 @@ func (r *Ring) CanRecv() bool {
 		return true
 	}
 	r.tailSeen = r.tail.Load()
+	if n := r.ext.Load(); n > uint64(len(r.view)) {
+		r.view = unsafe.Slice((*byte)(unsafe.Pointer(r.base.Load())), n)
+	}
 	return r.read != r.tailSeen
 }
 
@@ -387,8 +410,13 @@ func (r *Ring) Used() int { return int(r.written - r.credit.Load()) }
 // return through a remote write into the sender's memory. ---
 
 // Data exposes the backing array so a NIC can DMA into (receiver copy) or
-// out of (sender copy) the ring.
-func (r *Ring) Data() []byte { return r.data }
+// out of (sender copy) the ring, backed whole: registered memory is pinned (§4.3).
+func (r *Ring) Data() []byte {
+	if uint64(len(r.data)) < r.capacity {
+		r.back(r.capacity)
+	}
+	return r.data
+}
 
 // Mask returns the cursor mask (capacity-1).
 func (r *Ring) Mask() uint64 { return r.mask }
