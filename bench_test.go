@@ -120,8 +120,7 @@ func BenchmarkFig11_HTTP_512B(b *testing.B) {
 	b.ReportAllocs()
 	var v float64
 	for i := 0; i < b.N; i++ {
-		series := experiments.Fig11Point(true, 512)
-		v = series
+		v = experiments.HTTPLatency(experiments.SysSD, 512)
 	}
 	b.ReportMetric(v, "virt-ns/req")
 }
@@ -132,7 +131,7 @@ func BenchmarkFig12_SD_4Stages(b *testing.B) {
 	b.ReportAllocs()
 	var v float64
 	for i := 0; i < b.N; i++ {
-		v = experiments.Fig12Point("sd", 4)
+		v, _ = experiments.NFChain("sd", 4, experiments.Fig12Packets)
 	}
 	b.ReportMetric(v/1e6, "virt-Mpps")
 }
@@ -141,7 +140,7 @@ func BenchmarkFig12_Pipe_4Stages(b *testing.B) {
 	b.ReportAllocs()
 	var v float64
 	for i := 0; i < b.N; i++ {
-		v = experiments.Fig12Point("pipe", 4)
+		v, _ = experiments.NFChain("pipe", 4, experiments.Fig12Packets)
 	}
 	b.ReportMetric(v/1e6, "virt-Mpps")
 }

@@ -1,123 +1,34 @@
-// Command httpd reproduces the paper's Nginx scenario (§5.3.1, Figure 11):
-// an HTTP request generator on one host talks to a reverse proxy on
-// another host; the proxy forwards each request to a response generator
-// colocated on its own host. The proxy's upstream leg is therefore an
-// intra-host SocksDirect connection and the downstream leg an inter-host
-// RDMA connection — exactly the traffic mix that made Nginx 5.5x faster in
-// the paper.
+// Command httpd runs the paper's Nginx scenario (§5.3.1, Figure 11): an
+// HTTP request generator on one host talks to a reverse proxy on another
+// host; the proxy forwards each request to a response generator colocated
+// on its own host. The proxy's upstream leg is therefore an intra-host
+// connection and the downstream leg an inter-host one. The same program
+// runs over SocksDirect and over Linux sockets, and each line it prints is
+// a cell of `sdbench fig11`.
 //
 //	go run ./examples/httpd [responseBytes]
 package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strconv"
-	"strings"
 
-	sd "socksdirect"
-	"socksdirect/examples/httpd/httpkit"
+	"socksdirect/internal/experiments"
 )
 
-func main() {
+func main() { run(os.Args[1:], os.Stdout) }
+
+func run(args []string, w io.Writer) {
 	respBytes := 512
-	if len(os.Args) > 1 {
-		if v, err := strconv.Atoi(os.Args[1]); err == nil {
+	if len(args) > 0 {
+		if v, err := strconv.Atoi(args[0]); err == nil {
 			respBytes = v
 		}
 	}
-
-	cl := sd.NewCluster(sd.Defaults())
-	front := cl.AddHost("frontend")
-	web := cl.AddHost("webhost")
-	sd.PeerMonitors(front, web)
-
-	upstream := web.NewProcess("upstream", 0)    // response generator
-	proxy := web.NewProcess("proxy", 0)          // the "nginx"
-	generator := front.NewProcess("loadgen", 10) // request generator
-
-	// Upstream: answers every GET with a fixed body.
-	upstream.Go("main", func(t *sd.T) {
-		ln, err := t.Listen(9000)
-		if err != nil {
-			fmt.Println("upstream listen:", err)
-			return
-		}
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		body := strings.Repeat("w", respBytes)
-		for {
-			req, err := httpkit.ReadRequest(c)
-			if err != nil {
-				return
-			}
-			httpkit.WriteResponse(c, 200, body)
-			_ = req
-		}
-	})
-
-	// Proxy: accepts on :80, keeps one upstream keep-alive connection.
-	proxy.Go("main", func(t *sd.T) {
-		ln, err := t.Listen(80)
-		if err != nil {
-			fmt.Println("proxy listen:", err)
-			return
-		}
-		up, err := t.Dial("webhost", 9000)
-		if err != nil {
-			fmt.Println("proxy upstream dial:", err)
-			return
-		}
-		client, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		for {
-			req, err := httpkit.ReadRequest(client)
-			if err != nil {
-				return
-			}
-			if err := httpkit.Forward(up, req); err != nil {
-				return
-			}
-			status, body, err := httpkit.ReadResponse(up)
-			if err != nil {
-				return
-			}
-			httpkit.WriteResponse(client, status, body)
-		}
-	})
-
-	// Generator: measures end-to-end request latency over a keep-alive
-	// connection, like the paper's Figure 11.
-	generator.Go("main", func(t *sd.T) {
-		t.Sleep(50 * sd.Microsecond)
-		c, err := t.Dial("webhost", 80)
-		if err != nil {
-			fmt.Println("generator dial:", err)
-			return
-		}
-		const rounds = 50
-		var total int64
-		for i := 0; i < rounds; i++ {
-			start := t.Now()
-			httpkit.Forward(c, httpkit.Request{Method: "GET", Path: "/bench"})
-			_, body, err := httpkit.ReadResponse(c)
-			if err != nil {
-				fmt.Println("generator read:", err)
-				return
-			}
-			if len(body) != respBytes {
-				fmt.Printf("bad body: %d != %d\n", len(body), respBytes)
-				return
-			}
-			total += t.Now() - start
-		}
-		fmt.Printf("HTTP keep-alive, %d B responses: mean latency %.2f us over %d requests\n",
-			respBytes, float64(total)/float64(rounds)/1000, rounds)
-	})
-
-	cl.Run()
+	for _, sys := range []experiments.System{experiments.SysSD, experiments.SysLinux} {
+		fmt.Fprintf(w, "HTTP keep-alive over %s, %d B responses: mean latency %.2f us\n",
+			sys, respBytes, experiments.HTTPLatency(sys, respBytes)/1000)
+	}
 }

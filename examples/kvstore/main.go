@@ -1,7 +1,7 @@
-// Command kvstore reproduces the Redis measurement of §5.3.2: a
-// single-threaded key-value server answering GET/SET over a text protocol,
-// and a redis-benchmark-style client that reports mean and 1%/99%
-// percentile latency for 8-byte GETs.
+// Command kvstore runs the Redis measurement of §5.3.2: a single-threaded
+// key-value server answering GET/SET over a text protocol, and a
+// redis-benchmark-style client that reports mean and 1%/99% percentile
+// latency for 8-byte GETs. It prints what `sdbench redis` prints.
 //
 //	go run ./examples/kvstore [requests]
 //
@@ -15,214 +15,43 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"io"
+	"os"
 	"strconv"
 
-	sd "socksdirect"
+	"socksdirect/internal/experiments"
 )
 
-func main() {
-	servers := flag.Int("servers", 0, "fleet mode: number of kv shard hosts")
-	clients := flag.Int("clients", 2, "fleet mode: number of client hosts")
-	flag.Parse()
-	requests := 2000
-	if flag.NArg() > 0 {
-		if v, err := strconv.Atoi(flag.Arg(0)); err == nil {
+func main() { run(os.Args[1:], os.Stdout) }
+
+func run(args []string, w io.Writer) {
+	fs := flag.NewFlagSet("kvstore", flag.ExitOnError)
+	servers := fs.Int("servers", 0, "fleet mode: number of kv shard hosts")
+	clients := fs.Int("clients", 2, "fleet mode: number of client hosts")
+	fs.Parse(args)
+	requests := 1500
+	if fs.NArg() > 0 {
+		if v, err := strconv.Atoi(fs.Arg(0)); err == nil {
 			requests = v
 		}
 	}
 
-	if *servers > 0 {
-		fleet(*servers, *clients, requests)
+	if *servers == 0 {
+		report(w, "GET (8B value) over SocksDirect SHM", requests, experiments.Redis(requests))
+		fmt.Fprintln(w, "  (paper: Linux mean 38.9 us -> SocksDirect mean 14.1 us)")
 		return
 	}
-
-	cl := sd.NewCluster(sd.Defaults())
-	box := cl.AddHost("cachebox")
-	server := box.NewProcess("kv-server", 0)
-	client := box.NewProcess("kv-bench", 1000)
-
-	server.Go("main", func(t *sd.T) { kvServe(t, 6379) })
-
-	client.Go("main", func(t *sd.T) {
-		t.Sleep(10 * sd.Microsecond)
-		c, err := t.Dial("cachebox", 6379)
-		if err != nil {
-			fmt.Println("dial:", err)
-			return
-		}
-		buf := make([]byte, 512)
-		do := func(cmd string) string {
-			c.Send([]byte(cmd + "\n"))
-			n, err := c.Recv(buf)
-			if err != nil {
-				return ""
-			}
-			return string(bytes.TrimSpace(buf[:n]))
-		}
-		if got := do("SET bench 12345678"); got != "OK" {
-			fmt.Println("SET failed:", got)
-			return
-		}
-		lat := make([]int64, 0, requests)
-		for i := 0; i < requests; i++ {
-			start := t.Now()
-			if got := do("GET bench"); got != "VALUE 12345678" {
-				fmt.Println("GET failed:", got)
-				return
-			}
-			lat = append(lat, t.Now()-start)
-		}
-		report("GET (8B value) over SocksDirect SHM", requests, lat)
-		fmt.Println("  (paper: Linux mean 38.9 us -> SocksDirect mean 14.1 us)")
-	})
-
-	cl.Run()
+	for id, r := range experiments.KVFleet(*servers, *clients, requests) {
+		report(w, fmt.Sprintf("bench%d: GET (8B value) across %d RDMA shards", id, *servers), requests, r)
+	}
+	fmt.Fprintf(w, "fleet: %d shard hosts, %d client hosts, %d GETs per client\n",
+		*servers, *clients, requests)
+	fmt.Fprintln(w, "  (paper: inter-host 8B RTT 1.7 us over SocksDirect vs 30 us Linux)")
 }
 
-// kvServe runs the GET/SET text protocol on one listener until the client
-// goes away: GET key\n -> VALUE <v>\n | NIL\n ; SET key v\n -> OK\n.
-func kvServe(t *sd.T, port uint16) {
-	store := map[string][]byte{}
-	ln, err := t.Listen(port)
-	if err != nil {
-		fmt.Println("listen:", err)
-		return
-	}
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		t.Pr.Go("conn", func(ct *sd.T) { serveConn(conn.WithT(ct), store) })
-	}
-}
-
-func serveConn(c *sd.Conn, store map[string][]byte) {
-	buf := make([]byte, 512)
-	var pending []byte
-	for {
-		n, err := c.Recv(buf)
-		if err != nil {
-			return
-		}
-		pending = append(pending, buf[:n]...)
-		for {
-			line, rest, ok := bytes.Cut(pending, []byte("\n"))
-			if !ok {
-				break
-			}
-			pending = append(pending[:0], rest...)
-			fields := bytes.Fields(line)
-			switch {
-			case len(fields) == 3 && string(fields[0]) == "SET":
-				store[string(fields[1])] = append([]byte(nil), fields[2]...)
-				c.Send([]byte("OK\n"))
-			case len(fields) == 2 && string(fields[0]) == "GET":
-				if v, ok := store[string(fields[1])]; ok {
-					c.Send(append(append([]byte("VALUE "), v...), '\n'))
-				} else {
-					c.Send([]byte("NIL\n"))
-				}
-			default:
-				c.Send([]byte("ERR\n"))
-			}
-		}
-	}
-}
-
-// shardOf routes a key to a server shard (what a smart kv client does).
-func shardOf(key string, shards int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32()) % shards
-}
-
-// fleet runs the N-host mode: `servers` shard hosts, `clients` benchmark
-// hosts, every client issuing `requests` GETs routed per key across the
-// RDMA fabric.
-func fleet(servers, clients, requests int) {
-	cl := sd.NewCluster(sd.Defaults())
-	srvHosts := make([]*sd.Host, servers)
-	for i := range srvHosts {
-		srvHosts[i] = cl.AddHost(fmt.Sprintf("kv%d", i))
-		p := srvHosts[i].NewProcess("kv-shard", 0)
-		p.Go("main", func(t *sd.T) { kvServe(t, 6379) })
-	}
-	cliHosts := make([]*sd.Host, clients)
-	for i := range cliHosts {
-		cliHosts[i] = cl.AddHost(fmt.Sprintf("bench%d", i))
-	}
-	for i, ch := range cliHosts {
-		for _, sh := range srvHosts {
-			sd.PeerMonitors(ch, sh)
-		}
-		id := i
-		p := ch.NewProcess("kv-bench", 1000)
-		p.Go("main", func(t *sd.T) {
-			t.Sleep(10 * sd.Microsecond)
-			conns := make([]*sd.Conn, servers)
-			bufs := make([]byte, 512)
-			for s := range conns {
-				c, err := t.Dial(fmt.Sprintf("kv%d", s), 6379)
-				if err != nil {
-					fmt.Printf("bench%d: dial kv%d: %v\n", id, s, err)
-					return
-				}
-				conns[s] = c
-			}
-			do := func(shard int, cmd string) string {
-				conns[shard].Send([]byte(cmd + "\n"))
-				n, err := conns[shard].Recv(bufs)
-				if err != nil {
-					return ""
-				}
-				return string(bytes.TrimSpace(bufs[:n]))
-			}
-			// Populate this client's key space, spread over the shards.
-			keys := make([]string, 64)
-			for k := range keys {
-				keys[k] = fmt.Sprintf("bench%d-key%02d", id, k)
-				if got := do(shardOf(keys[k], servers), "SET "+keys[k]+" 12345678"); got != "OK" {
-					fmt.Printf("bench%d: SET failed: %q\n", id, got)
-					return
-				}
-			}
-			lat := make([]int64, 0, requests)
-			for i := 0; i < requests; i++ {
-				key := keys[i%len(keys)]
-				start := t.Now()
-				if got := do(shardOf(key, servers), "GET "+key); got != "VALUE 12345678" {
-					fmt.Printf("bench%d: GET failed: %q\n", id, got)
-					return
-				}
-				lat = append(lat, t.Now()-start)
-			}
-			report(fmt.Sprintf("bench%d: GET (8B value) across %d RDMA shards", id, servers),
-				requests, lat)
-		})
-	}
-	cl.Run()
-	fmt.Printf("fleet: %d shard hosts, %d client hosts, %d GETs per client\n",
-		servers, clients, requests)
-	fmt.Println("  (paper: inter-host 8B RTT 1.7 us over SocksDirect vs 30 us Linux)")
-}
-
-func report(title string, requests int, lat []int64) {
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	var sum int64
-	for _, v := range lat {
-		sum += v
-	}
-	p := func(q float64) float64 {
-		return float64(lat[int(q*float64(len(lat)-1))]) / 1000
-	}
-	fmt.Printf("%s, %d requests:\n", title, requests)
-	fmt.Printf("  mean %.2f us, p1 %.2f us, p99 %.2f us\n",
-		float64(sum)/float64(len(lat))/1000, p(0.01), p(0.99))
+func report(w io.Writer, title string, requests int, r experiments.RedisResult) {
+	fmt.Fprintf(w, "%s, %d requests:\n", title, requests)
+	fmt.Fprintf(w, "  mean %.2f us, p1 %.2f us, p99 %.2f us\n", r.MeanUs, r.P1Us, r.P99Us)
 }

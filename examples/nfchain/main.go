@@ -1,136 +1,44 @@
-// Command nfchain reproduces the network-function pipeline of §5.3.4
+// Command nfchain runs the network-function pipeline of §5.3.4
 // (Figure 12): 64-byte packets enter from a generator, flow through a
-// chain of NF processes on one host — each reading from stdin-like input
-// and writing to stdout-like output, here SocksDirect connections — and
-// return to the generator, which reports pipeline throughput.
+// chain of NF stages on one host — each reading its input and writing its
+// output, here SocksDirect connections, Linux pipes or Linux sockets —
+// and return to the generator, which checks every packet's hop count and
+// reports pipeline throughput. Each line it prints is a cell of
+// `sdbench fig12`.
 //
 //	go run ./examples/nfchain [stages] [packets]
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 
-	sd "socksdirect"
+	"socksdirect/internal/experiments"
 )
 
-const pktSize = 64
+func main() { run(os.Args[1:], os.Stdout) }
 
-func main() {
-	stages := 4
-	packets := 20000
-	if len(os.Args) > 1 {
-		if v, err := strconv.Atoi(os.Args[1]); err == nil {
+func run(args []string, w io.Writer) {
+	stages, packets := 4, experiments.Fig12Packets
+	if len(args) > 0 {
+		if v, err := strconv.Atoi(args[0]); err == nil {
 			stages = v
 		}
 	}
-	if len(os.Args) > 2 {
-		if v, err := strconv.Atoi(os.Args[2]); err == nil {
+	if len(args) > 1 {
+		if v, err := strconv.Atoi(args[1]); err == nil {
 			packets = v
 		}
 	}
-
-	cl := sd.NewCluster(sd.Defaults())
-	box := cl.AddHost("nfbox")
-
-	// Each NF: recv packet, bump a counter embedded in the payload,
-	// forward downstream. Stage i listens on 9100+i.
-	for i := 0; i < stages; i++ {
-		i := i
-		nf := box.NewProcess(fmt.Sprintf("nf-%d", i), 0)
-		nf.Go("main", func(t *sd.T) {
-			ln, err := t.Listen(uint16(9100 + i))
-			if err != nil {
-				fmt.Println("nf listen:", err)
-				return
-			}
-			in, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			var out *sd.Conn
-			if i+1 < stages {
-				out, err = t.Dial("nfbox", uint16(9100+i+1))
-			} else {
-				out, err = t.Dial("nfbox", 9099) // back to the generator
-			}
-			if err != nil {
-				fmt.Println("nf dial:", err)
-				return
-			}
-			pkt := make([]byte, pktSize)
-			for {
-				if _, err := in.RecvFull(pkt); err != nil {
-					return
-				}
-				// The NF's work: update the hop counter in the header.
-				binary.LittleEndian.PutUint32(pkt[4:],
-					binary.LittleEndian.Uint32(pkt[4:])+1)
-				if _, err := out.Send(pkt); err != nil {
-					return
-				}
-			}
-		})
+	fmt.Fprintf(w, "%d-stage NF pipeline, %d x 64B packets (virtual time):\n", stages, packets)
+	for _, kind := range []string{"sd", "pipe", "tcp"} {
+		pps, err := experiments.NFChain(kind, stages, packets)
+		if err != nil {
+			fmt.Fprintln(w, err)
+			continue
+		}
+		fmt.Fprintf(w, "  %-4s %6.2f M packets/s\n", kind, pps/1e6)
 	}
-
-	gen := box.NewProcess("pktgen", 0)
-	// The sink runs on its own thread and owns the return listener.
-	var elapsed int64
-	sinkDone := false
-	gen.Go("sink", func(ts *sd.T) {
-		ret, err := ts.Listen(9099)
-		if err != nil {
-			fmt.Println("gen listen:", err)
-			return
-		}
-		in, err := ret.Accept()
-		if err != nil {
-			return
-		}
-		pkt := make([]byte, pktSize)
-		start := int64(-1)
-		for i := 0; i < packets; i++ {
-			if _, err := in.RecvFull(pkt); err != nil {
-				fmt.Println("sink recv:", err)
-				return
-			}
-			if start < 0 {
-				start = ts.Now()
-			}
-			hops := binary.LittleEndian.Uint32(pkt[4:])
-			if int(hops) != stages {
-				fmt.Printf("packet crossed %d hops, want %d\n", hops, stages)
-				return
-			}
-		}
-		elapsed = ts.Now() - start
-		sinkDone = true
-	})
-	gen.Go("source", func(t *sd.T) {
-		t.Sleep(50 * sd.Microsecond) // listeners first
-		out, err := t.Dial("nfbox", 9100)
-		if err != nil {
-			fmt.Println("gen dial:", err)
-			return
-		}
-		pkt := make([]byte, pktSize)
-		for i := 0; i < packets; i++ {
-			binary.LittleEndian.PutUint32(pkt, uint32(i))
-			binary.LittleEndian.PutUint32(pkt[4:], 0)
-			if _, err := out.Send(pkt); err != nil {
-				fmt.Println("gen send:", err)
-				return
-			}
-		}
-		for !sinkDone {
-			t.Yield()
-		}
-		mpps := float64(packets) / (float64(elapsed) / 1e9) / 1e6
-		fmt.Printf("%d-stage NF pipeline, %d x %dB packets: %.2f M packets/s (virtual)\n",
-			stages, packets, pktSize, mpps)
-	})
-
-	cl.Run()
 }

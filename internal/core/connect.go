@@ -274,8 +274,12 @@ func (lst *Listener) Pending() int {
 	return len(bl.conns)
 }
 
-// Close unregisters the listener.
+// Close unregisters the listener. A stale Close, once its descriptor was
+// freed or handed to a successor, does nothing.
 func (lst *Listener) Close(ctx exec.Context) {
+	if e, ok := lst.lib.fds[lst.fd]; !ok || e.lst != lst {
+		return
+	}
 	lst.lib.releaseFD(lst.fd)
 	m := ctlmsg.Msg{Kind: ctlmsg.KListen, Status: 1 /* remove */, Port: lst.port, PID: int64(lst.lib.P.PID), TID: int64(lst.t.TID)}
 	lst.lib.sendCtl(ctx, &m)

@@ -1,14 +1,25 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"sort"
+	"hash/fnv"
+	"slices"
 
 	sd "socksdirect"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
+	"socksdirect/internal/ksocket"
 )
+
+// The application studies of §5.3, each written once. The figures drive
+// them over every system they compare, and examples/httpd, examples/kvstore
+// and examples/nfchain run them as they are. Like the paper's unmodified
+// applications, each study's code sees only endpointAPI, not the transport
+// under it. Parsing would charge no virtual time, so the HTTP study frames
+// its messages with a length header instead of HTTP's text headers.
 
 // Fig11Sizes is the response-size axis of Figure 11.
 var Fig11Sizes = []int{64, 512, 4096, 32768, 262144, 1 << 20}
@@ -21,94 +32,25 @@ func Fig11() []*Series {
 	sdSeries := &Series{Name: "SocksDirect"}
 	lxSeries := &Series{Name: "Linux"}
 	for _, size := range Fig11Sizes {
-		sdSeries.Add(float64(size), httpLatency(true, size)/1000)
-		lxSeries.Add(float64(size), httpLatency(false, size)/1000)
+		sdSeries.Add(float64(size), HTTPLatency(SysSD, size)/1000)
+		lxSeries.Add(float64(size), HTTPLatency(SysLinux, size)/1000)
 	}
 	return []*Series{sdSeries, lxSeries}
 }
 
-// The HTTP-shaped protocol: request = 16-byte line; response = 8-byte
-// length header + body (Content-Length framing without text parsing).
-func httpLatency(useSD bool, respBytes int) float64 {
+// HTTPLatency is one cell of Figure 11: the mean latency in ns of a
+// keep-alive request whose response carries respBytes, through the proxy
+// over SysSD or SysLinux; 0 if a request failed. A request is 16 bytes; a
+// response is an 8-byte length header and the body (Content-Length
+// framing). The mean is over 25 requests, 6 from 32 KiB up.
+func HTTPLatency(sys System, respBytes int) float64 {
 	w := newWorld()
 	rounds := 25
 	if respBytes >= 1<<15 {
 		rounds = 6
 	}
 	var mean float64
-
-	type conn struct {
-		send func([]byte) (int, error)
-		recv func([]byte) (int, error)
-	}
-	full := func(c conn, b []byte) error {
-		got := 0
-		for got < len(b) {
-			n, err := c.recv(b[got:])
-			got += n
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	serveUpstream := func(c conn) {
-		req := make([]byte, 16)
-		body := make([]byte, respBytes)
-		hdr := make([]byte, 8)
-		binary.LittleEndian.PutUint64(hdr, uint64(respBytes))
-		for {
-			if err := full(c, req); err != nil {
-				return
-			}
-			if _, err := c.send(hdr); err != nil {
-				return
-			}
-			if _, err := c.send(body); err != nil {
-				return
-			}
-		}
-	}
-	proxyLoop := func(client, up conn) {
-		req := make([]byte, 16)
-		hdr := make([]byte, 8)
-		body := make([]byte, respBytes)
-		for {
-			if err := full(client, req); err != nil {
-				return
-			}
-			if _, err := up.send(req); err != nil {
-				return
-			}
-			if err := full(up, hdr); err != nil {
-				return
-			}
-			n := int(binary.LittleEndian.Uint64(hdr))
-			if err := full(up, body[:n]); err != nil {
-				return
-			}
-			client.send(hdr)
-			client.send(body[:n])
-		}
-	}
-	generate := func(now func() int64, c conn) {
-		req := make([]byte, 16)
-		hdr := make([]byte, 8)
-		body := make([]byte, respBytes)
-		round := func() {
-			c.send(req)
-			full(c, hdr)
-			full(c, body[:int(binary.LittleEndian.Uint64(hdr))])
-		}
-		round() // warm up
-		start := now()
-		for i := 0; i < rounds; i++ {
-			round()
-		}
-		mean = float64(now()-start) / float64(rounds)
-	}
-
-	if useSD {
+	if sys == SysSD {
 		up := w.hb.NewProcess("upstream", 0)
 		px := w.hb.NewProcess("proxy", 0)
 		gen := w.ha.NewProcess("gen", 0)
@@ -118,7 +60,7 @@ func httpLatency(useSD bool, respBytes int) float64 {
 			if err != nil {
 				return
 			}
-			serveUpstream(conn{send: c.Send, recv: c.Recv})
+			httpUpstream(connAPI(c), respBytes)
 		})
 		px.Go("main", func(t *sd.T) {
 			ln, _ := t.Listen(80)
@@ -130,7 +72,7 @@ func httpLatency(useSD bool, respBytes int) float64 {
 			if err != nil {
 				return
 			}
-			proxyLoop(conn{send: cc.Send, recv: cc.Recv}, conn{send: upc.Send, recv: upc.Recv})
+			httpProxy(connAPI(cc), connAPI(upc), respBytes)
 		})
 		gen.Go("main", func(t *sd.T) {
 			t.Sleep(50_000)
@@ -138,7 +80,7 @@ func httpLatency(useSD bool, respBytes int) float64 {
 			if err != nil {
 				return
 			}
-			generate(t.Now, conn{send: c.Send, recv: c.Recv})
+			mean = httpClient(t.Now, connAPI(c), respBytes, rounds)
 		})
 	} else {
 		lnUp, _ := w.kb.Listen(9000)
@@ -148,10 +90,7 @@ func httpLatency(useSD bool, respBytes int) float64 {
 			if err != nil {
 				return
 			}
-			serveUpstream(conn{
-				send: func(b []byte) (int, error) { return c.Send(ctx, b) },
-				recv: func(b []byte) (int, error) { return c.Recv(ctx, b) },
-			})
+			httpUpstream(ksAPI(ctx, c), respBytes)
 		})
 		w.sim.Spawn("proxy", func(ctx exec.Context) {
 			upc, err := w.kb.Dial(ctx, "hostB", 9000)
@@ -162,13 +101,7 @@ func httpLatency(useSD bool, respBytes int) float64 {
 			if err != nil {
 				return
 			}
-			proxyLoop(conn{
-				send: func(b []byte) (int, error) { return cc.Send(ctx, b) },
-				recv: func(b []byte) (int, error) { return cc.Recv(ctx, b) },
-			}, conn{
-				send: func(b []byte) (int, error) { return upc.Send(ctx, b) },
-				recv: func(b []byte) (int, error) { return upc.Recv(ctx, b) },
-			})
+			httpProxy(ksAPI(ctx, cc), ksAPI(ctx, upc), respBytes)
 		})
 		w.sim.Spawn("gen", func(ctx exec.Context) {
 			ctx.Sleep(50_000)
@@ -176,21 +109,89 @@ func httpLatency(useSD bool, respBytes int) float64 {
 			if err != nil {
 				return
 			}
-			generate(ctx.Now, conn{
-				send: func(b []byte) (int, error) { return c.Send(ctx, b) },
-				recv: func(b []byte) (int, error) { return c.Recv(ctx, b) },
-			})
+			mean = httpClient(ctx.Now, ksAPI(ctx, c), respBytes, rounds)
 		})
 	}
 	w.sim.Run()
 	return mean
 }
 
-// Fig11Point exposes one HTTP measurement (benchmarks).
-func Fig11Point(useSD bool, respBytes int) float64 { return httpLatency(useSD, respBytes) }
+// httpUpstream is the response generator: it answers every request with
+// a respBytes body.
+func httpUpstream(c endpointAPI, respBytes int) {
+	req := make([]byte, 16)
+	body := make([]byte, respBytes)
+	hdr := binary.LittleEndian.AppendUint64(nil, uint64(respBytes))
+	for {
+		if _, err := recvFull(c, req); err != nil {
+			return
+		}
+		if _, err := c.send(hdr); err != nil {
+			return
+		}
+		if _, err := c.send(body); err != nil {
+			return
+		}
+	}
+}
 
-// Fig12Point exposes one NF pipeline measurement (benchmarks).
-func Fig12Point(kind string, stages int) float64 { return nfPipeline(kind, stages) }
+// httpProxy is the reverse proxy: it forwards each client request over
+// its one keep-alive upstream connection and relays the response back.
+func httpProxy(client, up endpointAPI, respBytes int) {
+	req := make([]byte, 16)
+	hdr := make([]byte, 8)
+	body := make([]byte, respBytes)
+	for {
+		if _, err := recvFull(client, req); err != nil {
+			return
+		}
+		if _, err := up.send(req); err != nil {
+			return
+		}
+		if _, err := recvFull(up, hdr); err != nil {
+			return
+		}
+		n := int(binary.LittleEndian.Uint64(hdr))
+		if n > len(body) {
+			return
+		}
+		if _, err := recvFull(up, body[:n]); err != nil {
+			return
+		}
+		client.send(hdr)
+		client.send(body[:n])
+	}
+}
+
+// httpClient is the request generator: after one warm-up request it
+// returns the mean latency of rounds requests, or 0 if one failed.
+func httpClient(now func() int64, c endpointAPI, respBytes, rounds int) float64 {
+	req := make([]byte, 16)
+	hdr := make([]byte, 8)
+	body := make([]byte, respBytes)
+	round := func() bool {
+		c.send(req)
+		if _, err := recvFull(c, hdr); err != nil || binary.LittleEndian.Uint64(hdr) != uint64(respBytes) {
+			return false
+		}
+		_, err := recvFull(c, body)
+		return err == nil
+	}
+	if !round() {
+		return 0
+	}
+	start := now()
+	for range rounds {
+		if !round() {
+			return 0
+		}
+	}
+	return float64(now()-start) / float64(rounds)
+}
+
+// Fig12Packets is how many packets one Figure 12 cell pushes through the
+// chain.
+const Fig12Packets = 1800
 
 // Fig12 regenerates the NF pipeline: throughput of 64-byte packets through
 // an n-stage chain for SocksDirect sockets, Linux pipes, Linux TCP
@@ -201,9 +202,13 @@ func Fig12(stages []int) []*Series {
 	tcpS := &Series{Name: "Linux socket"}
 	nbS := &Series{Name: "NetBricks"}
 	for _, n := range stages {
-		sdS.Add(float64(n), nfPipeline("sd", n)/1e6)
-		pipeS.Add(float64(n), nfPipeline("pipe", n)/1e6)
-		tcpS.Add(float64(n), nfPipeline("tcp", n)/1e6)
+		mpps := func(kind string) float64 {
+			pps, _ := NFChain(kind, n, Fig12Packets)
+			return pps / 1e6
+		}
+		sdS.Add(float64(n), mpps("sd"))
+		pipeS.Add(float64(n), mpps("pipe"))
+		tcpS.Add(float64(n), mpps("tcp"))
 		nbS.Add(float64(n), netbricksBound(n)/1e6)
 	}
 	return []*Series{sdS, pipeS, tcpS, nbS}
@@ -216,33 +221,23 @@ func netbricksBound(stages int) float64 {
 	return 1e9 / perPkt
 }
 
-func nfPipeline(kind string, stages int) float64 {
-	const packets = 1800
+// nfPktSize is Figure 12's packet: a 4-byte sequence number, a 4-byte hop
+// counter, and padding.
+const nfPktSize = 64
+
+// NFChain is one cell of Figure 12: packets/s through a chain of `stages`
+// network functions on one host, linked by kind "sd" (SocksDirect
+// connections, one process per stage), "pipe" or "tcp" (Linux pipes or
+// loopback sockets between the threads of one process). It fails unless
+// every packet comes back having crossed exactly `stages` hops.
+func NFChain(kind string, stages, packets int) (float64, error) {
 	w := newWorld()
 	var elapsed int64
-	done := false
-
-	type hop struct {
-		send func(exec.Context, []byte) (int, error)
-		recv func(exec.Context, []byte) (int, error)
-	}
-	fullRecv := func(ctx exec.Context, h hop, b []byte) error {
-		got := 0
-		for got < len(b) {
-			n, err := h.recv(ctx, b[got:])
-			got += n
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	switch kind {
-	case "sd":
+	fail := errors.New("the sink received nothing")
+	if kind == "sd" {
 		// Stage i listens on 9100+i; the generator closes the loop.
+		done := false
 		for i := 0; i < stages; i++ {
-			i := i
 			nf := w.ha.NewProcess(fmt.Sprintf("nf%d", i), 0)
 			nf.Go("main", func(t *sd.T) {
 				ln, _ := t.Listen(uint16(9100 + i))
@@ -258,37 +253,18 @@ func nfPipeline(kind string, stages int) float64 {
 				if err != nil {
 					return
 				}
-				pkt := make([]byte, 64)
-				for {
-					if _, err := in.RecvFull(pkt); err != nil {
-						return
-					}
-					binary.LittleEndian.PutUint32(pkt[4:], binary.LittleEndian.Uint32(pkt[4:])+1)
-					if _, err := out.Send(pkt); err != nil {
-						return
-					}
-				}
+				nfStage(connAPI(in), connAPI(out))
 			})
 		}
 		gen := w.ha.NewProcess("gen", 0)
 		gen.Go("sink", func(t *sd.T) {
+			defer func() { done = true }()
 			ln, _ := t.Listen(9099)
 			in, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			pkt := make([]byte, 64)
-			start := int64(-1)
-			for i := 0; i < packets; i++ {
-				if _, err := in.RecvFull(pkt); err != nil {
-					return
-				}
-				if start < 0 {
-					start = t.Now()
-				}
-			}
-			elapsed = t.Now() - start
-			done = true
+			elapsed, fail = nfSink(t.Now, connAPI(in), stages, packets)
 		})
 		gen.Go("src", func(t *sd.T) {
 			t.Sleep(100_000)
@@ -296,124 +272,128 @@ func nfPipeline(kind string, stages int) float64 {
 			if err != nil {
 				return
 			}
-			pkt := make([]byte, 64)
-			for i := 0; i < packets; i++ {
-				if _, err := out.Send(pkt); err != nil {
-					return
-				}
-			}
+			nfSource(connAPI(out), packets)
 			for !done {
 				out.Readable()
 				t.Sleep(20_000)
 			}
 		})
-
-	case "pipe", "tcp":
-		// Build the chain of kernel transports up front, then run one
-		// thread per stage.
-		mk := func() (hop, hop) { // returns (writer hop, reader hop)
-			if kind == "pipe" {
-				r, wr := w.a.Kern.Pipe()
-				return hop{send: wr.Write}, hop{recv: r.Read}
-			}
-			// TCP loopback pair via kernel sockets.
-			port := w.nextPort()
-			l, _ := w.ka.Listen(port)
-			var srv, cli hop
-			sdone := false
-			w.sim.Spawn("pair", func(ctx exec.Context) {
-				c, err := l.Accept(ctx)
-				if err != nil {
-					return
-				}
-				srv = hop{
-					send: func(ctx exec.Context, b []byte) (int, error) { return c.Send(ctx, b) },
-					recv: func(ctx exec.Context, b []byte) (int, error) { return c.Recv(ctx, b) },
-				}
-				sdone = true
-			})
-			w.sim.Spawn("dial", func(ctx exec.Context) {
-				c, err := w.ka.Dial(ctx, "hostA", port)
-				if err != nil {
-					return
-				}
-				cli = hop{
-					send: func(ctx exec.Context, b []byte) (int, error) { return c.Send(ctx, b) },
-					recv: func(ctx exec.Context, b []byte) (int, error) { return c.Recv(ctx, b) },
-				}
-				for !sdone {
-					ctx.Yield()
-				}
-			})
-			// The pair resolves during Run; stages wait for non-nil hops.
-			return hop{send: func(ctx exec.Context, b []byte) (int, error) {
-					for cli.send == nil {
-						ctx.Yield()
-					}
-					return cli.send(ctx, b)
-				}}, hop{recv: func(ctx exec.Context, b []byte) (int, error) {
-					for srv.recv == nil {
-						ctx.Yield()
-					}
-					return srv.recv(ctx, b)
-				}}
-		}
-		writers := make([]hop, stages+1)
-		readers := make([]hop, stages+1)
-		for i := 0; i <= stages; i++ {
-			writers[i], readers[i] = mk()
+	} else {
+		// Link i feeds stage i; link `stages` returns to the sink. The
+		// links are built up front; a TCP link's ends wait for its
+		// connection, which resolves during Run.
+		links := make([]kernLink, stages+1)
+		for i := range links {
+			links[i] = w.kernLink(kind, 20001+uint16(i))
 		}
 		p := w.a.NewProcess("nfchain", 0)
 		for i := 0; i < stages; i++ {
-			i := i
 			p.Spawn(fmt.Sprintf("nf%d", i), func(ctx exec.Context, _ *host.Thread) {
-				pkt := make([]byte, 64)
-				for {
-					if err := fullRecv(ctx, readers[i], pkt); err != nil {
-						return
-					}
-					binary.LittleEndian.PutUint32(pkt[4:], binary.LittleEndian.Uint32(pkt[4:])+1)
-					if _, err := writers[i+1].send(ctx, pkt); err != nil {
-						return
-					}
-				}
+				nfStage(links[i].api(ctx), links[i+1].api(ctx))
 			})
 		}
 		p.Spawn("sink", func(ctx exec.Context, _ *host.Thread) {
-			pkt := make([]byte, 64)
-			start := int64(-1)
-			for i := 0; i < packets; i++ {
-				if err := fullRecv(ctx, readers[stages], pkt); err != nil {
-					return
-				}
-				if start < 0 {
-					start = ctx.Now()
-				}
-			}
-			elapsed = ctx.Now() - start
-			done = true
+			elapsed, fail = nfSink(ctx.Now, links[stages].api(ctx), stages, packets)
 		})
 		p.Spawn("src", func(ctx exec.Context, _ *host.Thread) {
 			ctx.Sleep(100_000)
-			pkt := make([]byte, 64)
-			for i := 0; i < packets; i++ {
-				if _, err := writers[0].send(ctx, pkt); err != nil {
-					return
-				}
-			}
+			nfSource(links[0].api(ctx), packets)
 		})
 	}
 	w.sim.Run()
-	if !done || elapsed <= 0 {
-		return 0
+	if fail != nil {
+		return 0, fmt.Errorf("%d-stage %s chain: %w", stages, kind, fail)
 	}
-	return float64(packets) / (float64(elapsed) / 1e9)
+	if elapsed <= 0 {
+		return 0, nil
+	}
+	return float64(packets) / (float64(elapsed) / 1e9), nil
 }
 
-// nextPort hands out experiment-unique kernel ports.
-func (w *world) nextPort() uint16 {
-	w.portSeq++
-	return 20000 + w.portSeq
+// nfStage is one network function: it bumps each packet's hop counter
+// and forwards the packet.
+func nfStage(in, out endpointAPI) {
+	pkt := make([]byte, nfPktSize)
+	for {
+		if _, err := recvFull(in, pkt); err != nil {
+			return
+		}
+		binary.LittleEndian.PutUint32(pkt[4:], binary.LittleEndian.Uint32(pkt[4:])+1)
+		if _, err := out.send(pkt); err != nil {
+			return
+		}
+	}
+}
+
+// nfSource numbers and sends the packets.
+func nfSource(out endpointAPI, packets int) {
+	pkt := make([]byte, nfPktSize)
+	for i := range packets {
+		binary.LittleEndian.PutUint32(pkt, uint32(i))
+		if _, err := out.send(pkt); err != nil {
+			return
+		}
+	}
+}
+
+// nfSink receives the packets back, checks each one's hop count, and
+// returns the time from the first packet's arrival to the last's.
+func nfSink(now func() int64, in endpointAPI, stages, packets int) (int64, error) {
+	pkt := make([]byte, nfPktSize)
+	start := int64(-1)
+	for range packets {
+		if _, err := recvFull(in, pkt); err != nil {
+			return 0, err
+		}
+		if start < 0 {
+			start = now()
+		}
+		if hops := binary.LittleEndian.Uint32(pkt[4:]); int(hops) != stages {
+			return 0, fmt.Errorf("packet %d crossed %d hops, want %d",
+				binary.LittleEndian.Uint32(pkt), hops, stages)
+		}
+	}
+	return now() - start, nil
+}
+
+// kernLink is one link of a kernel NF chain: a pipe or a loopback TCP
+// connection, each end used by the thread that passes its own context.
+type kernLink struct {
+	send, recv func(exec.Context, []byte) (int, error)
+}
+
+func (l kernLink) api(ctx exec.Context) endpointAPI {
+	return endpointAPI{
+		send: func(b []byte) (int, error) { return l.send(ctx, b) },
+		recv: func(b []byte) (int, error) { return l.recv(ctx, b) },
+	}
+}
+
+// kernLink builds a pipe, or a TCP connection on port whose two ends
+// wait until it is set up.
+func (w *world) kernLink(kind string, port uint16) kernLink {
+	if kind == "pipe" {
+		r, wr := w.a.Kern.Pipe()
+		return kernLink{send: wr.Write, recv: r.Read}
+	}
+	l, _ := w.ka.Listen(port)
+	var srv, cli *ksocket.Socket
+	w.sim.Spawn("pair", func(ctx exec.Context) { srv, _ = l.Accept(ctx) })
+	w.sim.Spawn("dial", func(ctx exec.Context) { cli, _ = w.ka.Dial(ctx, "hostA", port) })
+	return kernLink{
+		send: func(ctx exec.Context, b []byte) (int, error) {
+			for cli == nil {
+				ctx.Yield()
+			}
+			return cli.Send(ctx, b)
+		},
+		recv: func(ctx exec.Context, b []byte) (int, error) {
+			for srv == nil {
+				ctx.Yield()
+			}
+			return srv.Recv(ctx, b)
+		},
+	}
 }
 
 // RedisResult is the §5.3.2 measurement.
@@ -422,57 +402,159 @@ type RedisResult struct {
 }
 
 // Redis measures 8-byte GET latency over SocksDirect intra-host, like
-// redis-benchmark against an unmodified single-threaded server.
+// redis-benchmark against an unmodified single-threaded server: KVServe
+// and one client, which sets a key and then gets it `requests` times.
 func Redis(requests int) RedisResult {
 	w := newWorld()
-	var lats []int64
-	srv := w.ha.NewProcess("redis", 0)
-	cli := w.ha.NewProcess("bench", 1000)
-	srv.Go("main", func(t *sd.T) {
-		ln, _ := t.Listen(6379)
+	return kvStudy(w.cl, []*sd.Host{w.ha}, []*sd.Host{w.ha}, 1, requests)[0]
+}
+
+// KVFleet spreads the store over a cluster: `servers` hosts each run one
+// KVServe shard, and `clients` hosts each run a benchmark client that
+// routes each of its 64 keys to a shard (a smart client in front of a
+// sharded Redis fleet). GETs cross the routed RDMA fabric. It returns one
+// result per client.
+func KVFleet(servers, clients, requests int) []RedisResult {
+	cl := sd.NewCluster(sd.Defaults())
+	hosts := func(n int, name string) []*sd.Host {
+		hs := make([]*sd.Host, n)
+		for i := range hs {
+			hs[i] = cl.AddHost(fmt.Sprintf(name, i))
+		}
+		return hs
+	}
+	srv, cli := hosts(servers, "kv%d"), hosts(clients, "bench%d")
+	for _, c := range cli {
+		for _, s := range srv {
+			sd.PeerMonitors(c, s)
+		}
+	}
+	return kvStudy(cl, srv, cli, 64, requests)
+}
+
+// kvStudy runs KVServe on every server host and a benchmark client on
+// every client host, which dials every server, sets `keys` keys of its
+// own and times `requests` GETs; it returns each client's result.
+func kvStudy(cl *sd.Cluster, servers, clients []*sd.Host, keys, requests int) []RedisResult {
+	for _, h := range servers {
+		h.NewProcess("kv-server", 0).Go("main", func(t *sd.T) {
+			if ln, err := t.Listen(6379); err == nil {
+				KVServe(t, ln)
+			}
+		})
+	}
+	res := make([]RedisResult, len(clients))
+	for id, h := range clients {
+		h.NewProcess("kv-bench", 1000).Go("main", func(t *sd.T) {
+			t.Sleep(20_000)
+			shards := make([]*sd.Conn, len(servers))
+			for i, s := range servers {
+				c, err := t.Dial(s.H.Name, 6379)
+				if err != nil {
+					return
+				}
+				shards[i] = c
+			}
+			names := make([]string, keys)
+			for k := range names {
+				names[k] = fmt.Sprintf("bench%d-key%02d", id, k)
+			}
+			res[id] = kvBench(t, shards, names, requests)
+		})
+	}
+	cl.Run()
+	return res
+}
+
+// KVServe answers the GET/SET line protocol on ln until Accept fails, one
+// thread per connection, all sharing one store:
+//
+//	GET key\n   -> VALUE <v>\n | NIL\n
+//	SET key v\n -> OK\n
+func KVServe(t *sd.T, ln *sd.Listener) {
+	store := map[string][]byte{}
+	for {
 		c, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		store := map[string][]byte{"k": []byte("12345678")}
-		buf := make([]byte, 64)
-		for {
-			n, err := c.Recv(buf)
-			if err != nil {
-				return
-			}
-			_ = n
-			c.Send(store["k"])
-		}
-	})
-	cli.Go("main", func(t *sd.T) {
-		t.Sleep(20_000)
-		c, err := t.Dial("hostA", 6379)
+		t.Pr.Go("conn", func(ct *sd.T) { kvServeConn(c.WithT(ct), store) })
+	}
+}
+
+func kvServeConn(c *sd.Conn, store map[string][]byte) {
+	buf := make([]byte, 512)
+	var pending []byte
+	for {
+		n, err := c.Recv(buf)
 		if err != nil {
 			return
 		}
-		buf := make([]byte, 64)
-		for i := 0; i < requests; i++ {
-			start := t.Now()
-			c.Send([]byte("GET k"))
-			c.Recv(buf)
-			lats = append(lats, t.Now()-start)
+		pending = append(pending, buf[:n]...)
+		for {
+			end := bytes.IndexByte(pending, '\n')
+			if end < 0 {
+				break
+			}
+			fields := bytes.Fields(pending[:end])
+			switch {
+			case len(fields) == 3 && string(fields[0]) == "SET":
+				store[string(fields[1])] = append([]byte(nil), fields[2]...)
+				c.Send([]byte("OK\n"))
+			case len(fields) == 2 && string(fields[0]) == "GET":
+				if v, ok := store[string(fields[1])]; ok {
+					c.Send(append(append([]byte("VALUE "), v...), '\n'))
+				} else {
+					c.Send([]byte("NIL\n"))
+				}
+			default:
+				c.Send([]byte("ERR\n"))
+			}
+			pending = append(pending[:0], pending[end+1:]...)
 		}
-	})
-	w.sim.Run()
+	}
+}
+
+// kvBench sets each key to an 8-byte value on its shard, then times
+// `requests` GETs over the keys in turn. A wrong answer yields the zero
+// result.
+func kvBench(t *sd.T, shards []*sd.Conn, keys []string, requests int) RedisResult {
+	buf := make([]byte, 512)
+	do := func(key, cmd string) string {
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		c := shards[int(h.Sum32())%len(shards)]
+		c.Send([]byte(cmd + "\n"))
+		n, err := c.Recv(buf)
+		if err != nil {
+			return ""
+		}
+		return string(bytes.TrimSpace(buf[:n]))
+	}
+	for _, k := range keys {
+		if do(k, "SET "+k+" 12345678") != "OK" {
+			return RedisResult{}
+		}
+	}
+	lats := make([]int64, requests)
+	for i := range lats {
+		key := keys[i%len(keys)]
+		start := t.Now()
+		if do(key, "GET "+key) != "VALUE 12345678" {
+			return RedisResult{}
+		}
+		lats[i] = t.Now() - start
+	}
 	if len(lats) == 0 {
 		return RedisResult{}
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	slices.Sort(lats)
 	var sum int64
 	for _, v := range lats {
 		sum += v
 	}
 	q := func(p float64) float64 { return float64(lats[int(p*float64(len(lats)-1))]) / 1000 }
-	return RedisResult{
-		MeanUs: float64(sum) / float64(len(lats)) / 1000,
-		P1Us:   q(0.01), P99Us: q(0.99),
-	}
+	return RedisResult{MeanUs: float64(sum) / float64(len(lats)) / 1000, P1Us: q(0.01), P99Us: q(0.99)}
 }
 
 // AblateToken compares §4.1's three socket-sharing regimes on one queue:

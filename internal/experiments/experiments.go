@@ -6,8 +6,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	sd "socksdirect"
 	"socksdirect/internal/baseline/libvma"
 	"socksdirect/internal/baseline/rsocket"
@@ -70,8 +68,7 @@ type world struct {
 	cl     *sd.Cluster
 	ha, hb *sd.Host
 
-	recvDone bool   // streaming workloads: receiver finished draining
-	portSeq  uint16 // kernel-port allocator for multi-pair experiments
+	recvDone bool // streaming workloads: receiver finished draining
 
 	vmaA, vmaB *libvma.Stack // one LibVMA instance per host (proto handler is singleton)
 }
@@ -316,10 +313,7 @@ func wireOnT(w *world, sys System, intra bool, unopt bool, size int, port uint16
 			if err != nil {
 				return
 			}
-			serverFn(&timeSrc{now: ctx.Now, yield: ctx.Yield, sleep: ctx.Sleep}, endpointAPI{
-				send: func(b []byte) (int, error) { return c.Send(ctx, b) },
-				recv: func(b []byte) (int, error) { return c.Recv(ctx, b) },
-			})
+			serverFn(&timeSrc{now: ctx.Now, yield: ctx.Yield, sleep: ctx.Sleep}, ksAPI(ctx, c))
 		})
 		w.sim.Spawn("cli", func(ctx exec.Context) {
 			ctx.Sleep(10_000)
@@ -327,10 +321,7 @@ func wireOnT(w *world, sys System, intra bool, unopt bool, size int, port uint16
 			if err != nil {
 				return
 			}
-			clientFn(&timeSrc{now: ctx.Now, yield: ctx.Yield, sleep: ctx.Sleep}, endpointAPI{
-				send: func(b []byte) (int, error) { return c.Send(ctx, b) },
-				recv: func(b []byte) (int, error) { return c.Recv(ctx, b) },
-			})
+			clientFn(&timeSrc{now: ctx.Now, yield: ctx.Yield, sleep: ctx.Sleep}, ksAPI(ctx, c))
 		})
 
 	case SysLibVMA:
@@ -401,9 +392,7 @@ func wireOnT(w *world, sys System, intra bool, unopt bool, size int, port uint16
 		qb := pdb.CreateQP(cqbS, cqbR)
 		qa.Connect("hostB", qb.QPN())
 		qb.Connect("hostA", qa.QPN())
-		_ = mra
 		w.sim.Spawn("srv", func(ctx exec.Context) {
-			payload := make([]byte, size)
 			serverFn(&timeSrc{now: ctx.Now, yield: ctx.Yield, sleep: ctx.Sleep}, endpointAPI{
 				send: func(b []byte) (int, error) {
 					ctx.Charge(w.costs.RDMAPost)
@@ -421,7 +410,6 @@ func wireOnT(w *world, sys System, intra bool, unopt bool, size int, port uint16
 					}
 				},
 			})
-			_ = payload
 		})
 		w.sim.Spawn("cli", func(ctx exec.Context) {
 			clientFn(&timeSrc{now: ctx.Now, yield: ctx.Yield, sleep: ctx.Sleep}, endpointAPI{
@@ -445,14 +433,23 @@ func wireOnT(w *world, sys System, intra bool, unopt bool, size int, port uint16
 	}
 }
 
+// connAPI adapts a SocksDirect connection's byte API.
+func connAPI(c *sd.Conn) endpointAPI {
+	return endpointAPI{send: c.Send, recv: c.Recv, idle: func() { c.Readable() }}
+}
+
+// ksAPI adapts a Linux socket used by the thread that owns ctx.
+func ksAPI(ctx exec.Context, c *ksocket.Socket) endpointAPI {
+	return endpointAPI{
+		send: func(b []byte) (int, error) { return c.Send(ctx, b) },
+		recv: func(b []byte) (int, error) { return c.Recv(ctx, b) },
+	}
+}
+
 // sdAPI adapts a SocksDirect connection: byte API plus VA API for the
 // zero-copy experiments (disabled for the unopt ablation).
 func sdAPI(t *sd.T, c *sd.Conn, size int, unopt bool) endpointAPI {
-	api := endpointAPI{
-		send: func(b []byte) (int, error) { return c.Send(b) },
-		recv: func(b []byte) (int, error) { return c.Recv(b) },
-		idle: func() { c.Readable() },
-	}
+	api := connAPI(c)
 	if !unopt && size >= 16*1024 {
 		src := t.Alloc(size)
 		dst := t.Alloc(size)
@@ -469,5 +466,3 @@ func sdAPI(t *sd.T, c *sd.Conn, size int, unopt bool) endpointAPI {
 	}
 	return api
 }
-
-var _ = fmt.Sprintf

@@ -72,3 +72,45 @@ func TestZeroCopyCrossover(t *testing.T) {
 	}
 	t.Logf("1MiB intra: zero-copy %.1f Gbps vs copy %.1f Gbps", zc*8/1e9, cp*8/1e9)
 }
+
+// TestApplicationStudiesMatchPaper checks the claims of §5.3 that Figures
+// 11 and 12 support: SocksDirect beats Linux at every response size and
+// by at least 5x at 64 B (paper 5.5x); it runs the NF chain at least 10x
+// faster than Linux pipes and sockets at every length (paper 15-20x);
+// the NetBricks function-call bound beats it at one stage and falls below
+// it from two; and every packet crosses exactly one hop per stage on every
+// transport.
+func TestApplicationStudiesMatchPaper(t *testing.T) {
+	fig11 := Fig11()
+	sdS, lxS := fig11[0], fig11[1]
+	for i, size := range Fig11Sizes {
+		if !(sdS.Y[i] > 0 && sdS.Y[i] < lxS.Y[i]) {
+			t.Errorf("Fig 11, %d B: SD %.2f us, Linux %.2f us; want 0 < SD < Linux", size, sdS.Y[i], lxS.Y[i])
+		}
+	}
+	if r := lxS.Y[0] / sdS.Y[0]; r < 5 {
+		t.Errorf("Fig 11, 64 B: Linux/SD %.1fx, want >= 5x (paper 5.5x)", r)
+	}
+
+	stages := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	fig12 := Fig12(stages)
+	sdN, pipe, tcp, nb := fig12[0], fig12[1], fig12[2], fig12[3]
+	for i, n := range stages {
+		if sdN.Y[i] < 10*pipe.Y[i] || sdN.Y[i] < 10*tcp.Y[i] || pipe.Y[i] <= 0 || tcp.Y[i] <= 0 {
+			t.Errorf("Fig 12, %d stages: SD %.2f M/s, pipe %.2f, TCP %.2f; want SD >= 10x both",
+				n, sdN.Y[i], pipe.Y[i], tcp.Y[i])
+		}
+		if above := nb.Y[i] > sdN.Y[i]; above != (n == 1) {
+			t.Errorf("Fig 12, %d stages: NetBricks %.2f M/s vs SD %.2f; want it above SD only at 1 stage",
+				n, nb.Y[i], sdN.Y[i])
+		}
+	}
+
+	for _, kind := range []string{"sd", "pipe", "tcp"} {
+		for _, n := range []int{1, 3} {
+			if _, err := NFChain(kind, n, 200); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
