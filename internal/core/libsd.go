@@ -639,7 +639,8 @@ func (l *Libsd) GTIDOf(t *host.Thread) GTID { return MakeGTID(l.P.PID, t.TID) }
 // surviving peer still drains in-flight bytes before seeing the reset.
 // A splice attempt's QP is closed too, found through the sockets (an
 // inherited endpoint is registered only once spliced), and stays recorded,
-// so the dying thread starts no new attempt.
+// so the dying thread starts no new attempt. The sockets' sdstat rows become
+// final: their rings are crash cleanup's to reclaim.
 func (l *Libsd) OnProcessDeath() {
 	eps := make([]*rdmaEP, 0, len(l.eps))
 	for _, ep := range l.eps {
@@ -652,6 +653,7 @@ func (l *Libsd) OnProcessDeath() {
 			if ep, ok := s.ep.(*rdmaEP); ok && ep.rec.qp != nil {
 				ep.rec.qp.Close()
 			}
+			s.freezeFlow()
 		}
 	}
 	l.closeParked("", 0)

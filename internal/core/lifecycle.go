@@ -136,15 +136,16 @@ func (closedEP) kick(exec.Context)                                {}
 func (closedEP) peerAlive() bool                                  { return true }
 func (closedEP) progress(exec.Context)                            {}
 
-// dropEP points s at closedEP. An inherited endpoint that has no QP yet is
-// on no side's list (registerEP), so releaseInter never sees it: the QP of
-// its splice attempt in flight is closed here.
+// dropEP points s at closedEP and drops the bytes of a message no Recv
+// finished, as close discards a receive queue. An inherited endpoint that
+// has no QP yet is on no side's list (registerEP), so releaseInter never
+// sees it: the QP of its splice attempt in flight is closed here.
 func (s *Socket) dropEP() {
 	if ep, ok := s.ep.(*rdmaEP); ok && ep.qp == nil && ep.rec.qp != nil {
 		ep.rec.qp.Close()
 		s.lib.dropReQP(s.side.QID, ep.rec.nonce)
 	}
-	s.ep = closedEP{}
+	s.ep, s.rxPending = closedEP{}, nil
 }
 
 // connNoter is the monitor's intake for released connections (structural,
@@ -166,7 +167,7 @@ func (l *Libsd) sideClosed(s *Socket) {
 	s.dropEP()
 	side.reach(closed)
 	// The sdstat row outlives the rings its probe reads.
-	s.flow.Freeze()
+	s.freezeFlow()
 	if is := s.intra; is != nil {
 		if is.Peer(side).is(closed) || crashed {
 			l.releaseIntra(is, s.shmTok, !crashed)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 
 	"socksdirect/internal/core"
@@ -21,9 +22,10 @@ const sockRing = 128 * 1024
 // census is everything a closed connection must give back, counted over
 // the two hosts and two processes of a churn world — and the one thing it
 // keeps on purpose: parked is the QPs of finished connections the processes
-// hold for their next dial, qps every other QP on the two NICs.
+// hold for their next dial, qps every other QP on the two NICs. flows is the
+// sdstat rows still reading a socket, counted over the process-wide table.
 type census struct {
-	segs, qps, parked, mrs, pinned, eps, closing, records int
+	segs, qps, parked, mrs, pinned, eps, closing, records, flows int
 }
 
 func takeCensus(w *world, libs ...*core.Libsd) census {
@@ -33,6 +35,7 @@ func takeCensus(w *world, libs ...*core.Libsd) census {
 		mrs:     w.a.NIC.MRCount() + w.b.NIC.MRCount(),
 		pinned:  w.a.Mem.PinnedCount() + w.b.Mem.PinnedCount(),
 		records: w.ma.LiveConnRecords() + w.mb.LiveConnRecords(),
+		flows:   obs.LiveFlows(),
 	}
 	for _, l := range libs {
 		c.eps += l.Endpoints()
@@ -117,9 +120,11 @@ func churn(t *testing.T, inter bool, n int) (base, end census, heap uint64) {
 }
 
 // TestChurnLeak: a connection that was closed on both sides leaves nothing
-// behind — segments, QPs, MRs, pinned frames, endpoint-table entries and
-// monitor records are back at their pre-churn level however many cycles
-// ran, and the heap does not grow with the cycle count.
+// behind — segments, QPs, MRs, pinned frames, endpoint-table entries,
+// monitor records and live sdstat rows are back at their pre-churn level
+// however many cycles ran, the flow table keeps no more than
+// obs.ClosedFlows closed rows, and the heap does not grow with the cycle
+// count.
 func TestChurnLeak(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -148,6 +153,9 @@ func TestChurnLeak(t *testing.T) {
 				}
 				heaps[i] = heap
 			}
+			if rows, live := len(obs.Flows()), obs.LiveFlows(); rows > live+obs.ClosedFlows {
+				t.Errorf("flow table holds %d rows, want at most the %d live ones and %d closed", rows, live, obs.ClosedFlows)
+			}
 			if grow := int64(heaps[1]) - int64(heaps[0]); grow > 8<<20 {
 				t.Errorf("HeapInuse grew %d B from %d to %d cycles", grow, tc.short, tc.long)
 			}
@@ -165,6 +173,57 @@ func TestChurnLeak(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestClosedSocketWritesNoRow: a socket closed long enough ago that the
+// flow table has reused its row's record for later connections has let go
+// of it: its Send, Recv and Close fail as on any closed socket — a Recv
+// too that the socket had the rest of a message for — and no row, the open
+// connection's included, changes.
+func TestClosedSocketWritesNoRow(t *testing.T) {
+	w := newWorld(t)
+	sp, sl := proc(t, w.a, "server", 0)
+	cp, cl := proc(t, w.a, "client", 1000)
+	sp.Spawn("srv", echoServer(t, sl, 7407))
+	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		stale, _, err := cl.Connect(ctx, th, "hostA", 7407)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		req, reply := []byte("8 bytes!"), make([]byte, 8)
+		stale.Send(ctx, th, req)
+		if n, err := stale.Recv(ctx, th, reply[:4]); n != 4 || err != nil {
+			t.Errorf("half the echo: %d, %v", n, err)
+		}
+		stale.Close(ctx, th)
+		for i := 0; i < obs.ClosedFlows; i++ { // each cycle retires two rows
+			echoOnce(t, ctx, th, cl, "hostA", 7407)
+		}
+		s, _, err := cl.Connect(ctx, th, "hostA", 7407)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		ctx.Sleep(1_000_000)
+		before := obs.Flows()
+		if _, err := stale.Send(ctx, th, req); !errors.Is(err, core.ErrShutdown) {
+			t.Errorf("send on the closed socket: want ErrShutdown, got %v", err)
+		}
+		if _, err := stale.Recv(ctx, th, reply); err != io.EOF {
+			t.Errorf("recv on the closed socket: want EOF, got %v", err)
+		}
+		if err := stale.Close(ctx, th); !errors.Is(err, core.ErrBadFD) {
+			t.Errorf("close of the closed socket: want ErrBadFD, got %v", err)
+		}
+		if after := obs.Flows(); !slices.Equal(after, before) {
+			t.Errorf("operations on a closed socket changed the flow table")
+		}
+		s.Close(ctx, th)
+		sp.Signal(ctx, host.SIGKILL)
+	})
+	w.sim.Run()
 }
 
 // TestRefusedDialLeavesNothing: a remote dial that nobody listens for
@@ -887,6 +946,7 @@ func TestHalfCloseReleasesNothing(t *testing.T) {
 				end = takeCensus(w, sl, cl)
 			})
 			w.sim.Run()
+			open.flows-- // the closed side's row is final
 			if inter {
 				open.closing++ // the closed side is now parked in the closing table
 			}

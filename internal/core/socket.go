@@ -36,7 +36,8 @@ type Socket struct {
 	shmTok uint64
 
 	// flow is this endpoint's row in the obs flow table (sdstat). Nil
-	// until the socket is established; every Flow method is nil-safe.
+	// until the socket is established and again once its row is frozen
+	// (freezeFlow); every Flow method is nil-safe.
 	flow *obs.Flow
 
 	// stream reassembly: bytes of a partially consumed ring message.
@@ -91,9 +92,14 @@ func (l *Libsd) initFlow(s *Socket) {
 	if peer == "" {
 		peer = l.H.Name // intra-host: both ends live here
 	}
-	f := obs.RegisterFlow(obs.FlowKey{Host: l.H.Name, PID: int64(l.P.PID), QID: s.side.QID}, peer)
-	f.SetProbe(s)
-	s.flow = f
+	s.flow = obs.RegisterFlow(obs.FlowKey{Host: l.H.Name, PID: int64(l.P.PID), QID: s.side.QID}, peer, s)
+}
+
+// freezeFlow makes the socket's sdstat row final. The table reuses the
+// record once the row is evicted, so the socket lets go of it.
+func (s *Socket) freezeFlow() {
+	s.flow.Freeze()
+	s.flow = nil
 }
 
 // Probe reads the flow-table fields from the endpoint (obs.Prober): its send
@@ -537,7 +543,7 @@ func (s *Socket) Close(ctx exec.Context, t *host.Thread) error {
 	if s.side.Refs.Add(-1) > 0 {
 		// This FD is gone; the side lives on through the others, and its
 		// rings are theirs to release: the sdstat row stops reading them.
-		s.flow.Freeze()
+		s.freezeFlow()
 		s.dropEP()
 		return nil
 	}

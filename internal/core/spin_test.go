@@ -10,6 +10,7 @@ import (
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
 	"socksdirect/internal/monitor"
+	"socksdirect/internal/obs"
 )
 
 // What a blocked wait costs the host: the scheduler plays the empty polls
@@ -103,16 +104,14 @@ func heapAllocs() uint64 {
 }
 
 // TestDialCycleAllocs: an intra-host dial, 8-byte echo and close allocates
-// only what outlives it — the two Sockets and their sdstat flow rows (users
-// and the flow table keep them after Close) and the IntraSock, whose segment
-// is an entry of the registry's map — plus the test's request buffer and the
-// amortised growth of the flow table: 7.06 a cycle when the test runs alone
-// (5.30 after the package's other tests, whose flow rows it meets again under
-// the same keys). The per-dial records (the pending dial with its SYN and
-// control wait, the dispatched connection, the monitor's connection record)
-// come from free lists on their owners, the FD table holds entries by value
-// and a socket's SHM endpoint is part of the Socket. A refused dial allocates
-// nothing.
+// only what outlives it — the two Sockets (users keep them after Close) and
+// the IntraSock, whose segment is an entry of the registry's map — plus the
+// test's request buffer: 5.0 a cycle (7.1 while the flow table kept every
+// closed row: two new ones a cycle). The per-dial records (the pending dial
+// with its SYN and control wait, the dispatched connection, the monitor's
+// connection record, the two sdstat rows) come from free lists on their
+// owners, the FD table holds entries by value and a socket's SHM endpoint is
+// part of the Socket. A refused dial allocates nothing.
 func TestDialCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -126,8 +125,8 @@ func TestDialCycleAllocs(t *testing.T) {
 		var allocs uint64
 		cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
 			ctx.Sleep(10_000)
-			for i := 0; i < warm+cycles; i++ {
-				if i == warm {
+			for i := 0; i < dialWarm+cycles; i++ {
+				if i == dialWarm {
 					allocs = heapAllocs()
 				}
 				echoOnce(t, ctx, th, cl, "hostA", 7623)
@@ -181,15 +180,15 @@ func TestDialCycleAllocs(t *testing.T) {
 
 // TestInterDialCycleAllocs is TestDialCycleAllocs across two hosts: every
 // warm cycle goes out on the QP pair the last one parked and allocates what
-// outlives it — the two Sockets, their flow rows and each end's interSide —
-// plus the test's request buffer: 8.1 a cycle (39.0 when the monitor channel
-// made a landing buffer per message and decoded into a fresh one, and an
-// inter-host side was twelve objects).
+// outlives it — the two Sockets and each end's interSide — plus the test's
+// request buffer: 6.2 a cycle (8.2 with two new flow rows a cycle, 39.0 when
+// the monitor channel made a landing buffer per message and decoded into a
+// fresh one, and an inter-host side was twelve objects).
 func TestInterDialCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const warm, cycles = 20, 100
+	const warm, cycles = dialWarm, 100
 	w := boundaryWorld(t)
 	monitor.Peer(w.ma, w.mb)
 	sp, sl := proc(t, w.b, "server", 0)
@@ -215,11 +214,15 @@ func TestInterDialCycleAllocs(t *testing.T) {
 	}
 }
 
-// The budgets of TestDialCycleAllocs and TestInterDialCycleAllocs.
+// The budgets of TestDialCycleAllocs and TestInterDialCycleAllocs, and the
+// warm-up of their dial-echo-close cycles: a cycle retires two sdstat rows,
+// so the table holds obs.ClosedFlows closed rows halfway through the warm-up,
+// and every later row reuses the record of one it evicts.
 const (
-	dialCycleAllocs      = 9
+	dialWarm             = obs.ClosedFlows
+	dialCycleAllocs      = 7
 	refusedDialAllocs    = 0.1
-	interDialCycleAllocs = 9
+	interDialCycleAllocs = 7
 )
 
 // TestDialReturnsWhenAnswered is the lost wake-up a careless idle predicate

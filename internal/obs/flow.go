@@ -73,8 +73,8 @@ type Flow struct {
 	resets     atomic.Int64
 
 	// probe reads what only the owning socket knows (see FlowProbe). Set
-	// once at registration, called under the registry lock at snapshot
-	// time; Freeze replaces it with its last reading.
+	// at registration, called under the registry lock at snapshot time;
+	// Freeze replaces it with its last reading.
 	probe  Prober
 	frozen FlowProbe
 }
@@ -137,28 +137,32 @@ type Prober interface {
 	Probe() FlowProbe
 }
 
-// SetProbe installs the flow's prober (see Flow.probe).
-func (f *Flow) SetProbe(p Prober) {
-	if f == nil {
-		return
-	}
-	flows.mu.Lock()
-	f.probe = p
-	flows.mu.Unlock()
-}
-
 // Freeze replaces the probe with its last reading: the row of a closed
 // connection stays in the table, but must not keep reading (or keep alive)
-// rings that go on to serve another connection.
+// rings that go on to serve another connection. It stays among the
+// ClosedFlows most recent final rows; the record of the oldest, evicted, is
+// zeroed for a later RegisterFlow, so the caller drops its pointer.
 func (f *Flow) Freeze() {
 	if f == nil {
 		return
 	}
 	flows.mu.Lock()
-	if f.probe != nil {
-		f.frozen, f.probe = f.probe.Probe(), nil
+	defer flows.mu.Unlock()
+	if f.probe == nil {
+		return
 	}
-	flows.mu.Unlock()
+	f.frozen, f.probe = f.probe.Probe(), nil
+	flows.live--
+	old := flows.closed[flows.next]
+	flows.closed[flows.next] = f
+	flows.next = (flows.next + 1) % ClosedFlows
+	if old != nil {
+		if flows.m[old.key] == old { // else a newer row took the key over
+			delete(flows.m, old.key)
+		}
+		*old = Flow{}
+		flows.free = append(flows.free, old)
+	}
 }
 
 // FlowSnapshot is one row of the sdstat table.
@@ -181,23 +185,45 @@ type FlowSnapshot struct {
 	Shard     int    `json:"shard"`   // monitor control-plane shard owning the QID
 }
 
+// ClosedFlows is how many closed connections' rows the table keeps, oldest
+// evicted first, so it holds at most the live rows plus this many.
+const ClosedFlows = 1024
+
 var flows struct {
-	mu sync.Mutex
-	m  map[FlowKey]*Flow
+	mu     sync.Mutex
+	m      map[FlowKey]*Flow
+	closed [ClosedFlows]*Flow // frozen rows, a ring whose oldest is at next
+	next   int
+	free   []*Flow // evicted records, zeroed, for RegisterFlow
+	live   int     // registered and not yet frozen (Reset keeps it)
 }
 
 func init() { flows.m = make(map[FlowKey]*Flow) }
 
-// RegisterFlow adds (or finds) the flow for one connection endpoint.
-func RegisterFlow(key FlowKey, peer string) *Flow {
+// RegisterFlow adds the flow for one connection endpoint, read through p (not
+// nil) until Freeze. The record is the caller's alone: one registered under a
+// live key takes the key's row over.
+func RegisterFlow(key FlowKey, peer string, p Prober) *Flow {
 	flows.mu.Lock()
-	f := flows.m[key]
-	if f == nil {
-		f = &Flow{key: key, peer: peer}
-		flows.m[key] = f
+	var f *Flow
+	if n := len(flows.free); n > 0 {
+		f, flows.free = flows.free[n-1], flows.free[:n-1]
+	} else {
+		f = new(Flow)
 	}
+	f.key, f.peer, f.probe = key, peer, p
+	flows.m[key] = f
+	flows.live++
 	flows.mu.Unlock()
 	return f
+}
+
+// LiveFlows counts the rows registered and not yet frozen, those Reset has
+// dropped from the table too: each keeps its endpoint reachable.
+func LiveFlows() int {
+	flows.mu.Lock()
+	defer flows.mu.Unlock()
+	return flows.live
 }
 
 // Flows snapshots the whole table, sorted by host, pid, qid.
@@ -245,5 +271,6 @@ func Flows() []FlowSnapshot {
 func resetFlows() {
 	flows.mu.Lock()
 	flows.m = make(map[FlowKey]*Flow)
+	flows.closed, flows.next, flows.free = [ClosedFlows]*Flow{}, 0, nil
 	flows.mu.Unlock()
 }

@@ -214,7 +214,7 @@ func TestDisabledRecordingAllocFree(t *testing.T) {
 		t.Fatalf("disabled tracing allocates %.1f per op, want 0", allocs)
 	}
 	// Flow accounting is always on and must be alloc-free too.
-	f := RegisterFlow(FlowKey{Host: "h", PID: 1, QID: 9}, "h")
+	f := RegisterFlow(FlowKey{Host: "h", PID: 1, QID: 9}, "h", &fixedProbe{})
 	allocs = testing.AllocsPerRun(1000, func() {
 		f.AddTxN(1, 64)
 		f.AddRxN(1, 64)
@@ -467,14 +467,13 @@ func (fn probeFunc) Probe() FlowProbe { return fn() }
 func TestFlowTable(t *testing.T) {
 	Reset()
 	defer Reset()
-	f := RegisterFlow(FlowKey{Host: "hostA", PID: 3, QID: 77}, "hostB")
+	live := FlowProbe{RingHW: 4096, Epoch: 2, Transport: ctlmsg.TransportRDMA, State: FlowReset}
+	f := RegisterFlow(FlowKey{Host: "hostA", PID: 3, QID: 77}, "hostB", probeFunc(func() FlowProbe { return live }))
 	f.AddTxN(1, 100)
 	f.AddTxN(1, 50)
 	f.AddRxN(1, 30)
 	f.Takeover()
 	f.NoteReset()
-	live := FlowProbe{RingHW: 4096, Epoch: 2, Transport: ctlmsg.TransportRDMA, State: FlowReset}
-	f.SetProbe(probeFunc(func() FlowProbe { return live }))
 	var nilFlow *Flow
 	nilFlow.AddTxN(1, 1) // all methods must be nil-safe
 	nilFlow.NoteReset()
@@ -510,6 +509,73 @@ func TestFlowTable(t *testing.T) {
 	live = FlowProbe{RingHW: 1, Epoch: 9, Transport: ctlmsg.TransportSHM, State: FlowClosed}
 	if fs = row(); fs.RingHW != 4096 || fs.Epoch != 2 || fs.Transport != "tcp" || fs.State != "degraded" {
 		t.Fatalf("a frozen row did not keep its last reading: %+v", fs)
+	}
+}
+
+// fixedProbe is a Prober that reads back its own value.
+type fixedProbe FlowProbe
+
+func (p *fixedProbe) Probe() FlowProbe { return FlowProbe(*p) }
+
+// TestClosedFlowRowsAreBounded: the table keeps the ClosedFlows most recent
+// closed rows, with their final readings, beside the live ones; an evicted
+// record serves the next registration, so steady churn allocates nothing;
+// and no record is ever shared by two registrations, even of one key.
+func TestClosedFlowRowsAreBounded(t *testing.T) {
+	Reset()
+	defer Reset()
+	const live, closes = 3, 10 * ClosedFlows
+	for q := uint64(0); q < live; q++ {
+		RegisterFlow(FlowKey{Host: "h", PID: 1, QID: q}, "h", &fixedProbe{})
+	}
+	for q := 0; q < closes; q++ {
+		f := RegisterFlow(FlowKey{Host: "h", PID: 2, QID: uint64(q)}, "h", &fixedProbe{RingHW: int64(q), State: FlowClosed})
+		f.AddTxN(1, int64(q))
+		f.Freeze()
+	}
+	rows := Flows()
+	if len(rows) != live+ClosedFlows {
+		t.Fatalf("%d rows after %d closes, want the %d live ones and %d closed", len(rows), closes, live, ClosedFlows)
+	}
+	for _, r := range rows[live:] {
+		if r.QID < closes-ClosedFlows || r.RingHW != int64(r.QID) || r.BytesTx != int64(r.QID) || r.State != "closed" {
+			t.Fatalf("retained row %+v: want one of the last %d closes, with its final reading", r, ClosedFlows)
+		}
+	}
+
+	p := &fixedProbe{}
+	key := FlowKey{Host: "h", PID: 3, QID: 1}
+	if allocs := testing.AllocsPerRun(1000, func() { RegisterFlow(key, "h", p).Freeze() }); allocs != 0 {
+		t.Errorf("a register/freeze cycle allocates %.1f, want 0", allocs)
+	}
+
+	a := RegisterFlow(key, "h", p)
+	b := RegisterFlow(key, "h", p)
+	if a == b {
+		t.Fatal("two registrations of one live key share a record")
+	}
+	a.AddTxN(1, 5)
+	b.AddTxN(1, 7)
+	a.Freeze()
+	for q := 0; q < ClosedFlows; q++ { // evict a
+		RegisterFlow(FlowKey{Host: "h", PID: 4, QID: uint64(q)}, "h", p).Freeze()
+	}
+	var got []FlowSnapshot
+	for _, r := range Flows() {
+		if r.PID == key.PID {
+			got = append(got, r)
+		}
+	}
+	if len(got) != 1 || got[0].BytesTx != 7 {
+		t.Errorf("the key's rows after its first record was evicted: %+v, want the second's, with 7 bytes", got)
+	}
+	if b.bytesTx.Load() != 7 {
+		t.Errorf("counting on one record showed on the other: %d bytes", b.bytesTx.Load())
+	}
+
+	Reset()
+	if flows.next != 0 || flows.closed != [ClosedFlows]*Flow{} || len(flows.free) != 0 || len(Flows()) != 0 {
+		t.Errorf("Reset left %d rows, %d free records and the closed ring at %d", len(Flows()), len(flows.free), flows.next)
 	}
 }
 
