@@ -10,11 +10,7 @@ package socksdirect_test
 import (
 	"testing"
 
-	"socksdirect/internal/exec"
 	"socksdirect/internal/experiments"
-	"socksdirect/internal/fabric"
-	"socksdirect/internal/rdma"
-	"socksdirect/internal/shm"
 )
 
 func reportLatency(b *testing.B, sys experiments.System, size int, intra bool) {
@@ -189,29 +185,6 @@ func BenchmarkAblateZeroCopy_1MiB(b *testing.B) {
 	b.ReportMetric(off*8/1e9, "copy-Gbps")
 }
 
-// --- allocation-free data path (ISSUE-3 tentpole) ---
-//
-// These two report real allocs/op for single messages on the pooled
-// transport bottoms (run with -benchmem): the SHM ring must show 0
-// allocs/op and the RDMA QP path ≤1. The hard assertions live in
-// internal/shm and internal/rdma alloc tests; these make the numbers
-// visible in ordinary benchmark output and in the BENCH JSON reports.
-
-func BenchmarkRingSendRecv1KiB(b *testing.B) {
-	r := shm.NewRing(1 << 16)
-	payload := make([]byte, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !r.TrySendV(1, 0, payload, nil) {
-			b.Fatal("ring full")
-		}
-		if _, ok := r.TryRecv(); !ok {
-			b.Fatal("recv failed")
-		}
-	}
-}
-
 // --- vectored op path (SendBatch/RecvBatch) ---
 
 // BenchmarkBurstPingPong runs the whole-stack batched workload from the
@@ -236,53 +209,4 @@ func BenchmarkBurstPingPong_Inter32x64B(b *testing.B) {
 	}
 	b.ReportMetric(e.MsgsPerSec/1e6, "virt-Mmsg/s")
 	b.ReportMetric(e.AllocsPerOp, "steady-allocs/msg")
-}
-
-func BenchmarkQPWrite1KiB(b *testing.B) {
-	s := exec.NewSim(exec.SimConfig{})
-	clk := s.Clock()
-	net := fabric.NewNet(clk, "rdma", fabric.Config{PropDelay: 800})
-	na := rdma.NewNIC(clk, "A", nil, 1)
-	nb := rdma.NewNIC(clk, "B", nil, 2)
-	na.AttachFabric(net.AddHost("A"))
-	nb.AttachFabric(net.AddHost("B"))
-	pda, pdb := na.AllocPD(), nb.AllocPD()
-	bufB := make([]byte, 1<<16)
-	mrb := pdb.RegisterBytes(bufB)
-	cqaS, cqaR := rdma.NewCQ(), rdma.NewCQ()
-	cqbS, cqbR := rdma.NewCQ(), rdma.NewCQ()
-	qa := pda.CreateQP(cqaS, cqaR)
-	qb := pdb.CreateQP(cqbS, cqbR)
-	if err := qa.Connect("B", qb.QPN()); err != nil {
-		b.Fatal(err)
-	}
-	if err := qb.Connect("A", qa.QPN()); err != nil {
-		b.Fatal(err)
-	}
-	_, _ = cqaR, cqbS
-	payload := make([]byte, 1024)
-	op := func() {
-		if err := qa.PostWrite(1, payload, mrb.RKey(), 0, 1, true); err != nil {
-			b.Fatal(err)
-		}
-		s.Run() // delivery, ack, completions, RTO no-op — all on virtual time
-		for {
-			if _, ok := cqaS.PollOne(); !ok {
-				break
-			}
-		}
-		for {
-			if _, ok := cqbR.PollOne(); !ok {
-				break
-			}
-		}
-	}
-	for i := 0; i < 64; i++ {
-		op() // warm packet/buffer/delivery pools and amortized slices
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op()
-	}
 }

@@ -58,14 +58,10 @@ func benchCmd(args []string) {
 	fmt.Printf("%-22s %10s %12s %10s %10s %11s %11s\n",
 		"workload", "msg(B)", "msgs/sec", "p50(us)", "p99(us)", "allocs/op", "bytes/op")
 	for _, e := range rep.Entries {
-		clock := "virtual"
-		if !e.Deterministic {
-			clock = "wall"
-		}
-		fmt.Printf("%-22s %10d %12.0f %10.2f %10.2f %11.2f %11.0f  (%s)\n",
+		fmt.Printf("%-22s %10d %12.0f %10.2f %10.2f %11.2f %11.0f\n",
 			e.Name, e.MsgBytes, e.MsgsPerSec,
 			float64(e.P50Ns)/1000, float64(e.P99Ns)/1000,
-			e.AllocsPerOp, e.BytesPerOp, clock)
+			e.AllocsPerOp, e.BytesPerOp)
 	}
 	fmt.Printf("wrote %s (schema %s, short=%v)\n", path, rep.Schema, rep.Short)
 	if *asJSON {
@@ -81,12 +77,11 @@ func benchCmd(args []string) {
 func compareCmd(args []string) {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	threshold := fs.Float64("threshold", 0.30, "relative regression threshold (0.30 = 30%)")
-	all := fs.Bool("all", false, "also compare timing of wall-clock (machine-dependent) entries")
 	allocsOnly := fs.Bool("allocs-only", false, "gate only allocs/op, with an absolute slack (-alloc-slack)")
 	allocSlack := fs.Float64("alloc-slack", 0.05, "allowed absolute allocs/op increase with -allocs-only")
 	asJSON := fs.Bool("json", false, "emit the comparison verdict as JSON on stdout")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: sdbench compare [-threshold 0.30] [-all] [-allocs-only [-alloc-slack 0.05]] [-json] baseline.json current.json")
+		fmt.Fprintln(os.Stderr, "usage: sdbench compare [-threshold 0.30] [-allocs-only [-alloc-slack 0.05]] [-json] baseline.json current.json")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -102,7 +97,7 @@ func compareCmd(args []string) {
 	if *allocsOnly {
 		regs, err = experiments.CompareBenchAllocs(baseline, current, *allocSlack)
 	} else {
-		regs, err = experiments.CompareBench(baseline, current, *threshold, *all)
+		regs, err = experiments.CompareBench(baseline, current, *threshold)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "compare: %v\n", err)

@@ -57,7 +57,7 @@
 //	                    BENCH_<timestamp>.json (msgs/sec, p50/p99, allocs/op);
 //	                    -json echoes the report on stdout with everything
 //	                    else on stderr (stdout is unmarshalable as-is)
-//	sdbench compare [-threshold 0.30] [-all] [-allocs-only [-alloc-slack 0.05]]
+//	sdbench compare [-threshold 0.30] [-allocs-only [-alloc-slack 0.05]]
 //	                    [-json] baseline.json current.json
 //	                    diff two BENCH reports; exit 1 on regression past the
 //	                    threshold (the CI gate; see EXPERIMENTS.md).

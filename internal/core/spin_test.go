@@ -225,6 +225,99 @@ const (
 	interDialCycleAllocs = 7
 )
 
+// TestDataPathAllocs: an 8-byte ping-pong and a 1 KiB stream, on one host
+// and across two, allocate nothing once warm: at most 0.05 an op, where an
+// op is a round trip or a streamed message. Like the BENCH suite, it warms
+// up, collects garbage, refills the pools the collection emptied, and keeps
+// the fewer allocations of two back-to-back windows. The runtime's own
+// allocations land in one window, and a sync.Pool moving buffers between
+// Ps grows its chain now and then (0.01 an op across two hosts); an
+// allocation per Send or Recv lands in both windows, at 1 an op or more.
+func TestDataPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const warm, refill, n = 64, 8, 1000
+	for _, tc := range []struct {
+		name          string
+		inter, stream bool
+	}{
+		{"intra-pingpong-8B", false, false},
+		{"inter-pingpong-8B", true, false},
+		{"intra-stream-1KiB", false, true},
+		{"inter-stream-1KiB", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			size := 8
+			if tc.stream {
+				size = 1024
+			}
+			// recvAll receives exactly len(buf)*times bytes into buf.
+			recvAll := func(ctx exec.Context, th *host.Thread, s *core.Socket, buf []byte, times int) {
+				for got := 0; got < len(buf)*times; {
+					m, err := s.Recv(ctx, th, buf[:min(len(buf), len(buf)*times-got)])
+					if err != nil {
+						t.Errorf("recv: %v", err)
+						return
+					}
+					got += m
+				}
+			}
+			send := func(ctx exec.Context, th *host.Thread, s *core.Socket, buf []byte) {
+				if _, err := s.Send(ctx, th, buf); err != nil {
+					t.Errorf("send: %v", err)
+				}
+			}
+			// A stream sends its ops back to back, and the server
+			// acknowledges the last with one byte, so a window ends when
+			// all of it has been received.
+			var per float64
+			w := boundaryWorld(t)
+			connected(t, w, tc.inter, 7626, func(ctx exec.Context, th *host.Thread, s *core.Socket) {
+				buf := make([]byte, size)
+				for _, k := range []int{warm, refill, n, n} {
+					if tc.stream {
+						recvAll(ctx, th, s, buf, k)
+						send(ctx, th, s, buf[:1])
+						continue
+					}
+					for range k {
+						recvAll(ctx, th, s, buf, 1)
+						send(ctx, th, s, buf)
+					}
+				}
+			}, func(ctx exec.Context, th *host.Thread, s *core.Socket) {
+				buf := make([]byte, size)
+				ops := func(k int) {
+					for range k {
+						send(ctx, th, s, buf)
+						if !tc.stream {
+							recvAll(ctx, th, s, buf, 1)
+						}
+					}
+					if tc.stream {
+						recvAll(ctx, th, s, buf[:1], 1)
+					}
+				}
+				ops(warm)
+				runtime.GC()
+				ops(refill)
+				a0 := heapAllocs()
+				ops(n)
+				a1 := heapAllocs()
+				ops(n)
+				a2 := heapAllocs()
+				per = float64(min(a1-a0, a2-a1)) / n
+			})
+			w.sim.Run()
+			t.Logf("%.3f allocations per op", per)
+			if per > 0.05 {
+				t.Errorf("%.3f allocations per op, want at most 0.05", per)
+			}
+		})
+	}
+}
+
 // TestDialReturnsWhenAnswered is the lost wake-up a careless idle predicate
 // produces: the control wait's own poll dispatches the awaited KConnectRes,
 // the queues are empty again, and a predicate that looks only at the queues

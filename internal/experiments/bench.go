@@ -5,18 +5,15 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"time"
 
 	sd "socksdirect"
 	"socksdirect/internal/ctlmsg"
-	"socksdirect/internal/exec"
-	"socksdirect/internal/rdma"
-	"socksdirect/internal/shm"
+	"socksdirect/internal/telemetry"
 )
 
 // BenchSchema versions the BENCH JSON layout. Bump it on any field
 // rename/removal; `sdbench compare` refuses to diff mismatched schemas.
-const BenchSchema = "socksdirect-bench/1"
+const BenchSchema = "socksdirect-bench/2"
 
 // BenchRTT is the telemetry distribution the bench workloads observe
 // per-message latency into; P50Ns/P99Ns come from its quantiles.
@@ -73,24 +70,59 @@ func (w *memWindow) perOp(n int) (allocs, bytes float64) {
 	return allocs / float64(n), bytes / float64(n)
 }
 
-// BenchEntry is one measured workload in a BENCH report.
-//
-// Deterministic marks entries whose rate and latency come from the
-// simulator's virtual clock: identical on every machine and run, safe to
-// diff tightly in CI. Wall-clock entries (the raw ring microbenchmark)
-// vary with the host; compare skips their timing fields unless asked.
-// AllocsPerOp counts Go heap allocations per message over the measured
-// (post-warm-up) window and is always comparable.
+// measure runs op in the sequence the single-client workloads share:
+// warm operations, a runtime.GC() and benchRefill more, then n operations
+// each timed into dist, then n more, with mw marked around both windows
+// of n. It returns the virtual time the timed window took, or 0 if op
+// reports a failure (a wrong errno, say) anywhere: the zero rate fails
+// the compare gate instead of shipping a bogus number.
+func measure(t *sd.T, mw *memWindow, dist *telemetry.Distribution, warm, n int, op func() bool) int64 {
+	run := func(k int) bool {
+		for i := 0; i < k; i++ {
+			if !op() {
+				return false
+			}
+		}
+		return true
+	}
+	if !run(warm) {
+		return 0
+	}
+	runtime.GC()
+	if !run(benchRefill) {
+		return 0
+	}
+	mw.mark()
+	start := t.Now()
+	for i := 0; i < n; i++ {
+		t0 := t.Now()
+		if !op() {
+			return 0
+		}
+		dist.Observe(t.Now() - t0)
+	}
+	elapsed := t.Now() - start
+	mw.mark()
+	if !run(n) {
+		return 0
+	}
+	mw.mark()
+	return elapsed
+}
+
+// BenchEntry is one measured workload in a BENCH report. Msgs, the rate
+// and the latency come from the simulator's virtual clock: identical on
+// every machine and run. AllocsPerOp counts Go heap allocations per
+// message over the measured (post-warm-up) window.
 type BenchEntry struct {
-	Name          string  `json:"name"`
-	MsgBytes      int     `json:"msg_bytes"`
-	Msgs          int     `json:"msgs"`
-	MsgsPerSec    float64 `json:"msgs_per_sec"`
-	P50Ns         int64   `json:"p50_ns"`
-	P99Ns         int64   `json:"p99_ns"`
-	AllocsPerOp   float64 `json:"allocs_per_op"`
-	BytesPerOp    float64 `json:"bytes_per_op"`
-	Deterministic bool    `json:"deterministic"`
+	Name        string  `json:"name"`
+	MsgBytes    int     `json:"msg_bytes"`
+	Msgs        int     `json:"msgs"`
+	MsgsPerSec  float64 `json:"msgs_per_sec"`
+	P50Ns       int64   `json:"p50_ns"`
+	P99Ns       int64   `json:"p99_ns"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
 }
 
 // BenchReport is the top-level BENCH_<timestamp>.json document.
@@ -102,10 +134,12 @@ type BenchReport struct {
 	Entries   []BenchEntry `json:"entries"`
 }
 
-// RunBenchSuite runs the continuous-benchmark workloads (the Table 2 /
-// Figure 7 microbenchmark shapes) and returns the report. short scales
-// every message count down ~10x for CI smoke runs; compare a -short
-// report only against another -short report.
+// RunBenchSuite runs the continuous-benchmark workloads and returns the
+// report: the ones the ledger (benchmark/) does not run — the vectored op
+// path, the connection-scale drill, cold cluster dials and the overload
+// fast paths. The plain ping-pongs, streams, ring and QP are the ledger's
+// rows. short scales every message count down ~10x for CI smoke runs;
+// compare a -short report only against another -short report.
 func RunBenchSuite(short bool) BenchReport {
 	scale := func(n int) int {
 		if short {
@@ -120,12 +154,6 @@ func RunBenchSuite(short bool) BenchReport {
 		Short:     short,
 	}
 	add := func(e BenchEntry) { rep.Entries = append(rep.Entries, e) }
-	add(benchRing(1024, scale(200_000)))
-	add(benchQP(1024, scale(2000)))
-	add(benchSDPingPong("sd_intra_pingpong_8B", 8, true, scale(1000)))
-	add(benchSDPingPong("sd_inter_pingpong_8B", 8, false, scale(1000)))
-	add(benchSDStream("sd_intra_stream_1KiB", 1024, true, scale(4000)))
-	add(benchSDStream("sd_inter_stream_1KiB", 1024, false, scale(4000)))
 	add(BurstPingPong("sd_intra_burst_32x64B", 32, 64, true, scale(1000)))
 	add(BurstPingPong("sd_inter_burst_32x64B", 32, 64, false, scale(1000)))
 	for _, e := range benchConnScale(short) {
@@ -145,9 +173,13 @@ func RunBenchSuite(short bool) BenchReport {
 // the full monitor control plane (KConnect -> KMSyn -> KMSynAck over the
 // monitor channels), and an 8B echo RTT over the established RDMA
 // socket. Every client host exercises every server host, so the numbers
-// cover the fabric.Net switch path, not one hand-picked link. Virtual
-// time throughout; world construction and per-dial socket setup are
-// billed to the dial entry (like connscale).
+// cover the fabric.Net switch path, not one hand-picked link. Each client
+// is a fresh process, so its first dial to each server opens a QP pair
+// cold and the rest reuse the pair the last close parked: the dial
+// entry's p50 is a warm dial and its p99 a cold one, hence its name (the
+// ledger's cluster_dial times dials after a warm-up). Virtual time
+// throughout; world construction and per-dial socket setup are billed to
+// the dial entry (like connscale).
 func benchCluster(short bool) []BenchEntry {
 	servers, clients, rounds := 3, 3, 40
 	if short {
@@ -243,15 +275,13 @@ func benchCluster(short bool) []BenchEntry {
 	}
 	allocs, bytes := w.perOp(len(dialLat))
 	dial := BenchEntry{
-		Name: "cluster_dial", Msgs: len(dialLat),
+		Name: "cluster_dial_cold", Msgs: len(dialLat),
 		P50Ns: q(dialLat, 0.50), P99Ns: q(dialLat, 0.99),
 		AllocsPerOp: allocs, BytesPerOp: bytes,
-		Deterministic: true,
 	}
 	echo := BenchEntry{
 		Name: "cluster_echo_8B", MsgBytes: 8, Msgs: len(echoLat),
 		P50Ns: q(echoLat, 0.50), P99Ns: q(echoLat, 0.99),
-		Deterministic: true,
 	}
 	if elapsed > 0 {
 		dial.MsgsPerSec = float64(len(dialLat)) / (float64(elapsed) / 1e9)
@@ -287,13 +317,11 @@ func benchConnScale(short bool) []BenchEntry {
 			MsgsPerSec: cs.ConnectsPerSec,
 			P50Ns:      cs.ConnectP50Ns, P99Ns: cs.ConnectP99Ns,
 			AllocsPerOp: allocs, BytesPerOp: bytes,
-			Deterministic: true,
 		},
 		{
 			Name: "connscale_accept", Msgs: cs.Accepts,
 			MsgsPerSec: cs.AcceptsPerSec,
 			P50Ns:      cs.AcceptP50Ns, P99Ns: cs.AcceptP99Ns,
-			Deterministic: true,
 		},
 	}
 	for _, sh := range cs.Shards {
@@ -301,7 +329,6 @@ func benchConnScale(short bool) []BenchEntry {
 			Name:     fmt.Sprintf("connscale_shard%d_dispatch", sh.Shard),
 			MsgBytes: ctlmsg.Size, Msgs: int(sh.Events),
 			P50Ns: sh.P50Ns, P99Ns: sh.P99Ns,
-			Deterministic: true,
 		}
 		if cs.ElapsedNs > 0 {
 			e.MsgsPerSec = float64(sh.Events) / (float64(cs.ElapsedNs) / 1e9)
@@ -335,7 +362,6 @@ func benchOverload(short bool) []BenchEntry {
 	shedDist := freshDist("sd/bench/shed_ns")
 	var shedMW memWindow
 	var shedElapsed int64
-	shedBad := 0
 	{
 		w := newWorld()
 		w.a.Limits.RingCap = 16 * 1024
@@ -353,7 +379,6 @@ func benchOverload(short bool) []BenchEntry {
 			t.Sleep(10_000)
 			c, err := t.Dial("hostA", 7900)
 			if err != nil {
-				shedBad = n
 				return
 			}
 			c.SetNonblock(true)
@@ -363,26 +388,10 @@ func benchOverload(short bool) []BenchEntry {
 					break
 				}
 			}
-			runtime.GC()
-			for i := 0; i < benchRefill; i++ {
-				c.Send(buf)
-			}
-			shedMW.mark()
-			start := t.Now()
-			for i := 0; i < n; i++ {
-				t0 := t.Now()
+			shedElapsed = measure(t, &shedMW, shedDist, 0, n, func() bool {
 				_, err := c.Send(buf)
-				shedDist.Observe(t.Now() - t0)
-				if !errors.Is(err, sd.EWOULDBLOCK) {
-					shedBad++
-				}
-			}
-			shedElapsed = t.Now() - start
-			shedMW.mark()
-			for i := 0; i < n; i++ {
-				c.Send(buf)
-			}
-			shedMW.mark()
+				return errors.Is(err, sd.EWOULDBLOCK)
+			})
 		})
 		w.sim.Run()
 	}
@@ -392,7 +401,6 @@ func benchOverload(short bool) []BenchEntry {
 	var refMW memWindow
 	var refElapsed int64
 	refN := n / 4 // a dial is heavier than a ring probe; keep runs short
-	refBad := 0
 	{
 		w := newWorld()
 		w.a.Limits.Backlog = 1
@@ -413,58 +421,28 @@ func benchOverload(short bool) []BenchEntry {
 			// accepts, so Wait-Server times out client-side. The monitor's
 			// slot stays held — exactly the saturation this bench needs.
 			if _, err := t.DialDeadline("hostA", 7901, t.Now()+1_000_000); !errors.Is(err, sd.ETIMEDOUT) {
-				refBad = refN
 				return
 			}
-			for i := 0; i < benchWarm; i++ {
-				t.Dial("hostA", 7901)
-			}
-			runtime.GC()
-			for i := 0; i < benchRefill; i++ {
-				t.Dial("hostA", 7901)
-			}
-			refMW.mark()
-			start := t.Now()
-			for i := 0; i < refN; i++ {
-				t0 := t.Now()
+			refElapsed = measure(t, &refMW, refDist, benchWarm, refN, func() bool {
 				_, err := t.Dial("hostA", 7901)
-				refDist.Observe(t.Now() - t0)
-				if !errors.Is(err, sd.ECONNREFUSED) {
-					refBad++
-				}
-			}
-			refElapsed = t.Now() - start
-			refMW.mark()
-			for i := 0; i < refN; i++ {
-				t.Dial("hostA", 7901)
-			}
-			refMW.mark()
+				return errors.Is(err, sd.ECONNREFUSED)
+			})
 		})
 		w.sim.Run()
 	}
 
 	shedAllocs, shedBytes := shedMW.perOp(n)
 	refAllocs, refBytes := refMW.perOp(refN)
-	// A wrong errno anywhere invalidates the measurement: zero the rate
-	// so the compare gate flags it instead of shipping a bogus number.
-	if shedBad > 0 {
-		shedElapsed = 0
-	}
-	if refBad > 0 {
-		refElapsed = 0
-	}
 	entries := []BenchEntry{
 		{
 			Name: "overload_shed", MsgBytes: 64, Msgs: n,
 			P50Ns: shedDist.Quantile(0.50), P99Ns: shedDist.Quantile(0.99),
 			AllocsPerOp: shedAllocs, BytesPerOp: shedBytes,
-			Deterministic: true,
 		},
 		{
 			Name: "dial_refused", Msgs: refN,
 			P50Ns: refDist.Quantile(0.50), P99Ns: refDist.Quantile(0.99),
 			AllocsPerOp: refAllocs, BytesPerOp: refBytes,
-			Deterministic: true,
 		},
 	}
 	if shedElapsed > 0 {
@@ -474,329 +452,6 @@ func benchOverload(short bool) []BenchEntry {
 		entries[1].MsgsPerSec = float64(refN) / (float64(refElapsed) / 1e9)
 	}
 	return entries
-}
-
-// benchRing measures the raw SPSC shared-memory ring (§4.1): a 1 KiB
-// TrySendV immediately drained by TryRecv on the same goroutine. Timing
-// is wall-clock (the ring is real code, not simulated); the allocation
-// counts are measured around the tight loop and must be zero.
-func benchRing(size, n int) BenchEntry {
-	r := shm.NewRing(1 << 16)
-	payload := make([]byte, size)
-	op := func() bool {
-		if !r.TrySendV(1, 0, payload, nil) {
-			return false
-		}
-		_, ok := r.TryRecv()
-		return ok
-	}
-	for i := 0; i < benchWarm; i++ {
-		op() // warm header/credit/wrap paths
-	}
-
-	var mw memWindow
-	runtime.GC()
-	mw.mark()
-	for i := 0; i < n; i++ {
-		op()
-	}
-	mw.mark()
-
-	dist := freshDist(BenchRTT)
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		op()
-		dist.Observe(time.Since(t0).Nanoseconds())
-	}
-	elapsed := time.Since(start).Seconds()
-	mw.mark()
-
-	allocs, bytes := mw.perOp(n)
-	// The ring entry is gated at exactly zero, so one stray allocation in
-	// 20 000 ops fails it, and the runtime makes a few of its own a few
-	// milliseconds after the runtime.GC() above (the scavenger's first timer
-	// on each P, a new M): they land in whichever window is open. An
-	// allocation of ours would land in every window, so look at up to three
-	// more until one is clean.
-	for try := 0; allocs != 0 && try < 3; try++ {
-		var again memWindow
-		again.mark()
-		for i := 0; i < n; i++ {
-			op()
-		}
-		again.mark()
-		if a, b := again.perOp(n); a < allocs {
-			allocs, bytes = a, b
-		}
-	}
-	return BenchEntry{
-		Name:        "ring_spsc_1KiB",
-		MsgBytes:    size,
-		Msgs:        n,
-		MsgsPerSec:  float64(n) / elapsed,
-		P50Ns:       dist.Quantile(0.50),
-		P99Ns:       dist.Quantile(0.99),
-		AllocsPerOp: allocs,
-		BytesPerOp:  bytes,
-	}
-}
-
-// benchQP measures the simulated RDMA QP (§4.2 inter-host bottom): a
-// signaled 1 KiB WRITE posted and waited to completion, one at a time,
-// on virtual time. The memory window opens after benchWarm ops so the
-// packet pool and CQ slices are at capacity: the steady-state write path
-// allocates nothing, and this entry now asserts that (the same bound
-// internal/rdma's alloc tests enforce).
-func benchQP(size, n int) BenchEntry {
-	w := newWorld()
-	pda, pdb := w.a.NIC.AllocPD(), w.b.NIC.AllocPD()
-	bufB := make([]byte, 1<<20)
-	mrb := pdb.RegisterBytes(bufB)
-	cqaS, cqaR := rdma.NewCQ(), rdma.NewCQ()
-	cqbS, cqbR := rdma.NewCQ(), rdma.NewCQ()
-	qa := pda.CreateQP(cqaS, cqaR)
-	qb := pdb.CreateQP(cqbS, cqbR)
-	qa.Connect("hostB", qb.QPN())
-	qb.Connect("hostA", qa.QPN())
-	_, _ = cqaR, cqbS
-
-	payload := make([]byte, size)
-	dist := freshDist(BenchRTT)
-	var mw memWindow
-	var elapsed int64
-	w.sim.Spawn("bench-qp", func(ctx exec.Context) {
-		op := func(wrid uint64) bool {
-			if err := qa.PostWrite(wrid, payload, mrb.RKey(), 0, 1, true); err != nil {
-				return false
-			}
-			for {
-				if _, ok := cqaS.PollOne(); ok {
-					break
-				}
-				ctx.Charge(w.costs.RDMAPost)
-				ctx.Yield()
-			}
-			for {
-				if _, ok := cqbR.PollOne(); ok {
-					return true
-				}
-			}
-		}
-		for i := 0; i < benchWarm; i++ {
-			if !op(uint64(i)) {
-				return
-			}
-		}
-		runtime.GC()
-		for i := 0; i < benchRefill; i++ {
-			if !op(uint64(benchWarm + i)) {
-				return
-			}
-		}
-		mw.mark()
-		start := ctx.Now()
-		for i := 0; i < n; i++ {
-			t0 := ctx.Now()
-			if !op(uint64(benchWarm + benchRefill + i)) {
-				return
-			}
-			dist.Observe(ctx.Now() - t0)
-		}
-		elapsed = ctx.Now() - start
-		mw.mark()
-		for i := 0; i < n; i++ {
-			if !op(uint64(benchWarm + benchRefill + n + i)) {
-				return
-			}
-		}
-		mw.mark()
-	})
-	w.sim.Run()
-
-	allocs, bytes := mw.perOp(n)
-	e := BenchEntry{
-		Name:          "rdma_qp_1KiB",
-		MsgBytes:      size,
-		Msgs:          n,
-		P50Ns:         dist.Quantile(0.50),
-		P99Ns:         dist.Quantile(0.99),
-		AllocsPerOp:   allocs,
-		BytesPerOp:    bytes,
-		Deterministic: true,
-	}
-	if elapsed > 0 {
-		e.MsgsPerSec = float64(n) / (float64(elapsed) / 1e9)
-	}
-	return e
-}
-
-// benchSDPingPong is PingPong over the full SocksDirect stack with
-// per-round RTT observed into the bench distribution, so the report
-// carries p50/p99 rather than just the mean. Virtual time throughout;
-// allocations are read inside the client thread around the measured
-// window only (steady state).
-func benchSDPingPong(name string, size int, intra bool, rounds int) BenchEntry {
-	w := newWorld()
-	dist := freshDist(BenchRTT)
-	var mw memWindow
-	var elapsed int64
-	serverSide := func(api endpointAPI) {
-		buf := make([]byte, size)
-		for i := 0; i < benchWarm+benchRefill+2*rounds; i++ {
-			if _, err := recvFull(api, buf); err != nil {
-				return
-			}
-			if _, err := api.send(buf); err != nil {
-				return
-			}
-		}
-	}
-	clientSide := func(t *timeSrc, api endpointAPI) {
-		buf := make([]byte, size)
-		round := func() {
-			api.send(buf)
-			recvFull(api, buf)
-		}
-		for i := 0; i < benchWarm; i++ {
-			round()
-		}
-		runtime.GC()
-		for i := 0; i < benchRefill; i++ {
-			round()
-		}
-		mw.mark()
-		start := t.now()
-		for i := 0; i < rounds; i++ {
-			t0 := t.now()
-			round()
-			dist.Observe(t.now() - t0)
-		}
-		elapsed = t.now() - start
-		mw.mark()
-		for i := 0; i < rounds; i++ {
-			round()
-		}
-		mw.mark()
-	}
-	wire(w, SysSD, intra, false, size, serverSide, clientSide)
-	w.sim.Run()
-
-	allocs, bytes := mw.perOp(rounds)
-	e := BenchEntry{
-		Name:          name,
-		MsgBytes:      size,
-		Msgs:          rounds,
-		P50Ns:         dist.Quantile(0.50),
-		P99Ns:         dist.Quantile(0.99),
-		AllocsPerOp:   allocs,
-		BytesPerOp:    bytes,
-		Deterministic: true,
-	}
-	if elapsed > 0 {
-		// One round is one message each way; report one-direction rate.
-		e.MsgsPerSec = float64(rounds) / (float64(elapsed) / 1e9)
-	}
-	return e
-}
-
-// benchSDStream is the one-directional pump with per-message delivery
-// latency: the sender stamps each message's virtual send time into a
-// shared slice (legal under the simulator's global clock and cooperative
-// scheduling), and the receiver observes now-minus-stamp as it drains.
-// The quantiles therefore include queueing in the windowed pipe — which
-// is the number a stream consumer actually experiences — and are nonzero
-// by construction, fixing the p50=0/p99=0 entries the old wrapper
-// emitted. Allocations are steady-state: the window opens after
-// benchWarm messages have been sent AND drained.
-func benchSDStream(name string, size int, intra bool, count int) BenchEntry {
-	w := newWorld()
-	dist := freshDist(BenchRTT)
-	const pre = benchWarm + benchRefill
-	stamps := make([]int64, pre+2*count)
-	var warmDrained, refillDrained, allDrained, extraDrained bool
-	var mw memWindow
-	var elapsed int64
-	serverFn := func(t *timeSrc, api endpointAPI) {
-		buf := make([]byte, size)
-		for i := 0; i < pre+2*count; i++ {
-			if _, err := recvFull(api, buf); err != nil {
-				return
-			}
-			switch {
-			case i >= pre && i < pre+count:
-				dist.Observe(t.now() - stamps[i])
-				if i == pre+count-1 {
-					allDrained = true
-				}
-			case i == benchWarm-1:
-				warmDrained = true
-			case i == pre-1:
-				refillDrained = true
-			}
-		}
-		extraDrained = true
-	}
-	clientFn := func(t *timeSrc, api endpointAPI) {
-		buf := make([]byte, size)
-		pump := func(from, to int) bool {
-			for i := from; i < to; i++ {
-				stamps[i] = t.now()
-				if _, err := api.send(buf); err != nil {
-					return false
-				}
-			}
-			return true
-		}
-		drainWait := func(done *bool) {
-			for !*done {
-				if api.idle != nil {
-					api.idle()
-				}
-				t.sleep(20_000)
-			}
-		}
-		if !pump(0, benchWarm) {
-			return
-		}
-		drainWait(&warmDrained)
-		runtime.GC()
-		if !pump(benchWarm, pre) {
-			return
-		}
-		drainWait(&refillDrained)
-		mw.mark()
-		start := t.now()
-		if !pump(pre, pre+count) {
-			return
-		}
-		drainWait(&allDrained)
-		elapsed = t.now() - start
-		mw.mark()
-		if !pump(pre+count, pre+2*count) {
-			return
-		}
-		drainWait(&extraDrained)
-		mw.mark()
-	}
-	wireOnT(w, SysSD, intra, false, size, 7100, serverFn, clientFn)
-	w.sim.Run()
-
-	allocs, bytes := mw.perOp(count)
-	e := BenchEntry{
-		Name:          name,
-		MsgBytes:      size,
-		Msgs:          count,
-		P50Ns:         dist.Quantile(0.50),
-		P99Ns:         dist.Quantile(0.99),
-		AllocsPerOp:   allocs,
-		BytesPerOp:    bytes,
-		Deterministic: true,
-	}
-	if elapsed > 0 {
-		e.MsgsPerSec = float64(count) / (float64(elapsed) / 1e9)
-	}
-	return e
 }
 
 // BurstPingPong measures the vectored op path (SendBatch/RecvBatch):
@@ -868,48 +523,22 @@ func BurstPingPong(name string, batch, size int, intra bool, rounds int) BenchEn
 			return
 		}
 		bufs, lens := newBufs(), make([]int, batch)
-		for i := 0; i < benchWarm; i++ {
-			if !sendAll(c, bufs) || !recvAll(c, bufs, lens) {
-				return
-			}
-		}
-		runtime.GC()
-		for i := 0; i < benchRefill; i++ {
-			if !sendAll(c, bufs) || !recvAll(c, bufs, lens) {
-				return
-			}
-		}
-		mw.mark()
-		start := t.Now()
-		for i := 0; i < rounds; i++ {
-			t0 := t.Now()
-			if !sendAll(c, bufs) || !recvAll(c, bufs, lens) {
-				return
-			}
-			dist.Observe(t.Now() - t0)
-		}
-		elapsed = t.Now() - start
-		mw.mark()
-		for i := 0; i < rounds; i++ {
-			if !sendAll(c, bufs) || !recvAll(c, bufs, lens) {
-				return
-			}
-		}
-		mw.mark()
+		elapsed = measure(t, &mw, dist, benchWarm, rounds, func() bool {
+			return sendAll(c, bufs) && recvAll(c, bufs, lens)
+		})
 	})
 	w.sim.Run()
 
 	msgs := rounds * batch
 	allocs, bytes := mw.perOp(msgs)
 	e := BenchEntry{
-		Name:          name,
-		MsgBytes:      size,
-		Msgs:          msgs,
-		P50Ns:         dist.Quantile(0.50),
-		P99Ns:         dist.Quantile(0.99),
-		AllocsPerOp:   allocs,
-		BytesPerOp:    bytes,
-		Deterministic: true,
+		Name:        name,
+		MsgBytes:    size,
+		Msgs:        msgs,
+		P50Ns:       dist.Quantile(0.50),
+		P99Ns:       dist.Quantile(0.99),
+		AllocsPerOp: allocs,
+		BytesPerOp:  bytes,
 	}
 	if elapsed > 0 {
 		e.MsgsPerSec = float64(msgs) / (float64(elapsed) / 1e9)
@@ -931,46 +560,28 @@ func (r BenchRegression) String() string {
 		return fmt.Sprintf("%s: entry missing from current report", r.Entry)
 	case "p50_zero":
 		return fmt.Sprintf("%s: p50_ns is zero (latency not measured — harness bug)", r.Entry)
+	case "msgs":
+		return fmt.Sprintf("%s: msgs %.0f -> %.0f (a virtual-time count is fixed: the run stopped early or did other work)",
+			r.Entry, r.Old, r.New)
 	}
 	return fmt.Sprintf("%s: %s regressed %.4g -> %.4g", r.Entry, r.Metric, r.Old, r.New)
 }
 
 // CompareBench diffs two reports entry-by-entry. A regression is a
 // throughput drop, or a latency/allocation rise, beyond the relative
-// threshold (e.g. 0.25 = 25%). Timing metrics of wall-clock entries are
-// machine-dependent and only checked when includeWallClock is set;
-// AllocsPerOp is always checked (with +1 absolute slack so near-zero
-// baselines don't trip on noise; the tight gate is CompareBenchAllocs).
-// A deterministic entry reporting p50_ns == 0 is rejected outright: every
-// suite workload measures latency, so a zero quantile means the harness
-// stopped measuring, not that the system got infinitely fast. Entries
-// present on only one side are reported as "missing" regressions so a
-// silently dropped workload fails the gate. Returns an error on schema
-// or mode (short) mismatch.
-func CompareBench(old, cur BenchReport, threshold float64, includeWallClock bool) ([]BenchRegression, error) {
-	if err := checkComparable(old, cur); err != nil {
-		return nil, err
-	}
-	curByName := make(map[string]BenchEntry, len(cur.Entries))
-	for _, e := range cur.Entries {
-		curByName[e.Name] = e
-	}
-	var regs []BenchRegression
-	for _, o := range old.Entries {
-		n, ok := curByName[o.Name]
-		if !ok {
-			regs = append(regs, BenchRegression{Entry: o.Name, Metric: "missing"})
-			continue
-		}
-		delete(curByName, o.Name)
+// threshold (e.g. 0.25 = 25%). AllocsPerOp gets +1 absolute slack so
+// near-zero baselines don't trip on noise; the tight gate is
+// CompareBenchAllocs. An entry reporting p50_ns == 0 is rejected
+// outright: every suite workload measures latency, so a zero quantile
+// means the harness stopped measuring, not that the system got infinitely
+// fast. See compareEntries for what both gates check first.
+func CompareBench(old, cur BenchReport, threshold float64) ([]BenchRegression, error) {
+	return compareEntries(old, cur, func(o, n BenchEntry) (regs []BenchRegression) {
 		if n.AllocsPerOp > o.AllocsPerOp*(1+threshold)+1 {
 			regs = append(regs, BenchRegression{o.Name, "allocs_per_op", o.AllocsPerOp, n.AllocsPerOp})
 		}
-		if n.Deterministic && n.Msgs > 0 && n.P50Ns == 0 {
+		if n.Msgs > 0 && n.P50Ns == 0 {
 			regs = append(regs, BenchRegression{Entry: o.Name, Metric: "p50_zero"})
-		}
-		if !includeWallClock && !(o.Deterministic && n.Deterministic) {
-			continue
 		}
 		if o.MsgsPerSec > 0 && n.MsgsPerSec < o.MsgsPerSec*(1-threshold) {
 			regs = append(regs, BenchRegression{o.Name, "msgs_per_sec", o.MsgsPerSec, n.MsgsPerSec})
@@ -978,8 +589,8 @@ func CompareBench(old, cur BenchReport, threshold float64, includeWallClock bool
 		if o.P99Ns > 0 && float64(n.P99Ns) > float64(o.P99Ns)*(1+threshold) {
 			regs = append(regs, BenchRegression{o.Name, "p99_ns", float64(o.P99Ns), float64(n.P99Ns)})
 		}
-	}
-	return regs, nil
+		return regs
+	})
 }
 
 // CompareBenchAllocs is the allocation gate: it checks only AllocsPerOp,
@@ -996,6 +607,25 @@ func CompareBench(old, cur BenchReport, threshold float64, includeWallClock bool
 // max(slack, 10% of the baseline): unchanged for zero-alloc budgets,
 // proportional for allocation-heavy drills.
 func CompareBenchAllocs(old, cur BenchReport, slack float64) ([]BenchRegression, error) {
+	return compareEntries(old, cur, func(o, n BenchEntry) []BenchRegression {
+		eff := max(slack, 0.10*o.AllocsPerOp)
+		if n.AllocsPerOp > o.AllocsPerOp+eff {
+			return []BenchRegression{{o.Name, "allocs_per_op", o.AllocsPerOp, n.AllocsPerOp}}
+		}
+		return nil
+	})
+}
+
+// compareEntries pairs each baseline entry with the current entry of the
+// same name and returns what check finds in each pair. A baseline entry
+// the current report lacks is a "missing" regression, so a silently
+// dropped workload fails the gate; a pair whose message counts differ is
+// a "msgs" regression, because every workload runs on virtual time and
+// its count is fixed: a different one means the run stopped early (a
+// client giving up on a failed dial) or did other work, and its quantiles
+// describe a different run. Returns an error on schema or mode (short)
+// mismatch.
+func compareEntries(old, cur BenchReport, check func(o, n BenchEntry) []BenchRegression) ([]BenchRegression, error) {
 	if err := checkComparable(old, cur); err != nil {
 		return nil, err
 	}
@@ -1010,13 +640,10 @@ func CompareBenchAllocs(old, cur BenchReport, slack float64) ([]BenchRegression,
 			regs = append(regs, BenchRegression{Entry: o.Name, Metric: "missing"})
 			continue
 		}
-		eff := slack
-		if rel := 0.10 * o.AllocsPerOp; rel > eff {
-			eff = rel
+		if n.Msgs != o.Msgs {
+			regs = append(regs, BenchRegression{o.Name, "msgs", float64(o.Msgs), float64(n.Msgs)})
 		}
-		if n.AllocsPerOp > o.AllocsPerOp+eff {
-			regs = append(regs, BenchRegression{o.Name, "allocs_per_op", o.AllocsPerOp, n.AllocsPerOp})
-		}
+		regs = append(regs, check(o, n)...)
 	}
 	return regs, nil
 }

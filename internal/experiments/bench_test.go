@@ -11,14 +11,11 @@ func TestBenchSuiteShape(t *testing.T) {
 		t.Fatalf("schema %q, want %q", rep.Schema, BenchSchema)
 	}
 	want := []string{
-		"ring_spsc_1KiB", "rdma_qp_1KiB",
-		"sd_intra_pingpong_8B", "sd_inter_pingpong_8B",
-		"sd_intra_stream_1KiB", "sd_inter_stream_1KiB",
 		"sd_intra_burst_32x64B", "sd_inter_burst_32x64B",
 		"connscale_connect", "connscale_accept",
 		"connscale_shard0_dispatch", "connscale_shard1_dispatch",
 		"connscale_shard2_dispatch", "connscale_shard3_dispatch",
-		"cluster_dial", "cluster_echo_8B",
+		"cluster_dial_cold", "cluster_echo_8B",
 		"overload_shed", "dial_refused",
 	}
 	if len(rep.Entries) != len(want) {
@@ -31,44 +28,19 @@ func TestBenchSuiteShape(t *testing.T) {
 		if e.MsgsPerSec <= 0 {
 			t.Errorf("%s: MsgsPerSec = %v, want > 0", e.Name, e.MsgsPerSec)
 		}
-		// Every entry carries quantiles now — streams stamp each message
-		// and observe delivery latency, bursts observe whole-batch RTTs.
+		// Every entry carries quantiles: bursts observe whole-batch RTTs,
+		// the drills each operation's latency.
 		if e.P50Ns <= 0 || e.P99Ns < e.P50Ns {
 			t.Errorf("%s: quantiles p50=%d p99=%d", e.Name, e.P50Ns, e.P99Ns)
 		}
-	}
-	if raceEnabled {
-		// Race instrumentation allocates on otherwise allocation-free
-		// paths; the zero-alloc acceptance runs in the normal build only
-		// (bench-smoke CI job gates it via `compare -allocs-only`).
-		return
-	}
-	if ring := rep.Entries[0]; ring.AllocsPerOp != 0 {
-		t.Errorf("ring AllocsPerOp = %v, want 0 (ISSUE-3 acceptance)", ring.AllocsPerOp)
-	}
-	// ISSUE-7 acceptance: the full-stack ping-pongs are steady-state
-	// zero-alloc. Judged by the CI gate's own rule (`compare -allocs-only
-	// -alloc-slack 0.05` against a zero budget): over this 100-round window
-	// a bufpool sync.Pool miss after a GC reads 0.01-0.02, a real per-op
-	// allocation reads >= 1.
-	budget := BenchReport{Schema: rep.Schema, Short: rep.Short}
-	for _, e := range rep.Entries[2:4] {
-		budget.Entries = append(budget.Entries, BenchEntry{Name: e.Name})
-	}
-	regs, err := CompareBenchAllocs(budget, rep, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range regs {
-		t.Errorf("zero-alloc budget: %s", r)
 	}
 }
 
 // TestCompareBench covers the gate logic without running workloads.
 func TestCompareBench(t *testing.T) {
 	base := BenchReport{Schema: BenchSchema, Entries: []BenchEntry{
-		{Name: "det", MsgsPerSec: 1000, P99Ns: 100, AllocsPerOp: 2, Deterministic: true},
-		{Name: "wall", MsgsPerSec: 1000, P99Ns: 100, AllocsPerOp: 0},
+		{Name: "a", Msgs: 40, MsgsPerSec: 1000, P50Ns: 50, P99Ns: 100, AllocsPerOp: 2},
+		{Name: "b", Msgs: 40, MsgsPerSec: 1000, P50Ns: 50, P99Ns: 100, AllocsPerOp: 0},
 	}}
 	clone := func() BenchReport {
 		cur := base
@@ -76,56 +48,68 @@ func TestCompareBench(t *testing.T) {
 		return cur
 	}
 
-	if regs, err := CompareBench(base, clone(), 0.25, false); err != nil || len(regs) != 0 {
+	if regs, err := CompareBench(base, clone(), 0.25); err != nil || len(regs) != 0 {
 		t.Fatalf("identical reports: regs=%v err=%v", regs, err)
 	}
 
 	cur := clone()
 	cur.Entries[0].MsgsPerSec = 700 // -30% past the 25% threshold
 	cur.Entries[0].P99Ns = 200
-	regs, err := CompareBench(base, cur, 0.25, false)
+	regs, err := CompareBench(base, cur, 0.25)
 	if err != nil || len(regs) != 2 {
-		t.Fatalf("deterministic regressions: regs=%v err=%v", regs, err)
+		t.Fatalf("timing regressions: regs=%v err=%v", regs, err)
 	}
 
-	// Wall-clock timing only trips with includeWallClock.
-	cur = clone()
-	cur.Entries[1].MsgsPerSec = 100
-	if regs, _ := CompareBench(base, cur, 0.25, false); len(regs) != 0 {
-		t.Fatalf("wall-clock timing compared by default: %v", regs)
-	}
-	if regs, _ := CompareBench(base, cur, 0.25, true); len(regs) != 1 {
-		t.Fatalf("wall-clock timing not compared with -all: %v", regs)
-	}
-
-	// Allocations are always gated, even on wall-clock entries, but get
-	// +1 absolute slack over the relative threshold.
+	// Allocations get +1 absolute slack over the relative threshold.
 	cur = clone()
 	cur.Entries[1].AllocsPerOp = 0.9
-	if regs, _ := CompareBench(base, cur, 0.25, false); len(regs) != 0 {
+	if regs, _ := CompareBench(base, cur, 0.25); len(regs) != 0 {
 		t.Fatalf("allocs slack not applied: %v", regs)
 	}
 	cur.Entries[1].AllocsPerOp = 3
-	if regs, _ := CompareBench(base, cur, 0.25, false); len(regs) != 1 {
+	if regs, _ := CompareBench(base, cur, 0.25); len(regs) != 1 {
 		t.Fatalf("allocs regression missed: %v", regs)
+	}
+
+	// A zero p50 is a harness that stopped measuring.
+	cur = clone()
+	cur.Entries[1].P50Ns = 0
+	if regs, _ := CompareBench(base, cur, 0.25); len(regs) != 1 || regs[0].Metric != "p50_zero" {
+		t.Fatalf("zero p50 not flagged: %v", regs)
+	}
+
+	// A run that stopped early — a cluster client returning on its first
+	// failed dial — has fewer messages, and its quantiles may still be
+	// within the threshold: the count alone must fail both gates.
+	cur = clone()
+	cur.Entries[0].Msgs = 30
+	for _, gate := range []func(BenchReport, BenchReport) ([]BenchRegression, error){
+		func(o, c BenchReport) ([]BenchRegression, error) { return CompareBench(o, c, 0.25) },
+		func(o, c BenchReport) ([]BenchRegression, error) { return CompareBenchAllocs(o, c, 0.05) },
+	} {
+		if regs, _ := gate(base, cur); len(regs) != 1 || regs[0].Metric != "msgs" {
+			t.Fatalf("changed message count not flagged: %v", regs)
+		}
 	}
 
 	// A dropped entry fails the gate.
 	cur = clone()
 	cur.Entries = cur.Entries[:1]
-	if regs, _ := CompareBench(base, cur, 0.25, false); len(regs) != 1 || regs[0].Metric != "missing" {
+	if regs, _ := CompareBench(base, cur, 0.25); len(regs) != 1 || regs[0].Metric != "missing" {
 		t.Fatalf("missing entry not flagged: %v", regs)
 	}
 
-	// Schema and mode mismatches are errors, not passes.
+	// Schema and mode mismatches are errors, not passes: a
+	// socksdirect-bench/1 report, with its wall-clock entry and
+	// deterministic field, is not comparable.
 	cur = clone()
-	cur.Schema = "other/1"
-	if _, err := CompareBench(base, cur, 0.25, false); err == nil {
+	cur.Schema = "socksdirect-bench/1"
+	if _, err := CompareBench(base, cur, 0.25); err == nil {
 		t.Fatal("schema mismatch not rejected")
 	}
 	cur = clone()
 	cur.Short = true
-	if _, err := CompareBench(base, cur, 0.25, false); err == nil {
+	if _, err := CompareBench(base, cur, 0.25); err == nil {
 		t.Fatal("short-mode mismatch not rejected")
 	}
 }
