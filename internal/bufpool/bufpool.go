@@ -1,29 +1,30 @@
 // Package bufpool provides the size-classed, reference-counted buffer
-// pool behind the allocation-free data path. Table 2 of the paper puts
-// "Allocate and deallocate a buffer" at 0.13 µs — already more than the
-// per-message budget of an 8-byte SocksDirect send — so the real system
-// never mallocs per message: payload staging is recycled. This package
-// gives the simulated stack the same property: the RDMA layer stages
-// segment payloads here (internal/rdma), the fabric releases them when a
-// frame is dropped or delivered (internal/fabric), and libsd borrows
-// copy scratch for the §4.3 zero-copy bookkeeping (internal/core).
+// pool behind the allocation-free data path, and FreeList, the one way the
+// simulated stack recycles. Table 2 of the paper puts "Allocate and
+// deallocate a buffer" at 0.13 µs — already more than the per-message
+// budget of an 8-byte SocksDirect send — so the real system never mallocs
+// per message: payload staging is recycled. The RDMA layer stages segment
+// payloads here (internal/rdma), the fabric releases them when a frame is
+// dropped or delivered (internal/fabric), and libsd borrows copy scratch
+// for the §4.3 zero-copy bookkeeping (internal/core).
 //
-// Buffers are handed out by size class from sync.Pools. A Buf carries a
-// reference count so one payload can be held by several owners at once —
-// the go-back-N retransmit window and every in-flight copy of the frame
-// on the wire — and returns to its class pool exactly when the last
-// owner releases it. Requests above the largest class fall back to the
-// garbage collector (Release becomes a no-op); those are the ≥16 KiB
+// Buffers come by size class from six FreeLists behind one mutex, the one
+// recycler every Sim in the process shares. A Buf carries a reference
+// count so one payload can be held by several owners at once — the
+// go-back-N retransmit window and every in-flight copy of the frame on the
+// wire — and returns to its class when the last owner releases it. No GC
+// empties a list, as it does a sync.Pool, so a seeded run allocates the
+// same buffers every time. Requests above the largest class fall back to
+// the garbage collector (Release becomes a no-op); those are the ≥16 KiB
 // messages that travel the zero-copy path anyway (§4.3).
 //
 // Telemetry: sd/mem/pool/{gets,puts,misses,oversize} counters and the
 // sd/mem/pool/outstanding gauge. Outstanding returning to zero after a
-// teardown is the pool's leak check (see LeakCheck).
+// teardown is the pool's leak check.
 package bufpool
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"socksdirect/internal/telemetry"
 )
@@ -46,16 +47,56 @@ var classSizes = [...]int{64, 256, 1024, 4096, 16384, 65536}
 // numClasses is exported for boundary tests.
 const numClasses = len(classSizes)
 
-var classes [numClasses]sync.Pool
+// classes are the released buffers of each class; mu orders the hand-offs
+// between the Sims that share them.
+var (
+	mu      sync.Mutex
+	classes [numClasses]FreeList[Buf]
+)
 
 // Buf is a pooled, reference-counted byte buffer. B aliases the pooled
 // backing array and is sized to the Get request; cap(B) is the class
 // size. The zero of refs means "free" — a Buf in that state must not be
-// touched.
+// touched. One Sim holds a Buf at a time, and the pool's mutex orders the
+// hand-off to the next, so refs is a plain integer.
 type Buf struct {
 	B     []byte
-	refs  atomic.Int32
+	refs  int32
 	class int8 // -1: oversize, owned by the GC
+}
+
+// FreeList keeps released objects of one kind for reuse, last in first
+// out. Its zero value is empty. It takes no lock: its owner — a NIC, a
+// fabric, a host, a libsd, an address space — serialises Get and Put.
+type FreeList[T any] []*T
+
+// Get returns the object put last, or nil when the list is empty.
+func (f *FreeList[T]) Get() (x *T) {
+	if n := len(*f); n > 0 {
+		x, (*f)[n-1], *f = (*f)[n-1], nil, (*f)[:n-1]
+	}
+	return x
+}
+
+// New returns what Get returns, or a new zero object when the list is empty.
+func (f *FreeList[T]) New() *T {
+	if x := f.Get(); x != nil {
+		return x
+	}
+	return new(T)
+}
+
+// Put keeps x. The caller must not touch it again.
+func (f *FreeList[T]) Put(x *T) { *f = append(*f, x) }
+
+// Keep puts x if the list holds fewer than max objects, and reports
+// whether it did.
+func (f *FreeList[T]) Keep(x *T, max int) bool {
+	if len(*f) >= max {
+		return false
+	}
+	f.Put(x)
+	return true
 }
 
 // Get returns a buffer with len(B) == n holding one reference. The
@@ -68,17 +109,17 @@ func Get(n int) *Buf {
 	ci := classFor(n)
 	if ci < 0 {
 		mOversize.Inc()
-		b := &Buf{B: make([]byte, n), class: -1}
-		b.refs.Store(1)
-		return b
+		return &Buf{B: make([]byte, n), refs: 1, class: -1}
 	}
-	b, _ := classes[ci].Get().(*Buf)
+	mu.Lock()
+	b := classes[ci].Get()
+	mu.Unlock()
 	if b == nil {
 		mMisses.Inc()
 		b = &Buf{B: make([]byte, classSizes[ci]), class: int8(ci)}
 	}
 	b.B = b.B[:cap(b.B)][:n]
-	b.refs.Store(1)
+	b.refs = 1
 	return b
 }
 
@@ -86,21 +127,20 @@ func Get(n int) *Buf {
 // window, every copy of the frame in flight on the fabric — must hold
 // its own reference and pair it with exactly one Release.
 func (b *Buf) Ref() {
-	if b.refs.Add(1) <= 1 {
+	if b.refs++; b.refs <= 1 {
 		panic("bufpool: Ref on a released buffer")
 	}
 }
 
 // Release drops one owner; the last drop returns the buffer to its class
-// pool. Releasing more times than referenced panics: a double release
+// list. Releasing more times than referenced panics: a double release
 // would let two messages share one backing array, which corrupts
 // payloads silently — loud failure is the only acceptable mode.
 func (b *Buf) Release() {
-	n := b.refs.Add(-1)
-	if n < 0 {
+	if b.refs--; b.refs < 0 {
 		panic("bufpool: Release without matching Get/Ref")
 	}
-	if n != 0 {
+	if b.refs != 0 {
 		return
 	}
 	mPuts.Inc()
@@ -108,11 +148,13 @@ func (b *Buf) Release() {
 	if b.class < 0 {
 		return // oversize: the GC owns the backing array
 	}
+	mu.Lock()
 	classes[b.class].Put(b)
+	mu.Unlock()
 }
 
 // Refs reports the current reference count (tests).
-func (b *Buf) Refs() int32 { return b.refs.Load() }
+func (b *Buf) Refs() int32 { return b.refs }
 
 // classFor maps a request size to the smallest fitting class, or -1 when
 // the request exceeds the largest class.

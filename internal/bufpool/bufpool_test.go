@@ -44,17 +44,39 @@ func TestReuseAfterRelease(t *testing.T) {
 	b.B[0] = 0xAA
 	back := &b.B[0]
 	b.Release()
-	// The very next Get of the same class must be able to see the pooled
-	// buffer again (sync.Pool may drop it under GC pressure, so only
-	// assert when the pointer actually matches).
+	// The very next Get of the same class gets the buffer just released:
+	// a class is a last-in-first-out list that nothing empties behind it.
 	b2 := Get(200)
-	if &b2.B[0] == back && cap(b2.B) != 256 {
-		t.Fatalf("recycled buffer has wrong capacity %d", cap(b2.B))
+	if &b2.B[0] != back {
+		t.Fatal("the next Get of the class did not reuse the buffer released last")
 	}
-	if len(b2.B) != 200 {
-		t.Fatalf("len = %d, want 200", len(b2.B))
+	if cap(b2.B) != 256 || len(b2.B) != 200 {
+		t.Fatalf("recycled buffer: len %d cap %d, want 200 and 256", len(b2.B), cap(b2.B))
 	}
 	b2.Release()
+}
+
+func TestFreeListIsLIFOAndBounded(t *testing.T) {
+	var f FreeList[int]
+	if f.Get() != nil {
+		t.Fatal("Get on an empty list returned an object")
+	}
+	if x := f.New(); x == nil || *x != 0 {
+		t.Fatal("New on an empty list did not return a new zero object")
+	}
+	a, b, c := new(int), new(int), new(int)
+	if !f.Keep(a, 2) || !f.Keep(b, 2) {
+		t.Fatal("Keep below the bound refused")
+	}
+	if f.Keep(c, 2) {
+		t.Fatal("Keep at the bound kept")
+	}
+	f.Put(c)
+	for i, want := range []*int{c, b, a, nil} {
+		if got := f.Get(); got != want {
+			t.Fatalf("Get %d returned %p, want %p", i, got, want)
+		}
+	}
 }
 
 func TestRefCounting(t *testing.T) {
@@ -83,7 +105,7 @@ func TestDoubleReleasePanics(t *testing.T) {
 			t.Fatal("expected panic on double release")
 		}
 		// Repair the count so the poisoned Buf is not recycled broken.
-		b.refs.Store(0)
+		b.refs = 0
 	}()
 	b.Release()
 }
@@ -95,7 +117,7 @@ func TestRefAfterFreePanics(t *testing.T) {
 		if recover() == nil {
 			t.Fatal("expected panic on Ref after free")
 		}
-		b.refs.Store(0)
+		b.refs = 0
 	}()
 	b.Ref()
 }

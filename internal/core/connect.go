@@ -292,7 +292,8 @@ func (lst *Listener) Close(ctx exec.Context) {
 func (l *Libsd) acceptDrained(ctx exec.Context, t *host.Thread, pa *pendingAccept) {
 	m := ctlmsg.Msg{Kind: ctlmsg.KAcceptDone, ConnID: pa.m.ConnID, Port: pa.m.Port,
 		PID: int64(l.P.PID), TID: int64(t.TID)}
-	l.acceptFree.put(pa)
+	*pa = pendingAccept{}
+	l.acceptFree.Put(pa)
 	l.sendCtl(ctx, &m)
 }
 
@@ -387,13 +388,14 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 	// dialer, whose waiter keeps seeing ping answers from its own live
 	// monitor, would spin forever. The host ordinal disambiguates.
 	connID := (l.H.Ordinal&0xffff)<<48 | uint64(l.P.PID&0xffff)<<32 | l.nextConnID&0xffff_ffff
-	pc := l.dialFree.get()
+	pc := l.dialFree.New()
 	l.pending[connID] = pc
 	defer func() {
 		// Every way out: with its l.pending entry goes the record's last
 		// holder besides this call.
 		delete(l.pending, connID)
-		l.dialFree.put(pc)
+		*pc = pendingConn{}
+		l.dialFree.Put(pc)
 	}()
 
 	// Root span: the whole blocking connect, every control hop it causes
@@ -657,7 +659,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			l.sendCtl(ctx, &res)
 		}
 		bl := l.backlogOf(m.Port, int(m.TID))
-		pa := l.acceptFree.get()
+		pa := l.acceptFree.New()
 		pa.m, pa.sock = *m, sock
 		bl.conns = append(bl.conns, pa)
 		if bl.asleep != (exec.Thread{}) {
@@ -846,7 +848,8 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			// res.Aux stays the echoed steal id from the request — the
 			// monitor matches the response to its in-flight steal record
 			// by it; a KNewConn descriptor's own Aux carries nothing.
-			l.acceptFree.put(pa)
+			*pa = pendingAccept{}
+			l.acceptFree.Put(pa)
 		}
 		l.sendCtl(ctx, &res)
 	}

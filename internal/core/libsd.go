@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"socksdirect/internal/bufpool"
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
@@ -87,8 +88,8 @@ type Libsd struct {
 	nextConnID uint64
 	pending    map[uint64]*pendingConn
 	backlogs   map[backlogKey]*backlog
-	dialFree   freeList[pendingConn]
-	acceptFree freeList[pendingAccept]
+	dialFree   bufpool.FreeList[pendingConn]
+	acceptFree bufpool.FreeList[pendingAccept]
 
 	// sockets by QID for control routing (token messages): the first one
 	// tracked, the rest (both ends of an intra-host connection in one
@@ -109,7 +110,7 @@ type Libsd struct {
 	// parked the QPs of finished connections, oldest first; see
 	// lifecycle.go.
 	closing map[uint64]*SideState
-	zcIdle  []*zcPool
+	zcIdle  bufpool.FreeList[zcPool]
 	parked  []parkedQP
 
 	// pendingRevokes are token-return requests deferred because a thread
@@ -166,26 +167,6 @@ type pendingConn struct {
 
 	syn ctlmsg.Msg // the request, which ctl re-sends
 	ctl ctlWait
-}
-
-// freeList keeps blank records of one kind for reuse, last in first out.
-type freeList[T any] []*T
-
-// get returns a blank record, a kept one if there is one.
-func (f *freeList[T]) get() *T {
-	n := len(*f)
-	if n == 0 {
-		return new(T)
-	}
-	r := (*f)[n-1]
-	*f = (*f)[:n-1]
-	return r
-}
-
-// put blanks r, which nothing else may hold any more, and keeps it.
-func (f *freeList[T]) put(r *T) {
-	*r = *new(T)
-	*f = append(*f, r)
 }
 
 // Init loads libsd into a process: it registers with the host's monitor

@@ -303,21 +303,14 @@ func (l *Libsd) releaseInter(side *SideState, clean bool) bool {
 // fresh one (frames, pin, MR) only when the list is empty. A recycled
 // pool's frames never stopped being pinned, so handing it out costs nothing.
 func (l *Libsd) getZCPool(ctx exec.Context) (*zcPool, error) {
-	if n := len(l.zcIdle); n > 0 {
-		p := l.zcIdle[n-1]
-		l.zcIdle[n-1] = nil
-		l.zcIdle = l.zcIdle[:n-1]
+	if p := l.zcIdle.Get(); p != nil {
 		return p, nil
 	}
 	return newZCPool(ctx, l.P, l.pd)
 }
 
 func (l *Libsd) putZCPool(p *zcPool) {
-	keep := len(l.zcIdle) < maxIdleZCPools
-	if keep {
-		l.zcIdle = append(l.zcIdle, p)
-	}
-	if !keep {
+	if !l.zcIdle.Keep(p, maxIdleZCPools) {
 		p.drop(l)
 	}
 }

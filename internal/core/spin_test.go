@@ -226,13 +226,16 @@ const (
 )
 
 // TestDataPathAllocs: an 8-byte ping-pong and a 1 KiB stream, on one host
-// and across two, allocate nothing once warm: at most 0.05 an op, where an
-// op is a round trip or a streamed message. Like the BENCH suite, it warms
-// up, collects garbage, refills the pools the collection emptied, and keeps
-// the fewer allocations of two back-to-back windows. The runtime's own
-// allocations land in one window, and a sync.Pool moving buffers between
-// Ps grows its chain now and then (0.01 an op across two hosts); an
-// allocation per Send or Recv lands in both windows, at 1 an op or more.
+// and across two, allocate nothing once warm, where an op is a round trip
+// or a streamed message. Like the BENCH suite, it warms up, collects
+// garbage, runs a few more ops, and keeps the fewer allocations of two
+// back-to-back windows. The intra-host stream is held at 0. The other rows
+// may read up to 0.05 an op: across two hosts a window now and then meets
+// a new peak of frames in flight (a monitor beacon or a timer beside a
+// round trip), which makes a packet and a delivery and grows a free list
+// and a CQ (0.003–0.009 an op), and the intra-host ping-pong's windows see
+// a stray allocation (0.001 in two runs of forty). An allocation per Send
+// or Recv lands in both windows, at 1 an op or more.
 func TestDataPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -241,11 +244,12 @@ func TestDataPathAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		inter, stream bool
+		bound         float64
 	}{
-		{"intra-pingpong-8B", false, false},
-		{"inter-pingpong-8B", true, false},
-		{"intra-stream-1KiB", false, true},
-		{"inter-stream-1KiB", true, true},
+		{"intra-pingpong-8B", false, false, 0.05},
+		{"inter-pingpong-8B", true, false, 0.05},
+		{"intra-stream-1KiB", false, true, 0},
+		{"inter-stream-1KiB", true, true, 0.05},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			size := 8
@@ -311,8 +315,8 @@ func TestDataPathAllocs(t *testing.T) {
 			})
 			w.sim.Run()
 			t.Logf("%.3f allocations per op", per)
-			if per > 0.05 {
-				t.Errorf("%.3f allocations per op, want at most 0.05", per)
+			if per > tc.bound {
+				t.Errorf("%.3f allocations per op, want at most %v", per, tc.bound)
 			}
 		})
 	}

@@ -20,16 +20,12 @@ import (
 // the descriptor scratch and the recycled id/slot buffers are warm, a 64 KiB
 // SendVA/RecvVA — COW fault on the sender, descriptor, remap, and across
 // hosts the pinned pool's slot swap and slot return — allocates nothing.
-// The runtime's own allocations bleed into a window (the one after the
-// collection rebuilds the insides of bufpool's sync.Pools), so the guard
-// takes the best of three; a real per-message allocation is in all of them.
+// The runtime's own allocations can bleed into a window, so the guard takes
+// the best of three; a real per-message allocation is in all of them.
 func TestZCSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	// One P: a sync.Pool (bufpool stages the QP's packets) hits only on the P
-	// that filled it, and the simulated threads' goroutines move between Ps.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const (
 		n       = 64 << 10
 		warm    = 64

@@ -28,9 +28,8 @@ const BenchRTT = "sd/bench/rtt_ns"
 const benchWarm = 64
 
 // benchRefill ops run between the pre-window runtime.GC() and the m0
-// MemStats read: the GC clears sync.Pool victim caches (packet pool,
-// buffer pool), and without a refill pass the pools' one-time
-// re-population would be billed to the first measured op.
+// MemStats read. The GC empties no free list, so they refill nothing, but
+// they are part of every row's virtual-time run, which must not move.
 const benchRefill = 8
 
 // memWindow reads MemStats at up to three marks around two back-to-back
@@ -558,6 +557,8 @@ func (r BenchRegression) String() string {
 	switch r.Metric {
 	case "missing":
 		return fmt.Sprintf("%s: entry missing from current report", r.Entry)
+	case "unbaselined":
+		return fmt.Sprintf("%s: entry has no baseline (regenerate the baseline to gate it)", r.Entry)
 	case "p50_zero":
 		return fmt.Sprintf("%s: p50_ns is zero (latency not measured — harness bug)", r.Entry)
 	case "msgs":
@@ -619,7 +620,9 @@ func CompareBenchAllocs(old, cur BenchReport, slack float64) ([]BenchRegression,
 // compareEntries pairs each baseline entry with the current entry of the
 // same name and returns what check finds in each pair. A baseline entry
 // the current report lacks is a "missing" regression, so a silently
-// dropped workload fails the gate; a pair whose message counts differ is
+// dropped workload fails the gate, and a current entry the baseline lacks
+// is an "unbaselined" one, so a new workload is not left ungated; a pair
+// whose message counts differ is
 // a "msgs" regression, because every workload runs on virtual time and
 // its count is fixed: a different one means the run stopped early (a
 // client giving up on a failed dial) or did other work, and its quantiles
@@ -640,10 +643,16 @@ func compareEntries(old, cur BenchReport, check func(o, n BenchEntry) []BenchReg
 			regs = append(regs, BenchRegression{Entry: o.Name, Metric: "missing"})
 			continue
 		}
+		delete(curByName, o.Name)
 		if n.Msgs != o.Msgs {
 			regs = append(regs, BenchRegression{o.Name, "msgs", float64(o.Msgs), float64(n.Msgs)})
 		}
 		regs = append(regs, check(o, n)...)
+	}
+	for _, n := range cur.Entries { // in report order, not map order
+		if _, ok := curByName[n.Name]; ok {
+			regs = append(regs, BenchRegression{Entry: n.Name, Metric: "unbaselined"})
+		}
 	}
 	return regs, nil
 }

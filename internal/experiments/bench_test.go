@@ -99,6 +99,19 @@ func TestCompareBench(t *testing.T) {
 		t.Fatalf("missing entry not flagged: %v", regs)
 	}
 
+	// An entry the baseline lacks fails both gates: a new workload is not
+	// gated until the baseline has it.
+	cur = clone()
+	cur.Entries = append(cur.Entries, BenchEntry{Name: "c", Msgs: 40, MsgsPerSec: 1000, P50Ns: 50, P99Ns: 100})
+	for _, gate := range []func(BenchReport, BenchReport) ([]BenchRegression, error){
+		func(o, c BenchReport) ([]BenchRegression, error) { return CompareBench(o, c, 0.25) },
+		func(o, c BenchReport) ([]BenchRegression, error) { return CompareBenchAllocs(o, c, 0.05) },
+	} {
+		if regs, _ := gate(base, cur); len(regs) != 1 || regs[0].Entry != "c" || regs[0].Metric != "unbaselined" {
+			t.Fatalf("unbaselined entry not flagged: %v", regs)
+		}
+	}
+
 	// Schema and mode mismatches are errors, not passes: a
 	// socksdirect-bench/1 report, with its wall-clock entry and
 	// deterministic field, is not comparable.

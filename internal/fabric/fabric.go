@@ -12,9 +12,8 @@ package fabric
 
 import (
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
+	"socksdirect/internal/bufpool"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/telemetry"
 )
@@ -28,7 +27,7 @@ var (
 	mDrops    = telemetry.C(telemetry.FabricDrops)
 )
 
-// Releasable is implemented by pooled frames (e.g. the RDMA layer's
+// Releasable is implemented by recycled frames (e.g. the RDMA layer's
 // packets). Send takes ownership of one reference per call: the fabric
 // releases it when the frame is dropped (loss, partition) or after the
 // delivery handler returns. Handlers must therefore copy out any payload
@@ -68,15 +67,6 @@ type Stats struct {
 	Drops             uint64
 }
 
-// counters is the endpoint-internal atomic form of Stats: Rx increments
-// happen in timer (delivery) context concurrently with sender-side Tx
-// updates and Stats() readers, so each field must be independently atomic.
-type counters struct {
-	txFrames, txBytes atomic.Uint64
-	rxFrames, rxBytes atomic.Uint64
-	drops             atomic.Uint64
-}
-
 // Endpoint is one side of a link (a NIC port). Handler is invoked at
 // delivery time in timer context and must not block.
 type Endpoint struct {
@@ -88,7 +78,8 @@ type Endpoint struct {
 
 	nextFree int64 // when the TX wire is next idle
 	rng      *rand.Rand
-	stats    counters
+	stats    Stats
+	free     *bufpool.FreeList[delivery] // deliveries, shared by the link's or Net's endpoints
 
 	// Runtime-mutable fault knobs (initialized from cfg; see SetLossRate
 	// and friends). Fault injection mutates them mid-run, so the TX path
@@ -102,10 +93,13 @@ type Endpoint struct {
 // NewLink creates a full-duplex link between two new endpoints with
 // symmetric configuration.
 func NewLink(clk exec.Clock, nameA, nameB string, cfg Config) (*Endpoint, *Endpoint) {
-	a := &Endpoint{clk: clk, name: nameA, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5a5a)),
-		lossRate: cfg.LossRate, jitterNs: cfg.JitterNs}
-	b := &Endpoint{clk: clk, name: nameB, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed ^ 0xa5a5)),
-		lossRate: cfg.LossRate, jitterNs: cfg.JitterNs}
+	return newLink(clk, nameA, nameB, cfg, new(bufpool.FreeList[delivery]))
+}
+
+// newLink is NewLink with the endpoints' delivery list given.
+func newLink(clk exec.Clock, nameA, nameB string, cfg Config, free *bufpool.FreeList[delivery]) (*Endpoint, *Endpoint) {
+	a := newEndpoint(clk, nameA, cfg, 0x5a5a, free)
+	b := newEndpoint(clk, nameB, cfg, 0xa5a5, free)
 	a.peer, b.peer = b, a
 	return a, b
 }
@@ -113,10 +107,14 @@ func NewLink(clk exec.Clock, nameA, nameB string, cfg Config) (*Endpoint, *Endpo
 // NewLoopback creates an endpoint whose frames hairpin back to itself
 // (CPU→NIC→CPU within a host, the intra-host path of RSocket/LibVMA).
 func NewLoopback(clk exec.Clock, name string, cfg Config) *Endpoint {
-	e := &Endpoint{clk: clk, name: name, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed ^ 0x10b)),
-		lossRate: cfg.LossRate, jitterNs: cfg.JitterNs}
+	e := newEndpoint(clk, name, cfg, 0x10b, new(bufpool.FreeList[delivery]))
 	e.peer = e
 	return e
+}
+
+func newEndpoint(clk exec.Clock, name string, cfg Config, salt int64, free *bufpool.FreeList[delivery]) *Endpoint {
+	return &Endpoint{clk: clk, name: name, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed ^ salt)),
+		lossRate: cfg.LossRate, jitterNs: cfg.JitterNs, free: free}
 }
 
 // SetLossRate changes the drop probability at runtime (fault injection).
@@ -144,13 +142,7 @@ func (e *Endpoint) Name() string { return e.name }
 
 // Stats returns a snapshot of the endpoint's counters.
 func (e *Endpoint) Stats() Stats {
-	return Stats{
-		TxFrames: e.stats.txFrames.Load(),
-		TxBytes:  e.stats.txBytes.Load(),
-		RxFrames: e.stats.rxFrames.Load(),
-		RxBytes:  e.stats.rxBytes.Load(),
-		Drops:    e.stats.drops.Load(),
-	}
+	return e.stats
 }
 
 // Send transmits a frame of the given payload size toward the peer. The
@@ -161,13 +153,13 @@ func (e *Endpoint) Send(frame any, payloadBytes int) {
 	wire := payloadBytes + e.cfg.PerFrameOverheadBytes
 	now := e.clk.Now()
 
-	e.stats.txFrames.Add(1)
-	e.stats.txBytes.Add(uint64(payloadBytes))
+	e.stats.TxFrames++
+	e.stats.TxBytes += uint64(payloadBytes)
 	mTxFrames.Inc()
 	mTxBytes.Add(int64(payloadBytes))
 
 	if e.partitioned || (e.lossRate > 0 && e.rng.Float64() < e.lossRate) {
-		e.stats.drops.Add(1)
+		e.stats.Drops++
 		mDrops.Inc()
 		releaseFrame(frame) // the wire ate this copy; return its staging
 		return
@@ -187,10 +179,14 @@ func (e *Endpoint) Send(frame any, payloadBytes int) {
 	}
 	peer := e.peer
 
-	// Delivery events are pooled with a pre-bound trampoline: scheduling a
-	// frame allocates neither a closure nor a timer box, which is what
+	// Delivery events are recycled with a pre-bound trampoline: scheduling
+	// a frame allocates neither a closure nor a timer box, which is what
 	// keeps the per-packet fabric cost at zero steady-state allocations.
-	d := deliveryPool.Get().(*delivery)
+	d := e.free.Get()
+	if d == nil {
+		d = new(delivery)
+		d.fn = d.run
+	}
 	d.peer = peer
 	d.frame = frame
 	d.payloadBytes = payloadBytes
@@ -199,8 +195,7 @@ func (e *Endpoint) Send(frame any, payloadBytes int) {
 }
 
 // delivery is one scheduled frame arrival. fn is bound to run once, when
-// the object first leaves the pool, and reused for every subsequent
-// transit through it.
+// the object is made, and reused every time it comes off the free list.
 type delivery struct {
 	peer         *Endpoint
 	frame        any
@@ -209,22 +204,12 @@ type delivery struct {
 	fn           func()
 }
 
-var deliveryPool sync.Pool
-
-func init() {
-	deliveryPool.New = func() any {
-		d := &delivery{}
-		d.fn = d.run
-		return d
-	}
-}
-
 func (d *delivery) run() {
 	peer, frame, payloadBytes, wire := d.peer, d.frame, d.payloadBytes, d.wire
 	d.peer, d.frame = nil, nil
-	deliveryPool.Put(d) // fields are copied out; safe to recycle before handling
-	peer.stats.rxFrames.Add(1)
-	peer.stats.rxBytes.Add(uint64(payloadBytes))
+	peer.free.Put(d) // fields are copied out; safe to recycle before handling
+	peer.stats.RxFrames++
+	peer.stats.RxBytes += uint64(payloadBytes)
 	mRxFrames.Inc()
 	mRxBytes.Add(int64(payloadBytes))
 	h := peer.handler

@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"sort"
 
+	"socksdirect/internal/bufpool"
 	"socksdirect/internal/exec"
 )
 
@@ -29,6 +30,8 @@ type Net struct {
 	ports map[string]*Port
 	edges map[edgeKey]*Endpoint
 	hosts []string // sorted; AddHost wiring order, for determinism
+
+	deliveries bufpool.FreeList[delivery] // one list for every edge: a per-edge list starts cold on each
 }
 
 // edgeKey names one directed edge: frames transmitted by src toward dst.
@@ -95,7 +98,7 @@ func (n *Net) AddHost(host string) *Port {
 		}
 		cfg := n.base
 		cfg.Seed = n.pairSeed(lo, hi)
-		el, eh := NewLink(n.clk, lo+"->"+hi+"/"+n.name, hi+"->"+lo+"/"+n.name, cfg)
+		el, eh := newLink(n.clk, lo+"->"+hi+"/"+n.name, hi+"->"+lo+"/"+n.name, cfg, &n.deliveries)
 		n.edges[edgeKey{lo, hi}] = el
 		n.edges[edgeKey{hi, lo}] = eh
 		plo, phi := p, n.ports[peer]

@@ -149,3 +149,53 @@ func TestNetAddHostIdempotentAndPeers(t *testing.T) {
 		t.Fatal("a host has an edge toward itself")
 	}
 }
+
+// releaseCount is a frame that counts the fabric's releases of it.
+type releaseCount struct{ n int }
+
+func (r *releaseCount) ReleaseFrame() { r.n++ }
+
+// TestDeliveryCensus: every delivery an edge schedules is back on its Net's
+// one free list once the wire drains, whether the frame landed, was lost or
+// met a cut edge, and the fabric released each transmitted frame once. The
+// Net starts with a known set of deliveries and may make no more.
+func TestDeliveryCensus(t *testing.T) {
+	const stock = 256
+	s := exec.NewSim(exec.SimConfig{})
+	n := NewNet(s.Clock(), "test", Config{PropDelay: 500, GbitPerSec: 10, LossRate: 0.2, Seed: 4})
+	ports := []*Port{n.AddHost("a"), n.AddHost("b"), n.AddHost("c")}
+	census := map[*delivery]bool{}
+	for i := 0; i < stock; i++ {
+		d := new(delivery)
+		d.fn = d.run
+		census[d] = true
+		n.deliveries.Put(d)
+	}
+	n.Edge("c", "a").SetPartitioned(true)
+	frames := make([]releaseCount, 300)
+	s.Spawn("tx", func(ctx exec.Context) {
+		for i := range frames {
+			src := ports[i%3]
+			src.EdgeTo(ports[(i+1+i/3%2)%3].host).Send(&frames[i], 1024)
+			ctx.Charge(100)
+		}
+	})
+	s.Run()
+	for i := range frames {
+		if frames[i].n != 1 {
+			t.Fatalf("frame %d released %d times, want 1", i, frames[i].n)
+		}
+	}
+	if st := n.Edge("a", "b").Stats(); st.Drops == 0 || st.RxFrames == 0 {
+		t.Fatalf("edge a->b stats %+v: the census saw no loss or no delivery", st)
+	}
+	if len(n.deliveries) != stock {
+		t.Fatalf("%d deliveries on the Net's list after the drain, want the %d it started with", len(n.deliveries), stock)
+	}
+	for _, d := range n.deliveries {
+		if !census[d] {
+			t.Fatal("a delivery the Net did not start with, or one twice, is on its list")
+		}
+		delete(census, d)
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"slices"
 
+	"socksdirect/internal/bufpool"
 	"socksdirect/internal/costmodel"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/telemetry"
@@ -302,9 +303,8 @@ func (pm *PhysMem) unref(f *frame) {
 	if f.refs > 0 {
 		return
 	}
-	if f.home != nil && len(f.home.pool) < f.home.poolCap {
+	if f.home != nil && f.home.pool.Keep(f, f.home.poolCap) {
 		f.refs = 1 // owned by the pool
-		f.home.pool = append(f.home.pool, f)
 		return
 	}
 	pm.dropFrame(f)
@@ -330,7 +330,7 @@ const heapBase VAddr = 1 << 30
 type AddressSpace struct {
 	pm      *PhysMem
 	pages   []pte
-	pool    []*frame
+	pool    bufpool.FreeList[frame]
 	poolCap int
 }
 
@@ -380,9 +380,7 @@ func (as *AddressSpace) Alloc(n int) VAddr {
 // says the caller needs them gone, which the fault handler, about to
 // overwrite the whole frame, does not.
 func (as *AddressSpace) takeFrame(zero bool) *frame {
-	if n := len(as.pool); n > 0 {
-		f := as.pool[n-1]
-		as.pool = as.pool[:n-1]
+	if f := as.pool.Get(); f != nil {
 		if zero {
 			clear(f.data)
 		}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"socksdirect/internal/bufpool"
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/monitor/shard"
@@ -45,10 +46,10 @@ type mshard struct {
 	// Partitioned state. Which shard a key lands in is decided by
 	// shard.Of/OfPort/OfPID of that key, so one key's entire history is
 	// served by one loop (per-key FIFO, as §4.1.1's token queue needs).
-	ports    map[uint16]*portRec // port -> listeners, their backlogs, the cursor
-	conns    map[uint64]*connRec // qid -> everything known about the connection
-	freeRecs []*connRec          // dropped records, blank, for conn to reuse
-	steals   map[uint64]stealReq // in-flight work-steal requests
+	ports    map[uint16]*portRec       // port -> listeners, their backlogs, the cursor
+	conns    map[uint64]*connRec       // qid -> everything known about the connection
+	freeRecs bufpool.FreeList[connRec] // dropped records, blank, for conn to reuse
+	steals   map[uint64]stealReq       // in-flight work-steal requests
 	stealSeq uint64
 
 	// closed lists connections libsd released (Monitor.ConnClosed) whose
@@ -256,12 +257,7 @@ func newShard(m *Monitor, idx int) *mshard {
 func (sh *mshard) conn(qid uint64) *connRec {
 	c := sh.conns[qid]
 	if c == nil {
-		if n := len(sh.freeRecs); n > 0 {
-			c = sh.freeRecs[n-1]
-			sh.freeRecs = sh.freeRecs[:n-1]
-		} else {
-			c = &connRec{}
-		}
+		c = sh.freeRecs.New()
 		sh.conns[qid] = c
 	}
 	return c
@@ -286,13 +282,11 @@ func (sh *mshard) dropConn(qid uint64) {
 		sh.m.releaseBacklogSlot(c.lport, c.lref)
 	}
 	delete(sh.conns, qid)
-	if len(sh.freeRecs) < maxFreeRecs {
-		if c.tok != nil {
-			*c.tok = [4]tokState{}
-		}
-		*c = connRec{tok: c.tok}
-		sh.freeRecs = append(sh.freeRecs, c)
+	if c.tok != nil {
+		*c.tok = [4]tokState{}
 	}
+	*c = connRec{tok: c.tok}
+	sh.freeRecs.Keep(c, maxFreeRecs)
 }
 
 // shardOf returns the shard owning a 64-bit connection/queue ID.

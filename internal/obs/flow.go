@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"socksdirect/internal/bufpool"
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/monitor/shard"
 )
@@ -161,7 +162,7 @@ func (f *Flow) Freeze() {
 			delete(flows.m, old.key)
 		}
 		*old = Flow{}
-		flows.free = append(flows.free, old)
+		flows.free.Put(old)
 	}
 }
 
@@ -194,8 +195,8 @@ var flows struct {
 	m      map[FlowKey]*Flow
 	closed [ClosedFlows]*Flow // frozen rows, a ring whose oldest is at next
 	next   int
-	free   []*Flow // evicted records, zeroed, for RegisterFlow
-	live   int     // registered and not yet frozen (Reset keeps it)
+	free   bufpool.FreeList[Flow] // evicted records, zeroed, for RegisterFlow
+	live   int                    // registered and not yet frozen (Reset keeps it)
 }
 
 func init() { flows.m = make(map[FlowKey]*Flow) }
@@ -205,12 +206,7 @@ func init() { flows.m = make(map[FlowKey]*Flow) }
 // live key takes the key's row over.
 func RegisterFlow(key FlowKey, peer string, p Prober) *Flow {
 	flows.mu.Lock()
-	var f *Flow
-	if n := len(flows.free); n > 0 {
-		f, flows.free = flows.free[n-1], flows.free[:n-1]
-	} else {
-		f = new(Flow)
-	}
+	f := flows.free.New()
 	f.key, f.peer, f.probe = key, peer, p
 	flows.m[key] = f
 	flows.live++

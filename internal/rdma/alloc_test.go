@@ -5,6 +5,7 @@ import (
 
 	"socksdirect/internal/bufpool"
 	"socksdirect/internal/fabric"
+	"socksdirect/internal/telemetry"
 )
 
 // TestQPSteadyStateAllocs is the regression guard for the pooled data
@@ -34,8 +35,9 @@ func TestQPSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	}
-	// Warm the packet/buffer/delivery pools and grow every amortized
-	// slice (event heap, CQ items, inflight window) to steady state.
+	// Warm the packet, buffer and delivery free lists and grow every
+	// amortized slice (event heap, CQ items, inflight window) to steady
+	// state.
 	for i := 0; i < 64; i++ {
 		op()
 	}
@@ -135,5 +137,59 @@ func TestPoolBalanceAfterMidstreamClose(t *testing.T) {
 	p.sim.Run()
 	if got := bufpool.Outstanding(); got != before {
 		t.Fatalf("pool outstanding %d after midstream close, want %d", got, before)
+	}
+}
+
+// TestPacketCensusUnderLoss: every packet a NIC hands out — data segments,
+// their retransmitted copies' owner, standalone acks and the re-acks of
+// out-of-order arrivals — is back on that NIC's free list once both QPs are
+// closed and the fabric has drained. Each NIC starts with a known set of
+// packets and may make no more, so a path that skips one release leaves a
+// packet missing from the set. An ack carries no payload, so
+// bufpool.Outstanding cannot see an ack that leaks; this census can.
+func TestPacketCensusUnderLoss(t *testing.T) {
+	const stock = 512
+	before, wire := bufpool.Outstanding(), readWire()
+	ooo := telemetry.C(telemetry.RdmaOutOfOrder).Load()
+	p := newPair(t, fabric.Config{PropDelay: 800, LossRate: 0.2, Seed: 5}, 1<<16)
+	census := map[*NIC]map[*packet]bool{}
+	for _, n := range []*NIC{p.na, p.nb} {
+		census[n] = map[*packet]bool{}
+		for i := 0; i < stock; i++ {
+			pk := new(packet)
+			census[n][pk] = true
+			n.packets.Put(pk)
+		}
+	}
+	payload := make([]byte, 1500) // two segments per write
+	for i := 0; i < 40; i++ {
+		if err := p.qa.PostWrite(uint64(i), payload, p.mrb.RKey(), 0, 0, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.qb.PostWrite(uint64(i), payload, p.mra.RKey(), 0, 0, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.sim.Run()
+	p.qa.Close()
+	p.qb.Close()
+	p.sim.Run()
+	if w := readWire().since(wire); w.retransmits == 0 || telemetry.C(telemetry.RdmaOutOfOrder).Load() == ooo {
+		t.Fatalf("the loss caused %d retransmits and no out-of-order re-ack: the census saw no recovery", w.retransmits)
+	}
+	for n, want := range census {
+		if len(n.packets) != stock {
+			t.Errorf("NIC %s: %d packets on its list after the drain, want the %d it started with", n.host, len(n.packets), stock)
+		}
+		for _, pk := range n.packets {
+			if !want[pk] {
+				t.Errorf("NIC %s: a packet it did not start with, or one twice, is on its list", n.host)
+				break
+			}
+			delete(want, pk)
+		}
+	}
+	if got := bufpool.Outstanding(); got != before {
+		t.Fatalf("pool outstanding %d after the drain, want %d", got, before)
 	}
 }

@@ -2,8 +2,6 @@ package rdma
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"socksdirect/internal/bufpool"
 	"socksdirect/internal/fabric"
@@ -50,11 +48,11 @@ const DefaultWindow = 64
 const MaxRetry = 16
 
 // packet is what crosses the fabric between two NICs. Packets and their
-// payload staging are pooled (Table 2: a malloc per message costs more
+// payload staging are recycled (Table 2: a malloc per message costs more
 // than the whole per-message budget), which makes ownership explicit:
 //
-//   - post() creates the packet holding ONE reference — the send queue's
-//     (inflight/pending). That reference is released by the cumulative
+//   - post() takes the packet from its NIC holding ONE reference — the
+//     send queue's (inflight/pending). That reference is released by the cumulative
 //     ack that covers the packet (onAck), by the error flush
 //     (toError) or by Reset.
 //   - every fabric transmit — first send and each go-back-N retransmit —
@@ -68,7 +66,8 @@ const MaxRetry = 16
 // A packet can therefore be live on the wire in several copies after the
 // sender has already dropped it (late duplicates after an ack, flushed
 // QPs); the count keeps the staging buffer out of the pool until the
-// last copy lands.
+// last copy lands, and the packet off its home NIC's free list: both
+// NICs of a frame belong to one Sim, so refs is a plain integer.
 type packet struct {
 	fromQPN uint32
 	toQPN   uint32
@@ -81,35 +80,32 @@ type packet struct {
 	payload []byte
 	ackSeq  uint64
 
-	refs atomic.Int32
+	refs int32
+	home *NIC         // whose free list the packet returns to
 	pbuf *bufpool.Buf // backing store of payload, nil for empty payloads
 }
 
-var packetPool = sync.Pool{New: func() any { return new(packet) }}
-
-// newPacket returns a zero-valued packet holding one reference.
-func newPacket() *packet {
-	p := packetPool.Get().(*packet)
-	*p = packet{}
-	p.refs.Store(1)
+// newPacket returns a zero-valued packet of n's holding one reference.
+func (n *NIC) newPacket() *packet {
+	p := n.packets.New()
+	*p = packet{refs: 1, home: n}
 	return p
 }
 
 // ref adds an owner (one per fabric transmit, on top of the queue's).
 func (p *packet) ref() {
-	if p.refs.Add(1) <= 1 {
+	if p.refs++; p.refs <= 1 {
 		panic("rdma: ref on a released packet")
 	}
 }
 
 // release drops one owner; the last drop returns payload staging to the
-// buffer pool and the packet to the packet pool.
+// buffer pool and the packet to its home NIC.
 func (p *packet) release() {
-	n := p.refs.Add(-1)
-	if n < 0 {
+	if p.refs--; p.refs < 0 {
 		panic("rdma: packet released more times than referenced")
 	}
-	if n != 0 {
+	if p.refs != 0 {
 		return
 	}
 	if p.pbuf != nil {
@@ -117,7 +113,7 @@ func (p *packet) release() {
 		p.pbuf = nil
 	}
 	p.payload = nil
-	packetPool.Put(p)
+	p.home.packets.Put(p)
 }
 
 // ReleaseFrame implements fabric.Releasable: the fabric calls it once per
@@ -414,7 +410,7 @@ func (qp *QP) postWR(wrid uint64, op uint8, data []byte, rkey uint64, raddr int6
 		if n > MTU {
 			n = MTU
 		}
-		p := newPacket() // holds the send queue's reference
+		p := qp.nic.newPacket() // holds the send queue's reference
 		if n > 0 {
 			p.pbuf = bufpool.Get(n)
 			p.payload = p.pbuf.B
@@ -547,7 +543,7 @@ func (qp *QP) onAck(ack uint64) {
 		i++
 	}
 	n := copy(qp.inflight, qp.inflight[i:])
-	clear(qp.inflight[n:]) // drop stale pointers so pooled packets aren't pinned
+	clear(qp.inflight[n:]) // drop stale pointers so recycled packets aren't pinned
 	qp.inflight = qp.inflight[:n]
 	// Complete covered WRs, in order (pushed once the window is refilled).
 	j := 0
@@ -583,10 +579,10 @@ func (n *NIC) onFrame(frame any, _ int) {
 	qp.onData(p)
 }
 
-// sendAck ships a standalone cumulative ack. The pooled packet's single
+// sendAck ships a standalone cumulative ack. The packet's single
 // reference is transferred to the fabric with Send.
-func sendAck(port *fabric.Endpoint, fromQPN, toQPN uint32, ack uint64) {
-	ap := newPacket()
+func (n *NIC) sendAck(port *fabric.Endpoint, fromQPN, toQPN uint32, ack uint64) {
+	ap := n.newPacket()
 	ap.fromQPN = fromQPN
 	ap.toQPN = toQPN
 	ap.op = opAck
@@ -610,7 +606,7 @@ func (qp *QP) onData(p *packet) {
 		// Out of order (loss upstream) or duplicate: go-back-N discards,
 		// re-acking what we actually have.
 		mOutOfOrder.Inc()
-		sendAck(qp.port, qp.qpn, p.fromQPN, qp.rcvNext)
+		qp.nic.sendAck(qp.port, qp.qpn, p.fromQPN, qp.rcvNext)
 		return
 	}
 	if qp.state == QPRTR {
@@ -676,7 +672,7 @@ func (qp *QP) onData(p *packet) {
 	ack := qp.rcvNext
 	port := qp.port // taken before emit, whose completions may reset or re-connect the QP
 	emit(pend)
-	sendAck(port, qp.qpn, p.fromQPN, ack)
+	qp.nic.sendAck(port, qp.qpn, p.fromQPN, ack)
 }
 
 func (qp *QP) lookupMR(rkey uint64) *MR {

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"sync/atomic"
 
+	"socksdirect/internal/bufpool"
 	"socksdirect/internal/costmodel"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/fabric"
@@ -201,6 +202,8 @@ type NIC struct {
 	nextPD  uint32
 	nextKey uint64
 	seed    uint64
+
+	packets bufpool.FreeList[packet] // released packets, for its QPs' posts and acks
 }
 
 // NewNIC creates an adapter for the named host, with its loopback: a QP

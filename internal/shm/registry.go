@@ -3,6 +3,8 @@ package shm
 import (
 	"errors"
 	"fmt"
+
+	"socksdirect/internal/bufpool"
 )
 
 // Token is the secret capability guarding a segment. A process that does
@@ -29,7 +31,7 @@ type Registry struct {
 	seed uint64
 
 	// idle holds recycled rings by capacity (see GetRing/PutRing).
-	idle map[int][]*Ring
+	idle map[int]bufpool.FreeList[Ring]
 }
 
 // NewRegistry creates an empty registry. Seed makes token generation
@@ -38,7 +40,7 @@ func NewRegistry(seed uint64) *Registry {
 	return &Registry{
 		segs: make(map[Token]Segment),
 		seed: seed ^ 0x9e3779b97f4a7c15,
-		idle: make(map[int][]*Ring),
+		idle: make(map[int]bufpool.FreeList[Ring]),
 	}
 }
 
@@ -90,10 +92,8 @@ const maxIdleRings = 64
 // libsd on the host (inter-host ring copies) draw from the same list.
 func (g *Registry) GetRing(capacity int) *Ring {
 	l := g.idle[capacity]
-	if n := len(l); n > 0 {
-		r := l[n-1]
-		l[n-1] = nil
-		g.idle[capacity] = l[:n-1]
+	if r := l.Get(); r != nil {
+		g.idle[capacity] = l
 		mRingPoolHits.Inc()
 		return r
 	}
@@ -106,9 +106,9 @@ func (g *Registry) GetRing(capacity int) *Ring {
 // touch it again.
 func (g *Registry) PutRing(r *Ring) {
 	r.Reset()
-	if l := g.idle[r.Cap()]; len(l) < maxIdleRings {
-		g.idle[r.Cap()] = append(l, r)
-	}
+	l := g.idle[r.Cap()]
+	l.Keep(r, maxIdleRings)
+	g.idle[r.Cap()] = l
 }
 
 // Duplex is a bidirectional channel made of two SPSC rings. Side A sends

@@ -220,12 +220,15 @@ func TestSimStateTakesNoLocks(t *testing.T) {
 	}
 }
 
-// TestSimStateHasNoGlobals keeps a world's numbers and limits in the world
-// (ARCHITECTURE.md "A Sim owns its state"): no package-level variable of
-// the packages a simulated world is made of mentions sync/atomic. Such a
-// variable is state two Sims share: a counter that numbers hosts per
-// process, or a cap one drill sets for every cluster. It belongs on the
-// Sim or the Host; metric handles synchronise inside telemetry.
+// TestSimStateHasNoGlobals keeps a world's numbers, limits and recycled
+// objects in the world (ARCHITECTURE.md "A Sim owns its state"): no
+// package-level variable of the packages a simulated world is made of
+// mentions sync/atomic, a sync.Pool or a bufpool.FreeList. Such a variable
+// is state two Sims share: a counter that numbers hosts per process, a cap
+// one drill sets for every cluster, or a pool whose reuse order depends on
+// the other world and on the GC. It belongs on the Sim, the Host or a
+// per-world object such as a NIC; metric handles synchronise inside
+// telemetry.
 func TestSimStateHasNoGlobals(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, pkg := range simPackages {
@@ -247,12 +250,12 @@ func TestSimStateHasNoGlobals(t *testing.T) {
 					continue
 				}
 				for _, spec := range gd.Specs {
-					if what := atomicIn(spec); what != "" {
+					if what := sharedIn(spec); what != "" {
 						var names []string
 						for _, n := range spec.(*ast.ValueSpec).Names {
 							names = append(names, n.Name)
 						}
-						t.Errorf("%s: package-level %s mentions %s: a Sim's state lives on the Sim or the Host",
+						t.Errorf("%s: package-level %s mentions %s: a Sim's state lives on the Sim, the Host or another object of one world",
 							fset.Position(spec.Pos()), strings.Join(names, ", "), what)
 					}
 				}
@@ -261,12 +264,16 @@ func TestSimStateHasNoGlobals(t *testing.T) {
 	}
 }
 
-// atomicIn names the first atomic.X that n mentions, or returns "".
-func atomicIn(n ast.Node) (what string) {
+// sharedIn names the first atomic.X, sync.Pool or bufpool.FreeList that n
+// mentions, or returns "".
+func sharedIn(n ast.Node) (what string) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		if sel, ok := n.(*ast.SelectorExpr); ok && what == "" {
-			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "atomic" {
-				what = "atomic." + sel.Sel.Name
+			if x, ok := sel.X.(*ast.Ident); ok {
+				switch name := x.Name + "." + sel.Sel.Name; {
+				case x.Name == "atomic", name == "sync.Pool", name == "bufpool.FreeList":
+					what = name
+				}
 			}
 		}
 		return what == ""
