@@ -54,8 +54,8 @@ type pendingAccept struct {
 
 // interSide is one inter-host side on its host, allocated as one object: the
 // shared socket state, the RDMA resources behind it and the storage its lists
-// start in. Nothing in it is recycled (a closed Socket still points at its
-// side), so a dial makes one per end.
+// start in. A clean release puts it on its library's free list (lifecycle.go),
+// so a warm dial makes none.
 type interSide struct {
 	side SideState
 	qp   *rdma.QP
@@ -63,8 +63,8 @@ type interSide struct {
 	ep   rdmaEP     // the side's endpoint, made by newEP
 
 	// First backing of side.mrs, side.eps and side.PoolFree. An inherited
-	// socket's splice and recovery add MRs and endpoints, and a peer may
-	// advertise a bigger pool: append moves those out.
+	// socket's splice and recovery add MRs and endpoints: append moves those
+	// out.
 	mrs      [2]*rdma.MR
 	eps      [1]*rdmaEP
 	poolFree [zcPoolPages]int32
@@ -74,13 +74,14 @@ type interSide struct {
 // one inter-host socket endpoint, and registers the shared state as a SHM
 // segment (socket buffers live in SHM so fork keeps working, §4.1.2).
 // Rings come from the host's recycle list and the pool from the process's
-// (lifecycle.go); MRs are per connection, so an old peer's keys die with
-// its connection. qp is a parked QP to build the endpoint on, or nil to
-// create one.
+// (lifecycle.go), and so does the interSide itself, scrubbed; MRs are per
+// connection, so an old peer's keys die with its connection. qp is a parked
+// QP to build the endpoint on, or nil to create one.
 func (l *Libsd) newInterSide(ctx exec.Context, qid uint64, qp *rdma.QP) (*interSide, error) {
-	is := &interSide{}
+	is := l.sideIdle.New()
+	*is = interSide{}
 	side := &is.side
-	side.QID = qid
+	side.QID, side.home = qid, is
 	side.TX, side.RX = l.H.SHM.GetRing(RingCap), l.H.SHM.GetRing(RingCap)
 	side.CreditIn = side.word[:]
 	side.Refs.Store(1)
@@ -149,12 +150,12 @@ func (e *rdmaEP) setPeer(peerHost string, m *ctlmsg.Msg) {
 	side := e.side
 	side.PeerHost = peerHost
 	side.PoolRKey = m.SeqA
-	side.PoolRemote = int(m.SeqB)
-	free := slices.Grow(side.PoolFree[:0], int(m.SeqB))[:m.SeqB]
+	side.PoolRemote = int(min(m.SeqB, zcPoolPages))
+	free := slices.Grow(side.PoolFree[:0], side.PoolRemote)[:side.PoolRemote]
 	for i := range free {
 		free[i] = int32(i)
 	}
-	side.PoolFree = free
+	side.PoolFree, side.poolLent = free, [len(side.poolLent)]uint64{}
 }
 
 // open connects e's QP to the peer's in the order InfiniBand's REQ/REP/RTU
@@ -319,7 +320,7 @@ func (l *Libsd) finishAccept(ctx exec.Context, t *host.Thread, pa *pendingAccept
 			// surfaces this as a reset on the new connection. Nobody else
 			// will release it: crash cleanup leaves it to this live end.
 			if seg, err := l.H.SHM.Attach(shm.Token(pa.m.ShmToken)); err == nil {
-				l.releaseIntra(seg.Obj.(*IntraSock), pa.m.ShmToken, false)
+				l.releaseIntra(seg.Obj.(*IntraSock), false)
 			}
 			return nil, nil, ECONNRESET
 		}
@@ -329,8 +330,8 @@ func (l *Libsd) finishAccept(ctx exec.Context, t *host.Thread, pa *pendingAccept
 		}
 		is := seg.Obj.(*IntraSock)
 		is.B.PeerPID.Store(int64(pa.m.PID)) // client pid
-		s = &Socket{lib: l, side: &is.B, intra: is, shmTok: pa.m.ShmToken}
-		s.useSHM(&is.B, &is.A)
+		s = l.newSocket(&is.B, nil)
+		s.useSHM(is)
 	case ctlmsg.TransportRDMA: // pa.sock, built when KNewConn arrived
 	case ctlmsg.TransportTCP:
 		kf, ok := l.P.LookupFD(int(pa.m.Aux))
@@ -430,7 +431,7 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 			_, m.RemoteQPN = qp.Peer()
 			ep := l.newEP(is)
 			ep.offered = true
-			pc.sock = &Socket{lib: l, side: &is.side, ep: ep}
+			pc.sock = l.newSocket(&is.side, ep)
 		}
 	}
 	l.sendCtl(ctx, m)
@@ -557,8 +558,8 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			}
 			is := seg.Obj.(*IntraSock)
 			is.A.PeerPID.Store(m.PID) // server pid
-			s := &Socket{lib: l, side: &is.A, intra: is, sideIdx: 0, shmTok: m.ShmToken}
-			s.useSHM(&is.A, &is.B)
+			s := l.newSocket(&is.A, nil)
+			s.useSHM(is)
 			pc.sock = s
 			pc.kernelFD = -1
 			pc.status.Store(1)
@@ -577,7 +578,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			if s == nil {
 				ep := l.newEP(pc.inter)
 				ep.setPeer(peer, m)
-				s = &Socket{lib: l, side: &pc.inter.side, ep: ep}
+				s = l.newSocket(&pc.inter.side, ep)
 				err = ep.open(peer, m.QPN, false)
 			} else {
 				ep := s.ep.(*rdmaEP)
@@ -646,7 +647,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 					return
 				}
 			}
-			sock = &Socket{lib: l, side: &is.side, ep: ep}
+			sock = l.newSocket(&is.side, ep)
 			var res ctlmsg.Msg
 			res.Kind = ctlmsg.KMSynAck
 			res.ConnID = m.ConnID

@@ -218,10 +218,12 @@ func TestClusterDialRepeatable(t *testing.T) {
 }
 
 // netCensus is a census with the idle zero-copy pools taken out: a
-// recycled pool keeps its MR and its pins on purpose. (Parked QPs are a
-// column of their own.)
+// recycled pool keeps its MR and its pins on purpose. So do the segments'
+// free lists, whose length is the history of clean and dropped releases.
+// (Parked QPs are a column of their own.)
 func netCensus(w *world, libs ...*core.Libsd) census {
 	c := takeCensus(w, libs...)
+	c.idle = 0
 	for _, l := range libs {
 		c.mrs -= l.IdleZCPools()
 		c.pinned -= l.IdleZCPools() * core.ZCPoolPages

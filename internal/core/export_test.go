@@ -40,6 +40,25 @@ func (l *Libsd) PendingDials() int {
 func (l *Libsd) FreeDials() int   { return len(l.dialFree) }
 func (l *Libsd) FreeAccepts() int { return len(l.acceptFree) }
 
+// Side returns the side the socket points into: its segment's, or once a
+// clean release detached it, the library's stand-in.
+func (s *Socket) Side() *SideState { return s.side }
+
+// IdleSides reports the interSide recycle list's length.
+func (l *Libsd) IdleSides() int { return len(l.sideIdle) }
+
+// NextIdleSide returns the side of the interSide the next inter-host dial
+// or accepted connection builds on, or nil when the list is empty.
+func (l *Libsd) NextIdleSide() *SideState {
+	if n := len(l.sideIdle); n > 0 {
+		return &l.sideIdle[n-1].side
+	}
+	return nil
+}
+
+// MaxIdleSides bounds IdleSides.
+const MaxIdleSides = maxIdleSides
+
 // IdleZCPools reports the zero-copy pool recycle list's length.
 func (l *Libsd) IdleZCPools() int {
 	return len(l.zcIdle)
@@ -125,6 +144,13 @@ func (s *Socket) SendZCRaw(ctx exec.Context, t *host.Thread, payload []byte) err
 	return s.sendMsg(ctx, MZC, payload, nil)
 }
 
+// ReturnZC hands the socket payload as a received MZCRet message and
+// returns the sender's free-slot list of the peer's pool afterwards.
+func (s *Socket) ReturnZC(payload []byte) []int32 {
+	s.handleZCReturn(payload)
+	return append([]int32(nil), s.side.PoolFree...)
+}
+
 // ZCArrival is one queued zero-copy arrival: the bytes it announces and the
 // pages a RecvVA of it would map.
 type ZCArrival struct{ Total, Pages int }
@@ -136,6 +162,9 @@ func (s *Socket) FeedZC(ret bool, payload []byte) []ZCArrival {
 	if ret {
 		n := len(s.side.PoolFree)
 		s.handleZCReturn(payload)
+		for _, slot := range s.side.PoolFree[n:] {
+			s.side.poolLent[slot>>6] |= 1 << (slot & 63)
+		}
 		s.side.PoolFree = s.side.PoolFree[:n]
 		return nil
 	}

@@ -124,11 +124,11 @@ func (l *Libsd) inherit(src *Libsd, fds map[int]fdEntry, keep func(fdEntry) bool
 		switch e.kind {
 		case fdSocket:
 			s := e.sock
-			e.sock = &Socket{lib: l, side: s.side, fd: fd, sideIdx: s.sideIdx,
-				intra: s.intra, shmTok: s.shmTok}
+			e.sock = &Socket{lib: l, side: s.side, qid: s.qid, fd: fd, sideIdx: s.sideIdx}
+			s.side.sock = nil // two processes' Sockets: the segment is never reused
 			switch ep := s.ep.(type) {
 			case *shmEP:
-				e.sock.useSHM(ep.side, ep.peerSide)
+				e.sock.useSHM(s.intra)
 			case *rdmaEP:
 				ne := &rdmaEP{lib: l, side: s.side, ringRKey: ep.ringRKey, creditRKey: ep.creditRKey,
 					batching: l.batching}

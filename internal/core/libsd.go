@@ -106,12 +106,14 @@ type Libsd struct {
 
 	// closing holds inter-host sides whose last FD closed here but whose
 	// peer has not finished closing (by QID, so a death notice can still
-	// find them); zcIdle is the recycle list of pinned zero-copy pools and
-	// parked the QPs of finished connections, oldest first; see
-	// lifecycle.go.
-	closing map[uint64]*SideState
-	zcIdle  bufpool.FreeList[zcPool]
-	parked  []parkedQP
+	// find them); zcIdle and sideIdle recycle pinned zero-copy pools and
+	// interSides, parked the QPs of finished connections, oldest first;
+	// gone is the stand-in side of detached Sockets. See lifecycle.go.
+	closing  map[uint64]*SideState
+	zcIdle   bufpool.FreeList[zcPool]
+	sideIdle bufpool.FreeList[interSide]
+	parked   []parkedQP
+	gone     SideState
 
 	// pendingRevokes are token-return requests deferred because a thread
 	// was inside the library; processed on library exit ("libsd will
@@ -209,6 +211,7 @@ func initWith(p *host.Process, link *ProcLink) (*Libsd, error) {
 		recoveryBudget: DefaultRecoveryBudget,
 	}
 	l.lastCtlRecv = make([]atomic.Int64, len(ctl))
+	l.gone.life.Store(uint32(txShut | rxShut | closed | released))
 	l.monEpoch.Store(link.Epoch)
 	l.pd = p.Host.NIC.AllocPD()
 	l.armAutoPump()

@@ -17,12 +17,12 @@ import (
 // owns —
 //
 //   - intra-host: the two processes share one IntraSock, so the second
-//     closer sees the first one's latch directly. It removes the
-//     intra-<id> segment and hands both rings back to the host's recycle
-//     list (shm.Registry.PutRing scrubs them).
+//     closer sees the first one's latch directly. It removes the segment
+//     and hands both rings back to the host's recycle list
+//     (shm.Registry.PutRing scrubs them), the IntraSock to the monitor's.
 //   - inter-host: each host releases its own half — rings, the rx and
 //     credit MRs, every QP spliced to the side, the Libsd.eps entries, the
-//     sock-<id> segment and the pinned zero-copy pool — once its side is
+//     interSide segment and the pinned zero-copy pool — once its side is
 //     closed, the peer's MShut has arrived (an application Recv saw it, or
 //     reap found it in the RX ring after the application stopped reading)
 //     and the QP's send queue has drained, so the peer NIC holds our MShut
@@ -32,10 +32,12 @@ import (
 // it through ConnClosed, a note it applies to its records off the dispatch
 // path.
 //
-// Only clean endpoints are recycled: a ring or pool that saw a crashed
-// peer, a failed or recovering QP, a TCP-degraded stream, a second process
-// (fork, migration) or a rebuilt accept is dropped to the garbage
-// collector instead — some actor may still hold a stale view of it.
+// Only clean endpoints are recycled: a ring, pool or segment that saw a
+// crashed peer, a failed or recovering QP, a TCP-degraded stream, a second
+// process (fork, exec, migration), an abandoned dial or a rebuilt accept
+// is dropped to the garbage collector instead — some actor may still hold
+// a stale view of it. A reused segment's Sockets move to their library's
+// stand-in side (detach); its next builder scrubs it.
 //
 // The QP of a clean inter-host side is not closed but parked, still
 // connected to its twin, which the peer process parks when its side is
@@ -51,10 +53,11 @@ var (
 )
 
 // maxIdleZCPools bounds the per-process list of recycled zero-copy pools,
-// maxParkedQPs that of parked QPs.
+// maxParkedQPs that of parked QPs, maxIdleSides that of interSides.
 const (
 	maxIdleZCPools = 8
 	maxParkedQPs   = 8
+	maxIdleSides   = 8
 )
 
 // parkedQP is a QP in RTS with nothing unacknowledged, and the process that
@@ -148,9 +151,15 @@ func (s *Socket) dropEP() {
 	s.ep, s.rxPending = closedEP{}, nil
 }
 
-// connNoter is the monitor's intake for released connections (structural,
-// like registrar, to avoid an import cycle).
-type connNoter interface{ ConnClosed(qid uint64) }
+// detach moves a closed Socket onto its library's stand-in side.
+func (s *Socket) detach() { s.side, s.intra, s.intraEP = &s.lib.gone, nil, shmEP{} }
+
+// connNoter is the monitor's intake for released connections and clean
+// IntraSocks (structural, like registrar, to avoid an import cycle).
+type connNoter interface {
+	ConnClosed(qid uint64)
+	KeepIntraSock(is *IntraSock)
+}
 
 func (l *Libsd) noteClosed(qid uint64) {
 	if n, ok := l.H.Mon.(connNoter); ok {
@@ -170,7 +179,7 @@ func (l *Libsd) sideClosed(s *Socket) {
 	s.freezeFlow()
 	if is := s.intra; is != nil {
 		if is.Peer(side).is(closed) || crashed {
-			l.releaseIntra(is, s.shmTok, !crashed)
+			l.releaseIntra(is, !crashed)
 		}
 		return
 	}
@@ -179,14 +188,14 @@ func (l *Libsd) sideClosed(s *Socket) {
 }
 
 // releaseIntra gives back an intra-host connection: the segment always,
-// the rings only when both sides closed in good order. The connection is
-// released as one unit, so side A's released fact is its latch, for the
-// last closer and the monitor's crash cleanup alike.
-func (l *Libsd) releaseIntra(is *IntraSock, tok uint64, clean bool) {
+// the rings and IntraSock only when both sides closed in good order. The
+// connection is released as one unit, so side A's released fact is its
+// latch, for the last closer and the monitor's crash cleanup alike.
+func (l *Libsd) releaseIntra(is *IntraSock, clean bool) {
 	if !is.A.reach(released) {
 		return
 	}
-	l.H.SHM.Remove(shm.Token(tok))
+	l.H.SHM.Remove(is.Tok)
 	if clean {
 		l.H.SHM.PutRing(is.A.TX)
 		l.H.SHM.PutRing(is.A.RX)
@@ -194,6 +203,11 @@ func (l *Libsd) releaseIntra(is *IntraSock, tok uint64, clean bool) {
 		is.A.TX, is.A.RX, is.B.TX, is.B.RX = nil, nil, nil, nil
 	}
 	l.noteClosed(is.QID)
+	if n, ok := l.H.Mon.(connNoter); ok && clean && is.A.sock != nil && is.B.sock != nil {
+		is.A.sock.detach()
+		is.B.sock.detach()
+		n.KeepIntraSock(is)
+	}
 	mConnReclaims.Inc()
 }
 
@@ -253,8 +267,9 @@ func (l *Libsd) tryReleaseInter(side *SideState) {
 }
 
 // releaseInter gives back everything an inter-host side owns on this host.
-// Clean sides recycle their rings and pinned pool; the rest is dropped. It
-// reports whether this call did the release (false: someone else had).
+// Clean sides recycle their rings, pinned pool and interSide; the rest is
+// dropped. It reports whether this call did the release (false: someone
+// else had).
 func (l *Libsd) releaseInter(side *SideState, clean bool) bool {
 	if !side.reach(released) {
 		return false
@@ -291,6 +306,10 @@ func (l *Libsd) releaseInter(side *SideState, clean bool) bool {
 		side.TX, side.RX = nil, nil // a stray user faults instead of sharing a ring
 		if pool != nil {
 			l.putZCPool(pool) // clean implies this process built the side, so the pool is its own
+		}
+		if side.sock != nil {
+			side.sock.detach()
+			l.sideIdle.Keep(side.home, maxIdleSides)
 		}
 	case pool != nil:
 		pool.drop(l)

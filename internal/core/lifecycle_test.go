@@ -20,12 +20,14 @@ import (
 const sockRing = 128 * 1024
 
 // census is everything a closed connection must give back, counted over
-// the two hosts and two processes of a churn world — and the one thing it
-// keeps on purpose: parked is the QPs of finished connections the processes
-// hold for their next dial, qps every other QP on the two NICs. flows is the
-// sdstat rows still reading a socket, counted over the process-wide table.
+// the two hosts and two processes of a churn world — and what it keeps on
+// purpose: parked is the QPs of finished connections the processes hold for
+// their next dial, qps every other QP on the two NICs, and idle the segments
+// on free lists (the monitors' IntraSocks, the processes' interSides). flows
+// is the sdstat rows still reading a socket, counted over the process-wide
+// table.
 type census struct {
-	segs, qps, parked, mrs, pinned, eps, closing, records, flows int
+	segs, idle, qps, parked, mrs, pinned, eps, closing, records, flows int
 }
 
 func takeCensus(w *world, libs ...*core.Libsd) census {
@@ -34,10 +36,12 @@ func takeCensus(w *world, libs ...*core.Libsd) census {
 		qps:     w.a.NIC.QPCount() + w.b.NIC.QPCount(),
 		mrs:     w.a.NIC.MRCount() + w.b.NIC.MRCount(),
 		pinned:  w.a.Mem.PinnedCount() + w.b.Mem.PinnedCount(),
+		idle:    w.ma.IdleIntraSocks() + w.mb.IdleIntraSocks(),
 		records: w.ma.LiveConnRecords() + w.mb.LiveConnRecords(),
 		flows:   obs.LiveFlows(),
 	}
 	for _, l := range libs {
+		c.idle += l.IdleSides()
 		c.eps += l.Endpoints()
 		c.closing += l.Closing()
 		c.parked += l.ParkedQPs()
@@ -121,8 +125,9 @@ func churn(t *testing.T, inter bool, n int) (base, end census, heap uint64) {
 
 // TestChurnLeak: a connection that was closed on both sides leaves nothing
 // behind — segments, QPs, MRs, pinned frames, endpoint-table entries,
-// monitor records and live sdstat rows are back at their pre-churn level
-// however many cycles ran, the flow table keeps no more than
+// monitor records and live sdstat rows are back at their pre-churn level,
+// and the segments' free lists at their length, however many cycles ran (a
+// thousand or more in the long runs), the flow table keeps no more than
 // obs.ClosedFlows closed rows, and the heap does not grow with the cycle
 // count.
 func TestChurnLeak(t *testing.T) {
@@ -132,7 +137,7 @@ func TestChurnLeak(t *testing.T) {
 		short, long int
 	}{
 		{"intra", false, 200, 2000},
-		{"inter", true, 50, 200},
+		{"inter", true, 50, 1000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.inter && raceEnabled {
@@ -953,10 +958,12 @@ func TestHalfCloseReleasesNothing(t *testing.T) {
 			if half != open {
 				t.Errorf("half-closed census %+v, want the open connection's %+v", half, open)
 			}
-			// The first connection of a process leaves one pinned pool (and
-			// its MR) on the recycle list and its QP parked; everything else
-			// is back.
+			// The first connection leaves its segments on their free lists
+			// and, across hosts, each process one pinned pool (and its MR)
+			// on the recycle list and its QP parked; everything else is back.
+			base.idle++
 			if inter {
+				base.idle++
 				base.pinned += 2 * 128
 				base.mrs += 2
 				base.parked += 2
@@ -969,9 +976,10 @@ func TestHalfCloseReleasesNothing(t *testing.T) {
 }
 
 // TestZCPoolFreeListBounded: ten connections open at once need ten pinned
-// pools and ten QPs per process; closing them all keeps eight of each for
-// reuse and retires the other two — MR deregistered, frames unpinned, QP
-// closed, the oldest first.
+// pools, ten QPs and ten interSides per process; closing them all keeps
+// eight of each for reuse and retires the other two — MR deregistered,
+// frames unpinned, QP closed, the oldest first, the interSide to the
+// garbage collector.
 func TestZCPoolFreeListBounded(t *testing.T) {
 	w := newWorld(t)
 	monitor.Peer(w.ma, w.mb)
@@ -1019,6 +1027,9 @@ func TestZCPoolFreeListBounded(t *testing.T) {
 			}
 			if n := l.ParkedQPs(); n != core.MaxParkedQPs {
 				t.Errorf("%s keeps %d parked QPs, want %d", l.P.Name, n, core.MaxParkedQPs)
+			}
+			if n := l.IdleSides(); n != core.MaxIdleSides {
+				t.Errorf("%s keeps %d idle interSides, want %d", l.P.Name, n, core.MaxIdleSides)
 			}
 		}
 		if n := w.a.NIC.QPCount() + w.b.NIC.QPCount(); n != qps+2*core.MaxParkedQPs {

@@ -36,8 +36,11 @@ func (l *Libsd) reRegisterReport(ctx exec.Context) {
 	}
 	conns := make([]connRec, 0, len(l.socks))
 	for qid, s := range l.socks { // one socket per queue describes the whole registration
-		conns = append(conns, connRec{qid: qid, sideIdx: s.sideIdx,
-			peer: s.side.PeerHost, shmTok: s.shmTok})
+		cr := connRec{qid: qid, sideIdx: s.sideIdx, peer: s.side.PeerHost}
+		if s.intra != nil {
+			cr.shmTok = uint64(s.intra.Tok)
+		}
+		conns = append(conns, cr)
 	}
 	pends := make([]uint64, 0, len(l.pending))
 	for connID, pc := range l.pending {

@@ -30,10 +30,7 @@ type Socket struct {
 	intraEP shmEP      // ep of an intra-host socket (useSHM): part of the Socket, not an allocation of its own
 	sib     *Socket    // next socket of this process on the same queue (Libsd.socks)
 
-	// shmTok is the SHM segment token of an intra-host socket (0 for
-	// RDMA sockets); replayed to a restarted monitor so segment
-	// accounting — reclaim-on-crash — survives the restart.
-	shmTok uint64
+	qid uint64 // the socket's queue, which outlives its side (detach)
 
 	// flow is this endpoint's row in the obs flow table (sdstat). Nil
 	// until the socket is established and again once its row is frozen
@@ -126,10 +123,16 @@ func (s *Socket) Probe() obs.FlowProbe {
 	return p
 }
 
-// useSHM makes the socket an intra-host endpoint on side, whose peer is
-// peerSide.
-func (s *Socket) useSHM(side, peerSide *SideState) {
-	s.intraEP = shmEP{lib: s.lib, side: side, peerSide: peerSide}
+// newSocket makes the Socket over side, which a clean release detaches.
+func (l *Libsd) newSocket(side *SideState, ep endpoint) *Socket {
+	side.sock = &Socket{lib: l, side: side, ep: ep, qid: side.QID}
+	return side.sock
+}
+
+// useSHM makes the socket an intra-host endpoint on its side of is.
+func (s *Socket) useSHM(is *IntraSock) {
+	s.intra = is
+	s.intraEP = shmEP{lib: s.lib, side: s.side, peerSide: is.Peer(s.side)}
 	s.ep = &s.intraEP
 }
 
@@ -137,7 +140,7 @@ func (s *Socket) useSHM(side, peerSide *SideState) {
 func (s *Socket) FD() int { return s.fd }
 
 // QID returns the socket queue identity (token arbitration handle).
-func (s *Socket) QID() uint64 { return s.side.QID }
+func (s *Socket) QID() uint64 { return s.qid }
 
 // --- token-based sharing (§4.1): one active sender and one active
 // receiver per queue; everyone else must take over through the monitor ---
@@ -226,14 +229,21 @@ func (s *Socket) maybeHandBack(ctx exec.Context, dir int) {
 // closes with end ---
 
 // begin opens a data operation in direction dir: it enters libsd, refuses a
-// killed process, takes the direction's token and marks the operation busy
-// (processRevokes leaves a busy token alone). A send also refuses a
-// shut-down direction and ships the zero-copy slot returns that wait for the
-// send token. A nil error must be paired with end.
+// killed process and a closed descriptor (whose side may be the stand-in),
+// takes the direction's token and marks the operation busy (processRevokes
+// leaves a busy token alone). A send also refuses a shut-down direction and
+// ships the zero-copy slot returns that wait for the send token. A nil
+// error must be paired with end.
 func (s *Socket) begin(ctx exec.Context, t *host.Thread, dir int) error {
 	s.lib.enter()
 	err := ErrProcessKilled
-	if !s.lib.P.Dead() {
+	switch _, closed := s.ep.(closedEP); {
+	case s.lib.P.Dead():
+	case closed && dir == DirSend:
+		err = ErrShutdown
+	case closed:
+		err = io.EOF
+	default:
 		err = s.acquireToken(ctx, t, dir)
 	}
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"socksdirect/internal/bufpool"
 	"socksdirect/internal/rdma"
 	"socksdirect/internal/shm"
 )
@@ -124,10 +125,11 @@ type SideState struct {
 	LastCreditOut atomic.Uint64
 
 	// Remote zero-copy pool (sender-managed free slots, Fig. 5b). Access
-	// is serialized by the send token.
+	// is serialized by the send token. poolLent marks the slots in flight.
 	PoolRKey   uint64
 	PoolFree   []int32
-	PoolRemote int // slot count advertised by the peer
+	poolLent   [zcPoolPages / 64]uint64
+	PoolRemote int // slot count advertised by the peer, at most zcPoolPages
 	PoolWant   int // slots the sender is polling PoolFree for (zcWaiter)
 
 	// LocalPool is this side's pinned receive pool (shared across fork).
@@ -150,6 +152,11 @@ type SideState struct {
 	mrs    []*rdma.MR
 	segTok shm.Token
 	word   [8]byte // backing store of CreditIn
+	// sock is the Socket a clean release detaches before the segment is
+	// reused; nil once a second process inherited the side, whose segment
+	// is then dropped. home is an inter-host side's interSide.
+	sock *Socket
+	home *interSide
 }
 
 // fact is something that has happened to a socket side. A side's facts are
@@ -206,18 +213,21 @@ func (s *SideState) reach(f fact) bool {
 // everything through one capability.
 type IntraSock struct {
 	QID  uint64
+	Tok  shm.Token // the segment's
 	A, B SideState // A = connecting side, B = accepting side
 }
 
-// NewIntraSock wires two rings from the host's recycle list (fresh ones
-// when it is empty) into two SideStates.
-func NewIntraSock(reg *shm.Registry, qid uint64, ringCap int) *IntraSock {
-	is := &IntraSock{QID: qid}
+// NewIntraSock scrubs an IntraSock from idle (new when it is empty), wires
+// two rings from the host's recycle list into it and registers its segment.
+func NewIntraSock(reg *shm.Registry, idle *bufpool.FreeList[IntraSock], qid uint64, ringCap int) *IntraSock {
+	is := idle.New()
+	*is = IntraSock{QID: qid}
 	a, b := &is.A, &is.B
 	a.QID, a.TX, a.RX = qid, reg.GetRing(ringCap), reg.GetRing(ringCap)
 	b.QID, b.TX, b.RX = qid, a.RX, a.TX
 	a.Refs.Store(1)
 	b.Refs.Store(1)
+	is.Tok = reg.Create(is).Token
 	return is
 }
 

@@ -211,12 +211,18 @@ func (s *Socket) queueZC(payload []byte) {
 
 // handleZCReturn gives returned pool slots back to the sender-side
 // allocator (inter-host; intra-host pages return through the kernel's
-// frame refcounting).
+// frame refcounting). The peer is untrusted (§3): only lent slots return.
 func (s *Socket) handleZCReturn(payload []byte) {
 	if _, ok := s.ep.(*rdmaEP); !ok {
 		return
 	}
-	s.side.PoolFree = appendReturnedSlots(s.side.PoolFree, payload)
+	side := s.side
+	for _, slot := range appendReturnedSlots(side.PoolFree, payload)[len(side.PoolFree):] {
+		if w, bit := slot>>6, uint64(1)<<(slot&63); slot >= 0 && int(w) < len(side.poolLent) && side.poolLent[w]&bit != 0 {
+			side.poolLent[w] &^= bit
+			side.PoolFree = append(side.PoolFree, slot) // writes behind the slot read
+		}
+	}
 }
 
 // --- VA-based send/recv: the paths where §4.3's remapping pays off ---
@@ -314,6 +320,9 @@ func (s *Socket) zcSendInterChunk(ctx exec.Context, ep *rdmaEP, addr mem.VAddr, 
 		if cut := len(s.side.PoolFree) - need; cut >= 0 {
 			z.slots = append(z.slots[:0], s.side.PoolFree[cut:]...)
 			s.side.PoolFree = s.side.PoolFree[:cut]
+			for _, slot := range z.slots {
+				s.side.poolLent[slot>>6] |= 1 << (slot & 63)
+			}
 			break
 		}
 		s.drainCtl(ctx)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"socksdirect/internal/bufpool"
@@ -201,6 +202,55 @@ func TestRecvVAReportsWriteError(t *testing.T) {
 			w.sim.Run()
 		})
 	}
+}
+
+// TestForgedZCReturnIsDropped: the sender keeps the free slots of its
+// peer's pinned pool, and the peer returns them in band. A peer that
+// returns a slot twice, or one past the pool it advertised, would have the
+// sender write two messages into one frame or outside the pool's MR: after
+// a 16-page zero-copy send has taken slots 112–127, an MZCRet naming 127
+// twice, 3 (free already), 128 and -1 gives back 127 once and nothing else.
+func TestForgedZCReturnIsDropped(t *testing.T) {
+	w := newWorld(t)
+	const n = 16 * mem.PageSize
+	read := false
+	connected(t, w, true, 7656,
+		func(ctx exec.Context, th *host.Thread, s *core.Socket) {
+			for !read {
+				ctx.Sleep(10_000)
+			}
+			if m, err := s.RecvVA(ctx, th, th.Proc.AS.Alloc(n), n); m != n || err != nil {
+				t.Errorf("recvVA = %d, %v", m, err)
+			}
+		},
+		func(ctx exec.Context, th *host.Thread, s *core.Socket) {
+			defer func() { read = true }()
+			if _, err := s.SendVA(ctx, th, th.Proc.AS.Alloc(n), n); err != nil {
+				t.Errorf("sendVA: %v", err)
+				return
+			}
+			free := s.ReturnZC(nil)
+			if len(free) != core.ZCPoolPages-16 || slices.Contains(free, 127) {
+				t.Errorf("after the send: %d free slots (127 among them: %v), want %d without 127",
+					len(free), slices.Contains(free, 127), core.ZCPoolPages-16)
+				return
+			}
+			free = s.ReturnZC(core.AppendZCReturn(nil, []int32{127, 127, 3, 128, -1}))
+			if len(free) != core.ZCPoolPages-15 {
+				t.Errorf("after the forged return: %d free slots, want %d", len(free), core.ZCPoolPages-15)
+			}
+			seen := map[int32]bool{}
+			for _, slot := range free {
+				if slot < 0 || slot >= core.ZCPoolPages || seen[slot] {
+					t.Errorf("free slot %d: out of the pool or listed twice", slot)
+				}
+				seen[slot] = true
+			}
+			if !seen[127] {
+				t.Error("the one genuine return, slot 127, was dropped")
+			}
+		})
+	w.sim.Run()
 }
 
 // FuzzZCDescriptor feeds arbitrary bytes to the receiver of MZC and MZCRet

@@ -32,6 +32,7 @@ import (
 	"sort"
 	"strings"
 
+	"socksdirect/internal/bufpool"
 	"socksdirect/internal/core"
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
@@ -87,8 +88,9 @@ type Monitor struct {
 	lastActivity int64    // last real (non-heartbeat) control-plane traffic
 	beacon       []string // tickHeartbeats' scratch: the peers a tick beacons
 
-	thread  exec.Thread // the router loop; shard loops live on their mshard
-	stopped bool
+	thread    exec.Thread // the router loop; shard loops live on their mshard
+	stopped   bool
+	intraIdle bufpool.FreeList[core.IntraSock] // for dispatchIntra, from KeepIntraSock
 
 	// Stats for §6-style accounting.
 	ConnsDispatched int
@@ -723,6 +725,15 @@ func (m *Monitor) ConnClosed(qid uint64) {
 	sh.wake()
 }
 
+// MaxIdleIntraSocks bounds the IntraSocks a monitor keeps for reuse.
+const MaxIdleIntraSocks = 32
+
+// KeepIntraSock takes back an IntraSock libsd released cleanly.
+func (m *Monitor) KeepIntraSock(is *core.IntraSock) { m.intraIdle.Keep(is, MaxIdleIntraSocks) }
+
+// IdleIntraSocks reports how many IntraSocks wait for reuse.
+func (m *Monitor) IdleIntraSocks() int { return len(m.intraIdle) }
+
 // LiveConnRecords reports how many connection records the monitor holds
 // over all shards after applying every queued ConnClosed note: the figure
 // that must return to its baseline when connections are closed, and when
@@ -1179,19 +1190,18 @@ func (m *Monitor) dispatchIntra(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) 
 	if ringCap == 0 {
 		ringCap = core.RingCap
 	}
-	is := core.NewIntraSock(m.H.SHM, cm.ConnID, ringCap)
-	seg := m.H.SHM.Create(is)
+	is := core.NewIntraSock(m.H.SHM, &m.intraIdle, cm.ConnID, ringCap)
 	sh := m.shardOf(cm.ConnID)
 	c := sh.conn(cm.ConnID)
 	c.advance(queued)
-	c.pids, c.shmTok = [2]int{pc.p.PID, ref.pid}, seg.Token
+	c.pids, c.shmTok = [2]int{pc.p.PID, ref.pid}, is.Tok
 	c.lport, c.lref = cm.Port, ref
 	m.ConnsDispatched++
 	mDispatches.Inc()
 
 	nc := ctlmsg.Msg{
 		Kind: ctlmsg.KNewConn, ConnID: cm.ConnID, Port: cm.Port,
-		Transport: ctlmsg.TransportSHM, ShmToken: uint64(seg.Token),
+		Transport: ctlmsg.TransportSHM, ShmToken: uint64(is.Tok),
 		PID: cm.PID, TID: int64(ref.tid),
 		TraceID: cm.TraceID, SpanID: cm.SpanID,
 	}
@@ -1199,7 +1209,7 @@ func (m *Monitor) dispatchIntra(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) 
 
 	res := ctlmsg.Msg{
 		Kind: ctlmsg.KConnectRes, ConnID: cm.ConnID, Status: ctlmsg.StatusOK,
-		Transport: ctlmsg.TransportSHM, ShmToken: uint64(seg.Token),
+		Transport: ctlmsg.TransportSHM, ShmToken: uint64(is.Tok),
 		PID:     int64(ref.pid),
 		TraceID: cm.TraceID, SpanID: cm.SpanID,
 	}

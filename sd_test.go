@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	sd "socksdirect"
+	"socksdirect/internal/core"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
 	"socksdirect/internal/mem"
@@ -345,5 +346,80 @@ func TestClustersRunConcurrently(t *testing.T) {
 		if r != solo[w] {
 			t.Errorf("world %d: %+v run together, %+v alone", w, r, solo[w])
 		}
+	}
+}
+
+// TestPublicAPIStaleConnAfterReuse: a Conn kept after Close stays closed
+// when its connection's segment is reused. On one host and across two, a
+// connection is closed cleanly and the next dial builds on the segment it
+// released (on one host the monitor's free list shows the draw; across
+// hosts the dialer's list is last in, first out). The stale Conn's Send,
+// Recv — past a receive deadline too — and second Close fail as on any
+// closed socket, while the new connection echoes byte-exact between the
+// pokes.
+func TestPublicAPIStaleConnAfterReuse(t *testing.T) {
+	for _, inter := range []bool{false, true} {
+		name := "intra"
+		if inter {
+			name = "inter"
+		}
+		t.Run(name, func(t *testing.T) {
+			cl := sd.NewCluster(sd.Defaults())
+			a := cl.AddHost("alpha")
+			srvHost, dst := a, "alpha"
+			if inter {
+				srvHost, dst = cl.AddHost("beta"), "beta"
+				sd.PeerMonitors(a, srvHost)
+			}
+			echoServe(t, srvHost.NewProcess("server", 0), 80, 2)
+			pattern := bytes.Repeat([]byte("stale conn "), 150)
+			a.NewProcess("client", 1000).Go("main", func(t2 *sd.T) {
+				t2.Sleep(10 * sd.Microsecond)
+				echo := func(c *sd.Conn, poke func()) {
+					if _, err := c.Send(pattern); err != nil {
+						t.Errorf("send: %v", err)
+					}
+					poke()
+					got := make([]byte, len(pattern))
+					if n, err := c.RecvFull(got); err != nil || !bytes.Equal(got[:n], pattern) {
+						t.Errorf("echo of %d bytes: %d back, %v", len(pattern), n, err)
+					}
+					poke()
+				}
+				stale, err := t2.Dial(dst, 80)
+				if err != nil {
+					t.Errorf("dial: %v", err)
+					return
+				}
+				echo(stale, func() {})
+				stale.Close()
+				t2.Sleep(sd.Millisecond) // the server closed too: the connection is released
+				idle := a.Mon.IdleIntraSocks()
+				c, err := t2.Dial(dst, 80)
+				if err != nil {
+					t.Errorf("dial: %v", err)
+					return
+				}
+				if !inter && (idle != 1 || a.Mon.IdleIntraSocks() != 0) {
+					t.Errorf("idle IntraSocks %d, then %d after the dial: want 1, then 0", idle, a.Mon.IdleIntraSocks())
+				}
+				poke := func() {
+					stale.SetRecvDeadline(t2.Now() + 1)
+					if _, err := stale.Send([]byte("stale")); !errors.Is(err, core.ErrShutdown) {
+						t.Errorf("send on the closed conn: want ErrShutdown, got %v", err)
+					}
+					if _, err := stale.Recv(make([]byte, 64)); err != sd.EOF {
+						t.Errorf("recv on the closed conn: want EOF, got %v", err)
+					}
+					if err := stale.Close(); !errors.Is(err, core.ErrBadFD) {
+						t.Errorf("close of the closed conn: want ErrBadFD, got %v", err)
+					}
+				}
+				echo(c, poke)
+				echo(c, poke)
+				c.Close()
+			})
+			cl.Run()
+		})
 	}
 }
