@@ -85,9 +85,7 @@ func (l *Libsd) newInterSide(ctx exec.Context, qid uint64, qp *rdma.QP) (*interS
 	side.TX, side.RX = l.H.SHM.GetRing(RingCap), l.H.SHM.GetRing(RingCap)
 	side.CreditIn = side.word[:]
 	side.Refs.Store(1)
-	for i, b := range [2][]byte{side.RX.Data(), side.CreditIn} {
-		is.mrs[i] = l.pd.RegisterBytesAt(&is.mr[i], b)
-	}
+	is.mrs = [2]*rdma.MR{l.pd.RegisterRingAt(&is.mr[0], side.RX), l.pd.RegisterBytesAt(&is.mr[1], side.CreditIn)}
 	side.mrs, side.eps, side.PoolFree = is.mrs[:], is.eps[:0], is.poolFree[:0]
 	if is.qp = qp; qp == nil {
 		is.qp = l.pd.CreateQP(l.sendCQ, l.recvCQ)

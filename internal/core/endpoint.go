@@ -267,23 +267,24 @@ func (e *rdmaEP) flush(ctx exec.Context) {
 	// grows as the pipeline deepens (§4.2's amortization).
 	mBatchSize.Observe(int64(delta))
 	mask := ring.Mask()
-	capacity := uint64(len(ring.Data()))
+	capacity := uint64(ring.Cap())
 	start := flushed & mask
 	ctx.Charge(e.lib.H.Costs.RDMAPost)
+	data := ring.Backing(0) // TrySend backed all it wrote, so the region is backed
 	// The immediate of the last write carries the absolute tail (low 32
 	// bits): in-order delivery makes the completion the exact moment the
 	// bytes become observable, so the CQE is both publication and wakeup.
 	imm := uint32(written)
 	var err error
 	if start+delta <= capacity {
-		err = e.qp.PostWrite(wrData, ring.Data()[start:start+delta], e.ringRKey, int64(start), imm, true)
+		err = e.qp.PostWrite(wrData, data[start:start+delta], e.ringRKey, int64(start), imm, true)
 	} else {
 		// Wrapped region: both writes chain behind one doorbell so the
 		// NIC sees a single posting (and arms one RTO) for the flush.
 		first := capacity - start
 		wrs := [2]rdma.WriteWR{
-			{WRID: wrData, Data: ring.Data()[start:], RKey: e.ringRKey, RAddr: int64(start)},
-			{WRID: wrData, Data: ring.Data()[:delta-first], RKey: e.ringRKey, RAddr: 0, Imm: imm, WithImm: true},
+			{WRID: wrData, Data: data[start:], RKey: e.ringRKey, RAddr: int64(start)},
+			{WRID: wrData, Data: data[:delta-first], RKey: e.ringRKey, RAddr: 0, Imm: imm, WithImm: true},
 		}
 		err = e.qp.PostWriteBatch(wrs[:])
 	}

@@ -20,6 +20,19 @@ func (s *Socket) Holder(dir int) int64 { return s.side.Holder[dir].Load() }
 // Rings returns the socket's TX and RX rings (nil once recycled).
 func (s *Socket) Rings() (tx, rx *shm.Ring) { return s.side.TX, s.side.RX }
 
+// Backed reports how many bytes of the socket's TX and RX ring copies are
+// backed.
+func (s *Socket) Backed() (tx, rx int) {
+	return len(s.side.TX.Backing(0)), len(s.side.RX.Backing(0))
+}
+
+// WritePeerRing RDMA-writes b at offset off of the peer's receiver ring
+// copy, without an immediate: bytes no tail the peer sees ever covers.
+func (s *Socket) WritePeerRing(off int64, b []byte) error {
+	ep := s.ep.(*rdmaEP)
+	return ep.qp.PostWrite(wrCredit, b, ep.ringRKey, off, 0, false)
+}
+
 // Endpoints reports registered RDMA endpoints (the CQ dispatch table).
 func (l *Libsd) Endpoints() int {
 	return len(l.eps)

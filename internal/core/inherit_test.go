@@ -358,3 +358,83 @@ func TestClosedMidSpliceLeavesNoQP(t *testing.T) {
 		t.Errorf("hostA has %d QPs after the child closed mid-splice, want %d as before the fork", after, before)
 	}
 }
+
+// TestForkedChildClosesUnusedSocket: the parent sends, forks and closes its
+// descriptor; the child closes the socket it inherited and never used. Its
+// MShut needs the send token the parent held, which the monitor grants to
+// the child by queue ID while the close is still under way: the close
+// returns, and the server reads the parent's bytes, then EOF. Intra-host
+// and across two hosts (where the child's MShut also splices a QP first).
+func TestForkedChildClosesUnusedSocket(t *testing.T) {
+	for _, inter := range []bool{false, true} {
+		name, dst := "intra", "hostA"
+		if inter {
+			name, dst = "inter", "hostB"
+		}
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(t)
+			monitor.Peer(w.ma, w.mb)
+			const msg = "from the parent"
+			sp, sl := proc(t, w.a, "server", 0)
+			if inter {
+				sp, sl = proc(t, w.b, "server", 0)
+			}
+			var got []byte
+			eof := false
+			sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+				lst, _ := sl.ListenOn(ctx, th, 7530)
+				s, _, err := lst.Accept(ctx)
+				if err != nil {
+					t.Errorf("accept: %v", err)
+					return
+				}
+				buf := make([]byte, 64)
+				for {
+					n, err := s.Recv(ctx, th, buf)
+					got = append(got, buf[:n]...)
+					if err != nil {
+						eof = err == io.EOF
+						break
+					}
+				}
+				s.Close(ctx, th)
+			})
+			cp, cl := proc(t, w.a, "client", 0)
+			closed := false
+			cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+				ctx.Sleep(10_000)
+				s, _, err := cl.Connect(ctx, th, dst, 7530)
+				if err != nil {
+					t.Errorf("connect: %v", err)
+					return
+				}
+				s.Send(ctx, th, []byte(msg))
+				child, childLib, err := cl.Fork(ctx, th, "child")
+				if err != nil {
+					t.Errorf("fork: %v", err)
+					return
+				}
+				fd := s.FD()
+				s.Close(ctx, th)
+				child.Spawn("cmain", func(cctx exec.Context, cth *host.Thread) {
+					cs, err := childLib.SocketByFD(fd)
+					if err != nil {
+						t.Errorf("child fd lookup: %v", err)
+						return
+					}
+					cs.Close(cctx, cth)
+					closed = true
+				})
+				ctx.Sleep(1_000_000) // a close takes microseconds
+				if !closed {
+					t.Error("the child's Close of a socket it never used did not return")
+					child.Signal(ctx, host.SIGKILL)
+				}
+			})
+			w.sim.Run()
+			if string(got) != msg || !eof {
+				t.Fatalf("server read %q, EOF %v; want %q, then EOF", got, eof, msg)
+			}
+		})
+	}
+}

@@ -576,7 +576,7 @@ func TestFlowRowProbe(t *testing.T) {
 // pristine fails the test unless r looks freshly allocated.
 func pristine(t *testing.T, what string, r *shm.Ring) {
 	t.Helper()
-	for i, b := range r.Data() {
+	for i, b := range r.Backing(0) {
 		if b != 0 {
 			t.Fatalf("%s: byte %d of a re-issued ring is %#x", what, i, b)
 		}

@@ -196,7 +196,7 @@ func (e *rdmaEP) startAttempt(ctx exec.Context, r *recoverState, now int64) {
 	if e.selfRingRKey == 0 {
 		// The peer's new QP writes to the same rings, through MRs of this
 		// process's PD: an inherited endpoint registers them now.
-		rx, credit := l.pd.RegisterBytes(e.side.RX.Data()), l.pd.RegisterBytes(e.side.CreditIn)
+		rx, credit := l.pd.RegisterRingAt(new(rdma.MR), e.side.RX), l.pd.RegisterBytes(e.side.CreditIn)
 		e.side.mrs = append(e.side.mrs, rx, credit)
 		e.selfRingRKey, e.selfCreditRKey = rx.RKey(), credit.RKey()
 	}

@@ -254,9 +254,8 @@ func TestOnlyCleanSegmentsComeBack(t *testing.T) {
 
 // forkThenClose forks the client while it holds a connection; the parent
 // closes its descriptor, then the child sends on the socket and closes the
-// last one. (The child sends first to take the send token: a child whose
-// Close must take it over waits for ever, as the grant finds the socket
-// already untracked.)
+// last one. (A child that closes without sending is
+// TestForkedChildClosesUnusedSocket.)
 func forkThenClose(t *testing.T, e reuseEnv, ctx exec.Context, th *host.Thread) *core.SideState {
 	s, _, err := e.cl.Connect(ctx, th, e.dst, reusePort)
 	if err != nil {

@@ -548,11 +548,11 @@ func (s *Socket) Close(ctx exec.Context, t *host.Thread) error {
 	}
 	s.lib.enter()
 	s.lib.releaseFD(s.fd)
-	s.lib.untrackSock(s)
 	s.lib.leave()
 	if s.side.Refs.Add(-1) > 0 {
 		// This FD is gone; the side lives on through the others, and its
 		// rings are theirs to release: the sdstat row stops reading them.
+		s.lib.untrackSock(s)
 		s.freezeFlow()
 		s.dropEP()
 		return nil
@@ -561,10 +561,13 @@ func (s *Socket) Close(ctx exec.Context, t *host.Thread) error {
 	return nil
 }
 
-// closeLast is the last reference's half of the close handshake.
+// closeLast is the last reference's half of the close handshake. The socket
+// stays among its process's sockets until its MShut is out: a send token
+// another process holds comes back as a grant found by queue ID.
 func (s *Socket) closeLast(ctx exec.Context, t *host.Thread) {
 	s.Shutdown(ctx, t, DirSend)
 	s.Shutdown(ctx, t, DirRecv)
+	s.lib.untrackSock(s)
 	s.lib.sideClosed(s)
 }
 

@@ -54,9 +54,10 @@ type tcpEP struct {
 }
 
 const (
-	tcpHello  = 1
-	tcpData   = 2
-	tcpCredit = 3
+	tcpHello    = 1
+	tcpData     = 2 // ends at the sender's published tail: a message boundary
+	tcpCredit   = 3
+	tcpDataMore = 4 // data the next frame continues: no tail to publish
 
 	// tcpChunk bounds one data frame so a writer never parks for long
 	// mid-frame.
@@ -183,7 +184,7 @@ func (e *tcpEP) parse() {
 			}
 			e.side.TX.InjectCredit(le.Uint64(buf[1:]))
 			buf = buf[9:]
-		case tcpData:
+		case tcpData, tcpDataMore:
 			if len(buf) < 13 {
 				goto out
 			}
@@ -192,7 +193,7 @@ func (e *tcpEP) parse() {
 			if len(buf) < 13+n {
 				goto out
 			}
-			e.applyData(start, buf[13:13+n])
+			e.applyData(start, buf[13:13+n], buf[0] == tcpData)
 			buf = buf[13+n:]
 		default:
 			// Corrupt stream: there is no way to resynchronize framing.
@@ -204,22 +205,25 @@ out:
 	e.rxBuf = append(e.rxBuf[:0], buf...)
 }
 
-// applyData writes payload at its absolute ring offset and publishes the
-// tail. CAS-max SetTail makes duplicates (crossed rescue conns, racing
-// late RDMA writes) harmless: identical bytes, never-regressing cursor.
-func (e *tcpEP) applyData(start uint64, b []byte) {
+// applyData writes payload at its absolute ring offset, backing the ring
+// as far as it reaches, and publishes the tail if the frame ends a flush:
+// a tail inside a message would hand the receiver its unwritten rest.
+// CAS-max SetTail makes duplicates (crossed rescue conns, racing late RDMA
+// writes) harmless: identical bytes, never-regressing cursor.
+func (e *tcpEP) applyData(start uint64, b []byte, publish bool) {
 	ring := e.side.RX
-	data := ring.Data()
-	mask := ring.Mask()
-	off := start & mask
-	first := uint64(len(data)) - off
+	off := start & ring.Mask()
+	data := ring.Backing(int(off) + len(b))
+	first := uint64(ring.Cap()) - off
 	if uint64(len(b)) <= first {
 		copy(data[off:], b)
 	} else {
 		copy(data[off:], b[:first])
 		copy(data, b[first:])
 	}
-	ring.SetTail(start + uint64(len(b)))
+	if publish {
+		ring.SetTail(start + uint64(len(b)))
+	}
 }
 
 // flushData mirrors [TxFlushed, tail) of the TX ring into data frames,
@@ -239,7 +243,6 @@ func (e *tcpEP) flushData(ctx exec.Context) {
 		}
 	}
 	ring := e.side.TX
-	data := ring.Data()
 	mask := ring.Mask()
 	le := binary.LittleEndian
 	if e.wbuf == nil {
@@ -259,13 +262,16 @@ func (e *tcpEP) flushData(ctx exec.Context) {
 			n = tcpChunk
 		}
 		off := flushed & mask
-		if rem := uint64(len(data)) - off; n > rem {
+		if rem := uint64(ring.Cap()) - off; n > rem {
 			n = rem // split at the ring wrap; next iteration sends the rest
 		}
 		e.wbuf[0] = tcpData
+		if flushed+n != written {
+			e.wbuf[0] = tcpDataMore
+		}
 		le.PutUint64(e.wbuf[1:], flushed)
 		le.PutUint32(e.wbuf[9:], uint32(n))
-		copy(e.wbuf[13:], data[off:off+n])
+		copy(e.wbuf[13:], ring.Backing(0)[off:off+n]) // backed before the tail was published
 		e.write(ctx, e.wbuf[:13+n])
 		e.side.TxFlushed.Store(flushed + n)
 	}

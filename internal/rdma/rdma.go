@@ -25,6 +25,7 @@ import (
 	"socksdirect/internal/exec"
 	"socksdirect/internal/fabric"
 	"socksdirect/internal/mem"
+	"socksdirect/internal/shm"
 )
 
 // MTU is the segment size on the wire.
@@ -149,13 +150,14 @@ type PD struct {
 }
 
 // MR is a registered memory region addressable by remote WRITE. Its zero
-// value is storage for RegisterBytesAt.
+// value is storage for RegisterBytesAt and RegisterRingAt.
 type MR struct {
 	pd    *PD
 	lkey  uint32
 	rkey  uint64
 	size  int64
 	buf   []byte       // flat registration, or
+	ring  *shm.Ring    // a socket's receiver ring copy, backed as written, or
 	pm    *mem.PhysMem // frame-backed registration (pinned page pool)
 	pages []mem.PageID
 }
@@ -172,6 +174,10 @@ func (m *MR) writeAt(off int64, data []byte) error {
 	}
 	if m.buf != nil {
 		copy(m.buf[off:], data)
+		return nil
+	}
+	if m.ring != nil {
+		copy(m.ring.Backing(int(off) + len(data))[off:], data)
 		return nil
 	}
 	for len(data) > 0 {
@@ -248,7 +254,7 @@ func (n *NIC) newRKey() uint64 {
 	return z ^ (z >> 31)
 }
 
-// RegisterBytes registers a flat buffer (e.g. a socket ring copy).
+// RegisterBytes registers a flat buffer (e.g. a socket's credit word).
 func (pd *PD) RegisterBytes(buf []byte) *MR { return pd.RegisterBytesAt(new(MR), buf) }
 
 // RegisterBytesAt is RegisterBytes into the caller's storage: m is
@@ -258,6 +264,15 @@ func (pd *PD) RegisterBytesAt(m *MR, buf []byte) *MR {
 	n := pd.nic
 	*m = MR{pd: pd, rkey: n.newRKey(), size: int64(len(buf)), buf: buf}
 	n.mrs[m.rkey] = m
+	return m
+}
+
+// RegisterRingAt registers a ring copy over the whole capacity into the
+// caller's storage, as RegisterBytesAt does; a write backs the ring only as
+// far as it reaches (shm.Ring.Backing).
+func (pd *PD) RegisterRingAt(m *MR, r *shm.Ring) *MR {
+	pd.RegisterBytesAt(m, nil)
+	m.size, m.ring = int64(r.Cap()), r
 	return m
 }
 

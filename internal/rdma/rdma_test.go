@@ -8,6 +8,7 @@ import (
 	"socksdirect/internal/exec"
 	"socksdirect/internal/fabric"
 	"socksdirect/internal/mem"
+	"socksdirect/internal/shm"
 )
 
 // testPair wires two NICs over a link and returns connected QPs plus their
@@ -258,6 +259,38 @@ func TestWriteOutOfRangeRejected(t *testing.T) {
 	p.sim.Run()
 	if p.qb.State() != QPErr {
 		t.Fatal("out-of-range write did not error the QP")
+	}
+}
+
+// TestRingMRBacksAsWritten: an MR over a ring backs the ring only as far
+// as each write reaches — the head for a write inside it, the whole ring
+// for one past it — and a write past the MR's size, a hostile peer's (§3),
+// is refused without backing anything.
+func TestRingMRBacksAsWritten(t *testing.T) {
+	const capacity = 64 << 10
+	pd := NewNIC(exec.NewSim(exec.SimConfig{}).Clock(), "A", nil, 1).AllocPD()
+	r := shm.NewRing(capacity)
+	mr := pd.RegisterRingAt(new(MR), r)
+	if mr.Size() != capacity {
+		t.Fatalf("MR of %d bytes over a %d B ring", mr.Size(), capacity)
+	}
+	for _, off := range []int64{capacity - 4, capacity, -1} {
+		if err := mr.writeAt(off, make([]byte, 8)); err != ErrRange {
+			t.Fatalf("write of 8 B at %d: %v, want ErrRange", off, err)
+		}
+	}
+	if n := len(r.Backing(0)); n != 0 {
+		t.Fatalf("refused writes backed %d bytes", n)
+	}
+	if err := mr.writeAt(100, []byte("in the head")); err != nil || len(r.Backing(0)) != 256 {
+		t.Fatalf("a write inside the head: %v, %d bytes backed, want 256", err, len(r.Backing(0)))
+	}
+	if err := mr.writeAt(capacity-8, []byte("the end!")); err != nil || len(r.Backing(0)) != capacity {
+		t.Fatalf("a write at the end: %v, %d bytes backed, want %d", err, len(r.Backing(0)), capacity)
+	}
+	d := r.Backing(0)
+	if string(d[100:111]) != "in the head" || string(d[capacity-8:]) != "the end!" {
+		t.Fatal("the ring does not hold what was written")
 	}
 }
 

@@ -99,51 +99,55 @@ func TestFirstWriteBacksTheHead(t *testing.T) {
 	}
 }
 
-// TestDataBacksTheWholeRing: a ring handed to the NIC is registered, and
-// registered memory is pinned (§4.3), so Data backs all of it, keeping
-// what the head held.
-func TestDataBacksTheWholeRing(t *testing.T) {
+// TestBackingBacksThroughEnd: a NIC writing into a ring backs it the way
+// a send does — nothing for end 0, the head for a write inside it, the
+// whole ring, once, for one past it — and keeps what the head held.
+func TestBackingBacksThroughEnd(t *testing.T) {
 	r := NewRing(64 << 10)
-	if d := r.Data(); len(d) != r.Cap() || backed(t, r) != r.Cap() {
-		t.Fatalf("Data returned %d bytes of a %d B ring", len(d), r.Cap())
+	if d := r.Backing(0); len(d) != 0 || backed(t, r) != 0 {
+		t.Fatalf("Backing(0) of a new ring backed %d bytes", len(d))
+	}
+	if d := r.Backing(headBytes); len(d) != headBytes || backed(t, r) != headBytes {
+		t.Fatalf("a write to the head's end backed %d bytes, want %d", len(d), headBytes)
+	}
+	if d := r.Backing(headBytes + 1); len(d) != r.Cap() || backed(t, r) != r.Cap() {
+		t.Fatalf("a write past the head backed %d bytes of a %d B ring", len(d), r.Cap())
+	}
+	full := r.base.Load()
+	if d := r.Backing(2 * r.Cap()); len(d) != r.Cap() || r.base.Load() != full {
+		t.Fatal("a fully backed ring was backed again")
 	}
 
 	r = NewRing(64 << 10)
 	r.TrySend(7, 0, []byte("held in the head"))
-	d := r.Data()
+	d := r.Backing(r.Cap())
 	if len(d) != r.Cap() || !bytes.Contains(d[:headBytes], []byte("held in the head")) {
-		t.Fatal("Data lost the head's bytes")
+		t.Fatal("growth lost the head's bytes")
 	}
 	if m, ok := r.TryRecv(); !ok || m.Type != 7 || string(m.Payload) != "held in the head" {
-		t.Fatalf("after Data got %+v ok=%v", m, ok)
+		t.Fatalf("after growth got %+v ok=%v", m, ok)
 	}
 }
 
 // TestResetKeepsTheBacking: a recycled ring keeps the storage it had, at
-// the address it had, and Reset zeroes exactly the dirtied extent of it.
+// the address it had, and Reset zeroes all of it — bytes past every
+// cursor included, as a remote NIC may leave them.
 func TestResetKeepsTheBacking(t *testing.T) {
 	for _, full := range []bool{false, true} {
 		r := NewRing(4096)
 		if full {
-			r.Data()
+			r.Backing(r.Cap())
 		}
 		r.TrySend(1, 0, bytes.Repeat([]byte{0xEE}, 100))
-		dirty := int(r.WriteCursor())
 		size, base := backed(t, r), r.base.Load()
-		r.data[dirty+16] = 0x77 // past the dirtied extent: not Reset's to pay for
+		r.data[int(r.WriteCursor())+16] = 0x77 // past every cursor
+		r.data[size-1] = 0x77
 		r.Reset()
 		if backed(t, r) != size || r.base.Load() != base {
 			t.Fatalf("full=%v: Reset dropped or moved the backing", full)
 		}
-		if !allZero(r.data[:dirty]) {
-			t.Fatalf("full=%v: the dirtied extent survived Reset", full)
-		}
-		if r.data[dirty+16] != 0x77 {
-			t.Fatalf("full=%v: Reset scrubbed past the dirtied extent", full)
-		}
-		r.data[dirty+16] = 0
 		if !allZero(r.data) {
-			t.Fatalf("full=%v: Reset left bytes behind", full)
+			t.Fatalf("full=%v: something of the old backing survived Reset", full)
 		}
 		if !r.TrySend(2, 0, []byte("again")) {
 			t.Fatal("send after Reset failed")
@@ -227,7 +231,7 @@ func TestHostileTailPastTheBacking(t *testing.T) {
 		},
 		"full, length past capacity": func() *Ring {
 			r := NewRing(4096)
-			r.Data()
+			r.Backing(r.Cap())
 			*hdrAt(r.data, 0) = packHdr(1, 0, 1<<20)
 			r.SetTail(hdrSize + 1<<20)
 			return r

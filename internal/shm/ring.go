@@ -12,6 +12,14 @@
 // correctness-relevant property — total-store-ordered release/acquire
 // visibility of the tail pointer after payload writes — is provided by Go's
 // atomics exactly as x86 TSO provides it in the paper.
+//
+// A ring's storage is backed as it is written, as mapped pages are on
+// first touch: a 256 B head for a small first write, the whole capacity
+// for the first write past it. Whoever writes backs: TrySend, or for the
+// receiver's copy of an inter-host ring the NIC through Backing, which
+// also serves a sender's NIC the prefix TrySend laid down. Reset zeroes
+// all that was backed, so a recycled ring carries nothing of its last
+// connection.
 package shm
 
 import (
@@ -55,8 +63,9 @@ type Msg struct {
 type Ring struct {
 	capacity uint64
 	mask     uint64
-	// Storage is backed on first write (back). The producer publishes base,
-	// then ext, then the tail; a consumer loads them in reverse order.
+	// Storage is backed on first write (back, Backing). The producer
+	// publishes base, then ext, then the tail; a consumer loads them in
+	// reverse order.
 	base atomic.Pointer[uint64]
 	ext  atomic.Uint64 // bytes backed
 	data []byte        // the producer's view of the backing
@@ -122,15 +131,13 @@ func (r *Ring) back(n uint64) {
 
 // Reset returns the ring to its just-allocated state so it can serve a new
 // connection: every cursor, credit word, burst field and the credit hook
-// cleared, and the dirtied prefix of the data zeroed so the next peer can
-// never read a previous connection's payload (§3: peers are untrusted).
-// Bytes are laid down front to back and both cursors count every byte ever
-// enqueued (locally, or by the remote NIC behind SetTail*), so the dirtied
-// extent is min(max(written, tail), backed) — the scrub costs what the
-// connection sent; the backing is kept. Neither side may use the ring.
+// cleared, and the whole backing zeroed so the next peer can never read a
+// previous connection's bytes (§3: peers are untrusted) — a remote NIC may
+// have written past any tail it published. A connection that stayed in the
+// head backed only the head, so that is all its scrub costs; the backing is
+// kept. Neither side may use the ring.
 func (r *Ring) Reset() {
-	dirty := max(r.written, r.tail.Load())
-	clear(r.data[:min(dirty, uint64(len(r.data)))])
+	clear(r.data)
 	r.tail.Store(0)
 	r.credit.Store(0)
 	r.written, r.creditSeen, r.occHW, r.full = 0, 0, 0, false
@@ -409,11 +416,13 @@ func (r *Ring) Used() int { return int(r.written - r.credit.Load()) }
 // one-sided writes, tails advance via write-imm completions, and credits
 // return through a remote write into the sender's memory. ---
 
-// Data exposes the backing array so a NIC can DMA into (receiver copy) or
-// out of (sender copy) the ring, backed whole: registered memory is pinned (§4.3).
-func (r *Ring) Data() []byte {
-	if uint64(len(r.data)) < r.capacity {
-		r.back(r.capacity)
+// Backing returns the producer's view of the storage, first backing it
+// through byte end by the head-then-whole rule when it does not reach that
+// far: a NIC DMAs into the receiver's copy up to the end of each write, and
+// out of the sender's copy only what TrySend has laid down (end 0).
+func (r *Ring) Backing(end int) []byte {
+	if n := min(uint64(end), r.capacity); n > uint64(len(r.data)) {
+		r.back(n)
 	}
 	return r.data
 }

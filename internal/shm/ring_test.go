@@ -398,7 +398,7 @@ func TestRingWrapThenEmpty(t *testing.T) {
 				t.Fatalf("send %d failed", i)
 			}
 		}
-		copy(rx.Data(), tx.Data())
+		copy(rx.Backing(rx.Cap()), tx.Backing(0))
 		rx.SetTail(tx.WriteCursor())
 		for i := 0; i < 2; i++ {
 			if _, ok := rx.TryRecv(); !ok {
@@ -412,7 +412,7 @@ func TestRingWrapThenEmpty(t *testing.T) {
 		if tx.WriteCursor() != 256+112 {
 			t.Fatalf("wrapping send left the cursor at %d, want 368", tx.WriteCursor())
 		}
-		copy(rx.Data(), tx.Data())
+		copy(rx.Backing(rx.Cap()), tx.Backing(0))
 		rx.SetTail(256)
 		if rx.Credit() != 0 {
 			t.Fatalf("credit %d before the wrap, want 0", rx.Credit())
@@ -465,8 +465,8 @@ type creditFunc func(read uint64)
 
 func (f creditFunc) CreditReturned(read uint64) { f(read) }
 
-// TestRingResetScrubsWhatWasWritten: Reset zeroes exactly the dirtied
-// prefix — the whole ring once a wrap happened, and also bytes a remote
+// TestRingResetScrubsWhatWasWritten: Reset zeroes the whole backing — what
+// was sent, a wrapped ring, bytes past every cursor, and bytes a remote
 // writer laid down behind SetTailLow32 — clears every cursor, the burst
 // state and the credit hook, and leaves a ring that works like a new one.
 func TestRingResetScrubsWhatWasWritten(t *testing.T) {
@@ -480,20 +480,20 @@ func TestRingResetScrubsWhatWasWritten(t *testing.T) {
 	r.TrySend(1, 0, payload) // staged: written runs ahead of tail
 	dirty := int(r.WriteCursor())
 	r.Reset()
-	if !allZero(r.Data()) {
+	if !allZero(r.Backing(0)) {
 		t.Fatal("payload survived Reset")
 	}
 	if r.WriteCursor() != 0 || r.Tail() != 0 || r.Credit() != 0 || r.InBurst() || r.OccHW() != 0 || r.CanRecv() {
 		t.Fatal("cursor or burst state survived Reset")
 	}
-	// Bytes past the dirtied prefix are not Reset's to pay for.
+	// Bytes past the dirtied prefix go too: a remote writer leaves some
+	// behind no cursor counts.
 	r.TrySend(1, 0, payload)
-	r.Data()[dirty+512] = 0x77
+	r.Backing(r.Cap())[dirty+512] = 0x77
 	r.Reset()
-	if r.Data()[dirty+512] != 0x77 {
-		t.Fatal("Reset scrubbed beyond the dirtied prefix: its cost must follow the bytes sent")
+	if !allZero(r.Backing(0)) {
+		t.Fatal("a byte past the dirtied prefix survived Reset")
 	}
-	r.Data()[dirty+512] = 0
 
 	// A wrap dirties everything.
 	for i := 0; i < 100; i++ {
@@ -507,15 +507,15 @@ func TestRingResetScrubsWhatWasWritten(t *testing.T) {
 		}
 	}
 	r.Reset()
-	if !allZero(r.Data()) {
+	if !allZero(r.Backing(0)) {
 		t.Fatal("wrapped payload survived Reset")
 	}
 
 	// Receiver-side copy: data lands by DMA, only the tail moves.
-	copy(r.Data(), payload)
+	copy(r.Backing(len(payload)), payload)
 	r.SetTailLow32(uint32(len(payload)))
 	r.Reset()
-	if !allZero(r.Data()) || r.Tail() != 0 {
+	if !allZero(r.Backing(0)) || r.Tail() != 0 {
 		t.Fatal("DMA-written bytes survived Reset")
 	}
 
@@ -546,7 +546,7 @@ func TestRegistryRingFreeList(t *testing.T) {
 		t.Fatal("free list is not LIFO")
 	}
 	got := g.GetRing(4096)
-	if got != a || !allZero(got.Data()) || got.WriteCursor() != 0 {
+	if got != a || !allZero(got.Backing(0)) || got.WriteCursor() != 0 {
 		t.Fatal("recycled ring not scrubbed")
 	}
 	if g.GetRing(4096) == a {
@@ -572,7 +572,7 @@ func TestRegistryRingFreeListConcurrent(t *testing.T) {
 		sim.Spawn(fmt.Sprintf("cycler%d", id), func(ctx exec.Context) {
 			for i := 0; i < 2000; i++ {
 				r := g.GetRing(1024)
-				if r.WriteCursor() != 0 || !allZero(r.Data()[:64]) {
+				if r.WriteCursor() != 0 || !allZero(r.Backing(0)) {
 					t.Errorf("thread %d got a used ring", id)
 					return
 				}
