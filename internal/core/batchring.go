@@ -46,7 +46,7 @@ func (s *Socket) SendBatch(ctx exec.Context, t *host.Thread, bufs [][]byte) (int
 	if err := s.begin(ctx, t, DirSend); err != nil {
 		return 0, err
 	}
-	defer s.end(ctx, DirSend)
+	defer s.end(DirSend)
 	sent := 0
 	for sent < len(bufs) {
 		window := bufs[sent:min(len(bufs), sent+BatchMax)]
@@ -80,7 +80,7 @@ func (s *Socket) submitSend(ctx exec.Context, t *host.Thread, bufs [][]byte, blo
 				b.burstEnd(ctx)
 			}
 			s.ep.kick(ctx)
-			s.maybeHandBack(ctx, DirSend)
+			s.maybeHandBack(DirSend)
 			if err = s.reacquireToken(ctx, t, DirSend); err != nil {
 				break
 			}
@@ -115,7 +115,7 @@ func (s *Socket) RecvBatch(ctx exec.Context, t *host.Thread, bufs [][]byte, lens
 	if err := s.begin(ctx, t, DirRecv); err != nil {
 		return 0, err
 	}
-	defer s.end(ctx, DirRecv)
+	defer s.end(DirRecv)
 	filled := 0
 	var err error
 	for filled < len(bufs) {

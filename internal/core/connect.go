@@ -201,7 +201,7 @@ func (l *Libsd) ListenOn(ctx exec.Context, t *host.Thread, port uint16) (*Listen
 	defer func() { op.End(l.H.Clk.Now(), opOK) }()
 	m := ctlmsg.Msg{Kind: ctlmsg.KListen, Port: port, PID: int64(l.P.PID), TID: int64(t.TID),
 		TraceID: op.Trace, SpanID: op.Span}
-	l.sendCtl(ctx, &m)
+	l.sendCtl(&m)
 	// Wait for the bind result (the paper hides this latency when failure
 	// is impossible; we keep the round trip for clear error reporting).
 	bl := l.backlogOf(port, t.TID)
@@ -281,19 +281,19 @@ func (lst *Listener) Close(ctx exec.Context) {
 	}
 	lst.lib.releaseFD(lst.fd)
 	m := ctlmsg.Msg{Kind: ctlmsg.KListen, Status: 1 /* remove */, Port: lst.port, PID: int64(lst.lib.P.PID), TID: int64(lst.t.TID)}
-	lst.lib.sendCtl(ctx, &m)
+	lst.lib.sendCtl(&m)
 }
 
 // acceptDrained tells the monitor one dispatched connection left this
 // listener's backlog, freeing a slot against the backlog cap (overload
 // admission: the monitor refuses SYNs while a listener's outstanding
 // dispatches sit at its host's Limits.Backlog).
-func (l *Libsd) acceptDrained(ctx exec.Context, t *host.Thread, pa *pendingAccept) {
+func (l *Libsd) acceptDrained(t *host.Thread, pa *pendingAccept) {
 	m := ctlmsg.Msg{Kind: ctlmsg.KAcceptDone, ConnID: pa.m.ConnID, Port: pa.m.Port,
 		PID: int64(l.P.PID), TID: int64(t.TID)}
 	*pa = pendingAccept{}
 	l.acceptFree.Put(pa)
-	l.sendCtl(ctx, &m)
+	l.sendCtl(&m)
 }
 
 // backlogOf returns the backlog of listener thread tid on port, made at its
@@ -309,7 +309,7 @@ func (l *Libsd) backlogOf(port uint16, tid int) *backlog {
 }
 
 func (l *Libsd) finishAccept(ctx exec.Context, t *host.Thread, pa *pendingAccept) (*Socket, host.KFile, error) {
-	defer l.acceptDrained(ctx, t, pa)
+	defer l.acceptDrained(t, pa)
 	s := pa.sock
 	switch pa.m.Transport {
 	case ctlmsg.TransportSHM:
@@ -432,7 +432,7 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 			pc.sock = l.newSocket(&is.side, ep)
 		}
 	}
-	l.sendCtl(ctx, m)
+	l.sendCtl(m)
 
 	// A re-send across a restart is safe: the monitor dedups connects by ConnID.
 	c := l.awaitCtlIn(&pc.ctl, m, ETIMEDOUT)
@@ -655,7 +655,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			res.SpanID = m.SpanID
 			is.desc(&res)
 			res.SetHost(l.H.Name)
-			l.sendCtl(ctx, &res)
+			l.sendCtl(&res)
 		}
 		bl := l.backlogOf(m.Port, int(m.TID))
 		pa := l.acceptFree.New()
@@ -672,7 +672,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			// Socket gone; tell the monitor the token is free.
 			r := ctlmsg.Msg{Kind: ctlmsg.KTokenReturn, QID: m.QID, Dir: m.Dir,
 				SrcPort: m.SrcPort, PID: int64(l.P.PID)}
-			l.sendCtl(ctx, &r)
+			l.sendCtl(&r)
 			return
 		}
 		any.side.ReturnReq[min(m.Dir, DirRecv)].Store(true) // anything but DirSend is the receive side
@@ -681,7 +681,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		if !l.inside() {
 			// Signal-handler path: no thread is inside libsd, so the
 			// holder cannot be mid-operation — return immediately.
-			l.processRevokes(ctx)
+			l.processRevokes()
 		}
 
 	case ctlmsg.KTokenGrant:
@@ -701,7 +701,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 	case ctlmsg.KReRegister:
 		// A restarted monitor incarnation introduces itself (pollCtl
 		// already adopted its epoch): replay our durable state into it.
-		l.reRegisterReport(ctx)
+		l.reRegisterReport()
 
 	case ctlmsg.KReQPPeer:
 		// A peer process needs a fresh QP spliced to this socket: either one
@@ -719,7 +719,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			// No such socket here — or it already fell back to kernel TCP,
 			// in which case resurrecting an RDMA path would fork the stream.
 			res.Status = ctlmsg.StatusNoListener
-			l.sendCtl(ctx, &res)
+			l.sendCtl(&res)
 			return
 		}
 		qp := l.pd.CreateQP(l.sendCQ, l.recvCQ)
@@ -736,7 +736,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		// Passive: the requester connects its QP when our answer reaches it.
 		if err := ep.open(m.HostStr(), m.QPN, true); err != nil {
 			res.Status = ctlmsg.StatusNoRoute
-			l.sendCtl(ctx, &res)
+			l.sendCtl(&res)
 			return
 		}
 		// Switch every local socket on this queue to the newest QP: "using
@@ -757,7 +757,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		}
 		// Our rkeys are unchanged: the requester keeps the ones it holds.
 		res.QPN = qp.QPN()
-		l.sendCtl(ctx, &res)
+		l.sendCtl(&res)
 
 	case ctlmsg.KReQPRes:
 		for i := range l.reqp {
@@ -850,7 +850,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			*pa = pendingAccept{}
 			l.acceptFree.Put(pa)
 		}
-		l.sendCtl(ctx, &res)
+		l.sendCtl(&res)
 	}
 }
 

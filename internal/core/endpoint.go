@@ -105,7 +105,7 @@ func (e *shmEP) kick(ctx exec.Context) {
 	if sleeper := e.peerSide.RecvSleeper.Load(); sleeper != 0 {
 		g := GTID(sleeper)
 		m := ctlmsg.Msg{Kind: ctlmsg.KWake, PID: int64(g.PID()), TID: int64(g.TID())}
-		e.lib.sendCtl(ctx, &m)
+		e.lib.sendCtl(&m)
 	}
 }
 

@@ -125,7 +125,7 @@ func (s *Socket) SendZCHead(ctx exec.Context, t *host.Thread, addr mem.VAddr, wh
 	if err := s.begin(ctx, t, DirSend); err != nil {
 		return err
 	}
-	defer s.end(ctx, DirSend)
+	defer s.end(DirSend)
 	ids, err := s.lib.P.AS.PagesForSend(&ctx, addr, whole)
 	if err != nil {
 		return err
@@ -153,7 +153,7 @@ func (s *Socket) SendZCRaw(ctx exec.Context, t *host.Thread, payload []byte) err
 	if err := s.begin(ctx, t, DirSend); err != nil {
 		return err
 	}
-	defer s.end(ctx, DirSend)
+	defer s.end(DirSend)
 	return s.sendMsg(ctx, MZC, payload, nil)
 }
 
@@ -189,4 +189,13 @@ func (s *Socket) FeedZC(ret bool, payload []byte) []ZCArrival {
 		s.zc.spent(r)
 	}
 	return out
+}
+
+// CtlQueued reports the control messages waiting in the library for room on
+// a full control ring.
+func (l *Libsd) CtlQueued() (n int) {
+	for _, q := range l.ctlOut {
+		n += len(q)
+	}
+	return n
 }

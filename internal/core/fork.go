@@ -36,7 +36,7 @@ func (l *Libsd) Fork(ctx exec.Context, t *host.Thread, name string) (*host.Proce
 	defer func() { op.End(l.H.Clk.Now(), opOK) }()
 	m := ctlmsg.Msg{Kind: ctlmsg.KForkSecret, Secret: secret, PID: int64(l.P.PID),
 		TraceID: op.Trace, SpanID: op.Span}
-	l.sendCtl(ctx, &m)
+	l.sendCtl(&m)
 	// No monitor to pair the child: fork is simply retryable (EAGAIN).
 	for w := l.awaitCtl(&m, EAGAIN).wait(); ; {
 		acked := l.forkAcks[secret]

@@ -115,6 +115,11 @@ type Libsd struct {
 	parked   []parkedQP
 	gone     SideState
 
+	// ctlOut holds, per shard, the control messages sendCtl found no room
+	// for, in order; ctlOutMask has a bit for each plane that holds some.
+	ctlOut     [][]ctlmsg.Msg
+	ctlOutMask uint32
+
 	// pendingRevokes are token-return requests deferred because a thread
 	// was inside the library; processed on library exit ("libsd will
 	// process the event before returning control to the application").
@@ -252,7 +257,7 @@ func (l *Libsd) leave() {
 		l.pollCtl(exec.Context{})
 	}
 	if l.hasRevokes.Load() {
-		l.processRevokes(exec.Context{})
+		l.processRevokes()
 	}
 }
 
@@ -261,7 +266,7 @@ func (l *Libsd) inside() bool { return l.link.InLibsd.Load() > 0 }
 
 // processRevokes hands back every token the monitor asked for whose socket
 // is not mid-operation.
-func (l *Libsd) processRevokes(ctx exec.Context) {
+func (l *Libsd) processRevokes() {
 	pend := l.pendingRevokes
 	l.pendingRevokes = nil
 	l.hasRevokes.Store(false)
@@ -271,7 +276,7 @@ func (l *Libsd) processRevokes(ctx exec.Context) {
 		if any == nil {
 			r := ctlmsg.Msg{Kind: ctlmsg.KTokenReturn, QID: rv.qid, Dir: rv.dir,
 				SrcPort: rv.side, PID: int64(l.P.PID)}
-			l.sendCtl(ctx, &r)
+			l.sendCtl(&r)
 			continue
 		}
 		dir := min(rv.dir, DirRecv) // a direction off the wire: anything but DirSend is the receive side
@@ -286,7 +291,7 @@ func (l *Libsd) processRevokes(ctx exec.Context) {
 			any.side.Holder[dir].Store(0)
 			r := ctlmsg.Msg{Kind: ctlmsg.KTokenReturn, QID: rv.qid, Dir: rv.dir,
 				SrcPort: any.sideIdx, PID: int64(l.P.PID)}
-			l.sendCtl(ctx, &r)
+			l.sendCtl(&r)
 		}
 	}
 	if len(requeue) > 0 {
@@ -302,32 +307,64 @@ func (l *Libsd) processRevokes(ctx exec.Context) {
 // pair stays on one plane (see internal/monitor/shard).
 func (l *Libsd) ctlShard(m *ctlmsg.Msg) int { return shard.ForMsg(m, len(l.ctl)) }
 
-// sendCtl enqueues a message on its shard's monitor queue (blocking on a
-// full ring, which in practice never happens on the control plane). Every
-// message is stamped with the monitor epoch this process last heard from;
-// a successor incarnation drops older stamps, and the sender's bounded
-// wait re-sends under the new epoch.
-func (l *Libsd) sendCtl(ctx exec.Context, m *ctlmsg.Msg) {
+// sendCtl enqueues a message on its shard's monitor queue. Every message is
+// stamped with the monitor epoch this process last heard from; a successor
+// incarnation drops older stamps, and the sender's bounded wait re-sends
+// under the new epoch. It never waits: the signal handler and the library
+// exit call it where nothing may block, and the monitor, which drains the
+// ring, may be the very thread running them. A message that finds the ring
+// full, or others queued before it, waits in ctlOut in order, and the plane
+// is marked (ProcLink.LibQueued) for the shard to say when it has drained it.
+func (l *Libsd) sendCtl(m *ctlmsg.Msg) {
 	m.Epoch = l.monEpoch.Load()
 	s := l.ctlShard(m)
 	m.Shard = uint8(s)
 	if m.TraceID != 0 {
-		// Queue-hop start for the monitor's span. Clock, not ctx: the
-		// signal-handler path calls through here with the zero Context.
+		// Queue-hop start for the monitor's span. Clock, not a Context: the
+		// signal-handler path has none.
 		m.TS = l.H.Clk.Now()
 	}
-	var buf [ctlmsg.Size]byte
-	b := m.Marshal(buf[:])
-	for !l.ctl[s].TX.TrySend(0, 0, b) {
+	if l.ctlOutMask&(1<<s) != 0 || !l.trySendCtl(s, m) {
 		if l.P.Dead() {
-			return // corpse control traffic is droppable; don't spin
+			return // corpse control traffic is droppable
 		}
-		if ctx != (exec.Context{}) {
-			ctx.Yield()
+		if l.ctlOut == nil {
+			l.ctlOut = make([][]ctlmsg.Msg, len(l.ctl))
 		}
+		l.ctlOut[s] = append(l.ctlOut[s], *m)
+		l.ctlOutMask |= 1 << s
+		l.link.LibQueued.Or(1 << s)
+		mCtlRingFull.Inc()
 	}
 	if l.link.WakeMonitor != nil {
 		l.link.WakeMonitor(s)
+	}
+}
+
+func (l *Libsd) trySendCtl(s int, m *ctlmsg.Msg) bool {
+	var buf [ctlmsg.Size]byte
+	return l.ctl[s].TX.TrySend(0, 0, m.Marshal(buf[:]))
+}
+
+// flushCtl moves what sendCtl queued onto the rings, in order, as far as
+// they have room. A plane still backed up is marked again.
+func (l *Libsd) flushCtl() {
+	for s, q := range l.ctlOut {
+		if len(q) == 0 {
+			continue
+		}
+		n := 0
+		for n < len(q) && l.trySendCtl(s, &q[n]) {
+			n++
+		}
+		if l.ctlOut[s] = append(q[:0], q[n:]...); len(l.ctlOut[s]) > 0 {
+			l.link.LibQueued.Or(1 << s)
+		} else {
+			l.ctlOutMask &^= 1 << s
+		}
+		if n > 0 && l.link.WakeMonitor != nil {
+			l.link.WakeMonitor(s)
+		}
 	}
 }
 
@@ -337,6 +374,9 @@ func (l *Libsd) sendCtl(ctx exec.Context, m *ctlmsg.Msg) {
 // clears the monitor's pending mark first: what was marked is drained here.
 func (l *Libsd) pollCtl(ctx exec.Context) bool {
 	l.link.Pending.Store(false)
+	if l.ctlOutMask != 0 {
+		l.flushCtl()
+	}
 	progress := false
 	for s := 0; s < len(l.ctl); {
 		msg, ok := l.ctl[s].RX.TryRecv()
@@ -364,18 +404,29 @@ func (l *Libsd) pollCtl(ctx exec.Context) bool {
 			uint8(m.Kind), m.TraceID, m.SpanID, m.TS, now)
 		l.handleCtl(ctx, &m)
 	}
+	if w := l.link.MonQueued.Load(); w != 0 && l.link.WakeMonitor != nil {
+		// The planes are drained: the shards that hold messages for this
+		// process can write them now.
+		l.link.MonQueued.And(^w)
+		for s := range l.ctl {
+			if w&(1<<s) != 0 {
+				l.link.WakeMonitor(s)
+			}
+		}
+	}
 	return progress
 }
 
 // ctlIdle reports whether pollCtl would find every shard's queue empty and
-// leave it untouched (idle predicates).
+// leave it untouched (idle predicates): nothing to receive, and nothing
+// queued to send on a plane the monitor has drained since.
 func (l *Libsd) ctlIdle() bool {
 	for i := range l.ctl {
 		if !l.ctl[i].RX.RecvIdle() {
 			return false
 		}
 	}
-	return true
+	return l.ctlOutMask&^l.link.LibQueued.Load() == 0
 }
 
 // noteMonEpoch folds an incoming message's epoch into monEpoch. A higher

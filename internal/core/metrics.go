@@ -32,4 +32,7 @@ var (
 	// side of the ring notices it.
 	mCtlStale  = telemetry.C(telemetry.MonStaleDropped)
 	mBatchSize = telemetry.D(telemetry.ShmBatchSize)
+	// mCtlRingFull shares the monitor's full-control-ring counter: one name
+	// for both directions of the control duplex.
+	mCtlRingFull = telemetry.C(telemetry.MonCtlRingFull)
 )

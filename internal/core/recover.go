@@ -207,7 +207,7 @@ func (e *rdmaEP) startAttempt(ctx exec.Context, r *recoverState, now int64) {
 		RingRKey: e.selfRingRKey, CreditRKey: e.selfCreditRKey,
 	}
 	req.SetHost(e.side.PeerHost)
-	l.sendCtl(ctx, &req)
+	l.sendCtl(&req)
 }
 
 // finishRecovery finishes a splice the peer answered: the new QP becomes the
@@ -284,7 +284,7 @@ func (e *rdmaEP) startDegrade(ctx exec.Context, r *recoverState) {
 	req := ctlmsg.Msg{Kind: ctlmsg.KDegrade, QID: e.side.QID, PID: int64(e.lib.P.PID),
 		TraceID: op.Trace, SpanID: op.Span}
 	req.SetHost(e.side.PeerHost)
-	e.lib.sendCtl(ctx, &req)
+	e.lib.sendCtl(&req)
 	op.End(ctx.Now(), true)
 }
 

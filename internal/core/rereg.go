@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"socksdirect/internal/ctlmsg"
-	"socksdirect/internal/exec"
 )
 
 // Re-registration: the libsd half of monitor state resurrection. A
@@ -17,7 +16,7 @@ import (
 // restart, and every record is idempotent at the monitor. Tokens are not
 // reported: who holds one is in the SHM holder words, and the arbitration
 // queues refill from the waiters' own re-sent requests.
-func (l *Libsd) reRegisterReport(ctx exec.Context) {
+func (l *Libsd) reRegisterReport() {
 	type listenRec struct {
 		port uint16
 		tid  int
@@ -62,19 +61,19 @@ func (l *Libsd) reRegisterReport(ctx exec.Context) {
 	for _, lr := range listens {
 		r := ctlmsg.Msg{Kind: ctlmsg.KReRegistered, Aux: ctlmsg.ReRegListen,
 			Port: lr.port, PID: pid, TID: int64(lr.tid)}
-		l.sendCtl(ctx, &r)
+		l.sendCtl(&r)
 	}
 	for _, cr := range conns {
 		r := ctlmsg.Msg{Kind: ctlmsg.KReRegistered, Aux: ctlmsg.ReRegConn,
 			QID: cr.qid, PID: pid, Dir: uint8(cr.sideIdx), ShmToken: cr.shmTok}
 		r.SetHost(cr.peer) // "" for intra-host
-		l.sendCtl(ctx, &r)
+		l.sendCtl(&r)
 	}
 	for _, connID := range pends {
 		r := ctlmsg.Msg{Kind: ctlmsg.KReRegistered, Aux: ctlmsg.ReRegPend,
 			ConnID: connID, PID: pid}
-		l.sendCtl(ctx, &r)
+		l.sendCtl(&r)
 	}
 	done := ctlmsg.Msg{Kind: ctlmsg.KReRegistered, Aux: ctlmsg.ReRegDone, PID: pid}
-	l.sendCtl(ctx, &done)
+	l.sendCtl(&done)
 }

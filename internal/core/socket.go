@@ -174,7 +174,7 @@ func (s *Socket) acquireToken(ctx exec.Context, t *host.Thread, dir int) error {
 		PID: int64(s.lib.P.PID), TID: int64(t.TID),
 		TraceID: op.Trace, SpanID: op.Span,
 	}
-	s.lib.sendCtl(ctx, &m)
+	s.lib.sendCtl(&m)
 	c, w := s.tokenWait(&m, dir)
 	for {
 		cur := holder.Load()
@@ -187,7 +187,7 @@ func (s *Socket) acquireToken(ctx exec.Context, t *host.Thread, dir int) error {
 		// the monitor's FIFO. But revocations against idle holders (threads
 		// parked in application code) are executed on their behalf; the
 		// busy counters make it safe.
-		s.lib.processRevokes(ctx)
+		s.lib.processRevokes()
 		if err := w.block(ctx); err != nil {
 			op.End(ctx.Now(), false)
 			return err
@@ -210,7 +210,7 @@ func (s *Socket) reacquireToken(ctx exec.Context, t *host.Thread, dir int) error
 
 // maybeHandBack returns a token at an operation boundary if the monitor
 // asked for it back.
-func (s *Socket) maybeHandBack(ctx exec.Context, dir int) {
+func (s *Socket) maybeHandBack(dir int) {
 	holder, ret := &s.side.Holder[dir], &s.side.ReturnReq[dir]
 	if !ret.Load() {
 		return
@@ -222,7 +222,7 @@ func (s *Socket) maybeHandBack(ctx exec.Context, dir int) {
 	mTokenReturns.Inc()
 	m := ctlmsg.Msg{Kind: ctlmsg.KTokenReturn, QID: s.side.QID, Dir: uint8(dir),
 		SrcPort: s.sideIdx, PID: int64(s.lib.P.PID)}
-	s.lib.sendCtl(ctx, &m)
+	s.lib.sendCtl(&m)
 }
 
 // --- the operation boundary: every data operation opens with begin and
@@ -253,7 +253,7 @@ func (s *Socket) begin(ctx exec.Context, t *host.Thread, dir int) error {
 	s.side.Busy[dir].Add(1)
 	if dir == DirSend {
 		if s.side.is(txShut) {
-			s.end(ctx, dir)
+			s.end(dir)
 			return ErrShutdown
 		}
 		s.flushSlotReturns(ctx)
@@ -265,7 +265,7 @@ func (s *Socket) begin(ctx exec.Context, t *host.Thread, dir int) error {
 // (sd/core/{send,recv}_{ops,bytes} and the flow row), drops the busy mark,
 // hands the token back if the monitor asked for it — the operation boundary
 // of §4.1 — and leaves libsd.
-func (s *Socket) end(ctx exec.Context, dir int) {
+func (s *Socket) end(dir int) {
 	if msgs, bytes := int64(s.movedMsgs[dir]), s.movedBytes[dir]; msgs > 0 {
 		s.movedMsgs[dir], s.movedBytes[dir] = 0, 0
 		if dir == DirSend {
@@ -279,7 +279,7 @@ func (s *Socket) end(ctx exec.Context, dir int) {
 		}
 	}
 	s.side.Busy[dir].Add(-1)
-	s.maybeHandBack(ctx, dir)
+	s.maybeHandBack(dir)
 	s.lib.leave()
 }
 
@@ -299,7 +299,7 @@ func (s *Socket) Send(ctx exec.Context, t *host.Thread, data []byte) (int, error
 	if err := s.begin(ctx, t, DirSend); err != nil {
 		return 0, err
 	}
-	defer s.end(ctx, DirSend)
+	defer s.end(DirSend)
 	if b, ok := s.ep.(burster); ok && len(data) > maxInline {
 		// A multi-chunk send is a batch in disguise: stage all chunks and
 		// ring the doorbell once (burstEnd publishes; the explicit kick
@@ -384,7 +384,7 @@ func (s *Socket) Recv(ctx exec.Context, t *host.Thread, buf []byte) (int, error)
 	if err := s.begin(ctx, t, DirRecv); err != nil {
 		return 0, err
 	}
-	defer s.end(ctx, DirRecv)
+	defer s.end(DirRecv)
 	return s.recvBytes(ctx, t, buf, recvOp{})
 }
 

@@ -266,4 +266,14 @@ type ProcLink struct {
 	// and the monitor never waits on them.
 	InLibsd atomic.Int32
 	Pending atomic.Bool
+
+	// The full-ring marks, one bit per shard. A control send never waits on
+	// a full ring: it queues behind it on its own side and marks the plane.
+	// MonQueued: the monitor holds messages for the process; pollCtl,
+	// having drained the plane, clears the bit and rings the shard.
+	// LibQueued: libsd holds messages for the monitor; the shard, having
+	// drained the plane, clears the bit and notifies the process as for a
+	// signalled message. Both are the process's to write, as above.
+	MonQueued atomic.Uint32
+	LibQueued atomic.Uint32
 }

@@ -134,7 +134,7 @@ func (w *wait) block(ctx exec.Context) error {
 		l.pump(ctx)
 	}
 	if w.ctl != nil {
-		if err := w.ctl.duties(ctx); err != nil {
+		if err := w.ctl.duties(); err != nil {
 			return err
 		}
 	}
@@ -144,7 +144,7 @@ func (w *wait) block(ctx exec.Context) error {
 			// Honor a pending token revocation and rejoin the FIFO rather
 			// than starving the waiter (§4.1.1).
 			me = int64(l.GTIDOf(w.t))
-			s.maybeHandBack(ctx, w.dir)
+			s.maybeHandBack(w.dir)
 			if s.side.Holder[w.dir].Load() != me {
 				if err := s.reacquireToken(ctx, w.t, w.dir); err != nil {
 					return err
@@ -356,11 +356,11 @@ func (s *Socket) tokenWait(m *ctlmsg.Msg, dir int) (*ctlWait, wait) {
 	return c, w
 }
 
-func (c *ctlWait) send(ctx exec.Context) {
+func (c *ctlWait) send() {
 	if c.token {
 		c.m.Aux = uint64(c.sock.side.Holder[c.dir].Load()) // whom to revoke from
 	}
-	c.l.sendCtl(ctx, c.m)
+	c.l.sendCtl(c.m)
 }
 
 // silence is how long the awaited shard has said nothing, as of now.
@@ -372,33 +372,33 @@ func (c *ctlWait) silence(now int64) int64 {
 }
 
 // duties: go out again to a new incarnation or when due, give up on silence, ping.
-func (c *ctlWait) duties(ctx exec.Context) error {
+func (c *ctlWait) duties() error {
 	l := c.l
 	now := l.H.Clk.Now()
 	if e := l.monEpoch.Load(); e != c.epoch {
 		c.epoch, c.start, c.lastPing = e, now, now
-		c.send(ctx)
+		c.send()
 	}
 	if c.silent == nil {
 		return nil
 	}
 	if c.every != 0 && now-c.asked >= c.every {
 		c.asked = now
-		c.send(ctx)
+		c.send()
 	}
 	if c.silence(now) > ctlDeadAfter {
 		if c.silent != errAskAgain {
 			return c.silent
 		}
 		c.start, c.lastPing = now, now
-		c.send(ctx)
+		c.send()
 	}
 	if now-c.lastPing >= ctlPingEvery {
 		c.lastPing = now
 		// Shard-addressed ping: KPing has no state key, so the Shard field
 		// routes it to the loop whose silence this wait is measuring.
 		ping := ctlmsg.Msg{Kind: ctlmsg.KPing, PID: int64(l.P.PID), Shard: uint8(c.shard)}
-		l.sendCtl(ctx, &ping)
+		l.sendCtl(&ping)
 	}
 	return nil
 }

@@ -240,7 +240,7 @@ func (s *Socket) SendVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int)
 	if err := s.begin(ctx, t, DirSend); err != nil {
 		return 0, err
 	}
-	defer s.end(ctx, DirSend)
+	defer s.end(DirSend)
 	whole := n &^ (mem.PageSize - 1)
 	var err error
 	switch ep := s.ep.(type) {
@@ -387,7 +387,7 @@ func (s *Socket) RecvVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int)
 	if err := s.begin(ctx, t, DirRecv); err != nil {
 		return 0, err
 	}
-	defer s.end(ctx, DirRecv)
+	defer s.end(DirRecv)
 	for {
 		zc := s.zcQueued()
 		// A receive too small or unaligned for the arrival gets it by copy.

@@ -14,6 +14,7 @@ import (
 // port, and the bookkeeping (rounding, quotas, peak tracking) must be
 // exact — the full-scale run in `sdbench connscale` relies on it.
 func TestConnScaleDrill(t *testing.T) {
+	defer ctlRingsNeverFull(t)()
 	cfg := ConnScaleConfig{Population: 800, Churn: 200}
 	r := ConnScaleDrill(cfg)
 	if r.Population < 800 || r.Population%r.Population != 0 {

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"socksdirect/internal/telemetry"
+)
 
 // TestMonitorRestartSoak is the acceptance drill for monitor restart
 // survivability: both hosts' monitors are killed and restarted mid-transfer
@@ -17,6 +21,7 @@ import "testing"
 // windows at 20–110 ms), not from byte volume, and the smaller copies
 // keep the -race run well inside CI's 120 s budget.
 func TestMonitorRestartSoak(t *testing.T) {
+	defer ctlRingsNeverFull(t)()
 	r := MRestart(4, 4, 1024, 150)
 	t.Logf("\n%s", r)
 	if r.StreamErrors != 0 || r.PrefixErrors != 0 || r.Unfinished != 0 {
@@ -49,5 +54,20 @@ func TestMonitorRestartSoak(t *testing.T) {
 	}
 	if !r.Passed() {
 		t.Errorf("drill failed:\n%s", r)
+	}
+}
+
+// ctlRingsNeverFull returns the check that sd/monitor/ctl_ring_full has not
+// moved since the call. The control rings are sized (8 KiB) above what the
+// drills put in flight; a drill that fills one has outgrown them, and a full
+// ring would move its virtual time.
+func ctlRingsNeverFull(t *testing.T) func() {
+	c := telemetry.C(telemetry.MonCtlRingFull)
+	before := c.Load()
+	return func() {
+		t.Helper()
+		if d := c.Load() - before; d != 0 {
+			t.Errorf("%d control sends found their ring full", d)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 // squeeze — all while healthy pairs stream. Run under -race in CI with
 // the full 10k-dial flood; plain `go test` uses the faster default.
 func TestOverloadSoak(t *testing.T) {
+	defer ctlRingsNeverFull(t)()
 	cfg := OverloadConfig{}
 	if !testing.Short() && !raceEnabled {
 		cfg.Dials = 2000

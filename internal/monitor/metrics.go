@@ -18,7 +18,8 @@ var (
 	mRescues       = telemetry.C(telemetry.MonRescues)
 	mCrashCleanups = telemetry.C(telemetry.MonCrashCleanups)
 
-	mSignalsDeferred = telemetry.C(telemetry.MonSignalsDeferred) // sendTo: a thread was inside libsd
+	mSignalsDeferred = telemetry.C(telemetry.MonSignalsDeferred) // notify: a thread was inside libsd
+	mCtlRingFull     = telemetry.C(telemetry.MonCtlRingFull)     // sendTo: queued behind a full ring
 
 	// Dispatch latency, split by origin: intra = local process control
 	// rings (handle), inter = monitor-to-monitor mchan (handleRemote).

@@ -44,8 +44,11 @@ import (
 	"socksdirect/internal/shm"
 )
 
-// ctlRingCap sizes each process's per-shard control duplex.
-const ctlRingCap = 64 * 1024
+// ctlRingCap sizes each process's per-shard control duplex: 51 messages
+// each way, above the 4 800 B the busiest drill (mrestart) has in flight on
+// one ring. A send that finds its ring full waits in its sender's queue
+// (sendTo, core.Libsd.sendCtl) and counts sd/monitor/ctl_ring_full.
+const ctlRingCap = 8 * 1024
 
 // Policy decides whether a local process owned by uid may connect to
 // (dstHost, dstPort). The default allows everything.
@@ -100,10 +103,29 @@ type Monitor struct {
 // procChan is the monitor's half of one process's registration: the link
 // it handed out, whose control duplexes it holds side B of (index = shard
 // number) and whose in-library count decides whether a message is worth a
-// signal (sendTo).
+// signal (notify).
 type procChan struct {
 	p    *host.Process
 	link *core.ProcLink
+
+	// out holds, per shard, the messages sendTo found no room for on the
+	// process's ring, in order; the shard writes them as the process drains
+	// (flushOut). The shard reads no request from a process whose queue on
+	// its plane is not empty, and a reply travels on its request's plane,
+	// so replies add at most one pass (ctlBatch) to it. Every other message
+	// is a notice about what the process holds — a connection dispatched
+	// to its listener, a token it holds or waits for, a peer's death, a
+	// splice, a re-registration — at most one outstanding of each kind per
+	// record, so the queue is bounded by the records naming the process
+	// plus one pass. It dies with the incarnation, as the records do.
+	out [][]queuedCtl
+}
+
+// queuedCtl is a message in procChan.out, and whether it asked to be
+// noticed (sendTo's signal).
+type queuedCtl struct {
+	cm     ctlmsg.Msg
+	signal bool
 }
 
 // kernL is one dual kernel listener with the port it serves.
@@ -542,13 +564,12 @@ func (m *Monitor) routeRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 }
 
 // sendTo queues a control message to a local process, and when signal is
-// set makes sure the process looks at it (§4.4): it marks the message
-// pending, then signals the process only if no thread of it is inside
-// libsd — the handler drains the queue. A thread inside polls the queue
-// before it returns to the application (core.Libsd.leave), so the 2 µs
-// signal would buy nothing; it is counted as deferred. The message travels
-// on the plane its key routes to, so a request and its reply share a shard
-// and per-key ordering holds end to end.
+// set makes sure the process looks at it (notify). The message travels on
+// the plane its key routes to, so a request and its reply share a shard and
+// per-key ordering holds end to end. It never waits on the process: a
+// message that finds the ring full, or others queued before it, joins the
+// process's queue for that plane (procChan.out), and the plane is marked
+// for pollCtl to ring the shard once it has drained it.
 func (m *Monitor) sendTo(ctx exec.Context, pid int, cm *ctlmsg.Msg, signal bool) {
 	pc := m.procs[pid]
 	if pc == nil {
@@ -560,17 +581,59 @@ func (m *Monitor) sendTo(ctx exec.Context, pid int, cm *ctlmsg.Msg, signal bool)
 	}
 	s := shard.ForMsg(cm, len(m.shards))
 	cm.Shard = uint8(s)
-	var buf [ctlmsg.Size]byte
-	b := cm.Marshal(buf[:])
-	for !pc.link.Ds[s].B().TX.TrySend(0, 0, b) {
-		if pc.p.Dead() {
-			// A corpse never drains its ring; spinning here would wedge
-			// the whole control plane behind one dead process.
-			return
+	if !pc.queued(s) && pc.trySend(s, cm) {
+		if signal {
+			m.notify(ctx, pc)
 		}
-		ctx.Yield()
+		return
 	}
-	if !signal || pc.p.Dead() {
+	if pc.p.Dead() {
+		return // a corpse never drains its ring
+	}
+	if pc.out == nil {
+		pc.out = make([][]queuedCtl, len(m.shards))
+	}
+	pc.out[s] = append(pc.out[s], queuedCtl{cm: *cm, signal: signal})
+	pc.link.MonQueued.Or(1 << s)
+	mCtlRingFull.Inc()
+	if signal {
+		m.notify(ctx, pc) // the process drains the full ring, and its pollCtl rings the shard
+	}
+}
+
+func (pc *procChan) queued(s int) bool { return s < len(pc.out) && len(pc.out[s]) > 0 }
+
+func (pc *procChan) trySend(s int, cm *ctlmsg.Msg) bool {
+	var buf [ctlmsg.Size]byte
+	return pc.link.Ds[s].B().TX.TrySend(0, 0, cm.Marshal(buf[:]))
+}
+
+// flushOut writes what sendTo queued for pc on shard s, in order, as far as
+// the ring has room, and notifies the process if a message written asked for
+// it. It reports whether it wrote any; what is left stays marked.
+func (m *Monitor) flushOut(ctx exec.Context, pc *procChan, s int) bool {
+	q := pc.out[s]
+	n, signal := 0, false
+	for n < len(q) && pc.trySend(s, &q[n].cm) {
+		signal = signal || q[n].signal
+		n++
+	}
+	if pc.out[s] = append(q[:0], q[n:]...); len(pc.out[s]) > 0 {
+		pc.link.MonQueued.Or(1 << s)
+	}
+	if signal {
+		m.notify(ctx, pc)
+	}
+	return n > 0
+}
+
+// notify makes sure a process looks at its control queues (§4.4): it marks
+// them pending, then signals the process only if no thread of it is inside
+// libsd — the handler drains the queues. A thread inside polls them before
+// it returns to the application (core.Libsd.leave), so the 2 µs signal
+// would buy nothing; it is counted as deferred.
+func (m *Monitor) notify(ctx exec.Context, pc *procChan) {
+	if pc.p.Dead() {
 		return
 	}
 	// Mark, then read the count; libsd drops the count, then reads the mark:

@@ -45,6 +45,7 @@ func Restart(h *host.Host) *Monitor {
 
 	m := startEpoch(h, old.KS, epoch)
 	for _, pc := range adopted {
+		pc.out = nil // what the old incarnation had yet to say died with it
 		m.procs[pc.p.PID] = pc
 		m.needReReg = append(m.needReReg, pc.p.PID)
 	}
@@ -66,8 +67,9 @@ func Restart(h *host.Host) *Monitor {
 // spurious wake: a receiver parked across the outage may have missed the
 // KWake that died with the old daemon, and a parked thread is the only
 // one that will run its control-queue poll and answer the KReRegister.
-// The wakes are scheduled before the send — sendTo spins if the process's
-// RX ring is full, and the drain that frees it needs the process running.
+// Neither side waits on a full ring: the report the handler writes queues
+// in libsd behind a full plane, and the shard that drains the plane
+// notifies the process to write the rest.
 func (m *Monitor) reRegister(ctx exec.Context, pid int) {
 	if p := m.H.Process(pid); p != nil && !p.Dead() {
 		p.EachThread(func(t *host.Thread) {

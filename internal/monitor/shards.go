@@ -318,6 +318,10 @@ func (sh *mshard) wake() {
 // host-death fan-out, ConnClosed, wakeAll — and an Unpark that lands while
 // the loop runs leaves a permit, so no work waits for the next doorbell.
 // The router loop (Monitor.run) parks the same way.
+// ctlBatch is how many messages a shard takes from one process's ring in a
+// pass before it serves the next process.
+const ctlBatch = 64
+
 func (sh *mshard) run(ctx exec.Context) {
 	m := sh.m
 	// Snapshot scratch, reused across iterations (see Monitor.run).
@@ -349,14 +353,21 @@ func (sh *mshard) run(ctx exec.Context) {
 			m.handle(ctx, sh, nil, ev.mc, &cm)
 		}
 		for _, pc := range chans {
+			if pc.queued(sh.idx) {
+				progress = m.flushOut(ctx, pc, sh.idx) || progress
+				if pc.queued(sh.idx) {
+					continue // its requests wait until it reads what we said
+				}
+			}
 			rx := pc.link.Ds[sh.idx].B().RX
-			for i := 0; i < 64; i++ {
+			drained := false
+			for i := 0; i < ctlBatch && !m.stopped; i++ {
 				msg, ok := rx.TryRecv()
 				if !ok {
 					break
 				}
 				ctx.Charge(m.H.Costs.RingOp)
-				progress = true
+				progress, drained = true, true
 				cm, ok2 := ctlmsg.Unmarshal(msg.Payload)
 				if !ok2 {
 					mBadCtlmsg.Inc()
@@ -373,6 +384,11 @@ func (sh *mshard) run(ctx exec.Context) {
 				cm.SpanID = obs.RecordHop(m.H.Name, 0, obs.HopProcRing,
 					uint8(cm.Kind), cm.TraceID, cm.SpanID, cm.TS, ctx.Now())
 				m.handle(ctx, sh, pc, nil, &cm)
+			}
+			if bit := uint32(1) << sh.idx; drained && pc.link.LibQueued.Load()&bit != 0 {
+				// libsd queued messages behind this ring: there is room now.
+				pc.link.LibQueued.And(^bit)
+				m.notify(ctx, pc)
 			}
 		}
 		if progress {

@@ -96,6 +96,11 @@ const (
 	// the message was marked pending for the library exit instead (§4.4).
 	MonSignalsDeferred = "sd/monitor/signals_deferred"
 
+	// Control messages that found their control duplex ring full, either
+	// direction, and waited in the sender's queue instead. The rings are
+	// sized so that no drill or ledger workload moves it.
+	MonCtlRingFull = "sd/monitor/ctl_ring_full"
+
 	// monitor dispatch latency, split by message origin: intra = messages
 	// dequeued from a local process control ring (handle), inter = messages
 	// arriving over the monitor-to-monitor mchan (handleRemote), two regimes

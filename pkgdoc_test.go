@@ -82,7 +82,6 @@ func TestCoreBlocksOnlyInWait(t *testing.T) {
 	allowed := map[string]string{
 		"epoll.go startEpollThread Park":  "libsd's own kernel-event thread idles while nobody is in Epoll.Wait",
 		"epoll.go startEpollThread Sleep": "the same thread's 50 µs epoll_wait sweep period",
-		"libsd.go sendCtl Yield":          "a full control ring, which the monitor drains; not a wait for a peer",
 		"tcpep.go sendHello Yield":        "the rescue connection's handshake write into a kernel socket buffer",
 		"libsd.go armAutoPump After":      "re-arms the CQ pump from timer context; no thread waits",
 		"recover.go markFailed After":     "the wake-up of a parked receiver, process-wakeup latency later",
@@ -133,7 +132,9 @@ func TestCoreBlocksOnlyInWait(t *testing.T) {
 // TestMonitorNeverSpins keeps the monitor's loops parked (ARCHITECTURE.md
 // "Sharded control plane"): the router and the shard loops park after a
 // pass that found no work, and whatever queues work for them rings their
-// doorbell. Non-test internal/monitor calls no Spin.
+// doorbell. Non-test internal/monitor calls no Spin, and no Yield: a loop
+// that yields until a process drains its ring waits on that process, and
+// stalls its shard for every other (a full ring queues, sendTo).
 func TestMonitorNeverSpins(t *testing.T) {
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(filepath.Join("internal", "monitor"), func(path string, d fs.DirEntry, err error) error {
@@ -146,8 +147,8 @@ func TestMonitorNeverSpins(t *testing.T) {
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Spin" {
-					t.Errorf("%s: a monitor loop spins: park it, and ring it where its work is queued", fset.Position(n.Pos()))
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Spin" || sel.Sel.Name == "Yield") {
+					t.Errorf("%s: a monitor loop calls %s: park it, and ring it where its work is queued", fset.Position(n.Pos()), sel.Sel.Name)
 				}
 			}
 			return true
