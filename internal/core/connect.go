@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
@@ -28,8 +27,8 @@ type Listener struct {
 
 	// Overload controls: an absolute accept deadline (virtual ns, 0 =
 	// none) and O_NONBLOCK (empty backlog → EWOULDBLOCK immediately).
-	deadline atomic.Int64
-	nonblock atomic.Bool
+	deadline int64
+	nonblock bool
 
 	// Of the Accept in progress: its backlog, and its steal hint as a
 	// request with the monitor.
@@ -41,11 +40,11 @@ type Listener struct {
 // SetDeadline arms an absolute virtual-time deadline for Accept; an
 // accept that finds no dispatched connection by then returns ETIMEDOUT.
 // 0 clears.
-func (lst *Listener) SetDeadline(at int64) { lst.deadline.Store(at) }
+func (lst *Listener) SetDeadline(at int64) { lst.deadline = at }
 
 // SetNonblock switches the listener into (or out of) O_NONBLOCK mode:
 // Accept on an empty backlog returns EWOULDBLOCK instead of waiting.
-func (lst *Listener) SetNonblock(on bool) { lst.nonblock.Store(on) }
+func (lst *Listener) SetNonblock(on bool) { lst.nonblock = on }
 
 type pendingAccept struct {
 	m    ctlmsg.Msg
@@ -59,7 +58,7 @@ type pendingAccept struct {
 type interSide struct {
 	side SideState
 	qp   *rdma.QP
-	mr   [2]rdma.MR // over the RX ring and CreditIn
+	mr   [2]rdma.MR // over the RX ring and the credit word
 	ep   rdmaEP     // the side's endpoint, made by newEP
 
 	// First backing of side.mrs, side.eps and side.PoolFree. An inherited
@@ -83,9 +82,8 @@ func (l *Libsd) newInterSide(ctx exec.Context, qid uint64, qp *rdma.QP) (*interS
 	side := &is.side
 	side.QID, side.home = qid, is
 	side.TX, side.RX = l.H.SHM.GetRing(RingCap), l.H.SHM.GetRing(RingCap)
-	side.CreditIn = side.word[:]
 	side.Refs.Store(1)
-	is.mrs = [2]*rdma.MR{l.pd.RegisterRingAt(&is.mr[0], side.RX), l.pd.RegisterBytesAt(&is.mr[1], side.CreditIn)}
+	is.mrs = [2]*rdma.MR{l.pd.RegisterRingAt(&is.mr[0], side.RX), l.pd.RegisterBytesAt(&is.mr[1], side.creditIn[:])}
 	side.mrs, side.eps, side.PoolFree = is.mrs[:], is.eps[:0], is.poolFree[:0]
 	if is.qp = qp; qp == nil {
 		is.qp = l.pd.CreateQP(l.sendCQ, l.recvCQ)
@@ -113,7 +111,7 @@ func (l *Libsd) abandonInter(is *interSide) {
 }
 
 // desc fills the control-message fields describing this endpoint for the
-// peer: our QPN, where to write data (RX ring), credits (CreditIn) and
+// peer: our QPN, where to write data (RX ring), credits (the credit word) and
 // zero-copy pages (pool MR).
 func (is *interSide) desc(m *ctlmsg.Msg) {
 	m.QPN = is.qp.QPN()
@@ -130,7 +128,7 @@ func (l *Libsd) newEP(is *interSide) *rdmaEP {
 	ep, side := &is.ep, &is.side
 	ep.lib, ep.side, ep.qp, ep.batching = l, side, is.qp, l.batching
 	ep.selfRingRKey, ep.selfCreditRKey = is.mr[0].RKey(), is.mr[1].RKey()
-	side.creditEP.Store(ep.boxed())
+	side.creditEP = ep
 	side.RX.SetCreditHook(side)
 	// Register for completion dispatch BEFORE the QP can receive: a
 	// completion with no registered endpoint would be dropped, losing a
@@ -148,8 +146,8 @@ func (e *rdmaEP) setPeer(peerHost string, m *ctlmsg.Msg) {
 	side := e.side
 	side.PeerHost = peerHost
 	side.PoolRKey = m.SeqA
-	side.PoolRemote = int(min(m.SeqB, zcPoolPages))
-	free := slices.Grow(side.PoolFree[:0], side.PoolRemote)[:side.PoolRemote]
+	slots := int(min(m.SeqB, zcPoolPages)) // as many as the peer advertised
+	free := slices.Grow(side.PoolFree[:0], slots)[:slots]
 	for i := range free {
 		free[i] = int32(i)
 	}
@@ -205,12 +203,12 @@ func (l *Libsd) ListenOn(ctx exec.Context, t *host.Thread, port uint16) (*Listen
 	// Wait for the bind result (the paper hides this latency when failure
 	// is impossible; we keep the round trip for clear error reporting).
 	bl := l.backlogOf(port, t.TID)
-	for w := l.awaitCtl(&m, ETIMEDOUT).wait(); bl.bindStatus.Load() == 0; {
+	for w := l.awaitCtl(&m, ETIMEDOUT).wait(); bl.bindStatus == 0; {
 		if err := w.block(ctx); err != nil {
 			return nil, err // ETIMEDOUT: no monitor answered the bind
 		}
 	}
-	if st := uint8(bl.bindStatus.Load()); st != 1 {
+	if st := uint8(bl.bindStatus); st != 1 {
 		switch st - 1 {
 		case ctlmsg.StatusInUse:
 			return nil, ErrPortInUse
@@ -436,7 +434,7 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 
 	// A re-send across a restart is safe: the monitor dedups connects by ConnID.
 	c := l.awaitCtlIn(&pc.ctl, m, ETIMEDOUT)
-	c.deadline.Store(deadline)
+	c.deadline = deadline
 	abandon := func() {
 		delete(l.pending, connID)
 		if pc.inter != nil && !l.P.Dead() {
@@ -447,13 +445,13 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 			l.noteClosed(connID)
 		}
 	}
-	for w := c.wait(); pc.status.Load() == 0; {
+	for w := c.wait(); pc.status == 0; {
 		if err := w.block(ctx); err != nil {
 			abandon()
 			return nil, nil, err
 		}
 	}
-	if pc.status.Load() != 1 {
+	if pc.status != 1 {
 		abandon()
 		switch pc.errCode {
 		case ctlmsg.StatusDenied:
@@ -498,7 +496,7 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 	w := wait{l: l, idle: (*ackWaiter)(c), deadline: &c.deadline, dir: DirSend,
 		polls: pollCtl | pollCQ, pre: l.H.Costs.RingOp}
 	for {
-		c.seen = l.ctlSeen.Load() // a message dispatched from here on may re-point pc.sock
+		c.seen = l.ctlSeen // a message dispatched from here on may re-point pc.sock
 		s := pc.sock
 		s.drainCtl(ctx)
 		if s.side.is(established) {
@@ -525,7 +523,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 	}
 	switch m.Kind {
 	case ctlmsg.KBindRes:
-		l.backlogOf(m.Port, int(m.TID)).bindStatus.Store(int32(m.Status) + 1)
+		l.backlogOf(m.Port, int(m.TID)).bindStatus = int32(m.Status) + 1
 
 	case ctlmsg.KConnectRes:
 		pc := l.pending[m.ConnID]
@@ -543,7 +541,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		if m.Status != ctlmsg.StatusOK {
 			pc.errCode = m.Status
 			pc.kernelFD = -1
-			pc.status.Store(2)
+			pc.status = 2
 			return
 		}
 		switch m.Transport {
@@ -551,7 +549,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			seg, err := l.H.SHM.Attach(shm.Token(m.ShmToken))
 			if err != nil {
 				pc.errCode = ctlmsg.StatusDenied
-				pc.status.Store(2)
+				pc.status = 2
 				return
 			}
 			is := seg.Obj.(*IntraSock)
@@ -560,7 +558,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			s.useSHM(is)
 			pc.sock = s
 			pc.kernelFD = -1
-			pc.status.Store(1)
+			pc.status = 1
 		case ctlmsg.TransportRDMA:
 			// We connect second, so we are the active side — unless we offered
 			// a parked QP and the answer names its twin: the acceptor adopted
@@ -589,16 +587,16 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			}
 			if err != nil {
 				pc.errCode = ctlmsg.StatusNoRoute
-				pc.status.Store(2)
+				pc.status = 2
 				return
 			}
 			pc.sock = s
 			pc.kernelFD = -1
-			pc.status.Store(1)
+			pc.status = 1
 		case ctlmsg.TransportTCP:
 			mTCPFallbacks.Inc()
 			pc.kernelFD = int(m.Aux)
-			pc.status.Store(1)
+			pc.status = 1
 		}
 
 	case ctlmsg.KNewConn:
@@ -677,7 +675,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		}
 		any.side.ReturnReq[min(m.Dir, DirRecv)].Store(true) // anything but DirSend is the receive side
 		l.pendingRevokes = append(l.pendingRevokes, revokeReq{qid: m.QID, dir: m.Dir, side: m.SrcPort})
-		l.hasRevokes.Store(true)
+		l.hasRevokes = true
 		if !l.inside() {
 			// Signal-handler path: no thread is inside libsd, so the
 			// holder cannot be mid-operation — return immediately.
@@ -743,7 +741,7 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		// any of the QPs is equivalent" for one-sided writes, and the new
 		// one is spliced to the process that will actually be reading.
 		olds := l.switchEP(m.QID, ep)
-		any.side.creditEP.Store(ep.boxed())
+		any.side.creditEP = ep
 		if recovery {
 			// Unlike the fork flow (where the parent keeps using the old
 			// QP), recovery must retire the dead QP on both sides so a stale
@@ -790,13 +788,13 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			socks = append(socks, pc.sock)
 		}
 		closing := l.closing[m.QID]
-		if pc != nil && pc.status.Load() == 0 {
+		if pc != nil && pc.status == 0 {
 			// Still waiting for KConnectRes: the process the SYN was
 			// dispatched to died before it answered, and no answer will
 			// come. The dial is refused.
 			pc.errCode = ctlmsg.StatusNoListener
 			pc.kernelFD = -1
-			pc.status.Store(2)
+			pc.status = 2
 		}
 		if h := m.HostStr(); h != "" {
 			// Twins held by the dead process (PID 0: by any on a dead host)

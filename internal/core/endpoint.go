@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
@@ -50,18 +49,13 @@ type creditPoster interface {
 	creditHook(read uint64)
 }
 
-// creditBox wraps the current creditPoster for atomic.Pointer storage.
-type creditBox struct {
-	ep creditPoster
-}
-
 // CreditReturned is an inter-host side's RX credit hook (shm.CreditHook):
 // it keeps the credit for recovery to re-post and mirrors it to the peer
 // through the side's current credit poster.
 func (s *SideState) CreditReturned(read uint64) {
 	s.LastCreditOut.Store(read)
-	if cb := s.creditEP.Load(); cb != nil {
-		cb.ep.creditHook(read)
+	if s.creditEP != nil {
+		s.creditEP.creditHook(read)
 	}
 }
 
@@ -142,15 +136,15 @@ type rdmaEP struct {
 
 	qp         *rdma.QP // nil: inherited, and no QP of this process's yet
 	ringRKey   uint64   // peer's RX ring data
-	creditRKey uint64   // peer's CreditIn word (for our RX credits)
+	creditRKey uint64   // peer's credit word (for our RX credits)
 
 	// selfRingRKey and selfCreditRKey are the rkeys of the side's RX ring
-	// and CreditIn under this process's PD, which a splice gives the peer's
+	// and credit word under this process's PD, which a splice gives the peer's
 	// new QP: the NIC takes no rkey of another PD. An inherited endpoint
 	// registers its own with its first splice request (recover.go).
 	selfRingRKey, selfCreditRKey uint64
 
-	inflight atomic.Int32
+	inflight int
 	batching bool // false disables adaptive batching (SD-unopt ablation)
 
 	// peerPID is the process that holds the peer endpoint: whom the QP is
@@ -160,26 +154,16 @@ type rdmaEP struct {
 	offered bool
 
 	// burst suppresses the per-message flush between burstBegin and
-	// burstEnd so a whole SendBatch rides one doorbell. Atomic because the
-	// completion pump (onSendCQE -> flush) may run on another thread.
-	burst atomic.Bool
+	// burstEnd so a whole SendBatch rides one doorbell.
+	burst bool
 
 	// failed latches when the QP dies (retry exhaustion, flush); an
 	// inherited endpoint starts out failed, with no QP. Past a dead QP the
 	// data path keeps accepting sends into the local ring copy (§4.2: the
 	// TX ring IS the retransmit buffer) while the recovery state machine in
 	// recover.go re-establishes a QP or degrades to kernel TCP.
-	failed atomic.Bool
+	failed bool
 	rec    recoverState
-
-	box creditBox // e as SideState.creditEP holds it (boxed)
-}
-
-// boxed returns e in its own creditBox, so installing it as the side's
-// credit poster allocates nothing.
-func (e *rdmaEP) boxed() *creditBox {
-	e.box.ep = e
-	return &e.box
 }
 
 const (
@@ -196,10 +180,10 @@ func (e *rdmaEP) trySend(ctx exec.Context, typ uint8, a, b []byte) bool {
 		return false
 	}
 	if !e.side.TX.TrySendV(typ, 0, a, b) {
-		// Stale credits? The peer returns them by writing our CreditIn.
+		// Stale credits? The peer returns them by writing our credit word.
 		e.refreshCredit()
 		if !e.side.TX.TrySendV(typ, 0, a, b) {
-			if e.burst.Load() {
+			if e.burst {
 				// A burst defers the doorbell, but a full ring means the
 				// peer must drain before we can stage more: push what is
 				// coalesced so credits can come back.
@@ -210,25 +194,25 @@ func (e *rdmaEP) trySend(ctx exec.Context, typ uint8, a, b []byte) bool {
 			return false
 		}
 	}
-	if e.burst.Load() {
+	if e.burst {
 		return true // burstEnd rings the doorbell for the whole batch
 	}
 	// Adaptive batching: send immediately while the pipeline is shallow,
 	// otherwise leave the bytes for the next completion to flush.
-	if !e.batching || int(e.inflight.Load()) < batchThreshold {
+	if !e.batching || e.inflight < batchThreshold {
 		e.flush(ctx)
 	}
 	return true
 }
 
 func (e *rdmaEP) burstBegin() {
-	e.burst.Store(true)
+	e.burst = true
 	e.side.TX.BeginBurst()
 }
 
 func (e *rdmaEP) burstEnd(ctx exec.Context) {
 	e.side.TX.EndBurst()
-	e.burst.Store(false)
+	e.burst = false
 	e.flush(ctx) // one doorbell for everything the burst staged
 }
 
@@ -243,13 +227,8 @@ func (e *rdmaEP) tryRecvN(ctx exec.Context, out []shm.Msg) int {
 
 func (e *rdmaEP) refreshCredit() { e.side.TX.InjectCredit(e.creditIn()) }
 
-// creditIn reads the credit word the peer writes (0 before it exists).
-func (e *rdmaEP) creditIn() uint64 {
-	if len(e.side.CreditIn) < 8 {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(e.side.CreditIn)
-}
+// creditIn reads the credit word the peer writes.
+func (e *rdmaEP) creditIn() uint64 { return binary.LittleEndian.Uint64(e.side.creditIn[:]) }
 
 // flush posts the unsynchronized region of the TX ring as one or two
 // one-sided writes (two when the region wraps); only the last carries the
@@ -297,7 +276,7 @@ func (e *rdmaEP) flush(ctx exec.Context) {
 		return
 	}
 	e.side.TxFlushed.Store(written)
-	e.inflight.Add(1)
+	e.inflight++
 }
 
 // tryRecv of an inherited endpoint starts the splice, and reads meanwhile
@@ -344,9 +323,7 @@ func (e *rdmaEP) onSendCQE(ctx exec.Context, cqe rdma.CQE) {
 	if cqe.Status != rdma.WCSuccess {
 		e.markFailed()
 	} else if cqe.WRID == wrData {
-		if e.inflight.Add(-1) < 0 {
-			e.inflight.Store(0)
-		}
+		e.inflight = max(e.inflight-1, 0)
 		if e.batching {
 			e.flush(ctx) // ctx is the zero Context in completion context
 		}

@@ -69,8 +69,8 @@ func (ep *Epoll) Wait(ctx exec.Context, events []Event) (int, error) {
 	l.enter()
 	defer l.leave()
 	mEpollWaits.Inc()
-	l.epollWaiters.Add(1)
-	defer l.epollWaiters.Add(-1)
+	l.epollWaiters++
+	defer func() { l.epollWaiters-- }()
 	if l.epollThread != nil {
 		l.epollThread.H.Unpark()
 	}
@@ -155,7 +155,7 @@ func (l *Libsd) startEpollThread() {
 	}
 	l.epollThread = l.P.Spawn("libsd-epoll", func(ctx exec.Context, t *host.Thread) {
 		for !l.P.Dead() {
-			if l.epollWaiters.Load() == 0 {
+			if l.epollWaiters == 0 {
 				// Nobody is waiting: park until the next Wait call
 				// (keeps the simulation's event queue finite, and a
 				// real epoll thread would block in epoll_wait too).

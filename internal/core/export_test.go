@@ -165,27 +165,35 @@ func (s *Socket) ReturnZC(payload []byte) []int32 {
 }
 
 // ZCArrival is one queued zero-copy arrival: the bytes it announces and the
-// pages a RecvVA of it would map.
-type ZCArrival struct{ Total, Pages int }
+// frames a RecvVA of it would map.
+type ZCArrival struct {
+	Total  int
+	Frames []mem.PageID
+}
 
-// FeedZC hands the socket payload as a received MZC (ret false) or MZCRet
-// (ret true) message, returns the arrivals that queued, and puts the
-// receive queue and the sender's slot list back as they were.
-func (s *Socket) FeedZC(ret bool, payload []byte) []ZCArrival {
+// FeedZC hands the socket each payload in turn as a received MZC (ret
+// false) or MZCRet (ret true) message, returns the arrivals that queued, and
+// puts the receive queue, the held pool slots and the sender's slot list
+// back as they were.
+func (s *Socket) FeedZC(ret bool, payloads ...[]byte) []ZCArrival {
 	if ret {
 		n := len(s.side.PoolFree)
-		s.handleZCReturn(payload)
+		for _, p := range payloads {
+			s.handleZCReturn(p)
+		}
 		for _, slot := range s.side.PoolFree[n:] {
 			s.side.poolLent[slot>>6] |= 1 << (slot & 63)
 		}
 		s.side.PoolFree = s.side.PoolFree[:n]
 		return nil
 	}
-	s.queueZC(payload)
+	for _, p := range payloads {
+		s.queueZC(p)
+	}
 	var out []ZCArrival
 	for s.zcQueued() {
-		r := s.zc.pop()
-		out = append(out, ZCArrival{r.total, len(r.ids)})
+		r := s.popZC()
+		out = append(out, ZCArrival{r.total, append([]mem.PageID(nil), r.ids...)})
 		s.zc.spent(r)
 	}
 	return out

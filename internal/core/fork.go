@@ -130,10 +130,8 @@ func (l *Libsd) inherit(src *Libsd, fds map[int]fdEntry, keep func(fdEntry) bool
 			case *shmEP:
 				e.sock.useSHM(s.intra)
 			case *rdmaEP:
-				ne := &rdmaEP{lib: l, side: s.side, ringRKey: ep.ringRKey, creditRKey: ep.creditRKey,
-					batching: l.batching}
-				ne.failed.Store(true)
-				e.sock.ep = ne
+				e.sock.ep = &rdmaEP{lib: l, side: s.side, ringRKey: ep.ringRKey, creditRKey: ep.creditRKey,
+					batching: l.batching, failed: true}
 			default:
 				e.sock.ep = s.ep
 			}

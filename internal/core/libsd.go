@@ -63,17 +63,19 @@ type Libsd struct {
 
 	// monEpoch is the monitor incarnation this process believes it is
 	// talking to: stamped on every outgoing control message, bumped when a
-	// higher-epoch message (a restarted daemon's KReRegister) arrives.
+	// higher-epoch message (a restarted daemon's KReRegister) arrives. The
+	// one private word that stays atomic: Socket.Probe reads it for the
+	// flow table, whose snapshot may run on another world's goroutine.
 	monEpoch atomic.Uint32
 	// lastCtlRecv is, per monitor shard, the virtual time any control
 	// message was last received on that shard's plane; bounded waits
 	// measure the silence of the one shard loop serving their request,
 	// so a live sibling shard cannot mask a wedged one.
-	lastCtlRecv []atomic.Int64
+	lastCtlRecv []int64
 	// ctlSeen counts the control messages pollCtl has dispatched, on any
 	// thread or from the signal handler: a control wait that finds it
 	// unchanged knows no handler has touched what it waits for.
-	ctlSeen atomic.Uint32
+	ctlSeen uint32
 
 	// sleepNotes holds the TIDs of the receivers parked in interrupt mode,
 	// for wakeParked.
@@ -124,7 +126,7 @@ type Libsd struct {
 	// was inside the library; processed on library exit ("libsd will
 	// process the event before returning control to the application").
 	pendingRevokes []revokeReq
-	hasRevokes     atomic.Bool
+	hasRevokes     bool
 
 	// batching toggles §4.2 adaptive batching (off = the "SD (unopt)"
 	// series in Figures 7-9).
@@ -142,7 +144,7 @@ type Libsd struct {
 	forkAcks map[uint64]bool
 
 	epolls       map[*Epoll]struct{}
-	epollWaiters atomic.Int32
+	epollWaiters int
 	epollThread  *host.Thread
 }
 
@@ -156,8 +158,8 @@ type backlogKey struct {
 
 type backlog struct {
 	conns      []*pendingAccept
-	bindStatus atomic.Int32 // 0 unknown, 1 ok, else ctlmsg status+1
-	asleep     exec.Thread  // the listener thread parked in Accept, for the KNewConn handler to wake
+	bindStatus int32       // 0 unknown, 1 ok, else ctlmsg status+1
+	asleep     exec.Thread // the listener thread parked in Accept, for the KNewConn handler to wake
 }
 
 // pendingConn is one dial in flight: what the KConnectRes handler fills
@@ -165,7 +167,7 @@ type backlog struct {
 // dialFree and gives it back once it has deleted the l.pending entry, the
 // record's only other holder, so a dial allocates none.
 type pendingConn struct {
-	status   atomic.Int32 // 0 pending, 1 ok, 2 failed
+	status   int32 // 0 pending, 1 ok, 2 failed
 	errCode  uint8
 	sock     *Socket
 	inter    *interSide // a remote dial's side, built before the SYN goes out
@@ -215,7 +217,7 @@ func initWith(p *host.Process, link *ProcLink) (*Libsd, error) {
 
 		recoveryBudget: DefaultRecoveryBudget,
 	}
-	l.lastCtlRecv = make([]atomic.Int64, len(ctl))
+	l.lastCtlRecv = make([]int64, len(ctl))
 	l.gone.life.Store(uint32(txShut | rxShut | closed | released))
 	l.monEpoch.Store(link.Epoch)
 	l.pd = p.Host.NIC.AllocPD()
@@ -256,7 +258,7 @@ func (l *Libsd) leave() {
 	if l.link.Pending.Load() {
 		l.pollCtl(exec.Context{})
 	}
-	if l.hasRevokes.Load() {
+	if l.hasRevokes {
 		l.processRevokes()
 	}
 }
@@ -269,7 +271,7 @@ func (l *Libsd) inside() bool { return l.link.InLibsd.Load() > 0 }
 func (l *Libsd) processRevokes() {
 	pend := l.pendingRevokes
 	l.pendingRevokes = nil
-	l.hasRevokes.Store(false)
+	l.hasRevokes = false
 	var requeue []revokeReq
 	for _, rv := range pend {
 		any := l.socks[rv.qid]
@@ -296,7 +298,7 @@ func (l *Libsd) processRevokes() {
 	}
 	if len(requeue) > 0 {
 		l.pendingRevokes = append(l.pendingRevokes, requeue...)
-		l.hasRevokes.Store(true)
+		l.hasRevokes = true
 	}
 }
 
@@ -393,9 +395,9 @@ func (l *Libsd) pollCtl(ctx exec.Context) bool {
 			continue
 		}
 		progress = true
-		l.ctlSeen.Add(1)
+		l.ctlSeen++
 		now := l.H.Clk.Now()
-		l.lastCtlRecv[s].Store(now)
+		l.lastCtlRecv[s] = now
 		if m.Epoch != 0 && !l.noteMonEpoch(m.Epoch) {
 			continue // a dead incarnation's leftover: drop it
 		}
@@ -437,19 +439,13 @@ func (l *Libsd) ctlIdle() bool {
 // new epoch through another thread mid-drain — but dropping them is what
 // keeps a late grant or dispatch from resurrecting retired state.
 func (l *Libsd) noteMonEpoch(e uint32) bool {
-	for {
-		cur := l.monEpoch.Load()
-		if e == cur {
-			return true
-		}
-		if e < cur {
-			mCtlStale.Inc()
-			return false
-		}
-		if l.monEpoch.CompareAndSwap(cur, e) {
-			return true
-		}
+	if cur := l.monEpoch.Load(); e < cur {
+		mCtlStale.Inc()
+		return false
+	} else if e > cur {
+		l.monEpoch.Store(e)
 	}
+	return true
 }
 
 // --- FD remapping table (§4.5.1): lowest available FD, recycle pool ---

@@ -251,7 +251,7 @@ func (l *Libsd) tryReleaseInter(side *SideState) {
 	}
 	// A side whose transport is gone cannot finish the handshake; neither
 	// can one whose peer died. Both release at once, and drop.
-	broken := cur == nil || cur.failed.Load() || side.is(degraded|peerReset)
+	broken := cur == nil || cur.failed || side.is(degraded|peerReset)
 	done := false
 	if !broken {
 		reap(side)
@@ -296,7 +296,7 @@ func (l *Libsd) releaseInter(side *SideState, clean bool) bool {
 		mr.Deregister()
 	}
 	l.H.SHM.Remove(side.segTok)
-	side.creditEP.Store(nil)
+	side.creditEP = nil
 	pool := side.LocalPool
 	side.LocalPool = nil
 	switch {

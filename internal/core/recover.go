@@ -94,9 +94,10 @@ func (l *Libsd) SetRecoveryBudget(n int) { l.recoveryBudget = n }
 // failed on its next loop iteration instead (wait.pollEvery), so the two
 // orders are both safe.
 func (e *rdmaEP) markFailed() {
-	if e.failed.Swap(true) {
+	if e.failed {
 		return
 	}
+	e.failed = true
 	if sleeper := e.side.RecvSleeper.Load(); sleeper != 0 {
 		g := GTID(sleeper)
 		if p := e.lib.H.Process(g.PID()); p != nil {
@@ -111,7 +112,7 @@ func (e *rdmaEP) markFailed() {
 // the QP has failed.
 func (e *rdmaEP) progress(ctx exec.Context) {
 	e.lib.pump(ctx)
-	if e.failed.Load() {
+	if e.failed {
 		e.maybeRecover(ctx)
 	}
 }
@@ -196,7 +197,7 @@ func (e *rdmaEP) startAttempt(ctx exec.Context, r *recoverState, now int64) {
 	if e.selfRingRKey == 0 {
 		// The peer's new QP writes to the same rings, through MRs of this
 		// process's PD: an inherited endpoint registers them now.
-		rx, credit := l.pd.RegisterRingAt(new(rdma.MR), e.side.RX), l.pd.RegisterBytes(e.side.CreditIn)
+		rx, credit := l.pd.RegisterRingAt(new(rdma.MR), e.side.RX), l.pd.RegisterBytes(e.side.creditIn[:])
 		e.side.mrs = append(e.side.mrs, rx, credit)
 		e.selfRingRKey, e.selfCreditRKey = rx.RKey(), credit.RKey()
 	}
@@ -240,7 +241,7 @@ func (e *rdmaEP) finishRecovery(ctx exec.Context, r *recoverState, pr pendingReQ
 		return
 	}
 	olds := l.switchEP(e.side.QID, ep2)
-	e.side.creditEP.Store(ep2.boxed())
+	e.side.creditEP = ep2
 	// Retire the dead QP on our side too: its QPN must never match a stale
 	// in-flight packet against recycled ring offsets.
 	closeQPs(olds)
@@ -267,7 +268,7 @@ func (e *rdmaEP) finishRecovery(ctx exec.Context, r *recoverState, pr pendingReQ
 // cursors are CAS-max monotonic, so overlapping re-delivery is a
 // byte-identical no-op.
 func (e *rdmaEP) resync(ctx exec.Context) {
-	e.inflight.Store(0)
+	e.inflight = 0
 	e.refreshCredit()
 	cr := e.side.TX.Credit()
 	if cr < e.side.TxFlushed.Load() {

@@ -29,7 +29,7 @@ func (l *Libsd) reRegisterReport() {
 	}
 	listens := make([]listenRec, 0, len(l.backlogs))
 	for key, bl := range l.backlogs {
-		if bl.bindStatus.Load() == 1 {
+		if bl.bindStatus == 1 {
 			listens = append(listens, listenRec{port: key.port, tid: key.tid})
 		}
 	}
@@ -43,7 +43,7 @@ func (l *Libsd) reRegisterReport() {
 	}
 	pends := make([]uint64, 0, len(l.pending))
 	for connID, pc := range l.pending {
-		if pc.status.Load() == 0 {
+		if pc.status == 0 {
 			pends = append(pends, connID)
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"io"
-	"sync/atomic"
 
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
@@ -50,9 +49,9 @@ type Socket struct {
 
 	// Overload controls. Deadlines are absolute virtual-clock nanoseconds
 	// (0 = none); nonblock turns every would-wait point into an immediate
-	// EWOULDBLOCK. Atomics: one thread may arm one while another is mid-op.
-	deadline [2]atomic.Int64 // by direction
-	nonblock atomic.Bool
+	// EWOULDBLOCK.
+	deadline [2]int64 // by direction
+	nonblock bool
 
 	// movedBytes and movedMsgs are what the data operation under way has
 	// moved, by direction: payload bytes, and the messages that carried
@@ -70,16 +69,16 @@ type Socket struct {
 // SetSendDeadline arms an absolute virtual-time deadline (ns) for send-side
 // waits: ring-full sends, send-token takeovers, zero-copy pool-slot waits.
 // A send that cannot complete by the deadline returns ETIMEDOUT. 0 clears.
-func (s *Socket) SetSendDeadline(at int64) { s.deadline[DirSend].Store(at) }
+func (s *Socket) SetSendDeadline(at int64) { s.deadline[DirSend] = at }
 
 // SetRecvDeadline arms an absolute virtual-time deadline (ns) for recv-side
 // waits (empty-ring blocking, recv-token takeovers). 0 clears.
-func (s *Socket) SetRecvDeadline(at int64) { s.deadline[DirRecv].Store(at) }
+func (s *Socket) SetRecvDeadline(at int64) { s.deadline[DirRecv] = at }
 
 // SetNonblock switches the socket into (or out of) O_NONBLOCK mode: any
 // operation that would wait returns EWOULDBLOCK instead, and epoll's
 // EPOLLIN/EPOLLOUT report when a retry can make progress.
-func (s *Socket) SetNonblock(on bool) { s.nonblock.Store(on) }
+func (s *Socket) SetNonblock(on bool) { s.nonblock = on }
 
 // initFlow registers the socket in the obs flow table (the `sdstat` view,
 // §4.5 introspection). Called once the endpoint is established; the socket

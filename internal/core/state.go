@@ -64,12 +64,6 @@ type SideState struct {
 	// inter-host socket they are this host's local copies, synchronized
 	// by RDMA.
 	TX, RX *shm.Ring
-	// CreditIn is the 8-byte credit word the remote receiver writes with
-	// one-sided RDMA (inter-host only; MR-registered). The RX tail has no
-	// word: it arrives as the immediate of the remote sender's last write
-	// (rdmaEP.onRecvCQE), and whichever process's QP took the write
-	// publishes it into the shared ring.
-	CreditIn []byte
 
 	// Token fast path (§4.1), by direction (DirSend, DirRecv): the GTID
 	// currently holding each token. Reading your own GTID here is the
@@ -115,10 +109,9 @@ type SideState struct {
 	// TxFlushed is how far the TX ring has been mirrored to the peer.
 	TxFlushed atomic.Uint64
 	// creditEP posts credit-return writes for the RX ring; the current
-	// receive-token holder installs its endpoint here. Boxed behind an
-	// interface so the degraded (kernel-TCP) endpoint can stand in for the
-	// RDMA one.
-	creditEP atomic.Pointer[creditBox]
+	// receive-token holder installs its endpoint here: the RDMA one, or the
+	// degraded (kernel-TCP) one that stands in for it.
+	creditEP creditPoster
 	// LastCreditOut is the most recent credit value this side published to
 	// the peer; recovery re-posts it (a credit write lost to the fault would
 	// otherwise shrink the peer's send window forever).
@@ -126,14 +119,16 @@ type SideState struct {
 
 	// Remote zero-copy pool (sender-managed free slots, Fig. 5b). Access
 	// is serialized by the send token. poolLent marks the slots in flight.
-	PoolRKey   uint64
-	PoolFree   []int32
-	poolLent   [zcPoolPages / 64]uint64
-	PoolRemote int // slot count advertised by the peer, at most zcPoolPages
-	PoolWant   int // slots the sender is polling PoolFree for (zcWaiter)
+	PoolRKey uint64
+	PoolFree []int32
+	poolLent [zcPoolPages / 64]uint64
+	PoolWant int // slots the sender is polling PoolFree for (zcWaiter)
 
-	// LocalPool is this side's pinned receive pool (shared across fork).
+	// LocalPool is this side's pinned receive pool (shared across fork);
+	// poolHeld marks its slots that a queued arrival names, which no other
+	// descriptor may name until the arrival is received (queueZC).
 	LocalPool *zcPool
+	poolHeld  [zcPoolPages / 64]uint64
 
 	// PendingReturns are freed pool slots awaiting a send-token holder to
 	// carry them back in band (the receive path may not write the TX ring).
@@ -151,7 +146,12 @@ type SideState struct {
 	eps    []*rdmaEP
 	mrs    []*rdma.MR
 	segTok shm.Token
-	word   [8]byte // backing store of CreditIn
+	// creditIn is the credit word the remote receiver writes with one-sided
+	// RDMA (inter-host only; MR-registered). The RX tail has no word: it
+	// arrives as the immediate of the remote sender's last write
+	// (rdmaEP.onRecvCQE), and whichever process's QP took the write
+	// publishes it into the shared ring.
+	creditIn [8]byte
 	// sock is the Socket a clean release detaches before the segment is
 	// reused; nil once a second process inherited the side, whose segment
 	// is then dropped. home is an inter-host side's interSide.

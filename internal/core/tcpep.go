@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
@@ -38,7 +37,7 @@ type tcpEP struct {
 	// and another thread of the process must not interleave a frame.
 	writing bool
 	wbuf    []byte
-	started atomic.Bool // hello sent (deferred until a ctx is available)
+	started bool // hello sent (deferred until a ctx is available)
 
 	// draining is set while drain reads and parses: kf.Read charges the
 	// syscall and the copy, a charge may hand the core to another thread,
@@ -47,10 +46,10 @@ type tcpEP struct {
 	rxBuf    []byte
 	scratch  [4096]byte
 
-	helloSeen  atomic.Bool   // peer hello parsed; data may flow
-	rewindTo   atomic.Uint64 // requested TxFlushed rewind (+1 encoding)
-	pendCredit atomic.Uint64 // latest credit to publish (+1 encoding)
-	closed     atomic.Bool   // TCP error/EOF: peer truly unreachable
+	helloSeen  bool   // peer hello parsed; data may flow
+	rewindTo   uint64 // requested TxFlushed rewind (+1 encoding)
+	pendCredit uint64 // latest credit to publish (+1 encoding)
+	closed     bool   // TCP error/EOF: peer truly unreachable
 }
 
 const (
@@ -76,10 +75,10 @@ func newTCPEP(l *Libsd, side *SideState, kf host.KFile, dialer string) *tcpEP {
 // write sends b fully; a TCP error latches closed (the rescue path itself
 // failed, so the peer is genuinely unreachable).
 func (e *tcpEP) write(ctx exec.Context, b []byte) {
-	for len(b) > 0 && !e.closed.Load() {
+	for len(b) > 0 && !e.closed {
 		n, err := e.kf.Write(ctx, b)
 		if err != nil {
-			e.closed.Store(true)
+			e.closed = true
 			return
 		}
 		b = b[n:]
@@ -98,7 +97,7 @@ func (e *tcpEP) sendHello(ctx exec.Context) {
 	e.writing = true
 	e.write(ctx, f[:])
 	e.writing = false
-	e.pendCredit.Store(e.side.LastCreditOut.Load() + 1)
+	e.pendCredit = e.side.LastCreditOut.Load() + 1
 	e.flushCredit(ctx)
 }
 
@@ -111,7 +110,8 @@ func (e *tcpEP) progress(ctx exec.Context) {
 	if ctx == (exec.Context{}) {
 		return // capability probe (signal handler); no I/O without a ctx
 	}
-	if e.started.CompareAndSwap(false, true) {
+	if !e.started {
+		e.started = true
 		e.sendHello(ctx)
 	}
 	e.drain(ctx)
@@ -138,12 +138,12 @@ func (e *tcpEP) tryRecv(ctx exec.Context) (shm.Msg, bool) {
 }
 
 func (e *tcpEP) canRecv() bool {
-	return e.side.RX.CanRecv() || (!e.closed.Load() && e.kf.Readable())
+	return e.side.RX.CanRecv() || (!e.closed && e.kf.Readable())
 }
 
 func (e *tcpEP) kick(ctx exec.Context) {}
 
-func (e *tcpEP) peerAlive() bool { return !e.closed.Load() }
+func (e *tcpEP) peerAlive() bool { return !e.closed }
 
 // drain reads everything the kernel socket has buffered and applies
 // complete frames. Readable() gating keeps kf.Read from parking.
@@ -152,10 +152,10 @@ func (e *tcpEP) drain(ctx exec.Context) {
 		return // someone else is draining; their progress is ours
 	}
 	e.draining = true
-	for !e.closed.Load() && e.kf.Readable() {
+	for !e.closed && e.kf.Readable() {
 		n, err := e.kf.Read(ctx, e.scratch[:])
 		if err != nil {
-			e.closed.Store(true)
+			e.closed = true
 			break
 		}
 		e.rxBuf = append(e.rxBuf, e.scratch[:n]...)
@@ -175,8 +175,8 @@ func (e *tcpEP) parse() {
 			}
 			// Rewind is applied by flushData while it writes, so it
 			// cannot interleave with a concurrent cursor advance.
-			e.rewindTo.Store(le.Uint64(buf[1:]) + 1)
-			e.helloSeen.Store(true)
+			e.rewindTo = le.Uint64(buf[1:]) + 1
+			e.helloSeen = true
 			buf = buf[9:]
 		case tcpCredit:
 			if len(buf) < 9 {
@@ -197,7 +197,7 @@ func (e *tcpEP) parse() {
 			buf = buf[13+n:]
 		default:
 			// Corrupt stream: there is no way to resynchronize framing.
-			e.closed.Store(true)
+			e.closed = true
 			buf = nil
 		}
 	}
@@ -229,7 +229,7 @@ func (e *tcpEP) applyData(start uint64, b []byte, publish bool) {
 // flushData mirrors [TxFlushed, tail) of the TX ring into data frames,
 // chunked so no single kf.Write can park for long.
 func (e *tcpEP) flushData(ctx exec.Context) {
-	if !e.helloSeen.Load() || e.closed.Load() {
+	if !e.helloSeen || e.closed {
 		return
 	}
 	if e.writing {
@@ -237,7 +237,8 @@ func (e *tcpEP) flushData(ctx exec.Context) {
 	}
 	e.writing = true
 	defer func() { e.writing = false }()
-	if r := e.rewindTo.Swap(0); r != 0 {
+	if r := e.rewindTo; r != 0 {
+		e.rewindTo = 0
 		if v := r - 1; v < e.side.TxFlushed.Load() {
 			e.side.TxFlushed.Store(v)
 		}
@@ -251,7 +252,7 @@ func (e *tcpEP) flushData(ctx exec.Context) {
 	for {
 		written := ring.Tail() // published cursor: safe from any thread
 		flushed := e.side.TxFlushed.Load()
-		if written == flushed || e.closed.Load() {
+		if written == flushed || e.closed {
 			return
 		}
 		if !e.kf.Writable() {
@@ -282,18 +283,15 @@ func (e *tcpEP) flushData(ctx exec.Context) {
 // park where parking is illegal — so the value is parked here and flushed
 // by the next progress/tryRecv call, which does hold a ctx.
 func (e *tcpEP) creditHook(read uint64) {
-	e.pendCredit.Store(read + 1)
+	e.pendCredit = read + 1
 }
 
 func (e *tcpEP) flushCredit(ctx exec.Context) {
-	v := e.pendCredit.Swap(0)
-	if v == 0 || e.closed.Load() {
-		return
+	v := e.pendCredit
+	if v == 0 || e.closed || e.writing {
+		return // nothing to post, nowhere to post it, or a frame under way: the next call posts it
 	}
-	if e.writing {
-		e.pendCredit.CompareAndSwap(0, v) // keep unless a newer value landed
-		return
-	}
+	e.pendCredit = 0
 	var f [9]byte
 	f[0] = tcpCredit
 	binary.LittleEndian.PutUint64(f[1:], v-1)
@@ -344,7 +342,7 @@ func (l *Libsd) onDegraded(ctx exec.Context, m *ctlmsg.Msg) {
 		obs.Trigger(obs.TrigDegraded, l.H.Clk.Now(), "rescue TCP installed on "+l.H.Name)
 	}
 	olds := l.switchEP(m.QID, ep)
-	side.creditEP.Store(&creditBox{ep})
+	side.creditEP = ep
 	// Retire any still-registered QPs for this socket: from here on the
 	// stream lives on TCP, and a resurrected RDMA path would fork it.
 	closeQPs(olds)

@@ -6,7 +6,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
@@ -87,11 +86,11 @@ type wait struct {
 	idle exec.Idler // the site's "nothing to do", for the scheduler: the predicates at the end of this file
 
 	// What may end the wait besides what it waits for.
-	sock     *Socket       // the socket whose peer may die
-	dir      int           // of sock's directions, the one the wait is on
-	nonblock *atomic.Bool  // O_NONBLOCK
-	deadline *atomic.Int64 // absolute, 0 when not armed
-	ctl      *ctlWait      // a request with the monitor: its silence, its restart
+	sock     *Socket  // the socket whose peer may die
+	dir      int      // of sock's directions, the one the wait is on
+	nonblock *bool    // O_NONBLOCK
+	deadline *int64   // absolute, 0 when not armed
+	ctl      *ctlWait // a request with the monitor: its silence, its restart
 
 	// One empty iteration.
 	t       *host.Thread // holds dir's token of sock and its busy mark, and hands the token over when asked (§4.1.1)
@@ -126,7 +125,7 @@ func (w *wait) block(ctx exec.Context) error {
 		if w.ctl != nil {
 			// Before the poll: a message it dispatches may be the awaited
 			// one, and then the site has to look again at once.
-			w.ctl.seen = l.ctlSeen.Load()
+			w.ctl.seen = l.ctlSeen
 		}
 		l.pollCtl(ctx)
 	}
@@ -194,7 +193,7 @@ func (w *wait) exit(ctx exec.Context) error {
 			}
 		}
 	}
-	if w.nonblock != nil && w.nonblock.Load() {
+	if w.nonblock != nil && *w.nonblock {
 		mEWouldBlock.Inc()
 		return EWOULDBLOCK
 	}
@@ -205,10 +204,7 @@ func (w *wait) exit(ctx exec.Context) error {
 	return nil
 }
 
-func past(deadline *atomic.Int64, now int64) bool {
-	dl := deadline.Load()
-	return dl != 0 && now >= dl
-}
+func past(deadline *int64, now int64) bool { return *deadline != 0 && now >= *deadline }
 
 // pollEvery is how far apart the wait spaces its polls: not at all, unless it
 // drives an endpoint that has failed, which this loop recovers, or fallen back
@@ -218,7 +214,7 @@ func (w *wait) pollEvery() int64 {
 	if w.drives {
 		switch ep := w.sock.ep.(type) {
 		case *rdmaEP:
-			if ep.failed.Load() {
+			if ep.failed {
 				return recoveryPollInterval
 			}
 		case *tcpEP:
@@ -235,11 +231,11 @@ func (w *wait) park(ctx exec.Context) {
 		return // something came during the last poll
 	}
 	w.sleeper.doze(ctx, w.t)
-	if w.deadline != nil && w.deadline.Load() != 0 {
+	if w.deadline != nil && *w.deadline != 0 {
 		// The loop finds the deadline passed; an unpark after the wait has
 		// ended is absorbed by the permit.
 		th := ctx.Self()
-		ctx.After(w.deadline.Load()-ctx.Now(), th.Unpark)
+		ctx.After(*w.deadline-ctx.Now(), th.Unpark)
 	}
 	w.l.leave()
 	ctx.Park()
@@ -317,9 +313,9 @@ type ctlWait struct {
 	// every, when set, is how often m goes out again unasked.
 	every, asked int64
 
-	deadline atomic.Int64 // the call's own bound (a dial's)
-	sock     *Socket      // whose peer's death ends the wait: a dial's once its answer is in, a splice's, a takeover's
-	token    bool         // a takeover of sock's direction dir, last seen with held
+	deadline int64   // the call's own bound (a dial's)
+	sock     *Socket // whose peer's death ends the wait: a dial's once its answer is in, a splice's, a takeover's
+	token    bool    // a takeover of sock's direction dir, last seen with held
 	dir      int
 	held     int64
 }
@@ -365,7 +361,7 @@ func (c *ctlWait) send() {
 
 // silence is how long the awaited shard has said nothing, as of now.
 func (c *ctlWait) silence(now int64) int64 {
-	if last := c.l.lastCtlRecv[c.shard].Load(); last > c.start {
+	if last := c.l.lastCtlRecv[c.shard]; last > c.start {
 		return now - last
 	}
 	return now - c.start
@@ -416,11 +412,11 @@ func (c *ctlWait) duties() error {
 func (c *ctlWait) Idle(now int64) bool {
 	l, s := c.l, c.sock
 	if c.token {
-		if s.side.Holder[c.dir].Load() != c.held || !s.mayWait(now, c.dir) || l.hasRevokes.Load() {
+		if s.side.Holder[c.dir].Load() != c.held || !s.mayWait(now, c.dir) || l.hasRevokes {
 			return false
 		}
 	}
-	return l.ctlSeen.Load() == c.seen && l.monEpoch.Load() == c.epoch &&
+	return l.ctlSeen == c.seen && l.monEpoch.Load() == c.epoch &&
 		!l.P.Dead() && l.ctlIdle() && (s == nil || !s.peerGone()) &&
 		!past(&c.deadline, now) && (c.every == 0 || now-c.asked < c.every) &&
 		now-c.lastPing < ctlPingEvery && c.silence(now) <= ctlDeadAfter
@@ -435,14 +431,14 @@ type ackWaiter ctlWait
 func (a *ackWaiter) Idle(now int64) bool {
 	c := (*ctlWait)(a)
 	l, s := c.l, c.sock
-	return !s.side.RX.CanRecv() && l.ctlSeen.Load() == c.seen && l.cqsEmpty() && !l.P.Dead() &&
+	return !s.side.RX.CanRecv() && l.ctlSeen == c.seen && l.cqsEmpty() && !l.P.Dead() &&
 		!past(&c.deadline, now) && l.ctlIdle() && !s.peerGone()
 }
 
 // mayWait reports whether O_NONBLOCK and dir's deadline let a wait on s go on
 // at time now.
 func (s *Socket) mayWait(now int64, dir int) bool {
-	return !s.nonblock.Load() && !past(&s.deadline[dir], now)
+	return !s.nonblock && !past(&s.deadline[dir], now)
 }
 
 // quiet is what the data path's predicates share: a healthy endpoint with no
@@ -452,7 +448,7 @@ func (s *Socket) quiet() bool {
 	switch ep := s.ep.(type) {
 	case *shmEP:
 	case *rdmaEP:
-		if ep.failed.Load() || !l.cqsEmpty() {
+		if ep.failed || !l.cqsEmpty() {
 			return false // recovery is driven by the wait; a CQE by the pump
 		}
 	default:
@@ -479,7 +475,7 @@ func (w *recvWaiter) Idle(now int64) bool {
 	me := s.side.Poller[DirRecv]
 	// What usually ends the wait first: a thread woken by data pays one load.
 	return !s.side.RX.CanRecv() && !s.side.is(rxShut) && s.quiet() &&
-		(me == 0 || s.holds(DirRecv, me) && !s.nonblock.Load()) && !past(&s.deadline[DirRecv], now)
+		(me == 0 || s.holds(DirRecv, me) && !s.nonblock) && !past(&s.deadline[DirRecv], now)
 }
 
 // doze is the switch of s's receive queue to interrupt mode: the peer's
@@ -519,7 +515,7 @@ func (l *Libsd) wakeParked() {
 }
 
 // Idle holds while the next send attempt would fail as the last did: no credit
-// came back (inter-host: into CreditIn) and no burst is open to publish.
+// came back (inter-host: into the credit word) and no burst is open to publish.
 func (w *sendWaiter) Idle(now int64) bool {
 	s := (*Socket)(w)
 	tx, me := s.side.TX, s.side.Poller[DirSend]
@@ -550,7 +546,7 @@ type acceptWaiter Listener
 func (w *acceptWaiter) Idle(now int64) bool {
 	lst := (*Listener)(w)
 	l := lst.lib
-	return !past(&lst.deadline, now) && !l.P.Dead() && !lst.nonblock.Load() &&
+	return !past(&lst.deadline, now) && !l.P.Dead() && !lst.nonblock &&
 		l.monEpoch.Load() == lst.hint.epoch && l.ctlIdle() && len(lst.bl.conns) == 0
 }
 

@@ -84,14 +84,23 @@ func (s *Socket) zcs() *zcState {
 // zcQueued reports a zero-copy arrival awaiting its receive.
 func (s *Socket) zcQueued() bool { return s.zc != nil && len(s.zc.rx) > 0 }
 
-// pop removes the oldest arrival, moving the rest down so that rx keeps its
-// backing array.
-func (z *zcState) pop() zcRecv {
+// popZC removes the oldest arrival, moving the rest down so that rx keeps
+// its backing array, and lets go of the pool slots it held.
+func (s *Socket) popZC() zcRecv {
+	z := s.zc
 	r := z.rx[0]
 	n := copy(z.rx, z.rx[1:])
 	z.rx[n] = zcRecv{}
 	z.rx = z.rx[:n]
+	s.side.unhold(r.slots)
 	return r
+}
+
+// unhold clears slots from the side's held set.
+func (s *SideState) unhold(slots []int32) {
+	for _, slot := range slots {
+		s.poolHeld[slot>>6] &^= 1 << (slot & 63)
+	}
 }
 
 // spent takes back the buffers of an arrival nobody reads any more.
@@ -170,7 +179,9 @@ func appendReturnedSlots(dst []int32, payload []byte) []int32 {
 }
 
 // queueZC decodes an MZC descriptor into pending receive state. Bad
-// descriptors (forged page ids) poison the socket rather than the host.
+// descriptors (forged page ids) poison the socket rather than the host. An
+// inter-host descriptor may name only slots no queued arrival holds, each
+// once: remapZC would otherwise map one frame twice.
 func (s *Socket) queueZC(payload []byte) {
 	kind, total, items, ok := parseZC(payload)
 	if !ok {
@@ -196,12 +207,15 @@ func (s *Socket) queueZC(payload []byte) {
 			z.spent(r)
 			return
 		}
+		held := &s.side.poolHeld
 		for ; len(items) > 0; items = items[zcSlotLen:] {
 			slot := int32(binary.LittleEndian.Uint32(items))
-			if slot < 0 || int(slot) >= len(pool.ids) {
+			if slot < 0 || int(slot) >= len(pool.ids) || held[slot>>6]&(1<<(slot&63)) != 0 {
+				s.side.unhold(r.slots)
 				z.spent(r)
 				return
 			}
+			held[slot>>6] |= 1 << (slot & 63)
 			r.ids = append(r.ids, pool.ids[slot])
 			r.slots = append(r.slots, slot)
 		}
@@ -247,7 +261,7 @@ func (s *Socket) SendVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int)
 	case *shmEP:
 		err = s.zcSendIntra(ctx, addr, whole)
 	case *rdmaEP:
-		if ep.failed.Load() {
+		if ep.failed {
 			// No QP to post the pages on — a dead one, or none yet: the bytes
 			// take the ring, which recovery re-sends.
 			return s.sendVACopy(ctx, t, addr, n, true)
@@ -418,7 +432,7 @@ func (s *Socket) RecvVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int)
 // remapZC maps the oldest zero-copy arrival's pages at addr and reads its
 // sub-page tail in behind them.
 func (s *Socket) remapZC(ctx exec.Context, addr mem.VAddr) (int, error) {
-	z := s.zc.pop()
+	z := s.popZC()
 	total, whole := z.total, z.total&^(mem.PageSize-1)
 	if err := s.lib.P.AS.MapPages(&ctx, addr, z.ids); err != nil {
 		s.zc.spent(z)
@@ -505,7 +519,7 @@ func (s *Socket) materializeZC(ctx exec.Context, buf []byte) (int, error) {
 	mZCCopies.Inc()
 	host.CountCopy(len(out))
 	ctx.Charge(s.lib.H.Costs.CopyCost(len(out)))
-	r := s.zc.pop()
+	r := s.popZC()
 	if r.intra {
 		s.lib.H.Mem.Unref(r.ids) // transfer refs die here
 	} else if _, ok := s.ep.(*rdmaEP); ok {

@@ -253,11 +253,61 @@ func TestForgedZCReturnIsDropped(t *testing.T) {
 	w.sim.Run()
 }
 
+// TestZCSlotNamedTwiceIsDropped: an inter-host descriptor names slots of the
+// receiver's pinned pool, and RecvVA maps the frames in them. A descriptor
+// that names a slot twice, or a slot an arrival still queued names, would
+// have one frame mapped twice: it is dropped whole. A slot is free to name
+// again once the arrival holding it has been received.
+func TestZCSlotNamedTwiceIsDropped(t *testing.T) {
+	w := newWorld(t)
+	var s *core.Socket
+	connected(t, w, true, 7657, func(ctx exec.Context, th *host.Thread, sock *core.Socket) { s = sock }, nil)
+	w.sim.Run()
+	desc := func(slots ...int32) []byte {
+		return core.AppendZCSlots(core.AppendZCHeader(nil, core.ZCInter, len(slots)*mem.PageSize, len(slots)), slots)
+	}
+	for _, tc := range []struct {
+		name string
+		feed [][]byte
+		want int // arrivals queued
+	}{
+		{"a slot twice", [][]byte{desc(3, 3)}, 0},
+		{"a slot a queued arrival holds", [][]byte{desc(3, 4), desc(5, 4)}, 1},
+		{"distinct slots", [][]byte{desc(3, 4), desc(5, 6)}, 2},
+		{"a slot received before", [][]byte{desc(4, 3)}, 1},
+	} {
+		got := s.FeedZC(false, tc.feed...)
+		if len(got) != tc.want {
+			t.Errorf("%s: %d arrivals queued, want %d", tc.name, len(got), tc.want)
+		}
+		if dup := sharedFrame(got); dup != 0 {
+			t.Errorf("%s: frame %d queued twice", tc.name, dup)
+		}
+	}
+}
+
+// sharedFrame returns a frame that two of the arrivals' pages name, or 0.
+func sharedFrame(arrivals []core.ZCArrival) mem.PageID {
+	seen := map[mem.PageID]bool{}
+	for _, a := range arrivals {
+		for _, id := range a.Frames {
+			if seen[id] {
+				return id
+			}
+			seen[id] = true
+		}
+	}
+	return 0
+}
+
 // FuzzZCDescriptor feeds arbitrary bytes to the receiver of MZC and MZCRet
-// messages, over shared memory and over RDMA. The peer and its queue are
-// untrusted (§4.3): no payload may panic the receiver, queue an arrival whose
-// pages outnumber the whole pages of the bytes it announces (RecvVA sizes its
-// buffer check by the bytes and maps the pages), or move a buffer or a frame.
+// messages, over shared memory and over RDMA, twice in a row. The peer and
+// its queue are untrusted (§4.3): no payload may panic the receiver, queue an
+// arrival whose pages outnumber the whole pages of the bytes it announces
+// (RecvVA sizes its buffer check by the bytes and maps the pages), have
+// RDMA arrivals queued together name one pool frame twice (RecvVA would map
+// it twice), or move a buffer or a frame. (An intra-host descriptor that
+// names one frame twice is still queued: ROADMAP item 9.)
 func FuzzZCDescriptor(f *testing.F) {
 	w := newWorld(f)
 	var socks []*core.Socket
@@ -277,7 +327,7 @@ func FuzzZCDescriptor(f *testing.F) {
 	}
 	pm := w.a.Mem
 	honest := pm.AppendObfuscated(core.AppendZCHeader(nil, core.ZCIntra, 4*mem.PageSize+7, 4), frames)
-	if got := socks[0].FeedZC(false, honest); len(got) != 1 || got[0].Pages != 4 {
+	if got := socks[0].FeedZC(false, honest); len(got) != 1 || len(got[0].Frames) != 4 {
 		f.Fatalf("an honest descriptor queued %v", got)
 	}
 	f.Add(false, honest)
@@ -289,11 +339,15 @@ func FuzzZCDescriptor(f *testing.F) {
 	f.Add(true, []byte{0xff, 0xff, 0xff, 0xff, 1})
 	f.Fuzz(func(t *testing.T, ret bool, payload []byte) {
 		bufs, live := bufpool.Outstanding(), w.a.Mem.FrameCount()+w.b.Mem.FrameCount()
-		for _, s := range socks {
-			for _, a := range s.FeedZC(ret, payload) {
-				if a.Pages == 0 || a.Pages != a.Total>>mem.PageShift {
-					t.Errorf("queued %d pages for %d bytes", a.Pages, a.Total)
+		for i, s := range socks {
+			got := s.FeedZC(ret, payload, payload)
+			for _, a := range got {
+				if len(a.Frames) == 0 || len(a.Frames) != a.Total>>mem.PageShift {
+					t.Errorf("queued %d pages for %d bytes", len(a.Frames), a.Total)
 				}
+			}
+			if dup := sharedFrame(got); i == 1 && dup != 0 {
+				t.Errorf("frame %d of the pinned pool queued twice", dup)
 			}
 		}
 		if got := bufpool.Outstanding(); got != bufs {

@@ -9,7 +9,6 @@ package host
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"socksdirect/internal/costmodel"
 	"socksdirect/internal/exec"
@@ -215,7 +214,7 @@ type Process struct {
 	fds      map[int]KFile
 	threads  []*Thread
 	nextTID  int
-	dead     atomic.Bool // written in terminate; every poll loop reads it
+	dead     bool // written in terminate; every poll loop reads it
 	handlers map[Signal]func(Signal)
 	// Libsd is an opaque slot for the per-process user-space socket
 	// library state (set by internal/core); the host layer never looks
@@ -312,10 +311,10 @@ func (p *Process) Exit(ctx exec.Context) { p.terminate(ctx) }
 //     corpse, and exits;
 //  5. fire the host death hooks (the monitor's per-process lifeline).
 func (p *Process) terminate(ctx exec.Context) {
-	if p.dead.Load() {
+	if p.dead {
 		return
 	}
-	p.dead.Store(true)
+	p.dead = true
 	fds := p.fds
 	p.fds = make(map[int]KFile)
 	p.freeFDs = nil
@@ -340,7 +339,7 @@ func (p *Process) terminate(ctx exec.Context) {
 }
 
 // Dead reports whether the process was killed.
-func (p *Process) Dead() bool { return p.dead.Load() }
+func (p *Process) Dead() bool { return p.dead }
 
 // Fork creates a child process: kernel FDs are shared (refcounted), the
 // address space is fresh (zero-copy buffers are re-established lazily),

@@ -181,7 +181,7 @@ type FlowSnapshot struct {
 	Takeovers int64  `json:"takeovers"`
 	Recovs    int64  `json:"recoveries"`
 	Resets    int64  `json:"resets"`
-	RingHW    int64  `json:"ring_hw"` // send-ring occupancy high-water, bytes
+	RingHW    int64  `json:"ring_hw"` // send ring's high-water of bytes sent and not yet credited back (Ring.OccHW)
 	Epoch     uint32 `json:"epoch"`   // monitor incarnation the endpoint last saw
 	Shard     int    `json:"shard"`   // monitor control-plane shard owning the QID
 }

@@ -18,7 +18,6 @@ package rdma
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"socksdirect/internal/bufpool"
 	"socksdirect/internal/costmodel"
@@ -70,9 +69,6 @@ type CQE struct {
 // thread one shared CQ so it polls a single queue for all sockets (§4.2
 // "Amortize polling overhead").
 type CQ struct {
-	// n is the number of pending completions: pollers find the queue
-	// empty far more often than not.
-	n      atomic.Int32
 	items  []CQE // items[head:] are pending
 	head   int
 	notify []func() // one-shot arms, ibv_req_notify_cq-style (all fire once)
@@ -100,7 +96,6 @@ func (cq *CQ) push(e CQE) {
 		cq.head = 0
 	}
 	cq.items = append(cq.items, e)
-	cq.n.Add(1)
 	ns := cq.notify
 	cq.notify = cq.firing[:0]
 	cq.firing = ns
@@ -112,9 +107,6 @@ func (cq *CQ) push(e CQE) {
 
 // PollOne dequeues a single completion without allocating.
 func (cq *CQ) PollOne() (CQE, bool) {
-	if cq.n.Load() == 0 {
-		return CQE{}, false
-	}
 	if cq.head == len(cq.items) {
 		return CQE{}, false
 	}
@@ -123,7 +115,6 @@ func (cq *CQ) PollOne() (CQE, bool) {
 	if cq.head == len(cq.items) {
 		cq.items, cq.head = cq.items[:0], 0 // drained: reuse the array from its start
 	}
-	cq.n.Add(-1)
 	return e, true
 }
 
@@ -141,7 +132,7 @@ func (cq *CQ) Arm(fn func()) {
 }
 
 // Len reports pending completions.
-func (cq *CQ) Len() int { return int(cq.n.Load()) }
+func (cq *CQ) Len() int { return len(cq.items) - cq.head }
 
 // PD is a protection domain: MRs and QPs in different PDs cannot touch.
 type PD struct {

@@ -8,10 +8,15 @@
 // returns credits in bulk once it has consumed half the ring.
 //
 // On a real machine the two sides are separate processes sharing mapped
-// pages; here they are goroutines sharing one allocation. The
-// correctness-relevant property — total-store-ordered release/acquire
-// visibility of the tail pointer after payload writes — is provided by Go's
-// atomics exactly as x86 TSO provides it in the paper.
+// pages; here they are threads of one Sim, which runs one at a time (two
+// goroutines in TestRingConcurrentStress). The words one side writes for
+// the other — the tail, the credit word, the backing's base and extent —
+// are the ring's only atomics, and give the release/acquire visibility of
+// the tail after the payload that x86 TSO gives in the paper; every other
+// field is one side's own. The peer is untrusted (§3): whatever it writes
+// into a header, the tail or the credit word, a receive returns no payload
+// outside the backing and never reads past a published tail, and a send
+// writes nothing past the capacity (FuzzRingHeader).
 //
 // A ring's storage is backed as it is written, as mapped pages are on
 // first touch: a 256 B head for a small first write, the whole capacity
@@ -264,10 +269,12 @@ func (r *Ring) EndBurst() {
 	}
 }
 
-// OccHW returns the highest sender-side occupancy (bytes in flight between
-// the two cores) this ring has seen. Sender-local and unsynchronized: a
-// concurrent reader gets a recent, not necessarily latest, value — fine
-// for the sdstat snapshot it feeds.
+// OccHW returns the highest sender-side occupancy this ring has seen: bytes
+// sent and not yet credited back (written − creditSeen). The receiver returns
+// credit in bulk, once it has consumed half the ring or finds it empty, so
+// this is not what the ring holds: it can read up to the capacity while the
+// ring holds a few bytes. Sender-local and unsynchronized: a concurrent
+// reader gets a recent, not necessarily latest, value.
 func (r *Ring) OccHW() uint64 { return r.occHW }
 
 // TryRecv dequeues one message. The returned payload aliases ring memory
@@ -330,17 +337,22 @@ func (r *Ring) TryRecvN(out []Msg) int {
 
 // next returns the ring offset and header of the next message, stepping
 // over a wrap marker, or false when no message is visible yet (a wrap
-// marker may be, and then it is consumed) or it would end past the backing.
+// marker may be, and then it is consumed). A message or marker that would
+// end past the backing or the tail is a hostile peer's (§3): it is not
+// taken, so read never passes the tail.
 func (r *Ring) next() (off, h uint64, ok bool) {
 	if !r.CanRecv() {
 		return 0, 0, false
 	}
 	off = r.read & r.mask
 	if off+hdrSize > uint64(len(r.view)) {
-		return 0, 0, false // a tail published past the backing: a hostile peer (§3)
+		return 0, 0, false
 	}
 	h = *hdrAt(r.view, off)
 	if typ, _, _ := unpackHdr(h); typ == wrapType {
+		if r.read+r.capacity-off > r.tailSeen {
+			return 0, 0, false
+		}
 		r.read += r.capacity - off
 		if !r.CanRecv() {
 			return 0, 0, false // the sender wrapped; its next message is not visible yet
@@ -348,7 +360,7 @@ func (r *Ring) next() (off, h uint64, ok bool) {
 		off, h = 0, *hdrAt(r.view, 0) // the marker was backed, so offset 0 is
 	}
 	_, _, n := unpackHdr(h)
-	return off, h, off+hdrSize+uint64(n) <= uint64(len(r.view))
+	return off, h, off+hdrSize+uint64(n) <= uint64(len(r.view)) && r.read+hdrSize+pad8(n) <= r.tailSeen
 }
 
 // take consumes the message whose header h is at off.

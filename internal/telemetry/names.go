@@ -23,7 +23,7 @@ const (
 	ShmCreditReturns = "sd/shm/ring/credit_returns"
 	ShmWrapMarkers   = "sd/shm/ring/wrap_markers"
 	ShmSendFull      = "sd/shm/ring/send_full"
-	ShmOccupancy     = "sd/shm/ring/occupancy"  // gauge: bytes in flight (high-water)
+	ShmOccupancy     = "sd/shm/ring/occupancy"  // gauge: bytes sent and not yet credited back (high-water), not what the ring holds
 	ShmMsgSize       = "sd/shm/ring/msg_size"   // distribution
 	ShmBatchSize     = "sd/shm/ring/batch_size" // distribution: bytes mirrored per RDMA flush
 

@@ -282,6 +282,90 @@ func sharedIn(n ast.Node) (what string) {
 	return what
 }
 
+// TestOnlySharedWordsAreAtomic keeps sync/atomic to the words another
+// process or a NIC writes (ARCHITECTURE.md "A Sim owns its state"): a Sim
+// runs one thread at a time, so the packages a world is made of mention
+// atomic.X, in non-test code, only where an entry below says why. An entry
+// is a file, "file Type" for the field declarations of a struct type, or
+// "file Type.field" for one field; the code those words name is exactly
+// what a hostile peer can scribble on (§3).
+func TestOnlySharedWordsAreAtomic(t *testing.T) {
+	allowed := map[string]string{
+		"shm/ring.go":             "the ring's tail and credit words, and the backing the receiver loads (base, ext), are written by the peer process or its NIC; TestRingConcurrentStress runs a ring across two goroutines",
+		"core/state.go SideState": "a socket side lives in a SHM segment that the peer's and forked processes' libsd write: token holders, return requests, busy marks, the sleeper, the peer PID, references, facts, the RDMA cursors",
+		"core/state.go ProcLink":  "the §4.4 interrupt words and the full-ring marks, in memory that the monitor and the process both write",
+		"core/libsd.go Libsd.monEpoch": "Socket.Probe reads it for the flow table, and obs.Trigger -> Capture -> obs.Flows() can run that probe " +
+			"from another world's goroutine while this one runs; ROADMAP item 3 moves the flow table into the world",
+	}
+	used := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, pkg := range simPackages {
+		paths, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no files in internal/%s: %v", pkg, err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := pkg + "/" + filepath.Base(path)
+			// check reports an atomic.X under n unless the most specific of
+			// keys that the allowlist has says why.
+			checked := map[ast.Node]bool{}
+			check := func(n ast.Node, keys ...string) {
+				ast.Inspect(n, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok || checked[sel] {
+						return true
+					}
+					if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "atomic" {
+						return true
+					}
+					checked[sel] = true
+					for _, k := range keys {
+						if allowed[k] != "" {
+							used[k] = true
+							return true
+						}
+					}
+					t.Errorf("%s: %s: atomic.%s on a word only this world writes: make it a plain field, or list it with the writer that shares it",
+						keys[0], fset.Position(sel.Pos()), sel.Sel.Name)
+					return true
+				})
+			}
+			for _, decl := range file.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, f := range st.Fields.List {
+						for _, name := range f.Names {
+							typ := key + " " + ts.Name.Name
+							check(f.Type, typ+"."+name.Name, typ, key)
+						}
+					}
+				}
+			}
+			check(file, key)
+		}
+	}
+	for key := range allowed {
+		if !used[key] {
+			t.Errorf("allowlist entry %q matches nothing any more: delete it", key)
+		}
+	}
+}
+
 // TestCodeCitesOnlyOpenItems fails on a ROADMAP item that Go code, a
 // current-state document or the CI workflow cites — "ROADMAP n", "ROADMAP n(x)",
 // "item n" — and that ROADMAP.md does not list under "Open items": items
