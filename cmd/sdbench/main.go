@@ -304,6 +304,7 @@ func connscale() {
 			sh.Shard, sh.Events, sh.P50Ns, sh.P99Ns)
 	}
 	fmt.Printf("  monitor dispatched %d connections\n", r.Dispatched)
+	fmt.Println("  " + r.EndCheck())
 	fmt.Println("paper: 1.4 M conns/s per app thread; monitor 5.3 M/s")
 }
 
@@ -331,6 +332,7 @@ func ablate() {
 type drillResult interface {
 	Passed() bool
 	String() string
+	Counters() telemetry.Snapshot // as the drill left them, before its world ended
 }
 
 var (
@@ -357,7 +359,7 @@ func drill(name string, run func() drillResult) func() {
 			printMembership(c)
 			fmt.Println()
 		}
-		printDeltas(name+" counter deltas (whole workload)", telemetry.Capture().Diff(before))
+		printDeltas(name+" counter deltas (whole workload)", r.Counters().Diff(before))
 		if !r.Passed() {
 			// The failing run ships its own evidence.
 			writeDump(fmt.Sprintf("sd-flight-%s-failure.trace.json", name),

@@ -45,31 +45,29 @@ func sdstatCmd(args []string) {
 	obs.Reset()
 	obs.SetArmed(false) // induced faults are expected; no dumps
 	var members []experiments.ClusterMember
+	var r drillResult // its counters are the workload's, from before its world ended
 	switch workload {
 	case "crash":
-		r := experiments.Crash(2, 2, 1024)
-		fmt.Fprintln(os.Stderr, r)
+		r = experiments.Crash(2, 2, 1024)
 	case "chaos":
-		r := experiments.Chaos(120, 1024)
-		fmt.Fprintln(os.Stderr, r)
+		r = experiments.Chaos(120, 1024)
 	case "smoke":
-		r := experiments.ObsSmoke(20, 512)
-		fmt.Fprintln(os.Stderr, r)
+		r = experiments.ObsSmoke(20, 512)
 	case "cluster":
-		r := experiments.ClusterSoak()
-		fmt.Fprintln(os.Stderr, r)
-		members = r.Membership
+		c := experiments.ClusterSoak()
+		r, members = c, c.Membership
 	case "overload":
-		r := experiments.Overload(experiments.OverloadConfig{})
-		fmt.Fprintln(os.Stderr, r)
+		r = experiments.Overload(experiments.OverloadConfig{})
 	default:
 		fmt.Fprintf(os.Stderr, "sdstat: unknown workload %q (want crash, chaos, smoke, cluster or overload)\n", workload)
 		os.Exit(2)
 	}
+	fmt.Fprintln(os.Stderr, r)
 	obs.SetArmed(true)
 
 	flows := obs.Flows()
-	bpKeys, bp := backpressureCounters()
+	snap := r.Counters()
+	bpKeys, bp := backpressureCounters(snap)
 	if *asJSON {
 		out := any(flows)
 		if workload == "cluster" {
@@ -117,7 +115,6 @@ func sdstatCmd(args []string) {
 	// still registered (open sockets, plus half-closed ones), QPS-PARKED
 	// the QPs finished connections left connected for the next dial.
 	fmt.Println()
-	snap := telemetry.Capture()
 	tw = tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
 	fmt.Fprintln(tw, "CONNS-RECLAIMED\tRING-POOL-HITS\tRING-POOL-MISSES\tSEGMENTS-LIVE\tQPS-PARKED")
 	fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\n", snap.Get(telemetry.CoreConnReclaims),
@@ -138,8 +135,7 @@ func sdstatCmd(args []string) {
 // work the run turned away, and through which valve. All zeros means the
 // run never hit a cap; a wedge (hung flows) with zeros here means the
 // stall is NOT clean shedding and needs the flight recorder.
-func backpressureCounters() ([]string, map[string]int64) {
-	snap := telemetry.Capture()
+func backpressureCounters(snap telemetry.Snapshot) ([]string, map[string]int64) {
 	keys := []string{
 		telemetry.CoreEWouldBlock,
 		telemetry.CoreDeadlineTimeouts,
@@ -170,10 +166,8 @@ func obssmokeCmd(args []string) {
 
 	smoke := experiments.ObsSmoke(20, 512)
 	fmt.Println(smoke)
-	// The smoke's rings are still live: snapshot them as the connect-trace
-	// artifact before the drill resets the obs state.
-	connTrace := obs.ForceDump(obs.TrigManual, smoke.RunNs, "obssmoke connect trace")
-	writeDump(filepath.Join(*outDir, "sd-obssmoke-connect.trace.json"), connTrace)
+	// The smoke's rings as its run left them are the connect-trace artifact.
+	writeDump(filepath.Join(*outDir, "sd-obssmoke-connect.trace.json"), smoke.Rings)
 
 	drill := experiments.ObsRetryDrill(30, 1024)
 	fmt.Println(drill)

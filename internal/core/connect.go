@@ -470,7 +470,10 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 	}
 	if pc.kernelFD >= 0 && pc.sock == nil {
 		// TCP fallback: the monitor repaired a kernel connection into our
-		// FD table.
+		// FD table. The optimistic endpoint has no peer and goes back.
+		if pc.inter != nil {
+			l.abandonInter(pc.inter)
+		}
 		kf, ok := l.P.LookupFD(pc.kernelFD)
 		if !ok {
 			return nil, nil, ErrBadFD

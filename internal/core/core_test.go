@@ -39,6 +39,12 @@ func newWorldCfg(t testing.TB, cfg exec.SimConfig) *world {
 	w.ka, w.kb, w.kc = ksocket.New(w.a), ksocket.New(w.b), ksocket.New(w.c)
 	w.ma = monitor.Start(w.a, w.ka)
 	w.mb = monitor.Start(w.b, w.kb)
+	base := monitor.TakeCensus()
+	t.Cleanup(func() {
+		if left := monitor.EndWorld(s, base, w.a, w.b, w.c); left != (monitor.Census{}) {
+			t.Errorf("the world ends holding %+v", left)
+		}
+	})
 	return w
 }
 

@@ -217,20 +217,6 @@ func TestClusterDialRepeatable(t *testing.T) {
 	}
 }
 
-// netCensus is a census with the idle zero-copy pools taken out: a
-// recycled pool keeps its MR and its pins on purpose. So do the segments'
-// free lists, whose length is the history of clean and dropped releases.
-// (Parked QPs are a column of their own.)
-func netCensus(w *world, libs ...*core.Libsd) census {
-	c := takeCensus(w, libs...)
-	c.idle = 0
-	for _, l := range libs {
-		c.mrs -= l.IdleZCPools()
-		c.pinned -= l.IdleZCPools() * core.ZCPoolPages
-	}
-	return c
-}
-
 // TestStolenAcceptInterHost: two listener processes on host B, one asleep;
 // the dial dispatched to the sleeper is stolen by the other. The thief's
 // endpoint is passive and knows the dialer's QPN, so the dialer re-targets
@@ -251,7 +237,7 @@ func TestStolenAcceptInterHost(t *testing.T) {
 		ctx.Sleep(20_000_000) // never accepts what is dispatched to it
 	})
 	steals := telemetry.C(telemetry.MonWorkSteals)
-	var base, end census
+	var base, end monitor.Census
 	var d wire
 	var stolen int64
 	var echoes [2]int64
@@ -266,13 +252,13 @@ func TestStolenAcceptInterHost(t *testing.T) {
 	}
 	cp.Spawn("census", func(ctx exec.Context, th *host.Thread) {
 		ctx.Sleep(5_000)
-		base = netCensus(w, l1, l2, cl)
+		base = monitor.TakeCensus(w.a, w.b)
 		w0, s0 := readWire(), steals.Load()
 		for done < 2 {
 			ctx.Sleep(100_000)
 		}
 		ctx.Sleep(5_000_000)
-		end = netCensus(w, l1, l2, cl)
+		end = monitor.TakeCensus(w.a, w.b)
 		d, stolen = readWire().since(w0), steals.Load()-s0
 		for _, l := range []*core.Libsd{l1, l2, cl} {
 			l.DrainParkedQPs()
@@ -294,12 +280,13 @@ func TestStolenAcceptInterHost(t *testing.T) {
 	}
 	// Both connections ended at the thief: two pairs parked, the victim's
 	// endpoint left nothing.
-	base.parked += 4
+	base.ParkedQPs += 4
+	end.IdleSegs, end.IdlePools = base.IdleSegs, base.IdlePools // lists that hold the history of releases
 	if end != base {
 		t.Errorf("census after the stolen accept %+v, want %+v", end, base)
 	}
-	if drained != base.qps {
-		t.Errorf("%d QPs on the NICs with the parked ones closed, want the %d from before", drained, base.qps)
+	if drained != base.QPs {
+		t.Errorf("%d QPs on the NICs with the parked ones closed, want the %d from before", drained, base.QPs)
 	}
 }
 
@@ -578,13 +565,13 @@ func TestAbandonedDialServerSideEnds(t *testing.T) {
 			s.Close(ctx, th)
 		}
 	})
-	var base, end census
+	var base, end monitor.Census
 	var abandonedAt int64
 	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
 		ctx.Sleep(10_000)
 		echoOnce(t, ctx, th, cl, "hostB", 7505) // warm: pools and rings exist
 		ctx.Sleep(5_000_000)
-		base = netCensus(w, sl, cl)
+		base = monitor.TakeCensus(w.a, w.b)
 		abandonedAt = ctx.Now()
 		if _, _, err := cl.ConnectDeadline(ctx, th, "hostB", 7505, ctx.Now()+1); !errors.Is(err, core.ETIMEDOUT) {
 			t.Errorf("deadline dial: want ETIMEDOUT, got %v", err)
@@ -593,7 +580,7 @@ func TestAbandonedDialServerSideEnds(t *testing.T) {
 			ctx.Sleep(1_000_000)
 		}
 		ctx.Sleep(20_000_000)
-		end = netCensus(w, sl, cl)
+		end = monitor.TakeCensus(w.a, w.b)
 		sp.Signal(ctx, host.SIGKILL)
 	})
 	w.sim.Run()
@@ -614,10 +601,11 @@ func TestAbandonedDialServerSideEnds(t *testing.T) {
 	// The abandoned dial went out on the pair the warm-up had parked: the
 	// dialer closed its half when it gave up, the server adopted the twin
 	// and that died of its retries.
-	if base.parked != 2 {
-		t.Errorf("%d QPs parked after the warm-up, want 2", base.parked)
+	if base.ParkedQPs != 2 {
+		t.Errorf("%d QPs parked after the warm-up, want 2", base.ParkedQPs)
 	}
-	base.parked = 0
+	base.ParkedQPs = 0
+	end.IdleSegs, end.IdlePools = base.IdleSegs, base.IdlePools // lists that hold the history of releases
 	if end != base {
 		t.Errorf("census after the abandoned dial %+v, want %+v", end, base)
 	}

@@ -33,21 +33,6 @@ func (s *Socket) WritePeerRing(off int64, b []byte) error {
 	return ep.qp.PostWrite(wrCredit, b, ep.ringRKey, off, 0, false)
 }
 
-// Endpoints reports registered RDMA endpoints (the CQ dispatch table).
-func (l *Libsd) Endpoints() int {
-	return len(l.eps)
-}
-
-// Closing reports inter-host sides closed here and awaiting their peer.
-func (l *Libsd) Closing() int {
-	return len(l.closing)
-}
-
-// PendingDials reports dials on record for their KConnectRes.
-func (l *Libsd) PendingDials() int {
-	return len(l.pending)
-}
-
 // FreeDials and FreeAccepts report the free lists of dial records and
 // backlog entries.
 func (l *Libsd) FreeDials() int   { return len(l.dialFree) }
@@ -56,9 +41,6 @@ func (l *Libsd) FreeAccepts() int { return len(l.acceptFree) }
 // Side returns the side the socket points into: its segment's, or once a
 // clean release detached it, the library's stand-in.
 func (s *Socket) Side() *SideState { return s.side }
-
-// IdleSides reports the interSide recycle list's length.
-func (l *Libsd) IdleSides() int { return len(l.sideIdle) }
 
 // NextIdleSide returns the side of the interSide the next inter-host dial
 // or accepted connection builds on, or nil when the list is empty.
@@ -72,25 +54,12 @@ func (l *Libsd) NextIdleSide() *SideState {
 // MaxIdleSides bounds IdleSides.
 const MaxIdleSides = maxIdleSides
 
-// IdleZCPools reports the zero-copy pool recycle list's length.
-func (l *Libsd) IdleZCPools() int {
-	return len(l.zcIdle)
-}
-
-// ParkedQPs reports how many QPs of finished connections are parked.
-func (l *Libsd) ParkedQPs() int {
-	return len(l.parked)
-}
-
 // DrainParkedQPs closes every parked QP, so that what a finished connection
 // left on the NIC can be compared with what was there before it.
 func (l *Libsd) DrainParkedQPs() { l.closeParked("", 0) }
 
 // MaxParkedQPs bounds ParkedQPs.
 const MaxParkedQPs = maxParkedQPs
-
-// ZCPoolPages is the size of one pinned zero-copy pool.
-const ZCPoolPages = zcPoolPages
 
 // FailQP kills the socket's QP as a fatal NIC event would and tells the
 // endpoint, as the NIC's asynchronous error event does: an idle QP has no

@@ -102,6 +102,11 @@ func (l *Libsd) Exec(ctx exec.Context) (*Libsd, error) {
 	}
 	nl.inherit(l, att.Obj.(map[int]fdEntry), nil)
 	l.H.SHM.Remove(seg.Token)
+	for _, s := range l.socks { // the old image's sdstat rows are final
+		for ; s != nil; s = s.sib {
+			s.freezeFlow()
+		}
+	}
 	return nl, nil
 }
 

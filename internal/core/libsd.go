@@ -671,7 +671,11 @@ func (l *Libsd) GTIDOf(t *host.Thread) GTID { return MakeGTID(l.P.PID, t.TID) }
 // A splice attempt's QP is closed too, found through the sockets (an
 // inherited endpoint is registered only once spliced), and stays recorded,
 // so the dying thread starts no new attempt. The sockets' sdstat rows become
-// final: their rings are crash cleanup's to reclaim.
+// final. The kernel takes back what no live process can reach: the recycle
+// lists; each inter-host side whose last FD was this process's, or that a
+// dial or a backlog held; and each intra-host connection whose last FD on
+// both sides is gone, which crash cleanup would miss if no monitor was
+// running when they died.
 func (l *Libsd) OnProcessDeath() {
 	eps := make([]*rdmaEP, 0, len(l.eps))
 	for _, ep := range l.eps {
@@ -685,7 +689,36 @@ func (l *Libsd) OnProcessDeath() {
 				ep.rec.qp.Close()
 			}
 			s.freezeFlow()
+			s.dropZC()
+			if s.side.Refs.Add(-1) > 0 {
+				continue
+			}
+			if is := s.intra; is == nil {
+				l.releaseInter(s.side, false)
+			} else if is.Peer(s.side).Refs.Load() == 0 {
+				l.releaseIntra(is, false)
+			}
+		}
+	}
+	for _, side := range l.closing {
+		l.releaseInter(side, false)
+	}
+	for _, pc := range l.pending { // a dial cut short: its optimistic endpoint
+		if pc.inter != nil {
+			pc.inter.qp.Close()
+			l.releaseInter(&pc.inter.side, false)
+		}
+	}
+	for _, bl := range l.backlogs { // dispatched, never accepted
+		for _, pa := range bl.conns {
+			if pa.sock != nil && pa.sock.intra == nil {
+				l.releaseInter(pa.sock.side, false)
+			}
 		}
 	}
 	l.closeParked("", 0)
+	for p := l.zcIdle.Get(); p != nil; p = l.zcIdle.Get() {
+		p.drop()
+	}
+	l.sideIdle = nil
 }

@@ -127,6 +127,19 @@ func (l *Libsd) closeParked(host string, pid int64) {
 	}
 }
 
+// Holdings is what a library holds for the census (internal/monitor):
+// registered RDMA endpoints, closed inter-host sides awaiting their peer and
+// dials awaiting their KConnectRes, then its recycle lists.
+type Holdings struct {
+	Endpoints, Closing, Dials       int
+	IdleSides, IdlePools, ParkedQPs int
+}
+
+// Holdings reports what l holds.
+func (l *Libsd) Holdings() Holdings {
+	return Holdings{len(l.eps), len(l.closing), len(l.pending), len(l.sideIdle), len(l.zcIdle), len(l.parked)}
+}
+
 // closedEP is what a closed Socket points at: every operation finds nothing
 // to do, so a use-after-close can never reach rings that were re-issued to
 // another connection.
@@ -277,9 +290,12 @@ func (l *Libsd) releaseInter(side *SideState, clean bool) bool {
 	eps, mrs := side.eps, side.mrs
 	side.eps, side.mrs = nil, nil
 	// Out of the dispatch tables first: closing a QP flushes its work
-	// requests, and those completions must find no endpoint.
+	// requests, and those completions must find no endpoint. The side is
+	// off every closing table too: the process that closed it last need not
+	// be the one whose completion releases it.
 	for _, ep := range eps {
 		ep.lib.unregisterEP(ep)
+		delete(ep.lib.closing, side.QID)
 	}
 	delete(l.closing, side.QID)
 	for _, ep := range eps {
@@ -312,7 +328,7 @@ func (l *Libsd) releaseInter(side *SideState, clean bool) bool {
 			l.sideIdle.Keep(side.home, maxIdleSides)
 		}
 	case pool != nil:
-		pool.drop(l)
+		pool.drop()
 	}
 	mConnReclaims.Inc()
 	return true
@@ -330,14 +346,15 @@ func (l *Libsd) getZCPool(ctx exec.Context) (*zcPool, error) {
 
 func (l *Libsd) putZCPool(p *zcPool) {
 	if !l.zcIdle.Keep(p, maxIdleZCPools) {
-		p.drop(l)
+		p.drop()
 	}
 }
 
 // drop retires a pool for good: the MR goes, the frames are unpinned and
-// returned to their address space.
-func (p *zcPool) drop(l *Libsd) {
+// returned to their address space — on the host that built the pool, which a
+// migrated socket's is not.
+func (p *zcPool) drop() {
 	p.mr.Deregister()
-	l.H.Mem.Unpin(p.ids)
-	l.H.Mem.Unref(p.ids)
+	p.pm.Unpin(p.ids)
+	p.pm.Unref(p.ids)
 }

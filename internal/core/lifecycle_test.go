@@ -19,37 +19,6 @@ import (
 
 const sockRing = 128 * 1024
 
-// census is everything a closed connection must give back, counted over
-// the two hosts and two processes of a churn world — and what it keeps on
-// purpose: parked is the QPs of finished connections the processes hold for
-// their next dial, qps every other QP on the two NICs, and idle the segments
-// on free lists (the monitors' IntraSocks, the processes' interSides). flows
-// is the sdstat rows still reading a socket, counted over the process-wide
-// table.
-type census struct {
-	segs, idle, qps, parked, mrs, pinned, eps, closing, records, flows int
-}
-
-func takeCensus(w *world, libs ...*core.Libsd) census {
-	c := census{
-		segs:    w.a.SHM.Len() + w.b.SHM.Len(),
-		qps:     w.a.NIC.QPCount() + w.b.NIC.QPCount(),
-		mrs:     w.a.NIC.MRCount() + w.b.NIC.MRCount(),
-		pinned:  w.a.Mem.PinnedCount() + w.b.Mem.PinnedCount(),
-		idle:    w.ma.IdleIntraSocks() + w.mb.IdleIntraSocks(),
-		records: w.ma.LiveConnRecords() + w.mb.LiveConnRecords(),
-		flows:   obs.LiveFlows(),
-	}
-	for _, l := range libs {
-		c.idle += l.IdleSides()
-		c.eps += l.Endpoints()
-		c.closing += l.Closing()
-		c.parked += l.ParkedQPs()
-	}
-	c.qps -= c.parked
-	return c
-}
-
 // echoServer accepts forever: 8 B in, 8 B out, wait for the client's close,
 // close.
 func echoServer(t *testing.T, l *core.Libsd, port uint16) func(exec.Context, *host.Thread) {
@@ -78,7 +47,7 @@ func echoServer(t *testing.T, l *core.Libsd, port uint16) func(exec.Context, *ho
 // churn runs warm+n cycles of dial → 8 B echo → close against a fresh
 // world and reports the census after the warm-up cycles, the census after
 // all of them, and the heap in use at the end.
-func churn(t *testing.T, inter bool, n int) (base, end census, heap uint64) {
+func churn(t *testing.T, inter bool, n int) (base, end monitor.Census, heap uint64) {
 	t.Helper()
 	const warm = 4
 	w := newWorld(t)
@@ -96,7 +65,7 @@ func churn(t *testing.T, inter bool, n int) (base, end census, heap uint64) {
 		for i := 0; i < warm+n; i++ {
 			if i == warm {
 				ctx.Sleep(5_000_000) // the last warm-up close has settled
-				base = takeCensus(w, sl, cl)
+				base = monitor.TakeCensus(w.a, w.b)
 			}
 			s, _, err := cl.Connect(ctx, th, dst, 7400)
 			if err != nil {
@@ -112,7 +81,7 @@ func churn(t *testing.T, inter bool, n int) (base, end census, heap uint64) {
 			s.Close(ctx, th)
 		}
 		ctx.Sleep(5_000_000)
-		end = takeCensus(w, sl, cl)
+		end = monitor.TakeCensus(w.a, w.b)
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -153,8 +122,8 @@ func TestChurnLeak(t *testing.T) {
 				if end != base {
 					t.Errorf("%d cycles: census %+v, want the pre-churn %+v", n, end, base)
 				}
-				if end.closing != 0 {
-					t.Errorf("%d cycles: %d sides still waiting for their peer's close", n, end.closing)
+				if end.Closing != 0 {
+					t.Errorf("%d cycles: %d sides still waiting for their peer's close", n, end.Closing)
 				}
 				heaps[i] = heap
 			}
@@ -236,15 +205,15 @@ func TestClosedSocketWritesNoRow(t *testing.T) {
 func TestRefusedDialLeavesNothing(t *testing.T) {
 	w := newWorld(t)
 	monitor.Peer(w.ma, w.mb)
-	_, sl := proc(t, w.b, "server", 0)
+	proc(t, w.b, "server", 0)
 	cp, cl := proc(t, w.a, "client", 1000)
-	var base, end census
+	var base, end monitor.Census
 	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
 		ctx.Sleep(10_000)
 		for i := 0; i < 4+40; i++ {
 			if i == 4 {
 				ctx.Sleep(1_000_000)
-				base = takeCensus(w, sl, cl)
+				base = monitor.TakeCensus(w.a, w.b)
 				// A dial that gives up on its deadline takes the same way
 				// out; its late refusal is picked up by the next dial.
 				if _, _, err := cl.ConnectDeadline(ctx, th, "hostB", 7401, ctx.Now()+1); !errors.Is(err, core.ETIMEDOUT) {
@@ -257,26 +226,12 @@ func TestRefusedDialLeavesNothing(t *testing.T) {
 			}
 		}
 		ctx.Sleep(1_000_000)
-		end = takeCensus(w, sl, cl)
+		end = monitor.TakeCensus(w.a, w.b)
 	})
 	w.sim.Run()
 	if end != base {
 		t.Fatalf("after 41 failed dials: census %+v, want %+v", end, base)
 	}
-}
-
-// recycleCensus is census plus the dials a process still has on record.
-type recycleCensus struct {
-	census
-	pending int
-}
-
-func takeRecycleCensus(w *world, libs ...*core.Libsd) recycleCensus {
-	c := recycleCensus{census: netCensus(w, libs...)}
-	for _, l := range libs {
-		c.pending += l.PendingDials()
-	}
-	return c
 }
 
 // echoExact sends want and reads it back, failing the test unless every
@@ -356,16 +311,16 @@ func TestLateAnswerAfterRecycle(t *testing.T) {
 				echoBack(ctx, th, s) // the abandoned dial's ends on its QP's retries
 			}
 		})
-		var base, end recycleCensus
+		var base, end monitor.Census
 		cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
 			ctx.Sleep(10_000)
 			echoOnce(t, ctx, th, cl, "hostB", 7410) // warm: pools, rings, a free dial record
 			ctx.Sleep(5_000_000)
-			base = takeRecycleCensus(w, sl, cl)
+			base = monitor.TakeCensus(w.a, w.b)
 			if _, _, err := cl.ConnectDeadline(ctx, th, "hostB", 7410, ctx.Now()+1); !errors.Is(err, core.ETIMEDOUT) {
 				t.Errorf("deadline dial: want ETIMEDOUT, got %v", err)
 			}
-			if n, f := cl.PendingDials(), cl.FreeDials(); n != 0 || f != 1 {
+			if n, f := cl.Holdings().Dials, cl.FreeDials(); n != 0 || f != 1 {
 				t.Errorf("after the abandoned dial: %d dials on record, %d free records; want 0 and 1", n, f)
 			}
 			t0 := ctx.Now()
@@ -382,10 +337,11 @@ func TestLateAnswerAfterRecycle(t *testing.T) {
 			echoExact(t, ctx, th, s, pattern)
 			s.Close(ctx, th)
 			ctx.Sleep(5_000_000)
-			end = takeRecycleCensus(w, sl, cl)
+			end = monitor.TakeCensus(w.a, w.b)
 			sp.Signal(ctx, host.SIGKILL)
 		})
 		w.sim.Run()
+		end.IdleSegs, end.IdlePools = base.IdleSegs, base.IdlePools // lists that hold the history of releases
 		if end != base {
 			t.Errorf("census %+v, want the %+v from before the abandoned dial", end, base)
 		}
@@ -406,10 +362,10 @@ func TestLateAnswerAfterRecycle(t *testing.T) {
 			ctx.Sleep(10_000)
 			dl.Connect(ctx, th, "hostA", 7411) // waits for the server's ACK until it dies
 		})
-		var base, end recycleCensus
+		var base, end monitor.Census
 		cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
 			ctx.Sleep(5_000)
-			base = takeRecycleCensus(w, sl, cl)
+			base = monitor.TakeCensus(w.a, w.b)
 			ctx.Sleep(100_000) // the doomed dial is in the listener's backlog
 			if n := lst.Pending(); n != 1 {
 				t.Errorf("%d connections in the backlog, want the doomed one", n)
@@ -438,10 +394,11 @@ func TestLateAnswerAfterRecycle(t *testing.T) {
 			echoExact(t, ctx, th, s, pattern)
 			s.Close(ctx, th)
 			ctx.Sleep(1_000_000)
-			end = takeRecycleCensus(w, sl, cl)
+			end = monitor.TakeCensus(w.a, w.b)
 			sp.Signal(ctx, host.SIGKILL)
 		})
 		w.sim.Run()
+		end.IdleSegs, end.IdlePools = base.IdleSegs, base.IdlePools // lists that hold the history of releases
 		if end != base {
 			t.Errorf("census %+v, want the %+v from before the doomed dial", end, base)
 		}
@@ -916,7 +873,7 @@ func TestHalfCloseReleasesNothing(t *testing.T) {
 			}
 			sp, sl := proc(t, srvHost, "server", 0)
 			cp, cl := proc(t, w.a, "client", 1000)
-			var base, open, half, end census
+			var base, open, half, end monitor.Census
 			release := false
 			sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
 				lst, _ := sl.ListenOn(ctx, th, 7406)
@@ -935,25 +892,25 @@ func TestHalfCloseReleasesNothing(t *testing.T) {
 			})
 			cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
 				ctx.Sleep(10_000)
-				base = takeCensus(w, sl, cl)
+				base = monitor.TakeCensus(w.a, w.b)
 				s, _, err := cl.Connect(ctx, th, dst, 7406)
 				if err != nil {
 					t.Errorf("connect: %v", err)
 					return
 				}
 				ctx.Sleep(200_000)
-				open = takeCensus(w, sl, cl)
+				open = monitor.TakeCensus(w.a, w.b)
 				s.Close(ctx, th)
 				ctx.Sleep(5_000_000)
-				half = takeCensus(w, sl, cl)
+				half = monitor.TakeCensus(w.a, w.b)
 				release = true
 				ctx.Sleep(5_000_000)
-				end = takeCensus(w, sl, cl)
+				end = monitor.TakeCensus(w.a, w.b)
 			})
 			w.sim.Run()
-			open.flows-- // the closed side's row is final
+			open.Flows-- // the closed side's row is final
 			if inter {
-				open.closing++ // the closed side is now parked in the closing table
+				open.Closing++ // the closed side is now parked in the closing table
 			}
 			if half != open {
 				t.Errorf("half-closed census %+v, want the open connection's %+v", half, open)
@@ -961,12 +918,11 @@ func TestHalfCloseReleasesNothing(t *testing.T) {
 			// The first connection leaves its segments on their free lists
 			// and, across hosts, each process one pinned pool (and its MR)
 			// on the recycle list and its QP parked; everything else is back.
-			base.idle++
+			base.IdleSegs++
 			if inter {
-				base.idle++
-				base.pinned += 2 * 128
-				base.mrs += 2
-				base.parked += 2
+				base.IdleSegs++
+				base.IdlePools += 2
+				base.ParkedQPs += 2
 			}
 			if end != base {
 				t.Errorf("after both closed: census %+v, want %+v", end, base)
@@ -1022,13 +978,13 @@ func TestZCPoolFreeListBounded(t *testing.T) {
 		}
 		ctx.Sleep(20_000_000)
 		for _, l := range []*core.Libsd{cl, sl} {
-			if n := l.IdleZCPools(); n != 8 {
+			if n := l.Holdings().IdlePools; n != 8 {
 				t.Errorf("%s keeps %d idle pools, want 8", l.P.Name, n)
 			}
-			if n := l.ParkedQPs(); n != core.MaxParkedQPs {
+			if n := l.Holdings().ParkedQPs; n != core.MaxParkedQPs {
 				t.Errorf("%s keeps %d parked QPs, want %d", l.P.Name, n, core.MaxParkedQPs)
 			}
-			if n := l.IdleSides(); n != core.MaxIdleSides {
+			if n := l.Holdings().IdleSides; n != core.MaxIdleSides {
 				t.Errorf("%s keeps %d idle interSides, want %d", l.P.Name, n, core.MaxIdleSides)
 			}
 		}
@@ -1043,6 +999,45 @@ func TestZCPoolFreeListBounded(t *testing.T) {
 			if n := h.Mem.PinnedCount(); n != 8*128 {
 				t.Errorf("%s: %d pinned frames, want %d", h.Name, n, 8*128)
 			}
+		}
+	})
+	w.sim.Run()
+}
+
+// TestClosingSideHeardAfterRestart: a side closed here waits in the closing
+// table for its peer's close. Its monitor restarts meanwhile, and then the
+// peer process dies without closing: the successor must know the side, so
+// that the death notice reaches it and it is released while its own process
+// lives on.
+func TestClosingSideHeardAfterRestart(t *testing.T) {
+	w := newWorld(t)
+	monitor.Peer(w.ma, w.mb)
+	sp, sl := proc(t, w.b, "server", 0)
+	cp, cl := proc(t, w.a, "client", 1000)
+	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+		lst, _ := sl.ListenOn(ctx, th, 7412)
+		if _, _, err := lst.Accept(ctx); err != nil {
+			t.Errorf("accept: %v", err)
+		}
+	})
+	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		s, _, err := cl.Connect(ctx, th, "hostB", 7412)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		s.Close(ctx, th)
+		ctx.Sleep(1_000_000)
+		if n := cl.Holdings().Closing; n != 1 {
+			t.Errorf("%d sides closing before the restart, want the one whose peer is open", n)
+		}
+		monitor.Restart(w.a)
+		ctx.Sleep(5_000_000)
+		sp.Signal(ctx, host.SIGKILL)
+		ctx.Sleep(10_000_000)
+		if c := monitor.TakeCensus(w.a); c.Closing != 0 || c.Segs != 0 || c.Records != 0 {
+			t.Errorf("after the peer's death: %+v on hostA, want no side, segment or record left", c)
 		}
 	})
 	w.sim.Run()

@@ -47,9 +47,16 @@ func Migrate(l *Libsd, dst *host.Host, name string) (*host.Process, *Libsd, erro
 	})
 	for _, e := range nl.fds {
 		// Release tokens held by the (now gone) source threads so the
-		// migrated process claims them afresh.
+		// migrated process claims them afresh. Its FD is a reference of its
+		// own: the source's dies with the source.
 		e.sock.side.Holder[DirSend].Store(0)
 		e.sock.side.Holder[DirRecv].Store(0)
+		e.sock.side.Refs.Add(1)
+		// Its SHM segment moves with the container's memory, once per side.
+		if _, err := l.H.SHM.Attach(e.sock.side.segTok); err == nil {
+			l.H.SHM.Remove(e.sock.side.segTok)
+			e.sock.side.segTok = dst.SHM.Create(e.sock.side).Token
+		}
 	}
 
 	// The container stops existing at the source. Tell the source monitor

@@ -223,7 +223,7 @@ func TestParkMisses(t *testing.T) {
 				e.ctx.Sleep(settle)
 			}
 			e.ctx.Sleep(settle)
-			if n := e.srvLib[0].ParkedQPs(); n != core.MaxParkedQPs {
+			if n := e.srvLib[0].Holdings().ParkedQPs; n != core.MaxParkedQPs {
 				t.Errorf("server holds %d parked QPs, want the bound", n)
 			}
 		}, parkCounts{misses: 1, created: 1}},
@@ -253,13 +253,13 @@ func TestParkMisses(t *testing.T) {
 					return
 				}
 				ctx.Sleep(settle)
-				if e.srvLib[0].ParkedQPs() == 0 { // the other one served it
+				if e.srvLib[0].Holdings().ParkedQPs == 0 { // the other one served it
 					e.srv[0], e.srv[1] = e.srv[1], e.srv[0]
 					e.srvLib[0], e.srvLib[1] = e.srvLib[1], e.srvLib[0]
 				}
-				if cl.ParkedQPs() != 1 || e.srvLib[0].ParkedQPs() != 1 {
+				if cl.Holdings().ParkedQPs != 1 || e.srvLib[0].Holdings().ParkedQPs != 1 {
 					t.Errorf("after the first dial: %d and %d QPs parked, want 1 and 1",
-						cl.ParkedQPs(), e.srvLib[0].ParkedQPs())
+						cl.Holdings().ParkedQPs, e.srvLib[0].Holdings().ParkedQPs)
 				}
 				tc.between(t, e)
 				w0, p0 := readWire(), readPark()
@@ -340,8 +340,8 @@ func TestParkCrossDial(t *testing.T) {
 			return
 		}
 		ctx.Sleep(at - settle - ctx.Now())
-		if la.ParkedQPs() != 1 || lb.ParkedQPs() != 1 {
-			t.Errorf("%d and %d QPs parked before the cross dial, want 1 and 1", la.ParkedQPs(), lb.ParkedQPs())
+		if la.Holdings().ParkedQPs != 1 || lb.Holdings().ParkedQPs != 1 {
+			t.Errorf("%d and %d QPs parked before the cross dial, want 1 and 1", la.Holdings().ParkedQPs, lb.Holdings().ParkedQPs)
 		}
 		w0, p0 := readWire(), readPark()
 		ctx.Sleep(at - ctx.Now())
@@ -425,8 +425,8 @@ func TestParkHitThenStolen(t *testing.T) {
 		}
 		thiefUp = true
 		ctx.Sleep(4 * settle)
-		if cl.ParkedQPs() != 1 || l1.ParkedQPs() != 1 {
-			t.Errorf("%d and %d QPs parked after the first dial, want 1 and 1", cl.ParkedQPs(), l1.ParkedQPs())
+		if cl.Holdings().ParkedQPs != 1 || l1.Holdings().ParkedQPs != 1 {
+			t.Errorf("%d and %d QPs parked after the first dial, want 1 and 1", cl.Holdings().ParkedQPs, l1.Holdings().ParkedQPs)
 		}
 		done := false
 		op.Spawn("dial2", func(ctx exec.Context, th *host.Thread) {
@@ -491,7 +491,7 @@ func TestParkedQPsClosedOnHostDeath(t *testing.T) {
 			return
 		}
 		ctx.Sleep(settle)
-		before = cl.ParkedQPs()
+		before = cl.Holdings().ParkedQPs
 		w.mb.Stop()
 		// Host A's monitor counts silent heartbeats only while it has
 		// control traffic of its own: refused local dials will do.
@@ -499,7 +499,7 @@ func TestParkedQPsClosedOnHostDeath(t *testing.T) {
 			cl.Connect(ctx, th, "hostA", 9)
 			ctx.Sleep(25_000_000)
 		}
-		after = cl.ParkedQPs()
+		after = cl.Holdings().ParkedQPs
 		_, liveErr = live.Recv(ctx, th, make([]byte, 8))
 		sp.Signal(ctx, host.SIGKILL)
 	})

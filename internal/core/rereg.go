@@ -10,7 +10,8 @@ import (
 // restarted monitor adopts this process's control queue and sends one
 // KReRegister; the process answers with a replay of everything the dead
 // incarnation knew about it — live listeners, established connections,
-// in-flight connects — as a stream of KReRegistered records closed by a
+// inter-host sides closed here and awaiting their peer, in-flight
+// connects — as a stream of KReRegistered records closed by a
 // ReRegDone. The report describes only durable state the process itself
 // owns (SHM-resident rings, FD tables), so it can be regenerated on every
 // restart, and every record is idempotent at the monitor. Tokens are not
@@ -40,6 +41,9 @@ func (l *Libsd) reRegisterReport() {
 			cr.shmTok = uint64(s.intra.Tok)
 		}
 		conns = append(conns, cr)
+	}
+	for qid, side := range l.closing { // its peer's death notice must still find it
+		conns = append(conns, connRec{qid: qid, peer: side.PeerHost})
 	}
 	pends := make([]uint64, 0, len(l.pending))
 	for connID, pc := range l.pending {

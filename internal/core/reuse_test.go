@@ -214,7 +214,7 @@ func TestOnlyCleanSegmentsComeBack(t *testing.T) {
 			dp.Spawn("srv", echoForever(t, dl, reuseDoomedPort))
 			idle := func() int {
 				if row.inter {
-					return cl.IdleSides()
+					return cl.Holdings().IdleSides
 				}
 				return w.ma.IdleIntraSocks()
 			}

@@ -527,6 +527,7 @@ func (s *Socket) Shutdown(ctx exec.Context, t *host.Thread, dir int) error {
 	defer s.lib.leave()
 	if dir == DirSend && !s.side.is(txShut) {
 		if err := s.acquireToken(ctx, t, DirSend); err == nil {
+			s.flushSlotReturns(ctx)
 			s.sendMsg(ctx, MShut, nil, nil)
 		}
 		s.side.reach(txShut)
@@ -545,6 +546,9 @@ func (s *Socket) Close(ctx exec.Context, t *host.Thread) error {
 	if _, closed := s.ep.(closedEP); closed {
 		return ErrBadFD // this descriptor was closed before
 	}
+	if s.lib.P.Dead() {
+		return ErrProcessKilled // the kernel's teardown closed it (OnProcessDeath)
+	}
 	s.lib.enter()
 	s.lib.releaseFD(s.fd)
 	s.lib.leave()
@@ -553,6 +557,7 @@ func (s *Socket) Close(ctx exec.Context, t *host.Thread) error {
 		// rings are theirs to release: the sdstat row stops reading them.
 		s.lib.untrackSock(s)
 		s.freezeFlow()
+		s.dropZC()
 		s.dropEP()
 		return nil
 	}
@@ -564,6 +569,7 @@ func (s *Socket) Close(ctx exec.Context, t *host.Thread) error {
 // stays among its process's sockets until its MShut is out: a send token
 // another process holds comes back as a grant found by queue ID.
 func (s *Socket) closeLast(ctx exec.Context, t *host.Thread) {
+	s.discardRX()
 	s.Shutdown(ctx, t, DirSend)
 	s.Shutdown(ctx, t, DirRecv)
 	s.lib.untrackSock(s)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"socksdirect/internal/bufpool"
 	"socksdirect/internal/exec"
@@ -18,12 +19,16 @@ import (
 // returns slots once the application mapping is gone.
 type zcPool struct {
 	as  *mem.AddressSpace
+	pm  *mem.PhysMem
 	ids []mem.PageID
 	mr  *rdma.MR
 }
 
 // zcPoolPages is the pool size per socket direction.
-const zcPoolPages = 128
+const (
+	zcPoolPages = 128
+	ZCPoolPages = zcPoolPages
+)
 
 // newZCPool builds the receiver's pinned pool: bare frames (no virtual
 // mapping — they belong to the NIC until received) registered as one MR.
@@ -35,6 +40,7 @@ func newZCPool(ctx exec.Context, p *host.Process, pd *rdma.PD) (*zcPool, error) 
 	}
 	return &zcPool{
 		as:  p.AS,
+		pm:  p.Host.Mem,
 		ids: ids,
 		mr:  pd.RegisterFrames(p.Host.Mem, ids),
 	}, nil
@@ -54,8 +60,9 @@ type zcRecv struct {
 // dial builds two Sockets. Nothing in it is allocated per message.
 type zcState struct {
 	// Receive side, owned by the receive token's holder.
-	rx   []zcRecv // arrivals awaiting RecvVA, oldest first
-	free []zcRecv // spent arrivals, emptied: queueZC refills their buffers
+	rx     []zcRecv     // arrivals awaiting RecvVA, oldest first
+	free   []zcRecv     // spent arrivals, emptied: queueZC refills their buffers
+	sorted []mem.PageID // queueZC's scratch for namesTwice
 
 	// Send side, owned by the send token's holder, and dead once the MZC is
 	// in the ring: the descriptor, the frames it names and (inter-host)
@@ -94,6 +101,37 @@ func (s *Socket) popZC() zcRecv {
 	z.rx = z.rx[:n]
 	s.side.unhold(r.slots)
 	return r
+}
+
+// discardRX takes what is left of the receive ring ahead of the peer's
+// MShut, as the last close discards a receive queue: at no simulated cost,
+// and with the zero-copy arrivals among it queued, so that dropZC gives back
+// what they hold.
+func (s *Socket) discardRX() {
+	for rx := s.side.RX; rx != nil && !s.side.is(degraded); {
+		if typ, ok := rx.PeekType(); !ok || typ == MShut {
+			break
+		}
+		if msg, ok := rx.TryRecv(); ok && msg.Type != MData {
+			s.dispatchMsg(msg, nil)
+		}
+	}
+	s.dropZC()
+}
+
+// dropZC lets go of the arrivals no receive will take, as close discards a
+// receive queue: an intra-host one's transfer references, and an inter-host
+// one's pool slots, which go back to the sender with the next slot return.
+func (s *Socket) dropZC() {
+	for s.zcQueued() {
+		r := s.popZC()
+		if r.intra {
+			s.lib.H.Mem.Unref(r.ids)
+		} else {
+			s.side.PendingReturns = append(s.side.PendingReturns, r.slots...)
+		}
+		s.zc.spent(r)
+	}
 }
 
 // unhold clears slots from the side's held set.
@@ -179,9 +217,9 @@ func appendReturnedSlots(dst []int32, payload []byte) []int32 {
 }
 
 // queueZC decodes an MZC descriptor into pending receive state. Bad
-// descriptors (forged page ids) poison the socket rather than the host. An
-// inter-host descriptor may name only slots no queued arrival holds, each
-// once: remapZC would otherwise map one frame twice.
+// descriptors (forged page ids) poison the socket rather than the host. A
+// descriptor may name a frame once, and an inter-host one only slots no
+// queued arrival holds: remapZC would otherwise map one frame twice.
 func (s *Socket) queueZC(payload []byte) {
 	kind, total, items, ok := parseZC(payload)
 	if !ok {
@@ -196,11 +234,12 @@ func (s *Socket) queueZC(payload []byte) {
 	switch kind {
 	case zcIntra:
 		ids, err := s.lib.H.Mem.AppendDeobfuscated(r.ids, items)
-		if err != nil {
+		r.ids = ids
+		if err != nil || namesTwice(&z.sorted, ids) {
 			z.spent(r)
 			return // forged descriptor: drop (isolation holds)
 		}
-		r.ids, r.intra = ids, true
+		r.intra = true
 	case zcInter:
 		pool := s.side.LocalPool
 		if pool == nil {
@@ -221,6 +260,14 @@ func (s *Socket) queueZC(payload []byte) {
 		}
 	}
 	z.rx = append(z.rx, r)
+}
+
+// namesTwice reports whether ids names a frame twice, sorting a copy in
+// scratch: RecvVA would map it twice on one reference.
+func namesTwice(scratch *[]mem.PageID, ids []mem.PageID) bool {
+	*scratch = append((*scratch)[:0], ids...)
+	slices.Sort(*scratch)
+	return len(slices.Compact(*scratch)) != len(ids)
 }
 
 // handleZCReturn gives returned pool slots back to the sender-side

@@ -4,16 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"runtime"
 	"slices"
 	"testing"
 
-	"socksdirect/internal/bufpool"
 	"socksdirect/internal/core"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
 	"socksdirect/internal/mem"
+	"socksdirect/internal/monitor"
 )
 
 // TestZCSteadyStateAllocs is the zero-copy path's allocation guard, beside
@@ -104,13 +105,22 @@ func TestZCForgedCount(t *testing.T) {
 		}
 		return core.AppendZCSlots(core.AppendZCHeader(nil, core.ZCInter, total, count), s)
 	}
+	// The surplus forger's pages carry the transfer references it took for
+	// them. Nothing takes back those of a descriptor the receiver drops
+	// (CHANGES.md FOUND): the forger lets go of them once the world is quiet.
+	var forged []mem.PageID
 	for _, tc := range []struct {
 		name  string
 		inter bool
 		forge func(ctx exec.Context, th *host.Thread, s *core.Socket) error
 	}{
 		{"intra-surplus", false, func(ctx exec.Context, th *host.Thread, s *core.Socket) error {
-			return s.SendZCHead(ctx, th, th.Proc.AS.Alloc(2*span), 2*span, -span)
+			ids, err := th.Proc.AS.PagesForSend(&ctx, th.Proc.AS.Alloc(2*span), 2*span)
+			if err != nil {
+				return err
+			}
+			forged = ids
+			return s.SendZCRaw(ctx, th, th.Proc.Host.Mem.AppendObfuscated(core.AppendZCHeader(nil, core.ZCIntra, span, 2*pages), ids))
 		}},
 		{"intra-none", false, func(ctx exec.Context, th *host.Thread, s *core.Socket) error {
 			return s.SendZCRaw(ctx, th, core.AppendZCHeader(nil, core.ZCIntra, 100, 0))
@@ -156,6 +166,13 @@ func TestZCForgedCount(t *testing.T) {
 					}
 				})
 			w.sim.Run()
+			for _, id := range forged {
+				if n := w.a.Mem.FrameRefs(id); n != 2 {
+					t.Errorf("forged page %d: %d references, want its mapping's and its transfer's", id, n)
+				}
+			}
+			w.a.Mem.Unref(forged)
+			forged = nil
 		})
 	}
 }
@@ -253,41 +270,61 @@ func TestForgedZCReturnIsDropped(t *testing.T) {
 	w.sim.Run()
 }
 
-// TestZCSlotNamedTwiceIsDropped: an inter-host descriptor names slots of the
-// receiver's pinned pool, and RecvVA maps the frames in them. A descriptor
-// that names a slot twice, or a slot an arrival still queued names, would
-// have one frame mapped twice: it is dropped whole. A slot is free to name
-// again once the arrival holding it has been received.
+// TestZCSlotNamedTwiceIsDropped: a descriptor names frames — intra-host by
+// their obfuscated ids, inter-host by slots of the receiver's pinned pool —
+// and RecvVA maps them. One that names a frame twice, or across hosts a slot
+// an arrival still queued names, would have one frame mapped twice on one
+// reference: it is dropped whole. A slot is free to name again once the
+// arrival holding it has been received.
 func TestZCSlotNamedTwiceIsDropped(t *testing.T) {
 	w := newWorld(t)
-	var s *core.Socket
-	connected(t, w, true, 7657, func(ctx exec.Context, th *host.Thread, sock *core.Socket) { s = sock }, nil)
+	var socks []*core.Socket
+	var frames []mem.PageID
+	for i, inter := range []bool{false, true} {
+		connected(t, w, inter, 7657+uint16(i), func(ctx exec.Context, th *host.Thread, s *core.Socket) {
+			socks = append(socks, s)
+			if !inter {
+				frames = th.Proc.AS.FreshFrames(nil, 2)
+			}
+		}, nil)
+	}
 	w.sim.Run()
-	desc := func(slots ...int32) []byte {
+	t.Cleanup(func() { w.a.Mem.Unref(frames) }) // before the world ends
+	intra := func(ids ...mem.PageID) []byte {
+		return w.a.Mem.AppendObfuscated(core.AppendZCHeader(nil, core.ZCIntra, len(ids)*mem.PageSize, len(ids)), ids)
+	}
+	inter := func(slots ...int32) []byte {
 		return core.AppendZCSlots(core.AppendZCHeader(nil, core.ZCInter, len(slots)*mem.PageSize, len(slots)), slots)
 	}
 	for _, tc := range []struct {
-		name string
-		feed [][]byte
-		want int // arrivals queued
+		name  string
+		inter bool
+		feed  [][]byte
+		want  int // arrivals queued
 	}{
-		{"a slot twice", [][]byte{desc(3, 3)}, 0},
-		{"a slot a queued arrival holds", [][]byte{desc(3, 4), desc(5, 4)}, 1},
-		{"distinct slots", [][]byte{desc(3, 4), desc(5, 6)}, 2},
-		{"a slot received before", [][]byte{desc(4, 3)}, 1},
+		{"a frame twice", false, [][]byte{intra(frames[0], frames[0])}, 0},
+		{"distinct frames", false, [][]byte{intra(frames[0], frames[1])}, 1},
+		{"a slot twice", true, [][]byte{inter(3, 3)}, 0},
+		{"a slot a queued arrival holds", true, [][]byte{inter(3, 4), inter(5, 4)}, 1},
+		{"distinct slots", true, [][]byte{inter(3, 4), inter(5, 6)}, 2},
+		{"a slot received before", true, [][]byte{inter(4, 3)}, 1},
 	} {
+		s := socks[0]
+		if tc.inter {
+			s = socks[1]
+		}
 		got := s.FeedZC(false, tc.feed...)
 		if len(got) != tc.want {
 			t.Errorf("%s: %d arrivals queued, want %d", tc.name, len(got), tc.want)
 		}
-		if dup := sharedFrame(got); dup != 0 {
+		if dup := sharedFrame(got...); dup != 0 {
 			t.Errorf("%s: frame %d queued twice", tc.name, dup)
 		}
 	}
 }
 
 // sharedFrame returns a frame that two of the arrivals' pages name, or 0.
-func sharedFrame(arrivals []core.ZCArrival) mem.PageID {
+func sharedFrame(arrivals ...core.ZCArrival) mem.PageID {
 	seen := map[mem.PageID]bool{}
 	for _, a := range arrivals {
 		for _, id := range a.Frames {
@@ -304,10 +341,11 @@ func sharedFrame(arrivals []core.ZCArrival) mem.PageID {
 // messages, over shared memory and over RDMA, twice in a row. The peer and
 // its queue are untrusted (§4.3): no payload may panic the receiver, queue an
 // arrival whose pages outnumber the whole pages of the bytes it announces
-// (RecvVA sizes its buffer check by the bytes and maps the pages), have
-// RDMA arrivals queued together name one pool frame twice (RecvVA would map
-// it twice), or move a buffer or a frame. (An intra-host descriptor that
-// names one frame twice is still queued: ROADMAP item 9.)
+// (RecvVA sizes its buffer check by the bytes and maps the pages), queue an
+// arrival that names one frame twice or, over RDMA, arrivals that together
+// name one pool frame twice (RecvVA would map it twice), or move a buffer or
+// a frame. Intra-host arrivals may share frames: each holds its own
+// transfer references.
 func FuzzZCDescriptor(f *testing.F) {
 	w := newWorld(f)
 	var socks []*core.Socket
@@ -325,6 +363,7 @@ func FuzzZCDescriptor(f *testing.F) {
 	if len(socks) != 2 {
 		f.Fatal("no connections to fuzz")
 	}
+	f.Cleanup(func() { w.a.Mem.Unref(frames) }) // before the world ends
 	pm := w.a.Mem
 	honest := pm.AppendObfuscated(core.AppendZCHeader(nil, core.ZCIntra, 4*mem.PageSize+7, 4), frames)
 	if got := socks[0].FeedZC(false, honest); len(got) != 1 || len(got[0].Frames) != 4 {
@@ -338,23 +377,74 @@ func FuzzZCDescriptor(f *testing.F) {
 	f.Add(true, core.AppendZCReturn(nil, []int32{1, 2, 3}))
 	f.Add(true, []byte{0xff, 0xff, 0xff, 0xff, 1})
 	f.Fuzz(func(t *testing.T, ret bool, payload []byte) {
-		bufs, live := bufpool.Outstanding(), w.a.Mem.FrameCount()+w.b.Mem.FrameCount()
+		before := monitor.TakeCensus(w.a, w.b)
 		for i, s := range socks {
 			got := s.FeedZC(ret, payload, payload)
 			for _, a := range got {
 				if len(a.Frames) == 0 || len(a.Frames) != a.Total>>mem.PageShift {
 					t.Errorf("queued %d pages for %d bytes", len(a.Frames), a.Total)
 				}
+				if dup := sharedFrame(a); dup != 0 {
+					t.Errorf("frame %d named twice by one arrival", dup)
+				}
 			}
-			if dup := sharedFrame(got); i == 1 && dup != 0 {
+			if dup := sharedFrame(got...); i == 1 && dup != 0 {
 				t.Errorf("frame %d of the pinned pool queued twice", dup)
 			}
 		}
-		if got := bufpool.Outstanding(); got != bufs {
-			t.Errorf("bufpool outstanding %d -> %d", bufs, got)
-		}
-		if got := w.a.Mem.FrameCount() + w.b.Mem.FrameCount(); got != live {
-			t.Errorf("frames %d -> %d", live, got)
+		if c := monitor.TakeCensus(w.a, w.b); c != before {
+			t.Errorf("census %+v -> %+v", before, c)
 		}
 	})
+}
+
+// TestCloseReleasesQueuedZC: a socket closed with a zero-copy arrival it
+// never received gives back what the arrival held, as close discards a
+// receive queue. Intra-host, the arrival's transfer references: once the
+// sender frees its buffer, all 16 frames are back in its address space's
+// free pool. Inter-host, the arrival's pool slots: they go back to the
+// sender ahead of the close's MShut, so by its EOF the sender finds every
+// slot of the peer's pool free.
+func TestCloseReleasesQueuedZC(t *testing.T) {
+	const pages = 16
+	const n = pages * mem.PageSize
+	for _, inter := range []bool{false, true} {
+		name := "intra"
+		if inter {
+			name = "inter"
+		}
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(t)
+			sent := false
+			connected(t, w, inter, 7658,
+				func(ctx exec.Context, th *host.Thread, s *core.Socket) {
+					for !sent {
+						ctx.Sleep(10_000)
+					}
+					ctx.Sleep(100_000)
+					s.Close(ctx, th)
+				},
+				func(ctx exec.Context, th *host.Thread, s *core.Socket) {
+					as := th.Proc.AS
+					src := as.Alloc(n)
+					if _, err := s.SendVA(ctx, th, src, n); err != nil {
+						t.Errorf("sendVA: %v", err)
+					}
+					sent = true
+					if _, err := s.Recv(ctx, th, make([]byte, 8)); err != io.EOF {
+						t.Errorf("recv after the peer's close: %v, want EOF", err)
+					}
+					if free := len(s.ReturnZC(nil)); inter && free != core.ZCPoolPages {
+						t.Errorf("%d slots of the peer's pool free after its close, want all %d", free, core.ZCPoolPages)
+					}
+					s.Close(ctx, th)
+					ctx.Sleep(100_000)
+					as.Free(src, n)
+					if got := as.PoolSize(); !inter && got != pages {
+						t.Errorf("%d frames back in the sender's pool, want the %d it sent", got, pages)
+					}
+				})
+			w.sim.Run()
+		})
+	}
 }

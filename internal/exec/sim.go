@@ -425,7 +425,10 @@ func (s *Sim) wake(t *thread, at int64) {
 // Run executes the simulation until no events remain, then tears down any
 // threads that are still parked. It returns the final virtual time. A panic
 // in a thread body or timer callback surfaces here with its original value.
+// A Sim may be Run again: threads spawned since run on the world as the
+// last Run left it.
 func (s *Sim) Run() int64 {
+	s.killed = false
 	defer s.teardown()
 	for s.pq.Len() > 0 {
 		e := s.pop()

@@ -304,7 +304,7 @@ func benchConnScale(short bool) []BenchEntry {
 	runtime.GC()
 	var w memWindow
 	w.mark()
-	cs := ConnScaleDrill(ConnScaleConfig{Population: pop, Churn: churn})
+	cs, _ := connScale(ConnScaleConfig{Population: pop, Churn: churn})
 	w.mark()
 	// The whole drill's allocations are billed to the connect entry
 	// (each dial constructs the socket pair, rings, and FD entries; the

@@ -45,6 +45,9 @@ type ChaosResult struct {
 	Degradations int64 // sockets that fell back to kernel TCP
 	Rescues      int64 // monitor rescue connections built
 	MchanHeals   int64 // monitor channels re-probed after QP death
+	PoolLeak     int64 // the census's pooled-buffer delta across the run
+
+	worldEnd
 }
 
 // verdict is the acceptance bar: all traffic delivered exactly, at least
@@ -61,6 +64,7 @@ func (r ChaosResult) verdict() verdict {
 				"faults injected=%d, recovery attempts=%d, recoveries=%d", r.Injected, r.Attempts, r.Recoveries),
 			expect("a socket degraded to kernel TCP", r.Degradations >= 1,
 				"degradations=%d, rescue conns=%d, mchan heals=%d", r.Degradations, r.Rescues, r.MchanHeals),
+			nothingLeft(r.Left),
 		},
 	}
 }
@@ -105,13 +109,15 @@ func chaos(rounds, chunk, skip int) ChaosResult {
 
 	res.CompletedA, res.MismatchA = a.completed, a.mismatches
 	res.CompletedB, res.MismatchB = b.completed, b.mismatches
-	d, _, _ := tl.end()
+	var d telemetry.Snapshot
+	d, res.PoolLeak, _ = tl.end()
 	res.Injected = d[telemetry.FaultInjected]
 	res.Recoveries = d[telemetry.FaultRecoveries]
 	res.Attempts = d[telemetry.FaultRecoveryAttempts]
 	res.Degradations = d[telemetry.FaultDegradations]
 	res.Rescues = d[telemetry.MonRescues]
 	res.MchanHeals = d[telemetry.MonMchanHeals]
+	res.worldEnd = endWorld(w.cl)
 	return res
 }
 

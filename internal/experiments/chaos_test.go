@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"testing"
-
-	"socksdirect/internal/bufpool"
 )
 
 // TestChaosSoak runs the scripted fault schedule (1% loss burst + 2 s
@@ -54,6 +52,7 @@ func TestChaosRecoversAtEveryOrdinal(t *testing.T) {
 		if !r.Passed() {
 			t.Errorf("after %d bare hosts:\n%s", skip, r)
 		}
+		r.counters = nil // a snapshot of its own in every run
 		for i, q := range runs {
 			if q == r {
 				t.Errorf("after %d and %d bare hosts: the same run\n%#v", i, skip, r)
@@ -72,7 +71,6 @@ func TestChaosRecoversAtEveryOrdinal(t *testing.T) {
 // when no frames or timers remain, so a nonzero delta here is a real
 // reference-count leak, not in-flight traffic.
 func TestChaosPoolBalance(t *testing.T) {
-	before := bufpool.Outstanding()
 	r := Chaos(120, 512)
 	if !r.CompletedA || !r.CompletedB {
 		t.Fatalf("incomplete chaos run: pairA=%v pairB=%v", r.CompletedA, r.CompletedB)
@@ -80,7 +78,7 @@ func TestChaosPoolBalance(t *testing.T) {
 	if r.Degradations < 1 {
 		t.Errorf("degradation path not exercised (rescues=%d)", r.Rescues)
 	}
-	if got := bufpool.Outstanding(); got != before {
-		t.Errorf("buffer pool leak: outstanding %d after chaos run, want %d", got, before)
+	if r.PoolLeak != 0 {
+		t.Errorf("buffer pool leak: %d outstanding after the chaos run, before its world ended", r.PoolLeak)
 	}
 }

@@ -73,8 +73,9 @@ type ClusterResult struct {
 	ChurnDials  int    // successful churner round-trips across all hosts
 	ChurnErrs   int    // bounded churner errors (monitor downtime window)
 	WorstDialNs int64  // slowest single dial anywhere in the cluster
-	PoolLeak    int64  // bufpool.Outstanding delta across the run
+	PoolLeak    int64  // the census's pooled-buffer delta across the run
 	Converge    string // CrashConverged error from any survivor, "" when ok
+	worldEnd
 
 	Membership []ClusterMember // every survivor's view, for sdstat
 }
@@ -101,6 +102,7 @@ func (r ClusterResult) verdict() verdict {
 				r.ChurnDials, r.ChurnErrs, float64(r.WorstDialNs)/1e6, float64(clusterDialBound)/1e6),
 			noDrift("bufpool", r.PoolLeak),
 			converged(r.Converge),
+			nothingLeft(r.Left),
 		},
 	}
 }
@@ -315,6 +317,7 @@ func ClusterSoak() ClusterResult {
 	res.Fanouts = d[telemetry.MonHostDeadFanouts]
 	res.GossipTx = d[telemetry.MonGossipTx]
 	res.Cleanups = d[telemetry.MonCrashCleanups]
+	res.worldEnd = endWorld(cl)
 	return res
 }
 

@@ -69,7 +69,11 @@ type ConnScaleResult struct {
 	AcceptP99Ns    int64
 	Dispatched     int // monitor connection dispatches (ConnsDispatched)
 	Shards         []ConnScaleShard
+	worldEnd
 }
+
+// EndCheck renders the drill's end-of-world check as a verdict line.
+func (r ConnScaleResult) EndCheck() string { return nothingLeft(r.Left).String() }
 
 // ConnScaleDrill runs the connection-scale drill (§6: "An application
 // thread with libsd can create 1.4 M new connections per second"). SHM
@@ -80,6 +84,14 @@ type ConnScaleResult struct {
 // the accept quota per listener is then exact and the drill terminates
 // deterministically.
 func ConnScaleDrill(cfg ConnScaleConfig) ConnScaleResult {
+	res, w := connScale(cfg)
+	res.worldEnd = endWorld(w.cl)
+	return res
+}
+
+// connScale is the drill without the end of its world, which the bench
+// entries' allocation window must not see.
+func connScale(cfg ConnScaleConfig) (ConnScaleResult, *world) {
 	if cfg.Servers <= 0 {
 		cfg.Servers = shard.DefaultCount
 	}
@@ -237,5 +249,5 @@ func ConnScaleDrill(cfg ConnScaleConfig) ConnScaleResult {
 			P99Ns:  dd.Quantile(0.99),
 		})
 	}
-	return res
+	return res, w
 }

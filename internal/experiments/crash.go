@@ -22,7 +22,9 @@ import (
 //     notes or connection records still reference a corpse
 //     (monitor.CrashConverged);
 //   - no pooled buffer leaks: the corpse's QPs are closed by the kernel
-//     teardown hook, so bufpool.Outstanding returns to its baseline.
+//     teardown hook, so the census's pooled buffers return to their
+//     baseline;
+//   - the world, ended through the crash path, holds nothing.
 //
 // Pair i kills its client when i is even and its server when i is odd,
 // so both blocked-sender (full ring) and blocked-receiver (empty ring)
@@ -42,8 +44,9 @@ type CrashResult struct {
 
 	Cleanups   int64  // sd/monitor/crash_cleanups (one per corpse)
 	CoreResets int64  // sd/core/resets (one per surviving socket)
-	PoolLeak   int64  // bufpool.Outstanding delta across the run
+	PoolLeak   int64  // the census's pooled-buffer delta across the run
 	Converge   string // monitor.CrashConverged error, "" when converged
+	worldEnd
 }
 
 // verdict is the drill's acceptance bar.
@@ -59,6 +62,7 @@ func (r CrashResult) verdict() verdict {
 			atLeast(telemetry.CoreResets, r.CoreResets, int64(pairs)),
 			noDrift("bufpool", r.PoolLeak),
 			converged(r.Converge),
+			nothingLeft(r.Left),
 		},
 	}
 }
@@ -98,6 +102,7 @@ func Crash(intraPairs, interPairs, chunk int) CrashResult {
 	d, res.PoolLeak, res.Converge = tl.end(w.ma, w.mb)
 	res.Cleanups = d[telemetry.MonCrashCleanups]
 	res.CoreResets = d[telemetry.CoreResets]
+	res.worldEnd = endWorld(w.cl)
 	return res
 }
 

@@ -7,22 +7,23 @@ import (
 	"strings"
 
 	sd "socksdirect"
-	"socksdirect/internal/bufpool"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/monitor"
 	"socksdirect/internal/telemetry"
 )
 
 // The scenario kit: the parts the drills in this package (chaos, crash,
-// mrestart, cluster, overload, connscale, obssoak) are assembled from, each
+// mrestart, cluster, overload, connscale, obssmoke) are assembled from, each
 // written once. Flows: one payload source (seedFor, xorshiftFill), one
 // verifier, and three traffic shapes — pair.stream, pair.echo, and a
 // dialing thread (dialStats, served by acceptLoop). Schedule: killAt and
 // timeline; link faults stay with internal/fault. Invariants: functions
-// that return a named check; a drill's verdict lists its checks once and
-// both Passed and String derive from it, so no number is printed without
-// being judged or judged without being printed. A body only one drill
-// needs stays in that drill and uses these parts.
+// that return a named check; the resource ones read the one census
+// (monitor.Census), and every drill ends its world through the crash path
+// and judges what is left (nothingLeft). A drill's verdict lists its checks
+// once and both Passed and String derive from it, so no number is printed
+// without being judged or judged without being printed. A body only one
+// drill needs stays in that drill and uses these parts.
 
 // seedFor derives a flow's payload seed from its port and a per-shape
 // salt, so no two flows of a run carry the same stream.
@@ -413,21 +414,21 @@ func freshDist(name string) *telemetry.Distribution {
 	return d
 }
 
-// tally brackets a run: the telemetry counters and the pooled-buffer
-// census as they stood before it.
+// tally brackets a run: the telemetry counters and the census's
+// process-wide columns as they stood before it.
 type tally struct {
 	counters telemetry.Snapshot
-	pool     int64
+	base     monitor.Census
 }
 
 func startTally() tally {
-	return tally{counters: telemetry.Capture(), pool: bufpool.Outstanding()}
+	return tally{counters: telemetry.Capture(), base: monitor.TakeCensus()}
 }
 
 // end reads the run's books once the simulation has quiesced: every
-// counter's movement; the pooled buffers taken and not returned (no frame
-// or timer remains, so a nonzero value is a reference-count leak, not
-// traffic in flight); and the first CrashConverged error among mons — a
+// counter's movement; the census's pooled buffers taken and not returned
+// (no frame or timer remains, so a nonzero value is a reference-count leak,
+// not traffic in flight); and the first CrashConverged error among mons — a
 // listener slot, token waiter or connection record that still
 // refers to a dead process — or "" when all converged.
 func (t tally) end(mons ...*monitor.Monitor) (delta telemetry.Snapshot, poolLeak int64, unconverged string) {
@@ -441,7 +442,7 @@ func (t tally) end(mons ...*monitor.Monitor) (delta telemetry.Snapshot, poolLeak
 			break
 		}
 	}
-	return telemetry.Capture().Diff(t.counters), bufpool.Outstanding() - t.pool, unconverged
+	return telemetry.Capture().Diff(t.counters), monitor.TakeCensus().Bufs - t.base.Bufs, unconverged
 }
 
 // check is one named requirement judged on one run, with the numbers
@@ -454,6 +455,15 @@ type check struct {
 
 func expect(name string, ok bool, format string, a ...any) check {
 	return check{name: name, ok: ok, detail: fmt.Sprintf(format, a...)}
+}
+
+// String renders the check as one verdict line.
+func (c check) String() string {
+	mark := "ok  "
+	if !c.ok {
+		mark = "FAIL"
+	}
+	return fmt.Sprintf("%s %s: %s", mark, c.name, c.detail)
 }
 
 // The system's invariants, each stated once.
@@ -478,10 +488,36 @@ func oneTimeout(exact, armed, extra int) check {
 		"%d/%d exactly-one ETIMEDOUT (extra=%d)", exact, armed, extra)
 }
 
-// noDrift: a resource census (pooled buffers, admitted quota bytes) is
-// back at its baseline once the run has quiesced.
+// noDrift: what a run took of something shared — the census's pooled
+// buffers, a host's admitted quota bytes — is back at its baseline once the
+// run has quiesced.
 func noDrift(what string, drift int64) check {
 	return expect("zero "+what+" drift", drift == 0, "%d", drift)
+}
+
+// worldEnd is how a drill's world ended (endWorld): the census it left, and
+// the counters as they stood before, which are the drill's own.
+type worldEnd struct {
+	Left     monitor.Census
+	counters *telemetry.Snapshot // a pointer keeps a Result comparable
+}
+
+func endWorld(cl *sd.Cluster) worldEnd {
+	at := telemetry.Capture()
+	return worldEnd{cl.End(), &at}
+}
+
+// Counters returns the counters as the drill left them, before its world
+// ended.
+func (e worldEnd) Counters() telemetry.Snapshot { return *e.counters }
+
+// nothingLeft: the world, ended through the crash path (sd.Cluster.End),
+// holds nothing — ARCHITECTURE.md "One census".
+func nothingLeft(left monitor.Census) check {
+	if left == (monitor.Census{}) {
+		return expect("zero census at world end", true, "nothing held")
+	}
+	return expect("zero census at world end", false, "%+v", left)
 }
 
 // converged: no monitor state still refers to a dead process (unconverged
@@ -527,11 +563,7 @@ func (v verdict) String() string {
 	var b strings.Builder
 	b.WriteString(v.head)
 	for _, c := range v.checks {
-		mark := "ok  "
-		if !c.ok {
-			mark = "FAIL"
-		}
-		fmt.Fprintf(&b, "\n  %s %s: %s", mark, c.name, c.detail)
+		b.WriteString("\n  " + c.String())
 	}
 	if v.Passed() {
 		return b.String() + "\n  PASS"

@@ -54,8 +54,9 @@ type MRestartResult struct {
 	RestartsSeen int64  // sd/monitor/restarts
 	StaleDropped int64  // sd/monitor/stale_dropped
 	ReRegs       int64  // sd/monitor/reregistrations
-	PoolLeak     int64  // bufpool.Outstanding delta across the run
+	PoolLeak     int64  // the census's pooled-buffer delta across the run
 	Converge     string // CrashConverged error from either successor, "" if ok
+	worldEnd
 }
 
 // verdict is the drill's acceptance bar.
@@ -76,6 +77,7 @@ func (r MRestartResult) verdict() verdict {
 			atLeast(telemetry.MonReregistrations, r.ReRegs, 1),
 			noDrift("bufpool", r.PoolLeak),
 			converged(r.Converge),
+			nothingLeft(r.Left),
 		},
 	}
 }
@@ -153,6 +155,7 @@ func MRestart(intraPairs, interPairs, chunk, chunks int) MRestartResult {
 	res.RestartsSeen = d[telemetry.MonRestarts]
 	res.StaleDropped = d[telemetry.MonStaleDropped]
 	res.ReRegs = d[telemetry.MonReregistrations]
+	res.worldEnd = endWorld(w.cl)
 	return res
 }
 

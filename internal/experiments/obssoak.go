@@ -32,8 +32,13 @@ type ObsSmokeResult struct {
 	FlowRows    int   // flow-table rows after the run
 	TraceText   string
 
-	// Trace is the merged connect timeline, kept for artifact output.
+	// Trace is the merged connect timeline, kept for artifact output, and
+	// Rings the recorder's rings as the run left them, before its world
+	// ended.
 	Trace obs.TraceView
+	Rings obs.Dump
+
+	worldEnd
 }
 
 // verdict is the acceptance bar: a complete cross-host connect trace of at
@@ -54,6 +59,7 @@ func (r ObsSmokeResult) verdict() verdict {
 			expect("hop breakdown sums to the end-to-end latency", r.ConnectNs > 0 && diff*20 <= r.ConnectNs,
 				"end-to-end=%dns, hop sum=%dns", r.ConnectNs, r.HopSumNs),
 			expect("a flow row per endpoint", r.FlowRows >= 2, "flow rows=%d", r.FlowRows),
+			nothingLeft(r.Left),
 		},
 	}
 }
@@ -102,6 +108,8 @@ func ObsSmoke(rounds, chunk int) ObsSmokeResult {
 		res.Trace = tv
 	}
 	res.FlowRows = len(obs.Flows())
+	res.Rings = obs.ForceDump(obs.TrigManual, res.RunNs, "obssmoke connect trace")
+	res.worldEnd = endWorld(w.cl)
 	obs.SetArmed(true)
 	return res
 }
@@ -120,6 +128,8 @@ type ObsDrillResult struct {
 	// Dump is the first (and, on a pass, only) recorder artifact; soak
 	// drivers write it out as CI evidence.
 	Dump obs.Dump
+
+	worldEnd
 }
 
 // verdict: the induced retry exhaustion must produce exactly one dump,
@@ -135,6 +145,7 @@ func (r ObsDrillResult) verdict() verdict {
 				"dumps=%d first=%q recovery spans in dump=%d", r.Dumps, r.FirstReason, r.RecoverySpans),
 			expect("traffic survives over the rescue path", r.Echoed && r.Degradations >= 1,
 				"degradations=%d echo complete=%v", r.Degradations, r.Echoed),
+			nothingLeft(r.Left),
 		},
 	}
 }
@@ -182,6 +193,7 @@ func ObsRetryDrill(rounds, chunk int) ObsDrillResult {
 	}
 	d, _, _ := tl.end()
 	res.Degradations = d[telemetry.FaultDegradations]
+	res.worldEnd = endWorld(w.cl)
 	obs.Reset() // restore cooldown and drop the sink
 	return res
 }

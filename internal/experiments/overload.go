@@ -130,7 +130,8 @@ type OverloadResult struct {
 	QuotaDelivered int64 // bytes delivered byte-exact after resubmission
 	QuotaBad       int
 	QuotaDrift     int64 // bytes the hosts still hold staged at quiescence (want 0)
-	PoolLeak       int64 // bufpool.Outstanding delta (want 0)
+	PoolLeak       int64 // the census's pooled-buffer delta (want 0)
+	worldEnd
 
 	Hung int // workers that never reached their end state
 
@@ -179,6 +180,7 @@ func (r OverloadResult) verdict() verdict {
 			atLeast(telemetry.CoreEWouldBlock, r.CtrEWouldBlock, int64(r.WouldBlocks)),
 			atLeast(telemetry.CoreConnRefused, r.CtrConnRefused, int64(r.FloodRefused)),
 			atLeast(telemetry.MemPoolQuotaRejects, r.CtrQuotaRejects, int64(r.QuotaRejected)),
+			nothingLeft(r.Left),
 		},
 	}
 }
@@ -246,6 +248,7 @@ func Overload(cfg OverloadConfig) OverloadResult {
 		res.CtrInboxShed += d[telemetry.MonShardInboxShed(i)]
 	}
 	res.QuotaDrift = o.w.a.Staged() + o.w.b.Staged()
+	res.worldEnd = endWorld(o.w.cl)
 	return res
 }
 

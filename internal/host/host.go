@@ -169,6 +169,16 @@ func (h *Host) Process(pid int) *Process {
 	return h.procs[pid]
 }
 
+// EachProcess calls fn for every process the host has made, the dead
+// ones too, in PID order.
+func (h *Host) EachProcess(fn func(*Process)) {
+	for pid := 1; pid <= h.nextPID; pid++ {
+		if p := h.procs[pid]; p != nil {
+			fn(p)
+		}
+	}
+}
+
 // NextCore hands out a core id for thread placement: a fresh core per
 // call by default, or round-robin over [1, SetCores(n)] when the host has
 // been bounded. Distinct ids run concurrently under the sim executor, so
@@ -303,7 +313,8 @@ func (p *Process) Exit(ctx exec.Context) { p.terminate(ctx) }
 //  1. mark the process dead, so every libsd poll loop that checks
 //     Dead() unwinds instead of spinning forever;
 //  2. let the user-space library release transport resources (QPs with
-//     staged send buffers) through its opaque teardown hook;
+//     staged send buffers) through its opaque teardown hook, then take
+//     the address space down;
 //  3. close every FD-table entry — Dup refcounts mean a fork-shared
 //     pipe or kernel socket signals EOF only when the last sharer dies;
 //  4. unpark every thread, routing death through the wake path: a
@@ -325,6 +336,7 @@ func (p *Process) terminate(ctx exec.Context) {
 	if td, ok := lib.(interface{ OnProcessDeath() }); ok {
 		td.OnProcessDeath()
 	}
+	p.AS.Release()
 	for _, f := range fds {
 		f.Close(ctx)
 	}

@@ -422,6 +422,22 @@ func (as *AddressSpace) Free(addr VAddr, n int) error {
 	return nil
 }
 
+// Release is the kernel's teardown of a dead process's memory: every
+// mapping and the free pool go, and a frame another holder still references
+// lives on until that holder lets go, without coming back here.
+func (as *AddressSpace) Release() {
+	as.poolCap = 0
+	for i := range as.pages {
+		if f := as.pages[i].f; f != nil {
+			as.pm.unref(f)
+		}
+	}
+	as.pages = nil
+	for f := as.pool.Get(); f != nil; f = as.pool.Get() {
+		as.pm.dropFrame(f)
+	}
+}
+
 // Read copies len(out) bytes at addr into out.
 func (as *AddressSpace) Read(addr VAddr, out []byte) error {
 	n := len(out)

@@ -272,12 +272,19 @@ func startEpoch(h *host.Host, ks *ksocket.Stack, epoch uint32) *Monitor {
 			m.rescueL = rl
 		}
 	}
+	m.spawnLoops()
+	return m
+}
+
+// spawnLoops starts the router and every shard loop: at start, and when
+// EndWorld runs a world again whose Run has unwound them.
+func (m *Monitor) spawnLoops() {
+	h := m.H
 	m.thread = h.RT.SpawnOn(h.NextCore(), h.Name+"/monitor", m.run)
 	for _, sh := range m.shards {
 		sh.thread = h.RT.SpawnOn(h.NextCore(),
 			fmt.Sprintf("%s/monitor/shard%d", h.Name, sh.idx), sh.run)
 	}
-	return m
 }
 
 // SetPolicy installs the access-control policy.
@@ -296,6 +303,7 @@ func (m *Monitor) Stop() {
 		return
 	}
 	m.stopped = true
+	m.intraIdle = nil
 	kls := make([]*ksocket.Listener, 0, len(m.kernLs)+1)
 	for _, k := range m.kernLs {
 		kls = append(kls, k.kl)

@@ -111,8 +111,13 @@ func (m *Monitor) probe(p *peer) {
 }
 
 // queueProbeResult defers processing to the daemon thread (raw-port
-// handlers run in timer context and must not block).
+// handlers run in timer context and must not block). A stopped monitor's
+// daemon is gone: the probe's QP is closed here.
 func (m *Monitor) queueProbeResult(pr probeResult) {
+	if m.stopped && pr.mc != nil {
+		pr.mc.qp.Close()
+		return
+	}
 	m.probeDone = append(m.probeDone, pr)
 	m.wake()
 }

@@ -366,6 +366,54 @@ func TestOnlySharedWordsAreAtomic(t *testing.T) {
 	}
 }
 
+// TestOneCensus keeps "zero resource drift" stated once (ARCHITECTURE.md
+// "One census"): no Go file but the census's home declares a struct type
+// or a function, other than a test, whose name says census. A second count
+// drifts from the first in what it counts, as the four the census replaced
+// did.
+func TestOneCensus(t *testing.T) {
+	home := filepath.Join("internal", "monitor", "census.go")
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case !strings.HasSuffix(path, ".go") || path == home:
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			var name *ast.Ident
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if !strings.HasPrefix(d.Name.Name, "Test") {
+					name = d.Name
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						if _, ok := ts.Type.(*ast.StructType); ok && strings.Contains(strings.ToLower(ts.Name.Name), "census") {
+							t.Errorf("%s: struct type %s: the census is monitor.Census", fset.Position(ts.Pos()), ts.Name.Name)
+						}
+					}
+				}
+			}
+			if name != nil && strings.Contains(strings.ToLower(name.Name), "census") {
+				t.Errorf("%s: func %s: the census is monitor.TakeCensus", fset.Position(name.Pos()), name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCodeCitesOnlyOpenItems fails on a ROADMAP item that Go code, a
 // current-state document or the CI workflow cites — "ROADMAP n", "ROADMAP n(x)",
 // "item n" — and that ROADMAP.md does not list under "Open items": items

@@ -36,6 +36,8 @@ package socksdirect
 import (
 	"errors"
 	"io"
+	"maps"
+	"slices"
 
 	"socksdirect/internal/core"
 	"socksdirect/internal/costmodel"
@@ -104,6 +106,7 @@ type Cluster struct {
 	net   *host.Net
 	hosts map[string]*Host
 	seedN uint64
+	base  monitor.Census // the process-wide columns as they stood when it was built
 }
 
 // NewCluster builds an empty cluster.
@@ -111,7 +114,7 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.Costs == nil {
 		cfg.Costs = &costmodel.Default
 	}
-	c := &Cluster{cfg: cfg, sim: exec.NewSim(exec.SimConfig{}), hosts: make(map[string]*Host)}
+	c := &Cluster{cfg: cfg, sim: exec.NewSim(exec.SimConfig{}), hosts: make(map[string]*Host), base: monitor.TakeCensus()}
 	c.net = host.NewNet(c.sim.Clock(), host.LinkConfig(c.cfg.Costs, int64(cfg.Seed)))
 	return c
 }
@@ -166,6 +169,17 @@ func (c *Cluster) Sim() *exec.Sim { return c.sim }
 // Run executes the cluster until quiescent and returns the final virtual
 // time in nanoseconds.
 func (c *Cluster) Run() int64 { return c.sim.Run() }
+
+// End tears the cluster down through the crash path — every process killed,
+// the monitors' crash cleanup run, every monitor stopped — and returns the
+// census of what is left (monitor.EndWorld): zero when nothing leaked.
+func (c *Cluster) End() monitor.Census {
+	var hosts []*host.Host
+	for _, name := range slices.Sorted(maps.Keys(c.hosts)) {
+		hosts = append(hosts, c.hosts[name].H)
+	}
+	return monitor.EndWorld(c.sim, c.base, hosts...)
+}
 
 // Process is an application process with libsd loaded.
 type Process struct {

@@ -12,10 +12,11 @@ import (
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
 	"socksdirect/internal/mem"
+	"socksdirect/internal/monitor"
 )
 
 func TestPublicAPIQuickstartShape(t *testing.T) {
-	cl := sd.NewCluster(sd.Defaults())
+	cl := newCluster(t)
 	h := cl.AddHost("alpha")
 	srv := h.NewProcess("server", 0)
 	cli := h.NewProcess("client", 1000)
@@ -63,7 +64,7 @@ func TestPublicAPIQuickstartShape(t *testing.T) {
 }
 
 func TestPublicAPIInterHostAndZeroCopy(t *testing.T) {
-	cl := sd.NewCluster(sd.Defaults())
+	cl := newCluster(t)
 	a := cl.AddHost("alpha")
 	b := cl.AddHost("beta")
 	sd.PeerMonitors(a, b)
@@ -113,7 +114,7 @@ func TestPublicAPIInterHostAndZeroCopy(t *testing.T) {
 }
 
 func TestPublicAPIForkAndLegacyPeer(t *testing.T) {
-	cl := sd.NewCluster(sd.Defaults())
+	cl := newCluster(t)
 	a := cl.AddHost("alpha")
 	legacy := cl.AddLegacyHost("oldbox")
 
@@ -175,19 +176,16 @@ func TestPublicAPIForkAndLegacyPeer(t *testing.T) {
 	}
 }
 
-// worldCensus is what closed connections must give back on a world's
-// hosts: SHM segments, QPs, MRs, pinned frames and monitor records.
-type worldCensus struct{ segs, qps, mrs, pinned, records int }
-
-func censusOf(hosts ...*sd.Host) (c worldCensus) {
-	for _, h := range hosts {
-		c.segs += h.H.SHM.Len()
-		c.qps += h.H.NIC.QPCount()
-		c.mrs += h.H.NIC.MRCount()
-		c.pinned += h.H.Mem.PinnedCount()
-		c.records += h.Mon.LiveConnRecords()
-	}
-	return c
+// newCluster builds a cluster whose end is checked: once the test is over,
+// Cluster.End tears it down through the crash path and must leave nothing.
+func newCluster(t *testing.T) *sd.Cluster {
+	cl := sd.NewCluster(sd.Defaults())
+	t.Cleanup(func() {
+		if left := cl.End(); left != (monitor.Census{}) {
+			t.Errorf("the cluster ends holding %+v", left)
+		}
+	})
+	return cl
 }
 
 // echoServe accepts n connections one after another on port and echoes
@@ -236,14 +234,13 @@ type worldRun struct {
 // backlogs at one and their rings at 16 KiB, world 0 keeps the defaults:
 // the first dial pins the backlog slot in both, and the second is refused
 // in world 1 only.
-func runWorld(t *testing.T, w int) worldRun {
+func runWorld(t *testing.T, cl *sd.Cluster, w int) worldRun {
 	const (
 		port      = 80
 		sinkPort  = 81
 		pingPongs = 100
 		cycles    = 200
 	)
-	cl := sd.NewCluster(sd.Defaults())
 	a := cl.AddHost(fmt.Sprintf("w%d-alpha", w))
 	b := cl.AddHost(fmt.Sprintf("w%d-beta", w))
 	if w == 1 {
@@ -300,8 +297,15 @@ func runWorld(t *testing.T, w int) worldRun {
 		if !echo(a.H.Name, small, pingPongs) || !echo(b.H.Name, big, 1) {
 			return
 		}
+		// The process-wide columns are left out: another world may run beside
+		// this one.
+		hosts := func() monitor.Census {
+			c := monitor.TakeCensus(a.H, b.H)
+			c.Flows, c.Bufs = 0, 0
+			return c
+		}
 		t2.Sleep(5 * sd.Millisecond) // both closes have settled
-		base := censusOf(a, b)
+		base := hosts()
 		for i := 0; i < cycles; i++ {
 			if !echo(a.H.Name, small, 1) {
 				return
@@ -311,7 +315,7 @@ func runWorld(t *testing.T, w int) worldRun {
 			return
 		}
 		t2.Sleep(5 * sd.Millisecond)
-		if end := censusOf(a, b); end != base {
+		if end := hosts(); end != base {
 			t.Errorf("world %d: census %+v after the cycles, %+v before", w, end, base)
 		}
 		done = true
@@ -328,14 +332,17 @@ func runWorld(t *testing.T, w int) worldRun {
 func TestClustersRunConcurrently(t *testing.T) {
 	var solo, both [2]worldRun
 	for w := range solo {
-		solo[w] = runWorld(t, w)
+		solo[w] = runWorld(t, newCluster(t), w)
 	}
+	// Both are built before either runs: each end-of-world census counts
+	// the process-wide columns from when its cluster was built.
+	cls := [2]*sd.Cluster{newCluster(t), newCluster(t)}
 	var wg sync.WaitGroup
 	for w := range both {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			both[w] = runWorld(t, w)
+			both[w] = runWorld(t, cls[w], w)
 		}()
 	}
 	wg.Wait()
@@ -364,7 +371,7 @@ func TestPublicAPIStaleConnAfterReuse(t *testing.T) {
 			name = "inter"
 		}
 		t.Run(name, func(t *testing.T) {
-			cl := sd.NewCluster(sd.Defaults())
+			cl := newCluster(t)
 			a := cl.AddHost("alpha")
 			srvHost, dst := a, "alpha"
 			if inter {
