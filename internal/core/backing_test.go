@@ -160,45 +160,51 @@ func TestInterStreamBacksAsWritten(t *testing.T) {
 
 // TestRecycledRingHoldsNoStrayWrite: a peer RDMA-writes into a receiver
 // ring past the tail it ever publishes (§3: peers are untrusted). The
-// connection closes cleanly, its ring goes back to the host's free list,
-// and the connection that draws it next reads nothing of those bytes.
+// connection closes cleanly, its side goes back on the free list with the
+// ring, and the next connection, built on that side, reads nothing of those
+// bytes.
 func TestRecycledRingHoldsNoStrayWrite(t *testing.T) {
 	w := newWorld(t)
 	monitor.Peer(w.ma, w.mb)
 	sp, sl := proc(t, w.b, "server", 0)
 	cp, cl := proc(t, w.a, "client", 0)
-	var rx *shm.Ring
 	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
 		lst, _ := sl.ListenOn(ctx, th, 7542)
-		s, _, err := lst.Accept(ctx)
-		if err != nil {
-			t.Errorf("accept: %v", err)
-			return
+		var first *shm.Ring
+		for round := 0; round < 2; round++ {
+			s, _, err := lst.Accept(ctx)
+			if err != nil {
+				t.Errorf("accept: %v", err)
+				return
+			}
+			_, rx := s.Rings()
+			if round == 0 {
+				first = rx
+			} else if rx != first {
+				t.Error("the next connection is not built on the server's recycled side")
+			} else {
+				scrubbed(t, "the re-drawn ring", rx) // the stray write did not survive
+			}
+			echoBack(ctx, th, s)
 		}
-		_, rx = s.Rings()
-		echoBack(ctx, th, s)
 	})
 	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
 		ctx.Sleep(10_000)
-		s, _, err := cl.Connect(ctx, th, "hostB", 7542)
-		if err != nil {
-			t.Errorf("connect: %v", err)
-			return
+		for round := 0; round < 2; round++ {
+			s, _, err := cl.Connect(ctx, th, "hostB", 7542)
+			if err != nil {
+				t.Errorf("connect: %v", err)
+				return
+			}
+			if round == 0 {
+				if err := s.WritePeerRing(core.RingCap/2, bytes.Repeat([]byte{0x5A}, 64)); err != nil {
+					t.Errorf("stray write: %v", err)
+				}
+			}
+			echoExact(t, ctx, th, s, []byte("behind the stray write"))
+			s.Close(ctx, th)
+			ctx.Sleep(5_000_000)
 		}
-		if err := s.WritePeerRing(core.RingCap/2, bytes.Repeat([]byte{0x5A}, 64)); err != nil {
-			t.Errorf("stray write: %v", err)
-		}
-		echoExact(t, ctx, th, s, []byte("behind the stray write"))
-		s.Close(ctx, th)
 	})
 	w.sim.Run()
-	next := w.b.SHM.GetRing(core.RingCap)
-	if next != rx {
-		t.Fatal("the server's receiver ring was not the next one drawn")
-	}
-	for i, b := range next.Backing(0) {
-		if b != 0 {
-			t.Fatalf("byte %d of the re-drawn ring is %#x: the stray write survived", i, b)
-		}
-	}
 }

@@ -53,8 +53,8 @@ type pendingAccept struct {
 
 // interSide is one inter-host side on its host, allocated as one object: the
 // shared socket state, the RDMA resources behind it and the storage its lists
-// start in. A clean release puts it on its library's free list (lifecycle.go),
-// so a warm dial makes none.
+// start in. A clean release puts it on its library's free list (lifecycle.go)
+// with its rings and pinned pool, so a warm dial makes none of them.
 type interSide struct {
 	side SideState
 	qp   *rdma.QP
@@ -67,43 +67,50 @@ type interSide struct {
 	mrs      [2]*rdma.MR
 	eps      [1]*rdmaEP
 	poolFree [zcPoolPages]int32
+	pool     *zcPool // side.LocalPool, kept pinned across reuse
 }
 
-// newInterSide builds rings, MRs, a QP and the pinned zero-copy pool for
-// one inter-host socket endpoint, and registers the shared state as a SHM
-// segment (socket buffers live in SHM so fork keeps working, §4.1.2).
-// Rings come from the host's recycle list and the pool from the process's
-// (lifecycle.go), and so does the interSide itself, scrubbed; MRs are per
-// connection, so an old peer's keys die with its connection. qp is a parked
-// QP to build the endpoint on, or nil to create one.
+// newInterSide builds one inter-host socket endpoint — rings, MRs, a QP and
+// the pinned zero-copy pool — and registers the shared state as a SHM
+// segment (socket buffers live in SHM so fork keeps working, §4.1.2). It
+// takes an interSide off the process's free list and scrubs it; the rings
+// its release scrubbed and its pool, whose frames never stopped being
+// pinned, come with it at no cost. Only on a miss are rings and pool made.
+// MRs are per connection, so an old peer's keys die with its connection. qp
+// is a parked QP to build the endpoint on, or nil to create one.
 func (l *Libsd) newInterSide(ctx exec.Context, qid uint64, qp *rdma.QP) (*interSide, error) {
+	if qp == nil {
+		qp = l.pd.CreateQP(l.sendCQ, l.recvCQ)
+		ctx.Charge(l.H.Costs.RDMAQPCreate)
+	}
+	// Off the list after the charge: a side released meanwhile is reused.
 	is := l.sideIdle.New()
-	*is = interSide{}
+	tx, rx := reuseRings(is.side.TX, is.side.RX, RingCap)
+	*is = interSide{qp: qp, pool: is.pool}
 	side := &is.side
-	side.QID, side.home = qid, is
-	side.TX, side.RX = l.H.SHM.GetRing(RingCap), l.H.SHM.GetRing(RingCap)
+	side.QID, side.home, side.TX, side.RX = qid, is, tx, rx
 	side.Refs.Store(1)
 	is.mrs = [2]*rdma.MR{l.pd.RegisterRingAt(&is.mr[0], side.RX), l.pd.RegisterBytesAt(&is.mr[1], side.creditIn[:])}
 	side.mrs, side.eps, side.PoolFree = is.mrs[:], is.eps[:0], is.poolFree[:0]
-	if is.qp = qp; qp == nil {
-		is.qp = l.pd.CreateQP(l.sendCQ, l.recvCQ)
-		ctx.Charge(l.H.Costs.RDMAQPCreate)
+	if is.pool == nil {
+		pool, err := newZCPool(ctx, l.P, l.pd)
+		if err != nil {
+			qp.Close()
+			l.releaseInter(side, false)
+			return nil, err
+		}
+		is.pool = pool
 	}
-	pool, err := l.getZCPool(ctx)
-	if err != nil {
-		l.abandonInter(is)
-		return nil, err
-	}
-	side.LocalPool = pool
+	side.LocalPool = is.pool
 	side.segTok = l.H.SHM.Create(side).Token
 	return is, nil
 }
 
 // abandonInter releases an endpoint no peer was ever spliced to (a
 // refused, timed-out or unroutable dial): the same routine as a graceful
-// close. If no endpoint was registered nothing touched the rings and they
-// are recycled; a dial that went out on a parked QP had one, and its twin
-// may have been adopted and written to them.
+// close. If no endpoint was registered nothing touched the rings, and the
+// side is recycled with them; a dial that went out on a parked QP had one,
+// and its twin may have been adopted and written to them.
 func (l *Libsd) abandonInter(is *interSide) {
 	is.qp.Close() // not registered with the side unless newEP ran
 	clean := len(is.side.eps) == 0

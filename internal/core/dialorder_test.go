@@ -281,7 +281,7 @@ func TestStolenAcceptInterHost(t *testing.T) {
 	// Both connections ended at the thief: two pairs parked, the victim's
 	// endpoint left nothing.
 	base.ParkedQPs += 4
-	end.IdleSegs, end.IdlePools = base.IdleSegs, base.IdlePools // lists that hold the history of releases
+	end.IdleSegs = base.IdleSegs // lists that hold the history of releases
 	if end != base {
 		t.Errorf("census after the stolen accept %+v, want %+v", end, base)
 	}
@@ -605,7 +605,7 @@ func TestAbandonedDialServerSideEnds(t *testing.T) {
 		t.Errorf("%d QPs parked after the warm-up, want 2", base.ParkedQPs)
 	}
 	base.ParkedQPs = 0
-	end.IdleSegs, end.IdlePools = base.IdleSegs, base.IdlePools // lists that hold the history of releases
+	end.IdleSegs = base.IdleSegs // lists that hold the history of releases
 	if end != base {
 		t.Errorf("census after the abandoned dial %+v, want %+v", end, base)
 	}

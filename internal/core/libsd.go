@@ -108,11 +108,10 @@ type Libsd struct {
 
 	// closing holds inter-host sides whose last FD closed here but whose
 	// peer has not finished closing (by QID, so a death notice can still
-	// find them); zcIdle and sideIdle recycle pinned zero-copy pools and
-	// interSides, parked the QPs of finished connections, oldest first;
-	// gone is the stand-in side of detached Sockets. See lifecycle.go.
+	// find them); sideIdle recycles interSides with their rings and pinned
+	// pools, parked the QPs of finished connections, oldest first; gone is
+	// the stand-in side of detached Sockets. See lifecycle.go.
 	closing  map[uint64]*SideState
-	zcIdle   bufpool.FreeList[zcPool]
 	sideIdle bufpool.FreeList[interSide]
 	parked   []parkedQP
 	gone     SideState
@@ -717,8 +716,8 @@ func (l *Libsd) OnProcessDeath() {
 		}
 	}
 	l.closeParked("", 0)
-	for p := l.zcIdle.Get(); p != nil; p = l.zcIdle.Get() {
-		p.drop()
+	for _, is := range l.sideIdle {
+		is.pool.drop()
 	}
 	l.sideIdle = nil
 }

@@ -18,11 +18,11 @@ import (
 //
 //   - intra-host: the two processes share one IntraSock, so the second
 //     closer sees the first one's latch directly. It removes the segment
-//     and hands both rings back to the host's recycle list
-//     (shm.Registry.PutRing scrubs them), the IntraSock to the monitor's.
-//   - inter-host: each host releases its own half — rings, the rx and
-//     credit MRs, every QP spliced to the side, the Libsd.eps entries, the
-//     interSide segment and the pinned zero-copy pool — once its side is
+//     and hands the IntraSock, rings and all, to the monitor's free list.
+//   - inter-host: each host releases its own half — the rx and credit MRs,
+//     every QP spliced to the side, the Libsd.eps entries, the segment, and
+//     the interSide with its rings and pinned zero-copy pool, which goes to
+//     its library's free list — once its side is
 //     closed, the peer's MShut has arrived (an application Recv saw it, or
 //     reap found it in the RX ring after the application stopped reading)
 //     and the QP's send queue has drained, so the peer NIC holds our MShut
@@ -32,12 +32,13 @@ import (
 // it through ConnClosed, a note it applies to its records off the dispatch
 // path.
 //
-// Only clean endpoints are recycled: a ring, pool or segment that saw a
-// crashed peer, a failed or recovering QP, a TCP-degraded stream, a second
-// process (fork, exec, migration), an abandoned dial or a rebuilt accept
-// is dropped to the garbage collector instead — some actor may still hold
-// a stale view of it. A reused segment's Sockets move to their library's
-// stand-in side (detach); its next builder scrubs it.
+// Only clean endpoints are recycled: a socket that saw a crashed peer, a
+// failed or recovering QP, a TCP-degraded stream, a second process (fork,
+// exec, migration), an abandoned dial that had reached the wire or a
+// rebuilt accept is dropped to the garbage collector instead, its pool
+// unpinned — some actor may still hold a stale view of it. A reused
+// segment's Sockets move to their library's stand-in side (detach), its
+// rings are scrubbed at once, and its next builder scrubs the rest.
 //
 // The QP of a clean inter-host side is not closed but parked, still
 // connected to its twin, which the peer process parks when its side is
@@ -50,15 +51,27 @@ var (
 	mParkHits     = telemetry.C(telemetry.CoreQPParkHits)
 	mParkMisses   = telemetry.C(telemetry.CoreQPParkMisses)
 	mQPsParked    = telemetry.G(telemetry.CoreQPsParked)
+	mRingHits     = telemetry.C(telemetry.ShmRingPoolHits)
+	mRingMisses   = telemetry.C(telemetry.ShmRingPoolMisses)
 )
 
-// maxIdleZCPools bounds the per-process list of recycled zero-copy pools,
-// maxParkedQPs that of parked QPs, maxIdleSides that of interSides.
+// maxParkedQPs bounds the per-process list of parked QPs, maxIdleSides that
+// of interSides.
 const (
-	maxIdleZCPools = 8
-	maxParkedQPs   = 8
-	maxIdleSides   = 8
+	maxParkedQPs = 8
+	maxIdleSides = 8
 )
+
+// reuseRings returns the rings a recycled socket carries, or two fresh ones
+// when it carries none of capacity n.
+func reuseRings(tx, rx *shm.Ring, n int) (*shm.Ring, *shm.Ring) {
+	if tx == nil || tx.Cap() != n {
+		mRingMisses.Add(2)
+		return shm.NewRing(n), shm.NewRing(n)
+	}
+	mRingHits.Add(2)
+	return tx, rx
+}
 
 // parkedQP is a QP in RTS with nothing unacknowledged, and the process that
 // holds the QP it is connected to, as the monitors named it when the pair
@@ -129,15 +142,16 @@ func (l *Libsd) closeParked(host string, pid int64) {
 
 // Holdings is what a library holds for the census (internal/monitor):
 // registered RDMA endpoints, closed inter-host sides awaiting their peer and
-// dials awaiting their KConnectRes, then its recycle lists.
+// dials awaiting their KConnectRes, then its recycle lists. Each idle side
+// holds its pinned pool: ZCPoolPages frames and their MR.
 type Holdings struct {
-	Endpoints, Closing, Dials       int
-	IdleSides, IdlePools, ParkedQPs int
+	Endpoints, Closing, Dials int
+	IdleSides, ParkedQPs      int
 }
 
 // Holdings reports what l holds.
 func (l *Libsd) Holdings() Holdings {
-	return Holdings{len(l.eps), len(l.closing), len(l.pending), len(l.sideIdle), len(l.zcIdle), len(l.parked)}
+	return Holdings{len(l.eps), len(l.closing), len(l.pending), len(l.sideIdle), len(l.parked)}
 }
 
 // closedEP is what a closed Socket points at: every operation finds nothing
@@ -201,7 +215,7 @@ func (l *Libsd) sideClosed(s *Socket) {
 }
 
 // releaseIntra gives back an intra-host connection: the segment always,
-// the rings and IntraSock only when both sides closed in good order. The
+// the IntraSock and its rings only when both sides closed in good order. The
 // connection is released as one unit, so side A's released fact is its
 // latch, for the last closer and the monitor's crash cleanup alike.
 func (l *Libsd) releaseIntra(is *IntraSock, clean bool) {
@@ -209,16 +223,12 @@ func (l *Libsd) releaseIntra(is *IntraSock, clean bool) {
 		return
 	}
 	l.H.SHM.Remove(is.Tok)
-	if clean {
-		l.H.SHM.PutRing(is.A.TX)
-		l.H.SHM.PutRing(is.A.RX)
-		// A stray user faults instead of sharing a ring.
-		is.A.TX, is.A.RX, is.B.TX, is.B.RX = nil, nil, nil, nil
-	}
 	l.noteClosed(is.QID)
 	if n, ok := l.H.Mon.(connNoter); ok && clean && is.A.sock != nil && is.B.sock != nil {
 		is.A.sock.detach()
 		is.B.sock.detach()
+		is.A.TX.Reset()
+		is.A.RX.Reset()
 		n.KeepIntraSock(is)
 	}
 	mConnReclaims.Inc()
@@ -280,9 +290,9 @@ func (l *Libsd) tryReleaseInter(side *SideState) {
 }
 
 // releaseInter gives back everything an inter-host side owns on this host.
-// Clean sides recycle their rings, pinned pool and interSide; the rest is
-// dropped. It reports whether this call did the release (false: someone
-// else had).
+// A clean side goes back on the free list, rings and pinned pool with it;
+// the rest is dropped. It reports whether this call did the release (false:
+// someone else had).
 func (l *Libsd) releaseInter(side *SideState, clean bool) bool {
 	if !side.reach(released) {
 		return false
@@ -315,39 +325,21 @@ func (l *Libsd) releaseInter(side *SideState, clean bool) bool {
 	side.creditEP = nil
 	pool := side.LocalPool
 	side.LocalPool = nil
-	switch {
-	case clean:
-		l.H.SHM.PutRing(side.TX)
-		l.H.SHM.PutRing(side.RX)
-		side.TX, side.RX = nil, nil // a stray user faults instead of sharing a ring
-		if pool != nil {
-			l.putZCPool(pool) // clean implies this process built the side, so the pool is its own
-		}
-		if side.sock != nil {
-			side.sock.detach()
-			l.sideIdle.Keep(side.home, maxIdleSides)
-		}
-	case pool != nil:
+	if clean && side.sock != nil {
+		side.sock.detach()
+	}
+	// Clean implies this process built the side, so the pool is its own. A
+	// side without a Socket is kept only if it never had an endpoint (an
+	// abandoned dial): otherwise a second process inherited it and may
+	// still hold it.
+	if clean && (side.sock != nil || len(eps) == 0) && l.sideIdle.Keep(side.home, maxIdleSides) {
+		side.TX.Reset()
+		side.RX.Reset()
+	} else if pool != nil {
 		pool.drop()
 	}
 	mConnReclaims.Inc()
 	return true
-}
-
-// getZCPool takes a pinned pool off the process's recycle list, building a
-// fresh one (frames, pin, MR) only when the list is empty. A recycled
-// pool's frames never stopped being pinned, so handing it out costs nothing.
-func (l *Libsd) getZCPool(ctx exec.Context) (*zcPool, error) {
-	if p := l.zcIdle.Get(); p != nil {
-		return p, nil
-	}
-	return newZCPool(ctx, l.P, l.pd)
-}
-
-func (l *Libsd) putZCPool(p *zcPool) {
-	if !l.zcIdle.Keep(p, maxIdleZCPools) {
-		p.drop()
-	}
 }
 
 // drop retires a pool for good: the MR goes, the frames are unpinned and

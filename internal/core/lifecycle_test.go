@@ -341,7 +341,7 @@ func TestLateAnswerAfterRecycle(t *testing.T) {
 			sp.Signal(ctx, host.SIGKILL)
 		})
 		w.sim.Run()
-		end.IdleSegs, end.IdlePools = base.IdleSegs, base.IdlePools // lists that hold the history of releases
+		end.IdleSegs = base.IdleSegs // lists that hold the history of releases
 		if end != base {
 			t.Errorf("census %+v, want the %+v from before the abandoned dial", end, base)
 		}
@@ -398,7 +398,7 @@ func TestLateAnswerAfterRecycle(t *testing.T) {
 			sp.Signal(ctx, host.SIGKILL)
 		})
 		w.sim.Run()
-		end.IdleSegs, end.IdlePools = base.IdleSegs, base.IdlePools // lists that hold the history of releases
+		end.IdleSegs = base.IdleSegs // lists that hold the history of releases
 		if end != base {
 			t.Errorf("census %+v, want the %+v from before the doomed dial", end, base)
 		}
@@ -545,9 +545,22 @@ func pristine(t *testing.T, what string, r *shm.Ring) {
 	}
 }
 
+// scrubbed fails the test unless r holds nothing past what its current
+// connection wrote: no byte of an earlier connection is readable.
+func scrubbed(t *testing.T, what string, r *shm.Ring) {
+	t.Helper()
+	end := max(r.WriteCursor(), r.Tail())
+	for i, b := range r.Backing(0)[end:] {
+		if b != 0 {
+			t.Fatalf("%s: byte %d of a re-issued ring is %#x", what, int(end)+i, b)
+		}
+	}
+}
+
 // TestRecycledRingsArePristine fills both rings of a connection past a
-// wrap, closes both sides and takes the rings the next connection would
-// get: the same two objects, all zero, every cursor and credit zero.
+// wrap, closes both sides and dials again: the recycled sockets carry the
+// same two ring objects, scrubbed — all zero past the open's MAck, and the
+// ring nothing was sent on yet pristine, every cursor and credit zero.
 func TestRecycledRingsArePristine(t *testing.T) {
 	for _, inter := range []bool{false, true} {
 		name := "intra"
@@ -589,18 +602,27 @@ func TestRecycledRingsArePristine(t *testing.T) {
 			var srvRings [2]*shm.Ring
 			sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
 				lst, _ := sl.ListenOn(ctx, th, 7402)
-				s, _, err := lst.Accept(ctx)
-				if err != nil {
-					t.Errorf("accept: %v", err)
-					return
+				for round := 0; round < 2; round++ {
+					s, _, err := lst.Accept(ctx)
+					if err != nil {
+						t.Errorf("accept: %v", err)
+						return
+					}
+					if round == 0 {
+						srvRings[0], srvRings[1] = s.Rings()
+						drain(ctx, th, s)
+						pump(ctx, th, s)
+					} else if tx, rx := s.Rings(); tx != srvRings[0] || rx != srvRings[1] {
+						t.Errorf("%s: the recycled socket does not carry the closed connection's rings", srvHost.Name)
+					} else {
+						scrubbed(t, srvHost.Name+" tx", tx)
+						scrubbed(t, srvHost.Name+" rx", rx)
+					}
+					if _, err := s.Recv(ctx, th, make([]byte, 8)); err != io.EOF {
+						t.Errorf("want EOF from the client's close, got %v", err)
+					}
+					s.Close(ctx, th)
 				}
-				srvRings[0], srvRings[1] = s.Rings()
-				drain(ctx, th, s)
-				pump(ctx, th, s)
-				if _, err := s.Recv(ctx, th, make([]byte, 8)); err != io.EOF {
-					t.Errorf("want EOF from the client's close, got %v", err)
-				}
-				s.Close(ctx, th)
 			})
 			cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
 				ctx.Sleep(10_000)
@@ -620,19 +642,18 @@ func TestRecycledRingsArePristine(t *testing.T) {
 				if a, b := s.Rings(); a != nil || b != nil {
 					t.Error("a recycled side still points at its rings")
 				}
-				check := func(h *host.Host, was [2]*shm.Ring) {
-					for i := 0; i < 2; i++ {
-						r := h.SHM.GetRing(sockRing)
-						if r != was[0] && r != was[1] {
-							t.Errorf("%s: the free list did not hand back the closed connection's ring", h.Name)
-						}
-						pristine(t, h.Name, r)
-					}
+				s, _, err = cl.Connect(ctx, th, dst, 7402)
+				if err != nil {
+					t.Errorf("connect again: %v", err)
+					return
 				}
-				check(w.a, [2]*shm.Ring{tx, rx})
-				if inter {
-					check(w.b, srvRings)
+				if a, b := s.Rings(); a != tx || b != rx {
+					t.Error("hostA: the recycled socket does not carry the closed connection's rings")
+				} else {
+					pristine(t, "hostA tx", tx) // nothing sent on it yet
+					scrubbed(t, "hostA rx", rx) // the MAck, and nothing else
 				}
+				s.Close(ctx, th)
 			})
 			w.sim.Run()
 		})
@@ -640,8 +661,9 @@ func TestRecycledRingsArePristine(t *testing.T) {
 }
 
 // TestForkKeepsConnectionUntilChildCloses: a forked child's reference keeps
-// the segment and the rings out of the recycle list after the parent closed
-// its FD; the child's close (with the server's) releases them.
+// the segment open after the parent closed its FD; the child's close (with
+// the server's) releases it. A side two processes held is never recycled:
+// its IntraSock and rings stay off the monitor's free list throughout.
 func TestForkKeepsConnectionUntilChildCloses(t *testing.T) {
 	w := newWorld(t)
 	sp, sl := proc(t, w.a, "server", 0)
@@ -670,7 +692,7 @@ func TestForkKeepsConnectionUntilChildCloses(t *testing.T) {
 			t.Errorf("connect: %v", err)
 			return
 		}
-		tx, _ := s.Rings()
+		idle, h0 := w.ma.IdleIntraSocks(), hits.Load()
 		child, childLib, err := cl.Fork(ctx, th, "child")
 		if err != nil {
 			t.Errorf("fork: %v", err)
@@ -682,12 +704,8 @@ func TestForkKeepsConnectionUntilChildCloses(t *testing.T) {
 		if got := w.a.SHM.Len(); got != base+1 {
 			t.Errorf("after the parent's close: %d segments, want %d (the child still holds the socket)", got, base+1)
 		}
-		h0 := hits.Load()
-		if r := w.a.SHM.GetRing(sockRing); r == tx {
-			t.Error("ring re-issued while the forked child still holds the connection")
-		}
-		if hits.Load() != h0 {
-			t.Error("free list not empty while the forked child still holds the connection")
+		if w.ma.IdleIntraSocks() != idle {
+			t.Error("connection recycled while the forked child still holds it")
 		}
 		done := false
 		child.Spawn("cmain", func(cctx exec.Context, cth *host.Thread) {
@@ -709,8 +727,8 @@ func TestForkKeepsConnectionUntilChildCloses(t *testing.T) {
 		if got := w.a.SHM.Len(); got != base {
 			t.Errorf("after the child's close: %d segments, want %d", got, base)
 		}
-		if r := w.a.SHM.GetRing(sockRing); hits.Load() != h0+1 {
-			t.Errorf("the closed connection's rings did not reach the free list (got %p)", r)
+		if w.ma.IdleIntraSocks() != idle || hits.Load() != h0 {
+			t.Error("a connection a forked child held was recycled")
 		}
 		if n := w.ma.LiveConnRecords(); n != 0 {
 			t.Errorf("%d monitor records left", n)
@@ -718,6 +736,73 @@ func TestForkKeepsConnectionUntilChildCloses(t *testing.T) {
 		// The parent's sdstat row outlived rings it no longer has: reading
 		// the table (a flight-recorder capture does) must not follow it there.
 		obs.Flows()
+	})
+	w.sim.Run()
+}
+
+// TestForkedInterSideIsNeverRecycled: a forked child closes its copy of an
+// inter-host socket without using it, so the parent's release is clean,
+// but the child's Socket still points at the side. The side is not kept:
+// the parent's next dial is built on another, and the child's closed
+// Socket cannot reach it.
+func TestForkedInterSideIsNeverRecycled(t *testing.T) {
+	w := newWorld(t)
+	monitor.Peer(w.ma, w.mb)
+	sp, sl := proc(t, w.b, "server", 0)
+	cp, cl := proc(t, w.a, "client", 1000)
+	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+		lst, _ := sl.ListenOn(ctx, th, 7414)
+		for i := 0; i < 2; i++ {
+			s, _, err := lst.Accept(ctx)
+			if err != nil {
+				t.Errorf("accept: %v", err)
+				return
+			}
+			echoBack(ctx, th, s)
+		}
+	})
+	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		s, _, err := cl.Connect(ctx, th, "hostB", 7414)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		idle := cl.Holdings().IdleSides
+		child, childLib, err := cl.Fork(ctx, th, "child")
+		if err != nil {
+			t.Errorf("fork: %v", err)
+			return
+		}
+		cs, err := childLib.SocketByFD(s.FD())
+		if err != nil {
+			t.Errorf("child fd lookup: %v", err)
+			return
+		}
+		done := false
+		child.Spawn("cmain", func(cctx exec.Context, cth *host.Thread) {
+			cs.Close(cctx, cth)
+			done = true
+		})
+		for !done {
+			ctx.Sleep(10_000)
+		}
+		echoExact(t, ctx, th, s, []byte("the parent's last words"))
+		s.Close(ctx, th)
+		ctx.Sleep(5_000_000)
+		if n := cl.Holdings().IdleSides; n != idle {
+			t.Errorf("%d idle sides after the release, want %d: a side two processes held was kept", n, idle)
+		}
+		s2, _, err := cl.Connect(ctx, th, "hostB", 7414)
+		if err != nil {
+			t.Errorf("connect again: %v", err)
+			return
+		}
+		if cs.Side() == s2.Side() {
+			t.Error("the child's closed Socket points into the next connection")
+		}
+		echoExact(t, ctx, th, s2, []byte("on a side of its own"))
+		s2.Close(ctx, th)
 	})
 	w.sim.Run()
 }
@@ -743,7 +828,7 @@ func TestCrashNeverRecyclesAttachedRing(t *testing.T) {
 			t.Errorf("accept: %v", err)
 			return
 		}
-		tx, rx := s.Rings()
+		idle := w.ma.IdleIntraSocks()
 		ctx.Sleep(400_000) // the client has sent everything and died
 		var got []byte
 		buf := make([]byte, 4096)
@@ -766,23 +851,16 @@ func TestCrashNeverRecyclesAttachedRing(t *testing.T) {
 			t.Errorf("survivor saw %d ECONNRESET, want exactly 1", resets)
 		}
 		h0, r0 := hits.Load(), reclaims.Load()
-		for i := 0; i < 2; i++ {
-			if r := w.a.SHM.GetRing(sockRing); r == tx || r == rx {
-				t.Error("ring re-issued while the survivor is still attached")
-			}
+		if w.ma.IdleIntraSocks() != idle {
+			t.Error("connection recycled while the survivor is still attached")
 		}
 		s.Close(ctx, th)
 		if err := s.Close(ctx, th); !errors.Is(err, core.ErrBadFD) {
 			t.Errorf("second close: want ErrBadFD, got %v", err) // and no second release
 		}
 		ctx.Sleep(1_000_000)
-		for i := 0; i < 2; i++ {
-			if r := w.a.SHM.GetRing(sockRing); r == tx || r == rx {
-				t.Error("a crashed connection's ring was re-issued")
-			}
-		}
-		if hits.Load() != h0 {
-			t.Error("free list served a ring after a crash")
+		if w.ma.IdleIntraSocks() != idle || hits.Load() != h0 {
+			t.Error("a crashed connection was recycled")
 		}
 		if d := reclaims.Load() - r0; d != 1 {
 			t.Errorf("connection released %d times, want 1", d)
@@ -830,7 +908,7 @@ func TestSurvivorClosedBeforePeerDied(t *testing.T) {
 	})
 	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
 		ctx.Sleep(10_000)
-		base := w.a.SHM.Len()
+		base, idle := w.a.SHM.Len(), w.ma.IdleIntraSocks()
 		s, _, err := cl.Connect(ctx, th, "hostA", 7405)
 		if err != nil {
 			t.Errorf("connect: %v", err)
@@ -849,8 +927,8 @@ func TestSurvivorClosedBeforePeerDied(t *testing.T) {
 		if n := w.ma.LiveConnRecords(); n != 0 {
 			t.Errorf("%d monitor records left", n)
 		}
-		if r := w.a.SHM.GetRing(sockRing); r.WriteCursor() != 0 {
-			t.Error("a ring a corpse was attached to reached the free list")
+		if w.ma.IdleIntraSocks() != idle {
+			t.Error("a connection a corpse was attached to reached the free list")
 		}
 	})
 	w.sim.Run()
@@ -915,13 +993,12 @@ func TestHalfCloseReleasesNothing(t *testing.T) {
 			if half != open {
 				t.Errorf("half-closed census %+v, want the open connection's %+v", half, open)
 			}
-			// The first connection leaves its segments on their free lists
-			// and, across hosts, each process one pinned pool (and its MR)
-			// on the recycle list and its QP parked; everything else is back.
+			// The first connection leaves its segments on their free lists,
+			// across hosts each with its pinned pool, and its QPs parked;
+			// everything else is back.
 			base.IdleSegs++
 			if inter {
 				base.IdleSegs++
-				base.IdlePools += 2
 				base.ParkedQPs += 2
 			}
 			if end != base {
@@ -933,9 +1010,10 @@ func TestHalfCloseReleasesNothing(t *testing.T) {
 
 // TestZCPoolFreeListBounded: ten connections open at once need ten pinned
 // pools, ten QPs and ten interSides per process; closing them all keeps
-// eight of each for reuse and retires the other two — MR deregistered,
-// frames unpinned, QP closed, the oldest first, the interSide to the
-// garbage collector.
+// eight sides, each with its pool, and eight QPs for reuse and retires the
+// other two — the ninth side's pool unpinned and its MR deregistered, the
+// side to the garbage collector, the oldest QPs closed. The census counts
+// nothing else.
 func TestZCPoolFreeListBounded(t *testing.T) {
 	w := newWorld(t)
 	monitor.Peer(w.ma, w.mb)
@@ -963,6 +1041,7 @@ func TestZCPoolFreeListBounded(t *testing.T) {
 	})
 	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
 		ctx.Sleep(10_000)
+		base := monitor.TakeCensus(w.a, w.b)
 		var held []*core.Socket
 		for i := 0; i < conns; i++ {
 			s, _, err := cl.Connect(ctx, th, "hostB", 7407)
@@ -978,9 +1057,6 @@ func TestZCPoolFreeListBounded(t *testing.T) {
 		}
 		ctx.Sleep(20_000_000)
 		for _, l := range []*core.Libsd{cl, sl} {
-			if n := l.Holdings().IdlePools; n != 8 {
-				t.Errorf("%s keeps %d idle pools, want 8", l.P.Name, n)
-			}
 			if n := l.Holdings().ParkedQPs; n != core.MaxParkedQPs {
 				t.Errorf("%s keeps %d parked QPs, want %d", l.P.Name, n, core.MaxParkedQPs)
 			}
@@ -1000,6 +1076,65 @@ func TestZCPoolFreeListBounded(t *testing.T) {
 				t.Errorf("%s: %d pinned frames, want %d", h.Name, n, 8*128)
 			}
 		}
+		end := monitor.TakeCensus(w.a, w.b)
+		base.IdleSegs += 2 * core.MaxIdleSides
+		base.ParkedQPs += 2 * core.MaxParkedQPs
+		if end != base {
+			t.Errorf("census %+v, want %+v: the idle sides' pools are theirs", end, base)
+		}
+	})
+	w.sim.Run()
+}
+
+// TestRefusedDialKeepsItsSide: a dial nobody listens for is refused before
+// its endpoint reached the wire, so its side is clean though no Socket ever
+// held it. The side goes back on the free list with its rings and pinned
+// pool, and the process's next dial is built on it: no frame pinned, no ring
+// made.
+func TestRefusedDialKeepsItsSide(t *testing.T) {
+	w := newWorld(t)
+	monitor.Peer(w.ma, w.mb)
+	sp, sl := proc(t, w.b, "server", 0)
+	cp, cl := proc(t, w.a, "client", 1000)
+	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(2_000_000) // the first dial finds no listener
+		lst, _ := sl.ListenOn(ctx, th, 7413)
+		s, _, err := lst.Accept(ctx)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		echoBack(ctx, th, s)
+	})
+	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		if _, _, err := cl.Connect(ctx, th, "hostB", 7413); !errors.Is(err, core.ErrNoListener) {
+			t.Errorf("first dial: want ErrNoListener, got %v", err)
+			return
+		}
+		side := cl.NextIdleSide()
+		if side == nil {
+			t.Error("the refused dial's side was not kept")
+			return
+		}
+		tx, rx, pinned := side.TX, side.RX, w.a.Mem.PinnedCount()
+		ctx.Sleep(3_000_000)
+		s, _, err := cl.Connect(ctx, th, "hostB", 7413)
+		if err != nil {
+			t.Errorf("second dial: %v", err)
+			return
+		}
+		if s.Side() != side {
+			t.Error("the next dial is not built on the refused dial's side")
+		}
+		if a, b := s.Rings(); a != tx || b != rx {
+			t.Error("the next dial made new rings")
+		}
+		if n := w.a.Mem.PinnedCount(); n != pinned {
+			t.Errorf("the next dial pinned %d frames, want none", n-pinned)
+		}
+		echoExact(t, ctx, th, s, []byte("on a recycled side"))
+		s.Close(ctx, th)
 	})
 	w.sim.Run()
 }

@@ -217,13 +217,15 @@ type IntraSock struct {
 	A, B SideState // A = connecting side, B = accepting side
 }
 
-// NewIntraSock scrubs an IntraSock from idle (new when it is empty), wires
-// two rings from the host's recycle list into it and registers its segment.
+// NewIntraSock takes an IntraSock off idle and scrubs it but for its rings,
+// which its release scrubbed (new, with two new rings, when idle is empty),
+// and registers its segment.
 func NewIntraSock(reg *shm.Registry, idle *bufpool.FreeList[IntraSock], qid uint64, ringCap int) *IntraSock {
 	is := idle.New()
+	tx, rx := reuseRings(is.A.TX, is.A.RX, ringCap)
 	*is = IntraSock{QID: qid}
 	a, b := &is.A, &is.B
-	a.QID, a.TX, a.RX = qid, reg.GetRing(ringCap), reg.GetRing(ringCap)
+	a.QID, a.TX, a.RX = qid, tx, rx
 	b.QID, b.TX, b.RX = qid, a.RX, a.TX
 	a.Refs.Store(1)
 	b.Refs.Store(1)

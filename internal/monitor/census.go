@@ -15,7 +15,7 @@ import (
 type Census struct {
 	Segs, IdleSegs int   // SHM segments; IntraSocks and interSides on free lists
 	QPs, ParkedQPs int   // QPs on the NICs, the parked ones apart
-	MRs, IdlePools int   // MRs; idle zero-copy pools, whose MR, pins and frames are theirs
+	MRs            int   // MRs, but for the pools of idle interSides
 	Pinned, Frames int   // pinned frames; frames in use (off the address spaces' free pools)
 	Endpoints      int   // libsd's registered RDMA endpoints
 	Closing, Dials int   // inter-host sides closed and awaiting their peer; dials on record
@@ -28,6 +28,7 @@ type Census struct {
 // one's library holds nothing the kernel did not take back.
 func TakeCensus(hosts ...*host.Host) Census {
 	c := Census{Flows: obs.LiveFlows(), Bufs: bufpool.Outstanding()}
+	pools := 0 // one per idle interSide: its MR, pins and frames are the side's
 	for _, h := range hosts {
 		c.Segs += h.SHM.Len()
 		c.QPs += h.NIC.QPCount()
@@ -43,8 +44,8 @@ func TakeCensus(hosts ...*host.Host) Census {
 			if l, ok := p.Libsd.(*core.Libsd); ok {
 				hd := l.Holdings()
 				c.IdleSegs += hd.IdleSides
+				pools += hd.IdleSides
 				c.ParkedQPs += hd.ParkedQPs
-				c.IdlePools += hd.IdlePools
 				c.Endpoints += hd.Endpoints
 				c.Closing += hd.Closing
 				c.Dials += hd.Dials
@@ -52,9 +53,9 @@ func TakeCensus(hosts ...*host.Host) Census {
 		})
 	}
 	c.QPs -= c.ParkedQPs
-	c.MRs -= c.IdlePools
-	c.Pinned -= c.IdlePools * core.ZCPoolPages
-	c.Frames -= c.IdlePools * core.ZCPoolPages
+	c.MRs -= pools
+	c.Pinned -= pools * core.ZCPoolPages
+	c.Frames -= pools * core.ZCPoolPages
 	return c
 }
 

@@ -3,8 +3,6 @@ package shm
 import (
 	"errors"
 	"fmt"
-
-	"socksdirect/internal/bufpool"
 )
 
 // Token is the secret capability guarding a segment. A process that does
@@ -29,9 +27,6 @@ type Registry struct {
 	next uint64
 	segs map[Token]Segment // by value: a segment is no allocation of its own
 	seed uint64
-
-	// idle holds recycled rings by capacity (see GetRing/PutRing).
-	idle map[int]bufpool.FreeList[Ring]
 }
 
 // NewRegistry creates an empty registry. Seed makes token generation
@@ -40,7 +35,6 @@ func NewRegistry(seed uint64) *Registry {
 	return &Registry{
 		segs: make(map[Token]Segment),
 		seed: seed ^ 0x9e3779b97f4a7c15,
-		idle: make(map[int]bufpool.FreeList[Ring]),
 	}
 }
 
@@ -79,36 +73,6 @@ func (g *Registry) Remove(tok Token) {
 // Len reports how many segments are live (leak checks in tests).
 func (g *Registry) Len() int {
 	return len(g.segs)
-}
-
-// maxIdleRings bounds the recycle list per capacity; a ring released beyond
-// it is left to the garbage collector.
-const maxIdleRings = 64
-
-// GetRing returns a pristine ring of the given capacity: the most recently
-// recycled one if any (LIFO, so the hottest memory is reused and the order
-// is a function of the release order alone), else a fresh allocation. Socket
-// rings are host SHM objects, so the monitor (intra-host sockets) and every
-// libsd on the host (inter-host ring copies) draw from the same list.
-func (g *Registry) GetRing(capacity int) *Ring {
-	l := g.idle[capacity]
-	if r := l.Get(); r != nil {
-		g.idle[capacity] = l
-		mRingPoolHits.Inc()
-		return r
-	}
-	mRingPoolMiss.Inc()
-	return NewRing(capacity)
-}
-
-// PutRing scrubs a ring no connection uses any more (Ring.Reset) and keeps
-// it for GetRing. The caller must own the ring exclusively and must not
-// touch it again.
-func (g *Registry) PutRing(r *Ring) {
-	r.Reset()
-	l := g.idle[r.Cap()]
-	l.Keep(r, maxIdleRings)
-	g.idle[r.Cap()] = l
 }
 
 // Duplex is a bidirectional channel made of two SPSC rings. Side A sends

@@ -45,8 +45,6 @@ var (
 	mSendFull      = telemetry.C(telemetry.ShmSendFull)
 	mOccupancy     = telemetry.G(telemetry.ShmOccupancy)
 	mMsgSize       = telemetry.D(telemetry.ShmMsgSize)
-	mRingPoolHits  = telemetry.C(telemetry.ShmRingPoolHits)
-	mRingPoolMiss  = telemetry.C(telemetry.ShmRingPoolMisses)
 	mSegmentsLive  = telemetry.G(telemetry.ShmSegmentsLive)
 )
 

@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
-
-	"socksdirect/internal/exec"
 )
 
 func TestRingBasicRoundTrip(t *testing.T) {
@@ -526,67 +524,6 @@ func TestRingResetScrubsWhatWasWritten(t *testing.T) {
 	if m, ok := r.TryRecv(); !ok || m.Type != 9 || string(m.Payload) != "again" {
 		t.Fatalf("after Reset got %+v ok=%v", m, ok)
 	}
-}
-
-// TestRegistryRingFreeList: LIFO per capacity, bounded, scrubbed on the
-// way in, fresh allocation on a miss.
-func TestRegistryRingFreeList(t *testing.T) {
-	g := NewRegistry(1)
-	a, b := g.GetRing(4096), g.GetRing(4096)
-	if a == b {
-		t.Fatal("two live rings are one object")
-	}
-	a.TrySend(1, 0, []byte("secret"))
-	g.PutRing(a)
-	g.PutRing(b)
-	if got := g.GetRing(8192); got == a || got == b || got.Cap() != 8192 {
-		t.Fatal("free list crossed capacities")
-	}
-	if got := g.GetRing(4096); got != b {
-		t.Fatal("free list is not LIFO")
-	}
-	got := g.GetRing(4096)
-	if got != a || !allZero(got.Backing(0)) || got.WriteCursor() != 0 {
-		t.Fatal("recycled ring not scrubbed")
-	}
-	if g.GetRing(4096) == a {
-		t.Fatal("one ring issued twice")
-	}
-	// Beyond the bound, rings are dropped rather than kept.
-	for i := 0; i < maxIdleRings+10; i++ {
-		g.PutRing(NewRing(256))
-	}
-	if n := len(g.idle[256]); n != maxIdleRings {
-		t.Fatalf("free list holds %d rings, bound is %d", n, maxIdleRings)
-	}
-}
-
-// TestRegistryRingFreeListConcurrent: rings cycle through the free list
-// from eight simulated threads of one Sim, each yielding the core while it
-// holds its ring — the only concurrency a host's registry sees (a Sim runs
-// one thread at a time); none is ever in two hands at once.
-func TestRegistryRingFreeListConcurrent(t *testing.T) {
-	g := NewRegistry(1)
-	sim := exec.NewSim(exec.SimConfig{})
-	for id := byte(1); id <= 8; id++ {
-		sim.Spawn(fmt.Sprintf("cycler%d", id), func(ctx exec.Context) {
-			for i := 0; i < 2000; i++ {
-				r := g.GetRing(1024)
-				if r.WriteCursor() != 0 || !allZero(r.Backing(0)) {
-					t.Errorf("thread %d got a used ring", id)
-					return
-				}
-				r.TrySend(id, 0, []byte{id, id, id})
-				ctx.Yield()
-				if m, ok := r.TryRecv(); !ok || m.Type != id || m.Payload[0] != id {
-					t.Errorf("thread %d shares its ring", id)
-					return
-				}
-				g.PutRing(r)
-			}
-		})
-	}
-	sim.Run()
 }
 
 // TestRingIdlePredicates: RecvIdle is "TryRecv would come back empty and

@@ -28,8 +28,8 @@ const (
 	ShmBatchSize     = "sd/shm/ring/batch_size" // distribution: bytes mirrored per RDMA flush
 
 	// shm segment registry and socket-ring recycling (connection lifecycle).
-	ShmRingPoolHits   = "sd/shm/ring_pool_hits"   // socket rings re-issued from the host free list
-	ShmRingPoolMisses = "sd/shm/ring_pool_misses" // socket rings freshly allocated (free list empty)
+	ShmRingPoolHits   = "sd/shm/ring_pool_hits"   // socket rings re-issued: two per socket taken off a free list
+	ShmRingPoolMisses = "sd/shm/ring_pool_misses" // socket rings freshly allocated: two per socket built new
 	ShmSegmentsLive   = "sd/shm/segments_live"    // gauge: SHM segments currently registered, all hosts
 
 	// rdma.
