@@ -394,14 +394,19 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 	connID := (l.H.Ordinal&0xffff)<<48 | uint64(l.P.PID&0xffff)<<32 | l.nextConnID&0xffff_ffff
 	pc := l.dialFree.New()
 	l.pending[connID] = pc
-	defer func() {
-		// Every way out: with its l.pending entry goes the record's last
-		// holder besides this call.
-		delete(l.pending, connID)
-		*pc = pendingConn{}
-		l.dialFree.Put(pc)
-	}()
+	s, kf, err := l.dial(ctx, t, pc, connID, dstHost, dstPort, deadline)
+	// Every way out: with its l.pending entry goes the record's last holder
+	// besides this call. A dial that a Run's end unwinds mid-wait does not
+	// come here: its record, and the endpoint the record holds, are given
+	// back when its process dies (OnProcessDeath).
+	delete(l.pending, connID)
+	*pc = pendingConn{}
+	l.dialFree.Put(pc)
+	return s, kf, err
+}
 
+// dial is ConnectDeadline's dial, whose record is pc.
+func (l *Libsd) dial(ctx exec.Context, t *host.Thread, pc *pendingConn, connID uint64, dstHost string, dstPort uint16, deadline int64) (*Socket, host.KFile, error) {
 	// Root span: the whole blocking connect, every control hop it causes
 	// parents back to this trace through the message envelope.
 	op := obs.BeginOp(l.H.Name, int64(l.P.PID), obs.OpConnect, ctx.Now())
@@ -502,8 +507,9 @@ func (l *Libsd) ConnectDeadline(ctx exec.Context, t *host.Thread, dstHost string
 			s.closeLast(ctx, t)
 		}
 	}
-	// No request is with the monitor any more: its silence ends nothing.
-	w := wait{l: l, idle: (*ackWaiter)(c), deadline: &c.deadline, dir: DirSend,
+	// No request is with the monitor any more: its silence ends nothing. A
+	// listener that takes long to accept finds the dial parked (§4.4).
+	w := wait{l: l, idle: (*ackWaiter)(c), sleeper: (*ackWaiter)(c), t: t, deadline: &c.deadline, dir: DirSend,
 		polls: pollCtl | pollCQ, pre: l.H.Costs.RingOp}
 	for {
 		c.seen = l.ctlSeen // a message dispatched from here on may re-point pc.sock

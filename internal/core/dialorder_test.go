@@ -610,3 +610,49 @@ func TestAbandonedDialServerSideEnds(t *testing.T) {
 		t.Errorf("census after the abandoned dial %+v, want %+v", end, base)
 	}
 }
+
+// TestDialToAListenerThatNeverAccepts: a dial dispatched to a listener that
+// never accepts, with no deadline, waits in Fig. 6's Wait-Server like a
+// receive: after its spin budget it parks in interrupt mode (§4.4), once,
+// instead of polling for ever. Run returns, on one host and across two,
+// and the world still ends holding nothing.
+func TestDialToAListenerThatNeverAccepts(t *testing.T) {
+	for _, inter := range []bool{false, true} {
+		name := "intra"
+		if inter {
+			name = "inter"
+		}
+		t.Run(name, func(t *testing.T) {
+			// A dial that polls for ever overruns the bound instead of hanging.
+			w := newWorldCfg(t, exec.SimConfig{MaxVirtualTime: 1_000_000_000})
+			srvHost, dst := w.a, "hostA"
+			if inter {
+				monitor.Peer(w.ma, w.mb)
+				srvHost, dst = w.b, "hostB"
+			}
+			sp, sl := proc(t, srvHost, "server", 0)
+			cp, cl := proc(t, w.a, "client", 1000)
+			sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+				if _, err := sl.ListenOn(ctx, th, 7417); err != nil {
+					t.Errorf("listen: %v", err)
+				}
+			})
+			sleeps := telemetry.C(telemetry.CoreRecvSleeps)
+			before := sleeps.Load()
+			dialing := false
+			cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+				ctx.Sleep(10_000)
+				dialing = true
+				_, _, err := cl.Connect(ctx, th, dst, 7417)
+				t.Errorf("the dial returned (%v) with no one accepting", err)
+			})
+			w.sim.Run()
+			if !dialing || cl.Holdings().Dials != 1 {
+				t.Errorf("dialing %v, %d dials in flight: want one", dialing, cl.Holdings().Dials)
+			}
+			if d := sleeps.Load() - before; d != 1 {
+				t.Errorf("the dial parked %d times, want once", d)
+			}
+		})
+	}
+}

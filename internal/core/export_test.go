@@ -54,6 +54,9 @@ func (l *Libsd) NextIdleSide() *SideState {
 // MaxIdleSides bounds IdleSides.
 const MaxIdleSides = maxIdleSides
 
+// IdleSockets counts the Sockets on the library's free list.
+func (l *Libsd) IdleSockets() int { return len(l.sockIdle) }
+
 // DrainParkedQPs closes every parked QP, so that what a finished connection
 // left on the NIC can be compared with what was there before it.
 func (l *Libsd) DrainParkedQPs() { l.closeParked("", 0) }

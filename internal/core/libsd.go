@@ -109,12 +109,16 @@ type Libsd struct {
 	// closing holds inter-host sides whose last FD closed here but whose
 	// peer has not finished closing (by QID, so a death notice can still
 	// find them); sideIdle recycles interSides with their rings and pinned
-	// pools, parked the QPs of finished connections, oldest first; gone is
-	// the stand-in side of detached Sockets. See lifecycle.go.
-	closing  map[uint64]*SideState
-	sideIdle bufpool.FreeList[interSide]
-	parked   []parkedQP
-	gone     SideState
+	// pools, sockIdle detached Sockets, parked the QPs of finished
+	// connections, oldest first; gone is the stand-in side of detached
+	// Sockets, closedSock the stand-in a stale handle acts on (Handle). See
+	// lifecycle.go.
+	closing    map[uint64]*SideState
+	sideIdle   bufpool.FreeList[interSide]
+	sockIdle   bufpool.FreeList[Socket]
+	parked     []parkedQP
+	gone       SideState
+	closedSock Socket
 
 	// ctlOut holds, per shard, the control messages sendCtl found no room
 	// for, in order; ctlOutMask has a bit for each plane that holds some.
@@ -218,6 +222,7 @@ func initWith(p *host.Process, link *ProcLink) (*Libsd, error) {
 	}
 	l.lastCtlRecv = make([]int64, len(ctl))
 	l.gone.life.Store(uint32(txShut | rxShut | closed | released))
+	l.closedSock = Socket{lib: l, side: &l.gone, ep: closedEP{}}
 	l.monEpoch.Store(link.Epoch)
 	l.pd = p.Host.NIC.AllocPD()
 	l.armAutoPump()
@@ -708,6 +713,8 @@ func (l *Libsd) OnProcessDeath() {
 			l.releaseInter(&pc.inter.side, false)
 		}
 	}
+	// A dial that a Run's end unwound left its record here.
+	clear(l.pending)
 	for _, bl := range l.backlogs { // dispatched, never accepted
 		for _, pa := range bl.conns {
 			if pa.sock != nil && pa.sock.intra == nil {
@@ -719,5 +726,5 @@ func (l *Libsd) OnProcessDeath() {
 	for _, is := range l.sideIdle {
 		is.pool.drop()
 	}
-	l.sideIdle = nil
+	l.sideIdle, l.sockIdle = nil, nil
 }

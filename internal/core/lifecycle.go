@@ -56,10 +56,11 @@ var (
 )
 
 // maxParkedQPs bounds the per-process list of parked QPs, maxIdleSides that
-// of interSides.
+// of interSides, maxIdleSocks that of Sockets.
 const (
 	maxParkedQPs = 8
 	maxIdleSides = 8
+	maxIdleSocks = 8
 )
 
 // reuseRings returns the rings a recycled socket carries, or two fresh ones
@@ -178,8 +179,14 @@ func (s *Socket) dropEP() {
 	s.ep, s.rxPending = closedEP{}, nil
 }
 
-// detach moves a closed Socket onto its library's stand-in side.
-func (s *Socket) detach() { s.side, s.intra, s.intraEP = &s.lib.gone, nil, shmEP{} }
+// detach moves a closed Socket onto its library's stand-in side and, as
+// nothing in the library reaches it any more, onto its free list
+// (takeSocket). Only a clean release detaches, and only the Socket its side
+// names: a side a second process shares names none.
+func (s *Socket) detach() {
+	s.side, s.intra, s.intraEP = &s.lib.gone, nil, shmEP{}
+	s.lib.sockIdle.Keep(s, maxIdleSocks)
+}
 
 // connNoter is the monitor's intake for released connections and clean
 // IntraSocks (structural, like registrar, to avoid an import cycle).

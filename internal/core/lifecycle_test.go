@@ -151,9 +151,11 @@ func TestChurnLeak(t *testing.T) {
 
 // TestClosedSocketWritesNoRow: a socket closed long enough ago that the
 // flow table has reused its row's record for later connections has let go
-// of it: its Send, Recv and Close fail as on any closed socket — a Recv
-// too that the socket had the rest of a message for — and no row, the open
-// connection's included, changes.
+// of it: its handle's Send, Recv and Close fail as on any closed socket — a
+// Recv too that the socket had the rest of a message for — and no row, the
+// open connection's included, changes. (The Socket itself serves one of the
+// later connections by then: the handle is the Socket with the generation
+// it was returned at.)
 func TestClosedSocketWritesNoRow(t *testing.T) {
 	w := newWorld(t)
 	sp, sl := proc(t, w.a, "server", 0)
@@ -166,6 +168,7 @@ func TestClosedSocketWritesNoRow(t *testing.T) {
 			t.Errorf("connect: %v", err)
 			return
 		}
+		gen := stale.Gen()
 		req, reply := []byte("8 bytes!"), make([]byte, 8)
 		stale.Send(ctx, th, req)
 		if n, err := stale.Recv(ctx, th, reply[:4]); n != 4 || err != nil {
@@ -182,13 +185,13 @@ func TestClosedSocketWritesNoRow(t *testing.T) {
 		}
 		ctx.Sleep(1_000_000)
 		before := obs.Flows()
-		if _, err := stale.Send(ctx, th, req); !errors.Is(err, core.ErrShutdown) {
+		if _, err := stale.Handle(gen).Send(ctx, th, req); !errors.Is(err, core.ErrShutdown) {
 			t.Errorf("send on the closed socket: want ErrShutdown, got %v", err)
 		}
-		if _, err := stale.Recv(ctx, th, reply); err != io.EOF {
+		if _, err := stale.Handle(gen).Recv(ctx, th, reply); err != io.EOF {
 			t.Errorf("recv on the closed socket: want EOF, got %v", err)
 		}
-		if err := stale.Close(ctx, th); !errors.Is(err, core.ErrBadFD) {
+		if err := stale.Handle(gen).Close(ctx, th); !errors.Is(err, core.ErrBadFD) {
 			t.Errorf("close of the closed socket: want ErrBadFD, got %v", err)
 		}
 		if after := obs.Flows(); !slices.Equal(after, before) {
@@ -805,6 +808,91 @@ func TestForkedInterSideIsNeverRecycled(t *testing.T) {
 		s2.Close(ctx, th)
 	})
 	w.sim.Run()
+}
+
+// TestForkedSocketIsNeverHandedOut: a Socket whose side a forked child
+// shares goes back to no free list, on one host or across two: not when
+// the parent closes its copy while the child holds the side, nor when the
+// child's close releases the connection. Every later dial of the parent
+// gets another Socket, and the parent's keeps its generation.
+func TestForkedSocketIsNeverHandedOut(t *testing.T) {
+	for _, inter := range []bool{false, true} {
+		name := "intra"
+		if inter {
+			name = "inter"
+		}
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(t)
+			srvHost, dst := w.a, "hostA"
+			if inter {
+				monitor.Peer(w.ma, w.mb)
+				srvHost, dst = w.b, "hostB"
+			}
+			sp, sl := proc(t, srvHost, "server", 0)
+			cp, cl := proc(t, w.a, "client", 1000)
+			sp.Spawn("srv", echoForever(t, sl, 7415))
+			sp.Spawn("others", echoForever(t, sl, 7416))
+			cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+				defer sp.Signal(ctx, host.SIGKILL) // the server would accept forever
+				ctx.Sleep(10_000)
+				s, _, err := cl.Connect(ctx, th, dst, 7415)
+				if err != nil {
+					t.Errorf("connect: %v", err)
+					return
+				}
+				gen := s.Gen()
+				child, childLib, err := cl.Fork(ctx, th, "child")
+				if err != nil {
+					t.Errorf("fork: %v", err)
+					return
+				}
+				cs, err := childLib.SocketByFD(s.FD())
+				if err != nil {
+					t.Errorf("child fd lookup: %v", err)
+					return
+				}
+				dialOthers := func(when string) {
+					for i := 0; i < 3; i++ {
+						c, _, err := cl.Connect(ctx, th, dst, 7416)
+						if err != nil {
+							t.Errorf("connect: %v", err)
+							return
+						}
+						if c == s || c == cs {
+							t.Errorf("%s: a dial got a Socket the fork shares", when)
+						}
+						echoExact(t, ctx, th, c, []byte("a connection of its own"))
+						c.Close(ctx, th)
+						ctx.Sleep(1_000_000)
+					}
+				}
+				idle := cl.IdleSockets()
+				s.Close(ctx, th) // the child's reference keeps the side open
+				ctx.Sleep(1_000_000)
+				if n := cl.IdleSockets(); n != idle {
+					t.Errorf("%d idle Sockets after the parent's close, want %d", n, idle)
+				}
+				dialOthers("while the child holds the side")
+				done := false
+				child.Spawn("cmain", func(cctx exec.Context, cth *host.Thread) {
+					cs.Close(cctx, cth)
+					done = true
+				})
+				for !done {
+					ctx.Sleep(10_000)
+				}
+				ctx.Sleep(5_000_000) // the server closes too: the connection is released
+				if n := childLib.IdleSockets(); n != 0 {
+					t.Errorf("the child's library keeps %d Sockets", n)
+				}
+				dialOthers("after the release")
+				if s.Gen() != gen {
+					t.Errorf("the parent's Socket moved from generation %d to %d", gen, s.Gen())
+				}
+			})
+			w.sim.Run()
+		})
+	}
 }
 
 // TestCrashNeverRecyclesAttachedRing kills the client mid-stream. The

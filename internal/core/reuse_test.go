@@ -50,11 +50,12 @@ func pokeClosed(t *testing.T, ctx exec.Context, th *host.Thread, s *core.Socket)
 }
 
 // TestStaleSocketAfterReuse: a connection released cleanly gives its
-// segment back, and the next dial builds on it. A Socket the application
-// kept after Close no longer points into it: Send, Recv, a receive deadline
-// and a second Close on it fail as on any closed socket, and the new
-// connection that now owns the segment stays byte-exact while the stale
-// handle is poked between its sends and receives.
+// segment and its Socket back, and the next dial builds on both. A handle
+// the application kept after Close — the Socket and the generation it was
+// returned at — no longer points into the segment: Send, Recv, a receive
+// deadline and a second Close on it fail as on any closed socket, and the
+// new connection that now owns the segment and the Socket stays byte-exact
+// while the stale handle is poked between its sends and receives.
 func TestStaleSocketAfterReuse(t *testing.T) {
 	for _, inter := range []bool{false, true} {
 		name := "intra"
@@ -81,13 +82,13 @@ func TestStaleSocketAfterReuse(t *testing.T) {
 					return
 				}
 				echoExact(t, ctx, th, stale, pattern)
-				seg, qid := stale.Side(), stale.QID()
+				seg, qid, gen := stale.Side(), stale.QID(), stale.Gen()
 				stale.Close(ctx, th)
 				ctx.Sleep(1_000_000) // the server closed too: the connection is released
-				if stale.Side() == seg {
+				if stale.Handle(gen).Side() == seg {
 					t.Error("the closed socket still points into its released segment")
 				}
-				if tx, rx := stale.Rings(); tx != nil || rx != nil {
+				if tx, rx := stale.Handle(gen).Rings(); tx != nil || rx != nil {
 					t.Error("the closed socket still reaches rings")
 				}
 				var s *core.Socket
@@ -108,14 +109,14 @@ func TestStaleSocketAfterReuse(t *testing.T) {
 					t.Error("four dials never built on the released segment")
 					return
 				}
-				if stale.QID() != qid || s.QID() == qid {
-					t.Errorf("queue IDs: stale %d (was %d), new %d", stale.QID(), qid, s.QID())
+				if s != stale || s.Gen() == gen || s.QID() == qid {
+					t.Errorf("the new connection (queue %d, was %d) is not on the stale Socket in a new generation", s.QID(), qid)
 				}
-				pokeClosed(t, ctx, th, stale)
+				pokeClosed(t, ctx, th, stale.Handle(gen))
 				if _, err := s.Send(ctx, th, pattern); err != nil {
 					t.Errorf("send: %v", err)
 				}
-				pokeClosed(t, ctx, th, stale)
+				pokeClosed(t, ctx, th, stale.Handle(gen))
 				got := make([]byte, 0, len(pattern))
 				for buf := make([]byte, len(pattern)); len(got) < len(pattern); {
 					n, err := s.Recv(ctx, th, buf)
@@ -124,7 +125,7 @@ func TestStaleSocketAfterReuse(t *testing.T) {
 						return
 					}
 					got = append(got, buf[:n]...)
-					pokeClosed(t, ctx, th, stale)
+					pokeClosed(t, ctx, th, stale.Handle(gen))
 				}
 				if !bytes.Equal(got, pattern) {
 					t.Error("the connection on the reused segment did not echo byte-exact")

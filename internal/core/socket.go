@@ -64,6 +64,9 @@ type Socket struct {
 	// sideIdx disambiguates the two endpoints' token namespaces at the
 	// monitor (0 = connecting side, 1 = accepting side).
 	sideIdx uint16
+	// gen moves each time the Socket is handed out for a connection: a
+	// handle made for an earlier one (Handle) no longer reaches it.
+	gen uint32
 }
 
 // SetSendDeadline arms an absolute virtual-time deadline (ns) for send-side
@@ -124,8 +127,31 @@ func (s *Socket) Probe() obs.FlowProbe {
 
 // newSocket makes the Socket over side, which a clean release detaches.
 func (l *Libsd) newSocket(side *SideState, ep endpoint) *Socket {
-	side.sock = &Socket{lib: l, side: side, ep: ep, qid: side.QID}
+	side.sock = l.takeSocket(Socket{side: side, ep: ep, qid: side.QID})
 	return side.sock
+}
+
+// takeSocket returns s as a Socket of l's: one a clean release gave back
+// (detach) when the free list holds one, in its next generation.
+func (l *Libsd) takeSocket(s Socket) *Socket {
+	x := l.sockIdle.New()
+	s.lib, s.gen = l, x.gen+1
+	*x = s
+	return x
+}
+
+// Gen returns the socket's generation, which Handle checks.
+func (s *Socket) Gen() uint32 { return s.gen }
+
+// Handle returns s while it serves the connection it had at generation gen,
+// and its library's closed stand-in once a clean release gave s back and a
+// later connection took it: an application's handle to a closed connection
+// stays closed, and never reaches the connection s serves now.
+func (s *Socket) Handle(gen uint32) *Socket {
+	if s.gen == gen {
+		return s
+	}
+	return &s.lib.closedSock
 }
 
 // useSHM makes the socket an intra-host endpoint on its side of is.

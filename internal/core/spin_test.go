@@ -104,16 +104,16 @@ func heapAllocs() uint64 {
 }
 
 // TestDialCycleAllocs: an intra-host dial, 8-byte echo and close allocates
-// only what the application holds — the two Sockets, which it may keep after
-// Close — plus the test's request and reply buffers: 4.0 a cycle (5.0 while
-// the IntraSock went to the garbage collector, 7.1 while the flow table kept
-// every closed row: two new ones a cycle). The IntraSock comes back from the
-// monitor's free list and its segment is an entry of the registry's map; the
-// per-dial records (the pending dial with its SYN and control wait, the
-// dispatched connection, the monitor's connection record, the two sdstat
-// rows) come from free lists on their owners, the FD table holds entries by
-// value and a socket's SHM endpoint is part of the Socket. A refused dial
-// allocates nothing.
+// nothing but the test's request and reply buffers: 2.0 a cycle (4.0 while
+// each end's Socket was new, 5.0 while the IntraSock went to the garbage
+// collector, 7.1 while the flow table kept every closed row: two new ones a
+// cycle). The two Sockets come back from their libraries' free lists and
+// the IntraSock from the monitor's, and its segment is an entry of the
+// registry's map; the per-dial records (the pending dial with its SYN and
+// control wait, the dispatched connection, the monitor's connection record,
+// the two sdstat rows) come from free lists on their owners, the FD table
+// holds entries by value and a socket's SHM endpoint is part of the Socket.
+// A refused dial allocates nothing.
 func TestDialCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -182,11 +182,12 @@ func TestDialCycleAllocs(t *testing.T) {
 
 // TestInterDialCycleAllocs is TestDialCycleAllocs across two hosts: every
 // warm cycle goes out on the QP pair the last one parked, builds each end on
-// the interSide the last one released and allocates only the two Sockets
-// plus the test's request and reply buffers: 4.0 a cycle (6.0 while each
-// end's interSide went to the garbage collector, 8.2 with two new flow rows
-// a cycle, 39.0 when the monitor channel made a landing buffer per message
-// and decoded into a fresh one, and an inter-host side was twelve objects).
+// the interSide and the Socket the last one released and allocates only the
+// test's request and reply buffers: 2.0 a cycle (4.0 with two new Sockets,
+// 6.0 while each end's interSide went to the garbage collector, 8.2 with two
+// new flow rows a cycle, 39.0 when the monitor channel made a landing buffer
+// per message and decoded into a fresh one, and an inter-host side was
+// twelve objects).
 func TestInterDialCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -223,9 +224,9 @@ func TestInterDialCycleAllocs(t *testing.T) {
 // and every later row reuses the record of one it evicts.
 const (
 	dialWarm             = obs.ClosedFlows
-	dialCycleAllocs      = 4.5
+	dialCycleAllocs      = 2.5
 	refusedDialAllocs    = 0.1
-	interDialCycleAllocs = 4.5
+	interDialCycleAllocs = 2.5
 )
 
 // TestDataPathAllocs: an 8-byte ping-pong and a 1 KiB stream, on one host

@@ -93,7 +93,7 @@ type wait struct {
 	ctl      *ctlWait // a request with the monitor: its silence, its restart
 
 	// One empty iteration.
-	t       *host.Thread // holds dir's token of sock and its busy mark, and hands the token over when asked (§4.1.1)
+	t       *host.Thread // the thread a sleeper parks; with drives, it holds dir's token of sock and its busy mark, and hands the token over when asked (§4.1.1)
 	drives  bool         // holds dir of sock and drives its endpoint: shutdown ends the wait, a failed endpoint is polled slowly
 	polls   polls
 	pre     int64   // charged per poll before the yield (the look is free),
@@ -434,6 +434,11 @@ func (a *ackWaiter) Idle(now int64) bool {
 	return !s.side.RX.CanRecv() && l.ctlSeen == c.seen && l.cqsEmpty() && !l.P.Dead() &&
 		!past(&c.deadline, now) && l.ctlIdle() && !s.peerGone()
 }
+
+// doze and woke are the receive sleeper's: the MAck lands on the new
+// socket's receive ring, across hosts with its write's completion.
+func (a *ackWaiter) doze(ctx exec.Context, t *host.Thread) { (*recvWaiter)(a.sock).doze(ctx, t) }
+func (a *ackWaiter) woke(t *host.Thread)                   { (*recvWaiter)(a.sock).woke(t) }
 
 // mayWait reports whether O_NONBLOCK and dir's deadline let a wait on s go on
 // at time now.

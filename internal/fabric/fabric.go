@@ -76,8 +76,9 @@ type Endpoint struct {
 	cfg     Config
 	handler func(frame any, wireBytes int)
 
-	nextFree int64 // when the TX wire is next idle
-	rng      *rand.Rand
+	nextFree int64      // when the TX wire is next idle
+	rng      *rand.Rand // built on the first loss or jitter draw (random)
+	seed     int64
 	stats    Stats
 	free     *bufpool.FreeList[delivery] // deliveries, shared by the link's or Net's endpoints
 
@@ -113,8 +114,17 @@ func NewLoopback(clk exec.Clock, name string, cfg Config) *Endpoint {
 }
 
 func newEndpoint(clk exec.Clock, name string, cfg Config, salt int64, free *bufpool.FreeList[delivery]) *Endpoint {
-	return &Endpoint{clk: clk, name: name, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed ^ salt)),
+	return &Endpoint{clk: clk, name: name, cfg: cfg, seed: cfg.Seed ^ salt,
 		lossRate: cfg.LossRate, jitterNs: cfg.JitterNs, free: free}
+}
+
+// random returns the endpoint's source of drops and jitter, seeded when it
+// is first needed: most endpoints never draw from it.
+func (e *Endpoint) random() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rng
 }
 
 // SetLossRate changes the drop probability at runtime (fault injection).
@@ -158,7 +168,7 @@ func (e *Endpoint) Send(frame any, payloadBytes int) {
 	mTxFrames.Inc()
 	mTxBytes.Add(int64(payloadBytes))
 
-	if e.partitioned || (e.lossRate > 0 && e.rng.Float64() < e.lossRate) {
+	if e.partitioned || (e.lossRate > 0 && e.random().Float64() < e.lossRate) {
 		e.stats.Drops++
 		mDrops.Inc()
 		releaseFrame(frame) // the wire ate this copy; return its staging
@@ -175,7 +185,7 @@ func (e *Endpoint) Send(frame any, payloadBytes int) {
 	e.nextFree = start + ser
 	deliverAt := e.nextFree + e.cfg.PropDelay + e.extraDelayNs
 	if e.jitterNs > 0 {
-		deliverAt += e.rng.Int63n(e.jitterNs)
+		deliverAt += e.random().Int63n(e.jitterNs)
 	}
 	peer := e.peer
 

@@ -144,3 +144,43 @@ func TestJitterReordersButDelivers(t *testing.T) {
 		t.Fatal("jitter produced no reordering (seed too tame?)")
 	}
 }
+
+// TestRandomSourceBuiltOnFirstDraw: an endpoint with neither loss nor
+// jitter never builds its random source; one whose loss is switched on
+// later draws the same drops as one configured lossy from the start, the
+// source seeded alike.
+func TestRandomSourceBuiltOnFirstDraw(t *testing.T) {
+	drops := func(lossLater bool) (uint64, bool) {
+		s := exec.NewSim(exec.SimConfig{})
+		cfg := Config{PropDelay: 10, LossRate: 0.3, Seed: 5}
+		if lossLater {
+			cfg.LossRate = 0
+		}
+		a, b := NewLink(s.Clock(), "a", "b", cfg)
+		b.SetHandler(func(any, int) {})
+		built := false
+		s.Spawn("tx", func(ctx exec.Context) {
+			if lossLater {
+				for i := 0; i < 50; i++ {
+					a.Send(i, 64)
+				}
+				built = a.rng != nil || b.rng != nil
+				a.SetLossRate(0.3)
+			}
+			for i := 0; i < 200; i++ {
+				a.Send(i, 64)
+			}
+			ctx.Sleep(1000)
+		})
+		s.Run()
+		return a.Stats().Drops, built
+	}
+	want, _ := drops(false)
+	got, built := drops(true)
+	if built {
+		t.Error("a lossless, jitter-free link built a random source")
+	}
+	if want == 0 || got != want {
+		t.Errorf("%d drops with the loss switched on later, %d with it from the start", got, want)
+	}
+}

@@ -156,8 +156,7 @@ type QP struct {
 	rtoGen    uint64 // invalidates timers of a reset/closed QP
 	rtoGenArm uint64 // rtoGen when the (single) outstanding timer was armed
 	rtoArmed  bool
-	rtoCb     func() // pre-bound onTimeout trampoline: arming allocates nothing
-	progress  bool   // since arming: an ack advanced sndUna or the send queue (re)started
+	progress  bool // since arming: an ack advanced sndUna or the send queue (re)started
 	retries   int
 
 	// receive side
@@ -180,7 +179,6 @@ func (pd *PD) CreateQP(sendCQ, recvCQ *CQ) *QP {
 		window: DefaultWindow,
 	}
 	n.qps[qp.qpn] = qp
-	qp.rtoCb = qp.onTimeout
 	mQPsCreated.Inc()
 	return qp
 }
@@ -477,11 +475,11 @@ func (qp *QP) armRTO() {
 	}
 	qp.rtoArmed = true
 	qp.progress = false
-	// At most one timer is outstanding (the rtoArmed gate), so recording
-	// the generation in a field instead of a closure capture is
-	// equivalent — and lets arming reuse the pre-bound callback.
+	// At most one timer is outstanding (the rtoArmed gate), so the
+	// generation it was armed in is a field, and the NIC's queue of timers
+	// holds only the QP.
 	qp.rtoGenArm = qp.rtoGen
-	qp.nic.clk.After(DefaultRTO, qp.rtoCb)
+	qp.nic.queueRTO(qp, qp.nic.clk.Now()+DefaultRTO)
 }
 
 func (qp *QP) onTimeout() {

@@ -18,6 +18,7 @@ package rdma
 
 import (
 	"errors"
+	"slices"
 
 	"socksdirect/internal/bufpool"
 	"socksdirect/internal/costmodel"
@@ -201,6 +202,22 @@ type NIC struct {
 	seed    uint64
 
 	packets bufpool.FreeList[packet] // released packets, for its QPs' posts and acks
+
+	// rto holds the armed retransmission timers of the NIC's QPs from
+	// rtoNext on, in deadline order; one Clock event, at the head's
+	// deadline, stands for all of them. rtoAt lists the times of the
+	// events set and not yet run: every QP shares DefaultRTO, so there is
+	// nearly always one. fireRTO is the events' callback, bound once.
+	rto     []rtoEntry
+	rtoNext int
+	rtoAt   []int64
+	fireRTO func()
+}
+
+// rtoEntry is one QP's armed retransmission timer.
+type rtoEntry struct {
+	at int64
+	qp *QP
 }
 
 // NewNIC creates an adapter for the named host, with its loopback: a QP
@@ -218,9 +235,56 @@ func NewNIC(clk exec.Clock, host string, costs *costmodel.Costs, seed uint64) *N
 		qps:   make(map[uint32]*QP),
 		mrs:   make(map[uint64]*MR),
 		seed:  seed | 1,
+		rto:   make([]rtoEntry, 0, 64),
+		rtoAt: make([]int64, 0, 4),
 	}
+	n.fireRTO = n.fireDue
 	n.loop.SetHandler(n.onFrame)
 	return n
+}
+
+// queueRTO queues qp's timer, due at at. Arms come nearly in deadline
+// order, but not quite: a thread's clock and the global one differ. The
+// entry goes behind every one due no later, so equal deadlines fire in
+// arming order, and one due before the head gets a Clock event of its own.
+func (n *NIC) queueRTO(qp *QP, at int64) {
+	if len(n.rto) == cap(n.rto) && n.rtoNext > 0 {
+		n.rto = n.rto[:copy(n.rto, n.rto[n.rtoNext:])]
+		n.rtoNext = 0
+	}
+	i := len(n.rto)
+	for i > n.rtoNext && n.rto[i-1].at > at {
+		i--
+	}
+	n.rto = slices.Insert(n.rto, i, rtoEntry{at, qp})
+	if i == n.rtoNext && !slices.Contains(n.rtoAt, at) {
+		n.rtoAt = append(n.rtoAt, at)
+		n.clk.After(at-n.clk.Now(), n.fireRTO)
+	}
+}
+
+// fireDue runs the timers due by now, in deadline order, and makes sure a
+// Clock event is set for the next one. A timer its QP no longer needs (it
+// was acknowledged, reset or errored) does nothing (QP.onTimeout).
+func (n *NIC) fireDue() {
+	now := n.clk.Now()
+	if i := slices.Index(n.rtoAt, now); i >= 0 {
+		n.rtoAt = slices.Delete(n.rtoAt, i, i+1)
+	}
+	for n.rtoNext < len(n.rto) && n.rto[n.rtoNext].at <= now {
+		qp := n.rto[n.rtoNext].qp
+		n.rto[n.rtoNext] = rtoEntry{}
+		n.rtoNext++
+		qp.onTimeout() // may arm again: the entry goes behind the rest
+	}
+	if n.rtoNext == len(n.rto) {
+		n.rto, n.rtoNext = n.rto[:0], 0
+		return
+	}
+	if at := n.rto[n.rtoNext].at; !slices.Contains(n.rtoAt, at) {
+		n.rtoAt = append(n.rtoAt, at)
+		n.clk.After(at-now, n.fireRTO)
+	}
 }
 
 // AttachFabric joins the NIC to the routed network: QPs toward another

@@ -279,7 +279,7 @@ func (l *Listener) Accept() (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Conn{t: l.t, sock: s, kf: kf}, nil
+	return newConn(l.t, s, kf), nil
 }
 
 // Pending reports queued connections on this thread's backlog.
@@ -302,12 +302,31 @@ func (l *Listener) FD() int { return l.l.FD() }
 
 // Conn is a connected socket: a user-space SocksDirect socket, or a
 // kernel TCP connection when the peer required the fallback path. The API
-// is identical either way — that is the compatibility story.
+// is identical either way — that is the compatibility story. A Conn kept
+// after Close stays closed, even once its library has handed the socket
+// behind it to another connection: its sends fail with ErrShutdown, its
+// receives read EOF, a second Close fails with ErrBadFD, and nothing it does
+// reaches the other connection.
 type Conn struct {
 	t    *T
 	sock *core.Socket
 	kf   host.KFile
+	gen  uint32 // sock's generation when the Conn was made (core.Socket.Handle)
+	fd   int
 }
+
+// newConn is the Conn over s, or over the kernel file kf when s is nil.
+func newConn(t *T, s *core.Socket, kf host.KFile) *Conn {
+	c := &Conn{t: t, sock: s, kf: kf, fd: -1}
+	if s != nil {
+		c.gen, c.fd = s.Gen(), s.FD()
+	}
+	return c
+}
+
+// socket is the Socket c acts on: its own while it serves c's connection,
+// else its library's closed stand-in.
+func (c *Conn) socket() *core.Socket { return c.sock.Handle(c.gen) }
 
 // Dial connects to (host, port); the monitor picks SHM, RDMA or kernel
 // TCP transparently.
@@ -316,7 +335,7 @@ func (t *T) Dial(hostName string, port uint16) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Conn{t: t, sock: s, kf: kf}, nil
+	return newConn(t, s, kf), nil
 }
 
 // DialDeadline is Dial with an absolute virtual-time bound (ns): if the
@@ -328,7 +347,7 @@ func (t *T) DialDeadline(hostName string, port uint16, at int64) (*Conn, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Conn{t: t, sock: s, kf: kf}, nil
+	return newConn(t, s, kf), nil
 }
 
 // Fallback reports whether this connection runs over kernel TCP.
@@ -341,14 +360,14 @@ func (c *Conn) Fallback() bool { return c.sock == nil }
 // the simulated kernel, which models none).
 func (c *Conn) SetSendDeadline(at int64) {
 	if c.sock != nil {
-		c.sock.SetSendDeadline(at)
+		c.socket().SetSendDeadline(at)
 	}
 }
 
 // SetRecvDeadline is SetSendDeadline for the receive side (SO_RCVTIMEO).
 func (c *Conn) SetRecvDeadline(at int64) {
 	if c.sock != nil {
-		c.sock.SetRecvDeadline(at)
+		c.socket().SetRecvDeadline(at)
 	}
 }
 
@@ -357,27 +376,26 @@ func (c *Conn) SetRecvDeadline(at int64) {
 // EPOLLOUT/EPOLLIN to learn when to retry.
 func (c *Conn) SetNonblock(on bool) {
 	if c.sock != nil {
-		c.sock.SetNonblock(on)
+		c.socket().SetNonblock(on)
 	}
 }
 
 // FD returns the socket's descriptor in the libsd FD space (fallback
 // connections report -1; their number lives in the kernel table).
-func (c *Conn) FD() int {
-	if c.sock != nil {
-		return c.sock.FD()
-	}
-	return -1
-}
+func (c *Conn) FD() int { return c.fd }
 
 // WithT rebinds the connection to another thread (socket sharing across
 // threads; the token machinery arbitrates, §4.1).
-func (c *Conn) WithT(t *T) *Conn { return &Conn{t: t, sock: c.sock, kf: c.kf} }
+func (c *Conn) WithT(t *T) *Conn {
+	w := *c
+	w.t = t
+	return &w
+}
 
 // Send writes the whole buffer (blocking).
 func (c *Conn) Send(b []byte) (int, error) {
 	if c.sock != nil {
-		return c.sock.Send(c.t.Ctx, c.t.Th, b)
+		return c.socket().Send(c.t.Ctx, c.t.Th, b)
 	}
 	return c.kf.Write(c.t.Ctx, b)
 }
@@ -385,7 +403,7 @@ func (c *Conn) Send(b []byte) (int, error) {
 // Recv reads at least one byte (blocking); io.EOF after peer close.
 func (c *Conn) Recv(b []byte) (int, error) {
 	if c.sock != nil {
-		return c.sock.Recv(c.t.Ctx, c.t.Th, b)
+		return c.socket().Recv(c.t.Ctx, c.t.Th, b)
 	}
 	return c.kf.Read(c.t.Ctx, b)
 }
@@ -399,7 +417,7 @@ func (c *Conn) Recv(b []byte) (int, error) {
 // kernel writes.
 func (c *Conn) SendBatch(bufs [][]byte) (int, error) {
 	if c.sock != nil {
-		return c.sock.SendBatch(c.t.Ctx, c.t.Th, bufs)
+		return c.socket().SendBatch(c.t.Ctx, c.t.Th, bufs)
 	}
 	for i, b := range bufs {
 		if _, err := c.kf.Write(c.t.Ctx, b); err != nil {
@@ -417,7 +435,7 @@ func (c *Conn) SendBatch(bufs [][]byte) (int, error) {
 // the first buffer plus readability-gated reads for the rest.
 func (c *Conn) RecvBatch(bufs [][]byte, lens []int) (int, error) {
 	if c.sock != nil {
-		return c.sock.RecvBatch(c.t.Ctx, c.t.Th, bufs, lens)
+		return c.socket().RecvBatch(c.t.Ctx, c.t.Th, bufs, lens)
 	}
 	filled := 0
 	for i, b := range bufs {
@@ -458,7 +476,7 @@ func (c *Conn) SendVA(addr mem.VAddr, n int) (int, error) {
 	if c.sock == nil {
 		return 0, errors.New("socksdirect: zero copy unavailable on fallback connections")
 	}
-	return c.sock.SendVA(c.t.Ctx, c.t.Th, addr, n)
+	return c.socket().SendVA(c.t.Ctx, c.t.Th, addr, n)
 }
 
 // RecvVA receives into simulated memory, remapping when possible.
@@ -466,14 +484,14 @@ func (c *Conn) RecvVA(addr mem.VAddr, n int) (int, error) {
 	if c.sock == nil {
 		return 0, errors.New("socksdirect: zero copy unavailable on fallback connections")
 	}
-	return c.sock.RecvVA(c.t.Ctx, c.t.Th, addr, n)
+	return c.socket().RecvVA(c.t.Ctx, c.t.Th, addr, n)
 }
 
 // Close drops this reference; the last reference runs the shutdown
 // handshake (§4.5.4).
 func (c *Conn) Close() error {
 	if c.sock != nil {
-		return c.sock.Close(c.t.Ctx, c.t.Th)
+		return c.socket().Close(c.t.Ctx, c.t.Th)
 	}
 	return c.kf.Close(c.t.Ctx)
 }
@@ -481,7 +499,7 @@ func (c *Conn) Close() error {
 // Readable reports whether Recv would not block (poll hook).
 func (c *Conn) Readable() bool {
 	if c.sock != nil {
-		return c.sock.Readable()
+		return c.socket().Readable()
 	}
 	return c.kf.Readable()
 }
@@ -506,9 +524,9 @@ func (t *T) SocketByFD(fd int) (*Conn, error) {
 		if kerr != nil {
 			return nil, err
 		}
-		return &Conn{t: t, kf: kf}, nil
+		return newConn(t, nil, kf), nil
 	}
-	return &Conn{t: t, sock: s}, nil
+	return newConn(t, s, nil), nil
 }
 
 // Epoll creates an event multiplexer over libsd sockets and kernel FDs.

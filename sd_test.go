@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 	"socksdirect/internal/host"
 	"socksdirect/internal/mem"
 	"socksdirect/internal/monitor"
+	"socksdirect/internal/obs"
 )
 
 func TestPublicAPIQuickstartShape(t *testing.T) {
@@ -429,4 +432,175 @@ func TestPublicAPIStaleConnAfterReuse(t *testing.T) {
 			cl.Run()
 		})
 	}
+}
+
+// TestStaleConnSocketServesTheNextConn: once a closed Conn's connection is
+// released, the next dial's Conn is made over the same Socket, on one host
+// and across two. Every method of the stale Conn then returns what it
+// returned before its Socket moved on — Send, SendBatch and SendVA
+// ErrShutdown, Recv, RecvBatch, RecvFull and RecvVA EOF, Close ErrBadFD, the
+// old FD, Readable — and none of them reaches the new connection: its bytes
+// echo exact, and the O_NONBLOCK and deadlines set through the stale Conn
+// end none of its waits.
+func TestStaleConnSocketServesTheNextConn(t *testing.T) {
+	for _, inter := range []bool{false, true} {
+		name := "intra"
+		if inter {
+			name = "inter"
+		}
+		t.Run(name, func(t *testing.T) {
+			cl := newCluster(t)
+			a := cl.AddHost("alpha")
+			srvHost, dst := a, "alpha"
+			if inter {
+				srvHost, dst = cl.AddHost("beta"), "beta"
+				sd.PeerMonitors(a, srvHost)
+			}
+			echoServe(t, srvHost.NewProcess("server", 0), 80, 2)
+			pattern := bytes.Repeat([]byte("next conn "), 150)
+			a.NewProcess("client", 1000).Go("main", func(t2 *sd.T) {
+				t2.Sleep(10 * sd.Microsecond)
+				va, buf := t2.Alloc(4096), make([]byte, 64)
+				echo := func(c *sd.Conn, poke func()) {
+					if _, err := c.Send(pattern); err != nil {
+						t.Errorf("send: %v", err)
+					}
+					poke()
+					got := make([]byte, len(pattern))
+					if n, err := c.RecvFull(got); err != nil || !bytes.Equal(got[:n], pattern) {
+						t.Errorf("echo of %d bytes: %d back, %v", len(pattern), n, err)
+					}
+					poke()
+				}
+				stale, err := t2.Dial(dst, 80)
+				if err != nil {
+					t.Errorf("dial: %v", err)
+					return
+				}
+				echo(stale, func() {})
+				stale.Close()
+				t2.Sleep(sd.Millisecond) // the server closed too: the connection is released
+				// call runs every method of the stale Conn and reports what each returned.
+				call := func() []string {
+					stale.SetNonblock(true)
+					stale.SetSendDeadline(t2.Now() + 1)
+					stale.SetRecvDeadline(t2.Now() + 1)
+					var out []string
+					note := func(op string, n int, err error) { out = append(out, fmt.Sprintf("%s %d %v", op, n, err)) }
+					n, err := stale.Send(pattern)
+					note("Send", n, err)
+					n, err = stale.SendBatch([][]byte{pattern})
+					note("SendBatch", n, err)
+					n, err = stale.SendVA(va, 4096)
+					note("SendVA", n, err)
+					n, err = stale.WithT(t2).Send(pattern)
+					note("WithT.Send", n, err)
+					n, err = stale.Recv(buf)
+					note("Recv", n, err)
+					n, err = stale.RecvBatch([][]byte{buf}, nil)
+					note("RecvBatch", n, err)
+					n, err = stale.RecvFull(buf)
+					note("RecvFull", n, err)
+					n, err = stale.RecvVA(va, 4096)
+					note("RecvVA", n, err)
+					note("Close", 0, stale.Close())
+					return append(out, fmt.Sprintf("FD %d Readable %v Fallback %v", stale.FD(), stale.Readable(), stale.Fallback()))
+				}
+				before := call()
+				for i, want := range []error{core.ErrShutdown, core.ErrShutdown, core.ErrShutdown, core.ErrShutdown,
+					sd.EOF, sd.EOF, sd.EOF, sd.EOF, core.ErrBadFD} {
+					if w := fmt.Sprintf("0 %v", want); !bytes.HasSuffix([]byte(before[i]), []byte(w)) {
+						t.Errorf("closed Conn: %s, want %s", before[i], w)
+					}
+				}
+				c, err := t2.Dial(dst, 80)
+				if err != nil {
+					t.Errorf("dial: %v", err)
+					return
+				}
+				if sd.ConnSocket(c) != sd.ConnSocket(stale) {
+					t.Error("the next Conn is not made over the closed Conn's Socket")
+				}
+				poke := func() {
+					if after := call(); !slices.Equal(after, before) {
+						t.Errorf("the stale Conn now returns %q, before its Socket moved on %q", after, before)
+					}
+				}
+				poke()
+				if c.Readable() {
+					t.Error("the new connection reads as readable before anything was sent")
+				}
+				echo(c, poke)
+				echo(c, poke)
+				c.Close()
+			})
+			cl.Run()
+		})
+	}
+}
+
+// TestDialCycleAllocs: warm, a dial, 8-byte echo and close through the
+// public API, on one host or across two, allocates only the application's
+// two handles, one Conn each end: every Socket comes back from its
+// library's free list (4 a cycle while each end's Socket was new). The
+// request and reply buffers are the test's, made once.
+func TestDialCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	// A cycle retires two sdstat rows: after obs.ClosedFlows cycles every
+	// new row reuses the record of one it evicts.
+	const warm, cycles = obs.ClosedFlows, 100
+	for _, inter := range []bool{false, true} {
+		name := "intra"
+		if inter {
+			name = "inter"
+		}
+		t.Run(name, func(t *testing.T) {
+			cl := newCluster(t)
+			a := cl.AddHost("alpha")
+			srvHost, dst := a, "alpha"
+			if inter {
+				srvHost, dst = cl.AddHost("beta"), "beta"
+				sd.PeerMonitors(a, srvHost)
+			}
+			echoServe(t, srvHost.NewProcess("server", 0), 80, warm+cycles)
+			var allocs uint64
+			a.NewProcess("client", 1000).Go("main", func(t2 *sd.T) {
+				t2.Sleep(10 * sd.Microsecond)
+				req, reply := []byte("8 bytes!"), make([]byte, 8)
+				for i := 0; i < warm+cycles; i++ {
+					if i == warm {
+						allocs = mallocs()
+					}
+					c, err := t2.Dial(dst, 80)
+					if err != nil {
+						t.Errorf("dial %d: %v", i, err)
+						return
+					}
+					if _, err := c.Send(req); err != nil {
+						t.Errorf("send %d: %v", i, err)
+					}
+					if _, err := c.RecvFull(reply); err != nil {
+						t.Errorf("recv %d: %v", i, err)
+					}
+					c.Close()
+				}
+				allocs = mallocs() - allocs
+			})
+			cl.Run()
+			per := float64(allocs) / cycles
+			t.Logf("%.2f allocations per dial-echo-close cycle", per)
+			if per > 2.05 {
+				t.Errorf("%.2f allocations per cycle, want 2: the two Conns", per)
+			}
+		})
+	}
+}
+
+// mallocs is the process's count of heap allocations so far.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
 }
