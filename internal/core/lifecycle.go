@@ -37,8 +37,9 @@ import (
 // exec, migration), an abandoned dial that had reached the wire or a
 // rebuilt accept is dropped to the garbage collector instead, its pool
 // unpinned — some actor may still hold a stale view of it. A reused
-// segment's Sockets move to their library's stand-in side (detach), its
-// rings are scrubbed at once, and its next builder scrubs the rest.
+// segment's Sockets move to their library's stand-in side and free list
+// (detach), its rings are scrubbed at once, and its next builder scrubs the
+// rest.
 //
 // The QP of a clean inter-host side is not closed but parked, still
 // connected to its twin, which the peer process parks when its side is
