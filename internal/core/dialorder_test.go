@@ -615,44 +615,88 @@ func TestAbandonedDialServerSideEnds(t *testing.T) {
 // never accepts, with no deadline, waits in Fig. 6's Wait-Server like a
 // receive: after its spin budget it parks in interrupt mode (§4.4), once,
 // instead of polling for ever. Run returns, on one host and across two,
-// and the world still ends holding nothing.
+// and the world still ends holding nothing. A listener that accepts a
+// millisecond late wakes the parked dial with its ACK — through the
+// monitor on one host, through the completion queue across two — and the
+// connection echoes byte-exact.
 func TestDialToAListenerThatNeverAccepts(t *testing.T) {
 	for _, inter := range []bool{false, true} {
-		name := "intra"
-		if inter {
-			name = "inter"
-		}
-		t.Run(name, func(t *testing.T) {
-			// A dial that polls for ever overruns the bound instead of hanging.
-			w := newWorldCfg(t, exec.SimConfig{MaxVirtualTime: 1_000_000_000})
-			srvHost, dst := w.a, "hostA"
+		for _, late := range []bool{false, true} {
+			name := "intra"
 			if inter {
-				monitor.Peer(w.ma, w.mb)
-				srvHost, dst = w.b, "hostB"
+				name = "inter"
 			}
-			sp, sl := proc(t, srvHost, "server", 0)
-			cp, cl := proc(t, w.a, "client", 1000)
-			sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
-				if _, err := sl.ListenOn(ctx, th, 7417); err != nil {
-					t.Errorf("listen: %v", err)
-				}
-			})
-			sleeps := telemetry.C(telemetry.CoreRecvSleeps)
-			before := sleeps.Load()
-			dialing := false
-			cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
-				ctx.Sleep(10_000)
-				dialing = true
-				_, _, err := cl.Connect(ctx, th, dst, 7417)
-				t.Errorf("the dial returned (%v) with no one accepting", err)
-			})
-			w.sim.Run()
-			if !dialing || cl.Holdings().Dials != 1 {
-				t.Errorf("dialing %v, %d dials in flight: want one", dialing, cl.Holdings().Dials)
+			if late {
+				name += "-accepts-late"
 			}
-			if d := sleeps.Load() - before; d != 1 {
-				t.Errorf("the dial parked %d times, want once", d)
-			}
-		})
+			t.Run(name, func(t *testing.T) { parkedDial(t, inter, late) })
+		}
+	}
+}
+
+func parkedDial(t *testing.T, inter, late bool) {
+	// A dial that polls for ever overruns the bound instead of hanging.
+	w := newWorldCfg(t, exec.SimConfig{MaxVirtualTime: 1_000_000_000})
+	srvHost, dst := w.a, "hostA"
+	if inter {
+		monitor.Peer(w.ma, w.mb)
+		srvHost, dst = w.b, "hostB"
+	}
+	sp, sl := proc(t, srvHost, "server", 0)
+	cp, cl := proc(t, w.a, "client", 1000)
+	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+		lst, err := sl.ListenOn(ctx, th, 7417)
+		if err != nil {
+			t.Errorf("listen: %v", err)
+			return
+		}
+		if !late {
+			return
+		}
+		ctx.Sleep(1_000_000)
+		s, _, err := lst.Accept(ctx)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		echoBack(ctx, th, s)
+	})
+	sleeps := telemetry.C(telemetry.CoreRecvSleeps)
+	before := sleeps.Load()
+	dialing, echoed := false, false
+	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		dialing = true
+		s, _, err := cl.Connect(ctx, th, dst, 7417)
+		if !late {
+			t.Errorf("the dial returned (%v) with no one accepting", err)
+			return
+		}
+		if err != nil {
+			t.Errorf("the dial to a late acceptor: %v", err)
+			return
+		}
+		if d := sleeps.Load() - before; d != 1 {
+			t.Errorf("the dial parked %d times, want once", d)
+		}
+		echoExact(t, ctx, th, s, bytes.Repeat([]byte("accepted late "), 100))
+		s.Close(ctx, th)
+		echoed = true
+	})
+	w.sim.Run()
+	if !dialing {
+		t.Error("the dial never started")
+	}
+	if late {
+		if !echoed {
+			t.Error("the parked dial was never woken by the late accept")
+		}
+		return
+	}
+	if n := cl.Holdings().Dials; n != 1 {
+		t.Errorf("%d dials in flight: want one", n)
+	}
+	if d := sleeps.Load() - before; d != 1 {
+		t.Errorf("the dial parked %d times, want once", d)
 	}
 }

@@ -57,6 +57,14 @@ const MaxIdleSides = maxIdleSides
 // IdleSockets counts the Sockets on the library's free list.
 func (l *Libsd) IdleSockets() int { return len(l.sockIdle) }
 
+// Pump handles the completions on the process's CQs, as a thread polling
+// inside the library does.
+func (l *Libsd) Pump(ctx exec.Context) {
+	l.enter()
+	l.pump(ctx)
+	l.leave()
+}
+
 // DrainParkedQPs closes every parked QP, so that what a finished connection
 // left on the NIC can be compared with what was there before it.
 func (l *Libsd) DrainParkedQPs() { l.closeParked("", 0) }

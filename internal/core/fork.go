@@ -129,7 +129,7 @@ func (l *Libsd) inherit(src *Libsd, fds map[int]fdEntry, keep func(fdEntry) bool
 		switch e.kind {
 		case fdSocket:
 			s := e.sock
-			e.sock = l.takeSocket(Socket{side: s.side, qid: s.qid, fd: fd, sideIdx: s.sideIdx})
+			e.sock = &Socket{lib: l, side: s.side, qid: s.qid, fd: fd, sideIdx: s.sideIdx}
 			s.side.sock = nil // two processes' Sockets: neither they nor the segment are reused
 			switch ep := s.ep.(type) {
 			case *shmEP:

@@ -109,13 +109,14 @@ type Libsd struct {
 	// closing holds inter-host sides whose last FD closed here but whose
 	// peer has not finished closing (by QID, so a death notice can still
 	// find them); sideIdle recycles interSides with their rings and pinned
-	// pools, sockIdle detached Sockets, parked the QPs of finished
-	// connections, oldest first; gone is the stand-in side of detached
-	// Sockets, closedSock the stand-in a stale handle acts on (Handle). See
-	// lifecycle.go.
+	// pools, sockIdle detached Sockets (in sockSlots, so that keeping one
+	// allocates nothing), parked the QPs of finished connections, oldest
+	// first; gone is the stand-in side of detached Sockets, closedSock the
+	// stand-in a stale handle acts on (Handle). See lifecycle.go.
 	closing    map[uint64]*SideState
 	sideIdle   bufpool.FreeList[interSide]
 	sockIdle   bufpool.FreeList[Socket]
+	sockSlots  [maxIdleSocks]*Socket
 	parked     []parkedQP
 	gone       SideState
 	closedSock Socket
@@ -223,6 +224,7 @@ func initWith(p *host.Process, link *ProcLink) (*Libsd, error) {
 	l.lastCtlRecv = make([]int64, len(ctl))
 	l.gone.life.Store(uint32(txShut | rxShut | closed | released))
 	l.closedSock = Socket{lib: l, side: &l.gone, ep: closedEP{}}
+	l.sockIdle = l.sockSlots[:0]
 	l.monEpoch.Store(link.Epoch)
 	l.pd = p.Host.NIC.AllocPD()
 	l.armAutoPump()

@@ -180,13 +180,18 @@ func (s *Socket) dropEP() {
 	s.ep, s.rxPending = closedEP{}, nil
 }
 
-// detach moves a closed Socket onto its library's stand-in side and, as
-// nothing in the library reaches it any more, onto its free list
-// (takeSocket). Only a clean release detaches, and only the Socket its side
-// names: a side a second process shares names none.
+// detach moves a closed Socket onto its library's stand-in side and, when
+// no thread is inside an operation on it (a sibling of the closer may still
+// wait in Recv, or for a token), onto its free list (newSocket): nothing
+// else in the library reaches it any more. A Socket still in use is left to
+// its threads, which find the stand-in's exits. Only a clean release
+// detaches, and only the Socket its side names: a side a second process
+// shares names none.
 func (s *Socket) detach() {
 	s.side, s.intra, s.intraEP = &s.lib.gone, nil, shmEP{}
-	s.lib.sockIdle.Keep(s, maxIdleSocks)
+	if s.inside == 0 {
+		s.lib.sockIdle.Keep(s, maxIdleSocks)
+	}
 }
 
 // connNoter is the monitor's intake for released connections and clean

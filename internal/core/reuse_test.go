@@ -355,3 +355,90 @@ func TestIntraSockFreeListBounded(t *testing.T) {
 	})
 	w.sim.Run()
 }
+
+// TestSiblingWaitKeepsItsSocket: a Socket goes back to its library only
+// once no thread is inside an operation on it. One thread of the client
+// waits in Recv on a connection; a second closes the connection and polls
+// the process's completions until the server's close has released it, then
+// dials three times. While the waiter has not run,
+// its Socket is on no free list and no dial gets it; the waiter returns
+// EOF, never the bytes of a later connection; and every later connection
+// echoes byte-exact.
+func TestSiblingWaitKeepsItsSocket(t *testing.T) {
+	for _, inter := range []bool{false, true} {
+		name := "intra"
+		if inter {
+			name = "inter"
+		}
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(t)
+			srvHost, dst := w.a, "hostA"
+			if inter {
+				monitor.Peer(w.ma, w.mb)
+				srvHost, dst = w.b, "hostB"
+			}
+			sp, sl := proc(t, srvHost, "server", 0)
+			cp, cl := proc(t, w.a, "client", 1000)
+			sp.Spawn("srv", echoForever(t, sl, 7664))
+			var shared *core.Socket
+			waiting, returned := false, false
+			cp.Spawn("waiter", func(ctx exec.Context, th *host.Thread) {
+				for shared == nil {
+					ctx.Sleep(1_000)
+				}
+				waiting = true
+				n, err := shared.Recv(ctx, th, make([]byte, 64))
+				returned = true
+				if n != 0 || err != io.EOF {
+					t.Errorf("the waiting Recv returned %d bytes and %v, want EOF", n, err)
+				}
+			})
+			cp.Spawn("closer", func(ctx exec.Context, th *host.Thread) {
+				defer sp.Signal(ctx, host.SIGKILL) // the server would accept forever
+				ctx.Sleep(10_000)
+				s, _, err := cl.Connect(ctx, th, dst, 7664)
+				if err != nil {
+					t.Errorf("connect: %v", err)
+					return
+				}
+				shared = s
+				for !waiting {
+					ctx.Sleep(1_000)
+				}
+				ctx.Sleep(2_000_000) // the waiter has parked
+				seg := s.Side()
+				s.Close(ctx, th)
+				for s.Side() == seg {
+					cl.Pump(ctx)
+					ctx.Sleep(50)
+				}
+				if returned {
+					t.Error("the waiter returned before the release: the test shows nothing")
+				}
+				if n := cl.IdleSockets(); n != 0 {
+					t.Errorf("%d Sockets on the free list while a sibling thread waits on one", n)
+				}
+				pattern := bytes.Repeat([]byte("next connection "), 100)
+				for i := 0; i < 3; i++ {
+					c, _, err := cl.Connect(ctx, th, dst, 7664)
+					if err != nil {
+						t.Errorf("connect: %v", err)
+						break
+					}
+					if c == s && !returned {
+						t.Errorf("dial %d got the Socket a sibling thread still waits on", i)
+					}
+					echoExact(t, ctx, th, c, pattern)
+					c.Close(ctx, th)
+				}
+				for !returned {
+					ctx.Sleep(10_000)
+				}
+			})
+			w.sim.Run()
+			if !returned {
+				t.Error("the waiting Recv never returned")
+			}
+		})
+	}
+}

@@ -64,6 +64,10 @@ type Socket struct {
 	// sideIdx disambiguates the two endpoints' token namespaces at the
 	// monitor (0 = connecting side, 1 = accepting side).
 	sideIdx uint16
+	// inside counts this process's threads in an operation on the Socket
+	// (begin to end, and Shutdown), waits for a token included: while one
+	// is, detach does not give the Socket back.
+	inside uint16
 	// gen moves each time the Socket is handed out for a connection: a
 	// handle made for an earlier one (Handle) no longer reaches it.
 	gen uint32
@@ -125,19 +129,13 @@ func (s *Socket) Probe() obs.FlowProbe {
 	return p
 }
 
-// newSocket makes the Socket over side, which a clean release detaches.
-func (l *Libsd) newSocket(side *SideState, ep endpoint) *Socket {
-	side.sock = l.takeSocket(Socket{side: side, ep: ep, qid: side.QID})
-	return side.sock
-}
-
-// takeSocket returns s as a Socket of l's: one a clean release gave back
+// newSocket makes the Socket over side: one a clean release gave back
 // (detach) when the free list holds one, in its next generation.
-func (l *Libsd) takeSocket(s Socket) *Socket {
-	x := l.sockIdle.New()
-	s.lib, s.gen = l, x.gen+1
-	*x = s
-	return x
+func (l *Libsd) newSocket(side *SideState, ep endpoint) *Socket {
+	s := l.sockIdle.New()
+	*s = Socket{lib: l, side: side, ep: ep, qid: side.QID, gen: s.gen + 1}
+	side.sock = s
+	return s
 }
 
 // Gen returns the socket's generation, which Handle checks.
@@ -261,6 +259,7 @@ func (s *Socket) maybeHandBack(dir int) {
 // error must be paired with end.
 func (s *Socket) begin(ctx exec.Context, t *host.Thread, dir int) error {
 	s.lib.enter()
+	s.inside++
 	err := ErrProcessKilled
 	switch _, closed := s.ep.(closedEP); {
 	case s.lib.P.Dead():
@@ -272,6 +271,7 @@ func (s *Socket) begin(ctx exec.Context, t *host.Thread, dir int) error {
 		err = s.acquireToken(ctx, t, dir)
 	}
 	if err != nil {
+		s.inside--
 		s.lib.leave()
 		return err
 	}
@@ -305,6 +305,7 @@ func (s *Socket) end(dir int) {
 	}
 	s.side.Busy[dir].Add(-1)
 	s.maybeHandBack(dir)
+	s.inside--
 	s.lib.leave()
 }
 
@@ -550,7 +551,8 @@ func (s *Socket) resetErr(ctx exec.Context, dir int) error {
 // Shutdown closes one or both directions, pushing out an in-band MShut.
 func (s *Socket) Shutdown(ctx exec.Context, t *host.Thread, dir int) error {
 	s.lib.enter()
-	defer s.lib.leave()
+	s.inside++
+	defer func() { s.inside--; s.lib.leave() }()
 	if dir == DirSend && !s.side.is(txShut) {
 		if err := s.acquireToken(ctx, t, DirSend); err == nil {
 			s.flushSlotReturns(ctx)
