@@ -12,8 +12,8 @@
 //	sdbench redis       §5.3.2: KV GET latency
 //	sdbench connscale   §6: connections per second
 //	sdbench ablate      design ablations (token sharing, batching, zero copy)
-//	sdbench chaos       fault injection: loss burst + 2s partition, QP
-//	                    recovery and mid-stream TCP degradation, with
+//	sdbench chaos       fault injection: loss burst + 2s partition that
+//	                    each stream rides out, then QP recovery, with
 //	                    byte-exact delivery checks
 //	sdbench crash       process-crash drill: scheduled SIGKILLs mid-transfer;
 //	                    survivors must see byte-exact prefixes then exactly

@@ -182,7 +182,7 @@ func ClassSize(n int) int {
 func MaxPooled() int { return classSizes[numClasses-1] }
 
 // Outstanding reports buffers currently held (gets minus final puts).
-// After a full teardown — QPs closed, endpoints degraded, fabric drained
+// After a full teardown — QPs closed, endpoints released, fabric drained
 // — this must return to the value observed before the workload: that
 // delta is the leak check the pool tests and the endpoint-close tests
 // assert on.

@@ -13,8 +13,7 @@ import (
 
 // Tests of how far an inter-host socket's rings are backed: the sender's
 // copy as far as TrySend wrote it, the receiver's copy as far as the NIC
-// (or, degraded, the kernel TCP stream) wrote it, each by the ring's
-// head-then-whole rule.
+// wrote it, each by the ring's head-then-whole rule.
 
 const headBytes = 256 // shm's head: what a small first write backs
 
@@ -63,12 +62,10 @@ func TestInterEchoBacksTheHead(t *testing.T) {
 // host, in the head after a first small echo, is backed whole once the
 // cursor passes the head. The rows carry the stream over the connection's
 // own QP; over the QP a recovery spliced after the first one failed (the
-// sender re-reads its copy from the credit line); over kernel TCP after the
-// QP failed with no recovery budget (the degraded endpoint writes the
-// receiver's copy); and over the QP a forked child spliced (its endpoint
-// registers the shared receiver copy anew).
+// sender re-reads its copy from the credit line); and over the QP a forked
+// child spliced (its endpoint registers the shared receiver copy anew).
 func TestInterStreamBacksAsWritten(t *testing.T) {
-	for _, mode := range []string{"rdma", "recovered", "degraded", "forked"} {
+	for _, mode := range []string{"rdma", "recovered", "forked"} {
 		t.Run(mode, func(t *testing.T) {
 			w := newWorld(t)
 			monitor.Peer(w.ma, w.mb)
@@ -111,15 +108,9 @@ func TestInterStreamBacksAsWritten(t *testing.T) {
 				switch mode {
 				case "rdma":
 					stream(ctx, th, s)
-				case "recovered", "degraded":
-					if mode == "degraded" {
-						cl.SetRecoveryBudget(0) // the first failure degrades
-					}
+				case "recovered":
 					s.FailQP()
 					stream(ctx, th, s)
-					if s.Degraded() != (mode == "degraded") {
-						t.Errorf("degraded %v after the failure, want %v", s.Degraded(), mode == "degraded")
-					}
 				case "forked":
 					child, childLib, err := cl.Fork(ctx, th, "child")
 					if err != nil {

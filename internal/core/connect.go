@@ -532,7 +532,7 @@ func (l *Libsd) dial(ctx exec.Context, t *host.Thread, pc *pendingConn, connID u
 
 func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 	switch m.Kind {
-	case ctlmsg.KPeerDead, ctlmsg.KReQPPeer, ctlmsg.KReQPRes, ctlmsg.KDegraded:
+	case ctlmsg.KPeerDead, ctlmsg.KReQPPeer, ctlmsg.KReQPRes:
 		// Once it is handled, whatever the outcome: a receiver parked on the
 		// socket may have nothing left to wait for, and no data will ring it.
 		defer l.wakeParked()
@@ -728,10 +728,8 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 			PID: int64(l.P.PID), ConnID: m.ConnID, Dir: m.Dir,
 			TraceID: m.TraceID, SpanID: m.SpanID}
 		res.SetHost(l.H.Name)
-		recovery := m.Dir == ctlmsg.ReQPRecovery
-		if any == nil || (recovery && any.side.is(degraded)) {
-			// No such socket here — or it already fell back to kernel TCP,
-			// in which case resurrecting an RDMA path would fork the stream.
+		if any == nil {
+			// No such socket here: the requester's peer is gone.
 			res.Status = ctlmsg.StatusNoListener
 			l.sendCtl(&res)
 			return
@@ -756,9 +754,8 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		// Switch every local socket on this queue to the newest QP: "using
 		// any of the QPs is equivalent" for one-sided writes, and the new
 		// one is spliced to the process that will actually be reading.
-		olds := l.switchEP(m.QID, ep)
-		any.side.creditEP = ep
-		if recovery {
+		olds := l.switchEP(ep)
+		if m.Dir == ctlmsg.ReQPRecovery {
 			// Unlike the fork flow (where the parent keeps using the old
 			// QP), recovery must retire the dead QP on both sides so a stale
 			// in-flight packet can never land in recycled ring offsets.
@@ -783,9 +780,6 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 				break
 			}
 		}
-
-	case ctlmsg.KDegraded:
-		l.onDegraded(ctx, m)
 
 	case ctlmsg.KPeerDead:
 		// Monitor-brokered crash notification (§4.5.4): the peer process

@@ -530,18 +530,27 @@ func TestSilentQPErrorRecovers(t *testing.T) {
 // TestAbandonedDialServerSideEnds: a dialer whose deadline beats the
 // control round trip gives up before KConnectRes; its SYN is dispatched and
 // accepted regardless. The accepted socket's MAck waits in a passive QP
-// whose peer never shows up: the retry clock errors the QP, recovery finds
-// nobody, and the socket ends with an errno — not a hang — leaving nothing
-// behind on either host.
+// whose peer never shows up: the retry clock errors the QP, and the first
+// splice attempt is refused by the dialer's monitor, which no longer holds
+// the connection. The socket ends with a reset within that one attempt of
+// its QP's error — not a hang — leaving nothing behind on either host.
 func TestAbandonedDialServerSideEnds(t *testing.T) {
 	w := newWorld(t)
 	monitor.Peer(w.ma, w.mb)
 	sp, sl := proc(t, w.b, "server", 0)
 	cp, cl := proc(t, w.a, "client", 1000)
-	sl.SetRecoveryBudget(2)
 	var srvErr error
-	var srvEnd int64
+	var srvEnd, failedAt int64
+	var abandoned *core.Socket
 	accepted := 0
+	sp.Spawn("watch", func(ctx exec.Context, th *host.Thread) {
+		for srvEnd == 0 && ctx.Now() < 3_000_000_000 {
+			if failedAt == 0 && abandoned != nil && abandoned.QPFailed() {
+				failedAt = ctx.Now()
+			}
+			ctx.Sleep(10_000)
+		}
+	})
 	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
 		lst, _ := sl.ListenOn(ctx, th, 7505)
 		buf := make([]byte, 8)
@@ -552,6 +561,7 @@ func TestAbandonedDialServerSideEnds(t *testing.T) {
 			}
 			accepted++
 			if accepted == 2 { // the abandoned one
+				abandoned = s
 				_, srvErr = s.Recv(ctx, th, buf)
 				srvEnd = ctx.Now()
 				s.Close(ctx, th)
@@ -598,6 +608,15 @@ func TestAbandonedDialServerSideEnds(t *testing.T) {
 	if srvEnd-abandonedAt < (rdma.MaxRetry+1)*rdma.DefaultRTO {
 		t.Errorf("ended after %d sim-ns, before the retry bound", srvEnd-abandonedAt)
 	}
+	// One attempt: its timeout bounds the refusal's round trip, and the
+	// watcher sees the failure up to one 10 µs poll late.
+	if failedAt == 0 {
+		t.Error("the watcher never saw the accepted socket's QP fail")
+	} else if d := srvEnd - failedAt; d > core.RecoveryAttemptTimeout {
+		t.Errorf("reset %d sim-ns after the QP failed, want within one attempt (%d)", d, core.RecoveryAttemptTimeout)
+	} else {
+		t.Logf("reset %d sim-ns after the QP failed", d)
+	}
 	// The abandoned dial went out on the pair the warm-up had parked: the
 	// dialer closed its half when it gave up, the server adopted the twin
 	// and that died of its retries.
@@ -608,6 +627,78 @@ func TestAbandonedDialServerSideEnds(t *testing.T) {
 	end.IdleSegs = base.IdleSegs // lists that hold the history of releases
 	if end != base {
 		t.Errorf("census after the abandoned dial %+v, want %+v", end, base)
+	}
+}
+
+// TestSpliceBeforeReRegistrationIsNotRefused: the server's monitor restarts
+// while the server process is busy inside the library, so its
+// re-registration report waits for the library exit. The client's QP fails
+// meanwhile, and its splice requests reach the successor, which has no
+// record of the connection yet. It must not refuse them: the record may yet
+// come back. Once the server leaves the library and re-registers, the next
+// attempt splices, and the stream finishes byte-exact.
+func TestSpliceBeforeReRegistrationIsNotRefused(t *testing.T) {
+	w := newWorld(t)
+	monitor.Peer(w.ma, w.mb)
+	sp, sl := proc(t, w.b, "server", 0)
+	cp, cl := proc(t, w.a, "client", 1000)
+	const busy = 100_000_000
+	var busyFrom int64
+	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+		lst, _ := sl.ListenOn(ctx, th, 7506)
+		s, _, err := lst.Accept(ctx)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		buf := make([]byte, 64)
+		n, err := s.Recv(ctx, th, buf)
+		if err == nil {
+			_, err = s.Send(ctx, th, buf[:n])
+		}
+		if err != nil {
+			t.Errorf("first echo: %v", err)
+			return
+		}
+		busyFrom = ctx.Now()
+		sl.BusyInside(ctx, busy)
+		echoBack(ctx, th, s)
+	})
+	w.sim.Spawn("restart", func(ctx exec.Context) {
+		for busyFrom == 0 {
+			ctx.Sleep(100_000)
+		}
+		ctx.Sleep(1_000_000)
+		monitor.Restart(w.b)
+	})
+	var w0 wire
+	var doneAt int64
+	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		s, _, err := cl.Connect(ctx, th, "hostB", 7506)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		echoExact(t, ctx, th, s, []byte("before"))
+		for busyFrom == 0 || ctx.Now() < busyFrom+5_000_000 {
+			ctx.Sleep(100_000)
+		}
+		w0 = readWire()
+		s.FailQP()
+		echoExact(t, ctx, th, s, bytes.Repeat([]byte("across the restart "), 100))
+		doneAt = ctx.Now()
+		s.Close(ctx, th)
+	})
+	w.sim.Run()
+	if doneAt == 0 {
+		t.Fatal("the stream did not finish")
+	}
+	if doneAt < busyFrom+busy {
+		t.Errorf("finished at %d, before the server left the library at %d", doneAt, busyFrom+busy)
+	}
+	if d := readWire().since(w0); d.recoveries != 1 {
+		t.Errorf("%d recoveries, want 1", d.recoveries)
 	}
 }
 

@@ -26,7 +26,7 @@ type endpoint interface {
 	peerAlive() bool
 	// progress drives background work that must advance even when the
 	// data path is stuck: completion pumping, failure detection, QP
-	// re-establishment with backoff, TCP-fallback draining. Called from
+	// re-establishment with backoff. Called from
 	// every send/recv wait loop; ctx may be the zero Context (capability
 	// probes).
 	progress(ctx exec.Context)
@@ -35,23 +35,16 @@ type endpoint interface {
 // burster is the optional batched side of an endpoint: between burstBegin
 // and burstEnd, trySend stages messages without publishing them (SHM: no
 // tail store; RDMA: no doorbell), and tryRecvN dequeues many messages per
-// ring touch. The kernel-TCP fallback endpoint has neither — the batch
-// path degrades to per-message calls there.
+// ring touch. A closed socket's endpoint has neither.
 type burster interface {
 	burstBegin()
 	burstEnd(ctx exec.Context)
 	tryRecvN(ctx exec.Context, out []shm.Msg) int
 }
 
-// creditPoster mirrors a receiver's credit return into the peer sender's
-// view (an RDMA write, or a frame on the degraded TCP path).
-type creditPoster interface {
-	creditHook(read uint64)
-}
-
 // CreditReturned is an inter-host side's RX credit hook (shm.CreditHook):
 // it keeps the credit for recovery to re-post and mirrors it to the peer
-// through the side's current credit poster.
+// through the side's current endpoint.
 func (s *SideState) CreditReturned(read uint64) {
 	s.LastCreditOut.Store(read)
 	if s.creditEP != nil {
@@ -161,7 +154,7 @@ type rdmaEP struct {
 	// inherited endpoint starts out failed, with no QP. Past a dead QP the
 	// data path keeps accepting sends into the local ring copy (§4.2: the
 	// TX ring IS the retransmit buffer) while the recovery state machine in
-	// recover.go re-establishes a QP or degrades to kernel TCP.
+	// recover.go re-establishes a QP.
 	failed bool
 	rec    recoverState
 }
@@ -298,8 +291,9 @@ func (e *rdmaEP) canRecv() bool {
 func (e *rdmaEP) kick(ctx exec.Context) {}
 
 // peerAlive is true: a dead QP means a dead path, not a dead peer. A remote
-// corpse is known only by word — KPeerDead, or a failed degradation (the
-// peer is unreachable even over kernel TCP) — which latches peerReset.
+// corpse is known only by word — KPeerDead, or a refused splice (the peer
+// host or process no longer holds the connection) — which latches
+// peerReset.
 func (e *rdmaEP) peerAlive() bool { return true }
 
 // onRecvCQE handles an incoming write-imm completion: the immediate is

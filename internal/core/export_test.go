@@ -80,9 +80,6 @@ func (s *Socket) FailQP() {
 	s.ep.(*rdmaEP).markFailed()
 }
 
-// Degraded reports whether the socket fell back to kernel TCP.
-func (s *Socket) Degraded() bool { return s.side.is(degraded) }
-
 // ErrorParkedQPs moves every parked QP to the error state, as a NIC event
 // between two connections would.
 func (l *Libsd) ErrorParkedQPs() {
@@ -96,6 +93,26 @@ func (l *Libsd) ErrorParkedQPs() {
 // will ever report it: the endpoint can only learn of it from its next
 // post.
 func (s *Socket) ErrorQPSilently() { s.ep.(*rdmaEP).qp.ForceError() }
+
+// QPFailed reports whether the socket's inter-host endpoint has seen its
+// QP die and not yet spliced a new one.
+func (s *Socket) QPFailed() bool {
+	ep, ok := s.ep.(*rdmaEP)
+	return ok && ep.failed
+}
+
+// RecoveryAttemptTimeout is how long one splice attempt waits for its
+// answer.
+const RecoveryAttemptTimeout = recoveryAttemptTimeout
+
+// BusyInside keeps the calling thread inside the library for ns without
+// polling its control queues, as a long operation would: the monitor
+// defers its notifications to the library exit.
+func (l *Libsd) BusyInside(ctx exec.Context, ns int64) {
+	l.enter()
+	ctx.Sleep(ns)
+	l.leave()
+}
 
 // SendZCHead sends, intra-host, the zero-copy descriptor of the whole pages
 // at addr, announcing tail bytes more than they hold, and sends none of

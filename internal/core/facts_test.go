@@ -5,8 +5,8 @@ import "testing"
 // facts lists every fact in an order that meets each one's needs, and
 // factNames their names.
 var (
-	facts     = []fact{established, txShut, rxShut, peerShut, peerReset, resetSeen, degraded, closed, released}
-	factNames = []string{"established", "txShut", "rxShut", "peerShut", "peerReset", "resetSeen", "degraded", "closed", "released"}
+	facts     = []fact{established, txShut, rxShut, peerShut, peerReset, resetSeen, closed, released}
+	factNames = []string{"established", "txShut", "rxShut", "peerShut", "peerReset", "resetSeen", "closed", "released"}
 )
 
 // TestSideFactsNeedTheirPrerequisites: each fact, reached in a legal order,

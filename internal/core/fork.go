@@ -116,11 +116,9 @@ func (l *Libsd) Exec(ctx exec.Context) (*Libsd, error) {
 // come along. A socket keeps its shared state — rings, cursors, tokens,
 // SHM-resident in the paper — and gets an endpoint of l's: an intra-host
 // one over the same rings; an inter-host one without a QP, failed until
-// its first use splices one (recover.go); or, degraded to kernel TCP, the
-// same endpoint, since the rescue connection is a kernel socket, shared
-// like any.
+// its first use splices one (recover.go).
 func (l *Libsd) inherit(src *Libsd, fds map[int]fdEntry, keep func(fdEntry) bool) {
-	l.batching, l.recoveryBudget = src.batching, src.recoveryBudget
+	l.batching = src.batching
 	l.nextFD, l.freeFDs = src.nextFD, slices.Clone(src.freeFDs)
 	for fd, e := range fds {
 		if keep != nil && !keep(e) {
@@ -137,8 +135,6 @@ func (l *Libsd) inherit(src *Libsd, fds map[int]fdEntry, keep func(fdEntry) bool
 			case *rdmaEP:
 				e.sock.ep = &rdmaEP{lib: l, side: s.side, ringRKey: ep.ringRKey, creditRKey: ep.creditRKey,
 					batching: l.batching, failed: true}
-			default:
-				e.sock.ep = s.ep
 			}
 			l.trackSock(e.sock)
 		case fdListener:

@@ -217,63 +217,6 @@ func TestForkedChildRecoversOnce(t *testing.T) {
 	}
 }
 
-// TestForkOfDegradedSocket: a socket that fell back to kernel TCP (§4.5.3)
-// is inherited as it is. The rescue connection is a kernel socket, which
-// fork shares like any, so the child uses the parent's endpoint over it —
-// one framing of one stream — and parent and child take turns on it.
-func TestForkOfDegradedSocket(t *testing.T) {
-	w := newWorld(t)
-	monitor.Peer(w.ma, w.mb)
-	sp, sl := proc(t, w.b, "server", 0)
-	cp, cl := proc(t, w.a, "client", 1000)
-	cl.SetRecoveryBudget(0) // the first failure degrades
-	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
-		lst, _ := sl.ListenOn(ctx, th, 7523)
-		s, _, err := lst.Accept(ctx)
-		if err != nil {
-			t.Errorf("accept: %v", err)
-			return
-		}
-		echoBack(ctx, th, s)
-	})
-	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
-		ctx.Sleep(10_000)
-		s, _, err := cl.Connect(ctx, th, "hostB", 7523)
-		if err != nil {
-			t.Errorf("connect: %v", err)
-			return
-		}
-		s.FailQP()
-		echoExact(t, ctx, th, s, []byte("over kernel TCP")) // the wait for the echo degrades
-		if !s.Degraded() {
-			t.Error("the socket did not degrade")
-			return
-		}
-		child, childLib, err := cl.Fork(ctx, th, "child")
-		if err != nil {
-			t.Errorf("fork: %v", err)
-			return
-		}
-		done := false
-		child.Spawn("cmain", func(ctx exec.Context, th *host.Thread) {
-			defer func() { done = true }()
-			cs, err := childLib.SocketByFD(s.FD())
-			if err != nil {
-				t.Errorf("child fd: %v", err)
-				return
-			}
-			echoExact(t, ctx, th, cs, []byte("from the child"))
-			cs.Close(ctx, th)
-		})
-		for !done {
-			ctx.Sleep(100_000)
-		}
-		echoExact(t, ctx, th, s, []byte("the parent again"))
-		s.Close(ctx, th)
-	})
-	w.sim.Run()
-}
-
 // midSpliceQPs forks a client whose inter-host socket has one QP, runs end on
 // the child's socket, whose endpoint has none, and returns hostA's QP count
 // before the fork and 1 ms after end returned.

@@ -140,10 +140,6 @@ type Libsd struct {
 	reqp      []pendingReQP
 	reqpNonce uint64 // last nonce issued
 
-	// recoveryBudget is how many failed QP re-establishment attempts a
-	// socket spends before degrading to kernel TCP (§4.5.3).
-	recoveryBudget int
-
 	// forkAcks records monitor-acknowledged fork secrets.
 	forkAcks map[uint64]bool
 
@@ -218,8 +214,6 @@ func initWith(p *host.Process, link *ProcLink) (*Libsd, error) {
 		forkAcks:   make(map[uint64]bool),
 		sleepNotes: make(map[int]struct{}),
 		batching:   true,
-
-		recoveryBudget: DefaultRecoveryBudget,
 	}
 	l.lastCtlRecv = make([]int64, len(ctl))
 	l.gone.life.Store(uint32(txShut | rxShut | closed | released))
@@ -569,16 +563,17 @@ func (l *Libsd) unregisterEP(ep *rdmaEP) {
 	delete(l.eps, ep.qp.QPN())
 }
 
-// switchEP points every socket of this process on queue qid at ep — a
-// splice's new QP, or the rescue TCP connection — and returns the
-// inter-host endpoints they leave.
-func (l *Libsd) switchEP(qid uint64, ep endpoint) (olds []*rdmaEP) {
-	for s := l.socks[qid]; s != nil; s = s.sib {
+// switchEP points every socket of this process on ep's queue at ep, a
+// splice's new QP, which also posts the side's credit returns from now on,
+// and returns the inter-host endpoints they leave.
+func (l *Libsd) switchEP(ep *rdmaEP) (olds []*rdmaEP) {
+	for s := l.socks[ep.side.QID]; s != nil; s = s.sib {
 		if oe, ok := s.ep.(*rdmaEP); ok && oe != ep {
 			olds = append(olds, oe)
 		}
 		s.ep = ep
 	}
+	ep.side.creditEP = ep
 	return olds
 }
 

@@ -33,10 +33,10 @@ import (
 // path.
 //
 // Only clean endpoints are recycled: a socket that saw a crashed peer, a
-// failed or recovering QP, a TCP-degraded stream, a second process (fork,
-// exec, migration), an abandoned dial that had reached the wire or a
-// rebuilt accept is dropped to the garbage collector instead, its pool
-// unpinned — some actor may still hold a stale view of it. A reused
+// failed or recovering QP, a second process (fork, exec, migration), an
+// abandoned dial that had reached the wire or a rebuilt accept is dropped
+// to the garbage collector instead, its pool unpinned — some actor may
+// still hold a stale view of it. A reused
 // segment's Sockets move to their library's stand-in side and free list
 // (detach), its rings are scrubbed at once, and its next builder scrubs the
 // rest.
@@ -287,7 +287,7 @@ func (l *Libsd) tryReleaseInter(side *SideState) {
 	}
 	// A side whose transport is gone cannot finish the handshake; neither
 	// can one whose peer died. Both release at once, and drop.
-	broken := cur == nil || cur.failed || side.is(degraded|peerReset)
+	broken := cur == nil || cur.failed || side.is(peerReset)
 	done := false
 	if !broken {
 		reap(side)

@@ -43,7 +43,7 @@ func Migrate(l *Libsd, dst *host.Host, name string) (*host.Process, *Libsd, erro
 	// follow the container, nor can intra-host sockets (see the deviation
 	// note above).
 	nl.inherit(l, l.fds, func(e fdEntry) bool {
-		return e.kind == fdSocket && e.sock.intra == nil && !e.sock.side.is(degraded)
+		return e.kind == fdSocket && e.sock.intra == nil
 	})
 	for _, e := range nl.fds {
 		// Release tokens held by the (now gone) source threads so the

@@ -152,7 +152,6 @@ func refusedRow(inter bool) func(*recWorld) {
 func abandonedRow(r *recWorld) {
 	sp, sl := proc(r.t, r.b, "server", 0)
 	cp, cl := proc(r.t, r.a, "client", 1000)
-	sl.SetRecoveryBudget(2)
 	sp.Spawn("srv", acceptOne(r, sl, 7902, func(ctx exec.Context, th *host.Thread, s *core.Socket) {
 		r.sample()
 		if err := untilEnd(ctx, th, s); !errors.Is(err, core.ErrPeerDead) {

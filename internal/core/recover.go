@@ -17,7 +17,7 @@ import (
 // gets one the same way on first use (§4.1.2: "When a child process uses a
 // socket created before fork, it asks the monitor to re-establish an RDMA
 // QP with the remote endpoint"); its endpoint starts out failed, with no
-// QP. The state machine here runs three stages:
+// QP. The state machine here runs two stages:
 //
 //  1. Re-establishment: create a fresh QP and ask the monitor to splice it
 //     to the peer (KReQP, answered by the peer's KReQPPeer handler). A
@@ -26,15 +26,18 @@ import (
 //     the QP it has, which another process may still use. The monitor
 //     channel shares the faulty fabric, so every attempt carries a
 //     deadline; a silent timeout is abandoned and retried with capped
-//     exponential backoff plus deterministic jitter.
+//     exponential backoff plus deterministic jitter, for as long as the
+//     peer stays silent: a partition of the RDMA plane stalls the stream
+//     until it heals, or until the application's deadline fires. An
+//     answer that refuses the splice (the peer host no longer holds the
+//     connection, or the peer process has no such socket) means the peer
+//     is gone: the socket reaches peerReset, one ECONNRESET, then EOF and
+//     EPIPE.
 //  2. Resynchronization: rewind the mirror cursor to the receiver's credit
 //     line and re-flush. Bytes above the credit line are immutable until
 //     freed and the receiver's cursors are monotonic (CAS-max), so
 //     re-delivery is byte-identical and idempotent: no loss, no
 //     duplication, no corruption.
-//  3. Degradation: after the retry budget is exhausted, fall back to a
-//     kernel TCP connection mid-stream (§4.5.3) via the monitor's rescue
-//     listener — see tcpep.go.
 //
 // Everything is driven from progress(), which the send/recv wait loops
 // call, and from an inherited endpoint's trySend and tryRecv; no
@@ -45,7 +48,6 @@ var (
 	mRecoveries       = telemetry.C(telemetry.FaultRecoveries)
 	mRecoveryAttempts = telemetry.C(telemetry.FaultRecoveryAttempts)
 	mBackoffNs        = telemetry.C(telemetry.FaultBackoffNs)
-	mDegradations     = telemetry.C(telemetry.FaultDegradations)
 )
 
 const (
@@ -62,29 +64,18 @@ const (
 	// recoveryPollInterval throttles the wait loops while a recovery is
 	// pending so virtual time advances without a per-nanosecond spin.
 	recoveryPollInterval = 100_000 // 100 µs
-
-	// DefaultRecoveryBudget is the number of failed re-establishment
-	// attempts before a socket degrades to kernel TCP. At the backoff cap
-	// this rides out partitions of a few seconds.
-	DefaultRecoveryBudget = 64
 )
 
 // recoverState is the per-endpoint recovery state machine.
 type recoverState struct {
-	qp          *rdma.QP // in-flight attempt's replacement QP (nil = none)
-	nonce       uint64   // attempt id echoed through KReQPRes (stale replies can't match)
-	deadline    int64    // virtual time at which the in-flight attempt is abandoned
-	attempts    int      // failed attempts so far (spends the budget)
-	next        int64    // earliest virtual time for the next attempt
-	degradeSent bool     // KDegrade issued; waiting for the rescue socket
+	qp       *rdma.QP // in-flight attempt's replacement QP (nil = none)
+	nonce    uint64   // attempt id echoed through KReQPRes (stale replies can't match)
+	deadline int64    // virtual time at which the in-flight attempt is abandoned
+	attempts int      // failed attempts so far (shapes the backoff)
+	next     int64    // earliest virtual time for the next attempt
 
 	op obs.OpSpan // root span of the in-flight attempt (obs tracing)
 }
-
-// SetRecoveryBudget overrides the per-socket QP re-establishment budget
-// for this process (small budgets degrade to TCP quickly; tests use it to
-// force each path).
-func (l *Libsd) SetRecoveryBudget(n int) { l.recoveryBudget = n }
 
 // markFailed latches the endpoint failure and kicks the published sleeper
 // awake. The error CQE usually drains in auto-pump timer context while
@@ -118,7 +109,7 @@ func (e *rdmaEP) progress(ctx exec.Context) {
 }
 
 func (e *rdmaEP) maybeRecover(ctx exec.Context) {
-	if ctx == (exec.Context{}) || e.side.is(degraded|peerReset) {
+	if ctx == (exec.Context{}) || e.side.is(peerReset) {
 		return
 	}
 	r := &e.rec
@@ -138,13 +129,6 @@ func (e *rdmaEP) maybeRecover(ctx exec.Context) {
 			r.op.End(now, false)
 			e.backoff(r, now)
 		}
-		return
-	}
-	if r.degradeSent {
-		return // rescue pending; onDegraded swaps the endpoint
-	}
-	if r.attempts >= e.lib.recoveryBudget {
-		e.startDegrade(ctx, r)
 		return
 	}
 	if now < r.next {
@@ -219,7 +203,14 @@ func (e *rdmaEP) finishRecovery(ctx exec.Context, r *recoverState, pr pendingReQ
 	if pr.status != ctlmsg.StatusOK || pr.peerQPN == 0 {
 		qp.Close()
 		r.op.End(ctx.Now(), false)
-		e.backoff(r, ctx.Now())
+		if pr.status == ctlmsg.StatusOK {
+			e.backoff(r, ctx.Now())
+		} else {
+			// Refused: the peer host no longer holds the connection, or
+			// the peer process holds no socket on it. Nobody is left to
+			// splice to.
+			e.side.reach(peerReset)
+		}
 		return
 	}
 	l := e.lib
@@ -240,8 +231,7 @@ func (e *rdmaEP) finishRecovery(ctx exec.Context, r *recoverState, pr pendingReQ
 		e.backoff(r, ctx.Now())
 		return
 	}
-	olds := l.switchEP(e.side.QID, ep2)
-	e.side.creditEP = ep2
+	olds := l.switchEP(ep2)
 	// Retire the dead QP on our side too: its QPN must never match a stale
 	// in-flight packet against recycled ring offsets.
 	closeQPs(olds)
@@ -275,18 +265,6 @@ func (e *rdmaEP) resync(ctx exec.Context) {
 		e.side.TxFlushed.Store(cr)
 	}
 	e.flush(ctx)
-}
-
-func (e *rdmaEP) startDegrade(ctx exec.Context, r *recoverState) {
-	r.degradeSent = true
-	obs.Emit(e.lib.H.Name, int64(e.lib.P.PID), obs.EvDegradeRequest, 0, ctx.Now(), int64(e.side.QID), 0)
-	obs.Trigger(obs.TrigRetryExhaustion, ctx.Now(), "QP recovery budget exhausted on "+e.lib.H.Name)
-	op := obs.BeginOp(e.lib.H.Name, int64(e.lib.P.PID), obs.OpDegrade, ctx.Now())
-	req := ctlmsg.Msg{Kind: ctlmsg.KDegrade, QID: e.side.QID, PID: int64(e.lib.P.PID),
-		TraceID: op.Trace, SpanID: op.Span}
-	req.SetHost(e.side.PeerHost)
-	e.lib.sendCtl(&req)
-	op.End(ctx.Now(), true)
 }
 
 // pendingReQP is one splice request in flight, and its answer once the

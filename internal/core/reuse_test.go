@@ -155,8 +155,8 @@ var reusePattern = bytes.Repeat([]byte("dropped "), 200)
 // TestOnlyCleanSegmentsComeBack: a segment goes back on its free list only
 // when its connection was released cleanly and no second process inherited
 // it. Each row ends a connection another way — inherited by a fork and
-// closed by both processes, the peer killed mid-connection, the stream
-// degraded to kernel TCP, the dial abandoned — and the client's segment of
+// closed by both processes, the peer killed mid-connection, the dial
+// abandoned — and the client's segment of
 // it is not on the free list afterwards and no later dial builds on it,
 // while three clean cycles after it leave one segment there.
 func TestOnlyCleanSegmentsComeBack(t *testing.T) {
@@ -170,22 +170,6 @@ func TestOnlyCleanSegmentsComeBack(t *testing.T) {
 		{"fork-inter", true, forkThenClose},
 		{"peer-killed-intra", false, peerKilled},
 		{"peer-killed-inter", true, peerKilled},
-		{"degraded", true, func(t *testing.T, e reuseEnv, ctx exec.Context, th *host.Thread) *core.SideState {
-			e.cl.SetRecoveryBudget(0) // the first failure degrades
-			s, _, err := e.cl.Connect(ctx, th, e.dst, reusePort)
-			if err != nil {
-				t.Errorf("connect: %v", err)
-				return nil
-			}
-			s.FailQP()
-			echoExact(t, ctx, th, s, reusePattern) // the wait for the echo degrades
-			if !s.Degraded() {
-				t.Error("the stream did not degrade")
-			}
-			seg := s.Side()
-			s.Close(ctx, th)
-			return seg
-		}},
 		{"abandoned-dial", true, func(t *testing.T, e reuseEnv, ctx exec.Context, th *host.Thread) *core.SideState {
 			echoOnce(t, ctx, th, e.cl, e.dst, reusePort)
 			ctx.Sleep(1_000_000)

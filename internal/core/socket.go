@@ -107,24 +107,18 @@ func (s *Socket) freezeFlow() {
 
 // Probe reads the flow-table fields from the endpoint (obs.Prober): its send
 // ring's occupancy high-water, the monitor epoch its library last saw, and
-// the transport and state its side's facts imply. Closed outranks reset,
-// reset degraded.
+// the transport and state its side's facts imply. Closed outranks reset.
 func (s *Socket) Probe() obs.FlowProbe {
 	p := obs.FlowProbe{RingHW: int64(s.side.TX.OccHW()), Epoch: s.lib.monEpoch.Load(),
 		Transport: ctlmsg.TransportRDMA, State: obs.FlowEstablished}
-	switch {
-	case s.intra != nil:
+	if s.intra != nil {
 		p.Transport = ctlmsg.TransportSHM
-	case s.side.is(degraded):
-		p.Transport = ctlmsg.TransportTCP
 	}
 	switch {
 	case s.side.is(closed):
 		p.State = obs.FlowClosed
 	case s.side.is(resetSeen):
 		p.State = obs.FlowReset
-	case s.side.is(degraded):
-		p.State = obs.FlowDegraded
 	}
 	return p
 }
@@ -622,9 +616,6 @@ const writableHeadroom = maxInline + 128
 func (s *Socket) Writable() bool {
 	if s.side.is(txShut) || s.peerGone() {
 		return true // Send returns ErrShutdown/EPIPE without waiting
-	}
-	if _, ok := s.ep.(*tcpEP); ok {
-		return true // degraded path: the kernel socket buffers
 	}
 	tx := s.side.TX
 	if tx == nil {

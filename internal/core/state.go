@@ -109,9 +109,8 @@ type SideState struct {
 	// TxFlushed is how far the TX ring has been mirrored to the peer.
 	TxFlushed atomic.Uint64
 	// creditEP posts credit-return writes for the RX ring; the current
-	// receive-token holder installs its endpoint here: the RDMA one, or the
-	// degraded (kernel-TCP) one that stands in for it.
-	creditEP creditPoster
+	// receive-token holder installs its endpoint here.
+	creditEP *rdmaEP
 	// LastCreditOut is the most recent credit value this side published to
 	// the peer; recovery re-posts it (a credit write lost to the fault would
 	// otherwise shrink the peer's send window forever).
@@ -172,7 +171,6 @@ const (
 	peerShut                     // the peer's MShut really arrived
 	peerReset                    // the peer process died (§4.5.4); in-flight bytes drain first
 	resetSeen                    // ECONNRESET surfaced, once; later receives read EOF
-	degraded                     // fell back to kernel TCP mid-stream (§4.5.3), for good
 	closed                       // the last FD reference closed, its MShut out
 	released                     // what the connection owns here was given back
 )

@@ -207,19 +207,15 @@ func (w *wait) exit(ctx exec.Context) error {
 func past(deadline *int64, now int64) bool { return *deadline != 0 && now >= *deadline }
 
 // pollEvery is how far apart the wait spaces its polls: not at all, unless it
-// drives an endpoint that has failed, which this loop recovers, or fallen back
-// to kernel TCP, which has no doorbell into libsd. Neither parks; the spacing
-// lets virtual time advance (deadlines and back-off timers live on the clock).
+// drives an endpoint that has failed, which this loop recovers. That wait
+// does not park; the spacing lets virtual time advance (deadlines and
+// back-off timers live on the clock).
 func (w *wait) pollEvery() int64 {
-	if w.drives {
-		switch ep := w.sock.ep.(type) {
-		case *rdmaEP:
-			if ep.failed {
-				return recoveryPollInterval
-			}
-		case *tcpEP:
-			return degradedPollInterval
-		}
+	if !w.drives {
+		return 0
+	}
+	if ep, ok := w.sock.ep.(*rdmaEP); ok && ep.failed {
+		return recoveryPollInterval
 	}
 	return 0
 }
@@ -457,7 +453,7 @@ func (s *Socket) quiet() bool {
 			return false // recovery is driven by the wait; a CQE by the pump
 		}
 	default:
-		return false // degraded or closed: those waits sleep, or end
+		return false // closed: the wait ends
 	}
 	return !l.P.Dead() && l.ctlIdle() && !s.peerGone()
 }
@@ -507,7 +503,7 @@ func (w *recvWaiter) woke(t *host.Thread) {
 // wakeParked wakes every receiver parked in interrupt mode, in ascending
 // TID, after the kernel's wakeup latency. handleCtl calls it for the control
 // messages that can end a receive without data — a peer's death, a QP
-// splice, a rescue connection — which come with signal = true, so the
+// splice or its refusal — which come with signal = true, so the
 // signal handler or a sibling thread's poll dispatches them while the
 // receivers sleep. A receiver with nothing to return parks again.
 func (l *Libsd) wakeParked() {

@@ -108,7 +108,7 @@ func (s *Socket) popZC() zcRecv {
 // and with the zero-copy arrivals among it queued, so that dropZC gives back
 // what they hold.
 func (s *Socket) discardRX() {
-	for rx := s.side.RX; rx != nil && !s.side.is(degraded); {
+	for rx := s.side.RX; rx != nil; {
 		if typ, ok := rx.PeekType(); !ok || typ == MShut {
 			break
 		}

@@ -34,9 +34,7 @@ const (
 	KMRefused                     // monitor -> monitor: no listener
 	KReQP                         // libsd -> monitor: splice a QP to the peer (inherited socket or recovery)
 	KReQPPeer                     // monitor -> peer libsd: attach an extra QP
-	KReQPRes                      // peer libsd -> monitor -> libsd: new remote QPN
-	KDegrade                      // libsd -> monitor: fall back to kernel TCP (§4.5.3)
-	KDegraded                     // monitor -> libsd: rescue TCP socket installed (Aux=fd)
+	KReQPRes                      // peer libsd (or monitor) -> monitor -> libsd: new remote QPN, or a refusal
 	KPeerDead                     // monitor -> libsd / monitor -> monitor: peer process of QID died
 	KPing                         // libsd -> monitor: liveness probe from a bounded control wait
 	KPong                         // monitor -> libsd: liveness answer (carries the epoch)
@@ -69,8 +67,6 @@ var kindNames = [...]string{
 	KReQP:         "reqp",
 	KReQPPeer:     "reqp_peer",
 	KReQPRes:      "reqp_res",
-	KDegrade:      "degrade",
-	KDegraded:     "degraded",
 	KPeerDead:     "peer_dead",
 	KPing:         "ping",
 	KPong:         "pong",

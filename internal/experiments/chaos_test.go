@@ -6,9 +6,9 @@ import (
 
 // TestChaosSoak runs the scripted fault schedule (1% loss burst + 2 s
 // partition on the RDMA link) against two echo pairs and demands
-// byte-exact delivery plus evidence that both recovery mechanisms fired:
-// QP re-establishment (sd/fault/recoveries) and mid-stream degradation to
-// kernel TCP (sd/fault/degradations). The simulation is deterministic, so
+// byte-exact delivery plus evidence that each pair rode the partition out
+// and re-established its QP (sd/fault/recoveries, one per pair). The
+// simulation is deterministic, so
 // this is a regression test, not a flake source; a recovery deadlock shows
 // up as an incomplete run (the sim quiesces with clients unfinished)
 // rather than a test hang.
@@ -27,11 +27,8 @@ func TestChaosSoak(t *testing.T) {
 		t.Errorf("payload corruption: pairA=%d pairB=%d mismatched chunks",
 			r.MismatchA, r.MismatchB)
 	}
-	if r.Recoveries < 1 {
-		t.Errorf("no QP re-establishment completed (attempts=%d)", r.Attempts)
-	}
-	if r.Degradations < 1 {
-		t.Errorf("no socket degraded to kernel TCP (rescues=%d)", r.Rescues)
+	if r.Recoveries < 2 {
+		t.Errorf("%d QP re-establishments completed, want one per pair (attempts=%d)", r.Recoveries, r.Attempts)
 	}
 	if r.Injected < 2 {
 		t.Errorf("fault schedule did not apply: injected=%d", r.Injected)
@@ -63,11 +60,10 @@ func TestChaosRecoversAtEveryOrdinal(t *testing.T) {
 }
 
 // TestChaosPoolBalance is the system-level leak check for the pooled
-// data path (ISSUE 3): after a full chaos run — loss burst, partition,
-// go-back-N retransmission storms, QP error flushes, re-establishment,
-// and mid-stream degradation to kernel TCP (the PR 2 path through
-// core/tcpep.go, which closes the dead QPs) — every ref-counted staging
-// buffer must have found its way back to the pool. The sim quiesces only
+// data path: after a full chaos run — loss burst, partition, go-back-N
+// retransmission storms, QP error flushes and re-establishment, which
+// closes the dead QPs — every ref-counted staging buffer must have found
+// its way back to the pool. The sim quiesces only
 // when no frames or timers remain, so a nonzero delta here is a real
 // reference-count leak, not in-flight traffic.
 func TestChaosPoolBalance(t *testing.T) {
@@ -75,8 +71,8 @@ func TestChaosPoolBalance(t *testing.T) {
 	if !r.CompletedA || !r.CompletedB {
 		t.Fatalf("incomplete chaos run: pairA=%v pairB=%v", r.CompletedA, r.CompletedB)
 	}
-	if r.Degradations < 1 {
-		t.Errorf("degradation path not exercised (rescues=%d)", r.Rescues)
+	if r.Recoveries < 2 {
+		t.Errorf("%d QP re-establishments completed, want one per pair", r.Recoveries)
 	}
 	if r.PoolLeak != 0 {
 		t.Errorf("buffer pool leak: %d outstanding after the chaos run, before its world ended", r.PoolLeak)

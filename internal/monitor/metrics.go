@@ -15,7 +15,6 @@ var (
 	mProbesFailed  = telemetry.C(telemetry.MonProbesFailed)
 	mWakes         = telemetry.C(telemetry.MonWakes)
 	mMchanHeals    = telemetry.C(telemetry.MonMchanHeals)
-	mRescues       = telemetry.C(telemetry.MonRescues)
 	mCrashCleanups = telemetry.C(telemetry.MonCrashCleanups)
 
 	mSignalsDeferred = telemetry.C(telemetry.MonSignalsDeferred) // notify: a thread was inside libsd

@@ -74,15 +74,18 @@ type Monitor struct {
 
 	probeSeq  uint32 // low bits of the next probe's ID (probe.go), and its raw port
 	probeDone []probeResult
-	rescueL   *ksocket.Listener // TCP listener for mid-stream degradation (§4.5.3)
-	deaths    []int             // pids awaiting crash cleanup (lifeline queue)
-	deadPIDs  map[int]struct{}  // pids already cleaned up (idempotence)
+	deaths    []int            // pids awaiting crash cleanup (lifeline queue)
+	deadPIDs  map[int]struct{} // pids already cleaned up (idempotence)
 
 	// Restart survivability: each incarnation carries a monotonically
 	// increasing epoch; messages stamped by a previous incarnation are
 	// stale and dropped (they may describe state the restart invalidated).
 	epoch     uint32
 	needReReg []int // pids owed a KReRegister after a restart
+	// reregOwed holds the adopted pids whose re-registration report has
+	// not finished: until it is empty, a connection missing from the
+	// records may still be rebuilt, so a splice for it is not refused.
+	reregOwed map[int]bool
 
 	// Inter-host liveness (heartbeat.go): the tick clock and the traffic gate.
 	hbLastTick   int64
@@ -265,12 +268,6 @@ func startEpoch(h *host.Host, ks *ksocket.Stack, epoch uint32) *Monitor {
 	})
 	if ks != nil {
 		ks.TCP().SetSynFilter(m.synFilter)
-		// Rescue listener: accepts the kernel TCP connections that replace
-		// a failed RDMA path mid-stream (§4.5.3; see core/tcpep.go).
-		if rl, err := ks.Listen(rescuePort); err == nil {
-			rl.SetNotify(m.wake)
-			m.rescueL = rl
-		}
 	}
 	m.spawnLoops()
 	return m
@@ -293,8 +290,8 @@ func (m *Monitor) SetPolicy(p Policy) {
 }
 
 // Stop terminates the router and every shard loop. It is idempotent (a
-// second Stop is a no-op) and draining: kernel listeners and the rescue
-// listener are closed so the ports are free for a successor incarnation.
+// second Stop is a no-op) and draining: kernel listeners are closed so
+// the ports are free for a successor incarnation.
 // It wakes no libsd thread: a receiver parked in interrupt mode waits for
 // its data, its deadline or a successor's re-registration (Restart), which
 // wakes every thread of every process it adopts.
@@ -304,17 +301,10 @@ func (m *Monitor) Stop() {
 	}
 	m.stopped = true
 	m.intraIdle = nil
-	kls := make([]*ksocket.Listener, 0, len(m.kernLs)+1)
-	for _, k := range m.kernLs {
-		kls = append(kls, k.kl)
-	}
+	kls := m.kernLs
 	m.kernLs = nil
-	if m.rescueL != nil {
-		kls = append(kls, m.rescueL)
-		m.rescueL = nil
-	}
-	for _, kl := range kls {
-		kl.Close()
+	for _, k := range kls {
+		k.kl.Close()
 	}
 	m.wakeAll()
 }
@@ -426,12 +416,12 @@ func (m *Monitor) RegisterChild(p *host.Process, secret uint64) *core.ProcLink {
 
 // run is the router loop: the one thread that owns globally-keyed work.
 // It drains monitor channels (forwarding keyed messages to the owning
-// shard's inbox), kernel and rescue listeners, probe results, crash
+// shard's inbox), kernel listeners, probe results, crash
 // cleanup and restart re-registration, and ticks heartbeats. Everything
 // keyed by port/connection/PID runs on the shard loops (shards.go). Like a
 // shard loop it parks after a pass that found no real work: every input
 // rings m.wake as it arrives — a death, a restart's re-registrations, a
-// probe result, a kernel or rescue connection, a channel's armed receive
+// probe result, a kernel connection, a channel's armed receive
 // CQ, the heartbeat timer — and an Unpark that lands mid-pass leaves a
 // permit.
 func (m *Monitor) run(ctx exec.Context) {
@@ -479,10 +469,6 @@ func (m *Monitor) run(ctx exec.Context) {
 				m.acceptFallback(ctx, k.port, k.kl)
 				real = true
 			}
-		}
-		if m.rescueL != nil && m.rescueL.PendingHint() > 0 {
-			m.acceptRescue(ctx)
-			real = true
 		}
 		if real {
 			m.lastActivity = ctx.Now()
@@ -680,6 +666,7 @@ func (m *Monitor) cleanupProcess(ctx exec.Context, pid int) {
 	}
 	m.deadPIDs[pid] = struct{}{}
 	delete(m.procs, pid)
+	delete(m.reregOwed, pid)
 	m.rebuildProcList()
 	maps.DeleteFunc(m.secrets, func(_ uint64, owner int) bool { return owner == pid })
 	// Token arbitration: drop the corpse from waiting lists, and if an
@@ -948,8 +935,6 @@ func (m *Monitor) dispatch(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 		m.sendTo(ctx, int(cm.PID), &pong, false)
 	case ctlmsg.KReRegistered:
 		m.onReRegistered(ctx, pc, cm)
-	case ctlmsg.KDegrade:
-		m.onDegrade(ctx, pc, cm)
 	case ctlmsg.KAcceptHint:
 		m.onAcceptHint(ctx, pc, cm)
 	case ctlmsg.KStealRes:
@@ -1072,13 +1057,20 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 		m.fail(ctx, client, cm, st)
 	case ctlmsg.KReQPPeer:
 		if c := m.shardOf(cm.QID).conns[cm.QID]; c.owner() != 0 {
-			// Only for a connection still on record here: a splice request
-			// for one this host gave up (an abandoned dial) finds nobody to
-			// answer it and must leave no route behind. The remote end now
-			// lives where the splice came from (a migrated container's new
-			// host): its answer, a death and a host-death sweep go there.
+			// The remote end now lives where the splice came from (a
+			// migrated container's new host): its answer, a death and a
+			// host-death sweep go there.
 			c.peerHost = mc.peer
 			m.sendTo(ctx, c.owner(), cm, true)
+		} else if len(m.reregOwed) == 0 {
+			// No longer on record here (an abandoned dial, a closed or dead
+			// endpoint), and no re-registration owed could rebuild it: the
+			// requester's peer is gone. Refuse on the channel the request
+			// came in on, and leave no route behind.
+			r := ctlmsg.Msg{Kind: ctlmsg.KReQPRes, QID: cm.QID, Aux: cm.Aux, ConnID: cm.ConnID,
+				Status: ctlmsg.StatusNoListener, Epoch: m.epoch, TS: ctx.Now(),
+				TraceID: cm.TraceID, SpanID: cm.SpanID}
+			mc.send(&r)
 		}
 	case ctlmsg.KReQPRes:
 		// Back at the requester's host: deliver to the requester.

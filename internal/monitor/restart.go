@@ -44,10 +44,12 @@ func Restart(h *host.Host) *Monitor {
 	sort.Slice(adopted, func(i, j int) bool { return adopted[i].p.PID < adopted[j].p.PID })
 
 	m := startEpoch(h, old.KS, epoch)
+	m.reregOwed = make(map[int]bool, len(adopted))
 	for _, pc := range adopted {
 		pc.out = nil // what the old incarnation had yet to say died with it
 		m.procs[pc.p.PID] = pc
 		m.needReReg = append(m.needReReg, pc.p.PID)
+		m.reregOwed[pc.p.PID] = true
 	}
 	for _, p := range old.peerList {
 		if p.live.watched() { // as is every host a channel leads to
@@ -125,6 +127,7 @@ func (m *Monitor) onReRegistered(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg)
 			c.pids[0] = pid
 		}
 	case ctlmsg.ReRegDone:
+		delete(m.reregOwed, pid)
 		mRereg.Inc()
 	}
 }

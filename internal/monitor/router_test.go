@@ -66,14 +66,6 @@ func TestInputsRingParkedRouter(t *testing.T) {
 			pending: func(ma *Monitor, _ int64) bool { return ma.kernLs[0].kl.PendingHint() > 0 },
 			served:  func(_ *Monitor, p *host.Process) bool { _, ok := p.LookupFD(0); return ok },
 		},
-		{name: "a rescue connection",
-			trigger: func(ctx exec.Context, _, mb *Monitor, _ *host.Process) error {
-				_, err := mb.KS.Dial(ctx, "a", rescuePort)
-				return err
-			},
-			pending: func(ma *Monitor, _ int64) bool { return ma.rescueL.PendingHint() > 0 },
-			served:  func(ma *Monitor, _ *host.Process) bool { return ma.rescueL.PendingHint() == 0 },
-		},
 		{name: "a due heartbeat", peered: true,
 			trigger: func(ctx exec.Context, _, mb *Monitor, _ *host.Process) error {
 				cm := syn(1, 1) // real traffic opens the window: a tick now, one every hbInterval

@@ -71,8 +71,7 @@ func ForMsg(m *ctlmsg.Msg, n int) int {
 		ctlmsg.KAcceptDone:
 		return Of(m.ConnID, n)
 	case ctlmsg.KTakeover, ctlmsg.KTokenReturn, ctlmsg.KTokenGrant,
-		ctlmsg.KReQP, ctlmsg.KReQPPeer, ctlmsg.KReQPRes,
-		ctlmsg.KDegrade, ctlmsg.KDegraded, ctlmsg.KPeerDead:
+		ctlmsg.KReQP, ctlmsg.KReQPPeer, ctlmsg.KReQPRes, ctlmsg.KPeerDead:
 		return Of(m.QID, n)
 	case ctlmsg.KForkSecret, ctlmsg.KWake, ctlmsg.KReRegister:
 		return OfPID(m.PID, n)

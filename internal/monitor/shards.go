@@ -171,7 +171,7 @@ func (c *connRec) dialer() int {
 	return 0
 }
 
-// owner is the local pid that peer deaths, QP splices and rescues go to:
+// owner is the local pid that peer deaths and QP splices go to:
 // the local endpoint of an inter-host connection whose remote end lives.
 // 0 = none, or no record.
 func (c *connRec) owner() int {

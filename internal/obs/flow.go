@@ -16,14 +16,12 @@ type FlowState uint8
 // Flow states.
 const (
 	FlowEstablished FlowState = iota
-	FlowDegraded              // rescue TCP installed (§4.5.3)
 	FlowReset                 // peer died; ECONNRESET surfaced
 	FlowClosed
 )
 
 var flowStateNames = [...]string{
 	FlowEstablished: "established",
-	FlowDegraded:    "degraded",
 	FlowReset:       "reset",
 	FlowClosed:      "closed",
 }

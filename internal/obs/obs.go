@@ -10,9 +10,9 @@
 // with a per-hop latency breakdown — the evidence base the sharded
 // monitor is judged on (ARCHITECTURE.md "Sharded control plane").
 // The same rings hold instant events (Emit). The flow table is the `ss`-style view of every connection's transport
-// (SHM ring / RDMA QP / rescue TCP of §4.5.3), byte counts and failure
-// history; the flight recorder turns resets, retry exhaustion and
-// monitor restarts into self-explaining Chrome-trace dumps.
+// (SHM ring / RDMA QP), byte counts and failure history; the flight
+// recorder turns resets, QP recoveries and monitor restarts into
+// self-explaining Chrome-trace dumps.
 package obs
 
 import (
@@ -57,7 +57,6 @@ const (
 	OpFork
 	OpRecovery
 	OpReRegister
-	OpDegrade
 )
 
 var opNames = [...]string{
@@ -69,7 +68,6 @@ var opNames = [...]string{
 	OpFork:       "fork",
 	OpRecovery:   "recovery",
 	OpReRegister: "reregister",
-	OpDegrade:    "degrade",
 }
 
 // String returns the op's stable lower-case name.
@@ -147,10 +145,8 @@ const (
 	EvTokenTakeover   Event = iota + 1 // core: a thread takes a socket's token over
 	EvReset                            // core: ECONNRESET surfaces on a socket
 	EvZCRemap                          // core: RecvVA remaps a zero-copy message's pages
-	EvDegraded                         // core: rescue TCP installed (§4.5.3)
 	EvRecoveryAttempt                  // core: a QP recovery attempt starts
 	EvRecoveryDone                     // core: a QP recovery completes
-	EvDegradeRequest                   // core: recovery budget spent; ask for rescue TCP
 	EvRetransmit                       // rdma: go-back-N retransmission on an RTO
 	EvCtl                              // monitor: handled a message off a process ring
 	EvRemote                           // monitor: handled a message off the mchan
@@ -170,10 +166,8 @@ var events = [numEvents]struct {
 	EvTokenTakeover:   {"token_takeover", "core", [2]string{"qid", "dir"}},
 	EvReset:           {"reset", "core", [2]string{"qid", "dir"}},
 	EvZCRemap:         {"zc_remap", "core", [2]string{"pages"}},
-	EvDegraded:        {"degraded", "core", [2]string{"qid"}},
 	EvRecoveryAttempt: {"recovery_attempt", "core", [2]string{"qid", "attempt"}},
 	EvRecoveryDone:    {"recovery_done", "core", [2]string{"qid"}},
-	EvDegradeRequest:  {"degrade_request", "core", [2]string{"qid"}},
 	EvRetransmit:      {"retransmit", "rdma", [2]string{"qpn", "inflight"}},
 	EvCtl:             {"ctl/", "monitor", [2]string{"pid"}},
 	EvRemote:          {"remote/", "monitor", [2]string{"port"}},

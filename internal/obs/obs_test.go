@@ -501,13 +501,13 @@ func TestFlowTable(t *testing.T) {
 		t.Fatalf("identity wrong: %+v", fs)
 	}
 
-	live.Transport, live.State = ctlmsg.TransportTCP, FlowDegraded
-	if fs = row(); fs.Transport != "tcp" || fs.State != "degraded" {
+	live.Transport, live.State = ctlmsg.TransportSHM, FlowClosed
+	if fs = row(); fs.Transport != "shm" || fs.State != "closed" {
 		t.Fatalf("a live row does not read its prober: %+v", fs)
 	}
 	f.Freeze()
-	live = FlowProbe{RingHW: 1, Epoch: 9, Transport: ctlmsg.TransportSHM, State: FlowClosed}
-	if fs = row(); fs.RingHW != 4096 || fs.Epoch != 2 || fs.Transport != "tcp" || fs.State != "degraded" {
+	live = FlowProbe{RingHW: 1, Epoch: 9, Transport: ctlmsg.TransportRDMA, State: FlowEstablished}
+	if fs = row(); fs.RingHW != 4096 || fs.Epoch != 2 || fs.Transport != "shm" || fs.State != "closed" {
 		t.Fatalf("a frozen row did not keep its last reading: %+v", fs)
 	}
 }
@@ -588,10 +588,10 @@ func TestRecorderCooldown(t *testing.T) {
 	SetSink(func(d Dump) { dumps = append(dumps, d) })
 	Record(Span{Trace: 1, Span: 1, Start: 0, End: 5, Host: "h", PID: 1, Hop: HopApp, Op: OpConnect, OK: true})
 
-	if !Trigger(TrigRetryExhaustion, 1_000, "first") {
+	if !Trigger(TrigQPRecovery, 1_000, "first") {
 		t.Fatal("first trigger did not dump")
 	}
-	if Trigger(TrigDegraded, 2_000, "cascade") {
+	if Trigger(TrigReset, 2_000, "cascade") {
 		t.Fatal("trigger inside cooldown dumped")
 	}
 	if !Trigger(TrigReset, 1_000+DefaultCooldown, "later") {
@@ -608,7 +608,7 @@ func TestRecorderCooldown(t *testing.T) {
 	if len(dumps) != 3 {
 		t.Fatalf("sink saw %d dumps, want 3", len(dumps))
 	}
-	if dumps[0].Name != "retry_exhaustion" || dumps[0].Note != "first" {
+	if dumps[0].Name != "qp_recovery" || dumps[0].Note != "first" {
 		t.Fatalf("first dump wrong: %+v", dumps[0])
 	}
 }

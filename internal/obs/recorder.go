@@ -23,23 +23,19 @@ type TrigReason uint8
 
 // Flight-recorder trigger reasons.
 const (
-	TrigReset           TrigReason = iota + 1 // ECONNRESET surfaced on a socket
-	TrigRetryExhaustion                       // recovery budget exhausted (§4.5.3 fallback)
-	TrigQPRecovery                            // a QP recovery completed
-	TrigDegraded                              // rescue TCP installed
-	TrigMonitorRestart                        // monitor came back in a new epoch
-	TrigManual                                // ForceDump from a soak driver or CLI
-	TrigOverloadShed                          // bounded queue shed work under overload
+	TrigReset          TrigReason = iota + 1 // ECONNRESET surfaced on a socket
+	TrigQPRecovery                           // a QP recovery completed
+	TrigMonitorRestart                       // monitor came back in a new epoch
+	TrigManual                               // ForceDump from a soak driver or CLI
+	TrigOverloadShed                         // bounded queue shed work under overload
 )
 
 var trigNames = [...]string{
-	TrigReset:           "reset",
-	TrigRetryExhaustion: "retry_exhaustion",
-	TrigQPRecovery:      "qp_recovery",
-	TrigDegraded:        "degraded",
-	TrigMonitorRestart:  "monitor_restart",
-	TrigManual:          "manual",
-	TrigOverloadShed:    "overload_shed",
+	TrigReset:          "reset",
+	TrigQPRecovery:     "qp_recovery",
+	TrigMonitorRestart: "monitor_restart",
+	TrigManual:         "manual",
+	TrigOverloadShed:   "overload_shed",
 }
 
 // String returns the reason's stable lower-case name.
@@ -61,9 +57,8 @@ type Dump struct {
 	Flows  []FlowSnapshot
 }
 
-// DefaultCooldown spaces dumps apart: cascading anomalies (retry
-// exhaustion immediately followed by degradation) produce one artifact,
-// not a stampede.
+// DefaultCooldown spaces dumps apart: cascading anomalies (a reset on
+// every socket a crash ends) produce one artifact, not a stampede.
 const DefaultCooldown = 50_000_000 // 50 ms virtual
 
 var recorder struct {

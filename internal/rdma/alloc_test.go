@@ -94,8 +94,8 @@ func TestPoolBalanceUnderLoss(t *testing.T) {
 
 // TestPoolBalanceAfterRetryExhaustion: a fully partitioned link drops
 // every copy at the sender; when the retry budget exhausts, the error
-// transition must hand the whole window back to the pool (the PR 2
-// degradation entry point: core closes the QP and falls back to TCP).
+// transition must hand the whole window back to the pool (core's QP
+// recovery then closes the QP and splices a new one).
 func TestPoolBalanceAfterRetryExhaustion(t *testing.T) {
 	before := bufpool.Outstanding()
 	p := newPair(t, fabric.Config{PropDelay: 800, LossRate: 1.0, Seed: 3}, 1<<16)

@@ -379,7 +379,7 @@ func TestPeekTypeAcrossWrap(t *testing.T) {
 }
 
 // TestRingWrapThenEmpty: a mirrored receiver whose tail ends just past a
-// wrap marker (the RDMA mirror, or the degraded TCP path, can publish one)
+// wrap marker (the RDMA mirror can publish one)
 // steps over the marker and finds nothing. Only an empty first look returns
 // idle credit: the look that consumed the marker leaves the credit alone,
 // the next one flushes it. PeekType never flushes; TryRecvN flushes on any

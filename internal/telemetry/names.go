@@ -89,7 +89,6 @@ const (
 	MonProbesFailed  = "sd/monitor/probes_failed"
 	MonWakes         = "sd/monitor/thread_wakes"
 	MonMchanHeals    = "sd/monitor/mchan_heals"
-	MonRescues       = "sd/monitor/rescues"
 	MonCrashCleanups = "sd/monitor/crash_cleanups"
 
 	// Signals not sent because a thread of the process was inside libsd:
@@ -161,7 +160,6 @@ const (
 	FaultRecoveries       = "sd/fault/recoveries"
 	FaultRecoveryAttempts = "sd/fault/recovery_attempts"
 	FaultBackoffNs        = "sd/fault/backoff_ns"
-	FaultDegradations     = "sd/fault/degradations"
 )
 
 // MonShardDispatch names shard i's dispatch-latency distribution

@@ -82,7 +82,6 @@ func TestCoreBlocksOnlyInWait(t *testing.T) {
 	allowed := map[string]string{
 		"epoll.go startEpollThread Park":  "libsd's own kernel-event thread idles while nobody is in Epoll.Wait",
 		"epoll.go startEpollThread Sleep": "the same thread's 50 µs epoll_wait sweep period",
-		"tcpep.go sendHello Yield":        "the rescue connection's handshake write into a kernel socket buffer",
 		"libsd.go armAutoPump After":      "re-arms the CQ pump from timer context; no thread waits",
 		"recover.go markFailed After":     "the wake-up of a parked receiver, process-wakeup latency later",
 	}
@@ -714,9 +713,8 @@ func TestInterfacesHaveAReason(t *testing.T) {
 		"internal/fabric.Releasable": cycle,   // rdma's pooled packets
 		"internal/obs.Prober":        cycle,   // core.Socket
 		"internal/host.KFile":        several, // pipe ends, Unix sockets, kernel TCP sockets
-		"internal/core.endpoint":     several, // shmEP, rdmaEP, tcpEP, closedEP
+		"internal/core.endpoint":     several, // shmEP, rdmaEP, closedEP
 		"internal/core.burster":      several, // shmEP, rdmaEP
-		"internal/core.creditPoster": several, // rdmaEP, tcpEP
 		"internal/core.sleeper":      several, // recvWaiter, acceptWaiter
 		"internal/core.registrar":    cycle,   // monitor.Monitor
 		"internal/core.connNoter":    cycle,   // monitor.Monitor
