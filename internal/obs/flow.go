@@ -41,8 +41,6 @@ func TransportName(t uint8) string {
 		return "shm"
 	case ctlmsg.TransportRDMA:
 		return "rdma"
-	case ctlmsg.TransportTCP:
-		return "tcp"
 	}
 	return "?"
 }
