@@ -755,10 +755,13 @@ func (l *Libsd) handleCtl(ctx exec.Context, m *ctlmsg.Msg) {
 		// any of the QPs is equivalent" for one-sided writes, and the new
 		// one is spliced to the process that will actually be reading.
 		olds := l.switchEP(ep)
-		if m.Dir == ctlmsg.ReQPRecovery {
+		if m.Dir == ctlmsg.ReQPRecovery || anyFailed(olds) {
 			// Unlike the fork flow (where the parent keeps using the old
 			// QP), recovery must retire the dead QP on both sides so a stale
-			// in-flight packet can never land in recycled ring offsets.
+			// in-flight packet can never land in recycled ring offsets. A
+			// fork splice that replaces a failed QP is a recovery too: the
+			// peer migrated (§4.1.3), and what this side wrote after that
+			// went to the rings it left behind.
 			closeQPs(olds)
 			// Re-mirror our unacked region and credit through the new QP:
 			// writes posted to the dead QP may never have landed. They go

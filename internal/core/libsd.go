@@ -577,6 +577,16 @@ func (l *Libsd) switchEP(ep *rdmaEP) (olds []*rdmaEP) {
 	return olds
 }
 
+// anyFailed reports whether any of eps has latched a QP failure.
+func anyFailed(eps []*rdmaEP) bool {
+	for _, ep := range eps {
+		if ep.failed {
+			return true
+		}
+	}
+	return false
+}
+
 // closeQPs retires the QPs of eps (closing one twice is harmless); an
 // inherited endpoint that never spliced has none.
 func closeQPs(eps []*rdmaEP) {

@@ -116,3 +116,118 @@ func TestContainerLiveMigration(t *testing.T) {
 		t.Fatalf("server saw %v", got)
 	}
 }
+
+// TestPeerSendsBeforeMigratedSideSplices has the server push while the
+// migrated container has not yet used its socket. The server's QP to the
+// source host errors and its recovery asks the source monitor, which no
+// longer holds the connection: it must stay silent rather than refuse, so
+// the server keeps backing off until the container's first splice from the
+// new host switches it over. That splice replaces a failed QP, so the server
+// re-mirrors the pushes the dead QP lost: they arrive byte-exact, and
+// neither end sees ECONNRESET.
+func TestPeerSendsBeforeMigratedSideSplices(t *testing.T) {
+	s := exec.NewSim(exec.SimConfig{})
+	costs := costmodel.Default
+	a := host.New("hostA", s, &costs, 1)
+	b := host.New("hostB", s, &costs, 2)
+	c := host.New("hostC", s, &costs, 3)
+	host.NewNet(a.Clk, host.LinkConfig(&costs, 7)).Join(a, b, c)
+	ma := monitor.Start(a, ksocket.New(a))
+	mb := monitor.Start(b, ksocket.New(b))
+	mc := monitor.Start(c, ksocket.New(c))
+	monitor.Peer(ma, mb)
+	monitor.Peer(mc, mb)
+
+	sp := b.NewProcess("server", 0)
+	sl, err := core.Init(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := a.NewProcess("container", 0)
+	clib, err := core.Init(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const pushes = 4
+	serverDone := false
+	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+		lst, _ := sl.ListenOn(ctx, th, 7700)
+		sock, _, err := lst.Accept(ctx)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		buf := make([]byte, 8)
+		n, err := sock.Recv(ctx, th, buf)
+		if err != nil {
+			t.Errorf("recv: %v", err)
+			return
+		}
+		if _, err := sock.Send(ctx, th, buf[:n]); err != nil {
+			t.Errorf("echo: %v", err)
+			return
+		}
+		// The container migrates as soon as it has its echo; push to it
+		// before it touches the socket from the new host.
+		ctx.Sleep(1_000_000)
+		for i := 0; i < pushes; i++ {
+			if _, err := sock.Send(ctx, th, []byte{'p', byte('0' + i)}); err != nil {
+				t.Errorf("push %d: %v", i, err)
+				return
+			}
+		}
+		n, err = sock.Recv(ctx, th, buf)
+		if err != nil || string(buf[:n]) != "done" {
+			t.Errorf("server recv after pushes: %q, %v", buf[:n], err)
+			return
+		}
+		serverDone = true
+	})
+
+	var got []byte
+	cp.Spawn("main", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		sock, _, err := clib.Connect(ctx, th, "hostB", 7700)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		echoExact(t, ctx, th, sock, []byte("before"))
+		np, nl, err := core.Migrate(clib, c, "container")
+		if err != nil {
+			t.Errorf("migrate: %v", err)
+			return
+		}
+		np.Spawn("main", func(cctx exec.Context, cth *host.Thread) {
+			// Idle past the server's QP error and several of its recovery
+			// attempts at the source host.
+			cctx.Sleep(60_000_000)
+			ms, err := nl.SocketByFD(sock.FD())
+			if err != nil {
+				t.Errorf("fd after migration: %v", err)
+				return
+			}
+			buf := make([]byte, 16)
+			for len(got) < 2*pushes {
+				n, err := ms.Recv(cctx, cth, buf)
+				if err != nil {
+					t.Errorf("post-migration recv after %q: %v", got, err)
+					return
+				}
+				got = append(got, buf[:n]...)
+			}
+			if _, err := ms.Send(cctx, cth, []byte("done")); err != nil {
+				t.Errorf("post-migration send: %v", err)
+			}
+		})
+	})
+
+	s.Run()
+	if string(got) != "p0p1p2p3" {
+		t.Fatalf("container received %q, want p0p1p2p3", got)
+	}
+	if !serverDone {
+		t.Fatal("server did not finish")
+	}
+}

@@ -811,8 +811,11 @@ func (m *Monitor) LiveConnRecords() int {
 // at the source; treating that kill as a crash would reset perfectly
 // healthy connections (the destination's records are made by each socket's
 // first splice, onReQP). A record whose other endpoint lives here stays
-// with that endpoint. The lifeline still runs afterwards and reclaims
-// everything else the pid held.
+// with that endpoint. An inter-host record goes, but its connection is
+// marked departed: the peer's recovery may still splice here before the
+// container's first splice redirects it, and must find silence, not a
+// refusal. The lifeline still runs afterwards and reclaims everything else
+// the pid held.
 func (m *Monitor) DetachProcess(pid int) {
 	for _, sh := range m.shards {
 		for qid, c := range sh.conns {
@@ -821,6 +824,12 @@ func (m *Monitor) DetachProcess(pid int) {
 				continue
 			}
 			if other := c.pids[1-i]; other == 0 || other == pid || m.pidDead(other) {
+				if c.owner() != 0 {
+					if sh.departed == nil {
+						sh.departed = make(map[uint64]struct{})
+					}
+					sh.departed[qid] = struct{}{}
+				}
 				sh.dropConn(qid)
 				continue
 			}
@@ -1056,17 +1065,19 @@ func (m *Monitor) dispatchRemote(ctx exec.Context, mc *mchan, cm *ctlmsg.Msg) {
 		}
 		m.fail(ctx, client, cm, st)
 	case ctlmsg.KReQPPeer:
-		if c := m.shardOf(cm.QID).conns[cm.QID]; c.owner() != 0 {
+		sh := m.shardOf(cm.QID)
+		if c := sh.conns[cm.QID]; c.owner() != 0 {
 			// The remote end now lives where the splice came from (a
 			// migrated container's new host): its answer, a death and a
 			// host-death sweep go there.
 			c.peerHost = mc.peer
 			m.sendTo(ctx, c.owner(), cm, true)
-		} else if len(m.reregOwed) == 0 {
+		} else if _, left := sh.departed[cm.QID]; !left && len(m.reregOwed) == 0 {
 			// No longer on record here (an abandoned dial, a closed or dead
-			// endpoint), and no re-registration owed could rebuild it: the
-			// requester's peer is gone. Refuse on the channel the request
-			// came in on, and leave no route behind.
+			// endpoint), not gone with a migrated container, and no
+			// re-registration owed could rebuild it: the requester's peer
+			// is gone. Refuse on the channel the request came in on, and
+			// leave no route behind.
 			r := ctlmsg.Msg{Kind: ctlmsg.KReQPRes, QID: cm.QID, Aux: cm.Aux, ConnID: cm.ConnID,
 				Status: ctlmsg.StatusNoListener, Epoch: m.epoch, TS: ctx.Now(),
 				TraceID: cm.TraceID, SpanID: cm.SpanID}
@@ -1439,11 +1450,13 @@ func (m *Monitor) onReQP(ctx exec.Context, pc *procChan, cm *ctlmsg.Msg) {
 		return
 	}
 	if cm.Dir == ctlmsg.ReQPFork {
-		if c := m.shardOf(cm.QID).conn(cm.QID); c.phase == bare {
+		sh := m.shardOf(cm.QID)
+		if c := sh.conn(cm.QID); c.phase == bare {
 			// An inherited socket's first splice, and this host never heard
 			// of the connection: it came with a migrated container (§4.1.3).
 			// The requester is its endpoint here now, so its death reaches
 			// the peer.
+			delete(sh.departed, cm.QID)
 			c.advance(adopted)
 			c.pids[0], c.peerHost = int(cm.PID), peerHost
 		}

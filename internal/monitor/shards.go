@@ -56,6 +56,13 @@ type mshard struct {
 	// records this shard has yet to drop.
 	closed []uint64
 
+	// departed holds the connections whose local endpoint left with a
+	// migrated container (DetachProcess): the peer may splice here until
+	// the container's first splice from its new host redirects it, so a
+	// splice for one is not refused. Made on first use; it lives with the
+	// incarnation.
+	departed map[uint64]struct{}
+
 	// inbox carries router-routed work: mchan arrivals owned by this
 	// shard, and host-death sweep events (one per shard per confirmed
 	// death, so each shard resets exactly its own connections).
