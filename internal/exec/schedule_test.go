@@ -13,8 +13,8 @@ import (
 // pending permit, Unpark from a thread and from a timer, Join on a live
 // and on a finished thread, After, AfterAt, spawn-from-thread, and a
 // daemon still parked when the run ends — and logs (thread, step, Now())
-// at every step.
-func goldenSchedule() (log []string, end int64) {
+// at every step and the end of the run; then goldenStops' runs.
+func goldenSchedule() (log []string) {
 	s := NewSim(SimConfig{})
 	clk := s.Clock()
 	step := func(ctx Context, what string) {
@@ -125,15 +125,96 @@ func goldenSchedule() (log []string, end int64) {
 	})
 	s.AfterAt(900, func() { flag.flag = true })
 	s.AfterAt(250, timer("at250"))
-	end = s.Run()
-	return log, end
+	log = append(log, fmt.Sprintf("end %d", s.Run()))
+	return append(log, goldenStops()...)
+}
+
+// goldenStops drives what happens between a thread's stop and the next
+// resume, in three more runs. In the first, p's charges are preempted by
+// an idle spinner and a timer only, and once by a spinner that finds work;
+// meanwhile w1 and w2, which p spawns, come to wait for the hog's core, w1
+// is planted stale (no entry point leaves a stale event) and is dropped as
+// the hog sleeps, and w2 takes its place. In the second a timer panics while a thread is
+// preempted, and the thread's deferred charge, due behind a canary timer,
+// must not run the canary; in the third the clock passes MaxVirtualTime
+// there.
+func goldenStops() (log []string) {
+	step := func(ctx Context, what string) {
+		log = append(log, fmt.Sprintf("%s %s %d", ctx.Self().Name(), what, ctx.Now()))
+	}
+	s := NewSim(SimConfig{})
+	idle, busy := untilIdler{deadline: 800}, untilIdler{}
+	var w1 Thread
+	s.Spawn("p", func(ctx Context) {
+		ctx.Sleep(100)
+		for i := 0; i < 4; i++ {
+			ctx.Charge(150)
+			step(ctx, "charge")
+			if i == 0 {
+				w1 = ctx.SpawnOn(7, "w1", func(ctx Context) { step(ctx, "unreachable") })
+				ctx.SpawnOn(7, "w2", func(ctx Context) {
+					ctx.Charge(50)
+					step(ctx, "charge")
+				})
+			}
+		}
+	})
+	s.Spawn("idle", func(ctx Context) {
+		n := ctx.Spin(0, 40, 1<<30, &idle)
+		step(ctx, fmt.Sprintf("spun-%d", n))
+	})
+	s.Spawn("busy", func(ctx Context) {
+		n := ctx.Spin(0, 40, 1<<30, &busy)
+		step(ctx, fmt.Sprintf("found-%d", n))
+	})
+	s.SpawnOn(7, "hog", func(ctx Context) {
+		ctx.Charge(600)
+		step(ctx, "charge")
+		ctx.Sleep(1000)
+		step(ctx, "sleep")
+	})
+	s.AfterAt(170, func() { log = append(log, fmt.Sprintf("timer %d", s.Now())) })
+	s.AfterAt(350, func() { w1.t.state = stParked })
+	s.AfterAt(420, func() { busy.flag = true })
+	log = append(log, fmt.Sprintf("end %d", s.Run()))
+
+	raised := func(cfg SimConfig, body func(Context), timers map[int64]func()) {
+		s := NewSim(cfg)
+		s.Spawn("v", body)
+		for at, fn := range timers {
+			s.AfterAt(at, fn)
+		}
+		defer func() { log = append(log, fmt.Sprintf("raised %v", recover())) }()
+		s.Run()
+	}
+	raised(SimConfig{}, func(ctx Context) {
+		defer func() {
+			step(ctx, "unwinding")
+			ctx.Charge(100)
+			step(ctx, "unreachable")
+		}()
+		ctx.Charge(300)
+		step(ctx, "unreachable")
+	}, map[int64]func(){
+		200: func() { panic("timer boom") },
+		250: func() { log = append(log, "canary") },
+	})
+	raised(SimConfig{MaxVirtualTime: 1000}, func(ctx Context) {
+		for {
+			ctx.Charge(300)
+			step(ctx, "charge")
+		}
+	}, map[int64]func(){1100: func() { log = append(log, "unreachable") }})
+	return log
 }
 
 // goldenScheduleWant was recorded on the commit before the coroutine
 // scheduler (goroutines handing a baton over two channels); the three lines
 // of s, s.mate and m on the commit before Spin, with the loop of the Spin
-// contract in its place, and they moved none of the others. The scheduler
-// may change how control moves; it may not change one line of this.
+// contract in its place, and they moved none of the others; goldenStops'
+// lines, from "timer 600" on, on the commit before a stopping thread ran
+// the scheduler's loop itself. The scheduler may change how control moves;
+// it may not change one line of this.
 const goldenScheduleWant = `
 c charge 25
 e charge 90
@@ -170,11 +251,27 @@ e woken 2258
 daemon woken 2258
 c joined-fresh 2258
 end 2258
+timer 600
+p charge 250
+p charge 400
+busy found-6 420
+p charge 550
+hog charge 600
+w2 charge 650
+p charge 700
+idle spun-13 840
+hog sleep 1600
+end 1600
+v unwinding 300
+raised timer boom
+v charge 300
+v charge 600
+v charge 900
+raised exec: virtual time 1200 exceeded bound 1000
 `
 
 func TestGoldenSchedule(t *testing.T) {
-	log, end := goldenSchedule()
-	got := strings.Join(append(log, fmt.Sprintf("end %d", end)), "\n")
+	got := strings.Join(goldenSchedule(), "\n")
 	if got != strings.TrimSpace(goldenScheduleWant) {
 		t.Fatalf("schedule moved; got:\n%s", got)
 	}

@@ -359,7 +359,7 @@ func TestSimsRunConcurrently(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 20; k++ {
-				logs[i], _ = goldenSchedule()
+				logs[i] = goldenSchedule()
 			}
 		}()
 	}
