@@ -19,11 +19,14 @@ import (
 
 // TestBlockedRecvResumes: an inter-host 8-byte round trip is ~2 µs of
 // simulated waiting, some 50 empty polls on each side. It cost 96 resumes
-// when every poll was one; it may cost 20.
+// when every poll was one; it may cost 20. Of its 12 resumes, 10 follow a
+// stop of the same thread with only idle polls and timers between, so the
+// thread runs on without a switch: it may cost 4 switches, and cost 12
+// while every resume was one.
 func TestBlockedRecvResumes(t *testing.T) {
 	w := boundaryWorld(t)
 	const warm, ops = 20, 200
-	var resumes, played int64
+	var resumes, played, switches int64
 	connected(t, w, true, 7620,
 		func(ctx exec.Context, th *host.Thread, s *core.Socket) {
 			buf := make([]byte, 8)
@@ -39,7 +42,7 @@ func TestBlockedRecvResumes(t *testing.T) {
 			buf := make([]byte, 8)
 			for i := 0; i < warm+ops; i++ {
 				if i == warm {
-					resumes, played = w.sim.Resumes(), w.sim.Played()
+					resumes, played, switches = w.sim.Resumes(), w.sim.Played(), w.sim.Switches()
 				}
 				s.Send(ctx, th, buf)
 				if _, err := s.Recv(ctx, th, buf); err != nil {
@@ -47,12 +50,16 @@ func TestBlockedRecvResumes(t *testing.T) {
 					return
 				}
 			}
-			resumes, played = w.sim.Resumes()-resumes, w.sim.Played()-played
+			resumes, played, switches = w.sim.Resumes()-resumes, w.sim.Played()-played, w.sim.Switches()-switches
 		})
 	w.sim.Run()
-	t.Logf("per round trip: %.1f resumes, %.1f stops played by the scheduler", float64(resumes)/ops, float64(played)/ops)
+	t.Logf("per round trip: %.1f resumes, %.1f stops played by the scheduler, %.1f switches",
+		float64(resumes)/ops, float64(played)/ops, float64(switches)/ops)
 	if resumes > 20*ops {
 		t.Errorf("%d resumes for %d round trips, want at most 20 each", resumes, ops)
+	}
+	if switches > 4*ops {
+		t.Errorf("%d carrier switches for %d round trips, want at most 4 each", switches, ops)
 	}
 	if played < 50*ops {
 		t.Errorf("the scheduler played %d stops for %d round trips: the receivers are not spinning through it", played, ops)
@@ -73,21 +80,21 @@ func TestDialCycleResumes(t *testing.T) {
 	cp, cl := proc(t, w.a, "client", 1000)
 	sp.Spawn("srv", echoServer(t, sl, 7621))
 	const warm, cycles = 5, 100
-	var resumes, played int64
+	var resumes, played, switches int64
 	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
 		ctx.Sleep(10_000)
 		for i := 0; i < warm+cycles; i++ {
 			if i == warm {
-				resumes, played = w.sim.Resumes(), w.sim.Played()
+				resumes, played, switches = w.sim.Resumes(), w.sim.Played(), w.sim.Switches()
 			}
 			echoOnce(t, ctx, th, cl, "hostA", 7621)
 		}
-		resumes, played = w.sim.Resumes()-resumes, w.sim.Played()-played
+		resumes, played, switches = w.sim.Resumes()-resumes, w.sim.Played()-played, w.sim.Switches()-switches
 		sp.Signal(ctx, host.SIGKILL)
 	})
 	w.sim.Run()
-	t.Logf("%.1f resumes + %.1f played per dial-echo-close cycle",
-		float64(resumes)/cycles, float64(played)/cycles)
+	t.Logf("%.1f resumes (%.1f switches) + %.1f played per dial-echo-close cycle",
+		float64(resumes)/cycles, float64(switches)/cycles, float64(played)/cycles)
 	if resumes > 30*cycles {
 		t.Errorf("%d resumes for %d cycles, want at most 30 each", resumes, cycles)
 	}

@@ -1,16 +1,15 @@
 // Package exec provides the execution substrate that all simulated threads
 // in this repository run on. The whole stack — ring buffers, the RDMA
-// fabric, the monitor daemon, libsd itself — is written against
-// exec.Context and runs on one scheduler, Sim: a deterministic
-// discrete-event simulator. Threads run strictly one at a time, each on a
-// coroutine that Sim.Run switches to and that switches back at every
-// Yield, Sleep, Park, Join or preempting Charge; virtual time advances only
-// through explicit Charge/Sleep/Yield calls; threads are pinned to
-// simulated cores whose occupancy is enforced, so N-core scalability and
-// core time-sharing experiments are reproducible on a single physical CPU.
-// The blocking waits of the paper's §4.4 (poll, sched_yield, poll again)
-// are Charge+Yield loops on this scheduler, which plays their empty
-// iterations itself (Spin).
+// fabric, the monitor daemon, libsd itself — is written against exec.Context
+// and runs on one scheduler, Sim: a deterministic discrete-event simulator.
+// Threads run strictly one at a time, each on a coroutine that Sim.Run
+// switches to and that switches back when a Yield, Sleep, Park, Join or
+// preempting Charge lets another run; virtual time advances only through
+// explicit Charge/Sleep/Yield calls; threads are pinned to simulated cores
+// whose occupancy is enforced, so N-core scalability and core time-sharing
+// experiments are reproducible on a single physical CPU. The blocking waits
+// of the paper's §4.4 (poll, sched_yield, poll again) are Charge+Yield loops
+// on this scheduler, which plays their empty iterations itself (Spin).
 //
 // Time is expressed in integer nanoseconds throughout.
 package exec
@@ -62,7 +61,7 @@ func (c Context) Charge(d int64) {
 	s := t.sim
 	// Preempt if some other event is due before our local clock: requeue
 	// ourselves so global time order stays causal.
-	if s.hidden || s.pq.Len() > 0 && s.pq.peekTime() < t.vt {
+	if i := s.first(); s.hidden || i < len(s.pq) && s.pq[i].at < t.vt {
 		s.push(event{at: t.vt, th: t})
 		t.stop(stReady)
 	}

@@ -23,8 +23,8 @@ const DefaultYieldCost = 20
 // charges are bit-for-bit reproducible.
 //
 // A Sim is confined to the goroutine that calls Run: every thread body and
-// timer callback executes inside that call, on a coroutine Run switches to
-// and back from, so nothing in a Sim is locked. Two Sims share nothing but
+// timer callback executes inside that call, on it or on a coroutine it
+// switches to, so nothing in a Sim is locked. Two Sims share nothing but
 // the free list of idle carriers and may run on two goroutines at once.
 type Sim struct {
 	cfg      SimConfig
@@ -39,9 +39,11 @@ type Sim struct {
 	// threads holds the unfinished threads in spawn order, which is the
 	// order Run tears down those still parked at the end. spawn drops the
 	// finished ones once they outnumber the rest.
-	threads         []*thread
-	finished        int
-	resumes, played int64 // see Resumes
+	threads                   []*thread
+	finished                  int
+	resumes, played, switches int64 // see Resumes
+	open                      bool  // pq's root slot is empty: see pop
+	fault                     any   // what a timer raised in a thread's stop
 
 	// What the heap no longer shows Charge's preemption test, now that most
 	// threads waiting for a busy core are not in it (simCore). Were they, a
@@ -147,14 +149,12 @@ type event struct {
 // across pushes once grown).
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) peekTime() int64 { return h[0].at }
 
 func (h eventHeap) siftUp(i int) {
 	for i > 0 {
@@ -196,20 +196,45 @@ func (s *Sim) push(e event) {
 }
 
 func (s *Sim) pushKeepSeq(e event) {
+	if s.open {
+		s.open = false
+		s.pq[0] = e
+		s.pq.siftDown(0)
+		return
+	}
 	s.pq = append(s.pq, e)
 	s.pq.siftUp(len(s.pq) - 1)
 }
 
+// pop takes the earliest event and leaves its slot open while others are
+// left: the next push sifts into it from the top, one sift where a pop and a
+// push took two. A pop that finds the slot open closes it with the last one.
 func (s *Sim) pop() event {
+	h := s.pq
+	if s.open {
+		n := len(h) - 1
+		s.pq = h[:n]
+		s.pushKeepSeq(h[n])
+		h[n] = event{} // drop the fn reference so closures are collectable
+	}
 	e := s.pq[0]
-	n := len(s.pq) - 1
-	s.pq[0] = s.pq[n]
-	s.pq[n] = event{} // drop the fn reference so closures are collectable
-	s.pq = s.pq[:n]
-	if n > 0 {
-		s.pq.siftDown(0)
+	s.pq[0] = event{}
+	if s.open = len(s.pq) > 1; !s.open {
+		s.pq = s.pq[:0]
 	}
 	return e
+}
+
+// first is the index of the earliest event, if any (below len(s.pq)): the
+// root, or while it is open, one of its children.
+func (s *Sim) first() int {
+	if !s.open {
+		return 0
+	}
+	if len(s.pq) > 2 && s.pq.less(2, 1) {
+		return 2
+	}
+	return 1
 }
 
 // NewSim creates a fresh simulator.
@@ -232,11 +257,13 @@ func (s *Sim) HostOrdinal() uint64 {
 // executing (or after it returns, as the final time).
 func (s *Sim) Now() int64 { return s.now }
 
-// Resumes is how many times Run has switched to a thread, Played how many
+// Resumes is how many times Run has resumed a thread, Played how many
 // stops of spinning threads it has handled itself (Context.Spin). Their sum
 // is the run's thread events: without Spin, every one of them a resume.
-func (s *Sim) Resumes() int64 { return s.resumes }
-func (s *Sim) Played() int64  { return s.played }
+// Switches is how many resumes switched carriers (thread.stop has the rest).
+func (s *Sim) Resumes() int64  { return s.resumes }
+func (s *Sim) Played() int64   { return s.played }
+func (s *Sim) Switches() int64 { return s.switches }
 
 func (s *Sim) core(id CoreID) *simCore {
 	c, ok := s.cores[id]
@@ -292,14 +319,14 @@ func (s *Sim) spawn(core CoreID, name string, fn func(Context)) Thread {
 }
 
 // A carrier is a coroutine that runs thread bodies one after another: Run
-// switches to it with next, and the body switches back with yield whenever
-// the thread stops (iter.Pull's coroswitch: a direct hand-off between the
-// two goroutines that never touches the run queue). Between bodies the
-// carrier sits in yield with nothing on it.
+// switches to it with next, and the body switches back with yield, naming
+// the thread to run next, when another thread is to run (iter.Pull's
+// coroswitch: a direct hand-off between the two goroutines that never
+// touches the run queue). Between bodies the carrier sits in yield(nil).
 type carrier struct {
-	next  func() (struct{}, bool)
+	next  func() (*thread, bool)
 	stop  func()
-	yield func(struct{}) bool
+	yield func(*thread) bool
 	t     *thread // the body to run at the next switch from idle
 }
 
@@ -346,12 +373,12 @@ func putCarrier(c *carrier) {
 	}
 }
 
-func (c *carrier) loop(yield func(struct{}) bool) {
+func (c *carrier) loop(yield func(*thread) bool) {
 	c.yield = yield
 	for {
 		c.run(c.t)
 		c.t = nil
-		if !yield(struct{}{}) {
+		if !yield(nil) {
 			return
 		}
 	}
@@ -380,19 +407,41 @@ func (c *carrier) run(t *thread) {
 	t.joiners = nil
 }
 
-// stop hands control back to Run and blocks until resumed.
+// stop ends t's slot and runs the loop on t's carrier: t goes on at once if
+// the next resume is its own, or yields to Run naming the thread to resume.
 func (t *thread) stop(state int) {
+	s := t.sim
+	if s.killed {
+		panic(simKilled{}) // a deferred call of a thread being torn down
+	}
 	t.state = state
-	t.co.yield(struct{}{})
-	if t.sim.killed {
+	s.running = nil
+	s.settle(t)
+	ok := false
+	defer func() {
+		if !ok { // a timer in next panicked, or called runtime.Goexit:
+			s.killed = true // t unwinds as in a teardown, running no loop,
+			if s.fault = recover(); s.fault != nil {
+				panic(simKilled{}) // and Run raises the timer's value
+			}
+		}
+	}()
+	n := s.next()
+	ok = true
+	if n == t {
+		t.state, s.running = stRunning, t
+		return
+	}
+	t.co.yield(n)
+	if s.killed {
 		panic(simKilled{})
 	}
 }
 
-// resume switches to t and returns when it stops or finishes. A thread
-// gets its carrier here, at its first resume, and gives it back when its
-// body has returned.
-func (s *Sim) resume(t *thread) {
+// resume switches to t and returns when it stops, with the thread to resume
+// next, or finishes. A thread gets its carrier here, at its first resume,
+// and gives it back when its body has returned.
+func (s *Sim) resume(t *thread) *thread {
 	c := t.co
 	if c == nil {
 		c = getCarrier()
@@ -400,13 +449,14 @@ func (s *Sim) resume(t *thread) {
 	}
 	t.state = stRunning
 	s.running = t
-	c.next()
+	n, _ := c.next()
 	s.running = nil
 	if t.state == stDone {
 		t.co = nil
 		s.finished++
 		putCarrier(c)
 	}
+	return n
 }
 
 // wake moves a parked thread to ready at the given time.
@@ -427,10 +477,30 @@ func (s *Sim) wake(t *thread, at int64) {
 // in a thread body or timer callback surfaces here with its original value.
 // A Sim may be Run again: threads spawned since run on the world as the
 // last Run left it.
+// The loop (next) runs here at the start and after a thread has finished,
+// and after a stop on the stopped thread's carrier (thread.stop).
 func (s *Sim) Run() int64 {
-	s.killed = false
+	s.killed, s.fault = false, nil
 	defer s.teardown()
-	for s.pq.Len() > 0 {
+	for t := s.next(); t != nil; {
+		s.switches++
+		n := s.resume(t)
+		if s.fault != nil {
+			panic(s.fault)
+		}
+		if t.state == stDone {
+			s.settle(t)
+			n = s.next()
+		}
+		t = n
+	}
+	return s.now
+}
+
+// next handles events until one resumes a thread and returns that thread,
+// or nil when no event is left.
+func (s *Sim) next() *thread {
+	for len(s.pq) > 0 {
 		e := s.pop()
 		s.advance(e.at)
 		if e.fn != nil {
@@ -458,7 +528,7 @@ func (s *Sim) Run() int64 {
 			}
 			// The core's first waiter, or one that runs before the stand-in
 			// (a sleeper kept an old seq): the heap orders the two.
-			if h := s.pq; len(h) > 0 && (h[0].at < e.at || h[0].at == e.at && h[0].seq < e.seq) {
+			if h, i := s.pq, s.first(); i < len(h) && (h[i].at < e.at || h[i].at == e.at && h[i].seq < e.seq) {
 				if !c.standin {
 					c.standin, c.standinSeq = true, e.seq
 				}
@@ -469,33 +539,33 @@ func (s *Sim) Run() int64 {
 			// would be the identity, so carry on with it at its new time.
 			s.advance(e.at)
 		}
-		if e.at > t.vt {
-			t.vt = e.at
-		}
+		t.vt = max(t.vt, e.at)
 		s.hidden = e.at == s.lagAt && e.seq < s.lagSeq
-		if t.spin.idle != nil && s.playSpin(t) {
-			s.played++
-		} else {
-			s.resumes++
-			s.resume(t)
-		}
-		if c.busyUntil < t.vt {
-			c.busyUntil = t.vt
-		}
-		if t.vt > s.now {
-			s.now = t.vt
-		}
 		if n := len(c.waiters); n > 0 {
 			// With every waiter in the heap, these would stay at the time
-			// this slot began until the heap got to them, one by one.
+			// this slot began until the heap got to them, one by one. (No
+			// waiter comes or goes during a slot.)
 			if e.at > s.lagAt {
 				s.lagAt, s.lagSeq = e.at, 0
 			}
 			s.lagSeq = max(s.lagSeq, c.waiters[n-1].seq)
-			s.promote(c)
 		}
+		if t.spin.idle == nil || !s.playSpin(t) {
+			s.resumes++
+			return t
+		}
+		s.played++
+		s.settle(t)
 	}
-	return s.now
+	return nil
+}
+
+// settle ends a slot of t's: its core and the clock move up to its time.
+func (s *Sim) settle(t *thread) {
+	c := t.core
+	c.busyUntil = max(c.busyUntil, t.vt)
+	s.now = max(s.now, t.vt)
+	s.promote(c)
 }
 
 // advance moves the global clock to the time of the event being handled.
@@ -518,7 +588,7 @@ func (s *Sim) charge(t *thread, d int64) bool {
 		return false
 	}
 	t.vt += d
-	if s.hidden || s.pq.Len() > 0 && s.pq.peekTime() < t.vt {
+	if i := s.first(); s.hidden || i < len(s.pq) && s.pq[i].at < t.vt {
 		s.push(event{at: t.vt, th: t})
 		return true
 	}
