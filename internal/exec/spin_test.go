@@ -31,99 +31,221 @@ func (u *untilIdler) Idle(now int64) bool {
 	return !u.flag && (u.deadline == 0 || now < u.deadline)
 }
 
-// spinScenario: two spinners sharing core 0 (with a third thread that
-// yields plainly between them), one on a core of its own with post > 0, one
-// that runs out of max, one that waits on a deadline only, a worker whose
-// charges of uneven length cross their poll instants (so spinners are
-// preempted inside Charge(pre) and Charge(post), and displaced from the
-// shared core), timers that flip each predicate, and one spinner still
-// spinning when a panic tears Run down. Every return from a spin is logged
-// with the thread's clock and the count.
-func spinScenario(spinFn func(Context, int64, int64, int, Idler) int) (log []string, end int64, recovered any) {
-	s := NewSim(SimConfig{})
+// spinFunc is Context.Spin or spinRef.
+type spinFunc func(Context, int64, int64, int, Idler) int
+
+// A spinCase builds one scenario on s: its threads spin through spin and log
+// every return from a spin with note.
+type spinCase struct {
+	name  string
+	cfg   SimConfig
+	build func(s *Sim, spin spinFunc, note func(Context, string, int))
+}
+
+// spinCases: the first mixes everything; the others are the edges of a run
+// of idle stops with nothing else due (two spinners alternating on one core
+// in 20 ns slots, as a ping-pong's two ends do): a timer landing in it, a
+// deadline turning one predicate false in it, max running out in it, a
+// third spinner and a plain thread coming to wait for the core, spinners on
+// two cores interleaving, and MaxVirtualTime passed in it.
+var spinCases = []spinCase{
+	// Two spinners sharing core 0 (with a third thread that yields plainly
+	// between them), one on a core of its own with post > 0, one that runs
+	// out of max, one that waits on a deadline only, a worker whose charges
+	// of uneven length cross their poll instants (so spinners are preempted
+	// inside Charge(pre) and Charge(post), and displaced from the shared
+	// core), timers that flip each predicate, and one spinner still spinning
+	// when a panic tears Run down.
+	{"mixed", SimConfig{}, func(s *Sim, spin spinFunc, note func(Context, string, int)) {
+		var a, b, own, dl, forever untilIdler
+		dl.deadline = 3333
+		s.SpawnOn(0, "a", func(ctx Context) {
+			for round := 0; round < 3; round++ {
+				a.flag = false
+				ctx.Charge(35)
+				note(ctx, "spun", spin(ctx, 35, 0, 1<<30, &a))
+			}
+		})
+		s.SpawnOn(0, "b", func(ctx Context) {
+			ctx.Charge(7)
+			note(ctx, "spun", spin(ctx, 13, 0, 1<<30, &b))
+			note(ctx, "again", spin(ctx, 13, 0, 0, &b)) // max 0: one Yield
+		})
+		s.SpawnOn(0, "mate", func(ctx Context) {
+			for i := 0; i < 40; i++ {
+				ctx.Charge(50)
+				ctx.Yield()
+			}
+			note(ctx, "done", 0)
+		})
+		s.Spawn("own", func(ctx Context) {
+			note(ctx, "spun", spin(ctx, 0, 45, 1<<30, &own))
+			own.flag = false
+			note(ctx, "both", spin(ctx, 17, 29, 1<<30, &own))
+		})
+		s.Spawn("bounded", func(ctx Context) {
+			for i := 0; i < 3; i++ {
+				ctx.Charge(35)
+				note(ctx, "bound", spin(ctx, 35, 0, 20, &forever))
+				ctx.Sleep(400)
+			}
+		})
+		s.Spawn("deadline", func(ctx Context) {
+			ctx.Charge(35)
+			note(ctx, "timed out", spin(ctx, 35, 0, 1<<30, &dl))
+		})
+		s.Spawn("worker", func(ctx Context) {
+			for i := int64(0); i < 60; i++ {
+				ctx.Charge(31 + 17*(i%5))
+				if i%7 == 3 {
+					ctx.Sleep(90)
+				}
+			}
+			note(ctx, "done", 0)
+		})
+		s.Spawn("doomed", func(ctx Context) {
+			ctx.Charge(35)
+			note(ctx, "unreachable", spin(ctx, 35, 0, 1<<30, &forever))
+		})
+		raise(s, map[int64]*bool{500: &a.flag, 1270: &b.flag, 1801: &a.flag, 2222: &own.flag, 2950: &a.flag, 4000: &own.flag})
+		s.AfterAt(6000, func() { panic("boom") })
+	}},
+	{"alternate", SimConfig{}, func(s *Sim, spin spinFunc, note func(Context, string, int)) {
+		a, b := pair(s, spin, note, 0)
+		raise(s, map[int64]*bool{1500: &a.flag, 1730: &b.flag})
+	}},
+	{"timer", SimConfig{}, func(s *Sim, spin spinFunc, note func(Context, string, int)) {
+		a, b := pair(s, spin, note, 0)
+		for _, at := range []int64{400, 401, 955, 955, 1177} {
+			s.AfterAt(at, func() { note(Context{}, "tick", int(s.Now())) })
+		}
+		raise(s, map[int64]*bool{1500: &a.flag, 1730: &b.flag})
+	}},
+	{"deadline", SimConfig{}, func(s *Sim, spin spinFunc, note func(Context, string, int)) {
+		a, b := pair(s, spin, note, 0)
+		a.deadline = 1111
+		raise(s, map[int64]*bool{1730: &b.flag})
+	}},
+	{"max", SimConfig{}, func(s *Sim, spin spinFunc, note func(Context, string, int)) {
+		var a, b untilIdler
+		s.SpawnOn(0, "a", func(ctx Context) {
+			ctx.Charge(35)
+			note(ctx, "bound", spin(ctx, 20, 0, 7, &a))
+			note(ctx, "bound", spin(ctx, 20, 0, 11, &a))
+			ctx.Charge(5)
+			note(ctx, "spun", spin(ctx, 20, 0, 1<<30, &a))
+		})
+		s.SpawnOn(0, "b", func(ctx Context) {
+			ctx.Charge(20)
+			note(ctx, "bound", spin(ctx, 20, 0, 13, &b))
+			note(ctx, "spun", spin(ctx, 20, 0, 1<<30, &b))
+		})
+		raise(s, map[int64]*bool{1500: &a.flag, 1730: &b.flag})
+	}},
+	{"third", SimConfig{}, func(s *Sim, spin spinFunc, note func(Context, string, int)) {
+		a, b := pair(s, spin, note, 0)
+		var c untilIdler
+		s.SpawnOn(0, "c", func(ctx Context) {
+			ctx.Sleep(600)
+			ctx.Charge(10)
+			note(ctx, "spun", spin(ctx, 20, 0, 1<<30, &c))
+		})
+		s.SpawnOn(0, "plain", func(ctx Context) {
+			ctx.Sleep(1010)
+			for i := 0; i < 5; i++ {
+				ctx.Charge(30)
+				ctx.Yield()
+			}
+			note(ctx, "done", 0)
+		})
+		raise(s, map[int64]*bool{1500: &a.flag, 1730: &b.flag, 1900: &c.flag})
+	}},
+	{"two cores", SimConfig{}, func(s *Sim, spin spinFunc, note func(Context, string, int)) {
+		a, b := pair(s, spin, note, 0)
+		var c, d untilIdler
+		s.SpawnOn(1, "c", func(ctx Context) {
+			ctx.Charge(3)
+			note(ctx, "spun", spin(ctx, 0, 30, 1<<30, &c))
+		})
+		s.SpawnOn(1, "d", func(ctx Context) {
+			ctx.Charge(11)
+			note(ctx, "spun", spin(ctx, 15, 10, 1<<30, &d))
+		})
+		raise(s, map[int64]*bool{1500: &a.flag, 1730: &b.flag, 1333: &c.flag, 1820: &d.flag})
+	}},
+	{"MaxVirtualTime", SimConfig{MaxVirtualTime: 1000}, func(s *Sim, spin spinFunc, note func(Context, string, int)) {
+		pair(s, spin, note, 0)
+	}},
+}
+
+// pair spawns two spinners on core, a and b, each idle until its flag.
+func pair(s *Sim, spin spinFunc, note func(Context, string, int), core CoreID) (a, b *untilIdler) {
+	a, b = new(untilIdler), new(untilIdler)
+	s.SpawnOn(core, "a", func(ctx Context) {
+		ctx.Charge(35)
+		note(ctx, "spun", spin(ctx, 20, 0, 1<<30, a))
+	})
+	s.SpawnOn(core, "b", func(ctx Context) {
+		ctx.Charge(20)
+		note(ctx, "spun", spin(ctx, 20, 0, 1<<30, b))
+	})
+	return a, b
+}
+
+// raise sets each flag by a timer at its time.
+func raise(s *Sim, flags map[int64]*bool) {
+	for at, f := range flags {
+		s.AfterAt(at, func() { *f = true })
+	}
+}
+
+// spinScenario runs c with spin, logging every return from a spin with the
+// thread's clock and the count, the panic Run raised, and the final time and
+// thread events.
+func spinScenario(c spinCase, spin spinFunc) (log []string, s *Sim) {
+	s = NewSim(c.cfg)
 	note := func(ctx Context, what string, n int) {
+		if ctx == (Context{}) {
+			log = append(log, fmt.Sprintf("%s %d", what, n))
+			return
+		}
 		log = append(log, fmt.Sprintf("%s %s n=%d at %d", ctx.Self().Name(), what, n, ctx.Now()))
 	}
-	var a, b, own, dl, forever untilIdler
-	dl.deadline = 3333
-	s.SpawnOn(0, "a", func(ctx Context) {
-		for round := 0; round < 3; round++ {
-			a.flag = false
-			ctx.Charge(35)
-			note(ctx, "spun", spinFn(ctx, 35, 0, 1<<30, &a))
-		}
-	})
-	s.SpawnOn(0, "b", func(ctx Context) {
-		ctx.Charge(7)
-		note(ctx, "spun", spinFn(ctx, 13, 0, 1<<30, &b))
-		note(ctx, "again", spinFn(ctx, 13, 0, 0, &b)) // max 0: one Yield
-	})
-	s.SpawnOn(0, "mate", func(ctx Context) {
-		for i := 0; i < 40; i++ {
-			ctx.Charge(50)
-			ctx.Yield()
-		}
-		note(ctx, "done", 0)
-	})
-	s.Spawn("own", func(ctx Context) {
-		note(ctx, "spun", spinFn(ctx, 0, 45, 1<<30, &own))
-		own.flag = false
-		note(ctx, "both", spinFn(ctx, 17, 29, 1<<30, &own))
-	})
-	s.Spawn("bounded", func(ctx Context) {
-		for i := 0; i < 3; i++ {
-			ctx.Charge(35)
-			note(ctx, "bound", spinFn(ctx, 35, 0, 20, &forever))
-			ctx.Sleep(400)
-		}
-	})
-	s.Spawn("deadline", func(ctx Context) {
-		ctx.Charge(35)
-		note(ctx, "timed out", spinFn(ctx, 35, 0, 1<<30, &dl))
-	})
-	s.Spawn("worker", func(ctx Context) {
-		for i := int64(0); i < 60; i++ {
-			ctx.Charge(31 + 17*(i%5))
-			if i%7 == 3 {
-				ctx.Sleep(90)
-			}
-		}
-		note(ctx, "done", 0)
-	})
-	s.Spawn("doomed", func(ctx Context) {
-		ctx.Charge(35)
-		note(ctx, "unreachable", spinFn(ctx, 35, 0, 1<<30, &forever))
-	})
-	for _, f := range []struct {
-		at   int64
-		flag *bool
-	}{{500, &a.flag}, {1270, &b.flag}, {1801, &a.flag}, {2222, &own.flag}, {2950, &a.flag}, {4000, &own.flag}} {
-		s.AfterAt(f.at, func() { *f.flag = true })
-	}
-	s.AfterAt(6000, func() { panic("boom") })
+	c.build(s, spin, note)
 	defer func() {
-		recovered = recover()
-		end = s.Now()
-		log = append(log, fmt.Sprintf("resumes+played %d", s.Resumes()+s.Played()))
+		log = append(log, fmt.Sprintf("raised %v, end %d, resumes+played %d", recover(), s.Now(), s.Resumes()+s.Played()))
 	}()
 	s.Run()
 	return
 }
 
+// spinCasesWant is each case's last line, recorded with the reference loop.
+var spinCasesWant = map[string]string{
+	"mixed":          "raised boom, end 6030, resumes+played 805",
+	"alternate":      "raised <nil>, end 1735, resumes+played 83",
+	"timer":          "raised <nil>, end 1735, resumes+played 83",
+	"deadline":       "raised <nil>, end 1735, resumes+played 73",
+	"max":            "raised <nil>, end 1760, resumes+played 88",
+	"third":          "raised <nil>, end 1935, resumes+played 98",
+	"two cores":      "raised <nil>, end 1839, resumes+played 180",
+	"MaxVirtualTime": "raised exec: virtual time 1015 exceeded bound 1000, end 1015, resumes+played 50",
+}
+
 func TestSpinMatchesReferenceLoop(t *testing.T) {
-	wantLog, wantEnd, wantPanic := spinScenario(spinRef)
-	gotLog, gotEnd, gotPanic := spinScenario(Context.Spin)
-	if wantPanic != "boom" || gotPanic != "boom" {
-		t.Fatalf("Run did not surface the timer's panic: ref %v, Spin %v", wantPanic, gotPanic)
-	}
-	if gotEnd != wantEnd {
-		t.Errorf("final time %d, reference loop %d", gotEnd, wantEnd)
-	}
-	if !reflect.DeepEqual(gotLog, wantLog) {
-		t.Errorf("Spin diverged from the reference loop\n got: %q\nwant: %q", gotLog, wantLog)
-	}
-	if len(wantLog) != 14 {
-		t.Errorf("scenario logged %d lines, want 14 (every spin but the doomed one returns): %q", len(wantLog), wantLog)
+	for _, c := range spinCases {
+		t.Run(c.name, func(t *testing.T) {
+			want, _ := spinScenario(c, spinRef)
+			got, _ := spinScenario(c, Context.Spin)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("Spin diverged from the reference loop\n got: %q\nwant: %q", got, want)
+			}
+			if last := want[len(want)-1]; last != spinCasesWant[c.name] {
+				t.Errorf("reference run ended with %q, recorded %q", last, spinCasesWant[c.name])
+			}
+			if c.name == "mixed" && len(want) != 14 {
+				t.Errorf("logged %d lines, want 14 (every spin but the doomed one returns): %q", len(want), want)
+			}
+		})
 	}
 }
 
