@@ -204,3 +204,35 @@ func (l *Libsd) CtlQueued() (n int) {
 	}
 	return n
 }
+
+// The control waits' periods, for sweeping a predicate across them.
+const CtlPingEvery, CtlDeadAfter, TokenAskAgain = ctlPingEvery, ctlDeadAfter, tokenAskAgain
+
+// Lib returns the library s belongs to.
+func (s *Socket) Lib() *Libsd { return s.lib }
+
+// WaitIdlers returns the predicate of every kind of wait, each armed at now
+// as its wait arms it, with deadline (0: none) for those that have one: a
+// receive on s, a send on s with its ring full, a zero-copy send short of a
+// pool slot, a takeover of s's receive token, a dial's two waits (for the
+// monitor's answer, then for the peer's ack on s), lst's Accept, and an
+// Epoll watching s for input.
+func (s *Socket) WaitIdlers(now, deadline int64, lst *Listener) map[string]exec.Idler {
+	l := s.lib
+	for s.side.TX.TrySend(0, 0, make([]byte, 64)) {
+	}
+	s.side.PoolWant = len(s.side.PoolFree) + 1
+	s.deadline = [2]int64{deadline, deadline}
+	s.side.Poller = [2]int64{s.Holder(DirRecv), s.Holder(DirSend)} // waits by the token holder
+	lst.bl, lst.deadline, lst.hint.epoch = l.backlogOf(lst.port, lst.t.TID), deadline, l.monEpoch.Load()
+	take := l.awaitCtl(&ctlmsg.Msg{Kind: ctlmsg.KTakeover}, EAGAIN)
+	take.sock, take.token, take.dir, take.every, take.held = s, true, DirRecv, tokenAskAgain, s.Holder(DirRecv)
+	dial := l.awaitCtl(&ctlmsg.Msg{Kind: ctlmsg.KConnect}, ETIMEDOUT)
+	dial.deadline, dial.sock = deadline, s
+	take.seen, dial.seen = l.ctlSeen, l.ctlSeen
+	return map[string]exec.Idler{
+		"recv": (*recvWaiter)(s), "send": (*sendWaiter)(s), "zc pool": (*zcWaiter)(s),
+		"takeover": take, "dial": dial, "dial ack": (*ackWaiter)(dial),
+		"accept": (*acceptWaiter)(lst), "epoll": (*epollWaiter)(&Epoll{lib: l, ifd: map[int]uint32{s.fd: EPOLLIN}}),
+	}
+}

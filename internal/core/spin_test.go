@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"errors"
+	"maps"
 	"runtime"
+	"slices"
 	"testing"
 
 	"socksdirect/internal/core"
@@ -19,14 +21,17 @@ import (
 
 // TestBlockedRecvResumes: an inter-host 8-byte round trip is ~2 µs of
 // simulated waiting, some 50 empty polls on each side. It cost 96 resumes
-// when every poll was one; it may cost 20. Of its 12 resumes, 10 follow a
-// stop of the same thread with only idle polls and timers between, so the
-// thread runs on without a switch: it may cost 4 switches, and cost 12
-// while every resume was one.
+// when every poll was one; it costs 12 and 84 played stops. Of its 12
+// resumes, 10 follow a stop of the same thread with only idle polls and
+// timers between, so the thread runs on without a switch: it may cost 4
+// switches, and cost 12 while every resume was one. It may cost 56 heap
+// pops: most of the played stops are runs of the two ends' polls with
+// nothing else due, accounted in one step each (112 pops while every stop
+// was one).
 func TestBlockedRecvResumes(t *testing.T) {
 	w := boundaryWorld(t)
 	const warm, ops = 20, 200
-	var resumes, played, switches int64
+	var resumes, played, switches, pops int64
 	connected(t, w, true, 7620,
 		func(ctx exec.Context, th *host.Thread, s *core.Socket) {
 			buf := make([]byte, 8)
@@ -42,7 +47,7 @@ func TestBlockedRecvResumes(t *testing.T) {
 			buf := make([]byte, 8)
 			for i := 0; i < warm+ops; i++ {
 				if i == warm {
-					resumes, played, switches = w.sim.Resumes(), w.sim.Played(), w.sim.Switches()
+					resumes, played, switches, pops = w.sim.Resumes(), w.sim.Played(), w.sim.Switches(), w.sim.Pops()
 				}
 				s.Send(ctx, th, buf)
 				if _, err := s.Recv(ctx, th, buf); err != nil {
@@ -51,18 +56,76 @@ func TestBlockedRecvResumes(t *testing.T) {
 				}
 			}
 			resumes, played, switches = w.sim.Resumes()-resumes, w.sim.Played()-played, w.sim.Switches()-switches
+			pops = w.sim.Pops() - pops
 		})
 	w.sim.Run()
-	t.Logf("per round trip: %.1f resumes, %.1f stops played by the scheduler, %.1f switches",
-		float64(resumes)/ops, float64(played)/ops, float64(switches)/ops)
-	if resumes > 20*ops {
-		t.Errorf("%d resumes for %d round trips, want at most 20 each", resumes, ops)
+	t.Logf("per round trip: %.1f resumes, %.1f stops played by the scheduler, %.1f switches, %.1f heap pops",
+		float64(resumes)/ops, float64(played)/ops, float64(switches)/ops, float64(pops)/ops)
+	// The schedule's thread events are the same however the scheduler
+	// accounts for them.
+	if resumes != blockedRecvResumes || played != blockedRecvPlayed {
+		t.Errorf("%d resumes and %d played stops for %d round trips, want %d and %d",
+			resumes, played, ops, blockedRecvResumes, blockedRecvPlayed)
 	}
 	if switches > 4*ops {
 		t.Errorf("%d carrier switches for %d round trips, want at most 4 each", switches, ops)
 	}
-	if played < 50*ops {
-		t.Errorf("the scheduler played %d stops for %d round trips: the receivers are not spinning through it", played, ops)
+	if pops > 56*ops {
+		t.Errorf("%d heap pops for %d round trips, want at most 56 each", pops, ops)
+	}
+}
+
+// The thread events of TestBlockedRecvResumes' 200 round trips, as on the
+// scheduler before windows: 12.0 resumes and 83.9 played stops each.
+const blockedRecvResumes, blockedRecvPlayed = 2397, 16782
+
+// TestIdlersAreMonotone: the scheduler asks a spinning wait's predicate once
+// for a run of its polls, at the time the run has to end by, and takes the
+// answer for every poll before it (exec.Idler). So in a world nothing else
+// changes, a predicate idle at some time must be idle at every earlier one.
+// Each wait's predicate is swept across every time its answer may turn at
+// (its deadline, the next ping and repeat, the monitor's silence limit) and
+// the instants either side, intra- and inter-host, with and without a
+// deadline.
+func TestIdlersAreMonotone(t *testing.T) {
+	for _, inter := range []bool{false, true} {
+		w := boundaryWorld(t)
+		connected(t, w, inter, 7630, nil, func(ctx exec.Context, th *host.Thread, s *core.Socket) {
+			lst, err := s.Lib().ListenOn(ctx, th, 7631)
+			if err != nil {
+				t.Errorf("listen: %v", err)
+				return
+			}
+			now := ctx.Now()
+			for _, deadline := range []int64{0, now + 50_000} {
+				var sweep []int64
+				for _, turn := range []int64{now, deadline, now + core.CtlPingEvery, now + core.TokenAskAgain, now + core.CtlDeadAfter} {
+					if turn != 0 {
+						sweep = append(sweep, turn-1, turn, turn+1)
+					}
+				}
+				slices.Sort(sweep)
+				idlers := s.WaitIdlers(now, deadline, lst)
+				for _, name := range slices.Sorted(maps.Keys(idlers)) {
+					idle, busySince := idlers[name], int64(-1)
+					if !idle.Idle(now) {
+						t.Errorf("inter %v, deadline %d: %s is not idle when armed, at %d", inter, deadline, name, now)
+					}
+					for _, at := range sweep {
+						switch is := idle.Idle(at); {
+						case !is && busySince < 0:
+							busySince = at
+						case is && busySince >= 0:
+							t.Errorf("inter %v, deadline %d: %s is idle at %d but not at %d", inter, deadline, name, at, busySince)
+						}
+					}
+					if deadline != 0 && name != "epoll" && idle.Idle(deadline) {
+						t.Errorf("inter %v: %s is idle at its deadline %d", inter, name, deadline)
+					}
+				}
+			}
+		})
+		w.sim.Run()
 	}
 }
 
@@ -80,21 +143,22 @@ func TestDialCycleResumes(t *testing.T) {
 	cp, cl := proc(t, w.a, "client", 1000)
 	sp.Spawn("srv", echoServer(t, sl, 7621))
 	const warm, cycles = 5, 100
-	var resumes, played, switches int64
+	var resumes, played, switches, pops int64
 	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
 		ctx.Sleep(10_000)
 		for i := 0; i < warm+cycles; i++ {
 			if i == warm {
-				resumes, played, switches = w.sim.Resumes(), w.sim.Played(), w.sim.Switches()
+				resumes, played, switches, pops = w.sim.Resumes(), w.sim.Played(), w.sim.Switches(), w.sim.Pops()
 			}
 			echoOnce(t, ctx, th, cl, "hostA", 7621)
 		}
 		resumes, played, switches = w.sim.Resumes()-resumes, w.sim.Played()-played, w.sim.Switches()-switches
+		pops = w.sim.Pops() - pops
 		sp.Signal(ctx, host.SIGKILL)
 	})
 	w.sim.Run()
-	t.Logf("%.1f resumes (%.1f switches) + %.1f played per dial-echo-close cycle",
-		float64(resumes)/cycles, float64(switches)/cycles, float64(played)/cycles)
+	t.Logf("%.1f resumes (%.1f switches) + %.1f played, %.1f heap pops per dial-echo-close cycle",
+		float64(resumes)/cycles, float64(switches)/cycles, float64(played)/cycles, float64(pops)/cycles)
 	if resumes > 30*cycles {
 		t.Errorf("%d resumes for %d cycles, want at most 30 each", resumes, cycles)
 	}

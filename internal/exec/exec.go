@@ -61,7 +61,7 @@ func (c Context) Charge(d int64) {
 	s := t.sim
 	// Preempt if some other event is due before our local clock: requeue
 	// ourselves so global time order stays causal.
-	if i := s.first(); s.hidden || i < len(s.pq) && s.pq[i].at < t.vt {
+	if s.hidden || s.peek().at < t.vt {
 		s.push(event{at: t.vt, th: t})
 		t.stop(stReady)
 	}
@@ -93,12 +93,15 @@ func (c Context) Yield() {
 //	}
 func (c Context) Spin(pre, post int64, max int, idle Idler) int {
 	t := c.t
-	t.spin = spin{idle: idle, pre: pre, post: post, max: max}
+	t.spin = spin{idle: idle, pre: charged(pre), post: charged(post), max: max}
 	t.sim.yield(t)
 	t.stop(stReady) // back when Run has played the spin to its end
 	t.spin.idle = nil
 	return t.spin.n
 }
+
+// charged is what Charge(d) adds to the thread's clock.
+func charged(d int64) int64 { return max(d, 0) }
 
 // Sleep blocks the calling thread for d nanoseconds without occupying the
 // core.
@@ -163,10 +166,14 @@ func (c Context) After(d int64, fn func()) {
 // threads, so it takes the time as an argument (a Clock read there is the
 // global clock, not the thread's) and must leave no trace: no Charge,
 // timer, Unpark, counter or lock-protected mutation; refreshing an
-// idempotent cache, as shm.Ring.CanRecv does, is fine. A false "not idle"
-// costs one real iteration. A false "idle" is a lost wake-up: the thread
-// sleeps on until max runs out. Implement it on a pointer type converted
-// from an object the loop already owns, so that Spin allocates nothing.
+// idempotent cache, as shm.Ring.CanRecv does, is fine. It must be monotone
+// in now: in the same world, idle at a time is idle at every earlier time
+// (time only brings deadlines and duties due). The scheduler asks once for
+// a run of polls with nothing else due, at the time the run ends by, and
+// takes the answer for every poll in it. A false "not idle" costs one real
+// iteration. A false "idle" is a lost wake-up: the thread sleeps on until
+// max runs out. Implement it on a pointer type converted from an object the
+// loop already owns, so that Spin allocates nothing.
 type Idler interface {
 	Idle(now int64) bool
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"iter"
+	"math"
 	"sync"
 )
 
@@ -39,11 +40,11 @@ type Sim struct {
 	// threads holds the unfinished threads in spawn order, which is the
 	// order Run tears down those still parked at the end. spawn drops the
 	// finished ones once they outnumber the rest.
-	threads                   []*thread
-	finished                  int
-	resumes, played, switches int64 // see Resumes
-	open                      bool  // pq's root slot is empty: see pop
-	fault                     any   // what a timer raised in a thread's stop
+	threads                         []*thread
+	finished                        int
+	resumes, played, switches, pops int64 // see Resumes
+	open                            bool  // pq's root slot is empty: see pop
+	fault                           any   // what a timer raised in a thread's stop
 
 	// What the heap no longer shows Charge's preemption test, now that most
 	// threads waiting for a busy core are not in it (simCore). Were they, a
@@ -69,6 +70,11 @@ type simCore struct {
 	standin    bool // a waiter's event is in the heap, with standinSeq
 	standinSeq uint64
 	waiters    []event // the others, by seq, all above standinSeq
+}
+
+// behind reports whether e, due while c is busy, waits behind the stand-in.
+func (c *simCore) behind(e event) bool {
+	return c.busyUntil > e.at && c.standin && c.standinSeq < e.seq
 }
 
 // wait queues e, displaced by a busy core, behind the stand-in.
@@ -149,12 +155,9 @@ type event struct {
 // across pushes once grown).
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
+func (h eventHeap) less(i, j int) bool { return h[i].before(h[j]) }
+
+func (e event) before(f event) bool { return e.at < f.at || e.at == f.at && e.seq < f.seq }
 
 func (h eventHeap) siftUp(i int) {
 	for i > 0 {
@@ -210,6 +213,7 @@ func (s *Sim) pushKeepSeq(e event) {
 // left: the next push sifts into it from the top, one sift where a pop and a
 // push took two. A pop that finds the slot open closes it with the last one.
 func (s *Sim) pop() event {
+	s.pops++
 	h := s.pq
 	if s.open {
 		n := len(h) - 1
@@ -225,17 +229,22 @@ func (s *Sim) pop() event {
 	return e
 }
 
-// first is the index of the earliest event, if any (below len(s.pq)): the
-// root, or while it is open, one of its children.
-func (s *Sim) first() int {
-	if !s.open {
-		return 0
+// peek is the earliest event (the root, or while it is open, one of its
+// children), or when there is none, one after every other.
+func (s *Sim) peek() event {
+	switch {
+	case !s.open && len(s.pq) > 0:
+		return s.pq[0]
+	case !s.open:
+		return never
+	case len(s.pq) > 2 && s.pq.less(2, 1):
+		return s.pq[2]
 	}
-	if len(s.pq) > 2 && s.pq.less(2, 1) {
-		return 2
-	}
-	return 1
+	return s.pq[1]
 }
+
+// never is after every event.
+var never = event{at: math.MaxInt64, seq: math.MaxUint64}
 
 // NewSim creates a fresh simulator.
 func NewSim(cfg SimConfig) *Sim {
@@ -260,10 +269,12 @@ func (s *Sim) Now() int64 { return s.now }
 // Resumes is how many times Run has resumed a thread, Played how many
 // stops of spinning threads it has handled itself (Context.Spin). Their sum
 // is the run's thread events: without Spin, every one of them a resume.
-// Switches is how many resumes switched carriers (thread.stop has the rest).
+// Switches is how many resumes switched carriers (thread.stop has the rest),
+// Pops how many events were taken off the event heap.
 func (s *Sim) Resumes() int64  { return s.resumes }
 func (s *Sim) Played() int64   { return s.played }
 func (s *Sim) Switches() int64 { return s.switches }
+func (s *Sim) Pops() int64     { return s.pops }
 
 func (s *Sim) core(id CoreID) *simCore {
 	c, ok := s.cores[id]
@@ -528,7 +539,7 @@ func (s *Sim) next() *thread {
 			}
 			// The core's first waiter, or one that runs before the stand-in
 			// (a sleeper kept an old seq): the heap orders the two.
-			if h, i := s.pq, s.first(); i < len(h) && (h[i].at < e.at || h[i].at == e.at && h[i].seq < e.seq) {
+			if s.peek().before(e) {
 				if !c.standin {
 					c.standin, c.standinSeq = true, e.seq
 				}
@@ -550,14 +561,145 @@ func (s *Sim) next() *thread {
 			}
 			s.lagSeq = max(s.lagSeq, c.waiters[n-1].seq)
 		}
-		if t.spin.idle == nil || !s.playSpin(t) {
+		if t.spin.idle == nil || !s.playSpin(t, s.peek(), false) {
 			s.resumes++
 			return t
 		}
+		s.push(event{at: t.vt, th: t})
 		s.played++
 		s.settle(t)
+		if f := s.peek(); f.th != nil && f.th.spin.idle != nil {
+			s.window()
+		}
 	}
 	return nil
+}
+
+// window accounts for the stops of idle spinners due before the next other
+// event E (a timer, a thread that is not spinning or will wait for its core,
+// a time past MaxVirtualTime) without the heap: next's steps, made on the
+// participants' events held here in order. Their predicates are asked once,
+// at E's time: true there is true at every check before it (Idler). A
+// stretch after which every participant, its core and the clock are as they
+// were, dt later and dq further in seq, repeats until E or a max, and is
+// added in whole cycles. The window ends before anything else (a core
+// waiter, a max, a false check): that stop is next's. The events are
+// written back to their heap slots.
+func (s *Sim) window() {
+	var ps [5]event   // the participants' events in order, then E
+	var ix, cs [5]int // their heap slots; the slots below those, where the next is
+	k, nc := 0, 1
+	for ; ; k++ {
+		b := -1
+		for i, c := range cs[:nc] {
+			if c < len(s.pq) && !s.open && (b < 0 || s.pq[c].before(s.pq[cs[b]])) {
+				b = i
+			}
+		}
+		if ps[k] = never; b >= 0 {
+			ps[k] = s.pq[cs[b]]
+		}
+		if t := ps[k].th; k == 4 || t == nil || t.spin.idle == nil || len(t.core.waiters) > 0 || t.core.behind(ps[k]) {
+			break // not a spinner's stop, or one that will wait for its core
+		}
+		ix[k], cs[b], cs[nc] = cs[b], 2*cs[b]+1, 2*cs[b]+2
+		nc++
+	}
+	if s.cfg.MaxVirtualTime > 0 && s.cfg.MaxVirtualTime < ps[k].at {
+		ps[k] = event{at: s.cfg.MaxVirtualTime + 1}
+	}
+	if ps[k].at-ps[0].at < 4*DefaultYieldCost {
+		return // too few stops before E to pay for the predicates
+	}
+	end, idle := ps[k], true
+	for _, e := range ps[:k] {
+		idle = idle && e.th.spin.idle.Idle(end.at)
+	}
+	var m0 [4]mark // where a cycle may begin
+	now0, seq0, played0 := s.now, s.seq, s.played
+	for left := 1; ps[0].before(end); left-- {
+		if left == 0 {
+			for i, e := range ps[:k] {
+				m, t, c := &m0[i], e.th, e.th.core
+				m.at, m.seq, m.th, m.vt, m.n, m.phase = e.at, e.seq, t, t.vt, t.spin.n, t.spin.at
+				m.busy, m.standin, m.standinSeq = c.busyUntil, c.standin, c.standinSeq
+			}
+			now0, seq0, played0, left = s.now, s.seq, s.played, 4*k
+		}
+		e, f, t := ps[0], ps[1], ps[0].th
+		if end.before(f) {
+			f = end // f: the earliest other event
+		}
+		c := t.core
+		if s.advance(e.at); c.standin && e.seq == c.standinSeq {
+			c.standin = false
+		}
+		if c.behind(e) {
+			break // it would wait in the core's list
+		}
+		if e.at = max(e.at, c.busyUntil); f.before(e) { // displaced behind another
+			if !c.standin {
+				c.standin, c.standinSeq = true, e.seq
+			}
+		} else {
+			t.vt, s.hidden = max(t.vt, e.at), e.at == s.lagAt && e.seq < s.lagSeq
+			if !s.playSpin(t, f, idle) {
+				break
+			}
+			e, s.seq, s.played = event{at: t.vt, seq: s.seq, th: t}, s.seq+1, s.played+1
+			c.busyUntil, s.now = max(c.busyUntil, t.vt), max(s.now, t.vt) // settle: no waiter to promote
+		}
+		i := 0
+		for ; i+1 < k && ps[i+1].before(e); i++ {
+			ps[i] = ps[i+1]
+		}
+		ps[i] = e
+		dt, dq := s.now-now0, s.seq-seq0
+		for i = 0; i < k && idle && dt > 0 && m0[i].moved(ps[i], dt, dq, s.lagAt); i++ {
+		}
+		if i < k {
+			continue
+		}
+		n := (end.at - 1 - s.now) / dt // cycles that stay before E
+		for _, m := range m0[:k] {
+			n = min(n, int64((m.th.spin.max-1-m.th.spin.n)/(m.th.spin.n-m.n))) // n < max at every check
+		}
+		for i := 0; i < k && n > 0; i++ {
+			e, m := &ps[i], &m0[i]
+			t, c := e.th, e.th.core
+			t.vt, t.spin.n, e.at, e.seq = t.vt+n*dt, t.spin.n+int(n)*(t.spin.n-m.n), e.at+n*dt, e.seq+uint64(n)*dq
+			c.busyUntil, c.standinSeq = m.busy+(n+1)*dt, m.standinSeq+uint64(n+1)*dq
+		}
+		if n > 0 {
+			s.now, s.seq, s.played = s.now+n*dt, s.seq+uint64(n)*dq, s.played+n*(s.played-played0)
+		}
+	}
+	for j := k - 1; j >= 0; j-- { // a slot after those below it
+		for _, e := range ps[:k] {
+			if e.th == s.pq[ix[j]].th {
+				s.pq[ix[j]] = e
+			}
+		}
+		s.pq.siftDown(ix[j])
+	}
+}
+
+// A mark is a participant of a window where a cycle may begin.
+type mark struct {
+	at, vt, busy    int64  // its event's time, its clock, its core's busyUntil
+	seq, standinSeq uint64 // its event's seq, its core's stand-in's
+	n               int
+	th              *thread
+	phase           uint8
+	standin         bool
+}
+
+// moved reports whether e's thread, its core and e are m's, dt later and dq
+// further, with e past the lag watermark.
+func (m *mark) moved(e event, dt int64, dq uint64, lagAt int64) bool {
+	t, c := e.th, e.th.core
+	return t == m.th && e.at-m.at == dt && e.seq-m.seq == dq && t.vt-m.vt == dt && t.spin.at == m.phase && e.at > lagAt &&
+		c.busyUntil-m.busy == dt && c.standin == m.standin && (!c.standin || c.standinSeq-m.standinSeq == dq)
 }
 
 // settle ends a slot of t's: its core and the clock move up to its time.
@@ -581,20 +723,6 @@ func (s *Sim) overrun() {
 	panic(fmt.Sprintf("exec: virtual time %d exceeded bound %d", s.now, s.cfg.MaxVirtualTime))
 }
 
-// charge is Charge (which is written out: it is the hottest call in the
-// repository) up to the stop, reporting whether t has to stop.
-func (s *Sim) charge(t *thread, d int64) bool {
-	if d <= 0 {
-		return false
-	}
-	t.vt += d
-	if i := s.first(); s.hidden || i < len(s.pq) && s.pq[i].at < t.vt {
-		s.push(event{at: t.vt, th: t})
-		return true
-	}
-	return false
-}
-
 // yield is Yield up to the stop.
 func (s *Sim) yield(t *thread) {
 	t.vt += DefaultYieldCost
@@ -602,29 +730,27 @@ func (s *Sim) yield(t *thread) {
 }
 
 // playSpin takes a spinning thread from the stop its event was popped for to
-// its next one: the charges, preemption tests and pushes the loop of the Spin
-// contract would make, made in Run. It reports false when the spin is over
-// and the thread has to be resumed to return from it.
-func (s *Sim) playSpin(t *thread) bool {
+// its next one, f being the earliest other event: the charges and preemption
+// tests of the loop of the Spin contract, and its Yield. It reports false
+// when the spin is over and the thread has to be resumed to return from it;
+// idle: its check is known to find it idle.
+func (s *Sim) playSpin(t *thread, f event, idle bool) bool {
 	sp := &t.spin
 	if sp.at == spinPost {
-		sp.at = spinCheck
-		if s.charge(t, sp.post) {
+		if sp.at, t.vt = spinCheck, t.vt+sp.post; sp.post > 0 && (s.hidden || f.at < t.vt) {
 			return true
 		}
 	}
 	if sp.at == spinCheck {
-		if sp.n == sp.max || !sp.idle.Idle(t.vt) {
+		if sp.n == sp.max || !idle && !sp.idle.Idle(t.vt) {
 			return false
 		}
-		sp.at = spinYield
-		if s.charge(t, sp.pre) {
+		if sp.at, t.vt = spinYield, t.vt+sp.pre; sp.pre > 0 && (s.hidden || f.at < t.vt) {
 			return true
 		}
 	}
 	sp.n++
-	sp.at = spinPost
-	s.yield(t)
+	sp.at, t.vt = spinPost, t.vt+DefaultYieldCost
 	return true
 }
 

@@ -234,13 +234,17 @@ var spinCasesWant = map[string]string{
 func TestSpinMatchesReferenceLoop(t *testing.T) {
 	for _, c := range spinCases {
 		t.Run(c.name, func(t *testing.T) {
-			want, _ := spinScenario(c, spinRef)
-			got, _ := spinScenario(c, Context.Spin)
+			want, ref := spinScenario(c, spinRef)
+			got, s := spinScenario(c, Context.Spin)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("Spin diverged from the reference loop\n got: %q\nwant: %q", got, want)
 			}
 			if last := want[len(want)-1]; last != spinCasesWant[c.name] {
 				t.Errorf("reference run ended with %q, recorded %q", last, spinCasesWant[c.name])
+			}
+			// The two make the same events; a window takes stops off the heap.
+			if s.Pops() >= ref.Pops() {
+				t.Errorf("%d heap pops, as many as the reference loop's %d: no window opened", s.Pops(), ref.Pops())
 			}
 			if c.name == "mixed" && len(want) != 14 {
 				t.Errorf("logged %d lines, want 14 (every spin but the doomed one returns): %q", len(want), want)
