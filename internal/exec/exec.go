@@ -93,15 +93,12 @@ func (c Context) Yield() {
 //	}
 func (c Context) Spin(pre, post int64, max int, idle Idler) int {
 	t := c.t
-	t.spin = spin{idle: idle, pre: charged(pre), post: charged(post), max: max}
+	t.spin = spin{idle: idle, pre: pre, post: post, max: max}
 	t.sim.yield(t)
 	t.stop(stReady) // back when Run has played the spin to its end
 	t.spin.idle = nil
 	return t.spin.n
 }
-
-// charged is what Charge(d) adds to the thread's clock.
-func charged(d int64) int64 { return max(d, 0) }
 
 // Sleep blocks the calling thread for d nanoseconds without occupying the
 // core.

@@ -57,6 +57,17 @@ type Sim struct {
 	hidden bool
 	lagAt  int64
 	lagSeq uint64
+
+	cyc cycle // see window
+}
+
+// A cycle is a mark where a window's stops may repeat (its k participants,
+// the clock, seq and played count) and once seen, one cycle's move (dp > 0).
+type cycle struct {
+	m                   [4]mark
+	k                   int
+	now, played, dt, dp int64
+	seq, dq             uint64
 }
 
 // simCore is one simulated core. A thread whose event comes due while the
@@ -70,11 +81,6 @@ type simCore struct {
 	standin    bool // a waiter's event is in the heap, with standinSeq
 	standinSeq uint64
 	waiters    []event // the others, by seq, all above standinSeq
-}
-
-// behind reports whether e, due while c is busy, waits behind the stand-in.
-func (c *simCore) behind(e event) bool {
-	return c.busyUntil > e.at && c.standin && c.standinSeq < e.seq
 }
 
 // wait queues e, displaced by a busy core, behind the stand-in.
@@ -561,7 +567,7 @@ func (s *Sim) next() *thread {
 			}
 			s.lagSeq = max(s.lagSeq, c.waiters[n-1].seq)
 		}
-		if t.spin.idle == nil || !s.playSpin(t, s.peek(), false) {
+		if t.spin.idle == nil || !s.playSpin(t, s.peek().at, false) {
 			s.resumes++
 			return t
 		}
@@ -575,31 +581,32 @@ func (s *Sim) next() *thread {
 	return nil
 }
 
-// window accounts for the stops of idle spinners due before the next other
-// event E (a timer, a thread that is not spinning or will wait for its core,
-// a time past MaxVirtualTime) without the heap: next's steps, made on the
-// participants' events held here in order. Their predicates are asked once,
-// at E's time: true there is true at every check before it (Idler). A
-// stretch after which every participant, its core and the clock are as they
-// were, dt later and dq further in seq, repeats until E or a max, and is
-// added in whole cycles. The window ends before anything else (a core
-// waiter, a max, a false check): that stop is next's. The events are
-// written back to their heap slots.
+// window makes, off the heap, the stops of idle spinners due before the next
+// other event E (a timer, a thread that is not spinning or will wait for its
+// core, a time past MaxVirtualTime): next's steps on the participants' events
+// held here in order. Their predicates are asked once, at E's time (Idler).
+// Once the participants, their cores and the clock are as at a mark (s.cyc),
+// dt later and dq further in seq, whole cycles are added at once, here or in
+// a later window that matches the mark. Anything else (a core waiter, a max,
+// a false check) ends the window before that stop, which next makes. The
+// events go back to their heap slots. next calls it after a push, so the
+// heap's root is its earliest event.
 func (s *Sim) window() {
 	var ps [5]event   // the participants' events in order, then E
 	var ix, cs [5]int // their heap slots; the slots below those, where the next is
-	k, nc := 0, 1
+	h, k, nc := s.pq, 0, 1
 	for ; ; k++ {
 		b := -1
 		for i, c := range cs[:nc] {
-			if c < len(s.pq) && !s.open && (b < 0 || s.pq[c].before(s.pq[cs[b]])) {
+			if c < len(h) && (b < 0 || h[c].before(h[cs[b]])) {
 				b = i
 			}
 		}
 		if ps[k] = never; b >= 0 {
-			ps[k] = s.pq[cs[b]]
+			ps[k] = h[cs[b]]
 		}
-		if t := ps[k].th; k == 4 || t == nil || t.spin.idle == nil || len(t.core.waiters) > 0 || t.core.behind(ps[k]) {
+		if t := ps[k].th; k == 4 || t == nil || t.spin.idle == nil || len(t.core.waiters) > 0 || t.core.busyUntil > ps[k].at &&
+			t.core.standin && t.core.standinSeq < ps[k].seq {
 			break // not a spinner's stop, or one that will wait for its core
 		}
 		ix[k], cs[b], cs[nc] = cs[b], 2*cs[b]+1, 2*cs[b]+2
@@ -615,26 +622,29 @@ func (s *Sim) window() {
 	for _, e := range ps[:k] {
 		idle = idle && e.th.spin.idle.Idle(end.at)
 	}
-	var m0 [4]mark // where a cycle may begin
-	now0, seq0, played0 := s.now, s.seq, s.played
-	for left := 1; ps[0].before(end); left-- {
+	cy, left := &s.cyc, 1
+	if cy.dp == 0 {
+		cy.k = 0 // a mark is only learnt from in its own window
+	} else if cy.k == k {
+		left = 4*k + 1
+	}
+	for ; ps[0].before(end); left-- {
 		if left == 0 {
 			for i, e := range ps[:k] {
-				m, t, c := &m0[i], e.th, e.th.core
-				m.at, m.seq, m.th, m.vt, m.n, m.phase = e.at, e.seq, t, t.vt, t.spin.n, t.spin.at
-				m.busy, m.standin, m.standinSeq = c.busyUntil, c.standin, c.standinSeq
+				m := &cy.m[i]
+				m.e, m.vt, m.sp, m.c = e, e.th.vt, e.th.spin, *e.th.core
 			}
-			now0, seq0, played0, left = s.now, s.seq, s.played, 4*k
+			cy.k, cy.now, cy.seq, cy.played, cy.dp, left = k, s.now, s.seq, s.played, 0, 4*k
 		}
-		e, f, t := ps[0], ps[1], ps[0].th
-		if end.before(f) {
-			f = end // f: the earliest other event
+		e, f, t := ps[0], &ps[1], ps[0].th
+		if end.before(*f) {
+			f = &end // f: the earliest other event
 		}
 		c := t.core
 		if s.advance(e.at); c.standin && e.seq == c.standinSeq {
 			c.standin = false
 		}
-		if c.behind(e) {
+		if c.busyUntil > e.at && c.standin && c.standinSeq < e.seq {
 			break // it would wait in the core's list
 		}
 		if e.at = max(e.at, c.busyUntil); f.before(e) { // displaced behind another
@@ -643,35 +653,42 @@ func (s *Sim) window() {
 			}
 		} else {
 			t.vt, s.hidden = max(t.vt, e.at), e.at == s.lagAt && e.seq < s.lagSeq
-			if !s.playSpin(t, f, idle) {
+			if !s.playSpin(t, f.at, idle) {
 				break
 			}
-			e, s.seq, s.played = event{at: t.vt, seq: s.seq, th: t}, s.seq+1, s.played+1
+			e.at, e.seq, s.seq, s.played = t.vt, s.seq, s.seq+1, s.played+1
 			c.busyUntil, s.now = max(c.busyUntil, t.vt), max(s.now, t.vt) // settle: no waiter to promote
 		}
 		i := 0
 		for ; i+1 < k && ps[i+1].before(e); i++ {
 			ps[i] = ps[i+1]
 		}
-		ps[i] = e
-		dt, dq := s.now-now0, s.seq-seq0
-		for i = 0; i < k && idle && dt > 0 && m0[i].moved(ps[i], dt, dq, s.lagAt); i++ {
+		ps[i].at, ps[i].seq, ps[i].th = e.at, e.seq, t
+		dt, dq := s.now-cy.now, s.seq-cy.seq
+		for i = 0; i < k && cy.k == k && idle && dt > 0 && s.now < end.at && cy.m[i].moved(ps[i], dt, dq, s.lagAt); i++ {
 		}
 		if i < k {
 			continue
 		}
-		n := (end.at - 1 - s.now) / dt // cycles that stay before E
-		for _, m := range m0[:k] {
-			n = min(n, int64((m.th.spin.max-1-m.th.spin.n)/(m.th.spin.n-m.n))) // n < max at every check
+		if cy.dp == 0 { // the first time round
+			cy.dt, cy.dq, cy.dp = dt, dq, s.played-cy.played
+			for i := range cy.m[:k] {
+				cy.m[i].dn = ps[i].th.spin.n - cy.m[i].sp.n
+			}
+		}
+		n := (end.at - 1 - s.now) / cy.dt // cycles that stay before E
+		for i := range cy.m[:k] {
+			sp := &ps[i].th.spin
+			n = min(n, int64((sp.max-1-sp.n)/cy.m[i].dn)) // n < max at every check
 		}
 		for i := 0; i < k && n > 0; i++ {
-			e, m := &ps[i], &m0[i]
+			e, m := &ps[i], &cy.m[i]
 			t, c := e.th, e.th.core
-			t.vt, t.spin.n, e.at, e.seq = t.vt+n*dt, t.spin.n+int(n)*(t.spin.n-m.n), e.at+n*dt, e.seq+uint64(n)*dq
-			c.busyUntil, c.standinSeq = m.busy+(n+1)*dt, m.standinSeq+uint64(n+1)*dq
+			t.vt, t.spin.n, e.at, e.seq = t.vt+n*cy.dt, t.spin.n+int(n)*m.dn, e.at+n*cy.dt, e.seq+uint64(n)*cy.dq
+			c.busyUntil, c.standinSeq = m.c.busyUntil+dt+n*cy.dt, m.c.standinSeq+dq+uint64(n)*cy.dq
 		}
 		if n > 0 {
-			s.now, s.seq, s.played = s.now+n*dt, s.seq+uint64(n)*dq, s.played+n*(s.played-played0)
+			s.now, s.seq, s.played, left = s.now+n*cy.dt, s.seq+uint64(n)*cy.dq, s.played+n*cy.dp, 4*k+1
 		}
 	}
 	for j := k - 1; j >= 0; j-- { // a slot after those below it
@@ -684,22 +701,23 @@ func (s *Sim) window() {
 	}
 }
 
-// A mark is a participant of a window where a cycle may begin.
+// A mark is a participant of a window as it was where a cycle may begin: its
+// event, clock, spin and core, and how many iterations a cycle adds.
 type mark struct {
-	at, vt, busy    int64  // its event's time, its clock, its core's busyUntil
-	seq, standinSeq uint64 // its event's seq, its core's stand-in's
-	n               int
-	th              *thread
-	phase           uint8
-	standin         bool
+	e  event
+	vt int64
+	sp spin
+	c  simCore
+	dn int
 }
 
-// moved reports whether e's thread, its core and e are m's, dt later and dq
-// further, with e past the lag watermark.
+// moved reports whether e, its thread and its core are m's, dt later and dq
+// further in seq, with m past the lag watermark (so no stop since was hidden).
 func (m *mark) moved(e event, dt int64, dq uint64, lagAt int64) bool {
 	t, c := e.th, e.th.core
-	return t == m.th && e.at-m.at == dt && e.seq-m.seq == dq && t.vt-m.vt == dt && t.spin.at == m.phase && e.at > lagAt &&
-		c.busyUntil-m.busy == dt && c.standin == m.standin && (!c.standin || c.standinSeq-m.standinSeq == dq)
+	return t == m.e.th && e.at-m.e.at == dt && e.seq-m.e.seq == dq && t.vt-m.vt == dt && t.spin.at == m.sp.at &&
+		t.spin.pre == m.sp.pre && t.spin.post == m.sp.post && m.e.at > lagAt && c.busyUntil-m.c.busyUntil == dt &&
+		c.standin == m.c.standin && (!c.standin || c.standinSeq-m.c.standinSeq == dq)
 }
 
 // settle ends a slot of t's: its core and the clock move up to its time.
@@ -730,14 +748,14 @@ func (s *Sim) yield(t *thread) {
 }
 
 // playSpin takes a spinning thread from the stop its event was popped for to
-// its next one, f being the earliest other event: the charges and preemption
-// tests of the loop of the Spin contract, and its Yield. It reports false
-// when the spin is over and the thread has to be resumed to return from it;
-// idle: its check is known to find it idle.
-func (s *Sim) playSpin(t *thread, f event, idle bool) bool {
+// its next one, the earliest other event being due at f: the charges and
+// preemption tests of the loop of the Spin contract, and its Yield. It
+// reports false when the spin is over and the thread has to be resumed to
+// return from it; idle: its check is known to find it idle.
+func (s *Sim) playSpin(t *thread, f int64, idle bool) bool {
 	sp := &t.spin
 	if sp.at == spinPost {
-		if sp.at, t.vt = spinCheck, t.vt+sp.post; sp.post > 0 && (s.hidden || f.at < t.vt) {
+		if sp.at, t.vt = spinCheck, t.vt+max(sp.post, 0); sp.post > 0 && (s.hidden || f < t.vt) {
 			return true
 		}
 	}
@@ -745,7 +763,7 @@ func (s *Sim) playSpin(t *thread, f event, idle bool) bool {
 		if sp.n == sp.max || !idle && !sp.idle.Idle(t.vt) {
 			return false
 		}
-		if sp.at, t.vt = spinYield, t.vt+sp.pre; sp.pre > 0 && (s.hidden || f.at < t.vt) {
+		if sp.at, t.vt = spinYield, t.vt+max(sp.pre, 0); sp.pre > 0 && (s.hidden || f < t.vt) {
 			return true
 		}
 	}

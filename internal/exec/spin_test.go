@@ -178,14 +178,17 @@ var spinCases = []spinCase{
 	}},
 }
 
-// pair spawns two spinners on core, a and b, each idle until its flag.
+// pair spawns two spinners on core, a and b, each idle until its flag. Each
+// notes its clock when its body ends, returning or torn down.
 func pair(s *Sim, spin spinFunc, note func(Context, string, int), core CoreID) (a, b *untilIdler) {
 	a, b = new(untilIdler), new(untilIdler)
 	s.SpawnOn(core, "a", func(ctx Context) {
+		defer note(ctx, "ended", 0)
 		ctx.Charge(35)
 		note(ctx, "spun", spin(ctx, 20, 0, 1<<30, a))
 	})
 	s.SpawnOn(core, "b", func(ctx Context) {
+		defer note(ctx, "ended", 0)
 		ctx.Charge(20)
 		note(ctx, "spun", spin(ctx, 20, 0, 1<<30, b))
 	})
