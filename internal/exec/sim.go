@@ -583,7 +583,7 @@ func (s *Sim) next() *thread {
 
 // window makes, off the heap, the stops of idle spinners due before the next
 // other event E (a timer, a thread that is not spinning or will wait for its
-// core, a time past MaxVirtualTime): next's steps on the participants' events
+// core) and not past MaxVirtualTime: next's steps on the participants' events
 // held here in order. Their predicates are asked once, at E's time (Idler).
 // Once the participants, their cores and the clock are as at a mark (s.cyc),
 // dt later and dq further in seq, whole cycles are added at once, here or in
@@ -612,33 +612,58 @@ func (s *Sim) window() {
 		ix[k], cs[b], cs[nc] = cs[b], 2*cs[b]+1, 2*cs[b]+2
 		nc++
 	}
-	if s.cfg.MaxVirtualTime > 0 && s.cfg.MaxVirtualTime < ps[k].at {
-		ps[k] = event{at: s.cfg.MaxVirtualTime + 1}
+	end, idle := ps[k], true // E, or the first time past MaxVirtualTime
+	if s.cfg.MaxVirtualTime > 0 && s.cfg.MaxVirtualTime < end.at {
+		end = event{at: s.cfg.MaxVirtualTime + 1}
 	}
-	if ps[k].at-ps[0].at < 4*DefaultYieldCost {
+	if end.at-ps[0].at < 4*DefaultYieldCost {
 		return // too few stops before E to pay for the predicates
 	}
-	end, idle := ps[k], true
 	for _, e := range ps[:k] {
-		idle = idle && e.th.spin.idle.Idle(end.at)
+		idle = idle && e.th.spin.idle.Idle(ps[k].at) // a check may come past end, not past E
 	}
-	cy, left := &s.cyc, 1
+	cy, left := &s.cyc, 0
 	if cy.dp == 0 {
 		cy.k = 0 // a mark is only learnt from in its own window
 	} else if cy.k == k {
-		left = 4*k + 1
+		left = 4 * k
 	}
 	for ; ps[0].before(end); left-- {
+		dt, dq, i := s.now-cy.now, s.seq-cy.seq, 0
+		for ; i < k && cy.k == k && idle && dt > 0 && s.now < end.at && cy.m[i].moved(ps[i], dt, dq, s.lagAt); i++ {
+		}
+		if i == k { // the stops since the mark repeat
+			if cy.dp == 0 { // the first time round
+				cy.dt, cy.dq, cy.dp = dt, dq, s.played-cy.played
+				for i := range cy.m[:k] {
+					cy.m[i].dn = ps[i].th.spin.n - cy.m[i].sp.n
+				}
+			}
+			n := (end.at - 1 - s.now) / cy.dt // cycles that stay before E
+			for i := range cy.m[:k] {
+				sp := &ps[i].th.spin
+				n = min(n, int64((sp.max-1-sp.n)/cy.m[i].dn)) // n < max at every check
+			}
+			for i := 0; i < k && n > 0; i++ {
+				e, m := &ps[i], &cy.m[i]
+				t, c := e.th, e.th.core
+				t.vt, t.spin.n, e.at, e.seq = t.vt+n*cy.dt, t.spin.n+int(n)*m.dn, e.at+n*cy.dt, e.seq+uint64(n)*cy.dq
+				c.busyUntil, c.standinSeq = m.c.busyUntil+dt+n*cy.dt, m.c.standinSeq+dq+uint64(n)*cy.dq
+			}
+			if n > 0 {
+				s.now, s.seq, s.played, left = s.now+n*cy.dt, s.seq+uint64(n)*cy.dq, s.played+n*cy.dp, 4*k+1
+			}
+		}
 		if left == 0 {
 			for i, e := range ps[:k] {
 				m := &cy.m[i]
 				m.e, m.vt, m.sp, m.c = e, e.th.vt, e.th.spin, *e.th.core
 			}
-			cy.k, cy.now, cy.seq, cy.played, cy.dp, left = k, s.now, s.seq, s.played, 0, 4*k
+			cy.k, cy.now, cy.seq, cy.played, cy.dp, left = k, s.now, s.seq, s.played, 0, 4*k+1
 		}
 		e, f, t := ps[0], &ps[1], ps[0].th
-		if end.before(*f) {
-			f = &end // f: the earliest other event
+		if ps[k].before(*f) {
+			f = &ps[k] // f: the earliest other event
 		}
 		c := t.core
 		if s.advance(e.at); c.standin && e.seq == c.standinSeq {
@@ -659,37 +684,11 @@ func (s *Sim) window() {
 			e.at, e.seq, s.seq, s.played = t.vt, s.seq, s.seq+1, s.played+1
 			c.busyUntil, s.now = max(c.busyUntil, t.vt), max(s.now, t.vt) // settle: no waiter to promote
 		}
-		i := 0
+		i = 0
 		for ; i+1 < k && ps[i+1].before(e); i++ {
 			ps[i] = ps[i+1]
 		}
 		ps[i].at, ps[i].seq, ps[i].th = e.at, e.seq, t
-		dt, dq := s.now-cy.now, s.seq-cy.seq
-		for i = 0; i < k && cy.k == k && idle && dt > 0 && s.now < end.at && cy.m[i].moved(ps[i], dt, dq, s.lagAt); i++ {
-		}
-		if i < k {
-			continue
-		}
-		if cy.dp == 0 { // the first time round
-			cy.dt, cy.dq, cy.dp = dt, dq, s.played-cy.played
-			for i := range cy.m[:k] {
-				cy.m[i].dn = ps[i].th.spin.n - cy.m[i].sp.n
-			}
-		}
-		n := (end.at - 1 - s.now) / cy.dt // cycles that stay before E
-		for i := range cy.m[:k] {
-			sp := &ps[i].th.spin
-			n = min(n, int64((sp.max-1-sp.n)/cy.m[i].dn)) // n < max at every check
-		}
-		for i := 0; i < k && n > 0; i++ {
-			e, m := &ps[i], &cy.m[i]
-			t, c := e.th, e.th.core
-			t.vt, t.spin.n, e.at, e.seq = t.vt+n*cy.dt, t.spin.n+int(n)*m.dn, e.at+n*cy.dt, e.seq+uint64(n)*cy.dq
-			c.busyUntil, c.standinSeq = m.c.busyUntil+dt+n*cy.dt, m.c.standinSeq+dq+uint64(n)*cy.dq
-		}
-		if n > 0 {
-			s.now, s.seq, s.played, left = s.now+n*cy.dt, s.seq+uint64(n)*cy.dq, s.played+n*cy.dp, 4*k+1
-		}
 	}
 	for j := k - 1; j >= 0; j-- { // a slot after those below it
 		for _, e := range ps[:k] {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -176,6 +177,18 @@ var spinCases = []spinCase{
 	{"MaxVirtualTime", SimConfig{MaxVirtualTime: 1000}, func(s *Sim, spin spinFunc, note func(Context, string, int)) {
 		pair(s, spin, note, 0)
 	}},
+	// A spinner alone with a timer due past the bound, whose last check a
+	// charge after the yield takes past the bound, and a deadline between the
+	// two: the bound neither preempts its charges nor answers for that check.
+	{"MaxVirtualTime, a timer after", SimConfig{MaxVirtualTime: 950}, func(s *Sim, spin spinFunc, note func(Context, string, int)) {
+		a := untilIdler{deadline: 953}
+		s.Spawn("a", func(ctx Context) {
+			defer note(ctx, "ended", 0)
+			ctx.Charge(35)
+			note(ctx, "spun", spin(ctx, 20, 7, 1<<30, &a))
+		})
+		s.AfterAt(5000, func() { a.flag = true })
+	}},
 }
 
 // pair spawns two spinners on core, a and b, each idle until its flag. Each
@@ -224,14 +237,15 @@ func spinScenario(c spinCase, spin spinFunc) (log []string, s *Sim) {
 
 // spinCasesWant is each case's last line, recorded with the reference loop.
 var spinCasesWant = map[string]string{
-	"mixed":          "raised boom, end 6030, resumes+played 805",
-	"alternate":      "raised <nil>, end 1735, resumes+played 83",
-	"timer":          "raised <nil>, end 1735, resumes+played 83",
-	"deadline":       "raised <nil>, end 1735, resumes+played 73",
-	"max":            "raised <nil>, end 1760, resumes+played 88",
-	"third":          "raised <nil>, end 1935, resumes+played 98",
-	"two cores":      "raised <nil>, end 1839, resumes+played 180",
-	"MaxVirtualTime": "raised exec: virtual time 1015 exceeded bound 1000, end 1015, resumes+played 50",
+	"mixed":                         "raised boom, end 6030, resumes+played 805",
+	"alternate":                     "raised <nil>, end 1735, resumes+played 83",
+	"timer":                         "raised <nil>, end 1735, resumes+played 83",
+	"deadline":                      "raised <nil>, end 1735, resumes+played 73",
+	"max":                           "raised <nil>, end 1760, resumes+played 88",
+	"third":                         "raised <nil>, end 1935, resumes+played 98",
+	"two cores":                     "raised <nil>, end 1839, resumes+played 180",
+	"MaxVirtualTime":                "raised exec: virtual time 1015 exceeded bound 1000, end 1015, resumes+played 50",
+	"MaxVirtualTime, a timer after": "raised exec: virtual time 5000 exceeded bound 950, end 5000, resumes+played 21",
 }
 
 func TestSpinMatchesReferenceLoop(t *testing.T) {
@@ -253,6 +267,63 @@ func TestSpinMatchesReferenceLoop(t *testing.T) {
 				t.Errorf("logged %d lines, want 14 (every spin but the doomed one returns): %q", len(want), want)
 			}
 		})
+	}
+}
+
+// TestSpinMatchesReferenceLoopRandom runs random worlds of one to six
+// spinners on three cores (charges before and after the yield, some with a
+// max, a deadline or rounds between sleeps; predicates flipped by timers),
+// with or without a plain thread, ticks and a MaxVirtualTime, on Spin and
+// on the loop it stands for. It found a window that let the bound preempt a
+// charge, which only a lone spinner with a timer past the bound shows.
+func TestSpinMatchesReferenceLoopRandom(t *testing.T) {
+	for seed := int64(0); seed < 2000; seed++ {
+		var c spinCase
+		if seed%3 == 0 {
+			c.cfg.MaxVirtualTime = 500 + seed*7%1500
+		}
+		c.build = func(s *Sim, spin spinFunc, note func(Context, string, int)) {
+			r := rand.New(rand.NewSource(seed))
+			for i := r.Intn(6); i >= 0; i-- {
+				u, pre, post, max := &untilIdler{}, r.Int63n(50)-5, r.Int63n(50)-5, 3000
+				if r.Intn(3) == 0 {
+					u.deadline = r.Int63n(2500)
+				}
+				if r.Intn(3) == 0 {
+					max = r.Intn(60)
+				}
+				start, rounds, gap := r.Int63n(60), 1+r.Intn(3), r.Int63n(300)
+				s.SpawnOn(CoreID(r.Intn(3)), "s", func(ctx Context) {
+					ctx.Charge(start)
+					for j := 0; j < rounds; j++ {
+						u.flag = false
+						note(ctx, "spun", spin(ctx, pre, post, max, u))
+						ctx.Sleep(gap)
+					}
+				})
+				for j := 0; j < 4; j++ {
+					s.AfterAt(r.Int63n(2500), func() { u.flag = true })
+				}
+			}
+			if r.Intn(2) == 0 {
+				sleep, d := r.Int63n(800), 1+r.Int63n(50)
+				s.SpawnOn(CoreID(r.Intn(3)), "plain", func(ctx Context) {
+					ctx.Sleep(sleep)
+					for i := 0; i < 5; i++ {
+						ctx.Charge(d)
+						ctx.Yield()
+					}
+					note(ctx, "done", 0)
+				})
+			}
+			for j := r.Intn(4); j > 0; j-- {
+				s.AfterAt(r.Int63n(2500), func() { note(Context{}, "tick", int(s.Now())) })
+			}
+		}
+		want, _ := spinScenario(c, spinRef)
+		if got, _ := spinScenario(c, Context.Spin); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: Spin diverged from the reference loop\n got: %q\nwant: %q", seed, got, want)
+		}
 	}
 }
 
