@@ -61,13 +61,14 @@ type Sim struct {
 	cyc cycle // see window
 }
 
-// A cycle is a mark where a window's stops may repeat (its k participants,
-// the clock, seq and played count) and once seen, one cycle's move (dp > 0).
+// A cycle is a mark where a window's stops may repeat (its k participants
+// and seq) and once seen, how far one cycle moves them (dt > 0) and how many
+// stops it makes (dq, each taking a seq).
 type cycle struct {
-	m                   [4]mark
-	k                   int
-	now, played, dt, dp int64
-	seq, dq             uint64
+	m       [4]mark
+	k       int
+	dt      int64
+	seq, dq uint64
 }
 
 // simCore is one simulated core. A thread whose event comes due while the
@@ -585,12 +586,12 @@ func (s *Sim) next() *thread {
 // other event E (a timer, a thread that is not spinning or will wait for its
 // core) and not past MaxVirtualTime: next's steps on the participants' events
 // held here in order. Their predicates are asked once, at E's time (Idler).
-// Once the participants, their cores and the clock are as at a mark (s.cyc),
-// dt later and dq further in seq, whole cycles are added at once, here or in
-// a later window that matches the mark. Anything else (a core waiter, a max,
-// a false check) ends the window before that stop, which next makes. The
-// events go back to their heap slots. next calls it after a push, so the
-// heap's root is its earliest event.
+// Once the participants and their cores are as at a mark (s.cyc), dt later
+// and dq further in seq, with no stop since run to E, whole cycles are added
+// at once, here or in a later window that matches the mark. Anything else (a
+// core waiter, a max, a false check) ends the window before that stop, which
+// next makes. The events go back to their heap slots. next calls it after a
+// push, so the heap's root is its earliest event.
 func (s *Sim) window() {
 	var ps [5]event   // the participants' events in order, then E
 	var ix, cs [5]int // their heap slots; the slots below those, where the next is
@@ -623,23 +624,25 @@ func (s *Sim) window() {
 		idle = idle && e.th.spin.idle.Idle(ps[k].at) // a check may come past end, not past E
 	}
 	cy, left := &s.cyc, 0
-	if cy.dp == 0 {
+	if cy.dt == 0 {
 		cy.k = 0 // a mark is only learnt from in its own window
 	} else if cy.k == k {
 		left = 4 * k
 	}
 	for ; ps[0].before(end); left-- {
-		dt, dq, i := s.now-cy.now, s.seq-cy.seq, 0
-		for ; i < k && cy.k == k && idle && dt > 0 && s.now < end.at && cy.m[i].moved(ps[i], dt, dq, s.lagAt); i++ {
+		s.advance(ps[0].at) // as next's pop does
+		dt, dq, i, last := ps[0].at-cy.m[0].e.at, s.seq-cy.seq, 0, int64(0)
+		for ; i < k && cy.k == k && idle && dt > 0 && cy.m[i].moved(ps[i], dt, dq, s.lagAt); i++ {
+			last = max(last, ps[i].th.core.busyUntil) // no stop since the mark ran past it
 		}
-		if i == k { // the stops since the mark repeat
-			if cy.dp == 0 { // the first time round
-				cy.dt, cy.dq, cy.dp = dt, dq, s.played-cy.played
+		if i == k && last < end.at { // the stops since the mark repeat, and E played no part
+			if cy.dt == 0 { // the first time round
+				cy.dt, cy.dq = dt, dq
 				for i := range cy.m[:k] {
 					cy.m[i].dn = ps[i].th.spin.n - cy.m[i].sp.n
 				}
 			}
-			n := (end.at - 1 - s.now) / cy.dt // cycles that stay before E
+			n := (end.at - 1 - last) / cy.dt // cycles that stay before E
 			for i := range cy.m[:k] {
 				sp := &ps[i].th.spin
 				n = min(n, int64((sp.max-1-sp.n)/cy.m[i].dn)) // n < max at every check
@@ -651,7 +654,7 @@ func (s *Sim) window() {
 				c.busyUntil, c.standinSeq = m.c.busyUntil+dt+n*cy.dt, m.c.standinSeq+dq+uint64(n)*cy.dq
 			}
 			if n > 0 {
-				s.now, s.seq, s.played, left = s.now+n*cy.dt, s.seq+uint64(n)*cy.dq, s.played+n*cy.dp, 4*k+1
+				s.now, s.seq, s.played, left = max(s.now, last+n*cy.dt), s.seq+uint64(n)*cy.dq, s.played+n*int64(cy.dq), 4*k+1
 			}
 		}
 		if left == 0 {
@@ -659,14 +662,14 @@ func (s *Sim) window() {
 				m := &cy.m[i]
 				m.e, m.vt, m.sp, m.c = e, e.th.vt, e.th.spin, *e.th.core
 			}
-			cy.k, cy.now, cy.seq, cy.played, cy.dp, left = k, s.now, s.seq, s.played, 0, 4*k+1
+			cy.k, cy.seq, cy.dt, left = k, s.seq, 0, 4*k+1
 		}
 		e, f, t := ps[0], &ps[1], ps[0].th
 		if ps[k].before(*f) {
 			f = &ps[k] // f: the earliest other event
 		}
 		c := t.core
-		if s.advance(e.at); c.standin && e.seq == c.standinSeq {
+		if c.standin && e.seq == c.standinSeq {
 			c.standin = false
 		}
 		if c.busyUntil > e.at && c.standin && c.standinSeq < e.seq {
