@@ -58,7 +58,8 @@ type Sim struct {
 	lagAt  int64
 	lagSeq uint64
 
-	cyc cycle // see window
+	cyc   cycle // see window
+	short int64 // no window opens at a stop due before this
 }
 
 // A cycle is a mark where a window's stops may repeat (its k participants
@@ -575,7 +576,7 @@ func (s *Sim) next() *thread {
 		s.push(event{at: t.vt, th: t})
 		s.played++
 		s.settle(t)
-		if f := s.peek(); f.th != nil && f.th.spin.idle != nil {
+		if f := s.peek(); f.idleStop() && f.at >= s.short {
 			s.window()
 		}
 	}
@@ -606,9 +607,8 @@ func (s *Sim) window() {
 		if ps[k] = never; b >= 0 {
 			ps[k] = h[cs[b]]
 		}
-		if t := ps[k].th; k == 4 || t == nil || t.spin.idle == nil || len(t.core.waiters) > 0 || t.core.busyUntil > ps[k].at &&
-			t.core.standin && t.core.standinSeq < ps[k].seq {
-			break // not a spinner's stop, or one that will wait for its core
+		if k == 4 || !ps[k].idleStop() {
+			break
 		}
 		ix[k], cs[b], cs[nc] = cs[b], 2*cs[b]+1, 2*cs[b]+2
 		nc++
@@ -618,7 +618,8 @@ func (s *Sim) window() {
 		end = event{at: s.cfg.MaxVirtualTime + 1}
 	}
 	if end.at-ps[0].at < 4*DefaultYieldCost {
-		return // too few stops before E to pay for the predicates
+		s.short = end.at // and so are the windows of stops before it
+		return           // too few stops before E to pay for the predicates
 	}
 	for _, e := range ps[:k] {
 		idle = idle && e.th.spin.idle.Idle(ps[k].at) // a check may come past end, not past E
@@ -701,6 +702,14 @@ func (s *Sim) window() {
 		}
 		s.pq.siftDown(ix[j])
 	}
+}
+
+// idleStop reports whether e is a stop a window can make: a spinner's, on a
+// core with no waiter list, that will not wait behind the core's stand-in.
+func (e event) idleStop() bool {
+	t := e.th
+	return t != nil && t.spin.idle != nil && len(t.core.waiters) == 0 &&
+		!(t.core.busyUntil > e.at && t.core.standin && t.core.standinSeq < e.seq)
 }
 
 // A mark is a participant of a window as it was where a cycle may begin: its
