@@ -274,8 +274,10 @@ func TestSpinMatchesReferenceLoop(t *testing.T) {
 // spinners on three cores (charges before and after the yield, some with a
 // max, a deadline or rounds between sleeps; predicates flipped by timers),
 // with or without a plain thread, ticks and a MaxVirtualTime, on Spin and
-// on the loop it stands for. It found a window that let the bound preempt a
-// charge, which only a lone spinner with a timer past the bound shows.
+// on the loop it stands for: windows meet edges no named case lines up,
+// such as a charge or a check that crosses the bound. No thread notes its
+// end: when the bound is passed, the threads unwind in another order on
+// Spin (the one whose carrier ran the loop first), which this test leaves aside.
 func TestSpinMatchesReferenceLoopRandom(t *testing.T) {
 	for seed := int64(0); seed < 2000; seed++ {
 		var c spinCase
