@@ -618,7 +618,7 @@ func (s *Sim) window() {
 		end = event{at: s.cfg.MaxVirtualTime + 1}
 	}
 	if end.at-ps[0].at < 4*DefaultYieldCost {
-		s.short = end.at // and so are the windows of stops before it
+		s.short = end.at // nor can one open at a stop due before its end
 		return           // too few stops before E to pay for the predicates
 	}
 	for _, e := range ps[:k] {
